@@ -107,7 +107,7 @@ pub fn project(rel: &NfRelation, attrs: &[AttrId], order: &NestOrder) -> Result<
         let mut tuples: Vec<NfTuple> = rel
             .tuples()
             .iter()
-            .map(|t| NfTuple::new(attrs.iter().map(|&a| t.component(a).clone()).collect()))
+            .map(|t| attrs.iter().map(|&a| t.component(a).clone()).collect())
             .collect();
         tuples.sort();
         tuples.dedup();

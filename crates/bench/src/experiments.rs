@@ -1927,14 +1927,15 @@ pub fn e19_with(total_rows: usize) -> Report {
 /// Exercises the PR 7 segment subsystem end to end through the SQL
 /// surface:
 ///
-/// * **k-way segment merge vs bounded heap** — the same
+/// * **k-way segment merge vs bounded heap** — an
 ///   `ORDER BY B, A LIMIT 10` cursor on engines of 1, 4 and 16 shards.
-///   With fresh segments and an id-ordered dictionary the cursor runs
-///   the streaming k-way merge, which stops after ~(k + shards) pulls;
-///   one point INSERT then marks a shard's segments stale and the very
-///   same SQL falls back to the bounded heap, which drains every
-///   tuple. Probe counters pin the asymmetry, and the two arms must be
-///   tuple-identical.
+///   With an id-ordered dictionary the cursor runs the streaming k-way
+///   merge, which stops after ~(k + shards) pulls — and keeps doing so
+///   after a point INSERT, because §4 maintenance leaves the shard
+///   sorted and its segments repaired: the very same SQL must return
+///   identical tuples for the same handful of probes. A `DESC` key is
+///   not streamable and takes the bounded heap, which drains every
+///   tuple; probe counters pin the asymmetry.
 /// * **zone-map segment skipping** — equality on the *non-routing*
 ///   attribute of a clustered 4-shard table: shard pruning cannot help
 ///   (the predicate does not route), but per-segment min/max metadata
@@ -1974,7 +1975,7 @@ pub fn e20_with(total_rows: usize) -> Report {
         ],
     );
 
-    // ---- Phase 1: streaming k-way merge vs bounded-heap fallback. ----
+    // ---- Phase 1: streaming k-way merge vs the bounded heap. ----
     // 5-row groups fold into one canonical tuple per distinct B value.
     // Every string is interned in ascending order *before* the load so
     // the dictionary stays id-ordered — a dynamic precondition of the
@@ -2039,34 +2040,52 @@ pub fn e20_with(total_rows: usize) -> Report {
             "the merge opens one probe-counted scan per shard"
         );
 
-        // One §4 point insert leaves the routed shard's segments stale;
-        // both new values sort after the existing universe, so the
-        // dictionary stays id-ordered and the top-10 answer unchanged —
-        // the fallback below is forced by staleness alone.
+        // One §4 point insert: both new values sort after the existing
+        // universe, so the dictionary stays id-ordered and the top-10
+        // answer is unchanged. The write leaves its shard sorted and
+        // tiled, so the same SQL still streams the merge.
         session
             .run("INSERT INTO t VALUES ('zz_a', 'zz_b')")
             .unwrap();
-        {
-            let t = session.engine().table("t").unwrap();
-            assert!(
-                (0..t.shard_count()).any(|s| !t.sharded().shard_segments(s).is_fresh()),
-                "the point insert must leave a shard's segments stale"
-            );
-        }
+        session
+            .engine()
+            .table("t")
+            .unwrap()
+            .sharded()
+            .verify()
+            .expect("a point write leaves every shard sorted and tiled");
         let stats0 = session.engine().table("t").unwrap().stats();
         let start = Instant::now();
-        let heaped: Vec<NfTuple> = session
+        let written: Vec<NfTuple> = session
             .query(sql)
             .unwrap()
             .map(|t| t.into_owned())
             .collect();
+        let written_ms = start.elapsed().as_secs_f64() * 1e3;
+        let stats1 = session.engine().table("t").unwrap().stats();
+        let written_probed = stats1.units_probed - stats0.units_probed;
+        assert_eq!(written, merged, "a point write must not change the answer");
+        assert_eq!(
+            stats1.lookups - stats0.lookups,
+            shards as u64,
+            "still one scan per shard: the merge path survives the write"
+        );
+        assert!(
+            written_probed <= merge_probed + 1,
+            "the merge must still stop early after a write: \
+             {written_probed} vs {merge_probed} probes at {shards} shard(s)"
+        );
+
+        // The cost the merge avoids: a DESC key cannot stream off the
+        // stored order, so the bounded heap drains every tuple.
+        let heap_sql = "SELECT * FROM t ORDER BY B DESC, A LIMIT 10";
+        let stats0 = session.engine().table("t").unwrap().stats();
+        let start = Instant::now();
+        let heaped = session.query(heap_sql).unwrap().count();
         let heap_ms = start.elapsed().as_secs_f64() * 1e3;
         let stats1 = session.engine().table("t").unwrap().stats();
         let heap_probed = stats1.units_probed - stats0.units_probed;
-        assert_eq!(
-            heaped, merged,
-            "the stale fallback must stay tuple-identical"
-        );
+        assert_eq!(heaped, 10);
         assert!(
             merge_probed * 10 <= heap_probed,
             "the merge must stop early: {merge_probed} vs heap {heap_probed} \
@@ -2082,7 +2101,15 @@ pub fn e20_with(total_rows: usize) -> Report {
             "-".into(),
         ]);
         report.push_row(vec![
-            "bounded heap (stale fallback)".into(),
+            "k-way merge after a point write".into(),
+            format!("{shards} shard(s)"),
+            (stored + 1).to_string(),
+            format!("{written_ms:.3}"),
+            format!("{written_probed} probes"),
+            "-".into(),
+        ]);
+        report.push_row(vec![
+            "bounded heap (DESC key)".into(),
             format!("{shards} shard(s)"),
             (stored + 1).to_string(),
             format!("{heap_ms:.3}"),
@@ -2214,11 +2241,11 @@ pub fn e20_with(total_rows: usize) -> Report {
     ]);
 
     report.note(format!(
-        "Phase 1: {groups} canonical tuples per engine; the fresh-segment cursor \
-         runs the k-way merge (one probe-counted scan per shard, stops after \
-         ~k+shards pulls), a single §4 insert forces the bounded-heap fallback \
-         on identical SQL — tuple-identity and a ≥10x probe drop asserted at \
-         1/4/16 shards. Phase 2: {ZGROUPS} clustered tuples across {ZSHARDS} \
+        "Phase 1: {groups} canonical tuples per engine; the cursor runs the \
+         k-way merge (one probe-counted scan per shard, stops after ~k+shards \
+         pulls) before and after a §4 point insert — tuple-identical, same \
+         probes — while a DESC key takes the bounded heap and drains the \
+         store: a ≥10x probe drop asserted at 1/4/16 shards. Phase 2: {ZGROUPS} clustered tuples across {ZSHARDS} \
          shards re-tiled into {total_segments} segments; a non-routing equality \
          skipped {skipped}/{total_segments} segments ({eq_probed} of \
          {full_probed} probes). Set NF2_E20_ROWS to rescale.",
@@ -2393,21 +2420,16 @@ pub fn e21_mvcc_snapshot_readers() -> Report {
         std::thread::scope(|scope| {
             if concurrent_writer {
                 scope.spawn(|| {
-                    let mut session = engine.session();
+                    // §4 ops through the storage API: a SQL DELETE would
+                    // add its own routed, probe-counted victim scan to
+                    // the table-wide counter this phase compares.
+                    let table = engine.table("sc").unwrap();
+                    let course = format!("c{write_course}");
                     let mut i = 0u64;
                     while !done.load(Ordering::Relaxed) {
-                        session
-                            .run(&format!(
-                                "INSERT INTO sc VALUES ('w{}', 'c{write_course}')",
-                                i % 8
-                            ))
-                            .unwrap();
-                        session
-                            .run(&format!(
-                                "DELETE FROM sc WHERE Student = 'w{}' AND Course = 'c{write_course}'",
-                                i % 8
-                            ))
-                            .unwrap();
+                        let student = format!("w{}", i % 8);
+                        table.insert_row(&[&student, &course]).unwrap();
+                        table.delete_row(&[&student, &course]).unwrap();
                         writer_ops.fetch_add(2, Ordering::Relaxed);
                         i += 1;
                     }
@@ -3287,8 +3309,9 @@ mod tests {
     #[test]
     fn e20_merge_stops_early_and_zones_skip() {
         // e20_with itself asserts the hard invariants at any scale: the
-        // merge arm is tuple-identical to the heap fallback with ≥10x
-        // fewer probes and one scan per shard, and zone maps skip at
+        // merge arm answers identically before and after a point write
+        // with one scan per shard and ≥10x fewer probes than the
+        // bounded heap, and zone maps skip at
         // least half the segments on a non-routing equality (predictor
         // ≡ execution). Here we pin the report shape the JSON baseline
         // commits.
@@ -3300,12 +3323,13 @@ mod tests {
             .filter(|row| row[0] == "streaming k-way merge")
             .count();
         assert_eq!(merges, 3, "1, 4, 16 shards");
-        let heaps = r
-            .rows
-            .iter()
-            .filter(|row| row[0] == "bounded heap (stale fallback)")
-            .count();
-        assert_eq!(heaps, 3);
+        for arm in ["k-way merge after a point write", "bounded heap (DESC key)"] {
+            assert_eq!(
+                r.rows.iter().filter(|row| row[0] == arm).count(),
+                3,
+                "{arm}"
+            );
+        }
         let zoned = r
             .rows
             .iter()

@@ -1,16 +1,19 @@
-//! Property tests for the columnar sorted shard segments (PR 7): the
+//! Property tests for the columnar sorted shard segments: the
 //! immutable segment lists must stay an exact, losslessly decodable
-//! tiling of every fresh shard's canonical tuple vector, with exact
+//! tiling of every shard's canonical tuple vector, with exact
 //! per-attribute zone metadata — across **all** the `nf2-workload`
 //! generators, nest orders, shard counts and routing modes, and across
-//! §4 maintenance schedules that leave some shards stale and rebuild
-//! others. A final engine-level property pins the ordered SQL surface:
-//! `ORDER BY` results are identical whatever the shard layout and
-//! whatever path (fresh-segment k-way merge vs stale bounded-heap
-//! fallback) answers them.
+//! §4 maintenance schedules that interleave point ops with incremental
+//! and rebuilding batches (the vector must stay the kernel's vector,
+//! the segments its exact tiling). A final engine-level property pins
+//! the ordered SQL surface: `ORDER BY` results are identical whatever
+//! the shard layout, before and after a point write, always through
+//! the k-way merge.
 
 use proptest::prelude::*;
 
+use nf2_core::bulk::Op;
+use nf2_core::kernel::NestKernel;
 use nf2_core::schema::NestOrder;
 use nf2_core::segment::ShardSegments;
 use nf2_core::shard::{MaintenanceCost, ShardSpec, ShardedCanonical};
@@ -54,19 +57,20 @@ fn specs_for(w: &Workload, order: &NestOrder) -> Vec<ShardSpec> {
     specs
 }
 
-/// A fresh shard's segments must tile its tuple vector exactly —
-/// contiguous starts, full coverage — and decode back losslessly, with
-/// exact (not merely sound) per-attribute min/max zone metadata.
+/// A shard's segments must tile its tuple vector exactly — contiguous,
+/// non-empty, full coverage — and decode back losslessly, with exact
+/// (not merely sound) per-attribute min/max zone metadata: the bounds
+/// cover every set member of every tuple in the segment.
 fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
-    assert!(segs.is_fresh(), "only fresh shards are checked for tiling");
     let mut start = 0usize;
     let mut decoded: Vec<NfTuple> = Vec::with_capacity(tuples.len());
-    for seg in segs.segments() {
-        assert_eq!(seg.start(), start, "segments tile contiguously");
+    for (range, seg) in segs.ranges() {
+        assert_eq!(range.start, start, "segments tile contiguously");
+        assert!(seg.rows() > 0, "no empty segment survives a repair");
         start += seg.rows();
         decoded.extend(seg.decode());
 
-        let slice = &tuples[seg.range()];
+        let slice = &tuples[range];
         let arity = slice[0].arity();
         for a in 0..arity {
             let lo = slice
@@ -111,11 +115,6 @@ proptest! {
                             .unwrap();
                     for s in 0..sharded.shard_count() {
                         let tuples = sharded.shard(s).relation().tuples();
-                        prop_assert!(
-                            sharded.shard_segments(s).is_fresh(),
-                            "{} {:?}: a full build re-emits shard {s}'s segments",
-                            w.label, spec
-                        );
                         assert_exact_tiling(tuples, sharded.shard_segments(s));
                         prop_assert_eq!(
                             sharded.shard_segments(s).covered_rows(),
@@ -157,11 +156,11 @@ proptest! {
                 let probes = ValueSet::new(picks).unwrap();
                 for s in 0..sharded.shard_count() {
                     let tuples = sharded.shard(s).relation().tuples();
-                    for seg in sharded.shard_segments(s).segments() {
+                    for (range, seg) in sharded.shard_segments(s).ranges() {
                         if seg.admits(a, &probes) {
                             continue;
                         }
-                        for t in &tuples[seg.range()] {
+                        for t in &tuples[range] {
                             let hit = t.components()[a]
                                 .as_slice()
                                 .iter()
@@ -178,34 +177,66 @@ proptest! {
         }
     }
 
-    /// §4 maintenance schedules: after a mixed op batch is applied
-    /// through the auto point/rebuild policy, every shard that reports
-    /// fresh segments still tiles exactly, and every stale shard has a
-    /// recorded delta awaiting absorption.
+    /// §4 maintenance schedules: whatever interleaving of point ops,
+    /// incremental batches and rebuilding batches a shard has absorbed,
+    /// its tuple vector is exactly the vector the nest kernel emits for
+    /// its rows — same tuples, same order — and its segments are an
+    /// exact tiling of that vector (`verify` re-derives both, plus the
+    /// routing and merge invariants).
     #[test]
     fn maintenance_keeps_freshness_honest(seed in any::<u64>()) {
         for w in all_generators(seed) {
             let arity = w.flat.schema().arity();
             let order = NestOrder::identity(arity);
-            let ops = workload::op_trace(&w, 40, 40, seed ^ 0x2e);
+            let ops = workload::op_trace(&w, 60, 60, seed ^ 0x2e);
             for spec in [ShardSpec::hash(1).unwrap(), ShardSpec::hash(4).unwrap()] {
                 let mut sharded =
                     ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())
                         .unwrap();
+                // A small tiling target so repairs cross, empty and
+                // split segments at property-test scale.
+                sharded.set_segment_rows(2 + (seed % 5) as usize);
                 let mut cost = MaintenanceCost::new(sharded.shard_count());
-                sharded.apply_batch_auto(&ops, &mut cost).unwrap();
-                for s in 0..sharded.shard_count() {
-                    let segs = sharded.shard_segments(s);
-                    if segs.is_fresh() {
-                        assert_exact_tiling(sharded.shard(s).relation().tuples(), segs);
-                    } else {
-                        prop_assert!(
-                            segs.delta_ops() > 0,
-                            "{} {:?}: stale shard {s} must carry a delta",
-                            w.label, spec
+                // Deal the trace out in steps of 1 (a point op), 7 (an
+                // incremental batch) and, once, everything left at the
+                // three-quarter mark (large enough to rebuild).
+                let mut rest = ops.as_slice();
+                let mut step = 0usize;
+                while !rest.is_empty() {
+                    let take = match step % 3 {
+                        _ if rest.len() * 4 <= ops.len() => rest.len(),
+                        0 | 1 => 1,
+                        _ => 7,
+                    }
+                    .min(rest.len());
+                    let (now, later) = rest.split_at(take);
+                    rest = later;
+                    step += 1;
+                    match now {
+                        [Op::Insert(row)] => {
+                            sharded.insert_counted(row.clone(), &mut cost).unwrap();
+                        }
+                        [Op::Delete(row)] => {
+                            sharded.delete_counted(row, &mut cost).unwrap();
+                        }
+                        batch => {
+                            sharded.apply_batch_auto(batch, &mut cost).unwrap();
+                        }
+                    }
+                    for s in 0..sharded.shard_count() {
+                        let shard = sharded.shard(s);
+                        let rebuilt = NestKernel::new()
+                            .canonical_of_flat(&shard.relation().expand(), &order);
+                        prop_assert_eq!(
+                            shard.relation().tuples(),
+                            rebuilt.tuples(),
+                            "{} {:?}: shard {} is not the kernel's vector after step {}",
+                            w.label, spec, s, step
                         );
+                        assert_exact_tiling(shard.relation().tuples(), sharded.shard_segments(s));
                     }
                 }
+                sharded.verify().unwrap();
             }
         }
     }
@@ -214,7 +245,7 @@ proptest! {
 /// Builds an engine over `groups` canonical tuples (unique `b…` outer
 /// key per group, `width` inner `a…` values each), pre-interning the
 /// whole value universe in sorted order so the dictionary stays
-/// id-ordered — the fresh-segment merge path's dynamic precondition.
+/// id-ordered — the merge path's dynamic precondition.
 fn ordered_engine(groups: usize, width: usize, shards: usize) -> nf2_query::Engine {
     use nf2_storage::NfTable;
 
@@ -270,11 +301,11 @@ fn ordered_strings(engine: &mut nf2_query::Engine, sql: &str) -> Vec<Vec<Vec<Str
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The ordered SQL surface is layout- and path-independent: `ORDER
+    /// The ordered SQL surface is layout- and write-independent: `ORDER
     /// BY B, A LIMIT k` returns the same tuples (resolved to strings)
     /// on 1- and 4-shard engines, matches the oracle (groups sorted by
-    /// their unique outer key), and is unchanged when a §4 point insert
-    /// staleness-forces the bounded-heap fallback on the same SQL.
+    /// their unique outer key), and is unchanged — still one early-
+    /// stopping scan per shard — after a §4 point insert.
     #[test]
     fn ordered_sql_is_layout_and_path_independent(
         groups in 5usize..40,
@@ -298,22 +329,21 @@ proptest! {
             }
             // One point insert (sorting after the whole universe, so
             // the answer is unchanged and the dictionary stays
-            // id-ordered) marks a shard stale: the same SQL must fall
-            // back to the heap and stay identical.
+            // id-ordered): the same SQL must stay identical and keep
+            // streaming the merge — one scan per shard, stopped early.
             engine
                 .session()
                 .run("INSERT INTO t VALUES ('zz_a', 'zz_b')")
                 .unwrap();
-            {
-                let t = engine.table("t").unwrap();
-                prop_assert!(
-                    (0..t.shard_count())
-                        .any(|s| !t.sharded().shard_segments(s).is_fresh()),
-                    "the point insert leaves a shard stale"
-                );
-            }
-            let heaped = ordered_strings(&mut engine, &sql);
-            prop_assert_eq!(&heaped, &merged, "stale fallback at {} shards", shards);
+            let before = engine.table("t").unwrap().stats();
+            let written = ordered_strings(&mut engine, &sql);
+            let after = engine.table("t").unwrap().stats();
+            prop_assert_eq!(&written, &merged, "after a write at {} shards", shards);
+            prop_assert_eq!(after.lookups - before.lookups, shards as u64);
+            prop_assert!(
+                after.units_probed - before.units_probed <= (k + shards) as u64,
+                "the merge stops after ~k + shards pulls"
+            );
             results.push(merged);
         }
         prop_assert_eq!(&results[0], &results[1], "1-shard ≡ 4-shard ordering");

@@ -11,7 +11,7 @@
 
 use crate::error::Result;
 use crate::kernel::NestKernel;
-use crate::maintenance::{CanonicalRelation, CostCounter};
+use crate::maintenance::{CanonicalRelation, CostCounter, TupleEdits};
 use crate::relation::FlatRelation;
 use crate::tuple::FlatTuple;
 
@@ -51,18 +51,28 @@ pub fn apply_batch(
     ops: &[Op],
     cost: &mut CostCounter,
 ) -> Result<BatchSummary> {
+    apply_batch_tracked(canon, ops, cost, &mut ())
+}
+
+/// [`apply_batch`] reporting every tuple-vector edit to `edits`.
+fn apply_batch_tracked(
+    canon: &mut CanonicalRelation,
+    ops: &[Op],
+    cost: &mut CostCounter,
+    edits: &mut impl TupleEdits,
+) -> Result<BatchSummary> {
     let mut summary = BatchSummary::default();
     for op in ops {
         let effective = match op {
             Op::Insert(row) => {
-                let hit = canon.insert_counted(row.clone(), cost)?;
+                let hit = canon.insert_tracked(row.clone(), cost, edits)?;
                 if hit {
                     summary.inserted += 1;
                 }
                 hit
             }
             Op::Delete(row) => {
-                let hit = canon.delete_counted(row, cost)?;
+                let hit = canon.delete_tracked(row, cost, edits)?;
                 if hit {
                     summary.deleted += 1;
                 }
@@ -136,6 +146,19 @@ pub fn apply_batch_auto_with(
     ops: &[Op],
     cost: &mut CostCounter,
 ) -> Result<(BatchSummary, bool)> {
+    apply_batch_auto_tracked(kernel, canon, ops, cost, &mut ())
+}
+
+/// [`apply_batch_auto_with`] reporting the incremental arm's
+/// tuple-vector edits to `edits` (the rebuild arm replaces the whole
+/// vector and reports nothing).
+pub(crate) fn apply_batch_auto_tracked(
+    kernel: &mut NestKernel,
+    canon: &mut CanonicalRelation,
+    ops: &[Op],
+    cost: &mut CostCounter,
+    edits: &mut impl TupleEdits,
+) -> Result<(BatchSummary, bool)> {
     if should_rebuild(ops.len(), canon.flat_count()) {
         // Compute effect counts against the pre-state for an honest
         // summary, then swap in the rebuilt relation.
@@ -162,7 +185,7 @@ pub fn apply_batch_auto_with(
         *canon = CanonicalRelation::from_flat_with(kernel, &flat, canon.order().clone())?;
         Ok((summary, true))
     } else {
-        apply_batch(canon, ops, cost).map(|s| (s, false))
+        apply_batch_tracked(canon, ops, cost, edits).map(|s| (s, false))
     }
 }
 

@@ -138,15 +138,12 @@ impl NestKernel {
         let tuples: Vec<NfTuple> = (0..self.reps.len())
             .map(|t| {
                 let ids = &self.ids[t * n..(t + 1) * n];
-                let comps = (0..n)
+                (0..n)
                     .map(|attr| {
                         let (s, l) = self.sets[ids[pos_of[attr]] as usize];
-                        ValueSet::from_sorted_unchecked(
-                            self.arena[s as usize..(s + l) as usize].to_vec(),
-                        )
+                        ValueSet::from_sorted_unchecked(&self.arena[s as usize..(s + l) as usize])
                     })
-                    .collect();
-                NfTuple::new(comps)
+                    .collect()
             })
             .collect();
         NfRelation::from_tuples_unchecked(flat.schema().clone(), tuples)
@@ -236,9 +233,7 @@ impl NestKernel {
             let union = ValueSet::new(self.atom_buf[start..end].to_vec())
                 .expect("components are non-empty");
             let f = self.grp_first[g] as usize;
-            let mut comps = rel.tuples()[f].components().to_vec();
-            comps[attr] = union;
-            out.push(NfTuple::new(comps));
+            out.push(rel.tuples()[f].with_component(attr, union));
             start = end;
         }
         NfRelation::from_tuples_unchecked(rel.schema().clone(), out)

@@ -71,7 +71,7 @@ pub use nest::{
 };
 pub use relation::{FlatRelation, NfRelation};
 pub use schema::{AttrId, NestOrder, Schema};
-pub use segment::{Segment, ShardSegments, DEFAULT_SEGMENT_ROWS};
+pub use segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
 pub use shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
 pub use tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
 pub use value::{Atom, Dictionary};
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::properties::{cardinality_class, is_fixed_on, CardinalityClass};
     pub use crate::relation::{FlatRelation, NfRelation};
     pub use crate::schema::{AttrId, NestOrder, Schema};
-    pub use crate::segment::{Segment, ShardSegments, DEFAULT_SEGMENT_ROWS};
+    pub use crate::segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
     pub use crate::shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
     pub use crate::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
     pub use crate::value::{Atom, Dictionary};

@@ -18,6 +18,20 @@
 //! Positions are indices into the [`NestOrder`] (position 0 = first-nested
 //! attribute = the paper's `E1`); see DESIGN.md D2/D4 for the notation
 //! mapping.
+//!
+//! ## Ordered maintenance
+//!
+//! The nest kernel emits `ν_P(R*)` sorted by each tuple's
+//! componentwise-minimum representative, last-nested attribute first —
+//! `(min P(n−1), min P(n−2), …, min P(0))`. Expansions are pairwise
+//! disjoint, so that key is unique per tuple and the canonical *vector*
+//! is as unique as the canonical *set*. `recons`/`delete` keep it: a
+//! tuple leaves by an ordered `remove` and enters by an ordered `insert`
+//! at the binary-searched position of its key. The maintained vector is
+//! therefore always exactly what a rebuild would emit, and every edit is
+//! reported (position by position, in application order) to a
+//! `TupleEdits` sink so a positional synopsis — the shard's segments —
+//! can follow without rescanning.
 
 use crate::compose::{compose, decompose_set};
 use crate::error::{NfError, Result};
@@ -66,12 +80,28 @@ impl CostCounter {
     }
 }
 
+/// Receives the positional edits ordered maintenance makes to the tuple
+/// vector, in the order they are applied; each index refers to the
+/// vector as it is at that moment. `()` ignores them.
+pub(crate) trait TupleEdits {
+    /// A tuple was inserted at `idx`.
+    fn inserted(&mut self, idx: usize);
+    /// The tuple at `idx` was removed.
+    fn removed(&mut self, idx: usize);
+}
+
+impl TupleEdits for () {
+    fn inserted(&mut self, _idx: usize) {}
+    fn removed(&mut self, _idx: usize) {}
+}
+
 /// An NFR kept permanently in canonical form `ν_P(R*)` for a fixed nest
 /// order, supporting incremental insertion and deletion of flat tuples.
 ///
-/// Invariant: `self.relation()` equals
-/// [`canonical_of_flat`](crate::nest::canonical_of_flat)`(R*, order)` at
-/// every public-method boundary (checked exhaustively by property tests).
+/// Invariant: `self.relation().tuples()` equals
+/// [`canonical_of_flat`](crate::nest::canonical_of_flat)`(R*, order)` **as
+/// a vector** — same tuples, same (kernel) order — at every
+/// public-method boundary (checked exhaustively by property tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalRelation {
     rel: NfRelation,
@@ -161,6 +191,17 @@ impl CanonicalRelation {
 
     /// [`insert`](Self::insert) with operation counting.
     pub fn insert_counted(&mut self, flat: FlatTuple, cost: &mut CostCounter) -> Result<bool> {
+        self.insert_tracked(flat, cost, &mut ())
+    }
+
+    /// [`insert_counted`](Self::insert_counted) reporting every
+    /// tuple-vector edit to `edits`.
+    pub(crate) fn insert_tracked(
+        &mut self,
+        flat: FlatTuple,
+        cost: &mut CostCounter,
+        edits: &mut impl TupleEdits,
+    ) -> Result<bool> {
         if flat.len() != self.rel.arity() {
             return Err(NfError::ArityMismatch {
                 expected: self.rel.arity(),
@@ -171,7 +212,7 @@ impl CanonicalRelation {
             return Ok(false);
         }
         let t = NfTuple::from_flat(&flat);
-        self.recons(t, cost);
+        self.recons(t, cost, edits);
         debug_assert!(self.rel.validate().is_ok());
         Ok(true)
     }
@@ -189,6 +230,17 @@ impl CanonicalRelation {
         flat: &[crate::value::Atom],
         cost: &mut CostCounter,
     ) -> Result<bool> {
+        self.delete_tracked(flat, cost, &mut ())
+    }
+
+    /// [`delete_counted`](Self::delete_counted) reporting every
+    /// tuple-vector edit to `edits`.
+    pub(crate) fn delete_tracked(
+        &mut self,
+        flat: &[crate::value::Atom],
+        cost: &mut CostCounter,
+        edits: &mut impl TupleEdits,
+    ) -> Result<bool> {
         if flat.len() != self.rel.arity() {
             return Err(NfError::ArityMismatch {
                 expected: self.rel.arity(),
@@ -200,7 +252,7 @@ impl CanonicalRelation {
         let Some(idx) = self.rel.find_containing(flat) else {
             return Ok(false);
         };
-        let mut q = self.rel.swap_remove(idx);
+        let mut q = self.take(idx, edits);
         // Peel positions from the last-nested down to the first (the
         // paper's `i := n` downto 1), isolating `flat` and reconstructing
         // every remainder.
@@ -210,7 +262,7 @@ impl CanonicalRelation {
                 .expect("searcht guarantees membership on every attribute");
             if let Some(rem) = split.remainder {
                 cost.decompositions += 1;
-                self.recons(rem, cost);
+                self.recons(rem, cost, edits);
             }
             q = split.isolated;
         }
@@ -276,14 +328,16 @@ impl CanonicalRelation {
     /// remainder), composes over position `m`, then reconstructs the
     /// composed tuple. Without a candidate, `t` enters the relation as a
     /// new tuple (the pseudocode's implicit else-branch).
-    fn recons(&mut self, t: NfTuple, cost: &mut CostCounter) {
+    fn recons(&mut self, t: NfTuple, cost: &mut CostCounter, edits: &mut impl TupleEdits) {
         cost.recons_calls += 1;
         match self.candt(&t, cost) {
             None => {
-                self.rel.push_tuple_unchecked(t);
+                let idx = self.position_of(&t);
+                self.rel.insert_at(idx, t);
+                edits.inserted(idx);
             }
             Some((idx, m)) => {
-                let mut p = self.rel.swap_remove(idx);
+                let mut p = self.take(idx, edits);
                 let n = self.order.arity();
                 // while j > m do unnest(Ej(ej), p, pe, pr); recons(pr)
                 for pos in ((m + 1)..n).rev() {
@@ -292,7 +346,7 @@ impl CanonicalRelation {
                         .expect("candidate predicate guarantees t.E(k) ⊆ p.E(k) for k > m");
                     if let Some(rem) = split.remainder {
                         cost.decompositions += 1;
-                        self.recons(rem, cost);
+                        self.recons(rem, cost, edits);
                     }
                     p = split.isolated;
                 }
@@ -302,21 +356,45 @@ impl CanonicalRelation {
                     .expect("Lemma A-2: the unnested candidate is composable with t");
                 cost.compositions += 1;
                 // Lemma A-3: the composed tuple may itself have a candidate.
-                self.recons(w, cost);
+                self.recons(w, cost, edits);
             }
         }
     }
 
-    /// Re-derives the canonical form from scratch and checks it matches
-    /// the maintained relation. Test/diagnostic helper.
+    /// Ordered removal of the tuple at `idx`.
+    fn take(&mut self, idx: usize, edits: &mut impl TupleEdits) -> NfTuple {
+        edits.removed(idx);
+        self.rel.remove(idx)
+    }
+
+    /// Where `t` belongs in the kernel's order: tuples sort by their
+    /// componentwise-minimum representative, last-nested attribute
+    /// first (module docs). `t`'s expansion is disjoint from every
+    /// stored tuple's, so no stored key equals its own.
+    fn position_of(&self, t: &NfTuple) -> usize {
+        let key = |s: &NfTuple, attr: usize| s.component(attr).as_slice()[0];
+        self.rel.tuples().partition_point(|s| {
+            self.order
+                .as_slice()
+                .iter()
+                .rev()
+                .map(|&attr| key(s, attr).cmp(&key(t, attr)))
+                .find(|o| o.is_ne())
+                .is_some_and(|o| o.is_lt())
+        })
+    }
+
+    /// Re-derives the canonical form from scratch and checks the
+    /// maintained relation matches it tuple for tuple, in the kernel's
+    /// order. Test/diagnostic helper.
     pub fn verify(&self) -> Result<()> {
         self.rel.validate()?;
         let fresh = crate::nest::canonical_of_flat(&self.rel.expand(), &self.order);
-        if fresh == self.rel {
+        if fresh.tuples() == self.rel.tuples() {
             Ok(())
         } else {
             Err(NfError::InvalidNestOrder(
-                "maintained relation is not canonical for its order".into(),
+                "maintained relation is not the canonical vector for its order".into(),
             ))
         }
     }
@@ -350,8 +428,8 @@ mod tests {
             flat.insert(row(r)).unwrap();
             let oracle = canonical_of_flat(&flat, &order);
             assert_eq!(
-                canon.relation(),
-                &oracle,
+                canon.relation().tuples(),
+                oracle.tuples(),
                 "after inserting {r:?} with order {order}"
             );
         }
@@ -367,8 +445,8 @@ mod tests {
             flat.remove(&row(r));
             let oracle = canonical_of_flat(&flat, &order);
             assert_eq!(
-                canon.relation(),
-                &oracle,
+                canon.relation().tuples(),
+                oracle.tuples(),
                 "after deleting {r:?} with order {order}"
             );
         }
@@ -516,10 +594,17 @@ mod tests {
                     flat.insert(r).unwrap();
                 }
                 if step % 10 == 0 {
-                    assert_eq!(canon.relation(), &canonical_of_flat(&flat, &order));
+                    assert_eq!(
+                        canon.relation().tuples(),
+                        canonical_of_flat(&flat, &order).tuples(),
+                        "the maintained vector is the kernel's vector"
+                    );
                 }
             }
-            assert_eq!(canon.relation(), &canonical_of_flat(&flat, &order));
+            assert_eq!(
+                canon.relation().tuples(),
+                canonical_of_flat(&flat, &order).tuples()
+            );
         }
     }
 

@@ -12,7 +12,10 @@
 //!   writes are installed after. Streaming a cursor takes no locks.
 //! * **Writers** build replacement `ShardVersion`s off to the side
 //!   (copy-on-write via [`std::sync::Arc::make_mut`] inside
-//!   [`crate::shard::ShardedCanonical`]) and swap them in with
+//!   [`crate::shard::ShardedCanonical`]; the copy shares every tuple
+//!   and every segment the write does not touch with its predecessor —
+//!   tuples and segments are `Arc`-held, so cloning a version is
+//!   reference-count bumps, not a deep copy) and swap them in with
 //!   [`VersionCell::install`] — one write-lock acquisition and a single
 //!   epoch bump per statement, touching only the shards the statement
 //!   routed to. A write routed to shard 3 never invalidates, copies, or
@@ -34,10 +37,14 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::maintenance::CanonicalRelation;
+use crate::bulk::{apply_batch_auto_tracked, BatchSummary, Op};
+use crate::error::Result;
+use crate::kernel::NestKernel;
+use crate::maintenance::{CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
-use crate::segment::ShardSegments;
-use crate::tuple::{NfTuple, TupleStore};
+use crate::segment::{ShardSegments, Tiling};
+use crate::tuple::{FlatTuple, NfTuple, TupleStore};
+use crate::value::Atom;
 
 /// One shard's immutable state: its canonical form plus the columnar
 /// segment synopsis built over the same tuple ordering.
@@ -46,7 +53,8 @@ use crate::tuple::{NfTuple, TupleStore};
 /// it (copy-on-write) and publish the replacement. Bundling the tuple
 /// store and its zone synopsis in one value means readers can never
 /// observe segments that describe a different tuple vector than the one
-/// they scan.
+/// they scan, and every mutation below repairs the segments it touches
+/// before returning, so the two agree at every version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardVersion {
     pub(crate) canon: CanonicalRelation,
@@ -90,8 +98,68 @@ impl ShardVersion {
     }
 
     /// Whether the flat tuple is represented in this version.
-    pub fn contains(&self, flat: &[crate::value::Atom]) -> bool {
+    pub fn contains(&self, flat: &[Atom]) -> bool {
         self.canon.contains(flat)
+    }
+
+    /// §4.2 insertion: ordered maintenance of the tuple vector, then
+    /// re-encoding of exactly the segments it touched. `true` if new.
+    pub(crate) fn insert(
+        &mut self,
+        row: FlatTuple,
+        cost: &mut CostCounter,
+        tiling: Tiling,
+    ) -> Result<bool> {
+        let mut patch = self.segments.patch();
+        let fresh = self.canon.insert_tracked(row, cost, &mut patch)?;
+        if fresh {
+            patch.finish(self.canon.relation().tuples(), tiling);
+        }
+        Ok(fresh)
+    }
+
+    /// §4.3 deletion, with the same segment repair as
+    /// [`insert`](Self::insert). `true` if the row was present.
+    pub(crate) fn delete(
+        &mut self,
+        row: &[Atom],
+        cost: &mut CostCounter,
+        tiling: Tiling,
+    ) -> Result<bool> {
+        let mut patch = self.segments.patch();
+        let hit = self.canon.delete_tracked(row, cost, &mut patch)?;
+        if hit {
+            patch.finish(self.canon.relation().tuples(), tiling);
+        }
+        Ok(hit)
+    }
+
+    /// Applies a sub-batch through the auto strategy: the incremental
+    /// arm repairs the segments its ops touched (once, at the end), the
+    /// rebuild arm re-tiles the re-nested vector. Returns the summary
+    /// and whether the rebuild arm ran.
+    pub(crate) fn apply_batch(
+        &mut self,
+        kernel: &mut NestKernel,
+        batch: &[Op],
+        cost: &mut CostCounter,
+        tiling: Tiling,
+    ) -> Result<(BatchSummary, bool)> {
+        let mut patch = self.segments.patch();
+        let (summary, rebuilt) =
+            apply_batch_auto_tracked(kernel, &mut self.canon, batch, cost, &mut patch)?;
+        if rebuilt {
+            self.retile(tiling);
+        } else {
+            patch.finish(self.canon.relation().tuples(), tiling);
+        }
+        Ok((summary, rebuilt))
+    }
+
+    /// Re-emits uniformly tiled segments over the current tuple vector.
+    pub(crate) fn retile(&mut self, tiling: Tiling) {
+        self.segments
+            .rebuild(self.canon.relation().tuples(), tiling);
     }
 }
 
@@ -295,7 +363,6 @@ mod tests {
     use crate::relation::FlatRelation;
     use crate::schema::{NestOrder, Schema};
     use crate::segment::DEFAULT_SEGMENT_ROWS;
-    use crate::value::Atom;
 
     fn version_of(rows: &[[u32; 2]]) -> Arc<ShardVersion> {
         let schema = Schema::new("T", &["A", "B"]).unwrap();
@@ -303,9 +370,12 @@ mod tests {
             FlatRelation::from_rows(schema, rows.iter().map(|r| vec![Atom(r[0]), Atom(r[1])]))
                 .unwrap();
         let canon = CanonicalRelation::from_flat(&flat, NestOrder::identity(2)).unwrap();
-        let mut segments = ShardSegments::fresh_empty();
-        segments.rebuild(canon.relation().tuples(), Some(1), DEFAULT_SEGMENT_ROWS);
-        Arc::new(ShardVersion::new(canon, segments))
+        let mut version = ShardVersion::new(canon, ShardSegments::new());
+        version.retile(Tiling {
+            outer_attr: Some(1),
+            target_rows: DEFAULT_SEGMENT_ROWS,
+        });
+        Arc::new(version)
     }
 
     #[test]

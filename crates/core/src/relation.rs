@@ -95,7 +95,11 @@ impl FlatRelation {
 /// disjoint expansions over a shared schema.
 ///
 /// The tuple *order* is not semantically meaningful; equality compares the
-/// underlying sets of tuples.
+/// underlying sets of tuples. (A [`CanonicalRelation`] additionally keeps
+/// its relation's vector in the nest kernel's order; that is its
+/// invariant, not this type's.)
+///
+/// [`CanonicalRelation`]: crate::maintenance::CanonicalRelation
 #[derive(Debug, Clone)]
 pub struct NfRelation {
     schema: Arc<Schema>,
@@ -270,16 +274,18 @@ impl NfRelation {
         Ok(())
     }
 
-    /// Adds a tuple without the overlap scan; callers must guarantee the
-    /// invariant.
-    pub(crate) fn push_tuple_unchecked(&mut self, tuple: NfTuple) {
+    /// Inserts a tuple at position `idx` without the overlap scan;
+    /// callers must guarantee the invariant. Ordered maintenance uses
+    /// this to keep the vector in the kernel's order.
+    pub(crate) fn insert_at(&mut self, idx: usize, tuple: NfTuple) {
         debug_assert_eq!(tuple.arity(), self.schema.arity());
-        self.tuples.push(tuple);
+        self.tuples.insert(idx, tuple);
     }
 
-    /// Removes and returns the tuple at `idx`.
-    pub(crate) fn swap_remove(&mut self, idx: usize) -> NfTuple {
-        self.tuples.swap_remove(idx)
+    /// Removes and returns the tuple at `idx`, keeping the order of the
+    /// rest.
+    pub(crate) fn remove(&mut self, idx: usize) -> NfTuple {
+        self.tuples.remove(idx)
     }
 
     /// Tuples sorted canonically — used for order-insensitive comparison

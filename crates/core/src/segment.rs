@@ -9,7 +9,7 @@
 //! minimum outer value of a tuple spans the tuple's full inner sets.
 //! Segments make that order *be* the storage order: each shard of a
 //! [`ShardedCanonical`](crate::shard::ShardedCanonical) slices its
-//! freshly rebuilt tuple vector into fixed-size immutable
+//! tuple vector into immutable
 //! [`Segment`]s, each carrying
 //!
 //! * **dictionary-coded columns** — components are stored as the
@@ -23,15 +23,24 @@
 //!   and equality predicates can refute whole segments without probing
 //!   a single tuple.
 //!
-//! Segments are immutable. §4 point maintenance mutates the tuple store
-//! in place and merely marks the shard's segments *stale*
-//! ([`ShardSegments::note_delta`]); the accumulated delta is absorbed
-//! the next time a batch rebuild re-nests the shard, which re-emits
-//! segments from the kernel's sorted output at no extra sorting cost.
-//! Consumers (ordered scans, zone-map skipping) must check
-//! [`ShardSegments::is_fresh`] and fall back to the plain tuple scan
-//! when the delta has broken the sorted order.
+//! Segments are immutable and `Arc`-shared between consecutive shard
+//! versions. §4 point maintenance keeps the tuple vector in the kernel's
+//! order (ordered `insert`/`remove` at the canonical position, see
+//! [`crate::maintenance`]) and reports every position it touches to a
+//! `SegmentPatch`; when the operation is done the patch re-encodes
+//! exactly the segments whose tuple range changed — dropping one that
+//! emptied, splitting one that outgrew twice the tiling target — and
+//! carries every other segment over by pointer. A shard's segments
+//! therefore describe its live tuple vector at every version: ordered
+//! scans and zone-map skipping never have to check for staleness.
+//! Segment boundaries drift from the uniform tiling as patches
+//! accumulate; a checkpoint re-tiles ([`ShardSegments::rebuild`]) so the
+//! persisted synopsis is the one a reopen re-derives.
 
+use std::ops::Range;
+use std::sync::Arc;
+
+use crate::maintenance::TupleEdits;
 use crate::tuple::{NfTuple, ValueSet};
 use crate::value::Atom;
 
@@ -149,12 +158,13 @@ impl RleColumn {
     }
 }
 
-/// One sorted immutable columnar segment: a contiguous slice
-/// `[start, start + rows)` of a shard's canonical tuple vector, stored
-/// column-wise with zone-map metadata.
+/// One sorted immutable columnar segment: `rows` consecutive tuples of
+/// a shard's canonical tuple vector, stored column-wise with zone-map
+/// metadata. A segment does not know where it starts — its position is
+/// the sum of the row counts before it ([`ShardSegments::ranges`]) — so
+/// an edit earlier in the shard shifts it without touching it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
-    start: usize,
     rows: usize,
     outer_attr: usize,
     /// Per-attribute minimum atom code over all set members of all rows.
@@ -169,11 +179,11 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Encodes `tuples` (non-empty, all of the same arity ≥ 1) as a
-    /// segment beginning at tuple index `start` of its shard. The
-    /// caller guarantees the slice comes from a kernel rebuild, i.e. is
-    /// in canonical sorted order; encoding itself never re-sorts.
-    pub fn encode(tuples: &[NfTuple], start: usize, outer_attr: usize) -> Self {
+    /// Encodes `tuples` (non-empty, all of the same arity ≥ 1) as one
+    /// segment. The caller guarantees the slice is in canonical sorted
+    /// order (a kernel rebuild, or ordered §4 maintenance of one);
+    /// encoding itself never re-sorts.
+    pub fn encode(tuples: &[NfTuple], outer_attr: usize) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
         let arity = tuples[0].arity();
         debug_assert!(outer_attr < arity, "outer attribute must be in-schema");
@@ -197,7 +207,6 @@ impl Segment {
             .map(|a| (a != outer_attr).then(|| AttrColumn::encode(tuples, a)))
             .collect();
         let seg = Segment {
-            start,
             rows: tuples.len(),
             outer_attr,
             mins,
@@ -213,19 +222,9 @@ impl Segment {
         seg
     }
 
-    /// First tuple index (within the shard) this segment covers.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
     /// Number of tuples covered.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// The covered index range within the shard's tuple vector.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.rows
     }
 
     /// The attribute stored run-length encoded (`P(n−1)`).
@@ -297,91 +296,91 @@ impl Segment {
                 left_in_run = self.outer.run_len(run);
             }
             left_in_run -= 1;
-            let comps = (0..arity)
+            let tuple = (0..arity)
                 .map(|a| {
-                    let slice = match &self.columns[a] {
+                    ValueSet::from_sorted_unchecked(match &self.columns[a] {
                         Some(col) => col.set(row),
                         None => self.outer.run_set(run),
-                    };
-                    ValueSet::from_sorted_unchecked(slice.to_vec())
+                    })
                 })
                 .collect();
-            out.push(NfTuple::new(comps));
+            out.push(tuple);
         }
         out
     }
 }
 
-/// The segment state of one shard: the immutable segment list plus the
-/// mutable-delta bookkeeping that tracks whether the list still
-/// describes the live tuple store.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How a shard's tuple vector is cut into segments: the attribute stored
+/// run-length encoded and the target tuples per segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tiling {
+    /// The routing attribute `P(n−1)`; `None` only for a zero-arity
+    /// schema, whose (degenerate) tuples stay unsegmented.
+    pub outer_attr: Option<usize>,
+    /// Target tuples per segment (≥ 1).
+    pub target_rows: usize,
+}
+
+/// `tuples` encoded `rows` at a time (the remainder in the last piece).
+fn tiles(
+    tuples: &[NfTuple],
+    rows: usize,
+    outer_attr: usize,
+) -> impl Iterator<Item = Arc<Segment>> + '_ {
+    tuples
+        .chunks(rows)
+        .map(move |chunk| Arc::new(Segment::encode(chunk, outer_attr)))
+}
+
+/// The segments of one shard, in tuple order: together they tile the
+/// shard's tuple vector exactly, at every version.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSegments {
-    segments: Vec<Segment>,
-    /// §4 point/incremental ops applied since the last rebuild — the
-    /// size of the mutable delta awaiting absorption.
-    delta_ops: usize,
-    /// `true` while the segments exactly tile the shard's tuple vector
-    /// in canonical sorted order. Point maintenance clears it; only a
-    /// kernel rebuild sets it again.
-    fresh: bool,
+    segments: Vec<Arc<Segment>>,
 }
 
 impl ShardSegments {
-    /// The segment state of an empty, never-mutated shard: zero
-    /// segments exactly tile zero tuples, so it is fresh.
-    pub fn fresh_empty() -> Self {
-        ShardSegments {
-            segments: Vec::new(),
-            delta_ops: 0,
-            fresh: true,
-        }
+    /// The (empty) segment list of an empty shard.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Re-emits segments from a freshly rebuilt (kernel-sorted) tuple
-    /// vector, absorbing any pending delta. `outer_attr` is the routing
-    /// attribute `P(n−1)`; a zero-arity schema has none, and its
-    /// (degenerate) tuples stay unsegmented.
-    pub fn rebuild(&mut self, tuples: &[NfTuple], outer_attr: Option<usize>, target_rows: usize) {
+    /// Re-emits uniformly tiled segments from the shard's tuple vector:
+    /// `target_rows` tuples each, the remainder in the last.
+    pub fn rebuild(&mut self, tuples: &[NfTuple], tiling: Tiling) {
         self.segments.clear();
-        self.delta_ops = 0;
-        let Some(outer) = outer_attr else {
-            self.fresh = tuples.is_empty();
+        let Some(outer) = tiling.outer_attr else {
             return;
         };
+        self.segments
+            .extend(tiles(tuples, tiling.target_rows.max(1), outer));
+    }
+
+    /// Whether the segments are exactly what [`rebuild`](Self::rebuild)
+    /// would emit for this tiling target: every segment full but the
+    /// last. Patched shards drift from it; a checkpoint restores it.
+    pub fn is_uniform(&self, target_rows: usize) -> bool {
         let target = target_rows.max(1);
-        let mut start = 0usize;
-        while start < tuples.len() {
-            let take = target.min(tuples.len() - start);
-            self.segments
-                .push(Segment::encode(&tuples[start..start + take], start, outer));
-            start += take;
+        match self.segments.split_last() {
+            None => true,
+            Some((last, full)) => {
+                last.rows() <= target && full.iter().all(|seg| seg.rows() == target)
+            }
         }
-        self.fresh = true;
     }
 
-    /// Records `ops` point/incremental maintenance operations: the
-    /// tuple store has diverged from the segments, so ordered scans and
-    /// zone maps must fall back until the next rebuild absorbs the
-    /// delta.
-    pub fn note_delta(&mut self, ops: usize) {
-        self.fresh = false;
-        self.delta_ops += ops;
-    }
-
-    /// Whether the segments still exactly describe the tuple store.
-    pub fn is_fresh(&self) -> bool {
-        self.fresh
-    }
-
-    /// Pending delta operations since the last rebuild.
-    pub fn delta_ops(&self) -> usize {
-        self.delta_ops
-    }
-
-    /// The immutable segments, in tuple order.
-    pub fn segments(&self) -> &[Segment] {
+    /// The segments, in tuple order.
+    pub fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
+    }
+
+    /// Every segment with the tuple-vector range it covers.
+    pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, &Segment)> {
+        self.segments.iter().scan(0usize, |start, seg| {
+            let range = *start..*start + seg.rows();
+            *start = range.end;
+            Some((range, &**seg))
+        })
     }
 
     /// Number of segments.
@@ -391,7 +390,91 @@ impl ShardSegments {
 
     /// Total tuples the segments cover.
     pub fn covered_rows(&self) -> usize {
-        self.segments.iter().map(Segment::rows).sum()
+        self.segments.iter().map(|seg| seg.rows()).sum()
+    }
+
+    /// Starts recording the tuple-vector edits of one maintenance
+    /// operation (a point op or an incremental batch).
+    pub(crate) fn patch(&mut self) -> SegmentPatch<'_> {
+        let slots = self
+            .segments
+            .iter()
+            .map(|seg| (seg.rows(), false))
+            .collect();
+        SegmentPatch { segs: self, slots }
+    }
+}
+
+/// The segment-side record of one maintenance operation: per segment,
+/// how many tuples it covers *now* and whether any of them changed.
+/// [`finish`](Self::finish) turns that into the next segment list.
+#[derive(Debug)]
+pub(crate) struct SegmentPatch<'a> {
+    segs: &'a mut ShardSegments,
+    /// `(rows, dirty)` per slot. Slot `i` started as segment `i`; one
+    /// extra slot appears when the first tuple enters an empty shard.
+    slots: Vec<(usize, bool)>,
+}
+
+impl SegmentPatch<'_> {
+    /// The slot whose range holds tuple `idx`; the last slot for an
+    /// append at the very end.
+    fn slot_of(&self, idx: usize) -> usize {
+        let mut end = 0usize;
+        for (slot, &(rows, _)) in self.slots.iter().enumerate() {
+            end += rows;
+            if idx < end {
+                return slot;
+            }
+        }
+        self.slots.len().saturating_sub(1)
+    }
+
+    /// Re-encodes every segment whose tuples changed from the
+    /// maintained vector `tuples`, sharing the rest: an emptied segment
+    /// is dropped, one past twice the tiling target is split.
+    pub(crate) fn finish(self, tuples: &[NfTuple], tiling: Tiling) {
+        let Some(outer) = tiling.outer_attr else {
+            return;
+        };
+        let target = tiling.target_rows.max(1);
+        let old = std::mem::take(&mut self.segs.segments);
+        let mut next = Vec::with_capacity(self.slots.len());
+        let mut start = 0usize;
+        for (slot, &(rows, dirty)) in self.slots.iter().enumerate() {
+            let slice = &tuples[start..start + rows];
+            start += rows;
+            if !dirty {
+                next.push(Arc::clone(&old[slot]));
+            } else {
+                let piece = if rows > 2 * target {
+                    target
+                } else {
+                    rows.max(1)
+                };
+                next.extend(tiles(slice, piece, outer));
+            }
+        }
+        debug_assert_eq!(start, tuples.len(), "edits account for every tuple");
+        self.segs.segments = next;
+    }
+}
+
+impl TupleEdits for SegmentPatch<'_> {
+    fn inserted(&mut self, idx: usize) {
+        if self.slots.is_empty() {
+            self.slots.push((0, true));
+        }
+        let slot = self.slot_of(idx);
+        self.slots[slot].0 += 1;
+        self.slots[slot].1 = true;
+    }
+
+    fn removed(&mut self, idx: usize) {
+        let slot = self.slot_of(idx);
+        debug_assert!(self.slots[slot].0 > 0, "removed tuple lies in a segment");
+        self.slots[slot].0 -= 1;
+        self.slots[slot].1 = true;
     }
 }
 
@@ -420,17 +503,15 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let tuples = sample();
-        let seg = Segment::encode(&tuples, 3, 1);
-        assert_eq!(seg.start(), 3);
+        let seg = Segment::encode(&tuples, 1);
         assert_eq!(seg.rows(), 5);
-        assert_eq!(seg.range(), 3..8);
         assert_eq!(seg.decode(), tuples);
     }
 
     #[test]
     fn rle_collapses_consecutive_outer_sets() {
         let tuples = sample();
-        let seg = Segment::encode(&tuples, 0, 1);
+        let seg = Segment::encode(&tuples, 1);
         // Outer sets: {10},{10},{11,12},{11,12},{20} → 3 runs.
         assert_eq!(seg.distinct_outer(), 3);
         assert_eq!(seg.outer_column().run_len(0), 2);
@@ -444,7 +525,7 @@ mod tests {
 
     #[test]
     fn zone_maps_bound_all_set_members() {
-        let seg = Segment::encode(&sample(), 0, 1);
+        let seg = Segment::encode(&sample(), 1);
         assert_eq!(seg.min(0), Atom(1));
         assert_eq!(seg.max(0), Atom(9));
         assert_eq!(seg.min(1), Atom(10));
@@ -453,7 +534,7 @@ mod tests {
 
     #[test]
     fn admits_refutes_out_of_zone_predicates() {
-        let seg = Segment::encode(&sample(), 0, 1);
+        let seg = Segment::encode(&sample(), 1);
         assert!(seg.admits(0, &set(&[5])));
         assert!(seg.admits(0, &set(&[0, 9])));
         assert!(!seg.admits(0, &set(&[0])));
@@ -462,33 +543,116 @@ mod tests {
         assert!(!seg.admits(1, &set(&[21])));
     }
 
+    fn tiling(target_rows: usize) -> Tiling {
+        Tiling {
+            outer_attr: Some(1),
+            target_rows,
+        }
+    }
+
+    fn starts(ss: &ShardSegments) -> Vec<usize> {
+        ss.ranges().map(|(range, _)| range.start).collect()
+    }
+
     #[test]
     fn shard_segments_tile_and_absorb() {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[100 + i / 3]])).collect();
-        let mut ss = ShardSegments::fresh_empty();
-        assert!(ss.is_fresh());
+        let mut ss = ShardSegments::new();
         assert_eq!(ss.segment_count(), 0);
-        ss.rebuild(&tuples, Some(1), 4);
-        assert!(ss.is_fresh());
+        assert!(ss.is_uniform(4), "no segments tile no tuples");
+        ss.rebuild(&tuples, tiling(4));
         assert_eq!(ss.segment_count(), 3, "10 rows at target 4 → 4+4+2");
         assert_eq!(ss.covered_rows(), 10);
-        let starts: Vec<usize> = ss.segments().iter().map(Segment::start).collect();
-        assert_eq!(starts, vec![0, 4, 8]);
-        ss.note_delta(2);
-        assert!(!ss.is_fresh());
-        assert_eq!(ss.delta_ops(), 2);
-        ss.rebuild(&tuples, Some(1), DEFAULT_SEGMENT_ROWS);
-        assert!(ss.is_fresh());
-        assert_eq!(ss.delta_ops(), 0);
+        assert_eq!(starts(&ss), vec![0, 4, 8]);
+        assert!(ss.is_uniform(4));
+        assert!(!ss.is_uniform(5));
+        ss.rebuild(&tuples, tiling(DEFAULT_SEGMENT_ROWS));
         assert_eq!(ss.segment_count(), 1);
     }
 
     #[test]
+    fn patch_reencodes_only_the_touched_segments() {
+        let mut tuples: Vec<NfTuple> = (0..12u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&tuples, tiling(4));
+        let before: Vec<Arc<Segment>> = ss.segments().to_vec();
+
+        // One insert inside the middle segment.
+        tuples.insert(5, tuple(&[&[50], &[104]]));
+        let mut patch = ss.patch();
+        patch.inserted(5);
+        patch.finish(&tuples, tiling(4));
+        assert_eq!(starts(&ss), vec![0, 4, 9]);
+        assert!(
+            Arc::ptr_eq(&ss.segments()[0], &before[0]),
+            "untouched: shared"
+        );
+        assert!(
+            Arc::ptr_eq(&ss.segments()[2], &before[2]),
+            "shifted: shared"
+        );
+        assert_eq!(*ss.segments()[1], Segment::encode(&tuples[4..9], 1));
+        assert_eq!(
+            ss.segments()[1].max(0),
+            Atom(50),
+            "zone map follows the edit"
+        );
+        assert!(!ss.is_uniform(4), "patched tiling drifts from the target");
+    }
+
+    #[test]
+    fn patch_drops_emptied_and_splits_overgrown_segments() {
+        let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&tuples, tiling(2));
+        assert_eq!(ss.segment_count(), 3);
+
+        // Empty the first segment: it disappears.
+        let mut patch = ss.patch();
+        tuples.remove(0);
+        patch.removed(0);
+        tuples.remove(0);
+        patch.removed(0);
+        patch.finish(&tuples, tiling(2));
+        assert_eq!(ss.segment_count(), 2);
+        assert_eq!(ss.covered_rows(), 4);
+
+        // Grow the last one past twice the target: it splits at the target.
+        let mut patch = ss.patch();
+        for i in 0..3u32 {
+            tuples.push(tuple(&[&[60 + i], &[200 + i]]));
+            patch.inserted(tuples.len() - 1);
+        }
+        patch.finish(&tuples, tiling(2));
+        assert_eq!(starts(&ss), vec![0, 2, 4, 6], "5 rows at target 2 → 2+2+1");
+        for (range, seg) in ss.ranges() {
+            assert_eq!(seg.decode(), tuples[range]);
+        }
+    }
+
+    #[test]
+    fn first_tuple_of_an_empty_shard_opens_a_segment() {
+        let tuples = vec![tuple(&[&[1], &[10]])];
+        let mut ss = ShardSegments::new();
+        let mut patch = ss.patch();
+        patch.inserted(0);
+        patch.finish(&tuples, tiling(4));
+        assert_eq!(ss.segment_count(), 1);
+        assert_eq!(ss.covered_rows(), 1);
+    }
+
+    #[test]
     fn zero_arity_shards_stay_unsegmented() {
-        let mut ss = ShardSegments::fresh_empty();
-        ss.rebuild(&[], None, DEFAULT_SEGMENT_ROWS);
-        assert!(ss.is_fresh());
-        ss.rebuild(&[NfTuple::new(vec![])], None, DEFAULT_SEGMENT_ROWS);
-        assert!(!ss.is_fresh(), "unsegmentable tuples must read as stale");
+        let none = Tiling {
+            outer_attr: None,
+            target_rows: DEFAULT_SEGMENT_ROWS,
+        };
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&[NfTuple::new(vec![])], none);
+        assert_eq!(ss.segment_count(), 0);
+        let mut patch = ss.patch();
+        patch.inserted(0);
+        patch.finish(&[NfTuple::new(vec![])], none);
+        assert_eq!(ss.segment_count(), 0);
     }
 }

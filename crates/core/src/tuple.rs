@@ -7,6 +7,7 @@
 //! combinatorial *rectangle* inside the flat relation `R*`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{NfError, Result};
 use crate::relation::NfRelation;
@@ -16,9 +17,10 @@ use crate::value::Atom;
 pub type FlatTuple = Vec<Atom>;
 
 /// A non-empty, sorted, duplicate-free set of atoms — one component of an
-/// NF² tuple.
+/// NF² tuple. Immutable once built, so the atoms sit in an exactly-sized
+/// boxed slice (two words per component inside a tuple's block, not three).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ValueSet(Vec<Atom>);
+pub struct ValueSet(Box<[Atom]>);
 
 impl ValueSet {
     /// Builds a set from arbitrary values (sorted and deduplicated).
@@ -29,25 +31,25 @@ impl ValueSet {
         }
         values.sort_unstable();
         values.dedup();
-        Some(Self(values))
+        Some(Self(values.into_boxed_slice()))
     }
 
     /// A one-element set.
     pub fn singleton(value: Atom) -> Self {
-        Self(vec![value])
+        Self(Box::new([value]))
     }
 
     /// Builds a set from values that are already strictly ascending (and
     /// therefore non-empty and duplicate-free). Fast path for the nest
     /// kernel, whose folds produce sorted runs by construction; checked in
     /// debug builds.
-    pub(crate) fn from_sorted_unchecked(values: Vec<Atom>) -> Self {
+    pub(crate) fn from_sorted_unchecked(values: &[Atom]) -> Self {
         debug_assert!(!values.is_empty(), "components must be non-empty");
         debug_assert!(
             values.windows(2).all(|w| w[0] < w[1]),
             "values must be strictly ascending"
         );
-        Self(values)
+        Self(values.into())
     }
 
     /// Number of values.
@@ -120,7 +122,7 @@ impl ValueSet {
         }
         out.extend_from_slice(&self.0[i..]);
         out.extend_from_slice(&other.0[j..]);
-        ValueSet(out)
+        ValueSet(out.into_boxed_slice())
     }
 
     /// Set intersection. `None` when empty (components must be non-empty).
@@ -141,7 +143,7 @@ impl ValueSet {
         if out.is_empty() {
             None
         } else {
-            Some(ValueSet(out))
+            Some(ValueSet(out.into_boxed_slice()))
         }
     }
 
@@ -156,7 +158,7 @@ impl ValueSet {
         if out.is_empty() {
             None
         } else {
-            Some(ValueSet(out))
+            Some(ValueSet(out.into_boxed_slice()))
         }
     }
 
@@ -180,16 +182,38 @@ impl fmt::Display for ValueSet {
 }
 
 /// An NF² tuple: one [`ValueSet`] per attribute.
+///
+/// Tuples are immutable and their component block is shared: a clone is
+/// a reference-count bump, which is what lets a copy-on-write shard
+/// version share every tuple a write did not touch with its predecessor
+/// (see [`crate::mvcc`]). Collecting an exact-size iterator of
+/// [`ValueSet`]s builds the block with one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NfTuple {
-    comps: Vec<ValueSet>,
+    comps: Arc<[ValueSet]>,
+}
+
+impl FromIterator<ValueSet> for NfTuple {
+    fn from_iter<I: IntoIterator<Item = ValueSet>>(comps: I) -> Self {
+        Self {
+            comps: comps.into_iter().collect(),
+        }
+    }
 }
 
 impl NfTuple {
     /// Builds a tuple from components. All components must be non-empty;
     /// `None` entries signal an empty component and are rejected.
     pub fn new(comps: Vec<ValueSet>) -> Self {
-        Self { comps }
+        Self {
+            comps: comps.into(),
+        }
+    }
+
+    /// Whether `self` and `other` are the same stored tuple — one shared
+    /// component block, not merely equal contents.
+    pub fn shares_storage_with(&self, other: &NfTuple) -> bool {
+        Arc::ptr_eq(&self.comps, &other.comps)
     }
 
     /// Builds a tuple from per-attribute value vectors.
@@ -199,14 +223,12 @@ impl NfTuple {
             .enumerate()
             .map(|(attr, vs)| ValueSet::new(vs).ok_or(NfError::EmptyValueSet { attr }))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self { comps })
+        Ok(Self::new(comps))
     }
 
     /// Lifts a flat tuple into an NF² tuple of singletons.
     pub fn from_flat(flat: &[Atom]) -> Self {
-        Self {
-            comps: flat.iter().map(|&a| ValueSet::singleton(a)).collect(),
-        }
+        flat.iter().map(|&a| ValueSet::singleton(a)).collect()
     }
 
     /// The paper's degree `n`.
@@ -226,9 +248,20 @@ impl NfTuple {
 
     /// Replaces the component of `attr`, returning a new tuple.
     pub fn with_component(&self, attr: usize, set: ValueSet) -> NfTuple {
-        let mut comps = self.comps.clone();
-        comps[attr] = set;
-        NfTuple { comps }
+        assert!(attr < self.arity(), "attribute {attr} out of bounds");
+        let mut set = Some(set);
+        self.comps
+            .iter()
+            .enumerate()
+            .map(|(a, c)| {
+                if a == attr {
+                    set.take()
+                        .expect("each attribute index is visited exactly once")
+                } else {
+                    c.clone()
+                }
+            })
+            .collect()
     }
 
     /// Number of flat tuples this tuple represents (product of component
@@ -264,7 +297,7 @@ impl NfTuple {
         debug_assert_eq!(self.arity(), other.arity());
         self.comps
             .iter()
-            .zip(&other.comps)
+            .zip(other.comps.iter())
             .all(|(a, b)| !a.is_disjoint_from(b))
     }
 
@@ -274,7 +307,7 @@ impl NfTuple {
         debug_assert_eq!(self.arity(), other.arity());
         self.comps
             .iter()
-            .zip(&other.comps)
+            .zip(other.comps.iter())
             .all(|(a, b)| a.is_subset_of(b))
     }
 
@@ -284,7 +317,7 @@ impl NfTuple {
         debug_assert_eq!(self.arity(), other.arity());
         self.comps
             .iter()
-            .zip(&other.comps)
+            .zip(other.comps.iter())
             .enumerate()
             .all(|(i, (a, b))| i == except || a == b)
     }

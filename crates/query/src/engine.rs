@@ -24,10 +24,12 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use nf2_algebra::stream::filter_box;
 use nf2_algebra::{Expr, RewriteMode};
 use nf2_core::display::{render_flat, render_nf};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
+use nf2_core::tuple::{FlatTuple, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::{Counter, Histogram, MetricsSnapshot, Obs, Stopwatch, Subscriber};
 use nf2_storage::{NfTable, SharedDictionary};
@@ -1016,13 +1018,7 @@ fn apply_delete(
     };
     // Collect matching flat rows, then delete them one by one through §4
     // maintenance.
-    let victims: Vec<Vec<Atom>> = t
-        .relation()
-        .expand()
-        .rows()
-        .filter(|row| bound.iter().all(|(a, vs)| vs.contains(&row[*a])))
-        .cloned()
-        .collect();
+    let victims = matching_rows(&t, &bound);
     let mut affected = 0;
     for row in &victims {
         if t.delete_atoms(row)? {
@@ -1058,13 +1054,7 @@ fn apply_update(
     let Some(bound) = resolve_bound(&t, &dict, predicates)? else {
         return Ok(0);
     };
-    let victims: Vec<Vec<Atom>> = t
-        .relation()
-        .expand()
-        .rows()
-        .filter(|row| bound.iter().all(|(a, vs)| vs.contains(&row[*a])))
-        .cloned()
-        .collect();
+    let victims = matching_rows(&t, &bound);
     let mut affected = 0;
     for row in &victims {
         let mut updated = row.clone();
@@ -1096,22 +1086,45 @@ fn apply_update(
 /// Resolves WHERE predicates to `(attr id, allowed atoms)` pairs against
 /// one table. `None` when some predicate has no known value (nothing can
 /// match).
-#[allow(clippy::type_complexity)]
 fn resolve_bound(
     table: &NfTable,
     dict: &SharedDictionary,
     predicates: &[Predicate],
-) -> Result<Option<Vec<(usize, Vec<Atom>)>>, QueryError> {
+) -> Result<Option<Vec<(usize, ValueSet)>>, QueryError> {
     let mut bound = Vec::with_capacity(predicates.len());
     for p in predicates {
         let attr = table.schema().attr_id(p.attr())?;
         let atoms: Vec<Atom> = p.values().iter().filter_map(|v| dict.lookup(v)).collect();
-        if atoms.is_empty() {
+        let Some(atoms) = ValueSet::new(atoms) else {
             return Ok(None);
-        }
+        };
         bound.push((attr, atoms));
     }
     Ok(Some(bound))
+}
+
+/// The flat rows of `table` inside the predicate box `bound`, found the
+/// way a SELECT finds them: one pinned snapshot, shards pruned by the
+/// conjuncts on the routing attribute, segments skipped by zone maps,
+/// and every surviving tuple intersected with the box before it is
+/// expanded — a full-key predicate expands one row, not the table.
+fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> Vec<FlatTuple> {
+    let snapshot = table.snapshot();
+    let routing = snapshot.routing();
+    let shards = routing.shards_for_conjuncts(
+        bound
+            .iter()
+            .filter(|(attr, _)| Some(*attr) == routing.attr())
+            .map(|(_, values)| values.as_slice()),
+    );
+    let mut rows = Vec::new();
+    for tuple in snapshot
+        .scan_shards_zoned(&shards, bound)
+        .filter_map(|t| filter_box(t, bound))
+    {
+        rows.extend(tuple.expand());
+    }
+    rows
 }
 
 /// Renders an algebra expression as an indented plan tree for EXPLAIN.

@@ -388,18 +388,9 @@ impl PhysPlan {
                         // Every pruning conjunct must be satisfied, so the
                         // scannable shards are the intersection of the
                         // per-conjunct shard sets (each sorted ascending).
-                        let mut shards: Vec<usize> = if prune.is_empty() {
-                            (0..t.shard_count()).collect()
-                        } else {
-                            let mut sets = prune
-                                .iter()
-                                .map(|&flat| t.routing().shards_for_values(bound[flat].as_slice()));
-                            let mut shards = sets.next().expect("prune list is non-empty");
-                            for s in sets {
-                                shards.retain(|idx| s.contains(idx));
-                            }
-                            shards
-                        };
+                        let mut shards = t
+                            .routing()
+                            .shards_for_conjuncts(prune.iter().map(|&flat| bound[flat].as_slice()));
                         if let Some(only) = only_shard {
                             shards.retain(|&s| s == only);
                         }
@@ -557,18 +548,9 @@ fn scan_pruning_lines(
             // segment effects (and the epoch shown) describe one
             // consistent version even while writers install new ones.
             let t = engine.table(name)?.snapshot();
-            let shards: Vec<usize> = if prune.is_empty() {
-                (0..t.shard_count()).collect()
-            } else {
-                let mut sets = prune
-                    .iter()
-                    .map(|&flat| t.routing().shards_for_values(bound[flat].as_slice()));
-                let mut shards = sets.next().expect("prune list is non-empty");
-                for s in sets {
-                    shards.retain(|idx| s.contains(idx));
-                }
-                shards
-            };
+            let shards = t
+                .routing()
+                .shards_for_conjuncts(prune.iter().map(|&flat| bound[flat].as_slice()));
             let mut line = format!(
                 "{name}: {}/{} shard(s) @ snapshot epoch {}",
                 shards.len(),
@@ -641,9 +623,8 @@ pub(crate) struct SelectPlan {
     /// order (the composite sort key of its segments), and no selection
     /// conjunct on any key attribute (narrowing a key's value set could
     /// change its ordering extreme). The cursor still checks the
-    /// *dynamic* half — dictionary id-order and per-shard segment
-    /// freshness — and falls back to the heap/sort path when either
-    /// fails.
+    /// *dynamic* half — dictionary id-order — and falls back to the
+    /// heap/sort path when it fails.
     pub(crate) merge: bool,
     /// `LIMIT n`: without an ORDER BY the cursor pipeline stops pulling
     /// after `n` NF² tuples, so upstream scans terminate early; with one
@@ -967,46 +948,43 @@ impl SelectPlan {
             .map(|n| engine.table(n).map(|t| t.snapshot()))
             .collect::<Result<Vec<_>, _>>()?;
         // Streaming k-way segment merge: the plan is statically
-        // eligible (see [`merge_eligible`]) and the dynamic half holds —
-        // the dictionary's atom ids still rank like resolved strings and
-        // every shard's segments are fresh (tuple order is the kernel's
-        // composite sort). Each shard then streams already-ordered and
-        // the merge emits globally ordered tuples without sorting;
+        // eligible (see [`merge_eligible`]) and the dictionary's atom ids
+        // still rank like resolved strings. Every shard's tuple vector
+        // is in the kernel's composite sort order at every version
+        // (ordered §4 maintenance), so each shard streams already-ordered
+        // and the merge emits globally ordered tuples without sorting;
         // `LIMIT n` pulls ≈ n + shards tuples instead of the whole scan.
         if let Some((ob, attrs)) = &self.order {
             if self.merge && engine.dict().is_id_ordered() {
                 let t = &tables[0];
-                let fresh = (0..t.shard_count()).all(|s| t.shard_segments(s).is_fresh());
-                if fresh {
-                    let orders = resolved_orders(engine.dict(), ob, attrs);
-                    let parts = (0..t.shard_count())
-                        .map(|s| {
-                            RelStream::new(
-                                self.phys.schema.clone(),
-                                // Per-shard pipelines share the same
-                                // tallies: the Arcs sum across shards.
-                                self.phys
-                                    .stream_restricted(&tables, &bound, Some(s), tallies),
-                            )
-                        })
-                        .collect();
-                    if let Some(a) = analyze.as_deref_mut() {
-                        a.order_path = Some(match self.limit {
-                            Some(n) => format!("streaming k-way segment merge, limit {n}"),
-                            None => "streaming k-way segment merge".to_owned(),
-                        });
-                    }
-                    let merged = RelStream::merge_sorted(self.phys.schema.clone(), parts, orders);
-                    let stream = match self.limit {
-                        Some(n) => {
-                            let schema = merged.schema().clone();
-                            let limited: TupleIter<'static> = Box::new(merged.take(n));
-                            RelStream::new(schema, limited)
-                        }
-                        None => merged,
-                    };
-                    return Ok(Cursor::new(stream));
+                let orders = resolved_orders(engine.dict(), ob, attrs);
+                let parts = (0..t.shard_count())
+                    .map(|s| {
+                        RelStream::new(
+                            self.phys.schema.clone(),
+                            // Per-shard pipelines share the same
+                            // tallies: the Arcs sum across shards.
+                            self.phys
+                                .stream_restricted(&tables, &bound, Some(s), tallies),
+                        )
+                    })
+                    .collect();
+                if let Some(a) = analyze.as_deref_mut() {
+                    a.order_path = Some(match self.limit {
+                        Some(n) => format!("streaming k-way segment merge, limit {n}"),
+                        None => "streaming k-way segment merge".to_owned(),
+                    });
                 }
+                let merged = RelStream::merge_sorted(self.phys.schema.clone(), parts, orders);
+                let stream = match self.limit {
+                    Some(n) => {
+                        let schema = merged.schema().clone();
+                        let limited: TupleIter<'static> = Box::new(merged.take(n));
+                        RelStream::new(schema, limited)
+                    }
+                    None => merged,
+                };
+                return Ok(Cursor::new(stream));
             }
         }
         let iter = self.phys.stream_restricted(&tables, &bound, None, tallies);
@@ -1139,8 +1117,8 @@ impl SelectPlan {
             // The order rides outside the algebra tree (the §3 algebra
             // is ordered-set-free); report the physical operator chosen.
             // A merge-eligible plan reports the merge (the cursor can
-            // still fall back at run time if the dictionary or segments
-            // stop cooperating — eligibility here is the static half).
+            // still fall back at run time if the dictionary stops being
+            // id-ordered — eligibility here is the static half).
             let op = match analyzed.and_then(|r| r.exec.order_path.clone()) {
                 // ANALYZE reports the path the cursor *actually* took
                 // (merge eligibility has a dynamic half that can fall

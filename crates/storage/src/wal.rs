@@ -11,6 +11,11 @@
 //! group-commit window before snapshotting the buffer, so commits that
 //! arrive during the window ride along in the same write.
 //!
+//! The buffer holds the log's *encoded bytes* — exactly what a flush
+//! writes — plus an entry count, not the decoded entries: an engine
+//! without a data directory never truncates its log, so what it retains
+//! per write should be the handful of bytes the entry encodes to.
+//!
 //! Durability bookkeeping is a single watermark: `durable` counts the
 //! log prefix already on disk. Because writers append while holding
 //! their shard lock, each shard's entries appear in the log in its
@@ -66,7 +71,11 @@ impl WalEntry {
 /// only for appends and snapshot/watermark reads — never across I/O.
 #[derive(Debug, Default)]
 struct LogBuffer {
-    entries: Vec<WalEntry>,
+    /// Every buffered entry, encoded back to back: the log file's
+    /// contents after the next flush.
+    bytes: BytesMut,
+    /// Entries encoded in `bytes`.
+    entries: usize,
     /// Entries `[..durable]` are on disk.
     durable: usize,
 }
@@ -89,32 +98,40 @@ impl CommitLog {
         Self::default()
     }
 
-    /// A log seeded with already-durable entries — what `open` builds
-    /// after replaying an on-disk WAL, so a later flush re-writes the
-    /// replayed entries instead of silently dropping them.
-    pub(crate) fn with_durable(entries: Vec<WalEntry>) -> Self {
-        let durable = entries.len();
+    /// A log seeded with `entries` already-durable entries, given as the
+    /// intact byte prefix `open` decoded from the on-disk WAL — so a
+    /// later flush re-writes the replayed entries instead of silently
+    /// dropping them.
+    pub(crate) fn with_durable(bytes: &[u8], entries: usize) -> Self {
         Self {
-            buf: Mutex::new(LogBuffer { entries, durable }),
+            buf: Mutex::new(LogBuffer {
+                bytes: bytes.into(),
+                entries,
+                durable: entries,
+            }),
             flush: Mutex::new(()),
         }
     }
 
     /// Appends one entry to the sequenced buffer.
     pub(crate) fn append(&self, entry: WalEntry) {
-        self.buf.lock().entries.push(entry);
+        self.extend([entry]);
     }
 
     /// Appends a batch of entries contiguously (one buffer lock).
     pub(crate) fn extend(&self, entries: impl IntoIterator<Item = WalEntry>) {
-        self.buf.lock().entries.extend(entries);
+        let mut b = self.buf.lock();
+        for entry in entries {
+            entry.encode(&mut b.bytes);
+            b.entries += 1;
+        }
     }
 
     /// Number of buffered entries (durable or not). Test/inspection
     /// surface.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.buf.lock().entries.len()
+        self.buf.lock().entries
     }
 
     /// Makes every buffered entry durable at `path`, group-committing
@@ -133,7 +150,7 @@ impl CommitLog {
     pub(crate) fn flush_to(&self, path: &Path, window_us: u64) -> Result<Option<u64>> {
         {
             let b = self.buf.lock();
-            if b.durable >= b.entries.len() {
+            if b.durable >= b.entries {
                 return Ok(None);
             }
         }
@@ -143,15 +160,13 @@ impl CommitLog {
         }
         let (bytes, high, low) = {
             let b = self.buf.lock();
-            if b.durable >= b.entries.len() {
+            if b.durable >= b.entries {
                 // A leader that won the race flushed our group already.
                 return Ok(None);
             }
-            let mut out = BytesMut::new();
-            for e in &b.entries {
-                e.encode(&mut out);
-            }
-            (out, b.entries.len(), b.durable)
+            // Copy the encoded log out so the write below runs without
+            // the buffer lock (appenders never wait on I/O).
+            (b.bytes.to_vec(), b.entries, b.durable)
         };
         // The whole sequenced log is rewritten in one write: a crash
         // mid-write leaves a byte prefix, which decodes to an entry
@@ -171,8 +186,7 @@ impl CommitLog {
     pub(crate) fn truncate(&self, path: &Path) -> Result<()> {
         let _leader = self.flush.lock();
         let mut b = self.buf.lock();
-        b.entries.clear();
-        b.durable = 0;
+        *b = LogBuffer::default();
         std::fs::write(path, b"")?;
         Ok(())
     }
@@ -234,7 +248,10 @@ mod tests {
     #[test]
     fn seeded_log_keeps_replayed_entries_durable() {
         let path = temp_wal("seed");
-        let log = CommitLog::with_durable(vec![entry(1), entry(2)]);
+        let mut seed = BytesMut::new();
+        entry(1).encode(&mut seed);
+        entry(2).encode(&mut seed);
+        let log = CommitLog::with_durable(&seed, 2);
         // Replayed entries are already on disk: no write needed.
         assert_eq!(log.flush_to(&path, 0).unwrap(), None);
         // A later append re-writes the *whole* sequenced log, keeping

@@ -4,23 +4,23 @@
 //!
 //! Three acceptance bars:
 //!
-//! * `ORDER BY <sort-key prefix> LIMIT k` over fresh segments runs the
-//!   streaming k-way merge: one probe-counted scan per shard, stopping
-//!   after ~(k + shards) pulls instead of draining the store;
-//! * a §4 point op marks the routed shard's segments stale and the
-//!   *same* SQL silently falls back to the bounded heap — identical
-//!   tuples, full-scan probes;
+//! * `ORDER BY <sort-key prefix> LIMIT k` runs the streaming k-way
+//!   merge: one probe-counted scan per shard, stopping after
+//!   ~(k + shards) pulls instead of draining the store;
+//! * a §4 point op leaves the routed shard sorted and its segments
+//!   repaired, so the *same* SQL keeps the merge path — identical
+//!   tuples, the same handful of probes;
 //! * an equality on a **non-routing** attribute skips every segment
 //!   whose zone `[min, max]` cannot contain the value, charged to the
-//!   `segments_skipped` counter, without changing any answer.
+//!   `segments_skipped` counter, without changing any answer — before
+//!   and after point writes.
 
 use nf2::core::schema::NestOrder;
 use nf2::core::shard::ShardSpec;
 use nf2::query::Engine;
 use nf2::storage::NfTable;
 
-/// An engine over `groups` canonical tuples on `shards` shards with
-/// fresh segments: unique zero-padded outer key `b<g>` per group,
+/// An engine over `groups` canonical tuples on `shards` shards: unique zero-padded outer key `b<g>` per group,
 /// `width` inner `a…` values each, the whole universe interned in
 /// sorted order **before** the load so the dictionary is id-ordered
 /// (the merge path's dynamic precondition), then bulk-loaded through
@@ -106,34 +106,43 @@ fn merge_topk_stops_early_and_matches_the_sorted_oracle() {
 }
 
 #[test]
-fn point_maintenance_falls_back_to_the_heap_with_identical_results() {
+fn point_maintenance_keeps_the_merge_path_with_identical_results() {
     let mut engine = segmented_engine(300, 2, 4);
     let sql = "SELECT * FROM t ORDER BY B, A LIMIT 5";
+    let before = engine.table("t").unwrap().stats();
     let merged = rows_of(&mut engine, sql);
+    let after = engine.table("t").unwrap().stats();
+    let merge_probed = after.units_probed - before.units_probed;
 
-    // A §4 point insert (values sorting after the whole universe, so
-    // the dictionary stays id-ordered and the top-5 answer unchanged)
-    // marks exactly the routed shard's segments stale.
-    engine
-        .session()
+    // §4 point writes (values sorting after the whole universe, so the
+    // dictionary stays id-ordered and the top-5 answer unchanged) leave
+    // every shard in the kernel's order with its segments repaired.
+    let mut session = engine.session();
+    session
         .run("INSERT INTO t VALUES ('zz_a', 'zz_b')")
         .unwrap();
-    let t = engine.table("t").unwrap();
-    let stale: Vec<usize> = (0..t.shard_count())
-        .filter(|&s| !t.sharded().shard_segments(s).is_fresh())
-        .collect();
-    assert_eq!(stale.len(), 1, "one point op staleness-marks one shard");
+    session
+        .run("INSERT INTO t VALUES ('zz_c', 'zz_b')")
+        .unwrap();
+    session
+        .run("DELETE FROM t WHERE A = 'zz_a' AND B = 'zz_b'")
+        .unwrap();
+    engine.table("t").unwrap().sharded().verify().unwrap();
 
     let before = engine.table("t").unwrap().stats();
-    let heaped = rows_of(&mut engine, sql);
+    let written = rows_of(&mut engine, sql);
     let after = engine.table("t").unwrap().stats();
-    assert_eq!(heaped, merged, "the fallback changes cost, never answers");
+    assert_eq!(written, merged, "writes change neither path nor answer");
+    assert_eq!(
+        after.lookups - before.lookups,
+        4,
+        "still one scan per shard"
+    );
     assert_eq!(
         after.units_probed - before.units_probed,
-        301,
-        "the bounded heap drains every stored tuple"
+        merge_probed,
+        "the merge stops as early as before the writes"
     );
-    assert_eq!(after.lookups - before.lookups, 1, "one unrestricted scan");
 }
 
 #[test]
@@ -171,9 +180,8 @@ fn zone_maps_skip_segments_on_a_non_routing_equality() {
         "skipped segments are never probed: {probed} of 512"
     );
 
-    // Staleness disables skipping on the touched shard but never
-    // changes the answer: the zoned scan falls back to full slices
-    // there and still re-filters through the enclosing selection.
+    // A point write repairs the one segment it lands in; every shard
+    // keeps skipping, and the answer never changes.
     engine
         .session()
         .run("INSERT INTO t VALUES ('zz_a', 'zz_b')")
@@ -187,12 +195,62 @@ fn zone_maps_skip_segments_on_a_non_routing_equality() {
             .flat_count()
     };
     let after = engine.table("t").unwrap().stats();
-    assert_eq!(n, 1, "stale shards re-filter instead of skipping");
-    let skipped_stale = (after.segments_skipped - before.segments_skipped) as usize;
+    assert_eq!(n, 1);
+    let skipped_written = (after.segments_skipped - before.segments_skipped) as usize;
     assert!(
-        skipped_stale < skipped,
-        "the stale shard stops zone-skipping: {skipped_stale} < {skipped}"
+        skipped_written >= skipped,
+        "the written shard keeps zone-skipping: {skipped_written} >= {skipped}"
     );
+    let probed_written = after.units_probed - before.units_probed;
+    assert!(
+        probed_written <= probed + 1,
+        "at most the new tuple is probed on top: {probed_written} vs {probed}"
+    );
+}
+
+#[test]
+fn full_key_delete_probes_one_shard_and_builds_no_merge() {
+    let engine = segmented_engine(400, 2, 4);
+    let t = engine.table("t").unwrap();
+    let shard_sizes: Vec<usize> = (0..4).map(|s| t.sharded().shard(s).tuple_count()).collect();
+    let row = t.row_from_strs(&["a00401", "b0200"]).unwrap();
+    let routed = shard_sizes[t.routing().route_row(&row)];
+    assert_eq!(
+        t.merged_epoch(),
+        None,
+        "nothing has asked for the merge yet"
+    );
+
+    let before = t.stats();
+    let out = engine
+        .session()
+        .run("DELETE FROM t WHERE A = 'a00401' AND B = 'b0200'")
+        .unwrap();
+    let after = t.stats();
+    assert!(matches!(out, nf2::query::Output::Affected(1)), "{out:?}");
+    assert!(
+        after.units_probed - before.units_probed <= routed as u64,
+        "a full-key DELETE probes at most its routed shard: {} > {routed}",
+        after.units_probed - before.units_probed
+    );
+    assert_eq!(after.lookups - before.lookups, 1, "one routed scan");
+    assert_eq!(after.snapshot_pins - before.snapshot_pins, 1, "one pin");
+    assert_eq!(
+        t.merged_epoch(),
+        None,
+        "the victim search never builds the merged relation"
+    );
+
+    // Same contract for UPDATE, on the routing attribute alone.
+    let before = t.stats();
+    engine
+        .session()
+        .run("UPDATE t SET A = 'a00401' WHERE B = 'b0200'")
+        .unwrap();
+    let after = t.stats();
+    assert!(after.units_probed - before.units_probed <= routed as u64);
+    assert_eq!(t.merged_epoch(), None);
+    t.sharded().verify().unwrap();
 }
 
 #[test]
