@@ -6,8 +6,9 @@
 //! fast paths where the partition invariant provably survives
 //! (see [`ops`]). [`expr`] provides a composable logical expression tree
 //! over named relations, used by `nf2-query` as its plan representation;
-//! [`stream`] evaluates the same trees as pull-based iterator pipelines
-//! over borrowed relations (this is what query cursors ride on).
+//! [`stream`] holds the per-tuple operators that pull-based pipelines over
+//! borrowed relations are assembled from (this is what query cursors
+//! ride on).
 //!
 //! [`laws`] states the algebra's interaction laws (unnest∘nest, nest
 //! order-sensitivity, selection-pushdown strength, …) as executable
@@ -40,6 +41,5 @@ pub use optimize::{
     RewriteMode, SchemaCatalog,
 };
 pub use stream::{
-    eval_stream, lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, StreamEnv,
-    StreamSource, TopKStats, TupleIter, TupleOrder,
+    lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter, TupleOrder,
 };

@@ -1,26 +1,24 @@
-//! Iterator-driven ("streaming") evaluation of algebra expressions.
+//! Iterator-driven ("streaming") building blocks for pull-based plans.
 //!
 //! [`Expr::eval`](crate::Expr::eval) materializes the full result of every
-//! node before its parent sees one tuple — fine for the paper repro,
-//! hostile to a serving engine where most consumers want the first rows
-//! fast. This module evaluates the same expressions as pull-based
-//! pipelines over *borrowed* relations:
+//! node before its parent sees one tuple — right for the paper's §3
+//! reference semantics, hostile to a serving engine where most consumers
+//! want the first rows fast. This module holds the per-tuple operators a
+//! compiled pipeline (the query layer's physical plans) is assembled
+//! from, each tuple-identical to its strict [`ops`](crate::ops)
+//! counterpart (property-tested in this crate):
 //!
-//! * `Rel` scans yield [`TupleView::Borrowed`] straight from the source —
-//!   no clone, no copy;
-//! * box selection intersects components tuple-at-a-time, keeping the
+//! * [`RelStream`] scans yield [`TupleView::Borrowed`] straight from the
+//!   source — no clone, no copy;
+//! * [`filter_box`] intersects components tuple-at-a-time, keeping the
 //!   borrow whenever no component shrinks;
-//! * UNNEST splits each tuple independently;
-//! * natural join materializes only its **build side** (the right input)
-//!   and streams the probe side through it;
-//! * inherently blocking operators — projection (duplicate elimination /
-//!   fixedness check), nest, canonicalize, union, difference, intersect —
-//!   fall back to materializing their inputs and calling the exact same
-//!   [`ops`] functions the strict evaluator uses, so results are
-//!   tuple-identical to `eval` by construction.
+//! * [`JoinLayout::probe`] joins one streamed probe tuple against a
+//!   materialized **build side**;
+//! * sort, bounded-heap top-k and the k-way merge of sorted parts order
+//!   a stream, all deferred behind [`lazy_iter`] until the first pull.
 //!
-//! Every pipeline operator preserves the partition invariant (disjoint
-//! rectangles in, disjoint rectangles out), which is what lets
+//! Every operator preserves the partition invariant (disjoint rectangles
+//! in, disjoint rectangles out), which is what lets
 //! [`RelStream::into_relation`] materialize with the linear-time
 //! [`NfRelation::from_disjoint_tuples`] instead of the quadratic
 //! validating constructor.
@@ -29,14 +27,11 @@ use std::cmp::Ordering;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use nf2_core::error::{NfError, Result};
+use nf2_core::error::Result;
 use nf2_core::relation::NfRelation;
-use nf2_core::schema::{NestOrder, Schema};
+use nf2_core::schema::Schema;
 use nf2_core::tuple::{NfTuple, TupleView, ValueSet};
 use nf2_core::value::Atom;
-
-use crate::expr::Expr;
-use crate::ops;
 
 /// A boxed pull-based tuple pipeline.
 pub type TupleIter<'a> = Box<dyn Iterator<Item = TupleView<'a>> + 'a>;
@@ -269,15 +264,6 @@ impl<'a> RelStream<'a> {
         Self {
             schema: rel.schema().clone(),
             iter: Box::new(rel.tuples().iter().map(TupleView::Borrowed)),
-        }
-    }
-
-    /// A stream that owns its tuples (e.g. a materialized intermediate).
-    pub fn from_relation(rel: NfRelation) -> Self {
-        let schema = rel.schema().clone();
-        Self {
-            schema,
-            iter: Box::new(rel.into_tuples().into_iter().map(TupleView::Owned)),
         }
     }
 
@@ -556,282 +542,6 @@ impl<'a> Iterator for RelStream<'a> {
     }
 }
 
-/// One named streaming source: a schema plus a factory producing a fresh
-/// scan on demand (a relation referenced twice in a plan scans twice).
-/// Sharded sources may additionally carry a **pruned**-scan factory
-/// (see [`StreamEnv::insert_sharded_relations_routed`]).
-pub struct StreamSource<'a> {
-    schema: Arc<Schema>,
-    scan: Box<dyn Fn() -> TupleIter<'a> + 'a>,
-    /// `(routing attribute, factory)`: given the selection's allowed
-    /// value set on that attribute, produce a scan covering only the
-    /// shards those values route to.
-    #[allow(clippy::type_complexity)]
-    pruned: Option<(usize, Box<dyn Fn(&ValueSet) -> TupleIter<'a> + 'a>)>,
-}
-
-impl std::fmt::Debug for StreamSource<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamSource")
-            .field("schema", &self.schema)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A named-source environment for streaming evaluation — the borrowing
-/// counterpart of [`Env`](crate::Env). Sources are usually whole borrowed
-/// relations ([`StreamEnv::insert_relation`]), but a storage engine can
-/// plug in instrumented scans via [`StreamEnv::insert_source`] (this is
-/// how `nf2-query` routes cursors through `NfTable`'s counted scans).
-///
-/// Backed by a small vector with linear-scan lookup: environments are
-/// rebuilt per query over the handful of tables a plan touches, so
-/// avoiding hash-map setup matters more than O(1) lookup.
-#[derive(Debug, Default)]
-pub struct StreamEnv<'a> {
-    sources: Vec<(String, StreamSource<'a>)>,
-}
-
-impl<'a> StreamEnv<'a> {
-    /// An empty environment.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a borrowed relation under `name`.
-    pub fn insert_relation(&mut self, name: impl Into<String>, rel: &'a NfRelation) {
-        let schema = rel.schema().clone();
-        self.insert_source(name, schema, move || {
-            Box::new(rel.tuples().iter().map(TupleView::Borrowed))
-        });
-    }
-
-    /// Registers a **sharded** relation under `name`: every scan yields
-    /// the shards' borrowed tuples back-to-back (shard order), exactly
-    /// like [`RelStream::concat`] of per-shard scans. This is how a
-    /// partitioned store (`nf2-storage`'s sharded `NfTable`) plugs into
-    /// streaming evaluation without merging shards first — the
-    /// concatenation carries the same `R*`, so selections, joins and
-    /// counts are unaffected.
-    ///
-    /// The shards' expansions must be pairwise disjoint (guaranteed by
-    /// value-based routing).
-    pub fn insert_sharded_relations(
-        &mut self,
-        name: impl Into<String>,
-        schema: Arc<Schema>,
-        shards: Vec<&'a NfRelation>,
-    ) {
-        self.insert_source(name, schema, move || {
-            let shards = shards.clone();
-            Box::new(
-                shards
-                    .into_iter()
-                    .flat_map(|rel| rel.tuples().iter().map(TupleView::Borrowed)),
-            )
-        });
-    }
-
-    /// [`insert_sharded_relations`](Self::insert_sharded_relations) plus
-    /// the router the shards were partitioned by — which unlocks **shard
-    /// pruning**: when [`eval_stream`] meets a box selection directly
-    /// over this source whose conjunct constrains the routing attribute,
-    /// the scan covers only the shards the allowed values route to, and
-    /// the other shards are never touched at all.
-    ///
-    /// `shards[i]` must hold exactly the rows `router` sends to shard
-    /// `i` (the invariant the sharded store maintains by construction).
-    pub fn insert_sharded_relations_routed(
-        &mut self,
-        name: impl Into<String>,
-        schema: Arc<Schema>,
-        shards: Vec<&'a NfRelation>,
-        router: nf2_core::shard::ShardRouter,
-    ) {
-        let name = name.into();
-        let all = shards.clone();
-        self.insert_source(name.clone(), schema, move || {
-            let all = all.clone();
-            Box::new(
-                all.into_iter()
-                    .flat_map(|rel| rel.tuples().iter().map(TupleView::Borrowed)),
-            )
-        });
-        if let Some(attr) = router.attr() {
-            let slot = self
-                .sources
-                .iter_mut()
-                .rev()
-                .find(|(n, _)| *n == name)
-                .expect("just inserted");
-            slot.1.pruned = Some((
-                attr,
-                Box::new(move |values: &ValueSet| {
-                    let keep = router.shards_for_values(values.as_slice());
-                    let shards = shards.clone();
-                    Box::new(
-                        keep.into_iter()
-                            .filter_map(move |i| shards.get(i).copied())
-                            .flat_map(|rel| rel.tuples().iter().map(TupleView::Borrowed)),
-                    )
-                }),
-            ));
-        }
-    }
-
-    /// Registers an arbitrary scan factory under `name` (replacing any
-    /// previous source of that name).
-    pub fn insert_source(
-        &mut self,
-        name: impl Into<String>,
-        schema: Arc<Schema>,
-        scan: impl Fn() -> TupleIter<'a> + 'a,
-    ) {
-        let name = name.into();
-        let source = StreamSource {
-            schema,
-            scan: Box::new(scan),
-            pruned: None,
-        };
-        match self.sources.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = source,
-            None => self.sources.push((name, source)),
-        }
-    }
-
-    fn get(&self, name: &str) -> Result<&StreamSource<'a>> {
-        self.sources
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-            .ok_or_else(|| NfError::UnknownAttribute(format!("relation {name}")))
-    }
-}
-
-/// Evaluates `expr` against `env` as a pull-based pipeline.
-///
-/// The result is tuple-identical to [`Expr::eval`](crate::Expr::eval) on
-/// an [`Env`](crate::Env) holding the same relations (property-tested in
-/// this crate): streaming operators compute the exact per-tuple rewrites
-/// of their strict counterparts, and blocking operators *are* the strict
-/// counterparts, applied to materialized inputs.
-pub fn eval_stream<'a>(expr: &Expr, env: &StreamEnv<'a>) -> Result<RelStream<'a>> {
-    match expr {
-        Expr::Rel(name) => {
-            let source = env.get(name)?;
-            Ok(RelStream::new(source.schema.clone(), (source.scan)()))
-        }
-        Expr::SelectBox { input, constraints } => {
-            let child = match input.as_ref() {
-                // Selection directly over a routed sharded source: let
-                // the source skip the shards no allowed value routes to.
-                // The selection below still filters tuple-by-tuple, so
-                // this only removes provably-empty work.
-                Expr::Rel(name) => {
-                    let source = env.get(name)?;
-                    let schema = source.schema.clone();
-                    let pruned = source.pruned.as_ref().and_then(|(attr, make)| {
-                        constraints
-                            .iter()
-                            .find(|(name, _)| schema.attr_id(name) == Ok(*attr))
-                            .map(|(_, values)| {
-                                let set = ValueSet::new(values.clone())
-                                    .ok_or(NfError::EmptyValueSet { attr: *attr })?;
-                                Ok(make(&set))
-                            })
-                    });
-                    match pruned {
-                        Some(iter) => RelStream::new(schema, iter?),
-                        None => eval_stream(input, env)?,
-                    }
-                }
-                _ => eval_stream(input, env)?,
-            };
-            let schema = child.schema.clone();
-            let resolved = constraints
-                .iter()
-                .map(|(name, values)| {
-                    let attr = schema.attr_id(name)?;
-                    let set =
-                        ValueSet::new(values.clone()).ok_or(NfError::EmptyValueSet { attr })?;
-                    Ok((attr, set))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let iter = child.iter.filter_map(move |t| filter_box(t, &resolved));
-            Ok(RelStream::new(schema, Box::new(iter)))
-        }
-        Expr::Unnest { input, attr } => {
-            let child = eval_stream(input, env)?;
-            let schema = child.schema.clone();
-            let attr = schema.attr_id(attr)?;
-            let iter = child.iter.flat_map(move |t| {
-                if t.component(attr).is_singleton() {
-                    // Already flat on `attr`: pass the view through.
-                    vec![t]
-                } else {
-                    t.component(attr)
-                        .iter()
-                        .map(|v| TupleView::Owned(t.with_component(attr, ValueSet::singleton(v))))
-                        .collect()
-                }
-            });
-            Ok(RelStream::new(schema, Box::new(iter)))
-        }
-        Expr::Join(l, r) => {
-            let left = eval_stream(l, env)?;
-            let right = eval_stream(r, env)?;
-            stream_join(left, right)
-        }
-        // Blocking operators: materialize the inputs and delegate to the
-        // strict implementations (identical results by construction).
-        Expr::Project { input, attrs } => {
-            let rel = eval_stream(input, env)?.into_relation()?;
-            let ids = attrs
-                .iter()
-                .map(|n| rel.schema().attr_id(n))
-                .collect::<Result<Vec<_>>>()?;
-            let out = ops::project(&rel, &ids, &NestOrder::identity(ids.len()))?;
-            Ok(RelStream::from_relation(out))
-        }
-        Expr::Union(l, r) => {
-            let (l, r) = (
-                eval_stream(l, env)?.into_relation()?,
-                eval_stream(r, env)?.into_relation()?,
-            );
-            let order = NestOrder::identity(l.arity());
-            Ok(RelStream::from_relation(ops::union(&l, &r, &order)?))
-        }
-        Expr::Difference(l, r) => {
-            let (l, r) = (
-                eval_stream(l, env)?.into_relation()?,
-                eval_stream(r, env)?.into_relation()?,
-            );
-            let order = NestOrder::identity(l.arity());
-            Ok(RelStream::from_relation(ops::difference(&l, &r, &order)?))
-        }
-        Expr::Intersect(l, r) => {
-            let (l, r) = (
-                eval_stream(l, env)?.into_relation()?,
-                eval_stream(r, env)?.into_relation()?,
-            );
-            Ok(RelStream::from_relation(ops::intersect(&l, &r)?))
-        }
-        Expr::Nest { input, attr } => {
-            let rel = eval_stream(input, env)?.into_relation()?;
-            let id = rel.schema().attr_id(attr)?;
-            Ok(RelStream::from_relation(ops::nest(&rel, id)))
-        }
-        Expr::Canonicalize { input, order } => {
-            let rel = eval_stream(input, env)?.into_relation()?;
-            let names: Vec<&str> = order.iter().map(String::as_str).collect();
-            let order = NestOrder::from_names(rel.schema(), &names)?;
-            Ok(RelStream::from_relation(nf2_core::nest::canonicalize(
-                &rel, &order,
-            )))
-        }
-    }
-}
-
 /// Applies box-selection constraints to one tuple. `None` drops the
 /// tuple; an unchanged tuple keeps its (possibly borrowed) view.
 ///
@@ -845,7 +555,7 @@ pub fn filter_box<'a>(
     // First pass: compute the narrowed components, bailing early on an
     // empty intersection. Constraints fold progressively — a second
     // conjunct on the same attribute intersects the already-narrowed
-    // component, exactly like the strict [`ops::select_box`].
+    // component, exactly like the strict [`crate::ops::select_box`].
     let mut narrowed: Vec<(usize, ValueSet)> = Vec::new();
     'conjunct: for (attr, set) in constraints {
         for entry in narrowed.iter_mut() {
@@ -869,14 +579,12 @@ pub fn filter_box<'a>(
     Some(TupleView::Owned(out))
 }
 
-/// Natural join with a streamed probe (left) side and a materialized
-/// build (right) side — the per-pair rectangle intersection of
-/// [`ops::natural_join`], reordered so left tuples flow through.
-/// The precomputed shape of a natural join: which right-side components
-/// intersect which left-side components, which are appended, and the
-/// output schema. Public so physical executors (the query layer's
-/// compiled prepared plans) share one copy of the join semantics with
-/// the streaming evaluator.
+/// The precomputed shape of a natural join with a streamed probe (left)
+/// side and a materialized build (right) side: which right-side
+/// components intersect which left-side components, which are appended,
+/// and the output schema. Physical executors (the query layer's compiled
+/// plans) run their joins through it, so the join semantics live in one
+/// place beside the strict [`crate::ops::natural_join`].
 #[derive(Debug, Clone)]
 pub struct JoinLayout {
     /// `(right attr, left attr)` pairs of shared attribute names.
@@ -884,7 +592,7 @@ pub struct JoinLayout {
     /// Right-side attributes appended after the left schema.
     pub right_only: Vec<usize>,
     /// Output schema: left attributes then right-only attributes
-    /// (mirrors [`ops::natural_join`]).
+    /// (mirrors [`crate::ops::natural_join`]).
     pub schema: Arc<Schema>,
 }
 
@@ -917,7 +625,7 @@ impl JoinLayout {
 
     /// Joins one probe tuple against the whole build side, appending the
     /// surviving combined rectangles to `out` — the per-pair rectangle
-    /// intersection of [`ops::natural_join`].
+    /// intersection of [`crate::ops::natural_join`].
     pub fn probe<'a>(
         &self,
         l: &TupleView<'a>,
@@ -940,26 +648,12 @@ impl JoinLayout {
     }
 }
 
-fn stream_join<'a>(left: RelStream<'a>, right: RelStream<'a>) -> Result<RelStream<'a>> {
-    let layout = JoinLayout::of(&left.schema, &right.schema)?;
-    let schema = layout.schema.clone();
-    // The build side stays as views: borrowed tuples are not cloned,
-    // only held until the probe side finishes.
-    let build: Vec<TupleView<'a>> = right.iter.collect();
-    let iter = left.iter.flat_map(move |l| {
-        let mut out = Vec::new();
-        layout.probe(&l, &build, &mut out);
-        out
-    });
-    Ok(RelStream::new(schema, Box::new(iter)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Env;
+    use crate::ops;
     use nf2_core::relation::FlatRelation;
-    use nf2_core::value::Atom;
+    use nf2_core::schema::NestOrder;
 
     fn sc() -> NfRelation {
         let schema = Schema::new("SC", &["Student", "Course"]).unwrap();
@@ -990,18 +684,12 @@ mod tests {
         NfRelation::from_flat(&flat)
     }
 
-    /// Strict and streaming evaluation over the same relations.
-    fn both(expr: &Expr) -> (NfRelation, NfRelation) {
-        let (sc, cp) = (sc(), cp());
-        let mut env = Env::new();
-        env.insert("sc", sc.clone());
-        env.insert("cp", cp.clone());
-        let strict = expr.eval(&env).unwrap();
-        let mut senv = StreamEnv::new();
-        senv.insert_relation("sc", &sc);
-        senv.insert_relation("cp", &cp);
-        let streamed = eval_stream(expr, &senv).unwrap().into_relation().unwrap();
-        (strict, streamed)
+    /// Box selection the streaming way: [`filter_box`] over a scan.
+    fn filtered(rel: &NfRelation, constraints: &[(usize, ValueSet)]) -> NfRelation {
+        let kept = RelStream::scan(rel).filter_map(|t| filter_box(t, constraints));
+        RelStream::new(rel.schema().clone(), Box::new(kept))
+            .into_relation()
+            .unwrap()
     }
 
     #[test]
@@ -1035,106 +723,45 @@ mod tests {
 
     #[test]
     fn repeated_attr_conjuncts_fold_progressively() {
-        // σ[Student∈{1}](σ[Student∈{1,2}]-style conjuncts on ONE select
-        // node: the second constraint must intersect the already-narrowed
-        // component, not the original (last-write-wins would wrongly keep
-        // a tuple here).
-        let expr = Expr::SelectBox {
-            input: Box::new(Expr::rel("sc")),
-            constraints: vec![
-                ("Student".into(), vec![Atom(1)]),
-                ("Student".into(), vec![Atom(2)]),
-            ],
-        };
-        let (strict, streamed) = both(&expr);
+        // Two conjuncts on ONE attribute: the second must intersect the
+        // already-narrowed component, not the original (last-write-wins
+        // would wrongly keep a tuple here).
+        let rel = sc();
+        let vs = |ids: &[u32]| ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap();
+        let disjoint = [(0usize, vs(&[1])), (0usize, vs(&[2]))];
+        let strict = ops::select_box(&rel, &disjoint).unwrap();
         assert!(strict.is_empty(), "{{1}} ∩ {{2}} = ∅");
-        assert_eq!(strict, streamed);
+        assert_eq!(strict, filtered(&rel, &disjoint));
         // And a satisfiable pair narrows to the common value.
-        let expr = Expr::SelectBox {
-            input: Box::new(Expr::rel("sc")),
-            constraints: vec![
-                ("Student".into(), vec![Atom(1), Atom(2)]),
-                ("Student".into(), vec![Atom(2), Atom(3)]),
-            ],
-        };
-        let (strict, streamed) = both(&expr);
-        assert_eq!(strict, streamed);
+        let overlapping = [(0usize, vs(&[1, 2])), (0usize, vs(&[2, 3]))];
+        let streamed = filtered(&rel, &overlapping);
+        assert_eq!(ops::select_box(&rel, &overlapping).unwrap(), streamed);
         for t in streamed.tuples() {
             assert!(t.component(0).as_slice() == [Atom(2)]);
         }
     }
 
     #[test]
-    fn streaming_matches_strict_select_project() {
-        let expr = Expr::Project {
-            input: Box::new(Expr::SelectBox {
-                input: Box::new(Expr::rel("sc")),
-                constraints: vec![("Student".into(), vec![Atom(1)])],
-            }),
-            attrs: vec!["Course".into()],
-        };
-        let (strict, streamed) = both(&expr);
-        assert_eq!(strict, streamed);
-    }
-
-    #[test]
     fn streaming_matches_strict_join() {
-        let expr = Expr::Join(Box::new(Expr::rel("sc")), Box::new(Expr::rel("cp")));
-        let (strict, streamed) = both(&expr);
+        let (sc, cp) = (sc(), cp());
+        let strict = ops::natural_join(&sc, &cp).unwrap();
+        let layout = JoinLayout::of(sc.schema(), cp.schema()).unwrap();
+        let build: Vec<TupleView<'_>> = RelStream::scan(&cp).collect();
+        let mut joined = Vec::new();
+        for l in RelStream::scan(&sc) {
+            layout.probe(&l, &build, &mut joined);
+        }
+        let streamed = RelStream::new(layout.schema.clone(), Box::new(joined.into_iter()))
+            .into_relation()
+            .unwrap();
         assert_eq!(strict, streamed);
         assert_eq!(strict.expand(), streamed.expand());
     }
 
     #[test]
-    fn streaming_matches_strict_blocking_ops() {
-        for expr in [
-            Expr::Union(Box::new(Expr::rel("sc")), Box::new(Expr::rel("sc"))),
-            Expr::Difference(Box::new(Expr::rel("sc")), Box::new(Expr::rel("sc"))),
-            Expr::Intersect(Box::new(Expr::rel("sc")), Box::new(Expr::rel("sc"))),
-            Expr::Nest {
-                input: Box::new(Expr::rel("sc")),
-                attr: "Student".into(),
-            },
-            Expr::Canonicalize {
-                input: Box::new(Expr::rel("sc")),
-                order: vec!["Student".into(), "Course".into()],
-            },
-        ] {
-            let (strict, streamed) = both(&expr);
-            assert_eq!(strict, streamed, "expr {expr}");
-        }
-    }
-
-    #[test]
-    fn streaming_unnest_splits_lazily() {
-        let expr = Expr::Unnest {
-            input: Box::new(Expr::rel("sc")),
-            attr: "Student".into(),
-        };
-        let (strict, streamed) = both(&expr);
-        assert_eq!(strict, streamed);
-    }
-
-    #[test]
     fn flat_count_streams_without_materializing() {
         let rel = sc();
-        let mut env = StreamEnv::new();
-        env.insert_relation("sc", &rel);
-        let stream = eval_stream(&Expr::rel("sc"), &env).unwrap();
-        assert_eq!(stream.flat_count(), rel.flat_count());
-    }
-
-    #[test]
-    fn unknown_relation_and_attr_error() {
-        let rel = sc();
-        let mut env = StreamEnv::new();
-        env.insert_relation("sc", &rel);
-        assert!(eval_stream(&Expr::rel("ghost"), &env).is_err());
-        let bad = Expr::SelectBox {
-            input: Box::new(Expr::rel("sc")),
-            constraints: vec![("Nope".into(), vec![Atom(1)])],
-        };
-        assert!(eval_stream(&bad, &env).is_err());
+        assert_eq!(RelStream::scan(&rel).flat_count(), rel.flat_count());
     }
 
     #[test]
@@ -1147,46 +774,6 @@ mod tests {
         let (a, b) = (RelStream::scan(&rel), RelStream::scan(&rel));
         let mut cat = RelStream::concat(rel.schema().clone(), vec![a, b]);
         assert!(cat.next().unwrap().is_borrowed());
-    }
-
-    #[test]
-    fn sharded_sources_evaluate_like_the_whole_relation() {
-        // Split sc() into two disjoint parts (by first student value)
-        // and register them as one sharded source.
-        let rel = sc();
-        let tuples = rel.tuples();
-        let part = |keep: &dyn Fn(usize) -> bool| {
-            NfRelation::from_disjoint_tuples(
-                rel.schema().clone(),
-                tuples
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| keep(*i))
-                    .map(|(_, t)| t.clone())
-                    .collect(),
-            )
-            .unwrap()
-        };
-        let (even, odd) = (part(&|i| i % 2 == 0), part(&|i| i % 2 == 1));
-        let mut env = StreamEnv::new();
-        env.insert_sharded_relations("sc", rel.schema().clone(), vec![&even, &odd]);
-        // Scan covers both shards.
-        let scanned = eval_stream(&Expr::rel("sc"), &env).unwrap();
-        assert_eq!(scanned.flat_count(), rel.flat_count());
-        // Selections and projections see the same R* as the unsharded
-        // relation (NFR shapes may differ; expansions may not).
-        let expr = Expr::Project {
-            input: Box::new(Expr::SelectBox {
-                input: Box::new(Expr::rel("sc")),
-                constraints: vec![("Student".into(), vec![Atom(1)])],
-            }),
-            attrs: vec!["Course".into()],
-        };
-        let mut whole = Env::new();
-        whole.insert("sc", rel.clone());
-        let strict = expr.eval(&whole).unwrap();
-        let streamed = eval_stream(&expr, &env).unwrap().into_relation().unwrap();
-        assert_eq!(strict.expand(), streamed.expand());
     }
 
     /// Sort-then-truncate oracle for the top-k operator, sharing the
@@ -1327,80 +914,6 @@ mod tests {
             .sorted(TupleOrder::by_atom_id(0, SortDir::Asc));
         drop(stream);
         assert_eq!(pulls.get(), 0, "dropped-before-pull sort reads nothing");
-    }
-
-    #[test]
-    fn routed_sharded_sources_prune_non_matching_shards() {
-        use nf2_core::relation::FlatRelation;
-        use nf2_core::shard::{ShardRouter, ShardSpec};
-
-        // Partition sc() on Course (P(n−1) under the identity order).
-        let rel = sc();
-        let order = NestOrder::identity(2);
-        let router = ShardRouter::new(ShardSpec::hash(3).unwrap(), &order);
-        let mut parts: Vec<Vec<Vec<Atom>>> = vec![Vec::new(); 3];
-        for row in rel.expand().rows() {
-            parts[router.route_row(row)].push(row.clone());
-        }
-        let target = Atom(10); // Course = 10
-        let home = router.spec().route_value(target);
-        // White-box probe: plant a decoy (99, 10) in a shard the value
-        // does NOT route to. A pruned scan never reaches that shard, so
-        // the decoy stays invisible — which is exactly the claim that
-        // non-matching shards are skipped entirely, not filtered.
-        let decoy_shard = (home + 1) % 3;
-        parts[decoy_shard].push(vec![Atom(99), target]);
-        let shards: Vec<NfRelation> = parts
-            .into_iter()
-            .map(|rows| {
-                let flat = FlatRelation::from_rows(rel.schema().clone(), rows).unwrap();
-                nf2_core::nest::canonical_of_flat(&flat, &order)
-            })
-            .collect();
-        let expr = Expr::SelectBox {
-            input: Box::new(Expr::rel("sc")),
-            constraints: vec![("Course".into(), vec![target])],
-        };
-
-        // Routed source: the decoy's shard is pruned away.
-        let mut env = StreamEnv::new();
-        env.insert_sharded_relations_routed(
-            "sc",
-            rel.schema().clone(),
-            shards.iter().collect(),
-            router.clone(),
-        );
-        let pruned = eval_stream(&expr, &env).unwrap().into_relation().unwrap();
-        assert!(
-            !pruned.expand().rows().any(|r| r[0] == Atom(99)),
-            "the decoy shard must never be scanned"
-        );
-        // On correctly-routed data (no decoy) the pruned result equals
-        // the strict evaluation over the whole relation.
-        let mut whole = Env::new();
-        whole.insert("sc", rel.clone());
-        assert_eq!(
-            pruned.expand().into_rows(),
-            expr.eval(&whole).unwrap().expand().into_rows()
-        );
-
-        // The plain (router-less) sharded source scans everything and
-        // does see the decoy — the difference IS the pruning.
-        let mut env = StreamEnv::new();
-        env.insert_sharded_relations("sc", rel.schema().clone(), shards.iter().collect());
-        let unpruned = eval_stream(&expr, &env).unwrap().into_relation().unwrap();
-        assert!(unpruned.expand().rows().any(|r| r[0] == Atom(99)));
-
-        // A full scan of the routed source still covers every shard.
-        let mut env = StreamEnv::new();
-        env.insert_sharded_relations_routed(
-            "sc",
-            rel.schema().clone(),
-            shards.iter().collect(),
-            router,
-        );
-        let all = eval_stream(&Expr::rel("sc"), &env).unwrap();
-        assert_eq!(all.flat_count(), rel.flat_count() + 1);
     }
 
     /// Four tuples with ties on A so a second key matters.
@@ -1593,20 +1106,5 @@ mod tests {
             "one emission needs at most heads + refill pulls, got {}",
             pulls.get()
         );
-    }
-
-    #[test]
-    fn custom_source_scans_are_used() {
-        let rel = sc();
-        let scans = std::cell::Cell::new(0usize);
-        let mut env = StreamEnv::new();
-        let (rel_ref, scans_ref) = (&rel, &scans);
-        env.insert_source("sc", rel.schema().clone(), move || {
-            scans_ref.set(scans_ref.get() + 1);
-            Box::new(rel_ref.tuples().iter().map(TupleView::Borrowed))
-        });
-        let stream = eval_stream(&Expr::rel("sc"), &env).unwrap();
-        assert_eq!(stream.count(), rel.tuple_count());
-        assert_eq!(scans.get(), 1, "one Rel node → one scan");
     }
 }

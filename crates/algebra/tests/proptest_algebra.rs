@@ -138,49 +138,70 @@ proptest! {
             .all(|t| t.component(attr).is_singleton()));
     }
 
-    /// Streaming evaluation == strict evaluation, tuple for tuple, on
-    /// random expression shapes over random relations (pipeline
-    /// operators and blocking fallbacks alike).
+    /// Per-tuple `filter_box` over a scan ≡ strict `select_box`, tuple for
+    /// tuple — single conjuncts, several attributes, the same attribute
+    /// twice, and value sets that miss the data entirely.
     #[test]
-    fn eval_stream_matches_eval(
+    fn filter_box_matches_select_box(
+        flat in arb_flat("R"),
+        seed in any::<u64>(),
+        v in 0u32..4,
+        shape in 0usize..4,
+    ) {
+        use nf2_algebra::stream::filter_box;
+        use nf2_algebra::RelStream;
+        let rel = nested(&flat, seed);
+        let vs = |ids: &[u32]| ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap();
+        let constraints = match shape {
+            0 => vec![(1, vs(&[v + 10, 10]))],
+            1 => vec![(1, vs(&[v + 10, 10])), (2, vs(&[20, 21 + v % 3]))],
+            2 => vec![(1, vs(&[v + 10, 10, 11])), (1, vs(&[10, 12]))],
+            _ => vec![(0, vs(&[99])), (1, vs(&[v + 10]))],
+        };
+        let strict = select_box(&rel, &constraints).unwrap();
+        let kept = RelStream::scan(&rel).filter_map(|t| filter_box(t, &constraints));
+        let streamed = RelStream::new(rel.schema().clone(), Box::new(kept))
+            .into_relation()
+            .unwrap();
+        prop_assert_eq!(&strict, &streamed, "shape {}", shape);
+        prop_assert!(streamed.validate().is_ok(), "filtering preserved the invariant");
+    }
+
+    /// `JoinLayout::probe` of every left tuple against a materialized
+    /// right side ≡ strict `natural_join` — same schema, same tuples in
+    /// the same order — with right-only attributes and without.
+    #[test]
+    fn join_layout_probe_matches_natural_join(
         a in arb_flat("R"),
         b in arb_flat("S"),
         seed in any::<u64>(),
-        v in 0u32..4,
-        shape in 0usize..8,
+        all_shared in any::<bool>(),
     ) {
-        use nf2_algebra::{eval_stream, Env, Expr, StreamEnv};
-        let (ra, rb) = (nested(&a, seed), nested(&b, seed / 3));
-        let sel = |input: Expr| Expr::SelectBox {
-            input: Box::new(input),
-            constraints: vec![("B".into(), vec![Atom(v + 10), Atom(10)])],
+        use nf2_algebra::{JoinLayout, RelStream};
+        use nf2_core::tuple::TupleView;
+        let left = nested(&a, seed);
+        let right = if all_shared {
+            nested(&b, seed / 3)
+        } else {
+            // Shares C with the left side, appends D.
+            let schema = Schema::new("S", &["C", "D"]).unwrap();
+            let rows = b.rows().map(|r| vec![r[2], Atom(r[0].id() + 30)]);
+            let flat = FlatRelation::from_rows(schema, rows).unwrap();
+            canonical_of_flat(&flat, &NestOrder::all(2)[(seed % 2) as usize])
         };
-        let same_attr_twice = |input: Expr| Expr::SelectBox {
-            input: Box::new(input),
-            constraints: vec![
-                ("B".into(), vec![Atom(v + 10), Atom(10), Atom(11)]),
-                ("B".into(), vec![Atom(10), Atom(12)]),
-            ],
-        };
-        let expr = match shape {
-            0 => Expr::rel("r"),
-            1 => sel(Expr::rel("r")),
-            2 => Expr::Project { input: Box::new(sel(Expr::rel("r"))), attrs: vec!["C".into(), "A".into()] },
-            3 => sel(Expr::Join(Box::new(Expr::rel("r")), Box::new(Expr::rel("s")))),
-            4 => Expr::Union(Box::new(Expr::rel("r")), Box::new(sel(Expr::rel("s")))),
-            5 => Expr::Unnest { input: Box::new(Expr::rel("r")), attr: "A".into() },
-            6 => Expr::Nest { input: Box::new(sel(Expr::rel("r"))), attr: "C".into() },
-            _ => same_attr_twice(Expr::rel("r")),
-        };
-        let mut env = Env::new();
-        env.insert("r", ra.clone());
-        env.insert("s", rb.clone());
-        let strict = expr.eval(&env).unwrap();
-        let mut senv = StreamEnv::new();
-        senv.insert_relation("r", &ra);
-        senv.insert_relation("s", &rb);
-        let streamed = eval_stream(&expr, &senv).unwrap().into_relation().unwrap();
-        prop_assert_eq!(&strict, &streamed, "shape {}: {}", shape, expr);
-        prop_assert!(streamed.validate().is_ok(), "pipeline preserved the invariant");
+        let strict = natural_join(&left, &right).unwrap();
+        let layout = JoinLayout::of(left.schema(), right.schema()).unwrap();
+        let build: Vec<TupleView<'_>> = RelStream::scan(&right).collect();
+        let mut joined = Vec::new();
+        for l in RelStream::scan(&left) {
+            layout.probe(&l, &build, &mut joined);
+        }
+        let streamed = RelStream::new(layout.schema.clone(), Box::new(joined.into_iter()))
+            .into_relation()
+            .unwrap();
+        prop_assert_eq!(strict.schema().attr_names().collect::<Vec<_>>(),
+            streamed.schema().attr_names().collect::<Vec<_>>());
+        prop_assert_eq!(&strict, &streamed);
+        prop_assert!(streamed.validate().is_ok(), "probing preserved the invariant");
     }
 }

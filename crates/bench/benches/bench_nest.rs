@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use nf2_core::kernel::NestKernel;
-use nf2_core::nest::{canonical_of_flat, canonical_of_flat_legacy, nest};
+use nf2_core::nest::{canonical_of_flat, canonicalize, nest};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_workload as workload;
@@ -91,7 +91,7 @@ fn bench_kernel_vs_legacy(c: &mut Criterion) {
             BenchmarkId::new(format!("legacy/{label}"), w.flat.len()),
             &w.flat,
             |b, flat| {
-                b.iter(|| canonical_of_flat_legacy(std::hint::black_box(flat), &order));
+                b.iter(|| canonicalize(&NfRelation::from_flat(std::hint::black_box(flat)), &order));
             },
         );
     }

@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use nf2_query::Database;
+use nf2_query::Engine;
 
-fn seeded_db(students: usize) -> Database {
-    let mut db = Database::new();
+fn seeded_db(students: usize) -> Engine {
+    let engine = Engine::new();
+    let mut db = engine.session();
     db.run("CREATE TABLE sc (Student, Course, Club) NEST ORDER (Course, Student, Club)")
         .unwrap();
     for s in 0..students {
@@ -19,19 +20,19 @@ fn seeded_db(students: usize) -> Database {
             .unwrap();
         }
     }
-    db
+    engine
 }
 
 fn bench_statements(c: &mut Criterion) {
     let mut group = c.benchmark_group("dml");
-    let db = seeded_db(200);
 
     group.bench_function("parse_select", |b| {
         b.iter(|| nf2_query::parse("SELECT Course FROM sc WHERE Student = 's1'").unwrap())
     });
 
     group.bench_function("select_by_student", |b| {
-        let mut db = seeded_db(200);
+        let engine = seeded_db(200);
+        let mut db = engine.session();
         let mut i = 0usize;
         b.iter(|| {
             let stmt = format!("SELECT Course FROM sc WHERE Student = 's{}'", i % 200);
@@ -43,20 +44,21 @@ fn bench_statements(c: &mut Criterion) {
     group.bench_function("insert_delete_pair", |b| {
         b.iter_batched(
             || seeded_db(50),
-            |mut db| {
+            |engine| {
+                let mut db = engine.session();
                 db.run("INSERT INTO sc VALUES ('sx','cx','bx')").unwrap();
                 db.run("DELETE FROM sc WHERE Student = 'sx'").unwrap();
-                db
+                engine
             },
             BatchSize::LargeInput,
         );
     });
 
     group.bench_function("show_table", |b| {
-        let mut db = seeded_db(100);
+        let engine = seeded_db(100);
+        let mut db = engine.session();
         b.iter(|| db.run("SHOW sc").unwrap());
     });
-    drop(db);
     group.finish();
 }
 

@@ -1,11 +1,12 @@
-//! E9 timing companion: lookup latency on the NF² realization view vs
-//! the 1NF baseline, scan and indexed.
+//! E9 timing companion: scan-lookup latency on the NF² realization view
+//! vs the 1NF baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use nf2_bench::flat_table::FlatTable;
 use nf2_core::schema::NestOrder;
 use nf2_core::value::Atom;
-use nf2_storage::{FlatTable, NfTable, SharedDictionary};
+use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
 use std::collections::BTreeSet;
 
@@ -18,7 +19,7 @@ fn setup(students: usize) -> (NfTable, FlatTable, Vec<Atom>) {
         SharedDictionary::new(),
     )
     .unwrap();
-    let flat = FlatTable::from_flat("r1f", &w.flat).unwrap();
+    let flat = FlatTable::from_flat(&w.flat).unwrap();
     let courses: Vec<Atom> = w
         .flat
         .rows()
@@ -38,7 +39,10 @@ fn bench_scan_lookup(c: &mut Criterion) {
             b.iter(|| {
                 let course = courses[i % courses.len()];
                 i += 1;
-                nf.lookup_scan(1, std::hint::black_box(course))
+                let course = std::hint::black_box(course);
+                nf.scan()
+                    .filter(|t| t.component(1).contains(course))
+                    .count()
             });
         });
         group.bench_with_input(
@@ -57,20 +61,5 @@ fn bench_scan_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_indexed_lookup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lookup_indexed");
-    let (nf, _, courses) = setup(400);
-    nf.build_index();
-    group.bench_function("nf2_table_indexed", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let course = courses[i % courses.len()];
-            i += 1;
-            nf.lookup_indexed(1, std::hint::black_box(course)).unwrap()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_scan_lookup, bench_indexed_lookup);
+criterion_group!(benches, bench_scan_lookup);
 criterion_main!(benches);

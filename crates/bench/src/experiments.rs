@@ -22,9 +22,10 @@ use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{FlatTuple, NfTuple, ValueSet};
 use nf2_core::value::{Atom, Dictionary};
 use nf2_deps::{check_theorem3, check_theorem4, check_theorem5, suggest_nest_order, Fd, Mvd};
-use nf2_storage::{FlatTable, NfTable, SharedDictionary};
+use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
 
+use crate::flat_table::FlatTable;
 use crate::report::Report;
 
 /// The Fig. 1 university instance: dictionary plus the two relations.
@@ -601,8 +602,8 @@ pub fn e08_compression() -> Report {
             let check = NestOrder::identity(w.flat.schema().arity());
             assert_eq!(
                 kernel.canonical_of_flat(&w.flat, &check),
-                nf2_core::nest::canonical_of_flat_legacy(&w.flat, &check),
-                "kernel must match the legacy cascade on {}",
+                nf2_core::nest::canonicalize(&NfRelation::from_flat(&w.flat), &check),
+                "kernel must match the Def. 5 cascade on {}",
                 w.label
             );
         }
@@ -647,7 +648,7 @@ pub fn e09_search_space() -> Report {
     let w = workload::university(300, 4, 50, 2, 10, 21);
     let dict = SharedDictionary::new();
     let nf = NfTable::from_flat("r1", &w.flat, NestOrder::identity(3), dict).unwrap();
-    let flat_table = FlatTable::from_flat("r1_flat", &w.flat).unwrap();
+    let flat_table = FlatTable::from_flat(&w.flat).unwrap();
 
     // Probe a set of course values by scan on both engines.
     let courses: Vec<Atom> = w
@@ -659,11 +660,13 @@ pub fn e09_search_space() -> Report {
         .take(25)
         .collect();
     for &course in &courses {
-        let _ = nf.lookup_scan(1, course);
+        let _ = nf
+            .scan()
+            .filter(|t| t.component(1).contains(course))
+            .count();
         let _ = flat_table.lookup_scan(1, course);
     }
     let nf_stats = nf.stats();
-    let flat_stats = flat_table.stats();
     report.push_row(vec![
         "units probed / lookup".into(),
         format!(
@@ -672,11 +675,11 @@ pub fn e09_search_space() -> Report {
         ),
         format!(
             "{:.0}",
-            flat_stats.units_probed as f64 / flat_stats.lookups as f64
+            flat_table.units_probed() as f64 / flat_table.lookups() as f64
         ),
         format!(
             "{:.2}x",
-            flat_stats.units_probed as f64 / nf_stats.units_probed.max(1) as f64
+            flat_table.units_probed() as f64 / nf_stats.units_probed.max(1) as f64
         ),
     ]);
 
@@ -759,8 +762,8 @@ pub fn e10_update_cost() -> Report {
             // once (cheap at the smallest size).
             assert_eq!(
                 canonical_of_flat(&w.flat, &order),
-                nf2_core::nest::canonical_of_flat_legacy(&w.flat, &order),
-                "kernel must match the legacy cascade"
+                nf2_core::nest::canonicalize(&NfRelation::from_flat(&w.flat), &order),
+                "kernel must match the Def. 5 cascade"
             );
         }
         let mut canon = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
@@ -1331,7 +1334,7 @@ pub fn e16_with(total_ops: usize) -> Report {
 /// E17 — the Engine/Session API payoff: a point-SELECT hot loop served
 /// three ways.
 ///
-/// The legacy `Database::run` path re-lexes, re-parses and re-optimizes
+/// The one-shot `Session::run` path re-lexes, re-parses and re-optimizes
 /// every call and materializes + renders the full result relation before
 /// the caller sees a row. `Prepared::execute` compiles once and only
 /// binds `?` parameters per call; `Prepared::query` additionally streams
@@ -1542,7 +1545,7 @@ pub fn e18_sharded_maintenance() -> Report {
 /// tuple-identity and re-verify every shard invariant from scratch.
 pub fn e18_with(total_ops: usize) -> Report {
     use nf2_core::bulk::Op;
-    use nf2_core::shard::{MaintenanceCost, ShardSpec, ShardedCanonical};
+    use nf2_core::shard::{ShardSpec, ShardedCanonical};
 
     let total_ops = total_ops.max(2_000);
     const PROBE_OPS: usize = 96;
@@ -1586,12 +1589,11 @@ pub fn e18_with(total_ops: usize) -> Report {
     for &shards in &shard_counts {
         let spec = ShardSpec::hash(shards).expect("positive shard count");
         let mut canon = ShardedCanonical::new(schema.clone(), order.clone(), spec).unwrap();
-        let mut cost = MaintenanceCost::new(shards);
 
         // Phase 1 — cold ingest through adaptive parallel batches.
         let start = Instant::now();
         let (_, rebuilds) = canon
-            .replay_adaptive(&stream, 4_096.min(stream.len()), &mut cost)
+            .replay_adaptive(&stream, 4_096.min(stream.len()))
             .unwrap();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(canon.flat_count(), w.flat.len() as u128, "every row lands");
@@ -1608,19 +1610,20 @@ pub fn e18_with(total_ops: usize) -> Report {
         ]);
 
         // Phase 2 — §4 incremental probe: candt routed to one shard.
-        let mut probe_cost = MaintenanceCost::new(shards);
+        canon.reset_maintenance_cost();
         let start = Instant::now();
         for op in &probe_trace {
             match op {
                 Op::Insert(row) => {
-                    canon.insert_counted(row.clone(), &mut probe_cost).unwrap();
+                    canon.insert(row.clone()).unwrap();
                 }
                 Op::Delete(row) => {
-                    canon.delete_counted(row, &mut probe_cost).unwrap();
+                    canon.delete(row).unwrap();
                 }
             }
         }
         let probe_ms = start.elapsed().as_secs_f64() * 1e3;
+        let probe_cost = canon.maintenance_cost();
         let per_op = probe_cost.total.candidate_probes as f64 / probe_trace.len() as f64;
         probes_per_op.push(per_op);
         report.push_row(vec![

@@ -10,6 +10,7 @@
 //!   experiment code.
 
 pub mod experiments;
+pub mod flat_table;
 pub mod report;
 
 pub use experiments::{experiment_ids, run_all, run_one};

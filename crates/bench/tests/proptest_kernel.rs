@@ -13,25 +13,10 @@ use proptest::prelude::*;
 use nf2_core::bulk::{apply_batch, apply_batch_auto_with};
 use nf2_core::kernel::NestKernel;
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
-use nf2_core::nest::{canonical_of_flat_legacy, nest, nest_pairwise};
+use nf2_core::nest::{canonicalize, nest, nest_pairwise};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_workload as workload;
-use nf2_workload::Workload;
-
-/// Instantiates every generator at property-test scale, driven by one
-/// seed so each case explores a different instance of each shape.
-fn all_generators(seed: u64) -> Vec<Workload> {
-    vec![
-        workload::university(8 + (seed % 13) as usize, 3, 10, 2, 4, seed),
-        workload::relationship(40 + (seed % 37) as usize, 12, 10, 3, seed),
-        workload::block_product(2 + (seed % 4) as usize, &[2, 3, 2], seed),
-        workload::uniform(30 + (seed % 21) as usize, &[8, 8, 8], seed),
-        workload::zipf(40, &[16, 16, 16], 1.1, seed),
-        workload::anti_correlated(8 + (seed % 9) as u32, 3, seed),
-        workload::prerequisites(8, 2, 2, seed).0,
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -41,11 +26,11 @@ proptest! {
     #[test]
     fn kernel_equals_legacy_on_all_generators(seed in any::<u64>()) {
         let mut kernel = NestKernel::new();
-        for w in all_generators(seed) {
+        for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
             for order in NestOrder::all(arity) {
                 let fast = kernel.canonical_of_flat(&w.flat, &order);
-                let slow = canonical_of_flat_legacy(&w.flat, &order);
+                let slow = canonicalize(&NfRelation::from_flat(&w.flat), &order);
                 prop_assert_eq!(&fast, &slow, "{} under {}", w.label, order);
                 // Theorem 1 both ways: no information gained or lost.
                 prop_assert_eq!(fast.expand(), w.flat.clone(), "{}", w.label);

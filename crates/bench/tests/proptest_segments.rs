@@ -16,7 +16,7 @@ use nf2_core::bulk::Op;
 use nf2_core::kernel::NestKernel;
 use nf2_core::schema::NestOrder;
 use nf2_core::segment::ShardSegments;
-use nf2_core::shard::{MaintenanceCost, ShardSpec, ShardedCanonical};
+use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
 use nf2_workload as workload;
@@ -196,7 +196,6 @@ proptest! {
                 // A small tiling target so repairs cross, empty and
                 // split segments at property-test scale.
                 sharded.set_segment_rows(2 + (seed % 5) as usize);
-                let mut cost = MaintenanceCost::new(sharded.shard_count());
                 // Deal the trace out in steps of 1 (a point op), 7 (an
                 // incremental batch) and, once, everything left at the
                 // three-quarter mark (large enough to rebuild).
@@ -214,13 +213,13 @@ proptest! {
                     step += 1;
                     match now {
                         [Op::Insert(row)] => {
-                            sharded.insert_counted(row.clone(), &mut cost).unwrap();
+                            sharded.insert(row.clone()).unwrap();
                         }
                         [Op::Delete(row)] => {
-                            sharded.delete_counted(row, &mut cost).unwrap();
+                            sharded.delete(row).unwrap();
                         }
                         batch => {
-                            sharded.apply_batch_auto(batch, &mut cost).unwrap();
+                            sharded.apply_batch_auto(batch).unwrap();
                         }
                     }
                     for s in 0..sharded.shard_count() {

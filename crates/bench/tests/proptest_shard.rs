@@ -17,24 +17,10 @@ use nf2_core::bulk::{apply_batch, Op};
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::canonical_of_flat;
 use nf2_core::schema::NestOrder;
-use nf2_core::shard::{MaintenanceCost, ShardSpec, ShardedCanonical};
+use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_core::value::Atom;
 use nf2_workload as workload;
 use nf2_workload::Workload;
-
-/// Instantiates every generator at property-test scale, driven by one
-/// seed so each case explores a different instance of each shape.
-fn all_generators(seed: u64) -> Vec<Workload> {
-    vec![
-        workload::university(8 + (seed % 13) as usize, 3, 10, 2, 4, seed),
-        workload::relationship(40 + (seed % 37) as usize, 12, 10, 3, seed),
-        workload::block_product(2 + (seed % 4) as usize, &[2, 3, 2], seed),
-        workload::uniform(30 + (seed % 21) as usize, &[8, 8, 8], seed),
-        workload::zipf(40, &[16, 16, 16], 1.1, seed),
-        workload::anti_correlated(8 + (seed % 9) as u32, 3, seed),
-        workload::prerequisites(8, 2, 2, seed).0,
-    ]
-}
 
 /// Every spec under test for one workload: shard counts {1, 2, 7} for
 /// hash routing, plus range routing with boundaries drawn from the
@@ -73,7 +59,7 @@ proptest! {
     /// shard counts and routing modes.
     #[test]
     fn sharded_equals_unsharded_on_all_generators(seed in any::<u64>()) {
-        for w in all_generators(seed) {
+        for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
             let mut rotated: Vec<usize> = (0..arity).collect();
             rotated.rotate_left(1.min(arity.saturating_sub(1)));
@@ -105,7 +91,7 @@ proptest! {
     /// unsharded incremental path on replayed op streams.
     #[test]
     fn sharded_batches_match_unsharded_maintenance(seed in any::<u64>()) {
-        for w in all_generators(seed) {
+        for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
             let order = NestOrder::identity(arity);
             let ops: Vec<Op> = workload::op_trace(&w, 40, 40, seed ^ 0x18);
@@ -115,8 +101,7 @@ proptest! {
             for spec in specs_for(&w, &order) {
                 let mut sharded =
                     ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
-                let mut cost = MaintenanceCost::new(sharded.shard_count());
-                let (summary, _) = sharded.apply_batch_auto(&ops, &mut cost).unwrap();
+                let (summary, _) = sharded.apply_batch_auto(&ops).unwrap();
                 prop_assert_eq!(summary, oracle_summary, "{} {:?}", w.label, spec);
                 prop_assert_eq!(
                     &sharded.to_relation(),
@@ -126,6 +111,7 @@ proptest! {
                     spec
                 );
                 // The aggregate cost is exactly the per-shard sum.
+                let cost = sharded.maintenance_cost();
                 let probe_sum: u64 =
                     cost.per_shard.iter().map(|c| c.candidate_probes).sum();
                 prop_assert_eq!(probe_sum, cost.total.candidate_probes);

@@ -16,31 +16,16 @@
 
 use proptest::prelude::*;
 
-use nf2_algebra::stream::{RelStream, SortDir, TupleOrder};
-use nf2_algebra::{eval_stream, Env, Expr, StreamEnv};
+use nf2_algebra::stream::{filter_box, RelStream, SortDir, TupleOrder};
+use nf2_algebra::{Env, Expr};
 use nf2_core::nest::canonical_of_flat;
-use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
-use nf2_core::tuple::{NfTuple, TupleView};
+use nf2_core::tuple::{NfTuple, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_query::Engine;
 use nf2_storage::NfTable;
 use nf2_workload as workload;
-use nf2_workload::Workload;
-
-/// Every generator at property-test scale (mirrors `proptest_shard.rs`).
-fn all_generators(seed: u64) -> Vec<Workload> {
-    vec![
-        workload::university(8 + (seed % 13) as usize, 3, 10, 2, 4, seed),
-        workload::relationship(40 + (seed % 37) as usize, 12, 10, 3, seed),
-        workload::block_product(2 + (seed % 4) as usize, &[2, 3, 2], seed),
-        workload::uniform(30 + (seed % 21) as usize, &[8, 8, 8], seed),
-        workload::zipf(40, &[16, 16, 16], 1.1, seed),
-        workload::anti_correlated(8 + (seed % 9) as u32, 3, seed),
-        workload::prerequisites(8, 2, 2, seed).0,
-    ]
-}
 
 /// Stable sort-then-truncate oracle over an in-order tuple list, using
 /// the operator's own key/tie rules.
@@ -62,7 +47,7 @@ proptest! {
     /// attribute × direction × k.
     #[test]
     fn top_k_equals_sort_truncate_on_all_generators(seed in any::<u64>()) {
-        for w in all_generators(seed) {
+        for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
             let order = NestOrder::identity(arity);
             for shards in [1usize, 2, 7] {
@@ -109,7 +94,7 @@ proptest! {
     /// `ORDER BY` stream truncated, per shard count.
     #[test]
     fn sql_order_by_limit_matches_truncated_sort(seed in any::<u64>()) {
-        for w in all_generators(seed).into_iter().step_by(2) {
+        for w in workload::all_generators(seed).into_iter().step_by(2) {
             let names: Vec<String> = w.flat.schema().attr_names().map(str::to_owned).collect();
             let refs: Vec<&str> = names.iter().map(String::as_str).collect();
             let rows: Vec<Vec<String>> = w
@@ -160,13 +145,13 @@ proptest! {
     }
 
     /// Pruned scans ≡ unpruned scans: a selection on the outermost nest
-    /// attribute evaluated over the routed (pruning) sharded source
-    /// yields the same `R*` as the strict evaluator over the whole
+    /// attribute filtered over only the shards the router keeps for its
+    /// values yields the same `R*` as the strict evaluator over the whole
     /// relation, for every generator × spec and both predicate shapes
     /// (equality and IN).
     #[test]
     fn pruned_scans_equal_unpruned_scans(seed in any::<u64>()) {
-        for w in all_generators(seed) {
+        for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
             let order = NestOrder::identity(arity);
             let outer = order.attr_at(arity - 1);
@@ -196,23 +181,18 @@ proptest! {
                     ShardSpec::hash(shards).unwrap(),
                 )
                 .unwrap();
-                let shard_rels: Vec<&NfRelation> = (0..sharded.shard_count())
-                    .map(|i| sharded.shard(i).relation())
-                    .collect();
-                let mut env = StreamEnv::new();
-                env.insert_sharded_relations_routed(
-                    "t",
-                    w.flat.schema().clone(),
-                    shard_rels,
-                    sharded.router().clone(),
-                );
                 for values in &value_sets {
                     let expr = Expr::SelectBox {
                         input: Box::new(Expr::rel("t")),
                         constraints: vec![(outer_name.clone(), values.clone())],
                     };
-                    let pruned = eval_stream(&expr, &env)
-                        .unwrap()
+                    let constraints = [(outer, ValueSet::new(values.clone()).unwrap())];
+                    let kept = sharded.router().shards_for_values(values);
+                    let survivors = kept.iter().flat_map(|&s| {
+                        RelStream::scan(sharded.shard(s).relation())
+                            .filter_map(|t| filter_box(t, &constraints))
+                    });
+                    let pruned = RelStream::new(w.flat.schema().clone(), Box::new(survivors))
                         .into_relation()
                         .unwrap();
                     let strict = expr.eval(&env_strict).unwrap();

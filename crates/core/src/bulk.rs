@@ -100,18 +100,32 @@ pub fn rebuild_batch_with(
     canon: &CanonicalRelation,
     ops: &[Op],
 ) -> Result<CanonicalRelation> {
+    rebuild_summarized(kernel, canon, ops).map(|(rebuilt, _)| rebuilt)
+}
+
+/// The rebuild body proper: expands `canon` to `R*`, applies `ops` to it
+/// (counting each op's effect against the state it met, for an honest
+/// summary), and re-nests the result through `kernel`.
+fn rebuild_summarized(
+    kernel: &mut NestKernel,
+    canon: &CanonicalRelation,
+    ops: &[Op],
+) -> Result<(CanonicalRelation, BatchSummary)> {
+    let mut summary = BatchSummary::default();
     let mut flat: FlatRelation = canon.relation().expand();
     for op in ops {
-        match op {
-            Op::Insert(row) => {
-                flat.insert(row.clone())?;
-            }
-            Op::Delete(row) => {
-                flat.remove(row);
-            }
+        let (effective, counter) = match op {
+            Op::Insert(row) => (flat.insert(row.clone())?, &mut summary.inserted),
+            Op::Delete(row) => (flat.remove(row), &mut summary.deleted),
+        };
+        if effective {
+            *counter += 1;
+        } else {
+            summary.noops += 1;
         }
     }
-    CanonicalRelation::from_flat_with(kernel, &flat, canon.order().clone())
+    let rebuilt = CanonicalRelation::from_flat_with(kernel, &flat, canon.order().clone())?;
+    Ok((rebuilt, summary))
 }
 
 /// Whether a batch of `ops_len` operations against a relation of
@@ -160,29 +174,8 @@ pub(crate) fn apply_batch_auto_tracked(
     edits: &mut impl TupleEdits,
 ) -> Result<(BatchSummary, bool)> {
     if should_rebuild(ops.len(), canon.flat_count()) {
-        // Compute effect counts against the pre-state for an honest
-        // summary, then swap in the rebuilt relation.
-        let mut summary = BatchSummary::default();
-        let mut flat = canon.relation().expand();
-        for op in ops {
-            match op {
-                Op::Insert(row) => {
-                    if flat.insert(row.clone())? {
-                        summary.inserted += 1;
-                    } else {
-                        summary.noops += 1;
-                    }
-                }
-                Op::Delete(row) => {
-                    if flat.remove(row) {
-                        summary.deleted += 1;
-                    } else {
-                        summary.noops += 1;
-                    }
-                }
-            }
-        }
-        *canon = CanonicalRelation::from_flat_with(kernel, &flat, canon.order().clone())?;
+        let (rebuilt, summary) = rebuild_summarized(kernel, canon, ops)?;
+        *canon = rebuilt;
         Ok((summary, true))
     } else {
         apply_batch_tracked(canon, ops, cost, edits).map(|s| (s, false))

@@ -22,12 +22,11 @@
 //! every union is a plain concatenation and nothing is ever re-sorted.
 //!
 //! The kernel is the production path behind
-//! [`canonical_of_flat`](crate::nest::canonical_of_flat); the legacy
-//! cascade survives as
-//! [`canonical_of_flat_legacy`](crate::nest::canonical_of_flat_legacy) and
-//! [`nest_pairwise`](crate::nest::nest_pairwise) (the Theorem-2 oracle),
-//! and property tests pin all three tuple-identical across the workload
-//! generators.
+//! [`canonical_of_flat`](crate::nest::canonical_of_flat); the Def. 5
+//! cascade ([`canonicalize`](crate::nest::canonicalize) over singleton
+//! tuples) and [`nest_pairwise`](crate::nest::nest_pairwise) (the
+//! Theorem-2 oracle) stay as the oracles, and property tests pin all
+//! three tuple-identical across the workload generators.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -87,8 +86,8 @@ impl NestKernel {
     }
 
     /// Def. 5 — the canonical form `ν_P(R)` of a 1NF relation, computed in
-    /// one sort-group pass. Tuple-identical to
-    /// [`canonical_of_flat_legacy`](crate::nest::canonical_of_flat_legacy).
+    /// one sort-group pass. Tuple-identical to the ν cascade
+    /// [`canonicalize`](crate::nest::canonicalize) runs over the same rows.
     pub fn canonical_of_flat(&mut self, flat: &FlatRelation, order: &NestOrder) -> NfRelation {
         let n = order.arity();
         // A hard assert, not a debug_assert: a mismatched order would fold
@@ -480,7 +479,7 @@ fn eq_ids_skip(a: &[u32], b: &[u32], skip: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nest::{canonical_of_flat_legacy, nest};
+    use crate::nest::{canonicalize, nest};
     use crate::schema::Schema;
     use std::sync::Arc;
 
@@ -525,7 +524,7 @@ mod tests {
         for order in NestOrder::all(2) {
             assert_eq!(
                 k.canonical_of_flat(&f, &order),
-                canonical_of_flat_legacy(&f, &order),
+                canonicalize(&NfRelation::from_flat(&f), &order),
                 "order {order}"
             );
         }
@@ -540,7 +539,7 @@ mod tests {
                 for order in NestOrder::all(arity) {
                     assert_eq!(
                         k.canonical_of_flat(&f, &order),
-                        canonical_of_flat_legacy(&f, &order),
+                        canonicalize(&NfRelation::from_flat(&f), &order),
                         "arity {arity} seed {seed} order {order}"
                     );
                 }

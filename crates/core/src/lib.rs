@@ -66,9 +66,7 @@ pub use indexed::IndexedCanonicalRelation;
 pub use kernel::NestKernel;
 pub use maintenance::{CanonicalRelation, CostCounter};
 pub use mvcc::{ShardVersion, TableVersion, VersionCell};
-pub use nest::{
-    canonical_of_flat, canonical_of_flat_legacy, canonicalize, is_canonical, nest, unnest,
-};
+pub use nest::{canonical_of_flat, canonicalize, is_canonical, nest, unnest};
 pub use relation::{FlatRelation, NfRelation};
 pub use schema::{AttrId, NestOrder, Schema};
 pub use segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};

@@ -12,7 +12,7 @@
 //!   writes are installed after. Streaming a cursor takes no locks.
 //! * **Writers** build replacement `ShardVersion`s off to the side
 //!   (copy-on-write via [`std::sync::Arc::make_mut`] inside
-//!   [`crate::shard::ShardedCanonical`]; the copy shares every tuple
+//!   [`crate::shard::ShardWriter`]; the copy shares every tuple
 //!   and every segment the write does not touch with its predecessor —
 //!   tuples and segments are `Arc`-held, so cloning a version is
 //!   reference-count bumps, not a deep copy) and swap them in with

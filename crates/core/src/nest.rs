@@ -116,18 +116,10 @@ pub fn canonicalize(rel: &NfRelation, order: &NestOrder) -> NfRelation {
 ///
 /// Routed through the single-pass [`kernel`](crate::kernel): one sort of
 /// the flat rows plus a bottom-up fold replaces the n-pass ν cascade.
-/// [`canonical_of_flat_legacy`] keeps the cascade as a cross-check oracle.
+/// The cascade itself — [`canonicalize`] over [`NfRelation::from_flat`] —
+/// is the oracle the property tests pin the kernel against.
 pub fn canonical_of_flat(flat: &FlatRelation, order: &NestOrder) -> NfRelation {
     crate::kernel::canonical_of_flat(flat, order)
-}
-
-/// The pre-kernel reference implementation of [`canonical_of_flat`]: lift
-/// to singletons and run the Def. 5 ν cascade literally. Quadratic in
-/// allocations and hashing next to the kernel; kept (with
-/// [`nest_pairwise`]) as the oracle the property tests pin the kernel
-/// against.
-pub fn canonical_of_flat_legacy(flat: &FlatRelation, order: &NestOrder) -> NfRelation {
-    canonicalize(&NfRelation::from_flat(flat), order)
 }
 
 /// Whether `rel` is already in canonical form for `order`.

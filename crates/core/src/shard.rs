@@ -21,8 +21,8 @@
 //!
 //! for **any** value-based partition `R* = ⊎_s R*_s` on `P(n−1)`: each
 //! shard maintains the full canonical form of its own rows (all §4
-//! invariants hold per shard), and [`ShardedCanonical::to_relation`]
-//! recovers the exact global canonical form with one grouping pass
+//! invariants hold per shard), and [`merge_shards`] recovers the exact
+//! global canonical form with one grouping pass
 //! ([`NestKernel::nest_once`] over the concatenated shards). Property
 //! tests pin sharded ≡ unsharded across every workload generator, shard
 //! count and routing mode.
@@ -136,13 +136,16 @@ pub struct ShardRouter {
     /// The routing attribute (`P(n−1)`), or `None` for the degenerate
     /// zero-arity schema (everything routes to shard 0).
     attr: Option<AttrId>,
+    /// Arity of the rows this router routes.
+    arity: usize,
 }
 
 impl ShardRouter {
     /// Binds a spec to a nest order's outermost attribute.
     pub fn new(spec: ShardSpec, order: &NestOrder) -> Self {
-        let attr = order.arity().checked_sub(1).map(|last| order.attr_at(last));
-        ShardRouter { spec, attr }
+        let arity = order.arity();
+        let attr = arity.checked_sub(1).map(|last| order.attr_at(last));
+        ShardRouter { spec, attr, arity }
     }
 
     /// The spec being routed on.
@@ -160,12 +163,50 @@ impl ShardRouter {
         self.spec.shard_count()
     }
 
-    /// The shard a flat row routes to.
+    /// The shard a flat row routes to. The routing attribute is indexed
+    /// unchecked, so `row` must have the schema's arity — rows from
+    /// outside go through [`route_checked`](Self::route_checked).
     pub fn route_row(&self, row: &[Atom]) -> usize {
         match self.attr {
             Some(a) => self.spec.route_value(row[a]),
             None => 0,
         }
+    }
+
+    /// [`route_row`](Self::route_row) after checking the row's arity.
+    pub fn route_checked(&self, row: &[Atom]) -> Result<usize> {
+        if row.len() != self.arity {
+            return Err(NfError::ArityMismatch {
+                expected: self.arity,
+                got: row.len(),
+            });
+        }
+        Ok(self.route_row(row))
+    }
+
+    /// Whether the store whose shard `s` is `shard(s)` contains `row` —
+    /// `searcht` against exactly the one shard the row routes to. A row
+    /// of the wrong arity is contained in nothing.
+    pub fn contains<'a>(
+        &self,
+        row: &[Atom],
+        shard: impl FnOnce(usize) -> &'a ShardVersion,
+    ) -> bool {
+        self.route_checked(row)
+            .is_ok_and(|s| shard(s).contains(row))
+    }
+
+    /// Splits a batch into per-shard sub-batches (order preserved within
+    /// each shard; ops on different shards touch disjoint row sets, so
+    /// cross-shard order is immaterial). Arity is validated for the whole
+    /// batch up front, so applying the sub-batches cannot fail halfway
+    /// through.
+    pub fn partition_ops(&self, ops: &[Op]) -> Result<Vec<Vec<Op>>> {
+        let mut per_shard: Vec<Vec<Op>> = vec![Vec::new(); self.shard_count()];
+        for op in ops {
+            per_shard[self.route_checked(op.row())?].push(op.clone());
+        }
+        Ok(per_shard)
     }
 
     /// The set of shards (sorted, deduplicated) that can hold any row
@@ -217,567 +258,68 @@ pub struct MaintenanceCost {
 }
 
 impl MaintenanceCost {
-    /// Zeroed counters for `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        MaintenanceCost {
-            total: CostCounter::new(),
-            per_shard: vec![CostCounter::new(); shards],
+    /// What the given writer lanes (in shard order) have accumulated.
+    pub fn of_lanes<'a>(lanes: impl IntoIterator<Item = &'a ShardWriter>) -> Self {
+        let per_shard: Vec<CostCounter> = lanes.into_iter().map(|l| l.cost).collect();
+        let mut total = CostCounter::new();
+        for cost in &per_shard {
+            total.accumulate(cost);
         }
-    }
-
-    /// Records a cost against one shard (and the total).
-    pub fn record(&mut self, shard: usize, cost: &CostCounter) {
-        self.total.accumulate(cost);
-        self.per_shard[shard].accumulate(cost);
-    }
-
-    /// Folds another aggregate into this one (shard counts must match).
-    pub fn merge(&mut self, other: &MaintenanceCost) {
-        debug_assert_eq!(self.per_shard.len(), other.per_shard.len());
-        self.total.accumulate(&other.total);
-        for (mine, theirs) in self.per_shard.iter_mut().zip(&other.per_shard) {
-            mine.accumulate(theirs);
-        }
+        MaintenanceCost { total, per_shard }
     }
 }
 
-/// A canonical NFR partitioned on the outermost nest attribute: one
-/// [`CanonicalRelation`] (plus one [`NestKernel`] rebuild scratch) per
-/// shard, with every §4 operation routed to exactly one shard and batch
-/// rebuilds fanned out across shards on scoped threads.
-///
-/// Invariant: shard `s` holds `ν_P(R*_s)` where `R*_s` is exactly the
-/// set of flat rows whose `P(n−1)` value routes to `s` — checked
-/// exhaustively by [`verify`](Self::verify) and the property suite.
-/// Each shard's state — its [`CanonicalRelation`] *and* the columnar
-/// segment synopsis over it — lives in one [`ShardVersion`] behind an
-/// `Arc`. While the `Arc` is unshared (a never-published engine, a bulk
-/// build) mutations happen in place at zero cost; once a version has
-/// been published to an MVCC [`crate::mvcc::VersionCell`] the first
-/// subsequent mutation on that shard clones it copy-on-write
-/// ([`Arc::make_mut`]) so pinned readers keep streaming the old state.
-/// That clone is shallow: tuples and segments are themselves `Arc`-held,
-/// so the new version shares everything the mutation does not touch.
-/// Every mutation leaves the shard's tuple vector in the kernel's order
-/// and its segments an exact tiling of it (ordered §4 maintenance plus
-/// segment repair, see [`crate::maintenance`] and [`crate::segment`]).
-#[derive(Debug)]
-pub struct ShardedCanonical {
-    schema: Arc<Schema>,
-    order: NestOrder,
-    router: ShardRouter,
-    shards: Vec<Arc<ShardVersion>>,
-    /// Per-shard nest-kernel scratch: rebuild arms re-use their shard's
-    /// sort/intern buffers across batches (and threads never share one).
-    kernels: Vec<NestKernel>,
-    /// Target tuples per segment; [`DEFAULT_SEGMENT_ROWS`] unless
-    /// overridden for tests/experiments.
-    segment_rows: usize,
-}
-
-impl ShardedCanonical {
-    /// An empty sharded canonical relation.
-    pub fn new(schema: Arc<Schema>, order: NestOrder, spec: ShardSpec) -> Result<Self> {
-        if order.arity() != schema.arity() {
-            return Err(NfError::InvalidNestOrder(format!(
-                "order covers {} attributes, schema has {}",
-                order.arity(),
-                schema.arity()
-            )));
-        }
-        let router = ShardRouter::new(spec, &order);
-        let n = router.shard_count();
-        let shards = (0..n)
-            .map(|_| {
-                let canon = CanonicalRelation::new(schema.clone(), order.clone())?;
-                Ok(Arc::new(ShardVersion::new(canon, ShardSegments::new())))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedCanonical {
-            schema,
-            order,
-            router,
-            shards,
-            kernels: (0..n).map(|_| NestKernel::new()).collect(),
-            segment_rows: DEFAULT_SEGMENT_ROWS,
-        })
-    }
-
-    /// Builds the sharded form of an existing 1NF relation: rows are
-    /// routed first, then every shard nests its own rows — in parallel
-    /// on scoped threads when there is more than one shard and each has
-    /// at least `MIN_ROWS_PER_BUILD_THREAD` rows on average.
-    pub fn from_flat(flat: &FlatRelation, order: NestOrder, spec: ShardSpec) -> Result<Self> {
-        let mut sharded = Self::new(flat.schema().clone(), order, spec)?;
-        let n = sharded.shard_count();
-        let mut per_shard: Vec<Vec<FlatTuple>> = vec![Vec::new(); n];
-        for row in flat.rows() {
-            per_shard[sharded.router.route_row(row)].push(row.clone());
-        }
-        let order = &sharded.order;
-        let schema = &sharded.schema;
-        let mut built: Vec<Result<Option<CanonicalRelation>>> = (0..n).map(|_| Ok(None)).collect();
-        std::thread::scope(|scope| {
-            for ((slot, kernel), rows) in built
-                .iter_mut()
-                .zip(sharded.kernels.iter_mut())
-                .zip(per_shard)
-            {
-                if rows.is_empty() {
-                    continue; // keep the empty shard created by new()
-                }
-                let task = move || -> Result<Option<CanonicalRelation>> {
-                    let flat = FlatRelation::from_rows(schema.clone(), rows)?;
-                    CanonicalRelation::from_flat_with(kernel, &flat, order.clone()).map(Some)
-                };
-                if n == 1 || flat.len() < n * MIN_ROWS_PER_BUILD_THREAD {
-                    *slot = task();
-                } else {
-                    scope.spawn(move || *slot = task());
-                }
-            }
-        });
-        let tiling = sharded.tiling();
-        for (slot, result) in sharded.shards.iter_mut().zip(built) {
-            if let Some(canon) = result? {
-                let v = Arc::make_mut(slot);
-                v.canon = canon;
-                v.retile(tiling);
-            }
-        }
-        Ok(sharded)
-    }
-
-    /// How every shard's tuple vector is cut into segments.
-    fn tiling(&self) -> Tiling {
-        Tiling {
-            outer_attr: self.router.attr(),
-            target_rows: self.segment_rows,
-        }
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The nest order every shard is canonical for.
-    pub fn order(&self) -> &NestOrder {
-        &self.order
-    }
-
-    /// The value router.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's canonical relation.
-    pub fn shard(&self, idx: usize) -> &CanonicalRelation {
-        self.shards[idx].canon()
-    }
-
-    /// One shard's current version (canonical form + segments).
-    pub fn version(&self, idx: usize) -> &Arc<ShardVersion> {
-        &self.shards[idx]
-    }
-
-    /// Cheap `Arc` clones of every shard's current version, in shard
-    /// order — what a table publishes into its MVCC
-    /// [`crate::mvcc::VersionCell`].
-    pub fn versions(&self) -> Vec<Arc<ShardVersion>> {
-        self.shards.iter().map(Arc::clone).collect()
-    }
-
-    /// One shard's columnar segment state.
-    pub fn shard_segments(&self, idx: usize) -> &ShardSegments {
-        self.shards[idx].segments()
-    }
-
-    /// Changes the target tuples-per-segment and re-tiles every shard.
-    /// Test and experiment knob.
-    pub fn set_segment_rows(&mut self, rows: usize) {
-        self.segment_rows = rows.max(1);
-        let tiling = self.tiling();
-        for shard in &mut self.shards {
-            Arc::make_mut(shard).retile(tiling);
-        }
-    }
-
-    /// The target tuples-per-segment.
-    pub fn segment_rows(&self) -> usize {
-        self.segment_rows
-    }
-
-    /// Total NF² tuples across shards. For more than one shard this can
-    /// exceed the unsharded canonical count: a global tuple whose
-    /// `P(n−1)` set spans shards is held split (see
-    /// [`to_relation`](Self::to_relation)).
-    pub fn tuple_count(&self) -> usize {
-        self.shards.iter().map(|s| s.tuple_count()).sum()
-    }
-
-    /// Total flat rows (`|R*|`) across shards.
-    pub fn flat_count(&self) -> u128 {
-        self.shards.iter().map(|s| s.flat_count()).sum()
-    }
-
-    /// Whether no shard holds any row.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.relation().is_empty())
-    }
-
-    /// Whether `R*` contains `row` — `searcht` against exactly one
-    /// shard. A row of the wrong arity is contained in nothing.
-    pub fn contains(&self, row: &[Atom]) -> bool {
-        if row.len() != self.schema.arity() {
-            return false;
-        }
-        self.shards[self.router.route_row(row)].contains(row)
-    }
-
-    /// §4.2 insertion, routed to one shard. Returns `true` if new.
-    pub fn insert(&mut self, row: FlatTuple) -> Result<bool> {
-        let mut cost = MaintenanceCost::new(self.shard_count());
-        self.insert_counted(row, &mut cost)
-    }
-
-    /// [`insert`](Self::insert) with per-shard cost accounting.
-    pub fn insert_counted(&mut self, row: FlatTuple, cost: &mut MaintenanceCost) -> Result<bool> {
-        self.check_arity(row.len())?;
-        let shard = self.router.route_row(&row);
-        let mut c = CostCounter::new();
-        let tiling = self.tiling();
-        let fresh = Arc::make_mut(&mut self.shards[shard]).insert(row, &mut c, tiling)?;
-        cost.record(shard, &c);
-        Ok(fresh)
-    }
-
-    /// §4.3 deletion, routed to one shard. Returns `true` if present.
-    pub fn delete(&mut self, row: &[Atom]) -> Result<bool> {
-        let mut cost = MaintenanceCost::new(self.shard_count());
-        self.delete_counted(row, &mut cost)
-    }
-
-    /// [`delete`](Self::delete) with per-shard cost accounting.
-    pub fn delete_counted(&mut self, row: &[Atom], cost: &mut MaintenanceCost) -> Result<bool> {
-        self.check_arity(row.len())?;
-        let shard = self.router.route_row(row);
-        let mut c = CostCounter::new();
-        let tiling = self.tiling();
-        let hit = Arc::make_mut(&mut self.shards[shard]).delete(row, &mut c, tiling)?;
-        cost.record(shard, &c);
-        Ok(hit)
-    }
-
-    fn check_arity(&self, got: usize) -> Result<()> {
-        if got != self.schema.arity() {
-            return Err(NfError::ArityMismatch {
-                expected: self.schema.arity(),
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Splits a batch into per-shard sub-batches (order preserved within
-    /// each shard; ops on different shards touch disjoint row sets, so
-    /// cross-shard order is immaterial). Also validates arity up front so
-    /// the parallel application cannot fail halfway through.
-    fn partition_ops(&self, ops: &[Op]) -> Result<Vec<Vec<Op>>> {
-        let mut per_shard: Vec<Vec<Op>> = vec![Vec::new(); self.shard_count()];
-        for op in ops {
-            self.check_arity(op.row().len())?;
-            per_shard[self.router.route_row(op.row())].push(op.clone());
-        }
-        Ok(per_shard)
-    }
-
-    /// Applies a batch through the auto strategy **per shard** — each
-    /// shard independently picks §4 incremental maintenance or a kernel
-    /// rebuild for its own sub-batch, and sub-batches run concurrently
-    /// under [`std::thread::scope`]. Returns the combined summary and
-    /// the number of shards that took the rebuild arm.
-    pub fn apply_batch_auto(
-        &mut self,
-        ops: &[Op],
-        cost: &mut MaintenanceCost,
-    ) -> Result<(BatchSummary, usize)> {
-        let per_shard = self.partition_ops(ops)?;
-        let busy = per_shard.iter().filter(|b| !b.is_empty()).count();
-        let tiling = self.tiling();
-        type ShardOutcome = Result<(BatchSummary, bool, CostCounter)>;
-        let mut outcomes: Vec<Option<ShardOutcome>> =
-            (0..self.shard_count()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (((version, kernel), batch), slot) in self
-                .shards
-                .iter_mut()
-                .zip(self.kernels.iter_mut())
-                .zip(&per_shard)
-                .zip(outcomes.iter_mut())
-            {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut task = move || -> ShardOutcome {
-                    let mut c = CostCounter::new();
-                    // Copy-on-write: clones the shard only if its version
-                    // is still shared with a published MVCC snapshot.
-                    let (summary, rebuilt) =
-                        Arc::make_mut(version).apply_batch(kernel, batch, &mut c, tiling)?;
-                    Ok((summary, rebuilt, c))
-                };
-                if busy == 1 {
-                    *slot = Some(task()); // no thread overhead for one shard
-                } else {
-                    scope.spawn(move || *slot = Some(task()));
-                }
-            }
-        });
-        let mut summary = BatchSummary::default();
-        let mut rebuilds = 0usize;
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
-            let Some(outcome) = outcome else { continue };
-            let (s, rebuilt, c) = outcome?;
-            summary.inserted += s.inserted;
-            summary.deleted += s.deleted;
-            summary.noops += s.noops;
-            rebuilds += usize::from(rebuilt);
-            cost.record(shard, &c);
-        }
-        Ok((summary, rebuilds))
-    }
-
-    /// Forces the rebuild arm on every shard a batch touches: each shard
-    /// expands its rows, applies its sub-batch, and re-nests through its
-    /// own kernel — concurrently across shards. Shards the batch does not
-    /// touch are left untouched entirely.
-    pub fn rebuild_batch(&mut self, ops: &[Op]) -> Result<BatchSummary> {
-        let per_shard = self.partition_ops(ops)?;
-        let busy = per_shard.iter().filter(|b| !b.is_empty()).count();
-        let tiling = self.tiling();
-        type ShardOutcome = Result<BatchSummary>;
-        let mut outcomes: Vec<Option<ShardOutcome>> =
-            (0..self.shard_count()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (((version, kernel), batch), slot) in self
-                .shards
-                .iter_mut()
-                .zip(self.kernels.iter_mut())
-                .zip(&per_shard)
-                .zip(outcomes.iter_mut())
-            {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut task = move || -> ShardOutcome {
-                    let v = Arc::make_mut(version);
-                    let mut summary = BatchSummary::default();
-                    let mut flat = v.canon.relation().expand();
-                    for op in batch {
-                        match op {
-                            Op::Insert(row) => {
-                                if flat.insert(row.clone())? {
-                                    summary.inserted += 1;
-                                } else {
-                                    summary.noops += 1;
-                                }
-                            }
-                            Op::Delete(row) => {
-                                if flat.remove(row) {
-                                    summary.deleted += 1;
-                                } else {
-                                    summary.noops += 1;
-                                }
-                            }
-                        }
-                    }
-                    v.canon =
-                        CanonicalRelation::from_flat_with(kernel, &flat, v.canon.order().clone())?;
-                    v.retile(tiling);
-                    Ok(summary)
-                };
-                if busy == 1 {
-                    *slot = Some(task());
-                } else {
-                    scope.spawn(move || *slot = Some(task()));
-                }
-            }
-        });
-        let mut summary = BatchSummary::default();
-        for outcome in outcomes.into_iter().flatten() {
-            let s = outcome?;
-            summary.inserted += s.inserted;
-            summary.deleted += s.deleted;
-            summary.noops += s.noops;
-        }
-        Ok(summary)
-    }
-
-    /// Replays a long op stream in adaptive batches (each batch grows
-    /// with the relation, mirroring
-    /// [`replay_adaptive_with`](crate::bulk::replay_adaptive_with)), with
-    /// every batch applied through the parallel
-    /// [`apply_batch_auto`](Self::apply_batch_auto). Returns
-    /// `(batches, shard rebuilds)`.
-    pub fn replay_adaptive(
-        &mut self,
-        stream: &[Op],
-        min_batch: usize,
-        cost: &mut MaintenanceCost,
-    ) -> Result<(usize, usize)> {
-        let min_batch = min_batch.max(1);
-        let (mut batches, mut rebuilds) = (0usize, 0usize);
-        let mut pos = 0usize;
-        while pos < stream.len() {
-            let flat = self.flat_count().min(usize::MAX as u128) as usize;
-            let target = flat.max(min_batch);
-            let remaining = stream.len() - pos;
-            let take = if remaining < 2 * target {
-                remaining
-            } else {
-                target
-            };
-            let (_, r) = self.apply_batch_auto(&stream[pos..pos + take], cost)?;
-            batches += 1;
-            rebuilds += r;
-            pos += take;
-        }
-        Ok((batches, rebuilds))
-    }
-
-    /// The exact global canonical form `ν_P(R*)`: concatenates the
-    /// per-shard tuples (disjoint by routing) and runs the final
-    /// `ν_{P(n−1)}` grouping once, merging tuples whose `P(n−1)` sets
-    /// were split across shards. One shard needs no merge at all.
-    pub fn to_relation(&self) -> NfRelation {
-        if self.shards.len() == 1 {
-            return self.shards[0].relation().clone();
-        }
-        let tuples: Vec<NfTuple> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.tuples().iter().cloned())
-            .collect();
-        if tuples.is_empty() {
-            return NfRelation::new(self.schema.clone());
-        }
-        let Some(attr) = self.router.attr() else {
-            // Zero-arity schemas route everything to shard 0 above.
-            unreachable!("multi-shard relations have a routing attribute");
-        };
-        // Shards partition the P(n−1) value space, so cross-shard
-        // expansions are disjoint and the concatenation is a valid NFR.
-        let concat = NfRelation::from_disjoint_tuples(self.schema.clone(), tuples)
-            .expect("per-shard tuples carry the shared schema arity");
-        NestKernel::new().nest_once(&concat, attr)
-    }
-
-    /// Re-derives every invariant from scratch: each shard's tuple
-    /// vector is the canonical vector of its own rows, every row lives in
-    /// the shard it routes to, the segments are an exact encoding of the
-    /// tuple vector they tile, and the merged relation equals the
-    /// unsharded canonical form. Test/diagnostic helper.
-    pub fn verify(&self) -> Result<()> {
-        let mut all_rows = FlatRelation::new(self.schema.clone());
-        for (idx, shard) in self.shards.iter().enumerate() {
-            shard.canon().verify()?;
-            self.verify_segments(idx)?;
-            for row in shard.relation().expand().rows() {
-                if self.router.route_row(row) != idx {
-                    return Err(NfError::InvalidShardSpec(format!(
-                        "row routed to shard {} but stored in shard {idx}",
-                        self.router.route_row(row)
-                    )));
-                }
-                all_rows.insert(row.clone())?;
-            }
-        }
-        let unsharded = crate::nest::canonical_of_flat(&all_rows, &self.order);
-        if self.to_relation() == unsharded {
-            Ok(())
-        } else {
-            Err(NfError::InvalidShardSpec(
-                "merged sharded relation differs from the unsharded canonical form".into(),
-            ))
-        }
-    }
-
-    /// Checks one shard's segment invariants: the segments tile the
-    /// whole tuple vector, none is empty, and each is exactly the
-    /// encoding of the slice it covers — columns, run lengths and zone
-    /// bounds alike.
-    fn verify_segments(&self, idx: usize) -> Result<()> {
-        let ss = self.shards[idx].segments();
-        let tuples = self.shards[idx].tuples();
-        let seg_err = |msg: String| NfError::InvalidShardSpec(format!("shard {idx}: {msg}"));
-        let Some(outer) = self.router.attr() else {
-            return match ss.segment_count() {
-                0 => Ok(()),
-                n => Err(seg_err(format!("{n} segments over a zero-arity schema"))),
-            };
-        };
-        if ss.covered_rows() != tuples.len() {
-            return Err(seg_err(format!(
-                "segments cover {} of {} tuples",
-                ss.covered_rows(),
-                tuples.len()
-            )));
-        }
-        for (range, seg) in ss.ranges() {
-            if range.is_empty() {
-                return Err(seg_err(format!("empty segment at {}", range.start)));
-            }
-            let start = range.start;
-            if *seg != Segment::encode(&tuples[range], outer) {
-                return Err(seg_err(format!(
-                    "segment at {start} is not the encoding of its tuple slice"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One shard's **writer-side** state, split out of [`ShardedCanonical`]
-/// so each shard can sit behind its own lock: the shard's current
+/// One shard's **writer-side** state: the shard's current
 /// [`ShardVersion`] (mutated copy-on-write), its private [`NestKernel`]
-/// rebuild scratch, and its accumulated §4 maintenance cost.
+/// rebuild scratch, and its accumulated §4 maintenance cost. Every
+/// mutation of a shard goes through its writer.
 ///
-/// A table that wants per-shard write concurrency calls
-/// [`ShardedCanonical::into_writers`] once at construction and wraps
-/// each writer in a mutex; routed point ops then lock exactly one
-/// writer, build the replacement `Arc<ShardVersion>` in parallel with
-/// writers on other shards, and publish through
-/// [`crate::mvcc::VersionCell::submit`]. The writer itself is
-/// lock-free — acquisition ordering across writers is the caller's
-/// contract (the storage write module locks ascending shard index).
+/// While the version's `Arc` is unshared (a never-published store, a
+/// bulk build) mutations happen in place at zero cost; once a version
+/// has been published to an MVCC [`crate::mvcc::VersionCell`] the first
+/// subsequent mutation clones it copy-on-write ([`Arc::make_mut`]) so
+/// pinned readers keep streaming the old state. That clone is shallow:
+/// tuples and segments are themselves `Arc`-held, so the new version
+/// shares everything the mutation does not touch. Every mutation leaves
+/// the shard's tuple vector in the kernel's order and its segments an
+/// exact tiling of it (ordered §4 maintenance plus segment repair, see
+/// [`crate::maintenance`] and [`crate::segment`]).
+///
+/// A [`ShardedCanonical`] owns one writer per shard; a table that wants
+/// per-shard write concurrency takes them over with
+/// [`ShardedCanonical::into_writers`] and wraps each in a mutex (a
+/// *lane*): routed point ops then lock exactly one writer, build the
+/// replacement `Arc<ShardVersion>` in parallel with writers on other
+/// shards, and publish through [`crate::mvcc::VersionCell::submit`]. The
+/// writer itself is lock-free — acquisition ordering across writers is
+/// the caller's contract (the storage write module locks ascending shard
+/// index).
 #[derive(Debug)]
 pub struct ShardWriter {
     version: Arc<ShardVersion>,
+    /// Rebuild arms re-use the shard's sort/intern buffers across
+    /// batches (and threads never share one).
     kernel: NestKernel,
     cost: CostCounter,
     /// The routing attribute and tuples-per-segment target every
     /// mutation re-encodes touched segments with.
     tiling: Tiling,
-    arity: usize,
 }
 
 impl ShardWriter {
+    fn over(version: Arc<ShardVersion>, tiling: Tiling) -> Self {
+        ShardWriter {
+            version,
+            kernel: NestKernel::new(),
+            cost: CostCounter::new(),
+            tiling,
+        }
+    }
+
     /// The shard's current version — what gets published after a
     /// mutation (cheap `Arc` clone).
     pub fn version(&self) -> &Arc<ShardVersion> {
         &self.version
-    }
-
-    /// §4 maintenance cost accumulated by every op routed here.
-    pub fn cost(&self) -> &CostCounter {
-        &self.cost
     }
 
     /// The target tuples-per-segment currently in effect.
@@ -802,12 +344,18 @@ impl ShardWriter {
         drifted
     }
 
+    /// Replaces the shard's contents with a freshly nested canonical
+    /// form, uniformly tiled (the cold-build path).
+    fn install(&mut self, canon: CanonicalRelation) {
+        let version = Arc::make_mut(&mut self.version);
+        version.canon = canon;
+        version.retile(self.tiling);
+    }
+
     fn check_arity(&self, got: usize) -> Result<()> {
-        if got != self.arity {
-            return Err(NfError::ArityMismatch {
-                expected: self.arity,
-                got,
-            });
+        let expected = self.version.relation().arity();
+        if got != expected {
+            return Err(NfError::ArityMismatch { expected, got });
         }
         Ok(())
     }
@@ -843,31 +391,114 @@ impl ShardWriter {
     }
 }
 
+/// Applies per-shard sub-batches through their writers' auto strategy —
+/// each shard independently picks §4 incremental maintenance or a kernel
+/// rebuild for its own sub-batch ([`ShardWriter::apply_batch`]), and the
+/// sub-batches run concurrently under [`std::thread::scope`] (inline
+/// when only one shard has work: no thread overhead). Empty sub-batches
+/// leave their shard untouched. Returns the combined summary and the
+/// number of shards that took the rebuild arm.
+pub fn apply_sub_batches<'a>(
+    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [Op])>,
+) -> Result<(BatchSummary, usize)> {
+    let work: Vec<(&mut ShardWriter, &[Op])> = work
+        .into_iter()
+        .filter(|(_, batch)| !batch.is_empty())
+        .collect();
+    let inline = work.len() == 1;
+    let mut outcomes: Vec<Option<Result<(BatchSummary, bool)>>> =
+        work.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for ((lane, batch), slot) in work.into_iter().zip(outcomes.iter_mut()) {
+            if inline {
+                *slot = Some(lane.apply_batch(batch));
+            } else {
+                scope.spawn(move || *slot = Some(lane.apply_batch(batch)));
+            }
+        }
+    });
+    let mut summary = BatchSummary::default();
+    let mut rebuilds = 0usize;
+    for outcome in outcomes {
+        let (s, rebuilt) = outcome.expect("the scope filled one slot per sub-batch")?;
+        summary.inserted += s.inserted;
+        summary.deleted += s.deleted;
+        summary.noops += s.noops;
+        rebuilds += usize::from(rebuilt);
+    }
+    Ok((summary, rebuilds))
+}
+
+/// The exact global canonical form `ν_P(R*)` of a sharded store:
+/// concatenates the per-shard tuples (disjoint by routing) and runs the
+/// final `ν_{P(n−1)}` grouping once, merging tuples whose `P(n−1)` sets
+/// were split across shards. One shard needs no merge at all.
+pub fn merge_shards<'a>(
+    schema: &Arc<Schema>,
+    router: &ShardRouter,
+    shards: impl IntoIterator<Item = &'a ShardVersion>,
+) -> NfRelation {
+    let shards: Vec<&ShardVersion> = shards.into_iter().collect();
+    if let [only] = shards.as_slice() {
+        return only.relation().clone();
+    }
+    let tuples: Vec<NfTuple> = shards
+        .iter()
+        .flat_map(|s| s.tuples().iter().cloned())
+        .collect();
+    if tuples.is_empty() {
+        return NfRelation::new(schema.clone());
+    }
+    // Zero-arity schemas route everything to shard 0 above.
+    let attr = router
+        .attr()
+        .expect("multi-shard relations have a routing attribute");
+    // Shards partition the P(n−1) value space, so cross-shard
+    // expansions are disjoint and the concatenation is a valid NFR.
+    let concat = NfRelation::from_disjoint_tuples(schema.clone(), tuples)
+        .expect("per-shard tuples carry the shared schema arity");
+    NestKernel::new().nest_once(&concat, attr)
+}
+
+/// A canonical NFR partitioned on the outermost nest attribute: one
+/// [`ShardWriter`] per shard, with every §4 operation routed to exactly
+/// one shard and batch rebuilds fanned out across shards on scoped
+/// threads.
+///
+/// Invariant: shard `s` holds `ν_P(R*_s)` where `R*_s` is exactly the
+/// set of flat rows whose `P(n−1)` value routes to `s` — checked
+/// exhaustively by [`verify`](Self::verify) and the property suite.
+#[derive(Debug)]
+pub struct ShardedCanonical {
+    schema: Arc<Schema>,
+    order: NestOrder,
+    router: ShardRouter,
+    lanes: Vec<ShardWriter>,
+}
+
 impl ShardedCanonical {
-    /// Splits this store into independent per-shard writer states — the
-    /// constructor for a table's per-shard commit pipeline. Each writer
-    /// takes its shard's version, kernel scratch, and segment-rows
-    /// target; the shared routing/schema context stays with the caller.
-    pub fn into_writers(self) -> Vec<ShardWriter> {
-        let arity = self.schema.arity();
-        let tiling = self.tiling();
-        self.shards
-            .into_iter()
-            .zip(self.kernels)
-            .map(|(version, kernel)| ShardWriter {
-                version,
-                kernel,
-                cost: CostCounter::new(),
-                tiling,
-                arity,
+    /// An empty sharded canonical relation.
+    pub fn new(schema: Arc<Schema>, order: NestOrder, spec: ShardSpec) -> Result<Self> {
+        if order.arity() != schema.arity() {
+            return Err(NfError::InvalidNestOrder(format!(
+                "order covers {} attributes, schema has {}",
+                order.arity(),
+                schema.arity()
+            )));
+        }
+        let versions = (0..spec.shard_count())
+            .map(|_| {
+                let canon = CanonicalRelation::new(schema.clone(), order.clone())?;
+                Ok(Arc::new(ShardVersion::new(canon, ShardSegments::new())))
             })
-            .collect()
+            .collect::<Result<Vec<_>>>()?;
+        Self::from_versions(schema, order, spec, versions, DEFAULT_SEGMENT_ROWS)
     }
 
-    /// Reassembles a store from published shard versions — the
-    /// inspection path for a table whose writer state lives in
-    /// per-shard lanes. The versions must come from a store built with
-    /// the same schema, order, and spec (shard count must match).
+    /// Assembles a store over existing shard versions — how a table
+    /// whose writers live in per-shard lanes hands out an inspection
+    /// copy. The versions must come from a store built with the same
+    /// schema, order, and spec (shard count must match).
     pub fn from_versions(
         schema: Arc<Schema>,
         order: NestOrder,
@@ -875,17 +506,294 @@ impl ShardedCanonical {
         versions: Vec<Arc<ShardVersion>>,
         segment_rows: usize,
     ) -> Result<Self> {
-        let mut out = Self::new(schema, order, spec)?;
-        if versions.len() != out.shard_count() {
+        let router = ShardRouter::new(spec, &order);
+        if versions.len() != router.shard_count() {
             return Err(NfError::InvalidShardSpec(format!(
                 "{} versions supplied for a {}-shard spec",
                 versions.len(),
-                out.shard_count()
+                router.shard_count()
             )));
         }
-        out.shards = versions;
-        out.segment_rows = segment_rows.max(1);
-        Ok(out)
+        let tiling = Tiling {
+            outer_attr: router.attr(),
+            target_rows: segment_rows.max(1),
+        };
+        let lanes = versions
+            .into_iter()
+            .map(|v| ShardWriter::over(v, tiling))
+            .collect();
+        Ok(ShardedCanonical {
+            schema,
+            order,
+            router,
+            lanes,
+        })
+    }
+
+    /// Builds the sharded form of an existing 1NF relation: rows are
+    /// routed first, then every shard nests its own rows — in parallel
+    /// on scoped threads when there is more than one shard and each has
+    /// at least `MIN_ROWS_PER_BUILD_THREAD` rows on average.
+    pub fn from_flat(flat: &FlatRelation, order: NestOrder, spec: ShardSpec) -> Result<Self> {
+        let mut sharded = Self::new(flat.schema().clone(), order, spec)?;
+        let n = sharded.shard_count();
+        let mut per_shard: Vec<Vec<FlatTuple>> = vec![Vec::new(); n];
+        for row in flat.rows() {
+            per_shard[sharded.router.route_row(row)].push(row.clone());
+        }
+        let order = &sharded.order;
+        let schema = &sharded.schema;
+        let mut built: Vec<Result<Option<CanonicalRelation>>> = (0..n).map(|_| Ok(None)).collect();
+        std::thread::scope(|scope| {
+            for ((slot, lane), rows) in built
+                .iter_mut()
+                .zip(sharded.lanes.iter_mut())
+                .zip(per_shard)
+            {
+                if rows.is_empty() {
+                    continue; // keep the empty shard created by new()
+                }
+                let kernel = &mut lane.kernel;
+                let task = move || -> Result<Option<CanonicalRelation>> {
+                    let flat = FlatRelation::from_rows(schema.clone(), rows)?;
+                    CanonicalRelation::from_flat_with(kernel, &flat, order.clone()).map(Some)
+                };
+                if n == 1 || flat.len() < n * MIN_ROWS_PER_BUILD_THREAD {
+                    *slot = task();
+                } else {
+                    scope.spawn(move || *slot = task());
+                }
+            }
+        });
+        for (lane, result) in sharded.lanes.iter_mut().zip(built) {
+            if let Some(canon) = result? {
+                lane.install(canon);
+            }
+        }
+        Ok(sharded)
+    }
+
+    /// The schema.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// The nest order every shard is canonical for.
+    pub fn order(&self) -> &NestOrder {
+        &self.order
+    }
+
+    /// The value router.
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// One shard's canonical relation.
+    pub fn shard(&self, idx: usize) -> &CanonicalRelation {
+        self.lanes[idx].version.canon()
+    }
+
+    /// One shard's current version (canonical form + segments).
+    pub fn version(&self, idx: usize) -> &Arc<ShardVersion> {
+        &self.lanes[idx].version
+    }
+
+    /// Cheap `Arc` clones of every shard's current version, in shard
+    /// order — what a table publishes into its MVCC
+    /// [`crate::mvcc::VersionCell`].
+    pub fn versions(&self) -> Vec<Arc<ShardVersion>> {
+        self.lanes.iter().map(|l| Arc::clone(&l.version)).collect()
+    }
+
+    /// One shard's columnar segment state.
+    pub fn shard_segments(&self, idx: usize) -> &ShardSegments {
+        self.lanes[idx].version.segments()
+    }
+
+    /// Changes the target tuples-per-segment and re-tiles every shard.
+    /// Test and experiment knob.
+    pub fn set_segment_rows(&mut self, rows: usize) {
+        for lane in &mut self.lanes {
+            lane.set_segment_rows(rows);
+        }
+    }
+
+    /// Total NF² tuples across shards. For more than one shard this can
+    /// exceed the unsharded canonical count: a global tuple whose
+    /// `P(n−1)` set spans shards is held split (see
+    /// [`to_relation`](Self::to_relation)).
+    pub fn tuple_count(&self) -> usize {
+        self.lanes.iter().map(|l| l.version.tuple_count()).sum()
+    }
+
+    /// Total flat rows (`|R*|`) across shards.
+    pub fn flat_count(&self) -> u128 {
+        self.lanes.iter().map(|l| l.version.flat_count()).sum()
+    }
+
+    /// Whether no shard holds any row.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.iter().all(|l| l.version.relation().is_empty())
+    }
+
+    /// Whether `R*` contains `row` ([`ShardRouter::contains`]).
+    pub fn contains(&self, row: &[Atom]) -> bool {
+        self.router.contains(row, |s| &self.lanes[s].version)
+    }
+
+    /// §4.2 insertion, routed to one shard. Returns `true` if new.
+    pub fn insert(&mut self, row: FlatTuple) -> Result<bool> {
+        let shard = self.router.route_checked(&row)?;
+        self.lanes[shard].insert_counted(row)
+    }
+
+    /// §4.3 deletion, routed to one shard. Returns `true` if present.
+    pub fn delete(&mut self, row: &[Atom]) -> Result<bool> {
+        let shard = self.router.route_checked(row)?;
+        self.lanes[shard].delete_counted(row)
+    }
+
+    /// Applies a batch through the auto strategy **per shard**
+    /// ([`apply_sub_batches`]). Returns the combined summary and the
+    /// number of shards that took the rebuild arm.
+    pub fn apply_batch_auto(&mut self, ops: &[Op]) -> Result<(BatchSummary, usize)> {
+        let per_shard = self.router.partition_ops(ops)?;
+        apply_sub_batches(
+            self.lanes
+                .iter_mut()
+                .zip(per_shard.iter().map(Vec::as_slice)),
+        )
+    }
+
+    /// Replays a long op stream in adaptive batches (each batch grows
+    /// with the relation, mirroring
+    /// [`replay_adaptive_with`](crate::bulk::replay_adaptive_with)), with
+    /// every batch applied through the parallel
+    /// [`apply_batch_auto`](Self::apply_batch_auto). Returns
+    /// `(batches, shard rebuilds)`.
+    pub fn replay_adaptive(&mut self, stream: &[Op], min_batch: usize) -> Result<(usize, usize)> {
+        let min_batch = min_batch.max(1);
+        let (mut batches, mut rebuilds) = (0usize, 0usize);
+        let mut pos = 0usize;
+        while pos < stream.len() {
+            let flat = self.flat_count().min(usize::MAX as u128) as usize;
+            let target = flat.max(min_batch);
+            let remaining = stream.len() - pos;
+            let take = if remaining < 2 * target {
+                remaining
+            } else {
+                target
+            };
+            let (_, r) = self.apply_batch_auto(&stream[pos..pos + take])?;
+            batches += 1;
+            rebuilds += r;
+            pos += take;
+        }
+        Ok((batches, rebuilds))
+    }
+
+    /// §4 maintenance cost accumulated by every operation since
+    /// construction (or the last
+    /// [`reset_maintenance_cost`](Self::reset_maintenance_cost)), per
+    /// shard and in total.
+    pub fn maintenance_cost(&self) -> MaintenanceCost {
+        MaintenanceCost::of_lanes(&self.lanes)
+    }
+
+    /// Zeroes every shard's maintenance counters — the line between
+    /// building a store (WAL replay, a benchmark's ingest phase) and
+    /// what is measured on it afterwards.
+    pub fn reset_maintenance_cost(&mut self) {
+        for lane in &mut self.lanes {
+            lane.cost = CostCounter::new();
+        }
+    }
+
+    /// The exact global canonical form `ν_P(R*)` ([`merge_shards`]).
+    pub fn to_relation(&self) -> NfRelation {
+        merge_shards(
+            &self.schema,
+            &self.router,
+            self.lanes.iter().map(|l| &*l.version),
+        )
+    }
+
+    /// Re-derives every invariant from scratch: each shard's tuple
+    /// vector is the canonical vector of its own rows, every row lives in
+    /// the shard it routes to, the segments are an exact encoding of the
+    /// tuple vector they tile, and the merged relation equals the
+    /// unsharded canonical form. Test/diagnostic helper.
+    pub fn verify(&self) -> Result<()> {
+        let mut all_rows = FlatRelation::new(self.schema.clone());
+        for (idx, lane) in self.lanes.iter().enumerate() {
+            let shard = &lane.version;
+            shard.canon().verify()?;
+            self.verify_segments(idx)?;
+            for row in shard.relation().expand().rows() {
+                if self.router.route_row(row) != idx {
+                    return Err(NfError::InvalidShardSpec(format!(
+                        "row routed to shard {} but stored in shard {idx}",
+                        self.router.route_row(row)
+                    )));
+                }
+                all_rows.insert(row.clone())?;
+            }
+        }
+        let unsharded = crate::nest::canonical_of_flat(&all_rows, &self.order);
+        if self.to_relation() == unsharded {
+            Ok(())
+        } else {
+            Err(NfError::InvalidShardSpec(
+                "merged sharded relation differs from the unsharded canonical form".into(),
+            ))
+        }
+    }
+
+    /// Checks one shard's segment invariants: the segments tile the
+    /// whole tuple vector, none is empty, and each is exactly the
+    /// encoding of the slice it covers — columns, run lengths and zone
+    /// bounds alike.
+    fn verify_segments(&self, idx: usize) -> Result<()> {
+        let ss = self.lanes[idx].version.segments();
+        let tuples = self.lanes[idx].version.tuples();
+        let seg_err = |msg: String| NfError::InvalidShardSpec(format!("shard {idx}: {msg}"));
+        let Some(outer) = self.router.attr() else {
+            return match ss.segment_count() {
+                0 => Ok(()),
+                n => Err(seg_err(format!("{n} segments over a zero-arity schema"))),
+            };
+        };
+        if ss.covered_rows() != tuples.len() {
+            return Err(seg_err(format!(
+                "segments cover {} of {} tuples",
+                ss.covered_rows(),
+                tuples.len()
+            )));
+        }
+        for (range, seg) in ss.ranges() {
+            if range.is_empty() {
+                return Err(seg_err(format!("empty segment at {}", range.start)));
+            }
+            let start = range.start;
+            if *seg != Segment::encode(&tuples[range], outer) {
+                return Err(seg_err(format!(
+                    "segment at {start} is not the encoding of its tuple slice"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands the per-shard writers over — the constructor for a table's
+    /// per-shard commit pipeline; the shared routing/schema context
+    /// stays with the caller.
+    pub fn into_writers(self) -> Vec<ShardWriter> {
+        self.lanes
     }
 }
 
@@ -1036,6 +944,11 @@ mod tests {
             assert!(sharded.contains(r));
         }
         assert!(!sharded.contains(&row(&[999, 999])));
+        // A row of the wrong arity is contained in nothing.
+        let stored = flat.rows().next().unwrap();
+        assert!(!sharded.contains(&stored[..1]));
+        assert!(!sharded.contains(&[stored.as_slice(), &[Atom(0)]].concat()));
+        assert!(!sharded.contains(&[]));
     }
 
     #[test]
@@ -1062,17 +975,10 @@ mod tests {
         let mut oracle_cost = CostCounter::new();
         let oracle_summary = apply_batch(&mut oracle, &ops, &mut oracle_cost).unwrap();
         for spec in specs(5) {
-            // Auto strategy.
             let mut auto = ShardedCanonical::from_flat(&flat, order.clone(), spec.clone()).unwrap();
-            let mut cost = MaintenanceCost::new(auto.shard_count());
-            let (summary, _) = auto.apply_batch_auto(&ops, &mut cost).unwrap();
+            let (summary, _) = auto.apply_batch_auto(&ops).unwrap();
             assert_eq!(summary, oracle_summary, "{spec:?}");
             assert_eq!(auto.to_relation(), *oracle.relation(), "{spec:?}");
-            // Forced rebuild.
-            let mut rebuilt = ShardedCanonical::from_flat(&flat, order.clone(), spec).unwrap();
-            let summary = rebuilt.rebuild_batch(&ops).unwrap();
-            assert_eq!(summary, oracle_summary);
-            assert_eq!(rebuilt.to_relation(), *oracle.relation());
         }
     }
 
@@ -1087,8 +993,7 @@ mod tests {
             ShardSpec::hash(4).unwrap(),
         )
         .unwrap();
-        let mut cost = MaintenanceCost::new(4);
-        let (batches, rebuilds) = sharded.replay_adaptive(&stream, 8, &mut cost).unwrap();
+        let (batches, rebuilds) = sharded.replay_adaptive(&stream, 8).unwrap();
         assert!(batches >= 2);
         assert!(rebuilds >= batches, "pure inserts rebuild on every shard");
         assert_eq!(sharded.flat_count(), flat.len() as u128);
@@ -1106,7 +1011,6 @@ mod tests {
         let order = NestOrder::identity(3);
         let probes_of = |spec: ShardSpec| -> u64 {
             let mut c = ShardedCanonical::from_flat(&flat, order.clone(), spec).unwrap();
-            let mut cost = MaintenanceCost::new(c.shard_count());
             let mut state = 0x1234u64;
             for i in 0..32 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1115,10 +1019,10 @@ mod tests {
                     100 + (state >> 31) as u32 % 13,
                     200 + i as u32 % 12,
                 ]);
-                let _ = c.insert_counted(r.clone(), &mut cost).unwrap();
-                let _ = c.delete_counted(&r, &mut cost).unwrap();
+                let _ = c.insert(r.clone()).unwrap();
+                let _ = c.delete(&r).unwrap();
             }
-            cost.total.candidate_probes
+            c.maintenance_cost().total.candidate_probes
         };
         let p1 = probes_of(ShardSpec::single());
         let p4 = probes_of(ShardSpec::hash(4).unwrap());
@@ -1134,26 +1038,26 @@ mod tests {
         let mut sharded =
             ShardedCanonical::from_flat(&flat, NestOrder::identity(2), ShardSpec::hash(3).unwrap())
                 .unwrap();
-        let mut cost = MaintenanceCost::new(3);
+        assert_eq!(
+            sharded.maintenance_cost().total,
+            CostCounter::new(),
+            "a cold build costs no §4 maintenance"
+        );
         for i in 0..20u32 {
             sharded.insert(row(&[500 + i, 600 + i])).unwrap();
         }
+        sharded.reset_maintenance_cost();
+        assert_eq!(sharded.maintenance_cost().total, CostCounter::new());
         let mut state = 9u64;
         for _ in 0..20 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let r = row(&[(state >> 13) as u32 % 8, 100 + (state >> 33) as u32 % 8]);
-            let _ = sharded.insert_counted(r, &mut cost).unwrap();
+            let _ = sharded.insert(r).unwrap();
         }
+        let cost = sharded.maintenance_cost();
         let sum: u64 = cost.per_shard.iter().map(|c| c.candidate_probes).sum();
         assert_eq!(sum, cost.total.candidate_probes, "breakdown sums to total");
         assert!(cost.per_shard.iter().filter(|c| c.recons_calls > 0).count() >= 2);
-        let mut merged = MaintenanceCost::new(3);
-        merged.merge(&cost);
-        merged.merge(&cost);
-        assert_eq!(
-            merged.total.candidate_probes,
-            2 * cost.total.candidate_probes
-        );
     }
 
     #[test]
@@ -1166,9 +1070,7 @@ mod tests {
             ShardedCanonical::new(s, NestOrder::identity(2), ShardSpec::hash(2).unwrap()).unwrap();
         assert!(c.insert(row(&[1])).is_err());
         assert!(c.delete(&row(&[1, 2, 3])).is_err());
-        assert!(c
-            .apply_batch_auto(&[Op::Insert(row(&[1]))], &mut MaintenanceCost::new(2))
-            .is_err());
+        assert!(c.apply_batch_auto(&[Op::Insert(row(&[1]))]).is_err());
     }
 
     /// Every shard's tuple vector is the kernel's vector for its rows
@@ -1251,9 +1153,11 @@ mod tests {
         assert_eq!(sharded.version(shard).tuples(), before[shard].tuples());
         assert_sorted_and_tiled(&sharded);
 
-        // A forced rebuild re-tiles uniformly.
+        // A batch large enough to take the rebuild arm re-tiles uniformly
+        // (the deletes after the first are no-ops; they only size it).
         sharded.insert(r.clone()).unwrap();
-        sharded.rebuild_batch(&[Op::Delete(r)]).unwrap();
+        let big = vec![Op::Delete(r); sharded.version(shard).flat_count() as usize];
+        assert_eq!(sharded.apply_batch_auto(&big).unwrap().1, 1);
         assert!(sharded.shard_segments(shard).is_uniform(8));
         assert_sorted_and_tiled(&sharded);
     }
@@ -1270,8 +1174,7 @@ mod tests {
         let big: Vec<Op> = (0..200u32)
             .map(|i| Op::Insert(row(&[1000 + i, 2000 + i % 7])))
             .collect();
-        let mut cost = MaintenanceCost::new(2);
-        let (_, rebuilds) = sharded.apply_batch_auto(&big, &mut cost).unwrap();
+        let (_, rebuilds) = sharded.apply_batch_auto(&big).unwrap();
         assert!(rebuilds >= 1);
         assert_sorted_and_tiled(&sharded);
         // A small batch goes incremental and patches the segments its ops
@@ -1282,7 +1185,7 @@ mod tests {
                 _ => Op::Insert(row(&[5000 + i, 6000 + i % 2])),
             })
             .collect();
-        let (summary, rebuilds) = sharded.apply_batch_auto(&small, &mut cost).unwrap();
+        let (summary, rebuilds) = sharded.apply_batch_auto(&small).unwrap();
         assert_eq!(
             rebuilds, 0,
             "nine ops against a large shard are incremental"
@@ -1307,60 +1210,6 @@ mod tests {
             sharded.shard(0).tuple_count()
         );
         sharded.verify().unwrap();
-    }
-
-    #[test]
-    fn shard_writers_mirror_the_monolithic_store() {
-        let flat = random_flat(2, 60, 8, 55);
-        let order = NestOrder::identity(2);
-        let spec = ShardSpec::hash(3).unwrap();
-        let mut oracle = ShardedCanonical::from_flat(&flat, order.clone(), spec.clone()).unwrap();
-        let split = ShardedCanonical::from_flat(&flat, order.clone(), spec.clone()).unwrap();
-        let schema = split.schema().clone();
-        let router = split.router().clone();
-        let seg_rows = split.segment_rows();
-        let mut writers = split.into_writers();
-        assert_eq!(writers.len(), 3);
-
-        // Routed point ops through the writer lanes track the oracle.
-        let mut state = 0x51EDu64;
-        for _ in 0..60 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let r = row(&[(state >> 13) as u32 % 9, 100 + (state >> 33) as u32 % 9]);
-            let shard = router.route_row(&r);
-            if state.is_multiple_of(3) {
-                assert_eq!(
-                    writers[shard].delete_counted(&r).unwrap(),
-                    oracle.delete(&r).unwrap()
-                );
-            } else {
-                assert_eq!(
-                    writers[shard].insert_counted(r.clone()).unwrap(),
-                    oracle.insert(r).unwrap()
-                );
-            }
-        }
-        // A per-shard sub-batch through the writer matches the oracle.
-        let batch: Vec<Op> = (0..40u32)
-            .map(|i| Op::Insert(row(&[3000 + i, 4000])))
-            .collect();
-        let shard = router.route_row(batch[0].row());
-        let (summary, _) = writers[shard].apply_batch(&batch).unwrap();
-        let mut cost = MaintenanceCost::new(oracle.shard_count());
-        let (oracle_summary, _) = oracle.apply_batch_auto(&batch, &mut cost).unwrap();
-        assert_eq!(summary, oracle_summary);
-
-        // Reassembled from the writers' versions, the store verifies and
-        // merges to the oracle's canonical form.
-        let versions: Vec<_> = writers.iter().map(|w| Arc::clone(w.version())).collect();
-        let view =
-            ShardedCanonical::from_versions(schema, order, spec, versions, seg_rows).unwrap();
-        view.verify().unwrap();
-        assert_eq!(view.to_relation(), oracle.to_relation());
-        assert!(
-            writers.iter().map(|w| w.cost().recons_calls).sum::<u64>() > 0,
-            "writer lanes accumulate maintenance cost"
-        );
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! 3. [`crate::Prepared`] re-executes a parsed + optimized plan
 //!    with `?` parameters bound per call — no re-lex, no re-parse, no
 //!    re-optimize.
-//!
-//! The original string-in/string-out [`Database`](crate::Database) API
-//! survives as a thin shim over an `Engine` plus one implicit session.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -571,7 +568,7 @@ impl Engine {
 
 /// One reverse operation in a transaction's undo log.
 #[derive(Debug, Clone)]
-pub(crate) enum Undo {
+enum Undo {
     /// A delete (or the delete half of an update) removed this row.
     Reinsert { table: String, row: Vec<Atom> },
     /// An insert added this row.
@@ -593,17 +590,6 @@ pub struct Session<'e> {
 }
 
 impl<'e> Session<'e> {
-    /// Re-opens a session with saved transaction state (the `Database`
-    /// shim persists its txn across per-call sessions).
-    pub(crate) fn resume(engine: &'e Engine, txn: Option<Vec<Undo>>) -> Self {
-        Session { engine, txn }
-    }
-
-    /// Detaches the transaction state (shim plumbing).
-    pub(crate) fn take_txn(&mut self) -> Option<Vec<Undo>> {
-        self.txn.take()
-    }
-
     /// The underlying engine.
     pub fn engine(&self) -> &Engine {
         self.engine

@@ -1,18 +1,13 @@
-//! Outputs, errors, and the `Database` compatibility shim.
+//! Outputs and errors.
 //!
 //! Statement execution itself lives in [`crate::engine`] (the
 //! [`crate::Session`] type); this module keeps the pieces every
-//! layer shares — [`Output`], [`QueryError`] — plus [`Database`], the
-//! original string-in/string-out API, now a thin wrapper over an
-//! [`crate::Engine`] with one implicit session.
+//! layer shares — [`Output`], [`QueryError`] — and the statement-level
+//! test suite, which runs through an [`crate::Engine`] and one held
+//! session.
 
 use std::fmt;
-use std::sync::Arc;
 
-use nf2_storage::{NfTable, SharedDictionary};
-
-use crate::ast::Statement;
-use crate::engine::{Engine, Session, Undo};
 use crate::parser::ParseError;
 
 /// Errors from statement execution.
@@ -151,113 +146,37 @@ impl fmt::Display for Output {
     }
 }
 
-/// The original embedded-database API — **deprecated but stable**.
-///
-/// `Database` predates the [`Engine`]/[`Session`]/
-/// [`Prepared`](crate::Prepared) split and re-parses every statement it
-/// runs. It is kept as a thin shim (an `Engine` plus one implicit
-/// session whose transaction state persists across calls) so existing
-/// code and scripts keep working unchanged; new code should use
-/// [`Engine::builder`] — see the crate docs for the migration shape.
-/// No functionality will be removed from this type, but new features
-/// (parameters, cursors, plan caching) land on the engine surface only.
-#[derive(Debug, Default)]
-pub struct Database {
-    engine: Engine,
-    /// Undo log of the open transaction, carried across per-call
-    /// sessions.
-    txn: Option<Vec<Undo>>,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared dictionary.
-    pub fn dict(&self) -> &SharedDictionary {
-        self.engine.dict()
-    }
-
-    /// The underlying engine (read-only; open a [`Session`] through
-    /// [`Database::engine_mut`] for the full new API).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    ///
-    /// Note: sessions opened on it do **not** see this shim's open
-    /// transaction (the undo log stays here until the next
-    /// `run`/`execute` call).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Unwraps into the underlying engine, discarding any open
-    /// transaction's undo log.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// Shared access to a table (tables are internally synchronized —
-    /// see [`Engine::table`]).
-    pub fn table(&self, name: &str) -> Result<Arc<NfTable>, QueryError> {
-        self.engine.table(name)
-    }
-
-    /// Runs `f` in a session that resumes (and then re-saves) the shim's
-    /// transaction state.
-    fn with_session<R>(&mut self, f: impl FnOnce(&mut Session<'_>) -> R) -> R {
-        let mut session = Session::resume(&self.engine, self.txn.take());
-        let out = f(&mut session);
-        self.txn = session.take_txn();
-        out
-    }
-
-    /// Parses and executes a whole script, returning one output per
-    /// statement.
-    pub fn run_script(&mut self, script: &str) -> Result<Vec<Output>, QueryError> {
-        self.with_session(|s| s.run_script(script))
-    }
-
-    /// Parses and executes a single statement.
-    pub fn run(&mut self, statement: &str) -> Result<Output, QueryError> {
-        self.with_session(|s| s.run(statement))
-    }
-
-    /// Executes a parsed statement.
-    pub fn execute(&mut self, stmt: Statement) -> Result<Output, QueryError> {
-        self.with_session(|s| s.execute(stmt))
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
 
-    fn seeded_db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
-            "CREATE TABLE sc (Student, Course, Club) NEST ORDER (Student, Course, Club);\n\
+    fn seeded_db() -> Engine {
+        let engine = Engine::new();
+        engine
+            .session()
+            .run_script(
+                "CREATE TABLE sc (Student, Course, Club) NEST ORDER (Student, Course, Club);\n\
              INSERT INTO sc VALUES ('s1','c1','b1'), ('s2','c1','b1'), ('s1','c2','b1');",
-        )
-        .unwrap();
-        db
+            )
+            .unwrap();
+        engine
     }
 
     #[test]
     fn create_insert_show_flow() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("SHOW sc").unwrap();
         let text = out.to_text();
         assert!(text.contains("Student"));
-        assert!(db.table("sc").unwrap().flat_count() == 3);
+        assert!(engine.table("sc").unwrap().flat_count() == 3);
     }
 
     #[test]
     fn duplicate_create_fails() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         assert!(matches!(
             db.run("CREATE TABLE sc (A)"),
             Err(QueryError::TableExists(_))
@@ -266,7 +185,8 @@ mod tests {
 
     #[test]
     fn insert_counts_new_rows_only() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db
             .run("INSERT INTO sc VALUES ('s1','c1','b1'), ('s9','c9','b9')")
             .unwrap();
@@ -275,7 +195,8 @@ mod tests {
 
     #[test]
     fn select_with_predicate_and_projection() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db
             .run("SELECT Course FROM sc WHERE Student = 's1'")
             .unwrap();
@@ -290,7 +211,8 @@ mod tests {
 
     #[test]
     fn select_unknown_value_is_empty_not_error() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("SELECT * FROM sc WHERE Student = 'ghost'").unwrap();
         match out {
             Output::Relation { relation, .. } => assert!(relation.is_empty()),
@@ -300,44 +222,49 @@ mod tests {
 
     #[test]
     fn select_unknown_attr_is_error() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         assert!(db.run("SELECT * FROM sc WHERE Nope = 's1'").is_err());
     }
 
     #[test]
     fn delete_with_partial_predicate() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
         assert!(matches!(out, Output::Affected(2)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 1);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 1);
     }
 
     #[test]
     fn delete_everything_with_empty_where() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("DELETE FROM sc").unwrap();
         assert!(matches!(out, Output::Affected(3)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 0);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 0);
     }
 
     #[test]
     fn nest_and_unnest_are_ad_hoc() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let nested = db.run("NEST sc ON Student").unwrap();
         match nested {
             Output::Relation { relation, .. } => {
-                assert!(relation.tuple_count() <= db.table("sc").unwrap().tuple_count());
+                assert!(relation.tuple_count() <= engine.table("sc").unwrap().tuple_count());
             }
             other => panic!("unexpected {other:?}"),
         }
         // The stored table is unchanged.
-        assert_eq!(db.table("sc").unwrap().flat_count(), 3);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 3);
         assert!(db.run("UNNEST sc ON Student").is_ok());
     }
 
     #[test]
     fn show_flat_renders_rows() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("SHOW FLAT sc").unwrap();
         let text = out.to_text();
         assert!(text.matches("s1").count() >= 2, "two s1 rows in R*: {text}");
@@ -345,7 +272,8 @@ mod tests {
 
     #[test]
     fn tables_lists_catalog() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         let out = db.run("TABLES").unwrap();
         assert!(out.to_text().contains("sc:"));
         db.run("DROP TABLE sc").unwrap();
@@ -354,7 +282,8 @@ mod tests {
 
     #[test]
     fn stats_reports_realization_numbers() {
-        let mut db = seeded_db();
+        let engine = seeded_db();
+        let mut db = engine.session();
         db.run("SELECT * FROM sc WHERE Student = 's1'").unwrap();
         let text = db.run("STATS sc").unwrap().to_text();
         assert!(text.contains("3 flat rows"), "{text}");
@@ -366,7 +295,8 @@ mod tests {
 
     #[test]
     fn drop_missing_table_errors() {
-        let mut db = Database::new();
+        let engine = Engine::new();
+        let mut db = engine.session();
         assert!(matches!(
             db.run("DROP TABLE ghost"),
             Err(QueryError::NoSuchTable(_))
@@ -383,22 +313,26 @@ mod tests {
 #[cfg(test)]
 mod join_explain_tests {
     use super::*;
+    use crate::engine::Engine;
 
-    fn db_with_two_tables() -> Database {
-        let mut db = Database::new();
-        db.run_script(
-            "CREATE TABLE sc (Student, Course);
+    fn db_with_two_tables() -> Engine {
+        let engine = Engine::new();
+        engine
+            .session()
+            .run_script(
+                "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');
              CREATE TABLE cp (Course, Prof);
              INSERT INTO cp VALUES ('c1','p1'), ('c2','p2');",
-        )
-        .unwrap();
-        db
+            )
+            .unwrap();
+        engine
     }
 
     #[test]
     fn select_join_matches_flat_join() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         let out = db.run("SELECT * FROM sc JOIN cp").unwrap();
         match out {
             Output::Relation { relation, .. } => {
@@ -411,7 +345,8 @@ mod join_explain_tests {
 
     #[test]
     fn select_join_with_predicate_and_projection() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         let out = db
             .run("SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
@@ -425,7 +360,8 @@ mod join_explain_tests {
 
     #[test]
     fn join_with_missing_table_errors() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         assert!(matches!(
             db.run("SELECT * FROM sc JOIN ghost"),
             Err(QueryError::NoSuchTable(_))
@@ -434,7 +370,8 @@ mod join_explain_tests {
 
     #[test]
     fn explain_renders_plan_tree() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         let out = db
             .run("EXPLAIN SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
@@ -448,7 +385,8 @@ mod join_explain_tests {
 
     #[test]
     fn explain_of_impossible_predicate() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         let out = db
             .run("EXPLAIN SELECT * FROM sc WHERE Student = 'ghost'")
             .unwrap();
@@ -457,93 +395,105 @@ mod join_explain_tests {
 
     #[test]
     fn explain_non_select_is_rejected_at_parse() {
-        let mut db = db_with_two_tables();
+        let engine = db_with_two_tables();
+        let mut db = engine.session();
         assert!(db.run("EXPLAIN SHOW sc").is_err());
     }
 }
 
 #[cfg(test)]
 mod transaction_tests {
-    use super::*;
+    use crate::engine::Engine;
     use nf2_core::relation::NfRelation;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
-            "CREATE TABLE sc (Student, Course);
+    fn db() -> Engine {
+        let engine = Engine::new();
+        engine
+            .session()
+            .run_script(
+                "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');",
-        )
-        .unwrap();
-        db
+            )
+            .unwrap();
+        engine
     }
 
-    fn snapshot(db: &Database) -> NfRelation {
-        (*db.table("sc").unwrap().relation()).clone()
+    fn snapshot(engine: &Engine) -> NfRelation {
+        (*engine.table("sc").unwrap().relation()).clone()
     }
 
     #[test]
     fn rollback_restores_the_exact_relation() {
-        let mut db = db();
-        let before = snapshot(&db);
+        let engine = db();
+        let mut db = engine.session();
+        let before = snapshot(&engine);
         db.run("BEGIN").unwrap();
         db.run("INSERT INTO sc VALUES ('s9','c9'), ('s9','c1')")
             .unwrap();
         db.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
         db.run("UPDATE sc SET Course = 'c7' WHERE Student = 's2'")
             .unwrap();
-        assert_ne!(snapshot(&db), before, "mutations visible inside the txn");
+        assert_ne!(
+            snapshot(&engine),
+            before,
+            "mutations visible inside the txn"
+        );
         let out = db.run("ROLLBACK").unwrap();
         assert!(out.to_text().contains("rolled back"), "{}", out.to_text());
         assert_eq!(
-            snapshot(&db),
+            snapshot(&engine),
             before,
             "rollback restores the canonical form"
         );
         // And the restored relation is still canonical for its order.
-        let t = db.table("sc").unwrap();
+        let t = engine.table("sc").unwrap();
         let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
         assert_eq!(*t.relation(), fresh);
     }
 
     #[test]
     fn commit_keeps_changes() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         db.run("BEGIN").unwrap();
         db.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
         db.run("COMMIT").unwrap();
-        assert_eq!(db.table("sc").unwrap().flat_count(), 4);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 4);
         // After commit there is nothing to roll back.
         assert!(db.run("ROLLBACK").is_err());
     }
 
     #[test]
     fn rollback_of_update_collision_is_exact() {
-        let mut db = db();
-        let before = snapshot(&db);
+        let engine = db();
+        let mut db = engine.session();
+        let before = snapshot(&engine);
         db.run("BEGIN").unwrap();
         // (s1,c1) → (s1,c2) collides with the existing (s1,c2).
         db.run("UPDATE sc SET Course = 'c2' WHERE Course = 'c1'")
             .unwrap();
         db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), before);
+        assert_eq!(snapshot(&engine), before);
     }
 
     #[test]
     fn chained_updates_roll_back_through_intermediates() {
-        let mut db = db();
-        let before = snapshot(&db);
+        let engine = db();
+        let mut db = engine.session();
+        let before = snapshot(&engine);
         db.run("BEGIN").unwrap();
         db.run("UPDATE sc SET Course = 'cX' WHERE Course = 'c1'")
             .unwrap();
         db.run("UPDATE sc SET Course = 'cY' WHERE Course = 'cX'")
             .unwrap();
         db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), before);
+        assert_eq!(snapshot(&engine), before);
     }
 
     #[test]
     fn transaction_state_errors() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         assert!(db.run("COMMIT").is_err(), "no txn open");
         assert!(db.run("ROLLBACK").is_err());
         db.run("BEGIN").unwrap();
@@ -559,7 +509,8 @@ mod transaction_tests {
 
     #[test]
     fn autocommit_mutations_bypass_the_log() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         db.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
         db.run("BEGIN").unwrap();
         let out = db.run("COMMIT").unwrap();
@@ -572,41 +523,46 @@ mod transaction_tests {
 
     #[test]
     fn rollback_spans_multiple_tables() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         db.run_script("CREATE TABLE cp (Course, Prof); INSERT INTO cp VALUES ('c1','p1');")
             .unwrap();
-        let sc_before = snapshot(&db);
-        let cp_before = db.table("cp").unwrap().relation();
+        let sc_before = snapshot(&engine);
+        let cp_before = engine.table("cp").unwrap().relation();
         db.run("BEGIN").unwrap();
         db.run("DELETE FROM sc WHERE Course = 'c1'").unwrap();
         db.run("INSERT INTO cp VALUES ('c2','p2')").unwrap();
         db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), sc_before);
-        assert_eq!(db.table("cp").unwrap().relation(), cp_before);
+        assert_eq!(snapshot(&engine), sc_before);
+        assert_eq!(engine.table("cp").unwrap().relation(), cp_before);
     }
 }
 
 #[cfg(test)]
 mod extended_select_tests {
     use super::*;
+    use crate::engine::Engine;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
-            "CREATE TABLE sc (Student, Course);
+    fn db() -> Engine {
+        let engine = Engine::new();
+        engine
+            .session()
+            .run_script(
+                "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2'), ('s3','c3');
              CREATE TABLE cp (Course, Prof);
              INSERT INTO cp VALUES ('c1','p1'), ('c2','p2'), ('c3','p1');
              CREATE TABLE pd (Prof, Dept);
              INSERT INTO pd VALUES ('p1','d1'), ('p2','d2');",
-        )
-        .unwrap();
-        db
+            )
+            .unwrap();
+        engine
     }
 
     #[test]
     fn in_predicate_selects_value_set() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("SELECT * FROM sc WHERE Student IN ('s1', 's3')")
             .unwrap();
@@ -618,7 +574,8 @@ mod extended_select_tests {
 
     #[test]
     fn in_predicate_with_partially_unknown_values() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         // 'ghost' was never interned; the IN degrades to {s1}.
         let out = db
             .run("SELECT * FROM sc WHERE Student IN ('s1', 'ghost')")
@@ -639,12 +596,13 @@ mod extended_select_tests {
 
     #[test]
     fn delete_and_update_accept_in_predicates() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("DELETE FROM sc WHERE Student IN ('s1','s2')")
             .unwrap();
         assert!(matches!(out, Output::Affected(3)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 1);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 1);
         let out = db
             .run("UPDATE cp SET Prof = 'p9' WHERE Course IN ('c1','c2')")
             .unwrap();
@@ -653,7 +611,8 @@ mod extended_select_tests {
 
     #[test]
     fn count_star_counts_flat_rows() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         match db.run("SELECT COUNT(*) FROM sc").unwrap() {
             Output::Count(n) => assert_eq!(n, 4),
             other => panic!("unexpected {other:?}"),
@@ -676,7 +635,8 @@ mod extended_select_tests {
 
     #[test]
     fn count_distinct_projects_first() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         match db.run("SELECT COUNT(DISTINCT Student) FROM sc").unwrap() {
             Output::Count(n) => assert_eq!(n, 3, "s1, s2, s3"),
             other => panic!("unexpected {other:?}"),
@@ -693,7 +653,8 @@ mod extended_select_tests {
 
     #[test]
     fn three_way_join_chains_naturally() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         // sc ⋈ cp ⋈ pd: Student-Course-Prof-Dept.
         let out = db
             .run("SELECT Student, Dept FROM sc JOIN cp JOIN pd")
@@ -710,7 +671,8 @@ mod extended_select_tests {
 
     #[test]
     fn explain_optimized_shows_rewrites_and_costs() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("EXPLAIN OPTIMIZED SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
@@ -723,7 +685,8 @@ mod extended_select_tests {
 
     #[test]
     fn explain_optimized_with_nothing_to_do() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let text = db
             .run("EXPLAIN OPTIMIZED SELECT * FROM sc")
             .unwrap()
@@ -733,7 +696,8 @@ mod extended_select_tests {
 
     #[test]
     fn optimized_execution_matches_unoptimized_semantics() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         // The executor optimizes structurally; spot-check a plan where
         // pushdown definitely fires against the by-hand expected rows.
         let out = db
@@ -752,35 +716,40 @@ mod extended_select_tests {
 #[cfg(test)]
 mod update_tests {
     use super::*;
+    use crate::engine::Engine;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
-            "CREATE TABLE sc (Student, Course);
+    fn db() -> Engine {
+        let engine = Engine::new();
+        engine
+            .session()
+            .run_script(
+                "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');",
-        )
-        .unwrap();
-        db
+            )
+            .unwrap();
+        engine
     }
 
     #[test]
     fn update_rewrites_matching_rows() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("UPDATE sc SET Course = 'c9' WHERE Student = 's1'")
             .unwrap();
         assert!(matches!(out, Output::Affected(2)));
         // Both of s1's rows map to (s1, c9): set semantics collapse them.
-        let t = db.table("sc").unwrap();
+        let t = engine.table("sc").unwrap();
         assert_eq!(t.flat_count(), 2);
-        let c9 = db.dict().lookup("c9").unwrap();
+        let c9 = engine.dict().lookup("c9").unwrap();
         let hits: usize = t.relation().expand().rows().filter(|r| r[1] == c9).count();
         assert_eq!(hits, 1);
     }
 
     #[test]
     fn update_collision_collapses_by_set_semantics() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         // Rewriting s2's course to c2 creates (s2,c2); rewriting s1's c1
         // to c2 collides with the existing (s1,c2) and collapses.
         let out = db
@@ -788,7 +757,7 @@ mod update_tests {
             .unwrap();
         assert!(matches!(out, Output::Affected(2)));
         assert_eq!(
-            db.table("sc").unwrap().flat_count(),
+            engine.table("sc").unwrap().flat_count(),
             2,
             "(s1,c2) and (s2,c2)"
         );
@@ -796,17 +765,19 @@ mod update_tests {
 
     #[test]
     fn update_with_unknown_value_is_noop() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("UPDATE sc SET Course = 'c9' WHERE Student = 'ghost'")
             .unwrap();
         assert!(matches!(out, Output::Affected(0)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 3);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 3);
     }
 
     #[test]
     fn update_identity_assignment_is_noop() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         let out = db
             .run("UPDATE sc SET Course = 'c1' WHERE Course = 'c1'")
             .unwrap();
@@ -815,16 +786,18 @@ mod update_tests {
 
     #[test]
     fn update_keeps_canonical_invariant() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         db.run("UPDATE sc SET Student = 's9'").unwrap();
-        let t = db.table("sc").unwrap();
+        let t = engine.table("sc").unwrap();
         let oracle = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
         assert_eq!(*t.relation(), oracle);
     }
 
     #[test]
     fn update_unknown_attr_errors() {
-        let mut db = db();
+        let engine = db();
+        let mut db = engine.session();
         assert!(db.run("UPDATE sc SET Nope = 'x'").is_err());
     }
 }

@@ -17,9 +17,11 @@
 //! SHOW sc;  SHOW FLAT sc;  TABLES;
 //! ```
 //!
-//! Pipeline: [`token`] → [`parser`] → [`ast`] → [`exec`] (which plans
-//! SELECTs into `nf2-algebra` expressions and routes mutations through
-//! §4's incremental canonical maintenance).
+//! Pipeline: [`token`] → [`parser`] → [`ast`] → [`engine`] (whose
+//! sessions plan SELECTs into `nf2-algebra` expressions — compiled by
+//! [`prepare`] into the one pull pipeline that runs them — and route
+//! mutations through §4's incremental canonical maintenance). [`exec`]
+//! holds the shared [`Output`] and [`QueryError`] types.
 
 pub mod ast;
 pub mod cursor;
@@ -33,7 +35,7 @@ pub(crate) mod verify;
 pub use ast::{EqPredicate, Projection, Statement, Value};
 pub use cursor::{Cursor, FlatRows};
 pub use engine::{Engine, EngineBuilder, Session};
-pub use exec::{Database, Output, QueryError};
+pub use exec::{Output, QueryError};
 pub use parser::{parse, parse_script, ParseError};
 pub use prepare::{Param, Prepared, NO_PARAMS};
 pub use token::{lex, LexError, Token};

@@ -120,8 +120,7 @@ pub(crate) enum Phys {
         /// not just routing-attribute ones. At execute time the bound
         /// value sets are checked against each sorted segment's
         /// per-attribute min/max codes and non-overlapping segments are
-        /// skipped wholesale (falling back to full shard slices while a
-        /// shard's segments are stale). Sound for any conjunct: a
+        /// skipped wholesale. Sound for any conjunct: a
         /// skipped segment provably holds no atom of the bound set on
         /// that attribute, and the enclosing selection re-checks every
         /// surviving tuple anyway.
@@ -229,9 +228,10 @@ pub(crate) struct AnalyzeReport {
 }
 
 impl PhysPlan {
-    /// Compiles an optimized planner expression. `Ok(None)` when the
-    /// expression contains a node shape the physical executor does not
-    /// cover (execution then falls back to [`eval_stream`]).
+    /// Compiles an optimized planner expression. The planner and the
+    /// structural rewrite rules only ever produce scan/select/project/
+    /// join shapes; any other node is an internal error, raised here
+    /// rather than degraded to a second executor.
     ///
     /// The `flat` constraint numbering follows the same traversal as
     /// `SelectPlan::bind_flat`: each `SelectBox`'s own entries first,
@@ -241,27 +241,27 @@ impl PhysPlan {
         tables: &[String],
         engine: &Engine,
         next_flat: &mut usize,
-    ) -> Result<Option<PhysPlan>, QueryError> {
+    ) -> Result<PhysPlan, QueryError> {
+        let outside = || {
+            QueryError::Semantic(
+                "internal error: the optimizer produced a plan shape outside \
+                 scan/select/project/join"
+                    .into(),
+            )
+        };
         match expr {
-            Expr::Rel(name) => {
-                let Some(idx) = tables.iter().position(|t| t == name) else {
-                    return Ok(None);
-                };
-                Ok(Some(PhysPlan {
-                    root: Phys::Scan {
-                        table: idx,
-                        prune: Vec::new(),
-                        zone: Vec::new(),
-                    },
-                    schema: engine.table(name)?.schema().clone(),
-                }))
-            }
+            Expr::Rel(name) => Ok(PhysPlan {
+                root: Phys::Scan {
+                    table: tables.iter().position(|t| t == name).ok_or_else(outside)?,
+                    prune: Vec::new(),
+                    zone: Vec::new(),
+                },
+                schema: engine.table(name)?.schema().clone(),
+            }),
             Expr::SelectBox { input, constraints } => {
                 let own_base = *next_flat;
                 *next_flat += constraints.len();
-                let Some(mut child) = Self::compile(input, tables, engine, next_flat)? else {
-                    return Ok(None);
-                };
+                let mut child = Self::compile(input, tables, engine, next_flat)?;
                 let resolved = constraints
                     .iter()
                     .enumerate()
@@ -287,18 +287,16 @@ impl PhysPlan {
                     // zone-map check against segment min/max bounds.
                     zone.extend(resolved.iter().copied());
                 }
-                Ok(Some(PhysPlan {
+                Ok(PhysPlan {
                     root: Phys::Select {
                         input: Box::new(child.root),
                         constraints: resolved,
                     },
                     schema: child.schema,
-                }))
+                })
             }
             Expr::Project { input, attrs } => {
-                let Some(child) = Self::compile(input, tables, engine, next_flat)? else {
-                    return Ok(None);
-                };
+                let child = Self::compile(input, tables, engine, next_flat)?;
                 let ids = attrs
                     .iter()
                     .map(|n| child.schema.attr_id(n))
@@ -309,37 +307,31 @@ impl PhysPlan {
                     .collect::<Result<Vec<_>, _>>()?;
                 // Mirror ops::project's output schema exactly.
                 let schema = Schema::new(format!("{}_proj", child.schema.name()), &names)?;
-                Ok(Some(PhysPlan {
+                Ok(PhysPlan {
                     root: Phys::Project {
                         input: Box::new(child.root),
                         input_schema: child.schema,
                         attrs: Arc::new(ids),
                     },
                     schema,
-                }))
+                })
             }
             Expr::Join(l, r) => {
-                let Some(left) = Self::compile(l, tables, engine, next_flat)? else {
-                    return Ok(None);
-                };
-                let Some(right) = Self::compile(r, tables, engine, next_flat)? else {
-                    return Ok(None);
-                };
+                let left = Self::compile(l, tables, engine, next_flat)?;
+                let right = Self::compile(r, tables, engine, next_flat)?;
                 let layout = Arc::new(JoinLayout::of(&left.schema, &right.schema)?);
                 let schema = layout.schema.clone();
-                Ok(Some(PhysPlan {
+                Ok(PhysPlan {
                     root: Phys::Join {
                         left: Box::new(left.root),
                         right: Box::new(right.root),
                         layout,
                     },
                     schema,
-                }))
+                })
             }
-            // Nest/Unnest/Union/… never come out of the planner today;
-            // let the general evaluator handle them if a rewrite mode
-            // ever introduces one.
-            _ => Ok(None),
+            // Nest/Unnest/Union/… never come out of the planner.
+            _ => Err(outside()),
         }
     }
 
@@ -597,10 +589,9 @@ pub(crate) struct SelectPlan {
     /// The optimized plan template, values encoded as slot atoms.
     pub(crate) expr: Expr,
     /// The compiled physical pipeline (attr ids, join layouts, schemas
-    /// resolved once). Mandatory: the planner and the structural rewrite
-    /// rules only ever produce scan/select/project/join shapes, and
-    /// [`SelectPlan::build`] fails loudly if that ever stops holding —
-    /// a silently-degraded fallback would be worse than an error.
+    /// resolved once). Mandatory: [`PhysPlan::compile`] fails loudly on
+    /// any plan shape it does not cover — a silently-degraded fallback
+    /// would be worse than an error.
     pub(crate) phys: PhysPlan,
     /// Slot table: `Atom(SLOT_BASE + i)` ↔ `slots[i]`.
     pub(crate) slots: Vec<Slot>,
@@ -777,13 +768,7 @@ impl SelectPlan {
         };
         let phys = {
             let _span = obs.span("plan.compile").observe(&metrics.plan_compile);
-            PhysPlan::compile(&optimized.expr, &tables, engine, &mut 0)?.ok_or_else(|| {
-                QueryError::Semantic(
-                    "internal error: the optimizer produced a plan shape outside \
-                 scan/select/project/join"
-                        .into(),
-                )
-            })?
+            PhysPlan::compile(&optimized.expr, &tables, engine, &mut 0)?
         };
         // Every ORDER BY attribute must survive into the output schema
         // (ordering on a projected-away attribute is rejected here, at
@@ -1211,7 +1196,7 @@ impl SelectPlan {
 }
 
 /// Executes a bound select plan to a materialized [`Output`] — the
-/// one-shot `run()`/`Database` semantics (aggregates count, everything
+/// one-shot `Session::run` semantics (aggregates count, everything
 /// else renders a relation).
 pub(crate) fn execute_select<P: AsRef<str>>(
     engine: &Engine,

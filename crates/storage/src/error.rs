@@ -25,11 +25,6 @@ pub enum StorageError {
     },
     /// An I/O error during persistence.
     Io(std::io::Error),
-    /// Every buffer-pool frame is pinned; nothing can be evicted.
-    PoolExhausted {
-        /// Number of frames in the pool, all pinned.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -48,9 +43,6 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::Io(e) => write!(f, "io error: {e}"),
-            StorageError::PoolExhausted { capacity } => {
-                write!(f, "all {capacity} buffer-pool frames are pinned")
-            }
         }
     }
 }

@@ -8,33 +8,22 @@
 //! * [`codec`] — compact binary tuple encoding with checksums;
 //! * [`page`] — 8 KiB slotted pages;
 //! * [`heap`] — page files with record ids and persistence;
-//! * [`bufferpool`] — bounded page frames over a paged file, with clock
-//!   eviction, pinning, and hit/miss accounting;
-//! * [`index`] — secondary hash indexes (value → record ids) with
-//!   persistence and integrity verification;
 //! * [`dictionary`] — a concurrent interning dictionary;
 //! * `wal` (crate-internal) — the sequenced group-commit write-ahead
 //!   log shared by a table's per-shard writer lanes;
-//! * [`table`] — [`table::NfTable`], the NF²-native engine
-//!   (canonical maintenance + WAL + checkpoints + probe-counted lookups),
-//!   and [`table::FlatTable`], the 1NF baseline it is measured
-//!   against — including maintained secondary indexes, so the comparison
-//!   is not against a strawman.
+//! * [`table`] — [`table::NfTable`], the NF²-native engine (canonical
+//!   maintenance + WAL + checkpoints + probe-counted, zone-pruned scans).
 
-pub mod bufferpool;
 pub mod codec;
 pub mod dictionary;
 pub mod error;
 pub mod heap;
-pub mod index;
 pub mod page;
 pub mod table;
 pub(crate) mod wal;
 
-pub use bufferpool::{BufferPool, PagedFile, PoolStats};
 pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, RecordId};
-pub use index::HashIndex;
 pub use page::{Page, PAGE_SIZE};
-pub use table::{FlatTable, NfTable, TableScan, TableSnapshot, TableStats};
+pub use table::{NfTable, TableScan, TableSnapshot, TableStats};

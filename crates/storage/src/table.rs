@@ -1,12 +1,11 @@
-//! Storage-backed tables: the NF² engine and the 1NF baseline.
+//! Storage-backed tables: the NF² engine.
 //!
 //! [`NfTable`] is the paper's *realization view* (§2): the NFR is the
 //! physical representation. Updates run the §4 incremental canonical
 //! maintenance; durability follows the classic recipe — a write-ahead log
-//! of flat-row operations plus page checkpoints of the NF² tuples.
-//! [`FlatTable`] is the 1NF baseline storing one record per flat row.
-//! Both count probes so the "reduction of logical search space" claim
-//! (§2, §5) is measurable.
+//! of flat-row operations plus page checkpoints of the NF² tuples. Scans
+//! count probes so the "reduction of logical search space" claim (§2, §5)
+//! is measurable (E9 sets it against a 1NF fixture in `nf2-bench`).
 //!
 //! ## Write path: routed per-shard commit pipeline
 //!
@@ -20,8 +19,8 @@
 //! a single epoch bump. Multi-shard operations (batches, checkpoints,
 //! inspection views) acquire the lanes they touch in **ascending shard
 //! index order**; that ordering discipline lives only in this module
-//! (`lock_lane`/`lock_lanes`, enforced by `cargo xtask lint`) and is
-//! what makes the pipeline deadlock-free.
+//! (`lock_lane`/`lock_lanes` are private to it) and is what makes the
+//! pipeline deadlock-free.
 //!
 //! A point write costs what it touches. The replacement version is a
 //! shallow copy-on-write clone (tuples and segments are `Arc`-held and
@@ -32,7 +31,6 @@
 //! vector: zone-map skipping and the ordered k-way merge hold across
 //! writes, with no stale state to fall back from.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,24 +40,23 @@ use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 
 use nf2_core::bulk::{BatchSummary, Op};
-use nf2_core::kernel::NestKernel;
 use nf2_core::maintenance::CostCounter;
 use nf2_core::mvcc::{ShardVersion, TableVersion, VersionCell};
 use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
 use nf2_core::segment::ShardSegments;
-use nf2_core::shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardWriter, ShardedCanonical};
-use nf2_core::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
+use nf2_core::shard::{
+    apply_sub_batches, merge_shards, MaintenanceCost, ShardRouter, ShardSpec, ShardWriter,
+    ShardedCanonical,
+};
+use nf2_core::tuple::{FlatTuple, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::Histogram;
 
-use crate::codec::{
-    decode_flat_tuple, decode_nf_tuple, encode_flat_tuple, encode_nf_tuple, get_varint, put_varint,
-};
+use crate::codec::{decode_nf_tuple, encode_nf_tuple, get_varint, put_varint};
 use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
-use crate::heap::{HeapFile, RecordId};
-use crate::index::HashIndex;
+use crate::heap::HeapFile;
 use crate::wal::{CommitLog, WalEntry};
 
 /// Probe and operation counters for the search-space experiments (E9) —
@@ -172,8 +169,7 @@ impl SharedTableStats {
 
 /// An NF² table: canonical NFR as the physical representation — held as
 /// a [`ShardedCanonical`] partitioned on the outermost nest attribute
-/// (one shard by default) — with WAL + checkpoint durability and an
-/// optional value index.
+/// (one shard by default) — with WAL + checkpoint durability.
 ///
 /// With more than one shard, §4 point maintenance routes to a single
 /// shard (candidate probes drop by the shard count), batch appends
@@ -215,13 +211,10 @@ pub struct NfTable {
     versions: VersionCell,
     /// Per-shard writer lanes, indexed by shard id. Lock through
     /// `lock_lane`/`lock_lanes` only — ascending order is the
-    /// deadlock-freedom contract (checked by `cargo xtask lint`).
+    /// deadlock-freedom contract.
     lanes: Vec<Mutex<ShardWriter>>,
     /// The sequenced group-commit WAL shared by all lanes.
     wal: CommitLog,
-    /// (attr, value) → tuple positions at index-build time; dropped on
-    /// any state-changing mutation.
-    index: Mutex<Option<PointIndex>>,
     /// Group-commit window in microseconds (leader dwell before the
     /// fsync-equivalent); 0 = flush immediately. Engine-configurable.
     group_commit_us: AtomicU64,
@@ -239,10 +232,6 @@ pub struct NfTable {
     merged: Mutex<Option<(u64, Arc<NfRelation>)>>,
     stats: Arc<SharedTableStats>,
 }
-
-/// The secondary point-lookup index: (attr, value) → positions of the
-/// canonical tuples containing that value.
-type PointIndex = HashMap<(AttrId, Atom), Vec<usize>>;
 
 impl NfTable {
     /// Creates an empty single-shard table.
@@ -403,7 +392,6 @@ impl NfTable {
             versions: VersionCell::new(canon.versions()),
             lanes: canon.into_writers().into_iter().map(Mutex::new).collect(),
             wal,
-            index: Mutex::new(None),
             group_commit_us: AtomicU64::new(0),
             lock_wait_us: Histogram::new(),
             wal_group_size: Histogram::new(),
@@ -466,24 +454,12 @@ impl NfTable {
     /// Each shard's kernel scratch is reused across appends, so a long
     /// ingest stream pays the rebuild arm's allocations once per shard.
     pub fn append_batch(&self, ops: &[Op]) -> Result<(BatchSummary, bool)> {
-        // Validate the whole batch up front: arity errors are the only
-        // failure mode below, so rejecting them here keeps the batch
-        // atomic — on Err the relation, WAL and index are all untouched.
-        let arity = self.schema.arity();
-        for op in ops {
-            if op.row().len() != arity {
-                return Err(StorageError::Model(nf2_core::NfError::ArityMismatch {
-                    expected: arity,
-                    got: op.row().len(),
-                }));
-            }
-        }
-        // Route the batch: one sub-batch per shard, in the original
-        // operation order within each shard.
-        let mut per_shard: Vec<Vec<Op>> = vec![Vec::new(); self.shard_count()];
-        for op in ops {
-            per_shard[self.routing.route_row(op.row())].push(op.clone());
-        }
+        // Route the batch — one sub-batch per shard, in the original
+        // operation order within each shard — validating the whole batch
+        // up front: arity errors are the only failure mode below, so
+        // rejecting them here keeps the batch atomic (on Err the relation
+        // and the WAL are both untouched).
+        let per_shard = self.routing.partition_ops(ops)?;
         let touched: Vec<usize> = (0..per_shard.len())
             .filter(|&s| !per_shard[s].is_empty())
             .collect();
@@ -492,47 +468,25 @@ impl NfTable {
         }
         let mut lanes = self.lock_lanes(&touched);
         let sw = nf2_obs::Stopwatch::start();
-        let mut outcomes: Vec<Option<nf2_core::Result<(BatchSummary, bool)>>> =
-            (0..touched.len()).map(|_| None).collect();
-        // Fan the sub-batches across scoped threads — each lane's
-        // rebuild/incremental arm runs concurrently, exactly like the
-        // shard-parallel rebuild the monolithic store used to do.
-        std::thread::scope(|scope| {
-            let mut slots = outcomes.iter_mut();
-            for (lane, &shard) in lanes.iter_mut().zip(&touched) {
-                let slot = slots.next().expect("one outcome slot per touched lane");
-                let batch = &per_shard[shard];
-                let lane: &mut ShardWriter = lane;
-                if touched.len() == 1 {
-                    *slot = Some(lane.apply_batch(batch));
-                } else {
-                    scope.spawn(move || *slot = Some(lane.apply_batch(batch)));
-                }
-            }
-        });
-        let mut summary = BatchSummary::default();
-        let mut rebuilds = 0u64;
-        for outcome in outcomes {
-            let (s, rebuilt) = outcome
-                .expect("scoped threads filled every slot")
-                .map_err(StorageError::Model)?;
-            summary.inserted += s.inserted;
-            summary.deleted += s.deleted;
-            summary.noops += s.noops;
-            rebuilds += u64::from(rebuilt);
-        }
+        let (summary, rebuilds) = apply_sub_batches(
+            lanes
+                .iter_mut()
+                .zip(&touched)
+                .map(|(lane, &shard)| (&mut **lane, per_shard[shard].as_slice())),
+        )?;
         let rebuilt = rebuilds > 0;
         if rebuilt {
             // Attribute the batch's wall time to the rebuild series only
             // when a shard actually took the rebuild arm — incremental
             // batches stay out of the rebuild histogram.
-            self.stats.rebuilds.fetch_add(rebuilds, Ordering::Relaxed);
+            self.stats
+                .rebuilds
+                .fetch_add(rebuilds as u64, Ordering::Relaxed);
             self.stats
                 .rebuild_nanos
                 .fetch_add(sw.elapsed_nanos(), Ordering::Relaxed);
         }
         if summary.inserted + summary.deleted > 0 {
-            *self.index.lock() = None;
             // Publish every shard the batch routed to through one
             // submit. A shard whose sub-batch turned out to be all
             // no-ops re-installs its existing Arc — pointer-identical,
@@ -590,29 +544,27 @@ impl NfTable {
         self.routing.shard_count()
     }
 
-    /// An assembled view of the table's sharded canonical store.
+    /// An assembled copy of the table's sharded canonical store.
     ///
     /// Quiesces writers momentarily (every lane locked in ascending
     /// order), snapshots each lane's version, and reassembles a
     /// [`ShardedCanonical`] around them — an inspection/verification
-    /// surface, not a fast path. The returned view is owned: the lanes
-    /// are released before it is handed back, so holding it blocks
-    /// nothing.
-    pub fn sharded(&self) -> ShardedView {
+    /// surface, not a fast path. The copy is owned (its shard versions
+    /// are `Arc` snapshots): the lanes are released before it is handed
+    /// back, so holding it blocks nothing.
+    pub fn sharded(&self) -> ShardedCanonical {
         let lanes = self.lock_all_lanes();
-        let versions: Vec<Arc<ShardVersion>> =
-            lanes.iter().map(|l| Arc::clone(l.version())).collect();
-        let segment_rows = lanes.first().map_or(1, |l| l.segment_rows());
+        let versions = lanes.iter().map(|l| Arc::clone(l.version())).collect();
+        let segment_rows = lanes[0].segment_rows();
         drop(lanes);
-        let store = ShardedCanonical::from_versions(
+        ShardedCanonical::from_versions(
             self.schema.clone(),
             self.order.clone(),
             self.routing.spec().clone(),
             versions,
             segment_rows,
         )
-        .expect("lane versions always match the table's own shard spec");
-        ShardedView { store }
+        .expect("lane versions always match the table's own shard spec")
     }
 
     /// The shared dictionary.
@@ -651,7 +603,11 @@ impl NfTable {
                 return Arc::clone(rel);
             }
         }
-        let rel = Arc::new(merge_version(&self.schema, &self.routing, &pin));
+        let rel = Arc::new(merge_shards(
+            &self.schema,
+            &self.routing,
+            pin.shards().iter().map(|s| &**s),
+        ));
         *cache = Some((pin.epoch(), Arc::clone(&rel)));
         rel
     }
@@ -688,13 +644,7 @@ impl NfTable {
     /// The per-shard maintenance-cost breakdown, aggregated from the
     /// per-lane counters under a whole-table quiesce.
     pub fn maintenance_breakdown(&self) -> MaintenanceCost {
-        let lanes = self.lock_all_lanes();
-        let mut breakdown = MaintenanceCost::new(lanes.len());
-        for (shard, lane) in lanes.iter().enumerate() {
-            breakdown.per_shard[shard] = *lane.cost();
-            breakdown.total.accumulate(lane.cost());
-        }
-        breakdown
+        MaintenanceCost::of_lanes(self.lock_all_lanes().iter().map(|lane| &**lane))
     }
 
     /// Interns string values into a flat row for this schema.
@@ -729,14 +679,10 @@ impl NfTable {
     /// (the table- and session-level rollback regression tests pin
     /// this).
     pub fn insert_atoms(&self, row: FlatTuple) -> Result<bool> {
-        self.check_row_arity(row.len())?;
-        let shard = self.routing.route_row(&row);
+        let shard = self.routing.route_checked(&row)?;
         let mut lane = self.lock_lane(shard);
-        let fresh = lane
-            .insert_counted(row.clone())
-            .map_err(StorageError::Model)?;
+        let fresh = lane.insert_counted(row.clone())?;
         if fresh {
-            *self.index.lock() = None;
             // WAL append happens under the lane lock so this shard's
             // entries hit the sequenced log in serial mutation order.
             self.wal.append(WalEntry::Insert(row));
@@ -758,12 +704,10 @@ impl NfTable {
     /// [`insert_atoms`](Self::insert_atoms) for why this conditional
     /// form also covers the rollback/undo path.
     pub fn delete_atoms(&self, row: &[Atom]) -> Result<bool> {
-        self.check_row_arity(row.len())?;
-        let shard = self.routing.route_row(row);
+        let shard = self.routing.route_checked(row)?;
         let mut lane = self.lock_lane(shard);
-        let hit = lane.delete_counted(row).map_err(StorageError::Model)?;
+        let hit = lane.delete_counted(row)?;
         if hit {
-            *self.index.lock() = None;
             self.wal.append(WalEntry::Delete(row.to_vec()));
             self.submit_lanes(&[(shard, &*lane)]);
             self.stats.deletes.fetch_add(1, Ordering::Relaxed);
@@ -771,24 +715,12 @@ impl NfTable {
         Ok(hit)
     }
 
-    /// Rejects rows of the wrong arity before routing (the router
-    /// indexes the routing attribute, so arity must hold first).
-    fn check_row_arity(&self, got: usize) -> Result<()> {
-        if got != self.schema.arity() {
-            return Err(StorageError::Model(nf2_core::NfError::ArityMismatch {
-                expected: self.schema.arity(),
-                got,
-            }));
-        }
-        Ok(())
-    }
-
     /// Whether the table contains the flat row (`searcht` against
-    /// exactly one shard of the current snapshot).
+    /// exactly one shard of the current snapshot); a row of the wrong
+    /// arity is contained in nothing.
     pub fn contains(&self, row: &[Atom]) -> bool {
         let pin = self.versions.pin();
-        let shard = self.routing.route_row(row);
-        pin.shard(shard).contains(row)
+        self.routing.contains(row, |shard| pin.shard(shard))
     }
 
     /// A zero-copy, probe-counted scan over the stored NF² tuples — the
@@ -854,64 +786,6 @@ impl NfTable {
         &self.routing
     }
 
-    /// Scan lookup: NF² tuples whose `attr` component contains `value`.
-    /// Probes every tuple (counted) — the realization-view win is that
-    /// there are far fewer tuples than rows.
-    pub fn lookup_scan(&self, attr: AttrId, value: Atom) -> Vec<NfTuple> {
-        let rel = self.relation();
-        let mut probed = 0u64;
-        let mut hits = Vec::new();
-        for t in rel.tuples() {
-            probed += 1;
-            if t.component(attr).contains(value) {
-                hits.push(t.clone());
-            }
-        }
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        self.stats.units_probed.fetch_add(probed, Ordering::Relaxed);
-        hits
-    }
-
-    /// Builds the (attr, value) → tuples index over the current state.
-    ///
-    /// The index is held in the writer state and dropped on any
-    /// state-changing mutation, so an index that exists always describes
-    /// the current epoch's merged relation.
-    pub fn build_index(&self) {
-        let rel = self.relation();
-        let mut index: HashMap<(AttrId, Atom), Vec<usize>> = HashMap::new();
-        for (pos, t) in rel.tuples().iter().enumerate() {
-            for attr in 0..self.schema.arity() {
-                for v in t.component(attr).iter() {
-                    index.entry((attr, v)).or_default().push(pos);
-                }
-            }
-        }
-        *self.index.lock() = Some(index);
-    }
-
-    /// Indexed lookup; probes only the posting list (counted). Requires
-    /// [`build_index`](Self::build_index) since the last mutation.
-    pub fn lookup_indexed(&self, attr: AttrId, value: Atom) -> Result<Vec<NfTuple>> {
-        let rel = self.relation();
-        let guard = self.index.lock();
-        let index = guard.as_ref().ok_or_else(|| {
-            StorageError::InvalidRecord("index not built (or invalidated by a mutation)".into())
-        })?;
-        let tuples = rel.tuples();
-        let hits = index
-            .get(&(attr, value))
-            .map(|positions| {
-                self.stats
-                    .units_probed
-                    .fetch_add(positions.len() as u64, Ordering::Relaxed);
-                positions.iter().map(|&p| tuples[p].clone()).collect()
-            })
-            .unwrap_or_default();
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        Ok(hits)
-    }
-
     /// Checkpoints to `dir`: meta + page file of NF² tuples (the merged
     /// global canonical form); truncates the WAL.
     ///
@@ -942,19 +816,11 @@ impl NfTable {
         }
         let versions: Vec<Arc<ShardVersion>> =
             lanes.iter().map(|l| Arc::clone(l.version())).collect();
-        let segment_rows = lanes.first().map_or(1, |l| l.segment_rows());
+        let segment_rows = lanes[0].segment_rows();
         self.write_meta_for(Some(&versions), segment_rows, &meta_path(dir, &self.name))?;
-        let store = ShardedCanonical::from_versions(
-            self.schema.clone(),
-            self.order.clone(),
-            self.routing.spec().clone(),
-            versions,
-            segment_rows,
-        )
-        .expect("lane versions always match the table's own shard spec");
         let mut heap = HeapFile::new();
         let mut buf = BytesMut::new();
-        let merged = store.to_relation();
+        let merged = merge_shards(&self.schema, &self.routing, versions.iter().map(|v| &**v));
         for t in merged.tuples() {
             buf.clear();
             encode_nf_tuple(t, &mut buf);
@@ -1007,7 +873,7 @@ impl NfTable {
 
     /// Opens a table from `dir`: loads the checkpoint pages, restores the
     /// persisted shard spec, then replays the WAL (every entry routed
-    /// through the sharded store like a live mutation).
+    /// to its shard's writer like a live mutation).
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
@@ -1077,6 +943,9 @@ impl NfTable {
             replayed += 1;
             intact = wal_bytes.len() - slice.len();
         }
+        // Recovery is not maintenance: a reopened table starts its
+        // lifetime's cost accounting at zero.
+        canon.reset_maintenance_cost();
         Ok(Self::wrap(
             name,
             dict,
@@ -1171,47 +1040,6 @@ impl NfTable {
     }
 }
 
-/// Merges a pinned [`TableVersion`] into the exact global canonical
-/// form `ν_P(R*)` — the snapshot-side twin of
-/// [`ShardedCanonical::to_relation`], computed from published versions
-/// so it never needs the writer lock.
-fn merge_version(schema: &Arc<Schema>, routing: &ShardRouter, pin: &TableVersion) -> NfRelation {
-    if pin.shard_count() == 1 {
-        return pin.shard(0).relation().clone();
-    }
-    let tuples: Vec<NfTuple> = pin
-        .shards()
-        .iter()
-        .flat_map(|s| s.tuples().iter().cloned())
-        .collect();
-    if tuples.is_empty() {
-        return NfRelation::new(schema.clone());
-    }
-    let attr = routing
-        .attr()
-        .expect("multi-shard relations have a routing attribute");
-    let concat = NfRelation::from_disjoint_tuples(schema.clone(), tuples)
-        .expect("per-shard tuples carry the shared schema arity");
-    NestKernel::new().nest_once(&concat, attr)
-}
-
-/// An owned, read-only assembly of the table's [`ShardedCanonical`]
-/// store — what [`NfTable::sharded`] hands out for inspection and
-/// verification surfaces. Holds `Arc` snapshots of the lane versions
-/// taken under a momentary whole-table quiesce; no lock is held while
-/// the view is alive.
-pub struct ShardedView {
-    store: ShardedCanonical,
-}
-
-impl std::ops::Deref for ShardedView {
-    type Target = ShardedCanonical;
-
-    fn deref(&self) -> &ShardedCanonical {
-        &self.store
-    }
-}
-
 /// A pinned, immutable view of one table at one epoch — the reader half
 /// of the MVCC protocol.
 ///
@@ -1264,10 +1092,11 @@ impl TableSnapshot {
         self.version.flat_count()
     }
 
-    /// Whether the pinned state contains the flat row.
+    /// Whether the pinned state contains the flat row; a row of the
+    /// wrong arity is contained in nothing.
     pub fn contains(&self, row: &[Atom]) -> bool {
-        let shard = self.routing.route_row(row);
-        self.version.shard(shard).contains(row)
+        self.routing
+            .contains(row, |shard| self.version.shard(shard))
     }
 
     /// A zero-copy, probe-counted scan over every pinned shard in shard
@@ -1291,22 +1120,7 @@ impl TableSnapshot {
     /// never double-count, even when a downstream `take(n)` stops
     /// mid-shard.
     pub fn scan_shards(&self, shards: &[usize]) -> TableScan {
-        let parts = shards
-            .iter()
-            .filter_map(|&i| self.version.shards().get(i))
-            .map(|v| {
-                let len = v.tuples().len();
-                (Arc::clone(v), 0..len)
-            })
-            .collect();
-        TableScan {
-            parts,
-            part: 0,
-            idx: 0,
-            stats: Arc::clone(&self.stats),
-            yielded: 0,
-            skipped: 0,
-        }
+        self.scan_shards_zoned(shards, &[])
     }
 
     /// A zero-copy, probe-counted scan over `shards` that additionally
@@ -1394,8 +1208,8 @@ struct PersistedSegment {
 
 /// The persisted segment synopsis of a whole table: the tiling target
 /// plus, per shard, `Some(segments)` if a checkpoint recorded them
-/// (`None` = a meta written between checkpoints, or by a version that
-/// could leave a shard's segments stale: nothing to validate against).
+/// (`None` = a meta written between checkpoints: nothing to validate
+/// against).
 #[derive(Debug)]
 struct PersistedSegments {
     segment_rows: usize,
@@ -1638,174 +1452,10 @@ fn wal_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.wal"))
 }
 
-/// The 1NF baseline: one heap record per flat row, with optional
-/// maintained secondary indexes (so the E9 comparison is against the
-/// strongest reasonable flat engine, not a strawman).
-#[derive(Debug)]
-pub struct FlatTable {
-    name: String,
-    schema: Arc<Schema>,
-    heap: HeapFile,
-    locations: HashMap<FlatTuple, RecordId>,
-    indexes: HashMap<AttrId, HashIndex>,
-    stats: SharedTableStats,
-}
-
-impl FlatTable {
-    /// Creates an empty 1NF table.
-    pub fn create(name: &str, attr_names: &[&str]) -> Result<Self> {
-        Ok(Self {
-            name: name.to_owned(),
-            schema: Schema::new(name, attr_names)?,
-            heap: HeapFile::new(),
-            locations: HashMap::new(),
-            indexes: HashMap::new(),
-            stats: SharedTableStats::default(),
-        })
-    }
-
-    /// Builds from an existing 1NF relation.
-    pub fn from_flat(name: &str, flat: &FlatRelation) -> Result<Self> {
-        let names: Vec<&str> = flat.schema().attr_names().collect();
-        let mut table = Self::create(name, &names)?;
-        for row in flat.rows() {
-            table.insert_atoms(row.clone())?;
-        }
-        Ok(table)
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Row count.
-    pub fn row_count(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// Bytes occupied by heap pages.
-    pub fn size_bytes(&self) -> usize {
-        self.heap.size_bytes()
-    }
-
-    /// Point-in-time stats.
-    pub fn stats(&self) -> TableStats {
-        self.stats.snapshot()
-    }
-
-    /// Inserts a flat row. Returns `true` if new. Maintained indexes are
-    /// updated in the same operation.
-    pub fn insert_atoms(&mut self, row: FlatTuple) -> Result<bool> {
-        if row.len() != self.schema.arity() {
-            return Err(StorageError::Model(nf2_core::NfError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            }));
-        }
-        if self.locations.contains_key(&row) {
-            return Ok(false);
-        }
-        let mut buf = BytesMut::new();
-        encode_flat_tuple(&row, &mut buf);
-        let rid = self.heap.insert(&buf)?;
-        for (&attr, index) in &mut self.indexes {
-            index.insert(row[attr], rid);
-        }
-        self.locations.insert(row, rid);
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
-    }
-
-    /// Deletes a flat row. Returns `true` if present. Maintained indexes
-    /// are updated in the same operation.
-    pub fn delete_atoms(&mut self, row: &[Atom]) -> Result<bool> {
-        match self.locations.remove(row) {
-            Some(rid) => {
-                self.heap.delete(rid)?;
-                for (&attr, index) in &mut self.indexes {
-                    index.remove(row[attr], rid);
-                }
-                self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Builds (or rebuilds) a maintained index on `attr`. Unlike
-    /// [`NfTable::build_index`], the index survives mutations — it is
-    /// updated by every insert and delete.
-    pub fn create_index(&mut self, attr: AttrId) -> Result<()> {
-        if attr >= self.schema.arity() {
-            return Err(StorageError::Model(nf2_core::NfError::AttrOutOfBounds {
-                attr,
-                arity: self.schema.arity(),
-            }));
-        }
-        let index = HashIndex::build_flat(&self.heap, self.schema.arity(), attr)?;
-        self.indexes.insert(attr, index);
-        Ok(())
-    }
-
-    /// Indexed lookup: rows whose `attr` equals `value`, probing only
-    /// the posting list (counted). Requires [`create_index`](Self::create_index).
-    pub fn lookup_indexed(&self, attr: AttrId, value: Atom) -> Result<Vec<FlatTuple>> {
-        let index = self
-            .indexes
-            .get(&attr)
-            .ok_or_else(|| StorageError::InvalidRecord(format!("no index on attribute {attr}")))?;
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        let arity = self.schema.arity();
-        let mut hits = Vec::new();
-        if let Some(rids) = index.lookup(value) {
-            self.stats
-                .units_probed
-                .fetch_add(rids.len() as u64, Ordering::Relaxed);
-            for &rid in rids {
-                let mut slice = self.heap.get(rid)?;
-                hits.push(decode_flat_tuple(&mut slice, arity)?);
-            }
-        }
-        Ok(hits)
-    }
-
-    /// Verifies every maintained index against the heap (failure
-    /// injection hook: a maintenance bug or corruption surfaces here).
-    pub fn verify_indexes(&self) -> Result<()> {
-        for index in self.indexes.values() {
-            index.verify_against_flat(&self.heap, self.schema.arity())?;
-        }
-        Ok(())
-    }
-
-    /// Scan lookup: rows whose `attr` equals `value`. Probes every row.
-    pub fn lookup_scan(&self, attr: AttrId, value: Atom) -> Vec<FlatTuple> {
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut hits = Vec::new();
-        let arity = self.schema.arity();
-        for (_, rec) in self.heap.iter() {
-            self.stats.units_probed.fetch_add(1, Ordering::Relaxed);
-            let mut slice = rec;
-            if let Ok(row) = decode_flat_tuple(&mut slice, arity) {
-                if row[attr] == value {
-                    hits.push(row);
-                }
-            }
-        }
-        hits
-    }
-
-    /// Reconstructs the 1NF relation.
-    pub fn to_flat_relation(&self) -> FlatRelation {
-        FlatRelation::from_rows(self.schema.clone(), self.locations.keys().cloned())
-            .expect("stored rows have correct arity")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nf2_core::tuple::NfTuple;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nf2_table_{tag}"));
@@ -1849,14 +1499,16 @@ mod tests {
     }
 
     #[test]
-    fn lookup_scan_counts_probes() {
-        let t = sample_table();
-        let c1 = t.dict().lookup("c1").unwrap();
-        let hits = t.lookup_scan(1, c1);
-        assert_eq!(hits.len(), 1, "both c1 students live in one tuple");
-        let stats = t.stats();
-        assert_eq!(stats.lookups, 1);
-        assert_eq!(stats.units_probed, t.tuple_count() as u64);
+    fn contains_rejects_rows_of_the_wrong_arity() {
+        let t = sharded_table(4);
+        let snap = t.snapshot();
+        let stored = t.row_from_strs(&["s1", "c1"]).unwrap();
+        assert!(t.contains(&stored) && snap.contains(&stored));
+        let over_long = [stored.as_slice(), &[Atom(0)]].concat();
+        for row in [&stored[..1], over_long.as_slice(), &[]] {
+            assert!(!t.contains(row), "{row:?}");
+            assert!(!snap.contains(row), "{row:?}");
+        }
     }
 
     #[test]
@@ -1875,19 +1527,6 @@ mod tests {
         // A full drain charges the whole relation.
         assert_eq!(t.scan().count(), tuples);
         assert_eq!(t.stats().units_probed, 1 + tuples as u64);
-    }
-
-    #[test]
-    fn indexed_lookup_probes_less() {
-        let t = sample_table();
-        assert!(t.lookup_indexed(0, Atom(0)).is_err(), "index not built yet");
-        t.build_index();
-        let s1 = t.dict().lookup("s1").unwrap();
-        let hits = t.lookup_indexed(0, s1).unwrap();
-        assert!(!hits.is_empty());
-        // Mutation invalidates the index.
-        t.insert_row(&["s9", "c9"]).unwrap();
-        assert!(t.lookup_indexed(0, s1).is_err());
     }
 
     #[test]
@@ -1918,6 +1557,11 @@ mod tests {
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.relation(), t.relation());
         assert_eq!(reopened.flat_count(), 4);
+        assert_eq!(
+            reopened.maintenance_cost(),
+            CostCounter::new(),
+            "WAL replay is recovery, not maintenance"
+        );
     }
 
     #[test]
@@ -2513,61 +2157,5 @@ mod tests {
             matches!(&err, StorageError::Corrupt(msg) if msg.contains("overlapping")),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn flat_table_baseline_probes_every_row() {
-        let mut ft = FlatTable::create("sc", &["Student", "Course"]).unwrap();
-        for row in [[0u32, 10], [1, 10], [0, 11], [2, 12]] {
-            assert!(ft
-                .insert_atoms(row.iter().map(|&v| Atom(v)).collect())
-                .unwrap());
-        }
-        assert_eq!(ft.row_count(), 4);
-        let hits = ft.lookup_scan(1, Atom(10));
-        assert_eq!(hits.len(), 2);
-        assert_eq!(ft.stats().units_probed, 4);
-        assert!(ft.delete_atoms(&[Atom(0), Atom(10)]).unwrap());
-        assert!(!ft.delete_atoms(&[Atom(0), Atom(10)]).unwrap());
-        assert_eq!(ft.row_count(), 3);
-    }
-
-    #[test]
-    fn flat_table_maintained_index_survives_mutations() {
-        let mut ft = FlatTable::create("sc", &["Student", "Course"]).unwrap();
-        for row in [[0u32, 10], [1, 10], [0, 11]] {
-            ft.insert_atoms(row.iter().map(|&v| Atom(v)).collect())
-                .unwrap();
-        }
-        assert!(ft.lookup_indexed(1, Atom(10)).is_err(), "no index yet");
-        ft.create_index(1).unwrap();
-        assert_eq!(ft.lookup_indexed(1, Atom(10)).unwrap().len(), 2);
-        // The index follows inserts and deletes.
-        ft.insert_atoms(vec![Atom(2), Atom(10)]).unwrap();
-        ft.delete_atoms(&[Atom(0), Atom(10)]).unwrap();
-        assert_eq!(ft.lookup_indexed(1, Atom(10)).unwrap().len(), 2);
-        assert!(ft.lookup_indexed(1, Atom(99)).unwrap().is_empty());
-        ft.verify_indexes().unwrap();
-        // Probe counting: only the posting list is touched.
-        let before = ft.stats().units_probed;
-        ft.lookup_indexed(1, Atom(11)).unwrap();
-        assert_eq!(ft.stats().units_probed - before, 1);
-    }
-
-    #[test]
-    fn flat_table_rejects_index_on_bad_attr() {
-        let mut ft = FlatTable::create("sc", &["A", "B"]).unwrap();
-        assert!(ft.create_index(5).is_err());
-    }
-
-    #[test]
-    fn flat_table_round_trips_relation() {
-        let schema = Schema::new("r", &["A", "B"]).unwrap();
-        let flat =
-            FlatRelation::from_rows(schema, vec![vec![Atom(1), Atom(2)], vec![Atom(3), Atom(4)]])
-                .unwrap();
-        let ft = FlatTable::from_flat("r", &flat).unwrap();
-        assert_eq!(ft.to_flat_relation(), flat);
-        assert!(ft.size_bytes() >= crate::page::PAGE_SIZE);
     }
 }

@@ -11,7 +11,7 @@ use nf2_core::value::Atom;
 use nf2_storage::codec::{
     decode_flat_tuple, decode_nf_tuple, encode_flat_tuple, encode_nf_tuple, get_varint, put_varint,
 };
-use nf2_storage::{BufferPool, HashIndex, HeapFile, NfTable, Page, PagedFile, SharedDictionary};
+use nf2_storage::{HeapFile, NfTable, Page, SharedDictionary};
 
 fn arb_nf_tuple() -> impl Strategy<Value = NfTuple> {
     proptest::collection::vec(proptest::collection::btree_set(0u32..10_000, 1..12), 1..5).prop_map(
@@ -94,70 +94,6 @@ proptest! {
         compacted.compact();
         for (slot, rec) in &live {
             prop_assert_eq!(compacted.get(*slot).unwrap(), rec.as_slice());
-        }
-    }
-
-    /// Reads through a tiny buffer pool always return the same bytes as
-    /// the backing file, whatever the access pattern and pool size.
-    #[test]
-    fn buffer_pool_is_transparent(
-        accesses in proptest::collection::vec(0u32..6, 1..80),
-        capacity in 1usize..5,
-        case_id in any::<u64>(),
-    ) {
-        let dir = std::env::temp_dir().join("nf2_pool_prop");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("pool_{case_id}.pages"));
-        let mut file = PagedFile::create(&path).unwrap();
-        let mut slots = Vec::new();
-        for id in 0..6u32 {
-            file.allocate().unwrap();
-            let mut p = file.read_page(id).unwrap();
-            let slot = p.insert(format!("payload-{id}").as_bytes()).unwrap();
-            file.write_page(&p).unwrap();
-            slots.push(slot);
-        }
-        let mut pool = BufferPool::new(file, capacity);
-        for &id in &accesses {
-            let expected = format!("payload-{id}");
-            let page = pool.fetch(id).unwrap();
-            prop_assert_eq!(page.get(slots[id as usize]).unwrap(), expected.as_bytes());
-        }
-        let s = pool.stats();
-        prop_assert_eq!(s.hits + s.misses, accesses.len() as u64);
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A hash index maintained through any insert/delete interleaving
-    /// stays consistent with the heap (verified by the integrity check)
-    /// and answers lookups exactly.
-    #[test]
-    fn hash_index_tracks_heap_mutations(
-        ops in proptest::collection::vec((any::<bool>(), 0u32..5, 0u32..5), 1..60)
-    ) {
-        let mut heap = HeapFile::new();
-        let mut index = HashIndex::new(0);
-        let mut live: Vec<(nf2_storage::RecordId, FlatTuple)> = Vec::new();
-        let mut buf = BytesMut::new();
-        for (is_insert, a, b) in ops {
-            if is_insert || live.is_empty() {
-                let row: FlatTuple = vec![Atom(a), Atom(b)];
-                buf.clear();
-                encode_flat_tuple(&row, &mut buf);
-                let rid = heap.insert(&buf).unwrap();
-                index.insert(row[0], rid);
-                live.push((rid, row));
-            } else {
-                let (rid, row) = live.remove((a as usize + b as usize) % live.len());
-                heap.delete(rid).unwrap();
-                prop_assert!(index.remove(row[0], rid));
-            }
-        }
-        index.verify_against_flat(&heap, 2).unwrap();
-        for value in 0u32..5 {
-            let expected = live.iter().filter(|(_, row)| row[0] == Atom(value)).count();
-            let got = index.lookup(Atom(value)).map_or(0, |s| s.len());
-            prop_assert_eq!(got, expected, "value {}", value);
         }
     }
 

@@ -42,6 +42,21 @@ fn schema(name: &str, attrs: &[&str]) -> Arc<Schema> {
     Schema::new(name, attrs).expect("generator schemas are valid")
 }
 
+/// Every relation generator at property-test scale, driven by one seed so
+/// each case explores a different instance of each shape — what the
+/// cross-generator property suites iterate over.
+pub fn all_generators(seed: u64) -> Vec<Workload> {
+    vec![
+        university(8 + (seed % 13) as usize, 3, 10, 2, 4, seed),
+        relationship(40 + (seed % 37) as usize, 12, 10, 3, seed),
+        block_product(2 + (seed % 4) as usize, &[2, 3, 2], seed),
+        uniform(30 + (seed % 21) as usize, &[8, 8, 8], seed),
+        zipf(40, &[16, 16, 16], 1.1, seed),
+        anti_correlated(8 + (seed % 9) as u32, 3, seed),
+        prerequisites(8, 2, 2, seed).0,
+    ]
+}
+
 /// Fig. 1 `R1`-style entity data over (Student, Course, Club).
 ///
 /// Each of `students` students takes a random set of `courses_per` courses

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --example crash_recovery`
 
 use nf2::prelude::*;
-use nf2::storage::{BufferPool, PagedFile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("nf2_crash_recovery_example");
@@ -75,28 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => println!("bit-flip detected as expected: {e}"),
         Ok(_) => panic!("corrupt checkpoint must not load"),
     }
-
-    // 5. Bounded-memory access: the same page file behind a 2-frame
-    //    buffer pool with clock eviction.
-    let pool_path = dir.join("pool.pages");
-    let mut file = PagedFile::create(&pool_path)?;
-    for _ in 0..6 {
-        file.allocate()?;
-    }
-    let mut pool = BufferPool::new(file, 2);
-    for round in 0..3 {
-        for id in 0..6u32 {
-            let page = pool.fetch_mut(id)?;
-            page.insert(format!("r{round}-p{id}").as_bytes())?;
-        }
-    }
-    pool.flush_all()?;
-    let stats = pool.stats();
-    println!(
-        "buffer pool (2 frames over 6 pages): {} hits, {} misses, {} evictions, {} write-backs",
-        stats.hits, stats.misses, stats.evictions, stats.write_backs
-    );
-    assert!(stats.evictions > 0, "a 2-frame pool must evict");
 
     std::fs::remove_dir_all(&dir).ok();
     Ok(())

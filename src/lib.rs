@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`core`] | `nf2-core` | the NF² model: composition, nest, canonical forms, fixedness, §4 incremental maintenance |
 //! | [`deps`] | `nf2-deps` | FDs, MVDs, 3NF synthesis, dependency mining, Theorems 3–5 |
-//! | [`algebra`] | `nf2-algebra` | NF² relational algebra with NEST/UNNEST, plus streaming evaluation |
+//! | [`algebra`] | `nf2-algebra` | NF² relational algebra with NEST/UNNEST, plus the streaming operators compiled plans are built from |
 //! | [`storage`] | `nf2-storage` | realization-view storage: pages, heap files, WAL, tables |
 //! | [`query`] | `nf2-query` | the NF² engine: SQL-ish DML, sessions, prepared statements, cursors |
 //! | [`obs`] | `nf2-obs` | observability: spans, metrics registry, subscribers, the sanctioned clock |
@@ -46,12 +46,6 @@
 //! let first = session.query("SELECT * FROM sc").unwrap().next().unwrap();
 //! assert!(first.is_zero_copy(), "shared view of the pinned snapshot");
 //! ```
-//!
-//! The original [`Database`](query::Database) type (string in, rendered
-//! string out) remains available as a deprecated-but-stable shim over an
-//! engine with one implicit session — existing scripts keep working, but
-//! parameters, cursors and plan caching only exist on the engine
-//! surface.
 
 pub use nf2_algebra as algebra;
 pub use nf2_core as core;
@@ -66,6 +60,6 @@ pub mod prelude {
     pub use nf2_algebra::{Env, Expr};
     pub use nf2_core::prelude::*;
     pub use nf2_deps::{Fd, Mvd};
-    pub use nf2_query::{Cursor, Database, Engine, Output, Param, Prepared, Session, NO_PARAMS};
-    pub use nf2_storage::{FlatTable, NfTable, SharedDictionary};
+    pub use nf2_query::{Cursor, Engine, Output, Param, Prepared, Session, NO_PARAMS};
+    pub use nf2_storage::{NfTable, SharedDictionary};
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use nf2::core::nest::canonical_of_flat;
 use nf2::core::schema::NestOrder;
-use nf2::query::{Database, Engine, Output};
+use nf2::query::{Engine, Output, Session};
 
 /// One random DML operation over a tiny value universe.
 #[derive(Debug, Clone)]
@@ -182,7 +182,8 @@ proptest! {
     /// stored relation is always the canonical form of that shadow.
     #[test]
     fn dml_stream_matches_shadow_model(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let mut db = Database::new();
+        let engine = Engine::new();
+        let mut db = engine.session();
         db.run("CREATE TABLE t (A, B) NEST ORDER (A, B)").unwrap();
         let mut shadow: BTreeSet<(u8, u8)> = BTreeSet::new();
 
@@ -243,14 +244,14 @@ proptest! {
                 }
             }
             // Global invariant: stored relation == canonical(shadow).
-            let table = db.table("t").unwrap();
+            let table = engine.table("t").unwrap();
             prop_assert_eq!(table.flat_count(), shadow.len() as u128);
         }
 
         // Final strong check: rebuild the canonical form of the shadow
         // through the dictionary and compare relations exactly.
-        let dict = db.dict().clone();
-        let schema = db.table("t").unwrap().schema().clone();
+        let dict = engine.dict().clone();
+        let schema = engine.table("t").unwrap().schema().clone();
         let flat = nf2::core::relation::FlatRelation::from_rows(
             schema,
             shadow.iter().map(|(a, b)| {
@@ -262,7 +263,7 @@ proptest! {
         )
         .unwrap();
         let oracle = canonical_of_flat(&flat, &NestOrder::identity(2));
-        prop_assert_eq!(*db.table("t").unwrap().relation(), oracle);
+        prop_assert_eq!(*engine.table("t").unwrap().relation(), oracle);
     }
 
     /// Transactions: any mutation stream inside BEGIN … ROLLBACK leaves
@@ -289,7 +290,7 @@ proptest! {
                 .collect()
         };
 
-        let setup = |db: &mut Database| {
+        let setup = |db: &mut Session<'_>| {
             db.run("CREATE TABLE t (A, B) NEST ORDER (B, A)").unwrap();
             for (a, b) in &seed_rows {
                 db.run(&format!("INSERT INTO t VALUES ('a{a}','b{b}')")).unwrap();
@@ -297,18 +298,20 @@ proptest! {
         };
 
         // Rollback: identity.
-        let mut db = Database::new();
+        let engine = Engine::new();
+        let mut db = engine.session();
         setup(&mut db);
-        let before = db.table("t").unwrap().relation().clone();
+        let before = engine.table("t").unwrap().relation().clone();
         db.run("BEGIN").unwrap();
         for stmt in script_of(&ops) {
             db.run(&stmt).unwrap();
         }
         db.run("ROLLBACK").unwrap();
-        prop_assert_eq!(db.table("t").unwrap().relation(), before.clone());
+        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
 
         // Commit: same final state as autocommit.
-        let mut committed = Database::new();
+        let committed_engine = Engine::new();
+        let mut committed = committed_engine.session();
         setup(&mut committed);
         committed.run("BEGIN").unwrap();
         for stmt in script_of(&ops) {
@@ -316,14 +319,15 @@ proptest! {
         }
         committed.run("COMMIT").unwrap();
 
-        let mut autocommit = Database::new();
+        let autocommit_engine = Engine::new();
+        let mut autocommit = autocommit_engine.session();
         setup(&mut autocommit);
         for stmt in script_of(&ops) {
             autocommit.run(&stmt).unwrap();
         }
         prop_assert_eq!(
-            committed.table("t").unwrap().relation().expand().into_rows(),
-            autocommit.table("t").unwrap().relation().expand().into_rows()
+            committed_engine.table("t").unwrap().relation().expand().into_rows(),
+            autocommit_engine.table("t").unwrap().relation().expand().into_rows()
         );
     }
 
@@ -334,14 +338,15 @@ proptest! {
         a in 0u8..5,
         junk in "[a-z ]{0,20}",
     ) {
-        let mut db = Database::new();
+        let engine = Engine::new();
+        let mut db = engine.session();
         db.run("CREATE TABLE t (A, B)").unwrap();
         db.run(&format!("INSERT INTO t VALUES ('a{a}','b0')")).unwrap();
-        let before = db.table("t").unwrap().relation().clone();
+        let before = engine.table("t").unwrap().relation().clone();
         // Fire junk at the parser; errors must not touch the table.
         let _ = db.run(&format!("INSERT INTO t VALUES ({junk})"));
         let _ = db.run(&junk);
         let _ = db.run("DELETE FROM missing WHERE A='a0'");
-        prop_assert_eq!(db.table("t").unwrap().relation(), before.clone());
+        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
     }
 }

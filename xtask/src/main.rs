@@ -1,45 +1,32 @@
 //! `cargo xtask lint` — offline, lexical enforcement of repo-wide
 //! source invariants that the compiler cannot express:
 //!
-//! 1. **Legacy-oracle containment** — `canonical_of_flat_legacy` is the
-//!    §3 reference implementation kept only as a differential-testing
-//!    oracle; production code must go through the interning nest
-//!    kernel. Allowed in its defining module, the crate re-export,
-//!    benches, and tests.
-//! 2. **No `unwrap()` in library code** — library crates must surface
+//! 1. **No `unwrap()` in library code** — library crates must surface
 //!    errors or state invariants; bare `unwrap()` does neither.
-//! 3. **`expect()` messages must state the invariant** — a panic
+//! 2. **`expect()` messages must state the invariant** — a panic
 //!    message like `"8 bytes"` explains nothing at 3 a.m. Messages
 //!    need ≥ 2 words and ≥ 8 characters, or an explicit
 //!    `// invariant:` waiver comment on the same or preceding line.
-//! 4. **`CanonicalRelation` containment** — the single-store canonical
+//! 3. **`CanonicalRelation` containment** — the single-store canonical
 //!    representation is `nf2-core`'s kernel type; other crates consume
 //!    the sharded store and must not reach for it directly.
-//! 5. **Probe-counter discipline** — the streaming layer's shared
-//!    statistics counters (`TopKStats`) are plain tallies, not
-//!    synchronization points: every atomic memory ordering in
-//!    `stream.rs` must be `Relaxed`.
-//! 6. **No `static mut`** — mutable globals are undefined-behavior bait
+//! 4. **No `static mut`** — mutable globals are undefined-behavior bait
 //!    and invisible to the MVCC protocol; shared state goes through the
 //!    engine's interior-mutability types.
-//! 7. **Ordering containment** — `nf2-core::mvcc` is the one module
+//! 5. **Ordering containment** — `nf2-core::mvcc` is the one module
 //!    whose correctness may hang on non-`Relaxed` atomic orderings
 //!    (its docs say so). Everywhere else, counters are tallies: any
 //!    `SeqCst`/`AcqRel`/`Acquire`/`Release` outside `mvcc.rs` is a
 //!    finding — synchronization belongs behind the version cell, not
 //!    sprinkled through the codebase.
-//! 8. **Clock containment** — `std::time::Instant` lives in `nf2-obs`
+//! 6. **Clock containment** — `std::time::Instant` lives in `nf2-obs`
 //!    (whose `Stopwatch` is the sanctioned monotonic clock, honoring
 //!    the metrics kill switch pattern) and the bench/measurement crate.
 //!    Everywhere else, raw clock reads bypass the observability layer
 //!    and its disabled-path guarantees — time through `nf2-obs`.
-//! 9. **Lane-lock containment** — the per-shard writer lanes and their
-//!    deadlock-freedom discipline (ascending shard order, ≤ 1 lane per
-//!    point op) live entirely in `nf2-storage`'s table module. Any
-//!    `lock_lane`/`lock_lanes`/`lock_all_lanes` call outside
-//!    `crates/storage/src/table.rs` spreads lock-ordering obligations
-//!    the checker cannot see — route writes through `NfTable`'s public
-//!    methods instead.
+//!
+//! What a type or a visibility modifier can say is left to the compiler
+//! (the writer-lane locks are private methods of `NfTable`, for one).
 //!
 //! The checks are purely lexical (comments, string literals, and
 //! `#[cfg(test)]` items are blanked before matching) so the tool runs
@@ -60,17 +47,10 @@ const LIBRARY_CRATES: &[&str] = &[
     "crates/workload",
 ];
 
-/// Paths (relative, `/`-separated) allowed to name the legacy oracle.
-const LEGACY_ALLOWED: &[&str] = &["crates/core/src/nest.rs", "crates/core/src/lib.rs"];
-
-/// Atomic memory orderings that must not appear in the streaming layer
+/// Atomic memory orderings confined to `nf2-core::mvcc`
 /// (`std::cmp::Ordering` has no variants by these names, so matching
 /// the bare tokens is safe).
 const NON_RELAXED_ORDERINGS: &[&str] = &["SeqCst", "AcqRel", "Acquire", "Release"];
-
-/// Per-shard writer-lane lock tokens confined to the storage write
-/// module (`lock_lane` also matches `lock_lanes` as a substring).
-const LANE_LOCK_TOKENS: &[&str] = &["lock_lane", "lock_all_lanes"];
 
 #[derive(Debug)]
 struct Finding {
@@ -168,7 +148,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// True for paths the unwrap/expect/oracle rules treat as test-like.
+/// True for paths the unwrap/expect/containment rules treat as test-like.
 fn is_test_path(rel: &str) -> bool {
     rel.contains("/tests/") || rel.contains("/benches/") || rel.contains("/examples/")
 }
@@ -195,23 +175,7 @@ fn check_file(rel: &str, path: &Path, raw: &str, code: &str, findings: &mut Vec<
         let lineno = idx + 1;
         let raw_line = raw_lines.get(idx).copied().unwrap_or("");
 
-        // Rule 1: legacy oracle containment.
-        if line.contains("canonical_of_flat_legacy")
-            && !is_test_path(rel)
-            && !rel.starts_with("crates/bench/")
-            && !LEGACY_ALLOWED.contains(&rel)
-        {
-            push(
-                findings,
-                lineno,
-                "legacy-oracle",
-                "canonical_of_flat_legacy is a differential-testing oracle; \
-                 use the nest kernel in production code"
-                    .into(),
-            );
-        }
-
-        // Rule 4: CanonicalRelation containment.
+        // Rule 3: CanonicalRelation containment.
         if line.contains("CanonicalRelation")
             && !is_test_path(rel)
             && !rel.starts_with("crates/core/")
@@ -227,7 +191,7 @@ fn check_file(rel: &str, path: &Path, raw: &str, code: &str, findings: &mut Vec<
             );
         }
 
-        // Rules 2+3: unwrap/expect discipline in library crates.
+        // Rules 1+2: unwrap/expect discipline in library crates.
         if in_library_crate(rel) && !is_test_path(rel) {
             if line.contains(".unwrap()") {
                 push(
@@ -260,24 +224,7 @@ fn check_file(rel: &str, path: &Path, raw: &str, code: &str, findings: &mut Vec<
             }
         }
 
-        // Rule 5: probe-counter discipline in the streaming layer.
-        if rel == "crates/algebra/src/stream.rs" {
-            for ord in NON_RELAXED_ORDERINGS {
-                if line.contains(ord) {
-                    push(
-                        findings,
-                        lineno,
-                        "probe-counter-relaxed",
-                        format!(
-                            "atomic ordering {ord} in stream.rs: shared stats \
-                             counters are tallies, not synchronization — use Relaxed"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Rule 6: no mutable globals, anywhere.
+        // Rule 4: no mutable globals, anywhere.
         if line.contains("static mut ") {
             push(
                 findings,
@@ -289,7 +236,7 @@ fn check_file(rel: &str, path: &Path, raw: &str, code: &str, findings: &mut Vec<
             );
         }
 
-        // Rule 8: Instant is confined to nf2-obs (the Stopwatch home)
+        // Rule 6: Instant is confined to nf2-obs (the Stopwatch home)
         // and the bench crate. The token match catches both the `use`
         // and any fully-qualified call.
         if line.contains("Instant")
@@ -306,30 +253,8 @@ fn check_file(rel: &str, path: &Path, raw: &str, code: &str, findings: &mut Vec<
             );
         }
 
-        // Rule 9: the per-shard lane locks (and their ordering
-        // discipline) are private to the storage write module. The
-        // token match catches definitions and calls alike — table.rs
-        // is the one file allowed to contain either.
-        if rel != "crates/storage/src/table.rs" {
-            for token in LANE_LOCK_TOKENS {
-                if line.contains(token) {
-                    push(
-                        findings,
-                        lineno,
-                        "lane-lock-containment",
-                        format!(
-                            "{token} outside crates/storage/src/table.rs: per-shard \
-                             lane locking (ascending-order discipline) is confined \
-                             to the storage write module"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Rule 7: non-Relaxed orderings live in nf2-core::mvcc only
-        // (stream.rs already has the more specific rule 5 above).
-        if rel != "crates/core/src/mvcc.rs" && rel != "crates/algebra/src/stream.rs" {
+        // Rule 5: non-Relaxed orderings live in nf2-core::mvcc only.
+        if rel != "crates/core/src/mvcc.rs" {
             for ord in NON_RELAXED_ORDERINGS {
                 if line.contains(ord) {
                     push(
@@ -610,37 +535,6 @@ mod tests {
         assert_eq!(
             rules,
             vec![("clock-containment", 1), ("clock-containment", 3)]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lint_confines_lane_locks_to_the_storage_write_module() {
-        let dir = std::env::temp_dir().join(format!("xtask-lint-lanes-{}", std::process::id()));
-        // Planted violation: the query layer grabbing writer lanes
-        // directly, sidestepping the ascending-order discipline.
-        let query_dir = dir.join("crates/query/src");
-        std::fs::create_dir_all(&query_dir).unwrap();
-        std::fs::write(
-            query_dir.join("bad.rs"),
-            "fn f(t: &Table) { let _g = t.lock_lane(0); }\n\
-             // lock_lanes in a comment is fine\n\
-             fn g(t: &Table) { let _g = t.lock_all_lanes(); }\n",
-        )
-        .unwrap();
-        // The same tokens in the sanctioned home are clean.
-        let storage_dir = dir.join("crates/storage/src");
-        std::fs::create_dir_all(&storage_dir).unwrap();
-        std::fs::write(
-            storage_dir.join("table.rs"),
-            "fn lock_lane(shard: usize) {}\nfn lock_all_lanes() {}\n",
-        )
-        .unwrap();
-        let findings = lint(&dir);
-        let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(
-            rules,
-            vec![("lane-lock-containment", 1), ("lane-lock-containment", 3)]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
