@@ -88,56 +88,10 @@ fn bench_degree_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_indexed_ablation(c: &mut Criterion) {
-    // Ablation: scan-based candt (Theorem A-4 bounds compositions, not
-    // probe time) vs the inverted-index engine (§5's deferred
-    // "optimization strategy").
-    let mut group = c.benchmark_group("candt_ablation");
-    for &size in &[2_000usize, 8_000, 32_000] {
-        let flat = sized_relation(size, 7);
-        let order = NestOrder::identity(3);
-        let scan = CanonicalRelation::from_flat(&flat, order.clone()).unwrap();
-        let indexed = nf2_core::indexed::IndexedCanonicalRelation::from_flat(&flat, order).unwrap();
-        let rows: Vec<FlatTuple> = flat.rows().cloned().collect();
-
-        group.bench_with_input(BenchmarkId::new("scan_engine", size), &size, |b, _| {
-            let mut i = 0usize;
-            b.iter_batched(
-                || scan.clone(),
-                |mut canon| {
-                    let row = rows[(i * 7919) % rows.len()].clone();
-                    i += 1;
-                    canon.delete(&row).unwrap();
-                    canon.insert(row).unwrap();
-                    canon
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("indexed_engine", size), &size, |b, _| {
-            let mut i = 0usize;
-            b.iter_batched(
-                || indexed.clone(),
-                |mut canon| {
-                    let row = rows[(i * 7919) % rows.len()].clone();
-                    i += 1;
-                    let mut cost = nf2_core::maintenance::CostCounter::new();
-                    canon.delete(&row, &mut cost).unwrap();
-                    canon.insert(row, &mut cost).unwrap();
-                    canon
-                },
-                BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_incremental_insert_delete,
     bench_renest_baseline,
-    bench_degree_sweep,
-    bench_indexed_ablation
+    bench_degree_sweep
 );
 criterion_main!(benches);

@@ -6,13 +6,13 @@
 //! repro E3 E7                       # a subset
 //! repro --json                      # also write a timed BENCH_seed.json baseline
 //! repro --json=out.json             # same, custom path
-//! repro --json --baseline           # diff against BENCH_seed.json, write BENCH_pr10.json
+//! repro --json --baseline           # diff against BENCH_seed.json, write BENCH_pr14.json
 //! repro --baseline=old.json         # diff against a named baseline
 //! ```
 //!
 //! With `--baseline`, the run is timed, a per-experiment delta table is
 //! printed against the baseline file, and the JSON report defaults to
-//! `BENCH_pr10.json` — so perf work can be tracked without ever touching
+//! `BENCH_pr14.json` — so perf work can be tracked without ever touching
 //! the committed `BENCH_seed.json`.
 
 use std::time::Instant;
@@ -23,7 +23,7 @@ use nf2_bench::{experiment_ids, parse_baseline, run_all, run_one, Report};
 const DEFAULT_JSON_PATH: &str = "BENCH_seed.json";
 
 /// Default output path when diffing against a baseline.
-const DELTA_JSON_PATH: &str = "BENCH_pr10.json";
+const DELTA_JSON_PATH: &str = "BENCH_pr14.json";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,7 +36,7 @@ fn main() {
         }
     });
     // An explicit `--json=PATH` always wins; otherwise a bare `--json` (or
-    // any `--baseline` run) defaults to BENCH_pr10.json when diffing — the
+    // any `--baseline` run) defaults to BENCH_pr14.json when diffing — the
     // baseline being diffed against is never overwritten.
     let explicit_json_path: Option<String> = args
         .iter()

@@ -1,11 +1,15 @@
-//! Property tests for the columnar sorted shard segments: the
+//! Property tests for the value-major sorted shard segments: the
 //! immutable segment lists must stay an exact, losslessly decodable
 //! tiling of every shard's canonical tuple vector, with exact
 //! per-attribute zone metadata — across **all** the `nf2-workload`
 //! generators, nest orders, shard counts and routing modes, and across
 //! §4 maintenance schedules that interleave point ops with incremental
 //! and rebuilding batches (the vector must stay the kernel's vector,
-//! the segments its exact tiling). A final engine-level property pins
+//! the segments its exact tiling). The one question segments answer —
+//! which rows intersect every conjunct — must agree with a brute-force
+//! filter of the tuple vector, on fresh and on patched segments, from
+//! `Segment::locate` up to the table scan and the pruning report EXPLAIN
+//! prints from it. A final engine-level property pins
 //! the ordered SQL surface: `ORDER BY` results are identical whatever
 //! the shard layout, before and after a point write, always through
 //! the k-way merge.
@@ -15,25 +19,13 @@ use proptest::prelude::*;
 use nf2_core::bulk::Op;
 use nf2_core::kernel::NestKernel;
 use nf2_core::schema::NestOrder;
-use nf2_core::segment::ShardSegments;
+use nf2_core::segment::{Conjunct, Rows, ShardSegments};
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
+use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
-use nf2_workload::Workload;
-
-/// Instantiates every generator at property-test scale, driven by one
-/// seed so each case explores a different instance of each shape.
-fn all_generators(seed: u64) -> Vec<Workload> {
-    vec![
-        workload::university(8 + (seed % 13) as usize, 3, 10, 2, 4, seed),
-        workload::relationship(40 + (seed % 37) as usize, 12, 10, 3, seed),
-        workload::block_product(2 + (seed % 4) as usize, &[2, 3, 2], seed),
-        workload::uniform(30 + (seed % 21) as usize, &[8, 8, 8], seed),
-        workload::zipf(40, &[16, 16, 16], 1.1, seed),
-        workload::anti_correlated(8 + (seed % 9) as u32, 3, seed),
-    ]
-}
+use nf2_workload::{all_generators, Workload};
 
 /// Shard specs under test: hash counts {1, 2, 7} plus a data-derived
 /// range split so several range shards are actually populated.
@@ -91,8 +83,214 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
     assert_eq!(decoded.as_slice(), tuples, "columnar decode is lossless");
 }
 
+/// The identity nest order and one rotation of it.
+fn orders_for(arity: usize) -> [NestOrder; 2] {
+    let mut rotated: Vec<usize> = (0..arity).collect();
+    rotated.rotate_left(1.min(arity.saturating_sub(1)));
+    [
+        NestOrder::identity(arity),
+        NestOrder::new(rotated, arity).unwrap(),
+    ]
+}
+
+/// A tiny deterministic generator for picking probe values.
+fn draw(state: &mut u64) -> usize {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*state >> 33) as usize
+}
+
+/// Conjunct sets to ask about a relation: per attribute a single stored
+/// value and an IN-list (stored values plus one atom no row holds), then
+/// two- and all-attribute conjunctions of those.
+fn probe_conjuncts(w: &Workload, state: &mut u64) -> Vec<Vec<(usize, ValueSet)>> {
+    let arity = w.flat.schema().arity();
+    let rows: Vec<&Vec<Atom>> = w.flat.rows().collect();
+    let absent = Atom(rows.iter().flat_map(|r| r.iter()).max().unwrap().id() + 1);
+    let stored = |state: &mut u64, a: usize| rows[draw(state) % rows.len()][a];
+    let single: Vec<(usize, ValueSet)> = (0..arity)
+        .map(|a| (a, ValueSet::singleton(stored(state, a))))
+        .collect();
+    let in_list: Vec<(usize, ValueSet)> = (0..arity)
+        .map(|a| {
+            let picks = vec![stored(state, a), stored(state, a), stored(state, a), absent];
+            (a, ValueSet::new(picks).unwrap())
+        })
+        .collect();
+    let mut out: Vec<Vec<(usize, ValueSet)>> = Vec::new();
+    out.extend(single.iter().cloned().map(|c| vec![c]));
+    out.extend(in_list.iter().cloned().map(|c| vec![c]));
+    out.push(vec![(0, ValueSet::singleton(absent))]);
+    // One stored row's values on every attribute: a hit by construction.
+    let row = rows[draw(state) % rows.len()];
+    out.push(
+        (0..arity)
+            .map(|a| (a, ValueSet::singleton(row[a])))
+            .collect(),
+    );
+    if arity >= 2 {
+        out.push(vec![single[0].clone(), in_list[arity - 1].clone()]);
+        out.push(vec![in_list[0].clone(), in_list[1].clone()]);
+        out.push(in_list.clone());
+    }
+    out
+}
+
+/// The positions of `tuples` whose components intersect every conjunct —
+/// the definition `locate` must reproduce.
+fn brute_force(tuples: &[NfTuple], conjuncts: &[(usize, ValueSet)]) -> Vec<usize> {
+    (0..tuples.len())
+        .filter(|&i| {
+            conjuncts
+                .iter()
+                .all(|(a, vs)| !tuples[i].component(*a).is_disjoint_from(vs))
+        })
+        .collect()
+}
+
+/// Every probe of `probe_conjuncts`, on every shard: the shard's
+/// segments locate exactly the brute-force rows, each segment for
+/// itself and all of them together, and report exactly the segments
+/// that hold none as skipped.
+fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut u64) {
+    for probe in probe_conjuncts(w, state) {
+        let conjuncts: Vec<Conjunct<'_>> =
+            probe.iter().map(|(a, vs)| (*a, vs.as_slice())).collect();
+        for s in 0..sharded.shard_count() {
+            let tuples = sharded.shard(s).relation().tuples();
+            let expected = brute_force(tuples, &probe);
+            let mut empty = 0usize;
+            for (range, seg) in sharded.shard_segments(s).ranges() {
+                let mut spans = Vec::new();
+                let any = seg.locate(&conjuncts, range.start, &mut spans);
+                let rows: Vec<usize> = Rows::of_spans(spans).collect();
+                let within: Vec<usize> = expected
+                    .iter()
+                    .copied()
+                    .filter(|i| range.contains(i))
+                    .collect();
+                assert_eq!(rows, within, "{}: segment at {}", w.label, range.start);
+                assert_eq!(any, !within.is_empty());
+                empty += usize::from(within.is_empty());
+            }
+            let located = sharded.version(s).locate(&conjuncts);
+            assert_eq!(located.skipped, empty, "{}: shard {s}", w.label);
+            assert_eq!(located.rows.collect::<Vec<_>>(), expected, "{}", w.label);
+        }
+    }
+}
+
+/// The same question one layer up: for every probe, the table's zoned
+/// scan yields exactly the brute-force tuples of the shards it is given,
+/// charges exactly that many probes, and tallies exactly the segments
+/// `zone_skip_counts` — EXPLAIN's pruning report — predicted.
+fn assert_scans_what_it_reports(w: &Workload, t: &NfTable, state: &mut u64) {
+    let store = t.sharded();
+    let shards: Vec<usize> = (0..t.shard_count()).collect();
+    for probe in probe_conjuncts(w, state) {
+        let expected: Vec<NfTuple> = shards
+            .iter()
+            .flat_map(|&s| {
+                let tuples = store.shard(s).relation().tuples();
+                brute_force(tuples, &probe)
+                    .into_iter()
+                    .map(|i| tuples[i].clone())
+            })
+            .collect();
+        let counts = t.zone_skip_counts(&shards, &probe);
+        let before = t.stats();
+        let scanned: Vec<NfTuple> = t
+            .scan_shards_zoned(&shards, &probe)
+            .map(|v| v.into_owned())
+            .collect();
+        let after = t.stats();
+        assert_eq!(scanned, expected, "{}: {probe:?}", w.label);
+        let located: usize = counts.iter().map(|c| c.located).sum();
+        let skipped: usize = counts.iter().map(|c| c.skipped).sum();
+        assert_eq!(located, expected.len());
+        assert_eq!(after.units_probed - before.units_probed, located as u64);
+        assert_eq!(
+            after.segments_skipped - before.segments_skipped,
+            skipped as u64
+        );
+        for (&s, c) in shards.iter().zip(&counts) {
+            assert_eq!(c.segments, store.shard_segments(s).segment_count());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `Segment` located rows ≡ a brute-force filter of the tuple slice,
+    /// for single-value, IN-list and multi-attribute conjuncts — every
+    /// generator × nest order × shard spec, on fresh segments and on the
+    /// patched ones a random §4 op stream leaves behind (point ops and
+    /// incremental batches, at a tiling small enough that patches
+    /// re-encode, drop and split segments).
+    #[test]
+    fn located_rows_equal_a_brute_force_filter(seed in any::<u64>()) {
+        let mut state = seed | 1;
+        for w in all_generators(seed) {
+            let ops = workload::op_trace(&w, 40, 50, seed ^ 0x10ca7e);
+            for order in &orders_for(w.flat.schema().arity()) {
+                for spec in specs_for(&w, order) {
+                    let mut sharded =
+                        ShardedCanonical::from_flat(&w.flat, order.clone(), spec).unwrap();
+                    sharded.set_segment_rows(2 + (seed % 5) as usize);
+                    assert_located_exactly(&w, &sharded, &mut state);
+                    for chunk in ops.chunks(5) {
+                        match chunk {
+                            [Op::Insert(row), rest @ ..] => {
+                                sharded.insert(row.clone()).unwrap();
+                                sharded.apply_batch_auto(rest).unwrap();
+                            }
+                            [Op::Delete(row), rest @ ..] => {
+                                sharded.delete(row).unwrap();
+                                sharded.apply_batch_auto(rest).unwrap();
+                            }
+                            [] => {}
+                        }
+                    }
+                    assert_located_exactly(&w, &sharded, &mut state);
+                }
+            }
+        }
+    }
+
+    /// `zone_skip_counts` ≡ execution: what EXPLAIN reports from
+    /// `ShardVersion::locate` is what the zoned scan then yields, probes
+    /// and skips — on a bulk-built table and after point writes have
+    /// patched its segments.
+    #[test]
+    fn zone_skip_counts_equal_execution(seed in any::<u64>()) {
+        let mut state = seed | 1;
+        for w in all_generators(seed) {
+            let ops = workload::op_trace(&w, 30, 50, seed ^ 0x5ca9);
+            for order in &orders_for(w.flat.schema().arity()) {
+                for spec in specs_for(&w, order) {
+                    let t = NfTable::from_flat_sharded(
+                        "t",
+                        &w.flat,
+                        order.clone(),
+                        spec,
+                        SharedDictionary::new(),
+                    )
+                    .unwrap();
+                    t.set_segment_rows(2 + (seed % 5) as usize);
+                    assert_scans_what_it_reports(&w, &t, &mut state);
+                    for op in &ops {
+                        match op {
+                            Op::Insert(row) => t.insert_atoms(row.clone()).unwrap(),
+                            Op::Delete(row) => t.delete_atoms(row).unwrap(),
+                        };
+                    }
+                    assert_scans_what_it_reports(&w, &t, &mut state);
+                }
+            }
+        }
+    }
 
     /// Freshly built stores (kernel rebuild path) have fresh segments
     /// on every shard, and those segments are an exact decodable tiling
@@ -101,14 +299,7 @@ proptest! {
     #[test]
     fn fresh_segments_decode_to_the_tuple_store(seed in any::<u64>()) {
         for w in all_generators(seed) {
-            let arity = w.flat.schema().arity();
-            let mut rotated: Vec<usize> = (0..arity).collect();
-            rotated.rotate_left(1.min(arity.saturating_sub(1)));
-            let orders = [
-                NestOrder::identity(arity),
-                NestOrder::new(rotated, arity).unwrap(),
-            ];
-            for order in &orders {
+            for order in &orders_for(w.flat.schema().arity()) {
                 for spec in specs_for(&w, order) {
                     let sharded =
                         ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())

@@ -42,7 +42,6 @@ pub mod bulk;
 pub mod compose;
 pub mod display;
 pub mod error;
-pub mod indexed;
 pub mod irreducible;
 pub mod kernel;
 pub mod maintenance;
@@ -62,14 +61,13 @@ pub use bulk::{
 };
 pub use compose::{composable, composable_over, compose, decompose, decompose_set, Split};
 pub use error::{NfError, Result};
-pub use indexed::IndexedCanonicalRelation;
 pub use kernel::NestKernel;
 pub use maintenance::{CanonicalRelation, CostCounter};
 pub use mvcc::{ShardVersion, TableVersion, VersionCell};
 pub use nest::{canonical_of_flat, canonicalize, is_canonical, nest, unnest};
 pub use relation::{FlatRelation, NfRelation};
 pub use schema::{AttrId, NestOrder, Schema};
-pub use segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
+pub use segment::{Conjunct, Located, Rows, Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
 pub use shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
 pub use tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
 pub use value::{Atom, Dictionary};

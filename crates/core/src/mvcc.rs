@@ -1,8 +1,9 @@
 //! Shard-snapshot MVCC: immutable shard versions behind an epoch cell.
 //!
 //! The concurrency model of the engine is *publish, don't mutate*: each
-//! shard's canonical form (tuple store + columnar segments + zone
-//! synopsis) lives in an immutable [`ShardVersion`] published by `Arc`.
+//! shard's canonical form (tuple store + the value-major segments that
+//! locate its tuples) lives in an immutable [`ShardVersion`] published
+//! by `Arc`.
 //! A table's current state is one [`TableVersion`] — an epoch number
 //! plus one `Arc<ShardVersion>` per shard — held in a [`VersionCell`].
 //!
@@ -42,12 +43,12 @@ use crate::error::Result;
 use crate::kernel::NestKernel;
 use crate::maintenance::{CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
-use crate::segment::{ShardSegments, Tiling};
+use crate::segment::{point_conjuncts, Conjunct, Located, ShardSegments, Tiling};
 use crate::tuple::{FlatTuple, NfTuple, TupleStore};
 use crate::value::Atom;
 
-/// One shard's immutable state: its canonical form plus the columnar
-/// segment synopsis built over the same tuple ordering.
+/// One shard's immutable state: its canonical form plus the value-major
+/// segments built over the same tuple ordering.
 ///
 /// A `ShardVersion` is never mutated after publication — writers clone
 /// it (copy-on-write) and publish the replacement. Bundling the tuple
@@ -82,7 +83,7 @@ impl ShardVersion {
         self.canon.relation().tuples()
     }
 
-    /// The columnar segment synopsis over [`tuples`](Self::tuples).
+    /// The value-major segments over [`tuples`](Self::tuples).
     pub fn segments(&self) -> &ShardSegments {
         &self.segments
     }
@@ -97,9 +98,21 @@ impl ShardVersion {
         self.canon.flat_count()
     }
 
-    /// Whether the flat tuple is represented in this version.
+    /// The tuples of this version intersecting every conjunct, by
+    /// position ([`ShardSegments::locate`] over the vector the segments
+    /// tile).
+    pub fn locate(&self, conjuncts: &[Conjunct<'_>]) -> Located {
+        self.segments.locate(self.tuples().len(), conjuncts)
+    }
+
+    /// Whether the flat tuple is represented in this version — `searcht`
+    /// answered from the segments: a tuple holding `flat`'s value on
+    /// every attribute contains it.
     pub fn contains(&self, flat: &[Atom]) -> bool {
-        self.canon.contains(flat)
+        let conjuncts = point_conjuncts(flat);
+        let hit = self.locate(&conjuncts).rows.next().is_some();
+        debug_assert_eq!(hit, self.canon.contains(flat));
+        hit
     }
 
     /// §4.2 insertion: ordered maintenance of the tuple vector, then

@@ -1,4 +1,4 @@
-//! Sorted immutable columnar segments over a shard's canonical tuples.
+//! Sorted immutable value-major segments over a shard's canonical tuples.
 //!
 //! The nest kernel already pays one global sort per rebuild
 //! ([`NestKernel::canonical_of_flat`](crate::kernel::NestKernel)): with
@@ -9,19 +9,22 @@
 //! minimum outer value of a tuple spans the tuple's full inner sets.
 //! Segments make that order *be* the storage order: each shard of a
 //! [`ShardedCanonical`](crate::shard::ShardedCanonical) slices its
-//! tuple vector into immutable
-//! [`Segment`]s, each carrying
+//! tuple vector into immutable [`Segment`]s, and each segment stores its
+//! slice **transposed**: per attribute, the distinct dictionary codes
+//! ([`Atom`]s) that occur in the slice, ascending, and for each code the
+//! ascending list of segment-local rows whose set holds it. The tuples
+//! themselves stay in the shard's vector; the segment is what answers
+//! *which of them* without walking it:
 //!
-//! * **dictionary-coded columns** — components are stored as the
-//!   [`Atom`] codes already interned through the shared dictionary, one
-//!   offsets+values pair per non-outer attribute;
-//! * **run-length encoding on the outer attribute** — consecutive
-//!   tuples sharing the same `P(n−1)` set collapse into one run, which
-//!   is exactly where the canonical form concentrates repetition;
-//! * **zone-map metadata** — per-attribute min/max codes (over all set
-//!   members) and the run count as a distinct-count estimate, so range
-//!   and equality predicates can refute whole segments without probing
-//!   a single tuple.
+//! * **one question** — [`Segment::locate`]: the rows whose components
+//!   intersect every `(attr, values)` [`Conjunct`], by binary search on
+//!   the codes and sorted-list intersection. Scans, `searcht` and `candt`
+//!   all ask it ([`ShardSegments::locate`], the `SegmentPatch` sink) and
+//!   nothing else locates a tuple;
+//! * **zone metadata for free** — an attribute's `[min, max]` zone is its
+//!   first and last code, and the number of runs of equal consecutive
+//!   outer sets (the distinct-count estimate a checkpoint persists) is
+//!   counted while encoding.
 //!
 //! Segments are immutable and `Arc`-shared between consecutive shard
 //! versions. §4 point maintenance keeps the tuple vector in the kernel's
@@ -30,17 +33,23 @@
 //! `SegmentPatch`; when the operation is done the patch re-encodes
 //! exactly the segments whose tuple range changed — dropping one that
 //! emptied, splitting one that outgrew twice the tiling target — and
-//! carries every other segment over by pointer. A shard's segments
-//! therefore describe its live tuple vector at every version: ordered
-//! scans and zone-map skipping never have to check for staleness.
-//! Segment boundaries drift from the uniform tiling as patches
-//! accumulate; a checkpoint re-tiles ([`ShardSegments::rebuild`]) so the
-//! persisted synopsis is the one a reopen re-derives.
+//! carries every other segment over by pointer. While the operation
+//! runs, the patch answers its searches: from the postings of the
+//! segments it has not touched (offset by where each now starts), and by
+//! handing back the whole current range of a touched one, whose local
+//! row numbers no longer line up. A shard's segments therefore describe
+//! its live tuple vector at every version: ordered scans and located
+//! reads never have to check for staleness. Segment boundaries drift
+//! from the uniform tiling as patches accumulate; a checkpoint re-tiles
+//! ([`ShardSegments::rebuild`]) so the persisted synopsis is the one a
+//! reopen re-derives.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::maintenance::TupleEdits;
+use crate::schema::AttrId;
 use crate::tuple::{NfTuple, ValueSet};
 use crate::value::Atom;
 
@@ -49,175 +58,266 @@ use crate::value::Atom;
 /// enough that per-segment metadata stays negligible.
 pub const DEFAULT_SEGMENT_ROWS: usize = 512;
 
-/// A dictionary-coded column for one (non-outer) attribute: the sets of
-/// `rows` consecutive tuples, stored as one concatenated atom vector
-/// with row offsets. Offsets are `u32`: a segment holds at most
-/// [`DEFAULT_SEGMENT_ROWS`] tuples, far below the offset range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrColumn {
-    /// `rows + 1` offsets into `values`; row `i` owns
-    /// `values[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
-    /// Concatenated set members, each row's slice strictly ascending.
-    values: Vec<Atom>,
+/// One conjunct of the question segments answer: the tuple's `attr`
+/// component must intersect `values` (ascending, as every [`ValueSet`]
+/// slice is).
+pub type Conjunct<'a> = (AttrId, &'a [Atom]);
+
+/// The conjuncts `searcht` asks with: `flat`'s value on every attribute.
+/// A tuple satisfying all of them contains `flat`.
+pub(crate) fn point_conjuncts(flat: &[Atom]) -> Vec<Conjunct<'_>> {
+    flat.iter()
+        .enumerate()
+        .map(|(attr, v)| (attr, std::slice::from_ref(v)))
+        .collect()
 }
 
-impl AttrColumn {
-    fn encode(tuples: &[NfTuple], attr: usize) -> Self {
-        let mut offsets = Vec::with_capacity(tuples.len() + 1);
-        let mut values = Vec::new();
-        offsets.push(0u32);
-        for t in tuples {
-            values.extend_from_slice(t.component(attr).as_slice());
-            offsets.push(values.len() as u32);
+/// Ascending positions in a shard's tuple vector, held as the disjoint
+/// ranges they form — one range for a whole span of the vector, one per
+/// run of neighbours otherwise — and handed out one position at a time.
+#[derive(Debug, Clone)]
+pub struct Rows {
+    current: Range<usize>,
+    rest: std::vec::IntoIter<Range<usize>>,
+    remaining: usize,
+}
+
+impl Rows {
+    /// Every position of a vector of `len` tuples.
+    pub fn all(len: usize) -> Self {
+        Rows {
+            current: 0..len,
+            rest: Vec::new().into_iter(),
+            remaining: len,
         }
-        AttrColumn { offsets, values }
     }
 
-    /// Number of rows encoded.
-    pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+    /// The positions of `spans` (ascending, disjoint, as
+    /// [`Segment::locate`] appends them).
+    pub fn of_spans(spans: Vec<Range<usize>>) -> Self {
+        Rows {
+            remaining: spans.iter().map(Range::len).sum(),
+            current: 0..0,
+            rest: spans.into_iter(),
+        }
     }
 
-    /// The set slice of one row (sorted ascending).
-    pub fn set(&self, row: usize) -> &[Atom] {
-        &self.values[self.offsets[row] as usize..self.offsets[row + 1] as usize]
-    }
-
-    /// Total atoms stored.
-    pub fn atom_count(&self) -> usize {
-        self.values.len()
+    /// The remaining positions as the ranges they form — what a caller
+    /// walking a tuple slice wants, a sub-slice at a time.
+    pub fn into_spans(self) -> impl Iterator<Item = Range<usize>> {
+        std::iter::once(self.current).chain(self.rest)
     }
 }
 
-/// The run-length-encoded outer column: consecutive tuples whose
-/// `P(n−1)` sets are identical share one stored copy of the set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RleColumn {
-    /// Tuples per run.
-    run_lens: Vec<u32>,
-    /// `runs + 1` offsets into `values`; run `r` owns
-    /// `values[offsets[r]..offsets[r+1]]`.
-    offsets: Vec<u32>,
-    /// Concatenated run sets, each strictly ascending.
-    values: Vec<Atom>,
-}
+impl Iterator for Rows {
+    type Item = usize;
 
-impl RleColumn {
-    fn encode(tuples: &[NfTuple], attr: usize) -> Self {
-        let mut run_lens: Vec<u32> = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut values: Vec<Atom> = Vec::new();
-        for t in tuples {
-            let set = t.component(attr).as_slice();
-            let prev = offsets
-                .len()
-                .checked_sub(2)
-                .map(|r| &values[offsets[r] as usize..offsets[r + 1] as usize]);
-            if prev == Some(set) {
-                let last = run_lens
-                    .last_mut()
-                    .expect("a previous run exists whenever prev matched");
-                *last += 1;
-            } else {
-                values.extend_from_slice(set);
-                offsets.push(values.len() as u32);
-                run_lens.push(1);
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if let Some(at) = self.current.next() {
+                self.remaining -= 1;
+                return Some(at);
             }
-        }
-        RleColumn {
-            run_lens,
-            offsets,
-            values,
+            self.current = self.rest.next()?;
         }
     }
 
-    /// Number of runs (= distinct consecutive outer sets).
-    pub fn runs(&self) -> usize {
-        self.run_lens.len()
-    }
-
-    /// Tuples in run `r`.
-    pub fn run_len(&self, r: usize) -> usize {
-        self.run_lens[r] as usize
-    }
-
-    /// The shared set slice of run `r` (sorted ascending).
-    pub fn run_set(&self, r: usize) -> &[Atom] {
-        &self.values[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-
-    /// Total rows across runs.
-    pub fn rows(&self) -> usize {
-        self.run_lens.iter().map(|&l| l as usize).sum()
-    }
-
-    /// Atoms stored after run-length collapsing.
-    pub fn atom_count(&self) -> usize {
-        self.values.len()
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
-/// One sorted immutable columnar segment: `rows` consecutive tuples of
-/// a shard's canonical tuple vector, stored column-wise with zone-map
-/// metadata. A segment does not know where it starts — its position is
-/// the sum of the row counts before it ([`ShardSegments::ranges`]) — so
-/// an edit earlier in the shard shifts it without touching it.
+impl ExactSizeIterator for Rows {}
+
+/// Appends `range` to the ascending `spans`, growing the last span when
+/// the two touch.
+fn push_span(spans: &mut Vec<Range<usize>>, range: Range<usize>) {
+    match spans.last_mut() {
+        Some(last) if last.end == range.start => last.end = range.end,
+        _ if range.is_empty() => {}
+        _ => spans.push(range),
+    }
+}
+
+/// Sorts `(code << 32 | row)` keys, generated in row order, by code: a
+/// stable least-significant-digit radix sort over the bits in which the
+/// codes differ at all, so rows stay ascending within a code and the
+/// cost is linear in the keys — dictionary codes are dense small
+/// integers, which makes most columns one or two passes. A segment of
+/// few fat tuples (thousands of set members) is re-encoded by every
+/// point write that touches it; a comparison sort there is what the
+/// write would spend its time on.
+fn sort_by_code(keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
+    const DIGIT_BITS: u32 = 8;
+    let code = |key: u64| (key >> 32) as u32;
+    let (min, max) = keys.iter().fold((u32::MAX, 0), |(lo, hi), &key| {
+        (lo.min(code(key)), hi.max(code(key)))
+    });
+    let span_bits = u32::BITS - (max - min).leading_zeros();
+    spare.clear();
+    spare.resize(keys.len(), 0);
+    for shift in (0..span_bits).step_by(DIGIT_BITS as usize) {
+        let digit = |key: u64| ((code(key) - min) >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        let mut starts = [0u32; 1 << DIGIT_BITS];
+        for &key in keys.iter() {
+            starts[digit(key)] += 1;
+        }
+        let mut at = 0u32;
+        for start in &mut starts {
+            at += std::mem::replace(start, at);
+        }
+        for &key in keys.iter() {
+            let slot = &mut starts[digit(key)];
+            spare[*slot as usize] = key;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+}
+
+/// One attribute of a segment, value-major: the distinct codes that
+/// occur in any row's set, ascending, each with the ascending list of
+/// segment-local rows whose set holds it. Offsets and rows are `u32`
+/// (checked when encoding): a segment holds a few hundred tuples.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ValueColumn {
+    /// Distinct codes, strictly ascending (never empty).
+    codes: Box<[Atom]>,
+    /// `codes.len() + 1` offsets into `rows`; code `i` owns
+    /// `rows[offsets[i]..offsets[i+1]]`.
+    offsets: Box<[u32]>,
+    /// Concatenated row lists, each strictly ascending.
+    rows: Box<[u32]>,
+}
+
+impl ValueColumn {
+    /// Transposes attribute `attr` of `tuples`: one `(code, row)` key per
+    /// set member, generated row by row and brought into code order by
+    /// [`sort_by_code`] — skipped when the keys already ascend, as they
+    /// do on the outer attribute wherever its sets are singletons.
+    /// `keys` and `spare` are scratch shared across a segment's
+    /// attributes.
+    fn encode(tuples: &[NfTuple], attr: usize, keys: &mut Vec<u64>, spare: &mut Vec<u64>) -> Self {
+        keys.clear();
+        for (row, t) in tuples.iter().enumerate() {
+            let row = row as u64;
+            keys.extend(
+                t.component(attr)
+                    .as_slice()
+                    .iter()
+                    .map(|v| u64::from(v.id()) << 32 | row),
+            );
+        }
+        assert!(
+            u32::try_from(keys.len()).is_ok(),
+            "a segment's set members must fit its u32 offsets"
+        );
+        if !keys.is_sorted() {
+            sort_by_code(keys, spare);
+        }
+        let mut codes = Vec::new();
+        let mut offsets = Vec::new();
+        let mut rows = Vec::with_capacity(keys.len());
+        for &key in keys.iter() {
+            let code = Atom((key >> 32) as u32);
+            if codes.last() != Some(&code) {
+                codes.push(code);
+                offsets.push(rows.len() as u32);
+            }
+            rows.push(key as u32);
+        }
+        offsets.push(rows.len() as u32);
+        ValueColumn {
+            codes: codes.into(),
+            offsets: offsets.into(),
+            rows: rows.into(),
+        }
+    }
+
+    /// The rows of the `i`-th code.
+    fn rows_at(&self, i: usize) -> &[u32] {
+        &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The part of `values` inside this column's `[min, max]` zone.
+    fn in_zone<'a>(&self, values: &'a [Atom]) -> &'a [Atom] {
+        // invariant: a segment is non-empty and so is every set in it
+        let (min, max) = (self.codes[0], self.codes[self.codes.len() - 1]);
+        let lo = values.partition_point(|&v| v < min);
+        let hi = values.partition_point(|&v| v <= max);
+        &values[lo..hi]
+    }
+
+    /// The row list of every value of `values` that occurs.
+    fn lists<'a>(&'a self, values: &'a [Atom]) -> impl Iterator<Item = &'a [u32]> + 'a {
+        self.in_zone(values)
+            .iter()
+            .filter_map(|v| self.codes.binary_search(v).ok())
+            .map(|i| self.rows_at(i))
+    }
+
+    /// The rows whose set intersects `values`, ascending: one value's
+    /// list as stored, several merged.
+    fn rows_holding_any<'a>(&'a self, values: &'a [Atom]) -> Cow<'a, [u32]> {
+        let mut lists = self.lists(values);
+        let Some(first) = lists.next() else {
+            return Cow::Borrowed(&[]);
+        };
+        let Some(second) = lists.next() else {
+            return Cow::Borrowed(first);
+        };
+        let mut merged = [first, second].concat();
+        for list in lists {
+            merged.extend_from_slice(list);
+        }
+        merged.sort_unstable();
+        merged.dedup();
+        Cow::Owned(merged)
+    }
+}
+
+/// One sorted immutable segment: `rows` consecutive tuples of a shard's
+/// canonical tuple vector, stored value-major (one `ValueColumn` per
+/// attribute). A segment does not know where it starts — its position
+/// is the sum of the row counts before it ([`ShardSegments::ranges`]) —
+/// so an edit earlier in the shard shifts it without touching it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     rows: usize,
     outer_attr: usize,
-    /// Per-attribute minimum atom code over all set members of all rows.
-    mins: Vec<Atom>,
-    /// Per-attribute maximum atom code over all set members of all rows.
-    maxs: Vec<Atom>,
-    /// One dictionary-coded column per attribute; `None` at
-    /// `outer_attr`, whose data lives in `outer`.
-    columns: Vec<Option<AttrColumn>>,
-    /// The run-length-encoded outer (`P(n−1)`) column.
-    outer: RleColumn,
+    /// Runs of equal consecutive outer (`P(n−1)`) sets.
+    outer_runs: usize,
+    /// One value-major column per attribute.
+    columns: Vec<ValueColumn>,
 }
 
 impl Segment {
     /// Encodes `tuples` (non-empty, all of the same arity ≥ 1) as one
     /// segment. The caller guarantees the slice is in canonical sorted
     /// order (a kernel rebuild, or ordered §4 maintenance of one);
-    /// encoding itself never re-sorts.
+    /// encoding never reorders rows.
     pub fn encode(tuples: &[NfTuple], outer_attr: usize) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
         let arity = tuples[0].arity();
         debug_assert!(outer_attr < arity, "outer attribute must be in-schema");
-        let mut mins = vec![Atom(u32::MAX); arity];
-        let mut maxs = vec![Atom(0); arity];
-        for t in tuples {
-            for (a, comp) in t.components().iter().enumerate() {
-                let s = comp.as_slice();
-                // invariant: ValueSet slices are non-empty and sorted
-                let lo = *s.first().expect("value sets are non-empty");
-                let hi = *s.last().expect("value sets are non-empty");
-                if lo < mins[a] {
-                    mins[a] = lo;
-                }
-                if hi > maxs[a] {
-                    maxs[a] = hi;
-                }
-            }
-        }
+        let (mut keys, mut spare) = (Vec::new(), Vec::new());
         let columns = (0..arity)
-            .map(|a| (a != outer_attr).then(|| AttrColumn::encode(tuples, a)))
+            .map(|a| ValueColumn::encode(tuples, a, &mut keys, &mut spare))
             .collect();
+        let outer_runs = 1 + tuples
+            .windows(2)
+            .filter(|w| w[0].component(outer_attr) != w[1].component(outer_attr))
+            .count();
         let seg = Segment {
             rows: tuples.len(),
             outer_attr,
-            mins,
-            maxs,
+            outer_runs,
             columns,
-            outer: RleColumn::encode(tuples, outer_attr),
         };
         debug_assert_eq!(
             seg.decode(),
             tuples,
-            "columnar round-trip must reproduce the encoded tuples"
+            "value-major round-trip must reproduce the encoded tuples"
         );
         seg
     }
@@ -227,91 +327,106 @@ impl Segment {
         self.rows
     }
 
-    /// The attribute stored run-length encoded (`P(n−1)`).
+    /// The routing attribute (`P(n−1)`) the shard is ordered by.
     pub fn outer_attr(&self) -> usize {
         self.outer_attr
     }
 
-    /// Zone-map minimum code for `attr`.
+    /// Zone-map minimum code for `attr`: its column's first code.
     pub fn min(&self, attr: usize) -> Atom {
-        self.mins[attr]
+        self.columns[attr].codes[0]
     }
 
-    /// Zone-map maximum code for `attr`.
+    /// Zone-map maximum code for `attr`: its column's last code.
     pub fn max(&self, attr: usize) -> Atom {
-        self.maxs[attr]
+        let codes = &self.columns[attr].codes;
+        codes[codes.len() - 1]
     }
 
-    /// Distinct-count estimate for the outer attribute: the RLE run
-    /// count. Exact when equal outer sets are always adjacent (an upper
-    /// bound otherwise, since ties on the outer minimum can interleave
-    /// distinct sets).
+    /// Distinct-count estimate for the outer attribute: the number of
+    /// runs of equal consecutive outer sets. Exact when equal outer sets
+    /// are always adjacent (an upper bound otherwise, since ties on the
+    /// outer minimum can interleave distinct sets).
     pub fn distinct_outer(&self) -> usize {
-        self.outer.runs()
-    }
-
-    /// The run-length-encoded outer column.
-    pub fn outer_column(&self) -> &RleColumn {
-        &self.outer
-    }
-
-    /// The dictionary-coded column of a non-outer attribute.
-    pub fn column(&self, attr: usize) -> Option<&AttrColumn> {
-        self.columns[attr].as_ref()
+        self.outer_runs
     }
 
     /// Whether any value in `values` falls inside this segment's
     /// `[min, max]` zone for `attr` — the zone-map test: `false` proves
-    /// no tuple in the segment can intersect `values` on `attr`, so the
-    /// whole segment can be skipped without probing it.
+    /// no tuple in the segment can intersect `values` on `attr`.
+    /// [`locate`](Self::locate) starts from it and goes on to the exact
+    /// answer.
     pub fn admits(&self, attr: usize, values: &ValueSet) -> bool {
-        let s = values.as_slice();
-        let i = s.partition_point(|&v| v < self.mins[attr]);
-        i < s.len() && s[i] <= self.maxs[attr]
+        !self.columns[attr].in_zone(values.as_slice()).is_empty()
     }
 
-    /// Atoms stored across all columns after encoding (RLE savings
-    /// included) — the numerator of the compression ratio.
-    pub fn encoded_atoms(&self) -> usize {
-        self.outer.atom_count()
-            + self
-                .columns
-                .iter()
-                .flatten()
-                .map(AttrColumn::atom_count)
-                .sum::<usize>()
+    /// The one question: appends `base + row`, ascending and as spans,
+    /// for every row whose `attr` component intersects `values` for
+    /// **every** conjunct (all rows when there is none), and says whether
+    /// there was any. Exact, not an over-approximation — but a component
+    /// that intersects the values is not yet narrowed to them, so a
+    /// selection still applies its box downstream.
+    ///
+    /// Cost: one binary search per in-zone value per conjunct to refute
+    /// the segment (no allocation); on a hit, the shortest conjunct's
+    /// row list filtered through the others.
+    pub fn locate(
+        &self,
+        conjuncts: &[Conjunct<'_>],
+        base: usize,
+        out: &mut Vec<Range<usize>>,
+    ) -> bool {
+        if conjuncts.is_empty() {
+            push_span(out, base..base + self.rows);
+            return true;
+        }
+        let occurs =
+            |&(attr, values): &Conjunct<'_>| self.columns[attr].lists(values).next().is_some();
+        if !conjuncts.iter().all(occurs) {
+            return false;
+        }
+        let mut lists: Vec<Cow<'_, [u32]>> = conjuncts
+            .iter()
+            .map(|&(attr, values)| self.columns[attr].rows_holding_any(values))
+            .collect();
+        lists.sort_by_key(|rows| rows.len());
+        let (driver, filters) = lists.split_first().expect("at least one conjunct");
+        let mut any = false;
+        for row in driver.iter() {
+            if filters.iter().all(|f| f.binary_search(row).is_ok()) {
+                let at = base + *row as usize;
+                push_span(out, at..at + 1);
+                any = true;
+            }
+        }
+        any
     }
 
     /// Reconstructs the covered tuples from the columns. Test and
     /// verification helper: the result must equal the tuple-store slice
     /// the segment was encoded from.
     pub fn decode(&self) -> Vec<NfTuple> {
-        let arity = self.columns.len();
-        let mut out = Vec::with_capacity(self.rows);
-        let mut run = 0usize;
-        let mut left_in_run = self.outer.run_len(0);
-        for row in 0..self.rows {
-            if left_in_run == 0 {
-                run += 1;
-                left_in_run = self.outer.run_len(run);
+        let mut sets: Vec<Vec<Vec<Atom>>> = vec![vec![Vec::new(); self.columns.len()]; self.rows];
+        for (attr, column) in self.columns.iter().enumerate() {
+            for (i, &code) in column.codes.iter().enumerate() {
+                for &row in column.rows_at(i) {
+                    sets[row as usize][attr].push(code);
+                }
             }
-            left_in_run -= 1;
-            let tuple = (0..arity)
-                .map(|a| {
-                    ValueSet::from_sorted_unchecked(match &self.columns[a] {
-                        Some(col) => col.set(row),
-                        None => self.outer.run_set(run),
-                    })
-                })
-                .collect();
-            out.push(tuple);
         }
-        out
+        sets.into_iter()
+            .map(|comps| {
+                comps
+                    .iter()
+                    .map(|set| ValueSet::from_sorted_unchecked(set))
+                    .collect()
+            })
+            .collect()
     }
 }
 
-/// How a shard's tuple vector is cut into segments: the attribute stored
-/// run-length encoded and the target tuples per segment.
+/// How a shard's tuple vector is cut into segments: the outer attribute
+/// (whose runs a segment counts) and the target tuples per segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// The routing attribute `P(n−1)`; `None` only for a zero-arity
@@ -330,6 +445,16 @@ fn tiles(
     tuples
         .chunks(rows)
         .map(move |chunk| Arc::new(Segment::encode(chunk, outer_attr)))
+}
+
+/// What [`ShardSegments::locate`] found.
+#[derive(Debug, Clone)]
+pub struct Located {
+    /// The located positions, ascending.
+    pub rows: Rows,
+    /// Segments that held no located row (none of their tuples is in
+    /// `rows`, so none is ever probed).
+    pub skipped: usize,
 }
 
 /// The segments of one shard, in tuple order: together they tile the
@@ -391,6 +516,29 @@ impl ShardSegments {
     /// Total tuples the segments cover.
     pub fn covered_rows(&self) -> usize {
         self.segments.iter().map(|seg| seg.rows()).sum()
+    }
+
+    /// The positions, among the `len` tuples these segments tile, of
+    /// every tuple intersecting every conjunct ([`Segment::locate`] per
+    /// segment, offset by where it starts), with the number of segments
+    /// that held none. No conjunct locates the whole vector — segmented
+    /// or not (a zero-arity shard has one tuple and no segment).
+    pub fn locate(&self, len: usize, conjuncts: &[Conjunct<'_>]) -> Located {
+        if conjuncts.is_empty() {
+            return Located {
+                rows: Rows::all(len),
+                skipped: 0,
+            };
+        }
+        let mut spans = Vec::new();
+        let mut skipped = 0usize;
+        for (range, seg) in self.ranges() {
+            skipped += usize::from(!seg.locate(conjuncts, range.start, &mut spans));
+        }
+        Located {
+            rows: Rows::of_spans(spans),
+            skipped,
+        }
     }
 
     /// Starts recording the tuple-vector edits of one maintenance
@@ -461,6 +609,28 @@ impl SegmentPatch<'_> {
 }
 
 impl TupleEdits for SegmentPatch<'_> {
+    /// Untouched segments answer from their postings, offset by where
+    /// they start now; a touched slot's rows have shifted under its
+    /// segment's local numbering, so its whole current range goes back
+    /// to the caller's own test.
+    fn locate(&self, len: usize, conjuncts: &[Conjunct<'_>]) -> Rows {
+        if conjuncts.is_empty() {
+            return Rows::all(len);
+        }
+        let mut spans = Vec::new();
+        let mut start = 0usize;
+        for (slot, &(rows, dirty)) in self.slots.iter().enumerate() {
+            if dirty {
+                push_span(&mut spans, start..start + rows);
+            } else {
+                self.segs.segments[slot].locate(conjuncts, start, &mut spans);
+            }
+            start += rows;
+        }
+        debug_assert_eq!(start, len, "slots account for every tuple");
+        Rows::of_spans(spans)
+    }
+
     fn inserted(&mut self, idx: usize) {
         if self.slots.is_empty() {
             self.slots.push((0, true));
@@ -512,15 +682,49 @@ mod tests {
     fn rle_collapses_consecutive_outer_sets() {
         let tuples = sample();
         let seg = Segment::encode(&tuples, 1);
-        // Outer sets: {10},{10},{11,12},{11,12},{20} → 3 runs.
+        // Outer sets: {10},{10},{11,12},{11,12},{20} → 3 runs, counted
+        // while encoding; the column itself is value-major, one row list
+        // per code.
         assert_eq!(seg.distinct_outer(), 3);
-        assert_eq!(seg.outer_column().run_len(0), 2);
-        assert_eq!(seg.outer_column().run_set(1), &[Atom(11), Atom(12)]);
-        // 4 distinct outer atoms stored instead of 7 expanded.
-        assert_eq!(seg.outer_column().atom_count(), 4);
-        assert_eq!(seg.outer_column().rows(), 5);
-        // Column 0 keeps every atom (7), outer stores 4: 11 total.
-        assert_eq!(seg.encoded_atoms(), 11);
+        assert_eq!(located(&seg, &[(1, &[10])]), vec![100, 101]);
+        assert_eq!(located(&seg, &[(1, &[12])]), vec![102, 103]);
+        // A sparse column (codes far apart) takes the multi-pass sort.
+        let sparse = vec![
+            tuple(&[&[7, 900_000], &[1]]),
+            tuple(&[&[3, 70_000], &[2]]),
+            tuple(&[&[3, 900_000], &[3]]),
+        ];
+        let seg = Segment::encode(&sparse, 1);
+        assert_eq!(seg.decode(), sparse);
+        assert_eq!(located(&seg, &[(0, &[900_000])]), vec![100, 102]);
+        assert_eq!(located(&seg, &[(0, &[3])]), vec![101, 102]);
+    }
+
+    fn located(seg: &Segment, conjuncts: &[(usize, &[u32])]) -> Vec<usize> {
+        let sets: Vec<(usize, ValueSet)> = conjuncts.iter().map(|&(a, vs)| (a, set(vs))).collect();
+        let conjuncts: Vec<Conjunct<'_>> = sets.iter().map(|(a, vs)| (*a, vs.as_slice())).collect();
+        let mut spans = Vec::new();
+        let any = seg.locate(&conjuncts, 100, &mut spans);
+        assert_eq!(any, !spans.is_empty());
+        assert!(spans.windows(2).all(|w| w[0].end < w[1].start), "merged");
+        Rows::of_spans(spans).collect()
+    }
+
+    #[test]
+    fn locate_answers_which_rows_exactly() {
+        let seg = Segment::encode(&sample(), 1);
+        // One value, an IN-list (merged lists, duplicates collapsed), a
+        // multi-attribute conjunction, and the offset by `base`.
+        assert_eq!(located(&seg, &[(1, &[10])]), vec![100, 101]);
+        assert_eq!(located(&seg, &[(1, &[11, 12, 20])]), vec![102, 103, 104]);
+        assert_eq!(located(&seg, &[(1, &[11, 12]), (0, &[4, 7])]), vec![103]);
+        assert_eq!(located(&seg, &[(0, &[3]), (1, &[10])]), vec![100]);
+        // In the zone but absent; out of the zone; absent on one side.
+        assert_eq!(located(&seg, &[(1, &[15])]), Vec::<usize>::new());
+        assert_eq!(located(&seg, &[(0, &[99])]), Vec::<usize>::new());
+        assert_eq!(located(&seg, &[(0, &[1]), (1, &[20])]), Vec::<usize>::new());
+        // No conjunct: every row.
+        assert_eq!(located(&seg, &[]), vec![100, 101, 102, 103, 104]);
     }
 
     #[test]
@@ -639,6 +843,32 @@ mod tests {
         patch.finish(&tuples, tiling(4));
         assert_eq!(ss.segment_count(), 1);
         assert_eq!(ss.covered_rows(), 1);
+    }
+
+    #[test]
+    fn patch_locates_from_postings_until_a_slot_is_touched() {
+        let mut tuples: Vec<NfTuple> = (0..12u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&tuples, tiling(4));
+        let v = [Atom(9)];
+        let nine: &[Conjunct<'_>] = &[(0, &v)];
+        assert_eq!(ss.locate(12, nine).rows.collect::<Vec<_>>(), vec![9]);
+        assert_eq!(ss.locate(12, nine).skipped, 2);
+
+        let mut patch = ss.patch();
+        assert_eq!(patch.locate(12, nine).collect::<Vec<_>>(), vec![9]);
+        // An insert into the middle slot: its range comes back whole
+        // (shifted rows no longer match its postings), the clean slot
+        // after it answers from postings at its new offset.
+        tuples.insert(5, tuple(&[&[50], &[104]]));
+        patch.inserted(5);
+        assert_eq!(
+            patch.locate(13, nine).collect::<Vec<_>>(),
+            vec![4, 5, 6, 7, 8, 10]
+        );
+        assert_eq!(patch.locate(13, &[]).collect::<Vec<_>>().len(), 13);
+        patch.finish(&tuples, tiling(4));
+        assert_eq!(ss.locate(13, nine).rows.collect::<Vec<_>>(), vec![10]);
     }
 
     #[test]

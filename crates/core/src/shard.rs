@@ -610,7 +610,7 @@ impl ShardedCanonical {
         self.lanes.iter().map(|l| Arc::clone(&l.version)).collect()
     }
 
-    /// One shard's columnar segment state.
+    /// One shard's segments.
     pub fn shard_segments(&self, idx: usize) -> &ShardSegments {
         self.lanes[idx].version.segments()
     }
@@ -1029,6 +1029,55 @@ mod tests {
         assert!(
             p4 * 2 <= p1,
             "4 shards must cut candidate probes at least in half: {p1} -> {p4}"
+        );
+    }
+
+    #[test]
+    fn point_write_probes_do_not_grow_with_the_shard() {
+        // One tuple per row — (a, b) pairs are unique, c is the outer
+        // key — in a single shard. Each insert brings a new outer value
+        // under an (a, b) pair some tuple already has: `candt` finds
+        // that tuple at the outer position, `recons` composes, and the
+        // follow-up searches walk the one segment the take dirtied.
+        // Located, none of that depends on how many segments the shard
+        // has; scanned, it all did (4× the probes at 4× the tuples).
+        // Release builds run 5 000 vs 20 000 tuples at the default
+        // tiling; debug builds re-validate the O(T²) partition invariant
+        // in every §4 op, so they run the same shape at quarter scale.
+        let (small, segment_rows) = if cfg!(debug_assertions) {
+            (1_250u32, DEFAULT_SEGMENT_ROWS / 4)
+        } else {
+            (5_000u32, DEFAULT_SEGMENT_ROWS)
+        };
+        let probes_per_write = |tuples: u32| -> f64 {
+            let s = schema(&["A", "B", "C"]);
+            let rows = (0..tuples).map(|i| row(&[i % 97, 1_000 + i / 97, 100_000 + i]));
+            let flat = FlatRelation::from_rows(s, rows).unwrap();
+            let mut c =
+                ShardedCanonical::from_flat(&flat, NestOrder::identity(3), ShardSpec::single())
+                    .unwrap();
+            c.set_segment_rows(segment_rows);
+            assert_eq!(c.tuple_count(), tuples as usize);
+            let writes = 4u32;
+            for w in 0..writes {
+                let at = w * (tuples / writes) + 3;
+                let fresh = row(&[at % 97, 1_000 + at / 97, 900_000 + w]);
+                assert!(c.insert(fresh).unwrap());
+            }
+            let cost = c.maintenance_cost().total;
+            assert_eq!(cost.compositions, u64::from(writes));
+            cost.candidate_probes as f64 / f64::from(writes)
+        };
+        let (at_small, at_large) = (probes_per_write(small), probes_per_write(4 * small));
+        assert!(
+            at_large < 1.3 * at_small,
+            "probes per write must not follow the tuple count: \
+             {at_small} at {small} tuples, {at_large} at {}",
+            4 * small
+        );
+        assert!(
+            at_small < f64::from(small) / 2.0,
+            "and stay well under one pass over the shard: {at_small}"
         );
     }
 

@@ -76,6 +76,29 @@ impl Dictionary {
         atom
     }
 
+    /// Appends the entries of `newer` that this dictionary lacks, in
+    /// O(missing entries). `self` must be a prefix of `newer` — which an
+    /// older copy of the same dictionary always is, interning being
+    /// append-only.
+    pub fn catch_up(&mut self, newer: &Dictionary) {
+        debug_assert!(
+            newer
+                .names
+                .get(..self.names.len())
+                .is_some_and(|prefix| prefix.last() == self.names.last()),
+            "catch_up needs a prefix of the newer dictionary"
+        );
+        let missing = &newer.names[self.names.len()..];
+        self.names.reserve(missing.len());
+        self.index.reserve(missing.len());
+        for name in missing {
+            let atom = Atom(self.names.len() as u32);
+            self.names.push(name.clone());
+            self.index.insert(name.clone(), atom);
+        }
+        self.id_ordered = newer.id_ordered;
+    }
+
     /// Whether atom-id order agrees with lexicographic string order for
     /// every interned pair — true exactly when names were interned in
     /// strictly ascending order. While this holds, comparing atoms by
@@ -154,6 +177,27 @@ mod tests {
         assert_eq!(d.lookup("course-1"), Some(a));
         assert_eq!(d.lookup("missing"), None);
         assert_eq!(d.resolve(Atom(99)), None);
+    }
+
+    #[test]
+    fn catch_up_appends_only_the_missing_suffix() {
+        let mut live = Dictionary::new();
+        live.intern_all(["a", "b"]);
+        let mut copy = live.clone();
+        let kept = copy.resolve(Atom(0)).unwrap().as_ptr();
+        live.intern_all(["d", "c"]);
+        copy.catch_up(&live);
+        assert_eq!(copy.len(), 4);
+        assert_eq!(copy.lookup("c"), Some(Atom(3)));
+        assert_eq!(copy.resolve(Atom(2)), Some("d"));
+        assert!(!copy.is_id_ordered(), "the flag follows the newer copy");
+        assert_eq!(
+            copy.resolve(Atom(0)).unwrap().as_ptr(),
+            kept,
+            "existing entries are kept, not re-allocated"
+        );
+        copy.catch_up(&live);
+        assert_eq!(copy.len(), 4, "nothing missing, nothing appended");
     }
 
     #[test]

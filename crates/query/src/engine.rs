@@ -1091,9 +1091,10 @@ fn resolve_bound(
 
 /// The flat rows of `table` inside the predicate box `bound`, found the
 /// way a SELECT finds them: one pinned snapshot, shards pruned by the
-/// conjuncts on the routing attribute, segments skipped by zone maps,
-/// and every surviving tuple intersected with the box before it is
-/// expanded — a full-key predicate expands one row, not the table.
+/// conjuncts on the routing attribute, the matching tuples located in
+/// their segments, and every located tuple intersected with the box
+/// before it is expanded — a full-key predicate probes one tuple and
+/// expands one row, not the table.
 fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> Vec<FlatTuple> {
     let snapshot = table.snapshot();
     let routing = snapshot.routing();

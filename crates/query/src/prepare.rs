@@ -115,15 +115,13 @@ pub(crate) enum Phys {
         /// one. Empty for unsharded tables or plans without a routable
         /// conjunct (full scan).
         prune: Vec<usize>,
-        /// **Zone-map segment skipping**: `(attribute id, bound-store
-        /// index)` for *every* conjunct of the enclosing selection —
-        /// not just routing-attribute ones. At execute time the bound
-        /// value sets are checked against each sorted segment's
-        /// per-attribute min/max codes and non-overlapping segments are
-        /// skipped wholesale. Sound for any conjunct: a
-        /// skipped segment provably holds no atom of the bound set on
-        /// that attribute, and the enclosing selection re-checks every
-        /// surviving tuple anyway.
+        /// **Located scan**: `(attribute id, bound-store index)` for
+        /// *every* conjunct of the enclosing selection — not just
+        /// routing-attribute ones. At execute time the bound value sets
+        /// are looked up in each segment's value-major columns and the
+        /// scan yields exactly the tuples intersecting all of them; a
+        /// segment holding none is skipped. The enclosing selection
+        /// still narrows every yielded tuple to the box.
         zone: Vec<(usize, usize)>,
     },
     /// Box selection; constraint `k` reads its per-call atoms from the
@@ -283,8 +281,8 @@ impl PhysPlan {
                             }
                         }
                     }
-                    // Every conjunct — routing or not — also becomes a
-                    // zone-map check against segment min/max bounds.
+                    // Every conjunct — routing or not — also goes to the
+                    // segments, which locate the tuples to scan.
                     zone.extend(resolved.iter().copied());
                 }
                 Ok(PhysPlan {
@@ -521,8 +519,10 @@ fn resolved_orders(dict: &SharedDictionary, ob: &OrderBy, attrs: &[usize]) -> Ve
 }
 
 /// Per-scan pruning effect for EXPLAIN, computable only once every
-/// parameter is bound: how many shards the routing conjuncts leave, and
-/// how many segments the zone maps skip in them (reported per shard).
+/// parameter is bound: how many shards the routing conjuncts leave, how
+/// many of their segments hold no tuple for the zone conjuncts (reported
+/// per shard) and how many tuples the rest locate — the same
+/// `ShardVersion::locate` call execution scans from.
 fn scan_pruning_lines(
     node: &Phys,
     plan: &SelectPlan,
@@ -555,15 +555,16 @@ fn scan_pruning_lines(
                     .map(|&(attr, flat)| (attr, bound[flat].clone()))
                     .collect();
                 let counts = t.zone_skip_counts(&shards, &zones);
-                let skipped: usize = counts.iter().map(|&(k, _)| k).sum();
-                let total: usize = counts.iter().map(|&(_, n)| n).sum();
+                let skipped: usize = counts.iter().map(|c| c.skipped).sum();
+                let total: usize = counts.iter().map(|c| c.segments).sum();
+                let located: usize = counts.iter().map(|c| c.located).sum();
                 let per_shard: Vec<String> = shards
                     .iter()
                     .zip(&counts)
-                    .map(|(s, &(k, n))| format!("s{s} {k}/{n}"))
+                    .map(|(s, c)| format!("s{s} {}/{}", c.skipped, c.segments))
                     .collect();
                 line.push_str(&format!(
-                    ", segments skipped {skipped}/{total} [{}]",
+                    ", segments skipped {skipped}/{total}, rows located {located} [{}]",
                     per_shard.join(", ")
                 ));
             }
@@ -859,15 +860,14 @@ impl SelectPlan {
                 _ => true,
             }
         }
-        let snap = dict.snapshot();
         let slots = &self.slots;
         let resolve = |atom: Atom| -> Option<Atom> {
             if atom.id() < SLOT_BASE {
                 return Some(atom);
             }
             match &slots[(atom.id() - SLOT_BASE) as usize] {
-                Slot::Lit(s) => snap.lookup(s),
-                Slot::Param(i) => snap.lookup(params[*i].as_ref()),
+                Slot::Lit(s) => dict.lookup(s),
+                Slot::Param(i) => dict.lookup(params[*i].as_ref()),
             }
         };
         let mut out = Vec::new();
@@ -1174,8 +1174,8 @@ impl SelectPlan {
             )),
         }
         // With every parameter bound, the pruning effect is computable:
-        // which shards the routing conjuncts leave, and how many
-        // segments the zone maps skip in them.
+        // which shards the routing conjuncts leave, how many of their
+        // segments hold no match, and how many tuples the rest locate.
         if let Some(bound) = &bound {
             let mut lines = Vec::new();
             scan_pruning_lines(&self.phys.root, self, engine, bound, &mut lines)?;

@@ -88,17 +88,28 @@ impl SharedDictionary {
     ///
     /// Cheap on the hot path: because interning is append-only, the copy
     /// is cached and reused until the dictionary grows — result
-    /// rendering in a query loop clones an `Arc`, not every string.
+    /// rendering in a query loop clones an `Arc`, not every string — and
+    /// when it has grown, the cached copy is extended in place by the new
+    /// strings alone. Only a snapshot someone still holds (a cursor
+    /// mid-stream) forces a full copy, because that one must not change.
     pub fn snapshot(&self) -> Arc<Dictionary> {
-        let len = self.inner.dict.read().len();
+        // Lock order everywhere: `dict` before `snap`.
+        let live = self.inner.dict.read();
         if let Some(s) = self.inner.snap.read().as_ref() {
-            if s.len() == len {
+            if s.len() == live.len() {
                 return s.clone();
             }
         }
-        let fresh = Arc::new(self.inner.dict.read().clone());
-        *self.inner.snap.write() = Some(fresh.clone());
-        fresh
+        let mut cached = self.inner.snap.write();
+        match &mut *cached {
+            Some(snap) => {
+                if snap.len() != live.len() {
+                    Arc::make_mut(snap).catch_up(&live);
+                }
+                snap.clone()
+            }
+            None => cached.insert(Arc::new(live.clone())).clone(),
+        }
     }
 }
 
@@ -175,6 +186,30 @@ mod tests {
         let s3 = d.snapshot();
         assert!(!Arc::ptr_eq(&s1, &s3), "growth invalidates the cache");
         assert_eq!(s3.len(), 2);
+    }
+
+    #[test]
+    fn snapshot_after_growth_extends_the_cached_copy_in_place() {
+        let d = SharedDictionary::new();
+        let atoms: Vec<Atom> = (0..100).map(|i| d.intern(&format!("v{i:03}"))).collect();
+        let buffers = |snap: &Dictionary| -> Vec<*const u8> {
+            atoms
+                .iter()
+                .map(|&a| snap.resolve(a).expect("interned").as_ptr())
+                .collect()
+        };
+        let before = buffers(&d.snapshot());
+        // Nobody holds the old snapshot: one new string costs one new
+        // string — every existing name keeps its heap buffer.
+        d.intern("w");
+        let grown = d.snapshot();
+        assert_eq!(grown.len(), 101);
+        assert_eq!(buffers(&grown), before, "no per-existing-string allocation");
+        // A held snapshot must not change, so the next growth copies.
+        d.intern("x");
+        let copied = d.snapshot();
+        assert_eq!((grown.len(), copied.len()), (101, 102));
+        assert_ne!(buffers(&copied), before);
     }
 
     /// Snapshots taken during a concurrent intern storm are never torn:

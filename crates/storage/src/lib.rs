@@ -26,4 +26,4 @@ pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PAGE_SIZE};
-pub use table::{NfTable, TableScan, TableSnapshot, TableStats};
+pub use table::{NfTable, TableScan, TableSnapshot, TableStats, ZoneCounts};

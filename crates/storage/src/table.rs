@@ -31,7 +31,6 @@
 //! vector: zone-map skipping and the ordered k-way merge hold across
 //! writes, with no stale state to fall back from.
 
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +43,7 @@ use nf2_core::maintenance::CostCounter;
 use nf2_core::mvcc::{ShardVersion, TableVersion, VersionCell};
 use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
-use nf2_core::segment::ShardSegments;
+use nf2_core::segment::{Conjunct, Rows, ShardSegments};
 use nf2_core::shard::{
     apply_sub_batches, merge_shards, MaintenanceCost, ShardRouter, ShardSpec, ShardWriter,
     ShardedCanonical,
@@ -83,9 +82,9 @@ pub struct TableStats {
     pub inserts: u64,
     /// Rows deleted since creation.
     pub deletes: u64,
-    /// Whole columnar segments skipped by zone-map refutation
-    /// ([`NfTable::scan_shards_zoned`]) — their tuples were never
-    /// probed, so they are *not* in `units_probed`.
+    /// Segments in which a zoned scan
+    /// ([`NfTable::scan_shards_zoned`]) located no tuple — none of
+    /// their tuples was probed, so they are *not* in `units_probed`.
     pub segments_skipped: u64,
     /// Version publications submitted by writers. Concurrent
     /// submissions may coalesce into fewer epoch bumps (the install
@@ -761,7 +760,7 @@ impl NfTable {
         &self,
         shards: &[usize],
         zones: &[(AttrId, ValueSet)],
-    ) -> Vec<(usize, usize)> {
+    ) -> Vec<ZoneCounts> {
         self.snapshot().zone_skip_counts(shards, zones)
     }
 
@@ -1077,7 +1076,7 @@ impl TableSnapshot {
         self.version.shard_count()
     }
 
-    /// One pinned shard's columnar segment synopsis.
+    /// One pinned shard's segments.
     pub fn shard_segments(&self, shard: usize) -> &ShardSegments {
         self.version.shard(shard).segments()
     }
@@ -1123,78 +1122,81 @@ impl TableSnapshot {
         self.scan_shards_zoned(shards, &[])
     }
 
-    /// A zero-copy, probe-counted scan over `shards` that additionally
-    /// skips whole columnar segments whose zone maps refute any of the
-    /// `zones` conjuncts — `(attr, values)` pairs meaning "the `attr`
-    /// component must intersect `values`". A segment whose `[min, max]`
-    /// range for `attr` excludes every value in `values` cannot hold a
-    /// matching tuple, so its tuples are never yielded (and never
-    /// probe-counted); the skip itself is tallied in
-    /// [`TableStats::segments_skipped`].
+    /// A zero-copy, probe-counted scan over `shards` that yields exactly
+    /// the tuples their segments locate for the `zones` conjuncts —
+    /// `(attr, values)` pairs meaning "the `attr` component must
+    /// intersect `values`" ([`ShardVersion::locate`]: binary search and
+    /// list intersection in the value-major columns, no tuple touched).
+    /// Only located tuples are yielded and probe-counted; a segment that
+    /// holds none is tallied in [`TableStats::segments_skipped`].
     ///
-    /// Zone maps are an optimization, never a semantic filter (a zone is
-    /// a `[min, max]` range, not a set), so callers still apply the real
-    /// predicate downstream.
+    /// A located tuple *intersects* every conjunct; its components are
+    /// not narrowed to them, so callers still apply the real predicate
+    /// (`filter_box`) downstream.
     pub fn scan_shards_zoned(&self, shards: &[usize], zones: &[(AttrId, ValueSet)]) -> TableScan {
-        let mut parts: Vec<(Arc<ShardVersion>, Range<usize>)> = Vec::new();
+        let conjuncts = conjuncts_of(zones);
+        let mut parts: Vec<(Arc<ShardVersion>, Rows)> = Vec::new();
         let mut skipped = 0u64;
         for &i in shards {
             let Some(v) = self.version.shards().get(i) else {
                 continue;
             };
-            if zones.is_empty() {
-                let len = v.tuples().len();
-                parts.push((Arc::clone(v), 0..len));
-                continue;
-            }
-            for (range, seg) in v.segments().ranges() {
-                if zones.iter().all(|(attr, vals)| seg.admits(*attr, vals)) {
-                    parts.push((Arc::clone(v), range));
-                } else {
-                    skipped += 1;
-                }
-            }
+            let located = v.locate(&conjuncts);
+            skipped += located.skipped as u64;
+            parts.push((Arc::clone(v), located.rows));
         }
         TableScan {
             parts,
             part: 0,
-            idx: 0,
             stats: Arc::clone(&self.stats),
             yielded: 0,
             skipped,
         }
     }
 
-    /// Counts, without scanning anything, how many segments of each
-    /// listed shard the zone conjuncts would skip: `(skipped, total)`
-    /// per shard, in the order given. This is the static side of
-    /// EXPLAIN's pruning report;
-    /// [`scan_shards_zoned`](Self::scan_shards_zoned) is the execution
-    /// side and its [`TableStats::segments_skipped`] tally agrees with
-    /// the sum reported here.
+    /// What [`scan_shards_zoned`](Self::scan_shards_zoned) would do on
+    /// each listed shard, from the same [`ShardVersion::locate`] call and
+    /// without yielding a tuple: in the order given, how many of the
+    /// shard's segments hold no located tuple and how many tuples are
+    /// located. This is EXPLAIN's pruning report; the execution side's
+    /// [`TableStats::segments_skipped`] and `units_probed` tallies agree
+    /// with the sums reported here.
     pub fn zone_skip_counts(
         &self,
         shards: &[usize],
         zones: &[(AttrId, ValueSet)],
-    ) -> Vec<(usize, usize)> {
+    ) -> Vec<ZoneCounts> {
+        let conjuncts = conjuncts_of(zones);
         shards
             .iter()
             .filter_map(|&i| self.version.shards().get(i))
             .map(|v| {
-                let ss = v.segments();
-                let total = ss.segment_count();
-                if zones.is_empty() {
-                    return (0, total);
+                let located = v.locate(&conjuncts);
+                ZoneCounts {
+                    skipped: located.skipped,
+                    segments: v.segments().segment_count(),
+                    located: located.rows.len(),
                 }
-                let kept = ss
-                    .segments()
-                    .iter()
-                    .filter(|seg| zones.iter().all(|(attr, vals)| seg.admits(*attr, vals)))
-                    .count();
-                (total - kept, total)
             })
             .collect()
     }
+}
+
+/// The zone conjuncts of a scan as the segments take them.
+fn conjuncts_of(zones: &[(AttrId, ValueSet)]) -> Vec<Conjunct<'_>> {
+    zones.iter().map(|(a, vs)| (*a, vs.as_slice())).collect()
+}
+
+/// One shard's share of a zoned scan's pruning effect
+/// ([`TableSnapshot::zone_skip_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZoneCounts {
+    /// Segments holding no located tuple.
+    pub skipped: usize,
+    /// Segments in the shard.
+    pub segments: usize,
+    /// Tuples located (what a scan yields and probe-counts).
+    pub located: usize,
 }
 
 /// One persisted segment's metadata: row count, distinct-outer
@@ -1385,17 +1387,14 @@ fn check_persisted_segments(canon: &ShardedCanonical, persisted: &PersistedSegme
 /// the per-tuple hot path takes no lock.
 #[derive(Debug)]
 pub struct TableScan {
-    /// Pinned shard versions with the tuple range to stream from each,
-    /// in shard order.
-    parts: Vec<(Arc<ShardVersion>, Range<usize>)>,
+    /// Pinned shard versions with the positions (in the version's tuple
+    /// slice) still to stream from each, in shard order.
+    parts: Vec<(Arc<ShardVersion>, Rows)>,
     /// Current part index.
     part: usize,
-    /// Next tuple within the current part (absolute index into the
-    /// shard version's tuple slice).
-    idx: usize,
     stats: Arc<SharedTableStats>,
     yielded: u64,
-    /// Segments excluded up front by zone maps (settled on drop).
+    /// Segments that held no located tuple (settled on drop).
     skipped: u64,
 }
 
@@ -1404,16 +1403,13 @@ impl Iterator for TableScan {
 
     fn next(&mut self) -> Option<TupleView<'static>> {
         loop {
-            let (version, range) = self.parts.get(self.part)?;
-            let at = self.idx.max(range.start);
-            if at < range.end {
-                self.idx = at + 1;
+            let (version, rows) = self.parts.get_mut(self.part)?;
+            if let Some(at) = rows.next() {
                 self.yielded += 1;
                 let store: Arc<dyn TupleStore> = version.clone();
                 return Some(TupleView::shared(store, at));
             }
             self.part += 1;
-            self.idx = 0;
         }
     }
 
@@ -1423,14 +1419,7 @@ impl Iterator for TableScan {
             .get(self.part..)
             .unwrap_or_default()
             .iter()
-            .enumerate()
-            .map(|(n, (_, range))| {
-                if n == 0 {
-                    range.end.saturating_sub(self.idx.max(range.start))
-                } else {
-                    range.len()
-                }
-            })
+            .map(|(_, rows)| rows.len())
             .sum();
         (remaining, Some(remaining))
     }
@@ -2042,22 +2031,26 @@ mod tests {
         let full = t.scan_shards(&[0]).count();
         let zoned = t.scan_shards_zoned(&[0], &zones).count();
         let after = t.stats();
-        assert!(zoned < full, "zone maps must exclude tuples up front");
+        assert_eq!(zoned, 1, "A values are unique: one tuple is located");
         // Probe accounting: the zoned scan charged only what it yielded,
-        // and tallied the skipped segments.
+        // and tallied every segment that located nothing.
         assert_eq!(
             after.units_probed - before.units_probed,
             (full + zoned) as u64
         );
         let skipped = after.segments_skipped - before.segments_skipped;
-        assert!(
-            skipped as usize * 2 >= total_segments,
-            "a point predicate must skip at least half the segments: {skipped}/{total_segments}"
-        );
+        assert_eq!(skipped as usize, total_segments - 1);
         let counts = t.zone_skip_counts(&[0], &zones);
-        assert_eq!(counts, vec![(skipped as usize, total_segments)]);
-        // Soundness: the zoned scan still yields every actually-matching
-        // tuple (zone maps over-approximate, never under-approximate).
+        assert_eq!(
+            counts,
+            vec![ZoneCounts {
+                skipped: skipped as usize,
+                segments: total_segments,
+                located: zoned,
+            }]
+        );
+        // Exactness: the zoned scan yields every actually-matching tuple
+        // and nothing else.
         let target = t.dict().lookup("a00007").unwrap();
         let matches_full = t
             .scan_shards(&[0])
@@ -2072,6 +2065,7 @@ mod tests {
             .filter(|tp| tp.component(0).contains(target))
             .count();
         assert_eq!(matches_full, matches_zoned);
+        assert_eq!(matches_zoned, zoned);
     }
 
     #[test]
@@ -2081,19 +2075,20 @@ mod tests {
             .expect("looked-up atoms form a set");
         let zones = vec![(0usize, vals)];
         let zoned_before = t.scan_shards_zoned(&[0], &zones).count();
-        assert!(zoned_before < t.scan_shards(&[0]).count());
-        // A point insert repairs the one segment it lands in; every
-        // other segment keeps refuting the predicate, and the zoned
-        // scan still sees every tuple the full scan would match.
+        assert_eq!(zoned_before, 1);
+        // A point insert re-encodes the one segment it lands in (the
+        // located tuple's own); every other segment keeps refuting the
+        // predicate, and the zoned scan still sees exactly the tuples
+        // the full scan would match.
         t.insert_row(&["zz", "b0000"]).unwrap();
         t.sharded().verify().unwrap();
         let before = t.stats().segments_skipped;
         let zoned = t.scan_shards_zoned(&[0], &zones).count();
-        assert!(zoned < t.scan_shards(&[0]).count(), "still skipping");
-        assert!(zoned <= zoned_before + 1, "one tuple entered one segment");
+        assert_eq!(zoned, zoned_before, "the new tuple does not hold a00003");
         let skipped = t.stats().segments_skipped - before;
-        assert!(skipped > 0, "written shards keep skipping segments");
-        assert_eq!(t.zone_skip_counts(&[0], &zones)[0].0 as u64, skipped);
+        let counts = t.zone_skip_counts(&[0], &zones)[0];
+        assert_eq!(skipped as usize, counts.segments - 1);
+        assert_eq!((counts.skipped as u64, counts.located), (skipped, zoned));
         let target = t.dict().lookup("a00003").unwrap();
         let hits = |scan: TableScan| scan.filter(|tp| tp.component(0).contains(target)).count();
         assert_eq!(

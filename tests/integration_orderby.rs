@@ -12,6 +12,7 @@
 //! * an equality on the outermost nest attribute over 4 hash shards
 //!   scans **exactly one shard's tuples**, charged to the probe counter.
 
+use nf2::core::Atom;
 use nf2::query::{Engine, Output};
 
 /// An engine holding `groups` canonical tuples (one per zero-padded
@@ -156,6 +157,19 @@ fn sharded_engine() -> Engine {
     engine
 }
 
+/// How many tuples of one shard hold `value` in their `attr` component —
+/// what a located scan for `attr = value` pruned to that shard probes.
+fn tuples_holding(table: &nf2::storage::NfTable, shard: usize, attr: usize, value: Atom) -> usize {
+    table
+        .sharded()
+        .shard(shard)
+        .relation()
+        .tuples()
+        .iter()
+        .filter(|t| t.component(attr).contains(value))
+        .count()
+}
+
 #[test]
 fn outer_attribute_equality_scans_exactly_one_shard() {
     let engine = sharded_engine();
@@ -173,7 +187,10 @@ fn outer_attribute_equality_scans_exactly_one_shard() {
          ({home_tuples} of {total})"
     );
 
-    // Probe-counted: the equality scans exactly the routed shard.
+    // Probe-counted: the equality probes exactly the routed shard's
+    // tuples that hold b07 — located in its segments, not scanned for.
+    let located = tuples_holding(&table, home, 1, b07);
+    assert!((1..=home_tuples).contains(&located));
     let before = table.stats();
     let n = session
         .query("SELECT COUNT(*) FROM t WHERE B = 'b07'")
@@ -183,8 +200,8 @@ fn outer_attribute_equality_scans_exactly_one_shard() {
     let after = session.engine().table("t").unwrap().stats();
     assert_eq!(
         (after.units_probed - before.units_probed) as usize,
-        home_tuples,
-        "equality on the outer attribute scans one shard, not {total}"
+        located,
+        "equality on the outer attribute probes one shard's matches, not {total}"
     );
 
     // An unconstrained scan still pays for every shard.
@@ -199,24 +216,21 @@ fn outer_attribute_equality_scans_exactly_one_shard() {
     let after = session.engine().table("t").unwrap().stats();
     assert_eq!((after.units_probed - before.units_probed) as usize, total);
 
-    // An IN list unions the routed shards (≤ one per value).
+    // An IN list unions the routed shards (≤ one per value) and
+    // probes their tuples holding either value.
     let b03 = session.engine().dict().lookup("b03").unwrap();
-    let shards = session
-        .engine()
-        .table("t")
-        .unwrap()
+    let table = session.engine().table("t").unwrap();
+    let expected: usize = table
         .routing()
-        .shards_for_values(&[b07, b03]);
-    let expected: usize = shards
+        .shards_for_values(&[b07, b03])
         .iter()
         .map(|&s| {
-            session
-                .engine()
-                .table("t")
-                .unwrap()
-                .sharded()
-                .shard(s)
-                .tuple_count()
+            let tuples = table.sharded();
+            let tuples = tuples.shard(s).relation().tuples();
+            let holds = |t: &&nf2::core::NfTuple| {
+                t.component(1).contains(b07) || t.component(1).contains(b03)
+            };
+            tuples.iter().filter(holds).count()
         })
         .sum();
     let before = session.engine().table("t").unwrap().stats();
@@ -293,15 +307,15 @@ fn prepared_statements_prune_per_binding() {
         let atom = session.engine().dict().lookup(b).unwrap();
         let table = session.engine().table("t").unwrap();
         let home = table.routing().spec().route_value(atom);
-        let home_tuples = table.sharded().shard(home).tuple_count();
+        let located = tuples_holding(&table, home, 1, atom);
         let before = table.stats();
         let cursor = stmt.query(&session, &[b]).unwrap();
         assert_eq!(cursor.flat_count(), 20);
         let after = session.engine().table("t").unwrap().stats();
         assert_eq!(
             (after.units_probed - before.units_probed) as usize,
-            home_tuples,
-            "binding {b} prunes to its own shard"
+            located,
+            "binding {b} probes its own shard's matches"
         );
     }
     // A never-interned binding is statically empty: zero probes.
@@ -335,10 +349,7 @@ fn join_pushdown_prunes_the_owning_side() {
     // equality into both join sides, and sc's side prunes its scan.
     let c05 = session.engine().dict().lookup("c05").unwrap();
     let sc = session.engine().table("sc").unwrap();
-    let home_tuples = sc
-        .sharded()
-        .shard(sc.routing().spec().route_value(c05))
-        .tuple_count();
+    let located = tuples_holding(&sc, sc.routing().spec().route_value(c05), 1, c05);
     let sc_before = sc.stats();
     let out = session
         .run("SELECT Student, Prof FROM sc JOIN cp WHERE Course = 'c05'")
@@ -351,7 +362,7 @@ fn join_pushdown_prunes_the_owning_side() {
     let sc_after = session.engine().table("sc").unwrap().stats();
     assert_eq!(
         (sc_after.units_probed - sc_before.units_probed) as usize,
-        home_tuples,
-        "the probe side scans only Course='c05''s shard"
+        located,
+        "the probe side probes only Course='c05''s tuples in its shard"
     );
 }

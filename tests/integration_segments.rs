@@ -1,6 +1,6 @@
-//! Segment-subsystem acceptance (PR 7): ordered scans over sorted
-//! columnar segments, the k-way merge top-k, and zone-map segment
-//! skipping — all probe-counted through the SQL surface.
+//! Segment-subsystem acceptance: ordered scans over sorted value-major
+//! segments, the k-way merge top-k, and located reads that skip every
+//! segment holding no match — all probe-counted through the SQL surface.
 //!
 //! Three acceptance bars:
 //!
@@ -10,10 +10,10 @@
 //! * a §4 point op leaves the routed shard sorted and its segments
 //!   repaired, so the *same* SQL keeps the merge path — identical
 //!   tuples, the same handful of probes;
-//! * an equality on a **non-routing** attribute skips every segment
-//!   whose zone `[min, max]` cannot contain the value, charged to the
-//!   `segments_skipped` counter, without changing any answer — before
-//!   and after point writes.
+//! * an equality on a **non-routing** attribute probes exactly the
+//!   tuples holding the value and skips every segment holding none,
+//!   charged to the `segments_skipped` counter, without changing any
+//!   answer — before and after point writes.
 
 use nf2::core::schema::NestOrder;
 use nf2::core::shard::ShardSpec;
@@ -170,18 +170,19 @@ fn zone_maps_skip_segments_on_a_non_routing_equality() {
     let after = engine.table("t").unwrap().stats();
     assert_eq!(n, 1, "A values are unique");
     let skipped = (after.segments_skipped - before.segments_skipped) as usize;
-    assert!(
-        skipped * 2 >= total_segments,
-        "zone maps must skip at least half the segments: {skipped}/{total_segments}"
+    assert_eq!(
+        skipped,
+        total_segments - 1,
+        "every segment but the one holding the value is skipped"
     );
     let probed = after.units_probed - before.units_probed;
-    assert!(
-        (probed as usize) < 512 / 2,
-        "skipped segments are never probed: {probed} of 512"
+    assert_eq!(
+        probed, 1,
+        "the one tuple holding the value is probed, of 512"
     );
 
-    // A point write repairs the one segment it lands in; every shard
-    // keeps skipping, and the answer never changes.
+    // A point write re-encodes the one segment it lands in; every shard
+    // keeps locating, and the answer never changes.
     engine
         .session()
         .run("INSERT INTO t VALUES ('zz_a', 'zz_b')")
@@ -202,9 +203,9 @@ fn zone_maps_skip_segments_on_a_non_routing_equality() {
         "the written shard keeps zone-skipping: {skipped_written} >= {skipped}"
     );
     let probed_written = after.units_probed - before.units_probed;
-    assert!(
-        probed_written <= probed + 1,
-        "at most the new tuple is probed on top: {probed_written} vs {probed}"
+    assert_eq!(
+        probed_written, probed,
+        "the new tuple does not hold the value, so it is not probed"
     );
 }
 
@@ -228,10 +229,11 @@ fn full_key_delete_probes_one_shard_and_builds_no_merge() {
         .unwrap();
     let after = t.stats();
     assert!(matches!(out, nf2::query::Output::Affected(1)), "{out:?}");
-    assert!(
-        after.units_probed - before.units_probed <= routed as u64,
-        "a full-key DELETE probes at most its routed shard: {} > {routed}",
-        after.units_probed - before.units_probed
+    assert!(routed > 1, "the routed shard holds other tuples too");
+    assert_eq!(
+        after.units_probed - before.units_probed,
+        1,
+        "a full-key DELETE probes the one tuple holding the key, of {routed} in its shard"
     );
     assert_eq!(after.lookups - before.lookups, 1, "one routed scan");
     assert_eq!(after.snapshot_pins - before.snapshot_pins, 1, "one pin");
@@ -248,7 +250,11 @@ fn full_key_delete_probes_one_shard_and_builds_no_merge() {
         .run("UPDATE t SET A = 'a00401' WHERE B = 'b0200'")
         .unwrap();
     let after = t.stats();
-    assert!(after.units_probed - before.units_probed <= routed as u64);
+    assert_eq!(
+        after.units_probed - before.units_probed,
+        1,
+        "one tuple holds b0200"
+    );
     assert_eq!(t.merged_epoch(), None);
     t.sharded().verify().unwrap();
 }
