@@ -20,8 +20,8 @@
 //! Every operator preserves the partition invariant (disjoint rectangles
 //! in, disjoint rectangles out), which is what lets
 //! [`RelStream::into_relation`] materialize with the linear-time
-//! [`NfRelation::from_disjoint_tuples`] instead of the quadratic
-//! validating constructor.
+//! [`NfRelation::from_disjoint_tuples`] instead of the validating
+//! constructor.
 
 use std::cmp::Ordering;
 use std::sync::atomic::AtomicUsize;
@@ -84,8 +84,8 @@ pub enum SortDir {
 /// semantics instead of intern-order semantics).
 pub type AtomCmp = Arc<dyn Fn(Atom, Atom) -> Ordering + Send + Sync>;
 
-/// A total order on NF² tuples over one attribute — the key of the
-/// [`sorted`](RelStream::sorted) and [`top_k`](RelStream::top_k)
+/// A total order on NF² tuples over one attribute — one key of the
+/// [`sorted_by`](RelStream::sorted_by) and [`top_k_by`](RelStream::top_k_by)
 /// operators.
 ///
 /// An NF² tuple's component on the attribute is a *set*; the tuple's
@@ -93,8 +93,8 @@ pub type AtomCmp = Arc<dyn Fn(Atom, Atom) -> Ordering + Send + Sync>;
 /// minimum for [`SortDir::Asc`], the maximum for [`SortDir::Desc`] — so
 /// "top-k groups" ranks each group by its best value. Tuples with equal
 /// keys compare equal; both operators break such ties by stream
-/// position (stable), which is what makes `top_k(k)` tuple-identical to
-/// a stable full sort followed by `take(k)`.
+/// position (stable), which is what makes `top_k_by(k)` tuple-identical
+/// to a stable full sort followed by `take(k)`.
 #[derive(Clone)]
 pub struct TupleOrder {
     attr: usize,
@@ -181,10 +181,10 @@ pub fn cmp_compound_keys(orders: &[TupleOrder], a: &[Atom], b: &[Atom]) -> Order
         .unwrap_or(Ordering::Equal)
 }
 
-/// Observable counters of one [`top_k`](RelStream::top_k) execution:
-/// how many tuples the operator pulled from its input and the largest
-/// number it ever held at once (`≤ k` by construction — this is the
-/// bounded-memory claim, pinned by tests and the E19 experiment).
+/// Observable counters of one [`top_k_by`](RelStream::top_k_by)
+/// execution: how many tuples the operator pulled from its input and the
+/// largest number it ever held at once (`≤ k` by construction — this is
+/// the bounded-memory claim, pinned by tests).
 #[derive(Debug, Default)]
 pub struct TopKStats {
     /// Tuples pulled from the input stream.
@@ -301,25 +301,11 @@ impl<'a> RelStream<'a> {
         self.iter.map(|t| t.expansion_count()).sum()
     }
 
-    /// Blocking sort by `order` (stable: equal keys keep their stream
-    /// order). The input is drained on the **first pull**, not at
-    /// construction, so an unconsumed sorted stream costs nothing.
-    pub fn sorted(self, order: TupleOrder) -> RelStream<'a> {
-        let RelStream { schema, iter } = self;
-        let out = lazy_iter(move || {
-            let mut entries: Vec<(Atom, usize, TupleView<'a>)> = iter
-                .enumerate()
-                .map(|(seq, t)| (order.key_of(t.as_tuple()), seq, t))
-                .collect();
-            entries.sort_by(|(ka, sa, _), (kb, sb, _)| order.cmp_keys(*ka, *kb).then(sa.cmp(sb)));
-            Box::new(entries.into_iter().map(|(_, _, t)| t)) as TupleIter<'a>
-        });
-        RelStream::new(schema, out)
-    }
-
     /// Blocking sort by a **compound** order (`ORDER BY a, b DESC, …`):
-    /// lexicographic over the orders' keys, stable on full ties. With a
-    /// single order this is exactly [`sorted`](Self::sorted).
+    /// lexicographic over the orders' keys, stable on full ties (equal
+    /// keys keep their stream order). The input is drained on the
+    /// **first pull**, not at construction, so an unconsumed sorted
+    /// stream costs nothing.
     pub fn sorted_by(self, orders: Vec<TupleOrder>) -> RelStream<'a> {
         let RelStream { schema, iter } = self;
         let out = lazy_iter(move || {
@@ -403,21 +389,22 @@ impl<'a> RelStream<'a> {
         RelStream::new(schema, out)
     }
 
-    /// Streaming top-k: the first `k` tuples of [`sorted`](Self::sorted)
-    /// — tuple-identical, ties included — computed with a **bounded
-    /// binary heap** that pulls the input exactly once and retains at
-    /// most `k` tuples at any moment (never the full input). `k = 0`
-    /// yields nothing and pulls nothing. Work happens on the first pull.
-    pub fn top_k(self, order: TupleOrder, k: usize) -> RelStream<'a> {
-        self.top_k_with_stats(order, k, Arc::new(TopKStats::default()))
+    /// Streaming top-k: the first `k` tuples of
+    /// [`sorted_by`](Self::sorted_by) — tuple-identical, ties included —
+    /// computed with a **bounded binary heap** that pulls the input
+    /// exactly once and retains at most `k` tuples at any moment (never
+    /// the full input). `k = 0` yields nothing and pulls nothing. Work
+    /// happens on the first pull.
+    pub fn top_k_by(self, orders: Vec<TupleOrder>, k: usize) -> RelStream<'a> {
+        self.top_k_by_with_stats(orders, k, Arc::new(TopKStats::default()))
     }
 
-    /// [`top_k`](Self::top_k) with shared counters: `stats` records the
-    /// tuples pulled and the peak heap occupancy (`≤ k`), which is how
-    /// tests and the E19 experiment pin the bounded-memory claim.
-    pub fn top_k_with_stats(
+    /// [`top_k_by`](Self::top_k_by) with shared counters: `stats`
+    /// records the tuples pulled and the peak heap occupancy (`≤ k`),
+    /// which is how tests pin the bounded-memory claim.
+    pub fn top_k_by_with_stats(
         self,
-        order: TupleOrder,
+        orders: Vec<TupleOrder>,
         k: usize,
         stats: Arc<TopKStats>,
     ) -> RelStream<'a> {
@@ -428,70 +415,33 @@ impl<'a> RelStream<'a> {
             // this across plan shapes).
             return RelStream::empty(schema);
         }
-        let (key_order, cmp_order) = (order.clone(), order);
-        let out = bounded_top_k(
-            iter,
-            k,
-            stats,
-            move |t| key_order.key_of(t),
-            move |&a, &b| cmp_order.cmp_keys(a, b),
-        );
-        RelStream::new(schema, out)
-    }
-
-    /// [`top_k`](Self::top_k) under a compound order — the first `k`
-    /// tuples of [`sorted_by`](Self::sorted_by), computed with the same
-    /// bounded heap (at most `k` tuples retained).
-    pub fn top_k_by(self, orders: Vec<TupleOrder>, k: usize) -> RelStream<'a> {
-        self.top_k_by_with_stats(orders, k, Arc::new(TopKStats::default()))
-    }
-
-    /// [`top_k_by`](Self::top_k_by) with shared counters.
-    pub fn top_k_by_with_stats(
-        self,
-        orders: Vec<TupleOrder>,
-        k: usize,
-        stats: Arc<TopKStats>,
-    ) -> RelStream<'a> {
-        let RelStream { schema, iter } = self;
-        if k == 0 {
-            return RelStream::empty(schema);
-        }
-        let (key_orders, cmp_orders) = (orders.clone(), orders);
-        let out = bounded_top_k(
-            iter,
-            k,
-            stats,
-            move |t| compound_key_of(&key_orders, t),
-            move |a: &Vec<Atom>, b| cmp_compound_keys(&cmp_orders, a, b),
-        );
-        RelStream::new(schema, out)
+        RelStream::new(schema, bounded_top_k(iter, k, stats, orders))
     }
 }
 
-/// The bounded-heap top-k core shared by the single-key and compound
-/// operators: pulls the input exactly once, retains at most `k` entries,
-/// emits the stable-sort prefix. `cmp` ranks extracted keys in emission
-/// order (`Less` = emitted first).
-fn bounded_top_k<'a, K: 'a>(
+/// The bounded-heap top-k core: pulls the input exactly once, retains at
+/// most `k` entries, emits the stable-sort prefix under `orders`.
+fn bounded_top_k<'a>(
     iter: TupleIter<'a>,
     k: usize,
     stats: Arc<TopKStats>,
-    key_of: impl Fn(&NfTuple) -> K + 'a,
-    cmp: impl Fn(&K, &K) -> Ordering + 'a,
+    orders: Vec<TupleOrder>,
 ) -> TupleIter<'a> {
     use std::sync::atomic::Ordering::Relaxed;
+    type Entry<'a> = (Vec<Atom>, usize, TupleView<'a>);
     lazy_iter(move || {
+        // Ranks entries in emission order (`Less` = emitted first).
+        let rank = |a: &Entry<'a>, b: &Entry<'a>| {
+            cmp_compound_keys(&orders, &a.0, &b.0).then(a.1.cmp(&b.1))
+        };
         // Max-heap with the *worst* retained entry at the root
         // ("worst" = latest in emission order), so a better incoming
         // tuple evicts it in O(log k).
-        let mut heap: Vec<(K, usize, TupleView<'a>)> = Vec::with_capacity(k.min(1024));
-        let worse = |a: &(K, usize, TupleView<'a>), b: &(K, usize, TupleView<'a>)| {
-            cmp(&a.0, &b.0).then(a.1.cmp(&b.1)) == Ordering::Greater
-        };
+        let mut heap: Vec<Entry<'a>> = Vec::with_capacity(k.min(1024));
+        let worse = |a: &Entry<'a>, b: &Entry<'a>| rank(a, b) == Ordering::Greater;
         for (seq, t) in iter.enumerate() {
             stats.pulled.fetch_add(1, Relaxed);
-            let entry = (key_of(t.as_tuple()), seq, t);
+            let entry = (compound_key_of(&orders, t.as_tuple()), seq, t);
             if heap.len() < k {
                 // Sift up.
                 heap.push(entry);
@@ -529,7 +479,7 @@ fn bounded_top_k<'a, K: 'a>(
                 }
             }
         }
-        heap.sort_by(|(ka, sa, _), (kb, sb, _)| cmp(ka, kb).then(sa.cmp(sb)));
+        heap.sort_by(rank);
         Box::new(heap.into_iter().map(|(_, _, t)| t)) as TupleIter<'a>
     })
 }
@@ -796,7 +746,7 @@ mod tests {
             for attr in 0..2 {
                 let order = TupleOrder::by_atom_id(attr, dir);
                 let got: Vec<NfTuple> = RelStream::scan(&rel)
-                    .sorted(order.clone())
+                    .sorted_by(vec![order.clone()])
                     .map(TupleView::into_owned)
                     .collect();
                 assert_eq!(
@@ -824,7 +774,7 @@ mod tests {
                     let order = TupleOrder::by_atom_id(attr, dir);
                     let stats = Arc::new(TopKStats::default());
                     let got: Vec<NfTuple> = RelStream::scan(&rel)
-                        .top_k_with_stats(order.clone(), k, stats.clone())
+                        .top_k_by_with_stats(vec![order.clone()], k, stats.clone())
                         .map(TupleView::into_owned)
                         .collect();
                     assert_eq!(got, sort_truncate(&rel, &order, k), "attr {attr} k {k}");
@@ -855,7 +805,7 @@ mod tests {
         let rel = NfRelation::from_disjoint_tuples(schema, tuples).unwrap();
         let order = TupleOrder::by_atom_id(1, SortDir::Asc);
         let got: Vec<NfTuple> = RelStream::scan(&rel)
-            .top_k(order.clone(), 3)
+            .top_k_by(vec![order.clone()], 3)
             .map(TupleView::into_owned)
             .collect();
         assert_eq!(got, sort_truncate(&rel, &order, 3));
@@ -883,11 +833,11 @@ mod tests {
         let cmp: AtomCmp = Arc::new(|a: Atom, b: Atom| b.id().cmp(&a.id()));
         let order = TupleOrder::with_cmp(0, SortDir::Asc, cmp);
         let got: Vec<NfTuple> = RelStream::scan(&rel)
-            .sorted(order)
+            .sorted_by(vec![order])
             .map(TupleView::into_owned)
             .collect();
         let by_id_desc: Vec<NfTuple> = RelStream::scan(&rel)
-            .sorted(TupleOrder::by_atom_id(0, SortDir::Desc))
+            .sorted_by(vec![TupleOrder::by_atom_id(0, SortDir::Desc)])
             .map(TupleView::into_owned)
             .collect();
         assert_eq!(got, by_id_desc);
@@ -911,7 +861,7 @@ mod tests {
                 pulls.set(pulls.get() + 1);
             }));
         let stream = RelStream::new(rel.schema().clone(), counted)
-            .sorted(TupleOrder::by_atom_id(0, SortDir::Asc));
+            .sorted_by(vec![TupleOrder::by_atom_id(0, SortDir::Asc)]);
         drop(stream);
         assert_eq!(pulls.get(), 0, "dropped-before-pull sort reads nothing");
     }
@@ -947,16 +897,6 @@ mod tests {
                 vec![Atom(2), Atom(3)],
             ]
         );
-        // A single compound key degenerates to the plain sort.
-        let single: Vec<NfTuple> = RelStream::scan(&rel)
-            .sorted_by(vec![TupleOrder::by_atom_id(0, SortDir::Asc)])
-            .map(TupleView::into_owned)
-            .collect();
-        let plain: Vec<NfTuple> = RelStream::scan(&rel)
-            .sorted(TupleOrder::by_atom_id(0, SortDir::Asc))
-            .map(TupleView::into_owned)
-            .collect();
-        assert_eq!(single, plain);
     }
 
     #[test]
@@ -993,7 +933,7 @@ mod tests {
         let rel = sc();
         let order = TupleOrder::by_atom_id(1, SortDir::Asc);
         let sorted_all: Vec<NfTuple> = RelStream::scan(&rel)
-            .sorted(order.clone())
+            .sorted_by(vec![order.clone()])
             .map(TupleView::into_owned)
             .collect();
         // Parts = odd/even positions of the sorted list (each sorted).

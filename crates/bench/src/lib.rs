@@ -1,17 +1,23 @@
-//! # nf2-bench — the reproduction harness
+//! # nf2-bench — the paper reproduction harness
 //!
 //! One function per paper artifact (figures 1–3, Examples 1–3,
 //! Theorems 2–5 and A-4, and the prose claims on compression, search
-//! space and update cost), each returning a printable [`Report`].
+//! space and update cost), each returning a printable [`Report`] —
+//! experiments E1–E15, exact counters throughout.
 //!
 //! * `cargo run -p nf2-bench --bin repro --release` regenerates every
-//!   table (add `--md` for Markdown, or experiment ids to filter);
-//! * `cargo bench` runs the Criterion timing benches built on the same
-//!   experiment code.
+//!   table (add `--md` for Markdown, `--json=PATH` for a machine-readable
+//!   report, or experiment ids to filter);
+//! * `cargo bench` times the paper-level operators (algebra,
+//!   compression, dependency checks) with Criterion.
+//!
+//! The *system's* performance — workloads, end-to-end and per-layer
+//! metrics — is measured by the standalone `benchmark/` package, and its
+//! exact counters are asserted by the test suites.
 
 pub mod experiments;
 pub mod flat_table;
 pub mod report;
 
 pub use experiments::{experiment_ids, run_all, run_one};
-pub use report::{parse_baseline, Report};
+pub use report::Report;

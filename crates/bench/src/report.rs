@@ -6,7 +6,7 @@ use nf2_core::display::render_table;
 /// One experiment's result table.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Experiment id (E1…E12, matching DESIGN.md §6).
+    /// Experiment id (E1…E15).
     pub id: String,
     /// Title naming the paper artifact reproduced.
     pub title: String,
@@ -53,10 +53,10 @@ impl Report {
         out
     }
 
-    /// JSON rendering for machine-readable baselines (`BENCH_seed.json`).
+    /// JSON rendering for the machine-readable report (`repro --json=…`).
     ///
-    /// `elapsed_millis` is the wall-clock time the experiment took; it is
-    /// part of the baseline so future PRs can track the perf trajectory.
+    /// `elapsed_millis` is the wall-clock time the experiment took — one
+    /// unrepeated run, a smoke signal and not a measurement.
     pub fn to_json(&self, elapsed_millis: f64) -> String {
         let headers: Vec<String> = self.headers.iter().map(|h| json_string(h)).collect();
         let rows: Vec<String> = self
@@ -102,36 +102,6 @@ impl Report {
         }
         out
     }
-}
-
-/// Extracts `(id, elapsed_millis)` pairs from a baseline JSON file
-/// previously written by `repro --json` (e.g. `BENCH_seed.json`).
-///
-/// The repo is offline (no serde), and the baseline format is our own
-/// [`Report::to_json`] output, so a targeted scan is sufficient: each
-/// experiment object carries `"id":"…"` immediately followed by
-/// `"title"` and `"elapsed_millis"`.
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(idx) = rest.find("{\"id\":\"") {
-        rest = &rest[idx + 7..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_owned();
-        let Some(ms_idx) = rest.find("\"elapsed_millis\":") else {
-            break;
-        };
-        let tail = &rest[ms_idx + 17..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E')
-            .collect();
-        if let Ok(ms) = num.parse::<f64>() {
-            out.push((id, ms));
-        }
-        rest = tail;
-    }
-    out
 }
 
 /// Escapes a string as a JSON string literal (quotes included).
@@ -182,24 +152,6 @@ mod tests {
         assert!(json.contains("\"elapsed_millis\":12.500"));
         assert!(json.contains("[\"a\",\"1\"]"));
         assert!(json.contains("quote \\\" backslash \\\\ newline\\nend"));
-    }
-
-    #[test]
-    fn baseline_round_trips_through_parse() {
-        let a = sample().to_json(12.5);
-        let mut b = Report::new("E2", "Other", &["k"]);
-        b.push_row(vec!["x".into()]);
-        let file = format!(
-            "{{\"schema_version\":1,\"total_millis\":20.0,\"experiments\":[\n{},\n{}\n]}}\n",
-            a,
-            b.to_json(7.25)
-        );
-        let parsed = parse_baseline(&file);
-        assert_eq!(
-            parsed,
-            vec![("E0".to_owned(), 12.5), ("E2".to_owned(), 7.25)]
-        );
-        assert!(parse_baseline("not json").is_empty());
     }
 
     #[test]

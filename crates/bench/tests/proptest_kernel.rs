@@ -5,7 +5,7 @@
 //! `PROPTEST_RNG_SEED=0`).
 //!
 //! This is the safety net behind routing every layer (bulk rebuilds,
-//! storage bulk loads, the query NEST operator, the E8/E10/E14/E16
+//! storage bulk loads, the query NEST operator, the E8/E10/E14
 //! experiments) through the kernel.
 
 use proptest::prelude::*;

@@ -317,57 +317,6 @@ proptest! {
         }
     }
 
-    /// Zone-map soundness: a segment that does not `admit` a probe set
-    /// on some attribute contains **no** tuple intersecting it there —
-    /// skipping it can never lose an answer. Probes mix values drawn
-    /// from the data with one atom past the data's maximum.
-    #[test]
-    fn skipped_segments_hold_no_matching_tuple(seed in any::<u64>()) {
-        for w in all_generators(seed) {
-            let arity = w.flat.schema().arity();
-            let order = NestOrder::identity(arity);
-            let sharded = ShardedCanonical::from_flat(
-                &w.flat,
-                order.clone(),
-                ShardSpec::hash(3).unwrap(),
-            )
-            .unwrap();
-            for a in 0..arity {
-                let mut atoms: Vec<Atom> = w.flat.rows().map(|r| r[a]).collect();
-                atoms.sort_unstable();
-                atoms.dedup();
-                let mut picks: Vec<Atom> = atoms
-                    .iter()
-                    .step_by((atoms.len() / 3).max(1))
-                    .copied()
-                    .collect();
-                picks.push(Atom(atoms.last().expect("workloads are non-empty").id() + 1));
-                picks.sort_unstable();
-                picks.dedup();
-                let probes = ValueSet::new(picks).unwrap();
-                for s in 0..sharded.shard_count() {
-                    let tuples = sharded.shard(s).relation().tuples();
-                    for (range, seg) in sharded.shard_segments(s).ranges() {
-                        if seg.admits(a, &probes) {
-                            continue;
-                        }
-                        for t in &tuples[range] {
-                            let hit = t.components()[a]
-                                .as_slice()
-                                .iter()
-                                .any(|v| probes.as_slice().binary_search(v).is_ok());
-                            prop_assert!(
-                                !hit,
-                                "{}: skipped segment of shard {s} holds a match on attr {a}",
-                                w.label
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// §4 maintenance schedules: whatever interleaving of point ops,
     /// incremental batches and rebuilding batches a shard has absorbed,
     /// its tuple vector is exactly the vector the nest kernel emits for

@@ -87,8 +87,10 @@ proptest! {
         }
     }
 
-    /// Routed §4 maintenance and parallel batches agree with the
-    /// unsharded incremental path on replayed op streams.
+    /// Routed §4 maintenance — parallel batches and one-shard-per-op
+    /// point writes — agrees with the unsharded incremental path on
+    /// replayed op streams, and the aggregate probe count is exactly the
+    /// per-shard sum.
     #[test]
     fn sharded_batches_match_unsharded_maintenance(seed in any::<u64>()) {
         for w in workload::all_generators(seed) {
@@ -110,11 +112,26 @@ proptest! {
                     w.label,
                     spec
                 );
-                // The aggregate cost is exactly the per-shard sum.
-                let cost = sharded.maintenance_cost();
-                let probe_sum: u64 =
-                    cost.per_shard.iter().map(|c| c.candidate_probes).sum();
-                prop_assert_eq!(probe_sum, cost.total.candidate_probes);
+                let mut routed =
+                    ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
+                for op in &ops {
+                    match op {
+                        Op::Insert(row) => routed.insert(row.clone()).unwrap(),
+                        Op::Delete(row) => routed.delete(row).unwrap(),
+                    };
+                }
+                prop_assert_eq!(
+                    &routed.to_relation(),
+                    oracle.relation(),
+                    "{} {:?} (point path)",
+                    w.label,
+                    spec
+                );
+                for cost in [sharded.maintenance_cost(), routed.maintenance_cost()] {
+                    let probe_sum: u64 =
+                        cost.per_shard.iter().map(|c| c.candidate_probes).sum();
+                    prop_assert_eq!(probe_sum, cost.total.candidate_probes);
+                }
             }
         }
     }

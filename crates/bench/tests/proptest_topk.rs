@@ -73,7 +73,7 @@ proptest! {
                                 w.flat.schema().clone(),
                                 parts,
                             )
-                            .top_k(tuple_order.clone(), k)
+                            .top_k_by(vec![tuple_order.clone()], k)
                             .map(TupleView::into_owned)
                             .collect();
                             prop_assert_eq!(

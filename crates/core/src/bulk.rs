@@ -152,8 +152,8 @@ pub fn apply_batch_auto(
 }
 
 /// [`apply_batch_auto`] reusing a caller-provided kernel, so a stream of
-/// batches (the E16 ingest workload, `NfTable::append_batch` in
-/// `nf2-storage`) pays the rebuild arm's sort/intern allocations once.
+/// batches (`NfTable::append_batch` in `nf2-storage`) pays the rebuild
+/// arm's sort/intern allocations once.
 pub fn apply_batch_auto_with(
     kernel: &mut NestKernel,
     canon: &mut CanonicalRelation,
@@ -180,40 +180,6 @@ pub(crate) fn apply_batch_auto_tracked(
     } else {
         apply_batch_tracked(canon, ops, cost, edits).map(|s| (s, false))
     }
-}
-
-/// Replays a long operation stream in adaptive batches through
-/// [`apply_batch_auto_with`]: each batch grows with the relation
-/// (`max(min_batch, |R*|)`, with the tail merged into the last batch), so
-/// on insert-heavy streams every batch stays at or above the
-/// [`should_rebuild`] threshold and the auto strategy keeps choosing the
-/// kernel rebuild. The batching policy behind the E16 ingest experiment
-/// and its benchmark. Returns `(batches, rebuild_batches)`.
-pub fn replay_adaptive_with(
-    kernel: &mut NestKernel,
-    canon: &mut CanonicalRelation,
-    stream: &[Op],
-    min_batch: usize,
-    cost: &mut CostCounter,
-) -> Result<(usize, usize)> {
-    let min_batch = min_batch.max(1);
-    let (mut batches, mut rebuilds) = (0usize, 0usize);
-    let mut pos = 0usize;
-    while pos < stream.len() {
-        let flat = canon.flat_count().min(usize::MAX as u128) as usize;
-        let target = flat.max(min_batch);
-        let remaining = stream.len() - pos;
-        let take = if remaining < 2 * target {
-            remaining
-        } else {
-            target
-        };
-        let (_, rebuilt) = apply_batch_auto_with(kernel, canon, &stream[pos..pos + take], cost)?;
-        batches += 1;
-        rebuilds += usize::from(rebuilt);
-        pos += take;
-    }
-    Ok((batches, rebuilds))
 }
 
 /// Rewrites one flat row (the paper's Fig. 2 "student stops taking a
@@ -399,29 +365,6 @@ mod tests {
         assert!(modify(&mut canon, &row(&[2, 12]), row(&[2, 11]), &mut cost).unwrap());
         assert_eq!(canon.flat_count(), 3);
         canon.verify().unwrap();
-    }
-
-    #[test]
-    fn replay_adaptive_rebuilds_on_insert_streams() {
-        use crate::kernel::NestKernel;
-        let rows: Vec<FlatTuple> = (0..40u32).map(|i| row(&[i % 8, 10 + i % 5])).collect();
-        let flat = FlatRelation::from_rows(schema(), rows.clone()).unwrap();
-        let stream: Vec<Op> = flat.rows().cloned().map(Op::Insert).collect();
-        let mut canon =
-            CanonicalRelation::new(flat.schema().clone(), NestOrder::identity(2)).unwrap();
-        let mut kernel = NestKernel::new();
-        let mut cost = CostCounter::new();
-        let (batches, rebuilds) =
-            replay_adaptive_with(&mut kernel, &mut canon, &stream, 4, &mut cost).unwrap();
-        assert!(batches >= 2, "the stream splits into several batches");
-        assert_eq!(
-            batches, rebuilds,
-            "pure inserts always trip the rebuild arm"
-        );
-        assert_eq!(
-            canon,
-            CanonicalRelation::from_flat(&flat, NestOrder::identity(2)).unwrap()
-        );
     }
 
     #[test]

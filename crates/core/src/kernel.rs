@@ -40,8 +40,8 @@ use crate::value::Atom;
 ///
 /// Owns every scratch buffer the fold needs — the atom arena backing the
 /// interned sets, the per-stage tuple buffers, and the group tables — so
-/// repeated canonicalizations (bulk loads, streaming rebuilds, the E16
-/// ingest loop) allocate almost nothing after warm-up.
+/// repeated canonicalizations (bulk loads, streaming rebuilds) allocate
+/// almost nothing after warm-up.
 #[derive(Debug, Default)]
 pub struct NestKernel {
     /// Atom storage backing every interned set.

@@ -57,7 +57,7 @@ pub mod value;
 
 pub use bulk::{
     apply_batch, apply_batch_auto, apply_batch_auto_with, modify, rebuild_batch,
-    rebuild_batch_with, replay_adaptive_with, should_rebuild, BatchSummary, Op,
+    rebuild_batch_with, should_rebuild, BatchSummary, Op,
 };
 pub use compose::{composable, composable_over, compose, decompose, decompose_set, Split};
 pub use error::{NfError, Result};

@@ -179,8 +179,8 @@ impl CanonicalRelation {
     }
 
     /// [`from_flat`](Self::from_flat) reusing a caller-provided kernel, so
-    /// bulk loads and streaming rebuilds (the §4 rebuild arm, E16's ingest
-    /// loop) keep their sort/intern buffers warm across calls.
+    /// bulk loads and streaming rebuilds (the §4 rebuild arm) keep their
+    /// sort/intern buffers warm across calls.
     pub fn from_flat_with(
         kernel: &mut crate::kernel::NestKernel,
         flat: &FlatRelation,
@@ -471,7 +471,8 @@ impl CanonicalRelation {
 
     /// Re-derives the canonical form from scratch and checks the
     /// maintained relation matches it tuple for tuple, in the kernel's
-    /// order. Test/diagnostic helper.
+    /// order. Costs one [`NfRelation::validate`], one expansion to `R*`
+    /// and one re-nest of it. Test/diagnostic helper.
     pub fn verify(&self) -> Result<()> {
         self.rel.validate()?;
         let fresh = crate::nest::canonical_of_flat(&self.rel.expand(), &self.order);

@@ -351,15 +351,6 @@ impl Segment {
         self.outer_runs
     }
 
-    /// Whether any value in `values` falls inside this segment's
-    /// `[min, max]` zone for `attr` — the zone-map test: `false` proves
-    /// no tuple in the segment can intersect `values` on `attr`.
-    /// [`locate`](Self::locate) starts from it and goes on to the exact
-    /// answer.
-    pub fn admits(&self, attr: usize, values: &ValueSet) -> bool {
-        !self.columns[attr].in_zone(values.as_slice()).is_empty()
-    }
-
     /// The one question: appends `base + row`, ascending and as spans,
     /// for every row whose `attr` component intersects `values` for
     /// **every** conjunct (all rows when there is none), and says whether
@@ -734,17 +725,6 @@ mod tests {
         assert_eq!(seg.max(0), Atom(9));
         assert_eq!(seg.min(1), Atom(10));
         assert_eq!(seg.max(1), Atom(20));
-    }
-
-    #[test]
-    fn admits_refutes_out_of_zone_predicates() {
-        let seg = Segment::encode(&sample(), 1);
-        assert!(seg.admits(0, &set(&[5])));
-        assert!(seg.admits(0, &set(&[0, 9])));
-        assert!(!seg.admits(0, &set(&[0])));
-        assert!(!seg.admits(0, &set(&[10, 99])));
-        assert!(seg.admits(1, &set(&[15])), "zones are ranges, not sets");
-        assert!(!seg.admits(1, &set(&[21])));
     }
 
     fn tiling(target_rows: usize) -> Tiling {

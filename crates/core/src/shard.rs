@@ -1,9 +1,9 @@
 //! Sharded canonical storage: partitioning `ν_P(R*)` on the outermost
 //! nest attribute.
 //!
-//! E16's incremental probe exposed the §4 scale wall: every `recons`
-//! pays a candidate scan (`candt`) over *all* NF² tuples, so point
-//! maintenance cost grows linearly with the relation. This module breaks
+//! Unsharded, §4 maintenance hits a scale wall: every `recons` pays a
+//! candidate scan (`candt`) over *all* NF² tuples, so point maintenance
+//! cost grows linearly with the relation. This module breaks
 //! the wall by partitioning the canonical relation on the values of the
 //! **outermost** nest attribute `P(n−1)` — the attribute nested *last*.
 //!
@@ -248,7 +248,7 @@ impl ShardRouter {
 }
 
 /// §4 maintenance cost aggregated across shards, with the per-shard
-/// breakdown preserved (E18 reports both).
+/// breakdown preserved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintenanceCost {
     /// Sum over all shards.
@@ -670,33 +670,6 @@ impl ShardedCanonical {
         )
     }
 
-    /// Replays a long op stream in adaptive batches (each batch grows
-    /// with the relation, mirroring
-    /// [`replay_adaptive_with`](crate::bulk::replay_adaptive_with)), with
-    /// every batch applied through the parallel
-    /// [`apply_batch_auto`](Self::apply_batch_auto). Returns
-    /// `(batches, shard rebuilds)`.
-    pub fn replay_adaptive(&mut self, stream: &[Op], min_batch: usize) -> Result<(usize, usize)> {
-        let min_batch = min_batch.max(1);
-        let (mut batches, mut rebuilds) = (0usize, 0usize);
-        let mut pos = 0usize;
-        while pos < stream.len() {
-            let flat = self.flat_count().min(usize::MAX as u128) as usize;
-            let target = flat.max(min_batch);
-            let remaining = stream.len() - pos;
-            let take = if remaining < 2 * target {
-                remaining
-            } else {
-                target
-            };
-            let (_, r) = self.apply_batch_auto(&stream[pos..pos + take])?;
-            batches += 1;
-            rebuilds += r;
-            pos += take;
-        }
-        Ok((batches, rebuilds))
-    }
-
     /// §4 maintenance cost accumulated by every operation since
     /// construction (or the last
     /// [`reset_maintenance_cost`](Self::reset_maintenance_cost)), per
@@ -983,27 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_adaptive_ingests_everything() {
-        let flat = random_flat(3, 120, 6, 21);
-        let order = NestOrder::identity(3);
-        let stream: Vec<Op> = flat.rows().cloned().map(Op::Insert).collect();
-        let mut sharded = ShardedCanonical::new(
-            flat.schema().clone(),
-            order.clone(),
-            ShardSpec::hash(4).unwrap(),
-        )
-        .unwrap();
-        let (batches, rebuilds) = sharded.replay_adaptive(&stream, 8).unwrap();
-        assert!(batches >= 2);
-        assert!(rebuilds >= batches, "pure inserts rebuild on every shard");
-        assert_eq!(sharded.flat_count(), flat.len() as u128);
-        assert_eq!(
-            sharded.to_relation(),
-            crate::nest::canonical_of_flat(&flat, &order)
-        );
-    }
-
-    #[test]
     fn candidate_probes_drop_with_shard_count() {
         // The point of the subsystem: candt scans one shard, so per-op
         // probes fall roughly by the shard count.
@@ -1041,14 +993,7 @@ mod tests {
         // follow-up searches walk the one segment the take dirtied.
         // Located, none of that depends on how many segments the shard
         // has; scanned, it all did (4× the probes at 4× the tuples).
-        // Release builds run 5 000 vs 20 000 tuples at the default
-        // tiling; debug builds re-validate the O(T²) partition invariant
-        // in every §4 op, so they run the same shape at quarter scale.
-        let (small, segment_rows) = if cfg!(debug_assertions) {
-            (1_250u32, DEFAULT_SEGMENT_ROWS / 4)
-        } else {
-            (5_000u32, DEFAULT_SEGMENT_ROWS)
-        };
+        let small = 5_000u32;
         let probes_per_write = |tuples: u32| -> f64 {
             let s = schema(&["A", "B", "C"]);
             let rows = (0..tuples).map(|i| row(&[i % 97, 1_000 + i / 97, 100_000 + i]));
@@ -1056,7 +1001,6 @@ mod tests {
             let mut c =
                 ShardedCanonical::from_flat(&flat, NestOrder::identity(3), ShardSpec::single())
                     .unwrap();
-            c.set_segment_rows(segment_rows);
             assert_eq!(c.tuple_count(), tuples as usize);
             let writes = 4u32;
             for w in 0..writes {

@@ -14,12 +14,14 @@
 
 use proptest::prelude::*;
 
+use nf2_core::error::NfError;
 use nf2_core::irreducible::{is_irreducible, reduce, ReduceStrategy};
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::{canonical_of_flat, nest, nest_pairwise, unnest};
 use nf2_core::properties::is_fixed_on;
 use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{NestOrder, Schema};
+use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
 use std::sync::Arc;
 
@@ -306,6 +308,82 @@ proptest! {
         }
         prop_assert_eq!(via_modify.relation(), via_ops.relation());
         via_modify.verify().unwrap();
+    }
+}
+
+/// The validator's reference: every pair of tuples, in tuple order —
+/// what [`NfRelation::validate`] did before it compared only the tuples
+/// sharing a value on one attribute.
+fn validate_all_pairs(arity: usize, tuples: &[NfTuple]) -> Result<(), NfError> {
+    for t in tuples {
+        if t.arity() != arity {
+            return Err(NfError::ArityMismatch {
+                expected: arity,
+                got: t.arity(),
+            });
+        }
+    }
+    for i in 0..tuples.len() {
+        for j in (i + 1)..tuples.len() {
+            if tuples[i] == tuples[j] {
+                return Err(NfError::DuplicateFlatTuple);
+            }
+            if tuples[i].overlaps(&tuples[j]) {
+                return Err(NfError::OverlappingTuples);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `validate` agrees with the all-pairs loop — same verdict, same
+    /// error when several pairs conflict — on a canonical (valid) tuple
+    /// vector with random rectangles, copies of existing tuples and
+    /// sometimes a wrong-arity tuple spliced in anywhere.
+    #[test]
+    fn validate_matches_the_all_pairs_loop(
+        flat in arb_flat(),
+        seed in any::<u64>(),
+        extra in proptest::collection::vec(
+            (proptest::collection::vec(proptest::collection::vec(0u32..4, 1..=3), 4), any::<usize>()),
+            0..4,
+        ),
+        copies in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
+        short in (any::<usize>(), 0u8..6),
+    ) {
+        let arity = flat.schema().arity();
+        let mut tuples = canonical_of_flat(&flat, &order_from_seed(arity, seed)).into_tuples();
+        prop_assert_eq!(validate_all_pairs(arity, &tuples), Ok(()));
+        let rect = |comps: &[Vec<u32>], take: usize| -> NfTuple {
+            comps
+                .iter()
+                .take(take)
+                .enumerate()
+                .map(|(i, vs)| {
+                    let atoms = vs.iter().map(|&v| Atom(v + 10 * i as u32)).collect();
+                    ValueSet::new(atoms).expect("1..=3 values")
+                })
+                .collect()
+        };
+        for (comps, at) in &extra {
+            tuples.insert(at % (tuples.len() + 1), rect(comps, arity));
+        }
+        for &(from, at) in &copies {
+            if !tuples.is_empty() {
+                let copy = tuples[from % tuples.len()].clone();
+                tuples.insert(at % (tuples.len() + 1), copy);
+            }
+        }
+        if short.1 == 0 {
+            let t = rect(&[vec![0], vec![0], vec![0], vec![0]], arity - 1);
+            tuples.insert(short.0 % (tuples.len() + 1), t);
+        }
+        let expected = validate_all_pairs(arity, &tuples);
+        let got = NfRelation::from_tuples(flat.schema().clone(), tuples).map(|_| ());
+        prop_assert_eq!(got, expected);
     }
 }
 

@@ -172,8 +172,8 @@ impl Subscriber for RingBufferSink {
 ///   event, so tracing left in shipping code costs ~nothing off;
 /// * **metrics** recording is on by default and can be killed with
 ///   [`set_metrics_enabled`](Obs::set_metrics_enabled) — the switch the
-///   E22 overhead experiment toggles to price the instrumentation
-///   itself.
+///   benchmark's `obs.metrics_overhead` toggles to price the
+///   instrumentation itself.
 #[derive(Debug)]
 pub struct Obs {
     metrics_enabled: AtomicBool,

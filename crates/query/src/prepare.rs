@@ -8,7 +8,7 @@
 //!
 //! * the lexer, parser and rule-based optimizer run exactly once per
 //!   statement text (the hot loop pays only dictionary lookups and
-//!   evaluation — see bench experiment E17);
+//!   evaluation — the benchmark's `query.run_over_prepared` prices it);
 //! * literals are resolved at execute time, exactly like the one-shot
 //!   path — a value interned *after* `prepare()` is still found;
 //! * DDL invalidates nothing by hand: plans remember the engine's

@@ -70,8 +70,8 @@ use crate::wal::{CommitLog, WalEntry};
 /// Each individual counter is still exact and monotonic. Code that
 /// reasons about *deltas* must therefore diff two whole snapshots taken
 /// at quiescent points (`after.units_probed - before.units_probed`),
-/// never re-load individual fields mid-measurement — the E21/E22
-/// assertions and the analyze proptests follow this discipline.
+/// never re-load individual fields mid-measurement — the MVCC and
+/// analyze proptests follow this discipline.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TableStats {
     /// Number of lookup calls.
@@ -295,8 +295,8 @@ impl NfTable {
 
     /// Bulk-loads rows of atoms through the single-pass nest kernel: one
     /// sort-group pass per shard instead of per-row §4 maintenance. The
-    /// fast path for cold loads; `repro` E16 measures it against batch
-    /// appends.
+    /// fast path for cold loads; the benchmark's `bulk_ingest` workload
+    /// measures it against batch appends.
     pub fn bulk_load_atoms<I>(
         name: &str,
         attr_names: &[&str],
@@ -897,8 +897,8 @@ impl NfTable {
         // Expand the stored tuples into `R*`, checking the partition
         // invariant on the way: an overlapping or duplicated tuple
         // contributes a row the set already holds, so the set ends up
-        // smaller than the sum of the expansion counts. O(T log T) —
-        // the pairwise overlap scan would be quadratic in tuples.
+        // smaller than the sum of the expansion counts. The rebuild
+        // below needs `R*` anyway, so the check rides the expansion.
         let mut flat = FlatRelation::new(schema);
         let mut expected = 0u128;
         for (_, rec) in heap.iter() {

@@ -7,8 +7,7 @@
 //!
 //! * `ORDER BY x LIMIT k` pulls the scan **exactly once** (the bounded
 //!   heap never re-scans or materializes the input — the ≤ k retention
-//!   bound itself is pinned by `nf2-algebra`'s `TopKStats` tests and
-//!   the E19 experiment);
+//!   bound itself is pinned by `nf2-algebra`'s `TopKStats` tests);
 //! * an equality on the outermost nest attribute over 4 hash shards
 //!   scans **exactly one shard's tuples**, charged to the probe counter.
 

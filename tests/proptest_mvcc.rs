@@ -178,7 +178,10 @@ proptest! {
     /// serial history, and the drained table is every shard's serial
     /// final state. Concurrent commits may coalesce into one epoch
     /// bump, so the live epoch is bounded by (not equal to) the number
-    /// of effective state transitions.
+    /// of effective state transitions. And concurrency must not change
+    /// what any shard *did*: its §4 maintenance counters (the work inside
+    /// the lane's critical section) and the table's insert, delete and
+    /// publication tallies equal the serial oracles'.
     #[test]
     fn distinct_shard_writers_match_per_shard_serial_oracles(
         ops in proptest::collection::vec(arb_op(), 4..60),
@@ -209,6 +212,7 @@ proptest! {
         // duplicates — the no-op paths — collapse, so transitions count
         // exactly the state-changing ops).
         let mut serial_states: Vec<Vec<Vec<NfTuple>>> = Vec::new();
+        let mut serial_work = Vec::new();
         for (s, shard_ops) in per_shard.iter().enumerate() {
             let oracle = fresh_engine();
             let mut session = oracle.session();
@@ -224,6 +228,17 @@ proptest! {
                 }
             }
             serial_states.push(states);
+            let t = oracle.table("t").unwrap();
+            let tally = t.stats();
+            prop_assert_eq!(
+                t.epoch(),
+                tally.epoch_installs,
+                "a lone writer never coalesces: one bump per publication"
+            );
+            serial_work.push((
+                t.maintenance_breakdown().per_shard[s],
+                [tally.inserts, tally.deletes, tally.epoch_installs],
+            ));
         }
         let serial_states = Arc::new(serial_states);
 
@@ -290,6 +305,118 @@ proptest! {
         let epoch = t.epoch() as usize;
         prop_assert!(epoch <= effective, "epoch {} > {} transitions", epoch, effective);
         prop_assert!(effective == 0 || epoch >= 1, "changes happened but no bump");
+        let work = t.maintenance_breakdown().per_shard;
+        let mut serial_tally = [0u64; 3];
+        for (s, (cost, tally)) in serial_work.iter().enumerate() {
+            prop_assert_eq!(work[s], *cost, "shard {} did different §4 work", s);
+            for (sum, n) in serial_tally.iter_mut().zip(tally) {
+                *sum += n;
+            }
+        }
+        let tally = t.stats();
+        prop_assert_eq!(
+            [tally.inserts, tally.deletes, tally.epoch_installs],
+            serial_tally,
+            "inserts, deletes and publications must not depend on writer concurrency"
+        );
+    }
+
+    /// Per-shard isolation, counted: readers whose predicate prunes to
+    /// one shard probe exactly the tuples they probe on a quiet engine —
+    /// and get the same answer — while a writer storms the other shards.
+    /// Installing a new version of one shard never touches a pinned
+    /// version of another.
+    #[test]
+    fn pruned_readers_probe_the_serial_count_under_a_foreign_shard_storm(
+        ops in proptest::collection::vec(arb_op(), 4..60),
+        read_b in 0u8..6,
+    ) {
+        let engine = Arc::new(fresh_engine());
+        let table = engine.table("t").unwrap();
+        let shard_of = |b: u8| {
+            let atom = engine.dict().lookup(&format!("b{b}")).unwrap();
+            table.routing().shards_for_values(&[atom])[0]
+        };
+        // The storm replays the ops that route elsewhere, through the
+        // storage API: a SQL DELETE would add its own probe-counted
+        // victim scan to the table-wide counter compared below.
+        let foreign: Vec<&Op> = ops
+            .iter()
+            .filter(|op| {
+                let (Op::Insert(_, b) | Op::Delete(_, b)) = **op;
+                shard_of(b) != shard_of(read_b)
+            })
+            .collect();
+        prop_assume!(!foreign.is_empty());
+        {
+            let mut session = engine.session();
+            for op in &ops {
+                session.run(&stmt_of(op)).unwrap();
+            }
+            session.run(&stmt_of(&Op::Insert(0, read_b))).unwrap();
+        }
+
+        const READERS: usize = 2;
+        const QUERIES: usize = 40;
+        let read_value = format!("b{read_b}");
+        let probes_of = |storm: bool| -> (u64, Vec<nf2::query::Output>) {
+            let done = AtomicBool::new(false);
+            let start = std::sync::Barrier::new(READERS + usize::from(storm));
+            let before = table.stats();
+            let answers = std::thread::scope(|scope| {
+                if storm {
+                    scope.spawn(|| {
+                        start.wait();
+                        // At least one full pass, then on until the
+                        // readers are through.
+                        loop {
+                            for op in &foreign {
+                                match op {
+                                    Op::Insert(a, b) => {
+                                        table.insert_row(&[&format!("a{a}"), &format!("b{b}")])
+                                    }
+                                    Op::Delete(a, b) => {
+                                        table.delete_row(&[&format!("a{a}"), &format!("b{b}")])
+                                    }
+                                }
+                                .unwrap();
+                            }
+                            if done.load(Ordering::Relaxed) {
+                                break;
+                            }
+                        }
+                    });
+                }
+                let readers: Vec<_> = (0..READERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut session = engine.session();
+                            let mut stmt = session
+                                .prepare("SELECT COUNT(*) FROM t WHERE B = ?")
+                                .unwrap();
+                            start.wait();
+                            (0..QUERIES)
+                                .map(|_| {
+                                    stmt.execute(&mut session, &[read_value.as_str()]).unwrap()
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                let answers: Vec<_> = readers
+                    .into_iter()
+                    .flat_map(|r| r.join().unwrap())
+                    .collect();
+                done.store(true, Ordering::Relaxed);
+                answers
+            });
+            (table.stats().units_probed - before.units_probed, answers)
+        };
+        let (serial_probes, serial_answers) = probes_of(false);
+        let (storm_probes, storm_answers) = probes_of(true);
+        prop_assert!(serial_probes >= (READERS * QUERIES) as u64, "the read shard holds the value");
+        prop_assert_eq!(storm_probes, serial_probes);
+        prop_assert_eq!(storm_answers, serial_answers);
     }
 }
 
