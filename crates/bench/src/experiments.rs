@@ -1038,10 +1038,12 @@ pub fn e13_optimizer() -> Report {
     report
 }
 
-/// E14 — batch maintenance crossover: §4 incremental vs re-nest, as the
-/// batch grows relative to the relation.
+/// E14 — batch maintenance: §4 replay vs re-nest as the batch grows
+/// relative to the relation, with the keyed batch the engine runs
+/// beside them.
 pub fn e14_batch_crossover() -> Report {
-    use nf2_core::bulk::{apply_batch, rebuild_batch_with, should_rebuild};
+    use nf2_core::bulk::{apply_batch, rebuild_batch};
+    use nf2_core::shard::{ShardSpec, ShardedCanonical};
 
     let mut report = Report::new(
         "E14",
@@ -1051,14 +1053,13 @@ pub fn e14_batch_crossover() -> Report {
             "incremental µs",
             "re-nest µs",
             "faster",
-            "auto picks",
+            "keyed µs",
         ],
     );
     let w = workload::university(150, 3, 30, 2, 8, 91);
     let base_rows = w.flat.len();
     let order = NestOrder::identity(3);
-    let base = CanonicalRelation::from_flat(&w.flat, order).unwrap();
-    let mut kernel = nf2_core::kernel::NestKernel::new();
+    let base = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
 
     for &pct in &[1usize, 5, 20, 50, 100] {
         let ops = workload::op_trace(&w, (base_rows * pct / 100).max(1), 40, pct as u64);
@@ -1070,34 +1071,39 @@ pub fn e14_batch_crossover() -> Report {
         let t_inc = start.elapsed().as_micros();
 
         let start = Instant::now();
-        let rebuilt = rebuild_batch_with(&mut kernel, &base, &ops).unwrap();
+        let rebuilt = rebuild_batch(&base, &ops).unwrap();
         let t_re = start.elapsed().as_micros();
-        assert_eq!(inc.relation(), rebuilt.relation(), "strategies must agree");
+
+        // One shard, so the postings the keyed read phase asks exist.
+        let mut keyed =
+            ShardedCanonical::from_flat(&w.flat, order.clone(), ShardSpec::single()).unwrap();
+        let start = Instant::now();
+        keyed.apply_batch(&ops).unwrap();
+        let t_keyed = start.elapsed().as_micros();
+
+        let vector = inc.relation().tuples();
+        assert_eq!(vector, rebuilt.relation().tuples(), "replay ≡ re-nest");
+        assert_eq!(vector, keyed.shard(0).relation().tuples(), "replay ≡ keyed");
 
         let faster = if t_inc <= t_re {
             "incremental"
         } else {
             "re-nest"
         };
-        let auto = if should_rebuild(ops.len(), base.flat_count()) {
-            "re-nest"
-        } else {
-            "incremental"
-        };
         report.push_row(vec![
             format!("{pct}%"),
             t_inc.to_string(),
             t_re.to_string(),
             faster.to_string(),
-            auto.to_string(),
+            t_keyed.to_string(),
         ]);
     }
     report.note(
-        "Small batches favour §4 incremental maintenance; once a batch rewrites a large \
-         fraction of R*, one re-nest beats many recons cascades. `should_rebuild`'s \
-         conservative 50% threshold sits on the correct side in this sweep. The re-nest arm \
-         runs on the single-pass kernel and is asserted tuple-identical to the incremental \
-         result at every batch size.",
+        "Against the whole relation, small batches favour §4 replay, and once a batch \
+         rewrites a large fraction of R* one re-nest beats many recons cascades. The \
+         engine runs neither: a keyed batch replays each outer key's ops on that key's \
+         slice and regroups once on P(n−1), so it needs no threshold between the two. \
+         All three are asserted equal as vectors at every batch size.",
     );
     report
 }
@@ -1445,21 +1451,17 @@ mod tests {
     }
 
     #[test]
-    fn e14_auto_strategy_agrees_at_the_extremes() {
-        // The "faster" column is wall-clock and meaningful only in
-        // release builds (debug asserts re-validate the partition on
-        // every op); pin just the deterministic threshold column.
+    fn e14_three_procedures_agree_at_every_size() {
+        // The µs columns are wall-clock and meaningful only in release
+        // builds; what is pinned is that every size ran — the
+        // experiment itself asserts replay ≡ re-nest ≡ keyed, as
+        // vectors, before it pushes a row.
         let r = e14_batch_crossover();
-        let first = r.rows.first().unwrap();
-        assert_eq!(
-            first[4], "incremental",
-            "tiny batches stay incremental: {first:?}"
-        );
-        let last = r.rows.last().unwrap();
-        assert_eq!(
-            last[4], "re-nest",
-            "full-relation batches rebuild: {last:?}"
-        );
+        assert_eq!(r.headers.last().map(String::as_str), Some("keyed µs"));
+        assert_eq!(r.rows.len(), 5);
+        for row in &r.rows {
+            row[4].parse::<u64>().expect("a keyed timing per size");
+        }
     }
 
     #[test]

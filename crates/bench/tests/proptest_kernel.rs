@@ -10,12 +10,13 @@
 
 use proptest::prelude::*;
 
-use nf2_core::bulk::{apply_batch, apply_batch_auto_with};
+use nf2_core::bulk::{apply_batch, rebuild_batch};
 use nf2_core::kernel::NestKernel;
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::{canonicalize, nest, nest_pairwise};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
+use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_workload as workload;
 
 proptest! {
@@ -65,28 +66,42 @@ proptest! {
         }
     }
 
-    /// The kernel-backed rebuild arm of `apply_batch_auto` agrees with
-    /// pure §4 incremental maintenance on replayed op traces, and one
-    /// kernel instance can serve many batches.
+    /// The kernel-backed re-nest oracle agrees with pure §4 incremental
+    /// maintenance on replayed op traces (no-ops included) as a vector,
+    /// and so does the keyed batch, whose regroups one kernel instance —
+    /// the shard's — serves batch after batch.
     #[test]
     fn kernel_rebuild_arm_matches_incremental(seed in any::<u64>(), ops in 8usize..40) {
         let w = workload::university(6 + (seed % 7) as usize, 2, 8, 2, 3, seed);
-        let trace = workload::op_trace(&w, ops, 35, seed ^ 0xABCD);
-        let order = NestOrder::identity(3);
-        let base = CanonicalRelation::from_flat(&w.flat, order).unwrap();
+        let trace = workload::with_noops(workload::op_trace(&w, ops, 35, seed ^ 0xABCD));
+        // The three rotations: every attribute once in every role
+        // (`proptest_core` sweeps all orders on smaller relations).
+        for shift in 0..3 {
+            let order = NestOrder::new((0..3).map(|i| (i + shift) % 3).collect(), 3).unwrap();
+            let base = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
 
-        let mut incremental = base.clone();
-        let mut cost = CostCounter::new();
-        apply_batch(&mut incremental, &trace, &mut cost).unwrap();
+            let mut incremental = base.clone();
+            let mut cost = CostCounter::new();
+            let summary = apply_batch(&mut incremental, &trace, &mut cost).unwrap();
+            let renested = rebuild_batch(&base, &trace).unwrap();
+            prop_assert_eq!(renested.relation().tuples(), incremental.relation().tuples());
 
-        let mut kernel = NestKernel::new();
-        for chunk in [trace.len(), 1 + trace.len() / 2] {
-            let mut auto = base.clone();
-            for batch in trace.chunks(chunk.max(1)) {
-                apply_batch_auto_with(&mut kernel, &mut auto, batch, &mut cost).unwrap();
+            for chunk in [trace.len(), 5] {
+                let mut keyed =
+                    ShardedCanonical::from_flat(&w.flat, order.clone(), ShardSpec::single())
+                        .unwrap();
+                let mut total = nf2_core::bulk::BatchSummary::default();
+                for batch in trace.chunks(chunk) {
+                    total += keyed.apply_batch(batch).unwrap().summary;
+                }
+                prop_assert_eq!(total, summary);
+                prop_assert_eq!(
+                    keyed.shard(0).relation().tuples(),
+                    incremental.relation().tuples(),
+                    "order {} in batches of {}", &order, chunk
+                );
+                keyed.verify().unwrap();
             }
-            prop_assert_eq!(auto.relation(), incremental.relation());
-            auto.verify().unwrap();
         }
     }
 }

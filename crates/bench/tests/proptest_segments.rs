@@ -227,8 +227,8 @@ proptest! {
     /// for single-value, IN-list and multi-attribute conjuncts — every
     /// generator × nest order × shard spec, on fresh segments and on the
     /// patched ones a random §4 op stream leaves behind (point ops and
-    /// incremental batches, at a tiling small enough that patches
-    /// re-encode, drop and split segments).
+    /// keyed batches, at a tiling small enough that patches re-encode,
+    /// drop and split segments).
     #[test]
     fn located_rows_equal_a_brute_force_filter(seed in any::<u64>()) {
         let mut state = seed | 1;
@@ -244,11 +244,11 @@ proptest! {
                         match chunk {
                             [Op::Insert(row), rest @ ..] => {
                                 sharded.insert(row.clone()).unwrap();
-                                sharded.apply_batch_auto(rest).unwrap();
+                                sharded.apply_batch(rest).unwrap();
                             }
                             [Op::Delete(row), rest @ ..] => {
                                 sharded.delete(row).unwrap();
-                                sharded.apply_batch_auto(rest).unwrap();
+                                sharded.apply_batch(rest).unwrap();
                             }
                             [] => {}
                         }
@@ -318,17 +318,18 @@ proptest! {
     }
 
     /// §4 maintenance schedules: whatever interleaving of point ops,
-    /// incremental batches and rebuilding batches a shard has absorbed,
-    /// its tuple vector is exactly the vector the nest kernel emits for
-    /// its rows — same tuples, same order — and its segments are an
-    /// exact tiling of that vector (`verify` re-derives both, plus the
-    /// routing and merge invariants).
+    /// small keyed batches and one batch over a quarter of the trace
+    /// (no-ops mixed in throughout) a shard has absorbed, its tuple
+    /// vector is exactly the vector the nest kernel emits for its rows —
+    /// same tuples, same order — and its segments are an exact tiling
+    /// of that vector (`verify` re-derives both, plus the routing and
+    /// merge invariants).
     #[test]
     fn maintenance_keeps_freshness_honest(seed in any::<u64>()) {
         for w in all_generators(seed) {
             let arity = w.flat.schema().arity();
             let order = NestOrder::identity(arity);
-            let ops = workload::op_trace(&w, 60, 60, seed ^ 0x2e);
+            let ops = workload::with_noops(workload::op_trace(&w, 60, 60, seed ^ 0x2e));
             for spec in [ShardSpec::hash(1).unwrap(), ShardSpec::hash(4).unwrap()] {
                 let mut sharded =
                     ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())
@@ -336,9 +337,9 @@ proptest! {
                 // A small tiling target so repairs cross, empty and
                 // split segments at property-test scale.
                 sharded.set_segment_rows(2 + (seed % 5) as usize);
-                // Deal the trace out in steps of 1 (a point op), 7 (an
-                // incremental batch) and, once, everything left at the
-                // three-quarter mark (large enough to rebuild).
+                // Deal the trace out in steps of 1 (a point op), 7 (a
+                // small batch) and, once, everything left at the
+                // three-quarter mark (a batch over most keys).
                 let mut rest = ops.as_slice();
                 let mut step = 0usize;
                 while !rest.is_empty() {
@@ -359,7 +360,7 @@ proptest! {
                             sharded.delete(row).unwrap();
                         }
                         batch => {
-                            sharded.apply_batch_auto(batch).unwrap();
+                            sharded.apply_batch(batch).unwrap();
                         }
                     }
                     for s in 0..sharded.shard_count() {

@@ -1,6 +1,6 @@
 //! Property tests pinning the sharded canonical store tuple-identical to
 //! the unsharded canonical form — across **all** the `nf2-workload`
-//! generators, shard counts {1, 2, 7}, and both routing modes (hash and
+//! generators, shard counts {1, 4, 7}, and both routing modes (hash and
 //! range), under the deterministic proptest seeds (CI pins
 //! `PROPTEST_RNG_SEED=0`).
 //!
@@ -22,14 +22,14 @@ use nf2_core::value::Atom;
 use nf2_workload as workload;
 use nf2_workload::Workload;
 
-/// Every spec under test for one workload: shard counts {1, 2, 7} for
+/// Every spec under test for one workload: shard counts {1, 4, 7} for
 /// hash routing, plus range routing with boundaries drawn from the
 /// workload's own outermost-attribute values (so several range shards
 /// are actually populated).
 fn specs_for(w: &Workload, order: &NestOrder) -> Vec<ShardSpec> {
     let mut specs = vec![
         ShardSpec::hash(1).unwrap(),
-        ShardSpec::hash(2).unwrap(),
+        ShardSpec::hash(4).unwrap(),
         ShardSpec::hash(7).unwrap(),
     ];
     let outer = order.attr_at(order.arity() - 1);
@@ -87,50 +87,79 @@ proptest! {
         }
     }
 
-    /// Routed §4 maintenance — parallel batches and one-shard-per-op
-    /// point writes — agrees with the unsharded incremental path on
-    /// replayed op streams, and the aggregate probe count is exactly the
-    /// per-shard sum.
+    /// Routed §4 maintenance — keyed batches side by side and
+    /// one-shard-per-op point writes — agrees with the unsharded
+    /// incremental path on replayed op streams (duplicates, absent
+    /// deletes and a row inserted and taken back included): equal
+    /// summaries, every shard's vector the kernel's vector for its rows
+    /// and its segments an exact tiling (`verify`), and the aggregate
+    /// probe count exactly the per-shard sum. The identity order runs
+    /// every spec and the point path; a rotated order runs the batch on
+    /// one shard and on four (`proptest_core` and `proptest_kernel`
+    /// sweep every nest order).
     #[test]
     fn sharded_batches_match_unsharded_maintenance(seed in any::<u64>()) {
         for w in workload::all_generators(seed) {
             let arity = w.flat.schema().arity();
-            let order = NestOrder::identity(arity);
-            let ops: Vec<Op> = workload::op_trace(&w, 40, 40, seed ^ 0x18);
-            let mut oracle = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
-            let mut oracle_cost = CostCounter::new();
-            let oracle_summary = apply_batch(&mut oracle, &ops, &mut oracle_cost).unwrap();
-            for spec in specs_for(&w, &order) {
-                let mut sharded =
-                    ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
-                let (summary, _) = sharded.apply_batch_auto(&ops).unwrap();
-                prop_assert_eq!(summary, oracle_summary, "{} {:?}", w.label, spec);
-                prop_assert_eq!(
-                    &sharded.to_relation(),
-                    oracle.relation(),
-                    "{} {:?}",
-                    w.label,
-                    spec
-                );
-                let mut routed =
-                    ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
-                for op in &ops {
-                    match op {
-                        Op::Insert(row) => routed.insert(row.clone()).unwrap(),
-                        Op::Delete(row) => routed.delete(row).unwrap(),
-                    };
-                }
-                prop_assert_eq!(
-                    &routed.to_relation(),
-                    oracle.relation(),
-                    "{} {:?} (point path)",
-                    w.label,
-                    spec
-                );
-                for cost in [sharded.maintenance_cost(), routed.maintenance_cost()] {
-                    let probe_sum: u64 =
-                        cost.per_shard.iter().map(|c| c.candidate_probes).sum();
-                    prop_assert_eq!(probe_sum, cost.total.candidate_probes);
+            let ops: Vec<Op> = workload::with_noops(workload::op_trace(&w, 40, 40, seed ^ 0x18));
+            let mut rotated: Vec<usize> = (0..arity).collect();
+            rotated.rotate_left(1);
+            for order in [NestOrder::identity(arity), NestOrder::new(rotated, arity).unwrap()] {
+                let identity = order == NestOrder::identity(arity);
+                let mut oracle = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
+                let mut oracle_cost = CostCounter::new();
+                let oracle_summary = apply_batch(&mut oracle, &ops, &mut oracle_cost).unwrap();
+                let specs = if identity {
+                    specs_for(&w, &order)
+                } else {
+                    vec![ShardSpec::hash(1).unwrap(), ShardSpec::hash(4).unwrap()]
+                };
+                for spec in specs {
+                    let mut sharded =
+                        ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
+                    sharded.set_segment_rows(4);
+                    let report = sharded.apply_batch(&ops).unwrap();
+                    prop_assert_eq!(report.summary, oracle_summary, "{} {:?}", w.label, spec);
+                    prop_assert_eq!(
+                        &sharded.to_relation(),
+                        oracle.relation(),
+                        "{} {} {:?}",
+                        w.label,
+                        order,
+                        spec
+                    );
+                    if sharded.shard_count() == 1 {
+                        prop_assert_eq!(
+                            sharded.shard(0).relation().tuples(),
+                            oracle.relation().tuples()
+                        );
+                    }
+                    sharded.verify().unwrap();
+                    let mut costs = vec![sharded.maintenance_cost()];
+                    if identity {
+                        let mut routed =
+                            ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())
+                                .unwrap();
+                        for op in &ops {
+                            match op {
+                                Op::Insert(row) => routed.insert(row.clone()).unwrap(),
+                                Op::Delete(row) => routed.delete(row).unwrap(),
+                            };
+                        }
+                        prop_assert_eq!(
+                            &routed.to_relation(),
+                            oracle.relation(),
+                            "{} {:?} (point path)",
+                            w.label,
+                            spec
+                        );
+                        costs.push(routed.maintenance_cost());
+                    }
+                    for cost in costs {
+                        let probe_sum: u64 =
+                            cost.per_shard.iter().map(|c| c.candidate_probes).sum();
+                        prop_assert_eq!(probe_sum, cost.total.candidate_probes);
+                    }
                 }
             }
         }

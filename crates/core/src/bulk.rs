@@ -1,19 +1,39 @@
 //! Batch maintenance: applying *streams* of updates to a canonical NFR.
 //!
-//! §4 gives per-tuple insertion and deletion. Real workloads arrive in
-//! batches, and the interesting engineering question the paper leaves
-//! open is when incremental maintenance (one `recons` cascade per
-//! operation) beats re-nesting from scratch (one `ν_P` over the updated
-//! `R*`). This module provides both paths with identical semantics —
-//! property-tested against each other — plus the delete+insert `modify`
-//! the paper's Fig. 2 scenario performs, and a crossover heuristic the
-//! E10 experiment calibrates.
+//! §4 gives per-tuple insertion and deletion; real workloads arrive in
+//! batches. Three procedures with identical semantics live here, each
+//! with one job, property-tested against each other tuple for tuple:
+//!
+//! * [`apply_batch`] — **the reference**: the paper's §4 `insert` /
+//!   `delete`, one op after the other, against the whole relation.
+//! * [`rebuild_batch`] — **the oracle**: apply the ops to `R*` and
+//!   re-nest from scratch through the kernel. (Experiment E14 times the
+//!   two against each other across batch sizes.)
+//! * the **keyed batch** (crate-private `keyed_batch`, reached through
+//!   [`ShardWriter::apply_batch`](crate::shard::ShardWriter::apply_batch))
+//!   — **what the engine runs**. Def. 4 makes every nest before the
+//!   last group only rows that agree on the last-nested attribute, so
+//!   `ν_P = ν_{P(n−1)} ∘ W` with `W` acting on each `σ_{P(n−1)=k}(R*)`
+//!   on its own. A batch therefore replays each outer key's ops, by the
+//!   same §4 procedures, on that key's *slice* — the handful of stored
+//!   tuples whose `P(n−1)` set holds `k`, with that set narrowed to
+//!   `{k}`: itself a canonical relation for `P`, never expanded — and
+//!   regroups once on `P(n−1)`: the tuples that lost a key, the stored
+//!   tuples set-equal on the rest to a tuple some slice gained, and the
+//!   gained tuples go through one [`NestKernel::nest_once`] and one
+//!   ordered merge back into the untouched remainder. Theorem 2 makes
+//!   the regrouping order irrelevant. Cost is O(batch + touched); a
+//!   batch that touches every key *is* the full re-nest, so there is no
+//!   threshold and no second arm.
 
 use crate::error::Result;
 use crate::kernel::NestKernel;
-use crate::maintenance::{CanonicalRelation, CostCounter, TupleEdits};
-use crate::relation::FlatRelation;
-use crate::tuple::FlatTuple;
+use crate::maintenance::{kernel_cmp, CanonicalRelation, CostCounter};
+use crate::relation::{FlatRelation, NfRelation};
+use crate::schema::AttrId;
+use crate::segment::{Conjunct, ShardSegments};
+use crate::tuple::{FlatTuple, NfTuple, ValueSet};
+use crate::value::Atom;
 
 /// One flat-row mutation in an update stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +64,14 @@ pub struct BatchSummary {
     pub noops: usize,
 }
 
+impl std::ops::AddAssign for BatchSummary {
+    fn add_assign(&mut self, other: Self) {
+        self.inserted += other.inserted;
+        self.deleted += other.deleted;
+        self.noops += other.noops;
+    }
+}
+
 /// Applies `ops` in order through §4 incremental maintenance,
 /// accumulating structural costs into `cost`.
 pub fn apply_batch(
@@ -51,72 +79,26 @@ pub fn apply_batch(
     ops: &[Op],
     cost: &mut CostCounter,
 ) -> Result<BatchSummary> {
-    apply_batch_tracked(canon, ops, cost, &mut ())
+    replay(canon, ops, cost)
 }
 
-/// [`apply_batch`] reporting every tuple-vector edit to `edits`.
-fn apply_batch_tracked(
+/// [`apply_batch`] over any stream of borrowed ops.
+pub(crate) fn replay<'a>(
     canon: &mut CanonicalRelation,
-    ops: &[Op],
+    ops: impl IntoIterator<Item = &'a Op>,
     cost: &mut CostCounter,
-    edits: &mut impl TupleEdits,
 ) -> Result<BatchSummary> {
     let mut summary = BatchSummary::default();
     for op in ops {
-        let effective = match op {
-            Op::Insert(row) => {
-                let hit = canon.insert_tracked(row.clone(), cost, edits)?;
-                if hit {
-                    summary.inserted += 1;
-                }
-                hit
-            }
-            Op::Delete(row) => {
-                let hit = canon.delete_tracked(row, cost, edits)?;
-                if hit {
-                    summary.deleted += 1;
-                }
-                hit
-            }
-        };
-        if !effective {
-            summary.noops += 1;
-        }
-    }
-    Ok(summary)
-}
-
-/// The re-nest baseline: applies `ops` to `R*` and rebuilds the
-/// canonical form from scratch through the single-pass nest kernel.
-/// Semantically identical to [`apply_batch`] (ops are order-sensitive
-/// only through set semantics, which `FlatRelation` reproduces exactly).
-pub fn rebuild_batch(canon: &CanonicalRelation, ops: &[Op]) -> Result<CanonicalRelation> {
-    rebuild_batch_with(&mut NestKernel::new(), canon, ops)
-}
-
-/// [`rebuild_batch`] reusing a caller-provided kernel across calls.
-pub fn rebuild_batch_with(
-    kernel: &mut NestKernel,
-    canon: &CanonicalRelation,
-    ops: &[Op],
-) -> Result<CanonicalRelation> {
-    rebuild_summarized(kernel, canon, ops).map(|(rebuilt, _)| rebuilt)
-}
-
-/// The rebuild body proper: expands `canon` to `R*`, applies `ops` to it
-/// (counting each op's effect against the state it met, for an honest
-/// summary), and re-nests the result through `kernel`.
-fn rebuild_summarized(
-    kernel: &mut NestKernel,
-    canon: &CanonicalRelation,
-    ops: &[Op],
-) -> Result<(CanonicalRelation, BatchSummary)> {
-    let mut summary = BatchSummary::default();
-    let mut flat: FlatRelation = canon.relation().expand();
-    for op in ops {
         let (effective, counter) = match op {
-            Op::Insert(row) => (flat.insert(row.clone())?, &mut summary.inserted),
-            Op::Delete(row) => (flat.remove(row), &mut summary.deleted),
+            Op::Insert(row) => (
+                canon.insert_tracked(row, cost, &mut ())?,
+                &mut summary.inserted,
+            ),
+            Op::Delete(row) => (
+                canon.delete_tracked(row, cost, &mut ())?,
+                &mut summary.deleted,
+            ),
         };
         if effective {
             *counter += 1;
@@ -124,62 +106,174 @@ fn rebuild_summarized(
             summary.noops += 1;
         }
     }
-    let rebuilt = CanonicalRelation::from_flat_with(kernel, &flat, canon.order().clone())?;
-    Ok((rebuilt, summary))
+    Ok(summary)
 }
 
-/// Whether a batch of `ops_len` operations against a relation of
-/// `flat_count` rows should rebuild rather than maintain incrementally.
-///
-/// Incremental cost is `O(ops · f(n))` (Theorem A-4: independent of the
-/// relation size but with a candidate-search scan per recons); the
-/// rebuild costs one expansion plus one `ν_P` over `flat_count ± ops`
-/// rows. The breakeven is workload-dependent; the default threshold
-/// (batch ≥ half the relation) is calibrated by experiment E10 and is
-/// deliberately conservative — incremental wins on everything smaller.
-pub fn should_rebuild(ops_len: usize, flat_count: u128) -> bool {
-    ops_len as u128 * 2 >= flat_count.max(1)
-}
-
-/// Applies a batch by whichever strategy [`should_rebuild`] selects.
-/// Returns the summary and whether the rebuild path ran.
-pub fn apply_batch_auto(
-    canon: &mut CanonicalRelation,
-    ops: &[Op],
-    cost: &mut CostCounter,
-) -> Result<(BatchSummary, bool)> {
-    apply_batch_auto_with(&mut NestKernel::new(), canon, ops, cost)
-}
-
-/// [`apply_batch_auto`] reusing a caller-provided kernel, so a stream of
-/// batches (`NfTable::append_batch` in `nf2-storage`) pays the rebuild
-/// arm's sort/intern allocations once.
-pub fn apply_batch_auto_with(
-    kernel: &mut NestKernel,
-    canon: &mut CanonicalRelation,
-    ops: &[Op],
-    cost: &mut CostCounter,
-) -> Result<(BatchSummary, bool)> {
-    apply_batch_auto_tracked(kernel, canon, ops, cost, &mut ())
-}
-
-/// [`apply_batch_auto_with`] reporting the incremental arm's
-/// tuple-vector edits to `edits` (the rebuild arm replaces the whole
-/// vector and reports nothing).
-pub(crate) fn apply_batch_auto_tracked(
-    kernel: &mut NestKernel,
-    canon: &mut CanonicalRelation,
-    ops: &[Op],
-    cost: &mut CostCounter,
-    edits: &mut impl TupleEdits,
-) -> Result<(BatchSummary, bool)> {
-    if should_rebuild(ops.len(), canon.flat_count()) {
-        let (rebuilt, summary) = rebuild_summarized(kernel, canon, ops)?;
-        *canon = rebuilt;
-        Ok((summary, true))
-    } else {
-        apply_batch_tracked(canon, ops, cost, edits).map(|s| (s, false))
+/// The re-nest oracle: applies `ops` to `R*` and rebuilds the canonical
+/// form from scratch through the single-pass nest kernel. Semantically
+/// identical to [`apply_batch`] (ops are order-sensitive only through
+/// set semantics, which `FlatRelation` reproduces exactly).
+pub fn rebuild_batch(canon: &CanonicalRelation, ops: &[Op]) -> Result<CanonicalRelation> {
+    let mut flat: FlatRelation = canon.relation().expand();
+    for op in ops {
+        match op {
+            Op::Insert(row) => {
+                flat.insert(row.clone())?;
+            }
+            Op::Delete(row) => {
+                flat.remove(row);
+            }
+        }
     }
+    CanonicalRelation::from_flat(&flat, canon.order().clone())
+}
+
+/// What the read phase of a keyed batch decided, in positions of the
+/// tuple vector it read.
+#[derive(Debug, Default)]
+pub(crate) struct KeyedBatch {
+    /// What the ops did, counted as §4 replay counts it.
+    pub(crate) summary: BatchSummary,
+    /// Distinct outer keys the ops addressed.
+    pub(crate) keys: usize,
+    /// Ascending positions of the stored tuples that leave: those that
+    /// lose a key (*touched*) and those a gained tuple merges with
+    /// (*pulled*).
+    pub(crate) removed: Vec<usize>,
+    /// The regrouped tuples that enter, in kernel order.
+    pub(crate) fresh: Vec<NfTuple>,
+}
+
+/// The keyed batch procedure (module docs) against one canonical shard
+/// and the segments that tile it, neither of which it changes: every
+/// search is a [`ShardSegments::locate`] against postings no edit has
+/// touched. `ops` (all of the shard's arity) keep their order within
+/// each outer key; across keys order is immaterial, as they touch
+/// disjoint rows.
+pub(crate) fn keyed_batch(
+    canon: &CanonicalRelation,
+    segments: &ShardSegments,
+    outer: AttrId,
+    kernel: &mut NestKernel,
+    ops: &[&Op],
+    cost: &mut CostCounter,
+) -> Result<KeyedBatch> {
+    let tuples = canon.relation().tuples();
+    let (schema, order) = (canon.relation().schema(), canon.order());
+    debug_assert_eq!(
+        segments.covered_rows(),
+        tuples.len(),
+        "the read phase needs postings for every stored tuple"
+    );
+    let mut batch = KeyedBatch::default();
+    // `(position, key)`: the stored tuple there loses that key.
+    let mut splits: Vec<(usize, Atom)> = Vec::new();
+    let mut gained: Vec<NfTuple> = Vec::new();
+
+    let mut by_key: Vec<&Op> = ops.to_vec();
+    by_key.sort_by_key(|op| op.row()[outer]); // stable: op order survives within a key
+    for run in by_key.chunk_by(|a, b| a.row()[outer] == b.row()[outer]) {
+        batch.keys += 1;
+        let key = run[0].row()[outer];
+        // The key's slice of the shard, in kernel order, with the
+        // position each tuple was cut from.
+        let holders = segments
+            .locate(tuples.len(), &[(outer, std::slice::from_ref(&key))])
+            .rows;
+        cost.candidate_probes += holders.len() as u64;
+        let mut slice: Vec<(NfTuple, usize)> = holders
+            .map(|at| {
+                let held = &tuples[at];
+                let cut = if held.component(outer).is_singleton() {
+                    held.clone()
+                } else {
+                    held.with_component(outer, ValueSet::singleton(key))
+                };
+                (cut, at)
+            })
+            .collect();
+        slice.sort_by(|a, b| kernel_cmp(order, &a.0, &b.0));
+        let mut replayed = CanonicalRelation::from_canonical_tuples(
+            schema.clone(),
+            order.clone(),
+            slice.iter().map(|(cut, _)| cut.clone()).collect(),
+        );
+        batch.summary += replay(&mut replayed, run.iter().copied(), cost)?;
+
+        // Both vectors ascend in kernel key and equal tuples have equal
+        // keys, so one walk tells what the slice lost and gained.
+        let after = replayed.relation().tuples();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < slice.len() || j < after.len() {
+            let side = match (slice.get(i), after.get(j)) {
+                (Some((was, _)), Some(now)) if was == now => {
+                    i += 1;
+                    j += 1;
+                    continue;
+                }
+                (Some((was, _)), Some(now)) => kernel_cmp(order, was, now),
+                (Some(_), None) => std::cmp::Ordering::Less,
+                _ => std::cmp::Ordering::Greater,
+            };
+            if side.is_le() {
+                splits.push((slice[i].1, key));
+                i += 1;
+            }
+            if side.is_ge() {
+                gained.push(after[j].clone());
+                j += 1;
+            }
+        }
+    }
+    if splits.is_empty() && gained.is_empty() {
+        return Ok(batch);
+    }
+
+    // The stored tuple with the rest of each gained tuple, if any (rests
+    // are unique in a canonical relation), joins the regroup.
+    let mut pulled: Vec<usize> = Vec::new();
+    for new in &gained {
+        let minima: Vec<Conjunct<'_>> = (0..new.arity())
+            .filter(|&attr| attr != outer)
+            .map(|attr| (attr, &new.component(attr).as_slice()[..1]))
+            .collect();
+        for at in segments.locate(tuples.len(), &minima).rows {
+            cost.candidate_probes += 1;
+            if tuples[at].agrees_except(new, outer) {
+                pulled.push(at);
+                break;
+            }
+        }
+    }
+
+    // The loose set: touched tuples without the keys they lost (dropped
+    // when none is left), pulled tuples as they are, gained tuples.
+    splits.sort_unstable();
+    let mut loose = gained;
+    for lost in splits.chunk_by(|a, b| a.0 == b.0) {
+        let at = lost[0].0;
+        let keys: Vec<Atom> = lost.iter().map(|&(_, key)| key).collect();
+        let keys = ValueSet::from_sorted_unchecked(&keys);
+        if let Some(left) = tuples[at].component(outer).difference(&keys) {
+            cost.decompositions += keys.len() as u64;
+            loose.push(tuples[at].with_component(outer, left));
+        }
+        batch.removed.push(at);
+    }
+    pulled.sort_unstable();
+    pulled.dedup();
+    pulled.retain(|at| batch.removed.binary_search(at).is_err());
+    loose.extend(pulled.iter().map(|&at| tuples[at].clone()));
+    batch.removed.extend(pulled);
+    batch.removed.sort_unstable();
+
+    // One ν over P(n−1): tuples with equal rests leave as one.
+    let entering = loose.len();
+    let loose = NfRelation::from_tuples_unchecked(schema.clone(), loose);
+    batch.fresh = kernel.nest_once(&loose, outer).into_tuples();
+    cost.compositions += (entering - batch.fresh.len()) as u64;
+    batch.fresh.sort_by(|a, b| kernel_cmp(order, a, b));
+    Ok(batch)
 }
 
 /// Rewrites one flat row (the paper's Fig. 2 "student stops taking a
@@ -205,8 +299,10 @@ pub fn modify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvcc::ShardVersion;
     use crate::schema::{NestOrder, Schema};
-    use crate::value::Atom;
+    use crate::segment::Tiling;
+    use crate::shard::{BatchReport, ShardSpec, ShardedCanonical};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -296,45 +392,285 @@ mod tests {
         assert_eq!(canon.relation(), &before);
     }
 
-    #[test]
-    fn auto_strategy_picks_rebuild_for_large_batches() {
-        let mut canon = seeded(); // 4 rows
-        let ops: Vec<Op> = (0..8).map(|i| Op::Insert(row(&[10 + i, 30]))).collect();
-        let mut cost = CostCounter::new();
-        let (summary, rebuilt) = apply_batch_auto(&mut canon, &ops, &mut cost).unwrap();
-        assert!(rebuilt, "8 ops vs 4 rows must rebuild");
-        assert_eq!(summary.inserted, 8);
-        canon.verify().unwrap();
+    /// `base` in one shard (so postings exist), segments of two tuples.
+    fn one_shard(base: &CanonicalRelation) -> ShardedCanonical {
+        let mut version = ShardVersion::new(base.clone(), ShardSegments::new());
+        let outer_attr = base.order().as_slice().last().copied();
+        version.retile(Tiling {
+            outer_attr,
+            target_rows: 2,
+        });
+        ShardedCanonical::from_versions(
+            base.relation().schema().clone(),
+            base.order().clone(),
+            ShardSpec::single(),
+            vec![Arc::new(version)],
+            2,
+        )
+        .unwrap()
+    }
+
+    /// Applies `ops` to `base` by the keyed procedure and by §4 replay,
+    /// and checks the two agree — the vector tuple for tuple, the
+    /// summary field for field, the segments an exact tiling. Neither
+    /// side expands anything.
+    fn keyed(base: &CanonicalRelation, ops: &[Op]) -> (ShardedCanonical, BatchReport) {
+        let mut reference = base.clone();
+        let summary = apply_batch(&mut reference, ops, &mut CostCounter::new()).unwrap();
+        let mut sharded = one_shard(base);
+        let report = sharded.apply_batch(ops).unwrap();
+        assert_eq!(report.summary, summary);
+        assert_eq!(
+            sharded.shard(0).relation().tuples(),
+            reference.relation().tuples(),
+            "keyed ≡ §4 replay, as vectors"
+        );
+        let version = sharded.version(0);
+        if base.order().arity() > 0 {
+            assert_eq!(version.segments().covered_rows(), version.tuple_count());
+        }
+        for (range, seg) in version.segments().ranges() {
+            assert_eq!(seg.decode(), version.tuples()[range]);
+        }
+        (sharded, report)
+    }
+
+    fn canon_of(attrs: &[&str], order: NestOrder, rows: &[&[u32]]) -> CanonicalRelation {
+        let flat = FlatRelation::from_rows(
+            Schema::new("R", attrs).unwrap(),
+            rows.iter().map(|r| row(r)),
+        )
+        .unwrap();
+        CanonicalRelation::from_flat(&flat, order).unwrap()
+    }
+
+    fn sets(t: &NfTuple) -> Vec<Vec<u32>> {
+        t.components()
+            .iter()
+            .map(|c| c.iter().map(|a| a.id()).collect())
+            .collect()
     }
 
     #[test]
-    fn auto_strategy_picks_incremental_for_small_batches() {
-        let mut canon = seeded();
-        let ops = vec![Op::Insert(row(&[9, 11]))];
-        let mut cost = CostCounter::new();
-        let (summary, rebuilt) = apply_batch_auto(&mut canon, &ops, &mut cost).unwrap();
-        assert!(!rebuilt);
-        assert_eq!(summary.inserted, 1);
-        assert!(cost.recons_calls >= 1, "incremental path was exercised");
+    fn a_batch_over_every_key_regroups_the_whole_shard() {
+        // Every stored key (11, 12) gains a row under A = 1..3, the rests
+        // every stored tuple has a part in: all of them regroup.
+        let ops: Vec<Op> = [[1, 12], [3, 11], [9, 11], [9, 12]]
+            .iter()
+            .map(|r| Op::Insert(row(r)))
+            .collect();
+        let (sharded, report) = keyed(&seeded(), &ops);
+        assert_eq!(report.summary.inserted, 4);
+        assert_eq!(report.keys, 2);
+        assert_eq!(report.tuples_regrouped, seeded().tuple_count());
+        assert_eq!(report.shards_regrouped_whole, 1);
+        sharded.verify().unwrap();
     }
 
     #[test]
-    fn auto_rebuild_summary_matches_incremental_summary() {
-        let base = seeded();
-        let ops = mixed_ops();
-        let mut a = base.clone();
-        let mut cost = CostCounter::new();
-        let incremental = apply_batch(&mut a, &ops, &mut cost).unwrap();
-        let mut b = base.clone();
-        // Force the rebuild path by repeating the batch until the
-        // threshold trips; the second cycle is pure no-ops.
-        let big: Vec<Op> = ops.iter().cloned().cycle().take(10).collect();
-        let (via_rebuild, rebuilt) = apply_batch_auto(&mut b, &big, &mut cost).unwrap();
-        assert!(rebuilt);
-        assert_eq!(via_rebuild.inserted, incremental.inserted);
-        assert_eq!(via_rebuild.deleted, incremental.deleted);
-        assert_eq!(via_rebuild.noops, incremental.noops + ops.len());
-        assert_eq!(a.relation(), b.relation());
+    fn a_small_batch_regroups_only_its_neighbourhood() {
+        let base = canon_of(
+            &["A", "B"],
+            NestOrder::identity(2),
+            &[&[1, 11], &[2, 12], &[3, 13], &[4, 14], &[5, 15]],
+        );
+        let mut sharded = one_shard(&base);
+        let old = Arc::clone(sharded.version(0));
+        let report = sharded.apply_batch(&[Op::Insert(row(&[9, 13]))]).unwrap();
+        assert_eq!(report.summary.inserted, 1);
+        assert_eq!(
+            (
+                report.keys,
+                report.tuples_regrouped,
+                report.segments_reencoded
+            ),
+            (1, 1, 1),
+            "one key, the one tuple that holds it, the one segment that holds that"
+        );
+        assert_eq!(report.shards_regrouped_whole, 0);
+        let new = sharded.version(0);
+        let shared = |a: &NfTuple| new.tuples().iter().any(|b| b.shares_storage_with(a));
+        assert_eq!(
+            old.tuples().iter().filter(|t| shared(t)).count(),
+            4,
+            "the other four tuples are carried over, not rebuilt"
+        );
+        assert!(Arc::ptr_eq(
+            &old.segments().segments()[0],
+            &new.segments().segments()[0]
+        ));
+        assert!(Arc::ptr_eq(
+            &old.segments().segments()[2],
+            &new.segments().segments()[2]
+        ));
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn keyed_summary_matches_the_sequential_summary() {
+        // The batch twice over: the second pass meets the state the
+        // first left, so it is part no-op, part undo-and-redo.
+        let twice: Vec<Op> = mixed_ops().into_iter().cycle().take(10).collect();
+        let (sharded, report) = keyed(&seeded(), &twice);
+        assert_eq!(
+            report.summary,
+            BatchSummary {
+                inserted: 2,
+                deleted: 1,
+                noops: 7
+            }
+        );
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn keys_that_end_with_equal_rests_leave_as_one_tuple() {
+        // B = 20 and B = 21 both end up holding exactly A = {1, 2}: two
+        // slices, two gained tuples, one tuple out of the regroup.
+        let base = canon_of(&["A", "B"], NestOrder::identity(2), &[&[1, 20], &[7, 30]]);
+        let ops = [
+            Op::Insert(row(&[2, 20])),
+            Op::Insert(row(&[1, 21])),
+            Op::Insert(row(&[2, 21])),
+        ];
+        let (sharded, report) = keyed(&base, &ops);
+        assert_eq!(report.keys, 2);
+        let tuples = sharded.shard(0).relation().tuples();
+        assert_eq!(sets(&tuples[0]), vec![vec![1, 2], vec![20, 21]]);
+        assert_eq!(tuples.len(), 2);
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn a_gained_tuple_pulls_the_untouched_tuple_with_its_rest() {
+        // Nothing stored holds B = 21, so nothing is touched; but the
+        // slice gains ({1,2}, {21}), and ({1,2}, {20}) has that rest.
+        let base = canon_of(
+            &["A", "B"],
+            NestOrder::identity(2),
+            &[&[1, 20], &[2, 20], &[7, 30]],
+        );
+        let ops = [Op::Insert(row(&[1, 21])), Op::Insert(row(&[2, 21]))];
+        let (sharded, report) = keyed(&base, &ops);
+        assert_eq!(report.tuples_regrouped, 1, "the pulled tuple alone");
+        let tuples = sharded.shard(0).relation().tuples();
+        assert_eq!(sets(&tuples[0]), vec![vec![1, 2], vec![20, 21]]);
+        assert_eq!(sets(&tuples[1]), vec![vec![7], vec![30]]);
+        let cost = sharded.maintenance_cost().total;
+        assert_eq!(cost.compositions, 2, "one in the slice, one in the regroup");
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn losing_its_minimum_key_moves_a_tuple_in_kernel_order() {
+        let base = canon_of(
+            &["A", "B"],
+            NestOrder::identity(2),
+            &[&[1, 10], &[1, 12], &[2, 11]],
+        );
+        let first = |c: &CanonicalRelation| sets(&c.relation().tuples()[0]);
+        assert_eq!(first(&base), vec![vec![1], vec![10, 12]]);
+        let (sharded, _) = keyed(&base, &[Op::Delete(row(&[1, 10]))]);
+        let tuples = sharded.shard(0).relation().tuples();
+        assert_eq!(sets(&tuples[0]), vec![vec![2], vec![11]]);
+        assert_eq!(sets(&tuples[1]), vec![vec![1], vec![12]]);
+        let cost = sharded.maintenance_cost().total;
+        assert_eq!(cost.decompositions, 1, "key 10 split off a surviving tuple");
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn a_key_losing_every_row_leaves_every_tuple_that_held_it() {
+        // Key 11 sits in a tuple of its own and in one it shares with
+        // key 12: the first is dropped, the second survives without it.
+        let base = canon_of(
+            &["A", "B"],
+            NestOrder::identity(2),
+            &[&[1, 11], &[2, 11], &[2, 12], &[3, 13]],
+        );
+        assert_eq!(base.tuple_count(), 3);
+        let ops = [Op::Delete(row(&[1, 11])), Op::Delete(row(&[2, 11]))];
+        let (sharded, report) = keyed(&base, &ops);
+        assert_eq!(report.summary.deleted, 2);
+        let tuples = sharded.shard(0).relation().tuples();
+        assert_eq!(tuples.len(), 2);
+        assert_eq!(sets(&tuples[0]), vec![vec![2], vec![12]]);
+        assert!(!sharded.contains(&row(&[2, 11])));
+        sharded.verify().unwrap();
+    }
+
+    #[test]
+    fn a_fat_slice_is_never_expanded() {
+        // Key 7's slice is one rectangle of 2 000³ = 8·10⁹ flat rows.
+        // Cutting a row out of it and adding one beside it are set
+        // operations on three 2 000-value components; anything that
+        // expanded the slice would not return.
+        let span: Vec<Atom> = (0..2_000).map(Atom).collect();
+        let fat: NfTuple = [&span[..], &span[..], &span[..], &[Atom(7)][..]]
+            .iter()
+            .map(|vals| ValueSet::from_sorted_unchecked(vals))
+            .collect();
+        let base = CanonicalRelation::from_canonical_tuples(
+            Schema::new("R", &["A", "B", "C", "D"]).unwrap(),
+            NestOrder::identity(4),
+            vec![fat],
+        );
+        let ops = [
+            Op::Delete(row(&[3, 4, 5, 7])),
+            Op::Insert(row(&[5_000, 4, 5, 7])),
+            Op::Insert(row(&[3, 4, 5, 8])),
+        ];
+        let (sharded, report) = keyed(&base, &ops);
+        assert_eq!((report.summary.inserted, report.summary.deleted), (2, 1));
+        assert_eq!(sharded.flat_count(), 8_000_000_000 - 1 + 2);
+        sharded.shard(0).relation().validate().unwrap();
+    }
+
+    #[test]
+    fn arity_one_regroups_into_one_tuple() {
+        // No rest to differ on: every key's slice is `({k})` or empty and
+        // the regroup folds whatever is left into a single tuple.
+        let base = canon_of(&["A"], NestOrder::identity(1), &[&[3], &[5]]);
+        let ops = [
+            Op::Insert(row(&[4])),
+            Op::Delete(row(&[3])),
+            Op::Insert(row(&[5])),
+            Op::Delete(row(&[9])),
+        ];
+        let (sharded, report) = keyed(&base, &ops);
+        assert_eq!(report.summary.noops, 2);
+        let tuples = sharded.shard(0).relation().tuples();
+        assert_eq!(tuples.len(), 1);
+        assert_eq!(sets(&tuples[0]), vec![vec![4, 5]]);
+        let (emptied, _) = keyed(
+            sharded.shard(0),
+            &[Op::Delete(row(&[4])), Op::Delete(row(&[5]))],
+        );
+        assert!(emptied.is_empty());
+        assert_eq!(emptied.shard_segments(0).segment_count(), 0);
+    }
+
+    #[test]
+    fn arity_zero_has_no_key_and_at_most_one_row() {
+        let base = canon_of(&[], NestOrder::identity(0), &[]);
+        let unit = || row(&[]);
+        let (sharded, report) = keyed(
+            &base,
+            &[Op::Insert(unit()), Op::Insert(unit()), Op::Delete(unit())],
+        );
+        assert_eq!(
+            report.summary,
+            BatchSummary {
+                inserted: 1,
+                deleted: 1,
+                noops: 1
+            }
+        );
+        assert_eq!(report.keys, 0, "no routing attribute, no keyed path");
+        assert!(sharded.is_empty());
+        let (sharded, _) = keyed(&base, &[Op::Insert(unit())]);
+        assert_eq!(sharded.flat_count(), 1);
+        assert_eq!(sharded.shard_segments(0).segment_count(), 0);
     }
 
     #[test]
@@ -367,15 +703,8 @@ mod tests {
         canon.verify().unwrap();
     }
 
-    #[test]
-    fn should_rebuild_threshold() {
-        assert!(should_rebuild(50, 100));
-        assert!(!should_rebuild(49, 100));
-        assert!(should_rebuild(1, 0), "empty relation: rebuild is free");
-    }
-
-    /// Deterministic randomized agreement between the two strategies on
-    /// longer op streams (the proptest suite widens this further).
+    /// Deterministic randomized agreement between the three procedures
+    /// on longer op streams (the proptest suite widens this further).
     #[test]
     fn random_streams_agree_across_strategies() {
         let mut state = 0xfeedu64;
@@ -394,7 +723,8 @@ mod tests {
         let mut cost = CostCounter::new();
         apply_batch(&mut inc, &ops, &mut cost).unwrap();
         let rebuilt = rebuild_batch(&base, &ops).unwrap();
-        assert_eq!(inc.relation(), rebuilt.relation());
-        assert_eq!(ops[0].row(), ops[0].row());
+        assert_eq!(inc.relation().tuples(), rebuilt.relation().tuples());
+        let (sharded, _) = keyed(&base, &ops);
+        sharded.verify().unwrap();
     }
 }

@@ -60,6 +60,17 @@ use std::sync::Arc;
 /// The paper measures update cost as the **number of compositions**; we
 /// additionally count decompositions, candidate probes (tuple × position
 /// checks inside `candt`) and `recons` invocations.
+///
+/// A keyed batch (`ShardWriter::apply_batch`, see [`crate::bulk`])
+/// counts into the same four fields. Each outer key's ops are replayed
+/// by the §4 procedures on that key's slice, so every field first
+/// receives the slices' own §4 counts, tallied by the code that tallies
+/// a point op's. On top of those: `candidate_probes` gains one per
+/// stored tuple found holding a batch key and one per stored tuple
+/// tested for a rest set-equal to a tuple some slice gained;
+/// `decompositions` gains one per key split off a stored tuple that
+/// survives the split; `compositions` gains one per merge the final
+/// `ν_{P(n−1)}` regroup performs. `recons_calls` is the slices' alone.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CostCounter {
     /// Def. 1 compositions performed.
@@ -118,6 +129,21 @@ impl TupleEdits for () {
     fn locate(&self, len: usize, _conjuncts: &[Conjunct<'_>]) -> Rows {
         Rows::all(len)
     }
+}
+
+/// The kernel's order on canonical tuples: by componentwise-minimum
+/// representative, last-nested attribute first (module docs).
+/// Expansions of a relation's tuples are pairwise disjoint, so within
+/// one relation no two tuples compare equal.
+pub(crate) fn kernel_cmp(order: &NestOrder, s: &NfTuple, t: &NfTuple) -> std::cmp::Ordering {
+    let min = |u: &NfTuple, attr: usize| u.component(attr).as_slice()[0];
+    order
+        .as_slice()
+        .iter()
+        .rev()
+        .map(|&attr| min(s, attr).cmp(&min(t, attr)))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// The first of the located `rows` of `tuples` passing `test`, walked a
@@ -179,8 +205,8 @@ impl CanonicalRelation {
     }
 
     /// [`from_flat`](Self::from_flat) reusing a caller-provided kernel, so
-    /// bulk loads and streaming rebuilds (the §4 rebuild arm) keep their
-    /// sort/intern buffers warm across calls.
+    /// a shard's cold build uses the sort/intern buffers its batches'
+    /// regroups keep warm.
     pub fn from_flat_with(
         kernel: &mut crate::kernel::NestKernel,
         flat: &FlatRelation,
@@ -236,14 +262,14 @@ impl CanonicalRelation {
 
     /// [`insert`](Self::insert) with operation counting.
     pub fn insert_counted(&mut self, flat: FlatTuple, cost: &mut CostCounter) -> Result<bool> {
-        self.insert_tracked(flat, cost, &mut ())
+        self.insert_tracked(&flat, cost, &mut ())
     }
 
     /// [`insert_counted`](Self::insert_counted) reporting every
     /// tuple-vector edit to `edits`.
     pub(crate) fn insert_tracked(
         &mut self,
-        flat: FlatTuple,
+        flat: &[Atom],
         cost: &mut CostCounter,
         edits: &mut impl TupleEdits,
     ) -> Result<bool> {
@@ -253,10 +279,10 @@ impl CanonicalRelation {
                 got: flat.len(),
             });
         }
-        if self.searcht(&flat, edits).is_some() {
+        if self.searcht(flat, edits).is_some() {
             return Ok(false);
         }
-        let t = NfTuple::from_flat(&flat);
+        let t = NfTuple::from_flat(flat);
         self.recons(t, cost, edits);
         debug_assert!(self.rel.validate().is_ok());
         Ok(true)
@@ -452,21 +478,81 @@ impl CanonicalRelation {
         self.rel.remove(idx)
     }
 
-    /// Where `t` belongs in the kernel's order: tuples sort by their
-    /// componentwise-minimum representative, last-nested attribute
-    /// first (module docs). `t`'s expansion is disjoint from every
-    /// stored tuple's, so no stored key equals its own.
-    fn position_of(&self, t: &NfTuple) -> usize {
-        let key = |s: &NfTuple, attr: usize| s.component(attr).as_slice()[0];
-        self.rel.tuples().partition_point(|s| {
-            self.order
-                .as_slice()
-                .iter()
-                .rev()
-                .map(|&attr| key(s, attr).cmp(&key(t, attr)))
-                .find(|o| o.is_ne())
-                .is_some_and(|o| o.is_lt())
-        })
+    /// Where `t` belongs in the kernel's order ([`kernel_cmp`]): the
+    /// number of stored tuples whose key is below `t`'s. A tuple whose
+    /// expansion is disjoint from every stored tuple's has a key none
+    /// of them has.
+    pub(crate) fn position_of(&self, t: &NfTuple) -> usize {
+        self.rel
+            .tuples()
+            .partition_point(|s| kernel_cmp(&self.order, s, t).is_lt())
+    }
+
+    /// The canonical relation made of `tuples`, which the caller knows
+    /// to be `ν_P` of their own expansion and hands over in kernel
+    /// order — a keyed batch's per-key slice of a canonical shard.
+    /// Debug builds check what can be checked without expanding: the
+    /// keys strictly ascend and the NFR invariants hold.
+    pub(crate) fn from_canonical_tuples(
+        schema: Arc<Schema>,
+        order: NestOrder,
+        tuples: Vec<NfTuple>,
+    ) -> Self {
+        let canon = Self {
+            rel: NfRelation::from_tuples_unchecked(schema, tuples),
+            order,
+        };
+        canon.debug_assert_kernel_order();
+        canon
+    }
+
+    /// One ordered merge: the relation with the tuples at `removed`
+    /// (ascending positions) gone and each `fresh[i]` entered before
+    /// position `entered[i]` of the present vector (`entered` ascending,
+    /// as [`position_of`](Self::position_of) answers for `fresh` in
+    /// kernel order). Every kept tuple is carried over by reference
+    /// count. The caller guarantees the result is canonical; debug
+    /// builds check its order and validate it, as point ops do.
+    pub(crate) fn spliced(
+        &self,
+        removed: &[usize],
+        entered: &[usize],
+        fresh: Vec<NfTuple>,
+    ) -> Self {
+        let old = self.rel.tuples();
+        debug_assert_eq!(entered.len(), fresh.len());
+        let mut next = Vec::with_capacity(old.len() + fresh.len() - removed.len());
+        let mut removed = removed.iter().copied().peekable();
+        let mut at = 0usize;
+        let mut carry_to = |next: &mut Vec<NfTuple>, upto: usize| {
+            while at < upto {
+                let stop = removed.next_if(|&r| r < upto);
+                next.extend_from_slice(&old[at..stop.unwrap_or(upto)]);
+                at = stop.map_or(upto, |r| r + 1);
+            }
+        };
+        for (&before, t) in entered.iter().zip(fresh) {
+            carry_to(&mut next, before);
+            next.push(t);
+        }
+        carry_to(&mut next, old.len());
+        let canon = Self {
+            rel: NfRelation::from_tuples_unchecked(self.rel.schema().clone(), next),
+            order: self.order.clone(),
+        };
+        canon.debug_assert_kernel_order();
+        canon
+    }
+
+    /// Debug builds: the vector strictly ascends in kernel key.
+    fn debug_assert_kernel_order(&self) {
+        debug_assert!(
+            self.rel
+                .tuples()
+                .windows(2)
+                .all(|w| kernel_cmp(&self.order, &w[0], &w[1]).is_lt()),
+            "the tuple vector must strictly ascend in kernel key"
+        );
     }
 
     /// Re-derives the canonical form from scratch and checks the

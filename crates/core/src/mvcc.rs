@@ -38,12 +38,13 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::bulk::{apply_batch_auto_tracked, BatchSummary, Op};
+use crate::bulk::{keyed_batch, replay, KeyedBatch, Op};
 use crate::error::Result;
 use crate::kernel::NestKernel;
 use crate::maintenance::{CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
 use crate::segment::{point_conjuncts, Conjunct, Located, ShardSegments, Tiling};
+use crate::shard::BatchReport;
 use crate::tuple::{FlatTuple, NfTuple, TupleStore};
 use crate::value::Atom;
 
@@ -124,7 +125,7 @@ impl ShardVersion {
         tiling: Tiling,
     ) -> Result<bool> {
         let mut patch = self.segments.patch();
-        let fresh = self.canon.insert_tracked(row, cost, &mut patch)?;
+        let fresh = self.canon.insert_tracked(&row, cost, &mut patch)?;
         if fresh {
             patch.finish(self.canon.relation().tuples(), tiling);
         }
@@ -147,26 +148,61 @@ impl ShardVersion {
         Ok(hit)
     }
 
-    /// Applies a sub-batch through the auto strategy: the incremental
-    /// arm repairs the segments its ops touched (once, at the end), the
-    /// rebuild arm re-tiles the re-nested vector. Returns the summary
-    /// and whether the rebuild arm ran.
+    /// Applies a sub-batch by the keyed batch procedure
+    /// ([`crate::bulk`]). The read phase runs against this version as
+    /// it stands — its postings are clean, no patch exists yet — and
+    /// decides which tuples leave and which enter; only a batch that
+    /// changes something builds the replacement version: one ordered
+    /// merge of the tuple vector, reported to the segments in one sweep
+    /// so each touched segment is rebuilt once — patched from its own
+    /// postings wherever it has any. `None` means every op was a no-op
+    /// (or the ops cancelled out) and this version stands.
     pub(crate) fn apply_batch(
-        &mut self,
+        &self,
         kernel: &mut NestKernel,
-        batch: &[Op],
+        batch: &[&Op],
         cost: &mut CostCounter,
         tiling: Tiling,
-    ) -> Result<(BatchSummary, bool)> {
-        let mut patch = self.segments.patch();
-        let (summary, rebuilt) =
-            apply_batch_auto_tracked(kernel, &mut self.canon, batch, cost, &mut patch)?;
-        if rebuilt {
-            self.retile(tiling);
-        } else {
-            patch.finish(self.canon.relation().tuples(), tiling);
+    ) -> Result<(BatchReport, Option<ShardVersion>)> {
+        let Some(outer) = tiling.outer_attr else {
+            // No routing attribute: the relation is `{}` or `{()}`, and
+            // §4 replay on it is the whole job.
+            let mut canon = self.canon.clone();
+            let summary = replay(&mut canon, batch.iter().copied(), cost)?;
+            let report = BatchReport {
+                summary,
+                ..BatchReport::default()
+            };
+            let changed = canon.tuple_count() != self.canon.tuple_count();
+            return Ok((
+                report,
+                changed.then(|| ShardVersion::new(canon, ShardSegments::new())),
+            ));
+        };
+        let KeyedBatch {
+            summary,
+            keys,
+            removed,
+            fresh,
+        } = keyed_batch(&self.canon, &self.segments, outer, kernel, batch, cost)?;
+        let mut report = BatchReport {
+            summary,
+            keys,
+            ..BatchReport::default()
+        };
+        if removed.is_empty() && fresh.is_empty() {
+            return Ok((report, None));
         }
-        Ok((summary, rebuilt))
+        let entered: Vec<usize> = fresh.iter().map(|t| self.canon.position_of(t)).collect();
+        let mut segments = self.segments.clone();
+        let mut patch = segments.patch();
+        patch.splice(&removed, &entered);
+        let canon = self.canon.spliced(&removed, &entered, fresh);
+        report.segments_reencoded = patch.finish(canon.relation().tuples(), tiling);
+        report.tuples_regrouped = removed.len();
+        report.shards_regrouped_whole =
+            usize::from(!removed.is_empty() && removed.len() == self.tuple_count());
+        Ok((report, Some(ShardVersion::new(canon, segments))))
     }
 
     /// Re-emits uniformly tiled segments over the current tuple vector.

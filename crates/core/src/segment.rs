@@ -33,11 +33,16 @@
 //! `SegmentPatch`; when the operation is done the patch re-encodes
 //! exactly the segments whose tuple range changed — dropping one that
 //! emptied, splitting one that outgrew twice the tiling target — and
-//! carries every other segment over by pointer. While the operation
-//! runs, the patch answers its searches: from the postings of the
-//! segments it has not touched (offset by where each now starts), and by
-//! handing back the whole current range of a touched one, whose local
-//! row numbers no longer line up. A shard's segments therefore describe
+//! carries every other segment over by pointer. A keyed batch
+//! ([`crate::bulk`]) searches before it edits and reports its one
+//! ordered merge in a single sweep, row by row; a segment whose edits
+//! are known that well is *patched* — its postings renumbered in place,
+//! only the tuples that entered read — instead of transposed afresh.
+//! While a point operation runs, the patch answers its searches: from
+//! the postings of the segments it has not touched (offset by where
+//! each now starts), and by handing back the whole current range of a
+//! touched one, whose local row numbers no longer line up. A shard's
+//! segments therefore describe
 //! its live tuple vector at every version: ordered scans and located
 //! reads never have to check for staleness. Segment boundaries drift
 //! from the uniform tiling as patches accumulate; a checkpoint re-tiles
@@ -139,6 +144,12 @@ fn push_span(spans: &mut Vec<Range<usize>>, range: Range<usize>) {
     }
 }
 
+/// Appends one `(code << 32 | row)` key per member of `t`'s `attr` set.
+fn push_keys(keys: &mut Vec<u64>, t: &NfTuple, attr: usize, row: u64) {
+    let members = t.component(attr).as_slice();
+    keys.extend(members.iter().map(|v| u64::from(v.id()) << 32 | row));
+}
+
 /// Sorts `(code << 32 | row)` keys, generated in row order, by code: a
 /// stable least-significant-digit radix sort over the bits in which the
 /// codes differ at all, so rows stay ascending within a code and the
@@ -175,6 +186,9 @@ fn sort_by_code(keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
     }
 }
 
+/// In a row renumbering: this row is no longer there.
+const GONE: u32 = u32::MAX;
+
 /// One attribute of a segment, value-major: the distinct codes that
 /// occur in any row's set, ascending, each with the ascending list of
 /// segment-local rows whose set holds it. Offsets and rows are `u32`
@@ -200,13 +214,7 @@ impl ValueColumn {
     fn encode(tuples: &[NfTuple], attr: usize, keys: &mut Vec<u64>, spare: &mut Vec<u64>) -> Self {
         keys.clear();
         for (row, t) in tuples.iter().enumerate() {
-            let row = row as u64;
-            keys.extend(
-                t.component(attr)
-                    .as_slice()
-                    .iter()
-                    .map(|v| u64::from(v.id()) << 32 | row),
-            );
+            push_keys(keys, t, attr, row as u64);
         }
         assert!(
             u32::try_from(keys.len()).is_ok(),
@@ -237,6 +245,77 @@ impl ValueColumn {
     /// The rows of the `i`-th code.
     fn rows_at(&self, i: usize) -> &[u32] {
         &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// This column after an edit of its segment's rows: `renumber[row]`
+    /// is what each present row is called afterwards ([`GONE`] if it
+    /// left; the mapping ascends, so every list stays sorted), and
+    /// `added` holds one `(code << 32 | row)` key, in code-then-row
+    /// order, per set member of the rows that entered. One pass over
+    /// the codes, each list renumbered and merged with the additions
+    /// that join it; a code left without rows is dropped, one only
+    /// entered rows hold is opened.
+    fn patched(&self, renumber: &[u32], added: &[u64]) -> Self {
+        let code_of = |key: u64| (key >> 32) as u32;
+        let mut codes = Vec::with_capacity(self.codes.len() + added.len());
+        let mut offsets = Vec::with_capacity(self.codes.len() + added.len() + 1);
+        let mut rows = vec![0u32; self.rows.len() + added.len()];
+        let (mut filled, mut taken) = (0usize, 0usize);
+        // Moves the additions of `code` below `bound` into the list.
+        let mut take = |rows: &mut [u32], filled: &mut usize, code: u32, bound: u32| {
+            while let Some(&key) = added
+                .get(taken)
+                .filter(|&&key| code_of(key) == code && (key as u32) < bound)
+            {
+                rows[*filled] = key as u32;
+                *filled += 1;
+                taken += 1;
+            }
+            added.get(taken).map(|&key| code_of(key))
+        };
+        let mut next_added = added.first().map(|&key| code_of(key));
+        let kept = self.codes.iter().map(|code| Some(code.id())).enumerate();
+        // One more turn after the last code takes the additions beyond it.
+        for (i, code) in kept.chain([(self.codes.len(), None)]) {
+            while let Some(opened) = next_added.filter(|&c| code.is_none_or(|code| c < code)) {
+                codes.push(Atom(opened));
+                offsets.push(filled as u32);
+                next_added = take(&mut rows, &mut filled, opened, GONE);
+            }
+            let Some(code) = code else {
+                break;
+            };
+            let start = filled;
+            let joins = next_added == Some(code);
+            for &row in self.rows_at(i) {
+                let row = renumber[row as usize];
+                if row != GONE {
+                    if joins {
+                        take(&mut rows, &mut filled, code, row);
+                    }
+                    rows[filled] = row;
+                    filled += 1;
+                }
+            }
+            if joins {
+                next_added = take(&mut rows, &mut filled, code, GONE);
+            }
+            if filled > start {
+                codes.push(Atom(code));
+                offsets.push(start as u32);
+            }
+        }
+        assert!(
+            u32::try_from(filled).is_ok(),
+            "a segment's set members must fit its u32 offsets"
+        );
+        offsets.push(filled as u32);
+        rows.truncate(filled);
+        ValueColumn {
+            codes: codes.into(),
+            offsets: offsets.into(),
+            rows: rows.into(),
+        }
     }
 
     /// The part of `values` inside this column's `[min, max]` zone.
@@ -276,6 +355,14 @@ impl ValueColumn {
     }
 }
 
+/// Runs of equal consecutive outer sets among `tuples` (non-empty).
+fn outer_runs(tuples: &[NfTuple], outer_attr: usize) -> usize {
+    1 + tuples
+        .windows(2)
+        .filter(|w| w[0].component(outer_attr) != w[1].component(outer_attr))
+        .count()
+}
+
 /// One sorted immutable segment: `rows` consecutive tuples of a shard's
 /// canonical tuple vector, stored value-major (one `ValueColumn` per
 /// attribute). A segment does not know where it starts — its position
@@ -304,20 +391,73 @@ impl Segment {
         let columns = (0..arity)
             .map(|a| ValueColumn::encode(tuples, a, &mut keys, &mut spare))
             .collect();
-        let outer_runs = 1 + tuples
-            .windows(2)
-            .filter(|w| w[0].component(outer_attr) != w[1].component(outer_attr))
-            .count();
         let seg = Segment {
             rows: tuples.len(),
             outer_attr,
-            outer_runs,
+            outer_runs: outer_runs(tuples, outer_attr),
             columns,
         };
         debug_assert_eq!(
             seg.decode(),
             tuples,
             "value-major round-trip must reproduce the encoded tuples"
+        );
+        seg
+    }
+
+    /// The segment of `now` — this segment's tuples after one ordered
+    /// merge: the rows `gone` left and one tuple entered before each row
+    /// of `come` (this segment's row numbers, `rows()` for an append;
+    /// both ascending) — derived from this one's postings instead of
+    /// transposed afresh: the rows that stay are renumbered in place
+    /// and only the tuples that entered are read. Equal to
+    /// [`encode`](Self::encode)`(now)`, which debug builds check.
+    fn patched(&self, gone: &[u32], come: &[u32], now: &[NfTuple]) -> Self {
+        let mut renumber = Vec::with_capacity(self.rows);
+        let mut entered = Vec::with_capacity(come.len());
+        let (mut gone, mut come) = (gone.iter().peekable(), come.iter().peekable());
+        let mut next = 0u32;
+        for row in 0..=self.rows as u32 {
+            while come.next_if(|&&before| before == row).is_some() {
+                entered.push(next);
+                next += 1;
+            }
+            if (row as usize) < self.rows {
+                if gone.next_if(|&&left| left == row).is_some() {
+                    renumber.push(GONE);
+                } else {
+                    renumber.push(next);
+                    next += 1;
+                }
+            }
+        }
+        debug_assert_eq!(next as usize, now.len(), "the edits lead to `now`");
+        let (mut keys, mut spare) = (Vec::new(), Vec::new());
+        let columns = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(attr, column)| {
+                keys.clear();
+                for &row in &entered {
+                    push_keys(&mut keys, &now[row as usize], attr, u64::from(row));
+                }
+                if !keys.is_sorted() {
+                    sort_by_code(&mut keys, &mut spare);
+                }
+                column.patched(&renumber, &keys)
+            })
+            .collect();
+        let seg = Segment {
+            rows: now.len(),
+            outer_attr: self.outer_attr,
+            outer_runs: outer_runs(now, self.outer_attr),
+            columns,
+        };
+        debug_assert_eq!(
+            seg,
+            Segment::encode(now, self.outer_attr),
+            "patched postings must equal a fresh transposition"
         );
         seg
     }
@@ -533,69 +673,164 @@ impl ShardSegments {
     }
 
     /// Starts recording the tuple-vector edits of one maintenance
-    /// operation (a point op or an incremental batch).
+    /// operation (a point op, or a keyed batch's one merge).
     pub(crate) fn patch(&mut self) -> SegmentPatch<'_> {
         let slots = self
             .segments
             .iter()
-            .map(|seg| (seg.rows(), false))
+            .map(|seg| Slot {
+                rows: seg.rows(),
+                edits: Edits::Clean,
+            })
             .collect();
         SegmentPatch { segs: self, slots }
     }
 }
 
+/// What a patch knows of the edits to one slot's tuples.
+#[derive(Debug)]
+enum Edits {
+    /// Untouched: the segment is carried over.
+    Clean,
+    /// Point edits, positions not kept: the slot is re-encoded.
+    Point,
+    /// One ordered merge ([`SegmentPatch::splice`]), in the segment's
+    /// own row numbers: the rows `gone` left, and one tuple entered
+    /// before each row of `come`. The segment is patched.
+    Merge { gone: Vec<u32>, come: Vec<u32> },
+}
+
+/// One slot of a patch: slot `i` started as segment `i`; one extra slot
+/// appears when the first tuple enters an empty shard.
+#[derive(Debug)]
+struct Slot {
+    /// Tuples the slot covers *now*.
+    rows: usize,
+    edits: Edits,
+}
+
+impl Slot {
+    fn is_clean(&self) -> bool {
+        matches!(self.edits, Edits::Clean)
+    }
+}
+
 /// The segment-side record of one maintenance operation: per segment,
-/// how many tuples it covers *now* and whether any of them changed.
-/// [`finish`](Self::finish) turns that into the next segment list.
+/// how many tuples it covers *now* and what is known of the edits to
+/// them. [`finish`](Self::finish) turns that into the next segment
+/// list.
 #[derive(Debug)]
 pub(crate) struct SegmentPatch<'a> {
     segs: &'a mut ShardSegments,
-    /// `(rows, dirty)` per slot. Slot `i` started as segment `i`; one
-    /// extra slot appears when the first tuple enters an empty shard.
-    slots: Vec<(usize, bool)>,
+    slots: Vec<Slot>,
 }
 
 impl SegmentPatch<'_> {
     /// The slot whose range holds tuple `idx`; the last slot for an
-    /// append at the very end.
-    fn slot_of(&self, idx: usize) -> usize {
-        let mut end = 0usize;
-        for (slot, &(rows, _)) in self.slots.iter().enumerate() {
-            end += rows;
-            if idx < end {
-                return slot;
-            }
+    /// append at the very end (a first slot is opened for an empty
+    /// shard's first tuple).
+    fn slot_of(&mut self, idx: usize) -> &mut Slot {
+        if self.slots.is_empty() {
+            self.slots.push(Slot {
+                rows: 0,
+                edits: Edits::Point,
+            });
         }
-        self.slots.len().saturating_sub(1)
+        let mut end = 0usize;
+        let holding = self.slots.iter().position(|slot| {
+            end += slot.rows;
+            idx < end
+        });
+        let last = self.slots.len() - 1;
+        &mut self.slots[holding.unwrap_or(last)]
     }
 
-    /// Re-encodes every segment whose tuples changed from the
-    /// maintained vector `tuples`, sharing the rest: an emptied segment
-    /// is dropped, one past twice the tiling target is split.
-    pub(crate) fn finish(self, tuples: &[NfTuple], tiling: Tiling) {
+    /// One ordered merge reported in a single sweep, in positions of the
+    /// vector the (so far unedited) patch was opened on: the tuples at
+    /// `removed` leave, and one tuple enters before each position of
+    /// `entered` — the vector's length for an append — both ascending.
+    /// A tuple entering on a boundary joins the segment that starts
+    /// there; past the end, the last one.
+    pub(crate) fn splice(&mut self, removed: &[usize], entered: &[usize]) {
+        debug_assert!(
+            self.slots.iter().all(Slot::is_clean),
+            "a sweep is reported against the vector the patch was opened on"
+        );
+        if self.slots.is_empty() && !entered.is_empty() {
+            self.slots.push(Slot {
+                rows: 0,
+                edits: Edits::Clean,
+            });
+        }
+        let (mut removed, mut entered) = (removed.iter().peekable(), entered.iter().peekable());
+        let last = self.slots.len().saturating_sub(1);
+        let mut start = 0usize;
+        for (at, slot) in self.slots.iter_mut().enumerate() {
+            // The last slot's range runs to wherever the positions do.
+            let end = if at == last {
+                usize::MAX
+            } else {
+                start + slot.rows
+            };
+            let local = |position: &usize| (position - start) as u32;
+            let gone: Vec<u32> = std::iter::from_fn(|| removed.next_if(|&&p| p < end))
+                .map(local)
+                .collect();
+            let come: Vec<u32> = std::iter::from_fn(|| entered.next_if(|&&p| p < end))
+                .map(local)
+                .collect();
+            start += slot.rows;
+            debug_assert!(gone.len() <= slot.rows, "removed tuples lie in a segment");
+            slot.rows = slot.rows + come.len() - gone.len();
+            if !(gone.is_empty() && come.is_empty()) {
+                slot.edits = Edits::Merge { gone, come };
+            }
+        }
+    }
+
+    /// Brings every segment whose tuples changed up to the maintained
+    /// vector `tuples`, sharing the rest: an emptied segment is dropped,
+    /// one past twice the tiling target is split into freshly encoded
+    /// pieces, one whose edits are known row by row is patched from its
+    /// predecessor's postings, and any other is encoded afresh. Returns
+    /// the number of segments it built.
+    pub(crate) fn finish(self, tuples: &[NfTuple], tiling: Tiling) -> usize {
         let Some(outer) = tiling.outer_attr else {
-            return;
+            return 0;
         };
         let target = tiling.target_rows.max(1);
         let old = std::mem::take(&mut self.segs.segments);
         let mut next = Vec::with_capacity(self.slots.len());
         let mut start = 0usize;
-        for (slot, &(rows, dirty)) in self.slots.iter().enumerate() {
-            let slice = &tuples[start..start + rows];
-            start += rows;
-            if !dirty {
-                next.push(Arc::clone(&old[slot]));
-            } else {
-                let piece = if rows > 2 * target {
-                    target
-                } else {
-                    rows.max(1)
-                };
-                next.extend(tiles(slice, piece, outer));
+        let mut built = 0usize;
+        for (at, slot) in self.slots.iter().enumerate() {
+            let slice = &tuples[start..start + slot.rows];
+            start += slot.rows;
+            let shared = next.len();
+            match (&slot.edits, old.get(at)) {
+                (Edits::Clean, _) => {
+                    next.push(Arc::clone(&old[at]));
+                    continue;
+                }
+                (Edits::Merge { gone, come }, Some(was))
+                    if (1..=2 * target).contains(&slot.rows) =>
+                {
+                    next.push(Arc::new(was.patched(gone, come, slice)));
+                }
+                _ => {
+                    let piece = if slot.rows > 2 * target {
+                        target
+                    } else {
+                        slot.rows.max(1)
+                    };
+                    next.extend(tiles(slice, piece, outer));
+                }
             }
+            built += next.len() - shared;
         }
         debug_assert_eq!(start, tuples.len(), "edits account for every tuple");
         self.segs.segments = next;
+        built
     }
 }
 
@@ -610,32 +845,29 @@ impl TupleEdits for SegmentPatch<'_> {
         }
         let mut spans = Vec::new();
         let mut start = 0usize;
-        for (slot, &(rows, dirty)) in self.slots.iter().enumerate() {
-            if dirty {
-                push_span(&mut spans, start..start + rows);
+        for (at, slot) in self.slots.iter().enumerate() {
+            if slot.is_clean() {
+                self.segs.segments[at].locate(conjuncts, start, &mut spans);
             } else {
-                self.segs.segments[slot].locate(conjuncts, start, &mut spans);
+                push_span(&mut spans, start..start + slot.rows);
             }
-            start += rows;
+            start += slot.rows;
         }
         debug_assert_eq!(start, len, "slots account for every tuple");
         Rows::of_spans(spans)
     }
 
     fn inserted(&mut self, idx: usize) {
-        if self.slots.is_empty() {
-            self.slots.push((0, true));
-        }
         let slot = self.slot_of(idx);
-        self.slots[slot].0 += 1;
-        self.slots[slot].1 = true;
+        slot.rows += 1;
+        slot.edits = Edits::Point;
     }
 
     fn removed(&mut self, idx: usize) {
         let slot = self.slot_of(idx);
-        debug_assert!(self.slots[slot].0 > 0, "removed tuple lies in a segment");
-        self.slots[slot].0 -= 1;
-        self.slots[slot].1 = true;
+        debug_assert!(slot.rows > 0, "removed tuple lies in a segment");
+        slot.rows -= 1;
+        slot.edits = Edits::Point;
     }
 }
 
@@ -849,6 +1081,95 @@ mod tests {
         assert_eq!(patch.locate(13, &[]).collect::<Vec<_>>().len(), 13);
         patch.finish(&tuples, tiling(4));
         assert_eq!(ss.locate(13, nine).rows.collect::<Vec<_>>(), vec![10]);
+    }
+
+    /// Applies one ordered merge to `tuples` and reports it to a patch
+    /// over `ss` in one sweep; checks the result tiles the new vector
+    /// with exactly the segments a fresh encoding of each range gives.
+    fn sweep(
+        ss: &mut ShardSegments,
+        tuples: &mut Vec<NfTuple>,
+        removed: &[usize],
+        entering: Vec<(usize, NfTuple)>,
+        target_rows: usize,
+    ) -> usize {
+        let entered: Vec<usize> = entering.iter().map(|(before, _)| *before).collect();
+        let mut patch = ss.patch();
+        patch.splice(removed, &entered);
+        let mut next = Vec::new();
+        let mut entering = entering.into_iter().peekable();
+        for (at, t) in tuples.iter().enumerate() {
+            while let Some((_, new)) = entering.next_if(|(before, _)| *before == at) {
+                next.push(new);
+            }
+            if !removed.contains(&at) {
+                next.push(t.clone());
+            }
+        }
+        next.extend(entering.map(|(_, new)| new));
+        *tuples = next;
+        let built = patch.finish(tuples, tiling(target_rows));
+        assert_eq!(ss.covered_rows(), tuples.len());
+        for (range, seg) in ss.ranges() {
+            assert_eq!(*seg, Segment::encode(&tuples[range], 1));
+        }
+        built
+    }
+
+    #[test]
+    fn a_sweep_patches_the_touched_segments_from_their_postings() {
+        let mut tuples: Vec<NfTuple> = (0..12u32)
+            .map(|i| tuple(&[&[i, 40 + i % 3], &[100 + 2 * i]]))
+            .collect();
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&tuples, tiling(4));
+        let before: Vec<Arc<Segment>> = ss.segments().to_vec();
+        // The first segment loses a row and gains two (one on its lower
+        // edge, one holding a code nothing in it held); the second is
+        // left alone; the third loses its first row — taking code 108's
+        // last posting with it — and gains an append.
+        let built = sweep(
+            &mut ss,
+            &mut tuples,
+            &[2, 8],
+            vec![
+                (0, tuple(&[&[0, 77], &[99]])),
+                (3, tuple(&[&[2, 41], &[105, 106]])),
+                (12, tuple(&[&[9, 500], &[130]])),
+            ],
+            4,
+        );
+        assert_eq!(built, 2);
+        assert_eq!(starts(&ss), vec![0, 5, 9]);
+        assert!(
+            Arc::ptr_eq(&ss.segments()[1], &before[1]),
+            "shifted: shared"
+        );
+        assert_eq!(ss.segments()[0].min(1), Atom(99), "zone follows the edit");
+        assert_eq!(ss.segments()[2].min(1), Atom(118));
+        assert_eq!(ss.segments()[2].max(0), Atom(500));
+        assert_eq!(ss.segments()[0].distinct_outer(), 5);
+    }
+
+    #[test]
+    fn a_sweep_drops_emptied_splits_outgrown_and_opens_first_segments() {
+        let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + 10 * i]])).collect();
+        let mut ss = ShardSegments::new();
+        ss.rebuild(&tuples, tiling(2));
+        // The first segment empties; five tuples crowd into the second
+        // (past twice the target: split, encoded afresh); on the
+        // boundary a tuple joins the segment that starts there.
+        let crowd = (0..5u32).map(|i| (3, tuple(&[&[50 + i], &[121 + i]])));
+        let entering = crowd.chain([(4, tuple(&[&[60], &[135]]))]).collect();
+        sweep(&mut ss, &mut tuples, &[0, 1], entering, 2);
+        assert_eq!(starts(&ss), vec![0, 2, 4, 6, 7]);
+        // Everything leaves, then tuples enter the empty shard.
+        let all: Vec<usize> = (0..tuples.len()).collect();
+        assert_eq!(sweep(&mut ss, &mut tuples, &all, Vec::new(), 2), 0);
+        assert_eq!(ss.segment_count(), 0);
+        let entering = (0..3u32).map(|i| (0, tuple(&[&[i], &[7 + i]]))).collect();
+        assert_eq!(sweep(&mut ss, &mut tuples, &[], entering, 2), 1);
+        assert_eq!(ss.covered_rows(), 3, "3 ≤ twice the target: one segment");
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //!
 //! * **point maintenance** — `candt`/`searcht`/`recons` run against one
 //!   shard, so candidate probes drop by roughly the shard count;
-//! * **batch rebuilds** — the rebuild arm of
-//!   [`apply_batch_auto`](ShardedCanonical::apply_batch_auto) re-nests
-//!   each shard independently on its own [`NestKernel`] scratch, fanned
-//!   out across [`std::thread::scope`] threads.
+//! * **batches** — [`apply_batch`](ShardedCanonical::apply_batch) runs
+//!   each shard's sub-batch by the keyed batch procedure
+//!   ([`crate::bulk`]) on that shard's own [`NestKernel`] scratch, the
+//!   sub-batches side by side under [`std::thread::scope`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::bulk::{BatchSummary, Op};
 use crate::error::{NfError, Result};
@@ -196,15 +196,15 @@ impl ShardRouter {
             .is_ok_and(|s| shard(s).contains(row))
     }
 
-    /// Splits a batch into per-shard sub-batches (order preserved within
-    /// each shard; ops on different shards touch disjoint row sets, so
-    /// cross-shard order is immaterial). Arity is validated for the whole
-    /// batch up front, so applying the sub-batches cannot fail halfway
-    /// through.
-    pub fn partition_ops(&self, ops: &[Op]) -> Result<Vec<Vec<Op>>> {
-        let mut per_shard: Vec<Vec<Op>> = vec![Vec::new(); self.shard_count()];
+    /// Splits a batch into per-shard sub-batches of borrowed ops (order
+    /// preserved within each shard; ops on different shards touch
+    /// disjoint row sets, so cross-shard order is immaterial). Arity is
+    /// validated for the whole batch up front, so applying the
+    /// sub-batches cannot fail halfway through.
+    pub fn partition_ops<'a>(&self, ops: &'a [Op]) -> Result<Vec<Vec<&'a Op>>> {
+        let mut per_shard: Vec<Vec<&Op>> = vec![Vec::new(); self.shard_count()];
         for op in ops {
-            per_shard[self.route_checked(op.row())?].push(op.clone());
+            per_shard[self.route_checked(op.row())?].push(op);
         }
         Ok(per_shard)
     }
@@ -269,10 +269,41 @@ impl MaintenanceCost {
     }
 }
 
+/// What a batch did, per shard or summed over the shards it ran on
+/// ([`apply_sub_batches`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct BatchReport {
+    /// Effective inserts, deletes and no-ops, counted as §4 replay
+    /// counts them.
+    pub summary: BatchSummary,
+    /// Distinct outer (`P(n−1)`) keys the ops addressed.
+    pub keys: usize,
+    /// Stored tuples that left for the regroup: those that lost a key
+    /// and those a tuple some key gained merged with.
+    pub tuples_regrouped: usize,
+    /// Segments rebuilt — each touched segment once, patched from its
+    /// predecessor's postings or, where it has none (a first segment, a
+    /// split), encoded afresh.
+    pub segments_reencoded: usize,
+    /// Shards in which every tuple held went through the regroup — the
+    /// batch amounted to a re-nest of the shard.
+    pub shards_regrouped_whole: usize,
+}
+
+impl std::ops::AddAssign for BatchReport {
+    fn add_assign(&mut self, other: Self) {
+        self.summary += other.summary;
+        self.keys += other.keys;
+        self.tuples_regrouped += other.tuples_regrouped;
+        self.segments_reencoded += other.segments_reencoded;
+        self.shards_regrouped_whole += other.shards_regrouped_whole;
+    }
+}
+
 /// One shard's **writer-side** state: the shard's current
 /// [`ShardVersion`] (mutated copy-on-write), its private [`NestKernel`]
-/// rebuild scratch, and its accumulated §4 maintenance cost. Every
-/// mutation of a shard goes through its writer.
+/// scratch, and its accumulated §4 maintenance cost. Every mutation of
+/// a shard goes through its writer.
 ///
 /// While the version's `Arc` is unshared (a never-published store, a
 /// bulk build) mutations happen in place at zero cost; once a version
@@ -297,8 +328,8 @@ impl MaintenanceCost {
 #[derive(Debug)]
 pub struct ShardWriter {
     version: Arc<ShardVersion>,
-    /// Rebuild arms re-use the shard's sort/intern buffers across
-    /// batches (and threads never share one).
+    /// Cold builds and batch regroups re-use the shard's sort/intern
+    /// buffers (and threads never share one).
     kernel: NestKernel,
     cost: CostCounter,
     /// The routing attribute and tuples-per-segment target every
@@ -373,60 +404,78 @@ impl ShardWriter {
         Arc::make_mut(&mut self.version).delete(row, &mut self.cost, self.tiling)
     }
 
-    /// Applies this shard's sub-batch through the auto strategy
-    /// (incremental §4 maintenance or a kernel rebuild, whichever the
-    /// batch-size heuristic picks); either arm leaves the segments an
-    /// exact tiling of the result. Returns the summary and whether the
-    /// rebuild arm ran.
-    pub fn apply_batch(&mut self, batch: &[Op]) -> Result<(BatchSummary, bool)> {
+    /// Applies this shard's sub-batch by the keyed batch procedure
+    /// ([`crate::bulk`]): each outer key's ops replayed on that key's
+    /// slice, one regroup on `P(n−1)`, one ordered merge — leaving the
+    /// tuple vector in kernel order and the segments an exact tiling of
+    /// it. The replacement version is built beside the current one and
+    /// swapped in; a batch that changes nothing keeps the current
+    /// `Arc`, untouched and uncloned.
+    pub fn apply_batch(&mut self, batch: &[&Op]) -> Result<BatchReport> {
         for op in batch {
             self.check_arity(op.row().len())?;
         }
-        Arc::make_mut(&mut self.version).apply_batch(
-            &mut self.kernel,
-            batch,
-            &mut self.cost,
-            self.tiling,
-        )
+        let (report, next) =
+            self.version
+                .apply_batch(&mut self.kernel, batch, &mut self.cost, self.tiling)?;
+        if let Some(next) = next {
+            self.version = Arc::new(next);
+        }
+        Ok(report)
     }
 }
 
-/// Applies per-shard sub-batches through their writers' auto strategy —
-/// each shard independently picks §4 incremental maintenance or a kernel
-/// rebuild for its own sub-batch ([`ShardWriter::apply_batch`]), and the
-/// sub-batches run concurrently under [`std::thread::scope`] (inline
-/// when only one shard has work: no thread overhead). Empty sub-batches
-/// leave their shard untouched. Returns the combined summary and the
-/// number of shards that took the rebuild arm.
+/// How many threads a batch's sub-batches are dealt out to at most: the
+/// cores this process may run on, asked once (the answer reads cgroup
+/// files). A thread beyond that cannot run beside the others, and
+/// spawning it costs about what a 25-op sub-batch does.
+fn batch_workers() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Applies per-shard sub-batches through their writers
+/// ([`ShardWriter::apply_batch`]), side by side under
+/// [`std::thread::scope`]: the sub-batches queue up, and the calling
+/// thread drains the queue beside as many spawned helpers as there are
+/// further cores and further sub-batches — one shard's worth of work,
+/// or one core, spawns nothing. Empty sub-batches leave their shard
+/// untouched. Returns the reports summed.
 pub fn apply_sub_batches<'a>(
-    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [Op])>,
-) -> Result<(BatchSummary, usize)> {
-    let work: Vec<(&mut ShardWriter, &[Op])> = work
+    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [&'a Op])>,
+) -> Result<BatchReport> {
+    let work: Vec<(&mut ShardWriter, &[&Op])> = work
         .into_iter()
         .filter(|(_, batch)| !batch.is_empty())
         .collect();
-    let inline = work.len() == 1;
-    let mut outcomes: Vec<Option<Result<(BatchSummary, bool)>>> =
-        work.iter().map(|_| None).collect();
+    let helpers = match work.len() {
+        0 | 1 => 0,
+        jobs => jobs.min(batch_workers()) - 1,
+    };
+    let mut outcomes: Vec<Option<Result<BatchReport>>> = work.iter().map(|_| None).collect();
+    let queue = Mutex::new(work.into_iter().zip(outcomes.iter_mut()));
+    let drain = || loop {
+        let next = queue
+            .lock()
+            .expect("the queue is only ever advanced under the lock")
+            .next();
+        let Some(((lane, batch), slot)) = next else {
+            break;
+        };
+        *slot = Some(lane.apply_batch(batch));
+    };
     std::thread::scope(|scope| {
-        for ((lane, batch), slot) in work.into_iter().zip(outcomes.iter_mut()) {
-            if inline {
-                *slot = Some(lane.apply_batch(batch));
-            } else {
-                scope.spawn(move || *slot = Some(lane.apply_batch(batch)));
-            }
+        for _ in 0..helpers {
+            scope.spawn(drain);
         }
+        drain();
     });
-    let mut summary = BatchSummary::default();
-    let mut rebuilds = 0usize;
+    drop(queue);
+    let mut total = BatchReport::default();
     for outcome in outcomes {
-        let (s, rebuilt) = outcome.expect("the scope filled one slot per sub-batch")?;
-        summary.inserted += s.inserted;
-        summary.deleted += s.deleted;
-        summary.noops += s.noops;
-        rebuilds += usize::from(rebuilt);
+        total += outcome.expect("the queue was drained: one slot filled per sub-batch")?;
     }
-    Ok((summary, rebuilds))
+    Ok(total)
 }
 
 /// The exact global canonical form `ν_P(R*)` of a sharded store:
@@ -462,8 +511,7 @@ pub fn merge_shards<'a>(
 
 /// A canonical NFR partitioned on the outermost nest attribute: one
 /// [`ShardWriter`] per shard, with every §4 operation routed to exactly
-/// one shard and batch rebuilds fanned out across shards on scoped
-/// threads.
+/// one shard and batches fanned out across shards on scoped threads.
 ///
 /// Invariant: shard `s` holds `ν_P(R*_s)` where `R*_s` is exactly the
 /// set of flat rows whose `P(n−1)` value routes to `s` — checked
@@ -658,10 +706,9 @@ impl ShardedCanonical {
         self.lanes[shard].delete_counted(row)
     }
 
-    /// Applies a batch through the auto strategy **per shard**
-    /// ([`apply_sub_batches`]). Returns the combined summary and the
-    /// number of shards that took the rebuild arm.
-    pub fn apply_batch_auto(&mut self, ops: &[Op]) -> Result<(BatchSummary, usize)> {
+    /// Applies a batch, each shard's share by the keyed batch procedure
+    /// ([`apply_sub_batches`]). Returns the shards' reports summed.
+    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<BatchReport> {
         let per_shard = self.router.partition_ops(ops)?;
         apply_sub_batches(
             self.lanes
@@ -949,9 +996,10 @@ mod tests {
         let oracle_summary = apply_batch(&mut oracle, &ops, &mut oracle_cost).unwrap();
         for spec in specs(5) {
             let mut auto = ShardedCanonical::from_flat(&flat, order.clone(), spec.clone()).unwrap();
-            let (summary, _) = auto.apply_batch_auto(&ops).unwrap();
-            assert_eq!(summary, oracle_summary, "{spec:?}");
+            let report = auto.apply_batch(&ops).unwrap();
+            assert_eq!(report.summary, oracle_summary, "{spec:?}");
             assert_eq!(auto.to_relation(), *oracle.relation(), "{spec:?}");
+            auto.verify().unwrap();
         }
     }
 
@@ -984,6 +1032,18 @@ mod tests {
         );
     }
 
+    /// One tuple per row — (a, b) pairs are unique, c is the outer key —
+    /// in a single shard.
+    fn one_tuple_per_row(tuples: u32) -> ShardedCanonical {
+        let s = schema(&["A", "B", "C"]);
+        let rows = (0..tuples).map(|i| row(&[i % 97, 1_000 + i / 97, 100_000 + i]));
+        let flat = FlatRelation::from_rows(s, rows).unwrap();
+        let c = ShardedCanonical::from_flat(&flat, NestOrder::identity(3), ShardSpec::single())
+            .unwrap();
+        assert_eq!(c.tuple_count(), tuples as usize);
+        c
+    }
+
     #[test]
     fn point_write_probes_do_not_grow_with_the_shard() {
         // One tuple per row — (a, b) pairs are unique, c is the outer
@@ -995,13 +1055,7 @@ mod tests {
         // has; scanned, it all did (4× the probes at 4× the tuples).
         let small = 5_000u32;
         let probes_per_write = |tuples: u32| -> f64 {
-            let s = schema(&["A", "B", "C"]);
-            let rows = (0..tuples).map(|i| row(&[i % 97, 1_000 + i / 97, 100_000 + i]));
-            let flat = FlatRelation::from_rows(s, rows).unwrap();
-            let mut c =
-                ShardedCanonical::from_flat(&flat, NestOrder::identity(3), ShardSpec::single())
-                    .unwrap();
-            assert_eq!(c.tuple_count(), tuples as usize);
+            let mut c = one_tuple_per_row(tuples);
             let writes = 4u32;
             for w in 0..writes {
                 let at = w * (tuples / writes) + 3;
@@ -1063,7 +1117,7 @@ mod tests {
             ShardedCanonical::new(s, NestOrder::identity(2), ShardSpec::hash(2).unwrap()).unwrap();
         assert!(c.insert(row(&[1])).is_err());
         assert!(c.delete(&row(&[1, 2, 3])).is_err());
-        assert!(c.apply_batch_auto(&[Op::Insert(row(&[1]))]).is_err());
+        assert!(c.apply_batch(&[Op::Insert(row(&[1]))]).is_err());
     }
 
     /// Every shard's tuple vector is the kernel's vector for its rows
@@ -1146,45 +1200,110 @@ mod tests {
         assert_eq!(sharded.version(shard).tuples(), before[shard].tuples());
         assert_sorted_and_tiled(&sharded);
 
-        // A batch large enough to take the rebuild arm re-tiles uniformly
-        // (the deletes after the first are no-ops; they only size it).
-        sharded.insert(r.clone()).unwrap();
-        let big = vec![Op::Delete(r); sharded.version(shard).flat_count() as usize];
-        assert_eq!(sharded.apply_batch_auto(&big).unwrap().1, 1);
-        assert!(sharded.shard_segments(shard).is_uniform(8));
+        // A batch of no-ops, however long, leaves the version where it is.
+        let after = Arc::clone(sharded.version(shard));
+        let big = vec![Op::Delete(r); 500];
+        assert_eq!(sharded.apply_batch(&big).unwrap().summary.noops, 500);
+        assert!(Arc::ptr_eq(&after, sharded.version(shard)));
         assert_sorted_and_tiled(&sharded);
     }
 
     #[test]
-    fn auto_batches_keep_segments_exact_on_both_arms() {
+    fn batches_keep_segments_exact_whatever_their_size() {
         let flat = random_flat(2, 30, 5, 3);
         let order = NestOrder::identity(2);
         let mut sharded =
             ShardedCanonical::from_flat(&flat, order, ShardSpec::hash(2).unwrap()).unwrap();
         sharded.set_segment_rows(4);
-        // A big batch (≥ relation size) takes the rebuild arm everywhere
-        // it lands: uniformly re-tiled segments.
+        // A batch several times the relation's size: new keys by the
+        // hundred, segments outgrown and split on the way.
         let big: Vec<Op> = (0..200u32)
             .map(|i| Op::Insert(row(&[1000 + i, 2000 + i % 7])))
             .collect();
-        let (_, rebuilds) = sharded.apply_batch_auto(&big).unwrap();
-        assert!(rebuilds >= 1);
+        let report = sharded.apply_batch(&big).unwrap();
+        assert_eq!(report.summary.inserted, 200);
+        assert_eq!(report.keys, 7);
         assert_sorted_and_tiled(&sharded);
-        // A small batch goes incremental and patches the segments its ops
-        // touch; the result is the same vector a rebuild would produce.
+        // A small one patches the segments its keys touch; the result is
+        // the same vector a rebuild would produce.
         let small: Vec<Op> = (0..9u32)
             .map(|i| match i % 3 {
                 0 => Op::Delete(row(&[1000 + i, 2000 + i % 7])),
                 _ => Op::Insert(row(&[5000 + i, 6000 + i % 2])),
             })
             .collect();
-        let (summary, rebuilds) = sharded.apply_batch_auto(&small).unwrap();
+        let report = sharded.apply_batch(&small).unwrap();
         assert_eq!(
-            rebuilds, 0,
-            "nine ops against a large shard are incremental"
+            report.shards_regrouped_whole, 0,
+            "nine ops against a large shard leave most of it alone"
         );
-        assert_eq!(summary.inserted + summary.deleted, 9);
+        assert_eq!(report.summary.inserted + report.summary.deleted, 9);
         assert_sorted_and_tiled(&sharded);
+    }
+
+    #[test]
+    fn batch_probes_do_not_grow_with_the_shard() {
+        // 200 ops, none a no-op: 100 rows under new outer keys whose
+        // (a, b) rest a stored tuple already has (nothing holds the key,
+        // one tuple is pulled), 50 deletes of other stored rows (one
+        // holder, dropped), 50 rows that share nothing (no holder, no
+        // pull). Every search is a posting lookup, so what a batch
+        // probes is what it touches — the same in a shard four times
+        // the size.
+        let batch: Vec<Op> = (0..200u32)
+            .map(|i| match i % 4 {
+                0 | 1 => Op::Insert(row(&[(41 * i) % 97, 1_000 + i % 25, 900_000 + i])),
+                2 => {
+                    let at = 2_500 + 23 * (i / 4);
+                    Op::Delete(row(&[at % 97, 1_000 + at / 97, 100_000 + at]))
+                }
+                _ => Op::Insert(row(&[500 + i, 700_000 + i, 800_000 + i])),
+            })
+            .collect();
+        let cost_of = |tuples: u32| -> CostCounter {
+            let mut c = one_tuple_per_row(tuples);
+            let report = c.apply_batch(&batch).unwrap();
+            assert_eq!(report.summary.noops, 0);
+            assert_eq!(report.keys, 200);
+            assert_eq!(report.tuples_regrouped, 150);
+            c.maintenance_cost().total
+        };
+        let (at_small, at_large) = (cost_of(5_000), cost_of(20_000));
+        assert_eq!(at_small, at_large, "a batch costs what it touches");
+        assert_eq!(
+            at_small.candidate_probes, 150,
+            "one per holder found and one per pulled tuple tested"
+        );
+        assert_eq!(at_small.compositions, 100, "each pull is one merge");
+    }
+
+    #[test]
+    fn a_batch_of_noops_leaves_every_version_where_it_is() {
+        let flat = random_flat(3, 200, 9, 0xBEEF);
+        let mut sharded =
+            ShardedCanonical::from_flat(&flat, NestOrder::identity(3), ShardSpec::hash(4).unwrap())
+                .unwrap();
+        // Published, as a table's versions are: a copy-on-write clone of
+        // any of them would show as a new `Arc`.
+        let published = sharded.versions();
+        let vectors: Vec<*const NfTuple> = published.iter().map(|v| v.tuples().as_ptr()).collect();
+        let stored: Vec<FlatTuple> = flat.rows().take(40).cloned().collect();
+        let mut noops: Vec<Op> = stored.iter().cloned().map(Op::Insert).collect();
+        noops.extend((0..40u32).map(|i| Op::Delete(row(&[900 + i, 950, 200 + i % 9]))));
+        // An insert the same batch takes back is no change either.
+        noops.push(Op::Insert(row(&[77, 177, 203])));
+        noops.push(Op::Delete(row(&[77, 177, 203])));
+        let report = sharded.apply_batch(&noops).unwrap();
+        assert_eq!(report.summary.noops, 80);
+        assert_eq!((report.summary.inserted, report.summary.deleted), (1, 1));
+        assert_eq!(report.tuples_regrouped + report.segments_reencoded, 0);
+        for (s, old) in published.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(old, sharded.version(s)),
+                "shard {s}: the lane still holds the version it published"
+            );
+            assert_eq!(sharded.version(s).tuples().as_ptr(), vectors[s]);
+        }
     }
 
     #[test]
@@ -1213,7 +1332,7 @@ mod tests {
         let mut writers = store.into_writers();
         assert!(writers[0].insert_counted(row(&[1])).is_err());
         assert!(writers[0].delete_counted(&row(&[1, 2, 3])).is_err());
-        assert!(writers[0].apply_batch(&[Op::Insert(row(&[9]))]).is_err());
+        assert!(writers[0].apply_batch(&[&Op::Insert(row(&[9]))]).is_err());
         for i in 0..40u32 {
             let _ = writers[0].insert_counted(row(&[i, i])).ok();
         }

@@ -234,16 +234,17 @@ proptest! {
         prop_assert!(worst <= budget, "worst {} exceeds degree budget {}", worst, budget);
     }
 
-    /// Bulk maintenance: applying a random op stream incrementally, via
-    /// the auto strategy, and via the re-nest baseline all land on the
-    /// same canonical relation (and it verifies).
+    /// Bulk maintenance: a random op stream applied by §4 replay and by
+    /// the re-nest oracle lands on the same canonical vector (and it
+    /// verifies). The keyed procedure joins them in
+    /// `keyed_batches_agree_with_replay_and_renest` below.
     #[test]
     fn bulk_strategies_agree(
         flat in arb_flat(),
         raw_ops in proptest::collection::vec((any::<bool>(), proptest::collection::vec(0u32..4, 4)), 0..30),
         seed in any::<u64>(),
     ) {
-        use nf2_core::bulk::{apply_batch, apply_batch_auto, rebuild_batch, Op};
+        use nf2_core::bulk::{apply_batch, rebuild_batch, Op};
         let arity = flat.schema().arity();
         let order = order_from_seed(arity, seed);
         let base = CanonicalRelation::from_flat(&flat, order).unwrap();
@@ -262,18 +263,11 @@ proptest! {
 
         let mut incremental = base.clone();
         let mut cost = CostCounter::new();
-        let s1 = apply_batch(&mut incremental, &ops, &mut cost).unwrap();
+        apply_batch(&mut incremental, &ops, &mut cost).unwrap();
         incremental.verify().unwrap();
 
-        let mut auto = base.clone();
-        let mut cost2 = CostCounter::new();
-        let (s2, _) = apply_batch_auto(&mut auto, &ops, &mut cost2).unwrap();
-
         let rebuilt = rebuild_batch(&base, &ops).unwrap();
-
-        prop_assert_eq!(incremental.relation(), auto.relation());
-        prop_assert_eq!(incremental.relation(), rebuilt.relation());
-        prop_assert_eq!(s1, s2, "summaries agree across strategies");
+        prop_assert_eq!(incremental.relation().tuples(), rebuilt.relation().tuples());
     }
 
     /// `modify` is exactly delete-then-insert, and never touches the
@@ -395,4 +389,65 @@ fn shared_schema_across_relations() {
     let f1 = FlatRelation::new(schema.clone());
     let f2 = FlatRelation::new(schema.clone());
     assert!(Arc::ptr_eq(f1.schema(), f2.schema()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The three batch procedures are one function: for arity 1–4, every
+    /// nest order, one shard and four, and op streams dense in
+    /// duplicates, absent deletes and rows inserted and taken back
+    /// inside the batch, the keyed batch ≡ §4 replay ≡ the kernel's
+    /// vector for the resulting rows — tuple for tuple, in kernel order,
+    /// per shard — with the sequential `BatchSummary` and segments that
+    /// tile the result exactly.
+    #[test]
+    fn keyed_batches_agree_with_replay_and_renest(
+        arity in 1usize..=4,
+        rows in proptest::collection::vec(proptest::collection::vec(0u32..4, 4), 0..24),
+        raw_ops in proptest::collection::vec((0u8..3, proptest::collection::vec(0u32..4, 4)), 0..30),
+    ) {
+        use nf2_core::bulk::{apply_batch, rebuild_batch, Op};
+        use nf2_core::shard::{ShardSpec, ShardedCanonical};
+        let names: Vec<String> = (0..arity).map(|i| format!("E{i}")).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let schema = Schema::new("R", &name_refs).unwrap();
+        let row = |vals: &[u32]| -> Vec<Atom> {
+            vals.iter().take(arity).enumerate().map(|(i, &v)| Atom(v + 10 * i as u32)).collect()
+        };
+        let flat = FlatRelation::from_rows(schema, rows.iter().map(|r| row(r))).unwrap();
+        let mut ops: Vec<Op> = Vec::new();
+        for (kind, vals) in &raw_ops {
+            match kind {
+                0 => ops.push(Op::Insert(row(vals))),
+                1 => ops.push(Op::Delete(row(vals))),
+                _ => ops.extend([Op::Insert(row(vals)), Op::Delete(row(vals))]),
+            }
+        }
+        for order in NestOrder::all(arity) {
+            let base = CanonicalRelation::from_flat(&flat, order.clone()).unwrap();
+            let mut replayed = base.clone();
+            let summary = apply_batch(&mut replayed, &ops, &mut CostCounter::new()).unwrap();
+            let renested = rebuild_batch(&base, &ops).unwrap();
+            prop_assert_eq!(replayed.relation().tuples(), renested.relation().tuples());
+            for shards in [1usize, 4] {
+                let spec = ShardSpec::hash(shards).unwrap();
+                let mut keyed = ShardedCanonical::from_flat(&flat, order.clone(), spec).unwrap();
+                keyed.set_segment_rows(3);
+                let report = keyed.apply_batch(&ops).unwrap();
+                prop_assert_eq!(report.summary, summary, "order {} shards {}", &order, shards);
+                // Per shard: the kernel's vector for the shard's rows,
+                // segments an exact encoding of it; merged: ν_P(R*).
+                keyed.verify().unwrap();
+                prop_assert_eq!(&keyed.to_relation(), replayed.relation());
+                if shards == 1 {
+                    prop_assert_eq!(
+                        keyed.shard(0).relation().tuples(),
+                        replayed.relation().tuples(),
+                        "order {}", &order
+                    );
+                }
+            }
+        }
+    }
 }

@@ -442,8 +442,17 @@ impl Engine {
             snap.push_counter(format!("table.{name}.epoch_installs"), s.epoch_installs);
             snap.push_counter(format!("table.{name}.snapshot_pins"), s.snapshot_pins);
             snap.push_counter(format!("table.{name}.wal_flushes"), s.wal_flushes);
-            snap.push_counter(format!("table.{name}.rebuilds"), s.rebuilds);
-            snap.push_counter(format!("table.{name}.rebuild_nanos"), s.rebuild_nanos);
+            snap.push_counter(format!("table.{name}.batch.count"), s.batches);
+            snap.push_counter(format!("table.{name}.batch.nanos"), s.batch_nanos);
+            snap.push_counter(format!("table.{name}.batch.keys"), s.batch_keys);
+            snap.push_counter(
+                format!("table.{name}.batch.tuples_regrouped"),
+                s.batch_tuples_regrouped,
+            );
+            snap.push_counter(
+                format!("table.{name}.batch.segments_reencoded"),
+                s.batch_segments_reencoded,
+            );
         }
         snap
     }
@@ -1393,6 +1402,13 @@ mod tests {
     fn metrics_export_merges_statement_and_table_series() {
         let engine = seeded_engine();
         engine.session().run("SELECT COUNT(*) FROM sc").unwrap();
+        // One batch: a new student under both stored courses.
+        let sc = engine.table("sc").unwrap();
+        let batch: Vec<nf2_core::bulk::Op> = ["c1", "c2"]
+            .iter()
+            .map(|c| nf2_core::bulk::Op::Insert(sc.row_from_strs(&["s3", c]).unwrap()))
+            .collect();
+        sc.append_batch(&batch).unwrap();
         let snap = engine.metrics();
         let counter = |name: &str| {
             snap.counters
@@ -1409,12 +1425,22 @@ mod tests {
         assert!(hist("stmt.parse.us").is_some());
         assert!(hist("plan.build.us").is_some());
         // Table series from the storage counters.
-        assert_eq!(counter("table.sc.inserts"), Some(3));
+        assert_eq!(counter("table.sc.inserts"), Some(5));
         assert!(counter("table.sc.epoch_installs").unwrap_or(0) >= 1);
         assert!(counter("table.sc.snapshot_pins").unwrap_or(0) >= 1);
+        // The batch series: one batch over two keys, both stored tuples
+        // regrouped, and the segment that held each rebuilt once — one
+        // segment, or one per shard where NF2_SHARDS routes the two
+        // courses apart.
+        assert_eq!(counter("table.sc.batch.count"), Some(1));
+        assert_eq!(counter("table.sc.batch.keys"), Some(2));
+        assert_eq!(counter("table.sc.batch.tuples_regrouped"), Some(2));
+        let rebuilt = counter("table.sc.batch.segments_reencoded");
+        assert!(matches!(rebuilt, Some(1 | 2)), "{rebuilt:?}");
+        assert!(counter("table.sc.batch.nanos").unwrap_or(0) > 0);
         // Both render paths accept the merged snapshot.
-        assert!(snap.to_text().contains("table.sc.inserts = 3"));
-        assert!(snap.to_json().contains("\"table.sc.inserts\":3"));
+        assert!(snap.to_text().contains("table.sc.inserts = 5"));
+        assert!(snap.to_json().contains("\"table.sc.inserts\":5"));
     }
 
     #[test]

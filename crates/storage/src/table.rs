@@ -97,10 +97,20 @@ pub struct TableStats {
     /// fsync-equivalent, however many writers' entries rode in the
     /// group (a flush finding its group already durable counts zero).
     pub wal_flushes: u64,
-    /// Canonical-form rebuilds triggered by batch maintenance.
-    pub rebuilds: u64,
-    /// Wall time spent inside those rebuilds, in nanoseconds.
-    pub rebuild_nanos: u64,
+    /// [`NfTable::append_batch`] calls that reached a shard.
+    pub batches: u64,
+    /// Wall time those calls spent applying their ops to the shards
+    /// (routing, the WAL and publication excluded), in nanoseconds.
+    pub batch_nanos: u64,
+    /// Distinct outer (`P(n−1)`) keys the batches addressed, counted
+    /// per batch.
+    pub batch_keys: u64,
+    /// Stored tuples the batches sent through a regroup: those that
+    /// lost a key and those a gained tuple merged with.
+    pub batch_tuples_regrouped: u64,
+    /// Segments the batches rebuilt (patched from their postings or
+    /// encoded afresh), each touched segment once per batch.
+    pub batch_segments_reencoded: u64,
 }
 
 /// The live, concurrently-updated counters behind [`TableStats`].
@@ -119,8 +129,11 @@ pub struct SharedTableStats {
     epoch_installs: AtomicU64,
     snapshot_pins: AtomicU64,
     wal_flushes: AtomicU64,
-    rebuilds: AtomicU64,
-    rebuild_nanos: AtomicU64,
+    batches: AtomicU64,
+    batch_nanos: AtomicU64,
+    batch_keys: AtomicU64,
+    batch_tuples_regrouped: AtomicU64,
+    batch_segments_reencoded: AtomicU64,
 }
 
 impl SharedTableStats {
@@ -134,8 +147,11 @@ impl SharedTableStats {
             epoch_installs: AtomicU64::new(stats.epoch_installs),
             snapshot_pins: AtomicU64::new(stats.snapshot_pins),
             wal_flushes: AtomicU64::new(stats.wal_flushes),
-            rebuilds: AtomicU64::new(stats.rebuilds),
-            rebuild_nanos: AtomicU64::new(stats.rebuild_nanos),
+            batches: AtomicU64::new(stats.batches),
+            batch_nanos: AtomicU64::new(stats.batch_nanos),
+            batch_keys: AtomicU64::new(stats.batch_keys),
+            batch_tuples_regrouped: AtomicU64::new(stats.batch_tuples_regrouped),
+            batch_segments_reencoded: AtomicU64::new(stats.batch_segments_reencoded),
         }
     }
 
@@ -154,8 +170,11 @@ impl SharedTableStats {
             epoch_installs: self.epoch_installs.load(Ordering::Relaxed),
             snapshot_pins: self.snapshot_pins.load(Ordering::Relaxed),
             wal_flushes: self.wal_flushes.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            rebuild_nanos: self.rebuild_nanos.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            batch_nanos: self.batch_nanos.load(Ordering::Relaxed),
+            batch_keys: self.batch_keys.load(Ordering::Relaxed),
+            batch_tuples_regrouped: self.batch_tuples_regrouped.load(Ordering::Relaxed),
+            batch_segments_reencoded: self.batch_segments_reencoded.load(Ordering::Relaxed),
         }
     }
 
@@ -172,7 +191,7 @@ impl SharedTableStats {
 ///
 /// With more than one shard, §4 point maintenance routes to a single
 /// shard (candidate probes drop by the shard count), batch appends
-/// rebuild shards in parallel, [`scan`](NfTable::scan) concatenates the
+/// run their shards side by side, [`scan`](NfTable::scan) concatenates the
 /// per-shard tuple streams, and [`relation`](NfTable::relation) serves
 /// the exact global canonical form from an epoch-keyed merge cache.
 ///
@@ -444,14 +463,13 @@ impl NfTable {
         self.stats.epoch_installs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Applies a batch of flat-row operations through the auto strategy
-    /// **per shard** (§4 incremental below the rebuild threshold, a
-    /// kernel re-nest above it — shards rebuild concurrently on scoped
-    /// threads), logging every operation to the WAL. Returns the batch
-    /// summary and whether any shard took the rebuild arm.
-    ///
-    /// Each shard's kernel scratch is reused across appends, so a long
-    /// ingest stream pays the rebuild arm's allocations once per shard.
+    /// Applies a batch of flat-row operations, each shard's share by the
+    /// keyed batch procedure ([`nf2_core::bulk`]: every outer key's ops
+    /// replayed on that key's slice, one regroup and one ordered merge
+    /// per shard, the shards side by side on scoped threads), logging
+    /// every operation to the WAL. Returns the batch summary and
+    /// whether some shard regrouped every tuple it held — the batch
+    /// amounted to a re-nest there.
     pub fn append_batch(&self, ops: &[Op]) -> Result<(BatchSummary, bool)> {
         // Route the batch — one sub-batch per shard, in the original
         // operation order within each shard — validating the whole batch
@@ -467,24 +485,22 @@ impl NfTable {
         }
         let mut lanes = self.lock_lanes(&touched);
         let sw = nf2_obs::Stopwatch::start();
-        let (summary, rebuilds) = apply_sub_batches(
+        let report = apply_sub_batches(
             lanes
                 .iter_mut()
                 .zip(&touched)
                 .map(|(lane, &shard)| (&mut **lane, per_shard[shard].as_slice())),
         )?;
-        let rebuilt = rebuilds > 0;
-        if rebuilt {
-            // Attribute the batch's wall time to the rebuild series only
-            // when a shard actually took the rebuild arm — incremental
-            // batches stay out of the rebuild histogram.
-            self.stats
-                .rebuilds
-                .fetch_add(rebuilds as u64, Ordering::Relaxed);
-            self.stats
-                .rebuild_nanos
-                .fetch_add(sw.elapsed_nanos(), Ordering::Relaxed);
-        }
+        let stats = &self.stats;
+        let count = |series: &AtomicU64, n: usize| series.fetch_add(n as u64, Ordering::Relaxed);
+        stats
+            .batch_nanos
+            .fetch_add(sw.elapsed_nanos(), Ordering::Relaxed);
+        count(&stats.batches, 1);
+        count(&stats.batch_keys, report.keys);
+        count(&stats.batch_tuples_regrouped, report.tuples_regrouped);
+        count(&stats.batch_segments_reencoded, report.segments_reencoded);
+        let summary = report.summary;
         if summary.inserted + summary.deleted > 0 {
             // Publish every shard the batch routed to through one
             // submit. A shard whose sub-batch turned out to be all
@@ -508,13 +524,9 @@ impl NfTable {
             Op::Insert(row) => WalEntry::Insert(row.clone()),
             Op::Delete(row) => WalEntry::Delete(row.clone()),
         }));
-        self.stats
-            .inserts
-            .fetch_add(summary.inserted as u64, Ordering::Relaxed);
-        self.stats
-            .deletes
-            .fetch_add(summary.deleted as u64, Ordering::Relaxed);
-        Ok((summary, rebuilt))
+        count(&stats.inserts, summary.inserted);
+        count(&stats.deletes, summary.deleted);
+        Ok((summary, report.shards_regrouped_whole > 0))
     }
 
     /// Table name.
@@ -1623,20 +1635,37 @@ mod tests {
         let t = sample_table();
         t.checkpoint(&dir).unwrap();
         let mk = |s: &str, c: &str, t: &NfTable| t.row_from_strs(&[s, c]).unwrap();
-        // Small batch: incremental arm.
+        // One op under a stored course: the tuple holding c1 regroups,
+        // the other two are left where they are.
         let small = vec![Op::Insert(mk("s4", "c1", &t))];
-        let (summary, rebuilt) = t.append_batch(&small).unwrap();
-        assert!(!rebuilt, "1 op vs 4 rows stays incremental");
+        let (summary, whole) = t.append_batch(&small).unwrap();
+        assert!(!whole, "one key of three");
         assert_eq!(summary.inserted, 1);
-        // Large batch: rebuild arm through the kernel.
+        assert_eq!(t.stats().batch_tuples_regrouped, 1);
+        // A batch bigger than the table, all under a course nothing
+        // stored holds: no stored tuple regroups at all.
         let big: Vec<Op> = (0..12)
             .map(|i| Op::Insert(mk(&format!("x{i}"), "c9", &t)))
             .collect();
-        let (summary, rebuilt) = t.append_batch(&big).unwrap();
-        assert!(rebuilt, "12 ops vs 5 rows rebuilds");
+        let (summary, whole) = t.append_batch(&big).unwrap();
+        assert!(!whole, "12 ops vs 5 rows, and nothing to re-nest");
         assert_eq!(summary.inserted, 12);
         assert_eq!(t.flat_count(), 17);
-        // The maintained form stays canonical either way.
+        assert_eq!(t.stats().batch_tuples_regrouped, 1);
+        // One row under every stored course: every tuple regroups.
+        let every: Vec<Op> = ["c1", "c2", "c3", "c9"]
+            .iter()
+            .map(|c| Op::Insert(mk("s9", c, &t)))
+            .collect();
+        let (summary, whole) = t.append_batch(&every).unwrap();
+        assert!(whole, "a batch over every key is the re-nest");
+        assert_eq!(summary.inserted, 4);
+        let stats = t.stats();
+        assert_eq!((stats.batches, stats.batch_keys), (3, 6));
+        assert_eq!(stats.batch_tuples_regrouped, 1 + 4);
+        assert_eq!(stats.batch_segments_reencoded, 3, "one segment, thrice");
+        assert!(stats.batch_nanos > 0);
+        // The maintained form stays canonical throughout.
         let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
         assert_eq!(fresh, *t.relation());
         // WAL replay after reopen reproduces the same relation.

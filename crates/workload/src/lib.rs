@@ -342,6 +342,28 @@ pub fn op_trace(
     trace
 }
 
+/// `trace` (every op of which is effective, as [`op_trace`] makes them)
+/// with no-ops worked in: every fourth op twice in a row — a duplicate
+/// insert, a delete of a row just deleted — and, after the eighth, a
+/// row outside every generator's value ranges inserted and taken back.
+pub fn with_noops(trace: Vec<nf2_core::bulk::Op>) -> Vec<nf2_core::bulk::Op> {
+    use nf2_core::bulk::Op;
+    let arity = trace.first().map_or(0, |op| op.row().len());
+    let passing: Vec<Atom> = (0..arity).map(|a| Atom(8_000_000 + a as u32)).collect();
+    let mut out = Vec::with_capacity(trace.len() * 5 / 4 + 2);
+    for (i, op) in trace.into_iter().enumerate() {
+        if i % 4 == 0 {
+            out.push(op.clone());
+        }
+        out.push(op);
+        if i == 8 {
+            out.push(Op::Insert(passing.clone()));
+            out.push(Op::Delete(passing.clone()));
+        }
+    }
+    out
+}
+
 /// Draws `k` distinct values from `0..pool` (or all of them if the pool is
 /// smaller).
 fn sample_distinct(rng: &mut StdRng, k: usize, pool: u32) -> Vec<u32> {

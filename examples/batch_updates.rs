@@ -1,33 +1,38 @@
-//! Batch updates: when does §4 incremental maintenance stop paying?
+//! Batch updates: three procedures, one result.
 //!
 //! The paper proves per-operation cost independent of `|R*|`
-//! (Theorem A-4), which makes the incremental path unbeatable for small
-//! batches. But a batch that rewrites most of the relation amortises one
-//! re-nest better than thousands of recons cascades. This example runs
-//! the crossover live, shows the shipped `should_rebuild` heuristic
-//! picking sides, and rounds off with `STATS` from the query layer.
+//! (Theorem A-4), which makes §4 replay unbeatable for small batches;
+//! a batch that rewrites most of the relation amortises one re-nest
+//! better than thousands of recons cascades. The engine runs neither
+//! against the whole relation: Def. 4 makes every nest before the last
+//! local to one value of the last-nested attribute, so a *keyed* batch
+//! replays each outer key's ops on that key's slice and regroups once.
+//! This example times all three side by side, asserts they agree tuple
+//! for tuple, and rounds off with `STATS` from the query layer.
 //!
 //! Run with: `cargo run --release --example batch_updates`
 
 use std::time::Instant;
 
-use nf2::core::bulk::{apply_batch, rebuild_batch, should_rebuild};
+use nf2::core::bulk::{apply_batch, rebuild_batch};
 use nf2::core::maintenance::{CanonicalRelation, CostCounter};
+use nf2::core::shard::ShardedCanonical;
 use nf2::prelude::*;
 use nf2::workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = workload::university(150, 3, 30, 2, 8, 91);
     let base_rows = w.flat.len();
-    let base = CanonicalRelation::from_flat(&w.flat, NestOrder::identity(3))?;
+    let order = NestOrder::identity(3);
+    let base = CanonicalRelation::from_flat(&w.flat, order.clone())?;
     println!(
         "base relation: {} flat rows in {} NF² tuples\n",
         base_rows,
         base.tuple_count()
     );
     println!(
-        "{:>6} | {:>12} | {:>10} | {:>11} | heuristic",
-        "batch", "incremental", "re-nest", "faster"
+        "{:>6} | {:>12} | {:>10} | {:>10} | regrouped",
+        "batch", "incremental", "re-nest", "keyed"
     );
     println!("{}", "-".repeat(62));
 
@@ -43,29 +48,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let start = Instant::now();
         let rebuilt = rebuild_batch(&base, &ops)?;
         let t_re = start.elapsed();
-        assert_eq!(
-            incremental.relation(),
-            rebuilt.relation(),
-            "strategies agree"
-        );
 
-        let faster = if t_inc <= t_re {
-            "incremental"
-        } else {
-            "re-nest"
-        };
-        let heuristic = if should_rebuild(ops.len(), base.flat_count()) {
-            "re-nest"
-        } else {
-            "incremental"
-        };
+        // One shard, so the postings the keyed read phase asks exist.
+        let mut keyed = ShardedCanonical::from_flat(&w.flat, order.clone(), ShardSpec::single())?;
+        let start = Instant::now();
+        let report = keyed.apply_batch(&ops)?;
+        let t_keyed = start.elapsed();
+
+        let vector = incremental.relation().tuples();
+        assert_eq!(vector, rebuilt.relation().tuples(), "replay ≡ re-nest");
+        assert_eq!(vector, keyed.shard(0).relation().tuples(), "replay ≡ keyed");
+
         println!(
-            "{:>5}% | {:>10}µs | {:>8}µs | {:>11} | {}",
+            "{:>5}% | {:>10}µs | {:>8}µs | {:>8}µs | {} of {} tuples",
             pct,
             t_inc.as_micros(),
             t_re.as_micros(),
-            faster,
-            heuristic
+            t_keyed.as_micros(),
+            report.tuples_regrouped,
+            base.tuple_count()
         );
     }
 

@@ -1,11 +1,12 @@
 //! Integration: update streams across every maintenance path.
 //!
 //! One generated op trace (workload) is replayed through four engines —
-//! §4 incremental batches, auto-strategy batches, the storage-layer
-//! `NfTable` (WAL-logged), and the re-nest baseline — which must all
-//! land on the identical canonical relation.
+//! §4 incremental batches, the storage-layer `NfTable` op by op and as
+//! one keyed `append_batch` over four shards (both WAL-logged), and the
+//! re-nest baseline — which must all land on the identical canonical
+//! relation.
 
-use nf2::core::bulk::{apply_batch, apply_batch_auto, rebuild_batch, Op};
+use nf2::core::bulk::{apply_batch, rebuild_batch, Op};
 use nf2::core::maintenance::{CanonicalRelation, CostCounter};
 use nf2::core::nest::canonical_of_flat;
 use nf2::prelude::*;
@@ -27,10 +28,18 @@ fn four_engines_agree_on_the_final_relation() {
     let mut cost = CostCounter::new();
     apply_batch(&mut incremental, &trace, &mut cost).unwrap();
 
-    // Engine 2: auto-strategy batch.
-    let mut auto = CanonicalRelation::from_flat(&base.flat, order.clone()).unwrap();
-    let mut cost2 = CostCounter::new();
-    apply_batch_auto(&mut auto, &trace, &mut cost2).unwrap();
+    // Engine 2: the storage table's batch path — the whole trace as one
+    // keyed batch, fanned out over four shards.
+    let batched = NfTable::from_flat_sharded(
+        "sc",
+        &base.flat,
+        order.clone(),
+        ShardSpec::hash(4).unwrap(),
+        SharedDictionary::new(),
+    )
+    .unwrap();
+    let (summary, _) = batched.append_batch(&trace).unwrap();
+    assert_eq!(summary.noops, 0, "op_trace emits effective ops only");
 
     // Engine 3: the storage table (per-op, WAL-logged).
     let dict = SharedDictionary::new();
@@ -53,7 +62,8 @@ fn four_engines_agree_on_the_final_relation() {
     )
     .unwrap();
 
-    assert_eq!(incremental.relation(), auto.relation());
+    assert_eq!(*incremental.relation(), *batched.relation());
+    batched.sharded().verify().unwrap();
     assert_eq!(*incremental.relation(), *table.relation());
     assert_eq!(incremental.relation(), baseline.relation());
     incremental.verify().unwrap();
