@@ -10,19 +10,30 @@
 //! [`infer`] walks an expression bottom-up and assigns every node a
 //! [`RelType`]: the output attribute list, a conservative
 //! [`NestLevel`] per attribute (is the component provably a singleton,
-//! or possibly a set?), and the routing attribute when the grouping
-//! discipline is known. Level inference is deliberately conservative —
-//! `Set` means "may hold more than one value", never "must" — so a
+//! or possibly a set?), whether the attribute is *pinned* (every output
+//! tuple carries the same singleton there), and the routing attribute
+//! when the grouping discipline is known. Inference is deliberately
+//! conservative — `Set` means "may hold more than one value", never
+//! "must", and an unpinned attribute may still be constant — so a
 //! well-typed verdict is sound while ill-typed plans are always real
 //! errors (zero false positives on legal plans).
+//!
+//! Pins are what decide Def. 7 statically. A projection whose dropped
+//! attributes are all pinned in its input is **fixed by construction**
+//! ([`RelType::unpinned_drop`]): the input rectangles are pairwise
+//! disjoint in `R*` and agree on everything dropped, so two of them
+//! sharing a kept combination would share a row. Such a π is typed as
+//! what it is — a componentwise projection that re-nests nothing — and
+//! the query layer compiles it to a streaming operator; this rule, not
+//! a run-time `is_fixed_on`, is the engine's user of Def. 7.
 //!
 //! [`check_rewrite`] is the **rewrite-soundness gate** built on top: a
 //! rule application `before → after` is accepted only if `after`
 //! type-checks whenever `before` does, with an identical output
 //! attribute list (and, for structural-mode rules, identical nest
-//! levels). The optimizer runs the gate on every rule application in
-//! debug builds and under `NF2_VERIFY=1` in release builds; violations
-//! name the offending rule and subtree.
+//! levels and no lost pin). The optimizer runs the gate on every rule
+//! application in debug builds and under `NF2_VERIFY=1` in release
+//! builds; violations name the offending rule and subtree.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,6 +74,13 @@ pub struct AttrType {
     pub name: String,
     /// Inferred nest level.
     pub level: NestLevel,
+    /// Every tuple of the node's output carries the *same singleton*
+    /// here — equivalently, `R*` holds at most one value in this column.
+    /// A one-value selection conjunct establishes it; being a property
+    /// of `R*`, it survives every operator that preserves or shrinks
+    /// `R*` (σ, ⋈, ∩, −, ν, μ, canonicalization) and is lost only where
+    /// a column can widen (∪).
+    pub pinned: bool,
 }
 
 /// The inferred type of an expression: its output attributes with nest
@@ -79,7 +97,7 @@ pub struct RelType {
 
 impl RelType {
     /// A type where every attribute is set-valued (the canonical-form
-    /// default) and the routing attribute is unknown.
+    /// default) and unpinned, and the routing attribute is unknown.
     pub fn all_set<S: AsRef<str>>(names: &[S]) -> Self {
         RelType {
             attrs: names
@@ -87,10 +105,23 @@ impl RelType {
                 .map(|n| AttrType {
                     name: n.as_ref().to_owned(),
                     level: NestLevel::Set,
+                    pinned: false,
                 })
                 .collect(),
             routing: None,
         }
+    }
+
+    /// The static form of Def. 7 for `π[kept]` over a node of this type:
+    /// the first attribute the projection drops that is **not** pinned,
+    /// or `None` when every dropped attribute is — the projection is
+    /// then *fixed by construction* (see the module docs), including the
+    /// pure permutation, which drops nothing.
+    pub fn unpinned_drop<S: AsRef<str>>(&self, kept: &[S]) -> Option<&str> {
+        self.attrs
+            .iter()
+            .find(|a| !a.pinned && !kept.iter().any(|k| k.as_ref() == a.name))
+            .map(|a| a.name.as_str())
     }
 
     /// Number of output attributes.
@@ -110,6 +141,17 @@ impl RelType {
 
     fn levels(&self) -> Vec<NestLevel> {
         self.attrs.iter().map(|a| a.level).collect()
+    }
+
+    /// This type with every level reset to `Set` and the routing
+    /// forgotten — what a re-nesting operator leaves of its input. Pins
+    /// stay: re-nesting regroups `R*`, it never widens a column.
+    fn renested(mut self) -> Self {
+        for a in &mut self.attrs {
+            a.level = NestLevel::Set;
+        }
+        self.routing = None;
+        self
     }
 }
 
@@ -268,13 +310,20 @@ fn walk(
             .cloned()
             .ok_or_else(|| err(expr, format!("unknown relation {name}"))),
         Expr::SelectBox { input, constraints } => {
-            let ty = walk(input, catalog, nodes, warnings)?;
+            let mut ty = walk(input, catalog, nodes, warnings)?;
             for (attr, values) in constraints {
-                if ty.attr_index(attr).is_none() {
+                let Some(idx) = ty.attr_index(attr) else {
                     return Err(err(expr, format!("selection on unknown attribute {attr}")));
-                }
+                };
                 if values.is_empty() {
                     return Err(err(expr, format!("empty value list for attribute {attr}")));
+                }
+                // A one-entry list narrows every surviving component to
+                // that one value (a late-bound slot binds to one atom or
+                // the statement is statically empty); further conjuncts
+                // on the attribute can only shrink the set.
+                if values.len() == 1 {
+                    ty.attrs[idx].pinned = true;
                 }
             }
             Ok(ty)
@@ -282,17 +331,31 @@ fn walk(
         Expr::Project { input, attrs } => {
             let ty = walk(input, catalog, nodes, warnings)?;
             let mut seen = std::collections::HashSet::new();
+            let mut kept = Vec::with_capacity(attrs.len());
             for attr in attrs {
-                if ty.attr_index(attr).is_none() {
+                let Some(idx) = ty.attr_index(attr) else {
                     return Err(err(expr, format!("projection of unknown attribute {attr}")));
-                }
+                };
                 if !seen.insert(attr.as_str()) {
                     return Err(err(expr, format!("duplicate projection attribute {attr}")));
                 }
+                kept.push(ty.attrs[idx].clone());
             }
-            // Projection may re-canonicalize (the non-fixed fallback), so
-            // the output is conservatively all-set with unknown routing.
-            Ok(RelType::all_set(attrs))
+            let kept = RelType {
+                attrs: kept,
+                routing: ty
+                    .routing
+                    .and_then(|r| attrs.iter().position(|a| *a == ty.attrs[r].name)),
+            };
+            Ok(match ty.unpinned_drop(attrs) {
+                // Fixed by construction: each rectangle is projected
+                // componentwise and nothing is re-nested, so levels and
+                // routing carry over with the kept attributes.
+                None => kept,
+                // Otherwise the projection may re-canonicalize (the
+                // non-fixed path of `ops::project`).
+                Some(_) => kept.renested(),
+            })
         }
         Expr::Union(l, r) | Expr::Difference(l, r) => {
             let (lt, rt) = (
@@ -306,9 +369,14 @@ fn walk(
                 ));
             }
             // Both set operators re-canonicalize under the identity
-            // order, so the result routes by the last attribute.
-            let mut ty = RelType::all_set(&lt.names());
-            ty.routing = lt.arity().checked_sub(1);
+            // order, so the result routes by the last attribute. L − R
+            // is a subset of L and keeps its pins; the two sides of a ∪
+            // may pin different values, so it keeps none.
+            let mut ty = match expr {
+                Expr::Difference(..) => lt.renested(),
+                _ => RelType::all_set(&lt.names()),
+            };
+            ty.routing = ty.arity().checked_sub(1);
             Ok(ty)
         }
         Expr::Intersect(l, r) => {
@@ -322,7 +390,8 @@ fn walk(
                     format!("incompatible intersection schemas {lt} vs {rt}"),
                 ));
             }
-            // Pairwise rectangle intersection: componentwise meet.
+            // Pairwise rectangle intersection: componentwise meet, and
+            // a value pinned on either side is pinned in the result.
             let attrs = lt
                 .attrs
                 .iter()
@@ -330,6 +399,7 @@ fn walk(
                 .map(|(a, b)| AttrType {
                     name: a.name.clone(),
                     level: a.level.meet(b.level),
+                    pinned: a.pinned || b.pinned,
                 })
                 .collect();
             Ok(RelType {
@@ -348,14 +418,18 @@ fn walk(
             );
             let mut attrs: Vec<AttrType> = Vec::with_capacity(lt.arity() + rt.arity());
             for a in &lt.attrs {
-                let level = match rt.attr_index(&a.name) {
+                let (level, pinned) = match rt.attr_index(&a.name) {
                     // Shared attribute: components intersect.
-                    Some(ri) => a.level.meet(rt.attrs[ri].level),
-                    None => a.level,
+                    Some(ri) => {
+                        let b = &rt.attrs[ri];
+                        (a.level.meet(b.level), a.pinned || b.pinned)
+                    }
+                    None => (a.level, a.pinned),
                 };
                 attrs.push(AttrType {
                     name: a.name.clone(),
                     level,
+                    pinned,
                 });
             }
             for b in &rt.attrs {
@@ -420,8 +494,9 @@ fn walk(
             }
             // ν_P yields an all-set canonical form routed by the
             // last-applied attribute P(n−1).
-            let mut out = RelType::all_set(&ty.names());
-            out.routing = order.last().and_then(|last| ty.attr_index(last));
+            let routing = order.last().and_then(|last| ty.attr_index(last));
+            let mut out = ty.renested();
+            out.routing = routing;
             Ok(out)
         }
     }
@@ -458,8 +533,11 @@ impl std::error::Error for RewriteViolation {}
 /// repair), the step is accepted and the error is left for evaluation to
 /// report. When `before` type-checks, `after` must too, with the same
 /// output attribute names; structural-mode rules must additionally
-/// preserve every attribute's nest level (realization-mode rules may
-/// regroup, so only the attribute list is compared).
+/// preserve every attribute's nest level and may not lose a pin — a
+/// tuple-identical plan from which less can be proved would silently
+/// turn a streaming projection above it into a blocking one
+/// (realization-mode rules may regroup, so only the attribute list is
+/// compared).
 pub fn check_rewrite(
     rule: &'static str,
     before: &Expr,
@@ -496,6 +574,20 @@ pub fn check_rewrite(
             ),
             subtree: after.to_string(),
         });
+    }
+    if mode == RewriteMode::Structural {
+        let lost = before_ty
+            .attrs
+            .iter()
+            .zip(&after_ty.attrs)
+            .find(|(b, a)| b.pinned && !a.pinned);
+        if let Some((attr, _)) = lost {
+            return Err(RewriteViolation {
+                rule,
+                reason: format!("the pin on {} was lost under a structural rule", attr.name),
+                subtree: after.to_string(),
+            });
+        }
     }
     Ok(())
 }
@@ -624,6 +716,110 @@ mod tests {
         );
     }
 
+    fn proj(input: Expr, attrs: &[&str]) -> Expr {
+        Expr::Project {
+            input: Box::new(input),
+            attrs: attrs.iter().map(|a| (*a).to_owned()).collect(),
+        }
+    }
+
+    fn pins(ty: &RelType) -> Vec<bool> {
+        ty.attrs.iter().map(|a| a.pinned).collect()
+    }
+
+    #[test]
+    fn one_value_conjuncts_pin_and_joins_carry_pins() {
+        let cat = catalog();
+        assert_eq!(
+            pins(&infer(&Expr::rel("sc"), &cat).unwrap()),
+            [false, false]
+        );
+        let one = sel(Expr::rel("sc"), "Course", &[10]);
+        assert_eq!(pins(&infer(&one, &cat).unwrap()), [false, true]);
+        // A list of two values pins nothing, even beside a pinning one;
+        // a second conjunct on a pinned attribute can only shrink it.
+        let two = sel(Expr::rel("sc"), "Course", &[10, 11]);
+        assert_eq!(pins(&infer(&two, &cat).unwrap()), [false, false]);
+        assert_eq!(
+            pins(&infer(&sel(one.clone(), "Course", &[10, 11]), &cat).unwrap()),
+            [false, true]
+        );
+        // A pin on either side of a join (shared or not) reaches the
+        // output, through the side that owns it.
+        let j = Expr::Join(
+            Box::new(Expr::rel("sc")),
+            Box::new(sel(sel(Expr::rel("cp"), "Course", &[10]), "Prereq", &[90])),
+        );
+        assert_eq!(pins(&infer(&j, &cat).unwrap()), [false, true, true]);
+    }
+
+    #[test]
+    fn projection_dropping_only_pinned_attributes_is_fixed_by_construction() {
+        let cat = catalog();
+        let pinned = sel(
+            Expr::Unnest {
+                input: Box::new(Expr::rel("sc")),
+                attr: "Student".into(),
+            },
+            "Course",
+            &[10],
+        );
+        let input = infer(&pinned, &cat).unwrap();
+        assert_eq!(input.unpinned_drop(&["Student"]), None);
+        assert_eq!(input.unpinned_drop(&["Course"]), Some("Student"));
+        assert_eq!(input.unpinned_drop(&["Course", "Student"]), None);
+        // Fixed: the kept attribute keeps its level; the routing
+        // attribute was dropped with Course.
+        let fixed = infer(&proj(pinned.clone(), &["Student"]), &cat).unwrap();
+        assert_eq!(fixed.attrs[0].level, NestLevel::Atomic);
+        assert_eq!(fixed.routing, None);
+        // The pure permutation drops nothing: levels, pins and the
+        // (re-indexed) routing attribute all survive.
+        let swapped = infer(&proj(pinned.clone(), &["Course", "Student"]), &cat).unwrap();
+        assert_eq!(swapped.to_string(), "({Course}, Student) routed by Course");
+        assert_eq!(pins(&swapped), [true, false]);
+        // Dropping the unpinned Student may re-nest: all-set, unrouted —
+        // but Course is still the one value it was.
+        let renested = infer(&proj(pinned, &["Course"]), &cat).unwrap();
+        assert_eq!(renested.to_string(), "({Course})");
+        assert_eq!(pins(&renested), [true]);
+    }
+
+    #[test]
+    fn only_union_loses_a_pin() {
+        let cat = catalog();
+        let one = sel(Expr::rel("sc"), "Course", &[10]);
+        let wrap =
+            |f: &dyn Fn(Box<Expr>) -> Expr| pins(&infer(&f(Box::new(one.clone())), &cat).unwrap());
+        let attr = || "Student".to_owned();
+        assert_eq!(
+            wrap(&|input| Expr::Nest {
+                input,
+                attr: attr()
+            }),
+            [false, true]
+        );
+        assert_eq!(
+            wrap(&|input| Expr::Unnest {
+                input,
+                attr: attr()
+            }),
+            [false, true]
+        );
+        assert_eq!(
+            wrap(&|input| Expr::Canonicalize {
+                input,
+                order: vec!["Course".into(), "Student".into()]
+            }),
+            [false, true]
+        );
+        let other = || Box::new(sel(Expr::rel("sc"), "Course", &[11]));
+        assert_eq!(wrap(&|l| Expr::Difference(l, other())), [false, true]);
+        assert_eq!(wrap(&|l| Expr::Intersect(other(), l)), [false, true]);
+        // σ[Course=10] ∪ σ[Course=11] holds two courses.
+        assert_eq!(wrap(&|l| Expr::Union(l, other())), [false, false]);
+    }
+
     #[test]
     fn canonicalize_requires_permutation() {
         let cat = catalog();
@@ -748,5 +944,25 @@ mod tests {
             RewriteMode::Realization,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn gate_rejects_a_lost_pin_in_structural_mode() {
+        let cat = catalog();
+        // Tuple-identical on every instance, but the second form proves
+        // less: a streaming π above it would silently turn blocking.
+        let before = sel(Expr::rel("sc"), "Course", &[10]);
+        let after = Expr::Intersect(
+            Box::new(Expr::rel("sc")),
+            Box::new(Expr::Union(
+                Box::new(before.clone()),
+                Box::new(before.clone()),
+            )),
+        );
+        let v = check_rewrite("widen", &before, &after, &cat, RewriteMode::Structural).unwrap_err();
+        assert!(v.reason.contains("pin on Course was lost"), "{v}");
+        check_rewrite("widen", &before, &after, &cat, RewriteMode::Realization).unwrap();
+        // Gaining a pin is fine.
+        check_rewrite("narrow", &after, &before, &cat, RewriteMode::Structural).unwrap();
     }
 }

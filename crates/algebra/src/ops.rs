@@ -10,7 +10,12 @@
 //! * selection by per-attribute value sets intersects rectangles directly;
 //! * projection uses tuple-level projection when the kept attributes are
 //!   *fixed* (Def. 7) — fixedness is exactly pairwise disjointness of the
-//!   projections — and falls back to expansion otherwise;
+//!   projections — and falls back to expansion otherwise. [`project`]
+//!   tests Def. 7 on the instance (`is_fixed_on`, all pairs): it is §3's
+//!   reference and [`Expr::eval`](crate::Expr::eval)'s oracle. The
+//!   engine's compiled plans decide the same question once, at prepare
+//!   time, from the plan ([`RelType::unpinned_drop`](crate::RelType::unpinned_drop)),
+//!   and only their blocking arm still lands here;
 //! * natural join intersects shared components pairwise (disjointness of
 //!   the inputs carries over to the output);
 //! * union/difference/intersection work on `R*` and re-nest.

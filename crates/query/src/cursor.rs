@@ -6,8 +6,9 @@
 //! scan reaches them — the first tuple of a full-table SELECT costs one
 //! probe, not a materialized result relation (the storage scans count
 //! probes, which is how the tests pin this down). Only inherently
-//! blocking operators (projection's duplicate elimination, nest,
-//! difference, a join's build side) buffer anything.
+//! blocking operators buffer anything: a join's build side, and a
+//! projection the plan cannot prove fixed (Def. 7) — one that drops
+//! only attributes its selection pins to one value streams too.
 
 use std::sync::Arc;
 

@@ -27,7 +27,7 @@ use nf2_algebra::stream::{
     filter_box, lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter,
     TupleOrder,
 };
-use nf2_algebra::{estimate, optimize, optimize_observed, Expr, SchemaCatalog};
+use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
 use nf2_core::display::render_nf;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
@@ -132,14 +132,25 @@ pub(crate) enum Phys {
         /// `(attribute id, bound-store index)` conjuncts.
         constraints: Vec<(usize, usize)>,
     },
-    /// Blocking projection (delegates to [`nf2_algebra::project`]).
+    /// Projection, in one of two arms chosen at prepare time by the
+    /// static form of Def. 7 ([`RelType::unpinned_drop`]): when every
+    /// dropped attribute is pinned to one value by the plan below, the
+    /// projection is fixed by construction and **streams** — each pulled
+    /// tuple's kept components, in upstream order, nothing buffered.
+    /// Otherwise it **blocks**: it drains its input and delegates to
+    /// [`nf2_algebra::project`], which tests Def. 7 on the instance and
+    /// re-nests when it fails.
+    ///
+    /// [`RelType::unpinned_drop`]: nf2_algebra::RelType::unpinned_drop
     Project {
         /// Upstream node.
         input: Box<Phys>,
-        /// The upstream schema (for materialization).
+        /// The upstream schema (the blocking arm materializes under it).
         input_schema: Arc<Schema>,
         /// Kept attribute ids, in output order.
         attrs: Arc<Vec<usize>>,
+        /// Which arm; `EXPLAIN VERIFY` re-derives it from the template.
+        streaming: bool,
     },
     /// Natural join: streamed probe (left), materialized build (right).
     Join {
@@ -303,13 +314,27 @@ impl PhysPlan {
                     .iter()
                     .map(|&a| child.schema.attr_name(a))
                     .collect::<Result<Vec<_>, _>>()?;
-                // Mirror ops::project's output schema exactly.
                 let schema = Schema::new(format!("{}_proj", child.schema.name()), &names)?;
+                debug_assert_eq!(
+                    nf2_algebra::project(
+                        &NfRelation::new(child.schema.clone()),
+                        &ids,
+                        &NestOrder::identity(ids.len()),
+                    )
+                    .map(|r| r.schema().clone()),
+                    Ok(schema.clone()),
+                    "both arms must yield ops::project's output schema"
+                );
+                // The child compiled, so the template below this node is
+                // well-typed; a checker error here is a planner bug.
+                let input_ty = check::infer(input, &crate::verify::check_catalog(tables, engine)?)
+                    .map_err(|e| QueryError::Verify(e.to_string()))?;
                 Ok(PhysPlan {
                     root: Phys::Project {
                         input: Box::new(child.root),
                         input_schema: child.schema,
                         attrs: Arc::new(ids),
+                        streaming: input_ty.unpinned_drop(attrs).is_none(),
                     },
                     schema,
                 })
@@ -336,20 +361,24 @@ impl PhysPlan {
     /// Builds the per-call pipeline over the resolved tables and bound
     /// constraint values.
     ///
-    /// The pipeline is **pull-driven end to end**: blocking stages (a
-    /// join's build side, projection's duplicate elimination) defer
+    /// The pipeline is **pull-driven end to end**. Scans, selections,
+    /// a join's probe side and a streaming projection hand each tuple
+    /// on as it is pulled, so `LIMIT n`, a dropped cursor and the first
+    /// row all stop the scan early. The two blocking stages — a join's
+    /// build side and the blocking arm of a projection, which must see
+    /// its whole input to test Def. 7 and eliminate duplicates — defer
     /// their materialization behind [`lazy_iter`] until the first tuple
-    /// is demanded, so a consumer that never pulls — `LIMIT 0`, a
-    /// dropped cursor — pays zero scan probes on every plan shape.
+    /// is demanded, so a consumer that never pulls (`LIMIT 0`) pays
+    /// zero scan probes on every plan shape.
     ///
     /// The pipeline reads **pinned snapshots**, not live tables: every
     /// scan streams the shard versions the snapshot holds, so the
     /// result is the canonical form as of the statement's epoch no
     /// matter what concurrent writers install meanwhile — and the
     /// returned iterator is `'static`, owning its shard `Arc`s.
-    /// Streams the pipeline, with an optional shard restriction: when
-    /// `only_shard` is set, every scan touches at most that shard (in
-    /// addition to its prune/zone filtering). The k-way merge path
+    ///
+    /// When `only_shard` is set, every scan touches at most that shard
+    /// (in addition to its prune/zone filtering); the k-way merge path
     /// builds one such pipeline per shard so each stays in segment
     /// order. With `tallies` (one per node, [`phys_size`] pre-order)
     /// every operator's output is wrapped in a [`Timed`] counter for
@@ -403,8 +432,27 @@ impl PhysPlan {
                 }
                 Phys::Project {
                     input,
+                    attrs,
+                    streaming: true,
+                    ..
+                } => {
+                    // Fixed by construction: the upstream rectangles are
+                    // pairwise disjoint and agree on everything dropped,
+                    // so their kept components are already the answer.
+                    let attrs = attrs.clone();
+                    Box::new(
+                        go(input, tables, bound, only_shard, tallies, idx + 1).map(move |t| {
+                            TupleView::Owned(
+                                attrs.iter().map(|&a| t.component(a).clone()).collect(),
+                            )
+                        }),
+                    )
+                }
+                Phys::Project {
+                    input,
                     input_schema,
                     attrs,
+                    streaming: false,
                 } => {
                     let upstream = go(input, tables, bound, only_shard, tallies, idx + 1);
                     let input_schema = input_schema.clone();

@@ -20,6 +20,11 @@
 //!   order, scan/select-only shape, no conjunct on a key attribute);
 //! * projection and join nodes carry schemas consistent with their
 //!   inputs (the join layout is recomputed and compared);
+//! * **projection-arm soundness**: each projection's `streaming` flag
+//!   must equal the verdict the checker re-derives from the optimized
+//!   template — a streaming π over an unpinned dropped attribute would
+//!   emit overlapping rectangles, a blocking one over pinned drops
+//!   would quietly pay the all-pairs Def. 7 test again;
 //! * slot atoms stay within the reserved range and parameter slots
 //!   within the declared parameter count;
 //! * `ORDER BY` names an attribute of the output schema, and the
@@ -42,6 +47,7 @@ use nf2_core::value::Atom;
 
 use crate::ast::Projection;
 use crate::engine::Engine;
+use crate::exec::QueryError;
 use crate::prepare::{Phys, SelectPlan, Slot, SLOT_BASE};
 
 /// A physical-plan contract violation, naming the offending plan site.
@@ -87,12 +93,13 @@ pub(crate) struct PlanReport {
 
 /// Builds the checker catalog for a plan's tables, with per-table
 /// routing attributes (`P(n−1)`) for sharded tables.
-fn check_catalog(plan: &SelectPlan, engine: &Engine) -> Result<CheckCatalog, PlanViolation> {
+pub(crate) fn check_catalog(
+    tables: &[String],
+    engine: &Engine,
+) -> Result<CheckCatalog, QueryError> {
     let mut cat = CheckCatalog::new();
-    for name in &plan.tables {
-        let t = engine
-            .table(name)
-            .map_err(|e| violation(format!("table {name}"), e.to_string()))?;
+    for name in tables {
+        let t = engine.table(name)?;
         let attrs: Vec<&str> = t.schema().attr_names().collect();
         let routing = if t.shard_count() > 1 {
             t.routing().attr()
@@ -125,7 +132,8 @@ pub(crate) fn check_plan(plan: &SelectPlan, engine: &Engine) -> Result<PlanRepor
 
     // Logical layer: both templates must type-check, and the optimized
     // template must match the compiled output schema.
-    let cat = check_catalog(plan, engine)?;
+    let cat =
+        check_catalog(&plan.tables, engine).map_err(|e| violation("catalog", e.to_string()))?;
     check::check(&plan.raw, &cat).map_err(|e| violation("raw template", e.to_string()))?;
     let report = check::check(&plan.expr, &cat)
         .map_err(|e| violation("optimized template", e.to_string()))?;
@@ -191,6 +199,8 @@ pub(crate) fn check_plan(plan: &SelectPlan, engine: &Engine) -> Result<PlanRepor
             ),
         ));
     }
+
+    check_project_arms(&plan.phys.root, &plan.expr, &plan.tables, &cat)?;
 
     // Flat numbering: the pipeline's constraint indices must be exactly
     // 0..n with no gaps or duplicates, and n must equal the number of
@@ -397,6 +407,7 @@ fn walk_phys(
             input,
             input_schema,
             attrs,
+            ..
         } => {
             let mut inner = Vec::new();
             let child = walk_phys(input, plan, engine, &mut inner, flats, nodes, pruned, zoned)?;
@@ -445,6 +456,57 @@ fn walk_phys(
             }
             Ok(layout.schema.clone())
         }
+    }
+}
+
+/// Projection-arm soundness: walks the pipeline and the optimized
+/// template in lockstep (they have the same shape — `compile` maps node
+/// to node) and, at every projection, re-derives the static Def. 7
+/// verdict from the template and compares it with the compiled flag.
+fn check_project_arms(
+    node: &Phys,
+    expr: &Expr,
+    tables: &[String],
+    cat: &CheckCatalog,
+) -> Result<(), PlanViolation> {
+    match (node, expr) {
+        (Phys::Scan { .. }, Expr::Rel(_)) => Ok(()),
+        (Phys::Select { input, .. }, Expr::SelectBox { input: e, .. }) => {
+            check_project_arms(input, e, tables, cat)
+        }
+        (Phys::Join { left, right, .. }, Expr::Join(l, r)) => {
+            check_project_arms(left, l, tables, cat)?;
+            check_project_arms(right, r, tables, cat)
+        }
+        (
+            Phys::Project {
+                input, streaming, ..
+            },
+            Expr::Project { input: e, attrs },
+        ) => {
+            let site = || render_node(node, tables, None);
+            let input_ty =
+                check::infer(e, cat).map_err(|err| violation(site(), err.to_string()))?;
+            match (input_ty.unpinned_drop(attrs), *streaming) {
+                (Some(attr), true) => Err(violation(
+                    site(),
+                    format!(
+                        "streaming projection drops {attr}, which the plan below does not \
+                         pin to one value — it is not fixed by construction"
+                    ),
+                )),
+                (None, false) => Err(violation(
+                    site(),
+                    "blocking projection, but every dropped attribute is pinned: the plan \
+                     proves it fixed by construction and it must stream",
+                )),
+                _ => check_project_arms(input, e, tables, cat),
+            }
+        }
+        _ => Err(violation(
+            render_node(node, tables, None),
+            format!("pipeline node does not correspond to template node {expr}"),
+        )),
     }
 }
 
@@ -555,9 +617,12 @@ fn render_node(node: &Phys, tables: &[String], engine: Option<&Engine>) -> Strin
                 .collect();
             format!("σ[{}]", parts.join(" ∧ "))
         }
-        Phys::Project { attrs, .. } => {
+        Phys::Project {
+            attrs, streaming, ..
+        } => {
             let ids: Vec<String> = attrs.iter().map(|a| format!("@{a}")).collect();
-            format!("π[{}]", ids.join(","))
+            let arm = if *streaming { " | streaming" } else { "" };
+            format!("π[{}{arm}]", ids.join(","))
         }
         Phys::Join { layout, .. } => format!(
             "⋈[shared={}, right_only={}]",
@@ -822,6 +887,37 @@ mod tests {
         let plan = plan_for(&engine, "SELECT * FROM sc ORDER BY Course, Student");
         assert!(plan.merge);
         check_plan(&plan, &engine).unwrap();
+    }
+
+    #[test]
+    fn flipped_projection_arm_is_rejected_both_ways() {
+        let engine = sharded_engine();
+        fn flip(plan: &mut SelectPlan) {
+            let Phys::Project { streaming, .. } = &mut plan.phys.root else {
+                panic!("not a projection plan")
+            };
+            *streaming = !*streaming;
+        }
+        // Two courses pin nothing: this π must block. Claiming it
+        // streams is named with the attribute that breaks Def. 7.
+        let mut plan = plan_for(
+            &engine,
+            "SELECT Student FROM sc WHERE Course IN ('c1','c2')",
+        );
+        check_plan(&plan, &engine).unwrap();
+        flip(&mut plan);
+        let v = check_plan(&plan, &engine).unwrap_err();
+        assert_eq!(v.site, "π[@0 | streaming]", "{v}");
+        assert!(v.reason.contains("drops Course"), "{v}");
+        // One course pins it: this π streams, and a plan that blocks
+        // anyway is rejected too — it would pay the all-pairs test the
+        // static rule exists to skip.
+        let mut plan = plan_for(&engine, "SELECT Student FROM sc WHERE Course = 'c1'");
+        check_plan(&plan, &engine).unwrap();
+        flip(&mut plan);
+        let v = check_plan(&plan, &engine).unwrap_err();
+        assert_eq!(v.site, "π[@0]", "{v}");
+        assert!(v.reason.contains("fixed by construction"), "{v}");
     }
 
     #[test]

@@ -9,12 +9,20 @@
 //! canonical relations: scans, selections (on the routing attribute, off
 //! it, IN-lists with unknown members, never-interned values),
 //! projections, and two- and three-way joins.
+//!
+//! Rows in a set cannot see a projection wrongly compiled to the
+//! streaming arm (overlapping rectangles expand to the same set), so
+//! every path must also return *disjoint* tuples: they `validate()`, and
+//! their expansion counts sum to `|R*|` — no row twice. The projection
+//! shapes name the arm they must compile to, so neither arm can
+//! silently take over the other's cases.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use nf2_algebra::{Env, Expr};
+use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::ShardSpec;
 use nf2_core::tuple::FlatTuple;
@@ -31,6 +39,18 @@ struct Shape {
     /// `None`: some conjunct names no value the dictionary knows, so the
     /// answer is empty whatever the tables hold.
     expr: Option<Expr>,
+    /// The projection list, when there is one: the output schema every
+    /// path must report, statically-empty results included.
+    columns: Option<Vec<String>>,
+    /// Which projection arm `EXPLAIN` must show (`None`: don't care).
+    streams: Option<bool>,
+}
+
+impl Shape {
+    fn arm(mut self, streams: bool) -> Shape {
+        self.streams = Some(streams);
+        self
+    }
 }
 
 /// `SELECT projection FROM tables[0] JOIN tables[1] … WHERE predicates`.
@@ -92,12 +112,46 @@ fn shape(
             .flat_map(|(_, values)| values.iter().cloned())
             .collect(),
         expr: satisfiable.then_some(expr),
+        columns: projection.map(|attrs| attrs.iter().map(|a| (*a).to_owned()).collect()),
+        streams: None,
     }
 }
 
-fn rows_of(output: Output) -> BTreeSet<FlatTuple> {
+/// The flat rows of a result, after checking that its tuples are what
+/// Def. 7 promises (pairwise disjoint: they validate, and no row is
+/// counted twice) under the schema the statement declares. Explicit,
+/// because in a release build the pipeline's `from_disjoint_tuples`
+/// trusts its input.
+fn rows_of(
+    relation: &NfRelation,
+    columns: &Option<Vec<String>>,
+) -> Result<BTreeSet<FlatTuple>, String> {
+    relation
+        .validate()
+        .map_err(|e| format!("invalid result: {e}"))?;
+    let rows = relation.expand().into_rows();
+    let counted: u128 = relation.tuples().iter().map(|t| t.expansion_count()).sum();
+    if counted != rows.len() as u128 {
+        return Err(format!(
+            "tuples expand to {counted} rows, {} distinct",
+            rows.len()
+        ));
+    }
+    if let Some(columns) = columns {
+        if !relation
+            .schema()
+            .attr_names()
+            .eq(columns.iter().map(String::as_str))
+        {
+            return Err(format!("schema {} is not {columns:?}", relation.schema()));
+        }
+    }
+    Ok(rows)
+}
+
+fn relation_of(output: Output) -> NfRelation {
     match output {
-        Output::Relation { relation, .. } => relation.expand().into_rows(),
+        Output::Relation { relation, .. } => relation,
         other => panic!("expected a relation, got {other:?}"),
     }
 }
@@ -156,6 +210,9 @@ proptest! {
 
                 let one = |v: &str| vec![v.to_owned()];
                 let in_list = [outer[0].clone(), outer[outer.len() - 1].clone(), "ghost".to_owned()];
+                let mid = inner[inner.len() / 2].as_str();
+                let (but_first, but_last) = (&attrs[1..], &attrs[..attrs.len() - 1]);
+                let reversed: Vec<&str> = attrs.iter().rev().copied().collect();
                 let shapes = [
                     shape(&engine, None, &["t"], &[]),
                     shape(&engine, None, &["t"], &[(last, &one(&outer[0]))]),
@@ -172,6 +229,30 @@ proptest! {
                         &["t", "u", "v"],
                         &[("Y", &one("y0")), (last, &in_list)],
                     ),
+                    // π dropping exactly the pinned attribute — the
+                    // routing one, then a non-routing one — streams; so
+                    // does a π that only permutes.
+                    shape(&engine, Some(but_last), &["t"], &[(last, &one(&outer[0]))]).arm(true),
+                    shape(&engine, Some(but_first), &["t"], &[(first, &one(mid))]).arm(true),
+                    shape(&engine, Some(&reversed), &["t"], &[]).arm(true),
+                    // One pinned conjunct beside an IN list: dropping the
+                    // IN attribute must block, keeping it streams.
+                    shape(&engine, Some(but_last), &["t"], &[(first, &one(mid)), (last, &in_list)])
+                        .arm(false),
+                    shape(&engine, Some(but_first), &["t"], &[(first, &one(mid)), (last, &in_list)])
+                        .arm(true),
+                    // Contradictory equalities still pin; the result is empty.
+                    shape(
+                        &engine,
+                        Some(but_first),
+                        &["t"],
+                        &[(first, &one(&inner[0])), (first, &one(&inner[inner.len() - 1]))],
+                    )
+                    .arm(true),
+                    // Statically empty: nothing runs, the schema stays.
+                    shape(&engine, Some(but_first), &["t"], &[(first, &one("never-interned"))]),
+                    // The pin arrives through the join's right side.
+                    shape(&engine, Some(&attrs), &["t", "u"], &[("X", &one("x1"))]).arm(true),
                 ];
 
                 let mut env = Env::new();
@@ -184,18 +265,34 @@ proptest! {
                         None => BTreeSet::new(),
                     };
                     let context = format!("{} at {shards} shard(s): {}", w.label, s.sql);
-                    prop_assert_eq!(
-                        &rows_of(session.run(&s.sql).unwrap()), &expected, "run: {}", &context
-                    );
+                    if let Some(streams) = s.streams {
+                        let plan = session.run(&format!("EXPLAIN {}", s.sql)).unwrap().to_text();
+                        prop_assert_eq!(plan.contains(" | streaming]"), streams, "{}\n{}", &context, plan);
+                    }
+                    let ran = relation_of(session.run(&s.sql).unwrap());
+                    prop_assert_eq!(rows_of(&ran, &s.columns), Ok(expected.clone()), "run: {}", &context);
                     let mut prepared = session.prepare(&s.prepared).unwrap();
+                    let executed = relation_of(prepared.execute(&mut session, &s.params).unwrap());
                     prop_assert_eq!(
-                        &rows_of(prepared.execute(&mut session, &s.params).unwrap()),
-                        &expected,
-                        "prepared: {}", &context
+                        rows_of(&executed, &s.columns), Ok(expected.clone()), "prepared: {}", &context
                     );
-                    let streamed: BTreeSet<FlatTuple> =
-                        session.query(&s.sql).unwrap().flat_rows().collect();
-                    prop_assert_eq!(&streamed, &expected, "cursor: {}", &context);
+                    let streamed = session.query(&s.sql).unwrap().into_relation().unwrap();
+                    prop_assert_eq!(
+                        rows_of(&streamed, &s.columns), Ok(expected.clone()), "cursor: {}", &context
+                    );
+                    if s.streams == Some(true) {
+                        // LIMIT over a streamed π cuts the tuple stream,
+                        // not the rows: a disjoint part of the result.
+                        let limited = session.query(&format!("{} LIMIT 2", s.sql)).unwrap();
+                        let limited = limited.into_relation().unwrap();
+                        prop_assert_eq!(
+                            limited.tuple_count(), streamed.tuple_count().min(2), "{}", &context
+                        );
+                        let rows = rows_of(&limited, &s.columns);
+                        prop_assert!(
+                            rows.as_ref().is_ok_and(|r| r.is_subset(&expected)), "{}: {:?}", &context, rows
+                        );
+                    }
                 }
             }
         }

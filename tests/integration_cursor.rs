@@ -9,6 +9,7 @@
 //! charge the whole relation before the first tuple surfaced.
 
 use nf2::core::schema::NestOrder;
+use nf2::core::shard::ShardSpec;
 use nf2::core::tuple::FlatTuple;
 use nf2::core::value::Atom;
 use nf2::query::Engine;
@@ -140,6 +141,58 @@ fn limit_terminates_the_pipeline_early() {
     );
     let zero = session.engine().table("big").unwrap().stats();
     assert_eq!(zero.units_probed - base.units_probed, 0);
+}
+
+#[test]
+fn streamed_projection_stops_the_scan_and_the_blocking_arm_drains() {
+    for shards in [1, 4] {
+        // big(A, B, C): 1 000 singleton tuples, 125 under each B-value.
+        let engine = Engine::builder().shards(shards).build().unwrap();
+        let rows: Vec<[String; 3]> = (0..1_000)
+            .map(|i| [format!("a{i}"), format!("b{}", i % 8), format!("c{i}")])
+            .collect();
+        let table = NfTable::bulk_load_strs_sharded(
+            "big",
+            &["A", "B", "C"],
+            rows.iter().map(|r| r.iter().map(String::as_str).collect()),
+            NestOrder::identity(3),
+            ShardSpec::hash(shards).unwrap(),
+            engine.dict().clone(),
+        )
+        .unwrap();
+        engine.attach_table(table).unwrap();
+        assert_eq!(engine.table("big").unwrap().tuple_count(), 1_000);
+        let session = engine.session();
+        let probed = |f: &mut dyn FnMut()| {
+            let before = engine.table("big").unwrap().stats().units_probed;
+            f();
+            engine.table("big").unwrap().stats().units_probed - before
+        };
+
+        // B is pinned and is all the projection drops, so π streams: one
+        // tuple out costs one tuple off the located scan, under LIMIT
+        // and under a cursor dropped after its first pull alike.
+        let pinned = "SELECT A, C FROM big WHERE B = 'b7'";
+        let limit_1 = format!("{pinned} LIMIT 1");
+        let limited = probed(&mut || assert_eq!(session.query(&limit_1).unwrap().count(), 1));
+        assert_eq!(limited, 1, "LIMIT 1 over a streaming π, {shards} shard(s)");
+        let dropped = probed(&mut || {
+            let mut cursor = session.query(pinned).unwrap();
+            assert!(cursor.next().is_some());
+        });
+        assert_eq!(dropped, 1, "a cursor dropped after one pull");
+        let drained = probed(&mut || assert_eq!(session.query(pinned).unwrap().count(), 125));
+        assert_eq!(
+            drained, 125,
+            "a drained one scans what the conjunct locates"
+        );
+
+        // Two values pin nothing: the blocking arm must see every
+        // located tuple before it can yield its first.
+        let unpinned = "SELECT A, C FROM big WHERE B IN ('b7','b6') LIMIT 1";
+        let blocked = probed(&mut || assert_eq!(session.query(unpinned).unwrap().count(), 1));
+        assert_eq!(blocked, 250, "LIMIT 1 over a blocking π, {shards} shard(s)");
+    }
 }
 
 #[test]
