@@ -19,6 +19,8 @@
 //! structure for every operator and gates each optimizer rewrite on
 //! type preservation (see `README.md` § Plan verification).
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod expr;
 pub mod laws;

@@ -493,7 +493,12 @@ impl<'a> Iterator for RelStream<'a> {
 }
 
 /// Applies box-selection constraints to one tuple. `None` drops the
-/// tuple; an unchanged tuple keeps its (possibly borrowed) view.
+/// tuple; an unchanged tuple keeps its (possibly borrowed) view; a
+/// narrowed one is built as one new component block.
+///
+/// Constraints fold progressively — a second conjunct on the same
+/// attribute intersects the already-narrowed component, exactly like the
+/// strict [`crate::ops::select_box`].
 ///
 /// Public so physical executors built on this pipeline (the query
 /// layer's compiled prepared plans) apply exactly the same per-tuple
@@ -502,31 +507,30 @@ pub fn filter_box<'a>(
     t: TupleView<'a>,
     constraints: &[(usize, ValueSet)],
 ) -> Option<TupleView<'a>> {
-    // First pass: compute the narrowed components, bailing early on an
-    // empty intersection. Constraints fold progressively — a second
-    // conjunct on the same attribute intersects the already-narrowed
-    // component, exactly like the strict [`crate::ops::select_box`].
-    let mut narrowed: Vec<(usize, ValueSet)> = Vec::new();
-    'conjunct: for (attr, set) in constraints {
-        for entry in narrowed.iter_mut() {
-            if entry.0 == *attr {
-                entry.1 = entry.1.intersection(set)?;
-                continue 'conjunct;
-            }
-        }
-        let reduced = t.component(*attr).intersection(set)?;
-        if reduced.len() != t.component(*attr).len() {
-            narrowed.push((*attr, reduced));
-        }
+    // What every conjunct on `attr`, folded in order, leaves of `comp`.
+    let fold = |attr: usize, comp: &ValueSet| -> Option<ValueSet> {
+        let mut sets = constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
+        let Some(first) = sets.next() else {
+            return Some(comp.clone());
+        };
+        sets.try_fold(comp.intersection(first)?, |kept, set| {
+            kept.intersection(set)
+        })
+    };
+    // Decide before building anything: a rejected or an intact tuple
+    // allocates nothing (a small set's intersection lives on the stack).
+    let mut narrows = false;
+    for (attr, _) in constraints {
+        let comp = t.component(*attr);
+        narrows |= fold(*attr, comp)?.len() != comp.len();
     }
-    if narrowed.is_empty() {
+    if !narrows {
         return Some(t); // every component survived intact — zero-copy
     }
-    let mut out = t.into_owned();
-    for (attr, set) in narrowed {
-        out = out.with_component(attr, set);
-    }
-    Some(TupleView::Owned(out))
+    let narrowed = t.components().iter().enumerate().map(|(attr, comp)| {
+        fold(attr, comp).expect("every constrained component intersects: checked above")
+    });
+    Some(TupleView::Owned(narrowed.collect()))
 }
 
 /// The precomputed shape of a natural join with a streamed probe (left)
@@ -582,18 +586,28 @@ impl JoinLayout {
         build: &[TupleView<'a>],
         out: &mut Vec<TupleView<'a>>,
     ) {
-        'pair: for r in build {
-            let mut comps: Vec<ValueSet> = l.components().to_vec();
-            for &(r_id, l_id) in &self.shared {
-                match comps[l_id].intersection(r.component(r_id)) {
-                    Some(c) => comps[l_id] = c,
-                    None => continue 'pair,
+        for r in build {
+            // Test before copying: a pair whose shared components are
+            // disjoint (most of a build side) costs no allocation.
+            let disjoint = |&(r_id, l_id): &(usize, usize)| {
+                l.component(l_id).is_disjoint_from(r.component(r_id))
+            };
+            if self.shared.iter().any(disjoint) {
+                continue;
+            }
+            let left = l.components().iter().enumerate().map(|(l_id, c)| {
+                match self.shared.iter().find(|pair| pair.1 == l_id) {
+                    Some(&(r_id, _)) => c
+                        .intersection(r.component(r_id))
+                        .expect("shared components intersect: checked above"),
+                    None => c.clone(),
                 }
-            }
-            for &r_id in &self.right_only {
-                comps.push(r.component(r_id).clone());
-            }
-            out.push(TupleView::Owned(NfTuple::new(comps)));
+            });
+            let right = self
+                .right_only
+                .iter()
+                .map(|&r_id| r.component(r_id).clone());
+            out.push(TupleView::Owned(left.chain(right).collect()));
         }
     }
 }
@@ -632,6 +646,10 @@ mod tests {
         )
         .unwrap();
         NfRelation::from_flat(&flat)
+    }
+
+    fn vs(ids: &[u32]) -> ValueSet {
+        ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap()
     }
 
     /// Box selection the streaming way: [`filter_box`] over a scan.
@@ -677,7 +695,6 @@ mod tests {
         // already-narrowed component, not the original (last-write-wins
         // would wrongly keep a tuple here).
         let rel = sc();
-        let vs = |ids: &[u32]| ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap();
         let disjoint = [(0usize, vs(&[1])), (0usize, vs(&[2]))];
         let strict = ops::select_box(&rel, &disjoint).unwrap();
         assert!(strict.is_empty(), "{{1}} ∩ {{2}} = ∅");
@@ -689,6 +706,68 @@ mod tests {
         for t in streamed.tuples() {
             assert!(t.component(0).as_slice() == [Atom(2)]);
         }
+    }
+
+    /// `t` under `constraints` by the strict operator: the one tuple of
+    /// `select_box` over the relation holding just `t`.
+    fn strict_select(t: &NfTuple, names: &[&str], constraints: &[(usize, ValueSet)]) -> NfTuple {
+        let schema = Schema::new("T", names).unwrap();
+        let rel = NfRelation::from_tuples(schema, vec![t.clone()]).unwrap();
+        let out = ops::select_box(&rel, constraints).unwrap();
+        assert_eq!(out.tuple_count(), 1);
+        out.tuples()[0].clone()
+    }
+
+    #[test]
+    fn filter_box_folds_two_conjuncts_on_one_attribute() {
+        let t = NfTuple::new(vec![vs(&[1, 2, 3]), vs(&[10])]);
+        let both = [(0usize, vs(&[1, 2])), (0usize, vs(&[2, 3]))];
+        let out = filter_box(TupleView::Borrowed(&t), &both).unwrap();
+        assert_eq!(out.component(0), &vs(&[2]), "{{1,2,3}} ∩ {{1,2}} ∩ {{2,3}}");
+        assert_eq!(out.as_tuple(), &strict_select(&t, &["A", "B"], &both));
+        // Each conjunct alone keeps the tuple; together they reject it.
+        let apart = [(0usize, vs(&[1])), (0usize, vs(&[3]))];
+        assert!(filter_box(TupleView::Borrowed(&t), &apart).is_none());
+    }
+
+    #[test]
+    fn filter_box_that_narrows_nothing_is_zero_copy() {
+        let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[10])]);
+        let wide = [(0usize, vs(&[1, 2, 3])), (1usize, vs(&[10, 11]))];
+        let out = filter_box(TupleView::Borrowed(&t), &wide).unwrap();
+        assert!(out.is_zero_copy());
+        assert!(out.into_owned().shares_storage_with(&t));
+    }
+
+    #[test]
+    fn filter_box_narrows_two_attributes_into_one_new_block() {
+        let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[10, 11]), vs(&[20, 21])]);
+        let two = [(0usize, vs(&[2])), (2usize, vs(&[20, 22]))];
+        let out = filter_box(TupleView::Borrowed(&t), &two).unwrap();
+        assert!(!out.is_zero_copy());
+        let out = out.into_owned();
+        assert!(!out.shares_storage_with(&t));
+        assert_eq!(out, NfTuple::new(vec![vs(&[2]), vs(&[10, 11]), vs(&[20])]));
+        assert_eq!(out, strict_select(&t, &["A", "B", "C"], &two));
+    }
+
+    #[test]
+    fn probe_builds_only_the_matching_pair() {
+        // One build tuple of three shares a course with the probe tuple.
+        let (sc, cp) = (sc(), cp());
+        let layout = JoinLayout::of(sc.schema(), cp.schema()).unwrap();
+        let build: Vec<TupleView<'_>> = RelStream::scan(&cp).collect();
+        let probe = sc
+            .tuples()
+            .iter()
+            .find(|t| t.component(1).as_slice() == [Atom(12)])
+            .unwrap();
+        let mut joined = Vec::new();
+        layout.probe(&TupleView::Borrowed(probe), &build, &mut joined);
+        assert_eq!(joined.len(), 1);
+        let alone = NfRelation::from_tuples(sc.schema().clone(), vec![probe.clone()]).unwrap();
+        let strict = ops::natural_join(&alone, &cp).unwrap();
+        assert_eq!(strict.tuples(), [joined[0].as_tuple().clone()]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!
 //! The system's performance is measured by `benchmark/`, not here.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use nf2_bench::{experiment_ids, run_all, run_one, Report};

@@ -15,6 +15,8 @@
 //! metrics — is measured by the standalone `benchmark/` package, and its
 //! exact counters are asserted by the test suites.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod flat_table;
 pub mod report;

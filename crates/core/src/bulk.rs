@@ -253,7 +253,7 @@ pub(crate) fn keyed_batch(
     for lost in splits.chunk_by(|a, b| a.0 == b.0) {
         let at = lost[0].0;
         let keys: Vec<Atom> = lost.iter().map(|&(_, key)| key).collect();
-        let keys = ValueSet::from_sorted_unchecked(&keys);
+        let keys = ValueSet::of_sorted(keys);
         if let Some(left) = tuples[at].component(outer).difference(&keys) {
             cost.decompositions += keys.len() as u64;
             loose.push(tuples[at].with_component(outer, left));
@@ -608,7 +608,7 @@ mod tests {
         let span: Vec<Atom> = (0..2_000).map(Atom).collect();
         let fat: NfTuple = [&span[..], &span[..], &span[..], &[Atom(7)][..]]
             .iter()
-            .map(|vals| ValueSet::from_sorted_unchecked(vals))
+            .map(|vals| ValueSet::of_sorted(*vals))
             .collect();
         let base = CanonicalRelation::from_canonical_tuples(
             Schema::new("R", &["A", "B", "C", "D"]).unwrap(),

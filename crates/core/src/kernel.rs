@@ -140,7 +140,7 @@ impl NestKernel {
                 (0..n)
                     .map(|attr| {
                         let (s, l) = self.sets[ids[pos_of[attr]] as usize];
-                        ValueSet::from_sorted_unchecked(&self.arena[s as usize..(s + l) as usize])
+                        ValueSet::of_sorted(&self.arena[s as usize..(s + l) as usize])
                     })
                     .collect()
             })

@@ -38,6 +38,8 @@
 //! assert_eq!(nfr.expand(), flat); // Theorem 1: no information gained or lost
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bulk;
 pub mod compose;
 pub mod display;

@@ -546,12 +546,7 @@ impl Segment {
             }
         }
         sets.into_iter()
-            .map(|comps| {
-                comps
-                    .iter()
-                    .map(|set| ValueSet::from_sorted_unchecked(set))
-                    .collect()
-            })
+            .map(|comps| comps.into_iter().map(ValueSet::of_sorted).collect())
             .collect()
     }
 }

@@ -6,6 +6,7 @@
 //! Cartesian product of its components. Geometrically each NF² tuple is a
 //! combinatorial *rectangle* inside the flat relation `R*`.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,11 +17,28 @@ use crate::value::Atom;
 /// A flat (1NF) tuple: one atom per attribute.
 pub type FlatTuple = Vec<Atom>;
 
+/// How many atoms a [`ValueSet`] holds in the value itself. Four covers
+/// every component of the tables we serve (Fig. 1's shape: one student,
+/// 1–4 courses, 1–3 clubs) and keeps the set at three words.
+const INLINE_CAP: usize = 4;
+
 /// A non-empty, sorted, duplicate-free set of atoms — one component of an
-/// NF² tuple. Immutable once built, so the atoms sit in an exactly-sized
-/// boxed slice (two words per component inside a tuple's block, not three).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ValueSet(Box<[Atom]>);
+/// NF² tuple. Immutable once built. A set of up to four atoms lives in
+/// the value itself — inside its tuple's component block, so building,
+/// cloning or reading it touches no other allocation; a larger one sits
+/// in an exactly-sized boxed slice. Which of the two is decided by the
+/// size alone (one private constructor, `of_sorted`, ends every route),
+/// so equal sets have equal representations.
+#[derive(Clone)]
+pub struct ValueSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `atoms[..len]` are the members; the rest is padding.
+    Inline { len: u8, atoms: [Atom; INLINE_CAP] },
+    /// More than `INLINE_CAP` members.
+    Heap(Box<[Atom]>),
+}
 
 impl ValueSet {
     /// Builds a set from arbitrary values (sorted and deduplicated).
@@ -31,69 +49,116 @@ impl ValueSet {
         }
         values.sort_unstable();
         values.dedup();
-        Some(Self(values.into_boxed_slice()))
+        Some(Self::of_sorted(values))
     }
 
     /// A one-element set.
     pub fn singleton(value: Atom) -> Self {
-        Self(Box::new([value]))
+        Self::of_sorted(&[value][..])
     }
 
     /// Builds a set from values that are already strictly ascending (and
-    /// therefore non-empty and duplicate-free). Fast path for the nest
-    /// kernel, whose folds produce sorted runs by construction; checked in
-    /// debug builds.
-    pub(crate) fn from_sorted_unchecked(values: &[Atom]) -> Self {
-        debug_assert!(!values.is_empty(), "components must be non-empty");
+    /// therefore non-empty and duplicate-free) — checked in debug builds.
+    /// Every other constructor and set operation ends here, and the nest
+    /// kernel, whose folds produce sorted runs by construction, calls it
+    /// directly. Takes a slice (copied) or a `Vec` (whose buffer a large
+    /// set keeps).
+    pub(crate) fn of_sorted<S>(values: S) -> Self
+    where
+        S: AsRef<[Atom]> + Into<Box<[Atom]>>,
+    {
+        let sorted = values.as_ref();
+        debug_assert!(!sorted.is_empty(), "components must be non-empty");
         debug_assert!(
-            values.windows(2).all(|w| w[0] < w[1]),
+            sorted.windows(2).all(|w| w[0] < w[1]),
             "values must be strictly ascending"
         );
-        Self(values.into())
+        if sorted.len() <= INLINE_CAP {
+            let mut atoms = [Atom(0); INLINE_CAP];
+            atoms[..sorted.len()].copy_from_slice(sorted);
+            Self(Repr::Inline {
+                len: sorted.len() as u8,
+                atoms,
+            })
+        } else {
+            Self(Repr::Heap(values.into()))
+        }
+    }
+
+    /// Runs a merge walk that writes its ascending output into a scratch
+    /// buffer of `bound` atoms and returns how many it wrote; the buffer
+    /// is on the stack whenever `bound` is small. `None` when the walk
+    /// wrote nothing (components must be non-empty).
+    fn collect(bound: usize, walk: impl FnOnce(&mut [Atom]) -> usize) -> Option<ValueSet> {
+        if bound <= 2 * INLINE_CAP {
+            let mut buf = [Atom(0); 2 * INLINE_CAP];
+            let n = walk(&mut buf);
+            (n > 0).then(|| Self::of_sorted(&buf[..n]))
+        } else {
+            let mut buf = vec![Atom(0); bound];
+            let n = walk(&mut buf);
+            buf.truncate(n);
+            (n > 0).then(|| Self::of_sorted(buf))
+        }
     }
 
     /// Number of values.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// Always `false` by construction; kept for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Whether the set has exactly one element.
     pub fn is_singleton(&self) -> bool {
-        self.0.len() == 1
+        self.len() == 1
     }
 
     /// The values in ascending order.
+    #[inline]
     pub fn as_slice(&self) -> &[Atom] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, atoms } => &atoms[..usize::from(*len)],
+            Repr::Heap(atoms) => atoms,
+        }
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, value: Atom) -> bool {
-        self.0.binary_search(&value).is_ok()
+        self.as_slice().binary_search(&value).is_ok()
     }
 
-    /// Whether `self ⊆ other`.
+    /// Whether `self ⊆ other`. Each member is searched only in what is
+    /// left of `other` past the previous one — a walk when the sets are
+    /// of a size, a binary search per member when `self` is the small
+    /// one (§4's `candt` asks it of a singleton against a fat component).
     pub fn is_subset_of(&self, other: &ValueSet) -> bool {
-        if self.0.len() > other.0.len() {
-            return false;
+        let mut rest = other.as_slice();
+        for (i, v) in self.as_slice().iter().enumerate() {
+            if self.len() - i > rest.len() {
+                return false; // more members left than candidates
+            }
+            match rest.binary_search(v) {
+                Ok(at) => rest = &rest[at + 1..],
+                Err(_) => return false,
+            }
         }
-        self.0.iter().all(|v| other.contains(*v))
+        true
     }
 
     /// Whether the two sets share no value.
     pub fn is_disjoint_from(&self, other: &ValueSet) -> bool {
         // Merge walk over the two sorted slices.
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => return false,
             }
         }
         true
@@ -101,70 +166,117 @@ impl ValueSet {
 
     /// Set union (used by composition, Def. 1).
     pub fn union(&self, other: &ValueSet) -> ValueSet {
-        let mut out = Vec::with_capacity(self.0.len() + other.0.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.0[i]);
-                    i += 1;
+        let (a, b) = (self.as_slice(), other.as_slice());
+        Self::collect(a.len() + b.len(), |out| {
+            let (mut i, mut j, mut n) = (0, 0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    Ordering::Less => {
+                        out[n] = a[i];
+                        i += 1;
+                    }
+                    Ordering::Greater => {
+                        out[n] = b[j];
+                        j += 1;
+                    }
+                    Ordering::Equal => {
+                        out[n] = a[i];
+                        i += 1;
+                        j += 1;
+                    }
                 }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.0[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.0[i]);
-                    i += 1;
-                    j += 1;
-                }
+                n += 1;
             }
-        }
-        out.extend_from_slice(&self.0[i..]);
-        out.extend_from_slice(&other.0[j..]);
-        ValueSet(out.into_boxed_slice())
+            let tail = if i < a.len() { &a[i..] } else { &b[j..] };
+            out[n..n + tail.len()].copy_from_slice(tail);
+            n + tail.len()
+        })
+        .expect("a union of non-empty sets is non-empty")
     }
 
     /// Set intersection. `None` when empty (components must be non-empty).
     pub fn intersection(&self, other: &ValueSet) -> Option<ValueSet> {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.0[i]);
-                    i += 1;
-                    j += 1;
+        let (a, b) = (self.as_slice(), other.as_slice());
+        Self::collect(a.len().min(b.len()), |out| {
+            let (mut i, mut j, mut n) = (0, 0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        out[n] = a[i];
+                        n += 1;
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(ValueSet(out.into_boxed_slice()))
-        }
+            n
+        })
     }
 
     /// Set difference `self \ other`. `None` when empty.
     pub fn difference(&self, other: &ValueSet) -> Option<ValueSet> {
-        let out: Vec<Atom> = self
-            .0
-            .iter()
-            .copied()
-            .filter(|v| !other.contains(*v))
-            .collect();
-        if out.is_empty() {
-            None
-        } else {
-            Some(ValueSet(out.into_boxed_slice()))
-        }
+        let (a, b) = (self.as_slice(), other.as_slice());
+        Self::collect(a.len(), |out| {
+            let (mut i, mut j, mut n) = (0, 0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    Ordering::Less => {
+                        out[n] = a[i];
+                        n += 1;
+                        i += 1;
+                    }
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            out[n..n + a.len() - i].copy_from_slice(&a[i..]);
+            n + a.len() - i
+        })
     }
 
     /// Iterates over the values in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Atom> + '_ {
-        self.0.iter().copied()
+        self.as_slice().iter().copied()
+    }
+}
+
+// Equality, order, hash and `Debug` are those of the member slice, so
+// they cannot see the inline padding or tell the two representations
+// apart.
+impl PartialEq for ValueSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ValueSet {}
+
+impl PartialOrd for ValueSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl std::hash::Hash for ValueSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for ValueSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ValueSet").field(&self.as_slice()).finish()
     }
 }
 
@@ -176,7 +288,7 @@ impl From<Atom> for ValueSet {
 
 impl fmt::Display for ValueSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.0.iter().map(|a| a.to_string()).collect();
+        let parts: Vec<String> = self.iter().map(|a| a.to_string()).collect();
         write!(f, "{{{}}}", parts.join(", "))
     }
 }
@@ -202,8 +314,8 @@ impl FromIterator<ValueSet> for NfTuple {
 }
 
 impl NfTuple {
-    /// Builds a tuple from components. All components must be non-empty;
-    /// `None` entries signal an empty component and are rejected.
+    /// Builds a tuple from components, one per attribute in schema order
+    /// (a [`ValueSet`] is non-empty by construction).
     pub fn new(comps: Vec<ValueSet>) -> Self {
         Self {
             comps: comps.into(),
@@ -569,6 +681,28 @@ mod tests {
         assert_eq!(x.intersection(&vs(&[9])), None);
         assert_eq!(x.difference(&y), Some(vs(&[1, 4])));
         assert_eq!(x.difference(&x), None);
+    }
+
+    #[test]
+    fn a_component_is_three_words_and_a_tuple_two() {
+        // Up to INLINE_CAP atoms and their count fit beside the boxed
+        // slice's two words; a tuple is the fat pointer to its block.
+        assert!(std::mem::size_of::<ValueSet>() <= 24);
+        assert_eq!(std::mem::size_of::<NfTuple>(), 16);
+    }
+
+    #[test]
+    fn representation_follows_size_alone() {
+        let small = vs(&[1, 2, 3, 4]);
+        let big = vs(&[1, 2, 3, 4, 5]);
+        assert!(matches!(small.0, Repr::Inline { len: 4, .. }));
+        assert!(matches!(big.0, Repr::Heap(_)));
+        // A result that shrinks below the capacity comes back inline,
+        // one that grows past it moves out.
+        let shrunk = big.difference(&vs(&[5])).unwrap();
+        assert!(matches!(shrunk.0, Repr::Inline { .. }));
+        assert_eq!(shrunk, small);
+        assert!(matches!(small.union(&vs(&[5])).0, Repr::Heap(_)));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * §4 — incremental insert/delete equals re-nesting from scratch;
 //! * Theorem 5 — a canonical form is fixed on all attributes but the
 //!   first-nested one;
-//! * D1 — every public operation preserves the partition invariant.
+//! * D1 — every public operation preserves the partition invariant;
+//! * §3.1 — a component is a set: `ValueSet` against a `BTreeSet` model,
+//!   across the boundary between its two representations.
 
 use proptest::prelude::*;
 
@@ -23,6 +25,9 @@ use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A random small flat relation: arity 2–4, values per attribute 1–4,
@@ -449,5 +454,68 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The members of a set as the model sees them.
+fn model_of(set: Option<&ValueSet>) -> BTreeSet<u32> {
+    set.map_or_else(BTreeSet::new, |s| s.iter().map(Atom::id).collect())
+}
+
+fn hash_of(set: &ValueSet) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    set.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ValueSet` against a `BTreeSet<u32>` model. Vectors of 0–10 atoms
+    /// over 12 values put operands on both sides of the inline capacity
+    /// (4) and make results cross it in both directions; whatever route
+    /// built a set, it is one value: equal members are `==`, `Equal`,
+    /// hash alike and print alike, and the order is the member slices'.
+    #[test]
+    fn value_sets_agree_with_the_set_model(
+        xs in proptest::collection::vec(0u32..12, 0..=10),
+        ys in proptest::collection::vec(0u32..12, 0..=10),
+        probe in 0u32..12,
+    ) {
+        let atoms = |ids: &[u32]| -> Vec<Atom> { ids.iter().copied().map(Atom).collect() };
+        let (mx, my): (BTreeSet<u32>, BTreeSet<u32>) =
+            (xs.iter().copied().collect(), ys.iter().copied().collect());
+        let (x, y) = (ValueSet::new(atoms(&xs)), ValueSet::new(atoms(&ys)));
+        prop_assert_eq!(model_of(x.as_ref()), mx.clone());
+        prop_assert_eq!(x.is_none(), xs.is_empty());
+        prop_assume!(!xs.is_empty() && !ys.is_empty());
+        let (x, y) = (x.unwrap(), y.unwrap());
+        prop_assert!(x.as_slice().windows(2).all(|w| w[0] < w[1]));
+        prop_assert_eq!(x.len(), mx.len());
+        prop_assert_eq!(x.contains(Atom(probe)), mx.contains(&probe));
+        prop_assert_eq!(x.is_subset_of(&y), mx.is_subset(&my));
+        prop_assert_eq!(x.is_disjoint_from(&y), mx.is_disjoint(&my));
+        prop_assert_eq!(model_of(Some(&x.union(&y))), &mx | &my);
+        prop_assert_eq!(model_of(x.intersection(&y).as_ref()), &mx & &my);
+        prop_assert_eq!(model_of(x.difference(&y).as_ref()), &mx - &my);
+        prop_assert_eq!(x.cmp(&y), x.as_slice().cmp(y.as_slice()));
+        prop_assert_eq!(x == y, mx == my);
+
+        // The same members by other routes: the vector reversed, a union
+        // with a subset of itself, an intersection of two larger sets.
+        let mut routes = vec![ValueSet::new(atoms(&xs).into_iter().rev().collect()).unwrap()];
+        routes.push(x.union(&ValueSet::singleton(x.as_slice()[0])));
+        if let Some(rest) = y.difference(&x) {
+            // (x ∪ rest) ∩ (x ∪ {12, 13, …}) = x, both operands larger.
+            let fresh = ValueSet::new((12..18).map(Atom).collect()).unwrap();
+            routes.push(x.union(&rest).intersection(&x.union(&fresh)).unwrap());
+        }
+        for other in &routes {
+            prop_assert_eq!(other, &x);
+            prop_assert_eq!(other.cmp(&x), std::cmp::Ordering::Equal);
+            prop_assert_eq!(hash_of(other), hash_of(&x));
+            prop_assert_eq!(format!("{other:?}"), format!("{x:?}"));
+        }
+        prop_assert_eq!(format!("{x:?}"), format!("ValueSet({:?})", x.as_slice()));
     }
 }

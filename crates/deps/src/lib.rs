@@ -22,6 +22,8 @@
 //! * [`theorems`] — executable Theorems 3–5 and the §3.4 nest-order
 //!   suggestion.
 
+#![forbid(unsafe_code)]
+
 pub mod armstrong;
 pub mod attrset;
 pub mod basis;

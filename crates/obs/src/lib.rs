@@ -36,6 +36,8 @@
 //! assert_eq!(ring.events(), vec!["optimizer.rule{rule=push-select}".to_owned()]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod metrics;
 pub mod trace;

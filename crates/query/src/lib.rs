@@ -23,6 +23,8 @@
 //! mutations through §4's incremental canonical maintenance). [`exec`]
 //! holds the shared [`Output`] and [`QueryError`] types.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod cursor;
 pub mod engine;

@@ -14,6 +14,8 @@
 //! * [`table`] — [`table::NfTable`], the NF²-native engine (canonical
 //!   maintenance + WAL + checkpoints + probe-counted, zone-pruned scans).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod dictionary;
 pub mod error;

@@ -20,6 +20,8 @@
 //!
 //! All generators are seeded and reproducible.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

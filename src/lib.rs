@@ -47,6 +47,8 @@
 //! assert!(first.is_zero_copy(), "shared view of the pinned snapshot");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use nf2_algebra as algebra;
 pub use nf2_core as core;
 pub use nf2_deps as deps;

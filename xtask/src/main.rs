@@ -32,6 +32,8 @@
 //! `#[cfg(test)]` items are blanked before matching) so the tool runs
 //! with no dependencies and no network. Exit status 1 on any finding.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::path::{Path, PathBuf};
 
