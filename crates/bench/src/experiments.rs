@@ -557,7 +557,7 @@ fn probe_costs(flat: &FlatRelation, probes: usize, seed: u64) -> ((f64, u64), (f
             continue;
         }
         let mut ic = CostCounter::new();
-        canon.insert_counted(row, &mut ic).unwrap();
+        canon.insert_counted(&row, &mut ic).unwrap();
         del.0 += dc.structural_ops() as f64;
         del.1 = del.1.max(dc.structural_ops());
         ins.0 += ic.structural_ops() as f64;

@@ -5,11 +5,9 @@
 //! space and update cost), each returning a printable [`Report`] —
 //! experiments E1–E15, exact counters throughout.
 //!
-//! * `cargo run -p nf2-bench --bin repro --release` regenerates every
-//!   table (add `--md` for Markdown, `--json=PATH` for a machine-readable
-//!   report, or experiment ids to filter);
-//! * `cargo bench` times the paper-level operators (algebra,
-//!   compression, dependency checks) with Criterion.
+//! `cargo run -p nf2-bench --bin repro --release` regenerates every
+//! table (add `--md` for Markdown, `--json=PATH` for a machine-readable
+//! report, or experiment ids to filter).
 //!
 //! The *system's* performance — workloads, end-to-end and per-layer
 //! metrics — is measured by the standalone `benchmark/` package, and its

@@ -91,14 +91,8 @@ pub(crate) fn replay<'a>(
     let mut summary = BatchSummary::default();
     for op in ops {
         let (effective, counter) = match op {
-            Op::Insert(row) => (
-                canon.insert_tracked(row, cost, &mut ())?,
-                &mut summary.inserted,
-            ),
-            Op::Delete(row) => (
-                canon.delete_tracked(row, cost, &mut ())?,
-                &mut summary.deleted,
-            ),
+            Op::Insert(row) => (canon.insert_counted(row, cost)?, &mut summary.inserted),
+            Op::Delete(row) => (canon.delete_counted(row, cost)?, &mut summary.deleted),
         };
         if effective {
             *counter += 1;
@@ -292,7 +286,7 @@ pub fn modify(
         return Ok(false);
     }
     canon.delete_counted(old, cost)?;
-    canon.insert_counted(new, cost)?;
+    canon.insert_counted(&new, cost)?;
     Ok(true)
 }
 

@@ -13,11 +13,18 @@
 //!   (Lemma A-2), compose, and recursively reconstruct remainders and the
 //!   composed tuple (Lemma A-3);
 //! * `insertion` / `deletion` — §4.2 / §4.3 drivers;
-//! * `searcht` — locate the unique tuple containing a flat tuple.
+//! * `searcht` — locate the unique tuple containing a flat tuple
+//!   ([`NfRelation::find_containing`]).
 //!
 //! Positions are indices into the [`NestOrder`] (position 0 = first-nested
 //! attribute = the paper's `E1`); see DESIGN.md D2/D4 for the notation
 //! mapping.
+//!
+//! `searcht` and `candt` are linear, as the paper writes them: they test
+//! every tuple of the relation they run on. The engine never runs them
+//! on a whole shard. A keyed batch ([`crate::bulk`]) runs them on one
+//! outer key's *slice* — the few tuples whose last-nested set holds that
+//! key — and a point write is a keyed batch of one.
 //!
 //! ## Ordered maintenance
 //!
@@ -28,30 +35,14 @@
 //! is as unique as the canonical *set*. `recons`/`delete` keep it: a
 //! tuple leaves by an ordered `remove` and enters by an ordered `insert`
 //! at the binary-searched position of its key. The maintained vector is
-//! therefore always exactly what a rebuild would emit, and every edit is
-//! reported (position by position, in application order) to a
-//! `TupleEdits` sink so a positional synopsis — the shard's segments —
-//! can follow without rescanning.
-//!
-//! ## Located search
-//!
-//! `searcht` and `candt` are where §5 leaves the optimisation open: as
-//! written they test every tuple. Both tests imply plain membership
-//! facts — `searcht(t)` needs `t(E) ∈ s.E` on every attribute, and the
-//! position-`m` candidate predicate needs `min t.E(k) ∈ s.E(k)` at every
-//! position `k ≠ m` (set equality below `m`, inclusion above it) — so
-//! both first ask the same sink which tuples hold those values
-//! (`TupleEdits::locate`) and run the full test on the answer only.
-//! The `()` sink answers "all of them": a bare [`CanonicalRelation`] is
-//! the paper's linear procedure, and the reference the located one is
-//! checked against (in every debug build, at every call).
+//! therefore always exactly what a rebuild would emit, which is what
+//! lets a keyed batch compare a slice before and after by one walk.
 
 use crate::compose::{compose, decompose_set};
 use crate::error::{NfError, Result};
 use crate::relation::{FlatRelation, NfRelation};
 use crate::schema::{NestOrder, Schema};
-use crate::segment::{point_conjuncts, Conjunct, Rows};
-use crate::tuple::{FlatTuple, NfTuple};
+use crate::tuple::{FlatTuple, NfTuple, ValueSet};
 use crate::value::Atom;
 use std::sync::Arc;
 
@@ -61,16 +52,18 @@ use std::sync::Arc;
 /// additionally count decompositions, candidate probes (tuple × position
 /// checks inside `candt`) and `recons` invocations.
 ///
-/// A keyed batch (`ShardWriter::apply_batch`, see [`crate::bulk`])
-/// counts into the same four fields. Each outer key's ops are replayed
-/// by the §4 procedures on that key's slice, so every field first
-/// receives the slices' own §4 counts, tallied by the code that tallies
-/// a point op's. On top of those: `candidate_probes` gains one per
-/// stored tuple found holding a batch key and one per stored tuple
-/// tested for a rest set-equal to a tuple some slice gained;
-/// `decompositions` gains one per key split off a stored tuple that
-/// survives the split; `compositions` gains one per merge the final
-/// `ν_{P(n−1)}` regroup performs. `recons_calls` is the slices' alone.
+/// On a [`CanonicalRelation`] these are the paper's procedures' own
+/// counts. A shard counts every write the same way, because every
+/// write is a keyed batch (`ShardWriter::apply_batch`, see
+/// [`crate::bulk`]) — a point write is a batch of one. Each outer key's
+/// ops are replayed by the §4 procedures on that key's slice, so every
+/// field first receives the slices' own §4 counts. On top of those:
+/// `candidate_probes` gains one per stored tuple found holding a batch
+/// key and one per stored tuple tested for a rest set-equal to a tuple
+/// some slice gained; `decompositions` gains one per key split off a
+/// stored tuple that survives the split; `compositions` gains one per
+/// merge the final `ν_{P(n−1)}` regroup performs. `recons_calls` is the
+/// slices' alone.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CostCounter {
     /// Def. 1 compositions performed.
@@ -78,7 +71,7 @@ pub struct CostCounter {
     /// Def. 2 decompositions that actually split a tuple.
     pub decompositions: u64,
     /// Tuple-per-position candidate checks inside `candt`: one per
-    /// located tuple the position's predicate was run on.
+    /// tuple the position's predicate was run on.
     pub candidate_probes: u64,
     /// Invocations of the `recons` procedure.
     pub recons_calls: u64,
@@ -107,30 +100,6 @@ impl CostCounter {
     }
 }
 
-/// Receives the positional edits ordered maintenance makes to the tuple
-/// vector, in the order they are applied; each index refers to the
-/// vector as it is at that moment — and, knowing the vector that well,
-/// answers where in it a search has to look. `()` ignores the edits and
-/// answers "everywhere".
-pub(crate) trait TupleEdits {
-    /// A tuple was inserted at `idx`.
-    fn inserted(&mut self, idx: usize);
-    /// The tuple at `idx` was removed.
-    fn removed(&mut self, idx: usize);
-    /// Ascending positions, in the vector of `len` tuples as it is now,
-    /// that include every tuple intersecting every conjunct. A superset
-    /// is allowed: the caller runs its own test on each.
-    fn locate(&self, len: usize, conjuncts: &[Conjunct<'_>]) -> Rows;
-}
-
-impl TupleEdits for () {
-    fn inserted(&mut self, _idx: usize) {}
-    fn removed(&mut self, _idx: usize) {}
-    fn locate(&self, len: usize, _conjuncts: &[Conjunct<'_>]) -> Rows {
-        Rows::all(len)
-    }
-}
-
 /// The kernel's order on canonical tuples: by componentwise-minimum
 /// representative, last-nested attribute first (module docs).
 /// Expansions of a relation's tuples are pairwise disjoint, so within
@@ -144,26 +113,6 @@ pub(crate) fn kernel_cmp(order: &NestOrder, s: &NfTuple, t: &NfTuple) -> std::cm
         .map(|&attr| min(s, attr).cmp(&min(t, attr)))
         .find(|o| o.is_ne())
         .unwrap_or(std::cmp::Ordering::Equal)
-}
-
-/// The first of the located `rows` of `tuples` passing `test`, walked a
-/// span (a sub-slice) at a time, and how many tuples were tested.
-fn first_in(
-    rows: Rows,
-    tuples: &[NfTuple],
-    test: impl Fn(&NfTuple) -> bool,
-) -> (Option<usize>, u64) {
-    let mut tested = 0u64;
-    for span in rows.into_spans() {
-        let start = span.start;
-        for (i, s) in tuples[span].iter().enumerate() {
-            tested += 1;
-            if test(s) {
-                return (Some(start + i), tested);
-            }
-        }
-    }
-    (None, tested)
 }
 
 /// An NFR kept permanently in canonical form `ν_P(R*)` for a fixed nest
@@ -244,7 +193,7 @@ impl CanonicalRelation {
     }
 
     /// Whether `R*` contains `flat` (`searcht` returning a hit).
-    pub fn contains(&self, flat: &[crate::value::Atom]) -> bool {
+    pub fn contains(&self, flat: &[Atom]) -> bool {
         self.rel.contains_flat(flat)
     }
 
@@ -257,81 +206,45 @@ impl CanonicalRelation {
     /// if the tuple was new, `false` if it was already present.
     pub fn insert(&mut self, flat: FlatTuple) -> Result<bool> {
         let mut cost = CostCounter::new();
-        self.insert_counted(flat, &mut cost)
+        self.insert_counted(&flat, &mut cost)
     }
 
     /// [`insert`](Self::insert) with operation counting.
-    pub fn insert_counted(&mut self, flat: FlatTuple, cost: &mut CostCounter) -> Result<bool> {
-        self.insert_tracked(&flat, cost, &mut ())
-    }
-
-    /// [`insert_counted`](Self::insert_counted) reporting every
-    /// tuple-vector edit to `edits`.
-    pub(crate) fn insert_tracked(
-        &mut self,
-        flat: &[Atom],
-        cost: &mut CostCounter,
-        edits: &mut impl TupleEdits,
-    ) -> Result<bool> {
-        if flat.len() != self.rel.arity() {
-            return Err(NfError::ArityMismatch {
-                expected: self.rel.arity(),
-                got: flat.len(),
-            });
-        }
-        if self.searcht(flat, edits).is_some() {
+    pub fn insert_counted(&mut self, flat: &[Atom], cost: &mut CostCounter) -> Result<bool> {
+        self.check_arity(flat)?;
+        if self.rel.find_containing(flat).is_some() {
             return Ok(false);
         }
         let t = NfTuple::from_flat(flat);
-        self.recons(t, cost, edits);
+        self.recons(t, cost);
         debug_assert!(self.rel.validate().is_ok());
         Ok(true)
     }
 
     /// §4.3 — deletes a flat tuple, maintaining canonicity. Returns `true`
     /// if the tuple was present.
-    pub fn delete(&mut self, flat: &[crate::value::Atom]) -> Result<bool> {
+    pub fn delete(&mut self, flat: &[Atom]) -> Result<bool> {
         let mut cost = CostCounter::new();
         self.delete_counted(flat, &mut cost)
     }
 
     /// [`delete`](Self::delete) with operation counting.
-    pub fn delete_counted(
-        &mut self,
-        flat: &[crate::value::Atom],
-        cost: &mut CostCounter,
-    ) -> Result<bool> {
-        self.delete_tracked(flat, cost, &mut ())
-    }
-
-    /// [`delete_counted`](Self::delete_counted) reporting every
-    /// tuple-vector edit to `edits`.
-    pub(crate) fn delete_tracked(
-        &mut self,
-        flat: &[crate::value::Atom],
-        cost: &mut CostCounter,
-        edits: &mut impl TupleEdits,
-    ) -> Result<bool> {
-        if flat.len() != self.rel.arity() {
-            return Err(NfError::ArityMismatch {
-                expected: self.rel.arity(),
-                got: flat.len(),
-            });
-        }
-        let Some(idx) = self.searcht(flat, edits) else {
+    pub fn delete_counted(&mut self, flat: &[Atom], cost: &mut CostCounter) -> Result<bool> {
+        self.check_arity(flat)?;
+        let Some(idx) = self.rel.find_containing(flat) else {
             return Ok(false);
         };
-        let mut q = self.take(idx, edits);
+        let mut q = self.rel.remove(idx);
         // Peel positions from the last-nested down to the first (the
         // paper's `i := n` downto 1), isolating `flat` and reconstructing
         // every remainder.
         for pos in (0..self.order.arity()).rev() {
             let attr = self.order.attr_at(pos);
-            let split = decompose_set(&q, attr, &crate::tuple::ValueSet::singleton(flat[attr]))
+            let split = decompose_set(&q, attr, &ValueSet::singleton(flat[attr]))
                 .expect("searcht guarantees membership on every attribute");
             if let Some(rem) = split.remainder {
                 cost.decompositions += 1;
-                self.recons(rem, cost, edits);
+                self.recons(rem, cost);
             }
             q = split.isolated;
         }
@@ -341,25 +254,14 @@ impl CanonicalRelation {
         Ok(true)
     }
 
-    /// The paper's `searcht`: the index of the tuple containing `flat`
-    /// (unique by the partition invariant), looked for among the tuples
-    /// `edits` locates as holding `flat`'s value on every attribute.
-    // Out of line, like `candt`: `recons` recurses, and with the two
-    // search loops inlined into it `bulk_ingest`'s 1 000- and 5 000-op
-    // batches ran ~10 % slower per op.
-    #[inline(never)]
-    fn searcht(&self, flat: &[Atom], edits: &impl TupleEdits) -> Option<usize> {
-        let tuples = self.rel.tuples();
-        let conjuncts = point_conjuncts(flat);
-        let (found, _) = first_in(edits.locate(tuples.len(), &conjuncts), tuples, |s| {
-            s.contains_flat(flat)
-        });
-        debug_assert_eq!(
-            found,
-            self.rel.find_containing(flat),
-            "located searcht must agree with the linear scan"
-        );
-        found
+    fn check_arity(&self, flat: &[Atom]) -> Result<()> {
+        if flat.len() != self.rel.arity() {
+            return Err(NfError::ArityMismatch {
+                expected: self.rel.arity(),
+                got: flat.len(),
+            });
+        }
+        Ok(())
     }
 
     /// The paper's `candt`: returns `(tuple index, position m)` of the
@@ -369,44 +271,22 @@ impl CanonicalRelation {
     /// `s.E(k) = t.E(k)` (set equality) at every position `k < m` and
     /// `t.E(k) ⊆ s.E(k)` at every position `k > m`; `m` is minimal over
     /// all tuples. At most one candidate exists at the minimal `m`
-    /// (Lemma A-1) — asserted in debug builds. Either relation puts
-    /// `min t.E(k)` in `s.E(k)`, so position `m` runs its predicate on
-    /// the tuples `edits` locates as holding those minima at every
-    /// `k ≠ m` (module docs).
+    /// (Lemma A-1) — asserted in debug builds.
+    // Out of line: `recons` recurses, and with the search loop inlined
+    // into it `bulk_ingest`'s 1 000- and 5 000-op batches ran ~10 %
+    // slower per op.
     #[inline(never)]
-    fn candt(
-        &self,
-        t: &NfTuple,
-        cost: &mut CostCounter,
-        edits: &impl TupleEdits,
-    ) -> Option<(usize, usize)> {
+    fn candt(&self, t: &NfTuple, cost: &mut CostCounter) -> Option<(usize, usize)> {
         let tuples = self.rel.tuples();
-        let minimum_at = |k: usize| -> Conjunct<'_> {
-            let attr = self.order.attr_at(k);
-            (attr, &t.component(attr).as_slice()[..1])
-        };
-        let n = self.order.arity();
-        for m in 0..n {
-            let conjuncts: Vec<Conjunct<'_>> = (0..n).filter(|&k| k != m).map(minimum_at).collect();
-            let (found, probes) = first_in(edits.locate(tuples.len(), &conjuncts), tuples, |s| {
-                self.is_candidate_at(s, t, m)
-            });
-            cost.candidate_probes += probes;
-            #[cfg(debug_assertions)]
-            {
-                let linear: Vec<usize> = (0..tuples.len())
-                    .filter(|&idx| self.is_candidate_at(&tuples[idx], t, m))
-                    .collect();
-                assert!(
-                    linear.len() <= 1,
-                    "Lemma A-1: at most one candidate tuple at minimal position {m}"
-                );
-                assert_eq!(
-                    found,
-                    linear.first().copied(),
-                    "located candt must agree with the linear scan at position {m}"
-                );
-            }
+        for m in 0..self.order.arity() {
+            let found = tuples.iter().position(|s| self.is_candidate_at(s, t, m));
+            cost.candidate_probes += found.map_or(tuples.len(), |idx| idx + 1) as u64;
+            debug_assert!(
+                found.is_none_or(|idx| !tuples[idx + 1..]
+                    .iter()
+                    .any(|s| self.is_candidate_at(s, t, m))),
+                "Lemma A-1: at most one candidate tuple at minimal position {m}"
+            );
             if let Some(idx) = found {
                 return Some((idx, m));
             }
@@ -439,16 +319,15 @@ impl CanonicalRelation {
     /// remainder), composes over position `m`, then reconstructs the
     /// composed tuple. Without a candidate, `t` enters the relation as a
     /// new tuple (the pseudocode's implicit else-branch).
-    fn recons(&mut self, t: NfTuple, cost: &mut CostCounter, edits: &mut impl TupleEdits) {
+    fn recons(&mut self, t: NfTuple, cost: &mut CostCounter) {
         cost.recons_calls += 1;
-        match self.candt(&t, cost, edits) {
+        match self.candt(&t, cost) {
             None => {
                 let idx = self.position_of(&t);
                 self.rel.insert_at(idx, t);
-                edits.inserted(idx);
             }
             Some((idx, m)) => {
-                let mut p = self.take(idx, edits);
+                let mut p = self.rel.remove(idx);
                 let n = self.order.arity();
                 // while j > m do unnest(Ej(ej), p, pe, pr); recons(pr)
                 for pos in ((m + 1)..n).rev() {
@@ -457,7 +336,7 @@ impl CanonicalRelation {
                         .expect("candidate predicate guarantees t.E(k) ⊆ p.E(k) for k > m");
                     if let Some(rem) = split.remainder {
                         cost.decompositions += 1;
-                        self.recons(rem, cost, edits);
+                        self.recons(rem, cost);
                     }
                     p = split.isolated;
                 }
@@ -467,15 +346,9 @@ impl CanonicalRelation {
                     .expect("Lemma A-2: the unnested candidate is composable with t");
                 cost.compositions += 1;
                 // Lemma A-3: the composed tuple may itself have a candidate.
-                self.recons(w, cost, edits);
+                self.recons(w, cost);
             }
         }
-    }
-
-    /// Ordered removal of the tuple at `idx`.
-    fn take(&mut self, idx: usize, edits: &mut impl TupleEdits) -> NfTuple {
-        edits.removed(idx);
-        self.rel.remove(idx)
     }
 
     /// Where `t` belongs in the kernel's order ([`kernel_cmp`]): the
@@ -723,8 +596,8 @@ mod tests {
         let s = schema(&["A", "B"]);
         let mut canon = CanonicalRelation::new(s, NestOrder::identity(2)).unwrap();
         let mut cost = CostCounter::new();
-        canon.insert_counted(row(&[1, 11]), &mut cost).unwrap();
-        canon.insert_counted(row(&[2, 11]), &mut cost).unwrap();
+        canon.insert_counted(&row(&[1, 11]), &mut cost).unwrap();
+        canon.insert_counted(&row(&[2, 11]), &mut cost).unwrap();
         assert!(cost.compositions >= 1, "second insert composes over A");
         assert!(cost.recons_calls >= 2);
         assert_eq!(
@@ -801,7 +674,7 @@ mod tests {
             // Measure a probe insertion on the grown relation.
             let mut cost = CostCounter::new();
             let _ = canon
-                .insert_counted(row(&[41, 141, 211]), &mut cost)
+                .insert_counted(&row(&[41, 141, 211]), &mut cost)
                 .unwrap();
             max_ops.push(cost.structural_ops());
         }

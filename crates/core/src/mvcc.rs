@@ -11,12 +11,13 @@
 //!   returned `Arc<TableVersion>` is a stable snapshot that stays alive
 //!   (and valid) for as long as the reader holds it, no matter how many
 //!   writes are installed after. Streaming a cursor takes no locks.
-//! * **Writers** build replacement `ShardVersion`s off to the side
-//!   (copy-on-write via [`std::sync::Arc::make_mut`] inside
-//!   [`crate::shard::ShardWriter`]; the copy shares every tuple
+//! * **Writers** build replacement `ShardVersion`s off to the side —
+//!   every write is one `ShardVersion::apply_batch` (a point write is
+//!   a keyed batch of one), run through the shard's
+//!   [`crate::shard::ShardWriter`], whose result shares every tuple
 //!   and every segment the write does not touch with its predecessor —
-//!   tuples and segments are `Arc`-held, so cloning a version is
-//!   reference-count bumps, not a deep copy) and swap them in with
+//!   tuples and segments are `Arc`-held, so carrying them over is
+//!   reference-count bumps, not a deep copy — and swap them in with
 //!   [`VersionCell::install`] — one write-lock acquisition and a single
 //!   epoch bump per statement, touching only the shards the statement
 //!   routed to. A write routed to shard 3 never invalidates, copies, or
@@ -43,20 +44,20 @@ use crate::error::Result;
 use crate::kernel::NestKernel;
 use crate::maintenance::{CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
-use crate::segment::{point_conjuncts, Conjunct, Located, ShardSegments, Tiling};
+use crate::segment::{Conjunct, Located, ShardSegments, Tiling};
 use crate::shard::BatchReport;
-use crate::tuple::{FlatTuple, NfTuple, TupleStore};
+use crate::tuple::{NfTuple, TupleStore};
 use crate::value::Atom;
 
 /// One shard's immutable state: its canonical form plus the value-major
 /// segments built over the same tuple ordering.
 ///
-/// A `ShardVersion` is never mutated after publication — writers clone
-/// it (copy-on-write) and publish the replacement. Bundling the tuple
-/// store and its zone synopsis in one value means readers can never
-/// observe segments that describe a different tuple vector than the one
-/// they scan, and every mutation below repairs the segments it touches
-/// before returning, so the two agree at every version.
+/// A `ShardVersion` is never mutated after publication — writers build
+/// its replacement beside it and publish that. Bundling the tuple store
+/// and its zone synopsis in one value means readers can never observe
+/// segments that describe a different tuple vector than the one they
+/// scan, and a write repairs the segments it touches before returning,
+/// so the two agree at every version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardVersion {
     pub(crate) canon: CanonicalRelation,
@@ -110,53 +111,26 @@ impl ShardVersion {
     /// answered from the segments: a tuple holding `flat`'s value on
     /// every attribute contains it.
     pub fn contains(&self, flat: &[Atom]) -> bool {
-        let conjuncts = point_conjuncts(flat);
+        let conjuncts: Vec<Conjunct<'_>> = flat
+            .iter()
+            .enumerate()
+            .map(|(attr, v)| (attr, std::slice::from_ref(v)))
+            .collect();
         let hit = self.locate(&conjuncts).rows.next().is_some();
         debug_assert_eq!(hit, self.canon.contains(flat));
         hit
     }
 
-    /// §4.2 insertion: ordered maintenance of the tuple vector, then
-    /// re-encoding of exactly the segments it touched. `true` if new.
-    pub(crate) fn insert(
-        &mut self,
-        row: FlatTuple,
-        cost: &mut CostCounter,
-        tiling: Tiling,
-    ) -> Result<bool> {
-        let mut patch = self.segments.patch();
-        let fresh = self.canon.insert_tracked(&row, cost, &mut patch)?;
-        if fresh {
-            patch.finish(self.canon.relation().tuples(), tiling);
-        }
-        Ok(fresh)
-    }
-
-    /// §4.3 deletion, with the same segment repair as
-    /// [`insert`](Self::insert). `true` if the row was present.
-    pub(crate) fn delete(
-        &mut self,
-        row: &[Atom],
-        cost: &mut CostCounter,
-        tiling: Tiling,
-    ) -> Result<bool> {
-        let mut patch = self.segments.patch();
-        let hit = self.canon.delete_tracked(row, cost, &mut patch)?;
-        if hit {
-            patch.finish(self.canon.relation().tuples(), tiling);
-        }
-        Ok(hit)
-    }
-
     /// Applies a sub-batch by the keyed batch procedure
-    /// ([`crate::bulk`]). The read phase runs against this version as
-    /// it stands — its postings are clean, no patch exists yet — and
-    /// decides which tuples leave and which enter; only a batch that
-    /// changes something builds the replacement version: one ordered
-    /// merge of the tuple vector, reported to the segments in one sweep
-    /// so each touched segment is rebuilt once — patched from its own
-    /// postings wherever it has any. `None` means every op was a no-op
-    /// (or the ops cancelled out) and this version stands.
+    /// ([`crate::bulk`]) — after the shard is built, the only way it
+    /// changes (a re-tile aside); a point write is a batch of one. The
+    /// read phase runs against this version as it stands, its postings
+    /// clean, and decides which tuples leave and which enter; only a
+    /// batch that changes something builds the replacement version: one
+    /// ordered merge of the tuple vector, reported to the segments in
+    /// one sweep so each touched segment is rebuilt once — patched from
+    /// its own postings wherever it has any. `None` means every op was a
+    /// no-op (or the ops cancelled out) and this version stands.
     pub(crate) fn apply_batch(
         &self,
         kernel: &mut NestKernel,
@@ -195,10 +169,9 @@ impl ShardVersion {
         }
         let entered: Vec<usize> = fresh.iter().map(|t| self.canon.position_of(t)).collect();
         let mut segments = self.segments.clone();
-        let mut patch = segments.patch();
-        patch.splice(&removed, &entered);
         let canon = self.canon.spliced(&removed, &entered, fresh);
-        report.segments_reencoded = patch.finish(canon.relation().tuples(), tiling);
+        report.segments_reencoded =
+            segments.splice(&removed, &entered, canon.relation().tuples(), tiling);
         report.tuples_regrouped = removed.len();
         report.shards_regrouped_whole =
             usize::from(!removed.is_empty() && removed.len() == self.tuple_count());

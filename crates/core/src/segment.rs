@@ -18,8 +18,8 @@
 //!
 //! * **one question** — [`Segment::locate`]: the rows whose components
 //!   intersect every `(attr, values)` [`Conjunct`], by binary search on
-//!   the codes and sorted-list intersection. Scans, `searcht` and `candt`
-//!   all ask it ([`ShardSegments::locate`], the `SegmentPatch` sink) and
+//!   the codes and sorted-list intersection. Scans, `contains` and the
+//!   keyed batch's searches all ask it ([`ShardSegments::locate`]) and
 //!   nothing else locates a tuple;
 //! * **zone metadata for free** — an attribute's `[min, max]` zone is its
 //!   first and last code, and the number of runs of equal consecutive
@@ -27,25 +27,18 @@
 //!   counted while encoding.
 //!
 //! Segments are immutable and `Arc`-shared between consecutive shard
-//! versions. §4 point maintenance keeps the tuple vector in the kernel's
-//! order (ordered `insert`/`remove` at the canonical position, see
-//! [`crate::maintenance`]) and reports every position it touches to a
-//! `SegmentPatch`; when the operation is done the patch re-encodes
-//! exactly the segments whose tuple range changed — dropping one that
-//! emptied, splitting one that outgrew twice the tiling target — and
-//! carries every other segment over by pointer. A keyed batch
-//! ([`crate::bulk`]) searches before it edits and reports its one
-//! ordered merge in a single sweep, row by row; a segment whose edits
-//! are known that well is *patched* — its postings renumbered in place,
-//! only the tuples that entered read — instead of transposed afresh.
-//! While a point operation runs, the patch answers its searches: from
-//! the postings of the segments it has not touched (offset by where
-//! each now starts), and by handing back the whole current range of a
-//! touched one, whose local row numbers no longer line up. A shard's
-//! segments therefore describe
-//! its live tuple vector at every version: ordered scans and located
-//! reads never have to check for staleness. Segment boundaries drift
-//! from the uniform tiling as patches accumulate; a checkpoint re-tiles
+//! versions. Every write to a shard is a keyed batch ([`crate::bulk`]),
+//! a point write being a batch of one: it searches before it edits and
+//! ends in one ordered merge of the tuple vector, which it reports to
+//! the segments in a single sweep (`ShardSegments::splice`). Each
+//! segment the merge touched is rebuilt once — *patched*, its postings
+//! renumbered in place and only the tuples that entered read, instead
+//! of transposed afresh; dropped if it emptied, split if it outgrew
+//! twice the tiling target — and every other segment is carried over by
+//! pointer. A shard's segments therefore describe its live tuple vector
+//! at every version: ordered scans and located reads never have to
+//! check for staleness. Segment boundaries drift from the uniform
+//! tiling as merges accumulate; a checkpoint re-tiles
 //! ([`ShardSegments::rebuild`]) so the persisted synopsis is the one a
 //! reopen re-derives.
 
@@ -53,7 +46,6 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::maintenance::TupleEdits;
 use crate::schema::AttrId;
 use crate::tuple::{NfTuple, ValueSet};
 use crate::value::Atom;
@@ -67,15 +59,6 @@ pub const DEFAULT_SEGMENT_ROWS: usize = 512;
 /// component must intersect `values` (ascending, as every [`ValueSet`]
 /// slice is).
 pub type Conjunct<'a> = (AttrId, &'a [Atom]);
-
-/// The conjuncts `searcht` asks with: `flat`'s value on every attribute.
-/// A tuple satisfying all of them contains `flat`.
-pub(crate) fn point_conjuncts(flat: &[Atom]) -> Vec<Conjunct<'_>> {
-    flat.iter()
-        .enumerate()
-        .map(|(attr, v)| (attr, std::slice::from_ref(v)))
-        .collect()
-}
 
 /// Ascending positions in a shard's tuple vector, held as the disjoint
 /// ranges they form — one range for a whole span of the vector, one per
@@ -105,12 +88,6 @@ impl Rows {
             current: 0..0,
             rest: spans.into_iter(),
         }
-    }
-
-    /// The remaining positions as the ranges they form — what a caller
-    /// walking a tuple slice wants, a sub-slice at a time.
-    pub fn into_spans(self) -> impl Iterator<Item = Range<usize>> {
-        std::iter::once(self.current).chain(self.rest)
     }
 }
 
@@ -155,9 +132,9 @@ fn push_keys(keys: &mut Vec<u64>, t: &NfTuple, attr: usize, row: u64) {
 /// codes differ at all, so rows stay ascending within a code and the
 /// cost is linear in the keys — dictionary codes are dense small
 /// integers, which makes most columns one or two passes. A segment of
-/// few fat tuples (thousands of set members) is re-encoded by every
-/// point write that touches it; a comparison sort there is what the
-/// write would spend its time on.
+/// few fat tuples (thousands of set members) sorts the keys of every
+/// tuple that enters it; a comparison sort there is what the write
+/// would spend its time on.
 fn sort_by_code(keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
     const DIGIT_BITS: u32 = 8;
     let code = |key: u64| (key >> 32) as u32;
@@ -667,105 +644,40 @@ impl ShardSegments {
         }
     }
 
-    /// Starts recording the tuple-vector edits of one maintenance
-    /// operation (a point op, or a keyed batch's one merge).
-    pub(crate) fn patch(&mut self) -> SegmentPatch<'_> {
-        let slots = self
-            .segments
-            .iter()
-            .map(|seg| Slot {
-                rows: seg.rows(),
-                edits: Edits::Clean,
-            })
-            .collect();
-        SegmentPatch { segs: self, slots }
-    }
-}
-
-/// What a patch knows of the edits to one slot's tuples.
-#[derive(Debug)]
-enum Edits {
-    /// Untouched: the segment is carried over.
-    Clean,
-    /// Point edits, positions not kept: the slot is re-encoded.
-    Point,
-    /// One ordered merge ([`SegmentPatch::splice`]), in the segment's
-    /// own row numbers: the rows `gone` left, and one tuple entered
-    /// before each row of `come`. The segment is patched.
-    Merge { gone: Vec<u32>, come: Vec<u32> },
-}
-
-/// One slot of a patch: slot `i` started as segment `i`; one extra slot
-/// appears when the first tuple enters an empty shard.
-#[derive(Debug)]
-struct Slot {
-    /// Tuples the slot covers *now*.
-    rows: usize,
-    edits: Edits,
-}
-
-impl Slot {
-    fn is_clean(&self) -> bool {
-        matches!(self.edits, Edits::Clean)
-    }
-}
-
-/// The segment-side record of one maintenance operation: per segment,
-/// how many tuples it covers *now* and what is known of the edits to
-/// them. [`finish`](Self::finish) turns that into the next segment
-/// list.
-#[derive(Debug)]
-pub(crate) struct SegmentPatch<'a> {
-    segs: &'a mut ShardSegments,
-    slots: Vec<Slot>,
-}
-
-impl SegmentPatch<'_> {
-    /// The slot whose range holds tuple `idx`; the last slot for an
-    /// append at the very end (a first slot is opened for an empty
-    /// shard's first tuple).
-    fn slot_of(&mut self, idx: usize) -> &mut Slot {
-        if self.slots.is_empty() {
-            self.slots.push(Slot {
-                rows: 0,
-                edits: Edits::Point,
-            });
-        }
-        let mut end = 0usize;
-        let holding = self.slots.iter().position(|slot| {
-            end += slot.rows;
-            idx < end
-        });
-        let last = self.slots.len() - 1;
-        &mut self.slots[holding.unwrap_or(last)]
-    }
-
-    /// One ordered merge reported in a single sweep, in positions of the
-    /// vector the (so far unedited) patch was opened on: the tuples at
-    /// `removed` leave, and one tuple enters before each position of
-    /// `entered` — the vector's length for an append — both ascending.
-    /// A tuple entering on a boundary joins the segment that starts
-    /// there; past the end, the last one.
-    pub(crate) fn splice(&mut self, removed: &[usize], entered: &[usize]) {
-        debug_assert!(
-            self.slots.iter().all(Slot::is_clean),
-            "a sweep is reported against the vector the patch was opened on"
-        );
-        if self.slots.is_empty() && !entered.is_empty() {
-            self.slots.push(Slot {
-                rows: 0,
-                edits: Edits::Clean,
-            });
-        }
+    /// Brings the segments up to `tuples`: the vector they tile after
+    /// one ordered merge, in which the tuples at `removed` left and one
+    /// tuple entered before each position of `entered` (the old length
+    /// for an append) — both ascending, in positions of the vector
+    /// *before* the merge. A tuple entering on a boundary joins the
+    /// segment that starts there; past the end, the last one. A segment
+    /// the merge did not touch is shared, one it emptied is dropped, one
+    /// past twice the tiling target is split into freshly encoded
+    /// pieces, and any other is patched from its own postings; an empty
+    /// shard's first tuples are encoded afresh. Returns the number of
+    /// segments built.
+    pub(crate) fn splice(
+        &mut self,
+        removed: &[usize],
+        entered: &[usize],
+        tuples: &[NfTuple],
+        tiling: Tiling,
+    ) -> usize {
+        let Some(outer) = tiling.outer_attr else {
+            return 0;
+        };
+        let target = tiling.target_rows.max(1);
+        let old = std::mem::take(&mut self.segments);
         let (mut removed, mut entered) = (removed.iter().peekable(), entered.iter().peekable());
-        let last = self.slots.len().saturating_sub(1);
-        let mut start = 0usize;
-        for (at, slot) in self.slots.iter_mut().enumerate() {
+        let (mut start, mut now, mut built) = (0usize, 0usize, 0usize);
+        // An empty shard takes its first tuples as one segment-less slot.
+        for at in 0..old.len().max(1) {
+            let was = old.get(at);
+            let held = was.map_or(0, |seg| seg.rows());
             // The last slot's range runs to wherever the positions do.
-            let end = if at == last {
+            let end = if at + 1 >= old.len() {
                 usize::MAX
             } else {
-                start + slot.rows
+                start + held
             };
             let local = |position: &usize| (position - start) as u32;
             let gone: Vec<u32> = std::iter::from_fn(|| removed.next_if(|&&p| p < end))
@@ -774,95 +686,34 @@ impl SegmentPatch<'_> {
             let come: Vec<u32> = std::iter::from_fn(|| entered.next_if(|&&p| p < end))
                 .map(local)
                 .collect();
-            start += slot.rows;
-            debug_assert!(gone.len() <= slot.rows, "removed tuples lie in a segment");
-            slot.rows = slot.rows + come.len() - gone.len();
-            if !(gone.is_empty() && come.is_empty()) {
-                slot.edits = Edits::Merge { gone, come };
-            }
-        }
-    }
-
-    /// Brings every segment whose tuples changed up to the maintained
-    /// vector `tuples`, sharing the rest: an emptied segment is dropped,
-    /// one past twice the tiling target is split into freshly encoded
-    /// pieces, one whose edits are known row by row is patched from its
-    /// predecessor's postings, and any other is encoded afresh. Returns
-    /// the number of segments it built.
-    pub(crate) fn finish(self, tuples: &[NfTuple], tiling: Tiling) -> usize {
-        let Some(outer) = tiling.outer_attr else {
-            return 0;
-        };
-        let target = tiling.target_rows.max(1);
-        let old = std::mem::take(&mut self.segs.segments);
-        let mut next = Vec::with_capacity(self.slots.len());
-        let mut start = 0usize;
-        let mut built = 0usize;
-        for (at, slot) in self.slots.iter().enumerate() {
-            let slice = &tuples[start..start + slot.rows];
-            start += slot.rows;
-            let shared = next.len();
-            match (&slot.edits, old.get(at)) {
-                (Edits::Clean, _) => {
-                    next.push(Arc::clone(&old[at]));
+            debug_assert!(gone.len() <= held, "removed tuples lie in a segment");
+            let rows = held + come.len() - gone.len();
+            let slice = &tuples[now..now + rows];
+            start += held;
+            now += rows;
+            let shared = self.segments.len();
+            match was {
+                Some(seg) if gone.is_empty() && come.is_empty() => {
+                    self.segments.push(Arc::clone(seg));
                     continue;
                 }
-                (Edits::Merge { gone, come }, Some(was))
-                    if (1..=2 * target).contains(&slot.rows) =>
-                {
-                    next.push(Arc::new(was.patched(gone, come, slice)));
+                Some(seg) if (1..=2 * target).contains(&rows) => {
+                    self.segments
+                        .push(Arc::new(seg.patched(&gone, &come, slice)));
                 }
                 _ => {
-                    let piece = if slot.rows > 2 * target {
+                    let piece = if rows > 2 * target {
                         target
                     } else {
-                        slot.rows.max(1)
+                        rows.max(1)
                     };
-                    next.extend(tiles(slice, piece, outer));
+                    self.segments.extend(tiles(slice, piece, outer));
                 }
             }
-            built += next.len() - shared;
+            built += self.segments.len() - shared;
         }
-        debug_assert_eq!(start, tuples.len(), "edits account for every tuple");
-        self.segs.segments = next;
+        debug_assert_eq!(now, tuples.len(), "the merge accounts for every tuple");
         built
-    }
-}
-
-impl TupleEdits for SegmentPatch<'_> {
-    /// Untouched segments answer from their postings, offset by where
-    /// they start now; a touched slot's rows have shifted under its
-    /// segment's local numbering, so its whole current range goes back
-    /// to the caller's own test.
-    fn locate(&self, len: usize, conjuncts: &[Conjunct<'_>]) -> Rows {
-        if conjuncts.is_empty() {
-            return Rows::all(len);
-        }
-        let mut spans = Vec::new();
-        let mut start = 0usize;
-        for (at, slot) in self.slots.iter().enumerate() {
-            if slot.is_clean() {
-                self.segs.segments[at].locate(conjuncts, start, &mut spans);
-            } else {
-                push_span(&mut spans, start..start + slot.rows);
-            }
-            start += slot.rows;
-        }
-        debug_assert_eq!(start, len, "slots account for every tuple");
-        Rows::of_spans(spans)
-    }
-
-    fn inserted(&mut self, idx: usize) {
-        let slot = self.slot_of(idx);
-        slot.rows += 1;
-        slot.edits = Edits::Point;
-    }
-
-    fn removed(&mut self, idx: usize) {
-        let slot = self.slot_of(idx);
-        debug_assert!(slot.rows > 0, "removed tuple lies in a segment");
-        slot.rows -= 1;
-        slot.edits = Edits::Point;
     }
 }
 
@@ -989,10 +840,8 @@ mod tests {
         let before: Vec<Arc<Segment>> = ss.segments().to_vec();
 
         // One insert inside the middle segment.
-        tuples.insert(5, tuple(&[&[50], &[104]]));
-        let mut patch = ss.patch();
-        patch.inserted(5);
-        patch.finish(&tuples, tiling(4));
+        let entering = vec![(5, tuple(&[&[50], &[104]]))];
+        assert_eq!(sweep(&mut ss, &mut tuples, &[], entering, 4), 1);
         assert_eq!(starts(&ss), vec![0, 4, 9]);
         assert!(
             Arc::ptr_eq(&ss.segments()[0], &before[0]),
@@ -1002,7 +851,6 @@ mod tests {
             Arc::ptr_eq(&ss.segments()[2], &before[2]),
             "shifted: shared"
         );
-        assert_eq!(*ss.segments()[1], Segment::encode(&tuples[4..9], 1));
         assert_eq!(
             ss.segments()[1].max(0),
             Atom(50),
@@ -1019,68 +867,28 @@ mod tests {
         assert_eq!(ss.segment_count(), 3);
 
         // Empty the first segment: it disappears.
-        let mut patch = ss.patch();
-        tuples.remove(0);
-        patch.removed(0);
-        tuples.remove(0);
-        patch.removed(0);
-        patch.finish(&tuples, tiling(2));
+        sweep(&mut ss, &mut tuples, &[0, 1], Vec::new(), 2);
         assert_eq!(ss.segment_count(), 2);
-        assert_eq!(ss.covered_rows(), 4);
 
         // Grow the last one past twice the target: it splits at the target.
-        let mut patch = ss.patch();
-        for i in 0..3u32 {
-            tuples.push(tuple(&[&[60 + i], &[200 + i]]));
-            patch.inserted(tuples.len() - 1);
-        }
-        patch.finish(&tuples, tiling(2));
+        let entering = (0..3u32)
+            .map(|i| (4, tuple(&[&[60 + i], &[200 + i]])))
+            .collect();
+        sweep(&mut ss, &mut tuples, &[], entering, 2);
         assert_eq!(starts(&ss), vec![0, 2, 4, 6], "5 rows at target 2 → 2+2+1");
-        for (range, seg) in ss.ranges() {
-            assert_eq!(seg.decode(), tuples[range]);
-        }
     }
 
     #[test]
     fn first_tuple_of_an_empty_shard_opens_a_segment() {
-        let tuples = vec![tuple(&[&[1], &[10]])];
         let mut ss = ShardSegments::new();
-        let mut patch = ss.patch();
-        patch.inserted(0);
-        patch.finish(&tuples, tiling(4));
+        let entering = vec![(0, tuple(&[&[1], &[10]]))];
+        assert_eq!(sweep(&mut ss, &mut Vec::new(), &[], entering, 4), 1);
         assert_eq!(ss.segment_count(), 1);
-        assert_eq!(ss.covered_rows(), 1);
     }
 
-    #[test]
-    fn patch_locates_from_postings_until_a_slot_is_touched() {
-        let mut tuples: Vec<NfTuple> = (0..12u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&tuples, tiling(4));
-        let v = [Atom(9)];
-        let nine: &[Conjunct<'_>] = &[(0, &v)];
-        assert_eq!(ss.locate(12, nine).rows.collect::<Vec<_>>(), vec![9]);
-        assert_eq!(ss.locate(12, nine).skipped, 2);
-
-        let mut patch = ss.patch();
-        assert_eq!(patch.locate(12, nine).collect::<Vec<_>>(), vec![9]);
-        // An insert into the middle slot: its range comes back whole
-        // (shifted rows no longer match its postings), the clean slot
-        // after it answers from postings at its new offset.
-        tuples.insert(5, tuple(&[&[50], &[104]]));
-        patch.inserted(5);
-        assert_eq!(
-            patch.locate(13, nine).collect::<Vec<_>>(),
-            vec![4, 5, 6, 7, 8, 10]
-        );
-        assert_eq!(patch.locate(13, &[]).collect::<Vec<_>>().len(), 13);
-        patch.finish(&tuples, tiling(4));
-        assert_eq!(ss.locate(13, nine).rows.collect::<Vec<_>>(), vec![10]);
-    }
-
-    /// Applies one ordered merge to `tuples` and reports it to a patch
-    /// over `ss` in one sweep; checks the result tiles the new vector
-    /// with exactly the segments a fresh encoding of each range gives.
+    /// Applies one ordered merge to `tuples` and reports it to `ss` in
+    /// one sweep; checks the result tiles the new vector with exactly
+    /// the segments a fresh encoding of each range gives.
     fn sweep(
         ss: &mut ShardSegments,
         tuples: &mut Vec<NfTuple>,
@@ -1089,8 +897,6 @@ mod tests {
         target_rows: usize,
     ) -> usize {
         let entered: Vec<usize> = entering.iter().map(|(before, _)| *before).collect();
-        let mut patch = ss.patch();
-        patch.splice(removed, &entered);
         let mut next = Vec::new();
         let mut entering = entering.into_iter().peekable();
         for (at, t) in tuples.iter().enumerate() {
@@ -1103,7 +909,7 @@ mod tests {
         }
         next.extend(entering.map(|(_, new)| new));
         *tuples = next;
-        let built = patch.finish(tuples, tiling(target_rows));
+        let built = ss.splice(removed, &entered, tuples, tiling(target_rows));
         assert_eq!(ss.covered_rows(), tuples.len());
         for (range, seg) in ss.ranges() {
             assert_eq!(*seg, Segment::encode(&tuples[range], 1));
@@ -1176,9 +982,7 @@ mod tests {
         let mut ss = ShardSegments::new();
         ss.rebuild(&[NfTuple::new(vec![])], none);
         assert_eq!(ss.segment_count(), 0);
-        let mut patch = ss.patch();
-        patch.inserted(0);
-        patch.finish(&[NfTuple::new(vec![])], none);
+        assert_eq!(ss.splice(&[], &[0], &[NfTuple::new(vec![])], none), 0);
         assert_eq!(ss.segment_count(), 0);
     }
 }

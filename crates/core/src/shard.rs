@@ -1,11 +1,12 @@
 //! Sharded canonical storage: partitioning `ν_P(R*)` on the outermost
 //! nest attribute.
 //!
-//! Unsharded, §4 maintenance hits a scale wall: every `recons` pays a
-//! candidate scan (`candt`) over *all* NF² tuples, so point maintenance
-//! cost grows linearly with the relation. This module breaks
-//! the wall by partitioning the canonical relation on the values of the
-//! **outermost** nest attribute `P(n−1)` — the attribute nested *last*.
+//! Run on a whole relation, §4 maintenance hits a scale wall: every
+//! `recons` pays a candidate scan (`candt`) over *all* NF² tuples, so
+//! its cost grows linearly with the relation. The engine partitions the
+//! canonical relation on the values of the **outermost** nest attribute
+//! `P(n−1)` — the attribute nested *last* — and runs §4 only on one
+//! outer key's slice of one shard ([`crate::bulk`]).
 //!
 //! Why that attribute, and why the partition is exact: the canonical
 //! fold (see [`NestKernel`]) sorts flat rows with `P(n−1)` outermost, so
@@ -29,12 +30,13 @@
 //!
 //! The payoff is twofold:
 //!
-//! * **point maintenance** — `candt`/`searcht`/`recons` run against one
-//!   shard, so candidate probes drop by roughly the shard count;
+//! * **routing** — an op touches exactly the one shard its outer value
+//!   routes to, so writers on different shards never meet;
 //! * **batches** — [`apply_batch`](ShardedCanonical::apply_batch) runs
 //!   each shard's sub-batch by the keyed batch procedure
 //!   ([`crate::bulk`]) on that shard's own [`NestKernel`] scratch, the
-//!   sub-batches side by side under [`std::thread::scope`].
+//!   sub-batches side by side under [`std::thread::scope`]. A point
+//!   write is a sub-batch of one.
 
 use std::sync::{Arc, Mutex};
 
@@ -301,20 +303,18 @@ impl std::ops::AddAssign for BatchReport {
 }
 
 /// One shard's **writer-side** state: the shard's current
-/// [`ShardVersion`] (mutated copy-on-write), its private [`NestKernel`]
-/// scratch, and its accumulated §4 maintenance cost. Every mutation of
-/// a shard goes through its writer.
+/// [`ShardVersion`], its private [`NestKernel`] scratch, and its
+/// accumulated §4 maintenance cost. Every mutation of a shard goes
+/// through its writer.
 ///
-/// While the version's `Arc` is unshared (a never-published store, a
-/// bulk build) mutations happen in place at zero cost; once a version
-/// has been published to an MVCC [`crate::mvcc::VersionCell`] the first
-/// subsequent mutation clones it copy-on-write ([`Arc::make_mut`]) so
-/// pinned readers keep streaming the old state. That clone is shallow:
-/// tuples and segments are themselves `Arc`-held, so the new version
-/// shares everything the mutation does not touch. Every mutation leaves
-/// the shard's tuple vector in the kernel's order and its segments an
-/// exact tiling of it (ordered §4 maintenance plus segment repair, see
-/// [`crate::maintenance`] and [`crate::segment`]).
+/// Every write is one [`apply_batch`](Self::apply_batch) — a point
+/// write is a keyed batch of one — which builds the replacement version
+/// beside the current one, so pinned readers keep streaming the old
+/// state. The new version shares every tuple and segment the write does
+/// not touch (both are `Arc`-held), and leaves the shard's tuple vector
+/// in the kernel's order and its segments an exact tiling of it (see
+/// [`crate::bulk`] and [`crate::segment`]). Re-tiles and cold builds
+/// edit the version copy-on-write ([`Arc::make_mut`]).
 ///
 /// A [`ShardedCanonical`] owns one writer per shard; a table that wants
 /// per-shard write concurrency takes them over with
@@ -389,19 +389,6 @@ impl ShardWriter {
             return Err(NfError::ArityMismatch { expected, got });
         }
         Ok(())
-    }
-
-    /// §4.2 insertion against this shard. Returns `true` if new. The
-    /// caller is responsible for having routed the row here.
-    pub fn insert_counted(&mut self, row: FlatTuple) -> Result<bool> {
-        self.check_arity(row.len())?;
-        Arc::make_mut(&mut self.version).insert(row, &mut self.cost, self.tiling)
-    }
-
-    /// §4.3 deletion against this shard. Returns `true` if present.
-    pub fn delete_counted(&mut self, row: &[Atom]) -> Result<bool> {
-        self.check_arity(row.len())?;
-        Arc::make_mut(&mut self.version).delete(row, &mut self.cost, self.tiling)
     }
 
     /// Applies this shard's sub-batch by the keyed batch procedure
@@ -696,14 +683,19 @@ impl ShardedCanonical {
 
     /// §4.2 insertion, routed to one shard. Returns `true` if new.
     pub fn insert(&mut self, row: FlatTuple) -> Result<bool> {
-        let shard = self.router.route_checked(&row)?;
-        self.lanes[shard].insert_counted(row)
+        self.apply_one(Op::Insert(row))
     }
 
     /// §4.3 deletion, routed to one shard. Returns `true` if present.
     pub fn delete(&mut self, row: &[Atom]) -> Result<bool> {
-        let shard = self.router.route_checked(row)?;
-        self.lanes[shard].delete_counted(row)
+        self.apply_one(Op::Delete(row.to_vec()))
+    }
+
+    /// `op` as a keyed batch of one on the shard it routes to; `true`
+    /// if it changed the shard.
+    fn apply_one(&mut self, op: Op) -> Result<bool> {
+        let shard = self.router.route_checked(op.row())?;
+        Ok(self.lanes[shard].apply_batch(&[&op])?.summary.noops == 0)
     }
 
     /// Applies a batch, each shard's share by the keyed batch procedure
@@ -1003,35 +995,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn candidate_probes_drop_with_shard_count() {
-        // The point of the subsystem: candt scans one shard, so per-op
-        // probes fall roughly by the shard count.
-        let flat = random_flat(3, 400, 12, 4242);
-        let order = NestOrder::identity(3);
-        let probes_of = |spec: ShardSpec| -> u64 {
-            let mut c = ShardedCanonical::from_flat(&flat, order.clone(), spec).unwrap();
-            let mut state = 0x1234u64;
-            for i in 0..32 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let r = row(&[
-                    (state >> 11) as u32 % 13,
-                    100 + (state >> 31) as u32 % 13,
-                    200 + i as u32 % 12,
-                ]);
-                let _ = c.insert(r.clone()).unwrap();
-                let _ = c.delete(&r).unwrap();
-            }
-            c.maintenance_cost().total.candidate_probes
-        };
-        let p1 = probes_of(ShardSpec::single());
-        let p4 = probes_of(ShardSpec::hash(4).unwrap());
-        assert!(
-            p4 * 2 <= p1,
-            "4 shards must cut candidate probes at least in half: {p1} -> {p4}"
-        );
-    }
-
     /// One tuple per row — (a, b) pairs are unique, c is the outer key —
     /// in a single shard.
     fn one_tuple_per_row(tuples: u32) -> ShardedCanonical {
@@ -1048,34 +1011,28 @@ mod tests {
     fn point_write_probes_do_not_grow_with_the_shard() {
         // One tuple per row — (a, b) pairs are unique, c is the outer
         // key — in a single shard. Each insert brings a new outer value
-        // under an (a, b) pair some tuple already has: `candt` finds
-        // that tuple at the outer position, `recons` composes, and the
-        // follow-up searches walk the one segment the take dirtied.
-        // Located, none of that depends on how many segments the shard
-        // has; scanned, it all did (4× the probes at 4× the tuples).
-        let small = 5_000u32;
-        let probes_per_write = |tuples: u32| -> f64 {
+        // under an (a, b) pair some tuple already has: the key's slice
+        // is empty, so §4 probes nothing; the pull finds the one stored
+        // tuple with that rest by its postings, and the regroup composes
+        // the two. None of that depends on how many tuples the shard
+        // holds.
+        let writes = 4u32;
+        let cost_of = |tuples: u32| -> CostCounter {
             let mut c = one_tuple_per_row(tuples);
-            let writes = 4u32;
             for w in 0..writes {
                 let at = w * (tuples / writes) + 3;
                 let fresh = row(&[at % 97, 1_000 + at / 97, 900_000 + w]);
                 assert!(c.insert(fresh).unwrap());
             }
-            let cost = c.maintenance_cost().total;
-            assert_eq!(cost.compositions, u64::from(writes));
-            cost.candidate_probes as f64 / f64::from(writes)
+            c.maintenance_cost().total
         };
-        let (at_small, at_large) = (probes_per_write(small), probes_per_write(4 * small));
-        assert!(
-            at_large < 1.3 * at_small,
-            "probes per write must not follow the tuple count: \
-             {at_small} at {small} tuples, {at_large} at {}",
-            4 * small
-        );
-        assert!(
-            at_small < f64::from(small) / 2.0,
-            "and stay well under one pass over the shard: {at_small}"
+        let at_small = cost_of(5_000);
+        assert_eq!(at_small, cost_of(20_000), "a write costs what it touches");
+        assert_eq!(at_small.compositions, u64::from(writes));
+        assert_eq!(
+            at_small.candidate_probes,
+            u64::from(writes),
+            "one pull each"
         );
     }
 
@@ -1330,11 +1287,14 @@ mod tests {
         let store =
             ShardedCanonical::new(s, NestOrder::identity(2), ShardSpec::hash(2).unwrap()).unwrap();
         let mut writers = store.into_writers();
-        assert!(writers[0].insert_counted(row(&[1])).is_err());
-        assert!(writers[0].delete_counted(&row(&[1, 2, 3])).is_err());
-        assert!(writers[0].apply_batch(&[&Op::Insert(row(&[9]))]).is_err());
+        assert!(writers[0].apply_batch(&[&Op::Insert(row(&[1]))]).is_err());
+        assert!(writers[0]
+            .apply_batch(&[&Op::Delete(row(&[1, 2, 3]))])
+            .is_err());
         for i in 0..40u32 {
-            let _ = writers[0].insert_counted(row(&[i, i])).ok();
+            writers[0]
+                .apply_batch(&[&Op::Insert(row(&[i, i]))])
+                .unwrap();
         }
         writers[0].set_segment_rows(4);
         assert_eq!(writers[0].segment_rows(), 4);

@@ -228,7 +228,7 @@ proptest! {
         let mut worst = 0u64;
         for r in flat.rows() {
             let mut cost = CostCounter::new();
-            canon.insert_counted(r.clone(), &mut cost).unwrap();
+            canon.insert_counted(r, &mut cost).unwrap();
             worst = worst.max(cost.structural_ops());
         }
         // Theorem A-4: ops bounded by a function of arity alone. With

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use nf2_algebra::stream::filter_box;
-use nf2_algebra::{Expr, RewriteMode};
+use nf2_algebra::Expr;
 use nf2_core::display::{render_flat, render_nf};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
@@ -51,7 +51,6 @@ use crate::prepare::{execute_select, Param, Prepared, SelectPlan};
 pub struct EngineBuilder {
     data_dir: Option<PathBuf>,
     wal_autoflush: bool,
-    rewrite_mode: Option<RewriteMode>,
     shards: Option<usize>,
     subscriber: Option<Arc<dyn Subscriber>>,
     slow_statement_us: Option<u64>,
@@ -83,14 +82,6 @@ impl EngineBuilder {
     /// statement (default: off — WALs are written on checkpoint only).
     pub fn wal_autoflush(mut self, on: bool) -> Self {
         self.wal_autoflush = on;
-        self
-    }
-
-    /// The rewrite strength the planner may use
-    /// (default: [`RewriteMode::Structural`], which guarantees results
-    /// tuple-identical to the unoptimized plan).
-    pub fn rewrite_mode(mut self, mode: RewriteMode) -> Self {
-        self.rewrite_mode = Some(mode);
         self
     }
 
@@ -167,7 +158,6 @@ impl EngineBuilder {
             ddl_epoch: AtomicU64::new(0),
             data_dir: self.data_dir,
             wal_autoflush: self.wal_autoflush,
-            rewrite_mode: self.rewrite_mode.unwrap_or(RewriteMode::Structural),
             default_shards: shards,
             obs,
             stmt_metrics,
@@ -311,7 +301,6 @@ pub struct Engine {
     ddl_epoch: AtomicU64,
     data_dir: Option<PathBuf>,
     wal_autoflush: bool,
-    rewrite_mode: RewriteMode,
     /// Shard count `CREATE TABLE` partitions new tables into.
     default_shards: usize,
     /// The observability hub: tracing subscriber plus private metrics
@@ -338,14 +327,16 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// If the `NF2_SHARDS` environment variable holds an invalid shard
-    /// count (`0` or not a number). Use
+    /// If an environment variable the builder reads holds an invalid
+    /// value: `NF2_SHARDS` (`0` or not a number), `NF2_SLOW_US` or
+    /// `NF2_GROUP_COMMIT_US` (not a number of microseconds). Use
     /// `Engine::builder().build()` to handle that configuration error as
     /// a `Result` instead.
     pub fn new() -> Self {
-        Engine::builder()
-            .build()
-            .expect("NF2_SHARDS must be a positive shard count")
+        Engine::builder().build().expect(
+            "NF2_SHARDS must be a positive shard count, NF2_SLOW_US and \
+             NF2_GROUP_COMMIT_US non-negative microsecond counts",
+        )
     }
 
     /// Starts configuring an engine.
@@ -379,11 +370,6 @@ impl Engine {
     /// when moved across engines).
     pub fn instance_id(&self) -> u64 {
         self.instance_id
-    }
-
-    /// The planner's rewrite strength.
-    pub fn rewrite_mode(&self) -> RewriteMode {
-        self.rewrite_mode
     }
 
     /// The shard count new tables are created with (see
@@ -1215,12 +1201,7 @@ mod tests {
 
     #[test]
     fn builder_configures_engine() {
-        let engine = Engine::builder()
-            .rewrite_mode(RewriteMode::Structural)
-            .wal_autoflush(true)
-            .build()
-            .unwrap();
-        assert_eq!(engine.rewrite_mode(), RewriteMode::Structural);
+        let engine = Engine::builder().wal_autoflush(true).build().unwrap();
         assert_eq!(engine.ddl_epoch(), 0);
         assert!(engine.table("sc").is_err());
     }

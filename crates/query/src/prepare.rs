@@ -27,7 +27,7 @@ use nf2_algebra::stream::{
     filter_box, lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter,
     TupleOrder,
 };
-use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
+use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, RewriteMode, SchemaCatalog};
 use nf2_core::display::render_nf;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
@@ -797,7 +797,7 @@ impl SelectPlan {
                 optimize_observed(
                     &expr,
                     &catalog,
-                    engine.rewrite_mode(),
+                    RewriteMode::Structural,
                     &mut |rule, before, after| {
                         let wb = estimate(before, &sizes).total_work;
                         let wa = estimate(after, &sizes).total_work;
@@ -812,7 +812,7 @@ impl SelectPlan {
                     },
                 )
             } else {
-                optimize(&expr, &catalog, engine.rewrite_mode())
+                optimize(&expr, &catalog, RewriteMode::Structural)
             }
         };
         let phys = {

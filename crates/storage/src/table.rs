@@ -11,9 +11,9 @@
 //!
 //! Writers no longer serialize on one table lock. Each shard's writer
 //! state ([`nf2_core::shard::ShardWriter`]) sits behind its own mutex
-//! (a *lane*); a routed §4 point op locks exactly the lane its row
-//! routes to, builds the replacement `Arc<ShardVersion>` there, appends
-//! its WAL entry to the shared sequenced commit log (`crate::wal`), and
+//! (a *lane*); a point write locks exactly the lane its row routes to,
+//! builds the replacement `Arc<ShardVersion>` there, appends its WAL
+//! entry to the shared sequenced commit log (`crate::wal`), and
 //! publishes through [`VersionCell::submit`] — whose short table-level
 //! critical section coalesces racing commits from different shards into
 //! a single epoch bump. Multi-shard operations (batches, checkpoints,
@@ -22,12 +22,14 @@
 //! (`lock_lane`/`lock_lanes` are private to it) and is what makes the
 //! pipeline deadlock-free.
 //!
-//! A point write costs what it touches. The replacement version is a
-//! shallow copy-on-write clone (tuples and segments are `Arc`-held and
-//! shared with the predecessor), §4 maintenance edits the tuple vector
-//! by ordered `remove`/`insert` so it stays in the nest kernel's order,
-//! and only the segments overlapping the touched positions are
-//! re-encoded. A shard's segments therefore always describe its tuple
+//! There is one write procedure. A point write is a keyed batch of one
+//! ([`nf2_core::bulk`]): §4 runs on the slice of the row's outer key,
+//! one regroup and one ordered merge build the replacement version —
+//! every tuple and segment the write does not touch shared with the
+//! predecessor by `Arc` — and only the segments the merge touched are
+//! rebuilt. [`NfTable::append_batch`] runs the same procedure per shard
+//! on more ops, and [`NfTable::open`] replays the WAL through it as one
+//! batch. A shard's segments therefore always describe its tuple
 //! vector: zone-map skipping and the ordered k-way merge hold across
 //! writes, with no stale state to fall back from.
 
@@ -56,7 +58,7 @@ use crate::codec::{decode_nf_tuple, encode_nf_tuple, get_varint, put_varint};
 use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
 use crate::heap::HeapFile;
-use crate::wal::{CommitLog, WalEntry};
+use crate::wal::{decode_prefix, CommitLog};
 
 /// Probe and operation counters for the search-space experiments (E9) —
 /// a point-in-time snapshot of [`SharedTableStats`].
@@ -189,11 +191,11 @@ impl SharedTableStats {
 /// a [`ShardedCanonical`] partitioned on the outermost nest attribute
 /// (one shard by default) — with WAL + checkpoint durability.
 ///
-/// With more than one shard, §4 point maintenance routes to a single
-/// shard (candidate probes drop by the shard count), batch appends
-/// run their shards side by side, [`scan`](NfTable::scan) concatenates the
-/// per-shard tuple streams, and [`relation`](NfTable::relation) serves
-/// the exact global canonical form from an epoch-keyed merge cache.
+/// With more than one shard, a point write routes to a single shard,
+/// batch appends run their shards side by side,
+/// [`scan`](NfTable::scan) concatenates the per-shard tuple streams,
+/// and [`relation`](NfTable::relation) serves the exact global
+/// canonical form from an epoch-keyed merge cache.
 ///
 /// ## Concurrency (shard-snapshot MVCC, per-shard writer lanes)
 ///
@@ -515,15 +517,11 @@ impl NfTable {
                 .collect();
             self.submit_lanes(&locked);
         }
-        // WAL replay tolerates no-ops (insert/delete return false), so the
-        // whole batch is logged verbatim — while the lanes are still
-        // held, so no racing point op can interleave inside the batch's
-        // log footprint on any touched shard — and replays to the same
-        // state.
-        self.wal.extend(ops.iter().map(|op| match op {
-            Op::Insert(row) => WalEntry::Insert(row.clone()),
-            Op::Delete(row) => WalEntry::Delete(row.clone()),
-        }));
+        // WAL replay tolerates no-ops, so the whole batch is logged
+        // verbatim — while the lanes are still held, so no racing point
+        // op can interleave inside the batch's log footprint on any
+        // touched shard — and replays to the same state.
+        self.wal.extend(ops);
         count(&stats.inserts, summary.inserted);
         count(&stats.deletes, summary.deleted);
         Ok((summary, report.shards_regrouped_whole > 0))
@@ -675,8 +673,8 @@ impl NfTable {
         self.insert_atoms(row)
     }
 
-    /// Inserts a flat row of atoms via §4 maintenance (routed to one
-    /// shard), logging to the WAL.
+    /// Inserts a flat row of atoms — a keyed batch of one on the shard
+    /// it routes to — logging to the WAL.
     ///
     /// A new version is published — and the epoch bumped — exactly when
     /// the row was fresh: a no-op duplicate leaves the canonical shards
@@ -690,17 +688,7 @@ impl NfTable {
     /// (the table- and session-level rollback regression tests pin
     /// this).
     pub fn insert_atoms(&self, row: FlatTuple) -> Result<bool> {
-        let shard = self.routing.route_checked(&row)?;
-        let mut lane = self.lock_lane(shard);
-        let fresh = lane.insert_counted(row.clone())?;
-        if fresh {
-            // WAL append happens under the lane lock so this shard's
-            // entries hit the sequenced log in serial mutation order.
-            self.wal.append(WalEntry::Insert(row));
-            self.submit_lanes(&[(shard, &*lane)]);
-            self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(fresh)
+        self.apply_point(Op::Insert(row))
     }
 
     /// Deletes a row of string values. Returns `true` if it existed.
@@ -709,21 +697,35 @@ impl NfTable {
         self.delete_atoms(&row)
     }
 
-    /// Deletes a flat row of atoms via §4 maintenance (routed to one
-    /// shard), logging to the WAL. A version is published (epoch bump)
-    /// when the row was present — see
+    /// Deletes a flat row of atoms — a keyed batch of one on the shard
+    /// it routes to — logging to the WAL. A version is published (epoch
+    /// bump) when the row was present — see
     /// [`insert_atoms`](Self::insert_atoms) for why this conditional
     /// form also covers the rollback/undo path.
     pub fn delete_atoms(&self, row: &[Atom]) -> Result<bool> {
-        let shard = self.routing.route_checked(row)?;
+        self.apply_point(Op::Delete(row.to_vec()))
+    }
+
+    /// A point write: `op` as a keyed batch of one on the lane its row
+    /// routes to. Only an effective op is logged, published (one
+    /// submit) and counted. Returns whether it was effective.
+    fn apply_point(&self, op: Op) -> Result<bool> {
+        let shard = self.routing.route_checked(op.row())?;
         let mut lane = self.lock_lane(shard);
-        let hit = lane.delete_counted(row)?;
-        if hit {
-            self.wal.append(WalEntry::Delete(row.to_vec()));
+        let summary = lane.apply_batch(&[&op])?.summary;
+        let effective = summary.noops == 0;
+        if effective {
+            // WAL append happens under the lane lock so this shard's
+            // entries hit the sequenced log in serial mutation order.
+            self.wal.extend([&op]);
             self.submit_lanes(&[(shard, &*lane)]);
-            self.stats.deletes.fetch_add(1, Ordering::Relaxed);
+            let counter = match op {
+                Op::Insert(_) => &self.stats.inserts,
+                Op::Delete(_) => &self.stats.deletes,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(hit)
+        Ok(effective)
     }
 
     /// Whether the table contains the flat row (`searcht` against
@@ -805,7 +807,7 @@ impl NfTable {
     /// (every mutation publishes before releasing its lane, so the
     /// published snapshot and the lane state agree here).
     ///
-    /// Point writes repair segments in place, so their boundaries drift
+    /// Writes repair segments in place, so their boundaries drift
     /// from the uniform tiling; the checkpoint first re-tiles every
     /// drifted shard (it is O(table) anyway) so the synopsis it
     /// persists is the one [`open`](Self::open) re-derives from the
@@ -883,8 +885,8 @@ impl NfTable {
     }
 
     /// Opens a table from `dir`: loads the checkpoint pages, restores the
-    /// persisted shard spec, then replays the WAL (every entry routed
-    /// to its shard's writer like a live mutation).
+    /// persisted shard spec, then replays the WAL as one batch
+    /// ([`append_batch`](Self::append_batch)'s procedure).
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
@@ -930,8 +932,8 @@ impl NfTable {
         let mut canon = ShardedCanonical::from_flat(&flat, order, spec)?;
         let wal_bytes = std::fs::read(wal_path(dir, name)).unwrap_or_default();
         // Validate the rebuilt segments against the persisted synopsis
-        // *before* WAL replay (replayed point ops legitimately move
-        // segment boundaries). Only a checkpoint persists a synopsis,
+        // *before* WAL replay (replayed ops legitimately move segment
+        // boundaries). Only a checkpoint persists a synopsis,
         // and it describes the page state exactly when no WAL entries
         // are pending.
         if let Some(persisted) = &persisted_segments {
@@ -940,20 +942,10 @@ impl NfTable {
                 check_persisted_segments(&canon, persisted)?;
             }
         }
-        // Replay the WAL up to the first torn entry (see above).
-        let mut slice: &[u8] = &wal_bytes;
-        let (mut replayed, mut intact) = (0usize, 0usize);
-        while !slice.is_empty() {
-            let Ok(entry) = WalEntry::decode(&mut slice, arity) else {
-                break;
-            };
-            match entry {
-                WalEntry::Insert(row) => canon.insert(row)?,
-                WalEntry::Delete(row) => canon.delete(&row)?,
-            };
-            replayed += 1;
-            intact = wal_bytes.len() - slice.len();
-        }
+        // Replay the WAL up to the first torn entry (see above), as one
+        // batch.
+        let (replay, intact) = decode_prefix(&wal_bytes, arity);
+        canon.apply_batch(&replay)?;
         // Recovery is not maintenance: a reopened table starts its
         // lifetime's cost accounting at zero.
         canon.reset_maintenance_cost();
@@ -962,7 +954,7 @@ impl NfTable {
             dict,
             canon,
             TableStats::default(),
-            CommitLog::with_durable(&wal_bytes[..intact], replayed),
+            CommitLog::with_durable(&wal_bytes[..intact], replay.len()),
         ))
     }
 
@@ -1855,17 +1847,16 @@ mod tests {
     fn sharded_checkpoint_restores_spec_and_state() {
         let dir = temp_dir("sharded_ckpt");
         let t = sharded_table(3);
-        // Point ops under a tiny tiling target: repaired segments drift
-        // from the uniform tiling, and the checkpoint must restore it or
-        // the reopen below would reject its own synopsis.
+        // Point ops under a tiny tiling target, each new course a new
+        // tuple: repaired segments drift from the uniform tiling, and the
+        // checkpoint must restore it or the reopen below would reject
+        // its own synopsis.
         t.set_segment_rows(2);
         for i in 0..24 {
-            t.insert_row(&[&format!("p{i}"), &format!("c{}", i % 7)])
-                .unwrap();
+            t.insert_row(&[&format!("p{i}"), &format!("c{i}")]).unwrap();
         }
         for i in (0..24).step_by(3) {
-            t.delete_row(&[&format!("p{i}"), &format!("c{}", i % 7)])
-                .unwrap();
+            t.delete_row(&[&format!("p{i}"), &format!("c{i}")]).unwrap();
         }
         assert!(
             (0..3).any(|s| !t.sharded().shard_segments(s).is_uniform(2)),

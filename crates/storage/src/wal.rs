@@ -30,41 +30,47 @@ use std::path::Path;
 use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 
-use nf2_core::tuple::FlatTuple;
+use nf2_core::bulk::Op;
 
 use crate::codec::{decode_flat_tuple, encode_flat_tuple};
 use crate::error::{Result, StorageError};
 
-/// A WAL entry: one flat-row mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WalEntry {
-    Insert(FlatTuple),
-    Delete(FlatTuple),
+/// Appends one WAL entry — a flat-row mutation — to `out`: a tag byte
+/// (1 insert, 2 delete), then the row.
+fn encode(op: &Op, out: &mut BytesMut) {
+    let tag = match op {
+        Op::Insert(_) => 1u8,
+        Op::Delete(_) => 2u8,
+    };
+    out.put_u8(tag);
+    encode_flat_tuple(op.row(), out);
 }
 
-impl WalEntry {
-    pub(crate) fn encode(&self, out: &mut BytesMut) {
-        let (tag, row) = match self {
-            WalEntry::Insert(r) => (1u8, r),
-            WalEntry::Delete(r) => (2u8, r),
-        };
-        out.put_u8(tag);
-        encode_flat_tuple(row, out);
+fn decode(buf: &mut &[u8], arity: usize) -> Result<Op> {
+    if buf.is_empty() {
+        return Err(StorageError::Corrupt("wal entry truncated".into()));
     }
+    let tag = buf[0];
+    *buf = &buf[1..];
+    let row = decode_flat_tuple(buf, arity)?;
+    match tag {
+        1 => Ok(Op::Insert(row)),
+        2 => Ok(Op::Delete(row)),
+        t => Err(StorageError::Corrupt(format!("unknown wal tag {t}"))),
+    }
+}
 
-    pub(crate) fn decode(buf: &mut &[u8], arity: usize) -> Result<Self> {
-        if buf.is_empty() {
-            return Err(StorageError::Corrupt("wal entry truncated".into()));
-        }
-        let tag = buf[0];
-        *buf = &buf[1..];
-        let row = decode_flat_tuple(buf, arity)?;
-        match tag {
-            1 => Ok(WalEntry::Insert(row)),
-            2 => Ok(WalEntry::Delete(row)),
-            t => Err(StorageError::Corrupt(format!("unknown wal tag {t}"))),
-        }
+/// The entries of the longest prefix of `bytes` that decodes, and that
+/// prefix's length: a crash leaves a byte prefix of the log, and its
+/// first torn entry ends the durably committed prefix.
+pub(crate) fn decode_prefix(bytes: &[u8], arity: usize) -> (Vec<Op>, usize) {
+    let mut slice = bytes;
+    let (mut ops, mut intact) = (Vec::new(), 0usize);
+    while let Ok(op) = decode(&mut slice, arity) {
+        ops.push(op);
+        intact = bytes.len() - slice.len();
     }
+    (ops, intact)
 }
 
 /// The sequenced buffer plus its durability watermark. One mutex, held
@@ -113,16 +119,11 @@ impl CommitLog {
         }
     }
 
-    /// Appends one entry to the sequenced buffer.
-    pub(crate) fn append(&self, entry: WalEntry) {
-        self.extend([entry]);
-    }
-
-    /// Appends a batch of entries contiguously (one buffer lock).
-    pub(crate) fn extend(&self, entries: impl IntoIterator<Item = WalEntry>) {
+    /// Appends entries contiguously (one buffer lock).
+    pub(crate) fn extend<'a>(&self, ops: impl IntoIterator<Item = &'a Op>) {
         let mut b = self.buf.lock();
-        for entry in entries {
-            entry.encode(&mut b.bytes);
+        for op in ops {
+            encode(op, &mut b.bytes);
             b.entries += 1;
         }
     }
@@ -205,29 +206,26 @@ mod tests {
         dir.join("t.wal")
     }
 
-    fn entry(v: u32) -> WalEntry {
-        WalEntry::Insert(vec![Atom(v), Atom(v + 1)])
+    fn entry(v: u32) -> Op {
+        Op::Insert(vec![Atom(v), Atom(v + 1)])
     }
 
-    fn decode_all(bytes: &[u8]) -> Vec<WalEntry> {
-        let mut slice = bytes;
-        let mut out = Vec::new();
-        while !slice.is_empty() {
-            out.push(WalEntry::decode(&mut slice, 2).expect("intact log decodes"));
-        }
-        out
+    fn decode_all(bytes: &[u8]) -> Vec<Op> {
+        let (ops, intact) = decode_prefix(bytes, 2);
+        assert_eq!(intact, bytes.len(), "intact log decodes");
+        ops
     }
 
     #[test]
     fn flush_writes_once_per_group_and_reports_size() {
         let path = temp_wal("group");
         let log = CommitLog::new();
-        log.append(entry(1));
-        log.append(entry(2));
+        log.extend([&entry(1)]);
+        log.extend([&entry(2)]);
         assert_eq!(log.flush_to(&path, 0).unwrap(), Some(2), "two-entry group");
         // Nothing new buffered: the next flush is a no-op, not a write.
         assert_eq!(log.flush_to(&path, 0).unwrap(), None);
-        log.extend([entry(3)]);
+        log.extend([&entry(3)]);
         assert_eq!(log.flush_to(&path, 0).unwrap(), Some(1));
         let on_disk = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
@@ -237,7 +235,7 @@ mod tests {
     fn truncate_resets_buffer_and_file() {
         let path = temp_wal("trunc");
         let log = CommitLog::new();
-        log.append(entry(9));
+        log.extend([&entry(9)]);
         log.flush_to(&path, 0).unwrap();
         log.truncate(&path).unwrap();
         assert_eq!(log.len(), 0);
@@ -249,14 +247,14 @@ mod tests {
     fn seeded_log_keeps_replayed_entries_durable() {
         let path = temp_wal("seed");
         let mut seed = BytesMut::new();
-        entry(1).encode(&mut seed);
-        entry(2).encode(&mut seed);
+        encode(&entry(1), &mut seed);
+        encode(&entry(2), &mut seed);
         let log = CommitLog::with_durable(&seed, 2);
         // Replayed entries are already on disk: no write needed.
         assert_eq!(log.flush_to(&path, 0).unwrap(), None);
         // A later append re-writes the *whole* sequenced log, keeping
         // the replayed prefix.
-        log.append(entry(3));
+        log.extend([&entry(3)]);
         assert_eq!(log.flush_to(&path, 0).unwrap(), Some(1));
         let on_disk = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
@@ -275,7 +273,7 @@ mod tests {
                 let writes = &writes;
                 s.spawn(move || {
                     for i in 0..appended / 4 {
-                        log.append(entry(1000 * t + i));
+                        log.extend([&entry(1000 * t + i)]);
                         if log
                             .flush_to(&path, 0)
                             .expect("flush path writable")

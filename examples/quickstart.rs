@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s4 = dict.intern("s4");
     let c1 = dict.lookup("c1").expect("interned above");
     let mut cost = CostCounter::new();
-    canon.insert_counted(vec![s4, c1], &mut cost)?;
+    canon.insert_counted(&[s4, c1], &mut cost)?;
     println!(
         "Inserted (s4, c1) with {} compositions / {} decompositions:",
         cost.compositions, cost.decompositions

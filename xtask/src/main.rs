@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 
 /// Library crates subject to the unwrap/expect rules. `crates/bench`
 /// is a measurement harness (panicking on malformed fixtures is the
-/// right behavior there) and is exempt, like tests and benches.
+/// right behavior there) and is exempt, like tests and examples.
 const LIBRARY_CRATES: &[&str] = &[
     "crates/core",
     "crates/algebra",
@@ -152,7 +152,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// True for paths the unwrap/expect/containment rules treat as test-like.
 fn is_test_path(rel: &str) -> bool {
-    rel.contains("/tests/") || rel.contains("/benches/") || rel.contains("/examples/")
+    rel.contains("/tests/") || rel.contains("/examples/")
 }
 
 fn in_library_crate(rel: &str) -> bool {
