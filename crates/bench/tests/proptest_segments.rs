@@ -18,6 +18,7 @@ use proptest::prelude::*;
 
 use nf2_core::bulk::Op;
 use nf2_core::kernel::NestKernel;
+use nf2_core::relation::FlatRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::segment::{Conjunct, Rows, ShardSegments};
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
@@ -63,6 +64,16 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
         decoded.extend(seg.decode());
 
         let slice = &tuples[range];
+        assert_eq!(
+            seg.tuples(),
+            slice,
+            "the chunk holds the segment's own tuples"
+        );
+        assert_eq!(
+            seg.decode(),
+            seg.tuples(),
+            "each chunk is what its columns decode to"
+        );
         let arity = slice[0].arity();
         for a in 0..arity {
             let lo = slice
@@ -154,11 +165,13 @@ fn brute_force(tuples: &[NfTuple], conjuncts: &[(usize, ValueSet)]) -> Vec<usize
 /// itself and all of them together, and report exactly the segments
 /// that hold none as skipped.
 fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut u64) {
+    let shards: Vec<Vec<NfTuple>> = (0..sharded.shard_count())
+        .map(|s| sharded.version(s).tuples().cloned().collect())
+        .collect();
     for probe in probe_conjuncts(w, state) {
         let conjuncts: Vec<Conjunct<'_>> =
             probe.iter().map(|(a, vs)| (*a, vs.as_slice())).collect();
-        for s in 0..sharded.shard_count() {
-            let tuples = sharded.shard(s).relation().tuples();
+        for (s, tuples) in shards.iter().enumerate() {
             let expected = brute_force(tuples, &probe);
             let mut empty = 0usize;
             for (range, seg) in sharded.shard_segments(s).ranges() {
@@ -188,11 +201,14 @@ fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut 
 fn assert_scans_what_it_reports(w: &Workload, t: &NfTable, state: &mut u64) {
     let store = t.sharded();
     let shards: Vec<usize> = (0..t.shard_count()).collect();
+    let stored: Vec<Vec<NfTuple>> = shards
+        .iter()
+        .map(|&s| store.version(s).tuples().cloned().collect())
+        .collect();
     for probe in probe_conjuncts(w, state) {
-        let expected: Vec<NfTuple> = shards
+        let expected: Vec<NfTuple> = stored
             .iter()
-            .flat_map(|&s| {
-                let tuples = store.shard(s).relation().tuples();
+            .flat_map(|tuples| {
                 brute_force(tuples, &probe)
                     .into_iter()
                     .map(|i| tuples[i].clone())
@@ -305,7 +321,8 @@ proptest! {
                         ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())
                             .unwrap();
                     for s in 0..sharded.shard_count() {
-                        let tuples = sharded.shard(s).relation().tuples();
+                        let shard = sharded.shard(s);
+                        let tuples = shard.relation().tuples();
                         assert_exact_tiling(tuples, sharded.shard_segments(s));
                         prop_assert_eq!(
                             sharded.shard_segments(s).covered_rows(),
@@ -364,16 +381,17 @@ proptest! {
                         }
                     }
                     for s in 0..sharded.shard_count() {
-                        let shard = sharded.shard(s);
-                        let rebuilt = NestKernel::new()
-                            .canonical_of_flat(&shard.relation().expand(), &order);
+                        let tuples: Vec<NfTuple> = sharded.version(s).tuples().cloned().collect();
+                        let rows = tuples.iter().flat_map(NfTuple::expand);
+                        let rows = FlatRelation::from_rows(w.flat.schema().clone(), rows).unwrap();
+                        let rebuilt = NestKernel::new().canonical_of_flat(&rows, &order);
                         prop_assert_eq!(
-                            shard.relation().tuples(),
+                            tuples.as_slice(),
                             rebuilt.tuples(),
                             "{} {:?}: shard {} is not the kernel's vector after step {}",
                             w.label, spec, s, step
                         );
-                        assert_exact_tiling(shard.relation().tuples(), sharded.shard_segments(s));
+                        assert_exact_tiling(&tuples, sharded.shard_segments(s));
                     }
                 }
                 sharded.verify().unwrap();

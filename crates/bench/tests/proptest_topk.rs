@@ -59,16 +59,19 @@ proptest! {
                 .unwrap();
                 // The exact stream a table scan yields: per-shard
                 // tuples, back to back.
-                let stream_tuples: Vec<NfTuple> = (0..sharded.shard_count())
-                    .flat_map(|i| sharded.shard(i).relation().tuples().iter().cloned())
+                let shard_relations: Vec<_> = (0..sharded.shard_count())
+                    .map(|i| sharded.shard(i).into_relation())
+                    .collect();
+                let stream_tuples: Vec<NfTuple> = shard_relations
+                    .iter()
+                    .flat_map(|rel| rel.tuples().iter().cloned())
                     .collect();
                 for attr in 0..arity {
                     for dir in [SortDir::Asc, SortDir::Desc] {
                         let tuple_order = TupleOrder::by_atom_id(attr, dir);
                         for k in [0usize, 1, 3, stream_tuples.len(), stream_tuples.len() + 5] {
-                            let parts: Vec<RelStream<'_>> = (0..sharded.shard_count())
-                                .map(|i| RelStream::scan(sharded.shard(i).relation()))
-                                .collect();
+                            let parts: Vec<RelStream<'_>> =
+                                shard_relations.iter().map(RelStream::scan).collect();
                             let got: Vec<NfTuple> = RelStream::concat(
                                 w.flat.schema().clone(),
                                 parts,
@@ -187,10 +190,14 @@ proptest! {
                         constraints: vec![(outer_name.clone(), values.clone())],
                     };
                     let constraints = [(outer, ValueSet::new(values.clone()).unwrap())];
-                    let kept = sharded.router().shards_for_values(values);
-                    let survivors = kept.iter().flat_map(|&s| {
-                        RelStream::scan(sharded.shard(s).relation())
-                            .filter_map(|t| filter_box(t, &constraints))
+                    let kept: Vec<_> = sharded
+                        .router()
+                        .shards_for_values(values)
+                        .into_iter()
+                        .map(|s| sharded.shard(s).into_relation())
+                        .collect();
+                    let survivors = kept.iter().flat_map(|rel| {
+                        RelStream::scan(rel).filter_map(|t| filter_box(t, &constraints))
                     });
                     let pruned = RelStream::new(w.flat.schema().clone(), Box::new(survivors))
                         .into_relation()

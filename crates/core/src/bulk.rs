@@ -29,9 +29,10 @@
 use crate::error::Result;
 use crate::kernel::NestKernel;
 use crate::maintenance::{kernel_cmp, CanonicalRelation, CostCounter};
+use crate::mvcc::ShardVersion;
 use crate::relation::{FlatRelation, NfRelation};
 use crate::schema::AttrId;
-use crate::segment::{Conjunct, ShardSegments};
+use crate::segment::Conjunct;
 use crate::tuple::{FlatTuple, NfTuple, ValueSet};
 use crate::value::Atom;
 
@@ -123,7 +124,7 @@ pub fn rebuild_batch(canon: &CanonicalRelation, ops: &[Op]) -> Result<CanonicalR
 }
 
 /// What the read phase of a keyed batch decided, in positions of the
-/// tuple vector it read.
+/// shard version it read (its chunks back to back).
 #[derive(Debug, Default)]
 pub(crate) struct KeyedBatch {
     /// What the ops did, counted as §4 replay counts it.
@@ -138,30 +139,24 @@ pub(crate) struct KeyedBatch {
     pub(crate) fresh: Vec<NfTuple>,
 }
 
-/// The keyed batch procedure (module docs) against one canonical shard
-/// and the segments that tile it, neither of which it changes: every
-/// search is a [`ShardSegments::locate`] against postings no edit has
-/// touched. `ops` (all of the shard's arity) keep their order within
-/// each outer key; across keys order is immaterial, as they touch
-/// disjoint rows.
+/// The keyed batch procedure (module docs) against one shard version,
+/// which it does not change: every search is a
+/// [`ShardSegments::locate`](crate::segment::ShardSegments::locate)
+/// against postings no edit has touched, and every position it reads or
+/// reports counts through the version's chunks back to back. `ops` (all of
+/// the shard's arity) keep their order within each outer key; across
+/// keys order is immaterial, as they touch disjoint rows.
 pub(crate) fn keyed_batch(
-    canon: &CanonicalRelation,
-    segments: &ShardSegments,
+    version: &ShardVersion,
     outer: AttrId,
     kernel: &mut NestKernel,
     ops: &[&Op],
     cost: &mut CostCounter,
 ) -> Result<KeyedBatch> {
-    let tuples = canon.relation().tuples();
-    let (schema, order) = (canon.relation().schema(), canon.order());
-    debug_assert_eq!(
-        segments.covered_rows(),
-        tuples.len(),
-        "the read phase needs postings for every stored tuple"
-    );
+    let (schema, order, segments) = (&version.schema, &version.order, &version.segments);
     let mut batch = KeyedBatch::default();
-    // `(position, key)`: the stored tuple there loses that key.
-    let mut splits: Vec<(usize, Atom)> = Vec::new();
+    // `(position, key, tuple)`: the stored tuple there loses that key.
+    let mut splits: Vec<(usize, Atom, &NfTuple)> = Vec::new();
     let mut gained: Vec<NfTuple> = Vec::new();
 
     let mut by_key: Vec<&Op> = ops.to_vec();
@@ -170,20 +165,18 @@ pub(crate) fn keyed_batch(
         batch.keys += 1;
         let key = run[0].row()[outer];
         // The key's slice of the shard, in kernel order, with the
-        // position each tuple was cut from.
-        let holders = segments
-            .locate(tuples.len(), &[(outer, std::slice::from_ref(&key))])
-            .rows;
+        // position and the stored tuple each was cut from.
+        let holders = segments.locate(&[(outer, std::slice::from_ref(&key))]).rows;
         cost.candidate_probes += holders.len() as u64;
-        let mut slice: Vec<(NfTuple, usize)> = holders
-            .map(|at| {
-                let held = &tuples[at];
+        let mut slice: Vec<(NfTuple, (usize, &NfTuple))> = segments
+            .tuples_at(holders)
+            .map(|(at, held)| {
                 let cut = if held.component(outer).is_singleton() {
                     held.clone()
                 } else {
                     held.with_component(outer, ValueSet::singleton(key))
                 };
-                (cut, at)
+                (cut, (at, held))
             })
             .collect();
         slice.sort_by(|a, b| kernel_cmp(order, &a.0, &b.0));
@@ -210,7 +203,8 @@ pub(crate) fn keyed_batch(
                 _ => std::cmp::Ordering::Greater,
             };
             if side.is_le() {
-                splits.push((slice[i].1, key));
+                let (at, held) = slice[i].1;
+                splits.push((at, key, held));
                 i += 1;
             }
             if side.is_ge() {
@@ -225,16 +219,16 @@ pub(crate) fn keyed_batch(
 
     // The stored tuple with the rest of each gained tuple, if any (rests
     // are unique in a canonical relation), joins the regroup.
-    let mut pulled: Vec<usize> = Vec::new();
+    let mut pulled: Vec<(usize, &NfTuple)> = Vec::new();
     for new in &gained {
         let minima: Vec<Conjunct<'_>> = (0..new.arity())
             .filter(|&attr| attr != outer)
             .map(|attr| (attr, &new.component(attr).as_slice()[..1]))
             .collect();
-        for at in segments.locate(tuples.len(), &minima).rows {
+        for (at, held) in segments.tuples_at(segments.locate(&minima).rows) {
             cost.candidate_probes += 1;
-            if tuples[at].agrees_except(new, outer) {
-                pulled.push(at);
+            if held.agrees_except(new, outer) {
+                pulled.push((at, held));
                 break;
             }
         }
@@ -242,23 +236,23 @@ pub(crate) fn keyed_batch(
 
     // The loose set: touched tuples without the keys they lost (dropped
     // when none is left), pulled tuples as they are, gained tuples.
-    splits.sort_unstable();
+    splits.sort_unstable_by_key(|&(at, key, _)| (at, key));
     let mut loose = gained;
     for lost in splits.chunk_by(|a, b| a.0 == b.0) {
-        let at = lost[0].0;
-        let keys: Vec<Atom> = lost.iter().map(|&(_, key)| key).collect();
+        let (at, _, held) = lost[0];
+        let keys: Vec<Atom> = lost.iter().map(|&(_, key, _)| key).collect();
         let keys = ValueSet::of_sorted(keys);
-        if let Some(left) = tuples[at].component(outer).difference(&keys) {
+        if let Some(left) = held.component(outer).difference(&keys) {
             cost.decompositions += keys.len() as u64;
-            loose.push(tuples[at].with_component(outer, left));
+            loose.push(held.with_component(outer, left));
         }
         batch.removed.push(at);
     }
-    pulled.sort_unstable();
-    pulled.dedup();
-    pulled.retain(|at| batch.removed.binary_search(at).is_err());
-    loose.extend(pulled.iter().map(|&at| tuples[at].clone()));
-    batch.removed.extend(pulled);
+    pulled.sort_unstable_by_key(|&(at, _)| at);
+    pulled.dedup_by_key(|&mut (at, _)| at);
+    pulled.retain(|(at, _)| batch.removed.binary_search(at).is_err());
+    loose.extend(pulled.iter().map(|&(_, held)| held.clone()));
+    batch.removed.extend(pulled.iter().map(|&(at, _)| at));
     batch.removed.sort_unstable();
 
     // One ν over P(n−1): tuples with equal rests leave as one.
@@ -388,12 +382,11 @@ mod tests {
 
     /// `base` in one shard (so postings exist), segments of two tuples.
     fn one_shard(base: &CanonicalRelation) -> ShardedCanonical {
-        let mut version = ShardVersion::new(base.clone(), ShardSegments::new());
-        let outer_attr = base.order().as_slice().last().copied();
-        version.retile(Tiling {
-            outer_attr,
+        let tiling = Tiling {
+            outer_attr: base.order().as_slice().last().copied(),
             target_rows: 2,
-        });
+        };
+        let version = ShardVersion::new(base.clone(), tiling);
         ShardedCanonical::from_versions(
             base.relation().schema().clone(),
             base.order().clone(),
@@ -419,12 +412,8 @@ mod tests {
             reference.relation().tuples(),
             "keyed ≡ §4 replay, as vectors"
         );
-        let version = sharded.version(0);
-        if base.order().arity() > 0 {
-            assert_eq!(version.segments().covered_rows(), version.tuple_count());
-        }
-        for (range, seg) in version.segments().ranges() {
-            assert_eq!(seg.decode(), version.tuples()[range]);
+        for seg in sharded.version(0).segments().segments() {
+            assert_eq!(seg.decode(), seg.tuples());
         }
         (sharded, report)
     }
@@ -483,9 +472,9 @@ mod tests {
         );
         assert_eq!(report.shards_regrouped_whole, 0);
         let new = sharded.version(0);
-        let shared = |a: &NfTuple| new.tuples().iter().any(|b| b.shares_storage_with(a));
+        let shared = |a: &NfTuple| new.tuples().any(|b| b.shares_storage_with(a));
         assert_eq!(
-            old.tuples().iter().filter(|t| shared(t)).count(),
+            old.tuples().filter(|t| shared(t)).count(),
             4,
             "the other four tuples are carried over, not rebuilt"
         );
@@ -529,7 +518,8 @@ mod tests {
         ];
         let (sharded, report) = keyed(&base, &ops);
         assert_eq!(report.keys, 2);
-        let tuples = sharded.shard(0).relation().tuples();
+        let shard = sharded.shard(0);
+        let tuples = shard.relation().tuples();
         assert_eq!(sets(&tuples[0]), vec![vec![1, 2], vec![20, 21]]);
         assert_eq!(tuples.len(), 2);
         sharded.verify().unwrap();
@@ -547,7 +537,8 @@ mod tests {
         let ops = [Op::Insert(row(&[1, 21])), Op::Insert(row(&[2, 21]))];
         let (sharded, report) = keyed(&base, &ops);
         assert_eq!(report.tuples_regrouped, 1, "the pulled tuple alone");
-        let tuples = sharded.shard(0).relation().tuples();
+        let shard = sharded.shard(0);
+        let tuples = shard.relation().tuples();
         assert_eq!(sets(&tuples[0]), vec![vec![1, 2], vec![20, 21]]);
         assert_eq!(sets(&tuples[1]), vec![vec![7], vec![30]]);
         let cost = sharded.maintenance_cost().total;
@@ -565,7 +556,8 @@ mod tests {
         let first = |c: &CanonicalRelation| sets(&c.relation().tuples()[0]);
         assert_eq!(first(&base), vec![vec![1], vec![10, 12]]);
         let (sharded, _) = keyed(&base, &[Op::Delete(row(&[1, 10]))]);
-        let tuples = sharded.shard(0).relation().tuples();
+        let shard = sharded.shard(0);
+        let tuples = shard.relation().tuples();
         assert_eq!(sets(&tuples[0]), vec![vec![2], vec![11]]);
         assert_eq!(sets(&tuples[1]), vec![vec![1], vec![12]]);
         let cost = sharded.maintenance_cost().total;
@@ -586,7 +578,8 @@ mod tests {
         let ops = [Op::Delete(row(&[1, 11])), Op::Delete(row(&[2, 11]))];
         let (sharded, report) = keyed(&base, &ops);
         assert_eq!(report.summary.deleted, 2);
-        let tuples = sharded.shard(0).relation().tuples();
+        let shard = sharded.shard(0);
+        let tuples = shard.relation().tuples();
         assert_eq!(tuples.len(), 2);
         assert_eq!(sets(&tuples[0]), vec![vec![2], vec![12]]);
         assert!(!sharded.contains(&row(&[2, 11])));
@@ -633,11 +626,12 @@ mod tests {
         ];
         let (sharded, report) = keyed(&base, &ops);
         assert_eq!(report.summary.noops, 2);
-        let tuples = sharded.shard(0).relation().tuples();
+        let shard = sharded.shard(0);
+        let tuples = shard.relation().tuples();
         assert_eq!(tuples.len(), 1);
         assert_eq!(sets(&tuples[0]), vec![vec![4, 5]]);
         let (emptied, _) = keyed(
-            sharded.shard(0),
+            &sharded.shard(0),
             &[Op::Delete(row(&[4])), Op::Delete(row(&[5]))],
         );
         assert!(emptied.is_empty());
@@ -664,7 +658,11 @@ mod tests {
         assert!(sharded.is_empty());
         let (sharded, _) = keyed(&base, &[Op::Insert(unit())]);
         assert_eq!(sharded.flat_count(), 1);
-        assert_eq!(sharded.shard_segments(0).segment_count(), 0);
+        assert_eq!(
+            sharded.shard_segments(0).segment_count(),
+            1,
+            "the unit tuple's chunk, without columns"
+        );
     }
 
     #[test]

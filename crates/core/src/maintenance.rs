@@ -26,6 +26,13 @@
 //! outer key's *slice* — the few tuples whose last-nested set holds that
 //! key — and a point write is a keyed batch of one.
 //!
+//! [`CanonicalRelation`] is the §4 *reference*, not the engine's store:
+//! the per-key slice a keyed batch replays, the replay and re-nest
+//! oracles ([`crate::bulk::apply_batch`], [`crate::bulk::rebuild_batch`])
+//! and the paper experiments run on it. A shard keeps its tuples in the
+//! chunks of its segments ([`crate::segment`]) and hands out a
+//! `CanonicalRelation` only as a materialised copy for tests.
+//!
 //! ## Ordered maintenance
 //!
 //! The nest kernel emits `ν_P(R*)` sorted by each tuple's
@@ -355,7 +362,7 @@ impl CanonicalRelation {
     /// number of stored tuples whose key is below `t`'s. A tuple whose
     /// expansion is disjoint from every stored tuple's has a key none
     /// of them has.
-    pub(crate) fn position_of(&self, t: &NfTuple) -> usize {
+    fn position_of(&self, t: &NfTuple) -> usize {
         self.rel
             .tuples()
             .partition_point(|s| kernel_cmp(&self.order, s, t).is_lt())
@@ -363,55 +370,17 @@ impl CanonicalRelation {
 
     /// The canonical relation made of `tuples`, which the caller knows
     /// to be `ν_P` of their own expansion and hands over in kernel
-    /// order — a keyed batch's per-key slice of a canonical shard.
-    /// Debug builds check what can be checked without expanding: the
-    /// keys strictly ascend and the NFR invariants hold.
+    /// order — a shard's chunks back to back, or a keyed batch's per-key
+    /// slice of them. The shard's writes validated those tuples; debug
+    /// builds check the keys strictly ascend.
     pub(crate) fn from_canonical_tuples(
         schema: Arc<Schema>,
         order: NestOrder,
         tuples: Vec<NfTuple>,
     ) -> Self {
         let canon = Self {
-            rel: NfRelation::from_tuples_unchecked(schema, tuples),
+            rel: NfRelation::from_valid_tuples(schema, tuples),
             order,
-        };
-        canon.debug_assert_kernel_order();
-        canon
-    }
-
-    /// One ordered merge: the relation with the tuples at `removed`
-    /// (ascending positions) gone and each `fresh[i]` entered before
-    /// position `entered[i]` of the present vector (`entered` ascending,
-    /// as [`position_of`](Self::position_of) answers for `fresh` in
-    /// kernel order). Every kept tuple is carried over by reference
-    /// count. The caller guarantees the result is canonical; debug
-    /// builds check its order and validate it, as point ops do.
-    pub(crate) fn spliced(
-        &self,
-        removed: &[usize],
-        entered: &[usize],
-        fresh: Vec<NfTuple>,
-    ) -> Self {
-        let old = self.rel.tuples();
-        debug_assert_eq!(entered.len(), fresh.len());
-        let mut next = Vec::with_capacity(old.len() + fresh.len() - removed.len());
-        let mut removed = removed.iter().copied().peekable();
-        let mut at = 0usize;
-        let mut carry_to = |next: &mut Vec<NfTuple>, upto: usize| {
-            while at < upto {
-                let stop = removed.next_if(|&r| r < upto);
-                next.extend_from_slice(&old[at..stop.unwrap_or(upto)]);
-                at = stop.map_or(upto, |r| r + 1);
-            }
-        };
-        for (&before, t) in entered.iter().zip(fresh) {
-            carry_to(&mut next, before);
-            next.push(t);
-        }
-        carry_to(&mut next, old.len());
-        let canon = Self {
-            rel: NfRelation::from_tuples_unchecked(self.rel.schema().clone(), next),
-            order: self.order.clone(),
         };
         canon.debug_assert_kernel_order();
         canon

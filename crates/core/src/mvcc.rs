@@ -1,23 +1,26 @@
 //! Shard-snapshot MVCC: immutable shard versions behind an epoch cell.
 //!
 //! The concurrency model of the engine is *publish, don't mutate*: each
-//! shard's canonical form (tuple store + the value-major segments that
-//! locate its tuples) lives in an immutable [`ShardVersion`] published
-//! by `Arc`.
-//! A table's current state is one [`TableVersion`] — an epoch number
-//! plus one `Arc<ShardVersion>` per shard — held in a [`VersionCell`].
+//! shard's canonical form lives in an immutable [`ShardVersion`] — its
+//! list of `Arc`-held segments, each owning one chunk of the shard's
+//! tuples beside the value-major columns that locate them — published
+//! by `Arc`. A table's current state is one [`TableVersion`] — an epoch
+//! number plus one `Arc<ShardVersion>` per shard — held in a
+//! [`VersionCell`].
 //!
 //! * **Readers** call [`VersionCell::pin`] once at statement start; the
 //!   returned `Arc<TableVersion>` is a stable snapshot that stays alive
 //!   (and valid) for as long as the reader holds it, no matter how many
-//!   writes are installed after. Streaming a cursor takes no locks.
+//!   writes are installed after. Streaming a cursor takes no locks, and
+//!   a tuple it hands out pins only the segment it lives in.
 //! * **Writers** build replacement `ShardVersion`s off to the side —
 //!   every write is one `ShardVersion::apply_batch` (a point write is
 //!   a keyed batch of one), run through the shard's
-//!   [`crate::shard::ShardWriter`], whose result shares every tuple
-//!   and every segment the write does not touch with its predecessor —
-//!   tuples and segments are `Arc`-held, so carrying them over is
-//!   reference-count bumps, not a deep copy — and swap them in with
+//!   [`crate::shard::ShardWriter`], whose result shares every segment
+//!   the write does not touch, chunk and all, with its predecessor —
+//!   carrying one over is a reference-count bump, so building a version
+//!   and later dropping the one it replaced cost what the write touched,
+//!   not what the shard holds — and swap them in with
 //!   [`VersionCell::install`] — one write-lock acquisition and a single
 //!   epoch bump per statement, touching only the shards the statement
 //!   routed to. A write routed to shard 3 never invalidates, copies, or
@@ -42,69 +45,93 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::bulk::{keyed_batch, replay, KeyedBatch, Op};
 use crate::error::Result;
 use crate::kernel::NestKernel;
-use crate::maintenance::{CanonicalRelation, CostCounter};
+use crate::maintenance::{kernel_cmp, CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
+use crate::schema::{NestOrder, Schema};
 use crate::segment::{Conjunct, Located, ShardSegments, Tiling};
 use crate::shard::BatchReport;
-use crate::tuple::{NfTuple, TupleStore};
+use crate::tuple::NfTuple;
 use crate::value::Atom;
 
-/// One shard's immutable state: its canonical form plus the value-major
-/// segments built over the same tuple ordering.
+/// One shard's immutable state: its segments — the shard's tuples, cut
+/// into chunks in kernel order, each beside the value-major columns
+/// that locate its tuples — plus the schema and nest order they are
+/// canonical for. There is no shard-wide tuple vector: the chunks back
+/// to back are the shard.
 ///
 /// A `ShardVersion` is never mutated after publication — writers build
-/// its replacement beside it and publish that. Bundling the tuple store
-/// and its zone synopsis in one value means readers can never observe
-/// segments that describe a different tuple vector than the one they
-/// scan, and a write repairs the segments it touches before returning,
-/// so the two agree at every version.
+/// its replacement beside it and publish that. A chunk and its columns
+/// live in one segment, so readers can never observe columns that
+/// describe other tuples than the ones they scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardVersion {
-    pub(crate) canon: CanonicalRelation,
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) order: NestOrder,
     pub(crate) segments: ShardSegments,
 }
 
 impl ShardVersion {
-    /// Bundles a canonical form with its segment synopsis.
-    pub fn new(canon: CanonicalRelation, segments: ShardSegments) -> Self {
-        Self { canon, segments }
+    /// The version holding `canon`, its tuples moved into chunks of the
+    /// tiling's target size.
+    pub fn new(canon: CanonicalRelation, tiling: Tiling) -> Self {
+        let order = canon.order().clone();
+        let rel = canon.into_relation();
+        Self {
+            schema: rel.schema().clone(),
+            order,
+            segments: ShardSegments::tile(rel.into_tuples(), tiling),
+        }
     }
 
-    /// The canonical form stored in this version.
-    pub fn canon(&self) -> &CanonicalRelation {
-        &self.canon
+    /// The tuples stored in this version, in kernel order: the segments'
+    /// chunks back to back.
+    pub fn tuples(&self) -> impl Iterator<Item = &NfTuple> + '_ {
+        self.segments
+            .segments()
+            .iter()
+            .flat_map(|seg| seg.tuples().iter())
     }
 
-    /// The NF² relation stored in this version.
-    pub fn relation(&self) -> &NfRelation {
-        self.canon.relation()
-    }
-
-    /// The tuples stored in this version.
-    pub fn tuples(&self) -> &[NfTuple] {
-        self.canon.relation().tuples()
-    }
-
-    /// The value-major segments over [`tuples`](Self::tuples).
+    /// The segments holding this version's tuples.
     pub fn segments(&self) -> &ShardSegments {
         &self.segments
     }
 
     /// Number of NF² tuples in this version.
     pub fn tuple_count(&self) -> usize {
-        self.canon.tuple_count()
+        self.segments.covered_rows()
     }
 
-    /// Number of flat rows this version represents.
+    /// Number of flat rows this version represents: the sum of the
+    /// counts its segments cached when they were built.
     pub fn flat_count(&self) -> u128 {
-        self.canon.flat_count()
+        let segments = self.segments.segments();
+        segments.iter().map(|seg| seg.flat_count()).sum()
+    }
+
+    /// The tuples' handles, chunk by chunk, in one vector.
+    pub(crate) fn to_vec(&self) -> Vec<NfTuple> {
+        let mut tuples = Vec::with_capacity(self.tuple_count());
+        for seg in self.segments.segments() {
+            tuples.extend_from_slice(seg.tuples());
+        }
+        tuples
+    }
+
+    /// A materialised copy of this version as the §4 reference type —
+    /// for `ShardedCanonical::shard` and replay on a zero-arity shard.
+    pub(crate) fn canonical(&self) -> CanonicalRelation {
+        CanonicalRelation::from_canonical_tuples(
+            self.schema.clone(),
+            self.order.clone(),
+            self.to_vec(),
+        )
     }
 
     /// The tuples of this version intersecting every conjunct, by
-    /// position ([`ShardSegments::locate`] over the vector the segments
-    /// tile).
+    /// position ([`ShardSegments::locate`]).
     pub fn locate(&self, conjuncts: &[Conjunct<'_>]) -> Located {
-        self.segments.locate(self.tuples().len(), conjuncts)
+        self.segments.locate(conjuncts)
     }
 
     /// Whether the flat tuple is represented in this version — `searcht`
@@ -117,7 +144,7 @@ impl ShardVersion {
             .map(|(attr, v)| (attr, std::slice::from_ref(v)))
             .collect();
         let hit = self.locate(&conjuncts).rows.next().is_some();
-        debug_assert_eq!(hit, self.canon.contains(flat));
+        debug_assert_eq!(hit, self.tuples().any(|t| t.contains_flat(flat)));
         hit
     }
 
@@ -127,10 +154,13 @@ impl ShardVersion {
     /// read phase runs against this version as it stands, its postings
     /// clean, and decides which tuples leave and which enter; only a
     /// batch that changes something builds the replacement version: one
-    /// ordered merge of the tuple vector, reported to the segments in
-    /// one sweep so each touched segment is rebuilt once — patched from
-    /// its own postings wherever it has any. `None` means every op was a
-    /// no-op (or the ops cancelled out) and this version stands.
+    /// ordered merge, the entering tuples placed in one forward pass
+    /// (`ShardSegments::places`), applied to
+    /// the segments in one sweep so each touched segment gets one new
+    /// chunk and is rebuilt once — patched from its own postings
+    /// wherever it has any — and every other is shared. `None` means
+    /// every op was a no-op (or the ops cancelled out) and this version
+    /// stands.
     pub(crate) fn apply_batch(
         &self,
         kernel: &mut NestKernel,
@@ -141,24 +171,21 @@ impl ShardVersion {
         let Some(outer) = tiling.outer_attr else {
             // No routing attribute: the relation is `{}` or `{()}`, and
             // §4 replay on it is the whole job.
-            let mut canon = self.canon.clone();
+            let mut canon = self.canonical();
             let summary = replay(&mut canon, batch.iter().copied(), cost)?;
             let report = BatchReport {
                 summary,
                 ..BatchReport::default()
             };
-            let changed = canon.tuple_count() != self.canon.tuple_count();
-            return Ok((
-                report,
-                changed.then(|| ShardVersion::new(canon, ShardSegments::new())),
-            ));
+            let changed = canon.tuple_count() != self.tuple_count();
+            return Ok((report, changed.then(|| ShardVersion::new(canon, tiling))));
         };
         let KeyedBatch {
             summary,
             keys,
             removed,
             fresh,
-        } = keyed_batch(&self.canon, &self.segments, outer, kernel, batch, cost)?;
+        } = keyed_batch(self, outer, kernel, batch, cost)?;
         let mut report = BatchReport {
             summary,
             keys,
@@ -167,27 +194,45 @@ impl ShardVersion {
         if removed.is_empty() && fresh.is_empty() {
             return Ok((report, None));
         }
-        let entered: Vec<usize> = fresh.iter().map(|t| self.canon.position_of(t)).collect();
-        let mut segments = self.segments.clone();
-        let canon = self.canon.spliced(&removed, &entered, fresh);
-        report.segments_reencoded =
-            segments.splice(&removed, &entered, canon.relation().tuples(), tiling);
+        let entered = self
+            .segments
+            .places(&fresh, |s, t| kernel_cmp(&self.order, s, t).is_lt());
+        let segments = self
+            .segments
+            .splice(&removed, &entered, fresh, tiling, &mut report);
         report.tuples_regrouped = removed.len();
         report.shards_regrouped_whole =
             usize::from(!removed.is_empty() && removed.len() == self.tuple_count());
-        Ok((report, Some(ShardVersion::new(canon, segments))))
+        let next = ShardVersion {
+            schema: self.schema.clone(),
+            order: self.order.clone(),
+            segments,
+        };
+        next.debug_assert_canonical_order();
+        Ok((report, Some(next)))
     }
 
-    /// Re-emits uniformly tiled segments over the current tuple vector.
+    /// Debug builds: the chunks back to back strictly ascend in kernel
+    /// key and form a valid NFR — what a merge must leave behind.
+    fn debug_assert_canonical_order(&self) {
+        if cfg!(debug_assertions) {
+            let tuples = self.to_vec();
+            assert!(
+                tuples
+                    .windows(2)
+                    .all(|w| kernel_cmp(&self.order, &w[0], &w[1]).is_lt()),
+                "the merged tuples must strictly ascend in kernel key"
+            );
+            assert!(
+                NfRelation::from_tuples(self.schema.clone(), tuples).is_ok(),
+                "the merged tuples must form a valid NFR"
+            );
+        }
+    }
+
+    /// Re-emits uniformly tiled segments over the current tuples.
     pub(crate) fn retile(&mut self, tiling: Tiling) {
-        self.segments
-            .rebuild(self.canon.relation().tuples(), tiling);
-    }
-}
-
-impl TupleStore for ShardVersion {
-    fn tuples(&self) -> &[NfTuple] {
-        ShardVersion::tuples(self)
+        self.segments.rebuild(tiling);
     }
 }
 
@@ -234,7 +279,8 @@ impl TableVersion {
         self.shards.iter().map(|s| s.tuple_count()).sum()
     }
 
-    /// Total flat rows across all shards.
+    /// Total flat rows across all shards: a sum of the counts each
+    /// segment cached when it was built, so O(segments), not O(tuples).
     pub fn flat_count(&self) -> u128 {
         self.shards.iter().map(|s| s.flat_count()).sum()
     }
@@ -383,8 +429,9 @@ impl VersionCell {
 mod tests {
     use super::*;
     use crate::relation::FlatRelation;
-    use crate::schema::{NestOrder, Schema};
-    use crate::segment::DEFAULT_SEGMENT_ROWS;
+    use crate::segment::{Segment, DEFAULT_SEGMENT_ROWS};
+    use crate::shard::{ShardSpec, ShardedCanonical};
+    use crate::tuple::{TupleStore, TupleView};
 
     fn version_of(rows: &[[u32; 2]]) -> Arc<ShardVersion> {
         let schema = Schema::new("T", &["A", "B"]).unwrap();
@@ -392,12 +439,11 @@ mod tests {
             FlatRelation::from_rows(schema, rows.iter().map(|r| vec![Atom(r[0]), Atom(r[1])]))
                 .unwrap();
         let canon = CanonicalRelation::from_flat(&flat, NestOrder::identity(2)).unwrap();
-        let mut version = ShardVersion::new(canon, ShardSegments::new());
-        version.retile(Tiling {
+        let tiling = Tiling {
             outer_attr: Some(1),
             target_rows: DEFAULT_SEGMENT_ROWS,
-        });
-        Arc::new(version)
+        };
+        Arc::new(ShardVersion::new(canon, tiling))
     }
 
     #[test]
@@ -450,13 +496,54 @@ mod tests {
         assert_eq!(v.tuple_count(), 1, "both B values nest under A=1");
         assert_eq!(v.flat_count(), 2);
         assert!(v.contains(&[Atom(1), Atom(10)]));
-        let store: Arc<dyn TupleStore> = v.clone();
+        let stored = v.tuples().next().unwrap();
+        let store: Arc<dyn TupleStore> = v.segments().segments()[0].clone();
         assert_eq!(store.tuples().len(), 1);
-        let view = crate::tuple::TupleView::shared(store, 0);
+        let view = TupleView::shared(store, 0);
         assert!(view.is_zero_copy());
         assert!(!view.is_borrowed());
-        assert_eq!(view.as_tuple(), &v.tuples()[0]);
-        assert_eq!(view.clone().into_owned(), v.tuples()[0]);
+        assert_eq!(view.as_tuple(), stored);
+        assert_eq!(view.clone().into_owned(), *stored);
+    }
+
+    #[test]
+    fn a_point_write_shares_every_untouched_segment_and_old_views_outlive_it() {
+        // One tuple per row, `(i, 100 + i)` at position i, four per
+        // segment: ten segments, position 21 in the sixth.
+        let schema = Schema::new("T", &["A", "B"]).unwrap();
+        let rows = (0..40u32).map(|i| vec![Atom(i), Atom(100 + i)]);
+        let flat = FlatRelation::from_rows(schema, rows).unwrap();
+        let mut sharded =
+            ShardedCanonical::from_flat(&flat, NestOrder::identity(2), ShardSpec::single())
+                .unwrap();
+        sharded.set_segment_rows(4);
+        let cell = VersionCell::new(sharded.versions());
+        let pinned = cell.pin();
+        let old: Vec<Arc<Segment>> = pinned.shard(0).segments().segments().to_vec();
+        let store: Arc<dyn TupleStore> = old[5].clone();
+        let view = TupleView::shared(store, 1);
+        assert_eq!(view.to_flat(), Some(vec![Atom(21), Atom(121)]));
+
+        // (77, 121) composes with the tuple at 21: it leaves, and
+        // ({21, 77}, {121}) takes its place in the same segment.
+        assert!(sharded.insert(vec![Atom(77), Atom(121)]).unwrap());
+        cell.install(vec![(0, Arc::clone(sharded.version(0)))]);
+        let now = cell.pin();
+        let new = now.shard(0).segments().segments();
+        assert_eq!(new.len(), old.len());
+        for (i, (was, is)) in old.iter().zip(new).enumerate() {
+            assert_eq!(Arc::ptr_eq(was, is), i != 5, "segment {i}");
+            assert_eq!(was.tuples().as_ptr() == is.tuples().as_ptr(), i != 5);
+        }
+        assert_eq!(
+            new[5].tuples()[1].component(0).as_slice(),
+            [Atom(21), Atom(77)]
+        );
+
+        // The cell has moved on and the old snapshot is gone; the view
+        // pinned its segment, so it still reads the tuple it was given.
+        drop((pinned, old));
+        assert_eq!(view.to_flat(), Some(vec![Atom(21), Atom(121)]));
     }
 
     #[test]

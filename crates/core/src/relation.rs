@@ -152,6 +152,15 @@ impl NfRelation {
         Ok(rel)
     }
 
+    /// Wraps tuples that already form a checked NFR — a shard's chunks,
+    /// validated as the write that built them merged them (debug builds),
+    /// or a slice cut from those. Unlike
+    /// [`from_tuples_unchecked`](Self::from_tuples_unchecked) it does not
+    /// prove the partition invariant again.
+    pub(crate) fn from_valid_tuples(schema: Arc<Schema>, tuples: Vec<NfTuple>) -> Self {
+        Self { schema, tuples }
+    }
+
     /// Builds an NFR from tuples **without** validating. For internal use
     /// by operations that preserve the invariant by construction.
     pub(crate) fn from_tuples_unchecked(schema: Arc<Schema>, tuples: Vec<NfTuple>) -> Self {

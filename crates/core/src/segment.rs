@@ -1,4 +1,5 @@
-//! Sorted immutable value-major segments over a shard's canonical tuples.
+//! Sorted immutable value-major segments: the chunks a shard's canonical
+//! tuples live in.
 //!
 //! The nest kernel already pays one global sort per rebuild
 //! ([`NestKernel::canonical_of_flat`](crate::kernel::NestKernel)): with
@@ -7,14 +8,17 @@
 //! `(min P(n−1), min P(n−2), …, min P(0))` — stage-`j` grouping requires
 //! set-equality on every earlier position, so the row carrying the
 //! minimum outer value of a tuple spans the tuple's full inner sets.
-//! Segments make that order *be* the storage order: each shard of a
-//! [`ShardedCanonical`](crate::shard::ShardedCanonical) slices its
-//! tuple vector into immutable [`Segment`]s, and each segment stores its
-//! slice **transposed**: per attribute, the distinct dictionary codes
-//! ([`Atom`]s) that occur in the slice, ascending, and for each code the
-//! ascending list of segment-local rows whose set holds it. The tuples
-//! themselves stay in the shard's vector; the segment is what answers
-//! *which of them* without walking it:
+//! Segments make that order *be* the storage order: a shard of a
+//! [`ShardedCanonical`](crate::shard::ShardedCanonical) is a list of
+//! immutable [`Segment`]s, and each segment owns one **chunk** of
+//! consecutive tuples — the shard's tuples are its chunks back to back,
+//! in kernel order — beside that chunk stored **transposed**: per
+//! attribute, the distinct dictionary codes ([`Atom`]s) that occur in
+//! the chunk, ascending, and for each code the ascending list of
+//! segment-local rows whose set holds it. The chunk is what scans yield
+//! from (a [`TupleView::Shared`](crate::tuple::TupleView) pins the
+//! segment, not the shard); the columns answer *which of its tuples*
+//! without walking them:
 //!
 //! * **one question** — [`Segment::locate`]: the rows whose components
 //!   intersect every `(attr, values)` [`Conjunct`], by binary search on
@@ -24,30 +28,33 @@
 //! * **zone metadata for free** — an attribute's `[min, max]` zone is its
 //!   first and last code, and the number of runs of equal consecutive
 //!   outer sets (the distinct-count estimate a checkpoint persists) is
-//!   counted while encoding.
+//!   counted while encoding, as is the chunk's flat-row count `|R*|`.
 //!
 //! Segments are immutable and `Arc`-shared between consecutive shard
-//! versions. Every write to a shard is a keyed batch ([`crate::bulk`]),
-//! a point write being a batch of one: it searches before it edits and
-//! ends in one ordered merge of the tuple vector, which it reports to
-//! the segments in a single sweep (`ShardSegments::splice`). Each
-//! segment the merge touched is rebuilt once — *patched*, its postings
-//! renumbered in place and only the tuples that entered read, instead
-//! of transposed afresh; dropped if it emptied, split if it outgrew
-//! twice the tiling target — and every other segment is carried over by
-//! pointer. A shard's segments therefore describe its live tuple vector
-//! at every version: ordered scans and located reads never have to
-//! check for staleness. Segment boundaries drift from the uniform
-//! tiling as merges accumulate; a checkpoint re-tiles
-//! ([`ShardSegments::rebuild`]) so the persisted synopsis is the one a
-//! reopen re-derives.
+//! versions, chunk included. Every write to a shard is a keyed batch
+//! ([`crate::bulk`]), a point write being a batch of one: it searches
+//! before it edits and ends in one ordered merge, which it applies to
+//! the segments in a single sweep (`ShardSegments::splice`). Only a
+//! segment the merge touched is rebuilt — a new chunk, its kept tuples
+//! carried over by handle and the entering ones moved in, and columns
+//! *patched* from its predecessor's postings (renumbered in place, only
+//! the entering tuples read) instead of transposed afresh; dropped if it
+//! emptied, split if it outgrew twice the tiling target — and every
+//! other segment, tuples and all, is carried over by pointer. Building
+//! a shard version, and dropping its predecessor, therefore costs what
+//! the write touched, not what the shard holds. A shard's segments *are*
+//! its tuples, so ordered scans and located reads never have to check
+//! for staleness. Segment boundaries drift from the uniform tiling as
+//! merges accumulate; a checkpoint re-tiles (`ShardSegments::rebuild`)
+//! so the persisted synopsis is the one a reopen re-derives.
 
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::schema::AttrId;
-use crate::tuple::{NfTuple, ValueSet};
+use crate::shard::BatchReport;
+use crate::tuple::{NfTuple, TupleStore, ValueSet};
 use crate::value::Atom;
 
 /// Default number of canonical NF² tuples per segment. Small enough
@@ -60,9 +67,10 @@ pub const DEFAULT_SEGMENT_ROWS: usize = 512;
 /// slice is).
 pub type Conjunct<'a> = (AttrId, &'a [Atom]);
 
-/// Ascending positions in a shard's tuple vector, held as the disjoint
-/// ranges they form — one range for a whole span of the vector, one per
-/// run of neighbours otherwise — and handed out one position at a time.
+/// Ascending positions in a shard's tuple order (its chunks back to
+/// back), held as the disjoint ranges they form — one range for a whole
+/// span, one per run of neighbours otherwise — and handed out one
+/// position at a time.
 #[derive(Debug, Clone)]
 pub struct Rows {
     current: Range<usize>,
@@ -71,7 +79,7 @@ pub struct Rows {
 }
 
 impl Rows {
-    /// Every position of a vector of `len` tuples.
+    /// Every position of a shard of `len` tuples.
     pub fn all(len: usize) -> Self {
         Rows {
             current: 0..len,
@@ -332,75 +340,93 @@ impl ValueColumn {
     }
 }
 
-/// Runs of equal consecutive outer sets among `tuples` (non-empty).
-fn outer_runs(tuples: &[NfTuple], outer_attr: usize) -> usize {
-    1 + tuples
-        .windows(2)
-        .filter(|w| w[0].component(outer_attr) != w[1].component(outer_attr))
-        .count()
+/// Runs of equal consecutive outer sets among `tuples` (non-empty); a
+/// zero-arity chunk, which has no outer set, is one run.
+fn outer_runs(tuples: &[NfTuple], outer_attr: Option<usize>) -> usize {
+    outer_attr.map_or(1, |outer| {
+        1 + tuples
+            .windows(2)
+            .filter(|w| w[0].component(outer) != w[1].component(outer))
+            .count()
+    })
 }
 
-/// One sorted immutable segment: `rows` consecutive tuples of a shard's
-/// canonical tuple vector, stored value-major (one `ValueColumn` per
-/// attribute). A segment does not know where it starts — its position
-/// is the sum of the row counts before it ([`ShardSegments::ranges`]) —
-/// so an edit earlier in the shard shifts it without touching it.
+/// `|R*|` of `tuples`.
+fn flat_of<'a>(tuples: impl IntoIterator<Item = &'a NfTuple>) -> u128 {
+    tuples.into_iter().map(NfTuple::expansion_count).sum()
+}
+
+/// One sorted immutable segment: a chunk of consecutive tuples of a
+/// shard, in kernel order, beside the same tuples stored value-major
+/// (one `ValueColumn` per attribute). A segment does not know where it
+/// starts in its shard — its position is the sum of the row counts
+/// before it ([`ShardSegments::ranges`]) — so an edit earlier in the
+/// shard shifts it without touching it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
-    rows: usize,
-    outer_attr: usize,
+    /// The chunk: the tuples themselves.
+    tuples: Box<[NfTuple]>,
+    /// The routing attribute `P(n−1)`, `None` for a zero-arity schema
+    /// (whose one possible tuple has no column).
+    outer_attr: Option<usize>,
     /// Runs of equal consecutive outer (`P(n−1)`) sets.
     outer_runs: usize,
+    /// Flat rows the chunk represents.
+    flat: u128,
     /// One value-major column per attribute.
     columns: Vec<ValueColumn>,
 }
 
 impl Segment {
-    /// Encodes `tuples` (non-empty, all of the same arity ≥ 1) as one
-    /// segment. The caller guarantees the slice is in canonical sorted
-    /// order (a kernel rebuild, or ordered §4 maintenance of one);
-    /// encoding never reorders rows.
-    pub fn encode(tuples: &[NfTuple], outer_attr: usize) -> Self {
+    /// Encodes the chunk `tuples` (non-empty, all of one arity) as one
+    /// segment, taking ownership of it. The caller guarantees the chunk
+    /// is in canonical sorted order (a kernel rebuild, or ordered §4
+    /// maintenance of one); encoding never reorders rows.
+    pub fn encode(tuples: Box<[NfTuple]>, outer_attr: Option<usize>) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
         let arity = tuples[0].arity();
-        debug_assert!(outer_attr < arity, "outer attribute must be in-schema");
+        debug_assert!(
+            outer_attr.is_none_or(|outer| outer < arity),
+            "outer attribute must be in-schema"
+        );
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
         let columns = (0..arity)
-            .map(|a| ValueColumn::encode(tuples, a, &mut keys, &mut spare))
+            .map(|a| ValueColumn::encode(&tuples, a, &mut keys, &mut spare))
             .collect();
         let seg = Segment {
-            rows: tuples.len(),
             outer_attr,
-            outer_runs: outer_runs(tuples, outer_attr),
+            outer_runs: outer_runs(&tuples, outer_attr),
+            flat: flat_of(tuples.iter()),
             columns,
+            tuples,
         };
         debug_assert_eq!(
             seg.decode(),
-            tuples,
+            &*seg.tuples,
             "value-major round-trip must reproduce the encoded tuples"
         );
         seg
     }
 
-    /// The segment of `now` — this segment's tuples after one ordered
+    /// The segment of `now` — this segment's chunk after one ordered
     /// merge: the rows `gone` left and one tuple entered before each row
     /// of `come` (this segment's row numbers, `rows()` for an append;
-    /// both ascending) — derived from this one's postings instead of
-    /// transposed afresh: the rows that stay are renumbered in place
-    /// and only the tuples that entered are read. Equal to
+    /// both ascending) — with columns derived from this one's postings
+    /// instead of transposed afresh: the rows that stay are renumbered
+    /// in place and only the tuples that entered are read. Equal to
     /// [`encode`](Self::encode)`(now)`, which debug builds check.
-    fn patched(&self, gone: &[u32], come: &[u32], now: &[NfTuple]) -> Self {
-        let mut renumber = Vec::with_capacity(self.rows);
+    fn patched(&self, gone: &[u32], come: &[u32], now: Box<[NfTuple]>) -> Self {
+        let mut renumber = Vec::with_capacity(self.rows());
         let mut entered = Vec::with_capacity(come.len());
-        let (mut gone, mut come) = (gone.iter().peekable(), come.iter().peekable());
+        let (mut left, mut joining) = (gone.iter().peekable(), come.iter().peekable());
         let mut next = 0u32;
-        for row in 0..=self.rows as u32 {
-            while come.next_if(|&&before| before == row).is_some() {
+        for row in 0..=self.rows() as u32 {
+            while joining.next_if(|&&before| before == row).is_some() {
                 entered.push(next);
                 next += 1;
             }
-            if (row as usize) < self.rows {
-                if gone.next_if(|&&left| left == row).is_some() {
+            if (row as usize) < self.rows() {
+                if left.next_if(|&&out| out == row).is_some() {
                     renumber.push(GONE);
                 } else {
                     renumber.push(next);
@@ -425,28 +451,37 @@ impl Segment {
                 column.patched(&renumber, &keys)
             })
             .collect();
+        let flat = self.flat - flat_of(gone.iter().map(|&row| &self.tuples[row as usize]))
+            + flat_of(entered.iter().map(|&row| &now[row as usize]));
         let seg = Segment {
-            rows: now.len(),
             outer_attr: self.outer_attr,
-            outer_runs: outer_runs(now, self.outer_attr),
+            outer_runs: outer_runs(&now, self.outer_attr),
+            flat,
             columns,
+            tuples: now,
         };
         debug_assert_eq!(
             seg,
-            Segment::encode(now, self.outer_attr),
+            Segment::encode(seg.tuples.clone(), self.outer_attr),
             "patched postings must equal a fresh transposition"
         );
         seg
     }
 
-    /// Number of tuples covered.
+    /// Number of tuples in the chunk.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.tuples.len()
     }
 
-    /// The routing attribute (`P(n−1)`) the shard is ordered by.
-    pub fn outer_attr(&self) -> usize {
-        self.outer_attr
+    /// The chunk: this segment's tuples, in kernel order.
+    pub fn tuples(&self) -> &[NfTuple] {
+        &self.tuples
+    }
+
+    /// Number of flat rows (`|R*|`) the chunk represents, counted when
+    /// the segment was built.
+    pub fn flat_count(&self) -> u128 {
+        self.flat
     }
 
     /// Zone-map minimum code for `attr`: its column's first code.
@@ -485,7 +520,7 @@ impl Segment {
         out: &mut Vec<Range<usize>>,
     ) -> bool {
         if conjuncts.is_empty() {
-            push_span(out, base..base + self.rows);
+            push_span(out, base..base + self.rows());
             return true;
         }
         let occurs =
@@ -510,11 +545,10 @@ impl Segment {
         any
     }
 
-    /// Reconstructs the covered tuples from the columns. Test and
-    /// verification helper: the result must equal the tuple-store slice
-    /// the segment was encoded from.
+    /// Reconstructs the chunk from the columns alone. Test and
+    /// verification helper: the result must equal [`tuples`](Self::tuples).
     pub fn decode(&self) -> Vec<NfTuple> {
-        let mut sets: Vec<Vec<Vec<Atom>>> = vec![vec![Vec::new(); self.columns.len()]; self.rows];
+        let mut sets: Vec<Vec<Vec<Atom>>> = vec![vec![Vec::new(); self.columns.len()]; self.rows()];
         for (attr, column) in self.columns.iter().enumerate() {
             for (i, &code) in column.codes.iter().enumerate() {
                 for &row in column.rows_at(i) {
@@ -528,26 +562,39 @@ impl Segment {
     }
 }
 
-/// How a shard's tuple vector is cut into segments: the outer attribute
+/// A segment is a pinned store of its own: a scan's
+/// [`TupleView::Shared`](crate::tuple::TupleView) holds the segment its
+/// tuple lives in, so it keeps that chunk alive and nothing else.
+impl TupleStore for Segment {
+    fn tuples(&self) -> &[NfTuple] {
+        Segment::tuples(self)
+    }
+}
+
+/// How a shard's tuples are cut into segments: the outer attribute
 /// (whose runs a segment counts) and the target tuples per segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// The routing attribute `P(n−1)`; `None` only for a zero-arity
-    /// schema, whose (degenerate) tuples stay unsegmented.
+    /// schema, whose at most one (empty) tuple sits in a column-less
+    /// segment.
     pub outer_attr: Option<usize>,
     /// Target tuples per segment (≥ 1).
     pub target_rows: usize,
 }
 
-/// `tuples` encoded `rows` at a time (the remainder in the last piece).
+/// `tuples` cut into chunks of `rows` (the remainder in the last) and
+/// encoded — moved, not cloned.
 fn tiles(
-    tuples: &[NfTuple],
+    tuples: Vec<NfTuple>,
     rows: usize,
-    outer_attr: usize,
-) -> impl Iterator<Item = Arc<Segment>> + '_ {
-    tuples
-        .chunks(rows)
-        .map(move |chunk| Arc::new(Segment::encode(chunk, outer_attr)))
+    outer_attr: Option<usize>,
+) -> impl Iterator<Item = Arc<Segment>> {
+    let mut rest = tuples.into_iter();
+    std::iter::from_fn(move || {
+        let chunk: Box<[NfTuple]> = rest.by_ref().take(rows).collect();
+        (!chunk.is_empty()).then(|| Arc::new(Segment::encode(chunk, outer_attr)))
+    })
 }
 
 /// What [`ShardSegments::locate`] found.
@@ -560,11 +607,13 @@ pub struct Located {
     pub skipped: usize,
 }
 
-/// The segments of one shard, in tuple order: together they tile the
-/// shard's tuple vector exactly, at every version.
+/// The segments of one shard, in tuple order: their chunks back to back
+/// are the shard's tuples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSegments {
     segments: Vec<Arc<Segment>>,
+    /// Cumulative row counts: segment `i` ends at position `ends[i]`.
+    ends: Vec<usize>,
 }
 
 impl ShardSegments {
@@ -573,20 +622,40 @@ impl ShardSegments {
         Self::default()
     }
 
-    /// Re-emits uniformly tiled segments from the shard's tuple vector:
-    /// `target_rows` tuples each, the remainder in the last.
-    pub fn rebuild(&mut self, tuples: &[NfTuple], tiling: Tiling) {
-        self.segments.clear();
-        let Some(outer) = tiling.outer_attr else {
-            return;
-        };
-        self.segments
-            .extend(tiles(tuples, tiling.target_rows.max(1), outer));
+    /// `tuples` (in kernel order) cut into uniformly tiled segments:
+    /// `target_rows` tuples each, the remainder in the last. The tuples
+    /// are moved into the chunks.
+    pub(crate) fn tile(tuples: Vec<NfTuple>, tiling: Tiling) -> Self {
+        let mut tiled = Self::new();
+        for seg in tiles(tuples, tiling.target_rows.max(1), tiling.outer_attr) {
+            tiled.push(seg);
+        }
+        tiled
     }
 
-    /// Whether the segments are exactly what [`rebuild`](Self::rebuild)
-    /// would emit for this tiling target: every segment full but the
-    /// last. Patched shards drift from it; a checkpoint restores it.
+    /// Re-tiles these segments' tuples uniformly
+    /// ([`tile`](Self::tile)), moving the tuples of every segment nothing
+    /// else holds and cloning the handles of the rest.
+    pub(crate) fn rebuild(&mut self, tiling: Tiling) {
+        let mut tuples = Vec::with_capacity(self.covered_rows());
+        for seg in std::mem::take(&mut self.segments) {
+            match Arc::try_unwrap(seg) {
+                Ok(owned) => tuples.extend(owned.tuples.into_vec()),
+                Err(shared) => tuples.extend_from_slice(shared.tuples()),
+            }
+        }
+        *self = Self::tile(tuples, tiling);
+    }
+
+    /// Appends `seg` after the last segment.
+    fn push(&mut self, seg: Arc<Segment>) {
+        self.ends.push(self.covered_rows() + seg.rows());
+        self.segments.push(seg);
+    }
+
+    /// Whether the segments are exactly what a uniform tiling at this
+    /// target would emit: every segment full but the last. Patched
+    /// shards drift from it; a checkpoint restores it.
     pub fn is_uniform(&self, target_rows: usize) -> bool {
         let target = target_rows.max(1);
         match self.segments.split_last() {
@@ -602,13 +671,11 @@ impl ShardSegments {
         &self.segments
     }
 
-    /// Every segment with the tuple-vector range it covers.
+    /// Every segment with the range of positions its chunk holds.
     pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, &Segment)> {
-        self.segments.iter().scan(0usize, |start, seg| {
-            let range = *start..*start + seg.rows();
-            *start = range.end;
-            Some((range, &**seg))
-        })
+        let ends = self.ends.iter();
+        ends.zip(&self.segments)
+            .map(|(&end, seg)| (end - seg.rows()..end, &**seg))
     }
 
     /// Number of segments.
@@ -616,20 +683,68 @@ impl ShardSegments {
         self.segments.len()
     }
 
-    /// Total tuples the segments cover.
+    /// Total tuples in the chunks.
     pub fn covered_rows(&self) -> usize {
-        self.segments.iter().map(|seg| seg.rows()).sum()
+        self.ends.last().copied().unwrap_or(0)
     }
 
-    /// The positions, among the `len` tuples these segments tile, of
-    /// every tuple intersecting every conjunct ([`Segment::locate`] per
-    /// segment, offset by where it starts), with the number of segments
-    /// that held none. No conjunct locates the whole vector — segmented
-    /// or not (a zero-arity shard has one tuple and no segment).
-    pub fn locate(&self, len: usize, conjuncts: &[Conjunct<'_>]) -> Located {
+    /// The tuples at the ascending positions `rows`, each with its
+    /// position: a cursor walks the chunks forward, so a tuple costs no
+    /// search, only the segments passed on the way to it.
+    pub(crate) fn tuples_at<'a>(
+        &'a self,
+        rows: impl IntoIterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = (usize, &'a NfTuple)> + 'a {
+        let mut segments = self.segments.iter();
+        let (mut chunk, mut start): (&[NfTuple], usize) = (&[], 0);
+        rows.into_iter().map(move |at| {
+            while at - start >= chunk.len() {
+                start += chunk.len();
+                chunk = segments
+                    .next()
+                    .expect("ascending positions lie in the chunks")
+                    .tuples();
+            }
+            (at, &chunk[at - start])
+        })
+    }
+
+    /// Where each of `fresh` enters the chunks back to back: the number
+    /// of stored tuples that sort before it, `before(s, t)` saying
+    /// whether `s` does. `fresh` ascends in that order, so the places do
+    /// too and one cursor serves them all: a binary search over the
+    /// first tuples of the segments not yet passed, then one in a chunk
+    /// from where the last place fell.
+    pub(crate) fn places(
+        &self,
+        fresh: &[NfTuple],
+        before: impl Fn(&NfTuple, &NfTuple) -> bool,
+    ) -> Vec<usize> {
+        let (mut seg, mut from) = (0usize, 0usize);
+        fresh
+            .iter()
+            .map(|t| {
+                let later = self.segments.get(seg + 1..).unwrap_or_default();
+                let passed = later.partition_point(|s| before(&s.tuples[0], t));
+                if passed > 0 {
+                    (seg, from) = (seg + passed, 0);
+                }
+                let chunk = self.segments.get(seg).map_or(&[][..], |s| &s.tuples[..]);
+                from += chunk[from..].partition_point(|s| before(s, t));
+                let start = seg.checked_sub(1).map_or(0, |prior| self.ends[prior]);
+                start + from
+            })
+            .collect()
+    }
+
+    /// The positions of every tuple intersecting every conjunct
+    /// ([`Segment::locate`] per segment, offset by where it starts), with
+    /// the number of segments that held none. No conjunct locates every
+    /// tuple.
+    pub fn locate(&self, conjuncts: &[Conjunct<'_>]) -> Located {
         if conjuncts.is_empty() {
             return Located {
-                rows: Rows::all(len),
+                rows: Rows::all(self.covered_rows()),
                 skipped: 0,
             };
         }
@@ -644,31 +759,34 @@ impl ShardSegments {
         }
     }
 
-    /// Brings the segments up to `tuples`: the vector they tile after
-    /// one ordered merge, in which the tuples at `removed` left and one
-    /// tuple entered before each position of `entered` (the old length
-    /// for an append) — both ascending, in positions of the vector
-    /// *before* the merge. A tuple entering on a boundary joins the
-    /// segment that starts there; past the end, the last one. A segment
-    /// the merge did not touch is shared, one it emptied is dropped, one
-    /// past twice the tiling target is split into freshly encoded
-    /// pieces, and any other is patched from its own postings; an empty
-    /// shard's first tuples are encoded afresh. Returns the number of
-    /// segments built.
+    /// These segments after one ordered merge, in which the tuples at
+    /// `removed` left and `fresh[i]` entered before position
+    /// `entered[i]` (the old length for an append) — `removed` and
+    /// `entered` ascending, in positions *before* the merge. A tuple
+    /// entering on a boundary joins the segment that starts there; past
+    /// the end, the last one. A segment the merge did not touch is
+    /// shared, chunk and all. Every other gets a new chunk — its kept
+    /// tuples' handles cloned, the fresh ones moved in — and is dropped
+    /// if that emptied it, split into freshly encoded pieces if it grew
+    /// past twice the tiling target, and patched from its own postings
+    /// otherwise; an empty shard's first tuples are encoded afresh.
+    /// Adds the segments built and the tuple handles written into new
+    /// chunks to `report`.
     pub(crate) fn splice(
-        &mut self,
+        &self,
         removed: &[usize],
         entered: &[usize],
-        tuples: &[NfTuple],
+        fresh: Vec<NfTuple>,
         tiling: Tiling,
-    ) -> usize {
-        let Some(outer) = tiling.outer_attr else {
-            return 0;
-        };
+        report: &mut BatchReport,
+    ) -> Self {
+        debug_assert_eq!(entered.len(), fresh.len(), "one position per fresh tuple");
         let target = tiling.target_rows.max(1);
-        let old = std::mem::take(&mut self.segments);
+        let old = &self.segments;
         let (mut removed, mut entered) = (removed.iter().peekable(), entered.iter().peekable());
-        let (mut start, mut now, mut built) = (0usize, 0usize, 0usize);
+        let mut fresh = fresh.into_iter();
+        let mut next = Self::new();
+        let mut start = 0usize;
         // An empty shard takes its first tuples as one segment-less slot.
         for at in 0..old.len().max(1) {
             let was = old.get(at);
@@ -686,20 +804,35 @@ impl ShardSegments {
             let come: Vec<u32> = std::iter::from_fn(|| entered.next_if(|&&p| p < end))
                 .map(local)
                 .collect();
+            start += held;
+            if let Some(seg) = was.filter(|_| gone.is_empty() && come.is_empty()) {
+                next.push(Arc::clone(seg));
+                continue;
+            }
             debug_assert!(gone.len() <= held, "removed tuples lie in a segment");
             let rows = held + come.len() - gone.len();
-            let slice = &tuples[now..now + rows];
-            start += held;
-            now += rows;
-            let shared = self.segments.len();
-            match was {
-                Some(seg) if gone.is_empty() && come.is_empty() => {
-                    self.segments.push(Arc::clone(seg));
-                    continue;
+            let kept = was.map_or(&[][..], |seg| seg.tuples());
+            let mut chunk = Vec::with_capacity(rows);
+            let (mut out, mut from) = (gone.iter().peekable(), 0usize);
+            // Carries the kept rows below `upto` over, skipping those gone.
+            let mut carry_to = |chunk: &mut Vec<NfTuple>, upto: usize| {
+                while from < upto {
+                    let stop = out.next_if(|&&row| (row as usize) < upto);
+                    chunk.extend_from_slice(&kept[from..stop.map_or(upto, |&row| row as usize)]);
+                    from = stop.map_or(upto, |&row| row as usize + 1);
                 }
+            };
+            for &before in &come {
+                carry_to(&mut chunk, before as usize);
+                chunk.push(fresh.next().expect("one fresh tuple per entered position"));
+            }
+            carry_to(&mut chunk, held);
+            debug_assert_eq!(chunk.len(), rows, "the merge accounts for every row");
+            report.tuples_copied += rows;
+            let shared = next.segment_count();
+            match was {
                 Some(seg) if (1..=2 * target).contains(&rows) => {
-                    self.segments
-                        .push(Arc::new(seg.patched(&gone, &come, slice)));
+                    next.push(Arc::new(seg.patched(&gone, &come, chunk.into())));
                 }
                 _ => {
                     let piece = if rows > 2 * target {
@@ -707,13 +840,15 @@ impl ShardSegments {
                     } else {
                         rows.max(1)
                     };
-                    self.segments.extend(tiles(slice, piece, outer));
+                    for seg in tiles(chunk, piece, tiling.outer_attr) {
+                        next.push(seg);
+                    }
                 }
             }
-            built += self.segments.len() - shared;
+            report.segments_reencoded += next.segment_count() - shared;
         }
-        debug_assert_eq!(now, tuples.len(), "the merge accounts for every tuple");
-        built
+        debug_assert!(fresh.next().is_none(), "every fresh tuple entered");
+        next
     }
 }
 
@@ -739,18 +874,24 @@ mod tests {
         ]
     }
 
+    fn encode(tuples: &[NfTuple]) -> Segment {
+        Segment::encode(tuples.into(), Some(1))
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let tuples = sample();
-        let seg = Segment::encode(&tuples, 1);
+        let seg = encode(&tuples);
         assert_eq!(seg.rows(), 5);
         assert_eq!(seg.decode(), tuples);
+        assert_eq!(seg.tuples(), tuples);
+        assert_eq!(seg.flat_count(), 2 + 1 + 2 + 4 + 1);
     }
 
     #[test]
     fn rle_collapses_consecutive_outer_sets() {
         let tuples = sample();
-        let seg = Segment::encode(&tuples, 1);
+        let seg = encode(&tuples);
         // Outer sets: {10},{10},{11,12},{11,12},{20} → 3 runs, counted
         // while encoding; the column itself is value-major, one row list
         // per code.
@@ -763,7 +904,7 @@ mod tests {
             tuple(&[&[3, 70_000], &[2]]),
             tuple(&[&[3, 900_000], &[3]]),
         ];
-        let seg = Segment::encode(&sparse, 1);
+        let seg = encode(&sparse);
         assert_eq!(seg.decode(), sparse);
         assert_eq!(located(&seg, &[(0, &[900_000])]), vec![100, 102]);
         assert_eq!(located(&seg, &[(0, &[3])]), vec![101, 102]);
@@ -781,7 +922,7 @@ mod tests {
 
     #[test]
     fn locate_answers_which_rows_exactly() {
-        let seg = Segment::encode(&sample(), 1);
+        let seg = encode(&sample());
         // One value, an IN-list (merged lists, duplicates collapsed), a
         // multi-attribute conjunction, and the offset by `base`.
         assert_eq!(located(&seg, &[(1, &[10])]), vec![100, 101]);
@@ -798,7 +939,7 @@ mod tests {
 
     #[test]
     fn zone_maps_bound_all_set_members() {
-        let seg = Segment::encode(&sample(), 1);
+        let seg = encode(&sample());
         assert_eq!(seg.min(0), Atom(1));
         assert_eq!(seg.max(0), Atom(9));
         assert_eq!(seg.min(1), Atom(10));
@@ -816,32 +957,78 @@ mod tests {
         ss.ranges().map(|(range, _)| range.start).collect()
     }
 
+    /// The chunks back to back.
+    fn chunks(ss: &ShardSegments) -> Vec<NfTuple> {
+        ss.segments()
+            .iter()
+            .flat_map(|seg| seg.tuples().iter().cloned())
+            .collect()
+    }
+
     #[test]
     fn shard_segments_tile_and_absorb() {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[100 + i / 3]])).collect();
         let mut ss = ShardSegments::new();
         assert_eq!(ss.segment_count(), 0);
         assert!(ss.is_uniform(4), "no segments tile no tuples");
-        ss.rebuild(&tuples, tiling(4));
+        ss = ShardSegments::tile(tuples.clone(), tiling(4));
         assert_eq!(ss.segment_count(), 3, "10 rows at target 4 → 4+4+2");
         assert_eq!(ss.covered_rows(), 10);
         assert_eq!(starts(&ss), vec![0, 4, 8]);
+        assert_eq!(chunks(&ss), tuples);
         assert!(ss.is_uniform(4));
         assert!(!ss.is_uniform(5));
-        ss.rebuild(&tuples, tiling(DEFAULT_SEGMENT_ROWS));
+        let picked: Vec<(usize, &NfTuple)> = ss.tuples_at([0, 3, 4, 9]).collect();
+        let expected: Vec<(usize, &NfTuple)> = [0, 3, 4, 9].map(|at| (at, &tuples[at])).into();
+        assert_eq!(picked, expected, "across segment boundaries");
+        ss.rebuild(tiling(DEFAULT_SEGMENT_ROWS));
         assert_eq!(ss.segment_count(), 1);
+        assert_eq!(chunks(&ss), tuples);
+    }
+
+    #[test]
+    fn rebuild_moves_unshared_chunks_and_clones_shared_ones() {
+        let tuples: Vec<NfTuple> = (0..8u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
+        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
+        let pinned = Arc::clone(&ss.segments()[1]);
+        ss.rebuild(tiling(3));
+        assert_eq!(starts(&ss), vec![0, 3, 6]);
+        assert_eq!(chunks(&ss), tuples);
+        // The pinned chunk still holds its own tuples, shared by handle.
+        assert_eq!(pinned.tuples(), &tuples[4..]);
+        assert!(pinned.tuples()[0].shares_storage_with(&chunks(&ss)[4]));
+    }
+
+    #[test]
+    fn places_are_what_a_search_of_the_whole_vector_gives() {
+        let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[10 * i]])).collect();
+        let ss = ShardSegments::tile(tuples.clone(), tiling(3));
+        let key = |t: &NfTuple| t.component(1).as_slice()[0];
+        let before = |s: &NfTuple, t: &NfTuple| key(s) < key(t);
+        // Before the first, on and between boundaries, twice in one
+        // place, past the last.
+        let fresh: Vec<NfTuple> = [0, 25, 30, 31, 31, 59, 60, 95, 200]
+            .iter()
+            .map(|&k| tuple(&[&[1], &[k]]))
+            .collect();
+        let expected: Vec<usize> = fresh
+            .iter()
+            .map(|t| tuples.partition_point(|s| before(s, t)))
+            .collect();
+        assert_eq!(ss.places(&fresh, before), expected);
+        assert_eq!(ShardSegments::new().places(&fresh[..1], before), vec![0]);
     }
 
     #[test]
     fn patch_reencodes_only_the_touched_segments() {
         let mut tuples: Vec<NfTuple> = (0..12u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&tuples, tiling(4));
+        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
         let before: Vec<Arc<Segment>> = ss.segments().to_vec();
 
         // One insert inside the middle segment.
         let entering = vec![(5, tuple(&[&[50], &[104]]))];
-        assert_eq!(sweep(&mut ss, &mut tuples, &[], entering, 4), 1);
+        let report = sweep(&mut ss, &mut tuples, &[], entering, 4);
+        assert_eq!((report.segments_reencoded, report.tuples_copied), (1, 5));
         assert_eq!(starts(&ss), vec![0, 4, 9]);
         assert!(
             Arc::ptr_eq(&ss.segments()[0], &before[0]),
@@ -862,8 +1049,7 @@ mod tests {
     #[test]
     fn patch_drops_emptied_and_splits_overgrown_segments() {
         let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&tuples, tiling(2));
+        let mut ss = ShardSegments::tile(tuples.clone(), tiling(2));
         assert_eq!(ss.segment_count(), 3);
 
         // Empty the first segment: it disappears.
@@ -882,21 +1068,23 @@ mod tests {
     fn first_tuple_of_an_empty_shard_opens_a_segment() {
         let mut ss = ShardSegments::new();
         let entering = vec![(0, tuple(&[&[1], &[10]]))];
-        assert_eq!(sweep(&mut ss, &mut Vec::new(), &[], entering, 4), 1);
+        let report = sweep(&mut ss, &mut Vec::new(), &[], entering, 4);
+        assert_eq!(report.segments_reencoded, 1);
         assert_eq!(ss.segment_count(), 1);
     }
 
-    /// Applies one ordered merge to `tuples` and reports it to `ss` in
-    /// one sweep; checks the result tiles the new vector with exactly
-    /// the segments a fresh encoding of each range gives.
+    /// Applies one ordered merge to `tuples` and to `ss` in one sweep;
+    /// checks the result's chunks are the new vector, each segment
+    /// exactly what a fresh encoding of its chunk gives.
     fn sweep(
         ss: &mut ShardSegments,
         tuples: &mut Vec<NfTuple>,
         removed: &[usize],
         entering: Vec<(usize, NfTuple)>,
         target_rows: usize,
-    ) -> usize {
+    ) -> BatchReport {
         let entered: Vec<usize> = entering.iter().map(|(before, _)| *before).collect();
+        let fresh: Vec<NfTuple> = entering.iter().map(|(_, t)| t.clone()).collect();
         let mut next = Vec::new();
         let mut entering = entering.into_iter().peekable();
         for (at, t) in tuples.iter().enumerate() {
@@ -909,12 +1097,14 @@ mod tests {
         }
         next.extend(entering.map(|(_, new)| new));
         *tuples = next;
-        let built = ss.splice(removed, &entered, tuples, tiling(target_rows));
+        let mut report = BatchReport::default();
+        *ss = ss.splice(removed, &entered, fresh, tiling(target_rows), &mut report);
         assert_eq!(ss.covered_rows(), tuples.len());
+        assert_eq!(chunks(ss), *tuples);
         for (range, seg) in ss.ranges() {
-            assert_eq!(*seg, Segment::encode(&tuples[range], 1));
+            assert_eq!(*seg, encode(&tuples[range]));
         }
-        built
+        report
     }
 
     #[test]
@@ -922,14 +1112,13 @@ mod tests {
         let mut tuples: Vec<NfTuple> = (0..12u32)
             .map(|i| tuple(&[&[i, 40 + i % 3], &[100 + 2 * i]]))
             .collect();
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&tuples, tiling(4));
+        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
         let before: Vec<Arc<Segment>> = ss.segments().to_vec();
         // The first segment loses a row and gains two (one on its lower
         // edge, one holding a code nothing in it held); the second is
         // left alone; the third loses its first row — taking code 108's
         // last posting with it — and gains an append.
-        let built = sweep(
+        let report = sweep(
             &mut ss,
             &mut tuples,
             &[2, 8],
@@ -940,7 +1129,8 @@ mod tests {
             ],
             4,
         );
-        assert_eq!(built, 2);
+        assert_eq!(report.segments_reencoded, 2);
+        assert_eq!(report.tuples_copied, 5 + 4, "the two new chunks, in full");
         assert_eq!(starts(&ss), vec![0, 5, 9]);
         assert!(
             Arc::ptr_eq(&ss.segments()[1], &before[1]),
@@ -950,13 +1140,15 @@ mod tests {
         assert_eq!(ss.segments()[2].min(1), Atom(118));
         assert_eq!(ss.segments()[2].max(0), Atom(500));
         assert_eq!(ss.segments()[0].distinct_outer(), 5);
+        let flat: u128 = tuples.iter().map(NfTuple::expansion_count).sum();
+        let cached: u128 = ss.segments().iter().map(|seg| seg.flat_count()).sum();
+        assert_eq!(cached, flat, "patched flat counts follow the edit");
     }
 
     #[test]
     fn a_sweep_drops_emptied_splits_outgrown_and_opens_first_segments() {
         let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + 10 * i]])).collect();
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&tuples, tiling(2));
+        let mut ss = ShardSegments::tile(tuples.clone(), tiling(2));
         // The first segment empties; five tuples crowd into the second
         // (past twice the target: split, encoded afresh); on the
         // boundary a tuple joins the segment that starts there.
@@ -966,23 +1158,30 @@ mod tests {
         assert_eq!(starts(&ss), vec![0, 2, 4, 6, 7]);
         // Everything leaves, then tuples enter the empty shard.
         let all: Vec<usize> = (0..tuples.len()).collect();
-        assert_eq!(sweep(&mut ss, &mut tuples, &all, Vec::new(), 2), 0);
+        let report = sweep(&mut ss, &mut tuples, &all, Vec::new(), 2);
+        assert_eq!((report.segments_reencoded, report.tuples_copied), (0, 0));
         assert_eq!(ss.segment_count(), 0);
         let entering = (0..3u32).map(|i| (0, tuple(&[&[i], &[7 + i]]))).collect();
-        assert_eq!(sweep(&mut ss, &mut tuples, &[], entering, 2), 1);
+        assert_eq!(
+            sweep(&mut ss, &mut tuples, &[], entering, 2).segments_reencoded,
+            1
+        );
         assert_eq!(ss.covered_rows(), 3, "3 ≤ twice the target: one segment");
     }
 
     #[test]
-    fn zero_arity_shards_stay_unsegmented() {
+    fn zero_arity_shards_hold_one_columnless_segment() {
         let none = Tiling {
             outer_attr: None,
             target_rows: DEFAULT_SEGMENT_ROWS,
         };
-        let mut ss = ShardSegments::new();
-        ss.rebuild(&[NfTuple::new(vec![])], none);
-        assert_eq!(ss.segment_count(), 0);
-        assert_eq!(ss.splice(&[], &[0], &[NfTuple::new(vec![])], none), 0);
-        assert_eq!(ss.segment_count(), 0);
+        let unit = NfTuple::new(vec![]);
+        assert_eq!(ShardSegments::tile(Vec::new(), none).segment_count(), 0);
+        let ss = ShardSegments::tile(vec![unit.clone()], none);
+        assert_eq!(ss.segment_count(), 1);
+        let seg = &ss.segments()[0];
+        assert_eq!((seg.tuples(), seg.flat_count()), (&[unit][..], 1));
+        assert_eq!(seg.distinct_outer(), 1);
+        assert_eq!(ss.locate(&[]).rows.len(), 1);
     }
 }

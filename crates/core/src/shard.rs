@@ -48,7 +48,7 @@ use crate::mvcc::ShardVersion;
 use crate::relation::{FlatRelation, NfRelation};
 use crate::schema::{AttrId, NestOrder, Schema};
 use crate::segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
-use crate::tuple::{FlatTuple, NfTuple};
+use crate::tuple::FlatTuple;
 use crate::value::Atom;
 
 /// How the outermost-attribute value space is split into shards.
@@ -287,6 +287,10 @@ pub struct BatchReport {
     /// predecessor's postings or, where it has none (a first segment, a
     /// split), encoded afresh.
     pub segments_reencoded: usize,
+    /// Tuple handles written into the new chunks of those segments: the
+    /// kept tuples' handles cloned and the entering tuples moved in.
+    /// Untouched segments share their chunks and add nothing.
+    pub tuples_copied: usize,
     /// Shards in which every tuple held went through the regroup — the
     /// batch amounted to a re-nest of the shard.
     pub shards_regrouped_whole: usize,
@@ -298,6 +302,7 @@ impl std::ops::AddAssign for BatchReport {
         self.keys += other.keys;
         self.tuples_regrouped += other.tuples_regrouped;
         self.segments_reencoded += other.segments_reencoded;
+        self.tuples_copied += other.tuples_copied;
         self.shards_regrouped_whole += other.shards_regrouped_whole;
     }
 }
@@ -310,11 +315,11 @@ impl std::ops::AddAssign for BatchReport {
 /// Every write is one [`apply_batch`](Self::apply_batch) — a point
 /// write is a keyed batch of one — which builds the replacement version
 /// beside the current one, so pinned readers keep streaming the old
-/// state. The new version shares every tuple and segment the write does
-/// not touch (both are `Arc`-held), and leaves the shard's tuple vector
-/// in the kernel's order and its segments an exact tiling of it (see
-/// [`crate::bulk`] and [`crate::segment`]). Re-tiles and cold builds
-/// edit the version copy-on-write ([`Arc::make_mut`]).
+/// state. The new version shares every segment the write does not
+/// touch, chunk and all (segments are `Arc`-held), and leaves the
+/// shard's chunks back to back in the kernel's order (see
+/// [`crate::bulk`] and [`crate::segment`]). Re-tiles edit the version
+/// copy-on-write ([`Arc::make_mut`]); a cold build replaces it.
 ///
 /// A [`ShardedCanonical`] owns one writer per shard; a table that wants
 /// per-shard write concurrency takes them over with
@@ -376,15 +381,14 @@ impl ShardWriter {
     }
 
     /// Replaces the shard's contents with a freshly nested canonical
-    /// form, uniformly tiled (the cold-build path).
+    /// form, its tuples moved into uniformly tiled chunks (the
+    /// cold-build path).
     fn install(&mut self, canon: CanonicalRelation) {
-        let version = Arc::make_mut(&mut self.version);
-        version.canon = canon;
-        version.retile(self.tiling);
+        self.version = Arc::new(ShardVersion::new(canon, self.tiling));
     }
 
     fn check_arity(&self, got: usize) -> Result<()> {
-        let expected = self.version.relation().arity();
+        let expected = self.version.schema.arity();
         if got != expected {
             return Err(NfError::ArityMismatch { expected, got });
         }
@@ -393,10 +397,10 @@ impl ShardWriter {
 
     /// Applies this shard's sub-batch by the keyed batch procedure
     /// ([`crate::bulk`]): each outer key's ops replayed on that key's
-    /// slice, one regroup on `P(n−1)`, one ordered merge — leaving the
-    /// tuple vector in kernel order and the segments an exact tiling of
-    /// it. The replacement version is built beside the current one and
-    /// swapped in; a batch that changes nothing keeps the current
+    /// slice, one regroup on `P(n−1)`, one ordered merge into the
+    /// chunks it touches — leaving the chunks back to back in kernel
+    /// order. The replacement version is built beside the current one
+    /// and swapped in; a batch that changes nothing keeps the current
     /// `Arc`, untouched and uncloned.
     pub fn apply_batch(&mut self, batch: &[&Op]) -> Result<BatchReport> {
         for op in batch {
@@ -466,24 +470,23 @@ pub fn apply_sub_batches<'a>(
 }
 
 /// The exact global canonical form `ν_P(R*)` of a sharded store:
-/// concatenates the per-shard tuples (disjoint by routing) and runs the
-/// final `ν_{P(n−1)}` grouping once, merging tuples whose `P(n−1)` sets
-/// were split across shards. One shard needs no merge at all.
+/// concatenates the per-shard tuples (disjoint by routing), walking each
+/// shard's chunks in order, and runs the final `ν_{P(n−1)}` grouping
+/// once, merging tuples whose `P(n−1)` sets were split across shards.
+/// One shard needs no merge at all.
 pub fn merge_shards<'a>(
     schema: &Arc<Schema>,
     router: &ShardRouter,
     shards: impl IntoIterator<Item = &'a ShardVersion>,
 ) -> NfRelation {
     let shards: Vec<&ShardVersion> = shards.into_iter().collect();
-    if let [only] = shards.as_slice() {
-        return only.relation().clone();
+    let mut tuples = Vec::with_capacity(shards.iter().map(|s| s.tuple_count()).sum());
+    for seg in shards.iter().flat_map(|s| s.segments().segments()) {
+        tuples.extend_from_slice(seg.tuples());
     }
-    let tuples: Vec<NfTuple> = shards
-        .iter()
-        .flat_map(|s| s.tuples().iter().cloned())
-        .collect();
-    if tuples.is_empty() {
-        return NfRelation::new(schema.clone());
+    if shards.len() == 1 || tuples.is_empty() {
+        // One shard's chunks back to back are its canonical vector.
+        return NfRelation::from_valid_tuples(schema.clone(), tuples);
     }
     // Zero-arity schemas route everything to shard 0 above.
     let attr = router
@@ -521,10 +524,14 @@ impl ShardedCanonical {
                 schema.arity()
             )));
         }
+        let tiling = Tiling {
+            outer_attr: ShardRouter::new(spec.clone(), &order).attr(),
+            target_rows: DEFAULT_SEGMENT_ROWS,
+        };
         let versions = (0..spec.shard_count())
             .map(|_| {
                 let canon = CanonicalRelation::new(schema.clone(), order.clone())?;
-                Ok(Arc::new(ShardVersion::new(canon, ShardSegments::new())))
+                Ok(Arc::new(ShardVersion::new(canon, tiling)))
             })
             .collect::<Result<Vec<_>>>()?;
         Self::from_versions(schema, order, spec, versions, DEFAULT_SEGMENT_ROWS)
@@ -628,12 +635,14 @@ impl ShardedCanonical {
         self.lanes.len()
     }
 
-    /// One shard's canonical relation.
-    pub fn shard(&self, idx: usize) -> &CanonicalRelation {
-        self.lanes[idx].version.canon()
+    /// One shard's canonical relation, materialised from its chunks — an
+    /// owned copy for tests and the paper experiments; the store itself
+    /// is the shard's segments ([`version`](Self::version)).
+    pub fn shard(&self, idx: usize) -> CanonicalRelation {
+        self.lanes[idx].version.canonical()
     }
 
-    /// One shard's current version (canonical form + segments).
+    /// One shard's current version (its segments, chunks included).
     pub fn version(&self, idx: usize) -> &Arc<ShardVersion> {
         &self.lanes[idx].version
     }
@@ -673,7 +682,7 @@ impl ShardedCanonical {
 
     /// Whether no shard holds any row.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.version.relation().is_empty())
+        self.lanes.iter().all(|l| l.version.tuple_count() == 0)
     }
 
     /// Whether `R*` contains `row` ([`ShardRouter::contains`]).
@@ -735,16 +744,16 @@ impl ShardedCanonical {
         )
     }
 
-    /// Re-derives every invariant from scratch: each shard's tuple
-    /// vector is the canonical vector of its own rows, every row lives in
-    /// the shard it routes to, the segments are an exact encoding of the
-    /// tuple vector they tile, and the merged relation equals the
+    /// Re-derives every invariant from scratch: each shard's chunks back
+    /// to back are the canonical vector of its own rows, every row lives
+    /// in the shard it routes to, each segment's columns and counts are
+    /// an exact encoding of its chunk, and the merged relation equals the
     /// unsharded canonical form. Test/diagnostic helper.
     pub fn verify(&self) -> Result<()> {
         let mut all_rows = FlatRelation::new(self.schema.clone());
-        for (idx, lane) in self.lanes.iter().enumerate() {
-            let shard = &lane.version;
-            shard.canon().verify()?;
+        for idx in 0..self.shard_count() {
+            let shard = self.shard(idx);
+            shard.verify()?;
             self.verify_segments(idx)?;
             for row in shard.relation().expand().rows() {
                 if self.router.route_row(row) != idx {
@@ -766,35 +775,28 @@ impl ShardedCanonical {
         }
     }
 
-    /// Checks one shard's segment invariants: the segments tile the
-    /// whole tuple vector, none is empty, and each is exactly the
-    /// encoding of the slice it covers — columns, run lengths and zone
-    /// bounds alike.
+    /// Checks one shard's segment invariants: none is empty, the
+    /// cumulative row counts add up, and each is exactly the encoding of
+    /// its own chunk — columns, run lengths, zone bounds and flat count
+    /// alike.
     fn verify_segments(&self, idx: usize) -> Result<()> {
         let ss = self.lanes[idx].version.segments();
-        let tuples = self.lanes[idx].version.tuples();
         let seg_err = |msg: String| NfError::InvalidShardSpec(format!("shard {idx}: {msg}"));
-        let Some(outer) = self.router.attr() else {
-            return match ss.segment_count() {
-                0 => Ok(()),
-                n => Err(seg_err(format!("{n} segments over a zero-arity schema"))),
-            };
-        };
-        if ss.covered_rows() != tuples.len() {
+        let held: usize = ss.segments().iter().map(|seg| seg.rows()).sum();
+        if ss.covered_rows() != held {
             return Err(seg_err(format!(
-                "segments cover {} of {} tuples",
-                ss.covered_rows(),
-                tuples.len()
+                "row counts add up to {} of {held} tuples",
+                ss.covered_rows()
             )));
         }
         for (range, seg) in ss.ranges() {
-            if range.is_empty() {
-                return Err(seg_err(format!("empty segment at {}", range.start)));
-            }
             let start = range.start;
-            if *seg != Segment::encode(&tuples[range], outer) {
+            if range.is_empty() {
+                return Err(seg_err(format!("empty segment at {start}")));
+            }
+            if *seg != Segment::encode(seg.tuples().into(), self.router.attr()) {
                 return Err(seg_err(format!(
-                    "segment at {start} is not the encoding of its tuple slice"
+                    "segment at {start} is not the encoding of its chunk"
                 )));
             }
         }
@@ -1077,19 +1079,17 @@ mod tests {
         assert!(c.apply_batch(&[Op::Insert(row(&[1]))]).is_err());
     }
 
-    /// Every shard's tuple vector is the kernel's vector for its rows
-    /// and its segments tile all of it.
+    /// Every shard's chunks back to back are the kernel's vector for its
+    /// rows, each chunk what its columns decode to.
     fn assert_sorted_and_tiled(sharded: &ShardedCanonical) {
         for s in 0..sharded.shard_count() {
             let shard = sharded.shard(s);
             let rebuilt =
                 crate::nest::canonical_of_flat(&shard.relation().expand(), sharded.order());
             assert_eq!(shard.relation().tuples(), rebuilt.tuples(), "shard {s}");
-            assert_eq!(
-                sharded.shard_segments(s).covered_rows(),
-                shard.tuple_count(),
-                "shard {s}"
-            );
+            for seg in sharded.shard_segments(s).segments() {
+                assert_eq!(seg.decode(), seg.tuples(), "shard {s}");
+            }
         }
         sharded.verify().unwrap();
     }
@@ -1135,10 +1135,9 @@ mod tests {
         assert_eq!(reencoded, 1, "one new tuple touches one segment");
         let shared_tuples = before[shard]
             .tuples()
-            .iter()
             .filter(|o| {
-                let new = sharded.version(shard).tuples();
-                new.iter().any(|n| n.shares_storage_with(o))
+                let mut new = sharded.version(shard).tuples();
+                new.any(|n| n.shares_storage_with(o))
             })
             .count();
         assert_eq!(
@@ -1154,7 +1153,7 @@ mod tests {
 
         // Deleting it again restores the original vector and tiling.
         assert!(sharded.delete(&r).unwrap());
-        assert_eq!(sharded.version(shard).tuples(), before[shard].tuples());
+        assert!(sharded.version(shard).tuples().eq(before[shard].tuples()));
         assert_sorted_and_tiled(&sharded);
 
         // A batch of no-ops, however long, leaves the version where it is.
@@ -1243,7 +1242,10 @@ mod tests {
         // Published, as a table's versions are: a copy-on-write clone of
         // any of them would show as a new `Arc`.
         let published = sharded.versions();
-        let vectors: Vec<*const NfTuple> = published.iter().map(|v| v.tuples().as_ptr()).collect();
+        let segments: Vec<Vec<Arc<Segment>>> = published
+            .iter()
+            .map(|v| v.segments().segments().to_vec())
+            .collect();
         let stored: Vec<FlatTuple> = flat.rows().take(40).cloned().collect();
         let mut noops: Vec<Op> = stored.iter().cloned().map(Op::Insert).collect();
         noops.extend((0..40u32).map(|i| Op::Delete(row(&[900 + i, 950, 200 + i % 9]))));
@@ -1259,7 +1261,9 @@ mod tests {
                 Arc::ptr_eq(old, sharded.version(s)),
                 "shard {s}: the lane still holds the version it published"
             );
-            assert_eq!(sharded.version(s).tuples().as_ptr(), vectors[s]);
+            let now = sharded.version(s).segments().segments();
+            assert_eq!(now.len(), segments[s].len());
+            assert!(now.iter().zip(&segments[s]).all(|(a, b)| Arc::ptr_eq(a, b)));
         }
     }
 

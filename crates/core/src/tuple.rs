@@ -296,9 +296,9 @@ impl fmt::Display for ValueSet {
 /// An NF² tuple: one [`ValueSet`] per attribute.
 ///
 /// Tuples are immutable and their component block is shared: a clone is
-/// a reference-count bump, which is what lets a copy-on-write shard
-/// version share every tuple a write did not touch with its predecessor
-/// (see [`crate::mvcc`]). Collecting an exact-size iterator of
+/// a reference-count bump, which is what lets the new chunk of a segment
+/// a write rebuilt carry the tuples it kept by handle (see
+/// [`crate::segment`]). Collecting an exact-size iterator of
 /// [`ValueSet`]s builds the block with one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NfTuple {
@@ -496,8 +496,10 @@ impl Iterator for ExpansionIter<'_> {
 /// `Arc` — the backing object of [`TupleView::Shared`].
 ///
 /// Implementors promise the slice returned by [`tuples`](Self::tuples)
-/// never changes for the lifetime of the value: MVCC shard versions and
-/// materialized relations qualify, mutable buffers do not.
+/// never changes for the lifetime of the value. Two qualify: a shard's
+/// [`Segment`](crate::segment::Segment), whose chunk a table scan yields
+/// from — so a view pins the one chunk its tuple lives in, not the shard
+/// version — and a materialized [`NfRelation`]. Mutable buffers do not.
 pub trait TupleStore: Send + Sync + std::fmt::Debug {
     /// The immutable tuples backing views into this store.
     fn tuples(&self) -> &[NfTuple];
@@ -513,7 +515,8 @@ impl TupleStore for NfRelation {
 ///
 /// Iterator pipelines over stored relations yield tuples straight out of
 /// the table (`Borrowed` when the source is a plain reference, `Shared`
-/// when the source is an `Arc`-pinned MVCC snapshot — both zero-copy)
+/// when it is an `Arc`-pinned segment of an MVCC snapshot — both
+/// zero-copy)
 /// until an operator has to rewrite a component (selection narrowing a
 /// value set, a join combining two rectangles), at which point the tuple
 /// becomes `Owned`. Consumers that only *read* never pay for a clone;
@@ -522,8 +525,8 @@ impl TupleStore for NfRelation {
 pub enum TupleView<'a> {
     /// A tuple borrowed from its relation — no copy was made.
     Borrowed(&'a NfTuple),
-    /// A tuple inside an `Arc`-pinned store (an MVCC snapshot) — no
-    /// copy was made; the view keeps the snapshot alive.
+    /// A tuple inside an `Arc`-pinned store (a segment of an MVCC
+    /// snapshot) — no copy was made; the view keeps that store alive.
     Shared {
         /// The pinned store the tuple lives in.
         store: std::sync::Arc<dyn TupleStore>,

@@ -439,6 +439,14 @@ impl Engine {
                 format!("table.{name}.batch.segments_reencoded"),
                 s.batch_segments_reencoded,
             );
+            snap.push_counter(
+                format!("table.{name}.write.tuples_copied"),
+                s.write_tuples_copied,
+            );
+            snap.push_counter(
+                format!("table.{name}.write.segments_rebuilt"),
+                s.write_segments_rebuilt,
+            );
         }
         snap
     }
@@ -1419,6 +1427,20 @@ mod tests {
         let rebuilt = counter("table.sc.batch.segments_reencoded");
         assert!(matches!(rebuilt, Some(1 | 2)), "{rebuilt:?}");
         assert!(counter("table.sc.batch.nanos").unwrap_or(0) > 0);
+        // The write series fold the three seeding point writes in with
+        // the batch. Each rebuilds the one segment its course lands in:
+        // the first opens it, and each write copies that segment's whole
+        // new chunk. Unless NF2_SHARDS routes c1 and c2 apart, c2's
+        // insert and the batch each rewrite a two-tuple chunk; if it
+        // does, each shard holds one tuple and the batch rebuilds both.
+        let written = (
+            counter("table.sc.write.segments_rebuilt"),
+            counter("table.sc.write.tuples_copied"),
+        );
+        assert!(
+            matches!(written, (Some(4), Some(6)) | (Some(5), Some(5))),
+            "{written:?}"
+        );
         // Both render paths accept the merged snapshot.
         assert!(snap.to_text().contains("table.sc.inserts = 5"));
         assert!(snap.to_json().contains("\"table.sc.inserts\":5"));

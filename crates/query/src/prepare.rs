@@ -982,8 +982,8 @@ impl SelectPlan {
             .collect::<Result<Vec<_>, _>>()?;
         // Streaming k-way segment merge: the plan is statically
         // eligible (see [`merge_eligible`]) and the dictionary's atom ids
-        // still rank like resolved strings. Every shard's tuple vector
-        // is in the kernel's composite sort order at every version
+        // still rank like resolved strings. Every shard's chunks, back
+        // to back, are in the kernel's composite sort order at every version
         // (ordered §4 maintenance), so each shard streams already-ordered
         // and the merge emits globally ordered tuples without sorting;
         // `LIMIT n` pulls ≈ n + shards tuples instead of the whole scan.

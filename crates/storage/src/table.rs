@@ -24,14 +24,25 @@
 //!
 //! There is one write procedure. A point write is a keyed batch of one
 //! ([`nf2_core::bulk`]): §4 runs on the slice of the row's outer key,
-//! one regroup and one ordered merge build the replacement version —
-//! every tuple and segment the write does not touch shared with the
-//! predecessor by `Arc` — and only the segments the merge touched are
-//! rebuilt. [`NfTable::append_batch`] runs the same procedure per shard
-//! on more ops, and [`NfTable::open`] replays the WAL through it as one
-//! batch. A shard's segments therefore always describe its tuple
-//! vector: zone-map skipping and the ordered k-way merge hold across
+//! one regroup and one ordered merge build the replacement version. A
+//! shard's tuples live in the chunks of its segments, so the merge
+//! builds a new chunk and patched columns only for the segments it
+//! touches and shares every other segment, chunk and all, with the
+//! predecessor by `Arc`: publishing a write, and later dropping the
+//! version it replaced, costs what the write touched, not what the
+//! shard holds. [`TableStats::write_tuples_copied`] and
+//! [`TableStats::write_segments_rebuilt`] count that work for every
+//! write. [`NfTable::append_batch`] runs the same procedure per shard on
+//! more ops, and [`NfTable::open`] replays the WAL through it as one
+//! batch. Zone-map skipping and the ordered k-way merge hold across
 //! writes, with no stale state to fall back from.
+//!
+//! ## Scans
+//!
+//! A scan pins the snapshot's shard versions, asks each shard's segments
+//! which of its tuples to yield ([`ShardVersion::locate`]), and yields
+//! them straight out of the chunks as [`TupleView::Shared`] views, each
+//! pinning the one segment its tuple lives in.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +58,8 @@ use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
 use nf2_core::segment::{Conjunct, Rows, ShardSegments};
 use nf2_core::shard::{
-    apply_sub_batches, merge_shards, MaintenanceCost, ShardRouter, ShardSpec, ShardWriter,
-    ShardedCanonical,
+    apply_sub_batches, merge_shards, BatchReport, MaintenanceCost, ShardRouter, ShardSpec,
+    ShardWriter, ShardedCanonical,
 };
 use nf2_core::tuple::{FlatTuple, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
@@ -113,6 +124,13 @@ pub struct TableStats {
     /// Segments the batches rebuilt (patched from their postings or
     /// encoded afresh), each touched segment once per batch.
     pub batch_segments_reencoded: u64,
+    /// Tuple handles every write — point writes and batches alike —
+    /// copied into the new chunks of the segments it rebuilt. Untouched
+    /// segments share their chunks and add nothing.
+    pub write_tuples_copied: u64,
+    /// Segments every write — point writes and batches alike — rebuilt,
+    /// each touched segment once per write.
+    pub write_segments_rebuilt: u64,
 }
 
 /// The live, concurrently-updated counters behind [`TableStats`].
@@ -136,6 +154,8 @@ pub struct SharedTableStats {
     batch_keys: AtomicU64,
     batch_tuples_regrouped: AtomicU64,
     batch_segments_reencoded: AtomicU64,
+    write_tuples_copied: AtomicU64,
+    write_segments_rebuilt: AtomicU64,
 }
 
 impl SharedTableStats {
@@ -154,6 +174,8 @@ impl SharedTableStats {
             batch_keys: AtomicU64::new(stats.batch_keys),
             batch_tuples_regrouped: AtomicU64::new(stats.batch_tuples_regrouped),
             batch_segments_reencoded: AtomicU64::new(stats.batch_segments_reencoded),
+            write_tuples_copied: AtomicU64::new(stats.write_tuples_copied),
+            write_segments_rebuilt: AtomicU64::new(stats.write_segments_rebuilt),
         }
     }
 
@@ -177,7 +199,16 @@ impl SharedTableStats {
             batch_keys: self.batch_keys.load(Ordering::Relaxed),
             batch_tuples_regrouped: self.batch_tuples_regrouped.load(Ordering::Relaxed),
             batch_segments_reencoded: self.batch_segments_reencoded.load(Ordering::Relaxed),
+            write_tuples_copied: self.write_tuples_copied.load(Ordering::Relaxed),
+            write_segments_rebuilt: self.write_segments_rebuilt.load(Ordering::Relaxed),
         }
+    }
+
+    /// Folds what one write rebuilt into the write series.
+    fn settle_write(&self, report: &BatchReport) {
+        let count = |series: &AtomicU64, n: usize| series.fetch_add(n as u64, Ordering::Relaxed);
+        count(&self.write_tuples_copied, report.tuples_copied);
+        count(&self.write_segments_rebuilt, report.segments_reencoded);
     }
 
     fn settle_scan(&self, yielded: u64, skipped: u64) {
@@ -502,6 +533,7 @@ impl NfTable {
         count(&stats.batch_keys, report.keys);
         count(&stats.batch_tuples_regrouped, report.tuples_regrouped);
         count(&stats.batch_segments_reencoded, report.segments_reencoded);
+        stats.settle_write(&report);
         let summary = report.summary;
         if summary.inserted + summary.deleted > 0 {
             // Publish every shard the batch routed to through one
@@ -712,9 +744,10 @@ impl NfTable {
     fn apply_point(&self, op: Op) -> Result<bool> {
         let shard = self.routing.route_checked(op.row())?;
         let mut lane = self.lock_lane(shard);
-        let summary = lane.apply_batch(&[&op])?.summary;
-        let effective = summary.noops == 0;
+        let report = lane.apply_batch(&[&op])?;
+        let effective = report.summary.noops == 0;
         if effective {
+            self.stats.settle_write(&report);
             // WAL append happens under the lane lock so this shard's
             // entries hit the sequenced log in serial mutation order.
             self.wal.extend([&op]);
@@ -741,8 +774,8 @@ impl NfTable {
     /// in shard order.
     ///
     /// The iterator yields [`TupleView`]s straight out of the pinned
-    /// shard versions — no clone, no merge, no lock held while
-    /// streaming — and counts every yielded tuple, flushing the total
+    /// shard versions' segment chunks — no clone, no merge, no lock held
+    /// while streaming — and counts every yielded tuple, flushing the total
     /// into [`stats`](Self::stats) (`lookups += 1`, `units_probed +=
     /// yielded`) when dropped. Streaming query cursors ride on this: a
     /// cursor that stops after the first tuple is charged one probe,
@@ -1152,6 +1185,8 @@ impl TableSnapshot {
         TableScan {
             parts,
             part: 0,
+            segment: 0,
+            segment_start: 0,
             stats: Arc::clone(&self.stats),
             yielded: 0,
             skipped,
@@ -1376,26 +1411,32 @@ fn check_persisted_segments(canon: &ShardedCanonical, persisted: &PersistedSegme
     Ok(())
 }
 
-/// A lazy, owning scan over a pinned table snapshot — tuple ranges of
-/// `Arc`-held shard versions, streamed back-to-back; see
-/// [`NfTable::scan`].
+/// A lazy, owning scan over a pinned table snapshot — the located
+/// positions of `Arc`-held shard versions, streamed back-to-back out of
+/// their segments' chunks; see [`NfTable::scan`].
 ///
 /// The scan holds its own pins, so it stays valid (and keeps yielding
 /// exactly the pinned state) however long it lives and whatever
 /// concurrent writers install in the meantime. Items are
-/// [`TupleView::Shared`] — zero-copy views that carry their pin with
-/// them, so downstream operators can hold or outlive the scan freely.
+/// [`TupleView::Shared`] — zero-copy views that pin the one segment
+/// their tuple lives in, so downstream operators can hold or outlive the
+/// scan freely without keeping the rest of the shard alive.
 ///
 /// Probe accounting is batched: the scan keeps a local counter and
 /// settles it into the table's shared stats exactly once, on drop, so
 /// the per-tuple hot path takes no lock.
 #[derive(Debug)]
 pub struct TableScan {
-    /// Pinned shard versions with the positions (in the version's tuple
-    /// slice) still to stream from each, in shard order.
+    /// Pinned shard versions with the positions (in the version's chunks
+    /// back to back) still to stream from each, in shard order.
     parts: Vec<(Arc<ShardVersion>, Rows)>,
     /// Current part index.
     part: usize,
+    /// The current part's segment holding the last position streamed,
+    /// and the position that segment starts at: positions ascend, so
+    /// the cursor only moves forward.
+    segment: usize,
+    segment_start: usize,
     stats: Arc<SharedTableStats>,
     yielded: u64,
     /// Segments that held no located tuple (settled on drop).
@@ -1409,11 +1450,17 @@ impl Iterator for TableScan {
         loop {
             let (version, rows) = self.parts.get_mut(self.part)?;
             if let Some(at) = rows.next() {
+                let segments = version.segments().segments();
+                while at >= self.segment_start + segments[self.segment].rows() {
+                    self.segment_start += segments[self.segment].rows();
+                    self.segment += 1;
+                }
                 self.yielded += 1;
-                let store: Arc<dyn TupleStore> = version.clone();
-                return Some(TupleView::shared(store, at));
+                let store: Arc<dyn TupleStore> = segments[self.segment].clone();
+                return Some(TupleView::shared(store, at - self.segment_start));
             }
             self.part += 1;
+            (self.segment, self.segment_start) = (0, 0);
         }
     }
 
@@ -1940,9 +1987,9 @@ mod tests {
             let (old, new) = (pinned.version().shard(s), now.version().shard(s));
             assert_eq!(Arc::ptr_eq(old, new), s != shard, "shard {s}");
         }
-        let (old, new) = (
-            pinned.version().shard(shard).tuples(),
-            now.version().shard(shard).tuples(),
+        let (old, new): (Vec<&NfTuple>, Vec<&NfTuple>) = (
+            pinned.version().shard(shard).tuples().collect(),
+            now.version().shard(shard).tuples().collect(),
         );
         let shared = old
             .iter()

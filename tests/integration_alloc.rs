@@ -1,5 +1,5 @@
-//! Allocation counts of the read path — a counter test that needs no
-//! clock.
+//! Allocation counts of the read path, and allocated bytes of the write
+//! path — counter tests that need no clock.
 //!
 //! A located tuple costs what the pipeline builds for it and nothing
 //! else: σ one component block when it narrows the tuple, a streaming π
@@ -7,6 +7,11 @@
 //! the counts below are per *tuple*, not per component. The benchmark
 //! reports the same quantity as `alloc.count_per_op`; here it is
 //! asserted.
+//!
+//! A point write rewrites the one segment its tuple lies in — a new
+//! chunk of tuple handles and patched columns — and shares every other
+//! segment with the version it replaces, so what it allocates does not
+//! grow with the table (the benchmark's `alloc.bytes_per_op`).
 //!
 //! This is its own test binary because it installs a
 //! `#[global_allocator]`, and it holds the workspace's only `unsafe`
@@ -21,9 +26,10 @@ use std::cell::Cell;
 use nf2::algebra::ops;
 use nf2::core::relation::NfRelation;
 use nf2::core::schema::NestOrder;
+use nf2::core::segment::DEFAULT_SEGMENT_ROWS;
 use nf2::core::shard::ShardSpec;
 use nf2::core::tuple::ValueSet;
-use nf2::query::Engine;
+use nf2::query::{Engine, Session};
 use nf2::storage::NfTable;
 
 struct CountingAlloc;
@@ -32,11 +38,15 @@ thread_local! {
     // `const` cells without destructors: reading them never allocates.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note() {
+/// Counts one allocation of `bytes` (a reallocation counts its whole
+/// new block).
+fn note(bytes: usize) {
     if ARMED.get() {
         COUNT.set(COUNT.get() + 1);
+        BYTES.set(BYTES.get() + bytes as u64);
     }
 }
 
@@ -44,7 +54,7 @@ fn note() {
 // upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -55,13 +65,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,14 +80,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// What this thread allocated while a measured call ran.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    allocs: u64,
+    bytes: u64,
+}
+
 /// Runs `f` and returns its result with the allocations this thread made
 /// meanwhile.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
     COUNT.set(0);
+    BYTES.set(0);
     ARMED.set(true);
     let out = f();
     ARMED.set(false);
-    (out, COUNT.get())
+    let tally = Tally {
+        allocs: COUNT.get(),
+        bytes: BYTES.get(),
+    };
+    (out, tally)
 }
 
 /// What a statement may allocate besides its per-tuple blocks: binding,
@@ -130,7 +152,8 @@ fn drain(engine: &Engine, sql: &str, param: &str) -> (usize, u64) {
     // Once unmeasured: whatever the first execution caches is not a
     // per-statement cost.
     assert!(prepared.query(&session, &[param]).unwrap().count() > 0);
-    counted(|| prepared.query(&session, &[param]).unwrap().count())
+    let (n, tally) = counted(|| prepared.query(&session, &[param]).unwrap().count());
+    (n, tally.allocs)
 }
 
 #[test]
@@ -195,4 +218,75 @@ fn sets_past_the_inline_capacity_return_the_same_rows() {
     let got = NfRelation::from_tuples(stored.schema().clone(), tuples).unwrap();
     assert_eq!(got, expected);
     assert_eq!(got.expand(), expected.expand());
+}
+
+/// Bytes allocated and tuple handles copied per point write, on the
+/// 4-shard `t` of `students` students: `PAIRS` times a prepared INSERT
+/// of a row under student `s77` and the DELETE that takes it back. Each
+/// write rewrites the segment holding `s77`'s tuples, the first of its
+/// shard, which is full at every size measured below. Every pair does
+/// the same work, so a few measure it exactly.
+fn point_write_cost(students: u32) -> (u64, u64) {
+    const PAIRS: u64 = 4;
+    let engine = enroll(students, |s| 1 + s % 4);
+    let table = engine.table("t").unwrap();
+    let mut session = engine.session();
+    let mut insert = session.prepare("INSERT INTO t VALUES (?, ?, ?)").unwrap();
+    let mut delete = session
+        .prepare("DELETE FROM t WHERE Club = ? AND Course = ? AND Student = ?")
+        .unwrap();
+    let row = ["k77_9", "c3", "s77"];
+    let mut pair = |session: &mut Session<'_>| {
+        insert.execute(session, &row).unwrap();
+        delete.execute(session, &row).unwrap();
+    };
+    // Once unmeasured: interning the new club is not a per-write cost.
+    pair(&mut session);
+    let before = table.stats();
+    let ((), tally) = counted(|| (0..PAIRS).for_each(|_| pair(&mut session)));
+    let after = table.stats();
+    let writes = 2 * PAIRS;
+    assert_eq!(
+        (after.inserts - before.inserts) + (after.deletes - before.deletes),
+        writes,
+        "every write took effect"
+    );
+    let copied = after.write_tuples_copied - before.write_tuples_copied;
+    (tally.bytes / writes, copied / writes)
+}
+
+#[test]
+fn a_point_write_allocates_and_copies_what_its_segment_holds() {
+    // Debug builds also check every merged version whole (kernel order,
+    // the partition invariant), which allocates and runs per stored
+    // tuple: they copy-check a smaller table and leave the byte bound to
+    // the release build, where the benchmark measures it.
+    let large = if cfg!(debug_assertions) {
+        4_000
+    } else {
+        16_000
+    };
+    let (small_bytes, small_copied) = point_write_cost(2_000);
+    let (large_bytes, large_copied) = point_write_cost(large);
+    // A touched segment is at most twice the tiling target before it
+    // splits, and only touched segments get new chunks.
+    for copied in [small_copied, large_copied] {
+        assert!(
+            copied <= 2 * DEFAULT_SEGMENT_ROWS as u64,
+            "{copied} tuple handles copied per write"
+        );
+    }
+    if cfg!(debug_assertions) {
+        return;
+    }
+    // Eight times the tuples per shard, the same bytes per write: the
+    // write builds one chunk and its columns, never a shard-wide vector.
+    let (lo, hi) = (
+        small_bytes.min(large_bytes) as f64,
+        small_bytes.max(large_bytes) as f64,
+    );
+    assert!(
+        hi <= 1.25 * lo,
+        "{small_bytes} B per write at 2 000 students, {large_bytes} B at 16 000"
+    );
 }

@@ -224,12 +224,11 @@ fn outer_attribute_equality_scans_exactly_one_shard() {
         .shards_for_values(&[b07, b03])
         .iter()
         .map(|&s| {
-            let tuples = table.sharded();
-            let tuples = tuples.shard(s).relation().tuples();
+            let store = table.sharded();
             let holds = |t: &&nf2::core::NfTuple| {
                 t.component(1).contains(b07) || t.component(1).contains(b03)
             };
-            tuples.iter().filter(holds).count()
+            store.version(s).tuples().filter(holds).count()
         })
         .sum();
     let before = session.engine().table("t").unwrap().stats();

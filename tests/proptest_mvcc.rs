@@ -69,7 +69,13 @@ type ShardTuples = Vec<Vec<NfTuple>>;
 
 fn shard_tuples(snap: &TableSnapshot) -> ShardTuples {
     (0..snap.shard_count())
-        .map(|s| snap.version().shard(s).tuples().to_vec())
+        .map(|s| {
+            snap.version()
+                .shard(s)
+                .tuples()
+                .cloned()
+                .collect::<Vec<_>>()
+        })
         .collect()
 }
 
@@ -217,7 +223,7 @@ proptest! {
             let oracle = fresh_engine();
             let mut session = oracle.session();
             let shard_of = |e: &Engine| {
-                e.table("t").unwrap().snapshot().version().shard(s).tuples().to_vec()
+                e.table("t").unwrap().snapshot().version().shard(s).tuples().cloned().collect::<Vec<_>>()
             };
             let mut states = vec![shard_of(&oracle)];
             for op in shard_ops {
@@ -260,7 +266,7 @@ proptest! {
                         assert!(epoch >= last, "epochs are monotone per reader");
                         last = epoch;
                         for (s, states) in serial_states.iter().enumerate() {
-                            let tuples = snap.version().shard(s).tuples().to_vec();
+                            let tuples = snap.version().shard(s).tuples().cloned().collect::<Vec<_>>();
                             assert!(
                                 states.contains(&tuples),
                                 "shard {s} pinned at epoch {epoch} is not a serial state"
@@ -296,7 +302,7 @@ proptest! {
         let snap = t.snapshot();
         for (s, states) in serial_states.iter().enumerate() {
             prop_assert_eq!(
-                snap.version().shard(s).tuples().to_vec(),
+                snap.version().shard(s).tuples().cloned().collect::<Vec<_>>(),
                 states.last().unwrap().clone(),
                 "shard {} did not drain to its serial final state", s
             );
