@@ -9,7 +9,9 @@
 //! which rows intersect every conjunct — must agree with a brute-force
 //! filter of the tuple vector, on fresh and on patched segments, from
 //! `Segment::locate` up to the table scan and the pruning report EXPLAIN
-//! prints from it. A final engine-level property pins
+//! prints from it. A checkpoint of drifted segments must reopen as the
+//! same shards and checkpoint again to the same bytes. A final
+//! engine-level property pins
 //! the ordered SQL surface: `ORDER BY` results are identical whatever
 //! the shard layout, before and after a point write, always through
 //! the k-way merge.
@@ -395,6 +397,85 @@ proptest! {
                     }
                 }
                 sharded.verify().unwrap();
+            }
+        }
+    }
+}
+
+/// The shard specs a checkpoint round trip runs under: one hash shard,
+/// four, and the data-derived range split of [`specs_for`] where the
+/// data has one.
+fn checkpoint_specs(w: &Workload, order: &NestOrder) -> Vec<ShardSpec> {
+    let range = specs_for(w, order)
+        .into_iter()
+        .filter(|spec| matches!(spec, ShardSpec::Range { .. }));
+    [ShardSpec::hash(1).unwrap(), ShardSpec::hash(4).unwrap()]
+        .into_iter()
+        .chain(range)
+        .collect()
+}
+
+proptest! {
+    // Every case checkpoints and reopens once per generator and spec.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A checkpoint stores each shard as its chunks hold it, drifted
+    /// tiling and all: after point writes and keyed batches at a small
+    /// tiling, the reopened table holds every shard's tuples in the same
+    /// order, the same relation and the same `|R*|`, and checkpointing
+    /// it again writes the same pages and meta, byte for byte.
+    #[test]
+    fn checkpoint_round_trips_every_shard_after_drift(seed in any::<u64>()) {
+        let dir = std::env::temp_dir().join("nf2_proptest_segments_checkpoint");
+        let files = |dir: &std::path::Path| {
+            let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
+            (read("t.pages"), read("t.meta"))
+        };
+        for w in all_generators(seed) {
+            let ops = workload::op_trace(&w, 40, 50, seed ^ 0xc4ec);
+            let order = NestOrder::identity(w.flat.schema().arity());
+            for spec in checkpoint_specs(&w, &order) {
+                let t = NfTable::from_flat_sharded(
+                    "t",
+                    &w.flat,
+                    order.clone(),
+                    spec.clone(),
+                    SharedDictionary::new(),
+                )
+                .unwrap();
+                t.set_segment_rows(2 + (seed % 5) as usize);
+                for chunk in ops.chunks(5) {
+                    let rest = match chunk {
+                        [Op::Insert(row), rest @ ..] => {
+                            t.insert_atoms(row.clone()).unwrap();
+                            rest
+                        }
+                        [Op::Delete(row), rest @ ..] => {
+                            t.delete_atoms(row).unwrap();
+                            rest
+                        }
+                        [] => continue,
+                    };
+                    t.append_batch(rest).unwrap();
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                t.checkpoint(&dir).unwrap();
+                let written = files(&dir);
+                let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
+                let (held, rebuilt) = (t.sharded(), reopened.sharded());
+                for s in 0..t.shard_count() {
+                    prop_assert!(
+                        held.version(s).tuples().eq(rebuilt.version(s).tuples()),
+                        "{} {:?}: shard {} reopened as other tuples", w.label, spec, s
+                    );
+                }
+                prop_assert_eq!(reopened.relation(), t.relation());
+                prop_assert_eq!(reopened.flat_count(), t.flat_count());
+                reopened.checkpoint(&dir).unwrap();
+                prop_assert!(
+                    files(&dir) == written,
+                    "{} {:?}: a second checkpoint wrote other bytes", w.label, spec
+                );
             }
         }
     }

@@ -21,14 +21,13 @@
 //!   carrying one over is a reference-count bump, so building a version
 //!   and later dropping the one it replaced cost what the write touched,
 //!   not what the shard holds — and swap them in with
-//!   [`VersionCell::install`] — one write-lock acquisition and a single
+//!   [`VersionCell::submit`] — one write-lock acquisition and a single
 //!   epoch bump per statement, touching only the shards the statement
 //!   routed to. A write routed to shard 3 never invalidates, copies, or
 //!   stalls a pruned read on shard 0: shard 0's `Arc` is carried into
 //!   the next version untouched. Concurrent writers on *different*
-//!   shards publish through [`VersionCell::submit`], which coalesces
-//!   racing commits into one epoch bump while keeping each writer's
-//!   observed bump in {0, 1}.
+//!   shards coalesce there: racing commits share one epoch bump while
+//!   each writer's observed bump stays in {0, 1}.
 //!
 //! The epoch is the table's logical clock: it increments exactly once
 //! per installed state change, so downstream caches (the merged-relation
@@ -293,10 +292,10 @@ impl TableVersion {
 /// *Per-shard* writer mutual exclusion is not this cell's job (the
 /// storage layer holds one lock per shard while building a replacement
 /// version); what the cell does arbitrate is the final publication
-/// step. Single-owner paths use [`install`](Self::install) /
-/// [`install_all`](Self::install_all); concurrent per-shard commits go
-/// through [`submit`](Self::submit), which coalesces racing commits
-/// from different shards into one epoch bump.
+/// step. Per-shard commits go through [`submit`](Self::submit), which
+/// coalesces racing commits from different shards into one epoch bump;
+/// a path holding every shard replaces them all with
+/// [`install_all`](Self::install_all).
 #[derive(Debug)]
 pub struct VersionCell {
     inner: RwLock<Arc<TableVersion>>,
@@ -334,33 +333,14 @@ impl VersionCell {
             .epoch
     }
 
-    /// Installs replacement versions for the touched shards behind a
-    /// single epoch bump and returns the new epoch.
+    /// Submits shard commits for publication, coalescing with any
+    /// concurrent submitters, and returns the epoch at which the
+    /// entries are visible.
     ///
     /// Untouched shards carry their existing `Arc`s into the new
     /// version unchanged, so concurrent readers pruned to those shards
     /// are completely unaffected. Out-of-range shard indices are a
     /// caller bug and panic.
-    pub fn install(&self, touched: Vec<(usize, Arc<ShardVersion>)>) -> u64 {
-        let mut guard = self
-            .inner
-            .write()
-            .expect("version cell poisoned: install never panics while holding the lock");
-        let mut next = TableVersion {
-            epoch: guard.epoch + 1,
-            shards: guard.shards.clone(),
-        };
-        for (idx, version) in touched {
-            next.shards[idx] = version;
-        }
-        let epoch = next.epoch;
-        *guard = Arc::new(next);
-        epoch
-    }
-
-    /// Submits shard commits for publication, coalescing with any
-    /// concurrent submitters, and returns the epoch at which the
-    /// entries are visible.
     ///
     /// Protocol: the submitter first enqueues its `(shard, version)`
     /// entries, then contends for the cell's write lock. Whoever wins
@@ -455,7 +435,7 @@ mod tests {
         assert_eq!(pinned.flat_count(), 2);
 
         let v1 = version_of(&[[1, 10], [2, 10], [3, 11]]);
-        let e = cell.install(vec![(0, v1)]);
+        let e = cell.submit(vec![(0, v1)]);
         assert_eq!(e, 1);
         assert_eq!(cell.epoch(), 1);
 
@@ -471,7 +451,7 @@ mod tests {
         let b = version_of(&[[2, 11]]);
         let cell = VersionCell::new(vec![Arc::clone(&a), Arc::clone(&b)]);
         let before = cell.pin();
-        cell.install(vec![(1, version_of(&[[2, 11], [3, 11]]))]);
+        cell.submit(vec![(1, version_of(&[[2, 11], [3, 11]]))]);
         let after = cell.pin();
         assert!(
             Arc::ptr_eq(before.shard(0), after.shard(0)),
@@ -527,7 +507,7 @@ mod tests {
         // (77, 121) composes with the tuple at 21: it leaves, and
         // ({21, 77}, {121}) takes its place in the same segment.
         assert!(sharded.insert(vec![Atom(77), Atom(121)]).unwrap());
-        cell.install(vec![(0, Arc::clone(sharded.version(0)))]);
+        cell.submit(vec![(0, Arc::clone(sharded.version(0)))]);
         let now = cell.pin();
         let new = now.shard(0).segments().segments();
         assert_eq!(new.len(), old.len());
@@ -550,7 +530,7 @@ mod tests {
     fn submit_publishes_with_single_bump_when_uncontended() {
         let cell = VersionCell::new(vec![version_of(&[[1, 10]]), version_of(&[[2, 11]])]);
         let e = cell.submit(vec![(0, version_of(&[[1, 10], [3, 10]]))]);
-        assert_eq!(e, 1, "an uncontended submit behaves exactly like install");
+        assert_eq!(e, 1, "an uncontended submit bumps the epoch once");
         assert_eq!(cell.pin().flat_count(), 3);
         let e2 = cell.submit(vec![(1, version_of(&[[2, 11], [4, 11]]))]);
         assert_eq!(e2, 2);
@@ -603,7 +583,7 @@ mod tests {
             let c = Arc::clone(&cell);
             s.spawn(move || {
                 for n in 0..50u32 {
-                    c.install(vec![(0, version_of(&[[1, 10], [2, 10 + n]]))]);
+                    c.submit(vec![(0, version_of(&[[1, 10], [2, 10 + n]]))]);
                 }
             });
             for _ in 0..4 {

@@ -26,9 +26,8 @@
 //!   keyed batch's searches all ask it ([`ShardSegments::locate`]) and
 //!   nothing else locates a tuple;
 //! * **zone metadata for free** — an attribute's `[min, max]` zone is its
-//!   first and last code, and the number of runs of equal consecutive
-//!   outer sets (the distinct-count estimate a checkpoint persists) is
-//!   counted while encoding, as is the chunk's flat-row count `|R*|`.
+//!   first and last code; the chunk's flat-row count `|R*|` is counted
+//!   while encoding.
 //!
 //! Segments are immutable and `Arc`-shared between consecutive shard
 //! versions, chunk included. Every write to a shard is a keyed batch
@@ -45,8 +44,9 @@
 //! the write touched, not what the shard holds. A shard's segments *are*
 //! its tuples, so ordered scans and located reads never have to check
 //! for staleness. Segment boundaries drift from the uniform tiling as
-//! merges accumulate; a checkpoint re-tiles (`ShardSegments::rebuild`)
-//! so the persisted synopsis is the one a reopen re-derives.
+//! merges accumulate, each segment staying within `[1, 2 × target]`
+//! tuples; only a change of target (`set_segment_rows`) re-tiles
+//! (`ShardSegments::rebuild`).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -340,17 +340,6 @@ impl ValueColumn {
     }
 }
 
-/// Runs of equal consecutive outer sets among `tuples` (non-empty); a
-/// zero-arity chunk, which has no outer set, is one run.
-fn outer_runs(tuples: &[NfTuple], outer_attr: Option<usize>) -> usize {
-    outer_attr.map_or(1, |outer| {
-        1 + tuples
-            .windows(2)
-            .filter(|w| w[0].component(outer) != w[1].component(outer))
-            .count()
-    })
-}
-
 /// `|R*|` of `tuples`.
 fn flat_of<'a>(tuples: impl IntoIterator<Item = &'a NfTuple>) -> u128 {
     tuples.into_iter().map(NfTuple::expansion_count).sum()
@@ -366,11 +355,6 @@ fn flat_of<'a>(tuples: impl IntoIterator<Item = &'a NfTuple>) -> u128 {
 pub struct Segment {
     /// The chunk: the tuples themselves.
     tuples: Box<[NfTuple]>,
-    /// The routing attribute `P(n−1)`, `None` for a zero-arity schema
-    /// (whose one possible tuple has no column).
-    outer_attr: Option<usize>,
-    /// Runs of equal consecutive outer (`P(n−1)`) sets.
-    outer_runs: usize,
     /// Flat rows the chunk represents.
     flat: u128,
     /// One value-major column per attribute.
@@ -382,20 +366,14 @@ impl Segment {
     /// segment, taking ownership of it. The caller guarantees the chunk
     /// is in canonical sorted order (a kernel rebuild, or ordered §4
     /// maintenance of one); encoding never reorders rows.
-    pub fn encode(tuples: Box<[NfTuple]>, outer_attr: Option<usize>) -> Self {
+    pub fn encode(tuples: Box<[NfTuple]>) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
         let arity = tuples[0].arity();
-        debug_assert!(
-            outer_attr.is_none_or(|outer| outer < arity),
-            "outer attribute must be in-schema"
-        );
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
         let columns = (0..arity)
             .map(|a| ValueColumn::encode(&tuples, a, &mut keys, &mut spare))
             .collect();
         let seg = Segment {
-            outer_attr,
-            outer_runs: outer_runs(&tuples, outer_attr),
             flat: flat_of(tuples.iter()),
             columns,
             tuples,
@@ -454,15 +432,13 @@ impl Segment {
         let flat = self.flat - flat_of(gone.iter().map(|&row| &self.tuples[row as usize]))
             + flat_of(entered.iter().map(|&row| &now[row as usize]));
         let seg = Segment {
-            outer_attr: self.outer_attr,
-            outer_runs: outer_runs(&now, self.outer_attr),
             flat,
             columns,
             tuples: now,
         };
         debug_assert_eq!(
             seg,
-            Segment::encode(seg.tuples.clone(), self.outer_attr),
+            Segment::encode(seg.tuples.clone()),
             "patched postings must equal a fresh transposition"
         );
         seg
@@ -493,14 +469,6 @@ impl Segment {
     pub fn max(&self, attr: usize) -> Atom {
         let codes = &self.columns[attr].codes;
         codes[codes.len() - 1]
-    }
-
-    /// Distinct-count estimate for the outer attribute: the number of
-    /// runs of equal consecutive outer sets. Exact when equal outer sets
-    /// are always adjacent (an upper bound otherwise, since ties on the
-    /// outer minimum can interleave distinct sets).
-    pub fn distinct_outer(&self) -> usize {
-        self.outer_runs
     }
 
     /// The one question: appends `base + row`, ascending and as spans,
@@ -571,8 +539,8 @@ impl TupleStore for Segment {
     }
 }
 
-/// How a shard's tuples are cut into segments: the outer attribute
-/// (whose runs a segment counts) and the target tuples per segment.
+/// How a shard's writes key and tile it: the outer attribute (the key
+/// a keyed batch groups its ops by) and the target tuples per segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// The routing attribute `P(n−1)`; `None` only for a zero-arity
@@ -585,15 +553,11 @@ pub struct Tiling {
 
 /// `tuples` cut into chunks of `rows` (the remainder in the last) and
 /// encoded — moved, not cloned.
-fn tiles(
-    tuples: Vec<NfTuple>,
-    rows: usize,
-    outer_attr: Option<usize>,
-) -> impl Iterator<Item = Arc<Segment>> {
+fn tiles(tuples: Vec<NfTuple>, rows: usize) -> impl Iterator<Item = Arc<Segment>> {
     let mut rest = tuples.into_iter();
     std::iter::from_fn(move || {
         let chunk: Box<[NfTuple]> = rest.by_ref().take(rows).collect();
-        (!chunk.is_empty()).then(|| Arc::new(Segment::encode(chunk, outer_attr)))
+        (!chunk.is_empty()).then(|| Arc::new(Segment::encode(chunk)))
     })
 }
 
@@ -627,7 +591,7 @@ impl ShardSegments {
     /// are moved into the chunks.
     pub(crate) fn tile(tuples: Vec<NfTuple>, tiling: Tiling) -> Self {
         let mut tiled = Self::new();
-        for seg in tiles(tuples, tiling.target_rows.max(1), tiling.outer_attr) {
+        for seg in tiles(tuples, tiling.target_rows.max(1)) {
             tiled.push(seg);
         }
         tiled
@@ -651,19 +615,6 @@ impl ShardSegments {
     fn push(&mut self, seg: Arc<Segment>) {
         self.ends.push(self.covered_rows() + seg.rows());
         self.segments.push(seg);
-    }
-
-    /// Whether the segments are exactly what a uniform tiling at this
-    /// target would emit: every segment full but the last. Patched
-    /// shards drift from it; a checkpoint restores it.
-    pub fn is_uniform(&self, target_rows: usize) -> bool {
-        let target = target_rows.max(1);
-        match self.segments.split_last() {
-            None => true,
-            Some((last, full)) => {
-                last.rows() <= target && full.iter().all(|seg| seg.rows() == target)
-            }
-        }
     }
 
     /// The segments, in tuple order.
@@ -840,7 +791,7 @@ impl ShardSegments {
                     } else {
                         rows.max(1)
                     };
-                    for seg in tiles(chunk, piece, tiling.outer_attr) {
+                    for seg in tiles(chunk, piece) {
                         next.push(seg);
                     }
                 }
@@ -875,7 +826,7 @@ mod tests {
     }
 
     fn encode(tuples: &[NfTuple]) -> Segment {
-        Segment::encode(tuples.into(), Some(1))
+        Segment::encode(tuples.into())
     }
 
     #[test]
@@ -889,13 +840,11 @@ mod tests {
     }
 
     #[test]
-    fn rle_collapses_consecutive_outer_sets() {
+    fn columns_list_rows_per_code_dense_or_sparse() {
         let tuples = sample();
         let seg = encode(&tuples);
-        // Outer sets: {10},{10},{11,12},{11,12},{20} → 3 runs, counted
-        // while encoding; the column itself is value-major, one row list
-        // per code.
-        assert_eq!(seg.distinct_outer(), 3);
+        // Outer sets: {10},{10},{11,12},{11,12},{20}: the column is
+        // value-major, one row list per code, shared by equal sets.
         assert_eq!(located(&seg, &[(1, &[10])]), vec![100, 101]);
         assert_eq!(located(&seg, &[(1, &[12])]), vec![102, 103]);
         // A sparse column (codes far apart) takes the multi-pass sort.
@@ -970,14 +919,11 @@ mod tests {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[100 + i / 3]])).collect();
         let mut ss = ShardSegments::new();
         assert_eq!(ss.segment_count(), 0);
-        assert!(ss.is_uniform(4), "no segments tile no tuples");
         ss = ShardSegments::tile(tuples.clone(), tiling(4));
         assert_eq!(ss.segment_count(), 3, "10 rows at target 4 → 4+4+2");
         assert_eq!(ss.covered_rows(), 10);
         assert_eq!(starts(&ss), vec![0, 4, 8]);
         assert_eq!(chunks(&ss), tuples);
-        assert!(ss.is_uniform(4));
-        assert!(!ss.is_uniform(5));
         let picked: Vec<(usize, &NfTuple)> = ss.tuples_at([0, 3, 4, 9]).collect();
         let expected: Vec<(usize, &NfTuple)> = [0, 3, 4, 9].map(|at| (at, &tuples[at])).into();
         assert_eq!(picked, expected, "across segment boundaries");
@@ -1043,7 +989,6 @@ mod tests {
             Atom(50),
             "zone map follows the edit"
         );
-        assert!(!ss.is_uniform(4), "patched tiling drifts from the target");
     }
 
     #[test]
@@ -1139,7 +1084,6 @@ mod tests {
         assert_eq!(ss.segments()[0].min(1), Atom(99), "zone follows the edit");
         assert_eq!(ss.segments()[2].min(1), Atom(118));
         assert_eq!(ss.segments()[2].max(0), Atom(500));
-        assert_eq!(ss.segments()[0].distinct_outer(), 5);
         let flat: u128 = tuples.iter().map(NfTuple::expansion_count).sum();
         let cached: u128 = ss.segments().iter().map(|seg| seg.flat_count()).sum();
         assert_eq!(cached, flat, "patched flat counts follow the edit");
@@ -1181,7 +1125,6 @@ mod tests {
         assert_eq!(ss.segment_count(), 1);
         let seg = &ss.segments()[0];
         assert_eq!((seg.tuples(), seg.flat_count()), (&[unit][..], 1));
-        assert_eq!(seg.distinct_outer(), 1);
         assert_eq!(ss.locate(&[]).rows.len(), 1);
     }
 }

@@ -369,17 +369,6 @@ impl ShardWriter {
         Arc::make_mut(&mut self.version).retile(self.tiling);
     }
 
-    /// Restores the uniform tiling if point repairs have let segment
-    /// boundaries drift from it (what a checkpoint persists, and what a
-    /// reopen re-derives). Returns whether the version changed.
-    pub fn retile_if_drifted(&mut self) -> bool {
-        let drifted = !self.version.segments().is_uniform(self.tiling.target_rows);
-        if drifted {
-            Arc::make_mut(&mut self.version).retile(self.tiling);
-        }
-        drifted
-    }
-
     /// Replaces the shard's contents with a freshly nested canonical
     /// form, its tuples moved into uniformly tiled chunks (the
     /// cold-build path).
@@ -777,8 +766,7 @@ impl ShardedCanonical {
 
     /// Checks one shard's segment invariants: none is empty, the
     /// cumulative row counts add up, and each is exactly the encoding of
-    /// its own chunk — columns, run lengths, zone bounds and flat count
-    /// alike.
+    /// its own chunk — columns, zone bounds and flat count alike.
     fn verify_segments(&self, idx: usize) -> Result<()> {
         let ss = self.lanes[idx].version.segments();
         let seg_err = |msg: String| NfError::InvalidShardSpec(format!("shard {idx}: {msg}"));
@@ -794,7 +782,7 @@ impl ShardedCanonical {
             if range.is_empty() {
                 return Err(seg_err(format!("empty segment at {start}")));
             }
-            if *seg != Segment::encode(seg.tuples().into(), self.router.attr()) {
+            if *seg != Segment::encode(seg.tuples().into()) {
                 return Err(seg_err(format!(
                     "segment at {start} is not the encoding of its chunk"
                 )));

@@ -112,7 +112,12 @@ pub fn decode_flat_tuple(buf: &mut &[u8], arity: usize) -> Result<FlatTuple> {
 
 /// FNV-1a 64-bit hash, used as a page checksum.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
+    fnv1a64_extend(0xcbf29ce484222325, data)
+}
+
+/// Continues an FNV-1a 64-bit hash over `data`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+pub(crate) fn fnv1a64_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x100000001b3);
@@ -202,5 +207,10 @@ mod tests {
         assert_eq!(h1, fnv1a64(b"nf2"));
         assert_ne!(h1, fnv1a64(b"nf3"));
         assert_ne!(fnv1a64(b""), 0);
+        assert_eq!(
+            fnv1a64_extend(fnv1a64(b"n"), b"f2"),
+            h1,
+            "extends in pieces"
+        );
     }
 }

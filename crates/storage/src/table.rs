@@ -7,6 +7,18 @@
 //! count probes so the "reduction of logical search space" claim (§2, §5)
 //! is measurable (E9 sets it against a 1NF fixture in `nf2-bench`).
 //!
+//! ## Checkpoints: the form held is the form stored
+//!
+//! A checkpoint writes each shard's tuples exactly as its chunks hold
+//! them — shard 0 first, each in kernel order — into one page file, and
+//! a meta file holding, beside the schema, order, dictionary, shard spec
+//! and tiling target, one digest per shard: FNV-1a over that shard's
+//! encoded tuples. It reads the store without changing it. A reopen
+//! re-nests the stored rows, routes them to their shards, and refuses
+//! (`StorageError::Corrupt`, naming the shard) any rebuilt shard whose
+//! encoding misses its digest — a changed, dropped or added row —
+//! before it replays the WAL.
+//!
 //! ## Write path: routed per-shard commit pipeline
 //!
 //! Writers no longer serialize on one table lock. Each shard's writer
@@ -65,7 +77,9 @@ use nf2_core::tuple::{FlatTuple, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::Histogram;
 
-use crate::codec::{decode_nf_tuple, encode_nf_tuple, get_varint, put_varint};
+use crate::codec::{
+    decode_nf_tuple, encode_nf_tuple, fnv1a64, fnv1a64_extend, get_varint, put_varint,
+};
 use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
 use crate::heap::HeapFile;
@@ -832,46 +846,26 @@ impl NfTable {
         &self.routing
     }
 
-    /// Checkpoints to `dir`: meta + page file of NF² tuples (the merged
-    /// global canonical form); truncates the WAL.
+    /// Checkpoints to `dir`: a page file of each shard's NF² tuples,
+    /// shard 0 first, each exactly as its chunks hold them (kernel
+    /// order), and a meta file holding one digest per shard of those
+    /// encoded tuples; truncates the WAL.
     ///
-    /// Holds every lane lock (ascending) across the whole checkpoint so
-    /// the meta, pages and WAL truncation describe one consistent state
-    /// (every mutation publishes before releasing its lane, so the
-    /// published snapshot and the lane state agree here).
-    ///
-    /// Writes repair segments in place, so their boundaries drift
-    /// from the uniform tiling; the checkpoint first re-tiles every
-    /// drifted shard (it is O(table) anyway) so the synopsis it
-    /// persists is the one [`open`](Self::open) re-derives from the
-    /// pages.
+    /// The checkpoint reads the store and changes nothing in it: no
+    /// version is published, and the epoch and the merge cache stay
+    /// where they were. It holds every lane lock (ascending) throughout
+    /// so the pages, meta and WAL truncation describe one consistent
+    /// state (every mutation publishes before releasing its lane).
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut lanes = self.lock_all_lanes();
-        let retiled: Vec<(usize, Arc<ShardVersion>)> = lanes
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(shard, lane)| {
-                lane.retile_if_drifted()
-                    .then(|| (shard, Arc::clone(lane.version())))
-            })
-            .collect();
-        if !retiled.is_empty() {
-            // Holding every lane means no submit is in flight.
-            self.versions.install(retiled);
-        }
-        let versions: Vec<Arc<ShardVersion>> =
-            lanes.iter().map(|l| Arc::clone(l.version())).collect();
-        let segment_rows = lanes[0].segment_rows();
-        self.write_meta_for(Some(&versions), segment_rows, &meta_path(dir, &self.name))?;
+        let lanes = self.lock_all_lanes();
         let mut heap = HeapFile::new();
-        let mut buf = BytesMut::new();
-        let merged = merge_shards(&self.schema, &self.routing, versions.iter().map(|v| &**v));
-        for t in merged.tuples() {
-            buf.clear();
-            encode_nf_tuple(t, &mut buf);
-            heap.insert(&buf)?;
-        }
+        let digests = lanes
+            .iter()
+            .map(|lane| shard_digest(lane.version(), |record| heap.insert(record).map(drop)))
+            .collect::<Result<Vec<u64>>>()?;
+        let segment_rows = lanes[0].segment_rows();
+        self.write_meta_for(Some(&digests), segment_rows, &meta_path(dir, &self.name))?;
         heap.save(&pages_path(dir, &self.name))?;
         self.wal.truncate(&wal_path(dir, &self.name))?;
         drop(lanes);
@@ -917,9 +911,16 @@ impl NfTable {
         self.wal_group_size = wal_group_size;
     }
 
-    /// Opens a table from `dir`: loads the checkpoint pages, restores the
-    /// persisted shard spec, then replays the WAL as one batch
+    /// Opens a table from `dir`: loads the checkpoint pages, re-nests
+    /// their rows under the persisted shard spec and tiling target, then
+    /// replays the WAL as one batch
     /// ([`append_batch`](Self::append_batch)'s procedure).
+    ///
+    /// When the meta carries shard digests (a [`checkpoint`](Self::checkpoint)
+    /// wrote it), every rebuilt shard must encode to its digest before
+    /// replay, whatever the WAL holds; a mismatch is
+    /// [`StorageError::Corrupt`] naming the shard. The rebuild never
+    /// reads a tuple's shard or order off its place in the page file.
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
@@ -930,16 +931,15 @@ impl NfTable {
     /// already-durable, so a later flush re-writes them instead of
     /// silently dropping them.
     pub fn open(dir: &Path, name: &str, dict: SharedDictionary) -> Result<Self> {
-        let (attr_names, order_attrs, dict_entries, spec, persisted_segments) =
-            read_meta(&meta_path(dir, name))?;
+        let meta = read_meta(&meta_path(dir, name))?;
         // Restore dictionary contents (atom ids are dense from 0).
-        for entry in &dict_entries {
+        for entry in &meta.dict_entries {
             dict.intern(entry);
         }
-        let refs: Vec<&str> = attr_names.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = meta.attr_names.iter().map(String::as_str).collect();
         let schema = Schema::new(name, &refs)?;
         let arity = schema.arity();
-        let order = NestOrder::new(order_attrs, arity).map_err(StorageError::Model)?;
+        let order = NestOrder::new(meta.order, arity).map_err(StorageError::Model)?;
         let heap = HeapFile::load(&pages_path(dir, name))?;
         // Expand the stored tuples into `R*`, checking the partition
         // invariant on the way: an overlapping or duplicated tuple
@@ -962,19 +962,18 @@ impl NfTable {
                 flat.len()
             )));
         }
-        let mut canon = ShardedCanonical::from_flat(&flat, order, spec)?;
-        let wal_bytes = std::fs::read(wal_path(dir, name)).unwrap_or_default();
-        // Validate the rebuilt segments against the persisted synopsis
-        // *before* WAL replay (replayed ops legitimately move segment
-        // boundaries). Only a checkpoint persists a synopsis,
-        // and it describes the page state exactly when no WAL entries
-        // are pending.
-        if let Some(persisted) = &persisted_segments {
-            canon.set_segment_rows(persisted.segment_rows);
-            if wal_bytes.is_empty() {
-                check_persisted_segments(&canon, persisted)?;
+        let mut canon = ShardedCanonical::from_flat(&flat, order, meta.spec)?;
+        canon.set_segment_rows(meta.segment_rows);
+        // The digests describe the pages, not pages plus log, so they
+        // are checked before replay moves the shards on.
+        for (shard, &digest) in meta.digests.iter().flatten().enumerate() {
+            if shard_digest(canon.version(shard), |_| Ok(()))? != digest {
+                return Err(StorageError::Corrupt(format!(
+                    "shard {shard}: rebuilt tuples disagree with the checkpoint's shard digest"
+                )));
             }
         }
+        let wal_bytes = std::fs::read(wal_path(dir, name)).unwrap_or_default();
         // Replay the WAL up to the first torn entry (see above), as one
         // batch.
         let (replay, intact) = decode_prefix(&wal_bytes, arity);
@@ -993,21 +992,19 @@ impl NfTable {
 
     /// Writes the meta file describing the current table state — schema,
     /// nest order, dictionary, shard spec, tiling target — without
-    /// touching pages or WAL. It records no segment synopsis: a meta
+    /// touching pages or WAL. It records no shard digests: a meta
     /// written between checkpoints is ahead of the checkpoint pages, so
-    /// there is nothing a reopen could check one against.
+    /// there is nothing a reopen could check them against.
     pub fn write_meta(&self, path: &Path) -> Result<()> {
         let segment_rows = self.lock_lane(0).segment_rows();
         self.write_meta_for(None, segment_rows, path)
     }
 
-    /// The meta serializer proper. `synopsis` is the checkpoint's
-    /// consistent set of shard versions (collected under every lane
-    /// lock), whose segments are persisted for `open` to validate the
-    /// pages against.
+    /// The meta serializer proper. `digests` are a checkpoint's, one
+    /// per shard, for `open` to check the rebuilt shards against.
     fn write_meta_for(
         &self,
-        synopsis: Option<&[Arc<ShardVersion>]>,
+        digests: Option<&[u64]>,
         segment_rows: usize,
         path: &Path,
     ) -> Result<()> {
@@ -1043,31 +1040,20 @@ impl NfTable {
                 }
             }
         }
-        // Per-shard segment metadata (the zone-map synopsis): target
-        // tuples-per-segment, then per shard a presence flag and, when
-        // present, each segment's row count, distinct-outer estimate
-        // and per-attribute min/max codes. open() re-derives segments
-        // from the checkpoint pages and validates them against this.
+        // Target tuples-per-segment, then a presence flag and, when
+        // present, one 8-byte digest per shard (shard count from the
+        // spec).
         put_varint(&mut buf, segment_rows as u64);
-        put_varint(&mut buf, self.shard_count() as u64);
-        for shard in 0..self.shard_count() {
-            let Some(versions) = synopsis else {
-                buf.put_u8(0);
-                continue;
-            };
-            let ss = versions[shard].segments();
-            buf.put_u8(1);
-            put_varint(&mut buf, ss.segment_count() as u64);
-            for seg in ss.segments() {
-                put_varint(&mut buf, seg.rows() as u64);
-                put_varint(&mut buf, seg.distinct_outer() as u64);
-                for a in 0..schema.arity() {
-                    put_varint(&mut buf, u64::from(seg.min(a).id()));
-                    put_varint(&mut buf, u64::from(seg.max(a).id()));
+        match digests {
+            None => buf.put_u8(0),
+            Some(digests) => {
+                buf.put_u8(1);
+                for &digest in digests {
+                    buf.put_u64(digest);
                 }
             }
         }
-        let checksum = crate::codec::fnv1a64(&buf);
+        let checksum = fnv1a64(&buf);
         let mut out = BytesMut::with_capacity(buf.len() + 8);
         out.put_u64(checksum);
         out.extend_from_slice(&buf);
@@ -1238,56 +1224,44 @@ pub struct ZoneCounts {
     pub located: usize,
 }
 
-/// One persisted segment's metadata: row count, distinct-outer
-/// estimate, and per-attribute `(min, max)` atom codes.
-#[derive(Debug, PartialEq, Eq)]
-struct PersistedSegment {
-    rows: usize,
-    distinct_outer: usize,
-    bounds: Vec<(u32, u32)>,
-}
-
-/// The persisted segment synopsis of a whole table: the tiling target
-/// plus, per shard, `Some(segments)` if a checkpoint recorded them
-/// (`None` = a meta written between checkpoints: nothing to validate
-/// against).
-#[derive(Debug)]
-struct PersistedSegments {
+/// What a meta file holds. There is one format: a meta that ends
+/// early or runs on past its last field is corrupt.
+struct Meta {
+    attr_names: Vec<String>,
+    order: Vec<usize>,
+    dict_entries: Vec<String>,
+    spec: ShardSpec,
+    /// The tiling target the shards are rebuilt at.
     segment_rows: usize,
-    shards: Vec<Option<Vec<PersistedSegment>>>,
+    /// One digest per shard ([`shard_digest`] of the pages' shards),
+    /// present when a checkpoint wrote the meta.
+    digests: Option<Vec<u64>>,
 }
 
-/// Parsed meta contents: attribute names, nest order, dictionary
-/// entries, the shard spec, and (absent in pre-segment meta files) the
-/// persisted segment synopsis.
-type MetaContents = (
-    Vec<String>,
-    Vec<usize>,
-    Vec<String>,
-    ShardSpec,
-    Option<PersistedSegments>,
-);
-
-fn read_meta(path: &Path) -> Result<MetaContents> {
+fn read_meta(path: &Path) -> Result<Meta> {
     let bytes = std::fs::read(path)?;
     if bytes.len() < 8 {
         return Err(StorageError::Corrupt("meta file truncated".into()));
     }
     let stored = u64::from_be_bytes(bytes[..8].try_into().expect("length checked above"));
     let body = &bytes[8..];
-    if crate::codec::fnv1a64(body) != stored {
+    if fnv1a64(body) != stored {
         return Err(StorageError::ChecksumMismatch { page_id: u32::MAX });
+    }
+    /// Splits the next `len` bytes off `slice`.
+    fn take<'a>(slice: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
+        if slice.len() < len {
+            return Err(StorageError::Corrupt("meta file truncated".into()));
+        }
+        let (head, rest) = slice.split_at(len);
+        *slice = rest;
+        Ok(head)
     }
     let mut slice = body;
     let read_string = |slice: &mut &[u8]| -> Result<String> {
         let len = get_varint(slice)? as usize;
-        if slice.len() < len {
-            return Err(StorageError::Corrupt("meta string truncated".into()));
-        }
-        let s = String::from_utf8(slice[..len].to_vec())
-            .map_err(|_| StorageError::Corrupt("meta string not utf8".into()))?;
-        *slice = &slice[len..];
-        Ok(s)
+        String::from_utf8(take(slice, len)?.to_vec())
+            .map_err(|_| StorageError::Corrupt("meta string not utf8".into()))
     };
     let arity = get_varint(&mut slice)? as usize;
     let mut attr_names = Vec::with_capacity(arity);
@@ -1303,14 +1277,7 @@ fn read_meta(path: &Path) -> Result<MetaContents> {
     for _ in 0..dict_len {
         dict_entries.push(read_string(&mut slice)?);
     }
-    if slice.is_empty() {
-        // Meta written before sharding existed: those tables were all
-        // single-shard, so that is exactly what the missing spec means.
-        return Ok((attr_names, order, dict_entries, ShardSpec::single(), None));
-    }
-    let tag = slice[0];
-    slice = &slice[1..];
-    let spec = match tag {
+    let spec = match take(&mut slice, 1)?[0] {
         0 => ShardSpec::hash(get_varint(&mut slice)? as usize),
         1 => {
             let len = get_varint(&mut slice)? as usize;
@@ -1325,90 +1292,55 @@ fn read_meta(path: &Path) -> Result<MetaContents> {
         }
     }
     .map_err(StorageError::Model)?;
-    if slice.is_empty() {
-        // Meta written before columnar segments existed.
-        return Ok((attr_names, order, dict_entries, spec, None));
-    }
     let segment_rows = get_varint(&mut slice)? as usize;
-    let shard_count = get_varint(&mut slice)? as usize;
-    let mut shards = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        if slice.is_empty() {
-            return Err(StorageError::Corrupt("segment meta truncated".into()));
+    let digests = match take(&mut slice, 1)?[0] {
+        0 => None,
+        1 => Some(
+            (0..spec.shard_count())
+                .map(|_| {
+                    let digest = take(&mut slice, 8)?;
+                    Ok(u64::from_be_bytes(
+                        digest
+                            .try_into()
+                            .expect("take returns the eight bytes asked for"),
+                    ))
+                })
+                .collect::<Result<Vec<u64>>>()?,
+        ),
+        f => {
+            return Err(StorageError::Corrupt(format!("unknown digest flag {f}")));
         }
-        let recorded = slice[0];
-        slice = &slice[1..];
-        if recorded == 0 {
-            shards.push(None);
-            continue;
-        }
-        let seg_count = get_varint(&mut slice)? as usize;
-        let mut segs = Vec::with_capacity(seg_count);
-        for _ in 0..seg_count {
-            let rows = get_varint(&mut slice)? as usize;
-            let distinct_outer = get_varint(&mut slice)? as usize;
-            let mut bounds = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let lo = get_varint(&mut slice)? as u32;
-                let hi = get_varint(&mut slice)? as u32;
-                bounds.push((lo, hi));
-            }
-            segs.push(PersistedSegment {
-                rows,
-                distinct_outer,
-                bounds,
-            });
-        }
-        shards.push(Some(segs));
-    }
-    let persisted = PersistedSegments {
-        segment_rows,
-        shards,
     };
-    Ok((attr_names, order, dict_entries, spec, Some(persisted)))
-}
-
-/// Validates freshly rebuilt segments against the synopsis persisted at
-/// checkpoint time: every recorded shard must re-derive to the same
-/// tiling, distinct-outer estimates and zone bounds now — a mismatch
-/// means the pages or meta were tampered with or corrupted.
-fn check_persisted_segments(canon: &ShardedCanonical, persisted: &PersistedSegments) -> Result<()> {
-    if persisted.shards.len() != canon.shard_count() {
+    if !slice.is_empty() {
         return Err(StorageError::Corrupt(format!(
-            "segment meta lists {} shards, store has {}",
-            persisted.shards.len(),
-            canon.shard_count()
+            "meta file has {} trailing bytes",
+            slice.len()
         )));
     }
-    let arity = canon.schema().arity();
-    for (idx, expected) in persisted.shards.iter().enumerate() {
-        let Some(expected) = expected else { continue };
-        let ss = canon.shard_segments(idx);
-        let mismatch = |what: String| {
-            StorageError::Corrupt(format!(
-                "shard {idx}: rebuilt segments disagree with checkpoint meta ({what})"
-            ))
-        };
-        if ss.segment_count() != expected.len() {
-            return Err(mismatch(format!(
-                "{} segments rebuilt, {} persisted",
-                ss.segment_count(),
-                expected.len()
-            )));
-        }
-        for (n, (seg, want)) in ss.segments().iter().zip(expected).enumerate() {
-            let bounds: Vec<(u32, u32)> = (0..arity)
-                .map(|a| (seg.min(a).id(), seg.max(a).id()))
-                .collect();
-            if seg.rows() != want.rows
-                || seg.distinct_outer() != want.distinct_outer
-                || bounds != want.bounds
-            {
-                return Err(mismatch(format!("segment {n}")));
-            }
-        }
+    Ok(Meta {
+        attr_names,
+        order,
+        dict_entries,
+        spec,
+        segment_rows,
+        digests,
+    })
+}
+
+/// A shard's digest: FNV-1a over its tuples as the page codec encodes
+/// them, in kernel order, back to back (the encoding is self-delimiting,
+/// so the concatenation is unambiguous). `record` sees each tuple's
+/// encoding as it is folded in.
+fn shard_digest(shard: &ShardVersion, mut record: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
+    let mut buf = BytesMut::new();
+    let mut digest = fnv1a64(&[]);
+    for tuple in shard.tuples() {
+        buf.clear();
+        encode_nf_tuple(tuple, &mut buf);
+        digest = fnv1a64_extend(digest, &buf);
+        record(&buf)?;
     }
-    Ok(())
+    Ok(digest)
 }
 
 /// A lazy, owning scan over a pinned table snapshot — the located
@@ -1610,11 +1542,23 @@ mod tests {
         let t = sample_table();
         t.checkpoint(&dir).unwrap();
         let meta = meta_path(&dir, "sc");
-        let mut bytes = std::fs::read(&meta).unwrap();
+        let good = std::fs::read(&meta).unwrap();
+        let mut bytes = good.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&meta, &bytes).unwrap();
         assert!(NfTable::open(&dir, "sc", SharedDictionary::new()).is_err());
+        // One format: a body cut short, or run on past its last field,
+        // is corrupt even under a valid checksum.
+        let body = &good[8..];
+        let longer = [body, &[0]].concat();
+        for body in [&body[..body.len() - 1], longer.as_slice()] {
+            let mut bytes = crate::codec::fnv1a64(body).to_be_bytes().to_vec();
+            bytes.extend_from_slice(body);
+            std::fs::write(&meta, &bytes).unwrap();
+            let err = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]
@@ -1890,14 +1834,11 @@ mod tests {
         assert_eq!(t.relation(), before);
     }
 
-    #[test]
-    fn sharded_checkpoint_restores_spec_and_state() {
-        let dir = temp_dir("sharded_ckpt");
+    /// [`sharded_table`] over three shards at two tuples per segment,
+    /// after point writes — each new course a new tuple — that grew,
+    /// split and shrank segments away from the uniform tiling.
+    fn drifted_table() -> NfTable {
         let t = sharded_table(3);
-        // Point ops under a tiny tiling target, each new course a new
-        // tuple: repaired segments drift from the uniform tiling, and the
-        // checkpoint must restore it or the reopen below would reject
-        // its own synopsis.
         t.set_segment_rows(2);
         for i in 0..24 {
             t.insert_row(&[&format!("p{i}"), &format!("c{i}")]).unwrap();
@@ -1905,12 +1846,41 @@ mod tests {
         for i in (0..24).step_by(3) {
             t.delete_row(&[&format!("p{i}"), &format!("c{i}")]).unwrap();
         }
-        assert!(
-            (0..3).any(|s| !t.sharded().shard_segments(s).is_uniform(2)),
-            "point repairs moved a segment boundary"
-        );
+        let store = t.sharded();
+        let drifted = (0..3).any(|s| match store.shard_segments(s).segments().split_last() {
+            Some((_, leading)) => leading.iter().any(|seg| seg.rows() != 2),
+            None => false,
+        });
+        assert!(drifted, "point writes moved a segment boundary");
+        t
+    }
+
+    #[test]
+    fn a_checkpoint_is_not_a_state_change() {
+        let dir = temp_dir("ckpt_reads_only");
+        let t = drifted_table();
+        let _ = t.relation();
+        let (epoch, merged) = (t.epoch(), t.merged_epoch());
+        assert_eq!(merged, Some(epoch), "the merge cache is warm");
+        let before = t.snapshot();
         t.checkpoint(&dir).unwrap();
-        assert!((0..3).all(|s| t.sharded().shard_segments(s).is_uniform(2)));
+        assert_eq!((t.epoch(), t.merged_epoch()), (epoch, merged));
+        let after = t.snapshot();
+        for s in 0..3 {
+            assert!(
+                Arc::ptr_eq(before.version().shard(s), after.version().shard(s)),
+                "shard {s}: the checkpoint published no version"
+            );
+        }
+    }
+
+    #[test]
+    fn sharded_checkpoint_restores_spec_and_state() {
+        let dir = temp_dir("sharded_ckpt");
+        // The checkpoint stores the drifted shards as they are; the
+        // reopen rebuilds them at the uniform tiling.
+        let t = drifted_table();
+        t.checkpoint(&dir).unwrap();
         t.sharded().verify().unwrap();
         let checkpointed = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(checkpointed.relation(), t.relation());
@@ -2165,36 +2135,66 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_persists_and_validates_segment_meta() {
-        let dir = temp_dir("seg_meta");
+    fn open_refuses_pages_that_miss_a_shard_digest() {
+        let dir = temp_dir("shard_digest");
         let t = segmented_table(2, 300);
         t.checkpoint(&dir).unwrap();
         let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.relation(), t.relation());
         for s in 0..2 {
-            let reopened_canon = reopened.sharded();
-            let ss = reopened_canon.shard_segments(s);
             assert_eq!(
-                ss.segment_count(),
+                reopened.sharded().shard_segments(s).segment_count(),
                 t.sharded().shard_segments(s).segment_count(),
                 "persisted tiling target survives the round trip"
             );
         }
-        // Tamper with the pages: the rebuilt segments no longer match
-        // the persisted synopsis and open() must refuse.
-        let pages = pages_path(&dir, "t");
-        let mut heap = HeapFile::new();
-        let mut buf = BytesMut::new();
-        for tuple in t.relation().tuples().iter().skip(1) {
-            buf.clear();
-            encode_nf_tuple(tuple, &mut buf);
-            heap.insert(&buf).unwrap();
-        }
-        heap.save(&pages).unwrap();
-        assert!(
-            NfTable::open(&dir, "t", SharedDictionary::new()).is_err(),
-            "segment synopsis must catch a dropped tuple"
-        );
+        // Rewrites the pages, every page checksum valid, from `shards`.
+        let store = t.sharded();
+        let shards: Vec<Vec<NfTuple>> = (0..2)
+            .map(|s| store.version(s).tuples().cloned().collect())
+            .collect();
+        let rewrite = |shards: &[Vec<NfTuple>]| {
+            let mut heap = HeapFile::new();
+            let mut buf = BytesMut::new();
+            for tuple in shards.iter().flatten() {
+                buf.clear();
+                encode_nf_tuple(tuple, &mut buf);
+                heap.insert(&buf).unwrap();
+            }
+            heap.save(&pages_path(&dir, "t")).unwrap();
+        };
+        let assert_refused = |shard: usize| {
+            let err = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap_err();
+            let named = format!("shard {shard}:");
+            assert!(
+                matches!(&err, StorageError::Corrupt(msg) if msg.starts_with(&named)),
+                "{err:?}"
+            );
+        };
+        // A dropped tuple.
+        let mut dropped = shards.clone();
+        dropped[0].remove(0);
+        rewrite(&dropped);
+        assert_refused(0);
+        // In a tuple strictly inside a segment, the largest atom of the
+        // non-outer component A gives way to the next tuple's smallest:
+        // a value inside the segment's A zone that the tuple lacks. The
+        // tuple keeps its kernel key, the shard its tuple count, and
+        // every segment its row count, outer sets and zone bounds.
+        let (range, seg) = store.shard_segments(1).ranges().next().unwrap();
+        assert!(range.len() >= 3, "a tuple strictly inside the segment");
+        let at = range.start + 1;
+        let (inside, next) = (&shards[1][at], &shards[1][at + 1]);
+        let a = inside.component(0).as_slice();
+        let (&dropped_atom, kept) = a.split_last().unwrap();
+        let entering = next.component(0).as_slice()[0];
+        assert!(!kept.is_empty() && dropped_atom < entering);
+        assert!(seg.min(0) <= entering && entering <= seg.max(0));
+        let swapped = ValueSet::new([kept, &[entering]].concat()).unwrap();
+        let mut tampered = shards.clone();
+        tampered[1][at] = NfTuple::new(vec![swapped, inside.component(1).clone()]);
+        rewrite(&tampered);
+        assert_refused(1);
     }
 
     #[test]

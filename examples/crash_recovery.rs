@@ -6,11 +6,15 @@
 //! checkpoints an [`NfTable`], keeps updating, "crashes" before the next
 //! checkpoint, and recovers the exact canonical relation from checkpoint
 //! pages + write-ahead log. It then flips one bit on disk and shows the
-//! checksummed page format refuses to load silently-corrupt data.
+//! checksummed page format refuses to load silently-corrupt data, and
+//! rewrites the pages one tuple short — every page checksum valid — to
+//! show the per-shard digest in the meta refusing what the pages alone
+//! cannot.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use nf2::prelude::*;
+use nf2::storage::{HeapFile, StorageError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("nf2_crash_recovery_example");
@@ -73,6 +77,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match NfTable::open(&dir, "sc", SharedDictionary::new()) {
         Err(e) => println!("bit-flip detected as expected: {e}"),
         Ok(_) => panic!("corrupt checkpoint must not load"),
+    }
+
+    // 5. A checkpoint one tuple short: copy every record but the first
+    //    into fresh pages. Each page checksum holds; the digest the meta
+    //    keeps for the shard does not.
+    recovered.checkpoint(&dir)?;
+    let mut short = HeapFile::new();
+    for (_, record) in HeapFile::load(&pages)?.iter().skip(1) {
+        short.insert(record)?;
+    }
+    short.save(&pages)?;
+    match NfTable::open(&dir, "sc", SharedDictionary::new()) {
+        Err(StorageError::Corrupt(msg)) => {
+            println!("missing tuple refused by the shard digest: {msg}")
+        }
+        Err(e) => panic!("expected a digest mismatch, got: {e}"),
+        Ok(_) => panic!("a checkpoint missing a tuple must not load"),
     }
 
     std::fs::remove_dir_all(&dir).ok();
