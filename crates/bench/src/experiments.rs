@@ -26,6 +26,7 @@ use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
 
 use crate::flat_table::FlatTable;
+use crate::page::page_bytes;
 use crate::report::Report;
 
 /// The Fig. 1 university instance: dictionary plus the two relations.
@@ -648,7 +649,7 @@ pub fn e09_search_space() -> Report {
     let w = workload::university(300, 4, 50, 2, 10, 21);
     let dict = SharedDictionary::new();
     let nf = NfTable::from_flat("r1", &w.flat, NestOrder::identity(3), dict).unwrap();
-    let flat_table = FlatTable::from_flat(&w.flat).unwrap();
+    let flat_table = FlatTable::from_flat(&w.flat);
 
     // Probe a set of course values by scan on both engines.
     let courses: Vec<Atom> = w
@@ -683,41 +684,30 @@ pub fn e09_search_space() -> Report {
         ),
     ]);
 
-    // Byte footprint: checkpoint both to pages.
-    let dir = std::env::temp_dir().join("nf2_e9");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let nf_mut = nf;
-    nf_mut.checkpoint(&dir).unwrap();
-    let nf_bytes = std::fs::metadata(dir.join("r1.pages"))
-        .map(|m| m.len())
-        .unwrap_or(0);
-    let flat_bytes = flat_table.size_bytes() as u64;
+    // Byte footprint: both sides' records packed into the same slotted
+    // pages, then the exact encoded payload (page-granularity effects
+    // removed).
+    let mut buf = bytes::BytesMut::new();
+    let nf_records: Vec<usize> = nf
+        .relation()
+        .tuples()
+        .iter()
+        .map(|t| {
+            buf.clear();
+            nf2_storage::codec::encode_nf_tuple(t, &mut buf);
+            buf.len()
+        })
+        .collect();
+    let nf_bytes = page_bytes(nf_records.iter().copied());
+    let flat_bytes = flat_table.size_bytes();
     report.push_row(vec![
         "page bytes".into(),
         nf_bytes.to_string(),
         flat_bytes.to_string(),
         format!("{:.2}x", flat_bytes as f64 / nf_bytes.max(1) as f64),
     ]);
-    // Exact encoded payload (page-granularity effects removed).
-    let mut nf_payload = 0usize;
-    {
-        let mut buf = bytes::BytesMut::new();
-        for t in nf_mut.relation().tuples() {
-            buf.clear();
-            nf2_storage::codec::encode_nf_tuple(t, &mut buf);
-            nf_payload += buf.len();
-        }
-    }
-    let mut flat_payload = 0usize;
-    {
-        let mut buf = bytes::BytesMut::new();
-        for row in w.flat.rows() {
-            buf.clear();
-            nf2_storage::codec::encode_flat_tuple(row, &mut buf);
-            flat_payload += buf.len();
-        }
-    }
+    let nf_payload: usize = nf_records.iter().sum();
+    let flat_payload = flat_table.payload_bytes();
     report.push_row(vec![
         "encoded payload bytes".into(),
         nf_payload.to_string(),
@@ -726,11 +716,11 @@ pub fn e09_search_space() -> Report {
     ]);
     report.push_row(vec![
         "logical units".into(),
-        nf_mut.tuple_count().to_string(),
+        nf.tuple_count().to_string(),
         flat_table.row_count().to_string(),
         format!(
             "{:.2}x",
-            flat_table.row_count() as f64 / nf_mut.tuple_count().max(1) as f64
+            flat_table.row_count() as f64 / nf.tuple_count().max(1) as f64
         ),
     ]);
     report.note(

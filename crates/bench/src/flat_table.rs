@@ -1,6 +1,6 @@
-//! The 1NF baseline E9 measures the realization view against: one heap
-//! record per flat row, lookups by full scan, probes counted the way
-//! `NfTable`'s scans count them.
+//! The 1NF baseline E9 measures the realization view against: one
+//! encoded record per flat row, lookups by full scan, probes counted the
+//! way `NfTable`'s scans count them.
 
 use std::cell::Cell;
 
@@ -11,45 +11,50 @@ use nf2_core::schema::AttrId;
 use nf2_core::tuple::FlatTuple;
 use nf2_core::value::Atom;
 use nf2_storage::codec::{decode_flat_tuple, encode_flat_tuple};
-use nf2_storage::{HeapFile, Result};
 
-/// A 1NF relation stored as heap records.
+use crate::page::page_bytes;
+
+/// A 1NF relation stored as encoded records.
 #[derive(Debug)]
 pub struct FlatTable {
     arity: usize,
-    rows: usize,
-    heap: HeapFile,
+    records: Vec<BytesMut>,
     lookups: Cell<u64>,
     units_probed: Cell<u64>,
 }
 
 impl FlatTable {
     /// Stores every row of an existing 1NF relation.
-    pub fn from_flat(flat: &FlatRelation) -> Result<Self> {
-        let mut heap = HeapFile::new();
-        let mut buf = BytesMut::new();
-        for row in flat.rows() {
-            buf.clear();
-            encode_flat_tuple(row, &mut buf);
-            heap.insert(&buf)?;
-        }
-        Ok(Self {
+    pub fn from_flat(flat: &FlatRelation) -> Self {
+        let records = flat
+            .rows()
+            .map(|row| {
+                let mut record = BytesMut::new();
+                encode_flat_tuple(row, &mut record);
+                record
+            })
+            .collect();
+        Self {
             arity: flat.schema().arity(),
-            rows: flat.len(),
-            heap,
+            records,
             lookups: Cell::new(0),
             units_probed: Cell::new(0),
-        })
+        }
     }
 
     /// Row count.
     pub fn row_count(&self) -> usize {
-        self.rows
+        self.records.len()
     }
 
-    /// Bytes occupied by heap pages.
+    /// Bytes the rows occupy in slotted pages ([`page_bytes`]).
     pub fn size_bytes(&self) -> usize {
-        self.heap.size_bytes()
+        page_bytes(self.records.iter().map(|record| record.len()))
+    }
+
+    /// Bytes of the rows' encodings, without page overhead.
+    pub fn payload_bytes(&self) -> usize {
+        self.records.iter().map(|record| record.len()).sum()
     }
 
     /// Number of [`lookup_scan`](Self::lookup_scan) calls so far.
@@ -66,9 +71,9 @@ impl FlatTable {
     pub fn lookup_scan(&self, attr: AttrId, value: Atom) -> Vec<FlatTuple> {
         self.lookups.set(self.lookups.get() + 1);
         let mut hits = Vec::new();
-        for (_, rec) in self.heap.iter() {
+        for record in &self.records {
             self.units_probed.set(self.units_probed.get() + 1);
-            let mut slice = rec;
+            let mut slice = &record[..];
             if let Ok(row) = decode_flat_tuple(&mut slice, self.arity) {
                 if row[attr] == value {
                     hits.push(row);
@@ -82,6 +87,7 @@ impl FlatTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
     use nf2_core::schema::Schema;
 
     #[test]
@@ -89,10 +95,10 @@ mod tests {
         let schema = Schema::new("sc", &["Student", "Course"]).unwrap();
         let rows = [[0u32, 10], [1, 10], [0, 11], [2, 12]];
         let flat = FlatRelation::from_rows(schema, rows.map(|r| r.map(Atom).to_vec())).unwrap();
-        let ft = FlatTable::from_flat(&flat).unwrap();
+        let ft = FlatTable::from_flat(&flat);
         assert_eq!(ft.row_count(), 4);
         assert_eq!(ft.lookup_scan(1, Atom(10)).len(), 2);
         assert_eq!((ft.lookups(), ft.units_probed()), (1, 4));
-        assert!(ft.size_bytes() >= nf2_storage::PAGE_SIZE);
+        assert_eq!((ft.payload_bytes(), ft.size_bytes()), (8, PAGE_SIZE));
     }
 }

@@ -17,6 +17,7 @@
 
 pub mod experiments;
 pub mod flat_table;
+pub mod page;
 pub mod report;
 
 pub use experiments::{experiment_ids, run_all, run_one};

@@ -423,13 +423,13 @@ proptest! {
     /// tiling and all: after point writes and keyed batches at a small
     /// tiling, the reopened table holds every shard's tuples in the same
     /// order, the same relation and the same `|R*|`, and checkpointing
-    /// it again writes the same pages and meta, byte for byte.
+    /// it again writes the same tuple file and meta, byte for byte.
     #[test]
     fn checkpoint_round_trips_every_shard_after_drift(seed in any::<u64>()) {
         let dir = std::env::temp_dir().join("nf2_proptest_segments_checkpoint");
         let files = |dir: &std::path::Path| {
             let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
-            (read("t.pages"), read("t.meta"))
+            (read("t.tuples"), read("t.meta"))
         };
         for w in all_generators(seed) {
             let ops = workload::op_trace(&w, 40, 50, seed ^ 0xc4ec);

@@ -435,12 +435,14 @@ impl NfTuple {
     }
 
     /// Iterates over the flat tuples of the expansion in lexicographic
-    /// order (odometer over the sorted components).
+    /// order (odometer over the sorted components). The zero-arity
+    /// tuple, an empty product, expands to the one empty row, as
+    /// [`expansion_count`](Self::expansion_count) counts it.
     pub fn expand(&self) -> ExpansionIter<'_> {
         ExpansionIter {
             tuple: self,
             indices: vec![0; self.comps.len()],
-            done: self.comps.is_empty(),
+            done: false,
         }
     }
 }
@@ -742,6 +744,13 @@ mod tests {
         let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[10])]);
         let flats: Vec<FlatTuple> = t.expand().collect();
         assert_eq!(flats, vec![vec![a(1), a(10)], vec![a(2), a(10)]]);
+    }
+
+    #[test]
+    fn the_zero_arity_tuple_expands_to_the_empty_row() {
+        let unit = NfTuple::new(vec![]);
+        assert_eq!(unit.expansion_count(), 1);
+        assert_eq!(unit.expand().collect::<Vec<_>>(), vec![FlatTuple::new()]);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! NF² tuples serialize compactly: for each component, a varint value
 //! count followed by delta-encoded varint atom ids (components are sorted,
-//! so deltas are small). Flat tuples are the singleton special case. A
-//! FNV-1a 64-bit checksum guards page contents.
+//! so deltas are small). Flat tuples are the singleton special case. The
+//! encoding is self-delimiting, so a checkpoint stores a shard's tuples
+//! back to back with nothing between them. FNV-1a 64-bit hashes guard
+//! the checkpoint: one over the meta file, one over each shard's tuples.
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -110,14 +112,9 @@ pub fn decode_flat_tuple(buf: &mut &[u8], arity: usize) -> Result<FlatTuple> {
     Ok(t)
 }
 
-/// FNV-1a 64-bit hash, used as a page checksum.
+/// FNV-1a 64-bit hash: the meta checksum and each shard's digest.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    fnv1a64_extend(0xcbf29ce484222325, data)
-}
-
-/// Continues an FNV-1a 64-bit hash over `data`:
-/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
-pub(crate) fn fnv1a64_extend(mut hash: u64, data: &[u8]) -> u64 {
+    let mut hash = 0xcbf29ce484222325;
     for &b in data {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x100000001b3);
@@ -207,10 +204,5 @@ mod tests {
         assert_eq!(h1, fnv1a64(b"nf2"));
         assert_ne!(h1, fnv1a64(b"nf3"));
         assert_ne!(fnv1a64(b""), 0);
-        assert_eq!(
-            fnv1a64_extend(fnv1a64(b"n"), b"f2"),
-            h1,
-            "extends in pieces"
-        );
     }
 }

@@ -7,22 +7,8 @@ use std::fmt;
 pub enum StorageError {
     /// The underlying NF² model rejected an operation.
     Model(nf2_core::NfError),
-    /// A page checksum did not match its contents (corruption).
-    ChecksumMismatch {
-        /// The page whose checksum failed.
-        page_id: u32,
-    },
-    /// A page or record reference was invalid.
-    InvalidRecord(String),
-    /// A serialized buffer could not be decoded.
+    /// Stored bytes failed a check or could not be decoded.
     Corrupt(String),
-    /// The record does not fit in a page.
-    RecordTooLarge {
-        /// Encoded record size.
-        size: usize,
-        /// Maximum payload a page can hold.
-        max: usize,
-    },
     /// An I/O error during persistence.
     Io(std::io::Error),
 }
@@ -31,17 +17,7 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Model(e) => write!(f, "model error: {e}"),
-            StorageError::ChecksumMismatch { page_id } => {
-                write!(f, "checksum mismatch on page {page_id}")
-            }
-            StorageError::InvalidRecord(msg) => write!(f, "invalid record: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
-            StorageError::RecordTooLarge { size, max } => {
-                write!(
-                    f,
-                    "record of {size} bytes exceeds page payload capacity {max}"
-                )
-            }
             StorageError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -83,16 +59,8 @@ mod tests {
                 StorageError::Model(nf2_core::NfError::OverlappingTuples),
                 "model error",
             ),
-            (StorageError::ChecksumMismatch { page_id: 3 }, "checksum"),
-            (StorageError::InvalidRecord("x".into()), "invalid record"),
             (StorageError::Corrupt("y".into()), "corrupt"),
-            (
-                StorageError::RecordTooLarge {
-                    size: 9999,
-                    max: 100,
-                },
-                "exceeds",
-            ),
+            (std::io::Error::other("boom").into(), "io error"),
         ];
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle));

@@ -5,9 +5,8 @@
 //! contribute to the reduction of logical search space. We call this
 //! level of view as realization view." This crate makes that concrete:
 //!
-//! * [`codec`] — compact binary tuple encoding with checksums;
-//! * [`page`] — 8 KiB slotted pages;
-//! * [`heap`] — page files with record ids and persistence;
+//! * [`codec`] — compact binary tuple encoding and the FNV-1a hash that
+//!   guards checkpoints;
 //! * [`dictionary`] — a concurrent interning dictionary;
 //! * `wal` (crate-internal) — the sequenced group-commit write-ahead
 //!   log shared by a table's per-shard writer lanes;
@@ -19,13 +18,9 @@
 pub mod codec;
 pub mod dictionary;
 pub mod error;
-pub mod heap;
-pub mod page;
 pub mod table;
 pub(crate) mod wal;
 
 pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
-pub use heap::{HeapFile, RecordId};
-pub use page::{Page, PAGE_SIZE};
 pub use table::{NfTable, TableScan, TableSnapshot, TableStats, ZoneCounts};

@@ -3,21 +3,25 @@
 //! [`NfTable`] is the paper's *realization view* (§2): the NFR is the
 //! physical representation. Updates run the §4 incremental canonical
 //! maintenance; durability follows the classic recipe — a write-ahead log
-//! of flat-row operations plus page checkpoints of the NF² tuples. Scans
+//! of flat-row operations plus checkpoints of the NF² tuples. Scans
 //! count probes so the "reduction of logical search space" claim (§2, §5)
 //! is measurable (E9 sets it against a 1NF fixture in `nf2-bench`).
 //!
 //! ## Checkpoints: the form held is the form stored
 //!
 //! A checkpoint writes each shard's tuples exactly as its chunks hold
-//! them — shard 0 first, each in kernel order — into one page file, and
-//! a meta file holding, beside the schema, order, dictionary, shard spec
-//! and tiling target, one digest per shard: FNV-1a over that shard's
-//! encoded tuples. It reads the store without changing it. A reopen
-//! re-nests the stored rows, routes them to their shards, and refuses
-//! (`StorageError::Corrupt`, naming the shard) any rebuilt shard whose
-//! encoding misses its digest — a changed, dropped or added row —
-//! before it replays the WAL.
+//! them — shard 0 first, each in kernel order, each tuple in the
+//! [`codec`](crate::codec) encoding, back to back with nothing between
+//! them — into one tuple file, so a tuple is as large as its sets make
+//! it. A meta file holds, beside the schema, order, dictionary, shard
+//! spec and tiling target, each shard's extent: its tuple count, its
+//! byte length and FNV-1a over those bytes. The checkpoint reads the
+//! store without changing it. A reopen refuses (`StorageError::Corrupt`,
+//! naming the shard) a tuple file that misses an extent before it
+//! decodes a byte, re-nests the stored rows, routes them to their
+//! shards, and refuses any rebuilt shard whose encoding misses its
+//! extent — a changed, dropped, added or misplaced row — before it
+//! replays the WAL.
 //!
 //! ## Write path: routed per-shard commit pipeline
 //!
@@ -73,16 +77,13 @@ use nf2_core::shard::{
     apply_sub_batches, merge_shards, BatchReport, MaintenanceCost, ShardRouter, ShardSpec,
     ShardWriter, ShardedCanonical,
 };
-use nf2_core::tuple::{FlatTuple, TupleStore, TupleView, ValueSet};
+use nf2_core::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::Histogram;
 
-use crate::codec::{
-    decode_nf_tuple, encode_nf_tuple, fnv1a64, fnv1a64_extend, get_varint, put_varint,
-};
+use crate::codec::{decode_nf_tuple, encode_nf_tuple, fnv1a64, get_varint, put_varint};
 use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
-use crate::heap::HeapFile;
 use crate::wal::{decode_prefix, CommitLog};
 
 /// Probe and operation counters for the search-space experiments (E9) —
@@ -846,27 +847,28 @@ impl NfTable {
         &self.routing
     }
 
-    /// Checkpoints to `dir`: a page file of each shard's NF² tuples,
+    /// Checkpoints to `dir`: a tuple file of each shard's NF² tuples,
     /// shard 0 first, each exactly as its chunks hold them (kernel
-    /// order), and a meta file holding one digest per shard of those
-    /// encoded tuples; truncates the WAL.
+    /// order), encoded back to back; and a meta file holding each
+    /// shard's extent in it (tuple count, byte length, digest);
+    /// truncates the WAL.
     ///
     /// The checkpoint reads the store and changes nothing in it: no
     /// version is published, and the epoch and the merge cache stay
     /// where they were. It holds every lane lock (ascending) throughout
-    /// so the pages, meta and WAL truncation describe one consistent
+    /// so the tuples, meta and WAL truncation describe one consistent
     /// state (every mutation publishes before releasing its lane).
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         let lanes = self.lock_all_lanes();
-        let mut heap = HeapFile::new();
-        let digests = lanes
+        let mut tuples = BytesMut::new();
+        let extents: Vec<ShardExtent> = lanes
             .iter()
-            .map(|lane| shard_digest(lane.version(), |record| heap.insert(record).map(drop)))
-            .collect::<Result<Vec<u64>>>()?;
-        let segment_rows = lanes[0].segment_rows();
-        self.write_meta_for(Some(&digests), segment_rows, &meta_path(dir, &self.name))?;
-        heap.save(&pages_path(dir, &self.name))?;
+            .map(|lane| encode_shard(lane.version().tuples(), &mut tuples))
+            .collect();
+        let meta = self.encode_meta(&extents, lanes[0].segment_rows());
+        std::fs::write(meta_path(dir, &self.name), &meta)?;
+        std::fs::write(tuples_path(dir, &self.name), &tuples)?;
         self.wal.truncate(&wal_path(dir, &self.name))?;
         drop(lanes);
         Ok(())
@@ -911,16 +913,19 @@ impl NfTable {
         self.wal_group_size = wal_group_size;
     }
 
-    /// Opens a table from `dir`: loads the checkpoint pages, re-nests
+    /// Opens a table from `dir`: loads the checkpoint's tuples, re-nests
     /// their rows under the persisted shard spec and tiling target, then
     /// replays the WAL as one batch
     /// ([`append_batch`](Self::append_batch)'s procedure).
     ///
-    /// When the meta carries shard digests (a [`checkpoint`](Self::checkpoint)
-    /// wrote it), every rebuilt shard must encode to its digest before
-    /// replay, whatever the WAL holds; a mismatch is
-    /// [`StorageError::Corrupt`] naming the shard. The rebuild never
-    /// reads a tuple's shard or order off its place in the page file.
+    /// Before it decodes anything, the tuple file's length must be the
+    /// sum of the meta's shard lengths and each shard's bytes must hash
+    /// to its digest; it then decodes exactly each shard's tuple count
+    /// from exactly its bytes. After the rebuild, and before replay,
+    /// every rebuilt shard must encode to its extent again, whatever
+    /// the WAL holds: the rebuild never reads a tuple's shard or order
+    /// off its place in the file. Each mismatch is
+    /// [`StorageError::Corrupt`] naming the shard.
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
@@ -940,7 +945,7 @@ impl NfTable {
         let schema = Schema::new(name, &refs)?;
         let arity = schema.arity();
         let order = NestOrder::new(meta.order, arity).map_err(StorageError::Model)?;
-        let heap = HeapFile::load(&pages_path(dir, name))?;
+        let bytes = std::fs::read(tuples_path(dir, name))?;
         // Expand the stored tuples into `R*`, checking the partition
         // invariant on the way: an overlapping or duplicated tuple
         // contributes a row the set already holds, so the set ends up
@@ -948,29 +953,40 @@ impl NfTable {
         // below needs `R*` anyway, so the check rides the expansion.
         let mut flat = FlatRelation::new(schema);
         let mut expected = 0u128;
-        for (_, rec) in heap.iter() {
-            let mut slice = rec;
-            let tuple = decode_nf_tuple(&mut slice, arity)?;
-            expected = expected.saturating_add(tuple.expansion_count());
-            for row in tuple.expand() {
-                flat.insert(row)?;
+        for (shard, (mut slice, extent)) in shard_ranges(&bytes, &meta.shards)?
+            .into_iter()
+            .zip(&meta.shards)
+            .enumerate()
+        {
+            for _ in 0..extent.tuples {
+                let tuple = decode_nf_tuple(&mut slice, arity)?;
+                expected = expected.saturating_add(tuple.expansion_count());
+                for row in tuple.expand() {
+                    flat.insert(row)?;
+                }
+            }
+            if !slice.is_empty() {
+                return Err(shard_corrupt(shard, "bytes past its last tuple"));
             }
         }
         if flat.len() as u128 != expected {
             return Err(StorageError::Corrupt(format!(
-                "checkpoint pages hold overlapping tuples: {expected} rows stored, {} distinct",
+                "checkpoint holds overlapping tuples: {expected} rows stored, {} distinct",
                 flat.len()
             )));
         }
         let mut canon = ShardedCanonical::from_flat(&flat, order, meta.spec)?;
         canon.set_segment_rows(meta.segment_rows);
-        // The digests describe the pages, not pages plus log, so they
-        // are checked before replay moves the shards on.
-        for (shard, &digest) in meta.digests.iter().flatten().enumerate() {
-            if shard_digest(canon.version(shard), |_| Ok(()))? != digest {
-                return Err(StorageError::Corrupt(format!(
-                    "shard {shard}: rebuilt tuples disagree with the checkpoint's shard digest"
-                )));
+        // The extents describe the checkpoint, not checkpoint plus log,
+        // so they are checked before replay moves the shards on.
+        let mut rebuilt = BytesMut::with_capacity(bytes.len());
+        for (shard, extent) in meta.shards.iter().enumerate() {
+            rebuilt.clear();
+            if encode_shard(canon.version(shard).tuples(), &mut rebuilt) != *extent {
+                return Err(shard_corrupt(
+                    shard,
+                    "rebuilt tuples disagree with the checkpoint's shard extent",
+                ));
             }
         }
         let wal_bytes = std::fs::read(wal_path(dir, name)).unwrap_or_default();
@@ -990,24 +1006,10 @@ impl NfTable {
         ))
     }
 
-    /// Writes the meta file describing the current table state — schema,
-    /// nest order, dictionary, shard spec, tiling target — without
-    /// touching pages or WAL. It records no shard digests: a meta
-    /// written between checkpoints is ahead of the checkpoint pages, so
-    /// there is nothing a reopen could check them against.
-    pub fn write_meta(&self, path: &Path) -> Result<()> {
-        let segment_rows = self.lock_lane(0).segment_rows();
-        self.write_meta_for(None, segment_rows, path)
-    }
-
-    /// The meta serializer proper. `digests` are a checkpoint's, one
-    /// per shard, for `open` to check the rebuilt shards against.
-    fn write_meta_for(
-        &self,
-        digests: Option<&[u64]>,
-        segment_rows: usize,
-        path: &Path,
-    ) -> Result<()> {
+    /// A checkpoint's meta file: a checksum, then schema, nest order,
+    /// dictionary, shard spec, tiling target and, one per shard, the
+    /// `extents` of the tuple file it describes.
+    fn encode_meta(&self, extents: &[ShardExtent], segment_rows: usize) -> BytesMut {
         let mut buf = BytesMut::new();
         let schema = self.schema();
         put_varint(&mut buf, schema.arity() as u64);
@@ -1040,25 +1042,18 @@ impl NfTable {
                 }
             }
         }
-        // Target tuples-per-segment, then a presence flag and, when
-        // present, one 8-byte digest per shard (shard count from the
-        // spec).
+        // Target tuples-per-segment, then each shard's extent (shard
+        // count from the spec).
         put_varint(&mut buf, segment_rows as u64);
-        match digests {
-            None => buf.put_u8(0),
-            Some(digests) => {
-                buf.put_u8(1);
-                for &digest in digests {
-                    buf.put_u64(digest);
-                }
-            }
+        for extent in extents {
+            put_varint(&mut buf, extent.tuples);
+            put_varint(&mut buf, extent.bytes);
+            buf.put_u64(extent.digest);
         }
-        let checksum = fnv1a64(&buf);
         let mut out = BytesMut::with_capacity(buf.len() + 8);
-        out.put_u64(checksum);
+        out.put_u64(fnv1a64(&buf));
         out.extend_from_slice(&buf);
-        std::fs::write(path, &out)?;
-        Ok(())
+        out
     }
 }
 
@@ -1233,9 +1228,21 @@ struct Meta {
     spec: ShardSpec,
     /// The tiling target the shards are rebuilt at.
     segment_rows: usize,
-    /// One digest per shard ([`shard_digest`] of the pages' shards),
-    /// present when a checkpoint wrote the meta.
-    digests: Option<Vec<u64>>,
+    /// Each shard's extent in the tuple file, in shard order.
+    shards: Vec<ShardExtent>,
+}
+
+/// Where one shard's tuples sit in a checkpoint's tuple file, as the
+/// meta records it ([`encode_shard`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardExtent {
+    /// Tuples stored. A zero-arity tuple encodes to no bytes, so the
+    /// length alone cannot tell the unit row from an empty shard.
+    tuples: u64,
+    /// Bytes those tuples occupy.
+    bytes: u64,
+    /// FNV-1a over those bytes.
+    digest: u64,
 }
 
 fn read_meta(path: &Path) -> Result<Meta> {
@@ -1246,7 +1253,7 @@ fn read_meta(path: &Path) -> Result<Meta> {
     let stored = u64::from_be_bytes(bytes[..8].try_into().expect("length checked above"));
     let body = &bytes[8..];
     if fnv1a64(body) != stored {
-        return Err(StorageError::ChecksumMismatch { page_id: u32::MAX });
+        return Err(StorageError::Corrupt("meta checksum mismatch".into()));
     }
     /// Splits the next `len` bytes off `slice`.
     fn take<'a>(slice: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
@@ -1293,24 +1300,20 @@ fn read_meta(path: &Path) -> Result<Meta> {
     }
     .map_err(StorageError::Model)?;
     let segment_rows = get_varint(&mut slice)? as usize;
-    let digests = match take(&mut slice, 1)?[0] {
-        0 => None,
-        1 => Some(
-            (0..spec.shard_count())
-                .map(|_| {
-                    let digest = take(&mut slice, 8)?;
-                    Ok(u64::from_be_bytes(
-                        digest
-                            .try_into()
-                            .expect("take returns the eight bytes asked for"),
-                    ))
-                })
-                .collect::<Result<Vec<u64>>>()?,
-        ),
-        f => {
-            return Err(StorageError::Corrupt(format!("unknown digest flag {f}")));
-        }
-    };
+    let shards = (0..spec.shard_count())
+        .map(|_| {
+            let tuples = get_varint(&mut slice)?;
+            let bytes = get_varint(&mut slice)?;
+            let digest = take(&mut slice, 8)?
+                .try_into()
+                .expect("take returns the eight bytes asked for");
+            Ok(ShardExtent {
+                tuples,
+                bytes,
+                digest: u64::from_be_bytes(digest),
+            })
+        })
+        .collect::<Result<Vec<ShardExtent>>>()?;
     if !slice.is_empty() {
         return Err(StorageError::Corrupt(format!(
             "meta file has {} trailing bytes",
@@ -1323,24 +1326,61 @@ fn read_meta(path: &Path) -> Result<Meta> {
         dict_entries,
         spec,
         segment_rows,
-        digests,
+        shards,
     })
 }
 
-/// A shard's digest: FNV-1a over its tuples as the page codec encodes
-/// them, in kernel order, back to back (the encoding is self-delimiting,
-/// so the concatenation is unambiguous). `record` sees each tuple's
-/// encoding as it is folded in.
-fn shard_digest(shard: &ShardVersion, mut record: impl FnMut(&[u8]) -> Result<()>) -> Result<u64> {
-    let mut buf = BytesMut::new();
-    let mut digest = fnv1a64(&[]);
-    for tuple in shard.tuples() {
-        buf.clear();
-        encode_nf_tuple(tuple, &mut buf);
-        digest = fnv1a64_extend(digest, &buf);
-        record(&buf)?;
+/// Appends a shard's `tuples` to `out`, each in the tuple codec, back to
+/// back (the encoding is self-delimiting, so the concatenation is
+/// unambiguous), and returns their extent.
+fn encode_shard<'a>(tuples: impl Iterator<Item = &'a NfTuple>, out: &mut BytesMut) -> ShardExtent {
+    let start = out.len();
+    let mut count = 0;
+    for tuple in tuples {
+        encode_nf_tuple(tuple, out);
+        count += 1;
     }
-    Ok(digest)
+    ShardExtent {
+        tuples: count,
+        bytes: (out.len() - start) as u64,
+        digest: fnv1a64(&out[start..]),
+    }
+}
+
+/// Splits a checkpoint's tuple file into its shards' byte ranges. A file
+/// whose length is not the extents' sum, a range that misses its digest
+/// or one claiming more tuples than a shard can hold is corrupt, so no
+/// corrupt byte reaches the decoder.
+fn shard_ranges<'a>(bytes: &'a [u8], extents: &[ShardExtent]) -> Result<Vec<&'a [u8]>> {
+    let total: u128 = extents.iter().map(|e| u128::from(e.bytes)).sum();
+    if total != bytes.len() as u128 {
+        return Err(StorageError::Corrupt(format!(
+            "the tuple file holds {} bytes, its meta's shards {total}",
+            bytes.len()
+        )));
+    }
+    let mut rest = bytes;
+    let mut ranges = Vec::with_capacity(extents.len());
+    for (shard, extent) in extents.iter().enumerate() {
+        let (range, tail) = rest.split_at(extent.bytes as usize);
+        rest = tail;
+        if fnv1a64(range) != extent.digest {
+            return Err(shard_corrupt(shard, "its bytes miss the shard digest"));
+        }
+        // A tuple of positive arity takes at least two bytes; only the
+        // zero-arity unit tuple takes none, and a shard holds at most
+        // one of those.
+        if extent.tuples > extent.bytes.max(1) {
+            return Err(shard_corrupt(shard, "more tuples than bytes"));
+        }
+        ranges.push(range);
+    }
+    Ok(ranges)
+}
+
+/// A checkpoint defect located in one shard.
+fn shard_corrupt(shard: usize, what: &str) -> StorageError {
+    StorageError::Corrupt(format!("shard {shard}: {what}"))
 }
 
 /// A lazy, owning scan over a pinned table snapshot — the located
@@ -1417,8 +1457,8 @@ impl Drop for TableScan {
 fn meta_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.meta"))
 }
-fn pages_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.pages"))
+fn tuples_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.tuples"))
 }
 fn wal_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.wal"))
@@ -1518,14 +1558,14 @@ mod tests {
     fn wal_replay_recovers_unflushed_updates() {
         let dir = temp_dir("wal");
         let t = sample_table();
+        // The WAL logs atoms, so the checkpoint's dictionary must already
+        // hold every string the post-checkpoint updates use.
+        let s4 = t.row_from_strs(&["s4", "c1"]).unwrap();
         t.checkpoint(&dir).unwrap();
         // Post-checkpoint updates, flushed to WAL only.
-        t.insert_row(&["s4", "c1"]).unwrap();
+        t.insert_atoms(s4).unwrap();
         t.delete_row(&["s3", "c3"]).unwrap();
         t.flush_wal(&dir).unwrap();
-        // Meta must know the new dictionary entries — rewrite it the way
-        // checkpoint would, without truncating the wal.
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.relation(), t.relation());
         assert_eq!(reopened.flat_count(), 4);
@@ -1616,30 +1656,32 @@ mod tests {
     fn append_batch_maintains_canonical_form_and_wal() {
         let dir = temp_dir("append");
         let t = sample_table();
-        t.checkpoint(&dir).unwrap();
+        // Every batch's rows are interned before the checkpoint, so its
+        // dictionary resolves the atoms the WAL logs.
         let mk = |s: &str, c: &str, t: &NfTable| t.row_from_strs(&[s, c]).unwrap();
+        let small = vec![Op::Insert(mk("s4", "c1", &t))];
+        let big: Vec<Op> = (0..12)
+            .map(|i| Op::Insert(mk(&format!("x{i}"), "c9", &t)))
+            .collect();
+        let every: Vec<Op> = ["c1", "c2", "c3", "c9"]
+            .iter()
+            .map(|c| Op::Insert(mk("s9", c, &t)))
+            .collect();
+        t.checkpoint(&dir).unwrap();
         // One op under a stored course: the tuple holding c1 regroups,
         // the other two are left where they are.
-        let small = vec![Op::Insert(mk("s4", "c1", &t))];
         let (summary, whole) = t.append_batch(&small).unwrap();
         assert!(!whole, "one key of three");
         assert_eq!(summary.inserted, 1);
         assert_eq!(t.stats().batch_tuples_regrouped, 1);
         // A batch bigger than the table, all under a course nothing
         // stored holds: no stored tuple regroups at all.
-        let big: Vec<Op> = (0..12)
-            .map(|i| Op::Insert(mk(&format!("x{i}"), "c9", &t)))
-            .collect();
         let (summary, whole) = t.append_batch(&big).unwrap();
         assert!(!whole, "12 ops vs 5 rows, and nothing to re-nest");
         assert_eq!(summary.inserted, 12);
         assert_eq!(t.flat_count(), 17);
         assert_eq!(t.stats().batch_tuples_regrouped, 1);
         // One row under every stored course: every tuple regroups.
-        let every: Vec<Op> = ["c1", "c2", "c3", "c9"]
-            .iter()
-            .map(|c| Op::Insert(mk("s9", c, &t)))
-            .collect();
         let (summary, whole) = t.append_batch(&every).unwrap();
         assert!(whole, "a batch over every key is the re-nest");
         assert_eq!(summary.inserted, 4);
@@ -1653,7 +1695,6 @@ mod tests {
         assert_eq!(fresh, *t.relation());
         // WAL replay after reopen reproduces the same relation.
         t.flush_wal(&dir).unwrap();
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.relation(), t.relation());
     }
@@ -1880,13 +1921,13 @@ mod tests {
         // The checkpoint stores the drifted shards as they are; the
         // reopen rebuilds them at the uniform tiling.
         let t = drifted_table();
+        let s9 = t.row_from_strs(&["s9", "c9"]).unwrap();
         t.checkpoint(&dir).unwrap();
         t.sharded().verify().unwrap();
         let checkpointed = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(checkpointed.relation(), t.relation());
-        t.insert_row(&["s9", "c9"]).unwrap();
+        t.insert_atoms(s9).unwrap();
         t.flush_wal(&dir).unwrap();
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.shard_count(), 3, "spec survives the round trip");
         assert_eq!(reopened.shard_spec(), t.shard_spec());
@@ -1989,16 +2030,16 @@ mod tests {
     fn torn_wal_tail_recovers_last_durable_prefix() {
         let dir = temp_dir("torn");
         let t = sample_table();
+        let s5 = t.row_from_strs(&["s5", "c5"]).unwrap();
+        let s6 = t.row_from_strs(&["s6", "c6"]).unwrap();
         t.checkpoint(&dir).unwrap();
         // Two post-checkpoint entries; remember the byte boundary after
         // the first so we can tear the file inside the second.
-        t.insert_row(&["s5", "c5"]).unwrap();
+        t.insert_atoms(s5).unwrap();
         t.flush_wal(&dir).unwrap();
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         let boundary = std::fs::metadata(wal_path(&dir, "sc")).unwrap().len();
-        t.insert_row(&["s6", "c6"]).unwrap();
+        t.insert_atoms(s6).unwrap();
         t.flush_wal(&dir).unwrap();
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         let full = std::fs::read(wal_path(&dir, "sc")).unwrap();
         assert!(full.len() > boundary as usize);
         // Crash mid-group: only part of the second entry hit the disk.
@@ -2013,17 +2054,19 @@ mod tests {
     fn reopened_table_keeps_replayed_wal_across_flushes() {
         let dir = temp_dir("reseed");
         let t = sample_table();
+        let s5 = t.row_from_strs(&["s5", "c5"]).unwrap();
+        // The reopened table inserts s6 below; its dictionary is the
+        // checkpoint's, so the strings are interned before it.
+        t.row_from_strs(&["s6", "c6"]).unwrap();
         t.checkpoint(&dir).unwrap();
-        t.insert_row(&["s5", "c5"]).unwrap();
+        t.insert_atoms(s5).unwrap();
         t.flush_wal(&dir).unwrap();
-        t.write_meta(&meta_path(&dir, "sc")).unwrap();
         // First reopen replays s5 from the WAL; a flush after another
         // insert must keep s5 in the rewritten log (the commit log is
         // seeded with the replayed entries as already durable).
         let r1 = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         r1.insert_row(&["s6", "c6"]).unwrap();
         r1.flush_wal(&dir).unwrap();
-        r1.write_meta(&meta_path(&dir, "sc")).unwrap();
         let r2 = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(r2.flat_count(), 6);
         let s5 = r2.row_from_strs(&["s5", "c5"]).unwrap();
@@ -2134,9 +2177,33 @@ mod tests {
         );
     }
 
+    /// Rewrites `t`'s checkpoint in `dir` from `shards`, re-signed: a
+    /// tuple file, and a meta whose extents and checksum describe it, so
+    /// every check `open` makes before the rebuild passes.
+    fn re_sign(t: &NfTable, dir: &Path, shards: &[Vec<NfTuple>]) {
+        let mut tuples = BytesMut::new();
+        let extents: Vec<ShardExtent> = shards
+            .iter()
+            .map(|shard| encode_shard(shard.iter(), &mut tuples))
+            .collect();
+        let meta = t.encode_meta(&extents, t.lock_lane(0).segment_rows());
+        std::fs::write(meta_path(dir, t.name()), &meta).unwrap();
+        std::fs::write(tuples_path(dir, t.name()), &tuples).unwrap();
+    }
+
+    /// Opening `name` in `dir` fails as `Corrupt`, naming `shard`.
+    fn assert_refused(dir: &Path, name: &str, shard: usize) {
+        let err = NfTable::open(dir, name, SharedDictionary::new()).unwrap_err();
+        let named = format!("shard {shard}:");
+        assert!(
+            matches!(&err, StorageError::Corrupt(msg) if msg.starts_with(&named)),
+            "{err:?}"
+        );
+    }
+
     #[test]
-    fn open_refuses_pages_that_miss_a_shard_digest() {
-        let dir = temp_dir("shard_digest");
+    fn open_refuses_a_re_signed_checkpoint_that_misplaces_a_tuple() {
+        let dir = temp_dir("re_signed");
         let t = segmented_table(2, 300);
         t.checkpoint(&dir).unwrap();
         let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
@@ -2148,53 +2215,86 @@ mod tests {
                 "persisted tiling target survives the round trip"
             );
         }
-        // Rewrites the pages, every page checksum valid, from `shards`.
+        // Re-signing the shards as the table holds them is a valid
+        // checkpoint.
         let store = t.sharded();
-        let shards: Vec<Vec<NfTuple>> = (0..2)
+        let mut shards: Vec<Vec<NfTuple>> = (0..2)
             .map(|s| store.version(s).tuples().cloned().collect())
             .collect();
-        let rewrite = |shards: &[Vec<NfTuple>]| {
-            let mut heap = HeapFile::new();
-            let mut buf = BytesMut::new();
-            for tuple in shards.iter().flatten() {
-                buf.clear();
-                encode_nf_tuple(tuple, &mut buf);
-                heap.insert(&buf).unwrap();
-            }
-            heap.save(&pages_path(&dir, "t")).unwrap();
-        };
-        let assert_refused = |shard: usize| {
+        re_sign(&t, &dir, &shards);
+        NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
+        // One tuple moves from shard 1's range to the end of shard 0's.
+        // Every count, length and digest and the meta checksum describe
+        // the file, and the rows are the same; only the rebuild, which
+        // routes the tuple back to shard 1, sees it.
+        let moved = shards[1].remove(0);
+        shards[0].push(moved);
+        re_sign(&t, &dir, &shards);
+        assert_refused(&dir, "t", 0);
+    }
+
+    #[test]
+    fn open_refuses_a_flipped_byte_naming_its_shard() {
+        let dir = temp_dir("flipped_byte");
+        let t = segmented_table(4, 300);
+        t.checkpoint(&dir).unwrap();
+        let path = tuples_path(&dir, "t");
+        let good = std::fs::read(&path).unwrap();
+        // A flipped byte inside each shard's range names that shard.
+        let meta = read_meta(&meta_path(&dir, "t")).unwrap();
+        let mut start = 0;
+        for (shard, extent) in meta.shards.iter().enumerate() {
+            assert!(extent.bytes > 0, "shard {shard} holds tuples");
+            let mut flipped = good.clone();
+            flipped[start + extent.bytes as usize / 2] ^= 0x01;
+            std::fs::write(&path, &flipped).unwrap();
+            assert_refused(&dir, "t", shard);
+            start += extent.bytes as usize;
+        }
+        std::fs::write(&path, &good).unwrap();
+        NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_a_tuple_file_of_the_wrong_length() {
+        let dir = temp_dir("wrong_length");
+        let t = segmented_table(4, 300);
+        t.checkpoint(&dir).unwrap();
+        let path = tuples_path(&dir, "t");
+        let good = std::fs::read(&path).unwrap();
+        // A file one byte short or one byte long is refused.
+        let longer = [good.as_slice(), &[0]].concat();
+        for bytes in [&good[..good.len() - 1], longer.as_slice()] {
+            std::fs::write(&path, bytes).unwrap();
             let err = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap_err();
-            let named = format!("shard {shard}:");
-            assert!(
-                matches!(&err, StorageError::Corrupt(msg) if msg.starts_with(&named)),
-                "{err:?}"
-            );
-        };
-        // A dropped tuple.
-        let mut dropped = shards.clone();
-        dropped[0].remove(0);
-        rewrite(&dropped);
-        assert_refused(0);
-        // In a tuple strictly inside a segment, the largest atom of the
-        // non-outer component A gives way to the next tuple's smallest:
-        // a value inside the segment's A zone that the tuple lacks. The
-        // tuple keeps its kernel key, the shard its tuple count, and
-        // every segment its row count, outer sets and zone bounds.
-        let (range, seg) = store.shard_segments(1).ranges().next().unwrap();
-        assert!(range.len() >= 3, "a tuple strictly inside the segment");
-        let at = range.start + 1;
-        let (inside, next) = (&shards[1][at], &shards[1][at + 1]);
-        let a = inside.component(0).as_slice();
-        let (&dropped_atom, kept) = a.split_last().unwrap();
-        let entering = next.component(0).as_slice()[0];
-        assert!(!kept.is_empty() && dropped_atom < entering);
-        assert!(seg.min(0) <= entering && entering <= seg.max(0));
-        let swapped = ValueSet::new([kept, &[entering]].concat()).unwrap();
-        let mut tampered = shards.clone();
-        tampered[1][at] = NfTuple::new(vec![swapped, inside.component(1).clone()]);
-        rewrite(&tampered);
-        assert_refused(1);
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        }
+        std::fs::write(&path, &good).unwrap();
+        NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_corrupt_tuple_files() {
+        let dir = temp_dir("corrupt_tuples");
+        let t = sample_table();
+        t.checkpoint(&dir).unwrap();
+        let path = tuples_path(&dir, "sc");
+        let good = std::fs::read(&path).unwrap();
+        // The shard digest covers the file's last byte.
+        let mut flipped = good.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_refused(&dir, "sc", 0);
+        // A file cut in half, and a missing one, are refused.
+        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+        let err = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        std::fs::remove_file(&path).unwrap();
+        assert!(NfTable::open(&dir, "sc", SharedDictionary::new()).is_err());
+        std::fs::write(&path, &good).unwrap();
+        let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+        assert_eq!(reopened.relation(), t.relation());
     }
 
     #[test]
@@ -2202,22 +2302,66 @@ mod tests {
         let dir = temp_dir("overlap");
         let t = sample_table();
         t.checkpoint(&dir).unwrap();
-        // Append a tuple whose expansion repeats a stored row.
+        // Append a tuple whose expansion repeats a stored row, re-signed
+        // so that the overlap check is what refuses it.
         let mut tuples = t.relation().tuples().to_vec();
         let row = t.row_from_strs(&["s1", "c1"]).unwrap();
         tuples.push(NfTuple::from_flat(&row));
-        let mut heap = HeapFile::new();
-        let mut buf = BytesMut::new();
-        for tuple in &tuples {
-            buf.clear();
-            encode_nf_tuple(tuple, &mut buf);
-            heap.insert(&buf).unwrap();
-        }
-        heap.save(&pages_path(&dir, "sc")).unwrap();
+        re_sign(&t, &dir, &[tuples]);
         let err = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap_err();
         assert!(
             matches!(&err, StorageError::Corrupt(msg) if msg.contains("overlapping")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_tuple_of_any_size_round_trips() {
+        // 10 000 students in one course and one club nest into one tuple
+        // whose encoding is larger than an 8 KiB page.
+        let students: Vec<String> = (0..10_000).map(|i| format!("s{i}")).collect();
+        for shards in [1, 4] {
+            let dir = temp_dir(&format!("large_tuple_{shards}"));
+            let t = NfTable::bulk_load_strs_sharded(
+                "sc",
+                &["Student", "Course", "Club"],
+                students.iter().map(|s| vec![s.as_str(), "c1", "b1"]),
+                NestOrder::identity(3),
+                ShardSpec::hash(shards).unwrap(),
+                SharedDictionary::new(),
+            )
+            .unwrap();
+            let mut encoded = BytesMut::new();
+            encode_nf_tuple(&t.relation().tuples()[0], &mut encoded);
+            assert_eq!((t.tuple_count(), encoded.len()), (1, 10_006));
+            t.checkpoint(&dir).unwrap();
+            let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+            assert_eq!(reopened.relation(), t.relation());
+            assert_eq!(reopened.flat_count(), t.flat_count());
+        }
+    }
+
+    #[test]
+    fn a_zero_arity_table_round_trips_its_unit_row() {
+        let dir = temp_dir("zero_arity");
+        let t = NfTable::create("u", &[], NestOrder::identity(0), SharedDictionary::new()).unwrap();
+        assert!(t.insert_atoms(Vec::new()).unwrap());
+        t.checkpoint(&dir).unwrap();
+        // The unit tuple encodes to no bytes: only the shard's tuple
+        // count tells it from an empty shard.
+        assert!(std::fs::read(tuples_path(&dir, "u")).unwrap().is_empty());
+        let reopened = NfTable::open(&dir, "u", SharedDictionary::new()).unwrap();
+        assert_eq!(reopened.flat_count(), 1);
+        assert_eq!(reopened.relation(), t.relation());
+        // A signed meta claiming more unit tuples than one is refused
+        // before the decoder would spin through them.
+        let forged = ShardExtent {
+            tuples: u64::MAX,
+            bytes: 0,
+            digest: fnv1a64(&[]),
+        };
+        let meta = t.encode_meta(&[forged], t.lock_lane(0).segment_rows());
+        std::fs::write(meta_path(&dir, "u"), &meta).unwrap();
+        assert_refused(&dir, "u", 0);
     }
 }

@@ -4,17 +4,18 @@
 //! §2 argues the NFR can be the *physical* representation. That claim
 //! obliges the storage engine to survive crashes: this example
 //! checkpoints an [`NfTable`], keeps updating, "crashes" before the next
-//! checkpoint, and recovers the exact canonical relation from checkpoint
-//! pages + write-ahead log. It then flips one bit on disk and shows the
-//! checksummed page format refuses to load silently-corrupt data, and
-//! rewrites the pages one tuple short — every page checksum valid — to
-//! show the per-shard digest in the meta refusing what the pages alone
-//! cannot.
+//! checkpoint, and recovers the exact canonical relation from the
+//! checkpoint's tuples + write-ahead log. It then flips one bit in the
+//! tuple file and shows the shard digest in the meta refusing it, naming
+//! the shard, before a byte is decoded; and cuts one tuple off the file,
+//! meta untouched, to show the shard lengths the meta records refusing
+//! that too.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use nf2::prelude::*;
-use nf2::storage::{HeapFile, StorageError};
+use nf2::storage::codec::decode_nf_tuple;
+use nf2::storage::StorageError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("nf2_crash_recovery_example");
@@ -67,32 +68,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovered.tuple_count()
     );
 
-    // 4. Corruption: flip one bit in the checkpoint pages. The FNV-1a
-    //    page checksum must catch it.
-    let pages = dir.join("sc.pages");
-    let mut bytes = std::fs::read(&pages)?;
+    // 4. Corruption: flip one bit in the checkpoint's tuple file. The
+    //    FNV-1a digest the meta keeps for the shard must catch it.
+    let tuples = dir.join("sc.tuples");
+    let mut bytes = std::fs::read(&tuples)?;
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
-    std::fs::write(&pages, &bytes)?;
+    std::fs::write(&tuples, &bytes)?;
     match NfTable::open(&dir, "sc", SharedDictionary::new()) {
-        Err(e) => println!("bit-flip detected as expected: {e}"),
+        Err(StorageError::Corrupt(msg)) if msg.starts_with("shard 0:") => {
+            println!("bit-flip refused by the shard digest: {msg}")
+        }
+        Err(e) => panic!("expected shard 0's digest to refuse the flip, got: {e}"),
         Ok(_) => panic!("corrupt checkpoint must not load"),
     }
 
-    // 5. A checkpoint one tuple short: copy every record but the first
-    //    into fresh pages. Each page checksum holds; the digest the meta
-    //    keeps for the shard does not.
+    // 5. A checkpoint one tuple short: cut the first tuple off the file
+    //    and leave the meta as it is. The shard lengths it records no
+    //    longer add up to the file.
     recovered.checkpoint(&dir)?;
-    let mut short = HeapFile::new();
-    for (_, record) in HeapFile::load(&pages)?.iter().skip(1) {
-        short.insert(record)?;
-    }
-    short.save(&pages)?;
+    let bytes = std::fs::read(&tuples)?;
+    let mut rest = bytes.as_slice();
+    decode_nf_tuple(&mut rest, 3)?;
+    std::fs::write(&tuples, rest)?;
     match NfTable::open(&dir, "sc", SharedDictionary::new()) {
         Err(StorageError::Corrupt(msg)) => {
-            println!("missing tuple refused by the shard digest: {msg}")
+            println!("missing tuple refused by the shard lengths: {msg}")
         }
-        Err(e) => panic!("expected a digest mismatch, got: {e}"),
+        Err(e) => panic!("expected a length mismatch, got: {e}"),
         Ok(_) => panic!("a checkpoint missing a tuple must not load"),
     }
 

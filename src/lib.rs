@@ -9,7 +9,7 @@
 //! | [`core`] | `nf2-core` | the NF² model: composition, nest, canonical forms, fixedness, §4 incremental maintenance |
 //! | [`deps`] | `nf2-deps` | FDs, MVDs, 3NF synthesis, dependency mining, Theorems 3–5 |
 //! | [`algebra`] | `nf2-algebra` | NF² relational algebra with NEST/UNNEST, plus the streaming operators compiled plans are built from |
-//! | [`storage`] | `nf2-storage` | realization-view storage: pages, heap files, WAL, tables |
+//! | [`storage`] | `nf2-storage` | realization-view storage: tuple codec, WAL, tables, checkpoints |
 //! | [`query`] | `nf2-query` | the NF² engine: SQL-ish DML, sessions, prepared statements, cursors |
 //! | [`obs`] | `nf2-obs` | observability: spans, metrics registry, subscribers, the sanctioned clock |
 //! | [`workload`] | `nf2-workload` | deterministic experiment workloads |

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use nf2::core::schema::NestOrder;
-use nf2::storage::{NfTable, SharedDictionary};
+use nf2::storage::{NfTable, SharedDictionary, StorageError};
 use nf2::workload;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -74,18 +74,19 @@ fn wal_replay_after_simulated_crash() {
 }
 
 #[test]
-fn pages_corruption_is_refused_on_open() {
+fn a_flipped_checkpoint_byte_is_refused_by_its_shard_digest() {
     let dir = temp_dir("corrupt");
     let t = build_table(100, 6);
     t.checkpoint(&dir).unwrap();
-    let pages = dir.join("facts.pages");
-    let mut bytes = std::fs::read(&pages).unwrap();
+    let tuples = dir.join("facts.tuples");
+    let mut bytes = std::fs::read(&tuples).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x55;
-    std::fs::write(&pages, &bytes).unwrap();
+    std::fs::write(&tuples, &bytes).unwrap();
+    let err = NfTable::open(&dir, "facts", SharedDictionary::new()).unwrap_err();
     assert!(
-        NfTable::open(&dir, "facts", SharedDictionary::new()).is_err(),
-        "corrupted pages must be detected by checksums"
+        matches!(&err, StorageError::Corrupt(msg) if msg.starts_with("shard 0:")),
+        "a corrupt byte must be refused before it is decoded: {err:?}"
     );
 }
 
