@@ -91,8 +91,14 @@ proptest! {
                     ShardedCanonical::from_flat(&w.flat, order.clone(), ShardSpec::single())
                         .unwrap();
                 let mut total = nf2_core::bulk::BatchSummary::default();
-                for batch in trace.chunks(chunk) {
-                    total += keyed.apply_batch(batch).unwrap().summary;
+                for (i, batch) in trace.chunks(chunk).enumerate() {
+                    // Each batch names its no-ops by their place in it;
+                    // shifted, they name their place in the trace.
+                    let mut part = keyed.apply_batch(batch).unwrap().summary;
+                    for at in &mut part.noop_positions {
+                        *at += i * chunk;
+                    }
+                    total += part;
                 }
                 prop_assert_eq!(total, summary);
                 prop_assert_eq!(

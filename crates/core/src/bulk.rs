@@ -54,8 +54,8 @@ impl Op {
     }
 }
 
-/// Counts of effective operations in a batch.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// Counts of effective operations in a batch, and which ops were not.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BatchSummary {
     /// Inserts that added a new row.
     pub inserted: usize,
@@ -63,13 +63,20 @@ pub struct BatchSummary {
     pub deleted: usize,
     /// Operations that were no-ops (duplicate insert / absent delete).
     pub noops: usize,
+    /// Where those no-ops sit in the batch, ascending: every other op
+    /// took effect, so a caller can log or invert exactly those.
+    pub noop_positions: Vec<usize>,
 }
 
 impl std::ops::AddAssign for BatchSummary {
+    /// Sums the summaries of two disjoint parts of one batch. Both name
+    /// positions in that batch, so the positions concatenate; whoever
+    /// sums the parts sorts them.
     fn add_assign(&mut self, other: Self) {
         self.inserted += other.inserted;
         self.deleted += other.deleted;
         self.noops += other.noops;
+        self.noop_positions.extend(other.noop_positions);
     }
 }
 
@@ -80,17 +87,19 @@ pub fn apply_batch(
     ops: &[Op],
     cost: &mut CostCounter,
 ) -> Result<BatchSummary> {
-    replay(canon, ops, cost)
+    replay(canon, ops.iter().enumerate(), cost)
 }
 
-/// [`apply_batch`] over any stream of borrowed ops.
+/// [`apply_batch`] over any stream of borrowed ops, each beside its
+/// position in the batch it came from — the position a no-op is
+/// reported at.
 pub(crate) fn replay<'a>(
     canon: &mut CanonicalRelation,
-    ops: impl IntoIterator<Item = &'a Op>,
+    ops: impl IntoIterator<Item = (usize, &'a Op)>,
     cost: &mut CostCounter,
 ) -> Result<BatchSummary> {
     let mut summary = BatchSummary::default();
-    for op in ops {
+    for (at, op) in ops {
         let (effective, counter) = match op {
             Op::Insert(row) => (canon.insert_counted(row, cost)?, &mut summary.inserted),
             Op::Delete(row) => (canon.delete_counted(row, cost)?, &mut summary.deleted),
@@ -99,6 +108,7 @@ pub(crate) fn replay<'a>(
             *counter += 1;
         } else {
             summary.noops += 1;
+            summary.noop_positions.push(at);
         }
     }
     Ok(summary)
@@ -144,13 +154,14 @@ pub(crate) struct KeyedBatch {
 /// [`ShardSegments::locate`](crate::segment::ShardSegments::locate)
 /// against postings no edit has touched, and every position it reads or
 /// reports counts through the version's chunks back to back. `ops` (all of
-/// the shard's arity) keep their order within each outer key; across
-/// keys order is immaterial, as they touch disjoint rows.
+/// the shard's arity, each beside its position in the caller's batch)
+/// keep their order within each outer key; across keys order is
+/// immaterial, as they touch disjoint rows.
 pub(crate) fn keyed_batch(
     version: &ShardVersion,
     outer: AttrId,
     kernel: &mut NestKernel,
-    ops: &[&Op],
+    ops: &[(usize, &Op)],
     cost: &mut CostCounter,
 ) -> Result<KeyedBatch> {
     let (schema, order, segments) = (&version.schema, &version.order, &version.segments);
@@ -159,11 +170,11 @@ pub(crate) fn keyed_batch(
     let mut splits: Vec<(usize, Atom, &NfTuple)> = Vec::new();
     let mut gained: Vec<NfTuple> = Vec::new();
 
-    let mut by_key: Vec<&Op> = ops.to_vec();
-    by_key.sort_by_key(|op| op.row()[outer]); // stable: op order survives within a key
-    for run in by_key.chunk_by(|a, b| a.row()[outer] == b.row()[outer]) {
+    let mut by_key = ops.to_vec();
+    by_key.sort_by_key(|(_, op)| op.row()[outer]); // stable: op order survives within a key
+    for run in by_key.chunk_by(|(_, a), (_, b)| a.row()[outer] == b.row()[outer]) {
         batch.keys += 1;
-        let key = run[0].row()[outer];
+        let key = run[0].1.row()[outer];
         // The key's slice of the shard, in kernel order, with the
         // position and the stored tuple each was cut from.
         let holders = segments.locate(&[(outer, std::slice::from_ref(&key))]).rows;
@@ -213,6 +224,7 @@ pub(crate) fn keyed_batch(
             }
         }
     }
+    batch.summary.noop_positions.sort_unstable();
     if splits.is_empty() && gained.is_empty() {
         return Ok(batch);
     }
@@ -264,26 +276,6 @@ pub(crate) fn keyed_batch(
     Ok(batch)
 }
 
-/// Rewrites one flat row (the paper's Fig. 2 "student stops taking a
-/// course" scenario is a delete; a correction is delete + insert).
-///
-/// Returns `false` (and leaves the relation untouched) when `old` is
-/// absent. When `new` already exists, the net effect is just the delete
-/// — set semantics absorb the insert.
-pub fn modify(
-    canon: &mut CanonicalRelation,
-    old: &[crate::value::Atom],
-    new: FlatTuple,
-    cost: &mut CostCounter,
-) -> Result<bool> {
-    if !canon.contains(old) {
-        return Ok(false);
-    }
-    canon.delete_counted(old, cost)?;
-    canon.insert_counted(&new, cost)?;
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +324,8 @@ mod tests {
             BatchSummary {
                 inserted: 2,
                 deleted: 1,
-                noops: 2
+                noops: 2,
+                noop_positions: vec![2, 3],
             }
         );
         assert_eq!(canon.flat_count(), 5);
@@ -500,7 +493,8 @@ mod tests {
             BatchSummary {
                 inserted: 2,
                 deleted: 1,
-                noops: 7
+                noops: 7,
+                noop_positions: vec![2, 3, 5, 6, 7, 8, 9],
             }
         );
         sharded.verify().unwrap();
@@ -651,7 +645,8 @@ mod tests {
             BatchSummary {
                 inserted: 1,
                 deleted: 1,
-                noops: 1
+                noops: 1,
+                noop_positions: vec![1],
             }
         );
         assert_eq!(report.keys, 0, "no routing attribute, no keyed path");
@@ -663,36 +658,6 @@ mod tests {
             1,
             "the unit tuple's chunk, without columns"
         );
-    }
-
-    #[test]
-    fn modify_rewrites_one_row() {
-        let mut canon = seeded();
-        let mut cost = CostCounter::new();
-        assert!(modify(&mut canon, &row(&[1, 11]), row(&[1, 13]), &mut cost).unwrap());
-        assert!(!canon.contains(&row(&[1, 11])));
-        assert!(canon.contains(&row(&[1, 13])));
-        assert_eq!(canon.flat_count(), 4);
-        canon.verify().unwrap();
-    }
-
-    #[test]
-    fn modify_of_absent_row_is_untouched_noop() {
-        let mut canon = seeded();
-        let before = canon.relation().clone();
-        let mut cost = CostCounter::new();
-        assert!(!modify(&mut canon, &row(&[9, 99]), row(&[1, 13]), &mut cost).unwrap());
-        assert_eq!(canon.relation(), &before);
-    }
-
-    #[test]
-    fn modify_onto_existing_row_collapses() {
-        let mut canon = seeded();
-        let mut cost = CostCounter::new();
-        // (2,12) → (2,11), which already exists: net row count drops.
-        assert!(modify(&mut canon, &row(&[2, 12]), row(&[2, 11]), &mut cost).unwrap());
-        assert_eq!(canon.flat_count(), 3);
-        canon.verify().unwrap();
     }
 
     /// Deterministic randomized agreement between the three procedures

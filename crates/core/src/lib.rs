@@ -57,7 +57,7 @@ pub mod shard;
 pub mod tuple;
 pub mod value;
 
-pub use bulk::{apply_batch, modify, rebuild_batch, BatchSummary, Op};
+pub use bulk::{apply_batch, rebuild_batch, BatchSummary, Op};
 pub use compose::{composable, composable_over, compose, decompose, decompose_set, Split};
 pub use error::{NfError, Result};
 pub use kernel::NestKernel;

@@ -14,8 +14,9 @@
 //!   writes are installed after. Streaming a cursor takes no locks, and
 //!   a tuple it hands out pins only the segment it lives in.
 //! * **Writers** build replacement `ShardVersion`s off to the side —
-//!   every write is one `ShardVersion::apply_batch` (a point write is
-//!   a keyed batch of one), run through the shard's
+//!   a statement is one write, and each shard it routes to changes by
+//!   one `ShardVersion::apply_batch` (a keyed batch of the statement's
+//!   ops there), run through the shard's
 //!   [`crate::shard::ShardWriter`], whose result shares every segment
 //!   the write does not touch, chunk and all, with its predecessor —
 //!   carrying one over is a reference-count bump, so building a version
@@ -149,7 +150,9 @@ impl ShardVersion {
 
     /// Applies a sub-batch by the keyed batch procedure
     /// ([`crate::bulk`]) — after the shard is built, the only way it
-    /// changes (a re-tile aside); a point write is a batch of one. The
+    /// changes (a re-tile aside). Each op comes beside its position in
+    /// the caller's batch, and the report's summary names the no-ops by
+    /// those positions. The
     /// read phase runs against this version as it stands, its postings
     /// clean, and decides which tuples leave and which enter; only a
     /// batch that changes something builds the replacement version: one
@@ -163,7 +166,7 @@ impl ShardVersion {
     pub(crate) fn apply_batch(
         &self,
         kernel: &mut NestKernel,
-        batch: &[&Op],
+        batch: &[(usize, &Op)],
         cost: &mut CostCounter,
         tiling: Tiling,
     ) -> Result<(BatchReport, Option<ShardVersion>)> {

@@ -36,7 +36,7 @@
 //!   each shard's sub-batch by the keyed batch procedure
 //!   ([`crate::bulk`]) on that shard's own [`NestKernel`] scratch, the
 //!   sub-batches side by side under [`std::thread::scope`]. A point
-//!   write is a sub-batch of one.
+//!   write is a batch of one.
 
 use std::sync::{Arc, Mutex};
 
@@ -198,15 +198,15 @@ impl ShardRouter {
             .is_ok_and(|s| shard(s).contains(row))
     }
 
-    /// Splits a batch into per-shard sub-batches of borrowed ops (order
-    /// preserved within each shard; ops on different shards touch
-    /// disjoint row sets, so cross-shard order is immaterial). Arity is
-    /// validated for the whole batch up front, so applying the
-    /// sub-batches cannot fail halfway through.
-    pub fn partition_ops<'a>(&self, ops: &'a [Op]) -> Result<Vec<Vec<&'a Op>>> {
-        let mut per_shard: Vec<Vec<&Op>> = vec![Vec::new(); self.shard_count()];
-        for op in ops {
-            per_shard[self.route_checked(op.row())?].push(op);
+    /// Splits a batch into per-shard sub-batches of borrowed ops, each
+    /// beside its position in `ops` (order preserved within each shard;
+    /// ops on different shards touch disjoint row sets, so cross-shard
+    /// order is immaterial). Arity is validated for the whole batch up
+    /// front, so applying the sub-batches cannot fail halfway through.
+    pub fn partition_ops<'a>(&self, ops: &'a [Op]) -> Result<Vec<Vec<(usize, &'a Op)>>> {
+        let mut per_shard: Vec<Vec<(usize, &Op)>> = vec![Vec::new(); self.shard_count()];
+        for (at, op) in ops.iter().enumerate() {
+            per_shard[self.route_checked(op.row())?].push((at, op));
         }
         Ok(per_shard)
     }
@@ -273,10 +273,10 @@ impl MaintenanceCost {
 
 /// What a batch did, per shard or summed over the shards it ran on
 /// ([`apply_sub_batches`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// Effective inserts, deletes and no-ops, counted as §4 replay
-    /// counts them.
+    /// counts them, and the no-ops' positions in the caller's batch.
     pub summary: BatchSummary,
     /// Distinct outer (`P(n−1)`) keys the ops addressed.
     pub keys: usize,
@@ -312,8 +312,8 @@ impl std::ops::AddAssign for BatchReport {
 /// accumulated §4 maintenance cost. Every mutation of a shard goes
 /// through its writer.
 ///
-/// Every write is one [`apply_batch`](Self::apply_batch) — a point
-/// write is a keyed batch of one — which builds the replacement version
+/// Every write is one [`apply_batch`](Self::apply_batch) — the keyed
+/// batch of the write's ops on this shard — which builds the replacement version
 /// beside the current one, so pinned readers keep streaming the old
 /// state. The new version shares every segment the write does not
 /// touch, chunk and all (segments are `Arc`-held), and leaves the
@@ -324,9 +324,10 @@ impl std::ops::AddAssign for BatchReport {
 /// A [`ShardedCanonical`] owns one writer per shard; a table that wants
 /// per-shard write concurrency takes them over with
 /// [`ShardedCanonical::into_writers`] and wraps each in a mutex (a
-/// *lane*): routed point ops then lock exactly one writer, build the
-/// replacement `Arc<ShardVersion>` in parallel with writers on other
-/// shards, and publish through [`crate::mvcc::VersionCell::submit`]. The
+/// *lane*): a write then locks exactly the writers its ops route to,
+/// builds their replacement `Arc<ShardVersion>`s in parallel with
+/// writers on other shards, and publishes through
+/// [`crate::mvcc::VersionCell::submit`]. The
 /// writer itself is lock-free — acquisition ordering across writers is
 /// the caller's contract (the storage write module locks ascending shard
 /// index).
@@ -388,11 +389,13 @@ impl ShardWriter {
     /// ([`crate::bulk`]): each outer key's ops replayed on that key's
     /// slice, one regroup on `P(n−1)`, one ordered merge into the
     /// chunks it touches — leaving the chunks back to back in kernel
-    /// order. The replacement version is built beside the current one
-    /// and swapped in; a batch that changes nothing keeps the current
-    /// `Arc`, untouched and uncloned.
-    pub fn apply_batch(&mut self, batch: &[&Op]) -> Result<BatchReport> {
-        for op in batch {
+    /// order. Each op comes beside its position in the caller's batch,
+    /// the position the report names it by if it was a no-op. The
+    /// replacement version is built beside the current one and swapped
+    /// in; a batch that changes nothing keeps the current `Arc`,
+    /// untouched and uncloned.
+    pub fn apply_batch(&mut self, batch: &[(usize, &Op)]) -> Result<BatchReport> {
+        for (_, op) in batch {
             self.check_arity(op.row().len())?;
         }
         let (report, next) =
@@ -420,11 +423,12 @@ fn batch_workers() -> usize {
 /// thread drains the queue beside as many spawned helpers as there are
 /// further cores and further sub-batches — one shard's worth of work,
 /// or one core, spawns nothing. Empty sub-batches leave their shard
-/// untouched. Returns the reports summed.
+/// untouched. Returns the reports summed, the no-op positions (the
+/// ones the ops came beside) ascending.
 pub fn apply_sub_batches<'a>(
-    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [&'a Op])>,
+    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [(usize, &'a Op)])>,
 ) -> Result<BatchReport> {
-    let work: Vec<(&mut ShardWriter, &[&Op])> = work
+    let work: Vec<(&mut ShardWriter, &[(usize, &Op)])> = work
         .into_iter()
         .filter(|(_, batch)| !batch.is_empty())
         .collect();
@@ -455,6 +459,7 @@ pub fn apply_sub_batches<'a>(
     for outcome in outcomes {
         total += outcome.expect("the queue was drained: one slot filled per sub-batch")?;
     }
+    total.summary.noop_positions.sort_unstable();
     Ok(total)
 }
 
@@ -693,7 +698,7 @@ impl ShardedCanonical {
     /// if it changed the shard.
     fn apply_one(&mut self, op: Op) -> Result<bool> {
         let shard = self.router.route_checked(op.row())?;
-        Ok(self.lanes[shard].apply_batch(&[&op])?.summary.noops == 0)
+        Ok(self.lanes[shard].apply_batch(&[(0, &op)])?.summary.noops == 0)
     }
 
     /// Applies a batch, each shard's share by the keyed batch procedure
@@ -1242,6 +1247,11 @@ mod tests {
         noops.push(Op::Delete(row(&[77, 177, 203])));
         let report = sharded.apply_batch(&noops).unwrap();
         assert_eq!(report.summary.noops, 80);
+        assert_eq!(
+            report.summary.noop_positions,
+            (0..80).collect::<Vec<usize>>(),
+            "no-ops named by their place in the batch, across all four shards"
+        );
         assert_eq!((report.summary.inserted, report.summary.deleted), (1, 1));
         assert_eq!(report.tuples_regrouped + report.segments_reencoded, 0);
         for (s, old) in published.iter().enumerate() {
@@ -1279,13 +1289,15 @@ mod tests {
         let store =
             ShardedCanonical::new(s, NestOrder::identity(2), ShardSpec::hash(2).unwrap()).unwrap();
         let mut writers = store.into_writers();
-        assert!(writers[0].apply_batch(&[&Op::Insert(row(&[1]))]).is_err());
         assert!(writers[0]
-            .apply_batch(&[&Op::Delete(row(&[1, 2, 3]))])
+            .apply_batch(&[(0, &Op::Insert(row(&[1])))])
+            .is_err());
+        assert!(writers[0]
+            .apply_batch(&[(0, &Op::Delete(row(&[1, 2, 3])))])
             .is_err());
         for i in 0..40u32 {
             writers[0]
-                .apply_batch(&[&Op::Insert(row(&[i, i]))])
+                .apply_batch(&[(0, &Op::Insert(row(&[i, i])))])
                 .unwrap();
         }
         writers[0].set_segment_rows(4);

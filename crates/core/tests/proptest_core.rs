@@ -274,40 +274,6 @@ proptest! {
         let rebuilt = rebuild_batch(&base, &ops).unwrap();
         prop_assert_eq!(incremental.relation().tuples(), rebuilt.relation().tuples());
     }
-
-    /// `modify` is exactly delete-then-insert, and never touches the
-    /// relation when the old row is absent.
-    #[test]
-    fn modify_matches_delete_insert(
-        flat in arb_flat(),
-        old_vals in proptest::collection::vec(0u32..4, 4),
-        new_vals in proptest::collection::vec(0u32..4, 4),
-        seed in any::<u64>(),
-    ) {
-        use nf2_core::bulk::modify;
-        let arity = flat.schema().arity();
-        let order = order_from_seed(arity, seed);
-        let row = |vals: &[u32]| -> Vec<Atom> {
-            vals.iter().take(arity).enumerate().map(|(i, &v)| Atom(v + 10 * i as u32)).collect()
-        };
-        let (old, new) = (row(&old_vals), row(&new_vals));
-        let base = CanonicalRelation::from_flat(&flat, order).unwrap();
-
-        let mut via_modify = base.clone();
-        let mut cost = CostCounter::new();
-        let hit = modify(&mut via_modify, &old, new.clone(), &mut cost).unwrap();
-
-        let mut via_ops = base.clone();
-        if via_ops.contains(&old) {
-            prop_assert!(hit);
-            via_ops.delete(&old).unwrap();
-            via_ops.insert(new).unwrap();
-        } else {
-            prop_assert!(!hit);
-        }
-        prop_assert_eq!(via_modify.relation(), via_ops.relation());
-        via_modify.verify().unwrap();
-    }
 }
 
 /// The validator's reference: every pair of tuples, in tuple order —

@@ -297,7 +297,8 @@ pub enum Statement {
     },
     /// `UPDATE name SET a='x' [, b='y'] [WHERE …]`
     ///
-    /// Rewrites every matching flat tuple: delete + insert through the §4
+    /// Rewrites every matching flat tuple: each one's delete followed by
+    /// its rewritten insert, all of them one write through the §4
     /// maintenance, so the canonical form is preserved throughout.
     Update {
         /// Table name.
@@ -316,13 +317,15 @@ pub enum Statement {
         /// Table name.
         table: String,
     },
-    /// `BEGIN` — open a transaction: subsequent row mutations are undo-
-    /// logged until COMMIT or ROLLBACK. DDL is rejected inside one.
+    /// `BEGIN` — open a transaction: the session records the flat-row
+    /// ops each subsequent row mutation took effect with, until COMMIT
+    /// or ROLLBACK. DDL is rejected inside one.
     Begin,
-    /// `COMMIT` — close the transaction, discarding the undo log.
+    /// `COMMIT` — close the transaction, discarding the record.
     Commit,
-    /// `ROLLBACK` — undo every row mutation since BEGIN, in reverse
-    /// order, through the same §4 maintenance the forward path used.
+    /// `ROLLBACK` — commit the inverse of every op recorded since BEGIN,
+    /// newest first, as one write per table, through the same §4
+    /// maintenance the forward path used.
     Rollback,
     /// `EXPLAIN [VERIFY] [OPTIMIZED] [ANALYZE] SELECT …` — show the
     /// algebra plan (with its cost estimate); `OPTIMIZED` additionally

@@ -6,10 +6,13 @@
 //! 1. [`Engine`] owns the durable state: the shared dictionary, the
 //!    catalog of [`NfTable`]s, and the persistence configuration
 //!    (set through [`Engine::builder`]).
-//! 2. [`Session`] issues statements against one engine. It carries the
-//!    transaction state (BEGIN/COMMIT/ROLLBACK undo log) and hands out
-//!    [`crate::Prepared`] statements and streaming cursors
-//!    ([`crate::Cursor`]).
+//! 2. [`Session`] issues statements against one engine. Each INSERT,
+//!    DELETE or UPDATE is one write ([`NfTable::append_batch`]): its
+//!    flat-row ops land together, behind one epoch bump, or — when the
+//!    statement fails — not at all. The session carries the
+//!    transaction state (the ops that took effect since BEGIN, which
+//!    ROLLBACK inverts) and hands out [`crate::Prepared`] statements and
+//!    streaming cursors ([`crate::Cursor`]).
 //! 3. [`crate::Prepared`] re-executes a parsed + optimized plan
 //!    with `?` parameters bound per call — no re-lex, no re-parse, no
 //!    re-optimize.
@@ -23,6 +26,7 @@ use parking_lot::RwLock;
 
 use nf2_algebra::stream::filter_box;
 use nf2_algebra::Expr;
+use nf2_core::bulk::{BatchSummary, Op};
 use nf2_core::display::{render_flat, render_nf};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
@@ -428,16 +432,12 @@ impl Engine {
             snap.push_counter(format!("table.{name}.epoch_installs"), s.epoch_installs);
             snap.push_counter(format!("table.{name}.snapshot_pins"), s.snapshot_pins);
             snap.push_counter(format!("table.{name}.wal_flushes"), s.wal_flushes);
-            snap.push_counter(format!("table.{name}.batch.count"), s.batches);
-            snap.push_counter(format!("table.{name}.batch.nanos"), s.batch_nanos);
-            snap.push_counter(format!("table.{name}.batch.keys"), s.batch_keys);
+            snap.push_counter(format!("table.{name}.write.count"), s.writes);
+            snap.push_counter(format!("table.{name}.write.nanos"), s.write_nanos);
+            snap.push_counter(format!("table.{name}.write.keys"), s.write_keys);
             snap.push_counter(
-                format!("table.{name}.batch.tuples_regrouped"),
-                s.batch_tuples_regrouped,
-            );
-            snap.push_counter(
-                format!("table.{name}.batch.segments_reencoded"),
-                s.batch_segments_reencoded,
+                format!("table.{name}.write.tuples_regrouped"),
+                s.write_tuples_regrouped,
             );
             snap.push_counter(
                 format!("table.{name}.write.tuples_copied"),
@@ -558,38 +558,29 @@ impl Engine {
         Ok(())
     }
 
-    /// Flushes one table's WAL if autoflush is configured.
-    fn autoflush(&self, name: &str) -> Result<(), QueryError> {
-        if self.wal_autoflush {
-            if let (Some(dir), Ok(table)) = (&self.data_dir, self.table(name)) {
-                table.flush_wal(dir)?;
-            }
+    /// Flushes `table`'s WAL if autoflush is configured.
+    fn autoflush(&self, table: &NfTable) -> Result<(), QueryError> {
+        if let (true, Some(dir)) = (self.wal_autoflush, &self.data_dir) {
+            table.flush_wal(dir)?;
         }
         Ok(())
     }
 }
 
-/// One reverse operation in a transaction's undo log.
-#[derive(Debug, Clone)]
-enum Undo {
-    /// A delete (or the delete half of an update) removed this row.
-    Reinsert { table: String, row: Vec<Atom> },
-    /// An insert added this row.
-    Remove { table: String, row: Vec<Atom> },
-}
-
 /// A statement-issuing handle on an [`Engine`].
 ///
-/// Sessions hold the transaction state: mutations between `BEGIN` and
-/// `COMMIT`/`ROLLBACK` are undo-logged here, not in the engine. Prepared
+/// Sessions hold the transaction state: between `BEGIN` and
+/// `COMMIT`/`ROLLBACK`, each statement's table and the ops of it that
+/// took effect are recorded here, not in the engine. Prepared
 /// statements are created through [`Session::prepare`] and owned by the
 /// caller — they stay valid across sessions of the same engine
 /// (re-planning themselves when DDL changes the catalog underneath).
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
-    /// Undo log of the open transaction, if any.
-    txn: Option<Vec<Undo>>,
+    /// The open transaction, if any: per statement, in commit order, the
+    /// table it wrote and the ops that took effect there.
+    txn: Option<Vec<(String, Vec<Op>)>>,
 }
 
 impl<'e> Session<'e> {
@@ -738,36 +729,29 @@ impl<'e> Session<'e> {
                 self.engine.ddl_epoch.fetch_add(1, Ordering::Relaxed);
                 Ok(Output::Message(format!("dropped table {name}")))
             }
-            // The three row-mutation arms share one error discipline: the
-            // mutation body runs first, then — error or not — whatever
-            // undo entries it accumulated are logged (so ROLLBACK can
-            // compensate a partially-applied statement) and the WAL is
-            // autoflushed (so whatever landed is durable).
+            // The three row-mutation arms build the statement's ops in
+            // full — every check that can fail runs there — and commit
+            // them as one write, so a statement that fails changes
+            // nothing.
             Statement::Insert { table, rows } => {
-                let mut undo = Vec::new();
-                let result = apply_insert(self.engine, &table, &rows, &mut undo);
-                self.log_undo(undo);
-                self.engine.autoflush(&table)?;
-                Ok(Output::Affected(result?))
+                let t = self.engine.table(&table)?;
+                let ops = insert_ops(&t, &rows)?;
+                Ok(Output::Affected(self.commit(&t, ops)?.inserted))
             }
             Statement::Delete { table, predicates } => {
-                let mut undo = Vec::new();
-                let result = apply_delete(self.engine, &table, &predicates, &mut undo);
-                self.log_undo(undo);
-                self.engine.autoflush(&table)?;
-                Ok(Output::Affected(result?))
+                let t = self.engine.table(&table)?;
+                let ops = delete_ops(self.engine, &t, &predicates)?;
+                Ok(Output::Affected(self.commit(&t, ops)?.deleted))
             }
+            // An UPDATE affects the rows it rewrote: those it deleted.
             Statement::Update {
                 table,
                 assignments,
                 predicates,
             } => {
-                let mut undo = Vec::new();
-                let result =
-                    apply_update(self.engine, &table, &assignments, &predicates, &mut undo);
-                self.log_undo(undo);
-                self.engine.autoflush(&table)?;
-                Ok(Output::Affected(result?))
+                let t = self.engine.table(&table)?;
+                let ops = update_ops(self.engine, &t, &assignments, &predicates)?;
+                Ok(Output::Affected(self.commit(&t, ops)?.deleted))
             }
             Statement::Select {
                 projection,
@@ -876,7 +860,7 @@ impl<'e> Session<'e> {
             Statement::Commit => match self.txn.take() {
                 Some(log) => Ok(Output::Message(format!(
                     "committed ({} row mutation(s))",
-                    log.len()
+                    log.iter().map(|(_, ops)| ops.len()).sum::<usize>()
                 ))),
                 None => Err(QueryError::Semantic("no open transaction to COMMIT".into())),
             },
@@ -886,25 +870,25 @@ impl<'e> Session<'e> {
                         "no open transaction to ROLLBACK".into(),
                     ));
                 };
-                let n = log.len();
-                let mut touched = std::collections::BTreeSet::new();
-                for entry in log.into_iter().rev() {
-                    match entry {
-                        Undo::Reinsert { table, row } => {
-                            self.engine.table(&table)?.insert_atoms(row)?;
-                            touched.insert(table);
-                        }
-                        Undo::Remove { table, row } => {
-                            self.engine.table(&table)?.delete_atoms(&row)?;
-                            touched.insert(table);
-                        }
-                    }
+                // Each table's inverses, newest first, as one write.
+                let mut undo: BTreeMap<String, Vec<Op>> = BTreeMap::new();
+                for (table, ops) in log.into_iter().rev() {
+                    undo.entry(table)
+                        .or_default()
+                        .extend(ops.into_iter().rev().map(|op| match op {
+                            Op::Insert(row) => Op::Delete(row),
+                            Op::Delete(row) => Op::Insert(row),
+                        }));
                 }
-                // The compensating mutations are WAL entries like any
-                // others: persist them, or a crash would replay the
-                // rolled-back half of the log only.
-                for table in &touched {
-                    self.engine.autoflush(table)?;
+                let mut n = 0;
+                for (table, ops) in &undo {
+                    let t = self.engine.table(table)?;
+                    t.append_batch(ops)?;
+                    n += ops.len();
+                    // The inverses are WAL entries like any others:
+                    // persist them, or a crash would replay the
+                    // rolled-back half of the log only.
+                    self.engine.autoflush(&t)?;
                 }
                 Ok(Output::Message(format!("rolled back {n} row mutation(s)")))
             }
@@ -953,123 +937,90 @@ impl<'e> Session<'e> {
         }
     }
 
-    /// Appends undo entries to the open transaction's log (no-op when
-    /// running in autocommit).
-    fn log_undo(&mut self, entries: Vec<Undo>) {
+    /// Commits one statement's `ops` on `table` as one write, records
+    /// the ops that took effect in the open transaction, and autoflushes
+    /// the table's WAL.
+    fn commit(&mut self, table: &NfTable, ops: Vec<Op>) -> Result<BatchSummary, QueryError> {
+        let (summary, _) = table.append_batch(&ops)?;
         if let Some(log) = self.txn.as_mut() {
-            log.extend(entries);
+            let noops = &summary.noop_positions;
+            let effective = ops
+                .into_iter()
+                .enumerate()
+                .filter(|(at, _)| noops.binary_search(at).is_err())
+                .map(|(_, op)| op)
+                .collect();
+            log.push((table.name().to_owned(), effective));
         }
+        self.engine.autoflush(table)?;
+        Ok(summary)
     }
 }
 
-/// Inserts literal rows, recording one undo entry per fresh row **as it
-/// lands** — on a mid-statement error the caller still receives the undo
-/// entries of every row already applied.
-fn apply_insert(
-    engine: &Engine,
-    table: &str,
-    rows: &[Vec<crate::ast::Value>],
-    undo: &mut Vec<Undo>,
-) -> Result<usize, QueryError> {
-    let t = engine.table(table)?;
-    let mut affected = 0;
-    for row in rows {
-        let refs: Vec<&str> = row
-            .iter()
-            .map(|v| v.as_lit().expect("statement checked bound"))
-            .collect();
-        let atoms = t.row_from_strs(&refs)?;
-        if t.insert_atoms(atoms.clone())? {
-            affected += 1;
-            undo.push(Undo::Remove {
-                table: table.to_owned(),
-                row: atoms,
-            });
-        }
-    }
-    Ok(affected)
+/// An INSERT's ops: one per literal row, each row checked against the
+/// table's arity before any lands.
+fn insert_ops(table: &NfTable, rows: &[Vec<crate::ast::Value>]) -> Result<Vec<Op>, QueryError> {
+    rows.iter()
+        .map(|row| {
+            let refs: Vec<&str> = row
+                .iter()
+                .map(|v| v.as_lit().expect("statement checked bound"))
+                .collect();
+            Ok(Op::Insert(table.row_from_strs(&refs)?))
+        })
+        .collect()
 }
 
-/// Deletes every flat row matching the conjunction (see
-/// [`apply_insert`] for the undo discipline).
-fn apply_delete(
+/// A DELETE's ops: one per flat row matching the conjunction.
+fn delete_ops(
     engine: &Engine,
-    table: &str,
+    table: &NfTable,
     predicates: &[Predicate],
-    undo: &mut Vec<Undo>,
-) -> Result<usize, QueryError> {
-    let dict = engine.dict.clone();
-    let t = engine.table(table)?;
-    // Resolve predicates; a predicate with no known value matches
-    // nothing.
-    let Some(bound) = resolve_bound(&t, &dict, predicates)? else {
-        return Ok(0);
+) -> Result<Vec<Op>, QueryError> {
+    // A predicate with no known value matches nothing.
+    let Some(bound) = resolve_bound(table, &engine.dict, predicates)? else {
+        return Ok(Vec::new());
     };
-    // Collect matching flat rows, then delete them one by one through §4
-    // maintenance.
-    let victims = matching_rows(&t, &bound);
-    let mut affected = 0;
-    for row in &victims {
-        if t.delete_atoms(row)? {
-            affected += 1;
-            undo.push(Undo::Reinsert {
-                table: table.to_owned(),
-                row: row.clone(),
-            });
-        }
-    }
-    Ok(affected)
+    Ok(matching_rows(table, &bound)
+        .into_iter()
+        .map(Op::Delete)
+        .collect())
 }
 
-/// Rewrites every matching flat row as delete + insert through §4
-/// maintenance (see [`apply_insert`] for the undo discipline).
-fn apply_update(
+/// An UPDATE's ops: every matching flat row the assignments change, as
+/// its delete followed by the rewritten row's insert. A rewritten row
+/// that collides with a stored one is absorbed by set semantics: its
+/// insert is a no-op.
+fn update_ops(
     engine: &Engine,
-    table: &str,
+    table: &NfTable,
     assignments: &[crate::ast::EqPredicate],
     predicates: &[Predicate],
-    undo: &mut Vec<Undo>,
-) -> Result<usize, QueryError> {
-    let dict = engine.dict.clone();
-    let t = engine.table(table)?;
+) -> Result<Vec<Op>, QueryError> {
+    let dict = &engine.dict;
     // Resolve assignment targets (values are interned on use).
     let mut sets: Vec<(usize, Atom)> = Vec::new();
     for a in assignments {
-        let attr = t.schema().attr_id(&a.attr)?;
+        let attr = table.schema().attr_id(&a.attr)?;
         let lit = a.value.as_lit().expect("statement checked bound");
         sets.push((attr, dict.intern(lit)));
     }
     // Resolve the selection; unknown values match nothing.
-    let Some(bound) = resolve_bound(&t, &dict, predicates)? else {
-        return Ok(0);
+    let Some(bound) = resolve_bound(table, dict, predicates)? else {
+        return Ok(Vec::new());
     };
-    let victims = matching_rows(&t, &bound);
-    let mut affected = 0;
-    for row in &victims {
+    let mut ops = Vec::new();
+    for row in matching_rows(table, &bound) {
         let mut updated = row.clone();
         for &(attr, v) in &sets {
             updated[attr] = v;
         }
-        if updated == *row {
-            continue; // no-op rewrite
+        if updated != row {
+            ops.push(Op::Delete(row));
+            ops.push(Op::Insert(updated));
         }
-        t.delete_atoms(row)?;
-        undo.push(Undo::Reinsert {
-            table: table.to_owned(),
-            row: row.clone(),
-        });
-        // The rewritten row may collide with an existing one — set
-        // semantics absorb it (and then there is nothing to undo for the
-        // insert half).
-        if t.insert_atoms(updated.clone())? {
-            undo.push(Undo::Remove {
-                table: table.to_owned(),
-                row: updated,
-            });
-        }
-        affected += 1;
     }
-    Ok(affected)
+    Ok(ops)
 }
 
 /// Resolves WHERE predicates to `(attr id, allowed atoms)` pairs against
@@ -1227,7 +1178,9 @@ mod tests {
             .unwrap();
         let table = session.engine().table("sc").unwrap();
         assert_eq!(table.shard_count(), 4);
-        // Query semantics are unchanged by sharding.
+        // `R*` and every count over it do not depend on the shard count,
+        // but a listing of NF² tuples, and `LIMIT k` over it, may differ
+        // until the regroup decision lands.
         match session.run("SELECT COUNT(*) FROM sc").unwrap() {
             Output::Count(n) => assert_eq!(n, 4),
             other => panic!("unexpected {other:?}"),
@@ -1417,28 +1370,23 @@ mod tests {
         assert_eq!(counter("table.sc.inserts"), Some(5));
         assert!(counter("table.sc.epoch_installs").unwrap_or(0) >= 1);
         assert!(counter("table.sc.snapshot_pins").unwrap_or(0) >= 1);
-        // The batch series: one batch over two keys, both stored tuples
-        // regrouped, and the segment that held each rebuilt once — one
-        // segment, or one per shard where NF2_SHARDS routes the two
-        // courses apart.
-        assert_eq!(counter("table.sc.batch.count"), Some(1));
-        assert_eq!(counter("table.sc.batch.keys"), Some(2));
-        assert_eq!(counter("table.sc.batch.tuples_regrouped"), Some(2));
-        let rebuilt = counter("table.sc.batch.segments_reencoded");
-        assert!(matches!(rebuilt, Some(1 | 2)), "{rebuilt:?}");
-        assert!(counter("table.sc.batch.nanos").unwrap_or(0) > 0);
-        // The write series fold the three seeding point writes in with
-        // the batch. Each rebuilds the one segment its course lands in:
-        // the first opens it, and each write copies that segment's whole
-        // new chunk. Unless NF2_SHARDS routes c1 and c2 apart, c2's
-        // insert and the batch each rewrite a two-tuple chunk; if it
-        // does, each shard holds one tuple and the batch rebuilds both.
+        // The write series: the seeding INSERT is one write, the batch
+        // another, each over the two courses. Only the batch finds
+        // stored tuples to regroup: both.
+        assert_eq!(counter("table.sc.write.count"), Some(2));
+        assert_eq!(counter("table.sc.write.keys"), Some(4));
+        assert_eq!(counter("table.sc.write.tuples_regrouped"), Some(2));
+        assert!(counter("table.sc.write.nanos").unwrap_or(0) > 0);
+        // Each write rebuilds the segment each course lands in and
+        // copies its whole new chunk: one two-tuple segment, or — where
+        // NF2_SHARDS routes c1 and c2 apart — one one-tuple segment per
+        // shard.
         let written = (
             counter("table.sc.write.segments_rebuilt"),
             counter("table.sc.write.tuples_copied"),
         );
         assert!(
-            matches!(written, (Some(4), Some(6)) | (Some(5), Some(5))),
+            matches!(written, (Some(2), Some(4)) | (Some(4), Some(4))),
             "{written:?}"
         );
         // Both render paths accept the merged snapshot.
@@ -1606,9 +1554,9 @@ mod tests {
 
     #[test]
     fn rollback_refreshes_the_merged_relation_cache() {
-        // Regression: on a multi-shard table, the compensating undo
-        // mutations a ROLLBACK replays must invalidate the lazily-merged
-        // relation() cache like any forward mutation — reading inside
+        // Regression: on a multi-shard table, the inverse write a
+        // ROLLBACK commits must invalidate the lazily-merged
+        // relation() cache like any forward write — reading inside
         // the transaction (which fills the cache with mid-txn state)
         // must not leave a stale merge behind after the rollback.
         let engine = Engine::builder().shards(4).build().unwrap();
@@ -1651,21 +1599,21 @@ mod tests {
     }
 
     #[test]
-    fn partial_statement_failures_stay_undoable() {
+    fn a_failed_statement_changes_nothing() {
         let engine = seeded_engine();
         let mut session = engine.session();
-        let before = session.engine().table("sc").unwrap().relation();
+        let t = session.engine().table("sc").unwrap();
+        let (before, epoch) = (t.relation(), t.epoch());
         session.run("BEGIN").unwrap();
-        // Row 1 lands, row 2 fails the arity check mid-statement.
+        // Row 2 fails the arity check, so row 1 does not land either.
         let err = session.run("INSERT INTO sc VALUES ('x9','y9'), ('only-one')");
         assert!(err.is_err());
-        assert!(
-            session.engine().table("sc").unwrap().flat_count() > before.flat_count(),
-            "the partial row did land"
-        );
-        // ROLLBACK must know about the partially-applied statement.
-        session.run("ROLLBACK").unwrap();
-        assert_eq!(session.engine().table("sc").unwrap().relation(), before);
+        assert_eq!(t.flat_count(), before.flat_count(), "no row landed");
+        assert_eq!(t.epoch(), epoch, "nothing was published");
+        // There is nothing for ROLLBACK to invert.
+        let out = session.run("ROLLBACK").unwrap();
+        assert!(out.to_text().contains("rolled back 0"), "{}", out.to_text());
+        assert_eq!(t.relation(), before);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Checked-plan execution is shard-invariant: the same random workload
-//! loaded into a 1-shard and a 4-shard engine answers every query
-//! identically. (The test keeps the name it had when it also crossed
-//! rewrite modes: the vendored proptest seeds each test from its name,
-//! and a new seed draws a case the top-k count check below gets wrong —
-//! a 4-shard engine holds a tuple whose `C` set spans shards as one
-//! tuple per shard. ROADMAP records it.)
+//! Checked-plan execution is shard-invariant in `R*`: the same random
+//! workload loaded into a 1-shard and a 4-shard engine answers every
+//! query with the same flat rows and counts. A listing of NF² tuples
+//! may differ — a 4-shard engine holds a tuple whose `C` set spans
+//! shards as one tuple per shard — so `LIMIT k` is held to each
+//! engine's own full result.
 //!
 //! In debug builds (and under `NF2_VERIFY=1` in release) every plan
 //! built here has already passed the rewrite-soundness gate and the
@@ -40,12 +39,12 @@ fn digest(output: Output) -> Digest {
     }
 }
 
-/// Number of NF² tuples in a relation output (for LIMIT checks, where
-/// tie-breaking may keep different-but-equally-ranked tuples per
-/// layout, but never a different number of them).
-fn row_count(output: Output) -> usize {
+/// The NF² tuple count and flat rows of a relation output.
+fn tuples_and_rows(output: Output) -> (usize, BTreeSet<FlatTuple>) {
     match output {
-        Output::Relation { relation, .. } => relation.tuple_count(),
+        Output::Relation { relation, .. } => {
+            (relation.tuple_count(), relation.expand().into_rows())
+        }
         other => panic!("expected a relation, got {other:?}"),
     }
 }
@@ -64,7 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn query_results_are_shard_and_mode_invariant(
+    fn rows_are_shard_invariant_and_limit_keeps_k_of_each_engines_own_tuples(
         t_rows in proptest::collection::vec((0u8..4, 0u8..3, 0u8..3), 1..24),
         u_rows in proptest::collection::vec((0u8..3, 0u8..3), 1..10),
         probe in 0u8..3,
@@ -112,15 +111,15 @@ proptest! {
             }
         }
 
-        // Top-k: tie-breaking may select different-but-equal-ranked
-        // tuples per shard layout; the retained tuple count may not
-        // differ.
+        // Top-k: each engine keeps `limit` of the tuples its own full
+        // result lists (or all of them), and only rows that result holds.
         let full = format!("SELECT * FROM t WHERE A = 'a{probe}' ORDER BY C DESC");
         let topk = format!("{full} LIMIT {limit}");
-        let full_count = row_count(run(&mut engines[0], &full).unwrap());
         for engine in &mut engines {
-            let kept = row_count(run(engine, &topk).unwrap());
-            prop_assert_eq!(kept, full_count.min(limit), "{}", &topk);
+            let (listed, all_rows) = tuples_and_rows(run(engine, &full).unwrap());
+            let (kept, kept_rows) = tuples_and_rows(run(engine, &topk).unwrap());
+            prop_assert_eq!(kept, listed.min(limit), "{}", &topk);
+            prop_assert!(kept_rows.is_subset(&all_rows), "{}", &topk);
         }
     }
 }

@@ -22,16 +22,19 @@ use nf2_query::exec::Output;
 
 fn fixture_engine() -> Engine {
     // Explicit shard count: golden files must not depend on NF2_SHARDS.
+    // One INSERT per row: a statement is one write, and the snapshot
+    // epochs the goldens print count the fixture's writes.
     let engine = Engine::builder().shards(4).build().unwrap();
     engine
         .session()
         .run_script(
             "CREATE TABLE sc (Student, Course);
-             INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2'),
-                                   ('s3','c3'), ('s2','c4');
+             INSERT INTO sc VALUES ('s1','c1'); INSERT INTO sc VALUES ('s2','c1');
+             INSERT INTO sc VALUES ('s1','c2'); INSERT INTO sc VALUES ('s3','c3');
+             INSERT INTO sc VALUES ('s2','c4');
              CREATE TABLE cp (Course, Prof);
-             INSERT INTO cp VALUES ('c1','p1'), ('c2','p2'), ('c3','p1'),
-                                   ('c4','p3');",
+             INSERT INTO cp VALUES ('c1','p1'); INSERT INTO cp VALUES ('c2','p2');
+             INSERT INTO cp VALUES ('c3','p1'); INSERT INTO cp VALUES ('c4','p3');",
         )
         .unwrap();
     engine

@@ -4,12 +4,13 @@
 //! tuple, shard for shard — while the writer storms away concurrently.
 //!
 //! The protocol being tested (see `nf2-core::mvcc`): every
-//! state-changing single-row operation publishes its touched shard
-//! versions behind exactly one epoch bump, and no-ops publish nothing.
-//! That makes the epoch a perfect index into a serially-replayed
-//! history: pin a snapshot at epoch `e`, and its per-shard tuples must
-//! equal serial state `e` — no torn multi-shard states, no lost
-//! updates, no reordering.
+//! state-changing statement — one row or many, on one shard or several
+//! — publishes its touched shard versions behind exactly one epoch bump,
+//! and no-ops publish nothing. That makes the epoch a perfect index
+//! into a serially-replayed history: pin a snapshot at epoch `e`, and
+//! its per-shard tuples must equal serial state `e` — no torn
+//! multi-shard states, no half statements, no lost updates, no
+//! reordering.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,6 +44,21 @@ fn stmt_of(op: &Op) -> String {
         Op::Insert(a, b) => format!("INSERT INTO t VALUES ('a{a}','b{b}')"),
         Op::Delete(a, b) => format!("DELETE FROM t WHERE A='a{a}' AND B='b{b}'"),
     }
+}
+
+/// One random statement: a single-row op, or one of three multi-row
+/// ones — a two-row INSERT, a DELETE of every row holding one `A`, and
+/// an UPDATE moving those rows to one `B`. `B` routes the shards, so
+/// each of the three may span several.
+fn arb_stmt() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_op().prop_map(|op| stmt_of(&op)),
+        ((0u8..4, 0u8..6), (0u8..4, 0u8..6)).prop_map(|((a, b), (c, d))| {
+            format!("INSERT INTO t VALUES ('a{a}','b{b}'), ('a{c}','b{d}')")
+        }),
+        (0u8..4).prop_map(|a| format!("DELETE FROM t WHERE A='a{a}'")),
+        (0u8..4, 0u8..6).prop_map(|(a, b)| format!("UPDATE t SET B='b{b}' WHERE A='a{a}'")),
+    ]
 }
 
 /// A 4-shard engine with the whole value universe pre-interned in a
@@ -92,25 +108,25 @@ proptest! {
 
     #[test]
     fn snapshot_readers_see_serial_epochs_under_a_mutation_storm(
-        ops in proptest::collection::vec(arb_op(), 1..40),
+        stmts in proptest::collection::vec(arb_stmt(), 1..40),
     ) {
-        // Serial oracle: replay the ops one at a time, recording the
-        // per-shard canonical tuples at every epoch. On the way, pin
-        // down the protocol invariant the concurrent check relies on:
-        // a single-row op bumps the epoch by exactly 0 (no-op) or 1.
+        // Serial oracle: run the statements one at a time, recording
+        // the per-shard canonical tuples at every epoch. On the way, pin
+        // down the protocol invariant the concurrent check relies on: a
+        // statement bumps the epoch by exactly 0 (no-op) or 1.
         let serial = fresh_engine();
         let mut states: Vec<ShardTuples> =
             vec![shard_tuples(&serial.table("t").unwrap().snapshot())];
         {
             let mut session = serial.session();
-            for op in &ops {
+            for sql in &stmts {
                 let before = serial.table("t").unwrap().epoch();
-                session.run(&stmt_of(op)).unwrap();
+                session.run(sql).unwrap();
                 let t = serial.table("t").unwrap();
                 let after = t.epoch();
                 prop_assert!(
                     after == before || after == before + 1,
-                    "single-row op bumped the epoch {before} -> {after}"
+                    "{sql} bumped the epoch {before} -> {after}"
                 );
                 if after == before + 1 {
                     states.push(shard_tuples(&t.snapshot()));
@@ -118,8 +134,8 @@ proptest! {
             }
         }
 
-        // Concurrent storm: one writer applies the same ops against a
-        // fresh shared engine while readers continuously pin snapshots
+        // Concurrent storm: one writer runs the same statements against
+        // a fresh shared engine while readers continuously pin snapshots
         // and hold each one to the serial state of its exact epoch.
         let engine = Arc::new(fresh_engine());
         let done = Arc::new(AtomicBool::new(false));
@@ -152,12 +168,12 @@ proptest! {
             }
             let writer = {
                 let engine = Arc::clone(&engine);
-                let ops = ops.clone();
+                let stmts = stmts.clone();
                 let done = Arc::clone(&done);
                 scope.spawn(move || {
                     let mut session = engine.session();
-                    for op in &ops {
-                        session.run(&stmt_of(op)).unwrap();
+                    for sql in &stmts {
+                        session.run(sql).unwrap();
                     }
                     done.store(true, Ordering::Relaxed);
                 })
