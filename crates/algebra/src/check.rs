@@ -30,16 +30,16 @@
 //! [`check_rewrite`] is the **rewrite-soundness gate** built on top: a
 //! rule application `before → after` is accepted only if `after`
 //! type-checks whenever `before` does, with an identical output
-//! attribute list (and, for structural-mode rules, identical nest
-//! levels and no lost pin). The optimizer runs the gate on every rule
-//! application in debug builds and under `NF2_VERIFY=1` in release
-//! builds; violations name the offending rule and subtree.
+//! attribute list, identical nest levels and no lost pin. The optimizer
+//! runs the gate on every rule application in debug builds and under
+//! `NF2_VERIFY=1` in release builds; violations name the offending rule
+//! and subtree.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::expr::{Env, Expr};
-use crate::optimize::{RewriteMode, SchemaCatalog};
+use crate::optimize::SchemaCatalog;
 
 /// How deeply an attribute's component may be nested in the output.
 ///
@@ -532,18 +532,15 @@ impl std::error::Error for RewriteViolation {}
 /// user plan over unknown attributes, which rewrites must preserve, not
 /// repair), the step is accepted and the error is left for evaluation to
 /// report. When `before` type-checks, `after` must too, with the same
-/// output attribute names; structural-mode rules must additionally
-/// preserve every attribute's nest level and may not lose a pin — a
-/// tuple-identical plan from which less can be proved would silently
-/// turn a streaming projection above it into a blocking one
-/// (realization-mode rules may regroup, so only the attribute list is
-/// compared).
+/// output attribute names and the same nest level for every attribute,
+/// and without losing a pin — a tuple-identical plan from which less can
+/// be proved would silently turn a streaming projection above it into a
+/// blocking one.
 pub fn check_rewrite(
     rule: &'static str,
     before: &Expr,
     after: &Expr,
     catalog: &CheckCatalog,
-    mode: RewriteMode,
 ) -> Result<(), RewriteViolation> {
     let Ok(before_ty) = infer(before, catalog) else {
         return Ok(());
@@ -565,29 +562,24 @@ pub fn check_rewrite(
             subtree: after.to_string(),
         });
     }
-    if mode == RewriteMode::Structural && before_ty.levels() != after_ty.levels() {
+    if before_ty.levels() != after_ty.levels() {
         return Err(RewriteViolation {
             rule,
-            reason: format!(
-                "nest levels changed from {} to {} under a structural rule",
-                before_ty, after_ty
-            ),
+            reason: format!("nest levels changed from {} to {}", before_ty, after_ty),
             subtree: after.to_string(),
         });
     }
-    if mode == RewriteMode::Structural {
-        let lost = before_ty
-            .attrs
-            .iter()
-            .zip(&after_ty.attrs)
-            .find(|(b, a)| b.pinned && !a.pinned);
-        if let Some((attr, _)) = lost {
-            return Err(RewriteViolation {
-                rule,
-                reason: format!("the pin on {} was lost under a structural rule", attr.name),
-                subtree: after.to_string(),
-            });
-        }
+    let lost = before_ty
+        .attrs
+        .iter()
+        .zip(&after_ty.attrs)
+        .find(|(b, a)| b.pinned && !a.pinned);
+    if let Some((attr, _)) = lost {
+        return Err(RewriteViolation {
+            rule,
+            reason: format!("the pin on {} was lost", attr.name),
+            subtree: after.to_string(),
+        });
     }
     Ok(())
 }
@@ -865,14 +857,7 @@ mod tests {
                 ("Course".into(), vec![Atom(10)]),
             ],
         };
-        check_rewrite(
-            "merge-selects",
-            &before,
-            &after,
-            &cat,
-            RewriteMode::Structural,
-        )
-        .unwrap();
+        check_rewrite("merge-selects", &before, &after, &cat).unwrap();
     }
 
     #[test]
@@ -881,7 +866,7 @@ mod tests {
         let before = sel(Expr::rel("sc"), "Nope", &[1]);
         let after = sel(Expr::rel("sc"), "AlsoNope", &[2]);
         // Both sides ill-typed: the gate leaves the error to evaluation.
-        check_rewrite("bogus", &before, &after, &cat, RewriteMode::Structural).unwrap();
+        check_rewrite("bogus", &before, &after, &cat).unwrap();
     }
 
     #[test]
@@ -895,8 +880,7 @@ mod tests {
             input: Box::new(Expr::rel("sc")),
             attrs: vec!["Student".into()],
         };
-        let v =
-            check_rewrite("drop-attr", &before, &after, &cat, RewriteMode::Structural).unwrap_err();
+        let v = check_rewrite("drop-attr", &before, &after, &cat).unwrap_err();
         assert_eq!(v.rule, "drop-attr");
         assert!(v.reason.contains("output schema changed"), "{v}");
         assert!(v.subtree.contains("π[Student](sc)"), "{v}");
@@ -907,14 +891,7 @@ mod tests {
         let cat = catalog();
         let before = sel(Expr::rel("sc"), "Student", &[1]);
         let after = sel(Expr::rel("sc"), "Ghost", &[1]);
-        let v = check_rewrite(
-            "rename-attr",
-            &before,
-            &after,
-            &cat,
-            RewriteMode::Structural,
-        )
-        .unwrap_err();
+        let v = check_rewrite("rename-attr", &before, &after, &cat).unwrap_err();
         assert!(v.reason.contains("unknown attribute"), "{v}");
     }
 
@@ -926,24 +903,8 @@ mod tests {
             input: Box::new(Expr::rel("sc")),
             attr: "Student".into(),
         };
-        let v = check_rewrite(
-            "sneaky-unnest",
-            &before,
-            &after,
-            &cat,
-            RewriteMode::Structural,
-        )
-        .unwrap_err();
+        let v = check_rewrite("sneaky-unnest", &before, &after, &cat).unwrap_err();
         assert!(v.reason.contains("nest levels changed"), "{v}");
-        // Realization mode only compares the attribute list.
-        check_rewrite(
-            "sneaky-unnest",
-            &before,
-            &after,
-            &cat,
-            RewriteMode::Realization,
-        )
-        .unwrap();
     }
 
     #[test]
@@ -959,10 +920,9 @@ mod tests {
                 Box::new(before.clone()),
             )),
         );
-        let v = check_rewrite("widen", &before, &after, &cat, RewriteMode::Structural).unwrap_err();
+        let v = check_rewrite("widen", &before, &after, &cat).unwrap_err();
         assert!(v.reason.contains("pin on Course was lost"), "{v}");
-        check_rewrite("widen", &before, &after, &cat, RewriteMode::Realization).unwrap();
         // Gaining a pin is fine.
-        check_rewrite("narrow", &after, &before, &cat, RewriteMode::Structural).unwrap();
+        check_rewrite("narrow", &after, &before, &cat).unwrap();
     }
 }

@@ -13,9 +13,11 @@
 //! * **realization** equality — same underlying 1NF relation `R*`
 //!   (Theorem 1 makes this well-defined).
 //!
-//! Structural laws license plan rewrites that preserve the user-visible
-//! grouping; realization laws license rewrites whose output is
-//! re-canonicalized afterwards (see [`crate::optimize`](mod@crate::optimize)).
+//! A structural law licenses a plan rewrite that preserves the
+//! user-visible grouping; a realization law only one whose output is
+//! re-canonicalized afterwards. The optimizer applies two rewrites, both
+//! structural (see [`crate::optimize`](mod@crate::optimize)); every law
+//! here stays an executable check of the paper.
 //!
 //! | Law | Statement | Strength |
 //! |-----|-----------|----------|

@@ -12,11 +12,12 @@
 //!
 //! [`laws`] states the algebra's interaction laws (unnest∘nest, nest
 //! order-sensitivity, selection-pushdown strength, …) as executable
-//! checkers, and [`optimize`](mod@optimize) turns them into a rule-based plan rewriter
-//! with structural vs realization-view guarantees — the "optimization
-//! strategy" §5 of the paper leaves open. [`check`] is the static
-//! verification layer over both: a typed-IR checker that infers nest
-//! structure for every operator and gates each optimizer rewrite on
+//! checkers. [`optimize`](mod@optimize) applies the two of them that the
+//! query layer's plans reach — merging stacked selections and pushing a
+//! selection into the sides of a join, both tuple-identical — as the
+//! "optimization strategy" §5 of the paper leaves open. [`check`] is the
+//! static verification layer over both: a typed-IR checker that infers
+//! nest structure for every operator and gates each optimizer rewrite on
 //! type preservation (see `README.md` § Plan verification).
 
 #![forbid(unsafe_code)]
@@ -40,7 +41,7 @@ pub use ops::{
 };
 pub use optimize::{
     estimate, optimize, optimize_observed, try_optimize, verify_enabled, CostEstimate, Optimized,
-    RewriteMode, SchemaCatalog,
+    SchemaCatalog,
 };
 pub use stream::{
     lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter, TupleOrder,

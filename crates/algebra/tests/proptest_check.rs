@@ -2,7 +2,7 @@
 //! gate: over randomly composed well-typed plans,
 //!
 //! 1. [`try_optimize`] never rejects — the gate has **zero false
-//!    positives** on legal plans, in both rewrite modes;
+//!    positives** on legal plans;
 //! 2. optimization preserves the inferred output attributes;
 //! 3. the optimized plan evaluates to exactly the original's tuples
 //!    (and fails exactly when the original fails);
@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use nf2_algebra::{infer, ops, try_optimize, CheckCatalog, Env, Expr, RewriteMode, SchemaCatalog};
+use nf2_algebra::{infer, ops, try_optimize, CheckCatalog, Env, Expr, SchemaCatalog};
 use nf2_core::nest::canonical_of_flat;
 use nf2_core::properties::is_fixed_on;
 use nf2_core::relation::FlatRelation;
@@ -345,36 +345,31 @@ proptest! {
         prop_assert_eq!(ty.names(), names.iter().map(String::as_str).collect::<Vec<_>>());
 
         let env = env(&r_rows, &s_rows);
-        for mode in [RewriteMode::Structural, RewriteMode::Realization] {
-            // Property 1: zero false positives from the soundness gate.
-            let result = try_optimize(&expr, &cat, mode);
-            prop_assert!(
-                result.is_ok(),
-                "gate rejected a sound plan in {:?}: {}\nplan: {}",
-                mode,
-                result.as_ref().unwrap_err(),
-                &expr
-            );
-            let opt = result.unwrap();
+        // Property 1: zero false positives from the soundness gate.
+        let result = try_optimize(&expr, &cat);
+        prop_assert!(
+            result.is_ok(),
+            "gate rejected a sound plan: {}\nplan: {}",
+            result.as_ref().unwrap_err(),
+            &expr
+        );
+        let opt = result.unwrap();
 
-            // Property 2: output attributes survive optimization.
-            let opt_ty = infer(&opt.expr, &check_cat).expect("optimized plan is well-typed");
-            prop_assert_eq!(opt_ty.names(), ty.names());
+        // Property 2: output attributes survive optimization.
+        let opt_ty = infer(&opt.expr, &check_cat).expect("optimized plan is well-typed");
+        prop_assert_eq!(opt_ty.names(), ty.names());
 
-            // Property 3: the optimized plan computes the same tuples,
-            // and fails only when the original fails.
-            match expr.eval(&env) {
-                Ok(base) => {
-                    let opt_rel = opt.expr.eval(&env).expect("optimized plan evaluates");
-                    let base_rows: BTreeSet<FlatTuple> = base.expand().into_rows();
-                    let opt_rows: BTreeSet<FlatTuple> = opt_rel.expand().into_rows();
-                    prop_assert_eq!(&base_rows, &opt_rows, "mode {:?}, plan {}", mode, &expr);
-                }
-                Err(_) => prop_assert!(
-                    opt.expr.eval(&env).is_err(),
-                    "optimization repaired a failing plan {}", &expr
-                ),
+        // Property 3: the optimized plan computes the same tuples, and
+        // fails only when the original fails.
+        match expr.eval(&env) {
+            Ok(base) => {
+                let opt_rel = opt.expr.eval(&env).expect("optimized plan evaluates");
+                prop_assert_eq!(&base, &opt_rel, "plan {}", &expr);
             }
+            Err(_) => prop_assert!(
+                opt.expr.eval(&env).is_err(),
+                "optimization repaired a failing plan {}", &expr
+            ),
         }
     }
 }

@@ -5,13 +5,12 @@
 //!   whichever way they were produced (canonical forms, greedy
 //!   irreducible reductions, raw singleton embeddings).
 //! * Optimizing a random well-typed expression must preserve the result
-//!   exactly in structural mode and up to realization view (`R*`) in
-//!   realization mode.
+//!   exactly, tuple for tuple.
 
 use proptest::prelude::*;
 
 use nf2_algebra::laws;
-use nf2_algebra::optimize::{optimize, RewriteMode, SchemaCatalog};
+use nf2_algebra::optimize::{optimize, SchemaCatalog};
 use nf2_algebra::{Env, Expr};
 use nf2_core::irreducible::{reduce, ReduceStrategy};
 use nf2_core::nest::canonical_of_flat;
@@ -53,7 +52,9 @@ fn arb_nfr(name: &'static str) -> impl Strategy<Value = NfRelation> {
 
 /// Well-typed random expressions over two same-schema relations `r`/`s`.
 /// Projections permute all attributes (never drop), so every node keeps
-/// the (A, B, C) schema and any operator can stack on any subtree.
+/// the (A, B, C) schema and any operator can stack on any subtree; a join
+/// of two such subtrees shares every attribute, so a selection above it
+/// reaches both sides.
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![Just(Expr::rel("r")), Just(Expr::rel("s"))];
     leaf.prop_recursive(4, 24, 3, |inner| {
@@ -114,7 +115,9 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::Union(Box::new(l), Box::new(r))),
             (inner.clone(), inner.clone())
                 .prop_map(|(l, r)| Expr::Difference(Box::new(l), Box::new(r))),
-            (inner.clone(), inner).prop_map(|(l, r)| Expr::Intersect(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(l, r)| Expr::Intersect(Box::new(l), Box::new(r))),
+            (inner.clone(), inner).prop_map(|(l, r)| Expr::Join(Box::new(l), Box::new(r))),
         ]
     })
 }
@@ -147,7 +150,7 @@ proptest! {
         prop_assert_eq!(ab.expand(), ba.expand());
     }
 
-    /// Structural-mode optimization returns a tuple-identical result.
+    /// Optimization returns a tuple-identical result.
     #[test]
     fn structural_rewrites_are_exact(
         r in arb_flat("R"),
@@ -156,43 +159,13 @@ proptest! {
     ) {
         let env = env_for(&r, &s);
         let catalog = SchemaCatalog::from_env(&env);
-        let optimized = optimize(&expr, &catalog, RewriteMode::Structural);
+        let optimized = optimize(&expr, &catalog);
         // Permuted projections can make set operands schema-incompatible;
         // then both the original and the optimized plan must report it.
         match (expr.eval(&env), optimized.expr.eval(&env)) {
             (Ok(base), Ok(opt)) => {
                 prop_assert_eq!(base, opt, "plan {} vs {}", expr, optimized.expr)
             }
-            (Err(_), Err(_)) => {}
-            (base, opt) => prop_assert!(
-                false,
-                "error behaviour diverged: {base:?} vs {opt:?} for {} vs {}",
-                expr,
-                optimized.expr
-            ),
-        }
-    }
-
-    /// Realization-mode optimization preserves R*.
-    #[test]
-    fn realization_rewrites_preserve_rstar(
-        r in arb_flat("R"),
-        s in arb_flat("S"),
-        expr in arb_expr(),
-    ) {
-        let env = env_for(&r, &s);
-        let catalog = SchemaCatalog::from_env(&env);
-        let optimized = optimize(&expr, &catalog, RewriteMode::Realization);
-        match (expr.eval(&env), optimized.expr.eval(&env)) {
-            // Rows compared, not derived schema names (merge-projects
-            // shortens them).
-            (Ok(base), Ok(opt)) => prop_assert_eq!(
-                base.expand().into_rows(),
-                opt.expand().into_rows(),
-                "plan {} vs {}",
-                expr,
-                optimized.expr
-            ),
             (Err(_), Err(_)) => {}
             (base, opt) => prop_assert!(
                 false,
@@ -218,11 +191,9 @@ proptest! {
             input: Box::new(base.clone()),
             constraints: vec![("B".into(), vec![Atom(v + 10)])],
         };
-        for mode in [RewriteMode::Structural, RewriteMode::Realization] {
-            let opt = optimize(&constrained, &catalog, mode).expr.eval(&env).unwrap();
-            for row in opt.expand().rows() {
-                prop_assert_eq!(row[1], Atom(v + 10), "selection survived in mode {:?}", mode);
-            }
+        let opt = optimize(&constrained, &catalog).expr.eval(&env).unwrap();
+        for row in opt.expand().rows() {
+            prop_assert_eq!(row[1], Atom(v + 10), "selection survived");
         }
     }
 }

@@ -907,11 +907,11 @@ pub fn e12_permutation_choice() -> Report {
 
 /// E13 — §5's open "optimization strategy": rule-based plan rewriting.
 ///
-/// Measures the structural-mode optimizer on select-over-join plans:
-/// estimated work, wall time, and the rewrites that fired. Structural
-/// rewrites are tuple-identical, so the result check is exact equality.
+/// Measures the optimizer on select-over-join plans: estimated work,
+/// wall time, and the rewrites that fired. Both rules are
+/// tuple-identical, so the result check is exact equality.
 pub fn e13_optimizer() -> Report {
-    use nf2_algebra::optimize::{estimate, optimize, RewriteMode, SchemaCatalog};
+    use nf2_algebra::optimize::{estimate, optimize, SchemaCatalog};
     use nf2_algebra::{Env, Expr};
 
     let mut report = Report::new(
@@ -995,7 +995,7 @@ pub fn e13_optimizer() -> Report {
     ];
 
     for (label, plan) in &plans {
-        let opt = optimize(plan, &catalog, RewriteMode::Structural);
+        let opt = optimize(plan, &catalog);
         let before = estimate(plan, &sizes);
         let after = estimate(&opt.expr, &sizes);
 

@@ -546,8 +546,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Checkpoints every table (pages + meta, truncating WALs) into the
-    /// configured data directory.
+    /// Checkpoints every table (a tuple file and a meta file each,
+    /// truncating its WAL) into the configured data directory.
     pub fn checkpoint(&self) -> Result<(), QueryError> {
         let dir = self.data_dir.clone().ok_or_else(|| {
             QueryError::Semantic("no data_dir configured (Engine::builder().data_dir(…))".into())

@@ -698,7 +698,7 @@ mod extended_select_tests {
     fn optimized_execution_matches_unoptimized_semantics() {
         let engine = db();
         let mut db = engine.session();
-        // The executor optimizes structurally; spot-check a plan where
+        // The executor optimizes every plan; spot-check a plan where
         // pushdown definitely fires against the by-hand expected rows.
         let out = db
             .run("SELECT Student FROM sc JOIN cp WHERE Prof = 'p1' AND Student IN ('s1','s2')")

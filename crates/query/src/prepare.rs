@@ -27,7 +27,7 @@ use nf2_algebra::stream::{
     filter_box, lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter,
     TupleOrder,
 };
-use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, RewriteMode, SchemaCatalog};
+use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
 use nf2_core::display::render_nf;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
@@ -238,7 +238,7 @@ pub(crate) struct AnalyzeReport {
 
 impl PhysPlan {
     /// Compiles an optimized planner expression. The planner and the
-    /// structural rewrite rules only ever produce scan/select/project/
+    /// optimizer's two rewrite rules only ever produce scan/select/project/
     /// join shapes; any other node is an internal error, raised here
     /// rather than degraded to a second executor.
     ///
@@ -794,25 +794,20 @@ impl SelectPlan {
                     .iter()
                     .filter_map(|n| Some((n.clone(), engine.table(n).ok()?.tuple_count())))
                     .collect();
-                optimize_observed(
-                    &expr,
-                    &catalog,
-                    RewriteMode::Structural,
-                    &mut |rule, before, after| {
-                        let wb = estimate(before, &sizes).total_work;
-                        let wa = estimate(after, &sizes).total_work;
-                        obs.event("optimizer.rule", || {
-                            vec![
-                                ("rule", rule.into()),
-                                ("work_before", wb.into()),
-                                ("work_after", wa.into()),
-                                ("work_delta", (wa - wb).into()),
-                            ]
-                        });
-                    },
-                )
+                optimize_observed(&expr, &catalog, &mut |rule, before, after| {
+                    let wb = estimate(before, &sizes).total_work;
+                    let wa = estimate(after, &sizes).total_work;
+                    obs.event("optimizer.rule", || {
+                        vec![
+                            ("rule", rule.into()),
+                            ("work_before", wb.into()),
+                            ("work_after", wa.into()),
+                            ("work_delta", (wa - wb).into()),
+                        ]
+                    });
+                })
             } else {
-                optimize(&expr, &catalog, RewriteMode::Structural)
+                optimize(&expr, &catalog)
             }
         };
         let phys = {

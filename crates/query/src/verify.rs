@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use nf2_algebra::check::{self, CheckCatalog};
 use nf2_algebra::stream::JoinLayout;
-use nf2_algebra::{try_optimize, Expr, RewriteMode, SchemaCatalog};
+use nf2_algebra::{try_optimize, Expr, SchemaCatalog};
 use nf2_core::schema::Schema;
 use nf2_core::value::Atom;
 
@@ -163,8 +163,8 @@ pub(crate) fn check_plan(plan: &SelectPlan, engine: &Engine) -> Result<PlanRepor
             t.schema().attr_names().map(str::to_owned).collect(),
         );
     }
-    let reopt = try_optimize(&plan.raw, &schema_cat, RewriteMode::Structural)
-        .map_err(|v| violation("optimizer", v.to_string()))?;
+    let reopt =
+        try_optimize(&plan.raw, &schema_cat).map_err(|v| violation("optimizer", v.to_string()))?;
     if reopt.expr != plan.expr {
         return Err(violation(
             "optimized template",

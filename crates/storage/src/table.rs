@@ -902,7 +902,8 @@ impl NfTable {
     /// entry, which is exactly the last durably committed prefix. The
     /// replayed entries re-seed the in-memory commit log as
     /// already-durable, so a later flush re-writes them instead of
-    /// silently dropping them.
+    /// silently dropping them. A missing log file replays nothing; a log
+    /// that exists but cannot be read is [`StorageError::Io`].
     pub fn open(dir: &Path, name: &str, dict: SharedDictionary) -> Result<Self> {
         let meta = read_meta(&meta_path(dir, name))?;
         // Restore dictionary contents (atom ids are dense from 0).
@@ -957,7 +958,11 @@ impl NfTable {
                 ));
             }
         }
-        let wal_bytes = std::fs::read(wal_path(dir, name)).unwrap_or_default();
+        // A first checkpoint can crash before the log file exists.
+        let wal_bytes = match std::fs::read(wal_path(dir, name)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
         // Replay the WAL up to the first torn entry (see above), as one
         // batch.
         let (replay, intact) = decode_prefix(&wal_bytes, arity);
@@ -1542,6 +1547,30 @@ mod tests {
             CostCounter::new(),
             "WAL replay is recovery, not maintenance"
         );
+    }
+
+    #[test]
+    fn an_unreadable_wal_is_an_error_and_a_missing_one_is_empty() {
+        let dir = temp_dir("wal_unreadable");
+        let t = sample_table();
+        let s4 = t.row_from_strs(&["s4", "c1"]).unwrap();
+        t.checkpoint(&dir).unwrap();
+        t.insert_atoms(s4).unwrap();
+        t.flush_wal(&dir).unwrap();
+        assert_eq!(t.flat_count(), 5);
+        // A log that cannot be read must not replay as an empty one.
+        let wal = wal_path(&dir, "sc");
+        std::fs::remove_file(&wal).unwrap();
+        std::fs::create_dir(&wal).unwrap();
+        match NfTable::open(&dir, "sc", SharedDictionary::new()) {
+            Err(StorageError::Io(_)) => {}
+            Err(e) => panic!("expected an I/O error, got {e}"),
+            Ok(t) => panic!("opened without its log: {} rows", t.flat_count()),
+        }
+        // A log that was never written is: the checkpoint alone opens.
+        std::fs::remove_dir(&wal).unwrap();
+        let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+        assert_eq!(reopened.flat_count(), 4);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use nf2::algebra::laws;
-use nf2::algebra::optimize::{estimate, optimize, RewriteMode, SchemaCatalog};
+use nf2::algebra::optimize::{estimate, optimize, SchemaCatalog};
 use nf2::core::display::render_nf;
 use nf2::core::nest::nest;
 use nf2::prelude::*;
@@ -51,8 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(lhs.expand(), rhs.expand());
     println!(
         "\nL7: σ then ν groups tighter than ν then σ ({} vs {} tuples) —\n\
-         same R*, different structure. This is exactly why the optimizer\n\
-         distinguishes structural from realization-view rewrites.",
+         same R*, different structure. This is why the optimizer never\n\
+         moves a selection through a nest: it only merges selections and\n\
+         pushes them into the sides of a join.",
         rhs.tuple_count(),
         lhs.tuple_count()
     );
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(failures.is_empty());
     println!("\nAll universally-quantified laws hold on Example 1: {failures:?}");
 
-    // Optimizer: push a selection below a join, structurally.
+    // Optimizer: push a selection below a join, tuple-identically.
     let mut env = Env::new();
     let sc = Schema::new("sc", &["Student", "Course"])?;
     let rows: Vec<Vec<Atom>> = (0..60u32)
@@ -87,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         constraints: vec![("Prof".into(), vec![Atom(2000)])],
     };
     let catalog = SchemaCatalog::from_env(&env);
-    let optimized = optimize(&plan, &catalog, RewriteMode::Structural);
+    let optimized = optimize(&plan, &catalog);
     println!("\noriginal plan:  {plan}");
     println!("optimized plan: {}", optimized.expr);
     for step in &optimized.trace {

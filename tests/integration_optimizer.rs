@@ -1,10 +1,11 @@
 //! Integration: the optimizer inside the full query pipeline.
 //!
-//! The planner always optimizes SELECT plans in structural mode; these
-//! tests check end-to-end results against hand-computed oracles on the
-//! flat realization — through one-shot runs, prepared statements and
-//! streaming cursors alike — and that EXPLAIN OPTIMIZED reports plans
-//! whose evaluation matches the executed statement.
+//! The planner optimizes every SELECT plan (merged selections, pushed
+//! into join sides); these tests check end-to-end results against
+//! hand-computed oracles on the flat realization — through one-shot
+//! runs, prepared statements and streaming cursors alike — and that
+//! EXPLAIN OPTIMIZED reports plans whose evaluation matches the executed
+//! statement.
 
 use std::collections::BTreeSet;
 
