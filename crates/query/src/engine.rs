@@ -110,7 +110,8 @@ impl EngineBuilder {
     }
 
     /// Group-commit window in microseconds: how long an elected WAL
-    /// flush leader dwells before its fsync-equivalent, letting
+    /// flush leader dwells before it appends the group in one `write`
+    /// to the log file it holds open (no fsync yet), letting
     /// concurrent writers' commits ride in the same group. Overrides
     /// the `NF2_GROUP_COMMIT_US` environment variable; default 0
     /// (flush immediately — correct, just one write per flush call
@@ -432,6 +433,7 @@ impl Engine {
             snap.push_counter(format!("table.{name}.epoch_installs"), s.epoch_installs);
             snap.push_counter(format!("table.{name}.snapshot_pins"), s.snapshot_pins);
             snap.push_counter(format!("table.{name}.wal_flushes"), s.wal_flushes);
+            snap.push_counter(format!("table.{name}.wal_bytes"), s.wal_bytes);
             snap.push_counter(format!("table.{name}.write.count"), s.writes);
             snap.push_counter(format!("table.{name}.write.nanos"), s.write_nanos);
             snap.push_counter(format!("table.{name}.write.keys"), s.write_keys);
@@ -1351,6 +1353,12 @@ mod tests {
             .map(|c| nf2_core::bulk::Op::Insert(sc.row_from_strs(&["s3", c]).unwrap()))
             .collect();
         sc.append_batch(&batch).unwrap();
+        // One flush of everything logged so far: the seeding INSERT's
+        // three rows and the batch's two, in one write.
+        let dir = std::env::temp_dir().join("nf2_engine_metrics_export");
+        let _ = std::fs::remove_dir_all(&dir);
+        sc.flush_wal(&dir).unwrap();
+        let logged = std::fs::metadata(dir.join("sc.wal")).unwrap().len();
         let snap = engine.metrics();
         let counter = |name: &str| {
             snap.counters
@@ -1370,6 +1378,9 @@ mod tests {
         assert_eq!(counter("table.sc.inserts"), Some(5));
         assert!(counter("table.sc.epoch_installs").unwrap_or(0) >= 1);
         assert!(counter("table.sc.snapshot_pins").unwrap_or(0) >= 1);
+        assert_eq!(counter("table.sc.wal_flushes"), Some(1));
+        assert!(logged > 0);
+        assert_eq!(counter("table.sc.wal_bytes"), Some(logged));
         // The write series: the seeding INSERT is one write, the batch
         // another, each over the two courses. Only the batch finds
         // stored tuples to regroup: both.

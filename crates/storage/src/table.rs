@@ -122,10 +122,15 @@ pub struct TableStats {
     pub epoch_installs: u64,
     /// MVCC snapshots pinned ([`NfTable::snapshot`]).
     pub snapshot_pins: u64,
-    /// WAL flushes that reached the data directory: one per
-    /// fsync-equivalent, however many writers' entries rode in the
-    /// group (a flush finding its group already durable counts zero).
+    /// WAL flushes that reached the data directory: one per `write` of
+    /// a group to the log file (no fsync yet), however many writers'
+    /// entries rode in the group (a flush finding its group already
+    /// written counts zero).
     pub wal_flushes: u64,
+    /// Bytes those flushes handed the OS: each flush appends only its
+    /// group, so after a checkpoint this grows by what the log file
+    /// grows by.
+    pub wal_bytes: u64,
     /// Writes that reached a shard — statements, batches, point writes
     /// and rollbacks alike, each one write (see the module docs).
     pub writes: u64,
@@ -163,6 +168,7 @@ pub struct SharedTableStats {
     epoch_installs: AtomicU64,
     snapshot_pins: AtomicU64,
     wal_flushes: AtomicU64,
+    wal_bytes: AtomicU64,
     writes: AtomicU64,
     write_nanos: AtomicU64,
     write_keys: AtomicU64,
@@ -182,6 +188,7 @@ impl SharedTableStats {
             epoch_installs: AtomicU64::new(stats.epoch_installs),
             snapshot_pins: AtomicU64::new(stats.snapshot_pins),
             wal_flushes: AtomicU64::new(stats.wal_flushes),
+            wal_bytes: AtomicU64::new(stats.wal_bytes),
             writes: AtomicU64::new(stats.writes),
             write_nanos: AtomicU64::new(stats.write_nanos),
             write_keys: AtomicU64::new(stats.write_keys),
@@ -206,6 +213,7 @@ impl SharedTableStats {
             epoch_installs: self.epoch_installs.load(Ordering::Relaxed),
             snapshot_pins: self.snapshot_pins.load(Ordering::Relaxed),
             wal_flushes: self.wal_flushes.load(Ordering::Relaxed),
+            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             write_nanos: self.write_nanos.load(Ordering::Relaxed),
             write_keys: self.write_keys.load(Ordering::Relaxed),
@@ -284,7 +292,7 @@ pub struct NfTable {
     /// The sequenced group-commit WAL shared by all lanes.
     wal: CommitLog,
     /// Group-commit window in microseconds (leader dwell before the
-    /// fsync-equivalent); 0 = flush immediately. Engine-configurable.
+    /// group's write); 0 = flush immediately. Engine-configurable.
     group_commit_us: AtomicU64,
     /// Microseconds writers spent blocked on contended lane locks
     /// (uncontended acquisitions record nothing).
@@ -819,7 +827,8 @@ impl NfTable {
     /// shard 0 first, each exactly as its chunks hold them (kernel
     /// order), encoded back to back; and a meta file holding each
     /// shard's extent in it (tuple count, byte length, digest);
-    /// truncates the WAL.
+    /// cuts the WAL to empty, binding the table's log to `dir` as
+    /// [`flush_wal`](Self::flush_wal) does.
     ///
     /// The checkpoint reads the store and changes nothing in it: no
     /// version is published, and the epoch and the merge cache stay
@@ -844,23 +853,28 @@ impl NfTable {
 
     /// Makes buffered WAL entries durable without checkpointing, via
     /// the group-commit protocol: concurrent flushers elect one leader
-    /// per group and the whole sequenced log lands in one
-    /// fsync-equivalent. `wal_flushes` counts actual writes — a flush
-    /// whose group a racing leader already made durable counts zero —
-    /// and each group's size is recorded in the `wal.group.size`
-    /// histogram.
+    /// per group, and the leader appends the group in one `write` to
+    /// the log file it holds open — no fsync yet. The first flush or
+    /// checkpoint binds the table's log to `dir` (a reopened table is
+    /// bound to the directory it was opened from); naming another
+    /// directory later is [`StorageError::Io`]. `wal_flushes` counts
+    /// actual writes — a flush whose group a racing leader already
+    /// wrote counts zero — `wal_bytes` their bytes, and each group's
+    /// size is recorded in the `wal.group.size` histogram.
     pub fn flush_wal(&self, dir: &Path) -> Result<()> {
-        std::fs::create_dir_all(dir)?;
         let window = self.group_commit_us.load(Ordering::Relaxed);
         if let Some(group) = self.wal.flush_to(&wal_path(dir, &self.name), window)? {
             self.stats.wal_flushes.fetch_add(1, Ordering::Relaxed);
-            self.wal_group_size.record(group);
+            self.stats
+                .wal_bytes
+                .fetch_add(group.bytes, Ordering::Relaxed);
+            self.wal_group_size.record(group.entries);
         }
         Ok(())
     }
 
     /// Sets the group-commit window: how long an elected flush leader
-    /// dwells (microseconds) before its fsync-equivalent, letting
+    /// dwells (microseconds) before its group's write, letting
     /// concurrent writers' entries join the group. 0 flushes
     /// immediately. Engine wiring (`EngineBuilder::group_commit`).
     pub fn set_group_commit_us(&self, us: u64) {
@@ -897,13 +911,14 @@ impl NfTable {
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
-    /// rewrites the whole sequenced file per flush, any byte prefix
+    /// only appends whole groups between checkpoints, any byte prefix
     /// decodes to an entry prefix — replay stops at the first torn
     /// entry, which is exactly the last durably committed prefix. The
-    /// replayed entries re-seed the in-memory commit log as
-    /// already-durable, so a later flush re-writes them instead of
-    /// silently dropping them. A missing log file replays nothing; a log
-    /// that exists but cannot be read is [`StorageError::Io`].
+    /// reopened table's log is bound to this file and remembers only
+    /// that prefix's length: its first flush cuts the torn tail off
+    /// before it appends, so new entries land right behind the replayed
+    /// ones. A missing log file replays nothing; a log that exists but
+    /// cannot be read is [`StorageError::Io`].
     pub fn open(dir: &Path, name: &str, dict: SharedDictionary) -> Result<Self> {
         let meta = read_meta(&meta_path(dir, name))?;
         // Restore dictionary contents (atom ids are dense from 0).
@@ -959,7 +974,8 @@ impl NfTable {
             }
         }
         // A first checkpoint can crash before the log file exists.
-        let wal_bytes = match std::fs::read(wal_path(dir, name)) {
+        let wal = wal_path(dir, name);
+        let wal_bytes = match std::fs::read(&wal) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             read => read?,
         };
@@ -975,7 +991,7 @@ impl NfTable {
             dict,
             canon,
             TableStats::default(),
-            CommitLog::with_durable(&wal_bytes[..intact], replay.len()),
+            CommitLog::with_durable(wal, intact as u64),
         ))
     }
 
@@ -2036,6 +2052,26 @@ mod tests {
     }
 
     #[test]
+    fn wal_bytes_are_what_the_log_file_grew_by() {
+        let dir = temp_dir("wal_bytes");
+        let t = sample_table();
+        t.checkpoint(&dir).unwrap();
+        assert_eq!(t.stats().wal_bytes, 0, "a checkpoint is not a flush");
+        // Each flush appends its one row: the log file is exactly the
+        // sum of the groups, where a whole-log rewrite would have
+        // written every growing prefix again.
+        for i in 0..5 {
+            t.insert_row(&[&format!("w{i}"), "c1"]).unwrap();
+            t.flush_wal(&dir).unwrap();
+        }
+        let stats = t.stats();
+        assert_eq!(stats.wal_flushes, 5);
+        let file = std::fs::metadata(wal_path(&dir, "sc")).unwrap().len();
+        assert!(file > 0);
+        assert_eq!(stats.wal_bytes, file);
+    }
+
+    #[test]
     fn torn_wal_tail_recovers_last_durable_prefix() {
         let dir = temp_dir("torn");
         let t = sample_table();
@@ -2060,6 +2096,60 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_after_a_torn_tail_lands_after_the_durable_prefix() {
+        let dir = temp_dir("torn_append");
+        let t = sample_table();
+        let s5 = t.row_from_strs(&["s5", "c5"]).unwrap();
+        let s6 = t.row_from_strs(&["s6", "c6"]).unwrap();
+        // The reopened table inserts s7 below; its dictionary is the
+        // checkpoint's, so the strings are interned before it.
+        t.row_from_strs(&["s7", "c7"]).unwrap();
+        t.checkpoint(&dir).unwrap();
+        t.insert_atoms(s5).unwrap();
+        t.flush_wal(&dir).unwrap();
+        let boundary = std::fs::metadata(wal_path(&dir, "sc")).unwrap().len();
+        t.insert_atoms(s6).unwrap();
+        t.flush_wal(&dir).unwrap();
+        drop(t);
+        // Crash mid-group: only part of the second entry hit the disk.
+        let full = std::fs::read(wal_path(&dir, "sc")).unwrap();
+        std::fs::write(wal_path(&dir, "sc"), &full[..boundary as usize + 1]).unwrap();
+        // The reopened log cuts the torn byte before it appends; behind
+        // it, the new entry would be lost to the next replay.
+        let r1 = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+        assert_eq!(r1.flat_count(), 5, "torn entry not applied");
+        assert!(r1.insert_row(&["s7", "c7"]).unwrap());
+        r1.flush_wal(&dir).unwrap();
+        drop(r1);
+        let r2 = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+        assert_eq!(r2.flat_count(), 6);
+        for row in [["s5", "c5"], ["s7", "c7"]] {
+            let atoms = r2.row_from_strs(&row).unwrap();
+            assert!(r2.contains(&atoms), "{row:?} replayed");
+        }
+    }
+
+    #[test]
+    fn a_table_logs_to_one_directory() {
+        let (dir, other) = (temp_dir("bound"), temp_dir("bound_other"));
+        let t = sample_table();
+        t.checkpoint(&dir).unwrap();
+        t.insert_row(&["s7", "c7"]).unwrap();
+        assert!(matches!(t.flush_wal(&other), Err(StorageError::Io(_))));
+        assert!(!wal_path(&other, "sc").exists(), "no second log");
+        t.flush_wal(&dir).unwrap();
+        // A reopened table is bound to the directory it replayed.
+        let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
+        assert_eq!(reopened.flat_count(), 5);
+        reopened.delete_row(&["s7", "c7"]).unwrap();
+        assert!(matches!(
+            reopened.flush_wal(&other),
+            Err(StorageError::Io(_))
+        ));
+        reopened.flush_wal(&dir).unwrap();
+    }
+
+    #[test]
     fn reopened_table_keeps_replayed_wal_across_flushes() {
         let dir = temp_dir("reseed");
         let t = sample_table();
@@ -2071,8 +2161,8 @@ mod tests {
         t.insert_atoms(s5).unwrap();
         t.flush_wal(&dir).unwrap();
         // First reopen replays s5 from the WAL; a flush after another
-        // insert must keep s5 in the rewritten log (the commit log is
-        // seeded with the replayed entries as already durable).
+        // insert must keep s5 in the log (the reopened log knows the
+        // replayed prefix's length and appends behind it).
         let r1 = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         r1.insert_row(&["s6", "c6"]).unwrap();
         r1.flush_wal(&dir).unwrap();

@@ -1,31 +1,43 @@
 //! Group-commit write-ahead log: a sequenced per-table commit buffer
-//! with leader-elected flushes.
+//! with leader-elected flushes that append to a log file held open.
 //!
 //! Concurrent writers (each holding its own per-shard lane lock, see
 //! `crate::table`) append entries to one sequenced buffer; a flush
-//! request first checks whether its entries are already durable — a
+//! request first checks whether its entries are already written — a
 //! racing leader may have flushed the whole group — and otherwise
-//! elects itself leader by taking the flush lock and writing the entire
-//! buffered prefix in **one** fsync-equivalent (`std::fs::write` of the
-//! whole log). The leader can be told to dwell for a configurable
-//! group-commit window before snapshotting the buffer, so commits that
-//! arrive during the window ride along in the same write.
+//! elects itself leader by taking the flush lock and handing the OS the
+//! group in **one** `write` to the log file, which it holds open for
+//! appending. There is no fsync yet: a written entry survives a crash
+//! of the process, not of the machine. The leader can be told to dwell
+//! for a configurable group-commit window before snapshotting the
+//! buffer, so commits that arrive during the window ride along in the
+//! same write.
 //!
-//! The buffer holds the log's *encoded bytes* — exactly what a flush
-//! writes — plus an entry count, not the decoded entries: an engine
-//! without a data directory never truncates its log, so what it retains
-//! per write should be the handful of bytes the entry encodes to.
+//! The buffer holds only the entries not yet written, as their *encoded
+//! bytes* — exactly what the next flush appends — plus their count, not
+//! the decoded entries: an engine without a data directory never
+//! flushes its log, so what it retains per write should be the handful
+//! of bytes the entry encodes to.
 //!
-//! Durability bookkeeping is a single watermark: `durable` counts the
-//! log prefix already on disk. Because writers append while holding
-//! their shard lock, each shard's entries appear in the log in its
-//! serial mutation order; cross-shard interleaving is arbitrary but
-//! harmless (ops on different shards touch disjoint rows and commute).
-//! Crash recovery therefore replays any *prefix* of the log to a
-//! consistent state — `NfTable::open` stops at the first torn entry,
-//! which is exactly the last durably committed prefix.
+//! The file is append-only between checkpoints. The first flush or
+//! checkpoint opens it and binds the log to its path (a log that
+//! `NfTable::open` replayed is bound to the file it read); a later call
+//! naming another path is an error. Opening cuts the file to its
+//! durable prefix — the bytes replay decoded, plus every group written
+//! since — so a torn tail replay stopped at never sits in front of the
+//! next group. A checkpoint cuts the file to empty.
+//!
+//! Because writers append while holding their shard lock, each shard's
+//! entries appear in the log in its serial mutation order; cross-shard
+//! interleaving is arbitrary but harmless (ops on different shards
+//! touch disjoint rows and commute). Crash recovery therefore replays
+//! any *prefix* of the log to a consistent state — `NfTable::open`
+//! stops at the first torn entry, which is exactly the last written
+//! prefix.
 
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
@@ -73,49 +85,121 @@ pub(crate) fn decode_prefix(bytes: &[u8], arity: usize) -> (Vec<Op>, usize) {
     (ops, intact)
 }
 
-/// The sequenced buffer plus its durability watermark. One mutex, held
-/// only for appends and snapshot/watermark reads — never across I/O.
+/// The entries not yet written. One mutex, held only for appends and
+/// the leader's snapshot and trim — never across I/O.
 #[derive(Debug, Default)]
 struct LogBuffer {
-    /// Every buffered entry, encoded back to back: the log file's
-    /// contents after the next flush.
+    /// The unwritten entries, encoded back to back: what the next flush
+    /// appends.
     bytes: BytesMut,
     /// Entries encoded in `bytes`.
     entries: usize,
-    /// Entries `[..durable]` are on disk.
-    durable: usize,
+}
+
+/// The log file and its durable length, behind the leader's flush
+/// mutex.
+#[derive(Debug, Default)]
+struct LogFile {
+    /// The path the log is bound to: the file `NfTable::open` replayed,
+    /// or else the first flush's or checkpoint's.
+    path: Option<PathBuf>,
+    /// The file, open for appending. `None` until the first flush or
+    /// checkpoint, and again after a failed write or cut.
+    file: Option<File>,
+    /// The file's durable prefix: the bytes replay decoded plus every
+    /// group written since.
+    durable_bytes: u64,
+}
+
+impl LogFile {
+    /// The held file. The first call binds `path`, creates its
+    /// directory, opens the file for appending and cuts it to
+    /// `durable_bytes`, so the next group lands right behind the last
+    /// entry replay decoded and not behind a torn tail.
+    fn open(&mut self, path: &Path) -> Result<&mut File> {
+        match &self.path {
+            Some(bound) if bound != path => {
+                return Err(StorageError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "the log is bound to {}, not {}",
+                        bound.display(),
+                        path.display()
+                    ),
+                )));
+            }
+            Some(_) => {}
+            None => self.path = Some(path.to_owned()),
+        }
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                let file = OpenOptions::new().create(true).append(true).open(path)?;
+                file.set_len(self.durable_bytes)?;
+                file
+            }
+        };
+        Ok(self.file.insert(file))
+    }
+
+    /// Runs `io` on the held file. A failure drops the handle, so the
+    /// next call reopens the file and cuts it back to the durable
+    /// prefix — along with whatever part of a group a failed write left.
+    fn with_file(
+        &mut self,
+        path: &Path,
+        io: impl FnOnce(&mut File) -> std::io::Result<()>,
+    ) -> Result<()> {
+        let done = io(self.open(path)?);
+        if done.is_err() {
+            self.file = None;
+        }
+        Ok(done?)
+    }
+}
+
+/// What one flush wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Group {
+    /// Entries the write made durable.
+    pub(crate) entries: u64,
+    /// Bytes the write handed the OS.
+    pub(crate) bytes: u64,
 }
 
 /// A per-table group-commit log. See the module docs for the protocol.
 ///
-/// Lock order within the log: `flush` before `buf` (appenders take only
+/// Lock order within the log: `file` before `buf` (appenders take only
 /// `buf`).
 #[derive(Debug, Default)]
 pub(crate) struct CommitLog {
     buf: Mutex<LogBuffer>,
-    /// The leader's flush critical section: serializes the
-    /// fsync-equivalent so exactly one writer pays it per group.
-    flush: Mutex<()>,
+    /// The leader's flush critical section: serializes the write so
+    /// exactly one writer pays it per group.
+    file: Mutex<LogFile>,
 }
 
 impl CommitLog {
-    /// An empty log.
+    /// An empty log, bound to no file yet.
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// A log seeded with `entries` already-durable entries, given as the
-    /// intact byte prefix `open` decoded from the on-disk WAL — so a
-    /// later flush re-writes the replayed entries instead of silently
-    /// dropping them.
-    pub(crate) fn with_durable(bytes: &[u8], entries: usize) -> Self {
+    /// A log reopened over `path`, whose first `durable_bytes` bytes
+    /// replay decoded: it is bound to `path`, holds nothing unwritten,
+    /// and its first flush cuts the file to that length before it
+    /// appends.
+    pub(crate) fn with_durable(path: PathBuf, durable_bytes: u64) -> Self {
         Self {
-            buf: Mutex::new(LogBuffer {
-                bytes: bytes.into(),
-                entries,
-                durable: entries,
+            buf: Mutex::default(),
+            file: Mutex::new(LogFile {
+                path: Some(path),
+                file: None,
+                durable_bytes,
             }),
-            flush: Mutex::new(()),
         }
     }
 
@@ -128,67 +212,69 @@ impl CommitLog {
         }
     }
 
-    /// Number of buffered entries (durable or not). Test/inspection
-    /// surface.
+    /// Number of entries not yet written. Test/inspection surface.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.buf.lock().entries
     }
 
-    /// Makes every buffered entry durable at `path`, group-committing
-    /// with concurrent flushers.
+    /// Appends every buffered entry to the log file at `path` in one
+    /// write, group-committing with concurrent flushers. No fsync.
     ///
-    /// Returns `Ok(None)` when the caller's group was already flushed
-    /// by a racing leader (no I/O performed — this is the
-    /// once-per-fsync-equivalent accounting contract: callers bump
-    /// their flush counters only on `Some`). Returns `Ok(Some(n))`
-    /// after actually writing, where `n` is the group size: the number
-    /// of entries this write newly made durable.
+    /// Returns `Ok(None)` when the caller's group was already written
+    /// by a racing leader (no I/O performed — this is the once-per-write
+    /// accounting contract: callers bump their flush counters only on
+    /// `Some`). Returns `Ok(Some(group))` after actually writing: the
+    /// entries this write newly made durable, and their bytes.
     ///
     /// A non-zero `window_us` makes the elected leader dwell that many
     /// microseconds before snapshotting the buffer, letting concurrent
     /// writers' appends join the group.
-    pub(crate) fn flush_to(&self, path: &Path, window_us: u64) -> Result<Option<u64>> {
-        {
-            let b = self.buf.lock();
-            if b.durable >= b.entries {
-                return Ok(None);
-            }
+    pub(crate) fn flush_to(&self, path: &Path, window_us: u64) -> Result<Option<Group>> {
+        if self.buf.lock().entries == 0 {
+            return Ok(None);
         }
-        let _leader = self.flush.lock();
+        let mut file = self.file.lock();
         if window_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(window_us));
         }
-        let (bytes, high, low) = {
+        let (group, entries) = {
             let b = self.buf.lock();
-            if b.durable >= b.entries {
+            if b.entries == 0 {
                 // A leader that won the race flushed our group already.
                 return Ok(None);
             }
-            // Copy the encoded log out so the write below runs without
-            // the buffer lock (appenders never wait on I/O).
-            (b.bytes.to_vec(), b.entries, b.durable)
+            // Copy the group out so the write below runs without the
+            // buffer lock (appenders never wait on I/O).
+            (b.bytes.to_vec(), b.entries)
         };
-        // The whole sequenced log is rewritten in one write: a crash
-        // mid-write leaves a byte prefix, which decodes to an entry
-        // prefix — the recovery contract `open` relies on.
-        std::fs::write(path, &bytes)?;
+        // A crash mid-write leaves a byte prefix of the group behind the
+        // durable prefix, which decodes to an entry prefix — the
+        // recovery contract `open` relies on.
+        file.with_file(path, |f| f.write_all(&group))?;
+        file.durable_bytes += group.len() as u64;
+        // Appenders only push at the end, so the group written is still
+        // the buffer's prefix.
         let mut b = self.buf.lock();
-        if b.durable < high {
-            b.durable = high;
-        }
-        Ok(Some((high - low) as u64))
+        let unwritten = b.bytes.len() - group.len();
+        b.bytes.copy_within(group.len().., 0);
+        b.bytes.truncate(unwritten);
+        b.entries -= entries;
+        Ok(Some(Group {
+            entries: entries as u64,
+            bytes: group.len() as u64,
+        }))
     }
 
-    /// Truncates the log after a checkpoint: clears the buffer, resets
-    /// the watermark and writes an empty WAL file. Callers must have
-    /// quiesced writers (the table holds every lane lock across a
-    /// checkpoint).
+    /// Truncates the log after a checkpoint: clears the buffer and cuts
+    /// the file at `path` to empty. A cut that fails (another path
+    /// included) leaves the log as it was. Callers must have quiesced
+    /// writers (the table holds every lane lock across a checkpoint).
     pub(crate) fn truncate(&self, path: &Path) -> Result<()> {
-        let _leader = self.flush.lock();
-        let mut b = self.buf.lock();
-        *b = LogBuffer::default();
-        std::fs::write(path, b"")?;
+        let mut file = self.file.lock();
+        file.with_file(path, |f| f.set_len(0))?;
+        file.durable_bytes = 0;
+        *self.buf.lock() = LogBuffer::default();
         Ok(())
     }
 }
@@ -197,7 +283,6 @@ impl CommitLog {
 mod tests {
     use super::*;
     use nf2_core::value::Atom;
-    use std::path::PathBuf;
 
     fn temp_wal(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nf2_commitlog_{tag}"));
@@ -208,6 +293,14 @@ mod tests {
 
     fn entry(v: u32) -> Op {
         Op::Insert(vec![Atom(v), Atom(v + 1)])
+    }
+
+    fn encoded(ops: &[Op]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        for op in ops {
+            encode(op, &mut out);
+        }
+        out.to_vec()
     }
 
     fn decode_all(bytes: &[u8]) -> Vec<Op> {
@@ -222,13 +315,44 @@ mod tests {
         let log = CommitLog::new();
         log.extend([&entry(1)]);
         log.extend([&entry(2)]);
-        assert_eq!(log.flush_to(&path, 0).unwrap(), Some(2), "two-entry group");
+        let group = log.flush_to(&path, 0).unwrap().expect("a write");
+        assert_eq!(group.entries, 2, "two-entry group");
         // Nothing new buffered: the next flush is a no-op, not a write.
         assert_eq!(log.flush_to(&path, 0).unwrap(), None);
         log.extend([&entry(3)]);
-        assert_eq!(log.flush_to(&path, 0).unwrap(), Some(1));
+        assert_eq!(log.flush_to(&path, 0).unwrap().map(|g| g.entries), Some(1));
         let on_disk = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
+    }
+
+    #[test]
+    fn a_flush_appends_only_its_group() {
+        let path = temp_wal("append");
+        let log = CommitLog::new();
+        let mut expected = Vec::new();
+        for group in [vec![entry(1)], vec![entry(2), entry(3)], vec![entry(4)]] {
+            log.extend(&group);
+            let written = log.flush_to(&path, 0).unwrap().expect("a write");
+            let bytes = encoded(&group);
+            assert_eq!(
+                written,
+                Group {
+                    entries: group.len() as u64,
+                    bytes: bytes.len() as u64
+                }
+            );
+            expected.extend_from_slice(&bytes);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                expected,
+                "previous file + group"
+            );
+            assert_eq!(log.len(), 0);
+            assert!(
+                log.buf.lock().bytes.is_empty(),
+                "the written group left the buffer"
+            );
+        }
     }
 
     #[test]
@@ -246,16 +370,15 @@ mod tests {
     #[test]
     fn seeded_log_keeps_replayed_entries_durable() {
         let path = temp_wal("seed");
-        let mut seed = BytesMut::new();
-        encode(&entry(1), &mut seed);
-        encode(&entry(2), &mut seed);
-        let log = CommitLog::with_durable(&seed, 2);
+        // The replayed entries are on disk, not in the log.
+        let seed = encoded(&[entry(1), entry(2)]);
+        File::create(&path).unwrap().write_all(&seed).unwrap();
+        let log = CommitLog::with_durable(path.clone(), seed.len() as u64);
         // Replayed entries are already on disk: no write needed.
         assert_eq!(log.flush_to(&path, 0).unwrap(), None);
-        // A later append re-writes the *whole* sequenced log, keeping
-        // the replayed prefix.
+        // A later append lands behind the replayed prefix.
         log.extend([&entry(3)]);
-        assert_eq!(log.flush_to(&path, 0).unwrap(), Some(1));
+        assert_eq!(log.flush_to(&path, 0).unwrap().map(|g| g.entries), Some(1));
         let on_disk = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
     }
