@@ -689,7 +689,8 @@ pub fn e09_search_space() -> Report {
     // removed).
     let mut buf = bytes::BytesMut::new();
     let nf_records: Vec<usize> = nf
-        .relation()
+        .snapshot()
+        .canonical()
         .tuples()
         .iter()
         .map(|t| {

@@ -216,9 +216,10 @@ fn assert_scans_what_it_reports(w: &Workload, t: &NfTable, state: &mut u64) {
                     .map(|i| tuples[i].clone())
             })
             .collect();
-        let counts = t.zone_skip_counts(&shards, &probe);
+        let snapshot = t.snapshot();
+        let counts = snapshot.zone_skip_counts(&shards, &probe);
         let before = t.stats();
-        let scanned: Vec<NfTuple> = t
+        let scanned: Vec<NfTuple> = snapshot
             .scan_shards_zoned(&shards, &probe)
             .map(|v| v.into_owned())
             .collect();
@@ -469,7 +470,7 @@ proptest! {
                         "{} {:?}: shard {} reopened as other tuples", w.label, spec, s
                     );
                 }
-                prop_assert_eq!(reopened.relation(), t.relation());
+                prop_assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
                 prop_assert_eq!(reopened.flat_count(), t.flat_count());
                 reopened.checkpoint(&dir).unwrap();
                 prop_assert!(

@@ -17,7 +17,7 @@ use nf2_core::bulk::{apply_batch, Op};
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::canonical_of_flat;
 use nf2_core::schema::NestOrder;
-use nf2_core::shard::{ShardSpec, ShardedCanonical};
+use nf2_core::shard::{merged_tuple_count, ShardSpec, ShardedCanonical};
 use nf2_core::value::Atom;
 use nf2_workload as workload;
 use nf2_workload::Workload;
@@ -134,6 +134,11 @@ proptest! {
                             oracle.relation().tuples()
                         );
                     }
+                    let versions = sharded.versions();
+                    prop_assert_eq!(
+                        merged_tuple_count(sharded.router(), versions.iter().map(|v| &**v)),
+                        oracle.tuple_count()
+                    );
                     sharded.verify().unwrap();
                     let mut costs = vec![sharded.maintenance_cost()];
                     if identity {

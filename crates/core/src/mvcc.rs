@@ -31,9 +31,8 @@
 //!   each writer's observed bump stays in {0, 1}.
 //!
 //! The epoch is the table's logical clock: it increments exactly once
-//! per installed state change, so downstream caches (the merged-relation
-//! cache, prepared-plan revalidation) key on it instead of guessing at
-//! invalidation.
+//! per installed state change, so downstream state (prepared-plan
+//! revalidation) keys on it instead of guessing at invalidation.
 //!
 //! This module is the only place in the workspace allowed to use
 //! non-`Relaxed` atomic orderings (enforced by `cargo xtask lint`);
@@ -274,11 +273,6 @@ impl TableVersion {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Total NF² tuples across all shards.
-    pub fn tuple_count(&self) -> usize {
-        self.shards.iter().map(|s| s.tuple_count()).sum()
     }
 
     /// Total flat rows across all shards: a sum of the counts each

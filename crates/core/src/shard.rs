@@ -38,6 +38,7 @@
 //!   sub-batches side by side under [`std::thread::scope`]. A point
 //!   write is a batch of one.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use crate::bulk::{BatchSummary, Op};
@@ -48,7 +49,7 @@ use crate::mvcc::ShardVersion;
 use crate::relation::{FlatRelation, NfRelation};
 use crate::schema::{AttrId, NestOrder, Schema};
 use crate::segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
-use crate::tuple::FlatTuple;
+use crate::tuple::{FlatTuple, NfTuple};
 use crate::value::Atom;
 
 /// How the outermost-attribute value space is split into shards.
@@ -467,13 +468,13 @@ pub fn apply_sub_batches<'a>(
 /// concatenates the per-shard tuples (disjoint by routing), walking each
 /// shard's chunks in order, and runs the final `ν_{P(n−1)}` grouping
 /// once, merging tuples whose `P(n−1)` sets were split across shards.
-/// One shard needs no merge at all.
+/// One shard needs no merge at all. A store has at least one shard.
 pub fn merge_shards<'a>(
-    schema: &Arc<Schema>,
     router: &ShardRouter,
     shards: impl IntoIterator<Item = &'a ShardVersion>,
 ) -> NfRelation {
     let shards: Vec<&ShardVersion> = shards.into_iter().collect();
+    let schema = &shards[0].schema;
     let mut tuples = Vec::with_capacity(shards.iter().map(|s| s.tuple_count()).sum());
     for seg in shards.iter().flat_map(|s| s.segments().segments()) {
         tuples.extend_from_slice(seg.tuples());
@@ -491,6 +492,27 @@ pub fn merge_shards<'a>(
     let concat = NfRelation::from_disjoint_tuples(schema.clone(), tuples)
         .expect("per-shard tuples carry the shared schema arity");
     NestKernel::new().nest_once(&concat, attr)
+}
+
+/// How many tuples [`merge_shards`] builds, without building them. The
+/// final `ν_{P(n−1)}` merges tuples that agree on every component but
+/// `P(n−1)`'s, and no two tuples of one shard do (a shard is already
+/// nested on `P(n−1)`), so the count is the number of distinct such
+/// rests across the shards.
+pub fn merged_tuple_count<'a>(
+    router: &ShardRouter,
+    shards: impl IntoIterator<Item = &'a ShardVersion>,
+) -> usize {
+    let shards: Vec<&ShardVersion> = shards.into_iter().collect();
+    let Some(attr) = router.attr().filter(|_| shards.len() > 1) else {
+        return shards.iter().map(|s| s.tuple_count()).sum();
+    };
+    let rest = |tuple: &'a NfTuple| {
+        let (before, from) = tuple.components().split_at(attr);
+        (before, &from[1..])
+    };
+    let rests: HashSet<_> = shards.iter().flat_map(|s| s.tuples()).map(rest).collect();
+    rests.len()
 }
 
 /// A canonical NFR partitioned on the outermost nest attribute: one
@@ -607,6 +629,16 @@ impl ShardedCanonical {
             }
         }
         Ok(sharded)
+    }
+
+    /// Replaces shard `idx` with the kernel's nest of its own `rows`,
+    /// tiled at the current target: how a reopen rebuilds each
+    /// checkpointed shard, one at a time.
+    pub fn nest_shard(&mut self, idx: usize, rows: &FlatRelation) -> Result<&ShardVersion> {
+        let lane = &mut self.lanes[idx];
+        let canon = CanonicalRelation::from_flat_with(&mut lane.kernel, rows, self.order.clone())?;
+        lane.install(canon);
+        Ok(&lane.version)
     }
 
     /// The schema.
@@ -731,11 +763,7 @@ impl ShardedCanonical {
 
     /// The exact global canonical form `ν_P(R*)` ([`merge_shards`]).
     pub fn to_relation(&self) -> NfRelation {
-        merge_shards(
-            &self.schema,
-            &self.router,
-            self.lanes.iter().map(|l| &*l.version),
-        )
+        merge_shards(&self.router, self.lanes.iter().map(|l| &*l.version))
     }
 
     /// Re-derives every invariant from scratch: each shard's chunks back
@@ -986,6 +1014,9 @@ mod tests {
             let report = auto.apply_batch(&ops).unwrap();
             assert_eq!(report.summary, oracle_summary, "{spec:?}");
             assert_eq!(auto.to_relation(), *oracle.relation(), "{spec:?}");
+            let versions = auto.versions();
+            let counted = merged_tuple_count(auto.router(), versions.iter().map(|v| &**v));
+            assert_eq!(counted, oracle.tuple_count(), "{spec:?}");
             auto.verify().unwrap();
         }
     }

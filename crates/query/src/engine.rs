@@ -449,6 +449,7 @@ impl Engine {
                 format!("table.{name}.write.segments_rebuilt"),
                 s.write_segments_rebuilt,
             );
+            snap.push_counter(format!("table.{name}.merges"), s.merges);
         }
         snap
     }
@@ -820,21 +821,22 @@ impl<'e> Session<'e> {
                 // Ad-hoc ν over one attribute through the interning nest
                 // kernel (tuple-identical to `nest::nest`, which stays as
                 // the Def. 4 reference).
-                let relation = nf2_core::kernel::NestKernel::new().nest_once(&t.relation(), id);
+                let relation =
+                    nf2_core::kernel::NestKernel::new().nest_once(&t.snapshot().canonical(), id);
                 let rendered = render_nf(&relation, &self.engine.dict.snapshot());
                 Ok(Output::Relation { relation, rendered })
             }
             Statement::Unnest { table, attr } => {
                 let t = self.engine.table(&table)?;
                 let id = t.schema().attr_id(&attr)?;
-                let relation = nf2_core::nest::unnest(&t.relation(), id);
+                let relation = nf2_core::nest::unnest(&t.snapshot().canonical(), id);
                 let rendered = render_nf(&relation, &self.engine.dict.snapshot());
                 Ok(Output::Relation { relation, rendered })
             }
             Statement::Show { table, flat } => {
                 let t = self.engine.table(&table)?;
                 let dict = self.engine.dict.snapshot();
-                let rel = t.relation();
+                let rel = t.snapshot().canonical();
                 if flat {
                     let f = rel.expand();
                     let rendered = render_flat(&f, &dict);
@@ -845,7 +847,7 @@ impl<'e> Session<'e> {
                 } else {
                     let rendered = render_nf(&rel, &dict);
                     Ok(Output::Relation {
-                        relation: (*rel).clone(),
+                        relation: rel,
                         rendered,
                     })
                 }
@@ -896,8 +898,9 @@ impl<'e> Session<'e> {
             }
             Statement::Stats { table } => {
                 let t = self.engine.table(&table)?;
-                let tuples = t.tuple_count();
-                let flats = t.flat_count();
+                let snapshot = t.snapshot();
+                let tuples = snapshot.tuple_count();
+                let flats = snapshot.flat_count();
                 let ratio = if tuples == 0 {
                     1.0
                 } else {
@@ -924,10 +927,11 @@ impl<'e> Session<'e> {
             Statement::Tables => {
                 let mut lines: Vec<String> = Vec::new();
                 for (name, t) in self.engine.tables() {
+                    let snapshot = t.snapshot();
                     lines.push(format!(
                         "{name}: {} nf-tuples / {} flat rows, order {}",
-                        t.tuple_count(),
-                        t.flat_count(),
+                        snapshot.tuple_count(),
+                        snapshot.flat_count(),
                         t.order()
                     ));
                 }
@@ -1194,7 +1198,7 @@ mod tests {
             Output::Relation { relation, .. } => assert_eq!(relation.flat_count(), 2),
             other => panic!("unexpected {other:?}"),
         }
-        // relation() serves the exact canonical form: identical to an
+        // The merged snapshot is the exact canonical form: identical to an
         // unsharded engine fed the same script.
         let plain = Engine::builder().shards(1).build().unwrap();
         plain
@@ -1205,8 +1209,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            session.engine().table("sc").unwrap().relation(),
-            plain.table("sc").unwrap().relation()
+            session.engine().table("sc").unwrap().snapshot().canonical(),
+            plain.table("sc").unwrap().snapshot().canonical()
         );
     }
 
@@ -1346,6 +1350,8 @@ mod tests {
     fn metrics_export_merges_statement_and_table_series() {
         let engine = seeded_engine();
         engine.session().run("SELECT COUNT(*) FROM sc").unwrap();
+        // SHOW merges the shards once; the SELECT merged nothing.
+        engine.session().run("SHOW sc").unwrap();
         // One batch: a new student under both stored courses.
         let sc = engine.table("sc").unwrap();
         let batch: Vec<nf2_core::bulk::Op> = ["c1", "c2"]
@@ -1379,6 +1385,7 @@ mod tests {
         assert!(counter("table.sc.epoch_installs").unwrap_or(0) >= 1);
         assert!(counter("table.sc.snapshot_pins").unwrap_or(0) >= 1);
         assert_eq!(counter("table.sc.wal_flushes"), Some(1));
+        assert_eq!(counter("table.sc.merges"), Some(1));
         assert!(logged > 0);
         assert_eq!(counter("table.sc.wal_bytes"), Some(logged));
         // The write series: the seeding INSERT is one write, the batch
@@ -1564,12 +1571,10 @@ mod tests {
     }
 
     #[test]
-    fn rollback_refreshes_the_merged_relation_cache() {
-        // Regression: on a multi-shard table, the inverse write a
-        // ROLLBACK commits must invalidate the lazily-merged
-        // relation() cache like any forward write — reading inside
-        // the transaction (which fills the cache with mid-txn state)
-        // must not leave a stale merge behind after the rollback.
+    fn rollback_restores_the_exact_canonical_form() {
+        // On a multi-shard table, the inverse write a ROLLBACK commits
+        // must bring the merged canonical form back to the one before
+        // the transaction, however much the transaction moved it.
         let engine = Engine::builder().shards(4).build().unwrap();
         let mut session = engine.session();
         session
@@ -1578,7 +1583,7 @@ mod tests {
                  INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2'), ('s3','c3');",
             )
             .unwrap();
-        let before = session.engine().table("sc").unwrap().relation();
+        let before = session.engine().table("sc").unwrap().snapshot().canonical();
         session.run("BEGIN").unwrap();
         session
             .run("INSERT INTO sc VALUES ('s9','c9'), ('s9','c1')")
@@ -1587,20 +1592,19 @@ mod tests {
             .run("UPDATE sc SET Course = 'c7' WHERE Student = 's1'")
             .unwrap();
         session.run("DELETE FROM sc WHERE Student = 's2'").unwrap();
-        // Fill the merged cache with the mid-transaction state.
-        let inside = session.engine().table("sc").unwrap().relation();
+        let inside = session.engine().table("sc").unwrap().snapshot().canonical();
         assert_ne!(inside, before, "txn state visible inside the txn");
         session.run("ROLLBACK").unwrap();
         let t = session.engine().table("sc").unwrap();
         assert_eq!(
-            t.relation(),
+            t.snapshot().canonical(),
             before,
-            "relation() after ROLLBACK must re-merge, not serve the \
-             mid-transaction cache"
+            "ROLLBACK restores the state before BEGIN"
         );
         // And the served form is the exact canonical form of its rows.
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(*t.relation(), fresh);
+        let fresh =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(t.snapshot().canonical(), fresh);
     }
 
     #[test]
@@ -1614,7 +1618,7 @@ mod tests {
         let engine = seeded_engine();
         let mut session = engine.session();
         let t = session.engine().table("sc").unwrap();
-        let (before, epoch) = (t.relation(), t.epoch());
+        let (before, epoch) = (t.snapshot().canonical(), t.epoch());
         session.run("BEGIN").unwrap();
         // Row 2 fails the arity check, so row 1 does not land either.
         let err = session.run("INSERT INTO sc VALUES ('x9','y9'), ('only-one')");
@@ -1624,7 +1628,7 @@ mod tests {
         // There is nothing for ROLLBACK to invert.
         let out = session.run("ROLLBACK").unwrap();
         assert!(out.to_text().contains("rolled back 0"), "{}", out.to_text());
-        assert_eq!(t.relation(), before);
+        assert_eq!(t.snapshot().canonical(), before);
     }
 
     #[test]

@@ -419,7 +419,7 @@ mod transaction_tests {
     }
 
     fn snapshot(engine: &Engine) -> NfRelation {
-        (*engine.table("sc").unwrap().relation()).clone()
+        engine.table("sc").unwrap().snapshot().canonical()
     }
 
     #[test]
@@ -447,8 +447,9 @@ mod transaction_tests {
         );
         // And the restored relation is still canonical for its order.
         let t = engine.table("sc").unwrap();
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(*t.relation(), fresh);
+        let fresh =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(t.snapshot().canonical(), fresh);
     }
 
     #[test]
@@ -528,13 +529,16 @@ mod transaction_tests {
         db.run_script("CREATE TABLE cp (Course, Prof); INSERT INTO cp VALUES ('c1','p1');")
             .unwrap();
         let sc_before = snapshot(&engine);
-        let cp_before = engine.table("cp").unwrap().relation();
+        let cp_before = engine.table("cp").unwrap().snapshot().canonical();
         db.run("BEGIN").unwrap();
         db.run("DELETE FROM sc WHERE Course = 'c1'").unwrap();
         db.run("INSERT INTO cp VALUES ('c2','p2')").unwrap();
         db.run("ROLLBACK").unwrap();
         assert_eq!(snapshot(&engine), sc_before);
-        assert_eq!(engine.table("cp").unwrap().relation(), cp_before);
+        assert_eq!(
+            engine.table("cp").unwrap().snapshot().canonical(),
+            cp_before
+        );
     }
 }
 
@@ -742,7 +746,13 @@ mod update_tests {
         let t = engine.table("sc").unwrap();
         assert_eq!(t.flat_count(), 2);
         let c9 = engine.dict().lookup("c9").unwrap();
-        let hits: usize = t.relation().expand().rows().filter(|r| r[1] == c9).count();
+        let hits: usize = t
+            .snapshot()
+            .canonical()
+            .expand()
+            .rows()
+            .filter(|r| r[1] == c9)
+            .count();
         assert_eq!(hits, 1);
     }
 
@@ -790,8 +800,9 @@ mod update_tests {
         let mut db = engine.session();
         db.run("UPDATE sc SET Student = 's9'").unwrap();
         let t = engine.table("sc").unwrap();
-        let oracle = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(*t.relation(), oracle);
+        let oracle =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(t.snapshot().canonical(), oracle);
     }
 
     #[test]

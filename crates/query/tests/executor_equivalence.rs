@@ -257,7 +257,7 @@ proptest! {
 
                 let mut env = Env::new();
                 for name in ["t", "u", "v"] {
-                    env.insert(name, (*engine.table(name).unwrap().relation()).clone());
+                    env.insert(name, engine.table(name).unwrap().snapshot().canonical());
                 }
                 for s in &shapes {
                     let expected = match &s.expr {

@@ -18,10 +18,12 @@
 //! byte length and FNV-1a over those bytes. The checkpoint reads the
 //! store without changing it. A reopen refuses (`StorageError::Corrupt`,
 //! naming the shard) a tuple file that misses an extent before it
-//! decodes a byte, re-nests the stored rows, routes them to their
-//! shards, and refuses any rebuilt shard whose encoding misses its
-//! extent — a changed, dropped, added or misplaced row — before it
-//! replays the WAL.
+//! decodes a byte, then rebuilds one shard at a time: a stored row
+//! routed to another shard is refused, and so is a shard whose kernel
+//! re-nest of its own rows differs from its decoded tuples (`ν_P(R*_s)`
+//! is unique, Theorem 2). The shards are the table's only whole-table
+//! state: the global `ν_P(R*)` is derived on demand
+//! ([`TableSnapshot::canonical`], never cached).
 //!
 //! ## Write path: one write procedure, routed per shard
 //!
@@ -75,8 +77,8 @@ use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
 use nf2_core::segment::{Conjunct, Rows, ShardSegments};
 use nf2_core::shard::{
-    apply_sub_batches, merge_shards, BatchReport, MaintenanceCost, ShardRouter, ShardSpec,
-    ShardWriter, ShardedCanonical,
+    apply_sub_batches, merge_shards, merged_tuple_count, BatchReport, MaintenanceCost, ShardRouter,
+    ShardSpec, ShardWriter, ShardedCanonical,
 };
 use nf2_core::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
@@ -112,7 +114,7 @@ pub struct TableStats {
     /// Rows deleted since creation.
     pub deletes: u64,
     /// Segments in which a zoned scan
-    /// ([`NfTable::scan_shards_zoned`]) located no tuple — none of
+    /// ([`TableSnapshot::scan_shards_zoned`]) located no tuple — none of
     /// their tuples was probed, so they are *not* in `units_probed`.
     pub segments_skipped: u64,
     /// Version publications submitted by writers. Concurrent
@@ -150,6 +152,11 @@ pub struct TableStats {
     /// Segments the writes rebuilt (patched from their postings or
     /// encoded afresh), each touched segment once per write.
     pub write_segments_rebuilt: u64,
+    /// Whole-table merge passes: one per [`TableSnapshot::canonical`]
+    /// call, which builds the merge, and one per `tuple_count` call
+    /// ([`NfTable`]'s or [`TableSnapshot`]'s), which counts its tuples.
+    /// A routed read or write makes none.
+    pub merges: u64,
 }
 
 /// The live, concurrently-updated counters behind [`TableStats`].
@@ -175,6 +182,7 @@ pub struct SharedTableStats {
     write_tuples_regrouped: AtomicU64,
     write_tuples_copied: AtomicU64,
     write_segments_rebuilt: AtomicU64,
+    merges: AtomicU64,
 }
 
 impl SharedTableStats {
@@ -195,6 +203,7 @@ impl SharedTableStats {
             write_tuples_regrouped: AtomicU64::new(stats.write_tuples_regrouped),
             write_tuples_copied: AtomicU64::new(stats.write_tuples_copied),
             write_segments_rebuilt: AtomicU64::new(stats.write_segments_rebuilt),
+            merges: AtomicU64::new(stats.merges),
         }
     }
 
@@ -220,6 +229,7 @@ impl SharedTableStats {
             write_tuples_regrouped: self.write_tuples_regrouped.load(Ordering::Relaxed),
             write_tuples_copied: self.write_tuples_copied.load(Ordering::Relaxed),
             write_segments_rebuilt: self.write_segments_rebuilt.load(Ordering::Relaxed),
+            merges: self.merges.load(Ordering::Relaxed),
         }
     }
 
@@ -244,15 +254,16 @@ impl SharedTableStats {
     }
 }
 
-/// An NF² table: canonical NFR as the physical representation — held as
-/// a [`ShardedCanonical`] partitioned on the outermost nest attribute
-/// (one shard by default) — with WAL + checkpoint durability.
+/// An NF² table: canonical NFR as the physical representation — its
+/// shards, partitioned on the outermost nest attribute (one shard by
+/// default), each holding `ν_P` of its own rows — with WAL + checkpoint
+/// durability.
 ///
 /// With more than one shard, a write routes each op to a single shard
 /// and runs the shards it touches side by side,
 /// [`scan`](NfTable::scan) concatenates the per-shard tuple streams,
-/// and [`relation`](NfTable::relation) serves the exact global
-/// canonical form from an epoch-keyed merge cache.
+/// and [`TableSnapshot::canonical`] merges a pinned snapshot's shards
+/// into the exact global canonical form, afresh on every call.
 ///
 /// ## Concurrency (shard-snapshot MVCC, per-shard writer lanes)
 ///
@@ -299,13 +310,6 @@ pub struct NfTable {
     lock_wait_us: Histogram,
     /// Entries made durable per WAL group flush.
     wal_group_size: Histogram,
-    /// Epoch-keyed merged-relation cache: `(epoch, merge)` of the last
-    /// merge computed. A read at the same epoch reuses the `Arc`; a
-    /// state-changing mutation bumps the epoch and the next read
-    /// re-merges. No-op mutations leave the epoch — and the warm cache —
-    /// alone, and a reader can never observe a half-invalidated cell
-    /// (the pair is replaced atomically under its own lock).
-    merged: Mutex<Option<(u64, Arc<NfRelation>)>>,
     stats: Arc<SharedTableStats>,
 }
 
@@ -471,7 +475,6 @@ impl NfTable {
             group_commit_us: AtomicU64::new(0),
             lock_wait_us: Histogram::new(),
             wal_group_size: Histogram::new(),
-            merged: Mutex::new(None),
             stats: Arc::new(SharedTableStats::with(stats)),
         }
     }
@@ -572,8 +575,7 @@ impl NfTable {
             // submit. A shard whose share turned out to be all no-ops
             // re-installs its existing Arc — pointer-identical, so
             // pinned and pruned readers are untouched. A write with no
-            // state change at all skips the bump entirely, keeping the
-            // epoch-keyed merge cache warm.
+            // state change at all skips the bump entirely.
             let locked: Vec<(usize, &ShardWriter)> = touched
                 .iter()
                 .zip(lanes.iter())
@@ -656,39 +658,12 @@ impl NfTable {
         self.versions.epoch()
     }
 
-    /// The current NFR — always the exact global canonical form
-    /// `ν_P(R*)`, regardless of shard count, merged from the pinned
-    /// snapshot and cached per epoch: repeated reads at one epoch share
-    /// one `Arc`, and a no-op mutation (which does not bump the epoch)
-    /// keeps the cache warm.
-    pub fn relation(&self) -> Arc<NfRelation> {
-        let pin = self.versions.pin();
-        let mut cache = self.merged.lock();
-        if let Some((epoch, rel)) = &*cache {
-            if *epoch == pin.epoch() {
-                return Arc::clone(rel);
-            }
-        }
-        let rel = Arc::new(merge_shards(
-            &self.schema,
-            &self.routing,
-            pin.shards().iter().map(|s| &**s),
-        ));
-        *cache = Some((pin.epoch(), Arc::clone(&rel)));
-        rel
-    }
-
-    /// The epoch of the cached merged relation, if
-    /// [`relation`](Self::relation) has built one — an inspection
-    /// surface: routed reads and point writes must never need the merge.
-    pub fn merged_epoch(&self) -> Option<u64> {
-        self.merged.lock().as_ref().map(|(epoch, _)| *epoch)
-    }
-
     /// NF² tuple count of the global canonical form (the logical search
-    /// space size).
+    /// space size): [`TableSnapshot::tuple_count`] of an uncounted pin.
     pub fn tuple_count(&self) -> usize {
-        self.relation().tuple_count()
+        self.stats.merges.fetch_add(1, Ordering::Relaxed);
+        let pin = self.versions.pin();
+        merged_tuple_count(&self.routing, pin.shards().iter().map(|s| &**s))
     }
 
     /// Flat row count (`|R*|`).
@@ -733,8 +708,7 @@ impl NfTable {
     /// Inserts a flat row of atoms — a write of one op, logged to the
     /// WAL. Returns `true` if the row was new; only then is a version
     /// published and the epoch bumped. A no-op duplicate leaves the
-    /// canonical shards untouched, so the cached merge at the current
-    /// epoch stays valid.
+    /// shards and the epoch untouched.
     pub fn insert_atoms(&self, row: FlatTuple) -> Result<bool> {
         Ok(self.commit(&[Op::Insert(row)])?.0.noops == 0)
     }
@@ -781,27 +755,6 @@ impl NfTable {
         self.snapshot().scan()
     }
 
-    /// [`TableSnapshot::scan_shards`] against a freshly pinned snapshot.
-    pub fn scan_shards(&self, shards: &[usize]) -> TableScan {
-        self.snapshot().scan_shards(shards)
-    }
-
-    /// [`TableSnapshot::scan_shards_zoned`] against a freshly pinned
-    /// snapshot.
-    pub fn scan_shards_zoned(&self, shards: &[usize], zones: &[(AttrId, ValueSet)]) -> TableScan {
-        self.snapshot().scan_shards_zoned(shards, zones)
-    }
-
-    /// [`TableSnapshot::zone_skip_counts`] against a freshly pinned
-    /// snapshot.
-    pub fn zone_skip_counts(
-        &self,
-        shards: &[usize],
-        zones: &[(AttrId, ValueSet)],
-    ) -> Vec<ZoneCounts> {
-        self.snapshot().zone_skip_counts(shards, zones)
-    }
-
     /// Changes the target tuples-per-segment on the backing store,
     /// re-tiles every shard and publishes the re-tiled versions.
     /// Test and experiment knob.
@@ -818,7 +771,7 @@ impl NfTable {
 
     /// The value router the table's shards are partitioned by — what a
     /// query planner asks to turn an outer-attribute predicate into a
-    /// shard set for [`scan_shards`](Self::scan_shards).
+    /// shard set for [`TableSnapshot::scan_shards`].
     pub fn routing(&self) -> &nf2_core::shard::ShardRouter {
         &self.routing
     }
@@ -831,10 +784,10 @@ impl NfTable {
     /// [`flush_wal`](Self::flush_wal) does.
     ///
     /// The checkpoint reads the store and changes nothing in it: no
-    /// version is published, and the epoch and the merge cache stay
-    /// where they were. It holds every lane lock (ascending) throughout
-    /// so the tuples, meta and WAL truncation describe one consistent
-    /// state (every mutation publishes before releasing its lane).
+    /// version is published, and the epoch stays where it was. It holds
+    /// every lane lock (ascending) throughout so the tuples, meta and
+    /// WAL truncation describe one consistent state (every mutation
+    /// publishes before releasing its lane).
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         let lanes = self.lock_all_lanes();
@@ -895,19 +848,26 @@ impl NfTable {
         self.wal_group_size = wal_group_size;
     }
 
-    /// Opens a table from `dir`: loads the checkpoint's tuples, re-nests
-    /// their rows under the persisted shard spec and tiling target, then
+    /// Opens a table from `dir`: rebuilds the checkpoint's shards one at
+    /// a time, under the persisted shard spec and tiling target, then
     /// replays the WAL as one batch
     /// ([`append_batch`](Self::append_batch)'s procedure).
+    ///
+    /// `dict` must intern the checkpoint's atom `i` as atom `i` (a fresh
+    /// one does, and so does one holding the checkpoint's strings as a
+    /// prefix); any other is [`StorageError::Corrupt`], naming the first
+    /// atom that disagrees.
     ///
     /// Before it decodes anything, the tuple file's length must be the
     /// sum of the meta's shard lengths and each shard's bytes must hash
     /// to its digest; it then decodes exactly each shard's tuple count
-    /// from exactly its bytes. After the rebuild, and before replay,
-    /// every rebuilt shard must encode to its extent again, whatever
-    /// the WAL holds: the rebuild never reads a tuple's shard or order
-    /// off its place in the file. Each mismatch is
-    /// [`StorageError::Corrupt`] naming the shard.
+    /// from exactly its bytes. Every row a shard's tuples expand to must
+    /// route to that shard, and the kernel's nest of those rows must
+    /// equal the decoded tuples, in order, whatever the WAL holds. Shard
+    /// `s` holds `ν_P(R*_s)`, which is unique (Theorem 2), so that one
+    /// equality refuses a changed, dropped, added, overlapping or
+    /// non-canonical tuple. Each mismatch is [`StorageError::Corrupt`]
+    /// naming the shard.
     ///
     /// Replay is prefix-tolerant: a crash in the middle of a group
     /// flush leaves a torn byte tail, and because the group-commit log
@@ -921,56 +881,45 @@ impl NfTable {
     /// cannot be read is [`StorageError::Io`].
     pub fn open(dir: &Path, name: &str, dict: SharedDictionary) -> Result<Self> {
         let meta = read_meta(&meta_path(dir, name))?;
-        // Restore dictionary contents (atom ids are dense from 0).
-        for entry in &meta.dict_entries {
-            dict.intern(entry);
+        // Atom ids are dense from 0, in the checkpoint's order.
+        for (id, entry) in meta.dict_entries.iter().enumerate() {
+            let atom = dict.intern(entry);
+            if atom != Atom(id as u32) {
+                return Err(StorageError::Corrupt(format!(
+                    "atom {id}: the checkpoint's {entry:?} is atom {} in the given dictionary",
+                    atom.id()
+                )));
+            }
         }
         let refs: Vec<&str> = meta.attr_names.iter().map(String::as_str).collect();
         let schema = Schema::new(name, &refs)?;
         let arity = schema.arity();
         let order = NestOrder::new(meta.order, arity).map_err(StorageError::Model)?;
+        let mut canon = ShardedCanonical::new(schema.clone(), order, meta.spec)?;
+        canon.set_segment_rows(meta.segment_rows);
         let bytes = std::fs::read(tuples_path(dir, name))?;
-        // Expand the stored tuples into `R*`, checking the partition
-        // invariant on the way: an overlapping or duplicated tuple
-        // contributes a row the set already holds, so the set ends up
-        // smaller than the sum of the expansion counts. The rebuild
-        // below needs `R*` anyway, so the check rides the expansion.
-        let mut flat = FlatRelation::new(schema);
-        let mut expected = 0u128;
+        // The checks below are on the checkpoint, not checkpoint plus
+        // log, so they run before replay moves the shards on.
         for (shard, (mut slice, extent)) in shard_ranges(&bytes, &meta.shards)?
             .into_iter()
             .zip(&meta.shards)
             .enumerate()
         {
-            for _ in 0..extent.tuples {
-                let tuple = decode_nf_tuple(&mut slice, arity)?;
-                expected = expected.saturating_add(tuple.expansion_count());
-                for row in tuple.expand() {
-                    flat.insert(row)?;
-                }
-            }
+            let stored = (0..extent.tuples)
+                .map(|_| decode_nf_tuple(&mut slice, arity))
+                .collect::<Result<Vec<NfTuple>>>()?;
             if !slice.is_empty() {
                 return Err(shard_corrupt(shard, "bytes past its last tuple"));
             }
-        }
-        if flat.len() as u128 != expected {
-            return Err(StorageError::Corrupt(format!(
-                "checkpoint holds overlapping tuples: {expected} rows stored, {} distinct",
-                flat.len()
-            )));
-        }
-        let mut canon = ShardedCanonical::from_flat(&flat, order, meta.spec)?;
-        canon.set_segment_rows(meta.segment_rows);
-        // The extents describe the checkpoint, not checkpoint plus log,
-        // so they are checked before replay moves the shards on.
-        let mut rebuilt = BytesMut::with_capacity(bytes.len());
-        for (shard, extent) in meta.shards.iter().enumerate() {
-            rebuilt.clear();
-            if encode_shard(canon.version(shard).tuples(), &mut rebuilt) != *extent {
-                return Err(shard_corrupt(
-                    shard,
-                    "rebuilt tuples disagree with the checkpoint's shard extent",
-                ));
+            let mut rows = FlatRelation::new(schema.clone());
+            for row in stored.iter().flat_map(|tuple| tuple.expand()) {
+                if canon.router().route_row(&row) != shard {
+                    return Err(shard_corrupt(shard, "a stored row routes to another shard"));
+                }
+                rows.insert(row)?;
+            }
+            if !canon.nest_shard(shard, &rows)?.tuples().eq(&stored) {
+                return Err(shard_corrupt(shard, "its tuples are not their rows' nest"));
             }
         }
         // A first checkpoint can crash before the log file exists.
@@ -1088,9 +1037,12 @@ impl TableSnapshot {
         self.version.shard(shard).segments()
     }
 
-    /// NF² tuple count across the pinned shards.
+    /// NF² tuple count of [`canonical`](Self::canonical), counted
+    /// without building it ([`merged_tuple_count`]); one of
+    /// [`TableStats::merges`].
     pub fn tuple_count(&self) -> usize {
-        self.version.tuple_count()
+        self.stats.merges.fetch_add(1, Ordering::Relaxed);
+        merged_tuple_count(&self.routing, self.version.shards().iter().map(|s| &**s))
     }
 
     /// Flat row count (`|R*|`) of the pinned state.
@@ -1103,6 +1055,15 @@ impl TableSnapshot {
     pub fn contains(&self, row: &[Atom]) -> bool {
         self.routing
             .contains(row, |shard| self.version.shard(shard))
+    }
+
+    /// The exact global canonical form `ν_P(R*)` of the pinned state,
+    /// whatever the shard count: one [`merge_shards`] over the pinned
+    /// shards, built on every call and never cached, and counted in
+    /// [`TableStats::merges`].
+    pub fn canonical(&self) -> NfRelation {
+        self.stats.merges.fetch_add(1, Ordering::Relaxed);
+        merge_shards(&self.routing, self.version.shards().iter().map(|s| &**s))
     }
 
     /// A zero-copy, probe-counted scan over every pinned shard in shard
@@ -1536,7 +1497,7 @@ mod tests {
         let t = sample_table();
         t.checkpoint(&dir).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
         assert_eq!(reopened.flat_count(), 4);
         // Dictionary restored: names resolve.
         let row = reopened.row_from_strs(&["s1", "c1"]).unwrap();
@@ -1556,7 +1517,7 @@ mod tests {
         t.delete_row(&["s3", "c3"]).unwrap();
         t.flush_wal(&dir).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
         assert_eq!(reopened.flat_count(), 4);
         assert_eq!(
             reopened.maintenance_cost(),
@@ -1631,7 +1592,7 @@ mod tests {
         .unwrap();
         // Same value space (fresh dictionaries intern in the same order),
         // so the relations are directly comparable.
-        assert_eq!(bulk.relation(), per_row.relation());
+        assert_eq!(bulk.snapshot().canonical(), per_row.snapshot().canonical());
         assert_eq!(bulk.stats().inserts, 4);
         // The shared dictionary resolves bulk-loaded values.
         let row = bulk.row_from_strs(&["s1", "c2"]).unwrap();
@@ -1654,13 +1615,13 @@ mod tests {
     #[test]
     fn append_batch_is_atomic_on_arity_errors() {
         let t = sample_table();
-        let before = t.relation();
+        let before = t.snapshot().canonical();
         let good = t.row_from_strs(&["s9", "c9"]).unwrap();
         let bad = vec![t.dict().intern("s9")]; // arity 1 against a 2-ary schema
         let ops = vec![Op::Insert(good.clone()), Op::Insert(bad)];
         assert!(t.append_batch(&ops).is_err());
         // Nothing was applied or logged: the valid prefix did not land.
-        assert_eq!(t.relation(), before);
+        assert_eq!(t.snapshot().canonical(), before);
         assert!(!t.contains(&good));
         assert_eq!(t.stats().inserts, 4, "only the seed inserts counted");
     }
@@ -1717,12 +1678,13 @@ mod tests {
         );
         assert!(stats.write_nanos > seeded.write_nanos);
         // The maintained form stays canonical throughout.
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(fresh, *t.relation());
+        let fresh =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(fresh, t.snapshot().canonical());
         // WAL replay after reopen reproduces the same relation.
         t.flush_wal(&dir).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
     }
 
     #[test]
@@ -1761,8 +1723,8 @@ mod tests {
     fn sharded_table_serves_the_global_canonical_form() {
         let sharded = sharded_table(4);
         assert_eq!(sharded.shard_count(), 4);
-        // relation() must equal the canonical form of the same rows on a
-        // single-shard table.
+        // The merged snapshot must equal the canonical form of the same
+        // rows on a single-shard table.
         let dict = SharedDictionary::new();
         let plain =
             NfTable::create("sc", &["Student", "Course"], NestOrder::identity(2), dict).unwrap();
@@ -1776,7 +1738,7 @@ mod tests {
         ] {
             plain.insert_row(&[s, c]).unwrap();
         }
-        assert_eq!(sharded.relation(), plain.relation());
+        assert_eq!(sharded.snapshot().canonical(), plain.snapshot().canonical());
         assert_eq!(sharded.flat_count(), 6);
         // The concatenated scan yields every shard's tuples (possibly
         // more than the merged count, never fewer).
@@ -1803,8 +1765,13 @@ mod tests {
         let (summary, _) = t.append_batch(&big).unwrap();
         assert_eq!(summary.inserted, 12);
         assert!(t.delete_row(&["s1", "c1"]).unwrap());
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(fresh, *t.relation(), "merge cache tracks every mutation");
+        let fresh =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(
+            fresh,
+            t.snapshot().canonical(),
+            "the merge tracks every mutation"
+        );
         t.sharded().verify().unwrap();
         // Per-shard cost breakdown sums to the total.
         let breakdown = t.maintenance_breakdown();
@@ -1825,28 +1792,28 @@ mod tests {
         // The pruned scan yields exactly that shard's tuples and charges
         // exactly that many probes under exactly one lookup.
         let before = t.stats();
-        assert_eq!(t.scan_shards(&[shard]).count(), expected);
+        assert_eq!(t.snapshot().scan_shards(&[shard]).count(), expected);
         let after = t.stats();
         assert_eq!(after.units_probed - before.units_probed, expected as u64);
         assert_eq!(after.lookups - before.lookups, 1, "one scan, one counter");
 
         // Every yielded tuple can actually hold c1 rows' shard-mates.
-        for tuple in t.scan_shards(&[shard]) {
+        for tuple in t.snapshot().scan_shards(&[shard]) {
             for v in tuple.component(1).iter() {
                 assert_eq!(t.routing().spec().route_value(v), shard);
             }
         }
 
         // Degenerate sets: nothing scanned, out-of-range ignored.
-        assert_eq!(t.scan_shards(&[]).count(), 0);
-        assert_eq!(t.scan_shards(&[99]).count(), 0);
+        assert_eq!(t.snapshot().scan_shards(&[]).count(), 0);
+        assert_eq!(t.snapshot().scan_shards(&[99]).count(), 0);
 
         // A take(1) stopping mid-shard across a multi-shard
         // concatenation charges exactly one probe — per-shard streams
         // must never double-count (satellite: concat accounting).
         let before = t.stats();
         {
-            let mut scan = t.scan_shards(&[0, 1, 2, 3]);
+            let mut scan = t.snapshot().scan_shards(&[0, 1, 2, 3]);
             assert!(scan.next().is_some());
         }
         let after = t.stats();
@@ -1855,7 +1822,7 @@ mod tests {
 
         // scan() over all shards ≡ scan_shards(all).
         let all: Vec<usize> = (0..t.shard_count()).collect();
-        assert_eq!(t.scan().count(), t.scan_shards(&all).count());
+        assert_eq!(t.scan().count(), t.snapshot().scan_shards(&all).count());
 
         // The router's value-set API unions, sorts and dedups.
         let vals: Vec<Atom> = ["c1", "c3", "c1"]
@@ -1869,35 +1836,30 @@ mod tests {
 
     #[test]
     fn merged_cache_refreshes_after_noop_and_compensating_mutations() {
-        // A rollback commits the inverses of ops that took effect and
-        // must never serve a mid-transaction merge: every
-        // state-changing write invalidates the cache, and an inverse
-        // applied to exactly the state it inverts always changes it.
-        // No-op writes, by contrast, may keep the cache — the canonical
-        // shards did not move.
+        // A rollback commits the inverses of ops that took effect: an
+        // inverse applied to exactly the state it inverts changes it,
+        // and the merge of the compensated state is the one before.
+        // No-op writes leave the shards and the epoch where they were.
         let t = sharded_table(3);
-        let before = t.relation(); // fill the cache
+        let before = t.snapshot().canonical();
         let epoch_before = t.epoch();
         t.insert_row(&["s9", "c9"]).unwrap();
         assert_eq!(t.epoch(), epoch_before + 1, "state change bumps the epoch");
-        let _ = t.relation(); // re-fill with the mutated state
+        assert_ne!(t.snapshot().canonical(), before);
         t.delete_row(&["s9", "c9"]).unwrap(); // compensate
-        assert_eq!(t.relation(), before, "compensation restores the merge");
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(*t.relation(), fresh);
-        // No-op duplicate insert / missing delete: the epoch — and the
-        // warm cache at it — stay put (the state is unchanged), so the
-        // next read hands back the same Arc without re-merging.
-        let warm = t.relation();
+        assert_eq!(
+            t.snapshot().canonical(),
+            before,
+            "compensation restores the merge"
+        );
+        let fresh = nf2_core::nest::canonical_of_flat(&before.expand(), t.order());
+        assert_eq!(t.snapshot().canonical(), fresh);
+        // No-op duplicate insert / missing delete.
         let epoch = t.epoch();
         assert!(!t.insert_row(&["s1", "c1"]).unwrap());
         assert!(!t.delete_row(&["zz", "zz"]).unwrap());
         assert_eq!(t.epoch(), epoch, "no-ops do not bump the epoch");
-        assert!(
-            Arc::ptr_eq(&t.relation(), &warm),
-            "no-op mutations keep the merge cache warm"
-        );
-        assert_eq!(t.relation(), before);
+        assert_eq!(t.snapshot().canonical(), before);
     }
 
     /// [`sharded_table`] over three shards at two tuples per segment,
@@ -1925,12 +1887,10 @@ mod tests {
     fn a_checkpoint_is_not_a_state_change() {
         let dir = temp_dir("ckpt_reads_only");
         let t = drifted_table();
-        let _ = t.relation();
-        let (epoch, merged) = (t.epoch(), t.merged_epoch());
-        assert_eq!(merged, Some(epoch), "the merge cache is warm");
+        let epoch = t.epoch();
         let before = t.snapshot();
         t.checkpoint(&dir).unwrap();
-        assert_eq!((t.epoch(), t.merged_epoch()), (epoch, merged));
+        assert_eq!(t.epoch(), epoch);
         let after = t.snapshot();
         for s in 0..3 {
             assert!(
@@ -1950,13 +1910,16 @@ mod tests {
         t.checkpoint(&dir).unwrap();
         t.sharded().verify().unwrap();
         let checkpointed = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-        assert_eq!(checkpointed.relation(), t.relation());
+        assert_eq!(
+            checkpointed.snapshot().canonical(),
+            t.snapshot().canonical()
+        );
         t.insert_atoms(s9).unwrap();
         t.flush_wal(&dir).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.shard_count(), 3, "spec survives the round trip");
         assert_eq!(reopened.shard_spec(), t.shard_spec());
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
         reopened.sharded().verify().unwrap();
     }
 
@@ -1984,8 +1947,13 @@ mod tests {
         let inserted = u64::from(4 * rounds);
         assert!(t.epoch() <= inserted + 6, "one bump max per state change");
         assert_eq!(t.stats().inserts, 6 + inserted);
-        let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-        assert_eq!(fresh, *t.relation(), "storm preserves canonical form");
+        let fresh =
+            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+        assert_eq!(
+            fresh,
+            t.snapshot().canonical(),
+            "storm preserves canonical form"
+        );
         t.sharded().verify().unwrap();
     }
 
@@ -2207,8 +2175,8 @@ mod tests {
             .expect("looked-up atoms form a set");
         let zones = vec![(0usize, vals)];
         let before = t.stats();
-        let full = t.scan_shards(&[0]).count();
-        let zoned = t.scan_shards_zoned(&[0], &zones).count();
+        let full = t.snapshot().scan_shards(&[0]).count();
+        let zoned = t.snapshot().scan_shards_zoned(&[0], &zones).count();
         let after = t.stats();
         assert_eq!(zoned, 1, "A values are unique: one tuple is located");
         // Probe accounting: the zoned scan charged only what it yielded,
@@ -2219,7 +2187,7 @@ mod tests {
         );
         let skipped = after.segments_skipped - before.segments_skipped;
         assert_eq!(skipped as usize, total_segments - 1);
-        let counts = t.zone_skip_counts(&[0], &zones);
+        let counts = t.snapshot().zone_skip_counts(&[0], &zones);
         assert_eq!(
             counts,
             vec![ZoneCounts {
@@ -2232,6 +2200,7 @@ mod tests {
         // and nothing else.
         let target = t.dict().lookup("a00007").unwrap();
         let matches_full = t
+            .snapshot()
             .scan_shards(&[0])
             .filter(|tp| tp.component(0).contains(target))
             .count();
@@ -2240,6 +2209,7 @@ mod tests {
             ValueSet::new(vec![target]).expect("one atom forms a set"),
         )];
         let matches_zoned = t
+            .snapshot()
             .scan_shards_zoned(&[0], &zones2)
             .filter(|tp| tp.component(0).contains(target))
             .count();
@@ -2253,7 +2223,7 @@ mod tests {
         let vals = ValueSet::new(vec![t.dict().lookup("a00003").unwrap()])
             .expect("looked-up atoms form a set");
         let zones = vec![(0usize, vals)];
-        let zoned_before = t.scan_shards_zoned(&[0], &zones).count();
+        let zoned_before = t.snapshot().scan_shards_zoned(&[0], &zones).count();
         assert_eq!(zoned_before, 1);
         // A point insert re-encodes the one segment it lands in (the
         // located tuple's own); every other segment keeps refuting the
@@ -2262,17 +2232,17 @@ mod tests {
         t.insert_row(&["zz", "b0000"]).unwrap();
         t.sharded().verify().unwrap();
         let before = t.stats().segments_skipped;
-        let zoned = t.scan_shards_zoned(&[0], &zones).count();
+        let zoned = t.snapshot().scan_shards_zoned(&[0], &zones).count();
         assert_eq!(zoned, zoned_before, "the new tuple does not hold a00003");
         let skipped = t.stats().segments_skipped - before;
-        let counts = t.zone_skip_counts(&[0], &zones)[0];
+        let counts = t.snapshot().zone_skip_counts(&[0], &zones)[0];
         assert_eq!(skipped as usize, counts.segments - 1);
         assert_eq!((counts.skipped as u64, counts.located), (skipped, zoned));
         let target = t.dict().lookup("a00003").unwrap();
         let hits = |scan: TableScan| scan.filter(|tp| tp.component(0).contains(target)).count();
         assert_eq!(
-            hits(t.scan_shards_zoned(&[0], &zones)),
-            hits(t.scan_shards(&[0]))
+            hits(t.snapshot().scan_shards_zoned(&[0], &zones)),
+            hits(t.snapshot().scan_shards(&[0]))
         );
     }
 
@@ -2306,7 +2276,7 @@ mod tests {
         let t = segmented_table(2, 300);
         t.checkpoint(&dir).unwrap();
         let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
         for s in 0..2 {
             assert_eq!(
                 reopened.sharded().shard_segments(s).segment_count(),
@@ -2393,7 +2363,7 @@ mod tests {
         assert!(NfTable::open(&dir, "sc", SharedDictionary::new()).is_err());
         std::fs::write(&path, &good).unwrap();
         let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
     }
 
     #[test]
@@ -2402,14 +2372,52 @@ mod tests {
         let t = sample_table();
         t.checkpoint(&dir).unwrap();
         // Append a tuple whose expansion repeats a stored row, re-signed
-        // so that the overlap check is what refuses it.
-        let mut tuples = t.relation().tuples().to_vec();
+        // so that the shard's re-nest is what refuses it.
+        let mut tuples = t.snapshot().canonical().tuples().to_vec();
         let row = t.row_from_strs(&["s1", "c1"]).unwrap();
         tuples.push(NfTuple::from_flat(&row));
         re_sign(&t, &dir, &[tuples]);
-        let err = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap_err();
+        assert_refused(&dir, "sc", 0);
+    }
+
+    #[test]
+    fn open_refuses_a_non_canonical_partition() {
+        let dir = temp_dir("non_canonical");
+        let t = sample_table();
+        t.checkpoint(&dir).unwrap();
+        // Split {s1, s2} × {c1} into its two rows: the tuples still
+        // partition the same R*, but ν_P(R*) is unique and this is not
+        // it.
+        let mut tuples = t.snapshot().canonical().tuples().to_vec();
+        let at = tuples
+            .iter()
+            .position(|tuple| tuple.component(0).len() == 2)
+            .expect("s1 and s2 share c1");
+        let whole = tuples.remove(at);
+        for row in whole.expand() {
+            tuples.insert(at, NfTuple::from_flat(&row));
+        }
+        re_sign(&t, &dir, &[tuples]);
+        assert_refused(&dir, "sc", 0);
+    }
+
+    #[test]
+    fn open_refuses_a_dictionary_that_disagrees() {
+        let dir = temp_dir("dict_disagrees");
+        let t = sample_table();
+        t.checkpoint(&dir).unwrap();
+        // The writer's own dictionary holds the checkpoint's strings as a
+        // prefix, whatever it interned since: it opens.
+        t.dict().intern("interned after the checkpoint");
+        let reopened = NfTable::open(&dir, "sc", t.dict().clone()).unwrap();
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
+        // One whose atom 0 is another string would shift every string
+        // the table resolves.
+        let other = SharedDictionary::new();
+        other.intern("elsewhere");
+        let err = NfTable::open(&dir, "sc", other).unwrap_err();
         assert!(
-            matches!(&err, StorageError::Corrupt(msg) if msg.contains("overlapping")),
+            matches!(&err, StorageError::Corrupt(msg) if msg.starts_with("atom 0:")),
             "{err:?}"
         );
     }
@@ -2431,11 +2439,11 @@ mod tests {
             )
             .unwrap();
             let mut encoded = BytesMut::new();
-            encode_nf_tuple(&t.relation().tuples()[0], &mut encoded);
+            encode_nf_tuple(&t.snapshot().canonical().tuples()[0], &mut encoded);
             assert_eq!((t.tuple_count(), encoded.len()), (1, 10_006));
             t.checkpoint(&dir).unwrap();
             let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-            assert_eq!(reopened.relation(), t.relation());
+            assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
             assert_eq!(reopened.flat_count(), t.flat_count());
         }
     }
@@ -2451,7 +2459,7 @@ mod tests {
         assert!(std::fs::read(tuples_path(&dir, "u")).unwrap().is_empty());
         let reopened = NfTable::open(&dir, "u", SharedDictionary::new()).unwrap();
         assert_eq!(reopened.flat_count(), 1);
-        assert_eq!(reopened.relation(), t.relation());
+        assert_eq!(reopened.snapshot().canonical(), t.snapshot().canonical());
         // A signed meta claiming more unit tuples than one is refused
         // before the decoder would spin through them.
         let forged = ShardExtent {

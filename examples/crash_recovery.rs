@@ -57,10 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. "Crash": drop the in-memory table; reopen from disk.
-    let expected = table.relation().clone();
+    let expected = table.snapshot().canonical();
     drop(table);
     let recovered = NfTable::open(&dir, "sc", SharedDictionary::new())?;
-    assert_eq!(recovered.relation(), expected.clone());
+    assert_eq!(recovered.snapshot().canonical(), expected.clone());
     println!(
         "recovered after crash: {} rows / {} tuples — checkpoint + WAL replay \
          reproduced the canonical relation exactly",

@@ -163,7 +163,7 @@ fn a_located_tuple_costs_one_block_per_operator_that_rewrites_it() {
     let (small, large) = (enroll(1_000, small_sets), enroll(2_000, small_sets));
     for engine in [&small, &large] {
         let fits = |set: &ValueSet| set.len() <= 4;
-        let relation = engine.table("t").unwrap().relation();
+        let relation = engine.table("t").unwrap().snapshot().canonical();
         assert!(relation
             .tuples()
             .iter()
@@ -202,7 +202,7 @@ fn sets_past_the_inline_capacity_return_the_same_rows() {
     // narrows it to the inline `{c7}`.
     let engine = enroll(300, |_| 6);
     let table = engine.table("t").unwrap();
-    let stored = table.relation();
+    let stored = table.snapshot().canonical();
     assert!(stored.tuples().iter().all(|t| t.component(1).len() == 6));
     let c7 = ValueSet::singleton(engine.dict().lookup("c7").unwrap());
     let expected = ops::select_box(&stored, &[(1, c7)]).unwrap();

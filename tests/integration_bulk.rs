@@ -62,9 +62,9 @@ fn four_engines_agree_on_the_final_relation() {
     )
     .unwrap();
 
-    assert_eq!(*incremental.relation(), *batched.relation());
+    assert_eq!(*incremental.relation(), batched.snapshot().canonical());
     batched.sharded().verify().unwrap();
-    assert_eq!(*incremental.relation(), *table.relation());
+    assert_eq!(*incremental.relation(), table.snapshot().canonical());
     assert_eq!(incremental.relation(), baseline.relation());
     incremental.verify().unwrap();
 
@@ -99,14 +99,14 @@ fn replayed_trace_survives_checkpoint_and_reopen() {
         };
     }
     table.flush_wal(&dir).unwrap();
-    let expected = table.relation().clone();
+    let expected = table.snapshot().canonical();
     drop(table);
 
     // The atoms in the second half were interned before the checkpoint
     // wrote the dictionary? No — fresh rows intern new ids. Reopen with a
     // fresh dictionary must still replay by atom id.
     let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();
-    assert_eq!(reopened.relation(), expected.clone());
+    assert_eq!(reopened.snapshot().canonical(), expected.clone());
 }
 
 #[test]

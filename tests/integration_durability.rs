@@ -29,10 +29,10 @@ fn build_table(rows: usize, seed: u64) -> NfTable {
 fn checkpoint_reopen_preserves_canonical_form() {
     let dir = temp_dir("ckpt");
     let t = build_table(300, 5);
-    let before = t.relation().clone();
+    let before = t.snapshot().canonical();
     t.checkpoint(&dir).unwrap();
     let reopened = NfTable::open(&dir, "facts", SharedDictionary::new()).unwrap();
-    assert_eq!(reopened.relation(), before.clone());
+    assert_eq!(reopened.snapshot().canonical(), before.clone());
     assert_eq!(reopened.flat_count(), 300);
 }
 
@@ -56,7 +56,7 @@ fn wal_replay_after_simulated_crash() {
     t.insert_row(&["a9", "b9", "c9"]).unwrap();
     t.delete_row(&["a0", "b0", "c0"]).unwrap();
     t.flush_wal(&dir).unwrap();
-    let expected = t.relation().clone();
+    let expected = t.snapshot().canonical();
     drop(t); // crash
 
     // Recovery must replay the WAL over the checkpoint. Dictionary
@@ -69,8 +69,11 @@ fn wal_replay_after_simulated_crash() {
     // reference atoms the restored dictionary does not know, but atom
     // identity is what matters for relation equality.
     let reopened = reopened.unwrap();
-    assert_eq!(reopened.relation().expand().len(), expected.expand().len());
-    assert_eq!(reopened.relation(), expected.clone());
+    assert_eq!(
+        reopened.snapshot().canonical().expand().len(),
+        expected.expand().len()
+    );
+    assert_eq!(reopened.snapshot().canonical(), expected.clone());
 }
 
 #[test]
@@ -101,12 +104,13 @@ fn reopen_then_update_then_reopen_again() {
     t2.insert_row(&["zz", "zz", "zz"]).unwrap();
     t2.checkpoint(&dir).unwrap();
     let t3 = NfTable::open(&dir, "facts", SharedDictionary::new()).unwrap();
-    assert_eq!(t3.relation(), t2.relation());
+    assert_eq!(t3.snapshot().canonical(), t2.snapshot().canonical());
     assert_eq!(t3.flat_count(), 121);
     // The new value must resolve by name after reopen.
     let zz = t3.dict().lookup("zz").expect("dictionary persisted");
     assert!(t3
-        .relation()
+        .snapshot()
+        .canonical()
         .tuples()
         .iter()
         .any(|tp| tp.component(0).contains(zz)));
@@ -118,7 +122,7 @@ fn lookup_probe_accounting_survives_reopen() {
     let t = build_table(200, 9);
     t.checkpoint(&dir).unwrap();
     let reopened = NfTable::open(&dir, "facts", SharedDictionary::new()).unwrap();
-    let some_atom = reopened.relation().tuples()[0]
+    let some_atom = reopened.snapshot().canonical().tuples()[0]
         .component(0)
         .iter()
         .next()

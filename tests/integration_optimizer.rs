@@ -36,9 +36,24 @@ fn oracle(
     pred: impl Fn(&str, &str, &str, &str, &str) -> bool,
 ) -> BTreeSet<Vec<String>> {
     let dict = engine.dict();
-    let enroll = engine.table("enroll").unwrap().relation().expand();
-    let teach = engine.table("teach").unwrap().relation().expand();
-    let dept = engine.table("dept").unwrap().relation().expand();
+    let enroll = engine
+        .table("enroll")
+        .unwrap()
+        .snapshot()
+        .canonical()
+        .expand();
+    let teach = engine
+        .table("teach")
+        .unwrap()
+        .snapshot()
+        .canonical()
+        .expand();
+    let dept = engine
+        .table("dept")
+        .unwrap()
+        .snapshot()
+        .canonical()
+        .expand();
     let name = |a: Atom| dict.resolve(a).unwrap();
     let mut out = BTreeSet::new();
     for e in enroll.rows() {
@@ -196,6 +211,6 @@ fn mutations_then_queries_stay_consistent() {
     assert_eq!(got, want);
     // The stored tables remain canonical for their orders after the DML.
     let t = engine.table("enroll").unwrap();
-    let fresh = nf2::core::nest::canonical_of_flat(&t.relation().expand(), t.order());
-    assert_eq!(*t.relation(), fresh);
+    let fresh = nf2::core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
+    assert_eq!(t.snapshot().canonical(), fresh);
 }

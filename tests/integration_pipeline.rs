@@ -116,7 +116,7 @@ fn query_engine_matches_direct_core_updates() {
     canon.delete(&[x1, y1]).unwrap();
 
     assert_eq!(
-        *db.engine().table("t").unwrap().relation(),
+        db.engine().table("t").unwrap().snapshot().canonical(),
         *canon.relation()
     );
 }
@@ -140,7 +140,7 @@ fn select_statement_matches_algebra_directly() {
     let c1 = db.engine().dict().lookup("c1").unwrap();
     let direct = project(
         &select_box(
-            &db.engine().table("sc").unwrap().relation(),
+            &db.engine().table("sc").unwrap().snapshot().canonical(),
             &[(1, ValueSet::singleton(c1))],
         )
         .unwrap(),

@@ -166,7 +166,8 @@ proptest! {
         table.sharded().verify().unwrap();
         let dict = engine.dict();
         let stored: BTreeSet<Vec<String>> = table
-            .relation()
+            .snapshot()
+            .canonical()
             .expand()
             .rows()
             .map(|row| row.iter().map(|&a| dict.resolve(a).expect("interned")).collect())
@@ -263,7 +264,7 @@ proptest! {
         )
         .unwrap();
         let oracle = canonical_of_flat(&flat, &NestOrder::identity(2));
-        prop_assert_eq!(*engine.table("t").unwrap().relation(), oracle);
+        prop_assert_eq!(engine.table("t").unwrap().snapshot().canonical(), oracle);
     }
 
     /// Transactions: any mutation stream inside BEGIN … ROLLBACK leaves
@@ -301,13 +302,13 @@ proptest! {
         let engine = Engine::new();
         let mut db = engine.session();
         setup(&mut db);
-        let before = engine.table("t").unwrap().relation().clone();
+        let before = engine.table("t").unwrap().snapshot().canonical();
         db.run("BEGIN").unwrap();
         for stmt in script_of(&ops) {
             db.run(&stmt).unwrap();
         }
         db.run("ROLLBACK").unwrap();
-        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
+        prop_assert_eq!(engine.table("t").unwrap().snapshot().canonical(), before.clone());
 
         // Commit: same final state as autocommit.
         let committed_engine = Engine::new();
@@ -326,8 +327,8 @@ proptest! {
             autocommit.run(&stmt).unwrap();
         }
         prop_assert_eq!(
-            committed_engine.table("t").unwrap().relation().expand().into_rows(),
-            autocommit_engine.table("t").unwrap().relation().expand().into_rows()
+            committed_engine.table("t").unwrap().snapshot().canonical().expand().into_rows(),
+            autocommit_engine.table("t").unwrap().snapshot().canonical().expand().into_rows()
         );
     }
 
@@ -342,11 +343,11 @@ proptest! {
         let mut db = engine.session();
         db.run("CREATE TABLE t (A, B)").unwrap();
         db.run(&format!("INSERT INTO t VALUES ('a{a}','b0')")).unwrap();
-        let before = engine.table("t").unwrap().relation().clone();
+        let before = engine.table("t").unwrap().snapshot().canonical();
         // Fire junk at the parser; errors must not touch the table.
         let _ = db.run(&format!("INSERT INTO t VALUES ({junk})"));
         let _ = db.run(&junk);
         let _ = db.run("DELETE FROM missing WHERE A='a0'");
-        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
+        prop_assert_eq!(engine.table("t").unwrap().snapshot().canonical(), before.clone());
     }
 }

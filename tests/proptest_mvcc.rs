@@ -484,7 +484,7 @@ proptest! {
         // Apply the stream, flushing after every op and recording each
         // durable boundary: (WAL byte size, the state it pins).
         let wal = dir.join("t.wal");
-        let mut boundaries = vec![(0u64, t.relation())];
+        let mut boundaries = vec![(0u64, t.snapshot().canonical())];
         for op in &ops {
             match op {
                 Op::Insert(a, b) => {
@@ -496,7 +496,7 @@ proptest! {
             }
             t.flush_wal(&dir).unwrap();
             let size = std::fs::metadata(&wal).unwrap().len();
-            boundaries.push((size, t.relation()));
+            boundaries.push((size, t.snapshot().canonical()));
         }
         drop(t); // crash
 
@@ -510,9 +510,9 @@ proptest! {
             .iter()
             .rev()
             .find(|(size, _)| *size <= cut as u64)
-            .map(|(_, state)| Arc::clone(state))
+            .map(|(_, state)| state.clone())
             .unwrap();
         let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
-        prop_assert_eq!(reopened.relation(), expected);
+        prop_assert_eq!(reopened.snapshot().canonical(), expected);
     }
 }
