@@ -22,7 +22,7 @@ use nf2_core::bulk::Op;
 use nf2_core::kernel::NestKernel;
 use nf2_core::relation::FlatRelation;
 use nf2_core::schema::NestOrder;
-use nf2_core::segment::{Conjunct, Rows, ShardSegments};
+use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
@@ -75,6 +75,14 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
             seg.decode(),
             seg.tuples(),
             "each chunk is what its columns decode to"
+        );
+        // Decoding cannot see an empty row list left behind, or offsets
+        // that happen to decode the same: a patched segment's postings
+        // must be a fresh transposition's, field for field.
+        assert_eq!(
+            *seg,
+            Segment::encode(seg.tuples().into()),
+            "each segment's postings are what encoding its chunk gives"
         );
         let arity = slice[0].arity();
         for a in 0..arity {

@@ -36,16 +36,20 @@
 //! the segments in a single sweep (`ShardSegments::splice`). Only a
 //! segment the merge touched is rebuilt — a new chunk, its kept tuples
 //! carried over by handle and the entering ones moved in, and columns
-//! *patched* from its predecessor's postings (renumbered in place, only
-//! the entering tuples read) instead of transposed afresh; dropped if it
-//! emptied, split if it outgrew twice the tiling target — and every
-//! other segment, tuples and all, is carried over by pointer. Building
-//! a shard version, and dropping its predecessor, therefore costs what
-//! the write touched, not what the shard holds. A shard's segments *are*
-//! its tuples, so ordered scans and located reads never have to check
-//! for staleness. Segment boundaries drift from the uniform tiling as
-//! merges accumulate, each segment staying within `[1, 2 × target]`
-//! tuples; only a change of target (`set_segment_rows`) re-tiles
+//! *patched* from its predecessor's postings instead of transposed
+//! afresh: only the codes the entering and leaving tuples hold have
+//! their row lists rebuilt, and every run of codes between them is
+//! carried whole (copied, its rows renumbered by one gather), so a
+//! point write rebuilds the tens of codes its own tuples hold, not the
+//! hundreds its segment does; dropped if it emptied, split if it
+//! outgrew twice the tiling target — and every other segment, tuples
+//! and all, is carried over by pointer. Building a shard version, and
+//! dropping its predecessor, therefore costs what the write touched,
+//! not what the shard holds. A shard's segments *are* its tuples, so
+//! ordered scans and located reads never have to check for staleness.
+//! Segment boundaries drift from the uniform tiling as merges
+//! accumulate, each segment staying within `[1, 2 × target]` tuples;
+//! only a change of target (`set_segment_rows`) re-tiles
 //! (`ShardSegments::rebuild`).
 
 use std::borrow::Cow;
@@ -174,6 +178,87 @@ fn sort_by_code(keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
 /// In a row renumbering: this row is no longer there.
 const GONE: u32 = u32::MAX;
 
+/// The first position at or after `from` in the ascending `sorted`
+/// whose entry is not below `key`: probes 1, 2, 4, … entries ahead, then
+/// searches the last stride — steps logarithmic in the distance moved.
+fn seek<T: Ord + Copy>(sorted: &[T], from: usize, key: T) -> usize {
+    let (mut lo, mut probe, mut stride) = (from, from, 1);
+    while probe < sorted.len() && sorted[probe] < key {
+        lo = probe + 1;
+        probe += stride;
+        stride *= 2;
+    }
+    let hi = probe.min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&entry| entry < key)
+}
+
+/// The position of the first [`GONE`] in `rows` at or after `from`, or
+/// `rows.len()`: sixteen rows to a test, so the scan vectorizes.
+fn next_gone(rows: &[u32], from: usize) -> usize {
+    const LANES: usize = 16;
+    let mut at = from;
+    for lanes in rows[from..].chunks_exact(LANES) {
+        if lanes.iter().fold(false, |hit, &row| hit | (row == GONE)) {
+            break;
+        }
+        at += LANES;
+    }
+    at + rows[at..]
+        .iter()
+        .position(|&row| row == GONE)
+        .unwrap_or(rows.len() - at)
+}
+
+/// Drops the rows that left ([`GONE`]) from the lists of `codes[first..]`
+/// — `offsets` their starts, the last list ending at `rows.len()` — and
+/// every code left without rows; returns how many codes lost a row.
+/// Nothing before the first leaver moves. After it, the rows between
+/// two leavers move down in one copy, and the codes whose lists start
+/// there move down in one copy, their starts shifted by one constant:
+/// the cost is a scan of the rows for leavers plus a step per leaver.
+fn drop_gone(
+    codes: &mut Vec<Atom>,
+    offsets: &mut Vec<u32>,
+    rows: &mut Vec<u32>,
+    first: usize,
+) -> usize {
+    let end = rows.len();
+    let mut read = next_gone(rows, offsets[first] as usize);
+    // Codes up to the one holding the first leaver keep their slots;
+    // `code` is the next input code to settle, `kept` its slot.
+    let mut code = seek(offsets, first, read as u32 + 1);
+    let (mut kept, mut removed, mut lost, mut holder) = (code, 0u32, 0, usize::MAX);
+    while read < end {
+        // The leaver at `read` belongs to the last code settled.
+        lost += usize::from(holder != code - 1);
+        holder = code - 1;
+        removed += 1;
+        let next = next_gone(rows, read + 1);
+        rows.copy_within(read + 1..next, read + 1 - removed as usize);
+        let upto = seek(offsets, code, next as u32 + 1);
+        if upto > code {
+            // The slot before these codes kept no row: overwrite it.
+            kept -= usize::from(offsets[kept - 1] == offsets[code] - removed);
+            if kept < code {
+                codes.copy_within(code..upto, kept);
+                offsets.copy_within(code..upto, kept);
+            }
+            let moved = kept..kept + (upto - code);
+            offsets[moved.clone()]
+                .iter_mut()
+                .for_each(|start| *start -= removed);
+            (kept, code) = (moved.end, upto);
+        }
+        read = next;
+    }
+    let len = end - removed as usize;
+    kept -= usize::from(offsets[kept - 1] as usize == len);
+    codes.truncate(kept);
+    offsets.truncate(kept);
+    rows.truncate(len);
+    lost
+}
+
 /// One attribute of a segment, value-major: the distinct codes that
 /// occur in any row's set, ascending, each with the ascending list of
 /// segment-local rows whose set holds it. Offsets and rows are `u32`
@@ -232,75 +317,103 @@ impl ValueColumn {
         &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// This column after an edit of its segment's rows: `renumber[row]`
-    /// is what each present row is called afterwards ([`GONE`] if it
-    /// left; the mapping ascends, so every list stays sorted), and
-    /// `added` holds one `(code << 32 | row)` key, in code-then-row
-    /// order, per set member of the rows that entered. One pass over
-    /// the codes, each list renumbered and merged with the additions
-    /// that join it; a code left without rows is dropped, one only
-    /// entered rows hold is opened.
-    fn patched(&self, renumber: &[u32], added: &[u64]) -> Self {
-        let code_of = |key: u64| (key >> 32) as u32;
-        let mut codes = Vec::with_capacity(self.codes.len() + added.len());
-        let mut offsets = Vec::with_capacity(self.codes.len() + added.len() + 1);
-        let mut rows = vec![0u32; self.rows.len() + added.len()];
-        let (mut filled, mut taken) = (0usize, 0usize);
-        // Moves the additions of `code` below `bound` into the list.
-        let mut take = |rows: &mut [u32], filled: &mut usize, code: u32, bound: u32| {
-            while let Some(&key) = added
-                .get(taken)
-                .filter(|&&key| code_of(key) == code && (key as u32) < bound)
-            {
-                rows[*filled] = key as u32;
-                *filled += 1;
-                taken += 1;
-            }
-            added.get(taken).map(|&key| code_of(key))
-        };
-        let mut next_added = added.first().map(|&key| code_of(key));
-        let kept = self.codes.iter().map(|code| Some(code.id())).enumerate();
-        // One more turn after the last code takes the additions beyond it.
-        for (i, code) in kept.chain([(self.codes.len(), None)]) {
-            while let Some(opened) = next_added.filter(|&c| code.is_none_or(|code| c < code)) {
-                codes.push(Atom(opened));
-                offsets.push(filled as u32);
-                next_added = take(&mut rows, &mut filled, opened, GONE);
-            }
-            let Some(code) = code else {
-                break;
-            };
-            let start = filled;
-            let joins = next_added == Some(code);
-            for &row in self.rows_at(i) {
-                let row = renumber[row as usize];
-                if row != GONE {
-                    if joins {
-                        take(&mut rows, &mut filled, code, row);
-                    }
-                    rows[filled] = row;
-                    filled += 1;
-                }
-            }
-            if joins {
-                next_added = take(&mut rows, &mut filled, code, GONE);
-            }
-            if filled > start {
-                codes.push(Atom(code));
-                offsets.push(start as u32);
-            }
-        }
+    /// This column after an edit of its segment's rows, and the number
+    /// of codes whose row list it rebuilt one by one. `renumber[row]` is
+    /// what each present row is called afterwards ([`GONE`] if it left;
+    /// the mapping ascends, so every list stays sorted), and `added`
+    /// holds one `(code << 32 | row)` key, in code-then-row order, per
+    /// set member of the rows that entered.
+    ///
+    /// Cost follows the edit, not the column. The codes `added` names
+    /// are found by a galloping search from where the last one was, so
+    /// a dense edit steps code by code and a sparse one leaps; each has
+    /// its list rebuilt alone — renumbered, its leavers dropped, its
+    /// entering rows merged in — or is opened if only entering rows
+    /// hold it. Every run of codes between them is carried whole: its
+    /// codes copied, its offsets shifted by one constant, its rows
+    /// renumbered by one gather. A row that left shows up in that
+    /// gather as [`GONE`], so the codes that only lost rows need no
+    /// search of their own: one pass at the end ([`drop_gone`]) takes
+    /// the leavers out and drops a code left without rows. (Reading the
+    /// leaving tuples' members and sorting them would name those codes
+    /// too, at a price a dense patch pays over the single pass.)
+    fn patched(&self, renumber: &[u32], added: &[u64]) -> (Self, usize) {
+        let code_of = |key: u64| Atom((key >> 32) as u32);
+        let most = self.rows.len() + added.len();
         assert!(
-            u32::try_from(filled).is_ok(),
+            u32::try_from(most).is_ok(),
             "a segment's set members must fit its u32 offsets"
         );
-        offsets.push(filled as u32);
-        rows.truncate(filled);
-        ValueColumn {
+        let mut codes = Vec::with_capacity(self.codes.len() + added.len());
+        let mut offsets = Vec::with_capacity(self.codes.len() + added.len() + 1);
+        let mut rows = Vec::with_capacity(most);
+        // Carries the codes `run` over whole; returns the slot of its
+        // first code if a row of it left.
+        let carry = |codes: &mut Vec<Atom>,
+                     offsets: &mut Vec<u32>,
+                     rows: &mut Vec<u32>,
+                     run: Range<usize>| {
+            let (lo, hi) = (self.offsets[run.start], self.offsets[run.end]);
+            let (first, shift) = (codes.len(), (rows.len() as u32).wrapping_sub(lo));
+            codes.extend_from_slice(&self.codes[run.clone()]);
+            offsets.extend(self.offsets[run].iter().map(|&o| o.wrapping_add(shift)));
+            let mut left = false;
+            rows.extend(self.rows[lo as usize..hi as usize].iter().map(|&row| {
+                let row = renumber[row as usize];
+                left |= row == GONE;
+                row
+            }));
+            left.then_some(first)
+        };
+        let (mut at, mut next, mut rebuilt, mut left) = (0, 0, 0, None);
+        while let Some(&key) = added.get(next) {
+            let code = code_of(key);
+            let found = seek(&self.codes, at, code);
+            if found > at {
+                left = left.or(carry(&mut codes, &mut offsets, &mut rows, at..found));
+            }
+            let held = self.codes.get(found) == Some(&code);
+            at = found + usize::from(held);
+            let old = if held { self.rows_at(found) } else { &[] };
+            // The entering rows of `code` below `bound`, into the list.
+            let mut join = |rows: &mut Vec<u32>, bound: u32| {
+                while let Some(&key) = added.get(next) {
+                    if code_of(key) != code || key as u32 >= bound {
+                        break;
+                    }
+                    rows.push(key as u32);
+                    next += 1;
+                }
+            };
+            let start = rows.len();
+            for &row in old {
+                let row = renumber[row as usize];
+                if row != GONE {
+                    join(&mut rows, row);
+                    rows.push(row);
+                }
+            }
+            join(&mut rows, GONE);
+            codes.push(code);
+            offsets.push(start as u32);
+            rebuilt += 1;
+        }
+        left = left.or(carry(
+            &mut codes,
+            &mut offsets,
+            &mut rows,
+            at..self.codes.len(),
+        ));
+        if let Some(first) = left {
+            rebuilt += drop_gone(&mut codes, &mut offsets, &mut rows, first);
+        }
+        offsets.push(rows.len() as u32);
+        let column = ValueColumn {
             codes: codes.into(),
             offsets: offsets.into(),
             rows: rows.into(),
-        }
+        };
+        (column, rebuilt)
     }
 
     /// The part of `values` inside this column's `[min, max]` zone.
@@ -390,30 +503,43 @@ impl Segment {
     /// merge: the rows `gone` left and one tuple entered before each row
     /// of `come` (this segment's row numbers, `rows()` for an append;
     /// both ascending) — with columns derived from this one's postings
-    /// instead of transposed afresh: the rows that stay are renumbered
-    /// in place and only the tuples that entered are read. Equal to
+    /// instead of transposed afresh, and the number of codes whose row
+    /// list was rebuilt one by one. Only the tuples that entered are
+    /// read: each column ([`ValueColumn::patched`]) rebuilds the lists
+    /// of the codes they hold and of the codes that lost a row, and
+    /// carries every run of codes between them whole, so a point write
+    /// costs its own tuples' codes plus one copy of the rest. Equal to
     /// [`encode`](Self::encode)`(now)`, which debug builds check.
-    fn patched(&self, gone: &[u32], come: &[u32], now: Box<[NfTuple]>) -> Self {
+    fn patched(&self, gone: &[u32], come: &[u32], now: Box<[NfTuple]>) -> (Self, usize) {
+        let held = self.rows() as u32;
         let mut renumber = Vec::with_capacity(self.rows());
         let mut entered = Vec::with_capacity(come.len());
+        // Runs of kept rows are numbered in one stretch each; a tuple
+        // entering before a row takes its number first.
         let (mut left, mut joining) = (gone.iter().peekable(), come.iter().peekable());
-        let mut next = 0u32;
-        for row in 0..=self.rows() as u32 {
+        let (mut row, mut next) = (0u32, 0u32);
+        loop {
+            let stop = [left.peek(), joining.peek()]
+                .into_iter()
+                .flatten()
+                .fold(held, |stop, &&at| stop.min(at));
+            renumber.extend(next..next + (stop - row));
+            next += stop - row;
+            row = stop;
             while joining.next_if(|&&before| before == row).is_some() {
                 entered.push(next);
                 next += 1;
             }
-            if (row as usize) < self.rows() {
-                if left.next_if(|&&out| out == row).is_some() {
-                    renumber.push(GONE);
-                } else {
-                    renumber.push(next);
-                    next += 1;
-                }
+            if row == held {
+                break;
+            }
+            if left.next_if(|&&out| out == row).is_some() {
+                renumber.push(GONE);
+                row += 1;
             }
         }
         debug_assert_eq!(next as usize, now.len(), "the edits lead to `now`");
-        let (mut keys, mut spare) = (Vec::new(), Vec::new());
+        let (mut keys, mut spare, mut rebuilt) = (Vec::new(), Vec::new(), 0);
         let columns = self
             .columns
             .iter()
@@ -426,7 +552,9 @@ impl Segment {
                 if !keys.is_sorted() {
                     sort_by_code(&mut keys, &mut spare);
                 }
-                column.patched(&renumber, &keys)
+                let (column, codes) = column.patched(&renumber, &keys);
+                rebuilt += codes;
+                column
             })
             .collect();
         let flat = self.flat - flat_of(gone.iter().map(|&row| &self.tuples[row as usize]))
@@ -441,7 +569,13 @@ impl Segment {
             Segment::encode(seg.tuples.clone()),
             "patched postings must equal a fresh transposition"
         );
-        seg
+        (seg, rebuilt)
+    }
+
+    /// Distinct codes over all columns: what encoding the chunk afresh
+    /// builds a row list for.
+    fn code_count(&self) -> usize {
+        self.columns.iter().map(|column| column.codes.len()).sum()
     }
 
     /// Number of tuples in the chunk.
@@ -721,8 +855,8 @@ impl ShardSegments {
     /// if that emptied it, split into freshly encoded pieces if it grew
     /// past twice the tiling target, and patched from its own postings
     /// otherwise; an empty shard's first tuples are encoded afresh.
-    /// Adds the segments built and the tuple handles written into new
-    /// chunks to `report`.
+    /// Adds the segments built, the tuple handles written into new
+    /// chunks and the codes whose row lists were rebuilt to `report`.
     pub(crate) fn splice(
         &self,
         removed: &[usize],
@@ -783,7 +917,9 @@ impl ShardSegments {
             let shared = next.segment_count();
             match was {
                 Some(seg) if (1..=2 * target).contains(&rows) => {
-                    next.push(Arc::new(seg.patched(&gone, &come, chunk.into())));
+                    let (patched, rebuilt) = seg.patched(&gone, &come, chunk.into());
+                    report.codes_rewritten += rebuilt;
+                    next.push(Arc::new(patched));
                 }
                 _ => {
                     let piece = if rows > 2 * target {
@@ -792,6 +928,7 @@ impl ShardSegments {
                         rows.max(1)
                     };
                     for seg in tiles(chunk, piece) {
+                        report.codes_rewritten += seg.code_count();
                         next.push(seg);
                     }
                 }
@@ -1087,6 +1224,108 @@ mod tests {
         let flat: u128 = tuples.iter().map(NfTuple::expansion_count).sum();
         let cached: u128 = ss.segments().iter().map(|seg| seg.flat_count()).sum();
         assert_eq!(cached, flat, "patched flat counts follow the edit");
+    }
+
+    /// A deterministic generator for the enrollment-shaped segments below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self.0.wrapping_mul(6_364_136_223_846_793_005);
+            self.0 = self.0.wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % u64::from(n)) as u32
+        }
+
+        /// 1 to `most` distinct codes of `base..base + n`.
+        fn distinct(&mut self, most: u32, base: u32, n: u32) -> Vec<u32> {
+            let k = 1 + self.below(most) as usize;
+            let mut picked = Vec::new();
+            while picked.len() < k {
+                let code = base + self.below(n);
+                if !picked.contains(&code) {
+                    picked.push(code);
+                }
+            }
+            picked
+        }
+    }
+
+    /// One `(Club, Course, Student)` tuple shaped like an enrollment: 1–3
+    /// of 50 clubs (codes 0..50) × 1–4 of 200 courses (100..300) × one
+    /// student.
+    fn enrolled(rng: &mut Lcg, student: u32) -> NfTuple {
+        let clubs = rng.distinct(3, 0, 50);
+        let courses = rng.distinct(4, 100, 200);
+        tuple(&[&clubs, &courses, &[student]])
+    }
+
+    /// `edits` edits spread over `tuples`, as `(gone, come, now)` for
+    /// [`Segment::patched`]: by turns, a tuple replaced by one of a new
+    /// student (whose code only the entering tuple holds, the old one's
+    /// only the leaving), a tuple deleted, and a new student's inserted.
+    fn edited(
+        tuples: &[NfTuple],
+        edits: usize,
+        rng: &mut Lcg,
+    ) -> (Vec<u32>, Vec<u32>, Vec<NfTuple>) {
+        let (mut gone, mut come, mut now) = (Vec::new(), Vec::new(), Vec::new());
+        let mut at = (0..edits).map(|i| i * tuples.len() / edits).peekable();
+        for (row, t) in tuples.iter().enumerate() {
+            let Some(i) = at.next_if(|&at| at == row) else {
+                now.push(t.clone());
+                continue;
+            };
+            let student = 10_000 + row as u32;
+            match i % 3 {
+                0 => {
+                    gone.push(row as u32);
+                    come.push(row as u32);
+                    now.push(enrolled(rng, student));
+                }
+                1 => gone.push(row as u32),
+                _ => {
+                    come.push(row as u32);
+                    now.extend([enrolled(rng, student), t.clone()]);
+                }
+            }
+        }
+        (gone, come, now)
+    }
+
+    #[test]
+    fn a_patch_rebuilds_the_codes_its_tuples_hold_at_any_density() {
+        let mut rng = Lcg(7);
+        let tuples: Vec<NfTuple> = (0..512).map(|s| enrolled(&mut rng, 1_000 + s)).collect();
+        let seg = encode(&tuples);
+        assert_eq!(seg.rows(), 512);
+        for edits in [1, 10, 50, 200] {
+            let (gone, come, now) = edited(&tuples, edits, &mut rng);
+            let (patched, rebuilt) = seg.patched(&gone, &come, now.clone().into());
+            assert_eq!(patched, encode(&now), "{edits} edits");
+            // The codes rebuilt are the distinct codes, per column, of
+            // the tuples that left and entered; the rest are carried.
+            let entered = now
+                .iter()
+                .filter(|t| !tuples.iter().any(|old| old.shares_storage_with(t)));
+            let touched: Vec<&NfTuple> = gone
+                .iter()
+                .map(|&row| &tuples[row as usize])
+                .chain(entered)
+                .collect();
+            let held: usize = (0..3)
+                .map(|attr| {
+                    let mut codes: Vec<Atom> = touched
+                        .iter()
+                        .flat_map(|t| t.component(attr).as_slice().iter().copied())
+                        .collect();
+                    codes.sort_unstable();
+                    codes.dedup();
+                    codes.len()
+                })
+                .sum();
+            assert_eq!(rebuilt, held, "{edits} edits");
+            assert!(rebuilt < seg.code_count(), "{edits} edits");
+        }
     }
 
     #[test]

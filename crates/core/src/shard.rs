@@ -292,6 +292,11 @@ pub struct BatchReport {
     /// kept tuples' handles cloned and the entering tuples moved in.
     /// Untouched segments share their chunks and add nothing.
     pub tuples_copied: usize,
+    /// Codes whose row list those segments rebuilt one by one: in a
+    /// patched segment, the codes the leaving and entering tuples hold
+    /// (a code carried over in an untouched run counts nothing); in one
+    /// encoded afresh, every code of every column.
+    pub codes_rewritten: usize,
     /// Shards in which every tuple held went through the regroup — the
     /// batch amounted to a re-nest of the shard.
     pub shards_regrouped_whole: usize,
@@ -304,6 +309,7 @@ impl std::ops::AddAssign for BatchReport {
         self.tuples_regrouped += other.tuples_regrouped;
         self.segments_reencoded += other.segments_reencoded;
         self.tuples_copied += other.tuples_copied;
+        self.codes_rewritten += other.codes_rewritten;
         self.shards_regrouped_whole += other.shards_regrouped_whole;
     }
 }

@@ -449,6 +449,10 @@ impl Engine {
                 format!("table.{name}.write.segments_rebuilt"),
                 s.write_segments_rebuilt,
             );
+            snap.push_counter(
+                format!("table.{name}.write.codes_rewritten"),
+                s.write_codes_rewritten,
+            );
             snap.push_counter(format!("table.{name}.merges"), s.merges);
         }
         snap
@@ -1398,13 +1402,21 @@ mod tests {
         // Each write rebuilds the segment each course lands in and
         // copies its whole new chunk: one two-tuple segment, or — where
         // NF2_SHARDS routes c1 and c2 apart — one one-tuple segment per
-        // shard.
+        // shard. The seeding INSERT encodes its first segments afresh
+        // and counts every code: {s1, s2} and {c1, c2} (4), or
+        // {s1, s2} × {c1} and {s1} × {c2} (3 + 2). The batch patches
+        // and counts the codes its leaving and entering tuples hold:
+        // s1–s3 and c1–c2 (5), or s1–s3 × c1 and s1, s3 × c2 (4 + 3).
         let written = (
             counter("table.sc.write.segments_rebuilt"),
             counter("table.sc.write.tuples_copied"),
+            counter("table.sc.write.codes_rewritten"),
         );
         assert!(
-            matches!(written, (Some(2), Some(4)) | (Some(4), Some(4))),
+            matches!(
+                written,
+                (Some(2), Some(4), Some(9)) | (Some(4), Some(4), Some(12))
+            ),
             "{written:?}"
         );
         // Both render paths accept the merged snapshot.

@@ -152,6 +152,12 @@ pub struct TableStats {
     /// Segments the writes rebuilt (patched from their postings or
     /// encoded afresh), each touched segment once per write.
     pub write_segments_rebuilt: u64,
+    /// Codes whose row list those rebuilds rewrote one by one: the codes
+    /// a patched segment's leaving and entering tuples hold, and every
+    /// code of a segment encoded afresh. A code carried over in an
+    /// untouched run adds nothing, so a point write adds what its own
+    /// tuples hold, whatever the segment size.
+    pub write_codes_rewritten: u64,
     /// Whole-table merge passes: one per [`TableSnapshot::canonical`]
     /// call, which builds the merge, and one per `tuple_count` call
     /// ([`NfTable`]'s or [`TableSnapshot`]'s), which counts its tuples.
@@ -182,6 +188,7 @@ pub struct SharedTableStats {
     write_tuples_regrouped: AtomicU64,
     write_tuples_copied: AtomicU64,
     write_segments_rebuilt: AtomicU64,
+    write_codes_rewritten: AtomicU64,
     merges: AtomicU64,
 }
 
@@ -203,6 +210,7 @@ impl SharedTableStats {
             write_tuples_regrouped: AtomicU64::new(stats.write_tuples_regrouped),
             write_tuples_copied: AtomicU64::new(stats.write_tuples_copied),
             write_segments_rebuilt: AtomicU64::new(stats.write_segments_rebuilt),
+            write_codes_rewritten: AtomicU64::new(stats.write_codes_rewritten),
             merges: AtomicU64::new(stats.merges),
         }
     }
@@ -229,6 +237,7 @@ impl SharedTableStats {
             write_tuples_regrouped: self.write_tuples_regrouped.load(Ordering::Relaxed),
             write_tuples_copied: self.write_tuples_copied.load(Ordering::Relaxed),
             write_segments_rebuilt: self.write_segments_rebuilt.load(Ordering::Relaxed),
+            write_codes_rewritten: self.write_codes_rewritten.load(Ordering::Relaxed),
             merges: self.merges.load(Ordering::Relaxed),
         }
     }
@@ -243,6 +252,7 @@ impl SharedTableStats {
         count(&self.write_tuples_regrouped, report.tuples_regrouped);
         count(&self.write_tuples_copied, report.tuples_copied);
         count(&self.write_segments_rebuilt, report.segments_reencoded);
+        count(&self.write_codes_rewritten, report.codes_rewritten);
         count(&self.inserts, report.summary.inserted);
         count(&self.deletes, report.summary.deleted);
     }

@@ -97,3 +97,30 @@ fn point_writes_publish_and_count_what_batches_of_one_do() {
         "one submit per effective op"
     );
 }
+
+#[test]
+fn a_point_write_rewrites_the_codes_of_its_own_tuples_at_any_tiling() {
+    let base = workload::university(2_400, 2, 300, 1, 60, 13);
+    let ops = workload::with_noops(workload::op_trace(&base, 200, 40, 17));
+    let (fine, coarse) = (table(&base, 8), table(&base, 4096));
+    let tuples = fine.sharded().tuple_count();
+    assert!(tuples >= 2_000, "{tuples} tuples");
+    for op in &ops {
+        assert_eq!(point_write(&fine, op), point_write(&coarse, op), "{op:?}");
+    }
+    let (fine, coarse) = (fine.stats(), coarse.stats());
+    // A point write rebuilds the row lists of the codes its own tuples
+    // hold and carries every other code of its segment over whole, so
+    // a segment of 4 096 tuples costs it no more codes than one of 8
+    // (which also splits, encoding its pieces afresh, and counts a code
+    // once per segment it is touched in). Rewriting every code of each
+    // rebuilt segment would make the coarse table's count the larger
+    // by far.
+    assert!(coarse.write_codes_rewritten > 0);
+    assert!(
+        coarse.write_codes_rewritten <= fine.write_codes_rewritten,
+        "{} codes at 4 096 tuples per segment, {} at 8",
+        coarse.write_codes_rewritten,
+        fine.write_codes_rewritten
+    );
+}
