@@ -11,7 +11,10 @@
 //! * [`RelStream`] scans yield [`TupleView::Borrowed`] straight from the
 //!   source — no clone, no copy;
 //! * [`filter_box`] intersects components tuple-at-a-time, keeping the
-//!   borrow whenever no component shrinks;
+//!   borrow whenever no component shrinks, and [`select_project`] does
+//!   the same under a projection that streams, building each output
+//!   tuple once — a constrained attribute the projection drops is only
+//!   tested;
 //! * [`JoinLayout::probe`] joins one streamed probe tuple against a
 //!   materialized **build side**;
 //! * sort, bounded-heap top-k and the k-way merge of sorted parts order
@@ -492,6 +495,30 @@ impl<'a> Iterator for RelStream<'a> {
     }
 }
 
+/// What every conjunct of `constraints` on `attr`, folded in order,
+/// leaves of `comp`: `comp` itself when none constrains `attr`, `None`
+/// when the intersection empties. A set of up to the inline capacity
+/// lives on the stack, so folding one allocates nothing.
+fn fold(constraints: &[(usize, ValueSet)], attr: usize, comp: &ValueSet) -> Option<ValueSet> {
+    let mut sets = constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
+    let Some(first) = sets.next() else {
+        return Some(comp.clone());
+    };
+    sets.try_fold(comp.intersection(first)?, |kept, set| {
+        kept.intersection(set)
+    })
+}
+
+/// Whether folding every conjunct of `constraints` on `attr` into
+/// `comp` ([`fold`]) leaves anything — whether some member of `comp`
+/// lies in all of them — decided without building a set.
+fn meets(constraints: &[(usize, ValueSet)], attr: usize, comp: &ValueSet) -> bool {
+    let on_attr = || constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
+    comp.as_slice()
+        .iter()
+        .any(|&v| on_attr().all(|set| set.contains(v)))
+}
+
 /// Applies box-selection constraints to one tuple. `None` drops the
 /// tuple; an unchanged tuple keeps its (possibly borrowed) view; a
 /// narrowed one is built as one new component block.
@@ -507,30 +534,56 @@ pub fn filter_box<'a>(
     t: TupleView<'a>,
     constraints: &[(usize, ValueSet)],
 ) -> Option<TupleView<'a>> {
-    // What every conjunct on `attr`, folded in order, leaves of `comp`.
-    let fold = |attr: usize, comp: &ValueSet| -> Option<ValueSet> {
-        let mut sets = constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
-        let Some(first) = sets.next() else {
-            return Some(comp.clone());
-        };
-        sets.try_fold(comp.intersection(first)?, |kept, set| {
-            kept.intersection(set)
-        })
-    };
     // Decide before building anything: a rejected or an intact tuple
     // allocates nothing (a small set's intersection lives on the stack).
+    let comps = t.components();
     let mut narrows = false;
-    for (attr, _) in constraints {
-        let comp = t.component(*attr);
-        narrows |= fold(*attr, comp)?.len() != comp.len();
+    for &(attr, _) in constraints {
+        narrows |= fold(constraints, attr, &comps[attr])?.len() != comps[attr].len();
     }
     if !narrows {
         return Some(t); // every component survived intact — zero-copy
     }
     let narrowed = t.components().iter().enumerate().map(|(attr, comp)| {
-        fold(attr, comp).expect("every constrained component intersects: checked above")
+        fold(constraints, attr, comp)
+            .expect("every constrained component intersects: checked above")
     });
     Some(TupleView::Owned(narrowed.collect()))
+}
+
+/// A selection directly under a projection that streams, as one
+/// per-tuple step: exactly [`filter_box`] with `constraints`, then the
+/// tuple of the `attrs` components of what it left, in that order —
+/// `None` where `filter_box` drops `t`.
+///
+/// A constrained attribute `attrs` drops is only tested — does some
+/// member lie in every conjunct on it, which is whether `filter_box`'s
+/// conjunct-by-conjunct fold leaves anything — and never built; one
+/// `attrs` keeps is narrowed while the output tuple is built. So the
+/// output tuple is the step's one component block, where `filter_box`
+/// and the projection would build one each, and a rejected tuple
+/// allocates nothing.
+pub fn select_project(
+    t: &TupleView<'_>,
+    constraints: &[(usize, ValueSet)],
+    attrs: &[usize],
+) -> Option<NfTuple> {
+    let comps = t.components();
+    if !constraints
+        .iter()
+        .all(|&(attr, _)| meets(constraints, attr, &comps[attr]))
+    {
+        return None;
+    }
+    Some(
+        attrs
+            .iter()
+            .map(|&attr| {
+                fold(constraints, attr, &comps[attr])
+                    .expect("every constrained component intersects: checked above")
+            })
+            .collect(),
+    )
 }
 
 /// The precomputed shape of a natural join with a streamed probe (left)

@@ -167,6 +167,46 @@ proptest! {
         prop_assert!(streamed.validate().is_ok(), "filtering preserved the invariant");
     }
 
+    /// `select_project` ≡ `filter_box` followed by the streaming π's
+    /// build, tuple for tuple: conjuncts on attributes π drops and on
+    /// attributes it keeps, and several conjuncts on one attribute —
+    /// among them two that each meet a `{10, 11}` set but whose folded
+    /// intersection is empty, so that tuple is still rejected.
+    #[test]
+    fn select_project_matches_filter_box_then_project(
+        flat in arb_flat("R"),
+        seed in any::<u64>(),
+        v in 0u32..4,
+        shape in 0usize..5,
+        keep in 0usize..5,
+    ) {
+        use nf2_algebra::stream::{filter_box, select_project};
+        use nf2_core::tuple::{NfTuple, TupleView};
+        let rel = nested(&flat, seed);
+        let vs = |ids: &[u32]| ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap();
+        let constraints = match shape {
+            0 => vec![(1, vs(&[v + 10]))],
+            1 => vec![(1, vs(&[v + 10, 10])), (2, vs(&[20, 21 + v % 3]))],
+            2 => vec![(1, vs(&[v + 10, 10, 11])), (1, vs(&[10, 12]))],
+            3 => vec![(1, vs(&[10])), (1, vs(&[11]))],
+            _ => vec![(0, vs(&[v])), (2, vs(&[20 + v])), (0, vs(&[0, 1, v]))],
+        };
+        let attrs: &[usize] = match keep {
+            0 => &[0],
+            1 => &[2, 0],
+            2 => &[1],
+            3 => &[0, 1, 2],
+            _ => &[2, 1],
+        };
+        for t in rel.tuples() {
+            let fused = select_project(&TupleView::Borrowed(t), &constraints, attrs);
+            let apart = filter_box(TupleView::Borrowed(t), &constraints).map(|kept| {
+                attrs.iter().map(|&a| kept.component(a).clone()).collect::<NfTuple>()
+            });
+            prop_assert_eq!(fused, apart, "shape {} keep {}", shape, keep);
+        }
+    }
+
     /// `JoinLayout::probe` of every left tuple against a materialized
     /// right side ≡ strict `natural_join` — same schema, same tuples in
     /// the same order — with right-only attributes and without.

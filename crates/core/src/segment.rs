@@ -74,11 +74,19 @@ pub type Conjunct<'a> = (AttrId, &'a [Atom]);
 /// Ascending positions in a shard's tuple order (its chunks back to
 /// back), held as the disjoint ranges they form — one range for a whole
 /// span, one per run of neighbours otherwise — and handed out one
-/// position at a time.
+/// position at a time. The cursor is the range being handed out and
+/// the index of the span after it, so [`Rows::ahead`] reads the
+/// positions still to come from the spans themselves: a scan looks
+/// ahead without cloning or allocating anything.
 #[derive(Debug, Clone)]
 pub struct Rows {
+    /// What is left of the span being handed out.
     current: Range<usize>,
-    rest: std::vec::IntoIter<Range<usize>>,
+    /// The spans (ascending, disjoint); empty when `current` is the one
+    /// span of [`Rows::all`].
+    spans: Vec<Range<usize>>,
+    /// The span after `current`.
+    next_span: usize,
     remaining: usize,
 }
 
@@ -87,7 +95,8 @@ impl Rows {
     pub fn all(len: usize) -> Self {
         Rows {
             current: 0..len,
-            rest: Vec::new().into_iter(),
+            spans: Vec::new(),
+            next_span: 0,
             remaining: len,
         }
     }
@@ -98,8 +107,18 @@ impl Rows {
         Rows {
             remaining: spans.iter().map(Range::len).sum(),
             current: 0..0,
-            rest: spans.into_iter(),
+            spans,
+            next_span: 0,
         }
+    }
+
+    /// The positions [`next`](Iterator::next) will hand out, in order,
+    /// without moving the cursor.
+    pub fn ahead(&self) -> impl Iterator<Item = usize> + '_ {
+        let rest = self.spans.get(self.next_span..).unwrap_or_default();
+        self.current
+            .clone()
+            .chain(rest.iter().flat_map(Range::clone))
     }
 }
 
@@ -112,7 +131,8 @@ impl Iterator for Rows {
                 self.remaining -= 1;
                 return Some(at);
             }
-            self.current = self.rest.next()?;
+            self.current = self.spans.get(self.next_span)?.clone();
+            self.next_span += 1;
         }
     }
 
@@ -1021,6 +1041,24 @@ mod tests {
         assert_eq!(located(&seg, &[(0, &[1]), (1, &[20])]), Vec::<usize>::new());
         // No conjunct: every row.
         assert_eq!(located(&seg, &[]), vec![100, 101, 102, 103, 104]);
+    }
+
+    #[test]
+    fn rows_ahead_are_what_next_hands_out() {
+        for mut rows in [
+            Rows::all(3),
+            Rows::of_spans(vec![2..4, 7..8, 9..12]),
+            Rows::of_spans(Vec::new()),
+        ] {
+            loop {
+                let ahead: Vec<usize> = rows.ahead().collect();
+                assert_eq!(ahead.len(), rows.len());
+                assert_eq!(ahead, rows.clone().collect::<Vec<_>>());
+                if rows.next().is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -430,6 +430,10 @@ impl Engine {
             snap.push_counter(format!("table.{name}.inserts"), s.inserts);
             snap.push_counter(format!("table.{name}.deletes"), s.deletes);
             snap.push_counter(format!("table.{name}.segments_skipped"), s.segments_skipped);
+            snap.push_counter(
+                format!("table.{name}.scan.rows_read_ahead"),
+                s.scan_rows_read_ahead,
+            );
             snap.push_counter(format!("table.{name}.epoch_installs"), s.epoch_installs);
             snap.push_counter(format!("table.{name}.snapshot_pins"), s.snapshot_pins);
             snap.push_counter(format!("table.{name}.wal_flushes"), s.wal_flushes);
@@ -1363,6 +1367,11 @@ mod tests {
             .map(|c| nf2_core::bulk::Op::Insert(sc.row_from_strs(&["s3", c]).unwrap()))
             .collect();
         sc.append_batch(&batch).unwrap();
+        // A located scan: s3 is in both stored tuples.
+        engine
+            .session()
+            .run("SELECT Course FROM sc WHERE Student = 's3'")
+            .unwrap();
         // One flush of everything logged so far: the seeding INSERT's
         // three rows and the batch's two, in one write.
         let dir = std::env::temp_dir().join("nf2_engine_metrics_export");
@@ -1407,15 +1416,19 @@ mod tests {
         // {s1, s2} × {c1} and {s1} × {c2} (3 + 2). The batch patches
         // and counts the codes its leaving and entering tuples hold:
         // s1–s3 and c1–c2 (5), or s1–s3 × c1 and s1, s3 × c2 (4 + 3).
+        // The located scan reads ahead both tuples when one shard holds
+        // them, and nothing when each shard holds one; COUNT(*) is a
+        // full scan and reads nothing ahead.
         let written = (
             counter("table.sc.write.segments_rebuilt"),
             counter("table.sc.write.tuples_copied"),
             counter("table.sc.write.codes_rewritten"),
+            counter("table.sc.scan.rows_read_ahead"),
         );
         assert!(
             matches!(
                 written,
-                (Some(2), Some(4), Some(9)) | (Some(4), Some(4), Some(12))
+                (Some(2), Some(4), Some(9), Some(2)) | (Some(4), Some(4), Some(12), Some(0))
             ),
             "{written:?}"
         );

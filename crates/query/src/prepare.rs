@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use nf2_algebra::optimize::Applied;
 use nf2_algebra::stream::{
-    filter_box, lazy_iter, AtomCmp, JoinLayout, OpTally, RelStream, SortDir, TopKStats, TupleIter,
-    TupleOrder,
+    filter_box, lazy_iter, select_project, AtomCmp, JoinLayout, OpTally, RelStream, SortDir,
+    TopKStats, TupleIter, TupleOrder,
 };
 use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
 use nf2_core::display::render_nf;
@@ -137,9 +137,15 @@ pub(crate) enum Phys {
     /// dropped attribute is pinned to one value by the plan below, the
     /// projection is fixed by construction and **streams** — each pulled
     /// tuple's kept components, in upstream order, nothing buffered.
-    /// Otherwise it **blocks**: it drains its input and delegates to
-    /// [`nf2_algebra::project`], which tests Def. 7 on the instance and
-    /// re-nests when it fails.
+    /// A streaming projection directly over a [`Phys::Select`] runs
+    /// with it as one per-tuple step ([`select_project`]): a
+    /// constrained attribute it drops is only tested, and each output
+    /// tuple is built once. The plan, its EXPLAIN text and its
+    /// `EXPLAIN ANALYZE` lines stay two nodes; the selection's line
+    /// reports the fused step, its rows (one per output tuple) and its
+    /// time. Otherwise the projection **blocks**: it drains its input
+    /// and delegates to [`nf2_algebra::project`], which tests Def. 7 on
+    /// the instance and re-nests when it fails.
     ///
     /// [`RelType::unpinned_drop`]: nf2_algebra::RelType::unpinned_drop
     Project {
@@ -211,6 +217,11 @@ pub(crate) struct AnalyzeExec {
 struct Timed<I> {
     inner: I,
     tally: Arc<OpTally>,
+    /// The selection running fused into this streaming projection
+    /// ([`fused_select`]): it passed exactly the tuples the projection
+    /// yields, in the same step, so it is credited the same rows and
+    /// time.
+    fused: Option<Arc<OpTally>>,
 }
 
 impl<I: Iterator> Iterator for Timed<I> {
@@ -219,12 +230,41 @@ impl<I: Iterator> Iterator for Timed<I> {
     fn next(&mut self) -> Option<I::Item> {
         let sw = Stopwatch::start();
         let item = self.inner.next();
-        self.tally.add_nanos(sw.elapsed_nanos());
-        if item.is_some() {
-            self.tally.add_row();
+        let nanos = sw.elapsed_nanos();
+        for tally in std::iter::once(&self.tally).chain(&self.fused) {
+            tally.add_nanos(nanos);
+            if item.is_some() {
+                tally.add_row();
+            }
         }
         item
     }
+}
+
+/// The input and conjuncts of the selection a streaming projection
+/// runs fused with ([`select_project`]): its input, when that is a
+/// [`Phys::Select`].
+fn fused_select(node: &Phys) -> Option<(&Phys, &[(usize, usize)])> {
+    match node {
+        Phys::Project {
+            input,
+            streaming: true,
+            ..
+        } => match &**input {
+            Phys::Select { input, constraints } => Some((input, constraints)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A selection's `(attribute id, bound-store index)` conjuncts with
+/// their bound value sets.
+fn resolve(constraints: &[(usize, usize)], bound: &[ValueSet]) -> Vec<(usize, ValueSet)> {
+    constraints
+        .iter()
+        .map(|&(attr, flat)| (attr, bound[flat].clone()))
+        .collect()
 }
 
 /// Everything an `EXPLAIN ANALYZE` render needs: the per-operator
@@ -421,10 +461,7 @@ impl PhysPlan {
                     }
                 }
                 Phys::Select { input, constraints } => {
-                    let resolved: Vec<(usize, ValueSet)> = constraints
-                        .iter()
-                        .map(|&(attr, flat)| (attr, bound[flat].clone()))
-                        .collect();
+                    let resolved = resolve(constraints, bound);
                     Box::new(
                         go(input, tables, bound, only_shard, tallies, idx + 1)
                             .filter_map(move |t| filter_box(t, &resolved)),
@@ -439,14 +476,23 @@ impl PhysPlan {
                     // Fixed by construction: the upstream rectangles are
                     // pairwise disjoint and agree on everything dropped,
                     // so their kept components are already the answer.
+                    // A selection right below runs in the same step
+                    // (numbered as its own node); without one, the step
+                    // is a selection with no conjuncts.
+                    let (upstream, resolved) = match fused_select(node) {
+                        Some((below, constraints)) => (
+                            go(below, tables, bound, only_shard, tallies, idx + 2),
+                            resolve(constraints, bound),
+                        ),
+                        None => (
+                            go(input, tables, bound, only_shard, tallies, idx + 1),
+                            Vec::new(),
+                        ),
+                    };
                     let attrs = attrs.clone();
-                    Box::new(
-                        go(input, tables, bound, only_shard, tallies, idx + 1).map(move |t| {
-                            TupleView::Owned(
-                                attrs.iter().map(|&a| t.component(a).clone()).collect(),
-                            )
-                        }),
-                    )
+                    Box::new(upstream.filter_map(move |t| {
+                        select_project(&t, &resolved, &attrs).map(TupleView::Owned)
+                    }))
                 }
                 Phys::Project {
                     input,
@@ -493,6 +539,7 @@ impl PhysPlan {
                 Some(ts) => Box::new(Timed {
                     inner: raw,
                     tally: Arc::clone(&ts[idx]),
+                    fused: fused_select(node).map(|_| Arc::clone(&ts[idx + 1])),
                 }),
                 None => raw,
             }

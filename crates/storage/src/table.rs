@@ -61,7 +61,11 @@
 //! A scan pins the snapshot's shard versions, asks each shard's segments
 //! which of its tuples to yield ([`ShardVersion::locate`]), and yields
 //! them straight out of the chunks as [`TupleView::Shared`] views, each
-//! pinning the one segment its tuple lives in.
+//! pinning the one segment its tuple lives in. Located tuples lie
+//! scattered over the chunks, so a located scan reads ahead: it touches
+//! its next few positions' chunk slots, then their component blocks,
+//! before it yields them, and their cache misses overlap
+//! ([`TableScan`]). It still probe-counts only what it yields.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,7 +79,7 @@ use nf2_core::maintenance::CostCounter;
 use nf2_core::mvcc::{ShardVersion, TableVersion, VersionCell};
 use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
-use nf2_core::segment::{Conjunct, Rows, ShardSegments};
+use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
 use nf2_core::shard::{
     apply_sub_batches, merge_shards, merged_tuple_count, BatchReport, MaintenanceCost, ShardRouter,
     ShardSpec, ShardWriter, ShardedCanonical,
@@ -117,6 +121,11 @@ pub struct TableStats {
     /// ([`TableSnapshot::scan_shards_zoned`]) located no tuple — none of
     /// their tuples was probed, so they are *not* in `units_probed`.
     pub segments_skipped: u64,
+    /// Located tuples a zoned scan touched ahead of yielding them (its
+    /// read-ahead, [`TableScan`]): what it read early, not what it
+    /// probed — a tuple read ahead is still probed only when yielded.
+    /// Full scans and scans locating one tuple add nothing.
+    pub scan_rows_read_ahead: u64,
     /// Version publications submitted by writers. Concurrent
     /// submissions may coalesce into fewer epoch bumps (the install
     /// leader drains racing shards under one bump), so this counts
@@ -178,6 +187,7 @@ pub struct SharedTableStats {
     inserts: AtomicU64,
     deletes: AtomicU64,
     segments_skipped: AtomicU64,
+    scan_rows_read_ahead: AtomicU64,
     epoch_installs: AtomicU64,
     snapshot_pins: AtomicU64,
     wal_flushes: AtomicU64,
@@ -200,6 +210,7 @@ impl SharedTableStats {
             inserts: AtomicU64::new(stats.inserts),
             deletes: AtomicU64::new(stats.deletes),
             segments_skipped: AtomicU64::new(stats.segments_skipped),
+            scan_rows_read_ahead: AtomicU64::new(stats.scan_rows_read_ahead),
             epoch_installs: AtomicU64::new(stats.epoch_installs),
             snapshot_pins: AtomicU64::new(stats.snapshot_pins),
             wal_flushes: AtomicU64::new(stats.wal_flushes),
@@ -227,6 +238,7 @@ impl SharedTableStats {
             inserts: self.inserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             segments_skipped: self.segments_skipped.load(Ordering::Relaxed),
+            scan_rows_read_ahead: self.scan_rows_read_ahead.load(Ordering::Relaxed),
             epoch_installs: self.epoch_installs.load(Ordering::Relaxed),
             snapshot_pins: self.snapshot_pins.load(Ordering::Relaxed),
             wal_flushes: self.wal_flushes.load(Ordering::Relaxed),
@@ -257,10 +269,12 @@ impl SharedTableStats {
         count(&self.deletes, report.summary.deleted);
     }
 
-    fn settle_scan(&self, yielded: u64, skipped: u64) {
+    fn settle_scan(&self, yielded: u64, skipped: u64, read_ahead: u64) {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.units_probed.fetch_add(yielded, Ordering::Relaxed);
         self.segments_skipped.fetch_add(skipped, Ordering::Relaxed);
+        self.scan_rows_read_ahead
+            .fetch_add(read_ahead, Ordering::Relaxed);
     }
 }
 
@@ -1128,9 +1142,12 @@ impl TableSnapshot {
             part: 0,
             segment: 0,
             segment_start: 0,
+            window: if conjuncts.is_empty() { 0 } else { 2 },
+            warm: 0,
             stats: Arc::clone(&self.stats),
             yielded: 0,
             skipped,
+            read_ahead: 0,
         }
     }
 
@@ -1343,6 +1360,10 @@ fn shard_corrupt(shard: usize, what: &str) -> StorageError {
     StorageError::Corrupt(format!("shard {shard}: {what}"))
 }
 
+/// The most located tuples a scan reads ahead at once: its window
+/// starts at 2 and doubles up to this.
+const READ_AHEAD_CAP: usize = 32;
+
 /// A lazy, owning scan over a pinned table snapshot — the located
 /// positions of `Arc`-held shard versions, streamed back-to-back out of
 /// their segments' chunks; see [`NfTable::scan`].
@@ -1354,9 +1375,22 @@ fn shard_corrupt(shard: usize, what: &str) -> StorageError {
 /// their tuple lives in, so downstream operators can hold or outlive the
 /// scan freely without keeping the rest of the shard alive.
 ///
-/// Probe accounting is batched: the scan keeps a local counter and
-/// settles it into the table's shared stats exactly once, on drop, so
-/// the per-tuple hot path takes no lock.
+/// A located scan (one with zone conjuncts) **reads ahead**. Its tuples
+/// lie scattered over the chunks, and each costs two dependent cache
+/// misses: its chunk slot, then the component block the slot points
+/// to. So whenever the tuples it has read ahead run out, the scan takes
+/// the next *W* positions of its part ([`Rows::ahead`]) and touches them
+/// in two tight passes — every chunk slot, then every component block —
+/// so their misses overlap instead of queueing one pair per pulled
+/// tuple. *W* starts at 2 and doubles up to `READ_AHEAD_CAP`, so a
+/// `LIMIT` reads ahead little more than it takes. A part with one
+/// located tuple left is not read ahead, and a full scan never is: its
+/// slots are consecutive already. Reading ahead allocates nothing and
+/// changes neither what the scan yields nor what it counts as probed.
+///
+/// Probe accounting is batched: the scan keeps local counters and
+/// settles them into the table's shared stats exactly once, on drop, so
+/// the per-tuple hot path takes no lock and updates no shared counter.
 #[derive(Debug)]
 pub struct TableScan {
     /// Pinned shard versions with the positions (in the version's chunks
@@ -1369,10 +1403,19 @@ pub struct TableScan {
     /// the cursor only moves forward.
     segment: usize,
     segment_start: usize,
+    /// Positions the next read-ahead touches (0: the scan never reads
+    /// ahead).
+    window: usize,
+    /// Positions of the current part to stream before the next
+    /// read-ahead: those read ahead and not yet streamed, or
+    /// `usize::MAX` where there is none to make.
+    warm: usize,
     stats: Arc<SharedTableStats>,
     yielded: u64,
     /// Segments that held no located tuple (settled on drop).
     skipped: u64,
+    /// Positions read ahead (settled on drop).
+    read_ahead: u64,
 }
 
 impl Iterator for TableScan {
@@ -1381,18 +1424,30 @@ impl Iterator for TableScan {
     fn next(&mut self) -> Option<TupleView<'static>> {
         loop {
             let (version, rows) = self.parts.get_mut(self.part)?;
+            let segments = version.segments().segments();
+            if self.warm == 0 {
+                self.warm = if self.window == 0 || rows.len() < 2 {
+                    usize::MAX
+                } else {
+                    let ahead = rows.ahead().take(self.window);
+                    let touched = read_ahead(segments, ahead, self.segment, self.segment_start);
+                    self.read_ahead += touched as u64;
+                    self.window = (2 * self.window).min(READ_AHEAD_CAP);
+                    touched
+                };
+            }
             if let Some(at) = rows.next() {
-                let segments = version.segments().segments();
                 while at >= self.segment_start + segments[self.segment].rows() {
                     self.segment_start += segments[self.segment].rows();
                     self.segment += 1;
                 }
+                self.warm -= 1;
                 self.yielded += 1;
                 let store: Arc<dyn TupleStore> = segments[self.segment].clone();
                 return Some(TupleView::shared(store, at - self.segment_start));
             }
             self.part += 1;
-            (self.segment, self.segment_start) = (0, 0);
+            (self.segment, self.segment_start, self.warm) = (0, 0, 0);
         }
     }
 
@@ -1408,9 +1463,51 @@ impl Iterator for TableScan {
     }
 }
 
+/// Touches the tuples at `positions` (ascending, at most
+/// `READ_AHEAD_CAP`, none before the position `start` at which
+/// `segments[segment]` begins) so their cache misses overlap: first
+/// every chunk slot, then every component block the slots point to.
+/// Returns how many it touched. Allocates nothing. Kept out of line:
+/// it runs once per window, and inlined it slows every scan's
+/// per-tuple step.
+#[inline(never)]
+fn read_ahead(
+    segments: &[Arc<Segment>],
+    positions: impl Iterator<Item = usize>,
+    mut segment: usize,
+    mut start: usize,
+) -> usize {
+    let mut slots: [Option<&NfTuple>; READ_AHEAD_CAP] = [None; READ_AHEAD_CAP];
+    let mut touched = 0;
+    for (slot, at) in slots.iter_mut().zip(positions) {
+        while at >= start + segments[segment].rows() {
+            start += segments[segment].rows();
+            segment += 1;
+        }
+        *slot = Some(&segments[segment].tuples()[at - start]);
+        touched += 1;
+    }
+    let slots = &slots[..touched];
+    // An arity is the length a chunk slot holds beside its pointer. The
+    // block it points to spans more than one cache line from arity 3
+    // on, so both its first and its last component are read.
+    let arities: usize = slots.iter().flatten().map(|t| t.arity()).sum();
+    let blocks: usize = slots
+        .iter()
+        .flatten()
+        .map(|t| {
+            let comps = t.components();
+            comps.first().map_or(0, ValueSet::len) + comps.last().map_or(0, ValueSet::len)
+        })
+        .sum();
+    std::hint::black_box(arities + blocks);
+    touched
+}
+
 impl Drop for TableScan {
     fn drop(&mut self) {
-        self.stats.settle_scan(self.yielded, self.skipped);
+        self.stats
+            .settle_scan(self.yielded, self.skipped, self.read_ahead);
     }
 }
 

@@ -10,10 +10,10 @@
 
 use nf2::core::schema::NestOrder;
 use nf2::core::shard::ShardSpec;
-use nf2::core::tuple::FlatTuple;
+use nf2::core::tuple::{FlatTuple, NfTuple, ValueSet};
 use nf2::core::value::Atom;
 use nf2::query::Engine;
-use nf2::storage::NfTable;
+use nf2::storage::{NfTable, TableStats};
 
 /// 10⁵ flat rows in 1 000 NF² tuples: group `g` pairs `A = g` with its
 /// own window of 100 `B`-values, so canonicalization folds each group
@@ -296,4 +296,117 @@ fn selective_cursor_streams_matches_and_counts() {
         .unwrap()
         .flat_count();
     assert_eq!(n, 2);
+}
+
+/// `t (F, K, G)` on `shards` hash shards, 64 tuples to a segment: one
+/// tuple `{f} × {k<g>} × {g<g>}` per group `g` of 4 000, flagged
+/// `F = hot` for the first 1 200 groups and `cold` for the rest. The
+/// kernel orders each shard by `G`, so the hot tuples fill the leading
+/// segments of every shard and the rest of its segments hold none.
+fn flagged_engine(shards: usize) -> Engine {
+    let names: Vec<[String; 3]> = (0..4_000)
+        .map(|g| {
+            let flag = if g < 1_200 { "hot" } else { "cold" };
+            [flag.to_owned(), format!("k{g:04}"), format!("g{g:04}")]
+        })
+        .collect();
+    let engine = Engine::new();
+    let table = NfTable::bulk_load_strs_sharded(
+        "t",
+        &["F", "K", "G"],
+        names.iter().map(|r| r.iter().map(String::as_str).collect()),
+        NestOrder::identity(3),
+        ShardSpec::hash(shards).unwrap(),
+        engine.dict().clone(),
+    )
+    .unwrap();
+    table.set_segment_rows(64);
+    assert_eq!(table.tuple_count(), 4_000);
+    engine.attach_table(table).unwrap();
+    engine
+}
+
+#[test]
+fn a_located_scan_reads_ahead_but_probes_what_it_yields() {
+    const HOT: &str = "SELECT * FROM t WHERE F = 'hot'";
+    for shards in [1, 4] {
+        let engine = flagged_engine(shards);
+        let session = engine.session();
+        let table = engine.table("t").unwrap();
+        let stats = || table.stats();
+        let delta = |before: TableStats, after: TableStats| {
+            (
+                after.units_probed - before.units_probed,
+                after.scan_rows_read_ahead - before.scan_rows_read_ahead,
+            )
+        };
+
+        // What the segments locate: every shard holds hot tuples in at
+        // least two segments and none in others.
+        let hot = ValueSet::singleton(engine.dict().lookup("hot").unwrap());
+        let zones = [(0, hot.clone())];
+        let all: Vec<usize> = (0..shards).collect();
+        let snapshot = table.snapshot();
+        let counts = snapshot.zone_skip_counts(&all, &zones);
+        assert!(counts
+            .iter()
+            .all(|c| c.segments - c.skipped >= 2 && c.skipped > 0));
+        let located: usize = counts.iter().map(|c| c.located).sum();
+        let skipped: u64 = counts.iter().map(|c| c.skipped as u64).sum();
+        assert_eq!(located, 1_200);
+
+        // The reference streams no tuple it has read ahead: a full
+        // scan, which never reads ahead, filtered by hand. The zoned
+        // scan yields the same stored tuples in the same order.
+        let reference: Vec<NfTuple> = snapshot
+            .scan()
+            .filter(|t| t.component(0).contains(hot.as_slice()[0]))
+            .map(|t| t.as_tuple().clone())
+            .collect();
+        let zoned: Vec<NfTuple> = snapshot
+            .scan_shards_zoned(&all, &zones)
+            .map(|t| t.as_tuple().clone())
+            .collect();
+        assert_eq!(zoned, reference);
+
+        // The first tuple costs one probe, though the scan read two.
+        let before = stats();
+        let first = session.query(HOT).unwrap().next().expect("hot tuples");
+        assert_eq!(first.as_tuple(), &reference[0]);
+        assert_eq!(delta(before, stats()), (1, 2));
+
+        // LIMIT 3 probes three and reads ahead its windows of 2 and 4.
+        let before = stats();
+        assert_eq!(session.query(&format!("{HOT} LIMIT 3")).unwrap().count(), 3);
+        let (probed, read_ahead) = delta(before, stats());
+        assert_eq!(probed, 3);
+        assert!(read_ahead <= 2 + 4, "{read_ahead}");
+
+        // A full drain probes exactly the located tuples, skips what
+        // EXPLAIN's pruning report counts, and yields the stored tuples
+        // in the reference's order (`F` is a one-value set, so σ narrows
+        // nothing). Each part reads ahead all but at most its last tuple.
+        let before = stats();
+        let drained: Vec<NfTuple> = session
+            .query(HOT)
+            .unwrap()
+            .map(|t| t.into_owned())
+            .collect();
+        let after = stats();
+        assert_eq!(drained, reference);
+        let (probed, read_ahead) = delta(before, after);
+        assert_eq!(probed, located as u64);
+        assert_eq!(after.segments_skipped - before.segments_skipped, skipped);
+        assert!(
+            (located - shards) as u64 <= read_ahead && read_ahead <= located as u64,
+            "{read_ahead} of {located}"
+        );
+
+        // A full scan and a one-tuple point read never read ahead.
+        let before = stats();
+        assert_eq!(session.query("SELECT * FROM t").unwrap().count(), 4_000);
+        let point = "SELECT * FROM t WHERE G = 'g0077'";
+        assert_eq!(session.query(point).unwrap().count(), 1);
+        assert_eq!(delta(before, stats()), (4_001, 0));
+    }
 }
