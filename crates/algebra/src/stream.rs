@@ -33,7 +33,7 @@ use std::sync::Arc;
 use nf2_core::error::Result;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::Schema;
-use nf2_core::tuple::{NfTuple, TupleView, ValueSet};
+use nf2_core::tuple::{NfTuple, SetRef, TupleRef, TupleView, ValueSet};
 use nf2_core::value::Atom;
 
 /// A boxed pull-based tuple pipeline.
@@ -139,7 +139,7 @@ impl TupleOrder {
 
     /// The tuple's sort key: the extreme member of its component under
     /// the direction (min for ASC, max for DESC).
-    pub fn key_of(&self, t: &NfTuple) -> Atom {
+    pub fn key_of(&self, t: TupleRef<'_>) -> Atom {
         let comp = t.component(self.attr).as_slice();
         let mut best = comp[0];
         for &v in &comp[1..] {
@@ -167,7 +167,7 @@ impl TupleOrder {
 /// The compound sort key of a tuple under a multi-attribute order: one
 /// extreme member per [`TupleOrder`], in order-list position. `ORDER BY
 /// a, b` ranks by `a`'s key first and breaks ties with `b`'s.
-pub fn compound_key_of(orders: &[TupleOrder], t: &NfTuple) -> Vec<Atom> {
+pub fn compound_key_of(orders: &[TupleOrder], t: TupleRef<'_>) -> Vec<Atom> {
     orders.iter().map(|o| o.key_of(t)).collect()
 }
 
@@ -301,7 +301,7 @@ impl<'a> RelStream<'a> {
 
     /// Sums `|R*|` over the stream without materializing any tuple list.
     pub fn flat_count(self) -> u128 {
-        self.iter.map(|t| t.expansion_count()).sum()
+        self.iter.map(|t| t.as_ref().expansion_count()).sum()
     }
 
     /// Blocking sort by a **compound** order (`ORDER BY a, b DESC, …`):
@@ -314,7 +314,7 @@ impl<'a> RelStream<'a> {
         let out = lazy_iter(move || {
             let mut entries: Vec<(Vec<Atom>, usize, TupleView<'a>)> = iter
                 .enumerate()
-                .map(|(seq, t)| (compound_key_of(&orders, t.as_tuple()), seq, t))
+                .map(|(seq, t)| (compound_key_of(&orders, t.as_ref()), seq, t))
                 .collect();
             entries.sort_by(|(ka, sa, _), (kb, sb, _)| {
                 cmp_compound_keys(&orders, ka, kb).then(sa.cmp(sb))
@@ -357,10 +357,7 @@ impl<'a> RelStream<'a> {
             let mut iters: Vec<TupleIter<'a>> = parts.into_iter().map(|p| p.iter).collect();
             let mut heads: Vec<Option<(Vec<Atom>, TupleView<'a>)>> = iters
                 .iter_mut()
-                .map(|it| {
-                    it.next()
-                        .map(|t| (compound_key_of(&orders, t.as_tuple()), t))
-                })
+                .map(|it| it.next().map(|t| (compound_key_of(&orders, t.as_ref()), t)))
                 .collect();
             let merged = std::iter::from_fn(move || {
                 let mut best: Option<usize> = None;
@@ -384,7 +381,7 @@ impl<'a> RelStream<'a> {
                 let (_, t) = heads[b].take().expect("best head is occupied");
                 heads[b] = iters[b]
                     .next()
-                    .map(|t| (compound_key_of(&orders, t.as_tuple()), t));
+                    .map(|t| (compound_key_of(&orders, t.as_ref()), t));
                 Some(t)
             });
             Box::new(merged) as TupleIter<'a>
@@ -444,7 +441,7 @@ fn bounded_top_k<'a>(
         let worse = |a: &Entry<'a>, b: &Entry<'a>| rank(a, b) == Ordering::Greater;
         for (seq, t) in iter.enumerate() {
             stats.pulled.fetch_add(1, Relaxed);
-            let entry = (compound_key_of(&orders, t.as_tuple()), seq, t);
+            let entry = (compound_key_of(&orders, t.as_ref()), seq, t);
             if heap.len() < k {
                 // Sift up.
                 heap.push(entry);
@@ -499,10 +496,10 @@ impl<'a> Iterator for RelStream<'a> {
 /// leaves of `comp`: `comp` itself when none constrains `attr`, `None`
 /// when the intersection empties. A set of up to the inline capacity
 /// lives on the stack, so folding one allocates nothing.
-fn fold(constraints: &[(usize, ValueSet)], attr: usize, comp: &ValueSet) -> Option<ValueSet> {
+fn fold(constraints: &[(usize, ValueSet)], attr: usize, comp: SetRef<'_>) -> Option<ValueSet> {
     let mut sets = constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
     let Some(first) = sets.next() else {
-        return Some(comp.clone());
+        return Some(comp.to_set());
     };
     sets.try_fold(comp.intersection(first)?, |kept, set| {
         kept.intersection(set)
@@ -512,7 +509,7 @@ fn fold(constraints: &[(usize, ValueSet)], attr: usize, comp: &ValueSet) -> Opti
 /// Whether folding every conjunct of `constraints` on `attr` into
 /// `comp` ([`fold`]) leaves anything — whether some member of `comp`
 /// lies in all of them — decided without building a set.
-fn meets(constraints: &[(usize, ValueSet)], attr: usize, comp: &ValueSet) -> bool {
+fn meets(constraints: &[(usize, ValueSet)], attr: usize, comp: SetRef<'_>) -> bool {
     let on_attr = || constraints.iter().filter(|c| c.0 == attr).map(|c| &c.1);
     comp.as_slice()
         .iter()
@@ -536,15 +533,16 @@ pub fn filter_box<'a>(
 ) -> Option<TupleView<'a>> {
     // Decide before building anything: a rejected or an intact tuple
     // allocates nothing (a small set's intersection lives on the stack).
-    let comps = t.components();
+    let tuple = t.as_ref();
     let mut narrows = false;
     for &(attr, _) in constraints {
-        narrows |= fold(constraints, attr, &comps[attr])?.len() != comps[attr].len();
+        let comp = tuple.component(attr);
+        narrows |= fold(constraints, attr, comp)?.len() != comp.len();
     }
     if !narrows {
         return Some(t); // every component survived intact — zero-copy
     }
-    let narrowed = t.components().iter().enumerate().map(|(attr, comp)| {
+    let narrowed = tuple.components().enumerate().map(|(attr, comp)| {
         fold(constraints, attr, comp)
             .expect("every constrained component intersects: checked above")
     });
@@ -568,10 +566,10 @@ pub fn select_project(
     constraints: &[(usize, ValueSet)],
     attrs: &[usize],
 ) -> Option<NfTuple> {
-    let comps = t.components();
+    let tuple = t.as_ref();
     if !constraints
         .iter()
-        .all(|&(attr, _)| meets(constraints, attr, &comps[attr]))
+        .all(|&(attr, _)| meets(constraints, attr, tuple.component(attr)))
     {
         return None;
     }
@@ -579,7 +577,7 @@ pub fn select_project(
         attrs
             .iter()
             .map(|&attr| {
-                fold(constraints, attr, &comps[attr])
+                fold(constraints, attr, tuple.component(attr))
                     .expect("every constrained component intersects: checked above")
             })
             .collect(),
@@ -639,7 +637,9 @@ impl JoinLayout {
         build: &[TupleView<'a>],
         out: &mut Vec<TupleView<'a>>,
     ) {
+        let l = l.as_ref();
         for r in build {
+            let r = r.as_ref();
             // Test before copying: a pair whose shared components are
             // disjoint (most of a build side) costs no allocation.
             let disjoint = |&(r_id, l_id): &(usize, usize)| {
@@ -648,18 +648,18 @@ impl JoinLayout {
             if self.shared.iter().any(disjoint) {
                 continue;
             }
-            let left = l.components().iter().enumerate().map(|(l_id, c)| {
+            let left = l.components().enumerate().map(|(l_id, c)| {
                 match self.shared.iter().find(|pair| pair.1 == l_id) {
                     Some(&(r_id, _)) => c
                         .intersection(r.component(r_id))
                         .expect("shared components intersect: checked above"),
-                    None => c.clone(),
+                    None => c.to_set(),
                 }
             });
             let right = self
                 .right_only
                 .iter()
-                .map(|&r_id| r.component(r_id).clone());
+                .map(|&r_id| r.component(r_id).to_set());
             out.push(TupleView::Owned(left.chain(right).collect()));
         }
     }
@@ -737,7 +737,7 @@ mod tests {
         let narrow = ValueSet::singleton(Atom(1));
         for t in rel.tuples() {
             if let Some(out) = filter_box(TupleView::Borrowed(t), &[(0usize, narrow.clone())]) {
-                assert!(out.component(0).is_singleton());
+                assert!(out.as_ref().component(0).is_singleton());
             }
         }
     }
@@ -776,7 +776,11 @@ mod tests {
         let t = NfTuple::new(vec![vs(&[1, 2, 3]), vs(&[10])]);
         let both = [(0usize, vs(&[1, 2])), (0usize, vs(&[2, 3]))];
         let out = filter_box(TupleView::Borrowed(&t), &both).unwrap();
-        assert_eq!(out.component(0), &vs(&[2]), "{{1,2,3}} ∩ {{1,2}} ∩ {{2,3}}");
+        assert_eq!(
+            out.as_ref().component(0),
+            vs(&[2]),
+            "{{1,2,3}} ∩ {{1,2}} ∩ {{2,3}}"
+        );
         assert_eq!(out.as_tuple(), &strict_select(&t, &["A", "B"], &both));
         // Each conjunct alone keeps the tuple; together they reject it.
         let apart = [(0usize, vs(&[1])), (0usize, vs(&[3]))];
@@ -789,7 +793,7 @@ mod tests {
         let wide = [(0usize, vs(&[1, 2, 3])), (1usize, vs(&[10, 11]))];
         let out = filter_box(TupleView::Borrowed(&t), &wide).unwrap();
         assert!(out.is_zero_copy());
-        assert!(out.into_owned().shares_storage_with(&t));
+        assert!(matches!(out, TupleView::Borrowed(kept) if std::ptr::eq(kept, &t)));
     }
 
     #[test]
@@ -799,7 +803,6 @@ mod tests {
         let out = filter_box(TupleView::Borrowed(&t), &two).unwrap();
         assert!(!out.is_zero_copy());
         let out = out.into_owned();
-        assert!(!out.shares_storage_with(&t));
         assert_eq!(out, NfTuple::new(vec![vs(&[2]), vs(&[10, 11]), vs(&[20])]));
         assert_eq!(out, strict_select(&t, &["A", "B", "C"], &two));
     }
@@ -820,7 +823,7 @@ mod tests {
         assert_eq!(joined.len(), 1);
         let alone = NfRelation::from_tuples(sc.schema().clone(), vec![probe.clone()]).unwrap();
         let strict = ops::natural_join(&alone, &cp).unwrap();
-        assert_eq!(strict.tuples(), [joined[0].as_tuple().clone()]);
+        assert_eq!(strict.tuples(), [joined[0].clone().into_owned()]);
     }
 
     #[test]
@@ -865,7 +868,7 @@ mod tests {
             .tuples()
             .iter()
             .enumerate()
-            .map(|(i, t)| (order.key_of(t), i, t.clone()))
+            .map(|(i, t)| (order.key_of(t.as_ref()), i, t.clone()))
             .collect();
         keyed.sort_by(|(ka, sa, _), (kb, sb, _)| order.cmp_keys(*ka, *kb).then(sa.cmp(sb)));
         keyed.into_iter().take(k).map(|(_, _, t)| t).collect()
@@ -889,7 +892,7 @@ mod tests {
                 // Keys are monotone in emission order.
                 for w in got.windows(2) {
                     assert_ne!(
-                        order.cmp_keys(order.key_of(&w[0]), order.key_of(&w[1])),
+                        order.cmp_keys(order.key_of(w[0].as_ref()), order.key_of(w[1].as_ref())),
                         std::cmp::Ordering::Greater
                     );
                 }
@@ -954,8 +957,14 @@ mod tests {
             ValueSet::new(vec![Atom(5), Atom(2), Atom(9)]).unwrap(),
             ValueSet::singleton(Atom(1)),
         ]);
-        assert_eq!(TupleOrder::by_atom_id(0, SortDir::Asc).key_of(&t), Atom(2));
-        assert_eq!(TupleOrder::by_atom_id(0, SortDir::Desc).key_of(&t), Atom(9));
+        assert_eq!(
+            TupleOrder::by_atom_id(0, SortDir::Asc).key_of(t.as_ref()),
+            Atom(2)
+        );
+        assert_eq!(
+            TupleOrder::by_atom_id(0, SortDir::Desc).key_of(t.as_ref()),
+            Atom(9)
+        );
     }
 
     #[test]
@@ -1017,7 +1026,10 @@ mod tests {
         ];
         let got: Vec<Vec<Atom>> = RelStream::scan(&rel)
             .sorted_by(orders)
-            .map(|t| vec![t.component(0).as_slice()[0], t.component(1).as_slice()[0]])
+            .map(|t| {
+                let t = t.as_ref();
+                vec![t.component(0).as_slice()[0], t.component(1).as_slice()[0]]
+            })
             .collect();
         // A ascending, B descending within equal A.
         assert_eq!(
@@ -1093,7 +1105,7 @@ mod tests {
         // Keys are monotone in emission order.
         for w in merged.windows(2) {
             assert_ne!(
-                order.cmp_keys(order.key_of(&w[0]), order.key_of(&w[1])),
+                order.cmp_keys(order.key_of(w[0].as_ref()), order.key_of(w[1].as_ref())),
                 std::cmp::Ordering::Greater
             );
         }

@@ -201,7 +201,7 @@ proptest! {
         for t in rel.tuples() {
             let fused = select_project(&TupleView::Borrowed(t), &constraints, attrs);
             let apart = filter_box(TupleView::Borrowed(t), &constraints).map(|kept| {
-                attrs.iter().map(|&a| kept.component(a).clone()).collect::<NfTuple>()
+                attrs.iter().map(|&a| kept.as_ref().component(a).to_set()).collect::<NfTuple>()
             });
             prop_assert_eq!(fused, apart, "shape {} keep {}", shape, keep);
         }

@@ -663,7 +663,7 @@ pub fn e09_search_space() -> Report {
     for &course in &courses {
         let _ = nf
             .scan()
-            .filter(|t| t.component(1).contains(course))
+            .filter(|t| t.as_ref().component(1).contains(course))
             .count();
         let _ = flat_table.lookup_scan(1, course);
     }
@@ -695,7 +695,7 @@ pub fn e09_search_space() -> Report {
         .iter()
         .map(|t| {
             buf.clear();
-            nf2_storage::codec::encode_nf_tuple(t, &mut buf);
+            nf2_storage::codec::encode_nf_tuple(t.as_ref(), &mut buf);
             buf.len()
         })
         .collect();
@@ -1161,7 +1161,7 @@ pub fn e15_4nf_vs_nfr() -> Report {
     let mut bytes_nfr = 0usize;
     for t in nfr.tuples() {
         buf.clear();
-        encode_nf_tuple(t, &mut buf);
+        encode_nf_tuple(t.as_ref(), &mut buf);
         bytes_nfr += buf.len();
     }
     // Full profile of one student = scan NF² tuples (one contains it all).

@@ -18,13 +18,14 @@
 
 use proptest::prelude::*;
 
-use nf2_core::bulk::Op;
+use nf2_core::bulk::{apply_batch, Op};
 use nf2_core::kernel::NestKernel;
+use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::relation::FlatRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
-use nf2_core::tuple::{NfTuple, ValueSet};
+use nf2_core::tuple::{NfTuple, TupleRef, ValueSet};
 use nf2_core::value::Atom;
 use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
@@ -66,14 +67,15 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
         decoded.extend(seg.decode());
 
         let slice = &tuples[range];
-        assert_eq!(
-            seg.tuples(),
-            slice,
-            "the chunk holds the segment's own tuples"
+        let chunk: Vec<NfTuple> = seg.tuples().map(TupleRef::into_owned).collect();
+        assert_eq!(chunk, slice, "the chunk holds the segment's own tuples");
+        assert!(
+            seg.tuples().eq(slice.iter().map(NfTuple::as_ref)),
+            "read in place, the chunk's tuples are its own"
         );
         assert_eq!(
             seg.decode(),
-            seg.tuples(),
+            chunk,
             "each chunk is what its columns decode to"
         );
         // Decoding cannot see an empty row list left behind, or offsets
@@ -81,7 +83,7 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
         // must be a fresh transposition's, field for field.
         assert_eq!(
             *seg,
-            Segment::encode(seg.tuples().into()),
+            Segment::encode(&chunk),
             "each segment's postings are what encoding its chunk gives"
         );
         let arity = slice[0].arity();
@@ -176,7 +178,13 @@ fn brute_force(tuples: &[NfTuple], conjuncts: &[(usize, ValueSet)]) -> Vec<usize
 /// that hold none as skipped.
 fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut u64) {
     let shards: Vec<Vec<NfTuple>> = (0..sharded.shard_count())
-        .map(|s| sharded.version(s).tuples().cloned().collect())
+        .map(|s| {
+            sharded
+                .version(s)
+                .tuples()
+                .map(TupleRef::into_owned)
+                .collect()
+        })
         .collect();
     for probe in probe_conjuncts(w, state) {
         let conjuncts: Vec<Conjunct<'_>> =
@@ -213,7 +221,13 @@ fn assert_scans_what_it_reports(w: &Workload, t: &NfTable, state: &mut u64) {
     let shards: Vec<usize> = (0..t.shard_count()).collect();
     let stored: Vec<Vec<NfTuple>> = shards
         .iter()
-        .map(|&s| store.version(s).tuples().cloned().collect())
+        .map(|&s| {
+            store
+                .version(s)
+                .tuples()
+                .map(TupleRef::into_owned)
+                .collect()
+        })
         .collect();
     for probe in probe_conjuncts(w, state) {
         let expected: Vec<NfTuple> = stored
@@ -392,7 +406,7 @@ proptest! {
                         }
                     }
                     for s in 0..sharded.shard_count() {
-                        let tuples: Vec<NfTuple> = sharded.version(s).tuples().cloned().collect();
+                        let tuples: Vec<NfTuple> = sharded.version(s).tuples().map(TupleRef::into_owned).collect();
                         let rows = tuples.iter().flat_map(NfTuple::expand);
                         let rows = FlatRelation::from_rows(w.flat.schema().clone(), rows).unwrap();
                         let rebuilt = NestKernel::new().canonical_of_flat(&rows, &order);
@@ -406,6 +420,89 @@ proptest! {
                     }
                 }
                 sharded.verify().unwrap();
+            }
+        }
+    }
+}
+
+/// Workloads whose canonical tuples hold fat sets: rectangles of
+/// `fat` values on their first attribute (past the inline capacity of
+/// four, or past 255), and the `relationship` shape with many students
+/// per course and semester (fat only for the largest `fat`).
+fn fat_workloads(seed: u64, fat: usize) -> Vec<Workload> {
+    vec![
+        workload::block_product(2 + (seed % 4) as usize, &[fat, 2, 3], seed),
+        workload::relationship(8 * fat, 4 * fat as u32, 3, 2, seed),
+    ]
+}
+
+/// Flat edits at the first and the last tuple of every segment of
+/// `sharded`'s one shard: one of the tuple's rows deleted, and a row
+/// under a value nothing holds inserted beside it.
+fn edge_edits(sharded: &ShardedCanonical, fresh: u32) -> Vec<Op> {
+    let mut ops = Vec::new();
+    for (i, seg) in sharded.shard_segments(0).segments().iter().enumerate() {
+        for row in [0, seg.rows() - 1] {
+            let first = seg.tuple(row).expand().next().expect("a tuple holds a row");
+            let mut entering = first.clone();
+            entering[0] = Atom(fresh + i as u32);
+            ops.extend([Op::Delete(first), Op::Insert(entering)]);
+        }
+    }
+    ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Fat chunks read back exactly: after edits at a segment's first
+    /// and last row, applied one op at a time and then as one batch,
+    /// the chunks back to back, read in place, are the §4 reference's
+    /// tuples, and the segments tile them exactly.
+    #[test]
+    fn fat_chunks_read_back_after_edits_at_segment_edges(
+        seed in any::<u64>(),
+        width in 0usize..3,
+        rows in 1usize..4,
+    ) {
+        let fat = [5, 6, 300][width];
+        for w in fat_workloads(seed, fat) {
+            let order = NestOrder::identity(w.flat.schema().arity());
+            let mut reference = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
+            let mut sharded =
+                ShardedCanonical::from_flat(&w.flat, order, ShardSpec::single()).unwrap();
+            sharded.set_segment_rows(rows);
+            let widest = reference
+                .relation()
+                .tuples()
+                .iter()
+                .flat_map(|t| t.components().iter().map(ValueSet::len))
+                .max()
+                .unwrap();
+            // The rectangles' sets are exactly `fat` wide; at the largest
+            // `fat`, ~340 students share a course and a semester.
+            let relationship = w.label.starts_with("relationship");
+            let least = if relationship && fat < 256 { 1 } else { fat.min(256) };
+            prop_assert!(widest >= least, "{}: widest set {}", w.label, widest);
+            for (round, fresh) in [(0, 3_000_000), (1, 4_000_000)] {
+                let ops = edge_edits(&sharded, fresh);
+                if round == 0 {
+                    for op in &ops {
+                        match op {
+                            Op::Insert(row) => sharded.insert(row.clone()).unwrap(),
+                            Op::Delete(row) => sharded.delete(row).unwrap(),
+                        };
+                    }
+                } else {
+                    sharded.apply_batch(&ops).unwrap();
+                }
+                apply_batch(&mut reference, &ops, &mut CostCounter::new()).unwrap();
+                let expected = reference.relation().tuples();
+                prop_assert!(
+                    sharded.version(0).tuples().eq(expected.iter().map(NfTuple::as_ref)),
+                    "{}: round {}: the chunks read back other tuples", w.label, round
+                );
+                assert_exact_tiling(expected, sharded.shard_segments(0));
             }
         }
     }
@@ -532,9 +629,8 @@ fn ordered_strings(engine: &mut nf2_query::Engine, sql: &str) -> Vec<Vec<Vec<Str
         .query(sql)
         .unwrap()
         .map(|t| {
-            t.as_tuple()
+            t.as_ref()
                 .components()
-                .iter()
                 .map(|c| {
                     c.as_slice()
                         .iter()

@@ -33,7 +33,7 @@ fn sort_truncate(tuples: &[NfTuple], order: &TupleOrder, k: usize) -> Vec<NfTupl
     let mut keyed: Vec<(Atom, usize, NfTuple)> = tuples
         .iter()
         .enumerate()
-        .map(|(i, t)| (order.key_of(t), i, t.clone()))
+        .map(|(i, t)| (order.key_of(t.as_ref()), i, t.clone()))
         .collect();
     keyed.sort_by(|(ka, sa, _), (kb, sb, _)| order.cmp_keys(*ka, *kb).then(sa.cmp(sb)));
     keyed.into_iter().take(k).map(|(_, _, t)| t).collect()

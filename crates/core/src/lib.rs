@@ -68,7 +68,7 @@ pub use relation::{FlatRelation, NfRelation};
 pub use schema::{AttrId, NestOrder, Schema};
 pub use segment::{Conjunct, Located, Rows, Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
 pub use shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
-pub use tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
+pub use tuple::{FlatTuple, NfTuple, SetRef, TupleRef, TupleStore, TupleView, ValueSet};
 pub use value::{Atom, Dictionary};
 
 /// Convenience re-exports for downstream crates and examples.
@@ -85,6 +85,6 @@ pub mod prelude {
     pub use crate::schema::{AttrId, NestOrder, Schema};
     pub use crate::segment::{Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
     pub use crate::shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
-    pub use crate::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
+    pub use crate::tuple::{FlatTuple, NfTuple, SetRef, TupleRef, TupleStore, TupleView, ValueSet};
     pub use crate::value::{Atom, Dictionary};
 }

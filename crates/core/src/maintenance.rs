@@ -49,7 +49,7 @@ use crate::compose::{compose, decompose_set};
 use crate::error::{NfError, Result};
 use crate::relation::{FlatRelation, NfRelation};
 use crate::schema::{NestOrder, Schema};
-use crate::tuple::{FlatTuple, NfTuple, ValueSet};
+use crate::tuple::{FlatTuple, NfTuple, TupleRef, ValueSet};
 use crate::value::Atom;
 use std::sync::Arc;
 
@@ -111,8 +111,12 @@ impl CostCounter {
 /// representative, last-nested attribute first (module docs).
 /// Expansions of a relation's tuples are pairwise disjoint, so within
 /// one relation no two tuples compare equal.
-pub(crate) fn kernel_cmp(order: &NestOrder, s: &NfTuple, t: &NfTuple) -> std::cmp::Ordering {
-    let min = |u: &NfTuple, attr: usize| u.component(attr).as_slice()[0];
+pub(crate) fn kernel_cmp(
+    order: &NestOrder,
+    s: TupleRef<'_>,
+    t: TupleRef<'_>,
+) -> std::cmp::Ordering {
+    let min = |u: TupleRef<'_>, attr: usize| u.component(attr).as_slice()[0];
     order
         .as_slice()
         .iter()
@@ -365,7 +369,7 @@ impl CanonicalRelation {
     fn position_of(&self, t: &NfTuple) -> usize {
         self.rel
             .tuples()
-            .partition_point(|s| kernel_cmp(&self.order, s, t).is_lt())
+            .partition_point(|s| kernel_cmp(&self.order, s.as_ref(), t.as_ref()).is_lt())
     }
 
     /// The canonical relation made of `tuples`, which the caller knows
@@ -389,10 +393,12 @@ impl CanonicalRelation {
     /// Debug builds: the vector strictly ascends in kernel key.
     fn debug_assert_kernel_order(&self) {
         debug_assert!(
-            self.rel
-                .tuples()
-                .windows(2)
-                .all(|w| kernel_cmp(&self.order, &w[0], &w[1]).is_lt()),
+            self.rel.tuples().windows(2).all(|w| kernel_cmp(
+                &self.order,
+                w[0].as_ref(),
+                w[1].as_ref()
+            )
+            .is_lt()),
             "the tuple vector must strictly ascend in kernel key"
         );
     }

@@ -49,7 +49,7 @@ use crate::relation::NfRelation;
 use crate::schema::{NestOrder, Schema};
 use crate::segment::{Conjunct, Located, ShardSegments, Tiling};
 use crate::shard::BatchReport;
-use crate::tuple::NfTuple;
+use crate::tuple::{NfTuple, TupleRef};
 use crate::value::Atom;
 
 /// One shard's immutable state: its segments — the shard's tuples, cut
@@ -78,17 +78,14 @@ impl ShardVersion {
         Self {
             schema: rel.schema().clone(),
             order,
-            segments: ShardSegments::tile(rel.into_tuples(), tiling),
+            segments: ShardSegments::tile(rel.tuples(), tiling),
         }
     }
 
     /// The tuples stored in this version, in kernel order: the segments'
     /// chunks back to back.
-    pub fn tuples(&self) -> impl Iterator<Item = &NfTuple> + '_ {
-        self.segments
-            .segments()
-            .iter()
-            .flat_map(|seg| seg.tuples().iter())
+    pub fn tuples(&self) -> impl Iterator<Item = TupleRef<'_>> + '_ {
+        self.segments.segments().iter().flat_map(|seg| seg.tuples())
     }
 
     /// The segments holding this version's tuples.
@@ -108,13 +105,9 @@ impl ShardVersion {
         segments.iter().map(|seg| seg.flat_count()).sum()
     }
 
-    /// The tuples' handles, chunk by chunk, in one vector.
+    /// The tuples, chunk by chunk, copied out into one vector.
     pub(crate) fn to_vec(&self) -> Vec<NfTuple> {
-        let mut tuples = Vec::with_capacity(self.tuple_count());
-        for seg in self.segments.segments() {
-            tuples.extend_from_slice(seg.tuples());
-        }
-        tuples
+        self.tuples().map(TupleRef::into_owned).collect()
     }
 
     /// A materialised copy of this version as the §4 reference type —
@@ -200,7 +193,7 @@ impl ShardVersion {
             .places(&fresh, |s, t| kernel_cmp(&self.order, s, t).is_lt());
         let segments = self
             .segments
-            .splice(&removed, &entered, fresh, tiling, &mut report);
+            .splice(&removed, &entered, &fresh, tiling, &mut report);
         report.tuples_regrouped = removed.len();
         report.shards_regrouped_whole =
             usize::from(!removed.is_empty() && removed.len() == self.tuple_count());
@@ -221,7 +214,7 @@ impl ShardVersion {
             assert!(
                 tuples
                     .windows(2)
-                    .all(|w| kernel_cmp(&self.order, &w[0], &w[1]).is_lt()),
+                    .all(|w| kernel_cmp(&self.order, w[0].as_ref(), w[1].as_ref()).is_lt()),
                 "the merged tuples must strictly ascend in kernel key"
             );
             assert!(
@@ -475,12 +468,13 @@ mod tests {
         assert!(v.contains(&[Atom(1), Atom(10)]));
         let stored = v.tuples().next().unwrap();
         let store: Arc<dyn TupleStore> = v.segments().segments()[0].clone();
-        assert_eq!(store.tuples().len(), 1);
+        assert_eq!(store.tuple_count(), 1);
         let view = TupleView::shared(store, 0);
         assert!(view.is_zero_copy());
         assert!(!view.is_borrowed());
-        assert_eq!(view.as_tuple(), stored);
-        assert_eq!(view.clone().into_owned(), *stored);
+        assert_eq!(view.as_ref(), stored);
+        assert_eq!(view.as_tuple(), &stored.into_owned());
+        assert_eq!(view.clone().into_owned(), stored);
     }
 
     #[test]
@@ -499,7 +493,7 @@ mod tests {
         let old: Vec<Arc<Segment>> = pinned.shard(0).segments().segments().to_vec();
         let store: Arc<dyn TupleStore> = old[5].clone();
         let view = TupleView::shared(store, 1);
-        assert_eq!(view.to_flat(), Some(vec![Atom(21), Atom(121)]));
+        assert_eq!(view.as_ref().to_flat(), Some(vec![Atom(21), Atom(121)]));
 
         // (77, 121) composes with the tuple at 21: it leaves, and
         // ({21, 77}, {121}) takes its place in the same segment.
@@ -510,17 +504,16 @@ mod tests {
         assert_eq!(new.len(), old.len());
         for (i, (was, is)) in old.iter().zip(new).enumerate() {
             assert_eq!(Arc::ptr_eq(was, is), i != 5, "segment {i}");
-            assert_eq!(was.tuples().as_ptr() == is.tuples().as_ptr(), i != 5);
         }
         assert_eq!(
-            new[5].tuples()[1].component(0).as_slice(),
+            new[5].tuple(1).component(0).as_slice(),
             [Atom(21), Atom(77)]
         );
 
         // The cell has moved on and the old snapshot is gone; the view
         // pinned its segment, so it still reads the tuple it was given.
         drop((pinned, old));
-        assert_eq!(view.to_flat(), Some(vec![Atom(21), Atom(121)]));
+        assert_eq!(view.as_ref().to_flat(), Some(vec![Atom(21), Atom(121)]));
     }
 
     #[test]

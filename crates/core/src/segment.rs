@@ -29,13 +29,23 @@
 //!   first and last code; the chunk's flat-row count `|R*|` is counted
 //!   while encoding.
 //!
+//! A chunk stores its tuples as atoms, not as tuple objects: one array
+//! of every set's members, back to back, bounded by `u32` offsets, one
+//! per tuple and attribute plus a leading zero — the layout a column
+//! keeps its row lists in, transposed. A segment is therefore a few arrays per
+//! attribute whatever it holds, and a stored tuple is read in place as
+//! a [`TupleRef`]; an owned [`NfTuple`] is built only where a pipeline
+//! keeps one ([`TupleRef::into_owned`]).
+//!
 //! Segments are immutable and `Arc`-shared between consecutive shard
 //! versions, chunk included. Every write to a shard is a keyed batch
 //! ([`crate::bulk`]), a point write being a batch of one: it searches
 //! before it edits and ends in one ordered merge, which it applies to
 //! the segments in a single sweep (`ShardSegments::splice`). Only a
-//! segment the merge touched is rebuilt — a new chunk, its kept tuples
-//! carried over by handle and the entering ones moved in, and columns
+//! segment the merge touched is rebuilt — a new chunk, each run of its
+//! kept tuples carried over as one copy of their atoms and one of their
+//! offsets and the entering ones appended from their sets, so dropping
+//! the chunk it replaced is a free per array, not per tuple — and columns
 //! *patched* from its predecessor's postings instead of transposed
 //! afresh: only the codes the entering and leaving tuples hold have
 //! their row lists rebuilt, and every run of codes between them is
@@ -58,7 +68,7 @@ use std::sync::Arc;
 
 use crate::schema::AttrId;
 use crate::shard::BatchReport;
-use crate::tuple::{NfTuple, TupleStore, ValueSet};
+use crate::tuple::{NfTuple, TupleRef, TupleStore, ValueSet};
 use crate::value::Atom;
 
 /// Default number of canonical NF² tuples per segment. Small enough
@@ -154,7 +164,7 @@ fn push_span(spans: &mut Vec<Range<usize>>, range: Range<usize>) {
 }
 
 /// Appends one `(code << 32 | row)` key per member of `t`'s `attr` set.
-fn push_keys(keys: &mut Vec<u64>, t: &NfTuple, attr: usize, row: u64) {
+fn push_keys(keys: &mut Vec<u64>, t: TupleRef<'_>, attr: usize, row: u64) {
     let members = t.component(attr).as_slice();
     keys.extend(members.iter().map(|v| u64::from(v.id()) << 32 | row));
 }
@@ -295,15 +305,15 @@ struct ValueColumn {
 }
 
 impl ValueColumn {
-    /// Transposes attribute `attr` of `tuples`: one `(code, row)` key per
+    /// Transposes attribute `attr` of `chunk`: one `(code, row)` key per
     /// set member, generated row by row and brought into code order by
     /// [`sort_by_code`] — skipped when the keys already ascend, as they
     /// do on the outer attribute wherever its sets are singletons.
     /// `keys` and `spare` are scratch shared across a segment's
     /// attributes.
-    fn encode(tuples: &[NfTuple], attr: usize, keys: &mut Vec<u64>, spare: &mut Vec<u64>) -> Self {
+    fn encode(chunk: &Chunk, attr: usize, keys: &mut Vec<u64>, spare: &mut Vec<u64>) -> Self {
         keys.clear();
-        for (row, t) in tuples.iter().enumerate() {
+        for (row, t) in chunk.tuples().enumerate() {
             push_keys(keys, t, attr, row as u64);
         }
         assert!(
@@ -474,8 +484,174 @@ impl ValueColumn {
 }
 
 /// `|R*|` of `tuples`.
-fn flat_of<'a>(tuples: impl IntoIterator<Item = &'a NfTuple>) -> u128 {
-    tuples.into_iter().map(NfTuple::expansion_count).sum()
+fn flat_of<'a>(tuples: impl IntoIterator<Item = TupleRef<'a>>) -> u128 {
+    tuples.into_iter().map(TupleRef::expansion_count).sum()
+}
+
+/// A chunk: consecutive tuples of a shard, stored as their atoms — every
+/// tuple's sets back to back in one array, bounded by one `u32` offset
+/// per tuple and attribute plus a leading zero (the layout a
+/// [`ValueColumn`] keeps its row lists in, transposed). A chunk is two
+/// allocations whatever it holds, so copying a run of its tuples is two
+/// copies and dropping it two frees. Its tuples are read in place, as
+/// [`TupleRef`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Chunk {
+    /// Tuples held.
+    rows: usize,
+    /// Sets per tuple.
+    arity: usize,
+    /// `rows × arity + 1` offsets into `atoms`: the set of tuple `r`'s
+    /// attribute `a` is `atoms[offsets[i]..offsets[i + 1]]`, `i` being
+    /// `r × arity + a`.
+    offsets: Box<[u32]>,
+    /// Every set's members, ascending within a set.
+    atoms: Box<[Atom]>,
+}
+
+impl Chunk {
+    /// `tuples` (non-empty, all of one arity), copied in.
+    fn of_tuples(tuples: &[NfTuple]) -> Self {
+        let atoms = tuples.iter().map(|t| t.as_ref().atom_count()).sum();
+        let mut chunk = ChunkBuilder::new(tuples[0].arity(), tuples.len(), atoms);
+        for t in tuples {
+            chunk.push(t.as_ref());
+        }
+        chunk.finish()
+    }
+
+    /// Where the atoms of tuple `row` start (their total for `rows`).
+    fn atoms_before(&self, row: usize) -> usize {
+        self.offsets[row * self.arity] as usize
+    }
+
+    /// Tuple `row`, read in place.
+    #[inline]
+    fn tuple(&self, row: usize) -> TupleRef<'_> {
+        let at = row * self.arity;
+        TupleRef::packed(&self.offsets[at..=at + self.arity], &self.atoms)
+    }
+
+    /// The tuples, in order.
+    fn tuples(&self) -> impl ExactSizeIterator<Item = TupleRef<'_>> + '_ {
+        (0..self.rows).map(|row| self.tuple(row))
+    }
+
+    /// Bytes of atoms and offsets held.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.atoms) + std::mem::size_of_val(&*self.offsets)
+    }
+}
+
+/// A chunk being built, its arrays allocated at their final size.
+struct ChunkBuilder {
+    rows: usize,
+    arity: usize,
+    offsets: Vec<u32>,
+    atoms: Vec<Atom>,
+}
+
+impl ChunkBuilder {
+    /// Room for `rows` tuples of `arity` sets holding `atoms` members.
+    fn new(arity: usize, rows: usize, atoms: usize) -> Self {
+        assert!(
+            u32::try_from(atoms).is_ok(),
+            "a chunk's set members must fit its u32 offsets"
+        );
+        let mut offsets = Vec::with_capacity(rows * arity + 1);
+        offsets.push(0);
+        ChunkBuilder {
+            rows: 0,
+            arity,
+            offsets,
+            atoms: Vec::with_capacity(atoms),
+        }
+    }
+
+    /// Appends `t`.
+    fn push(&mut self, t: TupleRef<'_>) {
+        debug_assert_eq!(t.arity(), self.arity, "a chunk's tuples share an arity");
+        for set in t.components() {
+            self.atoms.extend_from_slice(set.as_slice());
+            self.offsets.push(self.atoms.len() as u32);
+        }
+        self.rows += 1;
+    }
+
+    /// Appends the tuples `rows` of `from`: one copy of their atoms and
+    /// one of their offsets, shifted to where the atoms land.
+    fn carry(&mut self, from: &Chunk, rows: Range<usize>) {
+        let (lo, hi) = (from.atoms_before(rows.start), from.atoms_before(rows.end));
+        let shift = (self.atoms.len() as u32).wrapping_sub(lo as u32);
+        self.atoms.extend_from_slice(&from.atoms[lo..hi]);
+        let ends = &from.offsets[rows.start * self.arity + 1..=rows.end * self.arity];
+        self.offsets
+            .extend(ends.iter().map(|&end| end.wrapping_add(shift)));
+        self.rows += rows.len();
+    }
+
+    fn finish(self) -> Chunk {
+        debug_assert_eq!(self.offsets.capacity(), self.offsets.len(), "sized exactly");
+        debug_assert_eq!(self.atoms.capacity(), self.atoms.len(), "sized exactly");
+        Chunk {
+            rows: self.rows,
+            arity: self.arity,
+            offsets: self.offsets.into(),
+            atoms: self.atoms.into(),
+        }
+    }
+}
+
+/// The tuples of `runs` (each a chunk and a range of its rows), back to
+/// back, as one chunk.
+fn join(runs: &[(&Chunk, Range<usize>)]) -> Chunk {
+    let rows = runs.iter().map(|(_, run)| run.len()).sum();
+    let atoms = runs
+        .iter()
+        .map(|(chunk, run)| chunk.atoms_before(run.end) - chunk.atoms_before(run.start))
+        .sum();
+    let mut joined = ChunkBuilder::new(runs[0].0.arity, rows, atoms);
+    for (chunk, run) in runs {
+        joined.carry(chunk, run.clone());
+    }
+    joined.finish()
+}
+
+/// The tuples of `chunks` back to back, cut into chunks of `rows` (the
+/// remainder in the last), every run carried whole.
+fn recut<'a>(chunks: impl IntoIterator<Item = &'a Chunk>, rows: usize) -> Vec<Chunk> {
+    let (mut cut, mut runs, mut held) = (Vec::new(), Vec::new(), 0);
+    for chunk in chunks {
+        let mut from = 0;
+        while from < chunk.rows {
+            let take = (rows - held).min(chunk.rows - from);
+            runs.push((chunk, from..from + take));
+            (from, held) = (from + take, held + take);
+            if held == rows {
+                cut.push(join(&runs));
+                (runs, held) = (Vec::new(), 0);
+            }
+        }
+    }
+    if held > 0 {
+        cut.push(join(&runs));
+    }
+    cut
+}
+
+/// The first index below `len` at which `before` fails, `before` holding
+/// on a prefix of `0..len`.
+fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// One sorted immutable segment: a chunk of consecutive tuples of a
@@ -487,7 +663,7 @@ fn flat_of<'a>(tuples: impl IntoIterator<Item = &'a NfTuple>) -> u128 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// The chunk: the tuples themselves.
-    tuples: Box<[NfTuple]>,
+    chunk: Chunk,
     /// Flat rows the chunk represents.
     flat: u128,
     /// One value-major column per attribute.
@@ -496,24 +672,28 @@ pub struct Segment {
 
 impl Segment {
     /// Encodes the chunk `tuples` (non-empty, all of one arity) as one
-    /// segment, taking ownership of it. The caller guarantees the chunk
-    /// is in canonical sorted order (a kernel rebuild, or ordered §4
-    /// maintenance of one); encoding never reorders rows.
-    pub fn encode(tuples: Box<[NfTuple]>) -> Self {
+    /// segment, copying their atoms into its chunk. The caller
+    /// guarantees the chunk is in canonical sorted order (a kernel
+    /// rebuild, or ordered §4 maintenance of one); encoding never
+    /// reorders rows.
+    pub fn encode(tuples: &[NfTuple]) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
-        let arity = tuples[0].arity();
+        Self::of_chunk(Chunk::of_tuples(tuples))
+    }
+
+    /// The segment of `chunk`, its columns transposed afresh.
+    fn of_chunk(chunk: Chunk) -> Self {
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
-        let columns = (0..arity)
-            .map(|a| ValueColumn::encode(&tuples, a, &mut keys, &mut spare))
+        let columns = (0..chunk.arity)
+            .map(|a| ValueColumn::encode(&chunk, a, &mut keys, &mut spare))
             .collect();
         let seg = Segment {
-            flat: flat_of(tuples.iter()),
+            flat: flat_of(chunk.tuples()),
             columns,
-            tuples,
+            chunk,
         };
-        debug_assert_eq!(
-            seg.decode(),
-            &*seg.tuples,
+        debug_assert!(
+            seg.decode().into_iter().eq(seg.tuples()),
             "value-major round-trip must reproduce the encoded tuples"
         );
         seg
@@ -529,8 +709,9 @@ impl Segment {
     /// of the codes they hold and of the codes that lost a row, and
     /// carries every run of codes between them whole, so a point write
     /// costs its own tuples' codes plus one copy of the rest. Equal to
-    /// [`encode`](Self::encode)`(now)`, which debug builds check.
-    fn patched(&self, gone: &[u32], come: &[u32], now: Box<[NfTuple]>) -> (Self, usize) {
+    /// the segment [`encode`](Self::encode) makes of `now`, which debug
+    /// builds check.
+    fn patched(&self, gone: &[u32], come: &[u32], now: Chunk) -> (Self, usize) {
         let held = self.rows() as u32;
         let mut renumber = Vec::with_capacity(self.rows());
         let mut entered = Vec::with_capacity(come.len());
@@ -558,7 +739,7 @@ impl Segment {
                 row += 1;
             }
         }
-        debug_assert_eq!(next as usize, now.len(), "the edits lead to `now`");
+        debug_assert_eq!(next as usize, now.rows, "the edits lead to `now`");
         let (mut keys, mut spare, mut rebuilt) = (Vec::new(), Vec::new(), 0);
         let columns = self
             .columns
@@ -567,7 +748,7 @@ impl Segment {
             .map(|(attr, column)| {
                 keys.clear();
                 for &row in &entered {
-                    push_keys(&mut keys, &now[row as usize], attr, u64::from(row));
+                    push_keys(&mut keys, now.tuple(row as usize), attr, u64::from(row));
                 }
                 if !keys.is_sorted() {
                     sort_by_code(&mut keys, &mut spare);
@@ -577,19 +758,25 @@ impl Segment {
                 column
             })
             .collect();
-        let flat = self.flat - flat_of(gone.iter().map(|&row| &self.tuples[row as usize]))
-            + flat_of(entered.iter().map(|&row| &now[row as usize]));
+        let flat = self.flat - flat_of(gone.iter().map(|&row| self.tuple(row as usize)))
+            + flat_of(entered.iter().map(|&row| now.tuple(row as usize)));
         let seg = Segment {
             flat,
             columns,
-            tuples: now,
+            chunk: now,
         };
         debug_assert_eq!(
             seg,
-            Segment::encode(seg.tuples.clone()),
+            Segment::of_chunk(seg.chunk.clone()),
             "patched postings must equal a fresh transposition"
         );
         (seg, rebuilt)
+    }
+
+    /// Whether this segment is exactly what encoding its own chunk
+    /// afresh gives: columns, zone bounds and flat count alike.
+    pub(crate) fn encodes_its_chunk(&self) -> bool {
+        *self == Segment::of_chunk(self.chunk.clone())
     }
 
     /// Distinct codes over all columns: what encoding the chunk afresh
@@ -600,18 +787,50 @@ impl Segment {
 
     /// Number of tuples in the chunk.
     pub fn rows(&self) -> usize {
-        self.tuples.len()
+        self.chunk.rows
     }
 
-    /// The chunk: this segment's tuples, in kernel order.
-    pub fn tuples(&self) -> &[NfTuple] {
-        &self.tuples
+    /// Tuple `row` of the chunk, read in place.
+    #[inline]
+    pub fn tuple(&self, row: usize) -> TupleRef<'_> {
+        self.chunk.tuple(row)
+    }
+
+    /// The chunk: this segment's tuples, in kernel order, read in place.
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = TupleRef<'_>> + '_ {
+        self.chunk.tuples()
     }
 
     /// Number of flat rows (`|R*|`) the chunk represents, counted when
     /// the segment was built.
     pub fn flat_count(&self) -> u128 {
         self.flat
+    }
+
+    /// Bytes the chunk holds: 4 per atom and 4 per offset (one per tuple
+    /// and attribute, plus one).
+    pub fn chunk_bytes(&self) -> usize {
+        self.chunk.bytes()
+    }
+
+    /// Bytes the value-major columns hold: their codes, offsets and row
+    /// lists, 4 each.
+    pub fn column_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .map(|c| {
+                std::mem::size_of_val(&*c.codes)
+                    + std::mem::size_of_val(&*c.offsets)
+                    + std::mem::size_of_val(&*c.rows)
+            })
+            .sum()
+    }
+
+    /// Heap bytes the segment holds in its arrays: the chunk's and the
+    /// columns' ([`chunk_bytes`](Self::chunk_bytes) plus
+    /// [`column_bytes`](Self::column_bytes)).
+    pub fn heap_bytes(&self) -> usize {
+        self.chunk_bytes() + self.column_bytes()
     }
 
     /// Zone-map minimum code for `attr`: its column's first code.
@@ -688,8 +907,12 @@ impl Segment {
 /// [`TupleView::Shared`](crate::tuple::TupleView) holds the segment its
 /// tuple lives in, so it keeps that chunk alive and nothing else.
 impl TupleStore for Segment {
-    fn tuples(&self) -> &[NfTuple] {
-        Segment::tuples(self)
+    fn tuple_count(&self) -> usize {
+        self.rows()
+    }
+
+    fn tuple(&self, idx: usize) -> TupleRef<'_> {
+        Segment::tuple(self, idx)
     }
 }
 
@@ -703,16 +926,6 @@ pub struct Tiling {
     pub outer_attr: Option<usize>,
     /// Target tuples per segment (≥ 1).
     pub target_rows: usize,
-}
-
-/// `tuples` cut into chunks of `rows` (the remainder in the last) and
-/// encoded — moved, not cloned.
-fn tiles(tuples: Vec<NfTuple>, rows: usize) -> impl Iterator<Item = Arc<Segment>> {
-    let mut rest = tuples.into_iter();
-    std::iter::from_fn(move || {
-        let chunk: Box<[NfTuple]> = rest.by_ref().take(rows).collect();
-        (!chunk.is_empty()).then(|| Arc::new(Segment::encode(chunk)))
-    })
 }
 
 /// What [`ShardSegments::locate`] found.
@@ -741,28 +954,26 @@ impl ShardSegments {
     }
 
     /// `tuples` (in kernel order) cut into uniformly tiled segments:
-    /// `target_rows` tuples each, the remainder in the last. The tuples
-    /// are moved into the chunks.
-    pub(crate) fn tile(tuples: Vec<NfTuple>, tiling: Tiling) -> Self {
+    /// `target_rows` tuples each, the remainder in the last, their atoms
+    /// copied into the chunks.
+    pub(crate) fn tile(tuples: &[NfTuple], tiling: Tiling) -> Self {
         let mut tiled = Self::new();
-        for seg in tiles(tuples, tiling.target_rows.max(1)) {
-            tiled.push(seg);
+        for piece in tuples.chunks(tiling.target_rows.max(1)) {
+            tiled.push(Arc::new(Segment::encode(piece)));
         }
         tiled
     }
 
-    /// Re-tiles these segments' tuples uniformly
-    /// ([`tile`](Self::tile)), moving the tuples of every segment nothing
-    /// else holds and cloning the handles of the rest.
+    /// Re-tiles these segments' tuples uniformly, as
+    /// [`tile`](Self::tile) cuts them, carrying runs of them whole from
+    /// the old chunks into the new.
     pub(crate) fn rebuild(&mut self, tiling: Tiling) {
-        let mut tuples = Vec::with_capacity(self.covered_rows());
-        for seg in std::mem::take(&mut self.segments) {
-            match Arc::try_unwrap(seg) {
-                Ok(owned) => tuples.extend(owned.tuples.into_vec()),
-                Err(shared) => tuples.extend_from_slice(shared.tuples()),
-            }
+        let chunks = self.segments.iter().map(|seg| &seg.chunk);
+        let mut tiled = Self::new();
+        for chunk in recut(chunks, tiling.target_rows.max(1)) {
+            tiled.push(Arc::new(Segment::of_chunk(chunk)));
         }
-        *self = Self::tile(tuples, tiling);
+        *self = tiled;
     }
 
     /// Appends `seg` after the last segment.
@@ -799,18 +1010,19 @@ impl ShardSegments {
     pub(crate) fn tuples_at<'a>(
         &'a self,
         rows: impl IntoIterator<Item = usize> + 'a,
-    ) -> impl Iterator<Item = (usize, &'a NfTuple)> + 'a {
+    ) -> impl Iterator<Item = (usize, TupleRef<'a>)> + 'a {
         let mut segments = self.segments.iter();
-        let (mut chunk, mut start): (&[NfTuple], usize) = (&[], 0);
+        let (mut seg, mut start, mut held): (Option<&Segment>, usize, usize) = (None, 0, 0);
         rows.into_iter().map(move |at| {
-            while at - start >= chunk.len() {
-                start += chunk.len();
-                chunk = segments
+            while at - start >= held {
+                start += held;
+                let next = segments
                     .next()
-                    .expect("ascending positions lie in the chunks")
-                    .tuples();
+                    .expect("ascending positions lie in the chunks");
+                (seg, held) = (Some(&**next), next.rows());
             }
-            (at, &chunk[at - start])
+            let seg = seg.expect("a position was reached");
+            (at, seg.tuple(at - start))
         })
     }
 
@@ -823,19 +1035,22 @@ impl ShardSegments {
     pub(crate) fn places(
         &self,
         fresh: &[NfTuple],
-        before: impl Fn(&NfTuple, &NfTuple) -> bool,
+        before: impl Fn(TupleRef<'_>, TupleRef<'_>) -> bool,
     ) -> Vec<usize> {
         let (mut seg, mut from) = (0usize, 0usize);
         fresh
             .iter()
             .map(|t| {
+                let t = t.as_ref();
                 let later = self.segments.get(seg + 1..).unwrap_or_default();
-                let passed = later.partition_point(|s| before(&s.tuples[0], t));
+                let passed = later.partition_point(|s| before(s.tuple(0), t));
                 if passed > 0 {
                     (seg, from) = (seg + passed, 0);
                 }
-                let chunk = self.segments.get(seg).map_or(&[][..], |s| &s.tuples[..]);
-                from += chunk[from..].partition_point(|s| before(s, t));
+                if let Some(chunk) = self.segments.get(seg) {
+                    from +=
+                        partition_point(chunk.rows() - from, |i| before(chunk.tuple(from + i), t));
+                }
                 let start = seg.checked_sub(1).map_or(0, |prior| self.ends[prior]);
                 start + from
             })
@@ -870,18 +1085,19 @@ impl ShardSegments {
     /// `entered` ascending, in positions *before* the merge. A tuple
     /// entering on a boundary joins the segment that starts there; past
     /// the end, the last one. A segment the merge did not touch is
-    /// shared, chunk and all. Every other gets a new chunk — its kept
-    /// tuples' handles cloned, the fresh ones moved in — and is dropped
-    /// if that emptied it, split into freshly encoded pieces if it grew
-    /// past twice the tiling target, and patched from its own postings
-    /// otherwise; an empty shard's first tuples are encoded afresh.
-    /// Adds the segments built, the tuple handles written into new
+    /// shared, chunk and all. Every other gets a new chunk — each run of
+    /// its kept tuples carried as one copy of their atoms and one of
+    /// their offsets, the fresh ones appended from their sets — and is
+    /// dropped if that emptied it, split into freshly encoded pieces if
+    /// it grew past twice the tiling target, and patched from its own
+    /// postings otherwise; an empty shard's first tuples are encoded
+    /// afresh. Adds the segments built, the tuples written into new
     /// chunks and the codes whose row lists were rebuilt to `report`.
     pub(crate) fn splice(
         &self,
         removed: &[usize],
         entered: &[usize],
-        fresh: Vec<NfTuple>,
+        fresh: &[NfTuple],
         tiling: Tiling,
         report: &mut BatchReport,
     ) -> Self {
@@ -889,7 +1105,7 @@ impl ShardSegments {
         let target = tiling.target_rows.max(1);
         let old = &self.segments;
         let (mut removed, mut entered) = (removed.iter().peekable(), entered.iter().peekable());
-        let mut fresh = fresh.into_iter();
+        let mut fresh = fresh;
         let mut next = Self::new();
         let mut start = 0usize;
         // An empty shard takes its first tuples as one segment-less slot.
@@ -916,46 +1132,66 @@ impl ShardSegments {
             }
             debug_assert!(gone.len() <= held, "removed tuples lie in a segment");
             let rows = held + come.len() - gone.len();
-            let kept = was.map_or(&[][..], |seg| seg.tuples());
-            let mut chunk = Vec::with_capacity(rows);
+            let entering;
+            (entering, fresh) = fresh.split_at(come.len());
+            if rows == 0 {
+                continue; // emptied: dropped
+            }
+            let kept = was.map(|seg| &seg.chunk);
+            let atoms = kept.map_or(0, |chunk| {
+                let left = gone
+                    .iter()
+                    .map(|&row| chunk.tuple(row as usize).atom_count());
+                chunk.atoms.len() - left.sum::<usize>()
+            }) + entering
+                .iter()
+                .map(|t| t.as_ref().atom_count())
+                .sum::<usize>();
+            let arity = kept.map_or_else(|| entering[0].arity(), |chunk| chunk.arity);
+            let mut chunk = ChunkBuilder::new(arity, rows, atoms);
             let (mut out, mut from) = (gone.iter().peekable(), 0usize);
             // Carries the kept rows below `upto` over, skipping those gone.
-            let mut carry_to = |chunk: &mut Vec<NfTuple>, upto: usize| {
+            let mut carry_to = |chunk: &mut ChunkBuilder, upto: usize| {
                 while from < upto {
                     let stop = out.next_if(|&&row| (row as usize) < upto);
-                    chunk.extend_from_slice(&kept[from..stop.map_or(upto, |&row| row as usize)]);
+                    let run = from..stop.map_or(upto, |&row| row as usize);
+                    if let Some(kept) = kept.filter(|_| !run.is_empty()) {
+                        chunk.carry(kept, run);
+                    }
                     from = stop.map_or(upto, |&row| row as usize + 1);
                 }
             };
-            for &before in &come {
+            for (&before, t) in come.iter().zip(entering) {
                 carry_to(&mut chunk, before as usize);
-                chunk.push(fresh.next().expect("one fresh tuple per entered position"));
+                chunk.push(t.as_ref());
             }
             carry_to(&mut chunk, held);
-            debug_assert_eq!(chunk.len(), rows, "the merge accounts for every row");
+            let chunk = chunk.finish();
+            debug_assert_eq!(chunk.rows, rows, "the merge accounts for every row");
             report.tuples_copied += rows;
             let shared = next.segment_count();
             match was {
-                Some(seg) if (1..=2 * target).contains(&rows) => {
-                    let (patched, rebuilt) = seg.patched(&gone, &come, chunk.into());
+                Some(seg) if rows <= 2 * target => {
+                    let (patched, rebuilt) = seg.patched(&gone, &come, chunk);
                     report.codes_rewritten += rebuilt;
                     next.push(Arc::new(patched));
                 }
                 _ => {
-                    let piece = if rows > 2 * target {
-                        target
+                    let pieces = if rows > 2 * target {
+                        recut([&chunk], target)
                     } else {
-                        rows.max(1)
+                        vec![chunk]
                     };
-                    for seg in tiles(chunk, piece) {
+                    for piece in pieces {
+                        let seg = Segment::of_chunk(piece);
                         report.codes_rewritten += seg.code_count();
-                        next.push(seg);
+                        next.push(Arc::new(seg));
                     }
                 }
             }
             report.segments_reencoded += next.segment_count() - shared;
         }
-        debug_assert!(fresh.next().is_none(), "every fresh tuple entered");
+        debug_assert!(fresh.is_empty(), "every fresh tuple entered");
         next
     }
 }
@@ -983,7 +1219,12 @@ mod tests {
     }
 
     fn encode(tuples: &[NfTuple]) -> Segment {
-        Segment::encode(tuples.into())
+        Segment::encode(tuples)
+    }
+
+    /// A segment's chunk, copied out.
+    fn owned(seg: &Segment) -> Vec<NfTuple> {
+        seg.tuples().map(TupleRef::into_owned).collect()
     }
 
     #[test]
@@ -992,7 +1233,7 @@ mod tests {
         let seg = encode(&tuples);
         assert_eq!(seg.rows(), 5);
         assert_eq!(seg.decode(), tuples);
-        assert_eq!(seg.tuples(), tuples);
+        assert_eq!(owned(&seg), tuples);
         assert_eq!(seg.flat_count(), 2 + 1 + 2 + 4 + 1);
     }
 
@@ -1083,10 +1324,7 @@ mod tests {
 
     /// The chunks back to back.
     fn chunks(ss: &ShardSegments) -> Vec<NfTuple> {
-        ss.segments()
-            .iter()
-            .flat_map(|seg| seg.tuples().iter().cloned())
-            .collect()
+        ss.segments().iter().flat_map(|seg| owned(seg)).collect()
     }
 
     #[test]
@@ -1094,13 +1332,14 @@ mod tests {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[100 + i / 3]])).collect();
         let mut ss = ShardSegments::new();
         assert_eq!(ss.segment_count(), 0);
-        ss = ShardSegments::tile(tuples.clone(), tiling(4));
+        ss = ShardSegments::tile(&tuples, tiling(4));
         assert_eq!(ss.segment_count(), 3, "10 rows at target 4 → 4+4+2");
         assert_eq!(ss.covered_rows(), 10);
         assert_eq!(starts(&ss), vec![0, 4, 8]);
         assert_eq!(chunks(&ss), tuples);
-        let picked: Vec<(usize, &NfTuple)> = ss.tuples_at([0, 3, 4, 9]).collect();
-        let expected: Vec<(usize, &NfTuple)> = [0, 3, 4, 9].map(|at| (at, &tuples[at])).into();
+        let picked: Vec<(usize, TupleRef<'_>)> = ss.tuples_at([0, 3, 4, 9]).collect();
+        let expected: Vec<(usize, TupleRef<'_>)> =
+            [0, 3, 4, 9].map(|at| (at, tuples[at].as_ref())).into();
         assert_eq!(picked, expected, "across segment boundaries");
         ss.rebuild(tiling(DEFAULT_SEGMENT_ROWS));
         assert_eq!(ss.segment_count(), 1);
@@ -1108,24 +1347,32 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_moves_unshared_chunks_and_clones_shared_ones() {
-        let tuples: Vec<NfTuple> = (0..8u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
+    fn rebuild_recuts_the_chunks_and_leaves_pinned_ones_alone() {
+        let tuples: Vec<NfTuple> = (0..8u32)
+            .map(|i| tuple(&[&[i, 20 + i], &[100 + i]]))
+            .collect();
+        let mut ss = ShardSegments::tile(&tuples, tiling(4));
         let pinned = Arc::clone(&ss.segments()[1]);
         ss.rebuild(tiling(3));
         assert_eq!(starts(&ss), vec![0, 3, 6]);
         assert_eq!(chunks(&ss), tuples);
-        // The pinned chunk still holds its own tuples, shared by handle.
-        assert_eq!(pinned.tuples(), &tuples[4..]);
-        assert!(pinned.tuples()[0].shares_storage_with(&chunks(&ss)[4]));
+        for (range, seg) in ss.ranges() {
+            assert_eq!(
+                *seg,
+                encode(&tuples[range]),
+                "a recut chunk is its encoding"
+            );
+        }
+        // The pinned chunk still holds its own tuples.
+        assert_eq!(owned(&pinned), &tuples[4..]);
     }
 
     #[test]
     fn places_are_what_a_search_of_the_whole_vector_gives() {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[10 * i]])).collect();
-        let ss = ShardSegments::tile(tuples.clone(), tiling(3));
-        let key = |t: &NfTuple| t.component(1).as_slice()[0];
-        let before = |s: &NfTuple, t: &NfTuple| key(s) < key(t);
+        let ss = ShardSegments::tile(&tuples, tiling(3));
+        let key = |t: TupleRef<'_>| t.component(1).as_slice()[0];
+        let before = |s: TupleRef<'_>, t: TupleRef<'_>| key(s) < key(t);
         // Before the first, on and between boundaries, twice in one
         // place, past the last.
         let fresh: Vec<NfTuple> = [0, 25, 30, 31, 31, 59, 60, 95, 200]
@@ -1134,7 +1381,7 @@ mod tests {
             .collect();
         let expected: Vec<usize> = fresh
             .iter()
-            .map(|t| tuples.partition_point(|s| before(s, t)))
+            .map(|t| tuples.partition_point(|s| before(s.as_ref(), t.as_ref())))
             .collect();
         assert_eq!(ss.places(&fresh, before), expected);
         assert_eq!(ShardSegments::new().places(&fresh[..1], before), vec![0]);
@@ -1143,7 +1390,7 @@ mod tests {
     #[test]
     fn patch_reencodes_only_the_touched_segments() {
         let mut tuples: Vec<NfTuple> = (0..12u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
+        let mut ss = ShardSegments::tile(&tuples, tiling(4));
         let before: Vec<Arc<Segment>> = ss.segments().to_vec();
 
         // One insert inside the middle segment.
@@ -1169,7 +1416,7 @@ mod tests {
     #[test]
     fn patch_drops_emptied_and_splits_overgrown_segments() {
         let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + i]])).collect();
-        let mut ss = ShardSegments::tile(tuples.clone(), tiling(2));
+        let mut ss = ShardSegments::tile(&tuples, tiling(2));
         assert_eq!(ss.segment_count(), 3);
 
         // Empty the first segment: it disappears.
@@ -1218,7 +1465,7 @@ mod tests {
         next.extend(entering.map(|(_, new)| new));
         *tuples = next;
         let mut report = BatchReport::default();
-        *ss = ss.splice(removed, &entered, fresh, tiling(target_rows), &mut report);
+        *ss = ss.splice(removed, &entered, &fresh, tiling(target_rows), &mut report);
         assert_eq!(ss.covered_rows(), tuples.len());
         assert_eq!(chunks(ss), *tuples);
         for (range, seg) in ss.ranges() {
@@ -1232,7 +1479,7 @@ mod tests {
         let mut tuples: Vec<NfTuple> = (0..12u32)
             .map(|i| tuple(&[&[i, 40 + i % 3], &[100 + 2 * i]]))
             .collect();
-        let mut ss = ShardSegments::tile(tuples.clone(), tiling(4));
+        let mut ss = ShardSegments::tile(&tuples, tiling(4));
         let before: Vec<Arc<Segment>> = ss.segments().to_vec();
         // The first segment loses a row and gains two (one on its lower
         // edge, one holding a code nothing in it held); the second is
@@ -1338,13 +1585,11 @@ mod tests {
         assert_eq!(seg.rows(), 512);
         for edits in [1, 10, 50, 200] {
             let (gone, come, now) = edited(&tuples, edits, &mut rng);
-            let (patched, rebuilt) = seg.patched(&gone, &come, now.clone().into());
+            let (patched, rebuilt) = seg.patched(&gone, &come, Chunk::of_tuples(&now));
             assert_eq!(patched, encode(&now), "{edits} edits");
             // The codes rebuilt are the distinct codes, per column, of
             // the tuples that left and entered; the rest are carried.
-            let entered = now
-                .iter()
-                .filter(|t| !tuples.iter().any(|old| old.shares_storage_with(t)));
+            let entered = now.iter().filter(|t| !tuples.contains(t)); // a new student's
             let touched: Vec<&NfTuple> = gone
                 .iter()
                 .map(|&row| &tuples[row as usize])
@@ -1369,7 +1614,7 @@ mod tests {
     #[test]
     fn a_sweep_drops_emptied_splits_outgrown_and_opens_first_segments() {
         let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + 10 * i]])).collect();
-        let mut ss = ShardSegments::tile(tuples.clone(), tiling(2));
+        let mut ss = ShardSegments::tile(&tuples, tiling(2));
         // The first segment empties; five tuples crowd into the second
         // (past twice the target: split, encoded afresh); on the
         // boundary a tuple joins the segment that starts there.
@@ -1391,17 +1636,73 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_tuple_reads_back_and_owns_what_it_was() {
+        // Inline sets, a set past the inline capacity and a fat one.
+        let fat: Vec<u32> = (0..300).collect();
+        let tuples = vec![
+            tuple(&[&[1, 3], &[10]]),
+            tuple(&[&[2, 4, 6, 8, 10, 12], &[10, 11]]),
+            tuple(&[&fat, &[11]]),
+        ];
+        let seg = encode(&tuples);
+        for (row, t) in tuples.iter().enumerate() {
+            let stored = seg.tuple(row);
+            assert_eq!(stored, *t, "read in place");
+            assert_eq!(stored.arity(), 2);
+            assert_eq!(stored.component(0).as_slice(), t.component(0).as_slice());
+            assert_eq!(stored.expansion_count(), t.expansion_count());
+            assert_eq!(stored.into_owned(), *t, "owned again");
+            assert_eq!(stored.to_string(), t.to_string());
+        }
+        assert_eq!(
+            seg.chunk_bytes(),
+            4 * ((2 + 1) + (6 + 2) + (300 + 1) + 3 * 2 + 1)
+        );
+        assert_eq!(seg.heap_bytes(), seg.chunk_bytes() + seg.column_bytes());
+    }
+
+    #[test]
+    fn a_carry_skips_a_leaver_at_the_first_middle_and_last_row() {
+        let tuples: Vec<NfTuple> = (0..6u32)
+            .map(|i| tuple(&[&[i, 10 + i, 20 + i, 30 + i, 40 + i], &[100 + i]]))
+            .collect();
+        for gone in [0, 3, 5] {
+            let mut now = tuples.clone();
+            now.remove(gone);
+            let mut ss = ShardSegments::tile(&tuples, tiling(8));
+            let mut held = tuples.clone();
+            let report = sweep(&mut ss, &mut held, &[gone], Vec::new(), 8);
+            assert_eq!(held, now);
+            assert_eq!(report.tuples_copied, 5, "row {gone} left");
+            assert_eq!(owned(&ss.segments()[0]), now, "row {gone} left");
+            // And with a tuple entering where it left.
+            let mut ss = ShardSegments::tile(&tuples, tiling(8));
+            let mut held = tuples.clone();
+            let entering = vec![(
+                gone,
+                tuple(&[&[90, 91, 92, 93, 94, 95], &[100 + gone as u32]]),
+            )];
+            sweep(&mut ss, &mut held, &[gone], entering, 8);
+            assert_eq!(
+                ss.segments()[0].tuple(gone),
+                held[gone],
+                "row {gone} replaced"
+            );
+        }
+    }
+
+    #[test]
     fn zero_arity_shards_hold_one_columnless_segment() {
         let none = Tiling {
             outer_attr: None,
             target_rows: DEFAULT_SEGMENT_ROWS,
         };
         let unit = NfTuple::new(vec![]);
-        assert_eq!(ShardSegments::tile(Vec::new(), none).segment_count(), 0);
-        let ss = ShardSegments::tile(vec![unit.clone()], none);
+        assert_eq!(ShardSegments::tile(&[], none).segment_count(), 0);
+        let ss = ShardSegments::tile(std::slice::from_ref(&unit), none);
         assert_eq!(ss.segment_count(), 1);
         let seg = &ss.segments()[0];
-        assert_eq!((seg.tuples(), seg.flat_count()), (&[unit][..], 1));
+        assert_eq!((owned(seg), seg.flat_count()), (vec![unit], 1));
         assert_eq!(ss.locate(&[]).rows.len(), 1);
     }
 }

@@ -6,6 +6,7 @@
 //! Cartesian product of its components. Geometrically each NF² tuple is a
 //! combinatorial *rectangle* inside the flat relation `R*`.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -74,8 +75,14 @@ impl ValueSet {
             "values must be strictly ascending"
         );
         if sorted.len() <= INLINE_CAP {
+            // `INLINE_CAP` guarded stores, unrolled: a copy of a length
+            // known only at run time would be a call to `memcpy`.
             let mut atoms = [Atom(0); INLINE_CAP];
-            atoms[..sorted.len()].copy_from_slice(sorted);
+            for (at, slot) in atoms.iter_mut().enumerate() {
+                if let Some(&atom) = sorted.get(at) {
+                    *slot = atom;
+                }
+            }
             Self(Repr::Inline {
                 len: sorted.len() as u8,
                 atoms,
@@ -100,6 +107,12 @@ impl ValueSet {
             buf.truncate(n);
             (n > 0).then(|| Self::of_sorted(buf))
         }
+    }
+
+    /// The set borrowed: what every set operation runs on.
+    #[inline]
+    pub fn as_ref(&self) -> SetRef<'_> {
+        SetRef(self.as_slice())
     }
 
     /// Number of values.
@@ -127,17 +140,96 @@ impl ValueSet {
     }
 
     /// Membership test (binary search).
+    #[inline]
     pub fn contains(&self, value: Atom) -> bool {
-        self.as_slice().binary_search(&value).is_ok()
+        self.as_ref().contains(value)
+    }
+
+    /// Whether `self ⊆ other` ([`SetRef::is_subset_of`]).
+    pub fn is_subset_of<'b>(&self, other: impl Into<SetRef<'b>>) -> bool {
+        self.as_ref().is_subset_of(other)
+    }
+
+    /// Whether the two sets share no value.
+    pub fn is_disjoint_from<'b>(&self, other: impl Into<SetRef<'b>>) -> bool {
+        self.as_ref().is_disjoint_from(other)
+    }
+
+    /// Set union (used by composition, Def. 1).
+    pub fn union<'b>(&self, other: impl Into<SetRef<'b>>) -> ValueSet {
+        self.as_ref().union(other)
+    }
+
+    /// Set intersection. `None` when empty (components must be non-empty).
+    pub fn intersection<'b>(&self, other: impl Into<SetRef<'b>>) -> Option<ValueSet> {
+        self.as_ref().intersection(other)
+    }
+
+    /// Set difference `self \ other`. `None` when empty.
+    pub fn difference<'b>(&self, other: impl Into<SetRef<'b>>) -> Option<ValueSet> {
+        self.as_ref().difference(other)
+    }
+
+    /// Iterates over the values in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = Atom> + '_ {
+        self.as_slice().iter().copied()
+    }
+}
+
+/// A borrowed value set: the members of one component, ascending,
+/// wherever they are stored — a [`ValueSet`], or a range of a segment's
+/// atoms. Every set operation is defined here once, and [`ValueSet`]'s
+/// own methods call these.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SetRef<'a>(&'a [Atom]);
+
+impl<'a> SetRef<'a> {
+    /// The values in ascending order.
+    #[inline]
+    pub fn as_slice(self) -> &'a [Atom] {
+        self.0
+    }
+
+    /// Number of values.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Always `false` by construction; kept for API completeness.
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether the set has exactly one element.
+    pub fn is_singleton(self) -> bool {
+        self.0.len() == 1
+    }
+
+    /// Iterates over the values in ascending order.
+    pub fn iter(self) -> std::iter::Copied<std::slice::Iter<'a, Atom>> {
+        self.0.iter().copied()
+    }
+
+    /// An owned copy of the set.
+    #[inline]
+    pub fn to_set(self) -> ValueSet {
+        ValueSet::of_sorted(self.0)
+    }
+
+    /// Membership test (binary search).
+    #[inline]
+    pub fn contains(self, value: Atom) -> bool {
+        self.0.binary_search(&value).is_ok()
     }
 
     /// Whether `self ⊆ other`. Each member is searched only in what is
     /// left of `other` past the previous one — a walk when the sets are
     /// of a size, a binary search per member when `self` is the small
     /// one (§4's `candt` asks it of a singleton against a fat component).
-    pub fn is_subset_of(&self, other: &ValueSet) -> bool {
-        let mut rest = other.as_slice();
-        for (i, v) in self.as_slice().iter().enumerate() {
+    pub fn is_subset_of<'b>(self, other: impl Into<SetRef<'b>>) -> bool {
+        let mut rest = other.into().0;
+        for (i, v) in self.0.iter().enumerate() {
             if self.len() - i > rest.len() {
                 return false; // more members left than candidates
             }
@@ -150,9 +242,9 @@ impl ValueSet {
     }
 
     /// Whether the two sets share no value.
-    pub fn is_disjoint_from(&self, other: &ValueSet) -> bool {
+    pub fn is_disjoint_from<'b>(self, other: impl Into<SetRef<'b>>) -> bool {
         // Merge walk over the two sorted slices.
-        let (a, b) = (self.as_slice(), other.as_slice());
+        let (a, b) = (self.0, other.into().0);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
@@ -165,9 +257,9 @@ impl ValueSet {
     }
 
     /// Set union (used by composition, Def. 1).
-    pub fn union(&self, other: &ValueSet) -> ValueSet {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        Self::collect(a.len() + b.len(), |out| {
+    pub fn union<'b>(self, other: impl Into<SetRef<'b>>) -> ValueSet {
+        let (a, b) = (self.0, other.into().0);
+        ValueSet::collect(a.len() + b.len(), |out| {
             let (mut i, mut j, mut n) = (0, 0, 0);
             while i < a.len() && j < b.len() {
                 match a[i].cmp(&b[j]) {
@@ -195,9 +287,9 @@ impl ValueSet {
     }
 
     /// Set intersection. `None` when empty (components must be non-empty).
-    pub fn intersection(&self, other: &ValueSet) -> Option<ValueSet> {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        Self::collect(a.len().min(b.len()), |out| {
+    pub fn intersection<'b>(self, other: impl Into<SetRef<'b>>) -> Option<ValueSet> {
+        let (a, b) = (self.0, other.into().0);
+        ValueSet::collect(a.len().min(b.len()), |out| {
             let (mut i, mut j, mut n) = (0, 0, 0);
             while i < a.len() && j < b.len() {
                 match a[i].cmp(&b[j]) {
@@ -216,9 +308,9 @@ impl ValueSet {
     }
 
     /// Set difference `self \ other`. `None` when empty.
-    pub fn difference(&self, other: &ValueSet) -> Option<ValueSet> {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        Self::collect(a.len(), |out| {
+    pub fn difference<'b>(self, other: impl Into<SetRef<'b>>) -> Option<ValueSet> {
+        let (a, b) = (self.0, other.into().0);
+        ValueSet::collect(a.len(), |out| {
             let (mut i, mut j, mut n) = (0, 0, 0);
             while i < a.len() && j < b.len() {
                 match a[i].cmp(&b[j]) {
@@ -238,10 +330,30 @@ impl ValueSet {
             n + a.len() - i
         })
     }
+}
 
-    /// Iterates over the values in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = Atom> + '_ {
-        self.as_slice().iter().copied()
+impl<'a> From<&'a ValueSet> for SetRef<'a> {
+    #[inline]
+    fn from(set: &'a ValueSet) -> Self {
+        set.as_ref()
+    }
+}
+
+impl PartialEq<ValueSet> for SetRef<'_> {
+    fn eq(&self, other: &ValueSet) -> bool {
+        self.0 == other.as_slice()
+    }
+}
+
+impl PartialEq<SetRef<'_>> for ValueSet {
+    fn eq(&self, other: &SetRef<'_>) -> bool {
+        self.as_slice() == other.0
+    }
+}
+
+impl fmt::Debug for SetRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SetRef").field(&self.0).finish()
     }
 }
 
@@ -293,13 +405,16 @@ impl fmt::Display for ValueSet {
     }
 }
 
-/// An NF² tuple: one [`ValueSet`] per attribute.
+/// An NF² tuple: one [`ValueSet`] per attribute — the owned tuple that
+/// σ, joins, the kernel and §4 maintenance build.
 ///
-/// Tuples are immutable and their component block is shared: a clone is
-/// a reference-count bump, which is what lets the new chunk of a segment
-/// a write rebuilt carry the tuples it kept by handle (see
-/// [`crate::segment`]). Collecting an exact-size iterator of
-/// [`ValueSet`]s builds the block with one allocation.
+/// Tuples are immutable and their component block is shared, so a
+/// clone is a reference-count bump. A tuple stored in a table is not an
+/// `NfTuple`: a segment holds its chunk's tuples as one run of atoms
+/// (see [`crate::segment`]) and hands each out as a [`TupleRef`], which
+/// [`as_ref`](Self::as_ref) gives for an owned tuple too. Collecting an
+/// exact-size iterator of [`ValueSet`]s builds the block with one
+/// allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NfTuple {
     comps: Arc<[ValueSet]>,
@@ -322,12 +437,6 @@ impl NfTuple {
         }
     }
 
-    /// Whether `self` and `other` are the same stored tuple — one shared
-    /// component block, not merely equal contents.
-    pub fn shares_storage_with(&self, other: &NfTuple) -> bool {
-        Arc::ptr_eq(&self.comps, &other.comps)
-    }
-
     /// Builds a tuple from per-attribute value vectors.
     pub fn from_values(values: Vec<Vec<Atom>>) -> Result<Self> {
         let comps = values
@@ -341,6 +450,12 @@ impl NfTuple {
     /// Lifts a flat tuple into an NF² tuple of singletons.
     pub fn from_flat(flat: &[Atom]) -> Self {
         flat.iter().map(|&a| ValueSet::singleton(a)).collect()
+    }
+
+    /// The tuple borrowed: what every tuple-level read runs on.
+    #[inline]
+    pub fn as_ref(&self) -> TupleRef<'_> {
+        TupleRef(RefRepr::Sets(&self.comps))
     }
 
     /// The paper's degree `n`.
@@ -360,76 +475,206 @@ impl NfTuple {
 
     /// Replaces the component of `attr`, returning a new tuple.
     pub fn with_component(&self, attr: usize, set: ValueSet) -> NfTuple {
+        self.as_ref().with_component(attr, set)
+    }
+
+    /// Number of flat tuples this tuple represents (product of component
+    /// sizes). Saturates at `u128::MAX`.
+    pub fn expansion_count(&self) -> u128 {
+        self.as_ref().expansion_count()
+    }
+
+    /// Whether every component is a singleton (the tuple is flat).
+    pub fn is_flat(&self) -> bool {
+        self.as_ref().is_flat()
+    }
+
+    /// Converts to a flat tuple if every component is a singleton.
+    pub fn to_flat(&self) -> Option<FlatTuple> {
+        self.as_ref().to_flat()
+    }
+
+    /// Whether the flat tuple `flat` lies inside this rectangle.
+    pub fn contains_flat(&self, flat: &[Atom]) -> bool {
+        self.as_ref().contains_flat(flat)
+    }
+
+    /// Whether the expansions of `self` and `other` intersect — true iff
+    /// every pair of corresponding components intersects.
+    pub fn overlaps(&self, other: &NfTuple) -> bool {
+        self.as_ref().overlaps(other.as_ref())
+    }
+
+    /// Whether `self`'s expansion is a subset of `other`'s (componentwise
+    /// inclusion).
+    pub fn is_contained_in(&self, other: &NfTuple) -> bool {
+        self.as_ref().is_contained_in(other.as_ref())
+    }
+
+    /// Whether the two tuples are set-theoretically equal on every
+    /// attribute except `except` (the precondition of Def. 1).
+    pub fn agrees_except(&self, other: &NfTuple, except: usize) -> bool {
+        self.as_ref().agrees_except(other.as_ref(), except)
+    }
+
+    /// Iterates over the flat tuples of the expansion in lexicographic
+    /// order ([`TupleRef::expand`]).
+    pub fn expand(&self) -> ExpansionIter<'_> {
+        self.as_ref().expand()
+    }
+}
+
+/// A borrowed NF² tuple: an owned [`NfTuple`]'s components, or a tuple
+/// stored in a segment's chunk — its sets as ranges of the chunk's
+/// atoms, read in place. Every tuple-level read (components, expansion,
+/// the containment and overlap tests) is defined here once, so a scan
+/// reads a stored tuple exactly as it reads one a pipeline built;
+/// [`into_owned`](Self::into_owned) builds an `NfTuple` where one has
+/// to be kept.
+#[derive(Clone, Copy)]
+pub struct TupleRef<'a>(RefRepr<'a>);
+
+#[derive(Clone, Copy)]
+enum RefRepr<'a> {
+    /// An owned tuple's component block.
+    Sets(&'a [ValueSet]),
+    /// A tuple of a chunk: its set of attribute `a` is
+    /// `atoms[offsets[a]..offsets[a + 1]]`.
+    Packed {
+        offsets: &'a [u32],
+        atoms: &'a [Atom],
+    },
+}
+
+impl<'a> TupleRef<'a> {
+    /// The tuple whose `arity + 1` set `offsets` bound its sets in
+    /// `atoms` — a chunk's tuple, laid out as the chunk builds it.
+    #[inline]
+    pub(crate) fn packed(offsets: &'a [u32], atoms: &'a [Atom]) -> Self {
+        debug_assert!(!offsets.is_empty(), "a tuple's sets have arity + 1 offsets");
+        TupleRef(RefRepr::Packed { offsets, atoms })
+    }
+
+    /// The paper's degree `n`.
+    #[inline]
+    pub fn arity(self) -> usize {
+        match self.0 {
+            RefRepr::Sets(comps) => comps.len(),
+            RefRepr::Packed { offsets, .. } => offsets.len() - 1,
+        }
+    }
+
+    /// The component of attribute `attr` — the paper's `π(r, Ek)`.
+    /// Always inlined: a scan's per-tuple step reads a few of these, and
+    /// as a call each would cost more than the two loads it is.
+    #[inline(always)]
+    pub fn component(self, attr: usize) -> SetRef<'a> {
+        match self.0 {
+            RefRepr::Sets(comps) => comps[attr].as_ref(),
+            RefRepr::Packed { offsets, atoms } => {
+                SetRef(&atoms[offsets[attr] as usize..offsets[attr + 1] as usize])
+            }
+        }
+    }
+
+    /// All components in attribute order.
+    #[inline]
+    pub fn components(
+        self,
+    ) -> impl ExactSizeIterator<Item = SetRef<'a>> + DoubleEndedIterator + Clone + 'a {
+        (0..self.arity()).map(move |attr| self.component(attr))
+    }
+
+    /// Every atom of the tuple, set after set: what a chunk stores of
+    /// it. Empty for the zero-arity tuple.
+    pub(crate) fn atom_count(self) -> usize {
+        self.components().map(SetRef::len).sum()
+    }
+
+    /// An owned copy: one component block.
+    pub fn into_owned(self) -> NfTuple {
+        self.components().map(SetRef::to_set).collect()
+    }
+
+    /// An owned copy with the component of `attr` replaced.
+    pub fn with_component(self, attr: usize, set: ValueSet) -> NfTuple {
         assert!(attr < self.arity(), "attribute {attr} out of bounds");
         let mut set = Some(set);
-        self.comps
-            .iter()
+        self.components()
             .enumerate()
             .map(|(a, c)| {
                 if a == attr {
                     set.take()
                         .expect("each attribute index is visited exactly once")
                 } else {
-                    c.clone()
+                    c.to_set()
                 }
             })
             .collect()
     }
 
     /// Number of flat tuples this tuple represents (product of component
-    /// sizes). Saturates at `u128::MAX`.
-    pub fn expansion_count(&self) -> u128 {
-        self.comps
-            .iter()
-            .fold(1u128, |acc, c| acc.saturating_mul(c.len() as u128))
+    /// sizes). Saturates at `u128::MAX`. Reads only the sets' sizes: a
+    /// stored tuple's are its offsets' differences, and its atoms are
+    /// not touched.
+    pub fn expansion_count(self) -> u128 {
+        (0..self.arity()).fold(1u128, |acc, attr| {
+            acc.saturating_mul(self.set_len(attr) as u128)
+        })
+    }
+
+    /// The size of the component of `attr`.
+    #[inline(always)]
+    fn set_len(self, attr: usize) -> usize {
+        match self.0 {
+            RefRepr::Sets(comps) => comps[attr].len(),
+            RefRepr::Packed { offsets, .. } => (offsets[attr + 1] - offsets[attr]) as usize,
+        }
     }
 
     /// Whether every component is a singleton (the tuple is flat).
-    pub fn is_flat(&self) -> bool {
-        self.comps.iter().all(ValueSet::is_singleton)
+    pub fn is_flat(self) -> bool {
+        self.components().all(SetRef::is_singleton)
     }
 
     /// Converts to a flat tuple if every component is a singleton.
-    pub fn to_flat(&self) -> Option<FlatTuple> {
+    pub fn to_flat(self) -> Option<FlatTuple> {
         if !self.is_flat() {
             return None;
         }
-        Some(self.comps.iter().map(|c| c.as_slice()[0]).collect())
+        Some(self.components().map(|c| c.as_slice()[0]).collect())
     }
 
     /// Whether the flat tuple `flat` lies inside this rectangle.
-    pub fn contains_flat(&self, flat: &[Atom]) -> bool {
+    pub fn contains_flat(self, flat: &[Atom]) -> bool {
         debug_assert_eq!(flat.len(), self.arity());
-        self.comps.iter().zip(flat).all(|(c, &v)| c.contains(v))
+        self.components().zip(flat).all(|(c, &v)| c.contains(v))
     }
 
     /// Whether the expansions of `self` and `other` intersect — true iff
     /// every pair of corresponding components intersects.
-    pub fn overlaps(&self, other: &NfTuple) -> bool {
+    pub fn overlaps(self, other: TupleRef<'_>) -> bool {
         debug_assert_eq!(self.arity(), other.arity());
-        self.comps
-            .iter()
-            .zip(other.comps.iter())
+        self.components()
+            .zip(other.components())
             .all(|(a, b)| !a.is_disjoint_from(b))
     }
 
     /// Whether `self`'s expansion is a subset of `other`'s (componentwise
     /// inclusion).
-    pub fn is_contained_in(&self, other: &NfTuple) -> bool {
+    pub fn is_contained_in(self, other: TupleRef<'_>) -> bool {
         debug_assert_eq!(self.arity(), other.arity());
-        self.comps
-            .iter()
-            .zip(other.comps.iter())
+        self.components()
+            .zip(other.components())
             .all(|(a, b)| a.is_subset_of(b))
     }
 
     /// Whether the two tuples are set-theoretically equal on every
     /// attribute except `except` (the precondition of Def. 1).
-    pub fn agrees_except(&self, other: &NfTuple, except: usize) -> bool {
+    pub fn agrees_except(self, other: TupleRef<'_>, except: usize) -> bool {
         debug_assert_eq!(self.arity(), other.arity());
-        self.comps
-            .iter()
-            .zip(other.comps.iter())
+        self.components()
+            .zip(other.components())
             .enumerate()
             .all(|(i, (a, b))| i == except || a == b)
     }
@@ -438,18 +683,61 @@ impl NfTuple {
     /// order (odometer over the sorted components). The zero-arity
     /// tuple, an empty product, expands to the one empty row, as
     /// [`expansion_count`](Self::expansion_count) counts it.
-    pub fn expand(&self) -> ExpansionIter<'_> {
+    pub fn expand(self) -> ExpansionIter<'a> {
         ExpansionIter {
             tuple: self,
-            indices: vec![0; self.comps.len()],
+            indices: vec![0; self.arity()],
             done: false,
         }
     }
 }
 
-/// Iterator over the expansion of an [`NfTuple`]; see [`NfTuple::expand`].
+// Equality is that of the component sequence, so it cannot tell an
+// owned tuple from a stored one.
+impl PartialEq for TupleRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && self.components().eq(other.components())
+    }
+}
+
+impl Eq for TupleRef<'_> {}
+
+impl PartialEq<NfTuple> for TupleRef<'_> {
+    fn eq(&self, other: &NfTuple) -> bool {
+        *self == other.as_ref()
+    }
+}
+
+impl PartialEq<TupleRef<'_>> for NfTuple {
+    fn eq(&self, other: &TupleRef<'_>) -> bool {
+        self.as_ref() == *other
+    }
+}
+
+impl fmt::Debug for TupleRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.components()).finish()
+    }
+}
+
+impl fmt::Display for TupleRef<'_> {
+    /// Paper notation: `[E0(a, b) E1(c)]` with numeric atom ids.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[")?;
+        for (i, c) in self.components().enumerate() {
+            if i > 0 {
+                write!(f, " ")?;
+            }
+            let vals: Vec<String> = c.iter().map(|a| a.to_string()).collect();
+            write!(f, "E{i}({})", vals.join(", "))?;
+        }
+        write!(f, "]")
+    }
+}
+
+/// Iterator over the expansion of a tuple; see [`TupleRef::expand`].
 pub struct ExpansionIter<'a> {
-    tuple: &'a NfTuple,
+    tuple: TupleRef<'a>,
     indices: Vec<usize>,
     done: bool,
 }
@@ -464,7 +752,7 @@ impl Iterator for ExpansionIter<'_> {
         let flat: FlatTuple = self
             .indices
             .iter()
-            .zip(self.tuple.comps.iter())
+            .zip(self.tuple.components())
             .map(|(&i, c)| c.as_slice()[i])
             .collect();
         // Advance the odometer from the last attribute.
@@ -476,7 +764,7 @@ impl Iterator for ExpansionIter<'_> {
             }
             pos -= 1;
             self.indices[pos] += 1;
-            if self.indices[pos] < self.tuple.comps[pos].len() {
+            if self.indices[pos] < self.tuple.component(pos).len() {
                 break;
             }
             self.indices[pos] = 0;
@@ -497,19 +785,27 @@ impl Iterator for ExpansionIter<'_> {
 /// A pinned, immutable tuple store that snapshot scans can hold by
 /// `Arc` — the backing object of [`TupleView::Shared`].
 ///
-/// Implementors promise the slice returned by [`tuples`](Self::tuples)
-/// never changes for the lifetime of the value. Two qualify: a shard's
+/// Implementors promise the tuples they hand out never change for the
+/// lifetime of the value. Two qualify: a shard's
 /// [`Segment`](crate::segment::Segment), whose chunk a table scan yields
 /// from — so a view pins the one chunk its tuple lives in, not the shard
 /// version — and a materialized [`NfRelation`]. Mutable buffers do not.
 pub trait TupleStore: Send + Sync + std::fmt::Debug {
-    /// The immutable tuples backing views into this store.
-    fn tuples(&self) -> &[NfTuple];
+    /// Number of tuples held.
+    fn tuple_count(&self) -> usize;
+
+    /// Tuple `idx` (below [`tuple_count`](Self::tuple_count)), read in
+    /// place.
+    fn tuple(&self, idx: usize) -> TupleRef<'_>;
 }
 
 impl TupleStore for NfRelation {
-    fn tuples(&self) -> &[NfTuple] {
-        NfRelation::tuples(self)
+    fn tuple_count(&self) -> usize {
+        NfRelation::tuple_count(self)
+    }
+
+    fn tuple(&self, idx: usize) -> TupleRef<'_> {
+        self.tuples()[idx].as_ref()
     }
 }
 
@@ -521,8 +817,9 @@ impl TupleStore for NfRelation {
 /// zero-copy)
 /// until an operator has to rewrite a component (selection narrowing a
 /// value set, a join combining two rectangles), at which point the tuple
-/// becomes `Owned`. Consumers that only *read* never pay for a clone;
-/// [`TupleView::into_owned`] converts on demand.
+/// becomes `Owned`. Consumers read any of the three through
+/// [`as_ref`](TupleView::as_ref) and never pay for a copy;
+/// [`TupleView::into_owned`] builds one on demand.
 #[derive(Debug, Clone)]
 pub enum TupleView<'a> {
     /// A tuple borrowed from its relation — no copy was made.
@@ -532,8 +829,12 @@ pub enum TupleView<'a> {
     Shared {
         /// The pinned store the tuple lives in.
         store: std::sync::Arc<dyn TupleStore>,
-        /// Index of the tuple within [`TupleStore::tuples`].
+        /// Index of the tuple within the store ([`TupleStore::tuple`]).
         idx: usize,
+        /// The owned copy [`as_tuple`](TupleView::as_tuple) built, if
+        /// it was called — boxed, so a view that never builds one stays
+        /// small.
+        owned: OnceCell<Box<NfTuple>>,
     },
     /// A tuple computed by the pipeline (selection, join, …).
     Owned(NfTuple),
@@ -545,24 +846,46 @@ impl<'a> TupleView<'a> {
     /// The returned view has an unconstrained lifetime (it owns its
     /// `Arc`), so it coerces into any `TupleView<'a>` stream.
     pub fn shared(store: std::sync::Arc<dyn TupleStore>, idx: usize) -> TupleView<'static> {
-        debug_assert!(idx < store.tuples().len(), "shared view out of bounds");
-        TupleView::Shared { store, idx }
+        debug_assert!(idx < store.tuple_count(), "shared view out of bounds");
+        TupleView::Shared {
+            store,
+            idx,
+            owned: OnceCell::new(),
+        }
     }
 
-    /// A shared reference to the underlying tuple.
+    /// The tuple, read in place whichever the variant.
+    #[inline]
+    pub fn as_ref(&self) -> TupleRef<'_> {
+        match self {
+            TupleView::Borrowed(t) => t.as_ref(),
+            TupleView::Shared { store, idx, .. } => store.tuple(*idx),
+            TupleView::Owned(t) => t.as_ref(),
+        }
+    }
+
+    /// The tuple as an [`NfTuple`]. A stored tuple has none, so the
+    /// first call on a `Shared` view builds an owned copy and keeps it
+    /// in the view; read through [`as_ref`](Self::as_ref) instead
+    /// wherever a borrow will do.
     pub fn as_tuple(&self) -> &NfTuple {
         match self {
             TupleView::Borrowed(t) => t,
-            TupleView::Shared { store, idx } => &store.tuples()[*idx],
+            TupleView::Shared { store, idx, owned } => {
+                owned.get_or_init(|| Box::new(store.tuple(*idx).into_owned()))
+            }
             TupleView::Owned(t) => t,
         }
     }
 
-    /// Converts into an owned tuple, cloning only if still zero-copy.
+    /// Converts into an owned tuple: a reference-count bump for a
+    /// borrowed one, one component block for a stored one.
     pub fn into_owned(self) -> NfTuple {
         match self {
             TupleView::Borrowed(t) => t.clone(),
-            TupleView::Shared { store, idx } => store.tuples()[idx].clone(),
+            TupleView::Shared { store, idx, owned } => owned
+                .into_inner()
+                .map_or_else(|| store.tuple(idx).into_owned(), |t| *t),
             TupleView::Owned(t) => t,
         }
     }
@@ -582,19 +905,11 @@ impl<'a> TupleView<'a> {
 impl PartialEq for TupleView<'_> {
     /// Equality on the underlying tuple, ignoring ownership.
     fn eq(&self, other: &Self) -> bool {
-        self.as_tuple() == other.as_tuple()
+        self.as_ref() == other.as_ref()
     }
 }
 
 impl Eq for TupleView<'_> {}
-
-impl std::ops::Deref for TupleView<'_> {
-    type Target = NfTuple;
-
-    fn deref(&self) -> &NfTuple {
-        self.as_tuple()
-    }
-}
 
 impl<'a> From<&'a NfTuple> for TupleView<'a> {
     fn from(t: &'a NfTuple) -> Self {
@@ -611,15 +926,7 @@ impl From<NfTuple> for TupleView<'_> {
 impl fmt::Display for NfTuple {
     /// Paper notation: `[E0(a, b) E1(c)]` with numeric atom ids.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, c) in self.comps.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            let vals: Vec<String> = c.iter().map(|a| a.to_string()).collect();
-            write!(f, "E{i}({})", vals.join(", "))?;
-        }
-        write!(f, "]")
+        self.as_ref().fmt(f)
     }
 }
 
@@ -640,7 +947,7 @@ mod tests {
         let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[10])]);
         let borrowed = TupleView::from(&t);
         assert!(borrowed.is_borrowed());
-        assert_eq!(borrowed.arity(), 2, "Deref reaches NfTuple methods");
+        assert_eq!(borrowed.as_ref().arity(), 2);
         assert_eq!(borrowed.as_tuple(), &t);
         let owned = TupleView::from(t.clone());
         assert!(!owned.is_borrowed());

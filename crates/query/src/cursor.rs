@@ -93,7 +93,7 @@ impl Iterator for FlatRows<'_> {
             }
             let tuple = self.stream.next()?;
             self.current = tuple
-                .as_tuple()
+                .as_ref()
                 .expand()
                 .collect::<Vec<FlatTuple>>()
                 .into_iter();

@@ -458,6 +458,13 @@ impl Engine {
                 s.write_codes_rewritten,
             );
             snap.push_counter(format!("table.{name}.merges"), s.merges);
+            let mem = t.memory();
+            snap.push_counter(format!("table.{name}.mem.chunk_bytes"), mem.chunk_bytes);
+            snap.push_counter(format!("table.{name}.mem.column_bytes"), mem.column_bytes);
+            snap.push_counter(
+                format!("table.{name}.mem.bytes_per_flat_row"),
+                mem.bytes_per_flat_row(),
+            );
         }
         snap
     }
@@ -1077,7 +1084,7 @@ fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> Vec<FlatTuple>
         .scan_shards_zoned(&shards, bound)
         .filter_map(|t| filter_box(t, bound))
     {
-        rows.extend(tuple.expand());
+        rows.extend(tuple.as_ref().expand());
     }
     rows
 }
@@ -1432,6 +1439,31 @@ mod tests {
             ),
             "{written:?}"
         );
+        // The memory gauges, from the segments of an uncounted pin: the
+        // chunks hold 4 B per stored atom and per offset, one offset per
+        // tuple and attribute plus one per chunk.
+        let (mut atoms, mut offsets, mut flat) = (0u64, 0u64, 0u128);
+        for shard in sc.snapshot().version().shards().iter() {
+            for seg in shard.segments().segments() {
+                offsets += 1;
+                for t in seg.tuples() {
+                    atoms += t.components().map(|c| c.len() as u64).sum::<u64>();
+                    offsets += t.arity() as u64;
+                }
+                flat += seg.flat_count();
+            }
+        }
+        assert_eq!(
+            counter("table.sc.mem.chunk_bytes"),
+            Some(4 * (atoms + offsets))
+        );
+        let columns = counter("table.sc.mem.column_bytes").unwrap();
+        assert!(columns > 0);
+        let per_row = (4 * (atoms + offsets) + columns) as f64 / flat as f64;
+        assert_eq!(
+            counter("table.sc.mem.bytes_per_flat_row"),
+            Some(per_row.round() as u64)
+        );
         // Both render paths accept the merged snapshot.
         assert!(snap.to_text().contains("table.sc.inserts = 5"));
         assert!(snap.to_json().contains("\"table.sc.inserts\":5"));
@@ -1584,7 +1616,13 @@ mod tests {
             .query("SELECT * FROM sc WHERE Student = 's1'")
             .unwrap();
         let tuples: Vec<_> = cursor.collect();
-        assert_eq!(tuples.iter().map(|t| t.expansion_count()).sum::<u128>(), 2);
+        assert_eq!(
+            tuples
+                .iter()
+                .map(|t| t.as_ref().expansion_count())
+                .sum::<u128>(),
+            2
+        );
         assert!(session.query("SHOW sc").is_err());
         assert!(session.query("SELECT * FROM ghost").is_err());
         // Placeholders are rejected with the dedicated variant, pointing

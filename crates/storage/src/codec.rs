@@ -9,7 +9,7 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 
-use nf2_core::tuple::{FlatTuple, NfTuple, ValueSet};
+use nf2_core::tuple::{FlatTuple, NfTuple, TupleRef, ValueSet};
 use nf2_core::value::Atom;
 
 use crate::error::{Result, StorageError};
@@ -47,8 +47,9 @@ pub fn get_varint(buf: &mut &[u8]) -> Result<u64> {
     }
 }
 
-/// Encodes an NF² tuple.
-pub fn encode_nf_tuple(t: &NfTuple, out: &mut BytesMut) {
+/// Encodes an NF² tuple — an owned one ([`NfTuple::as_ref`]) or one read
+/// in place from its chunk, to the same bytes.
+pub fn encode_nf_tuple(t: TupleRef<'_>, out: &mut BytesMut) {
     for comp in t.components() {
         put_varint(out, comp.len() as u64);
         let mut prev = 0u32;
@@ -161,7 +162,7 @@ mod tests {
     fn nf_tuple_round_trips() {
         let t = NfTuple::new(vec![vs(&[5, 100, 101]), vs(&[7]), vs(&[0, 1_000_000])]);
         let mut buf = BytesMut::new();
-        encode_nf_tuple(&t, &mut buf);
+        encode_nf_tuple(t.as_ref(), &mut buf);
         let mut slice: &[u8] = &buf;
         let decoded = decode_nf_tuple(&mut slice, 3).unwrap();
         assert_eq!(decoded, t);
@@ -173,7 +174,7 @@ mod tests {
         // Dense sorted ids should encode in ~1 byte per value.
         let t = NfTuple::new(vec![vs(&(0..64).collect::<Vec<u32>>())]);
         let mut buf = BytesMut::new();
-        encode_nf_tuple(&t, &mut buf);
+        encode_nf_tuple(t.as_ref(), &mut buf);
         assert!(
             buf.len() <= 66,
             "64 dense values should fit ~66 bytes, got {}",

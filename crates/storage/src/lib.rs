@@ -23,4 +23,4 @@ pub(crate) mod wal;
 
 pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
-pub use table::{NfTable, TableScan, TableSnapshot, TableStats, ZoneCounts};
+pub use table::{NfTable, TableMemory, TableScan, TableSnapshot, TableStats, ZoneCounts};

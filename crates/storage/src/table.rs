@@ -63,9 +63,9 @@
 //! them straight out of the chunks as [`TupleView::Shared`] views, each
 //! pinning the one segment its tuple lives in. Located tuples lie
 //! scattered over the chunks, so a located scan reads ahead: it touches
-//! its next few positions' chunk slots, then their component blocks,
-//! before it yields them, and their cache misses overlap
-//! ([`TableScan`]). It still probe-counts only what it yields.
+//! its next few positions' offsets, then their atoms, before it yields
+//! them, and their cache misses overlap ([`TableScan`]). It still
+//! probe-counts only what it yields.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +84,7 @@ use nf2_core::shard::{
     apply_sub_batches, merge_shards, merged_tuple_count, BatchReport, MaintenanceCost, ShardRouter,
     ShardSpec, ShardWriter, ShardedCanonical,
 };
-use nf2_core::tuple::{FlatTuple, NfTuple, TupleStore, TupleView, ValueSet};
+use nf2_core::tuple::{FlatTuple, NfTuple, SetRef, TupleRef, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::Histogram;
 
@@ -92,6 +92,30 @@ use crate::codec::{decode_nf_tuple, encode_nf_tuple, fnv1a64, get_varint, put_va
 use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
 use crate::wal::{decode_prefix, CommitLog};
+
+/// The bytes one version of a table holds in its segments
+/// ([`NfTable::memory`]), beside the flat rows they represent.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TableMemory {
+    /// Chunk bytes: every stored atom and every chunk offset, 4 B each.
+    pub chunk_bytes: u64,
+    /// Value-major column bytes: codes, offsets and row lists, 4 B each.
+    pub column_bytes: u64,
+    /// Flat rows (`|R*|`) the segments represent.
+    pub flat_rows: u128,
+}
+
+impl TableMemory {
+    /// Chunk and column bytes per flat row, rounded to the nearest byte
+    /// (0 for an empty table).
+    pub fn bytes_per_flat_row(&self) -> u64 {
+        let bytes = u128::from(self.chunk_bytes + self.column_bytes);
+        match self.flat_rows {
+            0 => 0,
+            rows => ((bytes + rows / 2) / rows) as u64,
+        }
+    }
+}
 
 /// Probe and operation counters for the search-space experiments (E9) —
 /// a point-in-time snapshot of [`SharedTableStats`].
@@ -154,9 +178,8 @@ pub struct TableStats {
     /// Stored tuples the writes sent through a regroup: those that
     /// lost a key and those a gained tuple merged with.
     pub write_tuples_regrouped: u64,
-    /// Tuple handles the writes copied into the new chunks of the
-    /// segments they rebuilt. Untouched segments share their chunks and
-    /// add nothing.
+    /// Tuples the writes copied into the new chunks of the segments they
+    /// rebuilt. Untouched segments share their chunks and add nothing.
     pub write_tuples_copied: u64,
     /// Segments the writes rebuilt (patched from their postings or
     /// encoded afresh), each touched segment once per write.
@@ -695,6 +718,21 @@ impl NfTable {
         self.versions.pin().flat_count()
     }
 
+    /// The bytes the current version's segments hold, summed over an
+    /// uncounted pin: exact, and computed only when asked, so nothing
+    /// on the read or write path counts them.
+    pub fn memory(&self) -> TableMemory {
+        let pin = self.versions.pin();
+        let segments = pin.shards().iter().flat_map(|s| s.segments().segments());
+        let mut mem = TableMemory::default();
+        for seg in segments {
+            mem.chunk_bytes += seg.chunk_bytes() as u64;
+            mem.column_bytes += seg.column_bytes() as u64;
+            mem.flat_rows += seg.flat_count();
+        }
+        mem
+    }
+
     /// Point-in-time stats.
     pub fn stats(&self) -> TableStats {
         self.stats.snapshot()
@@ -942,7 +980,11 @@ impl NfTable {
                 }
                 rows.insert(row)?;
             }
-            if !canon.nest_shard(shard, &rows)?.tuples().eq(&stored) {
+            if !canon
+                .nest_shard(shard, &rows)?
+                .tuples()
+                .eq(stored.iter().map(NfTuple::as_ref))
+            {
                 return Err(shard_corrupt(shard, "its tuples are not their rows' nest"));
             }
         }
@@ -1310,7 +1352,7 @@ fn read_meta(path: &Path) -> Result<Meta> {
 /// Appends a shard's `tuples` to `out`, each in the tuple codec, back to
 /// back (the encoding is self-delimiting, so the concatenation is
 /// unambiguous), and returns their extent.
-fn encode_shard<'a>(tuples: impl Iterator<Item = &'a NfTuple>, out: &mut BytesMut) -> ShardExtent {
+fn encode_shard<'a>(tuples: impl Iterator<Item = TupleRef<'a>>, out: &mut BytesMut) -> ShardExtent {
     let start = out.len();
     let mut count = 0;
     for tuple in tuples {
@@ -1377,16 +1419,17 @@ const READ_AHEAD_CAP: usize = 32;
 ///
 /// A located scan (one with zone conjuncts) **reads ahead**. Its tuples
 /// lie scattered over the chunks, and each costs two dependent cache
-/// misses: its chunk slot, then the component block the slot points
-/// to. So whenever the tuples it has read ahead run out, the scan takes
-/// the next *W* positions of its part ([`Rows::ahead`]) and touches them
-/// in two tight passes — every chunk slot, then every component block —
-/// so their misses overlap instead of queueing one pair per pulled
-/// tuple. *W* starts at 2 and doubles up to `READ_AHEAD_CAP`, so a
-/// `LIMIT` reads ahead little more than it takes. A part with one
-/// located tuple left is not read ahead, and a full scan never is: its
-/// slots are consecutive already. Reading ahead allocates nothing and
-/// changes neither what the scan yields nor what it counts as probed.
+/// misses in its chunk's two arrays: its offsets, then the atoms they
+/// point into. So whenever the tuples it has read ahead run out, the
+/// scan takes the next *W* positions of its part ([`Rows::ahead`]) and
+/// touches them in two tight passes — every tuple's offsets, then every
+/// tuple's atoms — so their misses overlap instead of queueing one
+/// pair per pulled tuple. *W* starts at 2 and doubles
+/// up to `READ_AHEAD_CAP`, so a `LIMIT` reads ahead little more than it
+/// takes. A part with one located tuple left is not read ahead, and a
+/// full scan never is: its tuples are consecutive already. Reading
+/// ahead allocates nothing and changes neither what the scan yields nor
+/// what it counts as probed.
 ///
 /// Probe accounting is batched: the scan keeps local counters and
 /// settles them into the table's shared stats exactly once, on drop, so
@@ -1465,11 +1508,15 @@ impl Iterator for TableScan {
 
 /// Touches the tuples at `positions` (ascending, at most
 /// `READ_AHEAD_CAP`, none before the position `start` at which
-/// `segments[segment]` begins) so their cache misses overlap: first
-/// every chunk slot, then every component block the slots point to.
-/// Returns how many it touched. Allocates nothing. Kept out of line:
-/// it runs once per window, and inlined it slows every scan's
-/// per-tuple step.
+/// `segments[segment]` begins) so their cache misses overlap. A stored
+/// tuple is its offsets in one array of its chunk and its atoms in the
+/// other, and where its atoms lie is read from its offsets; so this
+/// takes two tight passes — every tuple's offsets (where its first set
+/// starts and its last ends), then every tuple's first and last atom —
+/// and
+/// each pass's misses are independent of one another. Returns how many
+/// it touched. Allocates nothing. Kept out of line: it runs once per
+/// window, and inlined it slows every scan's per-tuple step.
 #[inline(never)]
 fn read_ahead(
     segments: &[Arc<Segment>],
@@ -1477,30 +1524,31 @@ fn read_ahead(
     mut segment: usize,
     mut start: usize,
 ) -> usize {
-    let mut slots: [Option<&NfTuple>; READ_AHEAD_CAP] = [None; READ_AHEAD_CAP];
-    let mut touched = 0;
-    for (slot, at) in slots.iter_mut().zip(positions) {
+    let mut tuples: [Option<TupleRef<'_>>; READ_AHEAD_CAP] = [None; READ_AHEAD_CAP];
+    let (mut touched, mut widths) = (0, 0);
+    for (slot, at) in tuples.iter_mut().zip(positions) {
         while at >= start + segments[segment].rows() {
             start += segments[segment].rows();
             segment += 1;
         }
-        *slot = Some(&segments[segment].tuples()[at - start]);
+        let tuple = segments[segment].tuple(at - start);
+        widths += tuple.components().next_back().map_or(0, SetRef::len);
+        *slot = Some(tuple);
         touched += 1;
     }
-    let slots = &slots[..touched];
-    // An arity is the length a chunk slot holds beside its pointer. The
-    // block it points to spans more than one cache line from arity 3
-    // on, so both its first and its last component are read.
-    let arities: usize = slots.iter().flatten().map(|t| t.arity()).sum();
-    let blocks: usize = slots
+    let members: u64 = tuples[..touched]
         .iter()
         .flatten()
-        .map(|t| {
-            let comps = t.components();
-            comps.first().map_or(0, ValueSet::len) + comps.last().map_or(0, ValueSet::len)
+        .map(|tuple| {
+            let mut sets = tuple.components();
+            let first = sets.next().map_or(0, |set| set.as_slice()[0].id());
+            let last = sets
+                .next_back()
+                .map_or(0, |set| set.as_slice()[set.len() - 1].id());
+            u64::from(first) + u64::from(last)
         })
         .sum();
-    std::hint::black_box(arities + blocks);
+    std::hint::black_box(widths as u64 + members);
     touched
 }
 
@@ -1852,7 +1900,10 @@ mod tests {
         let scanned = sharded.scan().count();
         assert!(scanned >= sharded.tuple_count());
         assert_eq!(
-            sharded.scan().map(|t| t.expansion_count()).sum::<u128>(),
+            sharded
+                .scan()
+                .map(|t| t.as_ref().expansion_count())
+                .sum::<u128>(),
             6,
             "same R* through the concatenated stream"
         );
@@ -1906,7 +1957,7 @@ mod tests {
 
         // Every yielded tuple can actually hold c1 rows' shard-mates.
         for tuple in t.snapshot().scan_shards(&[shard]) {
-            for v in tuple.component(1).iter() {
+            for v in tuple.as_ref().component(1).iter() {
                 assert_eq!(t.routing().spec().route_value(v), shard);
             }
         }
@@ -2086,8 +2137,8 @@ mod tests {
         assert_eq!(replay, original);
 
         // The current version shares what the writes did not touch:
-        // other shards by version pointer, the written shard tuple by
-        // tuple (all but the one tuple the new values composed into).
+        // other shards by version pointer; in the written shard every
+        // tuple but the one the new values composed into is kept.
         let now = t.snapshot();
         assert_eq!(
             now.epoch(),
@@ -2098,15 +2149,12 @@ mod tests {
             let (old, new) = (pinned.version().shard(s), now.version().shard(s));
             assert_eq!(Arc::ptr_eq(old, new), s != shard, "shard {s}");
         }
-        let (old, new): (Vec<&NfTuple>, Vec<&NfTuple>) = (
+        let (old, new): (Vec<TupleRef<'_>>, Vec<TupleRef<'_>>) = (
             pinned.version().shard(shard).tuples().collect(),
             now.version().shard(shard).tuples().collect(),
         );
-        let shared = old
-            .iter()
-            .filter(|o| new.iter().any(|n| n.shares_storage_with(o)))
-            .count();
-        assert_eq!(shared, old.len() - 1, "only the b0007 tuple was rebuilt");
+        let kept = old.iter().filter(|o| new.contains(o)).count();
+        assert_eq!(kept, old.len() - 1, "only the b0007 tuple was rebuilt");
         assert_eq!(new.len(), old.len());
         t.sharded().verify().unwrap();
     }
@@ -2309,7 +2357,7 @@ mod tests {
         let matches_full = t
             .snapshot()
             .scan_shards(&[0])
-            .filter(|tp| tp.component(0).contains(target))
+            .filter(|tp| tp.as_ref().component(0).contains(target))
             .count();
         let zones2 = vec![(
             0usize,
@@ -2318,7 +2366,7 @@ mod tests {
         let matches_zoned = t
             .snapshot()
             .scan_shards_zoned(&[0], &zones2)
-            .filter(|tp| tp.component(0).contains(target))
+            .filter(|tp| tp.as_ref().component(0).contains(target))
             .count();
         assert_eq!(matches_full, matches_zoned);
         assert_eq!(matches_zoned, zoned);
@@ -2346,7 +2394,10 @@ mod tests {
         assert_eq!(skipped as usize, counts.segments - 1);
         assert_eq!((counts.skipped as u64, counts.located), (skipped, zoned));
         let target = t.dict().lookup("a00003").unwrap();
-        let hits = |scan: TableScan| scan.filter(|tp| tp.component(0).contains(target)).count();
+        let hits = |scan: TableScan| {
+            scan.filter(|tp| tp.as_ref().component(0).contains(target))
+                .count()
+        };
         assert_eq!(
             hits(t.snapshot().scan_shards_zoned(&[0], &zones)),
             hits(t.snapshot().scan_shards(&[0]))
@@ -2360,11 +2411,54 @@ mod tests {
         let mut tuples = BytesMut::new();
         let extents: Vec<ShardExtent> = shards
             .iter()
-            .map(|shard| encode_shard(shard.iter(), &mut tuples))
+            .map(|shard| encode_shard(shard.iter().map(NfTuple::as_ref), &mut tuples))
             .collect();
         let meta = t.encode_meta(&extents, t.lock_lane(0).segment_rows());
         std::fs::write(meta_path(dir, t.name()), &meta).unwrap();
         std::fs::write(tuples_path(dir, t.name()), &tuples).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_writes_each_shard_as_its_owned_tuples_encode() {
+        let dir = temp_dir("pinned_bytes");
+        // Sets of eight, past the inline capacity; point writes patch
+        // chunks in every shard, so carried runs are checkpointed too.
+        let t = segmented_table(4, 300);
+        for i in 0..12 {
+            let (a, b) = (format!("z{i:02}"), format!("b{:04}", 3 * i));
+            assert!(t.insert_row(&[&a, &b]).unwrap());
+        }
+        t.checkpoint(&dir).unwrap();
+        let store = t.sharded();
+        let mut read_in_place = BytesMut::new();
+        for s in 0..4 {
+            let owned = store.shard(s);
+            let mut from_owned = BytesMut::new();
+            for tuple in owned.relation().tuples() {
+                encode_nf_tuple(tuple.as_ref(), &mut from_owned);
+            }
+            let start = read_in_place.len();
+            let extent = encode_shard(store.version(s).tuples(), &mut read_in_place);
+            assert_eq!(extent.tuples, owned.tuple_count() as u64, "shard {s}");
+            assert_eq!(&read_in_place[start..], &from_owned[..], "shard {s}");
+        }
+        let file = std::fs::read(tuples_path(&dir, "t")).unwrap();
+        assert_eq!(
+            &file[..],
+            &read_in_place[..],
+            "the checkpoint is those bytes"
+        );
+        let reopened = NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
+        for s in 0..4 {
+            assert!(
+                reopened
+                    .sharded()
+                    .version(s)
+                    .tuples()
+                    .eq(store.version(s).tuples()),
+                "shard {s} reopens as the same tuples"
+            );
+        }
     }
 
     /// Opening `name` in `dir` fails as `Corrupt`, naming `shard`.
@@ -2395,7 +2489,7 @@ mod tests {
         // checkpoint.
         let store = t.sharded();
         let mut shards: Vec<Vec<NfTuple>> = (0..2)
-            .map(|s| store.version(s).tuples().cloned().collect())
+            .map(|s| store.version(s).tuples().map(|t| t.into_owned()).collect())
             .collect();
         re_sign(&t, &dir, &shards);
         NfTable::open(&dir, "t", SharedDictionary::new()).unwrap();
@@ -2546,7 +2640,7 @@ mod tests {
             )
             .unwrap();
             let mut encoded = BytesMut::new();
-            encode_nf_tuple(&t.snapshot().canonical().tuples()[0], &mut encoded);
+            encode_nf_tuple(t.snapshot().canonical().tuples()[0].as_ref(), &mut encoded);
             assert_eq!((t.tuple_count(), encoded.len()), (1, 10_006));
             t.checkpoint(&dir).unwrap();
             let reopened = NfTable::open(&dir, "sc", SharedDictionary::new()).unwrap();

@@ -40,7 +40,7 @@ proptest! {
     #[test]
     fn nf_tuple_codec_round_trips(t in arb_nf_tuple()) {
         let mut buf = BytesMut::new();
-        encode_nf_tuple(&t, &mut buf);
+        encode_nf_tuple(t.as_ref(), &mut buf);
         let mut slice: &[u8] = &buf;
         let decoded = decode_nf_tuple(&mut slice, t.arity()).unwrap();
         prop_assert_eq!(decoded, t);

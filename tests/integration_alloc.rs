@@ -11,9 +11,12 @@
 //! `alloc.count_per_op`; here it is asserted.
 //!
 //! A point write rewrites the one segment its tuple lies in — a new
-//! chunk of tuple handles and patched columns — and shares every other
-//! segment with the version it replaces, so what it allocates does not
-//! grow with the table (the benchmark's `alloc.bytes_per_op`).
+//! chunk, its kept tuples' atoms and offsets copied in runs, and
+//! patched columns — and shares every other segment with the version it
+//! replaces, so what it allocates does not grow with the table (the
+//! benchmark's `alloc.bytes_per_op`). A chunk is two arrays whatever it
+//! holds, so dropping the segment a write replaced frees a few blocks
+//! per attribute and none per tuple.
 //!
 //! This is its own test binary because it installs a
 //! `#[global_allocator]`, and it holds the workspace's only `unsafe`
@@ -28,9 +31,10 @@ use std::cell::Cell;
 use nf2::algebra::ops;
 use nf2::core::relation::NfRelation;
 use nf2::core::schema::NestOrder;
-use nf2::core::segment::DEFAULT_SEGMENT_ROWS;
+use nf2::core::segment::{Segment, DEFAULT_SEGMENT_ROWS};
 use nf2::core::shard::ShardSpec;
-use nf2::core::tuple::ValueSet;
+use nf2::core::tuple::{NfTuple, ValueSet};
+use nf2::core::Atom;
 use nf2::query::{Engine, Session};
 use nf2::storage::NfTable;
 
@@ -41,6 +45,7 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation of `bytes` (a reallocation counts its whole
@@ -62,6 +67,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if ARMED.get() {
+            FREES.set(FREES.get() + 1);
+        }
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -82,24 +90,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// What this thread allocated while a measured call ran.
+/// What this thread allocated and freed while a measured call ran.
 #[derive(Debug, Clone, Copy)]
 struct Tally {
     allocs: u64,
     bytes: u64,
+    frees: u64,
 }
 
-/// Runs `f` and returns its result with the allocations this thread made
-/// meanwhile.
+/// Runs `f` and returns its result with the allocations and frees this
+/// thread made meanwhile.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
     COUNT.set(0);
     BYTES.set(0);
+    FREES.set(0);
     ARMED.set(true);
     let out = f();
     ARMED.set(false);
     let tally = Tally {
         allocs: COUNT.get(),
         bytes: BYTES.get(),
+        frees: FREES.get(),
     };
     (out, tally)
 }
@@ -223,7 +234,7 @@ fn sets_past_the_inline_capacity_return_the_same_rows() {
     assert_eq!(got.expand(), expected.expand());
 }
 
-/// Bytes allocated and tuple handles copied per point write, on the
+/// Bytes allocated and tuples copied per point write, on the
 /// 4-shard `t` of `students` students: `PAIRS` times a prepared INSERT
 /// of a row under student `s77` and the DELETE that takes it back. Each
 /// write rewrites the segment holding `s77`'s tuples, the first of its
@@ -276,7 +287,7 @@ fn a_point_write_allocates_and_copies_what_its_segment_holds() {
     for copied in [small_copied, large_copied] {
         assert!(
             copied <= 2 * DEFAULT_SEGMENT_ROWS as u64,
-            "{copied} tuple handles copied per write"
+            "{copied} tuples copied per write"
         );
     }
     if cfg!(debug_assertions) {
@@ -292,4 +303,39 @@ fn a_point_write_allocates_and_copies_what_its_segment_holds() {
         hi <= 1.25 * lo,
         "{small_bytes} B per write at 2 000 students, {large_bytes} B at 16 000"
     );
+}
+
+/// `rows` tuples of three sets of `width` atoms each (a set of six is a
+/// boxed slice in an owned tuple, a set of one inline in its block).
+fn wide_tuples(rows: u32, width: u32) -> Vec<NfTuple> {
+    (0..rows)
+        .map(|row| {
+            let set = |base: u32| (0..width).map(|i| Atom(base + i)).collect();
+            NfTuple::from_values(vec![set(row * width), set(1_000_000), set(2_000_000 + row)])
+                .unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn a_dropped_segment_frees_blocks_per_attribute_not_per_tuple() {
+    const ARITY: u64 = 3;
+    for width in [1, 6] {
+        let frees: Vec<u64> = [64, 1_024]
+            .map(|rows| {
+                let segment = Segment::encode(&wide_tuples(rows, width));
+                assert_eq!(segment.rows(), rows as usize);
+                let ((), tally) = counted(|| drop(segment));
+                tally.frees
+            })
+            .into();
+        // The chunk's atoms and offsets, the column list, and each
+        // column's codes, offsets and rows: the same at both sizes.
+        assert_eq!(frees[0], frees[1], "sets of {width}: {frees:?}");
+        assert!(
+            frees[0] <= 4 * ARITY,
+            "sets of {width}: {} frees for a segment of arity {ARITY}",
+            frees[0]
+        );
+    }
 }

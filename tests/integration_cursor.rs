@@ -47,7 +47,11 @@ fn first_tuple_of_full_table_select_costs_one_probe() {
     let mut cursor = session.query("SELECT * FROM big").unwrap();
     let first = cursor.next().expect("non-empty table");
     assert!(first.is_zero_copy(), "full scans yield zero-copy views");
-    assert_eq!(first.expansion_count(), 100, "one group's rectangle");
+    assert_eq!(
+        first.as_ref().expansion_count(),
+        100,
+        "one group's rectangle"
+    );
     drop(cursor); // settle the scan's probe counter
 
     let after = session.engine().table("big").unwrap().stats();
@@ -360,19 +364,19 @@ fn a_located_scan_reads_ahead_but_probes_what_it_yields() {
         // scan yields the same stored tuples in the same order.
         let reference: Vec<NfTuple> = snapshot
             .scan()
-            .filter(|t| t.component(0).contains(hot.as_slice()[0]))
-            .map(|t| t.as_tuple().clone())
+            .filter(|t| t.as_ref().component(0).contains(hot.as_slice()[0]))
+            .map(|t| t.into_owned())
             .collect();
         let zoned: Vec<NfTuple> = snapshot
             .scan_shards_zoned(&all, &zones)
-            .map(|t| t.as_tuple().clone())
+            .map(|t| t.into_owned())
             .collect();
         assert_eq!(zoned, reference);
 
         // The first tuple costs one probe, though the scan read two.
         let before = stats();
         let first = session.query(HOT).unwrap().next().expect("hot tuples");
-        assert_eq!(first.as_tuple(), &reference[0]);
+        assert_eq!(first.as_ref(), reference[0]);
         assert_eq!(delta(before, stats()), (1, 2));
 
         // LIMIT 3 probes three and reads ahead its windows of 2 and 4.

@@ -129,7 +129,7 @@ fn lookup_probe_accounting_survives_reopen() {
         .unwrap();
     let hits = reopened
         .scan()
-        .filter(|t| t.component(0).contains(some_atom))
+        .filter(|t| t.as_ref().component(0).contains(some_atom))
         .count();
     assert!(hits > 0);
     let stats = reopened.stats();

@@ -62,7 +62,7 @@ fn top_k_pulls_the_scan_exactly_once() {
             .query("SELECT * FROM big ORDER BY A LIMIT 3")
             .unwrap()
             .map(|t| {
-                snap.resolve(t.as_tuple().component(0).as_slice()[0])
+                snap.resolve(t.as_ref().component(0).as_slice()[0])
                     .unwrap()
                     .to_owned()
             })
@@ -83,7 +83,7 @@ fn top_k_pulls_the_scan_exactly_once() {
         .query("SELECT * FROM big ORDER BY A DESC LIMIT 2")
         .unwrap()
         .map(|t| {
-            snap.resolve(t.as_tuple().component(0).as_slice()[0])
+            snap.resolve(t.as_ref().component(0).as_slice()[0])
                 .unwrap()
                 .to_owned()
         })
@@ -225,7 +225,7 @@ fn outer_attribute_equality_scans_exactly_one_shard() {
         .iter()
         .map(|&s| {
             let store = table.sharded();
-            let holds = |t: &&nf2::core::NfTuple| {
+            let holds = |t: &nf2::core::TupleRef<'_>| {
                 t.component(1).contains(b07) || t.component(1).contains(b03)
             };
             store.version(s).tuples().filter(holds).count()

@@ -64,9 +64,8 @@ fn rows_of(engine: &mut Engine, sql: &str) -> Vec<Vec<Vec<String>>> {
         .query(sql)
         .unwrap()
         .map(|t| {
-            t.as_tuple()
+            t.as_ref()
                 .components()
-                .iter()
                 .map(|c| {
                     c.as_slice()
                         .iter()

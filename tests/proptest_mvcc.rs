@@ -89,7 +89,7 @@ fn shard_tuples(snap: &TableSnapshot) -> ShardTuples {
             snap.version()
                 .shard(s)
                 .tuples()
-                .cloned()
+                .map(|t| t.into_owned())
                 .collect::<Vec<_>>()
         })
         .collect()
@@ -239,7 +239,7 @@ proptest! {
             let oracle = fresh_engine();
             let mut session = oracle.session();
             let shard_of = |e: &Engine| {
-                e.table("t").unwrap().snapshot().version().shard(s).tuples().cloned().collect::<Vec<_>>()
+                e.table("t").unwrap().snapshot().version().shard(s).tuples().map(|t| t.into_owned()).collect::<Vec<_>>()
             };
             let mut states = vec![shard_of(&oracle)];
             for op in shard_ops {
@@ -282,7 +282,7 @@ proptest! {
                         assert!(epoch >= last, "epochs are monotone per reader");
                         last = epoch;
                         for (s, states) in serial_states.iter().enumerate() {
-                            let tuples = snap.version().shard(s).tuples().cloned().collect::<Vec<_>>();
+                            let tuples = snap.version().shard(s).tuples().map(|t| t.into_owned()).collect::<Vec<_>>();
                             assert!(
                                 states.contains(&tuples),
                                 "shard {s} pinned at epoch {epoch} is not a serial state"
@@ -318,7 +318,7 @@ proptest! {
         let snap = t.snapshot();
         for (s, states) in serial_states.iter().enumerate() {
             prop_assert_eq!(
-                snap.version().shard(s).tuples().cloned().collect::<Vec<_>>(),
+                snap.version().shard(s).tuples().map(|t| t.into_owned()).collect::<Vec<_>>(),
                 states.last().unwrap().clone(),
                 "shard {} did not drain to its serial final state", s
             );
