@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use nf2_core::bulk::{apply_batch, rebuild_batch};
 use nf2_core::kernel::NestKernel;
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
-use nf2_core::nest::{canonicalize, nest, nest_pairwise};
-use nf2_core::relation::NfRelation;
+use nf2_core::nest::{canonical_of_flat, canonicalize, nest, nest_pairwise};
+use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_workload as workload;
@@ -35,6 +35,26 @@ proptest! {
                 prop_assert_eq!(&fast, &slow, "{} under {}", w.label, order);
                 // Theorem 1 both ways: no information gained or lost.
                 prop_assert_eq!(fast.expand(), w.flat.clone(), "{}", w.label);
+            }
+        }
+    }
+
+    /// The kernel's one flat entry drops repeated rows and ignores
+    /// arrival order: a block holding every row one to three times, in
+    /// a shuffle, nests to `canonical_of_flat`'s vector, tuple for tuple,
+    /// and to the ν cascade's relation, on every generator and order.
+    #[test]
+    fn row_block_entry_ignores_repeats_and_order(seed in any::<u64>()) {
+        let mut kernel = NestKernel::new();
+        for w in workload::all_generators(seed) {
+            let rows = workload::repeated_and_shuffled(&w, seed ^ 0xB10C);
+            let block = RowBlock::from_rows(w.flat.schema().clone(), rows).unwrap();
+            for order in NestOrder::all(w.flat.schema().arity()) {
+                let via_block = kernel.canonical_of_rows(&block, &order);
+                let via_flat = canonical_of_flat(&w.flat, &order);
+                prop_assert_eq!(via_block.tuples(), via_flat.tuples(), "{} under {}", w.label, order);
+                let cascade = canonicalize(&NfRelation::from_flat(&w.flat), &order);
+                prop_assert_eq!(&via_block, &cascade, "{} under {}", w.label, order);
             }
         }
     }

@@ -16,9 +16,11 @@ use proptest::prelude::*;
 use nf2_core::bulk::{apply_batch, Op};
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::canonical_of_flat;
+use nf2_core::relation::RowBlock;
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::{merged_tuple_count, ShardSpec, ShardedCanonical};
 use nf2_core::value::Atom;
+use nf2_storage::{NfTable, SharedDictionary};
 use nf2_workload as workload;
 use nf2_workload::Workload;
 
@@ -83,6 +85,51 @@ proptest! {
                     );
                     prop_assert_eq!(sharded.flat_count(), w.flat.len() as u128);
                 }
+            }
+        }
+    }
+
+    /// A cold build from a block — every row one to three times, in a
+    /// shuffle — equals `from_flat` shard for shard, tuple for tuple,
+    /// and merges to the unsharded form, on every spec; a bulk load of
+    /// those rows counts each distinct row as one insert.
+    #[test]
+    fn a_cold_build_from_a_block_equals_from_flat_on_every_spec(seed in any::<u64>()) {
+        for w in workload::all_generators(seed) {
+            let schema = w.flat.schema().clone();
+            let arity = schema.arity();
+            let rows = workload::repeated_and_shuffled(&w, seed ^ 0x5EED);
+            let block = RowBlock::from_rows(schema.clone(), rows.clone()).unwrap();
+            let order = NestOrder::identity(arity);
+            let unsharded = canonical_of_flat(&w.flat, &order);
+            let names: Vec<&str> = schema.attr_names().collect();
+            for spec in specs_for(&w, &order) {
+                let from_block =
+                    ShardedCanonical::from_rows(block.clone(), order.clone(), spec.clone()).unwrap();
+                let from_flat =
+                    ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone()).unwrap();
+                for s in 0..from_block.shard_count() {
+                    prop_assert!(
+                        from_block.version(s).tuples().eq(from_flat.version(s).tuples()),
+                        "{} {:?} shard {}",
+                        w.label,
+                        spec,
+                        s
+                    );
+                }
+                prop_assert_eq!(&from_block.to_relation(), &unsharded, "{} {:?}", w.label, spec);
+                from_block.verify().unwrap();
+                let table = NfTable::bulk_load_atoms_sharded(
+                    schema.name(),
+                    &names,
+                    rows.clone(),
+                    order.clone(),
+                    spec.clone(),
+                    SharedDictionary::new(),
+                )
+                .unwrap();
+                prop_assert_eq!(table.stats().inserts, w.flat.len() as u64, "{} {:?}", w.label, spec);
+                prop_assert_eq!(table.flat_count(), w.flat.len() as u128);
             }
         }
     }

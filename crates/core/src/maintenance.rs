@@ -158,28 +158,29 @@ impl CanonicalRelation {
     /// Builds the canonical form of an existing 1NF relation by nesting
     /// from scratch (the §3.3 path; used as the baseline in benchmarks).
     /// Runs the single-pass nest kernel on a throwaway scratch instance;
-    /// use [`from_flat_with`](Self::from_flat_with) to amortize scratch
+    /// use [`from_rows_with`](Self::from_rows_with) to amortize scratch
     /// across repeated rebuilds.
     pub fn from_flat(flat: &FlatRelation, order: NestOrder) -> Result<Self> {
-        Self::from_flat_with(&mut crate::kernel::NestKernel::new(), flat, order)
+        let rows = crate::relation::RowBlock::from_flat(flat);
+        Self::from_rows_with(&mut crate::kernel::NestKernel::new(), &rows, order)
     }
 
-    /// [`from_flat`](Self::from_flat) reusing a caller-provided kernel, so
-    /// a shard's cold build uses the sort/intern buffers its batches'
-    /// regroups keep warm.
-    pub fn from_flat_with(
+    /// The canonical form of the rows a block holds (a repeated row
+    /// counts once), nested by a caller-provided kernel, so a shard's
+    /// cold build uses the intern buffers its batches' regroups keep warm.
+    pub fn from_rows_with(
         kernel: &mut crate::kernel::NestKernel,
-        flat: &FlatRelation,
+        rows: &crate::relation::RowBlock,
         order: NestOrder,
     ) -> Result<Self> {
-        if order.arity() != flat.schema().arity() {
+        if order.arity() != rows.arity() {
             return Err(NfError::InvalidNestOrder(format!(
                 "order covers {} attributes, schema has {}",
                 order.arity(),
-                flat.schema().arity()
+                rows.arity()
             )));
         }
-        let rel = kernel.canonical_of_flat(flat, &order);
+        let rel = kernel.canonical_of_rows(rows, &order);
         Ok(Self { rel, order })
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::error::{NfError, Result};
 use crate::schema::Schema;
-use crate::tuple::{FlatTuple, NfTuple};
+use crate::tuple::{FlatTuple, NfTuple, TupleRef};
 use crate::value::Atom;
 
 /// A first-normal-form relation: a *set* of flat tuples over a schema.
@@ -89,6 +89,156 @@ impl FlatRelation {
     /// Consumes the relation, yielding its rows.
     pub fn into_rows(self) -> BTreeSet<FlatTuple> {
         self.rows
+    }
+}
+
+/// Flat rows as one row-major block of atoms: `arity` atoms per row, row
+/// after row, with the row count kept beside them (a zero-arity row holds
+/// no atoms). Unlike a [`FlatRelation`] it is a multiset in arrival
+/// order — a repeated row stays until the kernel's sort drops it
+/// ([`NestKernel::canonical_of_rows`]). It is how a cold load carries
+/// `R*` from the dictionary to the kernel: one allocation, no `Vec` per
+/// row.
+///
+/// [`NestKernel::canonical_of_rows`]: crate::kernel::NestKernel::canonical_of_rows
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBlock {
+    schema: Arc<Schema>,
+    atoms: Vec<Atom>,
+    rows: usize,
+}
+
+impl RowBlock {
+    /// An empty block over `schema`, with room for `rows` rows.
+    pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Self {
+        let atoms = Vec::with_capacity(rows * schema.arity());
+        Self {
+            schema,
+            atoms,
+            rows: 0,
+        }
+    }
+
+    /// The rows of `flat`, in its (sorted) order.
+    pub fn from_flat(flat: &FlatRelation) -> Self {
+        let mut block = Self::with_capacity(flat.schema().clone(), flat.len());
+        for row in flat.rows() {
+            block.atoms.extend_from_slice(row);
+        }
+        block.rows = flat.len();
+        block
+    }
+
+    /// The given rows, repeats included, each checked against the
+    /// schema's arity.
+    pub fn from_rows<I>(schema: Arc<Schema>, rows: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = FlatTuple>,
+    {
+        let rows = rows.into_iter();
+        let mut block = Self::with_capacity(schema, rows.size_hint().0);
+        for row in rows {
+            block.push_row(row)?;
+        }
+        Ok(block)
+    }
+
+    /// The schema.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Atoms per row.
+    pub fn arity(&self) -> usize {
+        self.schema.arity()
+    }
+
+    /// Number of rows, repeats included.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the block holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Row `idx` (below [`len`](Self::len)).
+    pub fn row(&self, idx: usize) -> &[Atom] {
+        let n = self.arity();
+        &self.atoms[idx * n..(idx + 1) * n]
+    }
+
+    /// The rows from `start` on, in block order.
+    pub fn rows_from(&self, start: usize) -> impl Iterator<Item = &[Atom]> {
+        (start..self.rows).map(|idx| self.row(idx))
+    }
+
+    /// Every row, in block order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Atom]> {
+        self.rows_from(0)
+    }
+
+    /// Appends one row of the schema's arity.
+    pub fn push_row(&mut self, row: impl AsRef<[Atom]>) -> Result<()> {
+        let row = row.as_ref();
+        if row.len() != self.arity() {
+            return Err(NfError::ArityMismatch {
+                expected: self.arity(),
+                got: row.len(),
+            });
+        }
+        self.atoms.extend_from_slice(row);
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Appends the row `atoms` spell out, atom by atom, with no buffer
+    /// between (how a load interns straight into the block). A row of
+    /// the wrong arity is an error and leaves the block as it was.
+    pub fn push_row_from(&mut self, atoms: impl IntoIterator<Item = Atom>) -> Result<()> {
+        let start = self.atoms.len();
+        self.atoms.extend(atoms);
+        let got = self.atoms.len() - start;
+        if got != self.arity() {
+            self.atoms.truncate(start);
+            return Err(NfError::ArityMismatch {
+                expected: self.arity(),
+                got,
+            });
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Appends every row of `tuple`'s expansion, in the order
+    /// [`TupleRef::expand`] yields them (the last attribute varies
+    /// fastest), without building one.
+    pub fn push_expansion(&mut self, tuple: TupleRef<'_>) -> Result<()> {
+        let n = self.arity();
+        if tuple.arity() != n {
+            return Err(NfError::ArityMismatch {
+                expected: n,
+                got: tuple.arity(),
+            });
+        }
+        let count =
+            usize::try_from(tuple.expansion_count()).expect("an expansion that fits in memory");
+        self.atoms.reserve(count * n);
+        for at in 0..count {
+            let base = self.atoms.len();
+            self.atoms.resize(base + n, Atom(0));
+            // Row `at`'s index into each set, read off `at` in the mixed
+            // radix of the set sizes, last attribute least significant.
+            let mut rest = at;
+            for attr in (0..n).rev() {
+                let set = tuple.component(attr).as_slice();
+                self.atoms[base + attr] = set[rest % set.len()];
+                rest /= set.len();
+            }
+        }
+        self.rows += count;
+        Ok(())
     }
 }
 

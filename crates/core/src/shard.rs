@@ -46,7 +46,7 @@ use crate::error::{NfError, Result};
 use crate::kernel::NestKernel;
 use crate::maintenance::{CanonicalRelation, CostCounter};
 use crate::mvcc::ShardVersion;
-use crate::relation::{FlatRelation, NfRelation};
+use crate::relation::{FlatRelation, NfRelation, RowBlock};
 use crate::schema::{AttrId, NestOrder, Schema};
 use crate::segment::{ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
 use crate::tuple::{FlatTuple, TupleRef};
@@ -114,12 +114,14 @@ impl ShardSpec {
     }
 }
 
-/// Below this many rows per shard a cold build nests its shards one
-/// after the other on the calling thread: a kernel pass over a few
-/// hundred rows costs less than spawning its thread, and every thread
-/// that ever allocated a shard's tuples leaves an allocator arena
-/// behind (measured on a 2 000-row, 4-shard load: 2.4 → 1.3 ms and
-/// 0.5 MiB less resident memory inline).
+/// Below this many rows per shard, on average (repeats included), a cold
+/// build ([`ShardedCanonical::from_rows`]) nests its shards one after the
+/// other on the calling thread: a kernel pass over a few hundred rows
+/// costs less than spawning its thread, and every thread that ever
+/// allocated a shard's tuples leaves an allocator arena behind (measured
+/// on a 2 000-row, 4-shard load: 2.4 → 1.3 ms and 0.5 MiB less resident
+/// memory inline). At or above it the shards' sorts and folds are dealt
+/// to at most one thread per core, the calling thread among them.
 const MIN_ROWS_PER_BUILD_THREAD: usize = 4096;
 
 /// SplitMix64 finalizer: a cheap, well-mixed value → bucket map (atom
@@ -210,6 +212,26 @@ impl ShardRouter {
             per_shard[self.route_checked(op.row())?].push((at, op));
         }
         Ok(per_shard)
+    }
+
+    /// Splits a block into one block per shard in one pass, each row
+    /// into the block of the shard it routes to (block order kept within
+    /// each). One shard takes the block as it is.
+    pub fn partition_rows(&self, rows: RowBlock) -> Vec<RowBlock> {
+        let n = self.shard_count();
+        if n == 1 {
+            return vec![rows];
+        }
+        let even = rows.len() / n;
+        let mut blocks: Vec<RowBlock> = (0..n)
+            .map(|_| RowBlock::with_capacity(rows.schema().clone(), even + even / 8))
+            .collect();
+        for row in rows.rows() {
+            blocks[self.route_row(row)]
+                .push_row(row)
+                .expect("a block's rows have its schema's arity");
+        }
+        blocks
     }
 
     /// The set of shards (sorted, deduplicated) that can hold any row
@@ -424,36 +446,30 @@ fn batch_workers() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Applies per-shard sub-batches through their writers
-/// ([`ShardWriter::apply_batch`]), side by side under
-/// [`std::thread::scope`]: the sub-batches queue up, and the calling
-/// thread drains the queue beside as many spawned helpers as there are
-/// further cores and further sub-batches — one shard's worth of work,
-/// or one core, spawns nothing. Empty sub-batches leave their shard
-/// untouched. Returns the reports summed, the no-op positions (the
-/// ones the ops came beside) ascending.
-pub fn apply_sub_batches<'a>(
-    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [(usize, &'a Op)])>,
-) -> Result<BatchReport> {
-    let work: Vec<(&mut ShardWriter, &[(usize, &Op)])> = work
-        .into_iter()
-        .filter(|(_, batch)| !batch.is_empty())
-        .collect();
-    let helpers = match work.len() {
-        0 | 1 => 0,
-        jobs => jobs.min(batch_workers()) - 1,
-    };
-    let mut outcomes: Vec<Option<Result<BatchReport>>> = work.iter().map(|_| None).collect();
-    let queue = Mutex::new(work.into_iter().zip(outcomes.iter_mut()));
+/// Runs per-shard jobs side by side under [`std::thread::scope`]: the
+/// jobs queue up, and the calling thread drains the queue beside as many
+/// spawned helpers as there are further `workers` and further jobs — one
+/// job, or one worker, spawns nothing. Returns each job's outcome, in
+/// job order. Both fan-outs go through it: a batch's sub-batches
+/// ([`apply_sub_batches`]) and a cold build's shards
+/// ([`ShardedCanonical::from_rows`]).
+fn run_queued<J: Send, R: Send>(
+    jobs: Vec<J>,
+    workers: usize,
+    run: impl Fn(J) -> R + Sync,
+) -> Vec<R> {
+    let helpers = jobs.len().min(workers).saturating_sub(1);
+    let mut outcomes: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().zip(outcomes.iter_mut()));
     let drain = || loop {
         let next = queue
             .lock()
             .expect("the queue is only ever advanced under the lock")
             .next();
-        let Some(((lane, batch), slot)) = next else {
+        let Some((job, slot)) = next else {
             break;
         };
-        *slot = Some(lane.apply_batch(batch));
+        *slot = Some(run(job));
     };
     std::thread::scope(|scope| {
         for _ in 0..helpers {
@@ -462,9 +478,30 @@ pub fn apply_sub_batches<'a>(
         drain();
     });
     drop(queue);
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.expect("the queue was drained: one slot filled per job"))
+        .collect()
+}
+
+/// Applies per-shard sub-batches through their writers
+/// ([`ShardWriter::apply_batch`]), side by side on at most one thread
+/// per core, the calling thread among them (`run_queued`). Empty
+/// sub-batches leave their shard untouched. Returns the reports summed,
+/// the no-op positions (the ones the ops came beside) ascending.
+pub fn apply_sub_batches<'a>(
+    work: impl IntoIterator<Item = (&'a mut ShardWriter, &'a [(usize, &'a Op)])>,
+) -> Result<BatchReport> {
+    let work: Vec<(&mut ShardWriter, &[(usize, &Op)])> = work
+        .into_iter()
+        .filter(|(_, batch)| !batch.is_empty())
+        .collect();
+    let outcomes = run_queued(work, batch_workers(), |(lane, batch)| {
+        lane.apply_batch(batch)
+    });
     let mut total = BatchReport::default();
     for outcome in outcomes {
-        total += outcome.expect("the queue was drained: one slot filled per sub-batch")?;
+        total += outcome?;
     }
     total.summary.noop_positions.sort_unstable();
     Ok(total)
@@ -618,45 +655,49 @@ impl ShardedCanonical {
         })
     }
 
-    /// Builds the sharded form of an existing 1NF relation: rows are
-    /// routed first, then every shard nests its own rows — in parallel
-    /// on scoped threads when there is more than one shard and each has
-    /// at least `MIN_ROWS_PER_BUILD_THREAD` rows on average.
+    /// Builds the sharded form of an existing 1NF relation: its rows
+    /// copied into one block and built by [`from_rows`](Self::from_rows).
     pub fn from_flat(flat: &FlatRelation, order: NestOrder, spec: ShardSpec) -> Result<Self> {
-        let mut sharded = Self::new(flat.schema().clone(), order, spec)?;
+        Self::from_rows(RowBlock::from_flat(flat), order, spec)
+    }
+
+    /// Builds the sharded form of the rows a block holds (a repeated row
+    /// counts once) — the cold build. The block is routed into one block
+    /// per shard in one pass ([`ShardRouter::partition_rows`]); each
+    /// shard's kernel then sorts its block, drops the repeats and folds
+    /// ([`NestKernel::canonical_of_rows`]). The shards are built side by
+    /// side on at most one thread per core, the calling thread among
+    /// them, when there is more than one shard and each has at least
+    /// `MIN_ROWS_PER_BUILD_THREAD` rows on average; otherwise one after
+    /// the other on the calling thread. Each built shard is then tiled
+    /// into its segments on the calling thread.
+    pub fn from_rows(rows: RowBlock, order: NestOrder, spec: ShardSpec) -> Result<Self> {
+        let mut sharded = Self::new(rows.schema().clone(), order, spec)?;
         let n = sharded.shard_count();
-        let mut per_shard: Vec<Vec<FlatTuple>> = vec![Vec::new(); n];
-        for row in flat.rows() {
-            per_shard[sharded.router.route_row(row)].push(row.clone());
-        }
+        let workers = if rows.len() < n * MIN_ROWS_PER_BUILD_THREAD {
+            1
+        } else {
+            batch_workers()
+        };
+        let blocks = sharded.router.partition_rows(rows);
         let order = &sharded.order;
-        let schema = &sharded.schema;
-        let mut built: Vec<Result<Option<CanonicalRelation>>> = (0..n).map(|_| Ok(None)).collect();
-        std::thread::scope(|scope| {
-            for ((slot, lane), rows) in built
-                .iter_mut()
-                .zip(sharded.lanes.iter_mut())
-                .zip(per_shard)
-            {
-                if rows.is_empty() {
-                    continue; // keep the empty shard created by new()
-                }
-                let kernel = &mut lane.kernel;
-                let task = move || -> Result<Option<CanonicalRelation>> {
-                    let flat = FlatRelation::from_rows(schema.clone(), rows)?;
-                    CanonicalRelation::from_flat_with(kernel, &flat, order.clone()).map(Some)
-                };
-                if n == 1 || flat.len() < n * MIN_ROWS_PER_BUILD_THREAD {
-                    *slot = task();
-                } else {
-                    scope.spawn(move || *slot = task());
-                }
-            }
+        let jobs: Vec<(usize, &mut NestKernel, RowBlock)> = sharded
+            .lanes
+            .iter_mut()
+            .zip(blocks)
+            .enumerate()
+            // An empty block keeps the empty shard created by new().
+            .filter(|(_, (_, block))| !block.is_empty())
+            .map(|(idx, (lane, block))| (idx, &mut lane.kernel, block))
+            .collect();
+        let built = run_queued(jobs, workers, |(idx, kernel, block)| {
+            (
+                idx,
+                CanonicalRelation::from_rows_with(kernel, &block, order.clone()),
+            )
         });
-        for (lane, result) in sharded.lanes.iter_mut().zip(built) {
-            if let Some(canon) = result? {
-                lane.install(canon);
-            }
+        for (idx, canon) in built {
+            sharded.lanes[idx].install(canon?);
         }
         Ok(sharded)
     }
@@ -664,9 +705,9 @@ impl ShardedCanonical {
     /// Replaces shard `idx` with the kernel's nest of its own `rows`,
     /// tiled at the current target: how a reopen rebuilds each
     /// checkpointed shard, one at a time.
-    pub fn nest_shard(&mut self, idx: usize, rows: &FlatRelation) -> Result<&ShardVersion> {
+    pub fn nest_shard(&mut self, idx: usize, rows: &RowBlock) -> Result<&ShardVersion> {
         let lane = &mut self.lanes[idx];
-        let canon = CanonicalRelation::from_flat_with(&mut lane.kernel, rows, self.order.clone())?;
+        let canon = CanonicalRelation::from_rows_with(&mut lane.kernel, rows, self.order.clone())?;
         lane.install(canon);
         Ok(&lane.version)
     }

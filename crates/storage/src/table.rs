@@ -77,7 +77,7 @@ use parking_lot::Mutex;
 use nf2_core::bulk::{BatchSummary, Op};
 use nf2_core::maintenance::CostCounter;
 use nf2_core::mvcc::{ShardVersion, TableVersion, VersionCell};
-use nf2_core::relation::{FlatRelation, NfRelation};
+use nf2_core::relation::{FlatRelation, NfRelation, RowBlock};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
 use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
 use nf2_core::shard::{
@@ -438,9 +438,16 @@ impl NfTable {
         Self::bulk_load_atoms_sharded(name, attr_names, rows, order, ShardSpec::single(), dict)
     }
 
-    /// [`bulk_load_atoms`](Self::bulk_load_atoms) into a sharded table:
-    /// rows are routed first and every shard runs its own kernel pass,
-    /// in parallel across shards.
+    /// [`bulk_load_atoms`](Self::bulk_load_atoms) into a sharded table.
+    /// The rows are copied into one row-major block of atoms
+    /// ([`RowBlock`]); the block is routed into one block per shard in
+    /// one pass, and each shard's kernel sorts its block, drops repeated
+    /// rows and folds, the shards side by side on at most one thread per
+    /// core ([`ShardedCanonical::from_rows`]). No set of rows is built:
+    /// a cold load costs one sort and one fold per shard. Repeated rows
+    /// count once, in the shards and in [`TableStats::inserts`]; a row of
+    /// the wrong arity is [`nf2_core::error::NfError::ArityMismatch`] and
+    /// loads nothing.
     pub fn bulk_load_atoms_sharded<I>(
         name: &str,
         attr_names: &[&str],
@@ -453,19 +460,8 @@ impl NfTable {
         I: IntoIterator<Item = FlatTuple>,
     {
         let schema = Schema::new(name, attr_names)?;
-        let flat = FlatRelation::from_rows(schema, rows).map_err(StorageError::Model)?;
-        let canon = ShardedCanonical::from_flat(&flat, order, spec)?;
-        let loaded = flat.len() as u64;
-        Ok(Self::wrap(
-            name,
-            dict,
-            canon,
-            TableStats {
-                inserts: loaded,
-                ..TableStats::default()
-            },
-            CommitLog::new(),
-        ))
+        let block = RowBlock::from_rows(schema, rows).map_err(StorageError::Model)?;
+        Self::load_block(name, block, order, spec, dict)
     }
 
     /// Bulk-loads rows of string values, interning every value into the
@@ -484,7 +480,14 @@ impl NfTable {
         Self::bulk_load_strs_sharded(name, attr_names, rows, order, ShardSpec::single(), dict)
     }
 
-    /// [`bulk_load_strs`](Self::bulk_load_strs) into a sharded table.
+    /// [`bulk_load_strs`](Self::bulk_load_strs) into a sharded table:
+    /// each value is interned straight into the load's block of atoms,
+    /// row by row and attribute by attribute — the atoms
+    /// [`SharedDictionary::intern_row`] would give, with no `Vec` per
+    /// row — and the block is built as
+    /// [`bulk_load_atoms_sharded`](Self::bulk_load_atoms_sharded) builds
+    /// its own. A row of the wrong arity stops the load there: its values
+    /// are interned, later rows' are not, and nothing is loaded.
     pub fn bulk_load_strs_sharded<'a, I>(
         name: &str,
         attr_names: &[&str],
@@ -496,8 +499,39 @@ impl NfTable {
     where
         I: IntoIterator<Item = Vec<&'a str>>,
     {
-        let atoms: Vec<FlatTuple> = rows.into_iter().map(|row| dict.intern_row(&row)).collect();
-        Self::bulk_load_atoms_sharded(name, attr_names, atoms, order, spec, dict)
+        let schema = Schema::new(name, attr_names)?;
+        let rows = rows.into_iter();
+        let mut block = RowBlock::with_capacity(schema, rows.size_hint().0);
+        for row in rows {
+            block
+                .push_row_from(row.iter().map(|value| dict.intern(value)))
+                .map_err(StorageError::Model)?;
+        }
+        Self::load_block(name, block, order, spec, dict)
+    }
+
+    /// The cold build behind both bulk loads: the shards nested from
+    /// `block`, and a table counting each distinct row as one insert.
+    fn load_block(
+        name: &str,
+        block: RowBlock,
+        order: NestOrder,
+        spec: ShardSpec,
+        dict: SharedDictionary,
+    ) -> Result<Self> {
+        let canon = ShardedCanonical::from_rows(block, order, spec)?;
+        // A shard holds each of its distinct rows once.
+        let loaded = canon.flat_count() as u64;
+        Ok(Self::wrap(
+            name,
+            dict,
+            canon,
+            TableStats {
+                inserts: loaded,
+                ..TableStats::default()
+            },
+            CommitLog::new(),
+        ))
     }
 
     /// Assembles a table around a sharded canonical relation — split
@@ -973,12 +1007,16 @@ impl NfTable {
             if !slice.is_empty() {
                 return Err(shard_corrupt(shard, "bytes past its last tuple"));
             }
-            let mut rows = FlatRelation::new(schema.clone());
-            for row in stored.iter().flat_map(|tuple| tuple.expand()) {
-                if canon.router().route_row(&row) != shard {
+            let mut rows = RowBlock::with_capacity(schema.clone(), 0);
+            for tuple in &stored {
+                let start = rows.len();
+                rows.push_expansion(tuple.as_ref())?;
+                if rows
+                    .rows_from(start)
+                    .any(|row| canon.router().route_row(row) != shard)
+                {
                     return Err(shard_corrupt(shard, "a stored row routes to another shard"));
                 }
-                rows.insert(row)?;
             }
             if !canon
                 .nest_shard(shard, &rows)?
@@ -1765,6 +1803,113 @@ mod tests {
             dict,
         );
         assert!(bad.is_err());
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_arity_mid_load_loads_nothing() {
+        let dict = SharedDictionary::new();
+        let rows = vec![
+            vec!["s1", "c1"],
+            vec!["s2", "c2"],
+            vec!["s3"],
+            vec!["s4", "c4"],
+        ];
+        let bad = NfTable::bulk_load_strs_sharded(
+            "sc",
+            &["Student", "Course"],
+            rows,
+            NestOrder::identity(2),
+            ShardSpec::hash(3).unwrap(),
+            dict.clone(),
+        );
+        assert!(
+            matches!(
+                bad,
+                Err(StorageError::Model(
+                    nf2_core::error::NfError::ArityMismatch {
+                        expected: 2,
+                        got: 1
+                    }
+                ))
+            ),
+            "{bad:?}"
+        );
+        // The load interned up to the row it refused, in row and then
+        // attribute order, and stopped there.
+        let interned: Vec<String> = (0..dict.len() as u32)
+            .map(|id| dict.resolve(Atom(id)).unwrap())
+            .collect();
+        assert_eq!(interned, ["s1", "c1", "s2", "c2", "s3"]);
+    }
+
+    #[test]
+    fn zero_arity_and_empty_loads_hold_what_they_were_given() {
+        for (rows, held) in [(0usize, 0u128), (1, 1), (3, 1)] {
+            let unit = NfTable::bulk_load_atoms_sharded(
+                "u",
+                &[],
+                vec![Vec::new(); rows],
+                NestOrder::identity(0),
+                ShardSpec::hash(2).unwrap(),
+                SharedDictionary::new(),
+            )
+            .unwrap();
+            assert_eq!(unit.flat_count(), held, "{rows} unit rows");
+            assert_eq!(unit.stats().inserts as u128, held);
+            assert_eq!(unit.tuple_count() as u128, held);
+        }
+        let empty = NfTable::bulk_load_strs_sharded(
+            "sc",
+            &["Student", "Course"],
+            Vec::<Vec<&str>>::new(),
+            NestOrder::identity(2),
+            ShardSpec::hash(4).unwrap(),
+            SharedDictionary::new(),
+        )
+        .unwrap();
+        assert_eq!(empty.flat_count(), 0);
+        assert_eq!(empty.stats().inserts, 0);
+        assert!(empty.snapshot().canonical().is_empty());
+    }
+
+    #[test]
+    fn a_load_that_repeats_rows_holds_each_once() {
+        let distinct = [("s1", "c1"), ("s2", "c1"), ("s1", "c2"), ("s3", "c3")];
+        // Every row three times, the copies spread over the input.
+        let repeated: Vec<Vec<&str>> = (0..3)
+            .flat_map(|_| distinct.iter().map(|(s, c)| vec![*s, *c]))
+            .collect();
+        for shards in [1, 3] {
+            let once = NfTable::bulk_load_strs_sharded(
+                "sc",
+                &["Student", "Course"],
+                distinct.iter().map(|(s, c)| vec![*s, *c]),
+                NestOrder::identity(2),
+                ShardSpec::hash(shards).unwrap(),
+                SharedDictionary::new(),
+            )
+            .unwrap();
+            let thrice = NfTable::bulk_load_strs_sharded(
+                "sc",
+                &["Student", "Course"],
+                repeated.clone(),
+                NestOrder::identity(2),
+                ShardSpec::hash(shards).unwrap(),
+                SharedDictionary::new(),
+            )
+            .unwrap();
+            assert_eq!(thrice.flat_count(), 4, "{shards} shards");
+            assert_eq!(thrice.stats().inserts, 4);
+            assert_eq!(thrice.snapshot().canonical(), once.snapshot().canonical());
+            let (thrice, once) = (thrice.snapshot(), once.snapshot());
+            for s in 0..shards {
+                assert!(thrice
+                    .version()
+                    .shard(s)
+                    .tuples()
+                    .eq(once.version().shard(s).tuples()));
+            }
+        }
     }
 
     #[test]

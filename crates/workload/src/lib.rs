@@ -366,6 +366,23 @@ pub fn with_noops(trace: Vec<nf2_core::bulk::Op>) -> Vec<nf2_core::bulk::Op> {
     out
 }
 
+/// The rows of `w`, each one to three times, in a seeded shuffle — the
+/// input a cold load may hand the kernel, whose sort must drop the
+/// repeats and forget the order.
+pub fn repeated_and_shuffled(w: &Workload, seed: u64) -> Vec<Vec<Atom>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows: Vec<Vec<Atom>> = Vec::with_capacity(w.flat.len() * 2);
+    for row in w.flat.rows() {
+        for _ in 0..rng.gen_range(1..=3u32) {
+            rows.push(row.clone());
+        }
+    }
+    for at in (1..rows.len()).rev() {
+        rows.swap(at, rng.gen_range(0..=at));
+    }
+    rows
+}
+
 /// Draws `k` distinct values from `0..pool` (or all of them if the pool is
 /// smaller).
 fn sample_distinct(rng: &mut StdRng, k: usize, pool: u32) -> Vec<u32> {

@@ -18,6 +18,11 @@
 //! holds, so dropping the segment a write replaced frees a few blocks
 //! per attribute and none per tuple.
 //!
+//! A cold load carries its rows to the kernel as one block of atoms and
+//! routes it into one block per shard; each shard's kernel sorts, drops
+//! repeats and folds in scratch it reuses. So a load allocates one block
+//! per tuple it emits and a few per segment, and none per row it reads.
+//!
 //! This is its own test binary because it installs a
 //! `#[global_allocator]`, and it holds the workspace's only `unsafe`
 //! (the `GlobalAlloc` impl, which forwards to `System`): every crate
@@ -338,4 +343,76 @@ fn a_dropped_segment_frees_blocks_per_attribute_not_per_tuple() {
             frees[0]
         );
     }
+}
+
+/// `groups` disjoint products `{a, a'} × {b, b'} × {c, c'}`, eight rows
+/// each: every group is one canonical tuple (two when its two `C`
+/// values route to different shards), every set inline.
+fn product_rows(groups: u32) -> Vec<Vec<Atom>> {
+    let mut rows = Vec::with_capacity(8 * groups as usize);
+    for g in 0..groups {
+        let base = 6 * g;
+        for a in 0..2 {
+            for b in 2..4 {
+                for c in 4..6 {
+                    rows.push(vec![Atom(base + a), Atom(base + b), Atom(base + c)]);
+                }
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn a_cold_load_allocates_per_tuple_not_per_row() {
+    const ARITY: u64 = 3;
+    // 10 000 rows on 4 shards: under the row count that starts build
+    // threads, so the whole build runs on this, the counting, thread.
+    let rows = product_rows(1_250);
+    let input_rows = rows.len() as u64;
+    let dict = nf2::storage::SharedDictionary::new();
+    let (table, tally) = counted(|| {
+        NfTable::bulk_load_atoms_sharded(
+            "p",
+            &["A", "B", "C"],
+            rows,
+            NestOrder::identity(3),
+            ShardSpec::hash(4).unwrap(),
+            dict,
+        )
+        .unwrap()
+    });
+    assert_eq!(table.flat_count(), input_rows as u128);
+    let snapshot = table.snapshot();
+    let (tuples, segments) = (0..table.shard_count()).fold((0, 0), |(t, s), shard| {
+        let segs = snapshot.shard_segments(shard);
+        (
+            t + segs.covered_rows() as u64,
+            s + segs.segment_count() as u64,
+        )
+    });
+    assert!(tuples < input_rows / 2, "{tuples} tuples");
+    // Debug builds check the partition invariant of every relation the
+    // kernel emits, which expands it and allocates per row: the bounds
+    // are the release build's (CI runs this binary in release).
+    if cfg!(debug_assertions) {
+        return;
+    }
+    // Each emitted tuple is one block; everything else — the load's row
+    // block and one per shard, the kernel's scratch, each segment's
+    // chunk and columns — is a few blocks per segment and attribute.
+    let bound = tuples + 64 * segments * ARITY + 64;
+    assert!(
+        tally.allocs <= bound,
+        "{} allocations for {input_rows} rows, {tuples} tuples, {segments} segments",
+        tally.allocs
+    );
+    // The input's rows are the caller's, handed over by value: each is
+    // freed once inside the load. Beyond them the load frees what it
+    // allocated and did not keep.
+    assert!(
+        tally.frees <= input_rows + bound,
+        "{} frees for {input_rows} rows, {tuples} tuples, {segments} segments",
+        tally.frees
+    );
 }
