@@ -230,30 +230,27 @@ pub fn law_join_realization(left: &NfRelation, right: &NfRelation) -> LawOutcome
             Err(_) => right_only.push(r_id),
         }
     }
-    let mut rows = std::collections::BTreeSet::new();
+    let right_rows = right.expand();
+    let mut rows = Vec::new();
     for l in left.expand().rows() {
-        for r in right.expand().rows() {
+        for r in right_rows.rows() {
             if shared.iter().all(|&(r_id, l_id)| l[l_id] == r[r_id]) {
-                let mut row = l.clone();
+                let mut row = l.to_vec();
                 for &r_id in &right_only {
                     row.push(r[r_id]);
                 }
-                rows.insert(row);
+                rows.push(row);
             }
         }
     }
-    let oracle_rows: std::collections::BTreeSet<_> = rows;
-    let joined_rows: std::collections::BTreeSet<_> = joined.expand().into_rows();
-    if joined_rows == oracle_rows {
+    let oracle = FlatRelation::from_rows(joined.schema().clone(), rows).expect("oracle rows");
+    if joined.expand() == oracle {
         LawOutcome::Holds
     } else {
-        // Build a relation from the oracle for the report.
-        let oracle = NfRelation::from_flat(
-            &FlatRelation::from_rows(joined.schema().clone(), oracle_rows).expect("oracle rows"),
-        );
         LawOutcome::Violated {
             left: Box::new(joined),
-            right: Box::new(oracle),
+            // The oracle as a relation, for the report.
+            right: Box::new(NfRelation::from_flat(&oracle)),
         }
     }
 }

@@ -18,17 +18,17 @@
 //!   and only their blocking arm still lands here;
 //! * natural join intersects shared components pairwise (disjointness of
 //!   the inputs carries over to the output);
-//! * union/difference/intersection work on `R*` and re-nest.
+//! * union/difference work on `R*` and re-nest: their rows go into one
+//!   [`RowBlock`], and the kernel's sort drops repeats.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nf2_core::error::{NfError, Result};
-use nf2_core::nest::canonical_of_flat;
+use nf2_core::kernel::NestKernel;
 use nf2_core::properties::is_fixed_on;
-use nf2_core::relation::{FlatRelation, NfRelation};
+use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::{AttrId, NestOrder, Schema};
-use nf2_core::tuple::{FlatTuple, NfTuple, ValueSet};
+use nf2_core::tuple::{NfTuple, ValueSet};
 use nf2_core::value::Atom;
 
 /// Re-exported relation-level NEST (Def. 4) for algebra users.
@@ -71,14 +71,23 @@ pub fn select_where<F>(rel: &NfRelation, pred: F, order: &NestOrder) -> NfRelati
 where
     F: Fn(&[Atom]) -> bool,
 {
-    let flat = rel.expand();
-    let mut kept = FlatRelation::new(rel.schema().clone());
-    for row in flat.rows() {
-        if pred(row) {
-            kept.insert(row.clone()).expect("row arity matches schema");
-        }
+    let rows = expansion(rel);
+    let mut kept = RowBlock::with_capacity(rel.schema().clone(), rows.len());
+    for row in rows.rows().filter(|row| pred(row)) {
+        kept.push_row(row).expect("row arity matches schema");
     }
-    canonical_of_flat(&kept, order)
+    NestKernel::new().canonical_of_rows(&kept, order)
+}
+
+/// `R*` of `rel`, tuple after tuple, in one block.
+fn expansion(rel: &NfRelation) -> RowBlock {
+    let count = usize::try_from(rel.flat_count()).expect("an expansion that fits in memory");
+    let mut rows = RowBlock::with_capacity(rel.schema().clone(), count);
+    for t in rel.tuples() {
+        rows.push_expansion(t.as_ref())
+            .expect("every tuple has the schema's arity");
+    }
+    rows
 }
 
 /// Builds the schema of a projection.
@@ -118,14 +127,12 @@ pub fn project(rel: &NfRelation, attrs: &[AttrId], order: &NestOrder) -> Result<
         tuples.dedup();
         return NfRelation::from_tuples(schema, tuples);
     }
-    let mut rows: BTreeSet<FlatTuple> = BTreeSet::new();
-    for t in rel.tuples() {
-        for row in t.expand() {
-            rows.insert(attrs.iter().map(|&a| row[a]).collect());
-        }
+    let full = expansion(rel);
+    let mut rows = RowBlock::with_capacity(schema, full.len());
+    for row in full.rows() {
+        rows.push_row_from(attrs.iter().map(|&a| row[a]))?;
     }
-    let flat = FlatRelation::from_rows(schema, rows)?;
-    Ok(canonical_of_flat(&flat, order))
+    Ok(NestKernel::new().canonical_of_rows(&rows, order))
 }
 
 fn require_compatible(left: &NfRelation, right: &NfRelation) -> Result<()> {
@@ -141,24 +148,23 @@ fn require_compatible(left: &NfRelation, right: &NfRelation) -> Result<()> {
 /// Set union on `R*`, re-nested with `order`.
 pub fn union(left: &NfRelation, right: &NfRelation, order: &NestOrder) -> Result<NfRelation> {
     require_compatible(left, right)?;
-    let mut rows = left.expand().into_rows();
-    rows.extend(right.expand().into_rows());
-    let flat = FlatRelation::from_rows(left.schema().clone(), rows)?;
-    Ok(canonical_of_flat(&flat, order))
+    let mut rows = expansion(left);
+    for t in right.tuples() {
+        rows.push_expansion(t.as_ref())?;
+    }
+    Ok(NestKernel::new().canonical_of_rows(&rows, order))
 }
 
 /// Set difference `left* − right*`, re-nested with `order`.
 pub fn difference(left: &NfRelation, right: &NfRelation, order: &NestOrder) -> Result<NfRelation> {
     require_compatible(left, right)?;
-    let right_rows = right.expand().into_rows();
-    let rows: BTreeSet<FlatTuple> = left
-        .expand()
-        .into_rows()
-        .into_iter()
-        .filter(|r| !right_rows.contains(r))
-        .collect();
-    let flat = FlatRelation::from_rows(left.schema().clone(), rows)?;
-    Ok(canonical_of_flat(&flat, order))
+    let right_rows = right.expand();
+    let left_rows = expansion(left);
+    let mut rows = RowBlock::with_capacity(left.schema().clone(), left_rows.len());
+    for row in left_rows.rows().filter(|row| !right_rows.contains(row)) {
+        rows.push_row(row)?;
+    }
+    Ok(NestKernel::new().canonical_of_rows(&rows, order))
 }
 
 /// Set intersection on `R*`.
@@ -254,6 +260,8 @@ pub fn product(left: &NfRelation, right: &NfRelation) -> Result<NfRelation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nf2_core::tuple::FlatTuple;
+    use std::collections::BTreeSet;
 
     fn schema(name: &str, attrs: &[&str]) -> Arc<Schema> {
         Schema::new(name, attrs).unwrap()
@@ -272,7 +280,7 @@ mod tests {
     }
 
     fn flat_of(rel: &NfRelation) -> BTreeSet<FlatTuple> {
-        rel.expand().into_rows()
+        rel.expand().rows().map(<[Atom]>::to_vec).collect()
     }
 
     #[test]

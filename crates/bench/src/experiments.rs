@@ -17,7 +17,7 @@ use nf2_core::irreducible::{
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
 use nf2_core::nest::{canonical_of_flat, nest, nest_pairwise};
 use nf2_core::properties::{classify, is_fixed_on};
-use nf2_core::relation::{FlatRelation, NfRelation};
+use nf2_core::relation::{FlatRelation, NfRelation, RowBlock};
 use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{FlatTuple, NfTuple, ValueSet};
 use nf2_core::value::{Atom, Dictionary};
@@ -538,7 +538,7 @@ pub fn e07_theorem_a4() -> Report {
 fn probe_costs(flat: &FlatRelation, probes: usize, seed: u64) -> ((f64, u64), (f64, u64)) {
     let order = NestOrder::identity(flat.schema().arity());
     let mut canon = CanonicalRelation::from_flat(flat, order).unwrap();
-    let rows: Vec<FlatTuple> = flat.rows().cloned().collect();
+    let rows: Vec<FlatTuple> = flat.rows().map(<[Atom]>::to_vec).collect();
     let mut state = seed | 1;
     let mut next = move || {
         state = state
@@ -758,7 +758,7 @@ pub fn e10_update_cost() -> Report {
             );
         }
         let mut canon = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
-        let rows: Vec<FlatTuple> = w.flat.rows().cloned().collect();
+        let rows: Vec<FlatTuple> = w.flat.rows().map(<[Atom]>::to_vec).collect();
         let probes = 24usize;
 
         let start = Instant::now();
@@ -772,15 +772,16 @@ pub fn e10_update_cost() -> Report {
         // Baseline: recompute the canonical form from scratch per update
         // (one shared kernel keeps the comparison honest — the re-nester
         // gets every amortization the production rebuild path has).
-        let mut flat = w.flat.clone();
         let start = Instant::now();
         let baseline_probes = 4usize; // re-nesting is slow; fewer probes suffice
         for i in 0..baseline_probes {
-            let row = rows[(i * 104729) % rows.len()].clone();
-            flat.remove(&row);
-            let _ = kernel.canonical_of_flat(&flat, &order);
-            flat.insert(row).unwrap();
-            let _ = kernel.canonical_of_flat(&flat, &order);
+            let row = rows[(i * 104729) % rows.len()].as_slice();
+            let mut without = RowBlock::with_capacity(w.flat.schema().clone(), rows.len());
+            for kept in w.flat.rows().filter(|r| *r != row) {
+                without.push_row(kept).unwrap();
+            }
+            let _ = kernel.canonical_of_rows(&without, &order);
+            let _ = kernel.canonical_of_flat(&w.flat, &order);
         }
         let renest = start.elapsed().as_micros() as f64 / (baseline_probes * 2) as f64;
 

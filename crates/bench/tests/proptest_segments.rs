@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use nf2_core::bulk::{apply_batch, Op};
 use nf2_core::kernel::NestKernel;
 use nf2_core::maintenance::{CanonicalRelation, CostCounter};
-use nf2_core::relation::FlatRelation;
+use nf2_core::relation::RowBlock;
 use nf2_core::schema::NestOrder;
 use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
@@ -129,7 +129,7 @@ fn draw(state: &mut u64) -> usize {
 /// two- and all-attribute conjunctions of those.
 fn probe_conjuncts(w: &Workload, state: &mut u64) -> Vec<Vec<(usize, ValueSet)>> {
     let arity = w.flat.schema().arity();
-    let rows: Vec<&Vec<Atom>> = w.flat.rows().collect();
+    let rows: Vec<&[Atom]> = w.flat.rows().collect();
     let absent = Atom(rows.iter().flat_map(|r| r.iter()).max().unwrap().id() + 1);
     let stored = |state: &mut u64, a: usize| rows[draw(state) % rows.len()][a];
     let single: Vec<(usize, ValueSet)> = (0..arity)
@@ -407,9 +407,11 @@ proptest! {
                     }
                     for s in 0..sharded.shard_count() {
                         let tuples: Vec<NfTuple> = sharded.version(s).tuples().map(TupleRef::into_owned).collect();
-                        let rows = tuples.iter().flat_map(NfTuple::expand);
-                        let rows = FlatRelation::from_rows(w.flat.schema().clone(), rows).unwrap();
-                        let rebuilt = NestKernel::new().canonical_of_flat(&rows, &order);
+                        let mut rows = RowBlock::with_capacity(w.flat.schema().clone(), 0);
+                        for t in &tuples {
+                            rows.push_expansion(t.as_ref()).unwrap();
+                        }
+                        let rebuilt = NestKernel::new().canonical_of_rows(&rows, &order);
                         prop_assert_eq!(
                             tuples.as_slice(),
                             rebuilt.tuples(),
@@ -443,7 +445,12 @@ fn edge_edits(sharded: &ShardedCanonical, fresh: u32) -> Vec<Op> {
     let mut ops = Vec::new();
     for (i, seg) in sharded.shard_segments(0).segments().iter().enumerate() {
         for row in [0, seg.rows() - 1] {
-            let first = seg.tuple(row).expand().next().expect("a tuple holds a row");
+            // The tuple's first row: the least value of each set.
+            let first: Vec<Atom> = seg
+                .tuple(row)
+                .components()
+                .map(|set| set.as_slice()[0])
+                .collect();
             let mut entering = first.clone();
             entering[0] = Atom(fresh + i as u32);
             ops.extend([Op::Delete(first), Op::Insert(entering)]);

@@ -204,8 +204,8 @@ proptest! {
                         .unwrap();
                     let strict = expr.eval(&env_strict).unwrap();
                     prop_assert_eq!(
-                        pruned.expand().into_rows(),
-                        strict.expand().into_rows(),
+                        pruned.expand().rows().collect::<Vec<_>>(),
+                        strict.expand().rows().collect::<Vec<_>>(),
                         "{} shards {} values {:?}",
                         w.label, shards, values
                     );

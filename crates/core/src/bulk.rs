@@ -26,6 +26,8 @@
 //!   batch that touches every key *is* the full re-nest, so there is no
 //!   threshold and no second arm.
 
+use std::collections::BTreeSet;
+
 use crate::error::Result;
 use crate::kernel::NestKernel;
 use crate::maintenance::{kernel_cmp, CanonicalRelation, CostCounter};
@@ -117,19 +119,17 @@ pub(crate) fn replay<'a>(
 /// The re-nest oracle: applies `ops` to `R*` and rebuilds the canonical
 /// form from scratch through the single-pass nest kernel. Semantically
 /// identical to [`apply_batch`] (ops are order-sensitive only through
-/// set semantics, which `FlatRelation` reproduces exactly).
+/// set semantics, which a `BTreeSet` of rows reproduces exactly).
 pub fn rebuild_batch(canon: &CanonicalRelation, ops: &[Op]) -> Result<CanonicalRelation> {
-    let mut flat: FlatRelation = canon.relation().expand();
+    let rel = canon.relation();
+    let mut rows: BTreeSet<FlatTuple> = rel.expand().rows().map(<[Atom]>::to_vec).collect();
     for op in ops {
         match op {
-            Op::Insert(row) => {
-                flat.insert(row.clone())?;
-            }
-            Op::Delete(row) => {
-                flat.remove(row);
-            }
-        }
+            Op::Insert(row) => rows.insert(row.clone()),
+            Op::Delete(row) => rows.remove(row),
+        };
     }
+    let flat = FlatRelation::from_rows(rel.schema().clone(), rows)?;
     CanonicalRelation::from_flat(&flat, canon.order().clone())
 }
 

@@ -10,7 +10,8 @@
 
 use crate::compose::{composable_over, compose, find_composable_pair};
 use crate::relation::{FlatRelation, NfRelation};
-use crate::tuple::{FlatTuple, NfTuple, ValueSet};
+use crate::tuple::{NfTuple, ValueSet};
+use crate::value::Atom;
 
 /// Whether no composition applies to any pair of tuples (Def. 3).
 pub fn is_irreducible(rel: &NfRelation) -> bool {
@@ -83,30 +84,29 @@ pub fn reduce(rel: &NfRelation, strategy: ReduceStrategy) -> NfRelation {
 }
 
 /// The bitmask of rows a rectangle covers, or `None` if it reaches
-/// outside `rows`.
-fn rect_mask(tuple: &NfTuple, rows: &[FlatTuple]) -> Option<u32> {
+/// outside `rows` — if fewer rows lie in it than it expands to.
+fn rect_mask(tuple: &NfTuple, rows: &FlatRelation) -> Option<u32> {
     let mut mask = 0u32;
-    for f in tuple.expand() {
-        match rows.iter().position(|r| *r == f) {
-            Some(i) => mask |= 1 << i,
-            None => return None,
+    for (i, r) in rows.rows().enumerate() {
+        if tuple.contains_flat(r) {
+            mask |= 1 << i;
         }
     }
-    Some(mask)
+    (u128::from(mask.count_ones()) == tuple.expansion_count()).then_some(mask)
 }
 
 /// All rectangles inside `rows` that contain the pivot row, avoid already
 /// covered rows, sorted largest first.
 fn rectangles_through(
-    rows: &[FlatTuple],
+    rows: &FlatRelation,
     covered: u32,
     pivot: usize,
     n: usize,
 ) -> Vec<(NfTuple, u32)> {
-    let pivot_row = &rows[pivot];
+    let pivot_row = rows.block().row(pivot);
     // Candidate values per attribute among uncovered rows.
-    let mut per_attr: Vec<Vec<crate::value::Atom>> = vec![Vec::new(); n];
-    for (i, r) in rows.iter().enumerate() {
+    let mut per_attr: Vec<Vec<Atom>> = vec![Vec::new(); n];
+    for (i, r) in rows.rows().enumerate() {
         if covered & (1 << i) != 0 {
             continue;
         }
@@ -119,15 +119,15 @@ fn rectangles_through(
     // Enumerate products of non-empty subsets containing the pivot's
     // value on each attribute.
     let mut result = Vec::new();
-    let mut choice: Vec<Vec<crate::value::Atom>> = vec![Vec::new(); n];
+    let mut choice: Vec<Vec<Atom>> = vec![Vec::new(); n];
     #[allow(clippy::too_many_arguments)]
     fn rec(
         k: usize,
         n: usize,
-        pivot_row: &FlatTuple,
-        per_attr: &[Vec<crate::value::Atom>],
-        choice: &mut Vec<Vec<crate::value::Atom>>,
-        rows: &[FlatTuple],
+        pivot_row: &[Atom],
+        per_attr: &[Vec<Atom>],
+        choice: &mut Vec<Vec<Atom>>,
+        rows: &FlatRelation,
         covered: u32,
         pivot: usize,
         out: &mut Vec<(NfTuple, u32)>,
@@ -145,7 +145,7 @@ fn rectangles_through(
             }
             return;
         }
-        let others: Vec<crate::value::Atom> = per_attr[k]
+        let others: Vec<Atom> = per_attr[k]
             .iter()
             .copied()
             .filter(|v| *v != pivot_row[k])
@@ -196,7 +196,7 @@ fn rectangles_through(
 /// hard to find (§4: "it's hard to find the minimum NFR"). Exponential —
 /// intended for `|R*|` up to a few dozen flat tuples (Example 2 has 6).
 pub fn minimum_partition(flat: &FlatRelation) -> NfRelation {
-    let rows: Vec<FlatTuple> = flat.rows().cloned().collect();
+    let rows = flat;
     if rows.is_empty() {
         return NfRelation::new(flat.schema().clone());
     }
@@ -219,7 +219,7 @@ pub fn minimum_partition(flat: &FlatRelation) -> NfRelation {
     }
 
     fn dfs(
-        rows: &[FlatTuple],
+        rows: &FlatRelation,
         n: usize,
         covered: u32,
         full: u32,
@@ -244,7 +244,7 @@ pub fn minimum_partition(flat: &FlatRelation) -> NfRelation {
     }
 
     let mut current = Vec::new();
-    dfs(&rows, n, 0, full, &mut current, &mut best);
+    dfs(rows, n, 0, full, &mut current, &mut best);
     NfRelation::from_tuples_unchecked(flat.schema().clone(), best)
 }
 
@@ -254,7 +254,7 @@ pub fn minimum_partition(flat: &FlatRelation) -> NfRelation {
 /// Severely exponential; capped at 16 rows and `limit` partitions. Used
 /// by the Fig. 3 region census (experiment E11).
 pub fn enumerate_partitions(flat: &FlatRelation, limit: usize) -> Vec<NfRelation> {
-    let rows: Vec<FlatTuple> = flat.rows().cloned().collect();
+    let rows = flat;
     if rows.is_empty() {
         return vec![NfRelation::new(flat.schema().clone())];
     }
@@ -268,7 +268,7 @@ pub fn enumerate_partitions(flat: &FlatRelation, limit: usize) -> Vec<NfRelation
     let mut out = Vec::new();
 
     fn dfs(
-        rows: &[FlatTuple],
+        rows: &FlatRelation,
         n: usize,
         covered: u32,
         full: u32,
@@ -293,7 +293,7 @@ pub fn enumerate_partitions(flat: &FlatRelation, limit: usize) -> Vec<NfRelation
 
     let mut current = Vec::new();
     let mut partitions = Vec::new();
-    dfs(&rows, n, 0, full, &mut current, &mut partitions, limit);
+    dfs(rows, n, 0, full, &mut current, &mut partitions, limit);
     for tuples in partitions {
         out.push(NfRelation::from_tuples_unchecked(
             flat.schema().clone(),
@@ -307,7 +307,6 @@ pub fn enumerate_partitions(flat: &FlatRelation, limit: usize) -> Vec<NfRelation
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::Atom;
     use std::sync::Arc;
 
     fn schema(attrs: &[&str]) -> Arc<Schema> {
@@ -439,7 +438,6 @@ mod tests {
 mod enumerate_tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::Atom;
 
     fn flat2(rows: &[&[u32]]) -> FlatRelation {
         FlatRelation::from_rows(

@@ -37,8 +37,8 @@
 //!
 //! The kernel is the production path behind cold loads and reopens
 //! ([`crate::shard::ShardedCanonical::from_rows`]) and behind
-//! [`canonical_of_flat`](crate::nest::canonical_of_flat), which copies
-//! its relation's rows into a block; the Def. 5
+//! [`canonical_of_flat`](crate::nest::canonical_of_flat), which hands
+//! it the relation's own block; the Def. 5
 //! cascade ([`canonicalize`](crate::nest::canonicalize) over singleton
 //! tuples) and [`nest_pairwise`](crate::nest::nest_pairwise) (the
 //! Theorem-2 oracle) stay as the oracles, and property tests pin all
@@ -104,13 +104,12 @@ impl NestKernel {
         Self::default()
     }
 
-    /// Def. 5 — the canonical form `ν_P(R)` of a 1NF relation: its rows
-    /// copied into a [`RowBlock`] and nested by
-    /// [`canonical_of_rows`](Self::canonical_of_rows). Tuple-identical to
-    /// the ν cascade [`canonicalize`](crate::nest::canonicalize) runs over
-    /// the same rows.
+    /// Def. 5 — the canonical form `ν_P(R)` of a 1NF relation: its own
+    /// block, nested by [`canonical_of_rows`](Self::canonical_of_rows).
+    /// Tuple-identical to the ν cascade
+    /// [`canonicalize`](crate::nest::canonicalize) runs over the same rows.
     pub fn canonical_of_flat(&mut self, flat: &FlatRelation, order: &NestOrder) -> NfRelation {
-        self.canonical_of_rows(&RowBlock::from_flat(flat), order)
+        self.canonical_of_rows(flat.block(), order)
     }
 
     /// Def. 5 — the canonical form `ν_P(R*)` of the set of rows a block
@@ -437,12 +436,6 @@ impl NestKernel {
         self.reps.clear();
         self.ids.clear();
     }
-}
-
-/// Canonical form of a 1NF relation through a throwaway kernel — the
-/// one-shot convenience behind [`crate::nest::canonical_of_flat`].
-pub fn canonical_of_flat(flat: &FlatRelation, order: &NestOrder) -> NfRelation {
-    NestKernel::new().canonical_of_flat(flat, order)
 }
 
 /// The sorted, duplicate-free rows the fold stages read: row `i` is

@@ -161,8 +161,7 @@ impl CanonicalRelation {
     /// use [`from_rows_with`](Self::from_rows_with) to amortize scratch
     /// across repeated rebuilds.
     pub fn from_flat(flat: &FlatRelation, order: NestOrder) -> Result<Self> {
-        let rows = crate::relation::RowBlock::from_flat(flat);
-        Self::from_rows_with(&mut crate::kernel::NestKernel::new(), &rows, order)
+        Self::from_rows_with(&mut crate::kernel::NestKernel::new(), flat.block(), order)
     }
 
     /// The canonical form of the rows a block holds (a repeated row
@@ -425,6 +424,7 @@ impl CanonicalRelation {
 mod tests {
     use super::*;
     use crate::nest::canonical_of_flat;
+    use std::collections::BTreeSet;
 
     fn schema(attrs: &[&str]) -> Arc<Schema> {
         Schema::new("R", attrs).unwrap()
@@ -438,18 +438,23 @@ mod tests {
         FlatRelation::from_rows(s, rows.iter().map(|r| row(r))).unwrap()
     }
 
+    /// The re-nest oracle over a set of rows.
+    fn oracle(s: &Arc<Schema>, rows: &BTreeSet<FlatTuple>, order: &NestOrder) -> NfRelation {
+        let flat = FlatRelation::from_rows(s.clone(), rows.iter().cloned()).unwrap();
+        canonical_of_flat(&flat, order)
+    }
+
     /// Inserting every row one by one must equal nesting from scratch.
     fn check_incremental_build(attrs: &[&str], rows: &[&[u32]], order: NestOrder) {
         let s = schema(attrs);
         let mut canon = CanonicalRelation::new(s.clone(), order.clone()).unwrap();
-        let mut flat = FlatRelation::new(s);
+        let mut flat = BTreeSet::new();
         for r in rows {
             assert!(canon.insert(row(r)).unwrap());
-            flat.insert(row(r)).unwrap();
-            let oracle = canonical_of_flat(&flat, &order);
+            flat.insert(row(r));
             assert_eq!(
                 canon.relation().tuples(),
-                oracle.tuples(),
+                oracle(&s, &flat, &order).tuples(),
                 "after inserting {r:?} with order {order}"
             );
         }
@@ -458,15 +463,15 @@ mod tests {
     /// Deleting every row one by one must equal nesting from scratch.
     fn check_incremental_teardown(attrs: &[&str], rows: &[&[u32]], order: NestOrder) {
         let s = schema(attrs);
-        let mut flat = flat_rel(s, rows);
-        let mut canon = CanonicalRelation::from_flat(&flat, order.clone()).unwrap();
+        let mut canon =
+            CanonicalRelation::from_flat(&flat_rel(s.clone(), rows), order.clone()).unwrap();
+        let mut flat: BTreeSet<FlatTuple> = rows.iter().map(|r| row(r)).collect();
         for r in rows {
             assert!(canon.delete(&row(r)).unwrap());
             flat.remove(&row(r));
-            let oracle = canonical_of_flat(&flat, &order);
             assert_eq!(
                 canon.relation().tuples(),
-                oracle.tuples(),
+                oracle(&s, &flat, &order).tuples(),
                 "after deleting {r:?} with order {order}"
             );
         }
@@ -594,7 +599,7 @@ mod tests {
             NestOrder::new(vec![1, 2, 0], 3).unwrap(),
         ] {
             let mut canon = CanonicalRelation::new(s.clone(), order.clone()).unwrap();
-            let mut flat = FlatRelation::new(s.clone());
+            let mut flat = BTreeSet::new();
             let mut state = 0xdeadbeefu64;
             for step in 0..300 {
                 state = state
@@ -611,19 +616,19 @@ mod tests {
                 } else {
                     let expected = !flat.contains(&r);
                     assert_eq!(canon.insert(r.clone()).unwrap(), expected);
-                    flat.insert(r).unwrap();
+                    flat.insert(r);
                 }
                 if step % 10 == 0 {
                     assert_eq!(
                         canon.relation().tuples(),
-                        canonical_of_flat(&flat, &order).tuples(),
+                        oracle(&s, &flat, &order).tuples(),
                         "the maintained vector is the kernel's vector"
                     );
                 }
             }
             assert_eq!(
                 canon.relation().tuples(),
-                canonical_of_flat(&flat, &order).tuples()
+                oracle(&s, &flat, &order).tuples()
             );
         }
     }

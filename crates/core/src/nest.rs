@@ -119,7 +119,7 @@ pub fn canonicalize(rel: &NfRelation, order: &NestOrder) -> NfRelation {
 /// The cascade itself — [`canonicalize`] over [`NfRelation::from_flat`] —
 /// is the oracle the property tests pin the kernel against.
 pub fn canonical_of_flat(flat: &FlatRelation, order: &NestOrder) -> NfRelation {
-    crate::kernel::canonical_of_flat(flat, order)
+    crate::kernel::NestKernel::new().canonical_of_flat(flat, order)
 }
 
 /// Whether `rel` is already in canonical form for `order`.

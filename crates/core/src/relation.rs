@@ -7,28 +7,32 @@
 //! relation `R*` is therefore unique (Theorem 1): [`NfRelation::expand`]
 //! computes it, and [`NfRelation::from_flat`] embeds a 1NF relation as the
 //! all-singleton NFR.
+//!
+//! Flat rows have one representation, the [`RowBlock`] (a multiset in
+//! arrival order); a [`FlatRelation`] is one kept sorted with each row
+//! once. A tuple expands only through [`RowBlock::push_expansion`].
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::error::{NfError, Result};
 use crate::schema::Schema;
+use crate::segment::partition_point;
 use crate::tuple::{FlatTuple, NfTuple, TupleRef};
 use crate::value::Atom;
 
-/// A first-normal-form relation: a *set* of flat tuples over a schema.
+/// A first-normal-form relation: a *set* of flat tuples over a schema,
+/// held as one [`RowBlock`] sorted lexicographically (attribute 0
+/// outermost), each row once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatRelation {
-    schema: Arc<Schema>,
-    rows: BTreeSet<FlatTuple>,
+    rows: RowBlock,
 }
 
 impl FlatRelation {
     /// An empty 1NF relation.
     pub fn new(schema: Arc<Schema>) -> Self {
         Self {
-            schema,
-            rows: BTreeSet::new(),
+            rows: RowBlock::with_capacity(schema, 0),
         }
     }
 
@@ -38,37 +42,37 @@ impl FlatRelation {
     where
         I: IntoIterator<Item = FlatTuple>,
     {
-        let mut rel = Self::new(schema);
-        for row in rows {
-            rel.insert(row)?;
+        Ok(Self::from_block(&RowBlock::from_rows(schema, rows)?))
+    }
+
+    /// The set of rows `block` holds: sorted, each row once.
+    pub(crate) fn from_block(block: &RowBlock) -> Self {
+        let mut order: Vec<usize> = (0..block.len()).collect();
+        order.sort_unstable_by(|&a, &b| block.row(a).cmp(block.row(b)));
+        order.dedup_by(|a, b| block.row(*a) == block.row(*b));
+        let mut rows = RowBlock::with_capacity(block.schema().clone(), order.len());
+        for idx in order {
+            rows.atoms.extend_from_slice(block.row(idx));
+            rows.rows += 1;
         }
-        Ok(rel)
+        Self { rows }
     }
 
     /// The schema.
     pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        self.rows.schema()
     }
 
-    /// Inserts a row. Returns `true` if it was new.
-    pub fn insert(&mut self, row: FlatTuple) -> Result<bool> {
-        if row.len() != self.schema.arity() {
-            return Err(NfError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        Ok(self.rows.insert(row))
+    /// The rows as a block, in their sorted order.
+    pub(crate) fn block(&self) -> &RowBlock {
+        &self.rows
     }
 
-    /// Removes a row. Returns `true` if it was present.
-    pub fn remove(&mut self, row: &[crate::value::Atom]) -> bool {
-        self.rows.remove(row)
-    }
-
-    /// Membership test.
-    pub fn contains(&self, row: &[crate::value::Atom]) -> bool {
-        self.rows.contains(row)
+    /// Membership test: a binary search of the sorted rows. A row of the
+    /// wrong arity is in no relation.
+    pub fn contains(&self, row: &[Atom]) -> bool {
+        let at = partition_point(self.len(), |idx| self.rows.row(idx) < row);
+        at < self.len() && self.rows.row(at) == row
     }
 
     /// Number of rows.
@@ -82,13 +86,8 @@ impl FlatRelation {
     }
 
     /// Iterates rows in lexicographic order.
-    pub fn rows(&self) -> impl Iterator<Item = &FlatTuple> {
-        self.rows.iter()
-    }
-
-    /// Consumes the relation, yielding its rows.
-    pub fn into_rows(self) -> BTreeSet<FlatTuple> {
-        self.rows
+    pub fn rows(&self) -> impl Iterator<Item = &[Atom]> {
+        self.rows.rows()
     }
 }
 
@@ -97,8 +96,8 @@ impl FlatRelation {
 /// no atoms). Unlike a [`FlatRelation`] it is a multiset in arrival
 /// order — a repeated row stays until the kernel's sort drops it
 /// ([`NestKernel::canonical_of_rows`]). It is how a cold load carries
-/// `R*` from the dictionary to the kernel: one allocation, no `Vec` per
-/// row.
+/// `R*` from the dictionary to the kernel, and how an expansion reaches
+/// a re-nest: one allocation, no `Vec` per row.
 ///
 /// [`NestKernel::canonical_of_rows`]: crate::kernel::NestKernel::canonical_of_rows
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,16 +116,6 @@ impl RowBlock {
             atoms,
             rows: 0,
         }
-    }
-
-    /// The rows of `flat`, in its (sorted) order.
-    pub fn from_flat(flat: &FlatRelation) -> Self {
-        let mut block = Self::with_capacity(flat.schema().clone(), flat.len());
-        for row in flat.rows() {
-            block.atoms.extend_from_slice(row);
-        }
-        block.rows = flat.len();
-        block
     }
 
     /// The given rows, repeats included, each checked against the
@@ -179,6 +168,12 @@ impl RowBlock {
         self.rows_from(0)
     }
 
+    /// Drops every row, keeping the allocation for the next ones.
+    pub fn clear(&mut self) {
+        self.atoms.clear();
+        self.rows = 0;
+    }
+
     /// Appends one row of the schema's arity.
     pub fn push_row(&mut self, row: impl AsRef<[Atom]>) -> Result<()> {
         let row = row.as_ref();
@@ -211,9 +206,9 @@ impl RowBlock {
         Ok(())
     }
 
-    /// Appends every row of `tuple`'s expansion, in the order
-    /// [`TupleRef::expand`] yields them (the last attribute varies
-    /// fastest), without building one.
+    /// Appends every row of `tuple`'s expansion in lexicographic order
+    /// (the last attribute varies fastest); the zero-arity tuple expands
+    /// to the one empty row. This is the only expansion of a tuple.
     pub fn push_expansion(&mut self, tuple: TupleRef<'_>) -> Result<()> {
         let n = self.arity();
         if tuple.arity() != n {
@@ -325,7 +320,7 @@ impl NfRelation {
     /// Embeds a 1NF relation as the NFR of singleton tuples — the starting
     /// point of every composition sequence (§3.2).
     pub fn from_flat(flat: &FlatRelation) -> Self {
-        let tuples = flat.rows().map(|r| NfTuple::from_flat(r)).collect();
+        let tuples = flat.rows().map(NfTuple::from_flat).collect();
         Self {
             schema: flat.schema().clone(),
             tuples,
@@ -365,27 +360,29 @@ impl NfRelation {
 
     /// Theorem 1 — the unique underlying 1NF relation `R*`.
     pub fn expand(&self) -> FlatRelation {
-        let mut rows = BTreeSet::new();
+        let count = usize::try_from(self.flat_count()).expect("an expansion that fits in memory");
+        let mut rows = RowBlock::with_capacity(self.schema.clone(), count);
         for t in &self.tuples {
-            for flat in t.expand() {
-                let fresh = rows.insert(flat);
-                debug_assert!(fresh, "partition invariant: expansions are disjoint");
-            }
+            rows.push_expansion(t.as_ref())
+                .expect("every tuple has the schema's arity");
         }
-        FlatRelation {
-            schema: self.schema.clone(),
-            rows,
-        }
+        let flat = FlatRelation::from_block(&rows);
+        debug_assert_eq!(
+            flat.len(),
+            count,
+            "partition invariant: disjoint expansions"
+        );
+        flat
     }
 
     /// Whether some tuple's expansion contains `flat`.
-    pub fn contains_flat(&self, flat: &[crate::value::Atom]) -> bool {
+    pub fn contains_flat(&self, flat: &[Atom]) -> bool {
         self.find_containing(flat).is_some()
     }
 
     /// Index of the (unique, by disjointness) tuple containing `flat` —
     /// the paper's `searcht`.
-    pub fn find_containing(&self, flat: &[crate::value::Atom]) -> Option<usize> {
+    pub fn find_containing(&self, flat: &[Atom]) -> Option<usize> {
         self.tuples.iter().position(|t| t.contains_flat(flat))
     }
 
@@ -538,19 +535,21 @@ mod tests {
 
     #[test]
     fn flat_relation_is_a_set() {
-        let mut r = flat(&[&[1, 10], &[1, 10]]);
-        assert_eq!(r.len(), 1);
-        assert!(!r.insert(vec![Atom(1), Atom(10)]).unwrap());
-        assert!(r.insert(vec![Atom(2), Atom(10)]).unwrap());
-        assert_eq!(r.len(), 2);
-        assert!(r.remove(&[Atom(2), Atom(10)]));
-        assert!(!r.remove(&[Atom(2), Atom(10)]));
+        let r = flat(&[&[2, 10], &[1, 10], &[1, 10]]);
+        assert_eq!(
+            r,
+            flat(&[&[1, 10], &[2, 10]]),
+            "repeats and order forgotten"
+        );
+        assert!(r.contains(&[Atom(2), Atom(10)]) && !r.contains(&[Atom(2), Atom(5)]));
+        assert!(!r.contains(&[Atom(1)]), "a row of another arity");
     }
 
     #[test]
     fn flat_relation_checks_arity() {
-        let mut r = FlatRelation::new(schema2());
-        assert!(r.insert(vec![Atom(1)]).is_err());
+        assert!(FlatRelation::from_rows(schema2(), [vec![Atom(1)]]).is_err());
+        let unit = FlatRelation::from_rows(Schema::new("U", &[]).unwrap(), [vec![], vec![]]);
+        assert_eq!(unit.unwrap().len(), 1, "the one empty row");
     }
 
     #[test]

@@ -641,7 +641,7 @@ fn recut<'a>(chunks: impl IntoIterator<Item = &'a Chunk>, rows: usize) -> Vec<Ch
 
 /// The first index below `len` at which `before` fails, `before` holding
 /// on a prefix of `0..len`.
-fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usize {
     let (mut lo, mut hi) = (0, len);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;

@@ -658,7 +658,7 @@ impl ShardedCanonical {
     /// Builds the sharded form of an existing 1NF relation: its rows
     /// copied into one block and built by [`from_rows`](Self::from_rows).
     pub fn from_flat(flat: &FlatRelation, order: NestOrder, spec: ShardSpec) -> Result<Self> {
-        Self::from_rows(RowBlock::from_flat(flat), order, spec)
+        Self::from_rows(flat.block().clone(), order, spec)
     }
 
     /// Builds the sharded form of the rows a block holds (a repeated row
@@ -843,22 +843,25 @@ impl ShardedCanonical {
     /// an exact encoding of its chunk, and the merged relation equals the
     /// unsharded canonical form. Test/diagnostic helper.
     pub fn verify(&self) -> Result<()> {
-        let mut all_rows = FlatRelation::new(self.schema.clone());
+        let mut all_rows = RowBlock::with_capacity(self.schema.clone(), 0);
         for idx in 0..self.shard_count() {
             let shard = self.shard(idx);
             shard.verify()?;
             self.verify_segments(idx)?;
-            for row in shard.relation().expand().rows() {
+            let start = all_rows.len();
+            for t in shard.relation().tuples() {
+                all_rows.push_expansion(t.as_ref())?;
+            }
+            for row in all_rows.rows_from(start) {
                 if self.router.route_row(row) != idx {
                     return Err(NfError::InvalidShardSpec(format!(
                         "row routed to shard {} but stored in shard {idx}",
                         self.router.route_row(row)
                     )));
                 }
-                all_rows.insert(row.clone())?;
             }
         }
-        let unsharded = crate::nest::canonical_of_flat(&all_rows, &self.order);
+        let unsharded = NestKernel::new().canonical_of_rows(&all_rows, &self.order);
         if self.to_relation() == unsharded {
             Ok(())
         } else {
@@ -1054,7 +1057,7 @@ mod tests {
         // A row of the wrong arity is contained in nothing.
         let stored = flat.rows().next().unwrap();
         assert!(!sharded.contains(&stored[..1]));
-        assert!(!sharded.contains(&[stored.as_slice(), &[Atom(0)]].concat()));
+        assert!(!sharded.contains(&[stored, &[Atom(0)]].concat()));
         assert!(!sharded.contains(&[]));
     }
 
@@ -1339,7 +1342,7 @@ mod tests {
             .iter()
             .map(|v| v.segments().segments().to_vec())
             .collect();
-        let stored: Vec<FlatTuple> = flat.rows().take(40).cloned().collect();
+        let stored: Vec<FlatTuple> = flat.rows().take(40).map(<[Atom]>::to_vec).collect();
         let mut noops: Vec<Op> = stored.iter().cloned().map(Op::Insert).collect();
         noops.extend((0..40u32).map(|i| Op::Delete(row(&[900 + i, 950, 200 + i % 9]))));
         // An insert the same batch takes back is no change either.

@@ -516,12 +516,6 @@ impl NfTuple {
     pub fn agrees_except(&self, other: &NfTuple, except: usize) -> bool {
         self.as_ref().agrees_except(other.as_ref(), except)
     }
-
-    /// Iterates over the flat tuples of the expansion in lexicographic
-    /// order ([`TupleRef::expand`]).
-    pub fn expand(&self) -> ExpansionIter<'_> {
-        self.as_ref().expand()
-    }
 }
 
 /// A borrowed NF² tuple: an owned [`NfTuple`]'s components, or a tuple
@@ -678,18 +672,6 @@ impl<'a> TupleRef<'a> {
             .enumerate()
             .all(|(i, (a, b))| i == except || a == b)
     }
-
-    /// Iterates over the flat tuples of the expansion in lexicographic
-    /// order (odometer over the sorted components). The zero-arity
-    /// tuple, an empty product, expands to the one empty row, as
-    /// [`expansion_count`](Self::expansion_count) counts it.
-    pub fn expand(self) -> ExpansionIter<'a> {
-        ExpansionIter {
-            tuple: self,
-            indices: vec![0; self.arity()],
-            done: false,
-        }
-    }
 }
 
 // Equality is that of the component sequence, so it cannot tell an
@@ -732,53 +714,6 @@ impl fmt::Display for TupleRef<'_> {
             write!(f, "E{i}({})", vals.join(", "))?;
         }
         write!(f, "]")
-    }
-}
-
-/// Iterator over the expansion of a tuple; see [`TupleRef::expand`].
-pub struct ExpansionIter<'a> {
-    tuple: TupleRef<'a>,
-    indices: Vec<usize>,
-    done: bool,
-}
-
-impl Iterator for ExpansionIter<'_> {
-    type Item = FlatTuple;
-
-    fn next(&mut self) -> Option<FlatTuple> {
-        if self.done {
-            return None;
-        }
-        let flat: FlatTuple = self
-            .indices
-            .iter()
-            .zip(self.tuple.components())
-            .map(|(&i, c)| c.as_slice()[i])
-            .collect();
-        // Advance the odometer from the last attribute.
-        let mut pos = self.indices.len();
-        loop {
-            if pos == 0 {
-                self.done = true;
-                break;
-            }
-            pos -= 1;
-            self.indices[pos] += 1;
-            if self.indices[pos] < self.tuple.component(pos).len() {
-                break;
-            }
-            self.indices[pos] = 0;
-        }
-        Some(flat)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.done {
-            return (0, Some(0));
-        }
-        let total = self.tuple.expansion_count();
-        let hint = usize::try_from(total).ok();
-        (hint.unwrap_or(usize::MAX), hint)
     }
 }
 
@@ -933,6 +868,7 @@ impl fmt::Display for NfTuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::RowBlock;
 
     fn a(id: u32) -> Atom {
         Atom(id)
@@ -1045,29 +981,37 @@ mod tests {
         assert_eq!(t.to_flat(), None);
     }
 
+    /// `t`'s expansion, as the one expansion there is
+    /// ([`RowBlock::push_expansion`]) yields it.
+    fn expansion(t: &NfTuple) -> Vec<FlatTuple> {
+        let schema = crate::schema::Schema::new("T", &["A", "B", "C"][..t.arity()]).unwrap();
+        let mut block = RowBlock::with_capacity(schema, 0);
+        block.push_expansion(t.as_ref()).unwrap();
+        block.rows().map(<[Atom]>::to_vec).collect()
+    }
+
     #[test]
     fn expansion_enumerates_cartesian_product() {
         // The paper's example: [A(a1, a2) B(b1)] means {(a1,b1), (a2,b1)}.
         let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[10])]);
-        let flats: Vec<FlatTuple> = t.expand().collect();
-        assert_eq!(flats, vec![vec![a(1), a(10)], vec![a(2), a(10)]]);
+        assert_eq!(expansion(&t), vec![vec![a(1), a(10)], vec![a(2), a(10)]]);
     }
 
     #[test]
     fn the_zero_arity_tuple_expands_to_the_empty_row() {
         let unit = NfTuple::new(vec![]);
         assert_eq!(unit.expansion_count(), 1);
-        assert_eq!(unit.expand().collect::<Vec<_>>(), vec![FlatTuple::new()]);
+        assert_eq!(expansion(&unit), vec![FlatTuple::new()]);
     }
 
     #[test]
     fn expansion_is_lexicographic_and_complete() {
         let t = NfTuple::new(vec![vs(&[1, 2]), vs(&[3, 4]), vs(&[5])]);
-        let flats: Vec<FlatTuple> = t.expand().collect();
+        let flats = expansion(&t);
         assert_eq!(flats.len(), 4);
         let mut sorted = flats.clone();
         sorted.sort();
-        assert_eq!(flats, sorted, "odometer order is lexicographic");
+        assert_eq!(flats, sorted, "the expansion is lexicographic");
     }
 
     #[test]

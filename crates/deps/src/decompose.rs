@@ -344,7 +344,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let original: BTreeSet<Vec<Atom>> = rel.rows().cloned().collect();
+        let original: BTreeSet<Vec<Atom>> = rel.rows().map(<[Atom]>::to_vec).collect();
         assert_eq!(
             joined, original,
             "4NF decomposition must be lossless on instances"

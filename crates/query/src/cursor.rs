@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use nf2_algebra::stream::RelStream;
-use nf2_core::relation::NfRelation;
+use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::Schema;
 use nf2_core::tuple::{FlatTuple, TupleView};
 
@@ -48,8 +48,9 @@ impl<'s> Cursor<'s> {
     /// tuple is expanded as it arrives, one rectangle at a time.
     pub fn flat_rows(self) -> FlatRows<'s> {
         FlatRows {
+            rows: RowBlock::with_capacity(self.stream.schema().clone(), 0),
             stream: self.stream,
-            current: Vec::new().into_iter(),
+            at: 0,
         }
     }
 
@@ -76,28 +77,31 @@ impl<'s> Iterator for Cursor<'s> {
 
 /// Flat-row adapter over a [`Cursor`]; see [`Cursor::flat_rows`].
 ///
-/// Buffers exactly one NF² tuple's expansion at a time.
+/// Buffers exactly one NF² tuple's expansion at a time, in one block it
+/// refills for each tuple.
 #[derive(Debug)]
 pub struct FlatRows<'s> {
     stream: RelStream<'s>,
-    current: std::vec::IntoIter<FlatTuple>,
+    /// The expansion of the tuple being read.
+    rows: RowBlock,
+    /// The next row of `rows` to yield.
+    at: usize,
 }
 
 impl Iterator for FlatRows<'_> {
     type Item = FlatTuple;
 
     fn next(&mut self) -> Option<FlatTuple> {
-        loop {
-            if let Some(row) = self.current.next() {
-                return Some(row);
-            }
+        while self.at == self.rows.len() {
             let tuple = self.stream.next()?;
-            self.current = tuple
-                .as_ref()
-                .expand()
-                .collect::<Vec<FlatTuple>>()
-                .into_iter();
+            self.rows.clear();
+            self.at = 0;
+            self.rows
+                .push_expansion(tuple.as_ref())
+                .expect("a result tuple has its schema's arity");
         }
+        self.at += 1;
+        Some(self.rows.row(self.at - 1).to_vec())
     }
 }
 

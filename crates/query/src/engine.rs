@@ -28,9 +28,9 @@ use nf2_algebra::stream::filter_box;
 use nf2_algebra::Expr;
 use nf2_core::bulk::{BatchSummary, Op};
 use nf2_core::display::{render_flat, render_nf};
-use nf2_core::relation::NfRelation;
+use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::NestOrder;
-use nf2_core::tuple::{FlatTuple, ValueSet};
+use nf2_core::tuple::ValueSet;
 use nf2_core::value::Atom;
 use nf2_obs::{Counter, Histogram, MetricsSnapshot, Obs, Stopwatch, Subscriber};
 use nf2_storage::{NfTable, SharedDictionary};
@@ -1003,8 +1003,8 @@ fn delete_ops(
         return Ok(Vec::new());
     };
     Ok(matching_rows(table, &bound)
-        .into_iter()
-        .map(Op::Delete)
+        .rows()
+        .map(|row| Op::Delete(row.to_vec()))
         .collect())
 }
 
@@ -1031,13 +1031,13 @@ fn update_ops(
         return Ok(Vec::new());
     };
     let mut ops = Vec::new();
-    for row in matching_rows(table, &bound) {
-        let mut updated = row.clone();
+    for row in matching_rows(table, &bound).rows() {
+        let mut updated = row.to_vec();
         for &(attr, v) in &sets {
             updated[attr] = v;
         }
         if updated != row {
-            ops.push(Op::Delete(row));
+            ops.push(Op::Delete(row.to_vec()));
             ops.push(Op::Insert(updated));
         }
     }
@@ -1070,7 +1070,7 @@ fn resolve_bound(
 /// their segments, and every located tuple intersected with the box
 /// before it is expanded — a full-key predicate probes one tuple and
 /// expands one row, not the table.
-fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> Vec<FlatTuple> {
+fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> RowBlock {
     let snapshot = table.snapshot();
     let routing = snapshot.routing();
     let shards = routing.shards_for_conjuncts(
@@ -1079,12 +1079,13 @@ fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> Vec<FlatTuple>
             .filter(|(attr, _)| Some(*attr) == routing.attr())
             .map(|(_, values)| values.as_slice()),
     );
-    let mut rows = Vec::new();
+    let mut rows = RowBlock::with_capacity(table.schema().clone(), 0);
     for tuple in snapshot
         .scan_shards_zoned(&shards, bound)
         .filter_map(|t| filter_box(t, bound))
     {
-        rows.extend(tuple.as_ref().expand());
+        rows.push_expansion(tuple.as_ref())
+            .expect("a stored tuple has its table's arity");
     }
     rows
 }
@@ -1665,9 +1666,10 @@ mod tests {
             "ROLLBACK restores the state before BEGIN"
         );
         // And the served form is the exact canonical form of its rows.
-        let fresh =
-            nf2_core::nest::canonical_of_flat(&t.snapshot().canonical().expand(), t.order());
-        assert_eq!(t.snapshot().canonical(), fresh);
+        assert!(nf2_core::nest::is_canonical(
+            &t.snapshot().canonical(),
+            t.order()
+        ));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::ShardSpec;
 use nf2_core::tuple::FlatTuple;
+use nf2_core::value::Atom;
 use nf2_query::{Engine, Output};
 use nf2_storage::NfTable;
 use nf2_workload as workload;
@@ -129,7 +130,7 @@ fn rows_of(
     relation
         .validate()
         .map_err(|e| format!("invalid result: {e}"))?;
-    let rows = relation.expand().into_rows();
+    let rows: BTreeSet<FlatTuple> = relation.expand().rows().map(<[Atom]>::to_vec).collect();
     let counted: u128 = relation.tuples().iter().map(|t| t.expansion_count()).sum();
     if counted != rows.len() as u128 {
         return Err(format!(
@@ -261,7 +262,13 @@ proptest! {
                 }
                 for s in &shapes {
                     let expected = match &s.expr {
-                        Some(expr) => expr.eval(&env).unwrap().expand().into_rows(),
+                        Some(expr) => expr
+                            .eval(&env)
+                            .unwrap()
+                            .expand()
+                            .rows()
+                            .map(<[Atom]>::to_vec)
+                            .collect(),
                         None => BTreeSet::new(),
                     };
                     let context = format!("{} at {shards} shard(s): {}", w.label, s.sql);

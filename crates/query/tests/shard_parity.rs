@@ -16,7 +16,9 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use nf2_core::relation::NfRelation;
 use nf2_core::tuple::FlatTuple;
+use nf2_core::value::Atom;
 use nf2_query::{Engine, Output, QueryError};
 
 /// A canonical, order-insensitive digest of an [`Output`] for
@@ -32,19 +34,22 @@ enum Digest {
 
 fn digest(output: Output) -> Digest {
     match output {
-        Output::Relation { relation, .. } => Digest::Rows(relation.expand().into_rows()),
+        Output::Relation { relation, .. } => Digest::Rows(row_set(&relation)),
         Output::Count(n) => Digest::Count(n),
         Output::Affected(n) => Digest::Affected(n),
         Output::Message(m) => Digest::Message(m),
     }
 }
 
+/// The flat rows of a relation, as a set.
+fn row_set(relation: &NfRelation) -> BTreeSet<FlatTuple> {
+    relation.expand().rows().map(<[Atom]>::to_vec).collect()
+}
+
 /// The NF² tuple count and flat rows of a relation output.
 fn tuples_and_rows(output: Output) -> (usize, BTreeSet<FlatTuple>) {
     match output {
-        Output::Relation { relation, .. } => {
-            (relation.tuple_count(), relation.expand().into_rows())
-        }
+        Output::Relation { relation, .. } => (relation.tuple_count(), row_set(&relation)),
         other => panic!("expected a relation, got {other:?}"),
     }
 }

@@ -316,7 +316,7 @@ pub fn op_trace(
 ) -> Vec<nf2_core::bulk::Op> {
     use nf2_core::bulk::Op;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut present: Vec<Vec<Atom>> = base.flat.rows().cloned().collect();
+    let mut present: Vec<Vec<Atom>> = base.flat.rows().map(<[Atom]>::to_vec).collect();
     let mut absent: Vec<Vec<Atom>> = Vec::new();
     let arity = base.flat.schema().arity();
     let mut trace = Vec::with_capacity(ops);
@@ -374,7 +374,7 @@ pub fn repeated_and_shuffled(w: &Workload, seed: u64) -> Vec<Vec<Atom>> {
     let mut rows: Vec<Vec<Atom>> = Vec::with_capacity(w.flat.len() * 2);
     for row in w.flat.rows() {
         for _ in 0..rng.gen_range(1..=3u32) {
-            rows.push(row.clone());
+            rows.push(row.to_vec());
         }
     }
     for at in (1..rows.len()).rev() {
@@ -541,7 +541,7 @@ mod tests {
         assert_eq!(trace.len(), 200);
         // Replaying against a set model: deletes always hit, inserts
         // never duplicate (the generator tracks present/absent rows).
-        let mut model: BTreeSet<Vec<Atom>> = base.flat.rows().cloned().collect();
+        let mut model: BTreeSet<Vec<Atom>> = base.flat.rows().map(<[Atom]>::to_vec).collect();
         for op in &trace {
             match op {
                 Op::Insert(row) => assert!(model.insert(row.clone()), "duplicate insert {row:?}"),

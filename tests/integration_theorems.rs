@@ -91,7 +91,7 @@ fn incremental_build_agrees_across_every_workload_family() {
         let order = NestOrder::identity(w.flat.schema().arity());
         let mut canon = CanonicalRelation::new(w.flat.schema().clone(), order.clone()).unwrap();
         for row in w.flat.rows() {
-            canon.insert(row.clone()).unwrap();
+            canon.insert(row.to_vec()).unwrap();
         }
         assert_eq!(
             canon.relation(),

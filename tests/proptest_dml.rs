@@ -327,8 +327,8 @@ proptest! {
             autocommit.run(&stmt).unwrap();
         }
         prop_assert_eq!(
-            committed_engine.table("t").unwrap().snapshot().canonical().expand().into_rows(),
-            autocommit_engine.table("t").unwrap().snapshot().canonical().expand().into_rows()
+            committed_engine.table("t").unwrap().snapshot().canonical().expand(),
+            autocommit_engine.table("t").unwrap().snapshot().canonical().expand()
         );
     }
 
