@@ -12,7 +12,8 @@
 //!   first-nested one;
 //! * D1 — every public operation preserves the partition invariant;
 //! * §3.1 — a component is a set: `ValueSet` against a `BTreeSet` model,
-//!   across the boundary between its two representations.
+//!   across the boundary between its two representations; and so is a
+//!   1NF relation: `FlatRelation` against a `BTreeSet` of rows.
 
 use proptest::prelude::*;
 
@@ -485,5 +486,40 @@ proptest! {
             prop_assert_eq!(format!("{other:?}"), format!("{x:?}"));
         }
         prop_assert_eq!(format!("{x:?}"), format!("ValueSet({:?})", x.as_slice()));
+    }
+
+    /// `FlatRelation` against a `BTreeSet` model. Built from every row
+    /// one to three times, shuffled, it holds the model's rows in the
+    /// model's (lexicographic) order, each once; `contains` answers as
+    /// the model does for rows present and absent (value 4 is in no
+    /// row); and the canonical form of it expands back to the model
+    /// (Theorem 1).
+    #[test]
+    fn flat_relations_agree_with_the_set_model(
+        rows in proptest::collection::vec((proptest::collection::vec(0u32..4, 3), 1usize..=3), 0..24),
+        probes in proptest::collection::vec(proptest::collection::vec(0u32..5, 3), 0..12),
+        seed in any::<u64>(),
+    ) {
+        let atoms = |ids: &[u32]| -> Vec<Atom> { ids.iter().copied().map(Atom).collect() };
+        let model: BTreeSet<Vec<Atom>> = rows.iter().map(|(row, _)| atoms(row)).collect();
+        let mut input: Vec<Vec<Atom>> = rows
+            .iter()
+            .flat_map(|(row, times)| std::iter::repeat_n(atoms(row), *times))
+            .collect();
+        let mut state = seed | 1;
+        for at in (1..input.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            input.swap(at, (state >> 33) as usize % (at + 1));
+        }
+        let schema = Schema::new("R", &["A", "B", "C"]).unwrap();
+        let flat = FlatRelation::from_rows(schema, input).unwrap();
+        prop_assert_eq!(flat.len(), model.len());
+        prop_assert_eq!(flat.is_empty(), model.is_empty());
+        prop_assert!(flat.rows().eq(model.iter().map(Vec::as_slice)));
+        for row in model.iter().cloned().chain(probes.iter().map(|p| atoms(p))) {
+            prop_assert_eq!(flat.contains(&row), model.contains(&row), "{:?}", row);
+        }
+        let canon = canonical_of_flat(&flat, &order_from_seed(3, seed));
+        prop_assert!(canon.expand().rows().eq(model.iter().map(Vec::as_slice)));
     }
 }

@@ -40,7 +40,7 @@ use nf2::core::segment::{Segment, DEFAULT_SEGMENT_ROWS};
 use nf2::core::shard::ShardSpec;
 use nf2::core::tuple::{NfTuple, ValueSet};
 use nf2::core::Atom;
-use nf2::query::{Engine, Session};
+use nf2::query::{Engine, Session, NO_PARAMS};
 use nf2::storage::NfTable;
 
 struct CountingAlloc;
@@ -414,5 +414,78 @@ fn a_cold_load_allocates_per_tuple_not_per_row() {
         tally.frees <= input_rows + bound,
         "{} frees for {input_rows} rows, {tuples} tuples, {segments} segments",
         tally.frees
+    );
+}
+
+/// `t (Club, Course, Student)` on 4 hash shards where student `s` takes
+/// the four courses from `c{s % 7}` on and belongs to clubs `k{s % 7}`
+/// and `k{7 + s % 11}`. Students share courses and clubs, so `t` is not
+/// fixed on `(Course, Club)`. Students agreeing on `s % 77` share a
+/// tuple, so up to 231 students every set is inline and every tuple
+/// holds 8 to 24 rows.
+fn shared_enrollment(students: u32) -> Engine {
+    let mut rows: Vec<[String; 3]> = Vec::new();
+    for s in 0..students {
+        for club in [s % 7, 7 + s % 11] {
+            for j in 0..4 {
+                rows.push([
+                    format!("k{club}"),
+                    format!("c{}", s % 7 + j),
+                    format!("s{s}"),
+                ]);
+            }
+        }
+    }
+    let engine = Engine::new();
+    let table = NfTable::bulk_load_strs_sharded(
+        "t",
+        &["Club", "Course", "Student"],
+        rows.iter().map(|r| r.iter().map(String::as_str).collect()),
+        NestOrder::identity(3),
+        ShardSpec::hash(4).unwrap(),
+        engine.dict().clone(),
+    )
+    .unwrap();
+    engine.attach_table(table).unwrap();
+    engine
+}
+
+#[test]
+fn a_blocking_projection_allocates_per_tuple_not_per_row() {
+    const BLOCKING: &str = "SELECT Course, Club FROM t";
+    let engine = shared_enrollment(200);
+    let table = engine.table("t").unwrap();
+    let snapshot = table.snapshot();
+    let stored = snapshot.canonical();
+    assert!(stored.tuples().iter().all(|t| t.expansion_count() >= 8));
+    // The shards' tuples: what the scan feeds the blocking arm.
+    let input: u64 = (0..table.shard_count())
+        .map(|shard| snapshot.shard_segments(shard).covered_rows() as u64)
+        .sum();
+    assert!(
+        !nf2::core::properties::is_fixed_on(&stored, &[1, 0]),
+        "the projection must go through R*"
+    );
+    let mut session = engine.session();
+    let plan = session.run(&format!("EXPLAIN {BLOCKING}")).unwrap();
+    assert!(!plan.to_text().contains("streaming"), "{}", plan.to_text());
+
+    let mut prepared = session.prepare(BLOCKING).unwrap();
+    assert!(prepared.query(&session, NO_PARAMS).unwrap().count() > 0);
+    let (output, tally) = counted(|| prepared.query(&session, NO_PARAMS).unwrap().count() as u64);
+    // Debug builds validate every relation the pipeline and the kernel
+    // build, which expands it: the bound is the release build's.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    // One owned copy per input tuple (the blocking arm's collection),
+    // one block per output tuple, and the expansion's row blocks and
+    // the kernel's scratch: a few blocks per statement, none per row.
+    let bound = input + 4 * output + PER_STATEMENT + 64;
+    assert!(
+        tally.allocs <= bound,
+        "{} allocations for {input} input tuples ({} rows) and {output} output tuples",
+        tally.allocs,
+        stored.flat_count()
     );
 }
