@@ -21,6 +21,7 @@
 //! * union/difference work on `R*` and re-nest: their rows go into one
 //!   [`RowBlock`], and the kernel's sort drops repeats.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use nf2_core::error::{NfError, Result};
@@ -76,7 +77,19 @@ where
     for row in rows.rows().filter(|row| pred(row)) {
         kept.push_row(row).expect("row arity matches schema");
     }
-    NestKernel::new().canonical_of_rows(&kept, order)
+    renest(&kept, order)
+}
+
+thread_local! {
+    /// One nest kernel per thread: its scratch outlives a call, so the
+    /// blocking operators below grow it once per thread, not once per
+    /// call.
+    static KERNEL: RefCell<NestKernel> = RefCell::new(NestKernel::new());
+}
+
+/// `ν_order` of the rows `rows` holds, on this thread's kernel.
+fn renest(rows: &RowBlock, order: &NestOrder) -> NfRelation {
+    KERNEL.with(|kernel| kernel.borrow_mut().canonical_of_rows(rows, order))
 }
 
 /// `R*` of `rel`, tuple after tuple, in one block.
@@ -132,7 +145,7 @@ pub fn project(rel: &NfRelation, attrs: &[AttrId], order: &NestOrder) -> Result<
     for row in full.rows() {
         rows.push_row_from(attrs.iter().map(|&a| row[a]))?;
     }
-    Ok(NestKernel::new().canonical_of_rows(&rows, order))
+    Ok(renest(&rows, order))
 }
 
 fn require_compatible(left: &NfRelation, right: &NfRelation) -> Result<()> {
@@ -152,7 +165,7 @@ pub fn union(left: &NfRelation, right: &NfRelation, order: &NestOrder) -> Result
     for t in right.tuples() {
         rows.push_expansion(t.as_ref())?;
     }
-    Ok(NestKernel::new().canonical_of_rows(&rows, order))
+    Ok(renest(&rows, order))
 }
 
 /// Set difference `left* − right*`, re-nested with `order`.
@@ -164,7 +177,7 @@ pub fn difference(left: &NfRelation, right: &NfRelation, order: &NestOrder) -> R
     for row in left_rows.rows().filter(|row| !right_rows.contains(row)) {
         rows.push_row(row)?;
     }
-    Ok(NestKernel::new().canonical_of_rows(&rows, order))
+    Ok(renest(&rows, order))
 }
 
 /// Set intersection on `R*`.

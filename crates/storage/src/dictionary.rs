@@ -4,6 +4,7 @@
 //! `parking_lot::RwLock` behind an `Arc`, so storage tables, query
 //! sessions and benchmark threads can share one value space.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -43,6 +44,33 @@ impl SharedDictionary {
     /// Interns a whole row of names.
     pub fn intern_row(&self, names: &[&str]) -> Vec<Atom> {
         names.iter().map(|n| self.intern(n)).collect()
+    }
+
+    /// Interns `names` as atoms `0, 1, …` in order, or nothing at all:
+    /// each name must already be its position's atom or be new, and the
+    /// new ones must come last. Otherwise it returns the first position
+    /// that disagrees and the atom its name is, or would be interned as,
+    /// and leaves the dictionary as it was. One write lock covers the
+    /// check and the interning.
+    pub(crate) fn intern_as_ids(&self, names: &[String]) -> Result<(), (usize, Atom)> {
+        let mut dict = self.inner.dict.write();
+        let held = dict.len();
+        let mut fresh: HashMap<&str, Atom> = HashMap::new();
+        for (id, name) in names.iter().enumerate() {
+            let next = Atom((held + fresh.len()) as u32);
+            let atom = match dict.lookup(name) {
+                Some(atom) => atom,
+                None => *fresh.entry(name).or_insert(next),
+            };
+            if atom != Atom(id as u32) {
+                return Err((id, atom));
+            }
+        }
+        // Every name agreed: the first `held` are interned already.
+        for name in names.iter().skip(held) {
+            dict.intern(name);
+        }
+        Ok(())
     }
 
     /// Looks up without interning.
@@ -134,6 +162,27 @@ mod tests {
         let d2 = d.clone();
         let a = d.intern("shared");
         assert_eq!(d2.lookup("shared"), Some(a));
+    }
+
+    #[test]
+    fn intern_as_ids_interns_all_or_nothing() {
+        let names = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let d = SharedDictionary::new();
+        d.intern("b");
+        // A held prefix, then new names: the new ones take the next ids.
+        assert_eq!(d.intern_as_ids(&names(&["b", "c", "d"])), Ok(()));
+        assert_eq!(d.lookup("d"), Some(Atom(2)));
+        // Disagreements intern nothing: a held name at another id, a new
+        // name where a held one should be, a repeated new name.
+        for (list, first) in [
+            (vec!["c"], (0, Atom(1))),
+            (vec!["b", "a"], (1, Atom(3))),
+            (vec!["b", "c", "d", "e", "e"], (4, Atom(3))),
+        ] {
+            assert_eq!(d.intern_as_ids(&names(&list)), Err(first), "{list:?}");
+            assert_eq!(d.len(), 3, "{list:?}");
+        }
+        assert!(d.is_id_ordered(), "\"a\" was never interned");
     }
 
     #[test]

@@ -10,8 +10,14 @@
 //! * [`dictionary`] — a concurrent interning dictionary;
 //! * `wal` (crate-internal) — the sequenced group-commit write-ahead
 //!   log shared by a table's per-shard writer lanes;
+//! * `vfs` (crate-internal) — the storage seam: the only code that
+//!   touches files, with an in-memory, fault-injecting twin under
+//!   `cfg(test)`;
 //! * [`table`] — [`table::NfTable`], the NF²-native engine (canonical
-//!   maintenance + WAL + checkpoints + probe-counted, zone-pruned scans).
+//!   maintenance + WAL + checkpoints + probe-counted, zone-pruned scans),
+//!   in four parts: the type and its stats (`table`), reads
+//!   (`table::read`), writes (`table::write`) and persistence
+//!   (`table::persist`).
 
 #![forbid(unsafe_code)]
 
@@ -19,6 +25,7 @@ pub mod codec;
 pub mod dictionary;
 pub mod error;
 pub mod table;
+pub(crate) mod vfs;
 pub(crate) mod wal;
 
 pub use dictionary::SharedDictionary;

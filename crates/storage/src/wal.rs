@@ -6,12 +6,12 @@
 //! request first checks whether its entries are already written — a
 //! racing leader may have flushed the whole group — and otherwise
 //! elects itself leader by taking the flush lock and handing the OS the
-//! group in **one** `write` to the log file, which it holds open for
-//! appending. There is no fsync yet: a written entry survives a crash
-//! of the process, not of the machine. The leader can be told to dwell
-//! for a configurable group-commit window before snapshotting the
-//! buffer, so commits that arrive during the window ride along in the
-//! same write.
+//! group in **one** append to the log file, which it holds open through
+//! the storage seam (`crate::vfs`). There is no fsync yet: a written
+//! entry survives a crash of the process, not of the machine. The
+//! leader can be told to dwell for a configurable group-commit window
+//! before snapshotting the buffer, so commits that arrive during the
+//! window ride along in the same write.
 //!
 //! The buffer holds only the entries not yet written, as their *encoded
 //! bytes* — exactly what the next flush appends — plus their count, not
@@ -35,8 +35,6 @@
 //! stops at the first torn entry, which is exactly the last written
 //! prefix.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bytes::{BufMut, BytesMut};
@@ -46,6 +44,7 @@ use nf2_core::bulk::Op;
 
 use crate::codec::{decode_flat_tuple, encode_flat_tuple};
 use crate::error::{Result, StorageError};
+use crate::vfs::{Log, Vfs};
 
 /// Appends one WAL entry — a flat-row mutation — to `out`: a tag byte
 /// (1 insert, 2 delete), then the row.
@@ -105,7 +104,7 @@ struct LogFile {
     path: Option<PathBuf>,
     /// The file, open for appending. `None` until the first flush or
     /// checkpoint, and again after a failed write or cut.
-    file: Option<File>,
+    file: Option<Log>,
     /// The file's durable prefix: the bytes replay decoded plus every
     /// group written since.
     durable_bytes: u64,
@@ -116,7 +115,7 @@ impl LogFile {
     /// directory, opens the file for appending and cuts it to
     /// `durable_bytes`, so the next group lands right behind the last
     /// entry replay decoded and not behind a torn tail.
-    fn open(&mut self, path: &Path) -> Result<&mut File> {
+    fn open(&mut self, vfs: &Vfs, path: &Path) -> Result<&mut Log> {
         match &self.path {
             Some(bound) if bound != path => {
                 return Err(StorageError::Io(std::io::Error::new(
@@ -135,11 +134,9 @@ impl LogFile {
             Some(file) => file,
             None => {
                 if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
+                    vfs.create_dir_all(dir)?;
                 }
-                let file = OpenOptions::new().create(true).append(true).open(path)?;
-                file.set_len(self.durable_bytes)?;
-                file
+                vfs.open_log(path, self.durable_bytes)?
             }
         };
         Ok(self.file.insert(file))
@@ -150,10 +147,11 @@ impl LogFile {
     /// prefix — along with whatever part of a group a failed write left.
     fn with_file(
         &mut self,
+        vfs: &Vfs,
         path: &Path,
-        io: impl FnOnce(&mut File) -> std::io::Result<()>,
+        io: impl FnOnce(&mut Log) -> std::io::Result<()>,
     ) -> Result<()> {
-        let done = io(self.open(path)?);
+        let done = io(self.open(vfs, path)?);
         if done.is_err() {
             self.file = None;
         }
@@ -218,8 +216,8 @@ impl CommitLog {
         self.buf.lock().entries
     }
 
-    /// Appends every buffered entry to the log file at `path` in one
-    /// write, group-committing with concurrent flushers. No fsync.
+    /// Appends every buffered entry to the log file at `path` in `vfs`
+    /// in one write, group-committing with concurrent flushers. No fsync.
     ///
     /// Returns `Ok(None)` when the caller's group was already written
     /// by a racing leader (no I/O performed — this is the once-per-write
@@ -230,7 +228,7 @@ impl CommitLog {
     /// A non-zero `window_us` makes the elected leader dwell that many
     /// microseconds before snapshotting the buffer, letting concurrent
     /// writers' appends join the group.
-    pub(crate) fn flush_to(&self, path: &Path, window_us: u64) -> Result<Option<Group>> {
+    pub(crate) fn flush_to(&self, vfs: &Vfs, path: &Path, window_us: u64) -> Result<Option<Group>> {
         if self.buf.lock().entries == 0 {
             return Ok(None);
         }
@@ -251,7 +249,7 @@ impl CommitLog {
         // A crash mid-write leaves a byte prefix of the group behind the
         // durable prefix, which decodes to an entry prefix — the
         // recovery contract `open` relies on.
-        file.with_file(path, |f| f.write_all(&group))?;
+        file.with_file(vfs, path, |log| log.append(&group))?;
         file.durable_bytes += group.len() as u64;
         // Appenders only push at the end, so the group written is still
         // the buffer's prefix.
@@ -267,12 +265,12 @@ impl CommitLog {
     }
 
     /// Truncates the log after a checkpoint: clears the buffer and cuts
-    /// the file at `path` to empty. A cut that fails (another path
+    /// the file at `path` in `vfs` to empty. A cut that fails (another path
     /// included) leaves the log as it was. Callers must have quiesced
     /// writers (the table holds every lane lock across a checkpoint).
-    pub(crate) fn truncate(&self, path: &Path) -> Result<()> {
+    pub(crate) fn truncate(&self, vfs: &Vfs, path: &Path) -> Result<()> {
         let mut file = self.file.lock();
-        file.with_file(path, |f| f.set_len(0))?;
+        file.with_file(vfs, path, |log| log.cut(0))?;
         file.durable_bytes = 0;
         *self.buf.lock() = LogBuffer::default();
         Ok(())
@@ -284,11 +282,9 @@ mod tests {
     use super::*;
     use nf2_core::value::Atom;
 
-    fn temp_wal(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("nf2_commitlog_{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir creatable");
-        dir.join("t.wal")
+    /// A fresh log path in `fs`.
+    fn temp_wal(fs: &Vfs, tag: &str) -> PathBuf {
+        fs.temp_dir(&format!("commitlog_{tag}")).join("t.wal")
     }
 
     fn entry(v: u32) -> Op {
@@ -311,113 +307,127 @@ mod tests {
 
     #[test]
     fn flush_writes_once_per_group_and_reports_size() {
-        let path = temp_wal("group");
-        let log = CommitLog::new();
-        log.extend([&entry(1)]);
-        log.extend([&entry(2)]);
-        let group = log.flush_to(&path, 0).unwrap().expect("a write");
-        assert_eq!(group.entries, 2, "two-entry group");
-        // Nothing new buffered: the next flush is a no-op, not a write.
-        assert_eq!(log.flush_to(&path, 0).unwrap(), None);
-        log.extend([&entry(3)]);
-        assert_eq!(log.flush_to(&path, 0).unwrap().map(|g| g.entries), Some(1));
-        let on_disk = decode_all(&std::fs::read(&path).unwrap());
-        assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
+        for fs in Vfs::halves() {
+            let path = temp_wal(&fs, "group");
+            let log = CommitLog::new();
+            log.extend([&entry(1)]);
+            log.extend([&entry(2)]);
+            let group = log.flush_to(&fs, &path, 0).unwrap().expect("a write");
+            assert_eq!(group.entries, 2, "two-entry group");
+            // Nothing new buffered: the next flush is a no-op, not a write.
+            assert_eq!(log.flush_to(&fs, &path, 0).unwrap(), None);
+            log.extend([&entry(3)]);
+            assert_eq!(
+                log.flush_to(&fs, &path, 0).unwrap().map(|g| g.entries),
+                Some(1)
+            );
+            let on_disk = decode_all(&fs.read(&path).unwrap());
+            assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
+        }
     }
 
     #[test]
     fn a_flush_appends_only_its_group() {
-        let path = temp_wal("append");
-        let log = CommitLog::new();
-        let mut expected = Vec::new();
-        for group in [vec![entry(1)], vec![entry(2), entry(3)], vec![entry(4)]] {
-            log.extend(&group);
-            let written = log.flush_to(&path, 0).unwrap().expect("a write");
-            let bytes = encoded(&group);
-            assert_eq!(
-                written,
-                Group {
-                    entries: group.len() as u64,
-                    bytes: bytes.len() as u64
-                }
-            );
-            expected.extend_from_slice(&bytes);
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                expected,
-                "previous file + group"
-            );
-            assert_eq!(log.len(), 0);
-            assert!(
-                log.buf.lock().bytes.is_empty(),
-                "the written group left the buffer"
-            );
+        for fs in Vfs::halves() {
+            let path = temp_wal(&fs, "append");
+            let log = CommitLog::new();
+            let mut expected = Vec::new();
+            for group in [vec![entry(1)], vec![entry(2), entry(3)], vec![entry(4)]] {
+                log.extend(&group);
+                let written = log.flush_to(&fs, &path, 0).unwrap().expect("a write");
+                let bytes = encoded(&group);
+                assert_eq!(
+                    written,
+                    Group {
+                        entries: group.len() as u64,
+                        bytes: bytes.len() as u64
+                    }
+                );
+                expected.extend_from_slice(&bytes);
+                assert_eq!(fs.read(&path).unwrap(), expected, "previous file + group");
+                assert_eq!(log.len(), 0);
+                assert!(
+                    log.buf.lock().bytes.is_empty(),
+                    "the written group left the buffer"
+                );
+            }
         }
     }
 
     #[test]
     fn truncate_resets_buffer_and_file() {
-        let path = temp_wal("trunc");
-        let log = CommitLog::new();
-        log.extend([&entry(9)]);
-        log.flush_to(&path, 0).unwrap();
-        log.truncate(&path).unwrap();
-        assert_eq!(log.len(), 0);
-        assert!(std::fs::read(&path).unwrap().is_empty());
-        assert_eq!(log.flush_to(&path, 0).unwrap(), None, "nothing to flush");
+        for fs in Vfs::halves() {
+            let path = temp_wal(&fs, "trunc");
+            let log = CommitLog::new();
+            log.extend([&entry(9)]);
+            log.flush_to(&fs, &path, 0).unwrap();
+            log.truncate(&fs, &path).unwrap();
+            assert_eq!(log.len(), 0);
+            assert!(fs.read(&path).unwrap().is_empty());
+            assert_eq!(
+                log.flush_to(&fs, &path, 0).unwrap(),
+                None,
+                "nothing to flush"
+            );
+        }
     }
 
     #[test]
     fn seeded_log_keeps_replayed_entries_durable() {
-        let path = temp_wal("seed");
-        // The replayed entries are on disk, not in the log.
-        let seed = encoded(&[entry(1), entry(2)]);
-        File::create(&path).unwrap().write_all(&seed).unwrap();
-        let log = CommitLog::with_durable(path.clone(), seed.len() as u64);
-        // Replayed entries are already on disk: no write needed.
-        assert_eq!(log.flush_to(&path, 0).unwrap(), None);
-        // A later append lands behind the replayed prefix.
-        log.extend([&entry(3)]);
-        assert_eq!(log.flush_to(&path, 0).unwrap().map(|g| g.entries), Some(1));
-        let on_disk = decode_all(&std::fs::read(&path).unwrap());
-        assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
+        for fs in Vfs::halves() {
+            let path = temp_wal(&fs, "seed");
+            // The replayed entries are on disk, not in the log.
+            let seed = encoded(&[entry(1), entry(2)]);
+            fs.write(&path, &seed).unwrap();
+            let log = CommitLog::with_durable(path.clone(), seed.len() as u64);
+            // Replayed entries are already on disk: no write needed.
+            assert_eq!(log.flush_to(&fs, &path, 0).unwrap(), None);
+            // A later append lands behind the replayed prefix.
+            log.extend([&entry(3)]);
+            assert_eq!(
+                log.flush_to(&fs, &path, 0).unwrap().map(|g| g.entries),
+                Some(1)
+            );
+            let on_disk = decode_all(&fs.read(&path).unwrap());
+            assert_eq!(on_disk, vec![entry(1), entry(2), entry(3)]);
+        }
     }
 
     #[test]
     fn concurrent_flushers_coalesce_into_few_writes() {
-        let path = temp_wal("storm");
-        let log = std::sync::Arc::new(CommitLog::new());
-        let writes = std::sync::atomic::AtomicU64::new(0);
-        let appended = 64u32;
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let log = std::sync::Arc::clone(&log);
-                let path = path.clone();
-                let writes = &writes;
-                s.spawn(move || {
-                    for i in 0..appended / 4 {
-                        log.extend([&entry(1000 * t + i)]);
-                        if log
-                            .flush_to(&path, 0)
-                            .expect("flush path writable")
-                            .is_some()
-                        {
-                            writes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        for fs in Vfs::halves() {
+            let path = temp_wal(&fs, "storm");
+            let log = CommitLog::new();
+            let writes = std::sync::atomic::AtomicU64::new(0);
+            let appended = 64u32;
+            std::thread::scope(|s| {
+                for t in 0..4u32 {
+                    let (log, fs, path, writes) = (&log, &fs, &path, &writes);
+                    s.spawn(move || {
+                        for i in 0..appended / 4 {
+                            log.extend([&entry(1000 * t + i)]);
+                            if log
+                                .flush_to(fs, path, 0)
+                                .expect("flush path writable")
+                                .is_some()
+                            {
+                                writes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            }
                         }
-                    }
-                });
-            }
-        });
-        let total_writes = writes.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(total_writes >= 1, "someone flushed");
-        assert!(
-            total_writes <= u64::from(appended),
-            "never more writes than flush calls"
-        );
-        assert_eq!(
-            decode_all(&std::fs::read(&path).unwrap()).len(),
-            appended as usize,
-            "every appended entry became durable"
-        );
+                    });
+                }
+            });
+            let total_writes = writes.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(total_writes >= 1, "someone flushed");
+            assert!(
+                total_writes <= u64::from(appended),
+                "never more writes than flush calls"
+            );
+            assert_eq!(
+                decode_all(&fs.read(&path).unwrap()).len(),
+                appended as usize,
+                "every appended entry became durable"
+            );
+        }
     }
 }

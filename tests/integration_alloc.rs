@@ -479,9 +479,10 @@ fn a_blocking_projection_allocates_per_tuple_not_per_row() {
         return;
     }
     // One owned copy per input tuple (the blocking arm's collection),
-    // one block per output tuple, and the expansion's row blocks and
-    // the kernel's scratch: a few blocks per statement, none per row.
-    let bound = input + 4 * output + PER_STATEMENT + 64;
+    // one block per output tuple, and the expansion's row blocks: a few
+    // blocks per statement, none per row. The nest kernel is one per
+    // thread, and the first run grew its scratch, so it adds none.
+    let bound = input + 4 * output + PER_STATEMENT;
     assert!(
         tally.allocs <= bound,
         "{} allocations for {input} input tuples ({} rows) and {output} output tuples",
