@@ -216,4 +216,53 @@ proptest! {
             }
         }
     }
+
+    /// A string load interns in chunks under one lock each, and issues
+    /// the atoms value-by-value `SharedDictionary::intern` does: over
+    /// 2 500+ rows (three chunks or more) of every generator, each row
+    /// one to three times in a shuffle, both dictionaries hold the same
+    /// names at the same atoms, and the load holds what a load of the
+    /// one-by-one atoms holds.
+    #[test]
+    fn a_string_load_interns_as_value_by_value_interning_does(seed in any::<u64>()) {
+        let text = |atom: &Atom| format!("v{:x}", atom.0.wrapping_mul(0x9E37_79B9));
+        for w in workload::all_generators(seed) {
+            let schema = w.flat.schema();
+            let mut rows = Vec::new();
+            for round in 0.. {
+                if rows.len() >= 2_500 {
+                    break;
+                }
+                rows.extend(workload::repeated_and_shuffled(&w, seed ^ round));
+            }
+            let rows: Vec<Vec<String>> =
+                rows.iter().map(|row| row.iter().map(text).collect()).collect();
+            let (batched, single) = (SharedDictionary::new(), SharedDictionary::new());
+            let atoms: Vec<Vec<Atom>> = rows
+                .iter()
+                .map(|row| row.iter().map(|value| single.intern(value)).collect())
+                .collect();
+            let names: Vec<&str> = schema.attr_names().collect();
+            let order = NestOrder::identity(schema.arity());
+            let spec = ShardSpec::hash(4).unwrap();
+            let loaded = NfTable::bulk_load_strs_sharded(
+                schema.name(),
+                &names,
+                rows.iter().map(|row| row.iter().map(String::as_str).collect()),
+                order.clone(),
+                spec.clone(),
+                batched.clone(),
+            )
+            .unwrap();
+            let reference =
+                NfTable::bulk_load_atoms_sharded(schema.name(), &names, atoms, order, spec, single.clone())
+                    .unwrap();
+            prop_assert_eq!(batched.len(), single.len(), "{}", w.label);
+            for id in 0..single.len() as u32 {
+                prop_assert_eq!(batched.resolve(Atom(id)), single.resolve(Atom(id)), "{}", w.label);
+            }
+            prop_assert_eq!(batched.is_id_ordered(), single.is_id_ordered());
+            prop_assert_eq!(loaded.snapshot().canonical(), reference.snapshot().canonical(), "{}", w.label);
+        }
+    }
 }

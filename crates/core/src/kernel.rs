@@ -509,7 +509,7 @@ impl std::hash::BuildHasher for PreHashedState {
 const HASH_K: u64 = 0x517c_c1b7_2722_0a95;
 
 #[inline]
-fn mix(h: u64, v: u64) -> u64 {
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(HASH_K)
 }
 

@@ -189,7 +189,7 @@ impl RowBlock {
     }
 
     /// Appends the row `atoms` spell out, atom by atom, with no buffer
-    /// between (how a load interns straight into the block). A row of
+    /// between (how the blocking projection writes its rows). A row of
     /// the wrong arity is an error and leaves the block as it was.
     pub fn push_row_from(&mut self, atoms: impl IntoIterator<Item = Atom>) -> Result<()> {
         let start = self.atoms.len();

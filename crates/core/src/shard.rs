@@ -127,7 +127,7 @@ const MIN_ROWS_PER_BUILD_THREAD: usize = 4096;
 /// SplitMix64 finalizer: a cheap, well-mixed value → bucket map (atom
 /// ids are dense small integers, so modulo without mixing would stripe).
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

@@ -13,7 +13,9 @@
 //! * D1 — every public operation preserves the partition invariant;
 //! * §3.1 — a component is a set: `ValueSet` against a `BTreeSet` model,
 //!   across the boundary between its two representations; and so is a
-//!   1NF relation: `FlatRelation` against a `BTreeSet` of rows.
+//!   1NF relation: `FlatRelation` against a `BTreeSet` of rows;
+//! * §3.1 — a domain's elements are interned as atoms: the `Dictionary`
+//!   arena against a `Vec<String>` and a `HashMap` model.
 
 use proptest::prelude::*;
 
@@ -25,9 +27,9 @@ use nf2_core::properties::is_fixed_on;
 use nf2_core::relation::{FlatRelation, NfRelation};
 use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{NfTuple, ValueSet};
-use nf2_core::value::Atom;
+use nf2_core::value::{Atom, Dictionary, PAGE_BYTES};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -521,5 +523,133 @@ proptest! {
         }
         let canon = canonical_of_flat(&flat, &order_from_seed(3, seed));
         prop_assert!(canon.expand().rows().eq(model.iter().map(Vec::as_slice)));
+    }
+}
+
+/// One step of a dictionary's life.
+#[derive(Debug, Clone)]
+enum DictStep {
+    Intern(String),
+    Lookup(String),
+    Resolve(u32),
+    /// Take a copy of the live dictionary.
+    Copy,
+    /// Bring the copy up to the live dictionary.
+    CatchUp,
+}
+
+/// Names that stress the arena: the empty name, short ASCII names,
+/// multi-byte UTF-8, names longer than a page, and names that differ
+/// only in their first or only in their last byte (short and long).
+fn arb_dict_name() -> impl Strategy<Value = String> {
+    let differing = |base: String, first: bool, byte: u8| {
+        let mut bytes = base.into_bytes();
+        let at = if first { 0 } else { bytes.len() - 1 };
+        bytes[at] = b'a' + byte;
+        String::from_utf8(bytes).unwrap()
+    };
+    prop_oneof![
+        Just(String::new()),
+        (0u32..24).prop_map(|i| format!("n{i}")),
+        (0usize..6).prop_map(|i| ["é", "日本", "🦀", "ß", "Ω≈", "a\u{301}"][i].to_owned()),
+        (any::<bool>(), 0u8..3).prop_map(move |(first, byte)| differing(
+            "y".repeat(PAGE_BYTES + 3),
+            first,
+            byte
+        )),
+        (any::<bool>(), 0u8..4).prop_map(move |(first, byte)| differing(
+            "k".repeat(15),
+            first,
+            byte
+        )),
+    ]
+}
+
+fn arb_dict_step() -> impl Strategy<Value = DictStep> {
+    prop_oneof![
+        arb_dict_name().prop_map(DictStep::Intern),
+        arb_dict_name().prop_map(DictStep::Intern),
+        arb_dict_name().prop_map(DictStep::Lookup),
+        (0u32..64).prop_map(DictStep::Resolve),
+        Just(DictStep::Copy),
+        Just(DictStep::CatchUp),
+    ]
+}
+
+/// The model of a dictionary: its names in atom order, the atom of each,
+/// and whether the names were interned in strictly ascending order.
+#[derive(Clone, Default)]
+struct DictModel {
+    names: Vec<String>,
+    ids: HashMap<String, Atom>,
+    ordered: bool,
+}
+
+impl DictModel {
+    fn intern(&mut self, name: &str) -> Atom {
+        if let Some(&atom) = self.ids.get(name) {
+            return atom;
+        }
+        if self.names.last().is_some_and(|last| name < last.as_str()) {
+            self.ordered = false;
+        }
+        let atom = Atom(self.names.len() as u32);
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), atom);
+        atom
+    }
+
+    /// Whether `dict` holds exactly the model's names, each at its atom,
+    /// and the model's order flag.
+    fn agrees(&self, dict: &Dictionary) -> bool {
+        dict.len() == self.names.len()
+            && dict.is_id_ordered() == self.ordered
+            && dict.names().eq(self.names.iter().map(String::as_str))
+            && self.names.iter().enumerate().all(|(id, name)| {
+                dict.resolve(Atom(id as u32)) == Some(name.as_str())
+                    && dict.lookup(name) == Some(Atom(id as u32))
+            })
+            && dict.resolve(Atom(self.names.len() as u32)).is_none()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The arena against a `Vec<String>` + `HashMap` model: intern,
+    /// lookup and resolve answer as the model does, ids are dense in
+    /// first-intern order, `is_id_ordered` is exact, and a copy — taken
+    /// by `clone`, brought forward by `catch_up` — holds the model's
+    /// names as of its last step, whatever the live dictionary did since.
+    #[test]
+    fn dictionaries_agree_with_the_vec_and_map_model(
+        steps in proptest::collection::vec(arb_dict_step(), 0..48),
+    ) {
+        let mut live = Dictionary::new();
+        let mut model = DictModel { ordered: true, ..DictModel::default() };
+        let (mut copy, mut copy_model) = (live.clone(), model.clone());
+        for step in &steps {
+            match step {
+                DictStep::Intern(name) => {
+                    prop_assert_eq!(live.intern(name), model.intern(name));
+                }
+                DictStep::Lookup(name) => {
+                    prop_assert_eq!(live.lookup(name), model.ids.get(name).copied());
+                }
+                DictStep::Resolve(id) => {
+                    let expected = model.names.get(*id as usize).map(String::as_str);
+                    prop_assert_eq!(live.resolve(Atom(*id)), expected);
+                }
+                DictStep::Copy => (copy, copy_model) = (live.clone(), model.clone()),
+                DictStep::CatchUp => {
+                    copy.catch_up(&live);
+                    copy_model = model.clone();
+                }
+            }
+            prop_assert_eq!(live.len(), model.names.len());
+            prop_assert_eq!(live.is_id_ordered(), model.ordered);
+        }
+        prop_assert!(model.agrees(&live));
+        prop_assert!(copy_model.agrees(&copy));
     }
 }

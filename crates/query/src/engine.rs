@@ -418,11 +418,17 @@ impl Engine {
     }
 
     /// One point-in-time export of everything this engine counts: the
-    /// registry's statement/planning series merged with each table's
-    /// storage counters as `table.<name>.<counter>` series. Render with
+    /// registry's statement/planning series merged with the dictionary's
+    /// size (`dict.values`, `dict.bytes` — see
+    /// [`Dictionary::bytes`](nf2_core::value::Dictionary::bytes) — and
+    /// `dict.interns`, the new names issued) and each table's storage
+    /// counters as `table.<name>.<counter>` series. Render with
     /// [`MetricsSnapshot::to_text`] or [`MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry().snapshot();
+        snap.push_counter("dict.values", self.dict.len() as u64);
+        snap.push_counter("dict.bytes", self.dict.bytes() as u64);
+        snap.push_counter("dict.interns", self.dict.interns());
         for (name, t) in self.tables() {
             let s = t.stats();
             snap.push_counter(format!("table.{name}.lookups"), s.lookups);

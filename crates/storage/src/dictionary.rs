@@ -1,15 +1,25 @@
 //! A concurrent, shareable interning dictionary.
 //!
-//! Wraps the core [`nf2_core::value::Dictionary`] in a
-//! `parking_lot::RwLock` behind an `Arc`, so storage tables, query
-//! sessions and benchmark threads can share one value space.
+//! Wraps the core [`nf2_core::value::Dictionary`] — an append-only arena
+//! of names with an open-addressed index — in a `parking_lot::RwLock`
+//! behind an `Arc`, so storage tables, query sessions and benchmark
+//! threads can share one value space.
+//!
+//! One value interns under a read lock when it is already held, and
+//! under the write lock, hashed once, when it is new. A bulk load interns
+//! a chunk of rows at a time under one write lock
+//! (`SharedDictionary::intern_into`): it gathers the
+//! chunk's names before it locks, so the caller's row iterator never
+//! runs under the lock (it may itself look values up), and a reader
+//! waits for one chunk at most.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use nf2_core::value::{Atom, Dictionary};
+use nf2_core::value::{Atom, Dictionary, HashedName};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -18,6 +28,8 @@ struct Inner {
     /// a cached snapshot is valid exactly while its length matches the
     /// live dictionary's — no other invalidation is needed.
     snap: RwLock<Option<Arc<Dictionary>>>,
+    /// New names issued by interning (not those an `open` restored).
+    interns: AtomicU64,
 }
 
 /// A thread-safe interning dictionary.
@@ -34,11 +46,32 @@ impl SharedDictionary {
 
     /// Interns `name`, returning its atom.
     pub fn intern(&self, name: &str) -> Atom {
+        let key = HashedName::new(name);
         // Fast path: read lock only.
-        if let Some(atom) = self.inner.dict.read().lookup(name) {
+        if let Some(atom) = self.inner.dict.read().lookup_hashed(key) {
             return atom;
         }
-        self.inner.dict.write().intern(name)
+        let mut dict = self.inner.dict.write();
+        let held = dict.len();
+        let atom = dict.intern_hashed(key);
+        self.count_interns(dict.len() - held);
+        atom
+    }
+
+    /// Interns every name of `names` in order under one write lock,
+    /// appending their atoms to `out`: the atoms [`intern`](Self::intern)
+    /// would give one by one.
+    pub(crate) fn intern_into(&self, names: &[&str], out: &mut Vec<Atom>) {
+        let mut dict = self.inner.dict.write();
+        let held = dict.len();
+        out.extend(names.iter().map(|name| dict.intern(name)));
+        self.count_interns(dict.len() - held);
+    }
+
+    fn count_interns(&self, issued: usize) {
+        self.inner
+            .interns
+            .fetch_add(issued as u64, Ordering::Relaxed);
     }
 
     /// Interns a whole row of names.
@@ -86,6 +119,23 @@ impl SharedDictionary {
     /// Resolves with a numeric fallback.
     pub fn resolve_or_id(&self, atom: Atom) -> String {
         self.inner.dict.read().resolve_or_id(atom)
+    }
+
+    /// Runs `f` on the live dictionary under its read lock: how a
+    /// checkpoint writes every name straight from the pages.
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&Dictionary) -> R) -> R {
+        f(&self.inner.dict.read())
+    }
+
+    /// The bytes the dictionary holds — see [`Dictionary::bytes`].
+    pub fn bytes(&self) -> usize {
+        self.inner.dict.read().bytes()
+    }
+
+    /// How many new names interning has issued: every held name but
+    /// those restored by opening a checkpoint.
+    pub fn interns(&self) -> u64 {
+        self.inner.interns.load(Ordering::Relaxed)
     }
 
     /// Number of interned values.

@@ -84,6 +84,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use nf2_core::error::NfError;
 use nf2_core::maintenance::CostCounter;
 use nf2_core::mvcc::VersionCell;
 use nf2_core::relation::{FlatRelation, RowBlock};
@@ -99,6 +100,11 @@ use crate::dictionary::SharedDictionary;
 use crate::error::{Result, StorageError};
 use crate::vfs::Vfs;
 use crate::wal::CommitLog;
+
+/// How many rows a string load interns under one write lock of the
+/// dictionary: enough to pay for the lock, few enough that a reader
+/// waits little.
+const INTERN_CHUNK_ROWS: usize = 1024;
 
 mod persist;
 mod read;
@@ -477,10 +483,12 @@ impl NfTable {
     }
 
     /// [`bulk_load_strs`](Self::bulk_load_strs) into a sharded table:
-    /// each value is interned straight into the load's block of atoms,
-    /// row by row and attribute by attribute — the atoms
-    /// [`SharedDictionary::intern_row`] would give, with no `Vec` per
-    /// row — and the block is built as
+    /// the rows are interned 1 024 at a time, each chunk
+    /// under one write lock (`SharedDictionary::intern_into`) and
+    /// gathered before it, so `rows` never runs under the lock. The atoms
+    /// are those [`SharedDictionary::intern`] would give value by value,
+    /// row by row and attribute by attribute; they go straight into the
+    /// load's block, with no `Vec` per row, and the block is built as
     /// [`bulk_load_atoms_sharded`](Self::bulk_load_atoms_sharded) builds
     /// its own. A row of the wrong arity stops the load there: its values
     /// are interned, later rows' are not, and nothing is loaded.
@@ -496,12 +504,43 @@ impl NfTable {
         I: IntoIterator<Item = Vec<&'a str>>,
     {
         let schema = Schema::new(name, attr_names)?;
-        let rows = rows.into_iter();
+        let arity = schema.arity();
+        let mut rows = rows.into_iter().fuse();
         let mut block = RowBlock::with_capacity(schema, rows.size_hint().0);
-        for row in rows {
-            block
-                .push_row_from(row.iter().map(|value| dict.intern(value)))
-                .map_err(StorageError::Model)?;
+        let mut names: Vec<&str> = Vec::with_capacity(INTERN_CHUNK_ROWS * arity);
+        let mut atoms = Vec::with_capacity(INTERN_CHUNK_ROWS * arity);
+        loop {
+            names.clear();
+            atoms.clear();
+            // The chunk's rows of the right arity, then the length of the
+            // first row that is not, whose values are interned too.
+            let (mut whole, mut refused) = (0, None);
+            for row in rows.by_ref() {
+                names.extend_from_slice(&row);
+                if row.len() != arity {
+                    refused = Some(row.len());
+                    break;
+                }
+                whole += 1;
+                if whole == INTERN_CHUNK_ROWS {
+                    break;
+                }
+            }
+            if whole == 0 && refused.is_none() {
+                break;
+            }
+            dict.intern_into(&names, &mut atoms);
+            for row in 0..whole {
+                block
+                    .push_row(&atoms[row * arity..(row + 1) * arity])
+                    .map_err(StorageError::Model)?;
+            }
+            if let Some(got) = refused {
+                return Err(StorageError::Model(NfError::ArityMismatch {
+                    expected: arity,
+                    got,
+                }));
+            }
         }
         Self::load_block(name, block, order, spec, dict)
     }

@@ -227,14 +227,14 @@ impl NfTable {
         for &a in self.order.as_slice() {
             put_varint(&mut buf, a as u64);
         }
-        // Dictionary contents in atom order.
-        let snap = self.dict.snapshot();
-        put_varint(&mut buf, snap.len() as u64);
-        for id in 0..snap.len() as u32 {
-            let name = snap.resolve(Atom(id)).expect("dense atom ids");
-            put_varint(&mut buf, name.len() as u64);
-            buf.extend_from_slice(name.as_bytes());
-        }
+        // Dictionary contents in atom order, straight from its pages.
+        self.dict.read(|dict| {
+            put_varint(&mut buf, dict.len() as u64);
+            for name in dict.names() {
+                put_varint(&mut buf, name.len() as u64);
+                buf.extend_from_slice(name.as_bytes());
+            }
+        });
         // Shard spec: tag byte, then the spec parameters.
         match self.shard_spec() {
             ShardSpec::Hash { shards } => {

@@ -266,6 +266,46 @@ fn a_row_of_the_wrong_arity_mid_load_loads_nothing() {
 }
 
 #[test]
+fn a_load_whose_rows_use_its_dictionary_completes_with_the_same_atoms() {
+    // 3 000 rows: the load interns them in three chunks.
+    let rows: Vec<[String; 2]> = (0..3_000)
+        .map(|i| [format!("s{}", i % 1_400), format!("c{}", i % 13)])
+        .collect();
+    let load = |dict: &SharedDictionary, use_dict: bool| {
+        let fed = rows.iter().map(|row| {
+            if use_dict {
+                // The iterator runs outside the load's lock: it can read
+                // and intern in the dictionary the load interns into.
+                let held = dict.lookup(&row[0]);
+                let atom = dict.intern(&row[0]);
+                assert!(held.is_none_or(|held| held == atom));
+                dict.intern(&row[1]);
+            }
+            row.iter().map(String::as_str).collect()
+        });
+        NfTable::bulk_load_strs_sharded(
+            "sc",
+            &["Student", "Course"],
+            fed,
+            NestOrder::identity(2),
+            ShardSpec::hash(3).unwrap(),
+            dict.clone(),
+        )
+        .unwrap()
+    };
+    let (busy, plain) = (SharedDictionary::new(), SharedDictionary::new());
+    let (busy_table, plain_table) = (load(&busy, true), load(&plain, false));
+    let names =
+        |dict: &SharedDictionary| dict.read(|d| d.names().map(str::to_owned).collect::<Vec<_>>());
+    assert_eq!(names(&busy), names(&plain), "the same atom for every name");
+    assert_eq!(busy.len(), 1_413);
+    assert_eq!(
+        busy_table.snapshot().canonical(),
+        plain_table.snapshot().canonical()
+    );
+}
+
+#[test]
 fn zero_arity_and_empty_loads_hold_what_they_were_given() {
     for (rows, held) in [(0usize, 0u128), (1, 1), (3, 1)] {
         let unit = NfTable::bulk_load_atoms_sharded(

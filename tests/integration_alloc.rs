@@ -417,6 +417,51 @@ fn a_cold_load_allocates_per_tuple_not_per_row() {
     );
 }
 
+/// Loads one value per row, `v0000000`, `v0000001`, …, into `dict` on
+/// one shard.
+fn load_values(names: &[String], dict: &nf2::storage::SharedDictionary) -> NfTable {
+    NfTable::bulk_load_strs_sharded(
+        "v",
+        &["V"],
+        names.iter().map(|name| vec![name.as_str()]),
+        NestOrder::identity(1),
+        ShardSpec::single(),
+        dict.clone(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn interning_allocates_per_page_not_per_value() {
+    use nf2::core::value::PAGE_BYTES;
+    use nf2::storage::SharedDictionary;
+    for n in [10_000usize, 80_000] {
+        let names: Vec<String> = (0..n).map(|i| format!("v{i:07}")).collect();
+        // A first load grows the thread's kernel scratch; then a load of
+        // new names and a load of the same names, which interns nothing,
+        // allocate the same but for the dictionary.
+        load_values(&names, &SharedDictionary::new());
+        let dict = SharedDictionary::new();
+        let (fresh, interning) = counted(|| load_values(&names, &dict));
+        let (again, held) = counted(|| load_values(&names, &dict));
+        assert_eq!(fresh.snapshot().canonical(), again.snapshot().canonical());
+        assert_eq!((dict.len(), dict.interns()), (n, n as u64));
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let allocs = interning.allocs - held.allocs;
+        // The names fill `pages` pages; the index and the atoms' spans
+        // each grow by doubling, the index from 16 slots to twice `n`.
+        let pages = (n * names[0].len()).div_ceil(PAGE_BYTES) as u64;
+        let doublings = u64::from(((2 * n).next_power_of_two() / 16).trailing_zeros() + 1);
+        let bound = pages + 2 * doublings + 16;
+        assert!(
+            allocs <= bound,
+            "{allocs} allocations to intern {n} names ({pages} pages, {doublings} index doublings)"
+        );
+    }
+}
+
 /// `t (Club, Course, Student)` on 4 hash shards where student `s` takes
 /// the four courses from `c{s % 7}` on and belongs to clubs `k{s % 7}`
 /// and `k{7 + s % 11}`. Students share courses and clubs, so `t` is not
