@@ -10,11 +10,16 @@
 //!
 //! * [`RelStream`] scans yield [`TupleView::Borrowed`] straight from the
 //!   source — no clone, no copy;
-//! * [`filter_box`] intersects components tuple-at-a-time, keeping the
-//!   borrow whenever no component shrinks, and [`select_project`] does
-//!   the same under a projection that streams, building each output
-//!   tuple once — a constrained attribute the projection drops is only
-//!   tested;
+//! * [`SelectProject`] is σ and a streaming π as one rule over a tuple
+//!   read in place: a constrained attribute π drops is only tested, and
+//!   each output tuple is written set by set into a block
+//!   ([`ChunkBuilder`]). A located scan runs it inside its own loop
+//!   (`nf2_storage::TableScan::located`), so a σ/π over a scan builds
+//!   blocks, not tuples. [`filter_box`] (intersects components
+//!   tuple-at-a-time, keeping the borrow whenever no component shrinks)
+//!   and [`select_project`] (the same under a projection that streams)
+//!   are its property-tested reference, and run σ and π over anything
+//!   but a scan;
 //! * [`JoinLayout::probe`] joins one streamed probe tuple against a
 //!   materialized **build side**;
 //! * sort, bounded-heap top-k and the k-way merge of sorted parts order
@@ -30,6 +35,7 @@ use std::cmp::Ordering;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
+use nf2_core::chunk::{ChunkBuilder, Rewrite};
 use nf2_core::error::Result;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::Schema;
@@ -214,6 +220,12 @@ impl OpTally {
     #[inline]
     pub fn add_row(&self) {
         self.rows.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Records `n` tuples yielded by the operator.
+    #[inline]
+    pub fn add_rows(&self, n: u64) {
+        self.rows.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Adds inclusive operator time in nanoseconds.
@@ -490,6 +502,10 @@ impl<'a> Iterator for RelStream<'a> {
     fn next(&mut self) -> Option<TupleView<'a>> {
         self.iter.next()
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.iter.size_hint()
+    }
 }
 
 /// What every conjunct of `constraints` on `attr`, folded in order,
@@ -582,6 +598,117 @@ pub fn select_project(
             })
             .collect(),
     )
+}
+
+/// σ's box and a streaming π's kept attributes as one rule over a
+/// tuple read in place, writing its output tuple set by set into a
+/// block ([`ChunkBuilder`]) instead of building an [`NfTuple`]: the
+/// per-tuple step of a located scan (`nf2_storage::TableScan::located`,
+/// which owns the block and calls [`write`](Self::write) for each
+/// tuple it locates).
+///
+/// Its output is exactly [`filter_box`]'s when it keeps every
+/// attribute, and [`select_project`]'s otherwise — those two stay as
+/// its property-tested reference. A tuple whose output is the tuple
+/// itself (σ narrows nothing and no attribute is dropped or moved) is
+/// reported [`Rewrite::Unchanged`] and not copied, as `filter_box`
+/// keeps its borrow.
+#[derive(Debug, Clone)]
+pub struct SelectProject {
+    /// `(attribute, values)` conjuncts, folded per attribute in order.
+    constraints: Vec<(usize, ValueSet)>,
+    /// Kept attributes in output order; `None` keeps every one (σ
+    /// alone).
+    attrs: Option<Arc<Vec<usize>>>,
+    /// Sets per output tuple.
+    arity: usize,
+}
+
+impl SelectProject {
+    /// The rule of σ with `constraints` under a streaming π keeping
+    /// `attrs` (`None`: no π) over tuples of `arity` sets. A π that
+    /// keeps every attribute in order is no π.
+    pub fn new(
+        constraints: Vec<(usize, ValueSet)>,
+        attrs: Option<Arc<Vec<usize>>>,
+        arity: usize,
+    ) -> Self {
+        let attrs = attrs.filter(|attrs| !attrs.iter().copied().eq(0..arity));
+        let arity = attrs.as_ref().map_or(arity, |attrs| attrs.len());
+        SelectProject {
+            constraints,
+            attrs,
+            arity,
+        }
+    }
+
+    /// Sets per output tuple.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Whether every tuple a zoned scan locates by these same conjuncts
+    /// passes: each constrained attribute has one conjunct, so a tuple
+    /// that intersects it keeps that intersection. With two on one
+    /// attribute, a tuple can meet each and not both.
+    pub fn passes_every_located(&self) -> bool {
+        self.constraints
+            .iter()
+            .enumerate()
+            .all(|(i, &(attr, _))| self.constraints[..i].iter().all(|c| c.0 != attr))
+    }
+
+    /// Applies the rule to `t`: [`Rewrite::Rejected`] where σ drops it,
+    /// [`Rewrite::Unchanged`] where the output is `t` itself, and
+    /// otherwise appends the output tuple to `out` (which the caller
+    /// has reserved room in) and says [`Rewrite::Appended`]. A rejected
+    /// or unchanged tuple appends nothing.
+    #[inline]
+    pub fn write(&self, t: TupleRef<'_>, out: &mut ChunkBuilder) -> Rewrite {
+        let constraints = &self.constraints[..];
+        if !constraints
+            .iter()
+            .all(|&(attr, _)| meets(constraints, attr, t.component(attr)))
+        {
+            return Rewrite::Rejected;
+        }
+        match &self.attrs {
+            None => {
+                let narrows = constraints.iter().any(|&(attr, _)| {
+                    let on = || constraints.iter().filter(|c| c.0 == attr);
+                    t.component(attr)
+                        .iter()
+                        .any(|v| !on().all(|c| c.1.contains(v)))
+                });
+                if !narrows {
+                    return Rewrite::Unchanged;
+                }
+                for attr in 0..t.arity() {
+                    self.push_kept(t, attr, out);
+                }
+            }
+            Some(attrs) => {
+                for &attr in attrs.iter() {
+                    self.push_kept(t, attr, out);
+                }
+            }
+        }
+        out.end_tuple();
+        Rewrite::Appended
+    }
+
+    /// Appends what σ keeps of `t`'s component of `attr`: its members
+    /// that lie in every conjunct on `attr` — [`fold`]'s set, not built.
+    #[inline]
+    fn push_kept(&self, t: TupleRef<'_>, attr: usize, out: &mut ChunkBuilder) {
+        let comp = t.component(attr);
+        let on = || self.constraints.iter().filter(|c| c.0 == attr);
+        if on().next().is_none() {
+            out.push_set(comp.iter());
+        } else {
+            out.push_set(comp.iter().filter(|&v| on().all(|c| c.1.contains(v))));
+        }
+    }
 }
 
 /// The precomputed shape of a natural join with a streamed probe (left)

@@ -212,6 +212,78 @@ proptest! {
         }
     }
 
+    /// The located rule `SelectProject::write` ≡ its references, tuple
+    /// for tuple: `filter_box` where it keeps every attribute in order
+    /// (and it leaves exactly the tuples `filter_box` keeps whole
+    /// unwritten), `select_project` otherwise; every tuple it writes
+    /// goes into one block, which reads back what was written.
+    #[test]
+    fn the_located_rule_matches_filter_box_and_select_project(
+        flat in arb_flat("R"),
+        seed in any::<u64>(),
+        v in 0u32..4,
+        shape in 0usize..5,
+        keep in 0usize..6,
+    ) {
+        use std::sync::Arc;
+        use nf2_algebra::stream::{filter_box, select_project, SelectProject};
+        use nf2_core::chunk::{ChunkBuilder, Rewrite};
+        use nf2_core::tuple::{NfTuple, TupleView};
+        let rel = nested(&flat, seed);
+        let vs = |ids: &[u32]| ValueSet::new(ids.iter().map(|&i| Atom(i)).collect()).unwrap();
+        let constraints = match shape {
+            0 => vec![(1, vs(&[v + 10]))],
+            1 => vec![(1, vs(&[v + 10, 10])), (2, vs(&[20, 21 + v % 3]))],
+            2 => vec![(1, vs(&[v + 10, 10, 11])), (1, vs(&[10, 12]))],
+            3 => vec![(1, vs(&[10])), (1, vs(&[11]))],
+            _ => vec![(0, vs(&[v])), (2, vs(&[20 + v])), (0, vs(&[0, 1, v]))],
+        };
+        let attrs: Option<&[usize]> = match keep {
+            0 => Some(&[0]),
+            1 => Some(&[2, 0]),
+            2 => Some(&[1]),
+            3 => Some(&[0, 1, 2]),
+            4 => Some(&[2, 1]),
+            _ => None,
+        };
+        let rule = SelectProject::new(
+            constraints.clone(),
+            attrs.map(|a| Arc::new(a.to_vec())),
+            3,
+        );
+        // A π keeping every attribute in order is no π.
+        let projects = attrs.is_some_and(|a| a != [0, 1, 2]);
+        let mut block = ChunkBuilder::empty(rule.arity());
+        block.reserve(1, 1);
+        let mut written = Vec::new();
+        for t in rel.tuples() {
+            let reference = match attrs {
+                Some(attrs) if projects => {
+                    select_project(&TupleView::Borrowed(t), &constraints, attrs)
+                }
+                _ => filter_box(TupleView::Borrowed(t), &constraints).map(TupleView::into_owned),
+            };
+            let whole = filter_box(TupleView::Borrowed(t), &constraints)
+                .is_some_and(|kept| kept.is_borrowed());
+            let got = match rule.write(t.as_ref(), &mut block) {
+                Rewrite::Rejected => None,
+                Rewrite::Unchanged => {
+                    prop_assert!(whole && !projects, "unchanged is filter_box's borrow");
+                    Some(t.clone())
+                }
+                Rewrite::Appended => {
+                    prop_assert!(!whole || projects, "a whole tuple σ alone leaves is not copied");
+                    let out: NfTuple = block.tuple(block.rows() - 1).into_owned();
+                    written.push(out.clone());
+                    Some(out)
+                }
+            };
+            prop_assert_eq!(got, reference, "shape {} keep {}", shape, keep);
+        }
+        let sealed = block.finish();
+        prop_assert!(sealed.tuples().eq(written.iter().map(NfTuple::as_ref)));
+    }
+
     /// `JoinLayout::probe` of every left tuple against a materialized
     /// right side ≡ strict `natural_join` — same schema, same tuples in
     /// the same order — with right-only attributes and without.

@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bulk;
+pub mod chunk;
 pub mod compose;
 pub mod display;
 pub mod error;

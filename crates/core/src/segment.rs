@@ -66,6 +66,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::chunk::{recut, Chunk, ChunkBuilder};
 use crate::schema::AttrId;
 use crate::shard::BatchReport;
 use crate::tuple::{NfTuple, TupleRef, TupleStore, ValueSet};
@@ -488,157 +489,6 @@ fn flat_of<'a>(tuples: impl IntoIterator<Item = TupleRef<'a>>) -> u128 {
     tuples.into_iter().map(TupleRef::expansion_count).sum()
 }
 
-/// A chunk: consecutive tuples of a shard, stored as their atoms — every
-/// tuple's sets back to back in one array, bounded by one `u32` offset
-/// per tuple and attribute plus a leading zero (the layout a
-/// [`ValueColumn`] keeps its row lists in, transposed). A chunk is two
-/// allocations whatever it holds, so copying a run of its tuples is two
-/// copies and dropping it two frees. Its tuples are read in place, as
-/// [`TupleRef`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Chunk {
-    /// Tuples held.
-    rows: usize,
-    /// Sets per tuple.
-    arity: usize,
-    /// `rows × arity + 1` offsets into `atoms`: the set of tuple `r`'s
-    /// attribute `a` is `atoms[offsets[i]..offsets[i + 1]]`, `i` being
-    /// `r × arity + a`.
-    offsets: Box<[u32]>,
-    /// Every set's members, ascending within a set.
-    atoms: Box<[Atom]>,
-}
-
-impl Chunk {
-    /// `tuples` (non-empty, all of one arity), copied in.
-    fn of_tuples(tuples: &[NfTuple]) -> Self {
-        let atoms = tuples.iter().map(|t| t.as_ref().atom_count()).sum();
-        let mut chunk = ChunkBuilder::new(tuples[0].arity(), tuples.len(), atoms);
-        for t in tuples {
-            chunk.push(t.as_ref());
-        }
-        chunk.finish()
-    }
-
-    /// Where the atoms of tuple `row` start (their total for `rows`).
-    fn atoms_before(&self, row: usize) -> usize {
-        self.offsets[row * self.arity] as usize
-    }
-
-    /// Tuple `row`, read in place.
-    #[inline]
-    fn tuple(&self, row: usize) -> TupleRef<'_> {
-        let at = row * self.arity;
-        TupleRef::packed(&self.offsets[at..=at + self.arity], &self.atoms)
-    }
-
-    /// The tuples, in order.
-    fn tuples(&self) -> impl ExactSizeIterator<Item = TupleRef<'_>> + '_ {
-        (0..self.rows).map(|row| self.tuple(row))
-    }
-
-    /// Bytes of atoms and offsets held.
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.atoms) + std::mem::size_of_val(&*self.offsets)
-    }
-}
-
-/// A chunk being built, its arrays allocated at their final size.
-struct ChunkBuilder {
-    rows: usize,
-    arity: usize,
-    offsets: Vec<u32>,
-    atoms: Vec<Atom>,
-}
-
-impl ChunkBuilder {
-    /// Room for `rows` tuples of `arity` sets holding `atoms` members.
-    fn new(arity: usize, rows: usize, atoms: usize) -> Self {
-        assert!(
-            u32::try_from(atoms).is_ok(),
-            "a chunk's set members must fit its u32 offsets"
-        );
-        let mut offsets = Vec::with_capacity(rows * arity + 1);
-        offsets.push(0);
-        ChunkBuilder {
-            rows: 0,
-            arity,
-            offsets,
-            atoms: Vec::with_capacity(atoms),
-        }
-    }
-
-    /// Appends `t`.
-    fn push(&mut self, t: TupleRef<'_>) {
-        debug_assert_eq!(t.arity(), self.arity, "a chunk's tuples share an arity");
-        for set in t.components() {
-            self.atoms.extend_from_slice(set.as_slice());
-            self.offsets.push(self.atoms.len() as u32);
-        }
-        self.rows += 1;
-    }
-
-    /// Appends the tuples `rows` of `from`: one copy of their atoms and
-    /// one of their offsets, shifted to where the atoms land.
-    fn carry(&mut self, from: &Chunk, rows: Range<usize>) {
-        let (lo, hi) = (from.atoms_before(rows.start), from.atoms_before(rows.end));
-        let shift = (self.atoms.len() as u32).wrapping_sub(lo as u32);
-        self.atoms.extend_from_slice(&from.atoms[lo..hi]);
-        let ends = &from.offsets[rows.start * self.arity + 1..=rows.end * self.arity];
-        self.offsets
-            .extend(ends.iter().map(|&end| end.wrapping_add(shift)));
-        self.rows += rows.len();
-    }
-
-    fn finish(self) -> Chunk {
-        debug_assert_eq!(self.offsets.capacity(), self.offsets.len(), "sized exactly");
-        debug_assert_eq!(self.atoms.capacity(), self.atoms.len(), "sized exactly");
-        Chunk {
-            rows: self.rows,
-            arity: self.arity,
-            offsets: self.offsets.into(),
-            atoms: self.atoms.into(),
-        }
-    }
-}
-
-/// The tuples of `runs` (each a chunk and a range of its rows), back to
-/// back, as one chunk.
-fn join(runs: &[(&Chunk, Range<usize>)]) -> Chunk {
-    let rows = runs.iter().map(|(_, run)| run.len()).sum();
-    let atoms = runs
-        .iter()
-        .map(|(chunk, run)| chunk.atoms_before(run.end) - chunk.atoms_before(run.start))
-        .sum();
-    let mut joined = ChunkBuilder::new(runs[0].0.arity, rows, atoms);
-    for (chunk, run) in runs {
-        joined.carry(chunk, run.clone());
-    }
-    joined.finish()
-}
-
-/// The tuples of `chunks` back to back, cut into chunks of `rows` (the
-/// remainder in the last), every run carried whole.
-fn recut<'a>(chunks: impl IntoIterator<Item = &'a Chunk>, rows: usize) -> Vec<Chunk> {
-    let (mut cut, mut runs, mut held) = (Vec::new(), Vec::new(), 0);
-    for chunk in chunks {
-        let mut from = 0;
-        while from < chunk.rows {
-            let take = (rows - held).min(chunk.rows - from);
-            runs.push((chunk, from..from + take));
-            (from, held) = (from + take, held + take);
-            if held == rows {
-                cut.push(join(&runs));
-                (runs, held) = (Vec::new(), 0);
-            }
-        }
-    }
-    if held > 0 {
-        cut.push(join(&runs));
-    }
-    cut
-}
-
 /// The first index below `len` at which `before` fails, `before` holding
 /// on a prefix of `0..len`.
 pub(crate) fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usize {
@@ -683,6 +533,7 @@ impl Segment {
 
     /// The segment of `chunk`, its columns transposed afresh.
     fn of_chunk(chunk: Chunk) -> Self {
+        debug_assert!(chunk.is_tight(), "a segment's chunk is built to size");
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
         let columns = (0..chunk.arity)
             .map(|a| ValueColumn::encode(&chunk, a, &mut keys, &mut spare))
@@ -712,6 +563,7 @@ impl Segment {
     /// the segment [`encode`](Self::encode) makes of `now`, which debug
     /// builds check.
     fn patched(&self, gone: &[u32], come: &[u32], now: Chunk) -> (Self, usize) {
+        debug_assert!(now.is_tight(), "a segment's chunk is built to size");
         let held = self.rows() as u32;
         let mut renumber = Vec::with_capacity(self.rows());
         let mut entered = Vec::with_capacity(come.len());
@@ -853,7 +705,8 @@ impl Segment {
     ///
     /// Cost: one binary search per in-zone value per conjunct to refute
     /// the segment (no allocation); on a hit, the shortest conjunct's
-    /// row list filtered through the others.
+    /// row list filtered through the others. A lone conjunct's row list
+    /// is the answer, found by the same search that refutes.
     pub fn locate(
         &self,
         conjuncts: &[Conjunct<'_>],
@@ -863,6 +716,16 @@ impl Segment {
         if conjuncts.is_empty() {
             push_span(out, base..base + self.rows());
             return true;
+        }
+        if let [(attr, values)] = conjuncts {
+            // One conjunct: its row list is the answer, and one search
+            // of the codes both refutes the segment and finds it.
+            let rows = self.columns[*attr].rows_holding_any(values);
+            for &row in rows.iter() {
+                let at = base + row as usize;
+                push_span(out, at..at + 1);
+            }
+            return !rows.is_empty();
         }
         let occurs =
             |&(attr, values): &Conjunct<'_>| self.columns[attr].lists(values).next().is_some();
@@ -1068,10 +931,69 @@ impl ShardSegments {
                 skipped: 0,
             };
         }
+        if let [(attr, [value])] = conjuncts {
+            return self.locate_value(*attr, *value);
+        }
         let mut spans = Vec::new();
         let mut skipped = 0usize;
         for (range, seg) in self.ranges() {
             skipped += usize::from(!seg.locate(conjuncts, range.start, &mut spans));
+        }
+        Located {
+            rows: Rows::of_spans(spans),
+            skipped,
+        }
+    }
+
+    /// [`locate`](Self::locate) of the lone conjunct `attr = value`,
+    /// the same answer found in lockstep: a group of segments at a time,
+    /// each step of each segment's search of its codes — the zone test,
+    /// every halving, the row list — is taken for the whole group before
+    /// the next, so the cache misses of one step, one per segment,
+    /// overlap instead of queueing one search after another.
+    fn locate_value(&self, attr: AttrId, value: Atom) -> Located {
+        const GROUP: usize = 16;
+        let (mut spans, mut skipped, mut start) = (Vec::new(), 0, 0);
+        for (segments, ends) in self.segments.chunks(GROUP).zip(self.ends.chunks(GROUP)) {
+            // Each segment's codes and the range its search has left
+            // (empty outside the zone), and the segments still searching.
+            let mut codes: [&[Atom]; GROUP] = [&[]; GROUP];
+            let (mut lo, mut hi) = ([0usize; GROUP], [0usize; GROUP]);
+            let (mut searching, mut left) = ([0usize; GROUP], 0);
+            for (k, seg) in segments.iter().enumerate() {
+                let column = &seg.columns[attr].codes;
+                if column[0] <= value && value <= column[column.len() - 1] {
+                    (codes[k], hi[k]) = (column, column.len());
+                    (searching[left], left) = (k, left + 1);
+                }
+            }
+            while left > 0 {
+                let mut still = 0;
+                for i in 0..left {
+                    let k = searching[i];
+                    let mid = lo[k] + (hi[k] - lo[k]) / 2;
+                    if codes[k][mid] < value {
+                        lo[k] = mid + 1;
+                    } else {
+                        hi[k] = mid;
+                    }
+                    if lo[k] < hi[k] {
+                        (searching[still], still) = (k, still + 1);
+                    }
+                }
+                left = still;
+            }
+            for (k, (seg, &end)) in segments.iter().zip(ends).enumerate() {
+                if codes[k].get(lo[k]) == Some(&value) {
+                    for &row in seg.columns[attr].rows_at(lo[k]) {
+                        let at = start + row as usize;
+                        push_span(&mut spans, at..at + 1);
+                    }
+                } else {
+                    skipped += 1;
+                }
+                start = end;
+            }
         }
         Located {
             rows: Rows::of_spans(spans),

@@ -580,8 +580,8 @@ impl<'a> TupleRef<'a> {
     }
 
     /// Every atom of the tuple, set after set: what a chunk stores of
-    /// it. Empty for the zero-arity tuple.
-    pub(crate) fn atom_count(self) -> usize {
+    /// it. Zero for the zero-arity tuple.
+    pub fn atom_count(self) -> usize {
         self.components().map(SetRef::len).sum()
     }
 
@@ -721,10 +721,12 @@ impl fmt::Display for TupleRef<'_> {
 /// `Arc` — the backing object of [`TupleView::Shared`].
 ///
 /// Implementors promise the tuples they hand out never change for the
-/// lifetime of the value. Two qualify: a shard's
+/// lifetime of the value. Three qualify: a shard's
 /// [`Segment`](crate::segment::Segment), whose chunk a table scan yields
 /// from — so a view pins the one chunk its tuple lives in, not the shard
-/// version — and a materialized [`NfRelation`]. Mutable buffers do not.
+/// version — a [`Chunk`](crate::chunk::Chunk) a located σ/π step wrote
+/// its answer into, and a materialized [`NfRelation`]. Mutable buffers
+/// do not.
 pub trait TupleStore: Send + Sync + std::fmt::Debug {
     /// Number of tuples held.
     fn tuple_count(&self) -> usize;
@@ -750,17 +752,20 @@ impl TupleStore for NfRelation {
 /// the table (`Borrowed` when the source is a plain reference, `Shared`
 /// when it is an `Arc`-pinned segment of an MVCC snapshot — both
 /// zero-copy)
-/// until an operator has to rewrite a component (selection narrowing a
-/// value set, a join combining two rectangles), at which point the tuple
-/// becomes `Owned`. Consumers read any of the three through
-/// [`as_ref`](TupleView::as_ref) and never pay for a copy;
+/// until an operator has to rewrite a component. A located σ/π step
+/// writes the tuples it rewrites into shared blocks, so they stay
+/// `Shared`; an operator that builds one tuple at a time (a join
+/// combining two rectangles) makes it `Owned`. Consumers read any of
+/// the three through [`as_ref`](TupleView::as_ref) and never pay for a
+/// copy;
 /// [`TupleView::into_owned`] builds one on demand.
 #[derive(Debug, Clone)]
 pub enum TupleView<'a> {
     /// A tuple borrowed from its relation — no copy was made.
     Borrowed(&'a NfTuple),
     /// A tuple inside an `Arc`-pinned store (a segment of an MVCC
-    /// snapshot) — no copy was made; the view keeps that store alive.
+    /// snapshot, or a block a located step wrote) — read in place; the
+    /// view keeps that store alive.
     Shared {
         /// The pinned store the tuple lives in.
         store: std::sync::Arc<dyn TupleStore>,

@@ -5,10 +5,15 @@
 //! evaluator over the engine's tables. Tuples surface as soon as the
 //! scan reaches them — the first tuple of a full-table SELECT costs one
 //! probe, not a materialized result relation (the storage scans count
-//! probes, which is how the tests pin this down). Only inherently
-//! blocking operators buffer anything: a join's build side, and a
-//! projection the plan cannot prove fixed (Def. 7) — one that drops
-//! only attributes its selection pins to one value streams too.
+//! probes, which is how the tests pin this down). A σ and streaming π
+//! directly over a scan run inside it as one step
+//! (`nf2_storage::TableScan::located`) that writes its output tuples
+//! into blocks of 1, 2, 4, … up to 64, so a cursor dropped after `n`
+//! pulls has had fewer than `2n` built, and under `LIMIT k` exactly
+//! `k`. Only inherently blocking operators buffer more: a join's build
+//! side, and a projection the plan cannot prove fixed (Def. 7) — one
+//! that drops only attributes its selection pins to one value streams
+//! too.
 
 use std::sync::Arc;
 
@@ -19,9 +24,11 @@ use nf2_core::tuple::{FlatTuple, TupleView};
 
 use crate::exec::QueryError;
 
-/// A streaming SELECT result: yields [`TupleView`]s (shared zero-copy
-/// views into pinned shard snapshots whenever no operator had to
-/// rewrite them) in pipeline order.
+/// A streaming SELECT result: yields [`TupleView`]s in pipeline order —
+/// shared views into pinned shard snapshots where no operator had to
+/// rewrite a tuple, and into the blocks a located σ/π step wrote where
+/// one did. Its `size_hint` is exact where the step's is (every located
+/// tuple passes σ), so collecting it sizes the vector once.
 ///
 /// The cursor *owns* the shard-version snapshots it streams over (the
 /// statement pinned them at build time), so it is `'static`: it keeps
@@ -72,6 +79,10 @@ impl<'s> Iterator for Cursor<'s> {
 
     fn next(&mut self) -> Option<TupleView<'s>> {
         self.stream.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.stream.size_hint()
     }
 }
 

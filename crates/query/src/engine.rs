@@ -24,9 +24,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use nf2_algebra::stream::filter_box;
+use nf2_algebra::stream::SelectProject;
 use nf2_algebra::Expr;
 use nf2_core::bulk::{BatchSummary, Op};
+use nf2_core::chunk::{ChunkBuilder, Rewrite};
 use nf2_core::display::{render_flat, render_nf};
 use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::NestOrder;
@@ -1073,9 +1074,11 @@ fn resolve_bound(
 /// The flat rows of `table` inside the predicate box `bound`, found the
 /// way a SELECT finds them: one pinned snapshot, shards pruned by the
 /// conjuncts on the routing attribute, the matching tuples located in
-/// their segments, and every located tuple intersected with the box
-/// before it is expanded — a full-key predicate probes one tuple and
-/// expands one row, not the table.
+/// their segments, and σ's rule run on each located tuple where it is
+/// stored — its intersection with the box written into one scratch
+/// block that each tuple reuses, then expanded — so a full-key
+/// predicate probes one tuple and expands one row, not the table, and
+/// no victim is built as a tuple of its own.
 fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> RowBlock {
     let snapshot = table.snapshot();
     let routing = snapshot.routing();
@@ -1085,12 +1088,20 @@ fn matching_rows(table: &NfTable, bound: &[(usize, ValueSet)]) -> RowBlock {
             .filter(|(attr, _)| Some(*attr) == routing.attr())
             .map(|(_, values)| values.as_slice()),
     );
+    let arity = snapshot.arity();
+    let rule = SelectProject::new(bound.to_vec(), None, arity);
+    let mut scan = snapshot.scan_shards_zoned(&shards, bound);
+    let mut narrowed = ChunkBuilder::empty(arity);
     let mut rows = RowBlock::with_capacity(table.schema().clone(), 0);
-    for tuple in snapshot
-        .scan_shards_zoned(&shards, bound)
-        .filter_map(|t| filter_box(t, bound))
-    {
-        rows.push_expansion(tuple.as_ref())
+    while let Some(t) = scan.next_ref() {
+        narrowed.clear();
+        narrowed.reserve(1, t.atom_count());
+        let kept = match rule.write(t, &mut narrowed) {
+            Rewrite::Rejected => continue,
+            Rewrite::Unchanged => t,
+            Rewrite::Appended => narrowed.tuple(0),
+        };
+        rows.push_expansion(kept)
             .expect("a stored tuple has its table's arity");
     }
     rows

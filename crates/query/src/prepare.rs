@@ -24,17 +24,18 @@ use std::sync::Arc;
 
 use nf2_algebra::optimize::Applied;
 use nf2_algebra::stream::{
-    filter_box, lazy_iter, select_project, AtomCmp, JoinLayout, OpTally, RelStream, SortDir,
-    TopKStats, TupleIter, TupleOrder,
+    filter_box, lazy_iter, select_project, AtomCmp, JoinLayout, OpTally, RelStream, SelectProject,
+    SortDir, TopKStats, TupleIter, TupleOrder,
 };
 use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
+use nf2_core::chunk::{ChunkBuilder, Rewrite};
 use nf2_core::display::render_nf;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
-use nf2_core::tuple::{NfTuple, TupleView, ValueSet};
+use nf2_core::tuple::{NfTuple, TupleRef, TupleView, ValueSet};
 use nf2_core::value::Atom;
 use nf2_obs::Stopwatch;
-use nf2_storage::{NfTable, SharedDictionary, TableSnapshot};
+use nf2_storage::{Located, NfTable, SharedDictionary, TableScan, TableSnapshot};
 
 use crate::ast::{OrderBy, OrderDir, Predicate, Projection, Statement, Value};
 use crate::cursor::Cursor;
@@ -121,7 +122,8 @@ pub(crate) enum Phys {
         /// are looked up in each segment's value-major columns and the
         /// scan yields exactly the tuples intersecting all of them; a
         /// segment holding none is skipped. The enclosing selection
-        /// still narrows every yielded tuple to the box.
+        /// still narrows every located tuple to the box, inside the
+        /// scan ([`located_step`]).
         zone: Vec<(usize, usize)>,
     },
     /// Box selection; constraint `k` reads its per-call atoms from the
@@ -140,12 +142,15 @@ pub(crate) enum Phys {
     /// A streaming projection directly over a [`Phys::Select`] runs
     /// with it as one per-tuple step ([`select_project`]): a
     /// constrained attribute it drops is only tested, and each output
-    /// tuple is built once. The plan, its EXPLAIN text and its
-    /// `EXPLAIN ANALYZE` lines stay two nodes; the selection's line
-    /// reports the fused step, its rows (one per output tuple) and its
-    /// time. Otherwise the projection **blocks**: it drains its input
-    /// and delegates to [`nf2_algebra::project`], which tests Def. 7 on
-    /// the instance and re-nests when it fails.
+    /// tuple is built once. Where that selection (or the projection
+    /// itself) sits directly over a [`Phys::Scan`], the step runs inside
+    /// the scan ([`located_step`]) and writes its output into blocks.
+    /// The plan, its EXPLAIN text and its `EXPLAIN ANALYZE` lines stay
+    /// one node per operator; the selection's line reports the fused
+    /// step, its rows (one per output tuple) and its time. Otherwise
+    /// the projection **blocks**: it drains its input and delegates to
+    /// [`nf2_algebra::project`], which tests Def. 7 on the instance and
+    /// re-nests when it fails.
     ///
     /// [`RelType::unpinned_drop`]: nf2_algebra::RelType::unpinned_drop
     Project {
@@ -239,6 +244,119 @@ impl<I: Iterator> Iterator for Timed<I> {
         }
         item
     }
+}
+
+/// [`Timed`] for a [`Located`] step, which runs up to three plan nodes
+/// in one: each output tuple counts one row of the step's top node and
+/// of a σ fused under it (`outputs`), and each tuple the scan located
+/// one row of the scan's node. All of them are credited the step's
+/// time, which they share.
+struct TimedStep<I> {
+    step: I,
+    outputs: Vec<Arc<OpTally>>,
+    scan: Arc<OpTally>,
+    /// Located tuples already credited to `scan`.
+    credited: u64,
+}
+
+impl<F> Iterator for TimedStep<Located<F>>
+where
+    F: FnMut(TupleRef<'_>, &mut ChunkBuilder) -> Rewrite,
+{
+    type Item = TupleView<'static>;
+
+    fn next(&mut self) -> Option<TupleView<'static>> {
+        let sw = Stopwatch::start();
+        let item = self.step.next();
+        let nanos = sw.elapsed_nanos();
+        for tally in &self.outputs {
+            tally.add_nanos(nanos);
+            if item.is_some() {
+                tally.add_row();
+            }
+        }
+        let located = self.step.located();
+        self.scan.add_nanos(nanos);
+        self.scan.add_rows(located - self.credited);
+        self.credited = located;
+        item
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.step.size_hint()
+    }
+}
+
+/// The nodes a located step runs as one ([`TableScan::located`]): a
+/// [`Phys::Select`] directly over a [`Phys::Scan`], or a streaming
+/// [`Phys::Project`] over either ([`located_step`]).
+struct StepNodes<'p> {
+    /// The scan.
+    scan: &'p Phys,
+    /// σ's conjuncts (none without a σ).
+    constraints: &'p [(usize, usize)],
+    /// π's kept attributes (`None` without a π).
+    attrs: Option<&'p Arc<Vec<usize>>>,
+    /// Nodes above the scan.
+    above: usize,
+}
+
+/// The nodes `node` and those below it run as one located step, if
+/// they are one.
+fn located_step(node: &Phys) -> Option<StepNodes<'_>> {
+    fn step<'p>(
+        scan: &'p Phys,
+        constraints: &'p [(usize, usize)],
+        attrs: Option<&'p Arc<Vec<usize>>>,
+        above: usize,
+    ) -> Option<StepNodes<'p>> {
+        matches!(scan, Phys::Scan { .. }).then_some(StepNodes {
+            scan,
+            constraints,
+            attrs,
+            above,
+        })
+    }
+    match node {
+        Phys::Select { input, constraints } => step(input, constraints, None, 1),
+        Phys::Project {
+            input,
+            attrs,
+            streaming: true,
+            ..
+        } => match &**input {
+            Phys::Select { input, constraints } => step(input, constraints, Some(attrs), 2),
+            scan => step(scan, &[], Some(attrs), 1),
+        },
+        _ => None,
+    }
+}
+
+/// The scan of a [`Phys::Scan`] node: shards pruned by the `prune`
+/// conjuncts and, with `only_shard`, to that one; the tuples the
+/// `zone` conjuncts locate. Also gives the zone conjuncts with their
+/// bound values.
+fn open_scan(
+    t: &TableSnapshot,
+    prune: &[usize],
+    zone: &[(usize, usize)],
+    bound: &[ValueSet],
+    only_shard: Option<usize>,
+) -> (TableScan, Vec<(usize, ValueSet)>) {
+    if prune.is_empty() && zone.is_empty() && only_shard.is_none() {
+        return (t.scan(), Vec::new());
+    }
+    // Every pruning conjunct must be satisfied, so the scannable shards
+    // are the intersection of the per-conjunct shard sets (each sorted
+    // ascending).
+    let mut shards = t
+        .routing()
+        .shards_for_conjuncts(prune.iter().map(|&flat| bound[flat].as_slice()));
+    if let Some(only) = only_shard {
+        shards.retain(|&s| s == only);
+    }
+    let zones = resolve(zone, bound);
+    (t.scan_shards_zoned(&shards, &zones), zones)
 }
 
 /// The input and conjuncts of the selection a streaming projection
@@ -404,8 +522,13 @@ impl PhysPlan {
     /// The pipeline is **pull-driven end to end**. Scans, selections,
     /// a join's probe side and a streaming projection hand each tuple
     /// on as it is pulled, so `LIMIT n`, a dropped cursor and the first
-    /// row all stop the scan early. The two blocking stages — a join's
-    /// build side and the blocking arm of a projection, which must see
+    /// row all stop the scan early. A σ or streaming π over a scan runs
+    /// inside it ([`located_step`]) and makes its outputs a block of 1,
+    /// 2, 4, … 64 at a time; `limit` (the statement's `LIMIT`, given
+    /// where no order operator sits above the root) caps the root's
+    /// blocks, so such a step probes exactly what the statement
+    /// returns. The two blocking stages — a join's build side and the
+    /// blocking arm of a projection, which must see
     /// its whole input to test Def. 7 and eliminate duplicates — defer
     /// their materialization behind [`lazy_iter`] until the first tuple
     /// is demanded, so a consumer that never pulls (`LIMIT 0`) pays
@@ -429,7 +552,10 @@ impl PhysPlan {
         bound: &[ValueSet],
         only_shard: Option<usize>,
         tallies: Option<&[Arc<OpTally>]>,
+        limit: Option<usize>,
     ) -> TupleIter<'static> {
+        /// `limit` caps what the node yields; only the root, and only
+        /// where nothing above it reorders, is given one.
         fn go(
             node: &Phys,
             tables: &[TableSnapshot],
@@ -437,33 +563,45 @@ impl PhysPlan {
             only_shard: Option<usize>,
             tallies: Option<&[Arc<OpTally>]>,
             idx: usize,
+            limit: Option<usize>,
         ) -> TupleIter<'static> {
+            if let Some(StepNodes {
+                scan,
+                constraints,
+                attrs,
+                above,
+            }) = located_step(node)
+            {
+                let Phys::Scan { table, prune, zone } = scan else {
+                    unreachable!("a located step runs over a scan")
+                };
+                debug_assert!(
+                    constraints.is_empty() || constraints == &zone[..],
+                    "a σ directly over a scan locates by its own conjuncts"
+                );
+                let t = &tables[*table];
+                let (scan, zones) = open_scan(t, prune, zone, bound, only_shard);
+                let rule = SelectProject::new(zones, attrs.cloned(), t.arity());
+                let (arity, exact) = (rule.arity(), rule.passes_every_located());
+                let step = scan.located(arity, move |t, out| rule.write(t, out), limit, exact);
+                return match tallies {
+                    Some(ts) => Box::new(TimedStep {
+                        step,
+                        outputs: ts[idx..idx + above].to_vec(),
+                        scan: Arc::clone(&ts[idx + above]),
+                        credited: 0,
+                    }),
+                    None => Box::new(step),
+                };
+            }
             let raw: TupleIter<'static> = match node {
                 Phys::Scan { table, prune, zone } => {
-                    let t = &tables[*table];
-                    if prune.is_empty() && zone.is_empty() && only_shard.is_none() {
-                        Box::new(t.scan())
-                    } else {
-                        // Every pruning conjunct must be satisfied, so the
-                        // scannable shards are the intersection of the
-                        // per-conjunct shard sets (each sorted ascending).
-                        let mut shards = t
-                            .routing()
-                            .shards_for_conjuncts(prune.iter().map(|&flat| bound[flat].as_slice()));
-                        if let Some(only) = only_shard {
-                            shards.retain(|&s| s == only);
-                        }
-                        let zones: Vec<(usize, ValueSet)> = zone
-                            .iter()
-                            .map(|&(attr, flat)| (attr, bound[flat].clone()))
-                            .collect();
-                        Box::new(t.scan_shards_zoned(&shards, &zones))
-                    }
+                    Box::new(open_scan(&tables[*table], prune, zone, bound, only_shard).0)
                 }
                 Phys::Select { input, constraints } => {
                     let resolved = resolve(constraints, bound);
                     Box::new(
-                        go(input, tables, bound, only_shard, tallies, idx + 1)
+                        go(input, tables, bound, only_shard, tallies, idx + 1, None)
                             .filter_map(move |t| filter_box(t, &resolved)),
                     )
                 }
@@ -481,11 +619,11 @@ impl PhysPlan {
                     // is a selection with no conjuncts.
                     let (upstream, resolved) = match fused_select(node) {
                         Some((below, constraints)) => (
-                            go(below, tables, bound, only_shard, tallies, idx + 2),
+                            go(below, tables, bound, only_shard, tallies, idx + 2, None),
                             resolve(constraints, bound),
                         ),
                         None => (
-                            go(input, tables, bound, only_shard, tallies, idx + 1),
+                            go(input, tables, bound, only_shard, tallies, idx + 1, None),
                             Vec::new(),
                         ),
                     };
@@ -500,7 +638,7 @@ impl PhysPlan {
                     attrs,
                     streaming: false,
                 } => {
-                    let upstream = go(input, tables, bound, only_shard, tallies, idx + 1);
+                    let upstream = go(input, tables, bound, only_shard, tallies, idx + 1, None);
                     let input_schema = input_schema.clone();
                     let attrs = attrs.clone();
                     lazy_iter(move || {
@@ -522,8 +660,8 @@ impl PhysPlan {
                     // join, right child follows the whole left subtree.
                     let left_idx = idx + 1;
                     let right_idx = idx + 1 + phys_size(left);
-                    let build_side = go(right, tables, bound, only_shard, tallies, right_idx);
-                    let probe_side = go(left, tables, bound, only_shard, tallies, left_idx);
+                    let build_side = go(right, tables, bound, only_shard, tallies, right_idx, None);
+                    let probe_side = go(left, tables, bound, only_shard, tallies, left_idx, None);
                     let layout = layout.clone();
                     lazy_iter(move || {
                         let build: Vec<TupleView<'static>> = build_side.collect();
@@ -544,7 +682,7 @@ impl PhysPlan {
                 None => raw,
             }
         }
-        go(&self.root, tables, bound, only_shard, tallies, 0)
+        go(&self.root, tables, bound, only_shard, tallies, 0, limit)
     }
 }
 
@@ -1040,7 +1178,7 @@ impl SelectPlan {
                             // Per-shard pipelines share the same
                             // tallies: the Arcs sum across shards.
                             self.phys
-                                .stream_restricted(&tables, &bound, Some(s), tallies),
+                                .stream_restricted(&tables, &bound, Some(s), tallies, None),
                         )
                     })
                     .collect();
@@ -1062,7 +1200,13 @@ impl SelectPlan {
                 return Ok(Cursor::new(stream));
             }
         }
-        let iter = self.phys.stream_restricted(&tables, &bound, None, tallies);
+        // Where no order operator sits above the pipeline, its root
+        // takes the LIMIT as a cap (a located step then builds no more
+        // outputs than the statement returns).
+        let root_limit = self.limit.filter(|_| self.order.is_none());
+        let iter = self
+            .phys
+            .stream_restricted(&tables, &bound, None, tallies, root_limit);
         let stream = RelStream::new(self.phys.schema.clone(), iter);
         let stream = match (&self.order, self.limit) {
             // ORDER BY + LIMIT fold into one streaming top-k: a bounded
@@ -1941,6 +2085,39 @@ mod tests {
             engine.table("sc").unwrap().tuple_count() as u64,
             "{text}"
         );
+    }
+
+    #[test]
+    fn explain_analyze_tells_located_from_passed_tuples() {
+        // `B` outermost: one tuple per `B` value, `{a1, a3} × {b1}` and
+        // `{a2} × {b2}`. Both meet each conjunct, so the scan locates
+        // both; σ folds `{a1, a3}` to nothing and rejects the first.
+        let engine = Engine::new();
+        let mut session = engine.session();
+        session
+            .run_script(
+                "CREATE TABLE t (A, B);
+                 INSERT INTO t VALUES ('a1','b1'), ('a3','b1'), ('a2','b2');",
+            )
+            .unwrap();
+        for (sql, out) in [("SELECT * FROM t", "σ["), ("SELECT A FROM t", "π[")] {
+            let sql = format!("{sql} WHERE A IN ('a1', 'a2') AND A IN ('a2', 'a3')");
+            let before = engine.table("t").unwrap().stats();
+            let Output::Message(text) = session.run(&format!("EXPLAIN ANALYZE {sql}")).unwrap()
+            else {
+                panic!("EXPLAIN ANALYZE renders a message")
+            };
+            let probed = engine.table("t").unwrap().stats().units_probed - before.units_probed;
+            let line = |prefix: &str| {
+                physical_lines(&text)
+                    .into_iter()
+                    .find(|l| l.trim_start().starts_with(prefix))
+                    .unwrap_or_else(|| panic!("no {prefix} line:\n{text}"))
+            };
+            assert_eq!((actual_rows(line("scan[")), probed), (2, 2), "{text}");
+            assert_eq!(actual_rows(line("σ[")), 1, "{text}");
+            assert_eq!(actual_rows(line(out)), 1, "{text}");
+        }
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub(crate) mod wal;
 
 pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
-pub use table::{NfTable, TableMemory, TableScan, TableSnapshot, TableStats, ZoneCounts};
+pub use table::{Located, NfTable, TableMemory, TableScan, TableSnapshot, TableStats, ZoneCounts};

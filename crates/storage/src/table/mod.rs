@@ -110,7 +110,7 @@ mod persist;
 mod read;
 mod write;
 
-pub use read::{TableScan, TableSnapshot, ZoneCounts};
+pub use read::{Located, TableScan, TableSnapshot, ZoneCounts};
 
 #[cfg(test)]
 mod tests;

@@ -1,10 +1,12 @@
-//! The reader half: a pinned [`TableSnapshot`], and [`TableScan`], the
+//! The reader half: a pinned [`TableSnapshot`]; [`TableScan`], the
 //! probe-counted stream over it that reads a located scan's tuples
-//! ahead.
+//! ahead; and [`Located`], the step a scan drives to run σ and π on
+//! each tuple in place and write the answer into blocks.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use nf2_core::chunk::{Chunk, ChunkBuilder, Rewrite};
 use nf2_core::mvcc::{ShardVersion, TableVersion};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::AttrId;
@@ -24,6 +26,7 @@ impl NfTable {
         TableSnapshot {
             version: self.versions.pin(),
             routing: self.routing.clone(),
+            arity: self.schema().arity(),
             stats: Arc::clone(&self.stats),
         }
     }
@@ -63,6 +66,7 @@ impl NfTable {
 pub struct TableSnapshot {
     version: Arc<TableVersion>,
     routing: ShardRouter,
+    arity: usize,
     stats: Arc<SharedTableStats>,
 }
 
@@ -81,6 +85,11 @@ impl TableSnapshot {
     /// routing the pinned versions were partitioned by).
     pub fn routing(&self) -> &ShardRouter {
         &self.routing
+    }
+
+    /// Sets per stored tuple: the table's degree.
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Number of shards.
@@ -156,8 +165,8 @@ impl TableSnapshot {
     /// [`TableStats::segments_skipped`](super::TableStats::segments_skipped).
     ///
     /// A located tuple *intersects* every conjunct; its components are
-    /// not narrowed to them, so callers still apply the real predicate
-    /// (`filter_box`) downstream.
+    /// not narrowed to them, so callers still apply the real predicate:
+    /// [`TableScan::located`] runs it on each tuple in place.
     pub fn scan_shards_zoned(&self, shards: &[usize], zones: &[(AttrId, ValueSet)]) -> TableScan {
         let conjuncts = conjuncts_of(zones);
         let mut parts: Vec<(Arc<ShardVersion>, Rows)> = Vec::new();
@@ -252,7 +261,10 @@ const READ_AHEAD_CAP: usize = 32;
 /// concurrent writers install in the meantime. Items are
 /// [`TupleView::Shared`] — zero-copy views that pin the one segment
 /// their tuple lives in, so downstream operators can hold or outlive the
-/// scan freely without keeping the rest of the shard alive.
+/// scan freely without keeping the rest of the shard alive. A scan can
+/// instead drive a σ/π step over its tuples in place
+/// ([`located`](Self::located)), or hand them out read in place
+/// ([`next_ref`](Self::next_ref)).
 ///
 /// A located scan (one with zone conjuncts) **reads ahead**. Its tuples
 /// lie scattered over the chunks, and each costs two dependent cache
@@ -298,10 +310,11 @@ pub struct TableScan {
     read_ahead: u64,
 }
 
-impl Iterator for TableScan {
-    type Item = TupleView<'static>;
-
-    fn next(&mut self) -> Option<TupleView<'static>> {
+impl TableScan {
+    /// Moves to the next located position and counts it as probed:
+    /// its row in the current part's current segment.
+    #[inline]
+    fn next_position(&mut self) -> Option<usize> {
         loop {
             let (version, rows) = self.parts.get_mut(self.part)?;
             let segments = version.segments().segments();
@@ -323,12 +336,73 @@ impl Iterator for TableScan {
                 }
                 self.warm -= 1;
                 self.yielded += 1;
-                let store: Arc<dyn TupleStore> = segments[self.segment].clone();
-                return Some(TupleView::shared(store, at - self.segment_start));
+                return Some(at - self.segment_start);
             }
             self.part += 1;
             (self.segment, self.segment_start, self.warm) = (0, 0, 0);
         }
+    }
+
+    /// The segment [`next_position`](Self::next_position) last moved
+    /// into.
+    #[inline]
+    fn current_segment(&self) -> &Arc<Segment> {
+        &self.parts[self.part].0.segments().segments()[self.segment]
+    }
+
+    /// The next located tuple, read in place where it is stored, and
+    /// counted as probed like a yielded one.
+    pub fn next_ref(&mut self) -> Option<TupleRef<'_>> {
+        let row = self.next_position()?;
+        Some(self.current_segment().tuple(row))
+    }
+
+    /// The scan driving one per-tuple step: σ and π (`rule`, an
+    /// algebra function; see `nf2_algebra::stream::SelectProject`) run
+    /// on each located tuple in place, writing each output tuple of
+    /// `arity` sets into a block, and the step yields
+    /// [`TupleView::Shared`] views into the sealed blocks — no view,
+    /// clone or boxed call per located tuple. An output that is the
+    /// stored tuple itself ([`Rewrite::Unchanged`]) is yielded as a
+    /// view of its segment instead, and never copied.
+    ///
+    /// The step fills a block, then yields from it: the first holds
+    /// one output tuple, each next one twice as many, up to
+    /// `BLOCK_CAP`. So a consumer that stops after `n` pulls has had
+    /// fewer than `2n` outputs built, and at most `limit` are ever
+    /// built: with the statement's `LIMIT` as `limit`, the scan probes
+    /// exactly what pulling one tuple at a time would. With `exact`
+    /// (every tuple located passes `rule`), [`size_hint`] is exact.
+    ///
+    /// [`size_hint`]: Iterator::size_hint
+    pub fn located<F>(self, arity: usize, rule: F, limit: Option<usize>, exact: bool) -> Located<F>
+    where
+        F: FnMut(TupleRef<'_>, &mut ChunkBuilder) -> Rewrite,
+    {
+        Located {
+            scan: self,
+            rule,
+            block: ChunkBuilder::empty(arity),
+            sealed: None,
+            sealed_rows: 0,
+            taken: 0,
+            kept: Vec::new(),
+            next_kept: 0,
+            batch: 1,
+            left: limit.unwrap_or(usize::MAX),
+            exact,
+            per_tuple: 0,
+        }
+    }
+}
+
+impl Iterator for TableScan {
+    type Item = TupleView<'static>;
+
+    fn next(&mut self) -> Option<TupleView<'static>> {
+        let row = self.next_position()?;
+        let store: Arc<dyn TupleStore> = self.current_segment().clone();
+        Some(TupleView::shared(store, row))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -340,6 +414,158 @@ impl Iterator for TableScan {
             .map(|(_, rows)| rows.len())
             .sum();
         (remaining, Some(remaining))
+    }
+}
+
+/// The most output tuples a [`Located`] step writes into one block.
+const BLOCK_CAP: usize = 64;
+
+/// An output of a [`Located`] step's fill that is a stored tuple
+/// itself: row `row` of the scan's segment `segment` of part `part`,
+/// yielded after the fill's first `after` block rows.
+#[derive(Debug, Clone, Copy)]
+struct Kept {
+    after: u32,
+    part: u32,
+    segment: u32,
+    row: u32,
+}
+
+/// A located scan driving a per-tuple σ/π step into blocks; see
+/// [`TableScan::located`]. Dropping it settles the scan's counters.
+pub struct Located<F> {
+    scan: TableScan,
+    rule: F,
+    /// The block being written: empty (unallocated, or holding room
+    /// the last fill reserved and did not use) between fills.
+    block: ChunkBuilder,
+    /// The block the last fill sealed, its rows, and how many of them
+    /// have been yielded.
+    sealed: Option<Arc<Chunk>>,
+    sealed_rows: u32,
+    taken: u32,
+    /// The last fill's outputs that are stored tuples, in order:
+    /// `kept[next_kept..]` are still to yield.
+    kept: Vec<Kept>,
+    next_kept: usize,
+    /// Outputs the next fill makes (doubling up to `BLOCK_CAP`).
+    batch: usize,
+    /// Outputs still allowed (the statement's `LIMIT`).
+    left: usize,
+    exact: bool,
+    /// Set members per output tuple in the block sealed last, rounded
+    /// up (0 before the first).
+    per_tuple: usize,
+}
+
+impl<F> std::fmt::Debug for Located<F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Located")
+            .field("scan", &self.scan)
+            .field("pending", &self.pending())
+            .field("left", &self.left)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<F> Located<F> {
+    /// Tuples the scan has located so far (its probes): what `EXPLAIN
+    /// ANALYZE` reports as the scan's rows.
+    pub fn located(&self) -> u64 {
+        self.scan.yielded
+    }
+
+    /// Outputs made and not yet yielded.
+    fn pending(&self) -> usize {
+        (self.sealed_rows - self.taken) as usize + (self.kept.len() - self.next_kept)
+    }
+}
+
+impl<F> Located<F>
+where
+    F: FnMut(TupleRef<'_>, &mut ChunkBuilder) -> Rewrite,
+{
+    /// Runs the rule on located tuples until the next fill's outputs
+    /// are made or the scan ends, and seals the block they were
+    /// written into. Whether there is any output to yield.
+    fn fill(&mut self) -> bool {
+        let want = self.batch.min(self.left);
+        (self.sealed_rows, self.taken, self.next_kept) = (0, 0, 0);
+        self.kept.clear();
+        let mut made = 0;
+        while made < want {
+            let Some(row) = self.scan.next_position() else {
+                break;
+            };
+            let t = self.scan.current_segment().tuple(row);
+            if self.block.rows() == 0 {
+                // Room for the rest of the block at the size of the
+                // outputs so far — before the first, at this tuple's:
+                // σ and π only ever keep part of a tuple.
+                let rest = want - made;
+                let per_tuple = match self.per_tuple {
+                    0 => t.atom_count(),
+                    seen => seen,
+                };
+                self.block.reserve(rest, rest * per_tuple);
+            }
+            match (self.rule)(t, &mut self.block) {
+                Rewrite::Rejected => continue,
+                Rewrite::Unchanged => self.kept.push(Kept {
+                    after: self.block.rows() as u32,
+                    part: self.scan.part as u32,
+                    segment: self.scan.segment as u32,
+                    row: row as u32,
+                }),
+                Rewrite::Appended => {}
+            }
+            made += 1;
+        }
+        if self.block.rows() > 0 {
+            self.sealed_rows = self.block.rows() as u32;
+            self.per_tuple = self.block.atom_count().div_ceil(self.block.rows());
+            let arity = self.block.arity();
+            let block = std::mem::replace(&mut self.block, ChunkBuilder::empty(arity));
+            self.sealed = Some(Arc::new(block.finish()));
+        }
+        self.left -= made;
+        self.batch = (2 * self.batch).min(BLOCK_CAP);
+        made > 0
+    }
+}
+
+impl<F> Iterator for Located<F>
+where
+    F: FnMut(TupleRef<'_>, &mut ChunkBuilder) -> Rewrite,
+{
+    type Item = TupleView<'static>;
+
+    fn next(&mut self) -> Option<TupleView<'static>> {
+        loop {
+            if let Some(kept) = self.kept.get(self.next_kept) {
+                if kept.after == self.taken {
+                    self.next_kept += 1;
+                    let (version, _) = &self.scan.parts[kept.part as usize];
+                    let segment = &version.segments().segments()[kept.segment as usize];
+                    let store: Arc<dyn TupleStore> = segment.clone();
+                    return Some(TupleView::shared(store, kept.row as usize));
+                }
+            }
+            if self.taken < self.sealed_rows {
+                let block = self.sealed.clone().expect("the fill sealed a block");
+                self.taken += 1;
+                return Some(TupleView::shared(block, self.taken as usize - 1));
+            }
+            if !self.fill() {
+                return None;
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let pending = self.pending();
+        let most = pending + self.scan.size_hint().0.min(self.left);
+        (if self.exact { most } else { pending }, Some(most))
     }
 }
 
