@@ -88,7 +88,7 @@ impl Chunk {
     }
 
     /// Bytes of atoms and offsets held.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of_val(&*self.atoms) + std::mem::size_of_val(&*self.offsets)
     }
 
