@@ -452,6 +452,8 @@ pub struct Located<F> {
     batch: usize,
     /// Outputs still allowed (the statement's `LIMIT`).
     left: usize,
+    /// Whether every located tuple passes the rule, which makes the
+    /// size hint exact.
     exact: bool,
     /// Set members per output tuple in the block sealed last, rounded
     /// up (0 before the first).
