@@ -10,9 +10,10 @@
 //! ```
 //!
 //! These helpers produce the same shape using a [`Dictionary`] to resolve
-//! atom names.
+//! atom names. A 1NF relation renders as the NFR of its singleton tuples
+//! ([`NfRelation::from_flat`]), whose sorted order is its rows' order.
 
-use crate::relation::{FlatRelation, NfRelation};
+use crate::relation::NfRelation;
 use crate::value::Dictionary;
 
 /// Renders an NFR as an ASCII table in the style of Fig. 1.
@@ -38,18 +39,8 @@ pub fn render_nf(rel: &NfRelation, dict: &Dictionary) -> String {
     render_table(rel.schema().name(), &headers, &rows)
 }
 
-/// Renders a 1NF relation as an ASCII table.
-pub fn render_flat(rel: &FlatRelation, dict: &Dictionary) -> String {
-    let headers: Vec<String> = rel.schema().attr_names().map(str::to_owned).collect();
-    let rows: Vec<Vec<String>> = rel
-        .rows()
-        .map(|r| r.iter().map(|&a| dict.resolve_or_id(a)).collect())
-        .collect();
-    render_table(rel.schema().name(), &headers, &rows)
-}
-
-/// Generic fixed-width table rendering shared by the two entry points and
-/// the bench harness's report tables.
+/// Generic fixed-width table rendering shared by [`render_nf`] and the
+/// bench harness's report tables.
 pub fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
@@ -122,20 +113,6 @@ mod tests {
         assert!(table.contains("Student"));
         assert!(table.contains("c1, c2"));
         assert!(table.contains("| s1"));
-    }
-
-    #[test]
-    fn renders_flat_table() {
-        let mut dict = Dictionary::new();
-        let schema = Schema::new("F", &["A", "B"]).unwrap();
-        let rel = crate::relation::FlatRelation::from_rows(
-            schema,
-            vec![vec![dict.intern("x"), dict.intern("y")]],
-        )
-        .unwrap();
-        let table = render_flat(&rel, &dict);
-        assert!(table.contains("| x "));
-        assert!(table.contains("| y "));
     }
 
     #[test]

@@ -28,7 +28,6 @@ use nf2_algebra::stream::SelectProject;
 use nf2_algebra::Expr;
 use nf2_core::bulk::{BatchSummary, Op};
 use nf2_core::chunk::{ChunkBuilder, Rewrite};
-use nf2_core::display::{render_flat, render_nf};
 use nf2_core::relation::{NfRelation, RowBlock};
 use nf2_core::schema::NestOrder;
 use nf2_core::tuple::ValueSet;
@@ -363,6 +362,12 @@ impl Engine {
     /// The shared dictionary.
     pub fn dict(&self) -> &SharedDictionary {
         &self.dict
+    }
+
+    /// `relation` as an output, named through this engine's dictionary.
+    pub(crate) fn output(&self, relation: NfRelation) -> Output {
+        let dict = self.dict.clone();
+        Output::Relation { relation, dict }
     }
 
     /// The DDL epoch: incremented by CREATE/DROP TABLE and
@@ -845,34 +850,22 @@ impl<'e> Session<'e> {
                 // the Def. 4 reference).
                 let relation =
                     nf2_core::kernel::NestKernel::new().nest_once(&t.snapshot().canonical(), id);
-                let rendered = render_nf(&relation, &self.engine.dict.snapshot());
-                Ok(Output::Relation { relation, rendered })
+                Ok(self.engine.output(relation))
             }
             Statement::Unnest { table, attr } => {
                 let t = self.engine.table(&table)?;
                 let id = t.schema().attr_id(&attr)?;
                 let relation = nf2_core::nest::unnest(&t.snapshot().canonical(), id);
-                let rendered = render_nf(&relation, &self.engine.dict.snapshot());
-                Ok(Output::Relation { relation, rendered })
+                Ok(self.engine.output(relation))
             }
             Statement::Show { table, flat } => {
-                let t = self.engine.table(&table)?;
-                let dict = self.engine.dict.snapshot();
-                let rel = t.snapshot().canonical();
-                if flat {
-                    let f = rel.expand();
-                    let rendered = render_flat(&f, &dict);
-                    Ok(Output::Relation {
-                        relation: NfRelation::from_flat(&f),
-                        rendered,
-                    })
+                let rel = self.engine.table(&table)?.snapshot().canonical();
+                let relation = if flat {
+                    NfRelation::from_flat(&rel.expand())
                 } else {
-                    let rendered = render_nf(&rel, &dict);
-                    Ok(Output::Relation {
-                        relation: rel,
-                        rendered,
-                    })
-                }
+                    rel
+                };
+                Ok(self.engine.output(relation))
             }
             Statement::Begin => {
                 if self.txn.is_some() {

@@ -4,7 +4,7 @@
 //! [`crate::Session`] type); this module keeps the pieces every
 //! layer shares — [`Output`], [`QueryError`] — and the statement-level
 //! test suite, which runs through an [`crate::Engine`] and one held
-//! session.
+//! session. A relation [`Output`] builds no text until displayed.
 
 use std::fmt;
 
@@ -102,10 +102,12 @@ impl From<nf2_core::NfError> for QueryError {
 
 /// Result of executing one statement.
 ///
-/// Compares structurally (`PartialEq`) — relation outputs compare as
-/// sets of NF² tuples plus their rendering — and displays as its
-/// [`to_text`](Output::to_text) form.
-#[derive(Debug, PartialEq, Eq)]
+/// A relation output holds its relation and the dictionary that names
+/// its atoms, and renders its table
+/// ([`render_nf`](nf2_core::display::render_nf)) only when displayed;
+/// the dictionary never renames an atom, so the text is the one it had
+/// at execution. Outputs compare as variant and text, relations also as
+/// sets of NF² tuples; `Debug` leaves the dictionary out.
 pub enum Output {
     /// A message (DDL acknowledgements, table lists).
     Message(String),
@@ -113,38 +115,57 @@ pub enum Output {
     Affected(usize),
     /// An aggregate result (`COUNT(*)`, `COUNT(DISTINCT …)`).
     Count(u128),
-    /// A query result relation (with a rendered table).
+    /// A query result relation.
     Relation {
         /// The result relation.
         relation: nf2_core::relation::NfRelation,
-        /// ASCII rendering using the database dictionary.
-        rendered: String,
+        /// The engine's dictionary, which names the relation's atoms.
+        dict: nf2_storage::SharedDictionary,
     },
 }
 
 impl Output {
-    /// The rendered/normal textual form of the output.
+    /// The textual form of the output (its `Display`).
     pub fn to_text(&self) -> String {
-        match self {
-            Output::Message(m) => m.clone(),
-            Output::Affected(n) => format!("{n} row(s) affected"),
-            Output::Count(n) => n.to_string(),
-            Output::Relation { rendered, .. } => rendered.clone(),
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for Output {
-    /// Same text as [`Output::to_text`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Output::Message(m) => f.write_str(m),
             Output::Affected(n) => write!(f, "{n} row(s) affected"),
             Output::Count(n) => write!(f, "{n}"),
-            Output::Relation { rendered, .. } => f.write_str(rendered),
+            Output::Relation { relation, dict } => {
+                f.write_str(&nf2_core::display::render_nf(relation, &dict.snapshot()))
+            }
         }
     }
 }
+
+impl fmt::Debug for Output {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Output::Message(m) => write!(f, "Message({m:?})"),
+            Output::Affected(n) => write!(f, "Affected({n})"),
+            Output::Count(n) => write!(f, "Count({n})"),
+            Output::Relation { relation, .. } => write!(f, "Relation {{ relation: {relation:?} }}"),
+        }
+    }
+}
+
+impl PartialEq for Output {
+    fn eq(&self, other: &Self) -> bool {
+        let alike = match (self, other) {
+            (Output::Relation { relation: a, .. }, Output::Relation { relation: b, .. }) => a == b,
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
+        };
+        alike && self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for Output {}
 
 #[cfg(test)]
 mod tests {
@@ -307,6 +328,43 @@ mod tests {
     fn errors_display() {
         let e = QueryError::NoSuchTable("x".into());
         assert!(e.to_string().contains("no such table"));
+    }
+
+    #[test]
+    fn relation_outputs_compare_by_tuples_and_text() {
+        // The same atom ids under other names: equal relations, other text.
+        let run = |student: &str, course: &str| {
+            let engine = Engine::new();
+            let mut db = engine.session();
+            db.run("CREATE TABLE sc (Student, Course)").unwrap();
+            db.run(&format!("INSERT INTO sc VALUES ('{student}','{course}')"))
+                .unwrap();
+            db.run("SELECT * FROM sc").unwrap()
+        };
+        let (ours, theirs) = (run("s1", "c1"), run("s2", "c2"));
+        let (Output::Relation { relation: a, .. }, Output::Relation { relation: b, .. }) =
+            (&ours, &theirs)
+        else {
+            panic!("unexpected {ours:?} {theirs:?}");
+        };
+        assert_eq!(a, b);
+        assert_ne!(ours, theirs);
+        assert_eq!(ours, run("s1", "c1"));
+    }
+
+    #[test]
+    fn debug_does_not_walk_the_dictionary() {
+        let engine = seeded_db();
+        for i in 0..10_000 {
+            engine.dict().intern(&format!("name{i}"));
+        }
+        let out = engine
+            .session()
+            .run("SELECT * FROM sc WHERE Student = 's1'")
+            .unwrap();
+        let debug = format!("{out:?}");
+        assert!(debug.starts_with("Relation {"), "{debug}");
+        assert!(debug.len() < 2_000, "{} bytes of Debug", debug.len());
     }
 }
 

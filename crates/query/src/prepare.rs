@@ -29,7 +29,6 @@ use nf2_algebra::stream::{
 };
 use nf2_algebra::{check, estimate, optimize, optimize_observed, Expr, SchemaCatalog};
 use nf2_core::chunk::{ChunkBuilder, Rewrite};
-use nf2_core::display::render_nf;
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{NfTuple, TupleRef, TupleView, ValueSet};
@@ -1431,7 +1430,7 @@ impl SelectPlan {
 
 /// Executes a bound select plan to a materialized [`Output`] — the
 /// one-shot `Session::run` semantics (aggregates count, everything
-/// else renders a relation).
+/// else materializes its relation).
 pub(crate) fn execute_select<P: AsRef<str>>(
     engine: &Engine,
     plan: &mut SelectPlan,
@@ -1442,11 +1441,7 @@ pub(crate) fn execute_select<P: AsRef<str>>(
         Projection::CountStar | Projection::CountDistinct(_) => {
             Ok(Output::Count(cursor.flat_count()))
         }
-        _ => {
-            let relation = cursor.into_relation()?;
-            let rendered = render_nf(&relation, &engine.dict().snapshot());
-            Ok(Output::Relation { relation, rendered })
-        }
+        _ => Ok(engine.output(cursor.into_relation()?)),
     }
 }
 

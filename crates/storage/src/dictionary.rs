@@ -165,11 +165,12 @@ impl SharedDictionary {
     /// returned `Arc`).
     ///
     /// Cheap on the hot path: because interning is append-only, the copy
-    /// is cached and reused until the dictionary grows — result
-    /// rendering in a query loop clones an `Arc`, not every string — and
-    /// when it has grown, the cached copy is extended in place by the new
-    /// strings alone. Only a snapshot someone still holds (a cursor
-    /// mid-stream) forces a full copy, because that one must not change.
+    /// is cached and reused until the dictionary grows — an `ORDER BY`
+    /// comparator or an output displayed on demand clones an `Arc`, not
+    /// every string — and when it has grown, the cached copy is extended
+    /// in place by the new strings alone. Only a snapshot someone still
+    /// holds (a cursor mid-stream) forces a full copy, because that one
+    /// must not change.
     pub fn snapshot(&self) -> Arc<Dictionary> {
         // Lock order everywhere: `dict` before `snap`.
         let live = self.inner.dict.read();

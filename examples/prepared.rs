@@ -44,10 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut courses_of = session.prepare("SELECT Course FROM sc WHERE Student = ?")?;
     for student in ["s1", "s2", "s3", "ghost"] {
         println!("nf2> SELECT Course FROM sc WHERE Student = '{student}'");
-        match courses_of.execute(&mut session, &[student])? {
-            Output::Relation { relation, rendered } if !relation.is_empty() => {
-                println!("{rendered}")
-            }
+        let out = courses_of.execute(&mut session, &[student])?;
+        match &out {
+            Output::Relation { relation, .. } if !relation.is_empty() => println!("{out}"),
             _ => println!("(empty)\n"),
         }
     }

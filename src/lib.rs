@@ -34,6 +34,7 @@
 //! ).unwrap();
 //!
 //! // Students taking c1 are stored as ONE NF² tuple: [Student(s1,s2) Course(c1)].
+//! // An output holds its relation; the table is rendered when displayed.
 //! let out = session.run("SHOW sc").unwrap();
 //! assert!(out.to_text().contains("s1, s2"));
 //!

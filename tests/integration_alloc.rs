@@ -8,8 +8,10 @@
 //! up to 64 tuples. So past a fixed cost per statement a located
 //! statement allocates a few times per 64 output tuples, whatever its
 //! sets hold, and a point read allocates one block. The scan's
-//! read-ahead allocates nothing. The benchmark reports the same
-//! quantity as `alloc.count_per_op`; here it is asserted.
+//! read-ahead allocates nothing. A materialized SELECT holds its
+//! relation and builds no text until it is displayed. The benchmark
+//! reports the same quantity as `alloc.count_per_op`; here it is
+//! asserted.
 //!
 //! A point write rewrites the one segment its tuple lies in — a new
 //! chunk, its kept tuples' atoms and offsets copied in runs, and
@@ -219,6 +221,37 @@ fn a_point_read_allocates_the_same_on_any_table() {
     let (also_one, large_allocs) = drain(&large, POINT, "s77");
     assert_eq!((one, also_one), (1, 1));
     assert_eq!((small_allocs, large_allocs), (POINT_ALLOCS, POINT_ALLOCS));
+}
+
+/// Everything `Prepared::execute` of [`POINT`] allocates: the point
+/// read's [`POINT_ALLOCS`] and two more for the relation it
+/// materializes, but no text: the table is rendered when asked.
+const MATERIALIZED_POINT_ALLOCS: u64 = 15;
+
+#[test]
+fn a_materialized_select_renders_nothing_until_asked() {
+    let engine = enroll(1_000, |s| 1 + s % 4);
+    let mut session = engine.session();
+    let mut prepared = session.prepare(POINT).unwrap();
+    // Once unmeasured, as `drain` does.
+    prepared.execute(&mut session, &["s77"]).unwrap();
+    let (out, tally) = counted(|| prepared.execute(&mut session, &["s77"]).unwrap());
+    // Debug builds validate the relation they materialize, which
+    // allocates: the count is the release build's.
+    if !cfg!(debug_assertions) {
+        assert_eq!(tally.allocs, MATERIALIZED_POINT_ALLOCS);
+    }
+    assert_eq!(
+        out.to_text(),
+        "\
+t_proj
++--------+--------------+
+| Course | Club         |
++--------+--------------+
+| c7, c8 | k77_0, k77_1 |
++--------+--------------+
+"
+    );
 }
 
 #[test]
