@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A literal position in a statement: an inline string or a positional
 /// `?` parameter (0-based, numbered left to right in the statement).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An inline string literal.
     Lit(String),
@@ -57,7 +57,7 @@ impl fmt::Display for Value {
 
 /// An equality pair `attr = value` (a WHERE conjunct or a `SET`
 /// assignment in UPDATE).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EqPredicate {
     /// Attribute name.
     pub attr: String,
@@ -66,7 +66,7 @@ pub struct EqPredicate {
 }
 
 /// A WHERE-clause conjunct.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// `attr = 'value'`.
     Eq(EqPredicate),
@@ -114,7 +114,7 @@ impl Predicate {
 }
 
 /// `ORDER BY` direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderDir {
     /// Ascending (the default, as in SQL).
     #[default]
@@ -124,7 +124,7 @@ pub enum OrderDir {
 }
 
 /// One `attr [ASC|DESC]` key of an ORDER BY list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// The attribute ordered on (must be in the result schema).
     pub attr: String,
@@ -150,7 +150,7 @@ impl fmt::Display for OrderKey {
 /// minimum for `ASC`, maximum for `DESC`), values compared by their
 /// string form; later keys break earlier keys' ties. Full ties keep the
 /// pipeline's order (stable).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderBy {
     /// The keys, leftmost most significant. Never empty.
     pub keys: Vec<OrderKey>,
@@ -184,7 +184,7 @@ impl fmt::Display for OrderBy {
 }
 
 /// Projection target.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Projection {
     /// `SELECT *`
     All,
@@ -208,7 +208,7 @@ impl fmt::Display for Projection {
 }
 
 /// One parsed statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Statement {
     /// `CREATE TABLE name (a, b, c) [NEST ORDER (x, y, z)]`
     ///
@@ -399,6 +399,30 @@ impl Statement {
             }
         });
         Ok(bound)
+    }
+
+    /// [`bind`](Self::bind)'s inverse: turns every literal into a `?`
+    /// parameter, numbered in textual order, and returns the literals in
+    /// that order. Statements that differ only in their literals lift to
+    /// the same statement — their *shape* — and `lifted.bind(&literals)`
+    /// gives the original back.
+    ///
+    /// The statement must declare no `?` of its own: a parameter would
+    /// keep its index and collide with a lifted literal's.
+    pub fn lift_literals(mut self) -> (Statement, Vec<String>) {
+        debug_assert_eq!(
+            self.param_count(),
+            0,
+            "lift_literals takes a bound statement"
+        );
+        let mut literals = Vec::new();
+        self.for_each_value_mut(&mut |v| {
+            if let Value::Lit(s) = v {
+                literals.push(std::mem::take(s));
+                *v = Value::Param(literals.len() - 1);
+            }
+        });
+        (self, literals)
     }
 
     /// Visits every [`Value`] position, in the statement's textual order.
@@ -708,6 +732,40 @@ mod tests {
             analyze: false,
         };
         assert_eq!(explained.param_count(), 2);
+    }
+
+    #[test]
+    fn lifting_literals_then_binding_them_gives_the_statement_back() {
+        let parse = |sql: &str| crate::parser::parse(sql).unwrap();
+        let statements = [
+            "SELECT * FROM t",
+            "SELECT COUNT(*) FROM t",
+            "SELECT A, B FROM t WHERE A = 'x'",
+            "SELECT * FROM t WHERE A = 'it''s' AND B IN ('?', '', 'x') AND C = '?'",
+            "SELECT B FROM t JOIN u JOIN v WHERE C IN ('c1', 'c2') AND D = 'd'",
+            "SELECT A, B FROM t WHERE B = 'b' ORDER BY A DESC, B LIMIT 5",
+            "SELECT COUNT(DISTINCT A) FROM t WHERE A IN ('a') ORDER BY A LIMIT 1",
+        ];
+        for sql in statements {
+            let stmt = parse(sql);
+            let (lifted, literals) = stmt.clone().lift_literals();
+            assert_eq!(lifted.param_count(), literals.len(), "{sql}");
+            let refs: Vec<&str> = literals.iter().map(String::as_str).collect();
+            assert_eq!(lifted.bind(&refs).unwrap(), stmt, "{sql}");
+        }
+        // The literals come back in textual order, and two statements
+        // that differ only in them lift to one shape.
+        let (shape, literals) =
+            parse("SELECT * FROM t WHERE A = '' AND B IN ('?', 'y')").lift_literals();
+        assert_eq!(literals, ["", "?", "y"]);
+        assert_eq!(
+            shape.to_string(),
+            "SELECT * FROM t WHERE A = ? AND B IN (?, ?)"
+        );
+        let (other, _) = parse("SELECT * FROM t WHERE A = 'a' AND B IN ('b', 'c')").lift_literals();
+        assert_eq!(other, shape);
+        let (longer, _) = parse("SELECT * FROM t WHERE A = 'a' AND B IN ('b')").lift_literals();
+        assert_ne!(longer, shape);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use nf2_storage::{NfTable, SharedDictionary};
 use crate::ast::{Predicate, Statement};
 use crate::cursor::Cursor;
 use crate::exec::{Output, QueryError};
-use crate::prepare::{execute_select, Param, Prepared, SelectPlan};
+use crate::prepare::{execute_select, Param, PlanCache, Prepared, SelectPlan};
 
 /// Configures and builds an [`Engine`].
 ///
@@ -156,6 +156,7 @@ impl EngineBuilder {
             obs.set_subscriber(Some(sub));
         }
         let stmt_metrics = StmtMetrics::new(&obs);
+        let plan_cache = PlanCache::new(&obs);
         Ok(Engine {
             dict: SharedDictionary::new(),
             tables: RwLock::new(BTreeMap::new()),
@@ -166,6 +167,7 @@ impl EngineBuilder {
             default_shards: shards,
             obs,
             stmt_metrics,
+            plan_cache,
             slow_statement_us,
             group_commit_us,
         })
@@ -313,6 +315,8 @@ pub struct Engine {
     obs: Arc<Obs>,
     /// Statement-path metric handles, resolved once at construction.
     stmt_metrics: StmtMetrics,
+    /// The plans of ad-hoc SELECTs, one per literal-lifted shape.
+    plan_cache: PlanCache,
     /// Slow-statement threshold (µs); `None` disables the slow log.
     slow_statement_us: Option<u64>,
     /// Group-commit window (µs) applied to every table this engine
@@ -639,7 +643,12 @@ impl<'e> Session<'e> {
         stmts.into_iter().map(|s| self.execute(s)).collect()
     }
 
-    /// Parses and executes a single statement.
+    /// Parses and executes a single statement. A SELECT is planned once
+    /// per *shape* — its text with the literals lifted to `?`
+    /// parameters — and the engine keeps the plan until DDL changes the
+    /// catalog, so `… WHERE Student = 's1'` and `… = 's2'` share one
+    /// plan (`plan_cache.{hits,misses,clears}` in [`Engine::metrics`]).
+    /// EXPLAIN is planned afresh each time.
     pub fn run(&mut self, statement: &str) -> Result<Output, QueryError> {
         let stmt = self.engine.parse_traced(statement)?;
         self.execute(stmt)
@@ -658,35 +667,20 @@ impl<'e> Session<'e> {
     /// it outlives the session and keeps streaming statement-start state
     /// under concurrent mutations. Only SELECT statements (without `?`
     /// parameters) are accepted; use [`Session::prepare`] for parameters.
+    /// The plan is shared per shape, as in [`Session::run`].
     pub fn query(&self, sql: &str) -> Result<Cursor<'static>, QueryError> {
         let stmt = self.engine.parse_traced(sql)?;
         let unbound = stmt.param_count();
         if unbound > 0 {
             return Err(QueryError::Unbound { count: unbound });
         }
-        let Statement::Select {
-            projection,
-            table,
-            joins,
-            predicates,
-            order_by,
-            limit,
-        } = stmt
-        else {
+        if !matches!(stmt, Statement::Select { .. }) {
             return Err(QueryError::Semantic(
                 "query() accepts SELECT statements only; use run() for the rest".into(),
             ));
-        };
-        let mut plan = SelectPlan::build(
-            self.engine,
-            projection,
-            table,
-            joins,
-            &predicates,
-            order_by,
-            limit,
-        )?;
-        plan.cursor::<Param>(self.engine, &[])
+        }
+        let (plan, literals) = self.engine.plan_cache.plan(self.engine, stmt)?;
+        plan.cursor(self.engine, &literals)
     }
 
     /// Executes a parsed statement. The statement must be fully bound
@@ -783,24 +777,9 @@ impl<'e> Session<'e> {
                 let ops = update_ops(self.engine, &t, &assignments, &predicates)?;
                 Ok(Output::Affected(self.commit(&t, ops)?.deleted))
             }
-            Statement::Select {
-                projection,
-                table,
-                joins,
-                predicates,
-                order_by,
-                limit,
-            } => {
-                let mut plan = SelectPlan::build(
-                    self.engine,
-                    projection,
-                    table,
-                    joins,
-                    &predicates,
-                    order_by,
-                    limit,
-                )?;
-                execute_select::<Param>(self.engine, &mut plan, &[])
+            stmt @ Statement::Select { .. } => {
+                let (plan, literals) = self.engine.plan_cache.plan(self.engine, stmt)?;
+                execute_select(self.engine, &plan, &literals)
             }
             Statement::Explain {
                 inner,
@@ -821,7 +800,7 @@ impl<'e> Session<'e> {
                         "EXPLAIN supports SELECT statements only".into(),
                     ));
                 };
-                let mut plan = SelectPlan::build(
+                let plan = SelectPlan::build(
                     self.engine,
                     projection,
                     table,

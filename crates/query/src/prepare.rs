@@ -15,11 +15,18 @@
 //!   [`ddl_epoch`](crate::Engine::ddl_epoch) and transparently re-plan
 //!   when the catalog changed underneath them.
 //!
+//! The one-shot path shares plans too. A `PlanCache` keeps one plan
+//! per *shape* — the statement with its literals lifted to `?`
+//! parameters — so the planner and optimizer run exactly once per shape
+//! and epoch, not per statement text; each `Session::run` of a SELECT
+//! still lexes and parses its text.
+//!
 //! Slots ride through the optimizer as reserved atom ids (the dictionary
 //! interns atoms densely from zero and would need ~4 billion distinct
 //! values to collide), which keeps `nf2-algebra` entirely ignorant of
 //! parameters.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use nf2_algebra::optimize::Applied;
@@ -33,7 +40,7 @@ use nf2_core::relation::NfRelation;
 use nf2_core::schema::{NestOrder, Schema};
 use nf2_core::tuple::{NfTuple, TupleRef, TupleView, ValueSet};
 use nf2_core::value::Atom;
-use nf2_obs::Stopwatch;
+use nf2_obs::{Counter, Obs, Stopwatch};
 use nf2_storage::{Located, NfTable, SharedDictionary, TableScan, TableSnapshot};
 
 use crate::ast::{OrderBy, OrderDir, Predicate, Projection, Statement, Value};
@@ -86,6 +93,19 @@ pub const NO_PARAMS: &[Param] = &[];
 /// and a statement may not declare more value slots than the range
 /// holds.
 pub(crate) const SLOT_BASE: u32 = u32::MAX - 0x00FF_FFFF;
+
+/// The dictionary side of the slot-range guard: every interned atom
+/// must stay below [`SLOT_BASE`], or a value could pass for a slot. A
+/// plan checks it when it is built, and a cached plan each time the
+/// cache hands it out.
+fn check_slot_range(engine: &Engine) -> Result<(), QueryError> {
+    if engine.dict().len() as u64 >= SLOT_BASE as u64 {
+        return Err(QueryError::Semantic(
+            "dictionary exhausted the slot-atom range".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// What a slot resolves to at bind time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -871,11 +891,7 @@ impl SelectPlan {
             .obs()
             .span("plan.build")
             .observe(&engine.stmt_metrics().plan_build);
-        if engine.dict().len() as u64 >= SLOT_BASE as u64 {
-            return Err(QueryError::Semantic(
-                "dictionary exhausted the slot-atom range".into(),
-            ));
-        }
+        check_slot_range(engine)?;
         let slot_capacity = (u32::MAX - SLOT_BASE) as usize + 1;
         let slot_count: usize = predicates.iter().map(|p| p.value_slots().len()).sum();
         if slot_count > slot_capacity {
@@ -1044,6 +1060,29 @@ impl SelectPlan {
         Ok(plan)
     }
 
+    /// Plans `stmt` if it is a SELECT; `None` for any other statement.
+    pub(crate) fn of(engine: &Engine, stmt: &Statement) -> Result<Option<Self>, QueryError> {
+        match stmt {
+            Statement::Select {
+                projection,
+                table,
+                joins,
+                predicates,
+                order_by,
+                limit,
+            } => Ok(Some(SelectPlan::build(
+                engine,
+                projection.clone(),
+                table.clone(),
+                joins.clone(),
+                predicates,
+                order_by.clone(),
+                *limit,
+            )?)),
+            _ => Ok(None),
+        }
+    }
+
     /// The projection the plan computes.
     pub(crate) fn projection(&self) -> &Projection {
         &self.projection
@@ -1108,7 +1147,7 @@ impl SelectPlan {
     /// or drops the tables — mid-stream. A statically-empty result
     /// yields an empty cursor carrying the plan's output schema.
     pub(crate) fn cursor<P: AsRef<str>>(
-        &mut self,
+        &self,
         engine: &Engine,
         params: &[P],
     ) -> Result<Cursor<'static>, QueryError> {
@@ -1133,7 +1172,7 @@ impl SelectPlan {
     /// when `analyze` is set every operator's pulls are tallied (rows +
     /// inclusive nanos) and the chosen order path is noted.
     pub(crate) fn cursor_instrumented<P: AsRef<str>>(
-        &mut self,
+        &self,
         engine: &Engine,
         params: &[P],
         mut analyze: Option<&mut AnalyzeExec>,
@@ -1265,7 +1304,7 @@ impl SelectPlan {
     /// actual row counts and inclusive operator times. `Ok(None)` for a
     /// statically-empty result (nothing ran, so nothing to measure).
     pub(crate) fn explain_analyze<P: AsRef<str>>(
-        &mut self,
+        &self,
         engine: &Engine,
         params: &[P],
         optimized: bool,
@@ -1433,7 +1472,7 @@ impl SelectPlan {
 /// else materializes its relation).
 pub(crate) fn execute_select<P: AsRef<str>>(
     engine: &Engine,
-    plan: &mut SelectPlan,
+    plan: &SelectPlan,
     params: &[P],
 ) -> Result<Output, QueryError> {
     let cursor = plan.cursor(engine, params)?;
@@ -1442,6 +1481,95 @@ pub(crate) fn execute_select<P: AsRef<str>>(
             Ok(Output::Count(cursor.flat_count()))
         }
         _ => Ok(engine.output(cursor.into_relation()?)),
+    }
+}
+
+/// How many plans of ad-hoc SELECT shapes an engine keeps (see
+/// [`Session::run`]). A full cache is cleared, not evicted from, so
+/// which statements hit depends only on the sequence of statements and
+/// the `plan_cache.*` counters repeat run for run. The benchmark's
+/// ad-hoc mix uses about 64 shapes (a top-k's `LIMIT k` is part of its
+/// shape).
+pub const PLAN_CACHE_CAPACITY: usize = 256;
+
+/// The engine's plans of ad-hoc SELECTs, one per *shape*: the statement
+/// with its literals lifted to `?` parameters
+/// ([`Statement::lift_literals`]). Every predicate value is a
+/// late-bound slot in a [`SelectPlan`], so `Student = 's1'` and
+/// `Student = 's2'` share one plan, executed with the lifted literals
+/// as its parameters; they still resolve against the dictionary per
+/// execution.
+///
+/// The plans are stamped with the [`ddl_epoch`](Engine::ddl_epoch)
+/// they were built at: a lookup at another epoch clears them first.
+/// Counted in the engine's registry as `plan_cache.hits`,
+/// `plan_cache.misses` and `plan_cache.clears` (each time plans were
+/// dropped, by DDL or by a full cache).
+#[derive(Debug)]
+pub(crate) struct PlanCache {
+    plans: parking_lot::Mutex<(u64, HashMap<Statement, Arc<SelectPlan>>)>,
+    hits: Counter,
+    misses: Counter,
+    clears: Counter,
+}
+
+impl PlanCache {
+    pub(crate) fn new(obs: &Obs) -> Self {
+        let reg = obs.registry();
+        PlanCache {
+            plans: parking_lot::Mutex::new((0, HashMap::new())),
+            hits: reg.counter("plan_cache.hits"),
+            misses: reg.counter("plan_cache.misses"),
+            clears: reg.counter("plan_cache.clears"),
+        }
+    }
+
+    /// The plan of `select`'s shape and the literals to execute it
+    /// with: the cached plan, or one built now (outside the lock) and
+    /// kept if the epoch has not moved meanwhile. `select` is a SELECT
+    /// with no `?` parameters.
+    pub(crate) fn plan(
+        &self,
+        engine: &Engine,
+        select: Statement,
+    ) -> Result<(Arc<SelectPlan>, Vec<String>), QueryError> {
+        let (shape, literals) = select.lift_literals();
+        let epoch = engine.ddl_epoch();
+        {
+            let mut guard = self.plans.lock();
+            let (stamp, plans) = &mut *guard;
+            if *stamp != epoch {
+                self.clear(plans);
+                *stamp = epoch;
+            }
+            if let Some(plan) = plans.get(&shape) {
+                self.hits.incr();
+                let plan = Arc::clone(plan);
+                drop(guard);
+                check_slot_range(engine)?;
+                return Ok((plan, literals));
+            }
+        }
+        self.misses.incr();
+        let plan = Arc::new(SelectPlan::of(engine, &shape)?.ok_or_else(|| {
+            QueryError::Semantic("internal error: only a SELECT has a plan".into())
+        })?);
+        let mut guard = self.plans.lock();
+        let (stamp, plans) = &mut *guard;
+        if *stamp == epoch {
+            if plans.len() >= PLAN_CACHE_CAPACITY {
+                self.clear(plans);
+            }
+            plans.insert(shape, Arc::clone(&plan));
+        }
+        Ok((plan, literals))
+    }
+
+    fn clear(&self, plans: &mut HashMap<Statement, Arc<SelectPlan>>) {
+        if !plans.is_empty() {
+            plans.clear();
+            self.clears.incr();
+        }
     }
 }
 
@@ -1470,7 +1598,7 @@ impl Prepared {
     /// Parses `sql` (one statement) and plans it if it is a SELECT.
     pub(crate) fn compile(engine: &Engine, sql: &str) -> Result<Self, QueryError> {
         let stmt = engine.parse_traced(sql)?;
-        let plan = Self::plan_of(engine, &stmt)?;
+        let plan = SelectPlan::of(engine, &stmt)?;
         Ok(Prepared {
             sql: sql.to_owned(),
             param_count: stmt.param_count(),
@@ -1479,28 +1607,6 @@ impl Prepared {
             engine_id: engine.instance_id(),
             epoch: engine.ddl_epoch(),
         })
-    }
-
-    fn plan_of(engine: &Engine, stmt: &Statement) -> Result<Option<SelectPlan>, QueryError> {
-        match stmt {
-            Statement::Select {
-                projection,
-                table,
-                joins,
-                predicates,
-                order_by,
-                limit,
-            } => Ok(Some(SelectPlan::build(
-                engine,
-                projection.clone(),
-                table.clone(),
-                joins.clone(),
-                predicates,
-                order_by.clone(),
-                *limit,
-            )?)),
-            _ => Ok(None),
-        }
     }
 
     /// The original statement text.
@@ -1523,7 +1629,7 @@ impl Prepared {
     /// compiled (or last revalidated).
     fn revalidate(&mut self, engine: &Engine) -> Result<(), QueryError> {
         if self.engine_id != engine.instance_id() || self.epoch != engine.ddl_epoch() {
-            self.plan = Self::plan_of(engine, &self.stmt)?;
+            self.plan = SelectPlan::of(engine, &self.stmt)?;
             self.engine_id = engine.instance_id();
             self.epoch = engine.ddl_epoch();
         }
@@ -1543,7 +1649,7 @@ impl Prepared {
         let sql = &self.sql;
         let plan = self
             .plan
-            .as_mut()
+            .as_ref()
             .ok_or_else(|| QueryError::Semantic(format!("not a SELECT: {sql}")))?;
         plan.cursor(engine, params)
     }
@@ -1559,7 +1665,7 @@ impl Prepared {
         params: &[P],
     ) -> Result<Output, QueryError> {
         self.revalidate(session.engine())?;
-        if let Some(plan) = &mut self.plan {
+        if let Some(plan) = &self.plan {
             // Prepared SELECTs bypass Session::execute, so the latency
             // series is settled here (mutations fall through to the
             // session below and are recorded there).
@@ -1589,7 +1695,7 @@ impl Prepared {
         let sql = &self.sql;
         let plan = self
             .plan
-            .as_mut()
+            .as_ref()
             .ok_or_else(|| QueryError::Semantic(format!("not a SELECT: {sql}")))?;
         match plan.explain(engine, NO_PARAMS, true, false)? {
             Some(text) => Ok(text),

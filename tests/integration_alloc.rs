@@ -254,6 +254,41 @@ t_proj
     );
 }
 
+/// Everything a warm `Session::run` of [`POINT`] with a new literal
+/// allocates: [`MATERIALIZED_POINT_ALLOCS`] for executing the plan its
+/// shape shares, and the rest for lexing, parsing and lifting the
+/// literal (29). Planning allocates nothing: the plan is the cached
+/// one. The cold first run, which plans, allocates 110.
+const ADHOC_POINT_ALLOCS: u64 = 44;
+
+#[test]
+fn an_adhoc_select_plans_once_per_shape() {
+    let engine = enroll(1_000, |s| 1 + s % 4);
+    let mut session = engine.session();
+    let point = |student: &str| POINT.replace('?', &format!("'{student}'"));
+    let (_, cold) = counted(|| session.run(&point("s77")).unwrap());
+    let (out, warm) = counted(|| session.run(&point("s78")).unwrap());
+    let hits = engine.obs().registry().counter("plan_cache.hits").get();
+    assert_eq!(hits, 1, "the second point read shares the first one's plan");
+    assert!(warm.allocs < cold.allocs, "warm {warm:?}, cold {cold:?}");
+    // Debug builds validate the relation they materialize: the count
+    // is the release build's.
+    if !cfg!(debug_assertions) {
+        assert_eq!(warm.allocs, ADHOC_POINT_ALLOCS);
+    }
+    assert_eq!(
+        out.to_text(),
+        "\
+t_proj
++------------+-------+
+| Course     | Club  |
++------------+-------+
+| c0, c8, c9 | k78_0 |
++------------+-------+
+"
+    );
+}
+
 #[test]
 fn sets_past_the_inline_capacity_return_the_same_rows() {
     // Six courses per student: every Course set is a boxed slice, and σ
