@@ -721,7 +721,7 @@ impl<'e> Session<'e> {
                     None => NestOrder::identity(attrs.len()),
                 };
                 let spec = nf2_core::shard::ShardSpec::hash(self.engine.default_shards)
-                    .expect("builder clamps the shard count to >= 1");
+                    .expect("build() validated the shard count");
                 let mut table = NfTable::create_sharded(
                     &name,
                     &attr_refs,
