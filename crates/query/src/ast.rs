@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A literal position in a statement: an inline string or a positional
 /// `?` parameter (0-based, numbered left to right in the statement).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// An inline string literal.
     Lit(String),
@@ -57,7 +57,7 @@ impl fmt::Display for Value {
 
 /// An equality pair `attr = value` (a WHERE conjunct or a `SET`
 /// assignment in UPDATE).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EqPredicate {
     /// Attribute name.
     pub attr: String,
@@ -66,7 +66,7 @@ pub struct EqPredicate {
 }
 
 /// A WHERE-clause conjunct.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
     /// `attr = 'value'`.
     Eq(EqPredicate),
@@ -114,7 +114,7 @@ impl Predicate {
 }
 
 /// `ORDER BY` direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderDir {
     /// Ascending (the default, as in SQL).
     #[default]
@@ -124,7 +124,7 @@ pub enum OrderDir {
 }
 
 /// One `attr [ASC|DESC]` key of an ORDER BY list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderKey {
     /// The attribute ordered on (must be in the result schema).
     pub attr: String,
@@ -150,7 +150,7 @@ impl fmt::Display for OrderKey {
 /// minimum for `ASC`, maximum for `DESC`), values compared by their
 /// string form; later keys break earlier keys' ties. Full ties keep the
 /// pipeline's order (stable).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderBy {
     /// The keys, leftmost most significant. Never empty.
     pub keys: Vec<OrderKey>,
@@ -184,7 +184,7 @@ impl fmt::Display for OrderBy {
 }
 
 /// Projection target.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Projection {
     /// `SELECT *`
     All,
@@ -208,7 +208,7 @@ impl fmt::Display for Projection {
 }
 
 /// One parsed statement.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Statement {
     /// `CREATE TABLE name (a, b, c) [NEST ORDER (x, y, z)]`
     ///

@@ -39,6 +39,7 @@ use crate::ast::{Predicate, Statement};
 use crate::cursor::Cursor;
 use crate::exec::{Output, QueryError};
 use crate::prepare::{execute_select, Param, PlanCache, Prepared, SelectPlan};
+use crate::token::{self, Shape};
 
 /// Configures and builds an [`Engine`].
 ///
@@ -490,22 +491,26 @@ impl Engine {
         &self.stmt_metrics
     }
 
-    /// Starts the statement stopwatch if anything downstream would
-    /// consume the reading — metrics on, a subscriber installed, or a
-    /// slow-statement threshold configured. `None` means the statement
-    /// path pays two relaxed loads and no clock calls at all.
-    pub(crate) fn stmt_clock(&self) -> Option<Stopwatch> {
-        if self.obs.metrics_enabled() || self.obs.enabled() || self.slow_statement_us.is_some() {
-            Some(Stopwatch::start())
-        } else {
-            None
-        }
-    }
-
-    /// Settles one executed statement against the metric and slow-log
-    /// surfaces: records the latency histogram for `kind`, emits a
-    /// `stmt.execute` event, and applies the slow-statement threshold.
-    pub(crate) fn observe_statement(&self, kind: &'static str, sw: Stopwatch) {
+    /// Runs `f`, one statement of `kind`, and settles it against the
+    /// metric and slow-log surfaces: records the latency histogram for
+    /// `kind`, emits a `stmt.execute` event, and applies the
+    /// slow-statement threshold. The clock runs only if something
+    /// consumes the reading — metrics on, a subscriber installed, or a
+    /// slow-statement threshold configured; otherwise the statement
+    /// path pays two relaxed loads and no clock calls at all. A text
+    /// that fails to parse ran no statement and is not settled.
+    pub(crate) fn timed(
+        &self,
+        kind: &'static str,
+        f: impl FnOnce() -> Result<Output, QueryError>,
+    ) -> Result<Output, QueryError> {
+        let clocked =
+            self.obs.metrics_enabled() || self.obs.enabled() || self.slow_statement_us.is_some();
+        let clock = clocked.then(Stopwatch::start);
+        let result = f();
+        let Some(sw) = clock.filter(|_| !matches!(result, Err(QueryError::Parse(_)))) else {
+            return result;
+        };
         let us = sw.elapsed_us();
         if self.obs.metrics_enabled() {
             self.stmt_metrics.for_kind(kind).record(us);
@@ -531,6 +536,7 @@ impl Engine {
                 }
             }
         }
+        result
     }
 
     /// Parses one statement under the `stmt.parse` span/histogram.
@@ -540,6 +546,16 @@ impl Engine {
             .span("stmt.parse")
             .observe(&self.stmt_metrics.parse);
         Ok(crate::parser::parse(sql)?)
+    }
+
+    /// The plan of the SELECT `text` of shape `shape`. Only a miss
+    /// parses, and it parses `text`, so its errors are the parser's.
+    fn plan_shape(&self, text: &str, shape: &Shape<'_>) -> Result<Arc<SelectPlan>, QueryError> {
+        self.plan_cache.plan(self, &shape.key, || {
+            let (lifted, literals) = self.parse_traced(text)?.lift_literals();
+            debug_assert_eq!(literals, shape.literals, "one scanner finds the literals");
+            Ok(lifted)
+        })
     }
 
     /// Shared access to a table. The returned `Arc` is a stable handle:
@@ -645,13 +661,22 @@ impl<'e> Session<'e> {
 
     /// Parses and executes a single statement. A SELECT is planned once
     /// per *shape* — its text with the literals lifted to `?`
-    /// parameters — and the engine keeps the plan until DDL changes the
-    /// catalog, so `… WHERE Student = 's1'` and `… = 's2'` share one
-    /// plan (`plan_cache.{hits,misses,clears}` in [`Engine::metrics`]).
-    /// EXPLAIN is planned afresh each time.
+    /// parameters ([`shape`](crate::token::shape)) — and the engine
+    /// keeps the plan until DDL changes the catalog, so `… WHERE
+    /// Student = 's1'` and `… = 's2'` share one plan
+    /// (`plan_cache.{hits,misses,clears}` in [`Engine::metrics`]). A
+    /// SELECT whose shape is cached is not parsed: it runs the plan
+    /// with the literals its shape scanned. EXPLAIN is planned afresh
+    /// each time.
     pub fn run(&mut self, statement: &str) -> Result<Output, QueryError> {
-        let stmt = self.engine.parse_traced(statement)?;
-        self.execute(stmt)
+        let engine = self.engine;
+        let Some(shape) = token::shape(statement) else {
+            return self.execute(engine.parse_traced(statement)?);
+        };
+        engine.timed("select", || {
+            let plan = engine.plan_shape(statement, &shape)?;
+            execute_select(engine, &plan, &shape.literals)
+        })
     }
 
     /// Compiles a statement into a [`Prepared`] handle: parsed once,
@@ -667,20 +692,21 @@ impl<'e> Session<'e> {
     /// it outlives the session and keeps streaming statement-start state
     /// under concurrent mutations. Only SELECT statements (without `?`
     /// parameters) are accepted; use [`Session::prepare`] for parameters.
-    /// The plan is shared per shape, as in [`Session::run`].
+    /// The plan is shared per shape, as in [`Session::run`], and a
+    /// cached shape is not parsed.
     pub fn query(&self, sql: &str) -> Result<Cursor<'static>, QueryError> {
-        let stmt = self.engine.parse_traced(sql)?;
-        let unbound = stmt.param_count();
-        if unbound > 0 {
-            return Err(QueryError::Unbound { count: unbound });
-        }
-        if !matches!(stmt, Statement::Select { .. }) {
-            return Err(QueryError::Semantic(
-                "query() accepts SELECT statements only; use run() for the rest".into(),
-            ));
-        }
-        let (plan, literals) = self.engine.plan_cache.plan(self.engine, stmt)?;
-        plan.cursor(self.engine, &literals)
+        let Some(shape) = token::shape(sql) else {
+            // Not a SELECT, one with `?` parameters, or text that does
+            // not lex.
+            return Err(match self.engine.parse_traced(sql)?.param_count() {
+                0 => QueryError::Semantic(
+                    "query() accepts SELECT statements only; use run() for the rest".into(),
+                ),
+                count => QueryError::Unbound { count },
+            });
+        };
+        let plan = self.engine.plan_shape(sql, &shape)?;
+        plan.cursor(self.engine, &shape.literals)
     }
 
     /// Executes a parsed statement. The statement must be fully bound
@@ -690,13 +716,8 @@ impl<'e> Session<'e> {
         if unbound > 0 {
             return Err(QueryError::Unbound { count: unbound });
         }
-        let kind = stmt_kind(&stmt);
-        let clock = self.engine.stmt_clock();
-        let result = self.execute_inner(stmt);
-        if let Some(sw) = clock {
-            self.engine.observe_statement(kind, sw);
-        }
-        result
+        let engine = self.engine;
+        engine.timed(stmt_kind(&stmt), || self.execute_inner(stmt))
     }
 
     fn execute_inner(&mut self, stmt: Statement) -> Result<Output, QueryError> {
@@ -778,7 +799,14 @@ impl<'e> Session<'e> {
                 Ok(Output::Affected(self.commit(&t, ops)?.deleted))
             }
             stmt @ Statement::Select { .. } => {
-                let (plan, literals) = self.engine.plan_cache.plan(self.engine, stmt)?;
+                // Kept under the text of the lifted statement, which
+                // parses back to it.
+                let (lifted, literals) = stmt.lift_literals();
+                let key = lifted.to_string();
+                let plan = self
+                    .engine
+                    .plan_cache
+                    .plan(self.engine, &key, || Ok(lifted))?;
                 execute_select(self.engine, &plan, &literals)
             }
             Statement::Explain {
@@ -787,28 +815,9 @@ impl<'e> Session<'e> {
                 verify,
                 analyze,
             } => {
-                let Statement::Select {
-                    projection,
-                    table,
-                    joins,
-                    predicates,
-                    order_by,
-                    limit,
-                } = *inner
-                else {
-                    return Err(QueryError::Semantic(
-                        "EXPLAIN supports SELECT statements only".into(),
-                    ));
-                };
-                let plan = SelectPlan::build(
-                    self.engine,
-                    projection,
-                    table,
-                    joins,
-                    &predicates,
-                    order_by,
-                    limit,
-                )?;
+                let plan = SelectPlan::of(self.engine, &inner)?.ok_or_else(|| {
+                    QueryError::Semantic("EXPLAIN supports SELECT statements only".into())
+                })?;
                 let text = if analyze {
                     plan.explain_analyze::<Param>(self.engine, &[], optimized, verify)?
                 } else {
@@ -1024,23 +1033,24 @@ fn update_ops(
 }
 
 /// Resolves WHERE predicates to `(attr id, allowed atoms)` pairs against
-/// one table. `None` when some predicate has no known value (nothing can
-/// match).
+/// one table. Every attribute is resolved first, so an unknown one is
+/// refused; then `None` when some predicate has no known value (nothing
+/// can match).
 fn resolve_bound(
     table: &NfTable,
     dict: &SharedDictionary,
     predicates: &[Predicate],
 ) -> Result<Option<Vec<(usize, ValueSet)>>, QueryError> {
-    let mut bound = Vec::with_capacity(predicates.len());
+    let (mut bound, mut known) = (Vec::with_capacity(predicates.len()), true);
     for p in predicates {
         let attr = table.schema().attr_id(p.attr())?;
         let atoms: Vec<Atom> = p.values().iter().filter_map(|v| dict.lookup(v)).collect();
-        let Some(atoms) = ValueSet::new(atoms) else {
-            return Ok(None);
-        };
-        bound.push((attr, atoms));
+        match ValueSet::new(atoms) {
+            Some(atoms) => bound.push((attr, atoms)),
+            None => known = false,
+        }
     }
-    Ok(Some(bound))
+    Ok(known.then_some(bound))
 }
 
 /// The flat rows of `table` inside the predicate box `bound`, found the

@@ -40,4 +40,4 @@ pub use engine::{Engine, EngineBuilder, Session};
 pub use exec::{Output, QueryError};
 pub use parser::{parse, parse_script, ParseError};
 pub use prepare::{Param, Prepared, NO_PARAMS};
-pub use token::{lex, LexError, Token};
+pub use token::{lex, shape, LexError, Shape, Token};

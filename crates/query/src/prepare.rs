@@ -16,10 +16,12 @@
 //!   when the catalog changed underneath them.
 //!
 //! The one-shot path shares plans too. A `PlanCache` keeps one plan
-//! per *shape* — the statement with its literals lifted to `?`
-//! parameters — so the planner and optimizer run exactly once per shape
-//! and epoch, not per statement text; each `Session::run` of a SELECT
-//! still lexes and parses its text.
+//! per *shape* — the statement's text with its literals lifted to `?`
+//! parameters ([`shape`](crate::token::shape)) — so the parser,
+//! planner and optimizer run exactly once per shape and epoch, not per
+//! statement text: a `Session::run` or `Session::query` of a SELECT
+//! whose shape is cached only scans its text for that shape and its
+//! literals.
 //!
 //! Slots ride through the optimizer as reserved atom ids (the dictionary
 //! interns atoms densely from zero and would need ~4 billion distinct
@@ -43,7 +45,7 @@ use nf2_core::value::Atom;
 use nf2_obs::{Counter, Obs, Stopwatch};
 use nf2_storage::{Located, NfTable, SharedDictionary, TableScan, TableSnapshot};
 
-use crate::ast::{OrderBy, OrderDir, Predicate, Projection, Statement, Value};
+use crate::ast::{OrderBy, OrderDir, Projection, Statement, Value};
 use crate::cursor::Cursor;
 use crate::engine::{explain_expr, Engine, Session};
 use crate::exec::{Output, QueryError};
@@ -88,7 +90,7 @@ pub const NO_PARAMS: &[Param] = &[];
 
 /// First atom id reserved for plan slots (the top 2²⁴ ids). The
 /// dictionary interns ids densely from 0, so real data would need ~4.3
-/// billion distinct values to reach this range; [`SelectPlan::build`]
+/// billion distinct values to reach this range; [`SelectPlan::of`]
 /// checks both sides anyway — the dictionary must stay below the range
 /// and a statement may not declare more value slots than the range
 /// holds.
@@ -877,16 +879,20 @@ pub(crate) struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// Plans and optimizes a SELECT against the engine's catalog.
-    pub(crate) fn build(
-        engine: &Engine,
-        projection: Projection,
-        table: String,
-        joins: Vec<String>,
-        predicates: &[Predicate],
-        order_by: Option<OrderBy>,
-        limit: Option<usize>,
-    ) -> Result<Self, QueryError> {
+    /// Plans and optimizes `stmt` against the engine's catalog if it is
+    /// a SELECT; `None` for any other statement.
+    pub(crate) fn of(engine: &Engine, stmt: &Statement) -> Result<Option<Self>, QueryError> {
+        let Statement::Select {
+            projection,
+            table,
+            joins,
+            predicates,
+            order_by,
+            limit,
+        } = stmt
+        else {
+            return Ok(None);
+        };
         let _build_span = engine
             .obs()
             .span("plan.build")
@@ -904,7 +910,7 @@ impl SelectPlan {
         let mut catalog = SchemaCatalog::new();
         let mut tables = vec![table.clone()];
         tables.extend(joins.iter().cloned());
-        let mut expr = Expr::rel(&table);
+        let mut expr = Expr::rel(table);
         for name in &tables {
             let t = engine.table(name)?;
             catalog.insert(
@@ -912,7 +918,7 @@ impl SelectPlan {
                 t.schema().attr_names().map(str::to_owned).collect(),
             );
         }
-        for other in &joins {
+        for other in joins {
             expr = Expr::Join(Box::new(expr), Box::new(Expr::rel(other)));
         }
         // Every predicate value becomes a slot, resolved per execution.
@@ -947,9 +953,9 @@ impl SelectPlan {
         // one value is vacuous — but the ordered attribute is still
         // validated against the pre-aggregate schema first, so a typo
         // errors identically whether or not the projection aggregates.
-        let (order_by, limit) = match &projection {
+        let (order_by, limit) = match projection {
             Projection::CountStar | Projection::CountDistinct(_) => {
-                if let Some(ob) = &order_by {
+                if let Some(ob) = order_by {
                     let source_attrs = nf2_algebra::optimize::output_attrs(&expr, &catalog)?;
                     for key in &ob.keys {
                         if !source_attrs.contains(&key.attr) {
@@ -961,9 +967,9 @@ impl SelectPlan {
                 }
                 (None, None)
             }
-            _ => (order_by, limit),
+            _ => (order_by.clone(), *limit),
         };
-        match &projection {
+        match projection {
             Projection::Attrs(attrs) => {
                 expr = Expr::Project {
                     input: Box::new(expr),
@@ -1028,7 +1034,7 @@ impl SelectPlan {
             }
             None => None,
         };
-        let merge = match (&order, &projection) {
+        let merge = match (&order, projection) {
             (Some((ob, attrs)), Projection::All) if tables.len() == 1 => {
                 let t = engine.table(&tables[0])?;
                 merge_eligible(&t, ob, attrs, &phys.root)
@@ -1041,7 +1047,7 @@ impl SelectPlan {
             phys,
             slots,
             trace: optimized.trace,
-            projection,
+            projection: projection.clone(),
             tables,
             param_count,
             order,
@@ -1057,30 +1063,7 @@ impl SelectPlan {
             crate::verify::check_plan(&plan, engine)
                 .map_err(|v| QueryError::Verify(v.to_string()))?;
         }
-        Ok(plan)
-    }
-
-    /// Plans `stmt` if it is a SELECT; `None` for any other statement.
-    pub(crate) fn of(engine: &Engine, stmt: &Statement) -> Result<Option<Self>, QueryError> {
-        match stmt {
-            Statement::Select {
-                projection,
-                table,
-                joins,
-                predicates,
-                order_by,
-                limit,
-            } => Ok(Some(SelectPlan::build(
-                engine,
-                projection.clone(),
-                table.clone(),
-                joins.clone(),
-                predicates,
-                order_by.clone(),
-                *limit,
-            )?)),
-            _ => Ok(None),
-        }
+        Ok(Some(plan))
     }
 
     /// The projection the plan computes.
@@ -1487,27 +1470,31 @@ pub(crate) fn execute_select<P: AsRef<str>>(
 /// How many plans of ad-hoc SELECT shapes an engine keeps (see
 /// [`Session::run`]). A full cache is cleared, not evicted from, so
 /// which statements hit depends only on the sequence of statements and
-/// the `plan_cache.*` counters repeat run for run. The benchmark's
-/// ad-hoc mix uses about 64 shapes (a top-k's `LIMIT k` is part of its
-/// shape).
+/// the `plan_cache.*` counters repeat run for run. A shape is a text:
+/// statements that differ in keyword case, whitespace or comments, not
+/// only in literals, are shapes of their own. The benchmark's ad-hoc
+/// mix uses about 64 shapes (a top-k's `LIMIT k` is part of its shape).
 pub const PLAN_CACHE_CAPACITY: usize = 256;
 
-/// The engine's plans of ad-hoc SELECTs, one per *shape*: the statement
-/// with its literals lifted to `?` parameters
-/// ([`Statement::lift_literals`]). Every predicate value is a
-/// late-bound slot in a [`SelectPlan`], so `Student = 's1'` and
-/// `Student = 's2'` share one plan, executed with the lifted literals
-/// as its parameters; they still resolve against the dictionary per
-/// execution.
+/// The engine's plans of ad-hoc SELECTs, one per *shape*: a key text
+/// whose literals are lifted to `?` parameters — a [`Shape`]'s key, or
+/// the text of a parsed statement's
+/// [`lift_literals`](Statement::lift_literals). A key's plan is the
+/// plan of `parse(key)`. Every predicate value is a late-bound slot in
+/// a [`SelectPlan`], so `Student = 's1'` and `Student = 's2'` share
+/// one plan, executed with the lifted literals as its parameters; they
+/// still resolve against the dictionary per execution.
 ///
 /// The plans are stamped with the [`ddl_epoch`](Engine::ddl_epoch)
 /// they were built at: a lookup at another epoch clears them first.
 /// Counted in the engine's registry as `plan_cache.hits`,
 /// `plan_cache.misses` and `plan_cache.clears` (each time plans were
 /// dropped, by DDL or by a full cache).
+///
+/// [`Shape`]: crate::token::Shape
 #[derive(Debug)]
 pub(crate) struct PlanCache {
-    plans: parking_lot::Mutex<(u64, HashMap<Statement, Arc<SelectPlan>>)>,
+    plans: parking_lot::Mutex<(u64, HashMap<String, Arc<SelectPlan>>)>,
     hits: Counter,
     misses: Counter,
     clears: Counter,
@@ -1524,16 +1511,16 @@ impl PlanCache {
         }
     }
 
-    /// The plan of `select`'s shape and the literals to execute it
-    /// with: the cached plan, or one built now (outside the lock) and
-    /// kept if the epoch has not moved meanwhile. `select` is a SELECT
-    /// with no `?` parameters.
+    /// The plan kept under `key`; on a miss, the plan of the SELECT
+    /// `lifted` gives — `parse(key)` — built now (outside the lock) and
+    /// kept if the epoch has not moved meanwhile. A miss is counted
+    /// once `lifted` succeeds.
     pub(crate) fn plan(
         &self,
         engine: &Engine,
-        select: Statement,
-    ) -> Result<(Arc<SelectPlan>, Vec<String>), QueryError> {
-        let (shape, literals) = select.lift_literals();
+        key: &str,
+        lifted: impl FnOnce() -> Result<Statement, QueryError>,
+    ) -> Result<Arc<SelectPlan>, QueryError> {
         let epoch = engine.ddl_epoch();
         {
             let mut guard = self.plans.lock();
@@ -1542,16 +1529,17 @@ impl PlanCache {
                 self.clear(plans);
                 *stamp = epoch;
             }
-            if let Some(plan) = plans.get(&shape) {
+            if let Some(plan) = plans.get(key) {
                 self.hits.incr();
                 let plan = Arc::clone(plan);
                 drop(guard);
                 check_slot_range(engine)?;
-                return Ok((plan, literals));
+                return Ok(plan);
             }
         }
+        let lifted = lifted()?;
         self.misses.incr();
-        let plan = Arc::new(SelectPlan::of(engine, &shape)?.ok_or_else(|| {
+        let plan = Arc::new(SelectPlan::of(engine, &lifted)?.ok_or_else(|| {
             QueryError::Semantic("internal error: only a SELECT has a plan".into())
         })?);
         let mut guard = self.plans.lock();
@@ -1560,12 +1548,12 @@ impl PlanCache {
             if plans.len() >= PLAN_CACHE_CAPACITY {
                 self.clear(plans);
             }
-            plans.insert(shape, Arc::clone(&plan));
+            plans.insert(key.to_owned(), Arc::clone(&plan));
         }
-        Ok((plan, literals))
+        Ok(plan)
     }
 
-    fn clear(&self, plans: &mut HashMap<Statement, Arc<SelectPlan>>) {
+    fn clear(&self, plans: &mut HashMap<String, Arc<SelectPlan>>) {
         if !plans.is_empty() {
             plans.clear();
             self.clears.incr();
@@ -1636,6 +1624,15 @@ impl Prepared {
         Ok(())
     }
 
+    /// The plan of a prepared SELECT, re-planned if DDL moved the
+    /// catalog.
+    fn select_plan(&mut self, engine: &Engine) -> Result<&SelectPlan, QueryError> {
+        self.revalidate(engine)?;
+        let sql = &self.sql;
+        let plan = self.plan.as_ref();
+        plan.ok_or_else(|| QueryError::Semantic(format!("not a SELECT: {sql}")))
+    }
+
     /// Executes a prepared SELECT, streaming the result as a [`Cursor`]
     /// over snapshots pinned at this call. Non-SELECT statements are
     /// rejected — use [`execute`](Self::execute).
@@ -1645,13 +1642,7 @@ impl Prepared {
         params: &[P],
     ) -> Result<Cursor<'static>, QueryError> {
         let engine = session.engine();
-        self.revalidate(engine)?;
-        let sql = &self.sql;
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| QueryError::Semantic(format!("not a SELECT: {sql}")))?;
-        plan.cursor(engine, params)
+        self.select_plan(engine)?.cursor(engine, params)
     }
 
     /// Executes the statement with the given parameters, materializing
@@ -1670,12 +1661,7 @@ impl Prepared {
             // series is settled here (mutations fall through to the
             // session below and are recorded there).
             let engine = session.engine();
-            let clock = engine.stmt_clock();
-            let result = execute_select(engine, plan, params);
-            if let Some(sw) = clock {
-                engine.observe_statement("select", sw);
-            }
-            return result;
+            return engine.timed("select", || execute_select(engine, plan, params));
         }
         let lits: Vec<&str> = params.iter().map(AsRef::as_ref).collect();
         let bound = self.stmt.bind(&lits).map_err(|e| QueryError::ParamCount {
@@ -1691,13 +1677,10 @@ impl Prepared {
     /// is stable across executions until DDL forces a re-plan.
     pub fn explain(&mut self, session: &Session<'_>) -> Result<String, QueryError> {
         let engine = session.engine();
-        self.revalidate(engine)?;
-        let sql = &self.sql;
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| QueryError::Semantic(format!("not a SELECT: {sql}")))?;
-        match plan.explain(engine, NO_PARAMS, true, false)? {
+        match self
+            .select_plan(engine)?
+            .explain(engine, NO_PARAMS, true, false)?
+        {
             Some(text) => Ok(text),
             None => Ok("plan: <empty result — predicate value never interned>".to_owned()),
         }

@@ -1,6 +1,10 @@
-//! Lexer for the NF² data-manipulation language.
+//! Lexer for the NF² data-manipulation language: one scanner
+//! (`spans`) that both [`lex`] and [`shape`] read, so the parser and
+//! a plan cache's key cannot disagree on where a literal is.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,96 +63,138 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `input`. Identifiers may contain letters, digits, `_` and
-/// `-`; string literals use single quotes with `''` as the escape.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+/// What a span of text lexes as: an identifier, a string literal
+/// (quotes included) or a one-character token, which holds no text.
+#[derive(Debug)]
+enum Span {
+    Ident,
+    Str,
+    Punct(Token),
+}
+
+/// The one scanner: the kind and byte range of each token of `input`
+/// (as [`lex`] states them), in order, skipping whitespace and `--`
+/// comments (a quote inside a comment starts no literal). Only an
+/// error allocates; it ends the scan.
+fn spans(input: &str) -> impl Iterator<Item = Result<(Span, Range<usize>), LexError>> + '_ {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Equals);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '?' => {
-                tokens.push(Token::Question);
-                i += 1;
-            }
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // Line comment.
+    let fail = |pos, message| Some(Err(LexError { pos, message }));
+    std::iter::from_fn(move || loop {
+        let start = i;
+        let c = *bytes.get(i)?;
+        i += 1;
+        let span = match c {
+            b' ' | b'\t' | b'\r' | b'\n' => continue,
+            b'-' if bytes.get(i) == Some(&b'-') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '\'' => {
-                let mut s = String::new();
-                let start = i;
-                i += 1;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(LexError {
-                            pos: start,
-                            message: "unterminated string literal".into(),
-                        });
-                    }
-                    if bytes[i] == b'\'' {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
+            b'(' => Span::Punct(Token::LParen),
+            b')' => Span::Punct(Token::RParen),
+            b',' => Span::Punct(Token::Comma),
+            b';' => Span::Punct(Token::Semicolon),
+            b'=' => Span::Punct(Token::Equals),
+            b'*' => Span::Punct(Token::Star),
+            b'?' => Span::Punct(Token::Question),
+            b'\'' => loop {
+                match bytes.get(i) {
+                    None => return fail(start, "unterminated string literal".into()),
+                    Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                    Some(b'\'') => {
                         i += 1;
-                        break;
+                        break Span::Str;
                     }
-                    s.push(bytes[i] as char);
+                    Some(_) => i += 1,
+                }
+            },
+            c if c.is_ascii_alphanumeric() || c == b'_' => {
+                let ident = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'-';
+                while bytes.get(i).is_some_and(ident) {
                     i += 1;
                 }
-                tokens.push(Token::Str(s));
+                Span::Ident
             }
-            c if c.is_ascii_alphanumeric() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_alphanumeric() || b == '_' || b == '-' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token::Ident(input[start..i].to_owned()));
+            _ => {
+                // Tokens start on character boundaries: every byte
+                // stepped over outside a literal is ASCII.
+                let other = input[start..].chars().next().expect("a byte is left");
+                i = bytes.len();
+                return fail(start, format!("unexpected character {other:?}"));
             }
-            other => {
-                return Err(LexError {
-                    pos: i,
-                    message: format!("unexpected character {other:?}"),
-                })
+        };
+        return Some(Ok((span, start..i)));
+    })
+}
+
+/// A string literal's value: its text between the quotes, borrowed
+/// unless a `''` escape must become `'`.
+fn unquote(quoted: &str) -> Cow<'_, str> {
+    let inner = &quoted[1..quoted.len() - 1];
+    match inner.contains("''") {
+        true => Cow::Owned(inner.replace("''", "'")),
+        false => Cow::Borrowed(inner),
+    }
+}
+
+/// Tokenizes `input`. Identifiers may contain letters, digits, `_` and
+/// `-`; string literals use single quotes with `''` as the escape.
+pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+    spans(input)
+        .map(|span| {
+            let (span, range) = span?;
+            Ok(match span {
+                Span::Ident => Token::Ident(input[range].to_owned()),
+                Span::Str => Token::Str(unquote(&input[range]).into_owned()),
+                Span::Punct(token) => token,
+            })
+        })
+        .collect()
+}
+
+/// A SELECT's text with its string literals lifted out ([`shape`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Shape<'a> {
+    /// The text with each string literal replaced by `?`, comments and
+    /// whitespace as they were. The parser accepts a literal exactly
+    /// where it accepts `?`, so parsing the key gives the text's
+    /// statement with its literals lifted to parameters
+    /// ([`Statement::lift_literals`](crate::ast::Statement::lift_literals)).
+    pub key: String,
+    /// The literals' values, in textual order: borrowed from the text
+    /// unless a `''` escape forced a copy.
+    pub literals: Vec<Cow<'a, str>>,
+}
+
+/// The shape of `text`, if it is one a plan cache can key by: `None`
+/// when its first word (after any `;`) is not `SELECT`, when it holds
+/// a `?` outside a literal (it has parameters to bind), or when it
+/// does not lex. Two texts that differ only in their literals have one
+/// shape.
+pub fn shape(text: &str) -> Option<Shape<'_>> {
+    let semicolon = |s: &Result<_, _>| matches!(s, Ok((Span::Punct(Token::Semicolon), _)));
+    let mut spans = spans(text).skip_while(semicolon);
+    match spans.next()? {
+        Ok((Span::Ident, first)) if text[first.clone()].eq_ignore_ascii_case("select") => {}
+        _ => return None,
+    }
+    let (mut key, mut literals, mut copied) = (String::with_capacity(text.len()), Vec::new(), 0);
+    for span in spans {
+        match span.ok()? {
+            (Span::Punct(Token::Question), _) => return None,
+            (Span::Str, range) => {
+                key.push_str(&text[copied..range.start]);
+                key.push('?');
+                copied = range.end;
+                literals.push(unquote(&text[range]));
             }
+            _ => {}
         }
     }
-    Ok(tokens)
+    key.push_str(&text[copied..]);
+    Some(Shape { key, literals })
 }
 
 #[cfg(test)]
@@ -202,6 +248,46 @@ mod tests {
         let toks = lex("WHERE a = ? AND b IN (?, 'x')").unwrap();
         assert_eq!(toks.iter().filter(|t| **t == Token::Question).count(), 2);
         assert_eq!(Token::Question.to_string(), "?");
+    }
+
+    #[test]
+    fn lexes_non_ascii_string_literals_as_written() {
+        assert_eq!(lex("'é'").unwrap(), vec![Token::Str("é".into())]);
+        assert_eq!(lex("'ü''ß'").unwrap(), vec![Token::Str("ü'ß".into())]);
+        let err = lex("a é").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "lex error at byte 2: unexpected character 'é'"
+        );
+    }
+
+    #[test]
+    fn a_shape_lifts_each_literal_to_a_question_mark() {
+        let s = shape("select A FROM t -- it's\n WHERE A = 'it''s' AND B IN ('é', '?')").unwrap();
+        assert_eq!(
+            s.key,
+            "select A FROM t -- it's\n WHERE A = ? AND B IN (?, ?)"
+        );
+        assert_eq!(s.literals, ["it's", "é", "?"]);
+        assert!(matches!(s.literals[1], Cow::Borrowed(_)));
+        assert!(matches!(s.literals[0], Cow::Owned(_)));
+        assert_eq!(shape("; SELECT * FROM t").unwrap().key, "; SELECT * FROM t");
+    }
+
+    #[test]
+    fn only_a_lexing_select_without_parameters_has_a_shape() {
+        for text in [
+            "",
+            "-- only a comment",
+            "EXPLAIN SELECT * FROM t WHERE A = 'a'",
+            "DELETE FROM t WHERE A = 'a'",
+            "'SELECT'",
+            "SELECT * FROM t WHERE A = ?",
+            "SELECT * FROM t WHERE A = 'a",
+            "SELECT * FROM t WHERE A ~ 'a'",
+        ] {
+            assert_eq!(shape(text), None, "{text}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Static verification of compiled physical plans.
 //!
 //! The logical layer's typed-IR checker ([`nf2_algebra::check`]) vets
-//! the algebra tree; this module vets what `SelectPlan::build` compiled
+//! the algebra tree; this module vets what `SelectPlan::of` compiled
 //! *from* it — the contracts the executor assumes but never re-checks:
 //!
 //! * every constraint's attribute id is within its input schema;
@@ -33,7 +33,7 @@
 //!
 //! [`check_plan`] runs all of it (plus the logical checker on both the
 //! raw and optimized templates, and a re-run of the gated optimizer);
-//! `SelectPlan::build` invokes it in debug builds and under
+//! `SelectPlan::of` invokes it in debug builds and under
 //! `NF2_VERIFY=1`, and `EXPLAIN VERIFY` reports its verdict on demand.
 
 use std::fmt;
@@ -749,27 +749,7 @@ mod tests {
 
     fn plan_for(engine: &Engine, sql: &str) -> SelectPlan {
         let stmt = crate::parser::parse(sql).unwrap();
-        let crate::ast::Statement::Select {
-            projection,
-            table,
-            joins,
-            predicates,
-            order_by,
-            limit,
-        } = stmt
-        else {
-            panic!("not a select: {sql}")
-        };
-        SelectPlan::build(
-            engine,
-            projection,
-            table,
-            joins,
-            &predicates,
-            order_by,
-            limit,
-        )
-        .unwrap()
+        SelectPlan::of(engine, &stmt).unwrap().expect("a SELECT")
     }
 
     fn first_scan(node: &mut Phys) -> &mut Phys {

@@ -9,7 +9,7 @@
 
 use nf2_core::schema::NestOrder;
 use nf2_query::prepare::PLAN_CACHE_CAPACITY;
-use nf2_query::{Engine, Output, Session};
+use nf2_query::{Engine, Output, QueryError, Session};
 use nf2_storage::NfTable;
 use nf2_workload::{block_product, relationship, uniform, university, zipf, Workload};
 
@@ -22,6 +22,13 @@ fn counts(engine: &Engine) -> (u64, u64, u64) {
         get("plan_cache.misses"),
         get("plan_cache.clears"),
     )
+}
+
+/// How many samples the statement histogram `name` holds.
+fn samples(engine: &Engine, name: &str) -> u64 {
+    let snap = engine.metrics();
+    let found = snap.histograms.iter().find(|(n, _)| n == name);
+    found.map_or(0, |(_, h)| h.count)
 }
 
 /// Moves the DDL epoch, so the next lookup finds no plan.
@@ -122,7 +129,12 @@ fn a_hit_answers_as_a_miss_does_with_one_miss_per_shape() {
     assert_eq!(after.1 - before.1, shapes);
     assert_eq!(after.0 - before.0, n - shapes);
 
-    // Again: every statement hits, through both entry points.
+    // Again: every statement hits, through both entry points, and none
+    // is parsed; each `run` still counts as a SELECT.
+    let (parsed, selects) = (
+        samples(&engine, "stmt.parse.us"),
+        samples(&engine, "stmt.select.us"),
+    );
     for (sql, expected) in statements.iter().zip(&cold) {
         assert_eq!(&session.run(sql).unwrap(), expected, "{sql}");
         if let Output::Relation { relation, .. } = expected {
@@ -135,6 +147,12 @@ fn a_hit_answers_as_a_miss_does_with_one_miss_per_shape() {
         last.1, after.1,
         "nothing planned once every shape is cached"
     );
+    assert_eq!(
+        samples(&engine, "stmt.parse.us"),
+        parsed,
+        "a hit is not parsed"
+    );
+    assert_eq!(samples(&engine, "stmt.select.us"), selects + n);
     assert_eq!(last.2, after.2, "nothing cleared without DDL");
 }
 
@@ -252,4 +270,92 @@ fn a_full_cache_is_cleared_and_still_answers() {
     let sql = "SELECT Student FROM t WHERE Course IN ('c1', 'c2') ORDER BY Student LIMIT 1";
     assert_eq!(session.run(sql).unwrap(), prepared_rows[0]);
     assert_eq!(counts(&engine).1, misses + 1);
+}
+
+#[test]
+fn a_non_ascii_literal_finds_its_row_cold_and_warm() {
+    let engine = Engine::new();
+    let rows = vec![vec!["é", "b1"], vec!["e", "b2"]];
+    let table = NfTable::bulk_load_strs(
+        "t",
+        &["A", "B"],
+        rows,
+        NestOrder::identity(2),
+        engine.dict().clone(),
+    )
+    .unwrap();
+    engine.attach_table(table).unwrap();
+    let mut session = engine.session();
+    let sql = "SELECT B FROM t WHERE A = 'é'";
+    let found = |out: &Output| out.to_text().contains("b1") && !out.to_text().contains("b2");
+
+    let cold = session.run(sql).unwrap();
+    assert!(found(&cold), "{}", cold.to_text());
+    let warm = session.run(sql).unwrap();
+    assert_eq!(warm, cold);
+    assert_eq!(counts(&engine), (1, 1, 0));
+
+    let Output::Relation { relation, .. } = &cold else {
+        panic!("a relation: {cold:?}")
+    };
+    let streamed = session.query(sql).unwrap().into_relation().unwrap();
+    assert_eq!(&streamed, relation);
+    assert_eq!(counts(&engine), (2, 1, 0));
+    bump_epoch(&mut session);
+    let streamed = session.query(sql).unwrap().into_relation().unwrap();
+    assert_eq!(&streamed, relation);
+    assert_eq!(counts(&engine).1, 2, "query planned the shape afresh");
+}
+
+/// A text with a `?`, one that does not lex and one of two statements
+/// fail as the parser makes them fail, through `run` and `query`, and
+/// none of them is planned or hits.
+#[test]
+fn texts_without_a_shape_fail_as_the_parser_fails_them() {
+    let engine = Engine::new();
+    let mut session = engine.session();
+    session
+        .run_script("CREATE TABLE t (A, B); INSERT INTO t VALUES ('a', 'b');")
+        .unwrap();
+    let bound = "SELECT * FROM t WHERE A = 'a'";
+    session.run(bound).unwrap();
+    let cached = counts(&engine);
+
+    let unbound = "SELECT * FROM t WHERE A = ?";
+    for _ in 0..2 {
+        let err = session.run(unbound).unwrap_err();
+        assert!(matches!(err, QueryError::Unbound { count: 1 }), "{err:?}");
+        let err = session.query(unbound).unwrap_err();
+        assert!(matches!(err, QueryError::Unbound { count: 1 }), "{err:?}");
+    }
+    let unterminated = "SELECT * FROM t WHERE A = 'a";
+    let two = "SELECT * FROM t WHERE A = 'a'; SELECT * FROM t WHERE A = 'b'";
+    for text in [unterminated, two] {
+        let parse_error = nf2_query::parse(text).unwrap_err();
+        for err in [
+            session.run(text).unwrap_err(),
+            session.query(text).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, QueryError::Parse(e) if *e == parse_error),
+                "{text}: {err:?}"
+            );
+        }
+    }
+    assert_eq!(counts(&engine), cached, "nothing planned, nothing hit");
+}
+
+#[test]
+fn ddl_between_two_identical_texts_is_a_miss_and_a_clear() {
+    let engine = Engine::new();
+    let mut session = engine.session();
+    session
+        .run_script("CREATE TABLE t (A, B); INSERT INTO t VALUES ('a', 'b');")
+        .unwrap();
+    let sql = "SELECT B FROM t WHERE A = 'a'";
+    let first = session.run(sql).unwrap();
+    assert_eq!(counts(&engine), (0, 1, 0));
+    session.run("CREATE TABLE other (X)").unwrap();
+    assert_eq!(session.run(sql).unwrap(), first);
+    assert_eq!(counts(&engine), (0, 2, 1));
 }

@@ -160,15 +160,9 @@ impl Model {
             assigned.push((col(&t.attrs, &s.attr)?, lit(&s.value)));
             self.interned.insert(lit(&s.value));
         }
-        // The engine resolves the conjuncts in order and stops at the
-        // first whose values were never interned: that matches nothing,
-        // and no later attribute is checked.
         let mut keep = Vec::new();
         for p in preds {
             keep.push((col(&t.attrs, p.attr())?, p.values()));
-            if !p.values().iter().any(|v| self.interned.contains(*v)) {
-                return Ok(Outcome::Affected(0));
-            }
         }
         let mut changed = BTreeMap::new();
         for r in &t.rows {
@@ -268,13 +262,21 @@ impl Draw {
 /// compare against.
 type Pool = Vec<(String, Vec<String>)>;
 
-/// For `t(A, B, C)` and `u(C, D)`: `a0`…`a3`, which statements store,
-/// and `a9`, which none does.
+/// The stored values' suffixes: one holds a quote, which its SQL text
+/// escapes as `''`, and one a character outside ASCII.
+const STORED: [&str; 4] = ["0", "1", "'2", "é3"];
+
+/// For `t(A, B, C)` and `u(C, D)`: `a0`, `a1`, `a'2` and `aé3`, which
+/// statements store, and `a9`, which none does.
 fn pool(attrs: &str) -> Pool {
     let mut pool = Vec::new();
     for a in attrs.chars().map(|a| a.to_string()) {
-        let values = ["0", "1", "2", "3", "9"].map(|i| a.to_lowercase() + i);
-        pool.push((a, values.to_vec()));
+        let values = STORED
+            .iter()
+            .chain(&["9"])
+            .map(|i| a.to_lowercase() + i)
+            .collect();
+        pool.push((a, values));
     }
     pool
 }
@@ -308,7 +310,7 @@ fn predicates(d: &mut Draw, pool: &Pool, least: usize) -> Vec<Predicate> {
 fn insert(d: &mut Draw, table: &str, attrs: &str) -> Statement {
     let (table, mut rows) = (table.to_owned(), Vec::new());
     for _ in 0..=d.below(3) {
-        let value = |a: char| Value::Lit(format!("{}{}", a.to_ascii_lowercase(), d.below(4)));
+        let value = |a: char| Value::Lit(format!("{}{}", a.to_ascii_lowercase(), d.pick(&STORED)));
         rows.push(attrs.chars().map(value).collect());
     }
     Statement::Insert { table, rows }
