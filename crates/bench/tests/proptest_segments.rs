@@ -9,7 +9,9 @@
 //! which rows intersect every conjunct — must agree with a brute-force
 //! filter of the tuple vector, on fresh and on patched segments, from
 //! `Segment::locate` up to the table scan and the pruning report EXPLAIN
-//! prints from it. A checkpoint of drifted segments must reopen as the
+//! prints from it. Every segment's membership filter on the routing
+//! attribute `P(n−1)` admits every value the segment holds there: it
+//! has no false negatives, fresh, patched, split or re-tiled. A checkpoint of drifted segments must reopen as the
 //! same shards and checkpoint again to the same bytes. A final
 //! engine-level property pins
 //! the ordered SQL surface: `ORDER BY` results are identical whatever
@@ -53,11 +55,30 @@ fn specs_for(w: &Workload, order: &NestOrder) -> Vec<ShardSpec> {
     specs
 }
 
+/// Every `P(n−1)` value (attribute `outer`) a segment of `segs` holds
+/// passes that segment's filter.
+fn assert_filter_admits_every_key(segs: &ShardSegments, outer: usize) {
+    for (range, seg) in segs.ranges() {
+        for t in seg.tuples() {
+            for &key in t.component(outer).as_slice() {
+                assert!(
+                    seg.may_hold(key),
+                    "segment at {} rejects its own key {key}",
+                    range.start
+                );
+            }
+        }
+    }
+}
+
 /// A shard's segments must tile its tuple vector exactly — contiguous,
 /// non-empty, full coverage — and decode back losslessly, with exact
 /// (not merely sound) per-attribute min/max zone metadata: the bounds
-/// cover every set member of every tuple in the segment.
-fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
+/// cover every set member of every tuple in the segment. Each segment
+/// is what encoding its chunk gives, its filter on `outer` (the routing
+/// attribute) included, and that filter admits every key it holds.
+fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments, outer: usize) {
+    assert_filter_admits_every_key(segs, outer);
     let mut start = 0usize;
     let mut decoded: Vec<NfTuple> = Vec::with_capacity(tuples.len());
     for (range, seg) in segs.ranges() {
@@ -83,7 +104,7 @@ fn assert_exact_tiling(tuples: &[NfTuple], segs: &ShardSegments) {
         // must be a fresh transposition's, field for field.
         assert_eq!(
             *seg,
-            Segment::encode(&chunk),
+            Segment::encode(&chunk, Some(outer)),
             "each segment's postings are what encoding its chunk gives"
         );
         let arity = slice[0].arity();
@@ -175,8 +196,13 @@ fn brute_force(tuples: &[NfTuple], conjuncts: &[(usize, ValueSet)]) -> Vec<usize
 /// Every probe of `probe_conjuncts`, on every shard: the shard's
 /// segments locate exactly the brute-force rows, each segment for
 /// itself and all of them together, and report exactly the segments
-/// that hold none as skipped.
+/// that hold none as skipped. Every segment's filter admits every key
+/// it holds.
 fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut u64) {
+    let outer = sharded.order().attr_at(sharded.order().arity() - 1);
+    for s in 0..sharded.shard_count() {
+        assert_filter_admits_every_key(sharded.shard_segments(s), outer);
+    }
     let shards: Vec<Vec<NfTuple>> = (0..sharded.shard_count())
         .map(|s| {
             sharded
@@ -207,6 +233,15 @@ fn assert_located_exactly(w: &Workload, sharded: &ShardedCanonical, state: &mut 
             }
             let located = sharded.version(s).locate(&conjuncts);
             assert_eq!(located.skipped, empty, "{}: shard {s}", w.label);
+            // A segment not searched was refuted by its filter or zone.
+            let segments = sharded.shard_segments(s).segment_count();
+            assert!(
+                segments - located.skipped <= located.searched && located.searched <= segments,
+                "{}: shard {s}: {} searched, {} skipped of {segments}",
+                w.label,
+                located.searched,
+                located.skipped
+            );
             assert_eq!(located.rows.collect::<Vec<_>>(), expected, "{}", w.label);
         }
     }
@@ -345,10 +380,11 @@ proptest! {
                     let sharded =
                         ShardedCanonical::from_flat(&w.flat, order.clone(), spec.clone())
                             .unwrap();
+                    let outer = order.attr_at(order.arity() - 1);
                     for s in 0..sharded.shard_count() {
                         let shard = sharded.shard(s);
                         let tuples = shard.relation().tuples();
-                        assert_exact_tiling(tuples, sharded.shard_segments(s));
+                        assert_exact_tiling(tuples, sharded.shard_segments(s), outer);
                         prop_assert_eq!(
                             sharded.shard_segments(s).covered_rows(),
                             tuples.len()
@@ -418,7 +454,7 @@ proptest! {
                             "{} {:?}: shard {} is not the kernel's vector after step {}",
                             w.label, spec, s, step
                         );
-                        assert_exact_tiling(&tuples, sharded.shard_segments(s));
+                        assert_exact_tiling(&tuples, sharded.shard_segments(s), arity - 1);
                     }
                 }
                 sharded.verify().unwrap();
@@ -465,7 +501,9 @@ proptest! {
     /// Fat chunks read back exactly: after edits at a segment's first
     /// and last row, applied one op at a time and then as one batch,
     /// the chunks back to back, read in place, are the §4 reference's
-    /// tuples, and the segments tile them exactly.
+    /// tuples, and the segments tile them exactly. Under the rotated
+    /// order the fat attribute is `P(n−1)`, so the filter takes sets
+    /// past 4 and past 255 keys per tuple.
     #[test]
     fn fat_chunks_read_back_after_edits_at_segment_edges(
         seed in any::<u64>(),
@@ -474,42 +512,46 @@ proptest! {
     ) {
         let fat = [5, 6, 300][width];
         for w in fat_workloads(seed, fat) {
-            let order = NestOrder::identity(w.flat.schema().arity());
-            let mut reference = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
-            let mut sharded =
-                ShardedCanonical::from_flat(&w.flat, order, ShardSpec::single()).unwrap();
-            sharded.set_segment_rows(rows);
-            let widest = reference
-                .relation()
-                .tuples()
-                .iter()
-                .flat_map(|t| t.components().iter().map(ValueSet::len))
-                .max()
-                .unwrap();
-            // The rectangles' sets are exactly `fat` wide; at the largest
-            // `fat`, ~340 students share a course and a semester.
-            let relationship = w.label.starts_with("relationship");
-            let least = if relationship && fat < 256 { 1 } else { fat.min(256) };
-            prop_assert!(widest >= least, "{}: widest set {}", w.label, widest);
-            for (round, fresh) in [(0, 3_000_000), (1, 4_000_000)] {
-                let ops = edge_edits(&sharded, fresh);
-                if round == 0 {
-                    for op in &ops {
-                        match op {
-                            Op::Insert(row) => sharded.insert(row.clone()).unwrap(),
-                            Op::Delete(row) => sharded.delete(row).unwrap(),
-                        };
+            let arity = w.flat.schema().arity();
+            for (rotated, order) in orders_for(arity).into_iter().enumerate() {
+                let outer = order.attr_at(arity - 1);
+                let mut reference = CanonicalRelation::from_flat(&w.flat, order.clone()).unwrap();
+                let mut sharded =
+                    ShardedCanonical::from_flat(&w.flat, order, ShardSpec::single()).unwrap();
+                sharded.set_segment_rows(rows);
+                let widest = reference
+                    .relation()
+                    .tuples()
+                    .iter()
+                    .flat_map(|t| t.components().iter().map(ValueSet::len))
+                    .max()
+                    .unwrap();
+                // The rectangles' sets are exactly `fat` wide; at the largest
+                // `fat`, ~340 students share a course and a semester (under
+                // the identity order).
+                let relationship = w.label.starts_with("relationship");
+                let least = if relationship && (fat < 256 || rotated == 1) { 1 } else { fat.min(256) };
+                prop_assert!(widest >= least, "{}: widest set {}", w.label, widest);
+                for (round, fresh) in [(0, 3_000_000), (1, 4_000_000)] {
+                    let ops = edge_edits(&sharded, fresh);
+                    if round == 0 {
+                        for op in &ops {
+                            match op {
+                                Op::Insert(row) => sharded.insert(row.clone()).unwrap(),
+                                Op::Delete(row) => sharded.delete(row).unwrap(),
+                            };
+                        }
+                    } else {
+                        sharded.apply_batch(&ops).unwrap();
                     }
-                } else {
-                    sharded.apply_batch(&ops).unwrap();
+                    apply_batch(&mut reference, &ops, &mut CostCounter::new()).unwrap();
+                    let expected = reference.relation().tuples();
+                    prop_assert!(
+                        sharded.version(0).tuples().eq(expected.iter().map(NfTuple::as_ref)),
+                        "{}: round {}: the chunks read back other tuples", w.label, round
+                    );
+                    assert_exact_tiling(expected, sharded.shard_segments(0), outer);
                 }
-                apply_batch(&mut reference, &ops, &mut CostCounter::new()).unwrap();
-                let expected = reference.relation().tuples();
-                prop_assert!(
-                    sharded.version(0).tuples().eq(expected.iter().map(NfTuple::as_ref)),
-                    "{}: round {}: the chunks read back other tuples", w.label, round
-                );
-                assert_exact_tiling(expected, sharded.shard_segments(0));
             }
         }
     }

@@ -67,7 +67,10 @@ pub use mvcc::{ShardVersion, TableVersion, VersionCell};
 pub use nest::{canonical_of_flat, canonicalize, is_canonical, nest, unnest};
 pub use relation::{FlatRelation, NfRelation};
 pub use schema::{AttrId, NestOrder, Schema};
-pub use segment::{Conjunct, Located, Rows, Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS};
+pub use segment::{
+    AsConjunct, Conjunct, Located, Rows, Segment, ShardSegments, Tiling, DEFAULT_SEGMENT_ROWS,
+    KEY_FILTER_BYTES,
+};
 pub use shard::{MaintenanceCost, ShardRouter, ShardSpec, ShardedCanonical};
 pub use tuple::{FlatTuple, NfTuple, SetRef, TupleRef, TupleStore, TupleView, ValueSet};
 pub use value::{Atom, Dictionary};

@@ -47,7 +47,7 @@ use crate::kernel::NestKernel;
 use crate::maintenance::{kernel_cmp, CanonicalRelation, CostCounter};
 use crate::relation::NfRelation;
 use crate::schema::{NestOrder, Schema};
-use crate::segment::{Conjunct, Located, ShardSegments, Tiling};
+use crate::segment::{AsConjunct, Conjunct, Located, ShardSegments, Tiling};
 use crate::shard::BatchReport;
 use crate::tuple::{NfTuple, TupleRef};
 use crate::value::Atom;
@@ -122,7 +122,7 @@ impl ShardVersion {
 
     /// The tuples of this version intersecting every conjunct, by
     /// position ([`ShardSegments::locate`]).
-    pub fn locate(&self, conjuncts: &[Conjunct<'_>]) -> Located {
+    pub fn locate<C: AsConjunct>(&self, conjuncts: &[C]) -> Located {
         self.segments.locate(conjuncts)
     }
 

@@ -27,7 +27,15 @@
 //!   nothing else locates a tuple;
 //! * **zone metadata for free** — an attribute's `[min, max]` zone is its
 //!   first and last code; the chunk's flat-row count `|R*|` is counted
-//!   while encoding.
+//!   while encoding;
+//! * **a membership filter on the routing attribute** — a blocked Bloom
+//!   filter over the column's `P(n−1)` codes ([`KEY_FILTER_BYTES`], built
+//!   with the column and patched with it), which a locate on `P(n−1)`
+//!   consults before the zone. The zone alone cannot refute a key there:
+//!   canonical form nests `P(n−1)` last, so keys whose other attributes
+//!   coincide share one tuple, and a few such shared rests are enough
+//!   to stretch a segment's `P(n−1)` zone over most of the key range.
+//!   The filter has no false negatives, so it only ever saves a search.
 //!
 //! A chunk stores its tuples as atoms, not as tuple objects: one array
 //! of every set's members, back to back, bounded by `u32` offsets, one
@@ -77,10 +85,34 @@ use crate::value::Atom;
 /// enough that per-segment metadata stays negligible.
 pub const DEFAULT_SEGMENT_ROWS: usize = 512;
 
+/// Segments whose codes a lone `attr = value` conjunct searches at once
+/// ([`ShardSegments::locate`]).
+const LOCKSTEP: usize = 16;
+
 /// One conjunct of the question segments answer: the tuple's `attr`
 /// component must intersect `values` (ascending, as every [`ValueSet`]
 /// slice is).
 pub type Conjunct<'a> = (AttrId, &'a [Atom]);
+
+/// What a [`Conjunct`] can be read from: a conjunct itself, or an
+/// `(attr, set)` pair as a scan's zones hold it — so a caller locates
+/// with what it holds instead of copying it into a vector first.
+pub trait AsConjunct {
+    /// The conjunct, borrowed.
+    fn conjunct(&self) -> Conjunct<'_>;
+}
+
+impl AsConjunct for Conjunct<'_> {
+    fn conjunct(&self) -> Conjunct<'_> {
+        *self
+    }
+}
+
+impl AsConjunct for (AttrId, ValueSet) {
+    fn conjunct(&self) -> Conjunct<'_> {
+        (self.0, self.1.as_slice())
+    }
+}
 
 /// Ascending positions in a shard's tuple order (its chunks back to
 /// back), held as the disjoint ranges they form — one range for a whole
@@ -348,8 +380,9 @@ impl ValueColumn {
         &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// This column after an edit of its segment's rows, and the number
-    /// of codes whose row list it rebuilt one by one. `renumber[row]` is
+    /// This column after an edit of its segment's rows, the number of
+    /// codes whose row list it rebuilt one by one, and whether a code
+    /// left it (its rows all gone). `renumber[row]` is
     /// what each present row is called afterwards ([`GONE`] if it left;
     /// the mapping ascends, so every list stays sorted), and `added`
     /// holds one `(code << 32 | row)` key, in code-then-row order, per
@@ -368,7 +401,7 @@ impl ValueColumn {
     /// the leavers out and drops a code left without rows. (Reading the
     /// leaving tuples' members and sorting them would name those codes
     /// too, at a price a dense patch pays over the single pass.)
-    fn patched(&self, renumber: &[u32], added: &[u64]) -> (Self, usize) {
+    fn patched(&self, renumber: &[u32], added: &[u64]) -> (Self, usize, bool) {
         let code_of = |key: u64| Atom((key >> 32) as u32);
         let most = self.rows.len() + added.len();
         assert!(
@@ -435,53 +468,43 @@ impl ValueColumn {
             &mut rows,
             at..self.codes.len(),
         ));
+        let held = codes.len();
         if let Some(first) = left {
             rebuilt += drop_gone(&mut codes, &mut offsets, &mut rows, first);
         }
+        let dropped = codes.len() < held;
         offsets.push(rows.len() as u32);
         let column = ValueColumn {
             codes: codes.into(),
             offsets: offsets.into(),
             rows: rows.into(),
         };
-        (column, rebuilt)
+        (column, rebuilt, dropped)
     }
 
-    /// The part of `values` inside this column's `[min, max]` zone.
-    fn in_zone<'a>(&self, values: &'a [Atom]) -> &'a [Atom] {
+    /// Whether `value` lies inside this column's `[min, max]` zone.
+    fn zone_holds(&self, value: Atom) -> bool {
         // invariant: a segment is non-empty and so is every set in it
-        let (min, max) = (self.codes[0], self.codes[self.codes.len() - 1]);
-        let lo = values.partition_point(|&v| v < min);
-        let hi = values.partition_point(|&v| v <= max);
-        &values[lo..hi]
+        self.codes[0] <= value && value <= self.codes[self.codes.len() - 1]
     }
+}
 
-    /// The row list of every value of `values` that occurs.
-    fn lists<'a>(&'a self, values: &'a [Atom]) -> impl Iterator<Item = &'a [u32]> + 'a {
-        self.in_zone(values)
-            .iter()
-            .filter_map(|v| self.codes.binary_search(v).ok())
-            .map(|i| self.rows_at(i))
+/// The union of ascending row `lists`, ascending: one list as stored,
+/// several merged.
+fn union_of<'a>(mut lists: impl Iterator<Item = &'a [u32]>) -> Cow<'a, [u32]> {
+    let Some(first) = lists.next() else {
+        return Cow::Borrowed(&[]);
+    };
+    let Some(second) = lists.next() else {
+        return Cow::Borrowed(first);
+    };
+    let mut merged = [first, second].concat();
+    for list in lists {
+        merged.extend_from_slice(list);
     }
-
-    /// The rows whose set intersects `values`, ascending: one value's
-    /// list as stored, several merged.
-    fn rows_holding_any<'a>(&'a self, values: &'a [Atom]) -> Cow<'a, [u32]> {
-        let mut lists = self.lists(values);
-        let Some(first) = lists.next() else {
-            return Cow::Borrowed(&[]);
-        };
-        let Some(second) = lists.next() else {
-            return Cow::Borrowed(first);
-        };
-        let mut merged = [first, second].concat();
-        for list in lists {
-            merged.extend_from_slice(list);
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        Cow::Owned(merged)
-    }
+    merged.sort_unstable();
+    merged.dedup();
+    Cow::Owned(merged)
 }
 
 /// `|R*|` of `tuples`.
@@ -504,14 +527,113 @@ pub(crate) fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usi
     lo
 }
 
+/// Bytes in a segment's membership filter on the routing attribute:
+/// thirteen 64-byte blocks, 13 bits per code at the default target of
+/// [`DEFAULT_SEGMENT_ROWS`] tuples (a shared rest holds several codes in
+/// one tuple; a segment grown towards twice the target has fewer bits
+/// per code). The size keeps a segment's allocation within the sizes
+/// malloc serves from its per-thread cache (1 008 B in glibc, pinned by
+/// a unit test): at 1 KiB each segment a write builds took the slower
+/// path for larger blocks, and `oltp_durable`'s `op_p99_us` read 7–10 %
+/// higher, while a point read searches 1.18 segments here against 1.10
+/// at 1 KiB.
+pub const KEY_FILTER_BYTES: usize = 832;
+
+/// Words in one filter block: 64 bytes, a cache line's worth.
+const BLOCK_WORDS: usize = 8;
+
+/// A blocked Bloom filter over the codes of one column: each code sets
+/// three bits of one 64-byte block, chosen by a fixed hash of its atom
+/// id, so a test reads one block. It never rejects a code it was given.
+/// Fixed in size and inline in its segment, it costs no allocation of
+/// its own. It is aligned as a heap allocation is (16 bytes), so a block
+/// lies on one cache line or two adjacent ones: aligning the blocks to
+/// cache lines would make every segment an over-aligned allocation,
+/// which costs each segment a write builds more than the second line
+/// costs a read.
+#[derive(Clone, PartialEq, Eq)]
+#[repr(align(16))]
+struct KeyFilter([u64; KEY_FILTER_BYTES / 8]);
+
+/// Where a code's three bits lie in any [`KeyFilter`]: the word of each
+/// (all in one block) and its mask. Computed once per located value and
+/// tested against every segment.
+#[derive(Debug, Clone, Copy)]
+struct FilterProbe {
+    words: [usize; 3],
+    masks: [u64; 3],
+}
+
+impl FilterProbe {
+    /// The bits of `code`, from [`mix64`](crate::shard::mix64) of its
+    /// id: the block from the top 32 bits (scaled to the block count),
+    /// and each of the three bits from 9 of the 27 bits above the lowest
+    /// five. Hash routing takes `mix64(id) % shards`, which fixes the
+    /// lowest bits within a shard, so those are never used.
+    fn of(code: Atom) -> Self {
+        const BLOCKS: u64 = (KEY_FILTER_BYTES / 8 / BLOCK_WORDS) as u64;
+        const BLOCK_BITS: usize = 64 * BLOCK_WORDS;
+        let hash = crate::shard::mix64(u64::from(code.id()));
+        let first = (((hash >> 32) * BLOCKS) >> 32) as usize * BLOCK_WORDS;
+        let bit = |i: u32| (hash >> (5 + 9 * i)) as usize % BLOCK_BITS;
+        let bits = [bit(0), bit(1), bit(2)];
+        FilterProbe {
+            words: bits.map(|b| first + b / 64),
+            masks: bits.map(|b| 1 << (b % 64)),
+        }
+    }
+}
+
+impl KeyFilter {
+    /// The filter holding no code.
+    const EMPTY: KeyFilter = KeyFilter([0; KEY_FILTER_BYTES / 8]);
+
+    /// The filter of `codes`.
+    fn of(codes: &[Atom]) -> Self {
+        let mut filter = Self::EMPTY;
+        codes.iter().for_each(|&code| filter.insert(code));
+        filter
+    }
+
+    /// Sets `code`'s bits.
+    fn insert(&mut self, code: Atom) {
+        let probe = FilterProbe::of(code);
+        for (word, mask) in probe.words.into_iter().zip(probe.masks) {
+            self.0[word] |= mask;
+        }
+    }
+
+    /// Whether the code `probe` was made for may be held: false only if
+    /// it was never inserted. Branch-free, so a loop over segments
+    /// issues their loads together.
+    #[inline]
+    fn may_hold(&self, probe: &FilterProbe) -> bool {
+        let [a, b, c] = probe.words.map(|w| self.0[w]);
+        (a & probe.masks[0] != 0) & (b & probe.masks[1] != 0) & (c & probe.masks[2] != 0)
+    }
+}
+
+impl std::fmt::Debug for KeyFilter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let set: u32 = self.0.iter().map(|w| w.count_ones()).sum();
+        write!(f, "KeyFilter({set} of {} bits set)", 8 * KEY_FILTER_BYTES)
+    }
+}
+
 /// One sorted immutable segment: a chunk of consecutive tuples of a
 /// shard, in kernel order, beside the same tuples stored value-major
-/// (one `ValueColumn` per attribute). A segment does not know where it
+/// (one `ValueColumn` per attribute), and a membership filter over the
+/// codes of the routing attribute. A segment does not know where it
 /// starts in its shard — its position is the sum of the row counts
 /// before it ([`ShardSegments::ranges`]) — so an edit earlier in the
 /// shard shifts it without touching it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
+    /// The codes of column `outer`, as a filter (empty without one):
+    /// inline, so a locate reaches it straight from the segment's `Arc`.
+    filter: KeyFilter,
+    /// The routing attribute `P(n−1)` the filter covers.
+    outer: Option<AttrId>,
     /// The chunk: the tuples themselves.
     chunk: Chunk,
     /// Flat rows the chunk represents.
@@ -522,23 +644,27 @@ pub struct Segment {
 
 impl Segment {
     /// Encodes the chunk `tuples` (non-empty, all of one arity) as one
-    /// segment, copying their atoms into its chunk. The caller
-    /// guarantees the chunk is in canonical sorted order (a kernel
-    /// rebuild, or ordered §4 maintenance of one); encoding never
-    /// reorders rows.
-    pub fn encode(tuples: &[NfTuple]) -> Self {
+    /// segment, copying their atoms into its chunk, with a membership
+    /// filter over the codes of `outer` (the routing attribute; none
+    /// for `None`). The caller guarantees the chunk is in canonical
+    /// sorted order (a kernel rebuild, or ordered §4 maintenance of
+    /// one); encoding never reorders rows.
+    pub fn encode(tuples: &[NfTuple], outer: Option<AttrId>) -> Self {
         debug_assert!(!tuples.is_empty(), "segments hold at least one tuple");
-        Self::of_chunk(Chunk::of_tuples(tuples))
+        Self::of_chunk(Chunk::of_tuples(tuples), outer)
     }
 
-    /// The segment of `chunk`, its columns transposed afresh.
-    fn of_chunk(chunk: Chunk) -> Self {
+    /// The segment of `chunk`, its columns transposed afresh and its
+    /// filter built from column `outer`.
+    fn of_chunk(chunk: Chunk, outer: Option<AttrId>) -> Self {
         debug_assert!(chunk.is_tight(), "a segment's chunk is built to size");
         let (mut keys, mut spare) = (Vec::new(), Vec::new());
-        let columns = (0..chunk.arity)
+        let columns: Vec<ValueColumn> = (0..chunk.arity)
             .map(|a| ValueColumn::encode(&chunk, a, &mut keys, &mut spare))
             .collect();
         let seg = Segment {
+            filter: outer.map_or(KeyFilter::EMPTY, |a| KeyFilter::of(&columns[a].codes)),
+            outer,
             flat: flat_of(chunk.tuples()),
             columns,
             chunk,
@@ -559,9 +685,11 @@ impl Segment {
     /// read: each column ([`ValueColumn::patched`]) rebuilds the lists
     /// of the codes they hold and of the codes that lost a row, and
     /// carries every run of codes between them whole, so a point write
-    /// costs its own tuples' codes plus one copy of the rest. Equal to
-    /// the segment [`encode`](Self::encode) makes of `now`, which debug
-    /// builds check.
+    /// costs its own tuples' codes plus one copy of the rest. The
+    /// filter takes the entering codes in — or, if a code left the
+    /// routing column, is built again from it: a Bloom filter cannot
+    /// forget one code. Equal to the segment [`encode`](Self::encode)
+    /// makes of `now`, which debug builds check.
     fn patched(&self, gone: &[u32], come: &[u32], now: Chunk) -> (Self, usize) {
         debug_assert!(now.is_tight(), "a segment's chunk is built to size");
         let held = self.rows() as u32;
@@ -593,6 +721,7 @@ impl Segment {
         }
         debug_assert_eq!(next as usize, now.rows, "the edits lead to `now`");
         let (mut keys, mut spare, mut rebuilt) = (Vec::new(), Vec::new(), 0);
+        let mut filter = self.filter.clone();
         let columns = self
             .columns
             .iter()
@@ -605,30 +734,40 @@ impl Segment {
                 if !keys.is_sorted() {
                     sort_by_code(&mut keys, &mut spare);
                 }
-                let (column, codes) = column.patched(&renumber, &keys);
+                let (column, codes, dropped) = column.patched(&renumber, &keys);
                 rebuilt += codes;
+                if Some(attr) == self.outer {
+                    if dropped {
+                        filter = KeyFilter::of(&column.codes);
+                    } else {
+                        keys.iter()
+                            .for_each(|&key| filter.insert(Atom((key >> 32) as u32)));
+                    }
+                }
                 column
             })
             .collect();
         let flat = self.flat - flat_of(gone.iter().map(|&row| self.tuple(row as usize)))
             + flat_of(entered.iter().map(|&row| now.tuple(row as usize)));
         let seg = Segment {
+            filter,
+            outer: self.outer,
             flat,
             columns,
             chunk: now,
         };
         debug_assert_eq!(
             seg,
-            Segment::of_chunk(seg.chunk.clone()),
-            "patched postings must equal a fresh transposition"
+            Segment::of_chunk(seg.chunk.clone(), seg.outer),
+            "patched postings and filter must equal a fresh encoding"
         );
         (seg, rebuilt)
     }
 
     /// Whether this segment is exactly what encoding its own chunk
-    /// afresh gives: columns, zone bounds and flat count alike.
+    /// afresh gives: columns, zone bounds, filter and flat count alike.
     pub(crate) fn encodes_its_chunk(&self) -> bool {
-        *self == Segment::of_chunk(self.chunk.clone())
+        *self == Segment::of_chunk(self.chunk.clone(), self.outer)
     }
 
     /// Distinct codes over all columns: what encoding the chunk afresh
@@ -678,6 +817,17 @@ impl Segment {
             .sum()
     }
 
+    /// Bytes of the membership filter on the routing attribute:
+    /// [`KEY_FILTER_BYTES`], or 0 for a segment without one. The filter
+    /// is inline, so it adds no allocation.
+    pub fn filter_bytes(&self) -> usize {
+        if self.outer.is_some() {
+            KEY_FILTER_BYTES
+        } else {
+            0
+        }
+    }
+
     /// Heap bytes the segment holds in its arrays: the chunk's and the
     /// columns' ([`chunk_bytes`](Self::chunk_bytes) plus
     /// [`column_bytes`](Self::column_bytes)).
@@ -696,6 +846,56 @@ impl Segment {
         codes[codes.len() - 1]
     }
 
+    /// Whether the filter on the routing attribute admits `value`: false
+    /// only if no tuple of this segment holds it there. A segment
+    /// without a filter admits every value.
+    pub fn may_hold(&self, value: Atom) -> bool {
+        self.outer.is_none() || self.filter.may_hold(&FilterProbe::of(value))
+    }
+
+    /// The values of `values` this segment may hold on `attr` short of
+    /// searching its codes: on the routing attribute, those the filter
+    /// admits; then, of those, the ones inside the attribute's zone.
+    fn candidates<'a>(
+        &'a self,
+        attr: AttrId,
+        values: &'a [Atom],
+    ) -> impl Iterator<Item = Atom> + 'a {
+        let routed = Some(attr) == self.outer;
+        values
+            .iter()
+            .copied()
+            .filter(move |&v| !routed || self.filter.may_hold(&FilterProbe::of(v)))
+            .filter(move |&v| self.columns[attr].zone_holds(v))
+    }
+
+    /// The row list of every value of `values` that `attr` holds.
+    fn lists<'a>(
+        &'a self,
+        attr: AttrId,
+        values: &'a [Atom],
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let column = &self.columns[attr];
+        self.candidates(attr, values)
+            .filter_map(|v| column.codes.binary_search(&v).ok())
+            .map(|i| column.rows_at(i))
+    }
+
+    /// Whether every conjunct has a value this segment's filter and
+    /// zones admit — the test a locate makes before it searches any
+    /// codes, so a segment that fails it is refuted without a search.
+    /// The conjunct on the routing attribute goes first: a segment its
+    /// filter rejects is refuted from one block of it.
+    pub fn admits<C: AsConjunct>(&self, conjuncts: &[C]) -> bool {
+        let routed = |c: &&C| Some(c.conjunct().0) == self.outer;
+        let admitted = |c: &C| {
+            let (attr, values) = c.conjunct();
+            self.candidates(attr, values).next().is_some()
+        };
+        conjuncts.iter().filter(routed).all(admitted)
+            && conjuncts.iter().filter(|c| !routed(c)).all(admitted)
+    }
+
     /// The one question: appends `base + row`, ascending and as spans,
     /// for every row whose `attr` component intersects `values` for
     /// **every** conjunct (all rows when there is none), and says whether
@@ -703,13 +903,14 @@ impl Segment {
     /// that intersects the values is not yet narrowed to them, so a
     /// selection still applies its box downstream.
     ///
-    /// Cost: one binary search per in-zone value per conjunct to refute
-    /// the segment (no allocation); on a hit, the shortest conjunct's
-    /// row list filtered through the others. A lone conjunct's row list
-    /// is the answer, found by the same search that refutes.
-    pub fn locate(
+    /// Cost: the filter and zone tests of [`admits`](Self::admits); then
+    /// one binary search per admitted value per conjunct to refute the
+    /// segment (no allocation); on a hit, the shortest conjunct's row
+    /// list filtered through the others. A lone conjunct's row list is
+    /// the answer, found by the same search that refutes.
+    pub fn locate<C: AsConjunct>(
         &self,
-        conjuncts: &[Conjunct<'_>],
+        conjuncts: &[C],
         base: usize,
         out: &mut Vec<Range<usize>>,
     ) -> bool {
@@ -717,24 +918,42 @@ impl Segment {
             push_span(out, base..base + self.rows());
             return true;
         }
-        if let [(attr, values)] = conjuncts {
+        self.admits(conjuncts) && self.search(conjuncts, base, out)
+    }
+
+    /// [`locate`](Self::locate) of a segment that
+    /// [`admits`](Self::admits) the (non-empty) conjuncts: the search
+    /// of its codes.
+    fn search<C: AsConjunct>(
+        &self,
+        conjuncts: &[C],
+        base: usize,
+        out: &mut Vec<Range<usize>>,
+    ) -> bool {
+        if let [conjunct] = conjuncts {
             // One conjunct: its row list is the answer, and one search
             // of the codes both refutes the segment and finds it.
-            let rows = self.columns[*attr].rows_holding_any(values);
+            let (attr, values) = conjunct.conjunct();
+            let rows = union_of(self.lists(attr, values));
             for &row in rows.iter() {
                 let at = base + row as usize;
                 push_span(out, at..at + 1);
             }
             return !rows.is_empty();
         }
-        let occurs =
-            |&(attr, values): &Conjunct<'_>| self.columns[attr].lists(values).next().is_some();
+        let occurs = |c: &C| {
+            let (attr, values) = c.conjunct();
+            self.lists(attr, values).next().is_some()
+        };
         if !conjuncts.iter().all(occurs) {
             return false;
         }
         let mut lists: Vec<Cow<'_, [u32]>> = conjuncts
             .iter()
-            .map(|&(attr, values)| self.columns[attr].rows_holding_any(values))
+            .map(|c| {
+                let (attr, values) = c.conjunct();
+                union_of(self.lists(attr, values))
+            })
             .collect();
         lists.sort_by_key(|rows| rows.len());
         let (driver, filters) = lists.split_first().expect("at least one conjunct");
@@ -799,6 +1018,10 @@ pub struct Located {
     /// Segments that held no located row (none of their tuples is in
     /// `rows`, so none is ever probed).
     pub skipped: usize,
+    /// Segments whose codes were searched: those the filter and zone
+    /// tests ([`Segment::admits`]) did not refute. The rest of the
+    /// skipped ones were refuted without a search.
+    pub searched: usize,
 }
 
 /// The segments of one shard, in tuple order: their chunks back to back
@@ -808,21 +1031,27 @@ pub struct ShardSegments {
     segments: Vec<Arc<Segment>>,
     /// Cumulative row counts: segment `i` ends at position `ends[i]`.
     ends: Vec<usize>,
+    /// The routing attribute every segment's filter covers, held here
+    /// so a locate knows it without reading a segment.
+    outer: Option<AttrId>,
 }
 
 impl ShardSegments {
-    /// The (empty) segment list of an empty shard.
-    pub fn new() -> Self {
-        Self::default()
+    /// The (empty) segment list of an empty shard tiled by `tiling`.
+    fn empty(tiling: Tiling) -> Self {
+        Self {
+            outer: tiling.outer_attr,
+            ..Self::default()
+        }
     }
 
     /// `tuples` (in kernel order) cut into uniformly tiled segments:
     /// `target_rows` tuples each, the remainder in the last, their atoms
     /// copied into the chunks.
     pub(crate) fn tile(tuples: &[NfTuple], tiling: Tiling) -> Self {
-        let mut tiled = Self::new();
+        let mut tiled = Self::empty(tiling);
         for piece in tuples.chunks(tiling.target_rows.max(1)) {
-            tiled.push(Arc::new(Segment::encode(piece)));
+            tiled.push(Arc::new(Segment::encode(piece, tiling.outer_attr)));
         }
         tiled
     }
@@ -832,16 +1061,25 @@ impl ShardSegments {
     /// the old chunks into the new.
     pub(crate) fn rebuild(&mut self, tiling: Tiling) {
         let chunks = self.segments.iter().map(|seg| &seg.chunk);
-        let mut tiled = Self::new();
+        let mut tiled = Self::empty(tiling);
         for chunk in recut(chunks, tiling.target_rows.max(1)) {
-            tiled.push(Arc::new(Segment::of_chunk(chunk)));
+            tiled.push(Arc::new(Segment::of_chunk(chunk, tiling.outer_attr)));
         }
         *self = tiled;
     }
 
     /// Appends `seg` after the last segment.
     fn push(&mut self, seg: Arc<Segment>) {
-        self.ends.push(self.covered_rows() + seg.rows());
+        let rows = seg.rows();
+        self.push_held(seg, rows);
+    }
+
+    /// Appends `seg`, which holds `rows` tuples, after the last segment:
+    /// a segment carried over from a shard's ends need not be read.
+    fn push_held(&mut self, seg: Arc<Segment>, rows: usize) {
+        debug_assert_eq!(seg.rows(), rows, "a segment holds its rows");
+        debug_assert_eq!(seg.outer, self.outer, "one routing attribute a shard");
+        self.ends.push(self.covered_rows() + rows);
         self.segments.push(seg);
     }
 
@@ -850,11 +1088,25 @@ impl ShardSegments {
         &self.segments
     }
 
-    /// Every segment with the range of positions its chunk holds.
+    /// Every segment with the range of positions its chunk holds, read
+    /// from the cumulative row counts (a segment is not read for it).
     pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, &Segment)> {
-        let ends = self.ends.iter();
-        ends.zip(&self.segments)
-            .map(|(&end, seg)| (end - seg.rows()..end, &**seg))
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .zip(&self.segments)
+            .map(|((start, &end), seg)| (start..end, &**seg))
+    }
+
+    /// The segment holding position `at` (below
+    /// [`covered_rows`](Self::covered_rows)) and the position it starts
+    /// at, searched forward from segment `from`: a galloping search of
+    /// the cumulative row counts, so the segments passed on the way are
+    /// never read, and a cursor moving within one segment pays a
+    /// comparison.
+    pub fn segment_at(&self, at: usize, from: usize) -> (usize, usize) {
+        let seg = seek(&self.ends, from, at + 1);
+        (seg, seg.checked_sub(1).map_or(0, |prior| self.ends[prior]))
     }
 
     /// Number of segments.
@@ -868,24 +1120,19 @@ impl ShardSegments {
     }
 
     /// The tuples at the ascending positions `rows`, each with its
-    /// position: a cursor walks the chunks forward, so a tuple costs no
-    /// search, only the segments passed on the way to it.
+    /// position: a cursor moves forward through the cumulative row
+    /// counts ([`segment_at`](Self::segment_at)), so a tuple costs no
+    /// search of the chunks, and the segments passed on the way to it
+    /// are never read.
     pub(crate) fn tuples_at<'a>(
         &'a self,
         rows: impl IntoIterator<Item = usize> + 'a,
     ) -> impl Iterator<Item = (usize, TupleRef<'a>)> + 'a {
-        let mut segments = self.segments.iter();
-        let (mut seg, mut start, mut held): (Option<&Segment>, usize, usize) = (None, 0, 0);
+        let mut seg = 0;
         rows.into_iter().map(move |at| {
-            while at - start >= held {
-                start += held;
-                let next = segments
-                    .next()
-                    .expect("ascending positions lie in the chunks");
-                (seg, held) = (Some(&**next), next.rows());
-            }
-            let seg = seg.expect("a position was reached");
-            (at, seg.tuple(at - start))
+            let start;
+            (seg, start) = self.segment_at(at, seg);
+            (at, self.segments[seg].tuple(at - start))
         })
     }
 
@@ -922,83 +1169,131 @@ impl ShardSegments {
 
     /// The positions of every tuple intersecting every conjunct
     /// ([`Segment::locate`] per segment, offset by where it starts), with
-    /// the number of segments that held none. No conjunct locates every
-    /// tuple.
-    pub fn locate(&self, conjuncts: &[Conjunct<'_>]) -> Located {
+    /// the number of segments that held none and of those searched. No
+    /// conjunct locates every tuple.
+    pub fn locate<C: AsConjunct>(&self, conjuncts: &[C]) -> Located {
         if conjuncts.is_empty() {
             return Located {
                 rows: Rows::all(self.covered_rows()),
                 skipped: 0,
+                searched: 0,
             };
         }
-        if let [(attr, [value])] = conjuncts {
-            return self.locate_value(*attr, *value);
+        if let [conjunct] = conjuncts {
+            if let (attr, &[value]) = conjunct.conjunct() {
+                return self.locate_value(attr, value);
+            }
         }
         let mut spans = Vec::new();
-        let mut skipped = 0usize;
+        let (mut skipped, mut searched) = (0usize, 0usize);
         for (range, seg) in self.ranges() {
-            skipped += usize::from(!seg.locate(conjuncts, range.start, &mut spans));
+            let admitted = seg.admits(conjuncts);
+            searched += usize::from(admitted);
+            skipped += usize::from(!(admitted && seg.search(conjuncts, range.start, &mut spans)));
         }
         Located {
             rows: Rows::of_spans(spans),
             skipped,
+            searched,
         }
     }
 
     /// [`locate`](Self::locate) of the lone conjunct `attr = value`,
-    /// the same answer found in lockstep: a group of segments at a time,
-    /// each step of each segment's search of its codes — the zone test,
-    /// every halving, the row list — is taken for the whole group before
-    /// the next, so the cache misses of one step, one per segment,
-    /// overlap instead of queueing one search after another.
+    /// the same answer found in two passes. On the routing attribute,
+    /// the first tests every segment's filter — one block each,
+    /// the loads independent, so their misses overlap — and only the
+    /// segments it admits go on; on any other attribute every segment
+    /// does. The second searches those segments' codes in lockstep,
+    /// [`LOCKSTEP`] at a time ([`search_group`](Self::search_group)).
     fn locate_value(&self, attr: AttrId, value: Atom) -> Located {
-        const GROUP: usize = 16;
-        let (mut spans, mut skipped, mut start) = (Vec::new(), 0, 0);
-        for (segments, ends) in self.segments.chunks(GROUP).zip(self.ends.chunks(GROUP)) {
-            // Each segment's codes and the range its search has left
-            // (empty outside the zone), and the segments still searching.
-            let mut codes: [&[Atom]; GROUP] = [&[]; GROUP];
-            let (mut lo, mut hi) = ([0usize; GROUP], [0usize; GROUP]);
-            let (mut searching, mut left) = ([0usize; GROUP], 0);
-            for (k, seg) in segments.iter().enumerate() {
-                let column = &seg.columns[attr].codes;
-                if column[0] <= value && value <= column[column.len() - 1] {
-                    (codes[k], hi[k]) = (column, column.len());
-                    (searching[left], left) = (k, left + 1);
-                }
+        let probe = (Some(attr) == self.outer).then(|| FilterProbe::of(value));
+        let mut spans = Vec::new();
+        let (mut searched, mut holding) = (0, 0);
+        let (mut group, mut gathered) = ([0usize; LOCKSTEP], 0);
+        let mut search = |group: &[usize]| {
+            let (s, h) = self.search_group(group, attr, value, &mut spans);
+            (searched, holding) = (searched + s, holding + h);
+        };
+        for (k, seg) in self.segments.iter().enumerate() {
+            if probe
+                .as_ref()
+                .is_some_and(|probe| !seg.filter.may_hold(probe))
+            {
+                continue;
             }
-            while left > 0 {
-                let mut still = 0;
-                for i in 0..left {
-                    let k = searching[i];
-                    let mid = lo[k] + (hi[k] - lo[k]) / 2;
-                    if codes[k][mid] < value {
-                        lo[k] = mid + 1;
-                    } else {
-                        hi[k] = mid;
-                    }
-                    if lo[k] < hi[k] {
-                        (searching[still], still) = (k, still + 1);
-                    }
-                }
-                left = still;
-            }
-            for (k, (seg, &end)) in segments.iter().zip(ends).enumerate() {
-                if codes[k].get(lo[k]) == Some(&value) {
-                    for &row in seg.columns[attr].rows_at(lo[k]) {
-                        let at = start + row as usize;
-                        push_span(&mut spans, at..at + 1);
-                    }
-                } else {
-                    skipped += 1;
-                }
-                start = end;
+            (group[gathered], gathered) = (k, gathered + 1);
+            if gathered == LOCKSTEP {
+                search(&group);
+                gathered = 0;
             }
         }
+        search(&group[..gathered]);
         Located {
             rows: Rows::of_spans(spans),
-            skipped,
+            skipped: self.segments.len() - holding,
+            searched,
         }
+    }
+
+    /// Searches the `attr` codes of the segments `group` (ascending
+    /// indices, at most [`LOCKSTEP`]) for `value` in lockstep: each step
+    /// of each segment's search — the zone test, every halving, the row
+    /// list — is taken for the whole group before the next, so the cache
+    /// misses of one step, one per segment, overlap instead of queueing
+    /// one search after another. Appends the rows found to `spans`, and
+    /// returns how many of the segments were searched (the zone admitted
+    /// them) and how many hold `value`.
+    fn search_group(
+        &self,
+        group: &[usize],
+        attr: AttrId,
+        value: Atom,
+        spans: &mut Vec<Range<usize>>,
+    ) -> (usize, usize) {
+        if group.is_empty() {
+            return (0, 0);
+        }
+        // Each segment's codes and the range its search has left
+        // (empty outside the zone), and the segments still searching.
+        let mut codes: [&[Atom]; LOCKSTEP] = [&[]; LOCKSTEP];
+        let (mut lo, mut hi) = ([0usize; LOCKSTEP], [0usize; LOCKSTEP]);
+        let (mut searching, mut left) = ([0usize; LOCKSTEP], 0);
+        for (i, &k) in group.iter().enumerate() {
+            let column = &self.segments[k].columns[attr].codes;
+            if column[0] <= value && value <= column[column.len() - 1] {
+                (codes[i], hi[i]) = (column, column.len());
+                (searching[left], left) = (i, left + 1);
+            }
+        }
+        let searched = left;
+        while left > 0 {
+            let mut still = 0;
+            for j in 0..left {
+                let i = searching[j];
+                let mid = lo[i] + (hi[i] - lo[i]) / 2;
+                if codes[i][mid] < value {
+                    lo[i] = mid + 1;
+                } else {
+                    hi[i] = mid;
+                }
+                if lo[i] < hi[i] {
+                    (searching[still], still) = (i, still + 1);
+                }
+            }
+            left = still;
+        }
+        let mut holding = 0;
+        for (i, &k) in group.iter().enumerate() {
+            if codes[i].get(lo[i]) == Some(&value) {
+                holding += 1;
+                let start = k.checked_sub(1).map_or(0, |prior| self.ends[prior]);
+                for &row in self.segments[k].columns[attr].rows_at(lo[i]) {
+                    let at = start + row as usize;
+                    push_span(spans, at..at + 1);
+                }
+            }
+        }
+        (searched, holding)
     }
 
     /// These segments after one ordered merge, in which the tuples at
@@ -1028,12 +1323,13 @@ impl ShardSegments {
         let old = &self.segments;
         let (mut removed, mut entered) = (removed.iter().peekable(), entered.iter().peekable());
         let mut fresh = fresh;
-        let mut next = Self::new();
+        let mut next = Self::empty(tiling);
         let mut start = 0usize;
         // An empty shard takes its first tuples as one segment-less slot.
         for at in 0..old.len().max(1) {
             let was = old.get(at);
-            let held = was.map_or(0, |seg| seg.rows());
+            // From the ends: a segment carried whole is never read.
+            let held = self.ends.get(at).map_or(0, |&end| end - start);
             // The last slot's range runs to wherever the positions do.
             let end = if at + 1 >= old.len() {
                 usize::MAX
@@ -1049,7 +1345,7 @@ impl ShardSegments {
                 .collect();
             start += held;
             if let Some(seg) = was.filter(|_| gone.is_empty() && come.is_empty()) {
-                next.push(Arc::clone(seg));
+                next.push_held(Arc::clone(seg), held);
                 continue;
             }
             debug_assert!(gone.len() <= held, "removed tuples lie in a segment");
@@ -1105,7 +1401,7 @@ impl ShardSegments {
                         vec![chunk]
                     };
                     for piece in pieces {
-                        let seg = Segment::of_chunk(piece);
+                        let seg = Segment::of_chunk(piece, tiling.outer_attr);
                         report.codes_rewritten += seg.code_count();
                         next.push(Arc::new(seg));
                     }
@@ -1140,8 +1436,9 @@ mod tests {
         ]
     }
 
+    /// The segment of `tuples`, filtered on their last attribute.
     fn encode(tuples: &[NfTuple]) -> Segment {
-        Segment::encode(tuples)
+        Segment::encode(tuples, tuples[0].arity().checked_sub(1))
     }
 
     /// A segment's chunk, copied out.
@@ -1252,7 +1549,7 @@ mod tests {
     #[test]
     fn shard_segments_tile_and_absorb() {
         let tuples: Vec<NfTuple> = (0..10u32).map(|i| tuple(&[&[i], &[100 + i / 3]])).collect();
-        let mut ss = ShardSegments::new();
+        let mut ss = ShardSegments::default();
         assert_eq!(ss.segment_count(), 0);
         ss = ShardSegments::tile(&tuples, tiling(4));
         assert_eq!(ss.segment_count(), 3, "10 rows at target 4 → 4+4+2");
@@ -1306,7 +1603,10 @@ mod tests {
             .map(|t| tuples.partition_point(|s| before(s.as_ref(), t.as_ref())))
             .collect();
         assert_eq!(ss.places(&fresh, before), expected);
-        assert_eq!(ShardSegments::new().places(&fresh[..1], before), vec![0]);
+        assert_eq!(
+            ShardSegments::default().places(&fresh[..1], before),
+            vec![0]
+        );
     }
 
     #[test]
@@ -1355,7 +1655,7 @@ mod tests {
 
     #[test]
     fn first_tuple_of_an_empty_shard_opens_a_segment() {
-        let mut ss = ShardSegments::new();
+        let mut ss = ShardSegments::default();
         let entering = vec![(0, tuple(&[&[1], &[10]]))];
         let report = sweep(&mut ss, &mut Vec::new(), &[], entering, 4);
         assert_eq!(report.segments_reencoded, 1);
@@ -1534,6 +1834,107 @@ mod tests {
     }
 
     #[test]
+    fn a_patch_that_only_adds_codes_ors_them_into_the_filter() {
+        let tuples: Vec<NfTuple> = (0..8u32).map(|i| tuple(&[&[i % 3], &[100 + i]])).collect();
+        let seg = encode(&tuples);
+        // A new key enters, and a tuple whose key another one keeps
+        // (`{2} × {200, 201}` replaces `{2} × {102}`, and 102 stays with
+        // `{5} × {102}`): no code leaves the routing column.
+        let mut now = tuples.clone();
+        now[2] = tuple(&[&[2], &[102, 200]]);
+        now.insert(3, tuple(&[&[5], &[102]]));
+        let (patched, _) = seg.patched(&[2], &[3, 3], Chunk::of_tuples(&now));
+        assert_eq!(patched, encode(&now), "equal to a fresh build");
+        let kept = seg.filter.0.iter().zip(&patched.filter.0);
+        assert!(
+            kept.into_iter().all(|(old, new)| old & new == *old),
+            "ORed into the old bits"
+        );
+        for key in [102, 200] {
+            assert!(patched.may_hold(Atom(key)), "{key} entered");
+        }
+    }
+
+    #[test]
+    fn a_patch_that_drops_a_code_rebuilds_the_filter() {
+        let tuples: Vec<NfTuple> = (0..8u32).map(|i| tuple(&[&[i % 3], &[100 + i]])).collect();
+        let seg = encode(&tuples);
+        // Code 104 leaves with its only tuple; 300 enters.
+        let mut now = tuples.clone();
+        now[4] = tuple(&[&[1], &[300]]);
+        let (patched, _) = seg.patched(&[4], &[4], Chunk::of_tuples(&now));
+        let fresh = encode(&now);
+        assert_eq!(patched, fresh, "equal to a fresh build");
+        let mut ored = seg.filter.clone();
+        ored.insert(Atom(300));
+        assert_ne!(ored, fresh.filter, "ORing alone would keep 104's bits");
+        // A code that only lost a row stays, and so does the old filter.
+        now = tuples.clone();
+        now.remove(4);
+        let (patched, _) = seg.patched(&[4], &[], Chunk::of_tuples(&now));
+        assert_eq!(patched, encode(&now));
+    }
+
+    #[test]
+    fn a_segment_allocation_stays_within_mallocs_thread_cache() {
+        // An `Arc<Segment>` is the segment beside two counters. glibc
+        // serves requests up to 1 008 B from its per-thread cache and
+        // small bins; past that every segment a write builds, and every
+        // one it drops, takes the slower path for larger blocks.
+        let arc = std::mem::size_of::<Segment>() + 2 * std::mem::size_of::<usize>();
+        assert!(arc <= 1008, "an Arc<Segment> takes {arc} B");
+    }
+
+    #[test]
+    fn a_filter_never_rejects_a_held_key_at_arity_one_two_and_three() {
+        for arity in 1..=3usize {
+            // Tuple i holds keys i and 1000 + i on the routing attribute
+            // (the last), so every segment's zone spans most keys.
+            let tuples: Vec<NfTuple> = (0..200u32)
+                .map(|i| {
+                    let rest: Vec<Vec<u32>> =
+                        (1..arity as u32).map(|a| vec![i % (5 * a)]).collect();
+                    let mut comps: Vec<&[u32]> = rest.iter().map(Vec::as_slice).collect();
+                    let keys = [i, 1000 + i];
+                    comps.push(&keys);
+                    tuple(&comps)
+                })
+                .collect();
+            let outer = arity - 1;
+            let ss = ShardSegments::tile(
+                &tuples,
+                Tiling {
+                    outer_attr: Some(outer),
+                    target_rows: 8,
+                },
+            );
+            assert_eq!(ss.segment_count(), 25);
+            let mut searched = 0;
+            for (range, seg) in ss.ranges() {
+                assert_eq!(seg.filter_bytes(), KEY_FILTER_BYTES);
+                for at in range {
+                    for &key in tuples[at].component(outer).as_slice() {
+                        assert!(seg.may_hold(key), "arity {arity}: row {at}, key {key}");
+                        let located = ss.locate(&[(outer, std::slice::from_ref(&key))]);
+                        assert_eq!(located.skipped, 24, "arity {arity}: key {key}");
+                        searched += located.searched;
+                        assert_eq!(located.rows.collect::<Vec<_>>(), vec![at]);
+                        // An IN-list takes the general path and the filter too.
+                        let absent = Atom(5_000);
+                        let listed = ss.locate(&[(outer, &[key, absent][..])]);
+                        assert_eq!(listed.rows.collect::<Vec<_>>(), vec![at]);
+                    }
+                }
+            }
+            // The zones alone admit every segment; the filter about one.
+            assert!(
+                searched <= 400 + 400 / 10,
+                "arity {arity}: {searched} searched for 400 keys"
+            );
+        }
+    }
+
+    #[test]
     fn a_sweep_drops_emptied_splits_outgrown_and_opens_first_segments() {
         let mut tuples: Vec<NfTuple> = (0..6u32).map(|i| tuple(&[&[i], &[100 + 10 * i]])).collect();
         let mut ss = ShardSegments::tile(&tuples, tiling(2));
@@ -1625,6 +2026,6 @@ mod tests {
         assert_eq!(ss.segment_count(), 1);
         let seg = &ss.segments()[0];
         assert_eq!((owned(seg), seg.flat_count()), (vec![unit], 1));
-        assert_eq!(ss.locate(&[]).rows.len(), 1);
+        assert_eq!(ss.locate::<Conjunct<'_>>(&[]).rows.len(), 1);
     }
 }

@@ -263,10 +263,16 @@ impl ShardRouter {
         &self,
         conjuncts: impl IntoIterator<Item = &'a [Atom]>,
     ) -> Vec<usize> {
-        let mut shards: Vec<usize> = (0..self.shard_count()).collect();
+        let mut conjuncts = conjuncts.into_iter();
+        let Some(first) = conjuncts.next() else {
+            return (0..self.shard_count()).collect();
+        };
+        // The first conjunct's set, narrowed in place by the others.
+        let mut shards = self.shards_for_values(first);
         for values in conjuncts {
-            let holding = self.shards_for_values(values);
-            shards.retain(|s| holding.contains(s));
+            shards.retain(|&s| {
+                self.attr.is_none() || values.iter().any(|&v| self.spec.route_value(v) == s)
+            });
         }
         shards
     }

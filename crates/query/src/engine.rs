@@ -448,6 +448,10 @@ impl Engine {
             snap.push_counter(format!("table.{name}.deletes"), s.deletes);
             snap.push_counter(format!("table.{name}.segments_skipped"), s.segments_skipped);
             snap.push_counter(
+                format!("table.{name}.scan.segments_searched"),
+                s.segments_searched,
+            );
+            snap.push_counter(
                 format!("table.{name}.scan.rows_read_ahead"),
                 s.scan_rows_read_ahead,
             );
@@ -478,6 +482,7 @@ impl Engine {
             let mem = t.memory();
             snap.push_counter(format!("table.{name}.mem.chunk_bytes"), mem.chunk_bytes);
             snap.push_counter(format!("table.{name}.mem.column_bytes"), mem.column_bytes);
+            snap.push_counter(format!("table.{name}.mem.filter_bytes"), mem.filter_bytes);
             snap.push_counter(
                 format!("table.{name}.mem.bytes_per_flat_row"),
                 mem.bytes_per_flat_row(),

@@ -123,6 +123,11 @@ pub struct TableMemory {
     pub chunk_bytes: u64,
     /// Value-major column bytes: codes, offsets and row lists, 4 B each.
     pub column_bytes: u64,
+    /// Bytes of the segments' membership filters on the routing
+    /// attribute: [`KEY_FILTER_BYTES`](nf2_core::segment::KEY_FILTER_BYTES)
+    /// per segment that has one. Not in
+    /// [`bytes_per_flat_row`](Self::bytes_per_flat_row).
+    pub filter_bytes: u64,
     /// Flat rows (`|R*|`) the segments represent.
     pub flat_rows: u128,
 }
@@ -167,6 +172,10 @@ pub struct TableStats {
     /// ([`TableSnapshot::scan_shards_zoned`]) located no tuple — none of
     /// their tuples was probed, so they are *not* in `units_probed`.
     pub segments_skipped: u64,
+    /// Segments whose codes a zoned scan searched: those its filter and
+    /// zone tests did not refute. Settled with `segments_skipped`; a
+    /// point read on the routing attribute searches about one.
+    pub segments_searched: u64,
     /// Located tuples a zoned scan touched ahead of yielding them (its
     /// read-ahead, [`TableScan`]): what it read early, not what it
     /// probed — a tuple read ahead is still probed only when yielded.
@@ -232,6 +241,7 @@ pub struct SharedTableStats {
     inserts: AtomicU64,
     deletes: AtomicU64,
     segments_skipped: AtomicU64,
+    segments_searched: AtomicU64,
     scan_rows_read_ahead: AtomicU64,
     epoch_installs: AtomicU64,
     snapshot_pins: AtomicU64,
@@ -255,6 +265,7 @@ impl SharedTableStats {
             inserts: AtomicU64::new(stats.inserts),
             deletes: AtomicU64::new(stats.deletes),
             segments_skipped: AtomicU64::new(stats.segments_skipped),
+            segments_searched: AtomicU64::new(stats.segments_searched),
             scan_rows_read_ahead: AtomicU64::new(stats.scan_rows_read_ahead),
             epoch_installs: AtomicU64::new(stats.epoch_installs),
             snapshot_pins: AtomicU64::new(stats.snapshot_pins),
@@ -283,6 +294,7 @@ impl SharedTableStats {
             inserts: self.inserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             segments_skipped: self.segments_skipped.load(Ordering::Relaxed),
+            segments_searched: self.segments_searched.load(Ordering::Relaxed),
             scan_rows_read_ahead: self.scan_rows_read_ahead.load(Ordering::Relaxed),
             epoch_installs: self.epoch_installs.load(Ordering::Relaxed),
             snapshot_pins: self.snapshot_pins.load(Ordering::Relaxed),
@@ -679,6 +691,7 @@ impl NfTable {
         for seg in segments {
             mem.chunk_bytes += seg.chunk_bytes() as u64;
             mem.column_bytes += seg.column_bytes() as u64;
+            mem.filter_bytes += seg.filter_bytes() as u64;
             mem.flat_rows += seg.flat_count();
         }
         mem

@@ -10,7 +10,7 @@ use nf2_core::chunk::{Chunk, ChunkBuilder, Rewrite};
 use nf2_core::mvcc::{ShardVersion, TableVersion};
 use nf2_core::relation::NfRelation;
 use nf2_core::schema::AttrId;
-use nf2_core::segment::{Conjunct, Rows, Segment, ShardSegments};
+use nf2_core::segment::{Rows, Segment, ShardSegments};
 use nf2_core::shard::{merge_shards, merged_tuple_count, ShardRouter};
 use nf2_core::tuple::{SetRef, TupleRef, TupleStore, TupleView, ValueSet};
 use nf2_core::value::Atom;
@@ -168,15 +168,15 @@ impl TableSnapshot {
     /// not narrowed to them, so callers still apply the real predicate:
     /// [`TableScan::located`] runs it on each tuple in place.
     pub fn scan_shards_zoned(&self, shards: &[usize], zones: &[(AttrId, ValueSet)]) -> TableScan {
-        let conjuncts = conjuncts_of(zones);
         let mut parts: Vec<(Arc<ShardVersion>, Rows)> = Vec::new();
-        let mut skipped = 0u64;
+        let (mut skipped, mut searched) = (0u64, 0u64);
         for &i in shards {
             let Some(v) = self.version.shards().get(i) else {
                 continue;
             };
-            let located = v.locate(&conjuncts);
+            let located = v.locate(zones);
             skipped += located.skipped as u64;
+            searched += located.searched as u64;
             parts.push((Arc::clone(v), located.rows));
         }
         TableScan {
@@ -184,11 +184,12 @@ impl TableSnapshot {
             part: 0,
             segment: 0,
             segment_start: 0,
-            window: if conjuncts.is_empty() { 0 } else { 2 },
+            window: if zones.is_empty() { 0 } else { 2 },
             warm: 0,
             stats: Arc::clone(&self.stats),
             yielded: 0,
             skipped,
+            searched,
             read_ahead: 0,
         }
     }
@@ -205,12 +206,11 @@ impl TableSnapshot {
         shards: &[usize],
         zones: &[(AttrId, ValueSet)],
     ) -> Vec<ZoneCounts> {
-        let conjuncts = conjuncts_of(zones);
         shards
             .iter()
             .filter_map(|&i| self.version.shards().get(i))
             .map(|v| {
-                let located = v.locate(&conjuncts);
+                let located = v.locate(zones);
                 ZoneCounts {
                     skipped: located.skipped,
                     segments: v.segments().segment_count(),
@@ -219,11 +219,6 @@ impl TableSnapshot {
             })
             .collect()
     }
-}
-
-/// The zone conjuncts of a scan as the segments take them.
-fn conjuncts_of(zones: &[(AttrId, ValueSet)]) -> Vec<Conjunct<'_>> {
-    zones.iter().map(|(a, vs)| (*a, vs.as_slice())).collect()
 }
 
 /// One shard's share of a zoned scan's pruning effect
@@ -239,10 +234,12 @@ pub struct ZoneCounts {
 }
 
 impl SharedTableStats {
-    fn settle_scan(&self, yielded: u64, skipped: u64, read_ahead: u64) {
+    fn settle_scan(&self, yielded: u64, skipped: u64, searched: u64, read_ahead: u64) {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.units_probed.fetch_add(yielded, Ordering::Relaxed);
         self.segments_skipped.fetch_add(skipped, Ordering::Relaxed);
+        self.segments_searched
+            .fetch_add(searched, Ordering::Relaxed);
         self.scan_rows_read_ahead
             .fetch_add(read_ahead, Ordering::Relaxed);
     }
@@ -306,6 +303,8 @@ pub struct TableScan {
     yielded: u64,
     /// Segments that held no located tuple (settled on drop).
     skipped: u64,
+    /// Segments whose codes the locate searched (settled on drop).
+    searched: u64,
     /// Positions read ahead (settled on drop).
     read_ahead: u64,
 }
@@ -317,23 +316,20 @@ impl TableScan {
     fn next_position(&mut self) -> Option<usize> {
         loop {
             let (version, rows) = self.parts.get_mut(self.part)?;
-            let segments = version.segments().segments();
+            let segments = version.segments();
             if self.warm == 0 {
                 self.warm = if self.window == 0 || rows.len() < 2 {
                     usize::MAX
                 } else {
                     let ahead = rows.ahead().take(self.window);
-                    let touched = read_ahead(segments, ahead, self.segment, self.segment_start);
+                    let touched = read_ahead(segments, ahead, self.segment);
                     self.read_ahead += touched as u64;
                     self.window = (2 * self.window).min(READ_AHEAD_CAP);
                     touched
                 };
             }
             if let Some(at) = rows.next() {
-                while at >= self.segment_start + segments[self.segment].rows() {
-                    self.segment_start += segments[self.segment].rows();
-                    self.segment += 1;
-                }
+                (self.segment, self.segment_start) = segments.segment_at(at, self.segment);
                 self.warm -= 1;
                 self.yielded += 1;
                 return Some(at - self.segment_start);
@@ -572,8 +568,8 @@ where
 }
 
 /// Touches the tuples at `positions` (ascending, at most
-/// `READ_AHEAD_CAP`, none before the position `start` at which
-/// `segments[segment]` begins) so their cache misses overlap. A stored
+/// `READ_AHEAD_CAP`, none before segment `segment`) so their cache
+/// misses overlap. A stored
 /// tuple is its offsets in one array of its chunk and its atoms in the
 /// other, and where its atoms lie is read from its offsets; so this
 /// takes two tight passes — every tuple's offsets (where its first set
@@ -584,19 +580,16 @@ where
 /// window, and inlined it slows every scan's per-tuple step.
 #[inline(never)]
 fn read_ahead(
-    segments: &[Arc<Segment>],
+    segments: &ShardSegments,
     positions: impl Iterator<Item = usize>,
     mut segment: usize,
-    mut start: usize,
 ) -> usize {
     let mut tuples: [Option<TupleRef<'_>>; READ_AHEAD_CAP] = [None; READ_AHEAD_CAP];
     let (mut touched, mut widths) = (0, 0);
     for (slot, at) in tuples.iter_mut().zip(positions) {
-        while at >= start + segments[segment].rows() {
-            start += segments[segment].rows();
-            segment += 1;
-        }
-        let tuple = segments[segment].tuple(at - start);
+        let start;
+        (segment, start) = segments.segment_at(at, segment);
+        let tuple = segments.segments()[segment].tuple(at - start);
         widths += tuple.components().next_back().map_or(0, SetRef::len);
         *slot = Some(tuple);
         touched += 1;
@@ -620,6 +613,6 @@ fn read_ahead(
 impl Drop for TableScan {
     fn drop(&mut self) {
         self.stats
-            .settle_scan(self.yielded, self.skipped, self.read_ahead);
+            .settle_scan(self.yielded, self.skipped, self.searched, self.read_ahead);
     }
 }

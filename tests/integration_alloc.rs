@@ -130,8 +130,10 @@ const PER_STATEMENT: u64 = 64;
 /// Everything a point read allocates, on any table: its fixed cost
 /// (binding, the shard and zone vectors, each shard's located spans,
 /// the boxed step) and its one output tuple's block — the block's two
-/// arrays and its `Arc`.
-const POINT_ALLOCS: u64 = 13;
+/// arrays and its `Arc`. The shard set is one vector, and the zones
+/// reach the segments as they are held (13 while the shard set took a
+/// vector per conjunct and the zones were copied into one more).
+const POINT_ALLOCS: u64 = 11;
 
 const SCAN_EQ: &str = "SELECT Student, Club FROM t WHERE Course = ?";
 const SCAN_ALL: &str = "SELECT * FROM t WHERE Course = ?";
@@ -226,7 +228,7 @@ fn a_point_read_allocates_the_same_on_any_table() {
 /// Everything `Prepared::execute` of [`POINT`] allocates: the point
 /// read's [`POINT_ALLOCS`] and two more for the relation it
 /// materializes, but no text: the table is rendered when asked.
-const MATERIALIZED_POINT_ALLOCS: u64 = 15;
+const MATERIALIZED_POINT_ALLOCS: u64 = 13;
 
 #[test]
 fn a_materialized_select_renders_nothing_until_asked() {
@@ -261,8 +263,8 @@ t_proj
 /// parsed or planned: the plan is the cached one. The cold first run,
 /// which parses and plans, allocates 112. While every run lexed, parsed
 /// and lifted its text before looking its plan up, the warm run
-/// allocated 44.
-const ADHOC_POINT_ALLOCS: u64 = 21;
+/// allocated 44; before the point read lost two vectors, 21.
+const ADHOC_POINT_ALLOCS: u64 = 19;
 
 #[test]
 fn an_adhoc_select_plans_once_per_shape() {
@@ -405,7 +407,7 @@ fn a_dropped_segment_frees_blocks_per_attribute_not_per_tuple() {
     for width in [1, 6] {
         let frees: Vec<u64> = [64, 1_024]
             .map(|rows| {
-                let segment = Segment::encode(&wide_tuples(rows, width));
+                let segment = Segment::encode(&wide_tuples(rows, width), Some(2));
                 assert_eq!(segment.rows(), rows as usize);
                 let ((), tally) = counted(|| drop(segment));
                 tally.frees

@@ -14,9 +14,17 @@
 //!   tuples holding the value and skips every segment holding none,
 //!   charged to the `segments_skipped` counter, without changing any
 //!   answer — before and after point writes.
+//!
+//! And one counted mechanism: a point read on the routing attribute
+//! `P(n−1)` searches about one segment (`segments_searched`) where
+//! shared rests stretch the zones over most of them — the segments'
+//! membership filters refute the rest.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use nf2::core::schema::NestOrder;
 use nf2::core::shard::ShardSpec;
+use nf2::core::Atom;
 use nf2::query::Engine;
 use nf2::storage::NfTable;
 
@@ -312,4 +320,178 @@ fn multi_attribute_order_by_ranks_by_both_keys() {
     for (i, t) in asc.iter().enumerate() {
         assert_eq!(t[1], vec![format!("b{i:04}")]);
     }
+}
+
+/// A deterministic draw for the university-shaped table below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u32) -> u32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % u64::from(n)) as u32
+    }
+}
+
+/// `t (Club, Course, Student)` on 4 hash shards: student `s` takes the
+/// full product of 1–2 of 30 courses and 1–2 of 6 clubs, every name
+/// interned in sorted order before the load. So few rests exist that
+/// many tuples hold several students (shared rests), and a tuple's
+/// students lie far apart in the key order.
+fn university_engine(students: u32) -> (Engine, Vec<String>) {
+    let engine = Engine::builder().shards(4).build().unwrap();
+    let names: Vec<String> = (0..students).map(|s| format!("s{s:05}")).collect();
+    let clubs: Vec<String> = (0..6).map(|k| format!("b{k}")).collect();
+    let courses: Vec<String> = (0..30).map(|c| format!("c{c:02}")).collect();
+    for name in clubs.iter().chain(&courses).chain(&names) {
+        engine.dict().intern(name);
+    }
+    let mut rng = Lcg(20_261_020);
+    let mut rows: Vec<Vec<&str>> = Vec::new();
+    for student in &names {
+        let mut draw = |n: u32| {
+            let first = rng.below(n);
+            let second = rng.below(2 * n);
+            let mut picked = vec![first];
+            if second < n && second != first {
+                picked.push(second);
+            }
+            picked
+        };
+        let (taken, joined) = (draw(30), draw(6));
+        for &course in &taken {
+            for &club in &joined {
+                rows.push(vec![
+                    &clubs[club as usize],
+                    &courses[course as usize],
+                    student,
+                ]);
+            }
+        }
+    }
+    let table = NfTable::bulk_load_strs_sharded(
+        "t",
+        &["Club", "Course", "Student"],
+        rows,
+        NestOrder::identity(3),
+        ShardSpec::hash(4).unwrap(),
+        engine.dict().clone(),
+    )
+    .unwrap();
+    engine.attach_table(table).unwrap();
+    engine.table("t").unwrap().set_segment_rows(64);
+    (engine, names)
+}
+
+/// The flat rows `(club, course, student)` of a tuple's three sets.
+fn flat_rows(sets: [&[Atom]; 3], out: &mut BTreeSet<[Atom; 3]>) {
+    for &club in sets[0] {
+        for &course in sets[1] {
+            for &student in sets[2] {
+                out.insert([club, course, student]);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_point_read_searches_about_one_segment_where_zones_admit_many() {
+    const STUDENT: usize = 2;
+    let (engine, names) = university_engine(4_000);
+    let t = engine.table("t").unwrap();
+    let store = t.sharded();
+
+    // Brute force over the stored tuples: each key's flat rows, the
+    // segments holding it, and the segments whose Student zone admits
+    // it — all within the key's own shard.
+    let mut expected: BTreeMap<Atom, BTreeSet<[Atom; 3]>> = BTreeMap::new();
+    let mut holders: BTreeMap<Atom, usize> = BTreeMap::new();
+    let (mut segments, mut shared) = (0, 0);
+    for s in 0..t.shard_count() {
+        let segs = store.shard_segments(s);
+        segments += segs.segment_count();
+        for seg in segs.segments() {
+            let keys: BTreeSet<Atom> = seg
+                .tuples()
+                .flat_map(|tuple| tuple.component(STUDENT).as_slice().to_vec())
+                .collect();
+            shared += usize::from(seg.tuples().any(|tuple| tuple.component(STUDENT).len() > 1));
+            for tuple in seg.tuples() {
+                for &key in tuple.component(STUDENT).as_slice() {
+                    let sets = [0, 1, 2].map(|a| tuple.component(a).as_slice());
+                    flat_rows(
+                        [sets[0], sets[1], std::slice::from_ref(&key)],
+                        expected.entry(key).or_default(),
+                    );
+                }
+            }
+            for key in keys {
+                *holders.entry(key).or_default() += 1;
+            }
+        }
+    }
+    assert!(segments >= 40, "{segments} segments at 64 tuples each");
+    assert!(
+        2 * shared >= segments,
+        "{shared} of {segments} segments hold a shared rest"
+    );
+
+    let dict = engine.dict().snapshot();
+    let session = engine.session();
+    let mut point = session
+        .prepare("SELECT * FROM t WHERE Student = ?")
+        .unwrap();
+    let (mut in_shard, mut admitted) = (0, 0);
+    let before = t.stats();
+    for name in &names {
+        let key = dict.lookup(name).expect("every student was loaded");
+        let shard = t.routing().spec().route_value(key);
+        let segs = store.shard_segments(shard);
+        in_shard += segs.segment_count();
+        admitted += segs
+            .segments()
+            .iter()
+            .filter(|seg| seg.min(STUDENT) <= key && key <= seg.max(STUDENT))
+            .count();
+        let mut answer = BTreeSet::new();
+        for view in point.query(&session, &[name.as_str()]).unwrap() {
+            let tuple = view.as_ref();
+            let sets = [0, 1, 2].map(|a| tuple.component(a).as_slice());
+            flat_rows(sets, &mut answer);
+        }
+        assert_eq!(answer, expected[&key], "{name}");
+    }
+    let after = t.stats();
+    let reads = names.len();
+    assert_eq!(
+        after.lookups - before.lookups,
+        reads as u64,
+        "one routed scan a read"
+    );
+    let held: usize = holders.values().sum();
+    assert_eq!(
+        (after.segments_skipped - before.segments_skipped) as usize,
+        in_shard - held,
+        "every segment of the shard but the holders is skipped"
+    );
+    // The zones alone admit at least 30 % of each shard's segments; the
+    // filters leave about one to search.
+    assert!(
+        10 * admitted >= 3 * in_shard,
+        "zones admit {admitted} of {in_shard} segments"
+    );
+    let searched = (after.segments_searched - before.segments_searched) as usize;
+    assert!(
+        2 * searched <= 3 * reads,
+        "{searched} segments searched for {reads} point reads"
+    );
+    assert!(searched >= held, "every holder is searched");
+    let metrics = engine.metrics().to_text();
+    assert!(
+        metrics.contains("table.t.scan.segments_searched"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("table.t.mem.filter_bytes"), "{metrics}");
 }
